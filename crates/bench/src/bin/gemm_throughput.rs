@@ -1,35 +1,32 @@
 //! Wall-clock GFLOPS of the functional GEMM spine, one row per square
-//! problem size, one column per execution configuration:
+//! problem size, one column per series. Every series runs the generated
+//! 8x12 kernel through the one five-loop driver; each differs from a
+//! neighbour in exactly one layer, which is what it isolates:
 //!
-//! * `interp`                   — tree-walking interpreter kernel, legacy
-//!   allocate-per-block driver (the pre-tape status quo),
-//! * `tape`                     — scalar tape kernel, legacy driver,
-//! * `tape+arena`               — scalar tape, zero-allocation packing
-//!   arenas,
-//! * `superword`                — superword whole-vector kernel, legacy
-//!   driver (isolates the backend win from the driver win),
-//! * `superword+arena`          — superword kernel plus the arenas: the
-//!   portable production path,
-//! * `superword+arena+threads`  — arenas plus the threaded block loop
-//!   (all cores),
-//! * `superword+arena+strided`  — the portable path over *strided*
-//!   operand views (padded leading dimensions on `A`, `B`, and `C`),
-//! * `superword+arena+transB`   — the portable path with `op(B) = T`
-//!   (`B` stored `n x k`, transposed through the view, folded into
-//!   packing's stride walk),
-//! * `simd`                     — the in-process closure chain for the
-//!   active vector ISA (AVX2/FMA, NEON, or the scalar reference), legacy
-//!   driver (isolates the intrinsic win from the driver win),
-//! * `simd+arena+threads`       — the chain plus arenas plus the threaded
-//!   block loop,
-//! * `simd+arena+strided`       — the chain path over strided views,
-//! * `native`                   — the ahead-of-time compiled `.so` tier
-//!   (C emitted from the superword tape, built by the host toolchain,
-//!   dlopen'd), legacy driver — on hosts without a C compiler this
-//!   silently measures the simd chain instead (`"native_available"` in
-//!   the JSON says which),
-//! * `native+arena+threads`     — the native tier plus arenas plus the
-//!   threaded block loop: the default production path.
+//! * `interp`         — tree-walking interpreter kernel, one thread.
+//!   isolates: the reference semantics' cost, the floor every tier is
+//!   measured from.
+//! * `tape`           — scalar tape kernel. isolates: compiling the IR
+//!   walk away (tape / interp).
+//! * `superword`      — superword whole-vector kernel. isolates: the SLP
+//!   pass and prove-once dispatch (superword / tape) — the portable path.
+//! * `simd`           — the in-process closure chain for the active vector
+//!   ISA (AVX2/FMA, NEON, or the scalar reference). isolates: real vector
+//!   instructions and closure fusion (simd / superword).
+//! * `native`         — the ahead-of-time compiled `.so` tier (C emitted
+//!   from the superword tape, built by the host toolchain, dlopen'd): the
+//!   default production path. isolates: the host compiler's codegen over
+//!   the same ops (native / simd). On hosts without a C compiler this
+//!   silently measures the simd chain instead (`"native_available"` in the
+//!   JSON says which).
+//! * `native+threads` — `native` with `C` partitioned over all cores.
+//!   isolates: the threaded partition (÷ `native`).
+//! * `native+strided` — `native` over *strided* operand views (padded
+//!   leading dimensions on `A`, `B`, and `C`). isolates: the packers'
+//!   strided gather and the strided `C` write-back (÷ `native`).
+//! * `native+transB`  — `native` with `op(B) = T` (`B` stored `n x k`,
+//!   transposed through the view). isolates: the packers'
+//!   blocked-transpose walk (÷ `native`).
 //!
 //! A second section, `serve_throughput`, measures the `exo-serve` layer on
 //! an overhead-dominated workload: 64 small mixed-shape problems run three
@@ -38,10 +35,11 @@
 //! * `per_call` — a sequential loop of plain `TunedGemm::gemm` calls (each
 //!   paying its own registry lookup, driver build, dispatch proof, and
 //!   arena allocation),
-//! * `batched`  — one `GemmBatch` through `gemm_batch` (those fixed costs
-//!   paid once per kernel-shape group),
-//! * `service`  — the same jobs submitted to a `GemmService` from 4
-//!   concurrent caller threads.
+//! * `batched`  — one `GemmBatch` through `CachedTunedGemm::gemm_batch`
+//!   (those fixed costs paid once per kernel-shape group, and kept warm
+//!   across batches),
+//! * `service`  — the same jobs submitted to a `GemmService` over a
+//!   `CachedTunedGemm` from 4 concurrent caller threads.
 //!
 //! Unlike the figure harnesses (which report *modelled* Carmel GFLOPS),
 //! these are real measured numbers on the host — the perf trajectory data
@@ -74,7 +72,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use exo_serve::{GemmBatch, GemmBatchExecutor, GemmJob, GemmService, OwnedMat, ServiceConfig};
+use exo_serve::{
+    CachedTunedGemm, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, OwnedMat, ServiceConfig,
+};
 use exo_tune::TunedGemm;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
@@ -97,7 +97,7 @@ const CHECK_TOLERANCE: f64 = 0.25;
 /// How a variant lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
-    /// Dense row-major `A`, `B`, `C` — the historical series.
+    /// Dense row-major `A`, `B`, `C`.
     Dense,
     /// Dense buffers with a padded leading dimension on every operand: the
     /// views are strided sub-matrices of wider allocations.
@@ -112,7 +112,6 @@ const STRIDE_PAD: usize = 16;
 
 struct Variant {
     name: &'static str,
-    kernel: KernelImpl,
     driver: BlisGemm,
     mode: Mode,
 }
@@ -184,7 +183,7 @@ fn measure(variant: &Variant, size: usize, reps: usize) -> f64 {
     for _ in 0..reps.max(1) {
         operands.c.fill(0.0);
         let start = Instant::now();
-        variant.driver.gemm_with(&variant.kernel, operands.problem()).expect("gemm run");
+        variant.driver.gemm(operands.problem()).expect("gemm run");
         best = best.min(start.elapsed().as_secs_f64());
     }
     let flops = 2.0 * (size as f64).powi(3);
@@ -263,13 +262,13 @@ fn measure_serve(reps: usize) -> [f64; 3] {
     // per_call/batched ratio stable against scheduler noise on a busy
     // single-core host.
     let reps = reps.max(25);
-    let executor = TunedGemm::new();
+    let executor = CachedTunedGemm::new(TunedGemm::new());
     let mut entries = serve_workload();
     let total_flops: f64 = entries.iter().map(|e| 2.0 * (e.m * e.n * e.k) as f64).sum();
 
     let per_call = |entries: &mut [ServeEntry]| {
         for e in entries.iter_mut() {
-            executor.gemm(e.problem()).expect("per-call gemm");
+            executor.tuned().gemm(e.problem()).expect("per-call gemm");
         }
     };
     let batched = |entries: &mut [ServeEntry]| {
@@ -296,7 +295,7 @@ fn measure_serve(reps: usize) -> [f64; 3] {
     // outside the timed region — it is the caller's cost, not the
     // service's.
     let service = GemmService::with_config(
-        TunedGemm::new(),
+        CachedTunedGemm::new(TunedGemm::new()),
         ServiceConfig { queue_capacity: SERVE_PROBLEMS, max_batch: SERVE_PROBLEMS },
     );
     let mut best_service = f64::INFINITY;
@@ -439,7 +438,7 @@ fn check_against_baseline(
         let floor = base_g * (1.0 - CHECK_TOLERANCE);
         let verdict = if cur_g >= floor { "ok" } else { "REGRESSED" };
         println!(
-            "  {name:<24} geomean {cur_g:>8.3} vs baseline {base_g:>8.3} (floor {floor:>8.3}) {verdict}"
+            "  {name:<16} geomean {cur_g:>8.3} vs baseline {base_g:>8.3} (floor {floor:>8.3}) {verdict}"
         );
         if cur_g < floor {
             ok = false;
@@ -505,92 +504,27 @@ fn main() {
     let blocking = BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), 8, 12, 4);
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
 
+    let variant = |name, kernel: KernelImpl, threads, mode| Variant {
+        name,
+        driver: BlisGemm::new(blocking).with_kernel(kernel).with_threads(threads),
+        mode,
+    };
     let variants = [
-        Variant {
-            name: "interp",
-            kernel: exo_kernel_interp(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "tape",
-            kernel: exo_kernel_tape(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "tape+arena",
-            kernel: exo_kernel_tape(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "superword",
-            kernel: exo_kernel_superword(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "superword+arena",
-            kernel: exo_kernel_superword(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "superword+arena+threads",
-            kernel: exo_kernel_superword(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).with_threads(0),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "superword+arena+strided",
-            kernel: exo_kernel_superword(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking),
-            mode: Mode::Strided,
-        },
-        Variant {
-            name: "superword+arena+transB",
-            kernel: exo_kernel_superword(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking),
-            mode: Mode::TransposedB,
-        },
-        Variant {
-            name: "simd",
-            kernel: exo_kernel_simd(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "simd+arena+threads",
-            kernel: exo_kernel_simd(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).with_threads(0),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "simd+arena+strided",
-            kernel: exo_kernel_simd(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking),
-            mode: Mode::Strided,
-        },
-        Variant {
-            name: "native",
-            kernel: exo_kernel(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "native+arena+threads",
-            kernel: exo_kernel(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).with_threads(0),
-            mode: Mode::Dense,
-        },
+        variant("interp", exo_kernel_interp(Arc::clone(&kernel)), 1, Mode::Dense),
+        variant("tape", exo_kernel_tape(Arc::clone(&kernel)), 1, Mode::Dense),
+        variant("superword", exo_kernel_superword(Arc::clone(&kernel)), 1, Mode::Dense),
+        variant("simd", exo_kernel_simd(Arc::clone(&kernel)), 1, Mode::Dense),
+        variant("native", exo_kernel(Arc::clone(&kernel)), 1, Mode::Dense),
+        variant("native+threads", exo_kernel(Arc::clone(&kernel)), 0, Mode::Dense),
+        variant("native+strided", exo_kernel(Arc::clone(&kernel)), 1, Mode::Strided),
+        variant("native+transB", exo_kernel(Arc::clone(&kernel)), 1, Mode::TransposedB),
     ];
     let names: Vec<&str> = variants.iter().map(|v| v.name).collect();
 
     println!("gemm_throughput — measured GFLOPS, EXO 8x12 kernel ({threads} host threads)");
     print!("{:<8}", "m=n=k");
     for name in &names {
-        print!("{name:>25}");
+        print!("{name:>16}");
     }
     println!();
 
@@ -602,7 +536,7 @@ fn main() {
             let v_reps = if variant.name == "interp" { 1 } else { reps };
             let g = measure(variant, size, v_reps);
             gflops[vi].push(g);
-            print!("{g:>25.3}");
+            print!("{g:>16.3}");
         }
         println!();
     }

@@ -5,7 +5,7 @@
 //! Lifecycle and flow:
 //!
 //! 1. [`GemmService::new`] spawns the collector thread and takes ownership
-//!    of a [`GemmBatchExecutor`] (typically `exo_tune::TunedGemm`).
+//!    of a [`GemmBatchExecutor`] (typically a [`crate::CachedTunedGemm`]).
 //! 2. Callers [`GemmService::submit`] owned [`GemmJob`]s from any number of
 //!    threads. The queue is **bounded** ([`ServiceConfig::queue_capacity`]):
 //!    a full queue blocks the submitter — backpressure, not unbounded

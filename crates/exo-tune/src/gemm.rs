@@ -25,16 +25,18 @@ pub struct TunedRun {
 
 /// Autotuned GEMM: searches-or-loads per problem shape, then dispatches.
 ///
-/// Dispatch goes through the fastest execution backend the host supports —
-/// generated kernels carry their tape, superword, and (on AVX2/FMA hosts)
-/// native SIMD closure-chain lowerings, and the driver picks in the order
-/// simd → superword → tape → interp — the arena-based five-loop driver,
-/// and, when [`TunedGemm::with_threads`] raises the knob, the threaded
-/// block loop. The `EXO_BACKEND` environment override
-/// (`simd|superword|tape|interp`) is honored, so any tier is forceable for
-/// debugging. Use it through [`GemmExecutor::gemm`] like every other
-/// driver, or through [`TunedGemm::execute`] to also receive the tuning
-/// verdict.
+/// Dispatch goes through the fastest execution backend the host supports:
+/// generated kernels carry their tape, superword, and SIMD closure-chain
+/// lowerings (AVX2/FMA, NEON, or the scalar reference) plus, once the
+/// background build promotes it, the ahead-of-time compiled native
+/// artifact, and the driver picks in the order native → simd → superword →
+/// tape → interp. The five-loop engine runs on one thread unless
+/// [`TunedGemm::with_threads`] raises the knob, in which case it runs once
+/// per window of a partitioned `C`. The `EXO_BACKEND` environment override
+/// (`native|simd|superword|tape|interp`) is honored, so any tier is
+/// forceable for debugging. Use it through [`GemmExecutor::gemm`] like
+/// every other driver, or through [`TunedGemm::execute`] to also receive
+/// the tuning verdict.
 #[derive(Debug, Default)]
 pub struct TunedGemm {
     tuner: Tuner,
@@ -53,10 +55,10 @@ impl TunedGemm {
         TunedGemm { tuner, threads: 1 }
     }
 
-    /// Sets the worker-thread count the dispatch driver uses for its
-    /// parallel block loop (`0` = all cores, `1` = sequential). Thread
-    /// count never changes results: every `C` element is computed by
-    /// exactly one worker in the sequential op order.
+    /// Sets the worker-thread count the dispatch driver partitions `C`
+    /// over (`0` = all cores, `1` = sequential). Thread count never
+    /// changes results: every `C` element is computed by exactly one
+    /// worker in the sequential op order.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -13,29 +13,27 @@
 //! * `beta` is applied on the `C` write-back path of the **first** k-block
 //!   only — later k-blocks accumulate — and `beta == 0` never reads `C`.
 //!
-//! The driver has two modes:
-//!
-//! * the default **arena** hot path — a [`crate::packing::PackArena`], the
-//!   staged `C` tile, and a prove-once [`KernelDispatch`] per worker are
-//!   allocated once per GEMM and reused across every `(jc, pc, ic)`
-//!   iteration, and one of the block loops can optionally be spread over a
-//!   scoped thread pool ([`BlisGemm::with_threads`]): the `ic` loop by
-//!   default (disjoint row blocks of `C`), or the `jc` loop when the
-//!   problem is wide and short (large `n`, small `m` — disjoint nc-wide
-//!   column blocks, each staged through a private dense copy). Either way
-//!   every `C` element is computed by exactly one worker in the sequential
-//!   op order, so the result is bit-for-bit identical for any thread count;
-//! * the legacy **unbuffered** path ([`BlisGemm::without_arena`]) that
-//!   allocates fresh buffers per block, kept as a baseline for the
-//!   `gemm_throughput` bench and for differential tests.
+//! There is one engine. A [`GemmRunner`] owns what one pass of the five
+//! loops needs — blocking, a prove-once [`KernelDispatch`], a
+//! [`crate::packing::PackArena`], and the staged `C` tile — and runs them
+//! over a `(rows, cols)` window of `C`. A one-thread GEMM is that engine
+//! over the whole of `C`. A threaded GEMM ([`BlisGemm::with_threads`])
+//! partitions `C` into disjoint windows — contiguous runs of whole `mc` row
+//! blocks, or of whole `nc` column blocks when the problem is wide and short
+//! — and runs the same engine once per window on the shared pool, each
+//! worker packing its own operands. Every `C` element is computed by exactly
+//! one worker in the sequential `pc` order, so the result is bit-for-bit
+//! identical for any thread count.
 //!
 //! Correctness for arbitrary (including fringe) problem sizes is the point;
-//! with tape-compiled kernels the same entry point is also the fast path.
+//! with compiled kernels the same entry point is also the fast path.
 //! Modelled performance questions go through [`crate::model`] instead.
+
+use std::ops::Range;
 
 use crate::baselines::{neon_intrinsics_kernel, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
-use crate::packing::{a_panel, b_panel, pack_a, pack_a_into, pack_b, pack_b_into, PackArena};
+use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena};
 use crate::pool::{PoolJob, ThreadPool};
 use crate::problem::{GemmExecutor, GemmProblem, GemmStats};
 use crate::views::{MatMut, MatRef};
@@ -159,13 +157,13 @@ pub fn naive_gemm(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// A raw strided window onto the `C` operand, shared across the driver's
 /// workers.
 ///
-/// Why raw pointers: with arbitrary strides the row blocks of `C` are
-/// logically disjoint but *interleaved* in memory (e.g. a column-major or
-/// padded-submatrix `C`), so the safe `split_at_mut` partition of the old
-/// dense driver cannot express them. Each worker reads and writes only
-/// `(i, j)` elements of its own row range; [`MatMut`]'s constructor proved
-/// the stride map injective, so those element sets are disjoint and the
-/// shared pointer is race-free.
+/// Why raw pointers: with arbitrary strides the windows of `C` are
+/// logically disjoint but *interleaved* in memory (e.g. the row blocks of a
+/// column-major or padded-submatrix `C`), so a safe `split_at_mut`
+/// partition cannot express them. Each worker reads and writes only the
+/// `(i, j)` elements of its own window; [`MatMut`]'s constructor proved the
+/// stride map injective, so those element sets are disjoint and the shared
+/// pointer is race-free.
 #[derive(Clone, Copy)]
 struct RawMat {
     ptr: *mut f32,
@@ -176,8 +174,7 @@ struct RawMat {
 }
 
 // SAFETY: see the type docs — workers touch disjoint element sets, which
-// the driver guarantees by partitioning rows (or handing each worker a
-// private staging buffer).
+// the driver guarantees by partitioning `C` into disjoint windows.
 unsafe impl Send for RawMat {}
 unsafe impl Sync for RawMat {}
 
@@ -186,11 +183,6 @@ impl RawMat {
         let (rows, cols) = (c.rows(), c.cols());
         let (ptr, row_stride, col_stride) = c.raw_parts();
         RawMat { ptr, row_stride, col_stride, rows, cols }
-    }
-
-    fn of_dense(data: &mut [f32], rows: usize, cols: usize) -> Self {
-        debug_assert!(data.len() >= rows * cols);
-        RawMat { ptr: data.as_mut_ptr(), row_stride: cols, col_stride: 1, rows, cols }
     }
 
     /// # Safety
@@ -225,24 +217,21 @@ pub struct BlisGemm {
     /// Cache blocking parameters.
     pub blocking: BlockingParams,
     /// Maximum parallelism drawn from the shared worker pool
-    /// ([`ThreadPool::global`]) for the arena path's parallel block loop
-    /// (`ic` rows by default, `jc` columns for wide-and-short problems).
-    /// `1` is fully sequential; `0` means "the pool's full width" (the
-    /// machine, or the `EXO_THREADS` override).
+    /// ([`ThreadPool::global`]): `C` is split into at most this many
+    /// windows, one engine pass each. `1` is fully sequential; `0` means
+    /// "the pool's full width" (the machine, or the `EXO_THREADS`
+    /// override).
     pub threads: usize,
-    /// Whether to use the zero-allocation arena hot path (default) or the
-    /// legacy allocate-per-block path.
-    pub use_arena: bool,
     /// The micro-kernel the [`GemmExecutor`] entry point dispatches.
     kernel: KernelImpl,
 }
 
 impl BlisGemm {
-    /// Creates a driver with the given blocking (arena path, single thread,
-    /// and the hand-written NEON 8x12 kernel as the executor default —
-    /// override with [`BlisGemm::with_kernel`]).
+    /// Creates a driver with the given blocking (single thread, and the
+    /// hand-written NEON 8x12 kernel as the executor default — override
+    /// with [`BlisGemm::with_kernel`]).
     pub fn new(blocking: BlockingParams) -> Self {
-        BlisGemm { blocking, threads: 1, use_arena: true, kernel: neon_intrinsics_kernel() }
+        BlisGemm { blocking, threads: 1, kernel: neon_intrinsics_kernel() }
     }
 
     /// Creates a driver around a micro-kernel, with blocking derived
@@ -265,63 +254,29 @@ impl BlisGemm {
         &self.kernel
     }
 
-    /// Sets the worker-thread count for the parallel block loop (`0` = all
-    /// cores). Wide-and-short problems split the `jc` column loop, all
-    /// others the `ic` row loop; the result is identical either way.
+    /// Sets the worker-thread count (`0` = all cores). Wide-and-short
+    /// problems are split by column blocks, all others by row blocks; the
+    /// result is identical either way.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Switches to the legacy allocate-per-block path (no arena, no
-    /// threading) — the baseline the perf benches compare against.
-    #[must_use]
-    pub fn without_arena(mut self) -> Self {
-        self.use_arena = false;
-        self
-    }
-
     /// Creates an amortised sequential runner around this driver's stored
-    /// kernel and blocking: the arena, staged `C` tile, and prove-once
-    /// dispatch handle are allocated here, once, and reused by every
-    /// [`GemmRunner::gemm`] call.
-    pub fn runner(&self) -> GemmRunner<'_> {
-        let (mr, nr) = (self.kernel.mr, self.kernel.nr);
-        GemmRunner {
-            driver: self,
-            dispatch: self.kernel.dispatcher(),
-            arena: PackArena::empty(),
-            c_tile: vec![0.0f32; mr * nr],
-        }
-    }
-
-    /// Re-attaches detached runner scratch ([`GemmRunner::into_scratch`])
-    /// to this driver: the warm arena, staged tile, and memoised dispatch
-    /// proofs are reused when the scratch was built for this driver's
-    /// kernel and backend, so a caller keeping scratch across batches pays
-    /// the [`BlisGemm::runner`] costs once per kernel group instead of
-    /// once per batch. Scratch from a *different* kernel or backend keeps
-    /// only its warm buffers — the dispatch handle is rebuilt, so results
-    /// never depend on where the scratch came from.
-    pub fn runner_with(&self, scratch: RunnerScratch) -> GemmRunner<'_> {
-        let RunnerScratch { dispatch, arena, mut c_tile } = scratch;
-        let matches = {
-            let built_for = dispatch.kernel();
-            built_for.name == self.kernel.name
-                && built_for.mr == self.kernel.mr
-                && built_for.nr == self.kernel.nr
-                && built_for.backend == self.kernel.backend
-        };
-        let dispatch = if matches { dispatch } else { self.kernel.dispatcher() };
-        c_tile.resize(self.kernel.mr * self.kernel.nr, 0.0);
-        GemmRunner { driver: self, dispatch, arena, c_tile }
+    /// kernel and blocking: the staged `C` tile and prove-once dispatch
+    /// handle are built here, once, and reused (with the arena the runner
+    /// grows) by every [`GemmRunner::gemm`] call. The runner owns copies of
+    /// what it needs, so it may outlive the driver.
+    pub fn runner(&self) -> GemmRunner {
+        GemmRunner::new(self.blocking, &self.kernel)
     }
 
     /// Solves a [`GemmProblem`] with an explicitly supplied micro-kernel
     /// (the stored one is ignored): the full-control entry point behind the
     /// [`GemmExecutor`] impl, used by harnesses that sweep kernels over one
-    /// driver.
+    /// driver. Builds a [`GemmRunner`] for the call and runs it at this
+    /// driver's thread count.
     ///
     /// Fringe tiles are zero-padded by the packing routines and the `C`
     /// tile is staged through a padded scratch tile, exactly as the
@@ -332,364 +287,11 @@ impl BlisGemm {
     /// Returns [`GemmError::ShapeMismatch`] if the view dimensions are
     /// inconsistent, and propagates micro-kernel failures.
     pub fn gemm_with(&self, kernel: &KernelImpl, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        let (m, n, k) = problem.dims()?;
-        let a = problem.op_a.apply(problem.a);
-        let b = problem.op_b.apply(problem.b);
-        let (alpha, beta) = (problem.alpha, problem.beta);
-        let mut c = problem.c;
-        let flop_count = GemmStats::flops_for(m, n, k, alpha);
-        let stats = |threads: usize| GemmStats {
-            m,
-            n,
-            k,
-            flop_count,
-            kernel: kernel.name.clone(),
-            threads,
-            pool_workers: if threads > 1 { ThreadPool::global().workers() } else { 0 },
-            batched: false,
-            degraded: false,
-        };
-        if m == 0 || n == 0 {
-            return Ok(stats(1));
-        }
-        if k == 0 || alpha == 0.0 {
-            // Degenerate product: C = beta * C, honoring beta == 0 as
-            // "never read".
-            scale_c(&mut c, beta);
-            return Ok(stats(1));
-        }
-        if self.use_arena {
-            let threads = self.gemm_arena(kernel, a, b, &mut c, alpha, beta)?;
-            Ok(stats(threads))
-        } else {
-            self.gemm_unbuffered(kernel, a, b, &mut c, alpha, beta)?;
-            Ok(stats(1))
-        }
-    }
-
-    /// The zero-allocation hot path: packing buffers, the `C` scratch tile,
-    /// and one prove-once kernel dispatch handle per worker are allocated
-    /// once up front, and the `ic` (or `jc`) loop optionally fans out over
-    /// scoped threads. Returns the worker count used.
-    fn gemm_arena(
-        &self,
-        kernel: &KernelImpl,
-        a: MatRef<'_>,
-        b: MatRef<'_>,
-        c: &mut MatMut<'_>,
-        alpha: f32,
-        beta: f32,
-    ) -> Result<usize, GemmError> {
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let BlockingParams { mc, kc, nc, .. } = self.blocking;
-        let (mr, nr) = (kernel.mr, kernel.nr);
         let threads = match self.threads {
             0 => ThreadPool::global().workers(),
             t => t,
         };
-
-        // Pick the parallel loop. The ic loop is the default (disjoint row
-        // ranges of C), but a wide-and-short problem (large n, small m) has
-        // too few ic blocks to occupy the pool — there the jc loop over nc
-        // column blocks offers more parallelism.
-        let blocks = ic_blocks(m, mc);
-        let col_blocks = jc_blocks(n, nc);
-        if threads > 1 && col_blocks.len() > blocks.len() && blocks.len() < threads {
-            return self.gemm_arena_jc(kernel, a, b, c, &blocks, &col_blocks, alpha, beta, threads);
-        }
-
-        // Packing arena sized once at the blocking-derived maxima, clamped
-        // to the problem; split-borrowed so the packed Bc prefix can stay
-        // live while Ac blocks are repacked. Panels are shaped by the
-        // *kernel's* register tile, which the blocking's mr/nr need not
-        // match (callers may pair a generic blocking with any kernel), so
-        // the arena is sized for the tile that will actually be packed.
-        let tile_blocking = BlockingParams { mr, nr, ..self.blocking };
-        let mut arena = PackArena::for_problem(&tile_blocking, m, n, k);
-        let c_raw = RawMat::of(c);
-
-        // Fully sequential run: one scratch set, the shared five-loop body.
-        if threads <= 1 || blocks.len() <= 1 {
-            let (a_buf, b_buf) = arena.buffers();
-            let mut c_tile = vec![0.0f32; mr * nr];
-            let mut dispatch = kernel.dispatcher();
-            // SAFETY: sequential — this is the only live user of the C
-            // pointer, and all indices are in bounds.
-            unsafe {
-                gemm_arena_sequential(
-                    &self.blocking,
-                    &mut dispatch,
-                    a_buf,
-                    b_buf,
-                    &mut c_tile,
-                    a,
-                    b,
-                    c_raw,
-                    alpha,
-                    beta,
-                )?;
-            }
-            return Ok(1);
-        }
-
-        // Threaded run: one private A-pack/C-tile/dispatch triple per
-        // worker, allocated once per GEMM, and the ic loop of every
-        // (jc, pc) iteration fanned out over the shared pool's recycled
-        // workers — no OS threads are spawned here.
-        let a_cap = arena.a_capacity();
-        let (_, b_buf) = arena.buffers();
-        let workers = threads.min(blocks.len());
-        let mut worker_state: Vec<(Vec<f32>, Vec<f32>, KernelDispatch)> =
-            (0..workers).map(|_| (vec![0.0f32; a_cap], vec![0.0f32; mr * nr], kernel.dispatcher())).collect();
-        // Loop L1: columns of C / B.
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            // Loop L2: the k dimension. beta belongs to the first k-block
-            // only; later blocks accumulate.
-            let mut pc = 0;
-            while pc < k {
-                let kc_eff = kc.min(k - pc);
-                let first_k = pc == 0;
-                let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
-                pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
-                let packed_b = &b_buf[..b_len];
-
-                // Loop L3: rows of C / A — the pooled loop. Deal the ic
-                // blocks round-robin to the workers; each block is a
-                // disjoint row range of C.
-                let mut groups: Vec<Vec<(usize, usize)>> = vec![Vec::new(); workers];
-                for (idx, &blk) in blocks.iter().enumerate() {
-                    groups[idx % workers].push(blk);
-                }
-                let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); workers];
-                let jobs: Vec<PoolJob<'_>> = groups
-                    .into_iter()
-                    .zip(worker_state.iter_mut())
-                    .zip(results.iter_mut())
-                    .map(|((group, (a_buf, c_tile, dispatch)), result)| {
-                        Box::new(move || {
-                            *result = group.into_iter().try_for_each(|(ic, mc_eff)| {
-                                // SAFETY: each worker owns the disjoint row
-                                // ranges dealt to it; MatMut proved the
-                                // stride map injective, so their C element
-                                // sets are disjoint.
-                                unsafe {
-                                    run_ic_block(
-                                        dispatch, a, ic, pc, mc_eff, kc_eff, packed_b, nc_eff, jc, c_raw,
-                                        alpha, beta, first_k, a_buf, c_tile,
-                                    )
-                                }
-                            });
-                        }) as PoolJob<'_>
-                    })
-                    .collect();
-                ThreadPool::global().scope_run(jobs);
-                results.into_iter().collect::<Result<(), GemmError>>()?;
-                pc += kc_eff;
-            }
-            jc += nc_eff;
-        }
-        Ok(workers)
-    }
-
-    /// The jc-parallel arena path: nc-wide column blocks of `C` are dealt
-    /// out to scoped workers, each with a private packing arena, dispatch
-    /// handle, and a private dense copy of its column block. Returns the
-    /// worker count used.
-    ///
-    /// A column block of a strided `C` is not generally contiguous; each
-    /// worker therefore stages its block through a dense `m x nc_eff` copy
-    /// (copied in before the block's loops, copied back after the join —
-    /// O(m·n) traffic total, negligible against the O(m·n·k) compute).
-    /// Within a block the pc/ic/jr/ir loops run in exactly the sequential
-    /// order, and every `C` element belongs to exactly one block, so the
-    /// result is bit-for-bit identical for any thread count. `beta` is
-    /// applied inside the block loops (first k-block), so the staged copy
-    /// carries original `C` values — which are never read when
-    /// `beta == 0`.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_arena_jc(
-        &self,
-        kernel: &KernelImpl,
-        a: MatRef<'_>,
-        b: MatRef<'_>,
-        c: &mut MatMut<'_>,
-        ic_blocks: &[(usize, usize)],
-        col_blocks: &[(usize, usize)],
-        alpha: f32,
-        beta: f32,
-        threads: usize,
-    ) -> Result<usize, GemmError> {
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let BlockingParams { kc, nc, .. } = self.blocking;
-        let (mr, nr) = (kernel.mr, kernel.nr);
-        let tile_blocking = BlockingParams { mr, nr, ..self.blocking };
-
-        // Stage every column block into a dense private copy up front
-        // (memcpy per row when C's column stride is unit — the common
-        // row-major case — scalar walk otherwise).
-        let c_ro = c.rb();
-        let mut staged: Vec<(usize, usize, Vec<f32>)> = col_blocks
-            .iter()
-            .map(|&(jc, nc_eff)| {
-                let mut cols = vec![0.0f32; m * nc_eff];
-                for i in 0..m {
-                    let dst = &mut cols[i * nc_eff..(i + 1) * nc_eff];
-                    if let Some(src) = c_ro.contiguous_row(i, jc, nc_eff) {
-                        dst.copy_from_slice(src);
-                    } else {
-                        for (j, slot) in dst.iter_mut().enumerate() {
-                            *slot = c_ro.get(i, jc + j);
-                        }
-                    }
-                }
-                (jc, nc_eff, cols)
-            })
-            .collect();
-
-        // Deal blocks round-robin to up to `threads` workers; each worker
-        // owns disjoint `&mut` block entries, so the jobs need no unsafe
-        // sharing of C itself. The jobs run on the shared pool's recycled
-        // workers (plus this thread helping) — no OS threads are spawned.
-        let workers = threads.min(staged.len());
-        let mut groups: Vec<Vec<&mut (usize, usize, Vec<f32>)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (idx, blk) in staged.iter_mut().enumerate() {
-            groups[idx % workers].push(blk);
-        }
-        let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); workers];
-        let jobs: Vec<PoolJob<'_>> = groups
-            .into_iter()
-            .zip(results.iter_mut())
-            .map(|(group, result)| {
-                Box::new(move || {
-                    *result = (|| -> Result<(), GemmError> {
-                        // Private per-worker arena and dispatch handle,
-                        // sized for one column block, allocated once per
-                        // GEMM.
-                        let mut arena = PackArena::for_problem(&tile_blocking, m, nc.min(n), k);
-                        let (a_buf, b_buf) = arena.buffers();
-                        let mut c_tile = vec![0.0f32; mr * nr];
-                        let mut dispatch = kernel.dispatcher();
-                        for (jc, nc_eff, cols) in group {
-                            let (jc, nc_eff) = (*jc, *nc_eff);
-                            let cols_raw = RawMat::of_dense(cols, m, nc_eff);
-                            let mut pc = 0;
-                            while pc < k {
-                                let kc_eff = kc.min(k - pc);
-                                let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
-                                pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
-                                for &(ic, mc_eff) in ic_blocks {
-                                    // SAFETY: `cols_raw` points into this
-                                    // worker's private staging buffer.
-                                    unsafe {
-                                        run_ic_block(
-                                            &mut dispatch,
-                                            a,
-                                            ic,
-                                            pc,
-                                            mc_eff,
-                                            kc_eff,
-                                            &b_buf[..b_len],
-                                            nc_eff,
-                                            0,
-                                            cols_raw,
-                                            alpha,
-                                            beta,
-                                            pc == 0,
-                                            a_buf,
-                                            &mut c_tile,
-                                        )?;
-                                    }
-                                }
-                                pc += kc_eff;
-                            }
-                        }
-                        Ok(())
-                    })();
-                }) as PoolJob<'_>
-            })
-            .collect();
-        ThreadPool::global().scope_run(jobs);
-        results.into_iter().collect::<Result<(), GemmError>>()?;
-
-        // Scatter the finished column blocks back into C (memcpy per row
-        // for unit column stride, scalar walk otherwise).
-        for (jc, nc_eff, cols) in &staged {
-            for i in 0..m {
-                let src = &cols[i * nc_eff..(i + 1) * nc_eff];
-                if let Some(dst) = c.contiguous_row_mut(i, *jc, *nc_eff) {
-                    dst.copy_from_slice(src);
-                } else {
-                    for (j, &v) in src.iter().enumerate() {
-                        c.set(i, jc + j, v);
-                    }
-                }
-            }
-        }
-        Ok(workers.max(1))
-    }
-
-    /// The legacy path: fresh packing buffers per block and a fresh scratch
-    /// tile per micro-tile, exactly as the original driver allocated.
-    fn gemm_unbuffered(
-        &self,
-        kernel: &KernelImpl,
-        a: MatRef<'_>,
-        b: MatRef<'_>,
-        c: &mut MatMut<'_>,
-        alpha: f32,
-        beta: f32,
-    ) -> Result<(), GemmError> {
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let BlockingParams { mc, kc, nc, .. } = self.blocking;
-        let (mr, nr) = (kernel.mr, kernel.nr);
-
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc_eff = kc.min(k - pc);
-                let first_k = pc == 0;
-                let packed_b = pack_b(b, pc, jc, kc_eff, nc_eff, nr);
-                let mut ic = 0;
-                while ic < m {
-                    let mc_eff = mc.min(m - ic);
-                    let packed_a = pack_a(a, ic, pc, mc_eff, kc_eff, mr, alpha);
-                    let n_panels = nc_eff.div_ceil(nr);
-                    let m_panels = mc_eff.div_ceil(mr);
-                    for jr in 0..n_panels {
-                        for ir in 0..m_panels {
-                            let ap = a_panel(&packed_a, ir, kc_eff, mr);
-                            let bp = b_panel(&packed_b, jr, kc_eff, nr);
-                            let mut c_tile = vec![0.0f32; mr * nr];
-                            let rows = mr.min(mc_eff - ir * mr);
-                            let cols = nr.min(nc_eff - jr * nr);
-                            for j in 0..cols {
-                                for i in 0..rows {
-                                    let gi = ic + ir * mr + i;
-                                    let gj = jc + jr * nr + j;
-                                    c_tile[j * mr + i] = staged_c_value(c.get(gi, gj), beta, first_k);
-                                }
-                            }
-                            kernel.run(kc_eff, ap, bp, &mut c_tile)?;
-                            for j in 0..cols {
-                                for i in 0..rows {
-                                    let gi = ic + ir * mr + i;
-                                    let gj = jc + jr * nr + j;
-                                    c.set(gi, gj, c_tile[j * mr + i]);
-                                }
-                            }
-                        }
-                    }
-                    ic += mc_eff;
-                }
-                pc += kc_eff;
-            }
-            jc += nc_eff;
-        }
-        Ok(())
+        GemmRunner::new(self.blocking, kernel).run(problem, threads)
     }
 }
 
@@ -699,44 +301,41 @@ impl GemmExecutor for BlisGemm {
     }
 }
 
-/// An amortised sequential GEMM runner: one packing arena (sized at the
-/// driver's blocking maxima, so any problem fits), one staged `C` tile, and
-/// one prove-once [`KernelDispatch`] handle, reused across every problem
-/// passed to [`GemmRunner::gemm`].
+/// One instance of the five-loop engine: blocking, a prove-once
+/// [`KernelDispatch`] handle, a packing arena (grown on demand, never
+/// shrunk), and the staged `C` tile, reused across every problem passed to
+/// [`GemmRunner::gemm`].
 ///
-/// This is the per-shard engine of the `exo-serve` batch executor: where
-/// [`BlisGemm::gemm`] pays arena allocation and dispatch proof per call, a
-/// runner pays them once per batch. Results are bit-identical to
-/// [`BlisGemm::gemm`] with `threads = 1` — same packing, same op order.
+/// Every GEMM in the workspace runs on one of these. [`BlisGemm::gemm`]
+/// builds one per call (and one more per extra worker when threaded); the
+/// `exo-serve` batch executor keeps one per shard so a batch pays dispatch
+/// construction, bounds proofs, and arena growth once instead of per entry.
+/// Results are bit-identical either way — same packing, same op order.
 /// Built with [`BlisGemm::runner`].
-pub struct GemmRunner<'d> {
-    driver: &'d BlisGemm,
+pub struct GemmRunner {
+    /// The driver's blocking with `mr`/`nr` replaced by the kernel's tile.
+    blocking: BlockingParams,
     dispatch: KernelDispatch,
     arena: PackArena,
     c_tile: Vec<f32>,
 }
 
-/// The owned state of a [`GemmRunner`] — packing arena, staged `C` tile,
-/// and prove-once dispatch handle — detached from the driver borrow.
-///
-/// A runner borrows its [`BlisGemm`] for its whole life, which stops a
-/// caller from keeping it warm across scopes that rebuild the driver (the
-/// `exo-serve` batch executor builds one driver borrow per batch). The
-/// scratch is the movable part: [`GemmRunner::into_scratch`] detaches it,
-/// [`BlisGemm::runner_with`] re-attaches it, and the arena capacity plus
-/// the memoised dispatch proofs survive the round trip.
-pub struct RunnerScratch {
-    dispatch: KernelDispatch,
-    arena: PackArena,
-    c_tile: Vec<f32>,
-}
+/// A `(rows, cols)` window of `C`: the unit of work of one engine pass.
+type Window = (Range<usize>, Range<usize>);
 
-impl GemmRunner<'_> {
-    /// Detaches the runner's owned scratch from the driver borrow, for
-    /// re-attachment (to the same or an equivalent driver) with
-    /// [`BlisGemm::runner_with`].
-    pub fn into_scratch(self) -> RunnerScratch {
-        RunnerScratch { dispatch: self.dispatch, arena: self.arena, c_tile: self.c_tile }
+impl GemmRunner {
+    fn new(blocking: BlockingParams, kernel: &KernelImpl) -> Self {
+        // Panels are shaped by the *kernel's* register tile, which the
+        // blocking's mr/nr need not match (callers may pair a generic
+        // blocking with any kernel), so the arena is sized for the tile
+        // that will actually be packed.
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        GemmRunner {
+            blocking: BlockingParams { mr, nr, ..blocking },
+            dispatch: kernel.dispatcher(),
+            arena: PackArena::empty(),
+            c_tile: vec![0.0f32; mr * nr],
+        }
     }
 
     /// Solves one problem on the calling thread with the reused scratch.
@@ -746,17 +345,24 @@ impl GemmRunner<'_> {
     /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
     /// for inconsistent dimensions, micro-kernel failures propagated.
     pub fn gemm(&mut self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
+        self.run(problem, 1)
+    }
+
+    /// Solves one problem on up to `threads` pool workers: partition `C`,
+    /// run the engine once per window. This runner serves the first
+    /// window; the other workers get runners built for the call.
+    fn run(&mut self, problem: GemmProblem<'_>, threads: usize) -> Result<GemmStats, GemmError> {
         let (m, n, k) = problem.dims()?;
         let a = problem.op_a.apply(problem.a);
         let b = problem.op_b.apply(problem.b);
         let (alpha, beta) = (problem.alpha, problem.beta);
         let mut c = problem.c;
-        let stats = GemmStats {
+        let mut stats = GemmStats {
             m,
             n,
             k,
             flop_count: GemmStats::flops_for(m, n, k, alpha),
-            kernel: self.driver.kernel.name.clone(),
+            kernel: self.dispatch.kernel().name.clone(),
             threads: 1,
             pool_workers: 0,
             batched: false,
@@ -766,77 +372,126 @@ impl GemmRunner<'_> {
             return Ok(stats);
         }
         if k == 0 || alpha == 0.0 {
+            // Degenerate product: C = beta * C, honoring beta == 0 as
+            // "never read".
             scale_c(&mut c, beta);
             return Ok(stats);
         }
         let c_raw = RawMat::of(&mut c);
-        let tile_blocking =
-            BlockingParams { mr: self.driver.kernel.mr, nr: self.driver.kernel.nr, ..self.driver.blocking };
-        self.arena.ensure_for_problem(&tile_blocking, m, n, k);
-        let (a_buf, b_buf) = self.arena.buffers();
-        // SAFETY: `c_raw` wraps the problem's exclusively borrowed C view;
-        // this sequential call is its only user.
-        unsafe {
-            gemm_arena_sequential(
-                &self.driver.blocking,
-                &mut self.dispatch,
-                a_buf,
-                b_buf,
-                &mut self.c_tile,
-                a,
-                b,
-                c_raw,
-                alpha,
-                beta,
-            )?;
+        let run_window = |runner: &mut GemmRunner, window: Window| {
+            // SAFETY: `c_raw` wraps the problem's exclusively borrowed `C`
+            // view, live until this function returns. The windows below are
+            // pairwise disjoint and each goes to exactly one engine pass,
+            // and `MatMut` proved the stride map injective, so no element
+            // is touched by two threads.
+            unsafe { gemm_arena_sequential(runner, a, b, c_raw, window, alpha, beta) }
+        };
+        let mut windows = partition(m, n, &self.blocking, threads);
+        if windows.len() == 1 {
+            run_window(self, windows.next().expect("one window"))?;
+            return Ok(stats);
         }
+        stats.threads = windows.len();
+        stats.pool_workers = ThreadPool::global().workers();
+        let mut others: Vec<GemmRunner> =
+            (1..windows.len()).map(|_| GemmRunner::new(self.blocking, self.dispatch.kernel())).collect();
+        let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); windows.len()];
+        let jobs: Vec<PoolJob<'_>> = std::iter::once(self)
+            .chain(others.iter_mut())
+            .zip(windows)
+            .zip(results.iter_mut())
+            .map(|((runner, window), result)| {
+                // Grow each engine's arena here, on the calling thread, so
+                // the buffers come from (and go back to) one allocator
+                // arena instead of leaving a block-sized chunk cached in
+                // every pool thread's.
+                runner.arena.ensure_for_problem(&runner.blocking, window.0.len(), window.1.len(), k);
+                Box::new(move || *result = run_window(runner, window)) as PoolJob<'_>
+            })
+            .collect();
+        // The shared pool's recycled workers (plus this thread helping) —
+        // no OS threads are spawned here.
+        ThreadPool::global().scope_run(jobs);
+        results.into_iter().collect::<Result<(), GemmError>>()?;
         Ok(stats)
     }
 }
 
-/// The sequential five-loop body over pre-allocated scratch: loops L1/L2
-/// packing `Bc` blocks, then every ic block through [`run_ic_block`].
-/// Shared by the single-thread arena path and [`GemmRunner`], so both
-/// produce identical bits by construction.
+/// Splits `C` into at most `threads` disjoint windows, one per pool worker:
+/// contiguous runs of whole `mc` row blocks by default, or of whole `nc`
+/// column blocks for a wide-and-short problem (large `n`, small `m`), which
+/// has more column blocks than row blocks and too few row blocks to occupy
+/// the threads. Dealing whole blocks keeps every window's block boundaries
+/// — and with them its panel and tile fringes — those of the one-thread
+/// run.
+fn partition(
+    m: usize,
+    n: usize,
+    blocking: &BlockingParams,
+    threads: usize,
+) -> impl ExactSizeIterator<Item = Window> {
+    let (row_blocks, col_blocks) = (m.div_ceil(blocking.mc), n.div_ceil(blocking.nc));
+    let by_cols = col_blocks > row_blocks && row_blocks < threads;
+    let (extent, step, blocks) =
+        if by_cols { (n, blocking.nc, col_blocks) } else { (m, blocking.mc, row_blocks) };
+    let parts = threads.clamp(1, blocks);
+    (0..parts).map(move |p| {
+        let span = (p * blocks / parts * step)..((p + 1) * blocks / parts * step).min(extent);
+        if by_cols {
+            (0..m, span)
+        } else {
+            (span, 0..n)
+        }
+    })
+}
+
+/// The five loops of Fig. 1 over one window of `C`: loops L1/L2 pack the
+/// `Bc` blocks of the window's columns, loop L3 sends the window's rows
+/// through [`run_ic_block`]. This is the only `jc`/`pc`/`ic` nest in the
+/// crate — a one-thread GEMM passes the whole of `C`, each worker of a
+/// threaded GEMM its own window — so every path produces identical bits by
+/// construction.
 ///
 /// # Safety
 ///
-/// `c_raw` must point to live storage covering its declared extent, with no
-/// other thread accessing any of its elements during the call, and the
-/// scratch buffers must be sized for the blocking/kernel pair (see
-/// [`PackArena::for_problem`]).
-#[allow(clippy::too_many_arguments)]
+/// `c` must point to live storage covering its declared extent, `window`
+/// must lie inside that extent, and no other thread may access any `C`
+/// element inside `window` during the call.
 unsafe fn gemm_arena_sequential(
-    blocking: &BlockingParams,
-    dispatch: &mut KernelDispatch,
-    a_buf: &mut [f32],
-    b_buf: &mut [f32],
-    c_tile: &mut [f32],
+    run: &mut GemmRunner,
     a: MatRef<'_>,
     b: MatRef<'_>,
-    c_raw: RawMat,
+    c: RawMat,
+    (rows, cols): Window,
     alpha: f32,
     beta: f32,
 ) -> Result<(), GemmError> {
-    let (m, n, k) = (a.rows(), b.cols(), a.cols());
-    let BlockingParams { mc, kc, nc, .. } = *blocking;
-    let nr = dispatch.kernel().nr;
-    let mut jc = 0;
-    while jc < n {
-        let nc_eff = nc.min(n - jc);
+    let k = a.cols();
+    let BlockingParams { mc, kc, nc, nr, .. } = run.blocking;
+    run.arena.ensure_for_problem(&run.blocking, rows.len(), cols.len(), k);
+    // Split-borrowed so the packed Bc prefix can stay live while Ac blocks
+    // are repacked.
+    let (a_buf, b_buf) = run.arena.buffers();
+    // Loop L1: columns of C / B.
+    let mut jc = cols.start;
+    while jc < cols.end {
+        let nc_eff = nc.min(cols.end - jc);
+        // Loop L2: the k dimension. beta belongs to the first k-block
+        // only; later blocks accumulate.
         let mut pc = 0;
         while pc < k {
             let kc_eff = kc.min(k - pc);
-            let first_k = pc == 0;
             let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
             pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
-            let mut ic = 0;
-            while ic < m {
-                let mc_eff = mc.min(m - ic);
-                // SAFETY: forwarded from the caller — exclusive C access.
+            // Loop L3: rows of C / A.
+            let mut ic = rows.start;
+            while ic < rows.end {
+                let mc_eff = mc.min(rows.end - ic);
+                // SAFETY: forwarded from the caller — exclusive access to
+                // the window, which contains this block.
                 unsafe {
                     run_ic_block(
-                        dispatch,
+                        &mut run.dispatch,
                         a,
                         ic,
                         pc,
@@ -845,12 +500,12 @@ unsafe fn gemm_arena_sequential(
                         &b_buf[..b_len],
                         nc_eff,
                         jc,
-                        c_raw,
+                        c,
                         alpha,
                         beta,
-                        first_k,
+                        pc == 0,
                         a_buf,
-                        c_tile,
+                        &mut run.c_tile,
                     )?;
                 }
                 ic += mc_eff;
@@ -889,32 +544,6 @@ fn staged_c_value(stored: f32, beta: f32, first_k_block: bool) -> f32 {
     }
 }
 
-/// Splits an extent into step-sized `(start, len)` blocks, the last one
-/// possibly short — the block structure of both parallel loops.
-fn blocks_of(extent: usize, step: usize) -> Vec<(usize, usize)> {
-    let mut blocks = Vec::with_capacity(extent.div_ceil(step.max(1)));
-    let mut start = 0;
-    while start < extent {
-        let len = step.min(extent - start);
-        blocks.push((start, len));
-        start += len;
-    }
-    blocks
-}
-
-/// The `ic` block starts of the L3 loop. Each block owns a disjoint row
-/// range of `C`, so any partition of the blocks over workers computes
-/// bit-identical results.
-fn ic_blocks(m: usize, mc: usize) -> Vec<(usize, usize)> {
-    blocks_of(m, mc)
-}
-
-/// The `jc` block starts of the L1 loop: disjoint nc-wide column ranges of
-/// `C`, the unit of work of the jc-parallel path.
-fn jc_blocks(n: usize, nc: usize) -> Vec<(usize, usize)> {
-    blocks_of(n, nc)
-}
-
 /// Loops L4/L5 for one `ic` block: pack the `op(A)` block (scaled by
 /// `alpha`) into `a_buf`, then run the micro-kernel over every `(jr, ir)`
 /// tile, staging each (possibly fringe) `C` tile through `c_tile` and
@@ -924,9 +553,8 @@ fn jc_blocks(n: usize, nc: usize) -> Vec<(usize, usize)> {
 ///
 /// `c` must point to live storage covering its declared `rows x cols`
 /// extent, and no other thread may concurrently access any `C` element with
-/// row in `[ic, ic + mc_eff)` — the driver guarantees this by partitioning
-/// ic blocks over workers (or by handing each worker a private staging
-/// buffer).
+/// row in `[ic, ic + mc_eff)` and column in `[jc, jc + nc_eff)` — the
+/// driver guarantees this by handing each worker a disjoint window of `C`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn run_ic_block(
     dispatch: &mut KernelDispatch,
@@ -1011,25 +639,14 @@ mod tests {
             .gemm_with(kernel, GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
         assert_eq!((stats.m, stats.n, stats.k), (m, n, k));
+        // The inputs sit on a dyadic grid (multiples of 1/4 and 1/8, small
+        // k), so every product and partial sum is exact in f32 and the
+        // blocked result must equal the reference bit for bit, whatever the
+        // summation order or FMA contraction of the kernel.
         naive_gemm(&a, &b, &mut c_ref);
-        for idx in 0..c.data.len() {
-            assert!(
-                (c.data[idx] - c_ref.data[idx]).abs() < 1e-3,
-                "{} mismatch at {idx}: {} vs {}",
-                kernel.name,
-                c.data[idx],
-                c_ref.data[idx]
-            );
-        }
-        // The legacy unbuffered path and a threaded run must agree with the
-        // arena path bit-for-bit: same packing, same op order, disjoint
-        // per-thread row blocks.
-        let mut c_legacy = c_start.clone();
-        BlisGemm::new(blocking)
-            .without_arena()
-            .gemm_with(kernel, GemmProblem::new(a.view(), b.view(), c_legacy.view_mut()))
-            .unwrap();
-        assert_eq!(c.data, c_legacy.data, "{}: arena vs legacy", kernel.name);
+        assert_eq!(c.data, c_ref.data, "{}: blocked driver vs naive reference", kernel.name);
+        // A threaded run must agree bit-for-bit: same packing, same op
+        // order, disjoint per-thread windows.
         let mut c_threaded = c_start;
         BlisGemm::new(blocking)
             .with_threads(4)
@@ -1092,21 +709,8 @@ mod tests {
         BlisGemm::new(blocking).gemm_with(&kernel, build(&at, &bt, c_blis.view_mut())).unwrap();
         let mut c_ref = c0.clone();
         NaiveGemm.gemm(build(&at, &bt, c_ref.view_mut())).unwrap();
-        for idx in 0..c_blis.data.len() {
-            assert!(
-                (c_blis.data[idx] - c_ref.data[idx]).abs() < 1e-3,
-                "mismatch at {idx}: {} vs {}",
-                c_blis.data[idx],
-                c_ref.data[idx]
-            );
-        }
-        // And the unbuffered legacy path agrees bit-for-bit with the arena.
-        let mut c_legacy = c0.clone();
-        BlisGemm::new(blocking)
-            .without_arena()
-            .gemm_with(&kernel, build(&at, &bt, c_legacy.view_mut()))
-            .unwrap();
-        assert_eq!(c_blis.data, c_legacy.data);
+        // Dyadic-grid inputs, alpha and beta: exact in f32, so bit for bit.
+        assert_eq!(c_blis.data, c_ref.data);
     }
 
     #[test]
@@ -1180,31 +784,69 @@ mod tests {
 
     #[test]
     fn wide_short_problems_split_the_jc_loop_bit_identically() {
-        // m fits a single ic block while n spans many jc blocks, so the
-        // driver takes the jc-parallel path; it must agree bit-for-bit with
-        // the sequential run for any thread count.
+        // The partitioned threaded path, end to end: both split axes (many
+        // `mc` row blocks; one row block under many `nc` column blocks —
+        // the wide-and-short case), every `C` layout the shared raw
+        // write-back must respect, worker counts that divide the blocks
+        // unevenly, and both `beta` regimes. Every run must equal the
+        // one-thread run bit for bit and leave the storage outside the
+        // view untouched.
+        const PAD: f32 = -77.0;
         let kernel = neon_intrinsics_kernel();
         let blocking = BlockingParams { mc: 32, kc: 16, nc: 24, mr: kernel.mr, nr: kernel.nr };
-        let a = Matrix::from_fn(8, 33, |i, j| ((i * 5 + j * 7 + 1) % 11) as f32 * 0.25 - 1.0);
-        let b = Matrix::from_fn(33, 200, |i, j| ((i * 3 + j * 13 + 2) % 17) as f32 * 0.125 - 1.0);
-        let c0 = Matrix::from_fn(8, 200, |i, j| ((i + j) % 5) as f32 * 0.5);
-        let mut c_seq = c0.clone();
-        BlisGemm::new(blocking)
-            .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c_seq.view_mut()))
-            .unwrap();
-        for threads in [2usize, 3, 8] {
-            let mut c_par = c0.clone();
-            BlisGemm::new(blocking)
-                .with_threads(threads)
-                .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c_par.view_mut()))
-                .unwrap();
-            assert_eq!(c_seq.data, c_par.data, "jc split with {threads} threads");
-        }
-        // And it is actually correct, not just self-consistent.
-        let mut c_ref = c0.clone();
-        naive_gemm(&a, &b, &mut c_ref);
-        for idx in 0..c_seq.data.len() {
-            assert!((c_seq.data[idx] - c_ref.data[idx]).abs() < 1e-3);
+        let k = 33;
+        for (axis, m, n, by_cols) in
+            [("row blocks", 200usize, 20usize, false), ("column blocks", 8, 200, true)]
+        {
+            let windows: Vec<Window> = partition(m, n, &blocking, 3).collect();
+            assert_eq!(windows.len(), 3, "{axis}");
+            assert!(
+                windows.iter().all(|(rows, cols)| if by_cols { *rows == (0..m) } else { *cols == (0..n) }),
+                "{axis}: {windows:?}"
+            );
+            let a = Matrix::from_fn(m, k, |i, j| ((i * 5 + j * 7 + 1) % 11) as f32 * 0.25 - 1.0);
+            let b = Matrix::from_fn(k, n, |i, j| ((i * 3 + j * 13 + 2) % 17) as f32 * 0.125 - 1.0);
+            let ld = n + 5;
+            // (layout, offset, row stride, column stride, buffer length)
+            let layouts = [
+                ("row-major", 0, n, 1, m * n),
+                ("column-major", 0, 1, m, m * n),
+                ("padded sub-view", 2 * ld + 3, ld, 1, (m + 3) * ld),
+            ];
+            for (layout, offset, rs, cs, len) in layouts {
+                for beta in [0.0f32, 0.75] {
+                    // beta == 0 must never read C, so it starts as NaN.
+                    let mut start = vec![PAD; len];
+                    let mut in_view = vec![false; len];
+                    for i in 0..m {
+                        for j in 0..n {
+                            let at = offset + i * rs + j * cs;
+                            start[at] = if beta == 0.0 { f32::NAN } else { ((i + j) % 5) as f32 * 0.5 };
+                            in_view[at] = true;
+                        }
+                    }
+                    let run = |executor: &dyn GemmExecutor, who: &str| -> Vec<u32> {
+                        let mut buf = start.clone();
+                        let c = MatMut::with_strides(&mut buf[offset..], m, n, rs, cs);
+                        executor.gemm(GemmProblem::new(a.view(), b.view(), c).beta(beta)).unwrap();
+                        for (at, v) in buf.iter().enumerate() {
+                            assert!(
+                                in_view[at] || v.to_bits() == PAD.to_bits(),
+                                "{axis}, {layout}, beta {beta}: {who} wrote padding element {at}"
+                            );
+                        }
+                        buf.iter().map(|v| v.to_bits()).collect()
+                    };
+                    let sequential = run(&BlisGemm::new(blocking), "threads = 1");
+                    // And it is actually correct, not just self-consistent:
+                    // dyadic-grid inputs make the blocked result exact.
+                    assert_eq!(sequential, run(&NaiveGemm, "the reference"), "{axis}, {layout}, beta {beta}");
+                    for threads in [2usize, 3, 8] {
+                        let threaded = run(&BlisGemm::new(blocking).with_threads(threads), "a threaded run");
+                        assert_eq!(sequential, threaded, "{axis}, {layout}, beta {beta}, {threads} threads");
+                    }
+                }
+            }
         }
     }
 

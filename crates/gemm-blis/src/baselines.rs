@@ -227,7 +227,7 @@ impl KernelImpl {
 
     /// A per-GEMM dispatch handle for this kernel (see [`KernelDispatch`]).
     ///
-    /// The five-loop driver creates one per worker per GEMM, so SIMD and
+    /// Every five-loop engine instance (`GemmRunner`) holds one, so SIMD and
     /// superword kernels prove their affine-interval obligations and
     /// allocate their register file **once** per distinct `(KC, buffer
     /// lengths)` input instead of on every micro-tile — the fringe tiles
@@ -429,10 +429,10 @@ pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 }
 
 /// Like [`exo_kernel`] but pinned to the in-process SIMD chain — the
-/// fastest tier that needs no C toolchain, bit-identical to the native
-/// tier on the matching ISA, kept callable so the `gemm_throughput` bench
-/// and differential tests can compare the compiled artifact against the
-/// chain it was lowered from.
+/// fastest tier that needs no C toolchain, and the one the native tier
+/// must match bit for bit on the same ISA. The pin lets the differential
+/// tests and benches compare the compiled artifact against the chain it
+/// was lowered from.
 pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{} (simd)", kernel.mr, kernel.nr),
@@ -442,9 +442,9 @@ pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 }
 
 /// Like [`exo_kernel`] but pinned to the superword tier — the fastest
-/// *portable* backend (bit-for-bit identical to tape and interpreter),
-/// kept callable so the `gemm_throughput` bench and differential tests can
-/// compare the native chain against its own fallback.
+/// *portable* backend (bit-for-bit identical to tape and interpreter) and
+/// the fallback when no SIMD chain compiled. The pin lets the differential
+/// tests and benches compare the chain against its own fallback.
 pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{} (superword)", kernel.mr, kernel.nr),
@@ -454,8 +454,8 @@ pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 }
 
 /// Like [`exo_kernel`] but pinned to the scalar tape — the intermediate
-/// tier, used as a perf baseline by the `gemm_throughput` bench and as a
-/// differential anchor between superword and interpreter.
+/// tier: the differential anchor between superword and interpreter, and
+/// the scalar baseline the superword speedup is measured against.
 pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{} (tape)", kernel.mr, kernel.nr),
@@ -465,8 +465,8 @@ pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 }
 
 /// Like [`exo_kernel`] but pinned to the tree-walking interpreter — the
-/// slow reference backend, used by differential tests and as the baseline
-/// series of the `gemm_throughput` bench.
+/// slow reference backend that defines the semantics every other tier is
+/// differentially tested (and benchmarked) against.
 pub fn exo_kernel_interp(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{} (interp)", kernel.mr, kernel.nr),

@@ -16,11 +16,12 @@
 //! * [`GemmExecutor`] — the trait every driver implements
 //!   ([`NaiveGemm`], [`BlisGemm`], and `exo_tune::TunedGemm`).
 //!
-//! Two execution paths are provided:
+//! A GEMM can be *run* or *modelled*:
 //!
 //! * [`algorithm::BlisGemm`] — functional: solves [`GemmProblem`]s on real
-//!   `f32` data through packing + micro-kernel calls, used by the
-//!   correctness tests and the examples;
+//!   `f32` data through one five-loop engine ([`GemmRunner`]: packing +
+//!   micro-kernel calls over a window of `C`), used by the correctness
+//!   tests, the examples, and the serving layer;
 //! * [`model::GemmSimulator`] — performance: predicts GFLOPS on the modelled
 //!   Carmel core for the paper's four implementations (`ALG+NEON`,
 //!   `ALG+BLIS`, `BLIS`, `ALG+EXO`), used by the figure-reproduction
@@ -37,7 +38,7 @@ pub mod pool;
 pub mod problem;
 pub mod views;
 
-pub use algorithm::{naive_gemm, BlisGemm, GemmRunner, Matrix, RunnerScratch};
+pub use algorithm::{naive_gemm, BlisGemm, GemmRunner, Matrix};
 pub use baselines::{
     blis_assembly_kernel, env_backend_override, exo_kernel, exo_kernel_interp, exo_kernel_simd,
     exo_kernel_superword, exo_kernel_tape, neon_intrinsics_kernel, reference_kernel, ExecBackend,
@@ -47,7 +48,7 @@ pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};
 pub use exo_codegen::{active_isa, env_isa_override, env_once, simd_available, IsaKind};
 pub use model::{modelled_gemm_cycles, GemmSimulator, Implementation, SimOptions, SimResult};
-pub use packing::{pack_a, pack_a_into, pack_b, pack_b_into, PackArena};
+pub use packing::{pack_a_into, pack_b_into, PackArena};
 pub use pool::{env_threads_override, PoolJob, ThreadPool};
 pub use problem::{GemmExecutor, GemmProblem, GemmStats, NaiveGemm, Op};
 pub use views::{MatMut, MatRef};

@@ -20,9 +20,8 @@
 //!   dense `A` hot path, and the dense-`B`-transposed path);
 //! * anything else → a scalar stride walk.
 //!
-//! Two layers are provided, as before: [`pack_a`]/[`pack_b`] allocate per
-//! call (legacy driver, tests); [`pack_a_into`]/[`pack_b_into`] +
-//! [`PackArena`] write into caller-owned buffers sized once per GEMM.
+//! [`pack_a_into`]/[`pack_b_into`] write into caller-owned buffers — in the
+//! driver, the [`PackArena`] each engine instance grows once and reuses.
 
 use crate::blocking::BlockingParams;
 use crate::views::MatRef;
@@ -97,26 +96,10 @@ fn pack_region(out: &mut [f32], region: MatRef<'_>, tile_w: usize, alpha: f32) {
 /// `pc..pc+kc_eff` of the *effective*, op-applied view) into `mr`-row
 /// micro-panels scaled by `alpha`, zero-padding the last panel.
 ///
-/// The returned buffer holds `ceil(mc_eff / mr)` panels, each laid out as
-/// `kc_eff` rows of `mr` contiguous elements.
-pub fn pack_a(
-    a: MatRef<'_>,
-    ic: usize,
-    pc: usize,
-    mc_eff: usize,
-    kc_eff: usize,
-    mr: usize,
-    alpha: f32,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; mc_eff.div_ceil(mr) * kc_eff * mr];
-    pack_a_into(&mut out, a, ic, pc, mc_eff, kc_eff, mr, alpha);
-    out
-}
-
-/// Packs a block of `op(A)` into `out` (see [`pack_a`]), which must hold at
-/// least `ceil(mc_eff / mr) * kc_eff * mr` elements. Every element of that
-/// prefix is written (values or explicit zero padding), so a reused arena
-/// buffer never leaks stale data.
+/// `out` must hold at least `ceil(mc_eff / mr) * kc_eff * mr` elements:
+/// `ceil(mc_eff / mr)` panels, each laid out as `kc_eff` rows of `mr`
+/// contiguous elements. Every element of that prefix is written (values or
+/// explicit zero padding), so a reused arena buffer never leaks stale data.
 ///
 /// # Panics
 ///
@@ -151,17 +134,10 @@ pub fn pack_a_into(
 /// `jc..jc+nc_eff` of the effective, op-applied view) into `nr`-column
 /// micro-panels, zero-padding the last panel.
 ///
-/// The returned buffer holds `ceil(nc_eff / nr)` panels, each laid out as
-/// `kc_eff` rows of `nr` contiguous elements.
-pub fn pack_b(b: MatRef<'_>, pc: usize, jc: usize, kc_eff: usize, nc_eff: usize, nr: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; nc_eff.div_ceil(nr) * kc_eff * nr];
-    pack_b_into(&mut out, b, pc, jc, kc_eff, nc_eff, nr);
-    out
-}
-
-/// Packs a block of `op(B)` into `out` (see [`pack_b`]), which must hold at
-/// least `ceil(nc_eff / nr) * kc_eff * nr` elements. Every element of that
-/// prefix is written, so a reused arena buffer never leaks stale data.
+/// `out` must hold at least `ceil(nc_eff / nr) * kc_eff * nr` elements:
+/// `ceil(nc_eff / nr)` panels, each laid out as `kc_eff` rows of `nr`
+/// contiguous elements. Every element of that prefix is written, so a
+/// reused arena buffer never leaks stale data.
 ///
 /// # Panics
 ///
@@ -201,13 +177,10 @@ pub fn b_panel(packed: &[f32], jr: usize, kc_eff: usize, nr: usize) -> &[f32] {
     &packed[base..base + kc_eff * nr]
 }
 
-/// Reusable packing buffers for one GEMM invocation.
-///
-/// The five-loop driver historically allocated a fresh `Vec<f32>` for the
-/// packed `Ac` block on every `(jc, pc, ic)` iteration and for `Bc` on every
-/// `(jc, pc)` iteration. A `PackArena` is allocated **once** per GEMM at the
-/// blocking-derived maximum block sizes (clamped to the problem), and the
-/// `pack_*` calls then write in place.
+/// Reusable packing buffers: one packed `Ac` block and one packed `Bc`
+/// block, sized at the blocking-derived maximum block sizes (clamped to the
+/// problem) so the `pack_*_into` calls of every `(jc, pc, ic)` iteration
+/// write in place and the block loops allocate nothing.
 #[derive(Debug, Clone)]
 pub struct PackArena {
     a: Vec<f32>,
@@ -219,33 +192,35 @@ impl PackArena {
     /// problem (a small problem never pays for the full `mc x kc` / `kc x
     /// nc` blocks).
     pub fn for_problem(blocking: &BlockingParams, m: usize, n: usize, k: usize) -> Self {
-        let kc = blocking.kc.min(k.max(1));
-        let a_len = blocking.mc.min(m.max(1)).div_ceil(blocking.mr) * blocking.mr * kc;
-        let b_len = blocking.nc.min(n.max(1)).div_ceil(blocking.nr) * blocking.nr * kc;
-        PackArena { a: vec![0.0; a_len], b: vec![0.0; b_len] }
+        let mut arena = PackArena::empty();
+        arena.ensure_for_problem(blocking, m, n, k);
+        arena
     }
 
     /// The empty arena: no capacity until [`PackArena::ensure_for_problem`]
-    /// grows it. The batch runners (`GemmRunner`, exo-serve shards) start
-    /// here and grow monotonically, so a stream of small entries never pays
-    /// for the blocking's unclamped maxima.
+    /// grows it. Every `GemmRunner` starts here and grows monotonically,
+    /// so a stream of small entries never pays for the blocking's
+    /// unclamped maxima.
     pub fn empty() -> Self {
         PackArena { a: Vec::new(), b: Vec::new() }
     }
 
     /// Grows the arena (never shrinks) to fit an `m x n x k` problem under
-    /// `blocking` — same clamped sizing as [`PackArena::for_problem`]. A
+    /// `blocking`, clamped as [`PackArena::for_problem`] describes. A
     /// runner calling this per entry pays an allocation only when an entry
-    /// needs more than every entry before it.
+    /// needs more than every entry before it. A buffer that must grow is
+    /// replaced, not extended: packing rewrites every element it later
+    /// reads, so the old contents are dead, and a fresh zeroed allocation
+    /// costs no copy and (for block-sized buffers) no memset.
     pub fn ensure_for_problem(&mut self, blocking: &BlockingParams, m: usize, n: usize, k: usize) {
         let kc = blocking.kc.min(k.max(1));
         let a_len = blocking.mc.min(m.max(1)).div_ceil(blocking.mr) * blocking.mr * kc;
         let b_len = blocking.nc.min(n.max(1)).div_ceil(blocking.nr) * blocking.nr * kc;
         if self.a.len() < a_len {
-            self.a.resize(a_len, 0.0);
+            self.a = vec![0.0; a_len];
         }
         if self.b.len() < b_len {
-            self.b.resize(b_len, 0.0);
+            self.b = vec![0.0; b_len];
         }
     }
 
@@ -266,8 +241,8 @@ impl PackArena {
         self.b.len()
     }
 
-    /// Packs an `op(A)` block into the arena (see [`pack_a`]) and returns
-    /// the packed prefix.
+    /// Packs an `op(A)` block into the arena (see [`pack_a_into`]) and
+    /// returns the packed prefix.
     #[allow(clippy::too_many_arguments)]
     pub fn pack_a<'s>(
         &'s mut self,
@@ -284,8 +259,8 @@ impl PackArena {
         &self.a[..len]
     }
 
-    /// Packs an `op(B)` block into the arena (see [`pack_b`]) and returns
-    /// the packed prefix.
+    /// Packs an `op(B)` block into the arena (see [`pack_b_into`]) and
+    /// returns the packed prefix.
     #[allow(clippy::too_many_arguments)]
     pub fn pack_b<'s>(
         &'s mut self,
@@ -306,19 +281,25 @@ impl PackArena {
 mod tests {
     use super::*;
 
+    /// An arena roomy enough for every block these tests pack.
+    fn roomy_arena(mr: usize, nr: usize) -> PackArena {
+        PackArena::for_problem(&BlockingParams { mc: 16, kc: 16, nc: 16, mr, nr }, 16, 16, 16)
+    }
+
     #[test]
     fn pack_a_is_unit_stride_per_panel() {
         // A is 6 x 4 with A[i][j] = 10 i + j.
         let (m, k) = (6usize, 4usize);
         let a: Vec<f32> = (0..m * k).map(|x| (10 * (x / k) + x % k) as f32).collect();
-        let packed = pack_a(MatRef::from_slice(&a, m, k), 0, 0, m, k, 4, 1.0);
+        let mut arena = roomy_arena(4, 4);
+        let packed = arena.pack_a(MatRef::from_slice(&a, m, k), 0, 0, m, k, 4, 1.0);
         // Two panels of 4 rows (second padded by 2 rows of zeros).
         assert_eq!(packed.len(), 2 * k * 4);
         // Panel 0, k = 1 holds rows 0..4 column 1: 1, 11, 21, 31.
-        let p0 = a_panel(&packed, 0, k, 4);
+        let p0 = a_panel(packed, 0, k, 4);
         assert_eq!(&p0[4..8], &[1.0, 11.0, 21.0, 31.0]);
         // Panel 1, k = 0 holds rows 4,5 then zero padding.
-        let p1 = a_panel(&packed, 1, k, 4);
+        let p1 = a_panel(packed, 1, k, 4);
         assert_eq!(&p1[0..4], &[40.0, 50.0, 0.0, 0.0]);
     }
 
@@ -327,13 +308,14 @@ mod tests {
         // B is 3 x 7 with B[k][j] = 100 k + j.
         let (k, n) = (3usize, 7usize);
         let b: Vec<f32> = (0..k * n).map(|x| (100 * (x / n) + x % n) as f32).collect();
-        let packed = pack_b(MatRef::from_slice(&b, k, n), 0, 0, k, n, 4);
+        let mut arena = roomy_arena(4, 4);
+        let packed = arena.pack_b(MatRef::from_slice(&b, k, n), 0, 0, k, n, 4);
         assert_eq!(packed.len(), 2 * k * 4);
-        let p0 = b_panel(&packed, 0, k, 4);
+        let p0 = b_panel(packed, 0, k, 4);
         assert_eq!(&p0[0..4], &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(&p0[4..8], &[100.0, 101.0, 102.0, 103.0]);
         // Second panel: columns 4..7 then one zero-padded column.
-        let p1 = b_panel(&packed, 1, k, 4);
+        let p1 = b_panel(packed, 1, k, 4);
         assert_eq!(&p1[0..4], &[4.0, 5.0, 6.0, 0.0]);
     }
 
@@ -341,9 +323,10 @@ mod tests {
     fn packing_a_sub_block_offsets_correctly() {
         let (m, k) = (8usize, 8usize);
         let a: Vec<f32> = (0..m * k).map(|x| x as f32).collect();
-        let packed = pack_a(MatRef::from_slice(&a, m, k), 4, 2, 4, 3, 4, 1.0);
+        let mut arena = roomy_arena(4, 4);
+        let packed = arena.pack_a(MatRef::from_slice(&a, m, k), 4, 2, 4, 3, 4, 1.0);
         // Single panel: rows 4..8, columns 2..5.
-        let p = a_panel(&packed, 0, 3, 4);
+        let p = a_panel(packed, 0, 3, 4);
         assert_eq!(p[0], a[4 * k + 2]);
         assert_eq!(p[4], a[4 * k + 3]);
         assert_eq!(p[3], a[7 * k + 2]);
@@ -366,8 +349,9 @@ mod tests {
             d
         };
         for mr in [4usize, 8] {
-            let via_view = pack_a(MatRef::from_slice(&at, k, m).t(), 0, 0, m, k, mr, 1.0);
-            let via_dense = pack_a(MatRef::from_slice(&a_dense, m, k), 0, 0, m, k, mr, 1.0);
+            let mut arena = roomy_arena(mr, 4);
+            let via_view = arena.pack_a(MatRef::from_slice(&at, k, m).t(), 0, 0, m, k, mr, 1.0).to_vec();
+            let via_dense = arena.pack_a(MatRef::from_slice(&a_dense, m, k), 0, 0, m, k, mr, 1.0);
             assert_eq!(via_view, via_dense, "mr = {mr}");
         }
         // Same for B: a transposed view and a column-major view of the same
@@ -383,9 +367,10 @@ mod tests {
             }
             d
         };
-        let via_dense = pack_b(MatRef::from_slice(&b_dense, kk, n), 1, 2, 4, 7, 4);
-        let via_cm = pack_b(MatRef::col_major(&b_cm, kk, n), 1, 2, 4, 7, 4);
-        let via_t = pack_b(MatRef::from_slice(&b_cm, n, kk).t(), 1, 2, 4, 7, 4);
+        let mut arena = roomy_arena(4, 4);
+        let via_dense = arena.pack_b(MatRef::from_slice(&b_dense, kk, n), 1, 2, 4, 7, 4).to_vec();
+        let via_cm = arena.pack_b(MatRef::col_major(&b_cm, kk, n), 1, 2, 4, 7, 4).to_vec();
+        let via_t = arena.pack_b(MatRef::from_slice(&b_cm, n, kk).t(), 1, 2, 4, 7, 4);
         assert_eq!(via_dense, via_cm);
         assert_eq!(via_dense, via_t);
     }
@@ -393,15 +378,16 @@ mod tests {
     #[test]
     fn alpha_scales_packed_a_elements() {
         let a: Vec<f32> = (0..12).map(|x| x as f32).collect();
-        let plain = pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, 1.0);
-        let scaled = pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, -0.5);
-        for (p, s) in plain.iter().zip(&scaled) {
+        let mut arena = roomy_arena(4, 4);
+        let plain = arena.pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, 1.0).to_vec();
+        let scaled = arena.pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, -0.5);
+        for (p, s) in plain.iter().zip(scaled) {
             assert_eq!(*s, -0.5 * *p);
         }
     }
 
     #[test]
-    fn arena_packing_matches_the_allocating_routines_after_reuse() {
+    fn arena_packing_leaks_no_stale_values_after_reuse() {
         let blocking = BlockingParams { mc: 8, kc: 6, nc: 12, mr: 4, nr: 4 };
         let (m, n, k) = (7usize, 11usize, 6usize);
         let a: Vec<f32> = (0..m * k).map(|x| (x as f32) * 0.5 - 3.0).collect();
@@ -410,15 +396,15 @@ mod tests {
         let b_view = MatRef::from_slice(&b, k, n);
         let mut arena = PackArena::for_problem(&blocking, m, n, k);
         // Dirty the arena with a large block first, then pack a smaller
-        // fringe block: the reused buffer must not leak stale values.
+        // fringe block: the reused buffer must not leak stale values, i.e.
+        // it must match the same pack into a fresh arena.
         arena.pack_a(a_view, 0, 0, 7, 6, 4, 1.0);
         arena.pack_b(b_view, 0, 0, 6, 11, 4);
         let got_a = arena.pack_a(a_view, 4, 1, 3, 5, 4, 1.0).to_vec();
-        let want_a = pack_a(a_view, 4, 1, 3, 5, 4, 1.0);
-        assert_eq!(got_a, want_a);
+        let mut fresh = PackArena::for_problem(&blocking, m, n, k);
+        assert_eq!(got_a, fresh.pack_a(a_view, 4, 1, 3, 5, 4, 1.0));
         let got_b = arena.pack_b(b_view, 2, 8, 4, 3, 4).to_vec();
-        let want_b = pack_b(b_view, 2, 8, 4, 3, 4);
-        assert_eq!(got_b, want_b);
+        assert_eq!(got_b, fresh.pack_b(b_view, 2, 8, 4, 3, 4));
     }
 
     #[test]

@@ -150,19 +150,6 @@ impl<'a> MatRef<'a> {
         self.data
     }
 
-    /// The contiguous row segment `[col, col + len)` of row `i`, when the
-    /// column stride is unit (`None` otherwise) — the memcpy fast path of
-    /// the staging copies.
-    #[inline]
-    pub(crate) fn contiguous_row(&self, i: usize, col: usize, len: usize) -> Option<&'a [f32]> {
-        if self.col_stride != 1 {
-            return None;
-        }
-        debug_assert!(i < self.rows && col + len <= self.cols);
-        let start = i * self.row_stride + col;
-        Some(&self.data[start..start + len])
-    }
-
     /// Element `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f32 {
@@ -381,18 +368,6 @@ impl<'a> MatMut<'a> {
             row_stride: self.row_stride,
             col_stride: self.col_stride,
         }
-    }
-
-    /// The contiguous mutable row segment `[col, col + len)` of row `i`,
-    /// when the column stride is unit (`None` otherwise).
-    #[inline]
-    pub(crate) fn contiguous_row_mut(&mut self, i: usize, col: usize, len: usize) -> Option<&mut [f32]> {
-        if self.col_stride != 1 {
-            return None;
-        }
-        debug_assert!(i < self.rows && col + len <= self.cols);
-        let start = i * self.row_stride + col;
-        Some(&mut self.data[start..start + len])
     }
 
     /// Base pointer and strides for the driver's raw write-back path. The

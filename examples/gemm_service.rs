@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example gemm_service`
 
 use dnn_models::resnet50_table;
-use exo_serve::{GemmJob, GemmService, OwnedMat, ServiceConfig};
+use exo_serve::{CachedTunedGemm, GemmJob, GemmService, OwnedMat, ServiceConfig};
 use exo_tune::TunedGemm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,8 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shapes.len()
     );
 
-    let service =
-        GemmService::with_config(TunedGemm::new(), ServiceConfig { queue_capacity: 16, max_batch: 8 });
+    let service = GemmService::with_config(
+        CachedTunedGemm::new(TunedGemm::new()),
+        ServiceConfig { queue_capacity: 16, max_batch: 8 },
+    );
 
     // Four callers, each owning an interleaved slice of the layer mix.
     std::thread::scope(|scope| {

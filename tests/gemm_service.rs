@@ -9,7 +9,7 @@
 //!   batch, single-entry batch, mixed-shape batch with degenerate entries.
 //! * Pool-reuse: after warm-up, the hot path never spawns another OS
 //!   thread — the shared pool is borrowed, not recreated.
-//! * Runner-reuse: a [`CachedTunedGemm`] executor builds runner scratch
+//! * Runner-reuse: a [`CachedTunedGemm`] executor builds runners
 //!   (dispatch, arena, accumulator tile) on the cold batch only — warm
 //!   batches of the same shapes report `runners_built == 0`.
 
@@ -124,10 +124,10 @@ impl Case {
 fn concurrent_callers_match_the_sequential_reference_bitwise() {
     const CALLERS: usize = 4;
     const JOBS_PER_CALLER: usize = 8;
-    let executor = TunedGemm::new();
+    let executor = CachedTunedGemm::new(TunedGemm::new());
     let mut cases = Cases::new(0x5E27_0001);
     let per_caller: Vec<Vec<Case>> = (0..CALLERS)
-        .map(|_| (0..JOBS_PER_CALLER).map(|_| Case::random(&mut cases, &executor)).collect())
+        .map(|_| (0..JOBS_PER_CALLER).map(|_| Case::random(&mut cases, executor.tuned())).collect())
         .collect();
 
     // A small queue forces the backpressure path under 4 concurrent
@@ -170,14 +170,14 @@ fn concurrent_callers_match_the_sequential_reference_bitwise() {
 /// complete with zero flops, not be skipped.
 #[test]
 fn batch_edge_cases_empty_single_mixed_degenerate() {
-    let executor = TunedGemm::new();
+    let executor = CachedTunedGemm::new(TunedGemm::new());
 
     // Empty batch: no work, no stats, no error.
     assert!(executor.gemm_batch(GemmBatch::new()).into_stats().unwrap().is_empty());
 
     // Single entry behaves exactly like a per-call run.
     let mut cases = Cases::new(0x5E27_0002);
-    let single = Case::random(&mut cases, &executor);
+    let single = Case::random(&mut cases, executor.tuned());
     let mut job = single.job();
     let mut batch = GemmBatch::new();
     batch.push(job.problem());
@@ -260,7 +260,7 @@ fn hot_paths_reuse_the_pool_without_spawning_threads() {
     assert_eq!(service.stats().pool_workers, pool.workers());
 }
 
-/// Runner scratch (dispatch handle, packing arena, accumulator tile) is
+/// Runners (dispatch handle, packing arena, accumulator tile) are
 /// pooled per verdict group by `CachedTunedGemm`: the cold batch builds
 /// runners, warm batches of the same shapes build **zero** and allocate
 /// no new arenas, and the pooling never changes a bit of the results.
@@ -288,9 +288,9 @@ fn warm_batches_through_the_cached_executor_build_zero_runners() {
     assert!(cold > 0, "the cold batch must build runners");
     assert!(executor.cached_groups() > 0, "verdict groups must be pooled");
     let steady = executor.cached_runners();
-    assert!(steady > 0, "runner scratch must be pooled for reuse");
+    assert!(steady > 0, "runners must be pooled for reuse");
     for rerun in 0..3 {
-        assert_eq!(run(), 0, "warm batch {rerun} must reuse pooled runner scratch, not build anew");
+        assert_eq!(run(), 0, "warm batch {rerun} must reuse pooled runners, not build anew");
         assert_eq!(executor.cached_runners(), steady, "warm batch {rerun} must not grow the pool");
     }
 }

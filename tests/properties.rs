@@ -123,9 +123,9 @@ fn packing_round_trips() {
         let k = cases.usize_in(1, 20);
         let mr = *cases.pick(&[4usize, 8]);
         let a: Vec<f32> = (0..m * k).map(|i| i as f32).collect();
-        let packed = gemm_blis::pack_a(MatRef::from_slice(&a, m, k), 0, 0, m, k, mr, 1.0);
         let panels = m.div_ceil(mr);
-        assert_eq!(packed.len(), panels * k * mr);
+        let mut packed = vec![f32::NAN; panels * k * mr];
+        gemm_blis::pack_a_into(&mut packed, MatRef::from_slice(&a, m, k), 0, 0, m, k, mr, 1.0);
         for p in 0..panels {
             for kk in 0..k {
                 for i in 0..mr {

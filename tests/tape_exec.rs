@@ -5,9 +5,9 @@
 //! the scalar reference), the superword backend, the scalar tape, the
 //! tree-walking interpreter, and the naive reference must agree. Where
 //! the computation is literally the same sequence of f32 operations
-//! (superword vs. tape vs. interpreter, arena vs. legacy driver, 1 vs. N
-//! threads, ic vs. jc split — and any one SIMD chain against *itself*
-//! across drivers and thread counts), they must agree **bit for bit**.
+//! (superword vs. tape vs. interpreter, 1 vs. N threads, row-block vs.
+//! column-block partition — and any one SIMD chain against *itself*
+//! across thread counts), they must agree **bit for bit**.
 //! The native tier is emitted so that each lane performs the same fused
 //! (or, on the scalar floor, unfused) operations as the simd chain, so
 //! native vs. simd is held to exact equality on every host — including
@@ -192,39 +192,8 @@ fn forced_superword_fallback_is_bit_identical_to_the_superword_pin() {
     }
 }
 
-/// The arena hot path computes bit-identical results to the legacy
-/// allocate-per-block path — per tier, including the SIMD chain (same op
-/// order either way).
-#[test]
-fn arena_driver_is_bit_identical_to_the_legacy_driver() {
-    let generator = MicroKernelGenerator::new(neon_f32());
-    let kernel = Arc::new(generator.generate(8, 8).unwrap());
-    let mut cases = Cases::new(0xc0de);
-    for &(m, n, k) in &[(64usize, 64usize, 64usize), (37, 53, 29), (7, 3, 11)] {
-        let a = Matrix::from_fn(m, k, |_, _| cases.f32_unit());
-        let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
-        let c0 = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
-        let blocking = BlockingParams { mc: 24, kc: 16, nc: 32, mr: 8, nr: 8 };
-        for (label, kimpl) in [
-            ("simd", exo_kernel(Arc::clone(&kernel))),
-            ("superword", exo_kernel_superword(Arc::clone(&kernel))),
-        ] {
-            let mut c_arena = c0.clone();
-            BlisGemm::new(blocking)
-                .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c_arena.view_mut()))
-                .unwrap();
-            let mut c_legacy = c0.clone();
-            BlisGemm::new(blocking)
-                .without_arena()
-                .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c_legacy.view_mut()))
-                .unwrap();
-            assert_eq!(c_arena.data, c_legacy.data, "{m}x{n}x{k} {label}");
-        }
-    }
-}
-
-/// `threads = 1` and `threads = N` produce identical `C` on the SIMD
-/// default: the `ic` blocks write disjoint row ranges, each computed in
+/// `threads = 1` and `threads = N` produce identical `C` on the default
+/// tier: the workers' windows hold disjoint row blocks, each computed in
 /// the same order — the chain is deterministic, so even the contracted
 /// FMAs agree bit-for-bit across thread counts.
 #[test]
@@ -256,8 +225,8 @@ fn thread_count_never_changes_the_result() {
     }
 }
 
-/// Wide-and-short problems take the `jc` column split instead of the `ic`
-/// row split; across fringe-heavy shapes, every backend tier, and 1–7
+/// Wide-and-short problems are partitioned by `nc` column blocks instead
+/// of `mc` row blocks; across fringe-heavy shapes, every backend tier, and 1–7
 /// threads the split must stay bit-identical to that tier's sequential
 /// run and match the naive reference.
 #[test]
