@@ -8,11 +8,12 @@
 //!   measured from.
 //! * `tape`           — scalar tape kernel. isolates: compiling the IR
 //!   walk away (tape / interp).
-//! * `superword`      — superword whole-vector kernel. isolates: the SLP
-//!   pass and prove-once dispatch (superword / tape) — the portable path.
-//! * `simd`           — the in-process closure chain for the active vector
-//!   ISA (AVX2/FMA, NEON, or the scalar reference). isolates: real vector
-//!   instructions and closure fusion (simd / superword).
+//! * `superword`      — the portable tier: the superword lowering
+//!   executed by the scalar-ISA closure chain. isolates: the SLP pass,
+//!   closure fusion and prove-once dispatch (superword / tape).
+//! * `simd`           — the same chain compiled for the active vector ISA
+//!   (AVX2/FMA, NEON, or the scalar reference). isolates: real vector
+//!   instructions (simd / superword).
 //! * `native`         — the ahead-of-time compiled `.so` tier (C emitted
 //!   from the superword tape, built by the host toolchain, dlopen'd): the
 //!   default production path. isolates: the host compiler's codegen over
@@ -51,13 +52,12 @@
 //!
 //! * the backend ordering must hold at every size — `native >= simd >=
 //!   superword >= tape >= interp` (a faster tier measuring slower than its
-//!   fallback means the fast path regressed below the slow one); the
-//!   `simd >= superword` leg only applies when a *native* ISA is selected
-//!   (`simd_available()`), since the scalar chain has no vector win over
-//!   the superword loop and the two differ only by noise, and the
-//!   `native >= simd` leg only applies when a C toolchain answered the
-//!   probe (`native_available()`), since without one the native series
-//!   *is* the simd chain;
+//!   fallback means the fast path regressed below the slow one). Two legs
+//!   compare a series with itself on some hosts and are skipped there by
+//!   construction: `simd >= superword` when the active ISA is the scalar
+//!   reference (`!simd_available()`: both series run the one scalar
+//!   chain), and `native >= simd` when no C toolchain answered the probe
+//!   (`!native_available()`: the native series *is* the simd chain);
 //! * the serve ordering must hold — `batched >= per_call` (batching exists
 //!   to amortise per-call overhead; measuring below the per-call loop
 //!   means the batch path regressed);
@@ -569,7 +569,7 @@ fn main() {
         if simd_available() {
             format!("  (isa: {})", active_isa())
         } else {
-            "  (no native ISA: simd ran the bit-exact scalar chain)".to_string()
+            "  (no native ISA: both series ran the one scalar chain)".to_string()
         }
     );
     println!(
@@ -670,9 +670,9 @@ fn main() {
 
     // CI gate 1: the backend ordering must hold at every size — a faster
     // tier measuring slower than its own fallback is a hard regression.
-    // The simd leg only applies where a *native* chain runs: on the scalar
-    // ISA the chain does the same scalar arithmetic as the superword loop
-    // and the two differ only by measurement noise.
+    // The simd leg is skipped where the active ISA is the scalar
+    // reference: `simd` and `superword` are then the same executor, and
+    // ordering a series against itself only measures noise.
     let mut failed = false;
     for (i, &size) in sizes.iter().enumerate() {
         if gflops[tape_i][i] < gflops[interp_i][i] {
@@ -680,11 +680,11 @@ fn main() {
             failed = true;
         }
         if gflops[sw_i][i] < gflops[tape_i][i] {
-            eprintln!("FAIL: superword slower than the scalar tape at {size}");
+            eprintln!("FAIL: superword (the portable chain) slower than the scalar tape at {size}");
             failed = true;
         }
         if simd_available() && gflops[simd_i][i] < gflops[sw_i][i] {
-            eprintln!("FAIL: simd slower than the superword fallback at {size}");
+            eprintln!("FAIL: simd slower than the portable scalar chain at {size}");
             failed = true;
         }
         // The native leg only applies where an artifact actually compiled:

@@ -27,7 +27,7 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use exo_codegen::{active_isa, emit_superword_c, fma_contraction_tol, IsaKind, SuperwordKernel};
+use exo_codegen::{active_isa, emit_superword_c, fma_contraction_tol, IsaKind, SuperwordKernel, TensorView};
 
 use crate::dylib::Dylib;
 use crate::error::{io_err, AotError, Result};
@@ -51,10 +51,12 @@ const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(250);
 /// storm.
 const BUILD_QUEUE_DEPTH: usize = 32;
 
-/// `KC` of the verification probe every kernel must pass before
-/// promotion. Odd and larger than any unroll factor in the emitters, so
-/// remainder paths execute too.
-const PROBE_KC: usize = 17;
+/// The `KC` values of the verification probe every kernel must pass
+/// before promotion: the empty loop, the single iteration, and one that
+/// is odd and larger than any unroll factor in the emitters, so
+/// remainder paths execute too — a kernel wrong only at `kc = 0` or
+/// `kc = 1` (a fringe `KC` block does reach them) must not promote.
+const PROBE_KCS: [usize; 3] = [0, 1, 17];
 
 /// Age past which scratch/quarantine debris is swept on engine init.
 const SWEEP_TTL: Duration = Duration::from_secs(24 * 3600);
@@ -717,8 +719,9 @@ fn run_with_deadline(
 }
 
 /// Verified promotion: before a freshly built *or* disk-loaded kernel
-/// enters dispatch, run it on a deterministic seeded probe problem and
-/// compare against the portable superword tier within the documented
+/// enters dispatch, run it on deterministic seeded probe problems (one
+/// per [`PROBE_KCS`] entry) and compare against the source tape's checked
+/// reference — a reference that trusts no proof — within the documented
 /// FMA-contraction bound ([`fma_contraction_tol`]; the scalar lowering
 /// is bit-exact, well inside it). A mismatch quarantines the artifact to
 /// `<path>.wrong-result` and the caller pins the key to simd terminally.
@@ -730,14 +733,6 @@ fn verify(
     kernel: &NativeKernel,
 ) -> Result<()> {
     let sw = &req.source;
-    let (ac_len, bc_len, c_len) = sw
-        .packed_probe_lens(PROBE_KC)
-        .ok_or_else(|| AotError::Unsupported { what: "a kernel with no derivable probe shape".into() })?;
-    if !sw.packed_bounds_provable(PROBE_KC, ac_len, bc_len, c_len) {
-        // Without the proof the raw call would be unsound; a kernel that
-        // cannot be probed safely is not promoted.
-        return Err(AotError::Unsupported { what: "a kernel whose probe shape is not provable".into() });
-    }
     // Deterministic seeded operands (xorshift64*), identical in every
     // process that ever verifies this key.
     let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ req.key;
@@ -747,31 +742,38 @@ fn verify(
         state ^= state << 17;
         ((state >> 40) & 0xffff) as f32 / 32768.0 - 1.0
     };
-    let ac: Vec<f32> = (0..ac_len).map(|_| next()).collect();
-    let bc: Vec<f32> = (0..bc_len).map(|_| next()).collect();
-    let c0: Vec<f32> = (0..c_len).map(|_| next()).collect();
-
-    let mut c_native = c0.clone();
-    // SAFETY: `packed_bounds_provable` above proved every tensor access
-    // of the tape — and therefore of the C lowered from it — inside
-    // these exact lengths; the pointers are valid for them and
-    // `c_native` is exclusive.
-    unsafe { (kernel.raw())(PROBE_KC as i64, ac.as_ptr(), bc.as_ptr(), c_native.as_mut_ptr()) };
-
-    let mut c_ref = c0;
-    sw.run_packed(PROBE_KC, &ac, &bc, &mut c_ref)
-        .map_err(|e| AotError::Unsupported { what: format!("a probe the portable tier declines ({e})") })?;
-
-    let tol = fma_contraction_tol(PROBE_KC);
+    let mut mismatch = false;
+    for kc in PROBE_KCS {
+        let (ac_len, bc_len, c_len) = sw
+            .packed_probe_lens(kc)
+            .ok_or_else(|| AotError::Unsupported { what: "a kernel with no derivable probe shape".into() })?;
+        if !sw.packed_bounds_provable(kc, ac_len, bc_len, c_len) {
+            // A declined proof would route the call below to the checked
+            // reference, and the probe would compare the reference with
+            // itself; a kernel that cannot be probed is not promoted.
+            return Err(AotError::Unsupported { what: "a kernel whose probe shape is not provable".into() });
+        }
+        let ac: Vec<f32> = (0..ac_len).map(|_| next()).collect();
+        let bc: Vec<f32> = (0..bc_len).map(|_| next()).collect();
+        let mut c_native: Vec<f32> = (0..c_len).map(|_| next()).collect();
+        let mut c_ref = c_native.clone();
+        // Admitted by the proof just checked, so this runs the loaded code.
+        kernel.run_packed(kc, &ac, &bc, &mut c_native)?;
+        let views = &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_ref)];
+        sw.run_checked(&[kc as i64], views).map_err(|e| AotError::Unsupported {
+            what: format!("a probe the checked reference declines ({e})"),
+        })?;
+        let tol = fma_contraction_tol(kc);
+        // A lane disagrees when its error exceeds the bound — or is NaN
+        // (incomparable), which must also count as a mismatch.
+        let disagrees = |(n, r): (&f32, &f32)| {
+            let (err, bound) = ((n - r).abs(), tol * r.abs().max(1.0));
+            !matches!(err.partial_cmp(&bound), Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal))
+        };
+        mismatch |= c_native.iter().zip(&c_ref).any(disagrees);
+    }
     let forced = countdown_fires(&WRONG_RESULT_IN);
-    // A lane disagrees when its error exceeds the bound — or is NaN
-    // (incomparable), which must also count as a mismatch.
-    let disagrees = |(n, r): (&f32, &f32)| {
-        let (err, bound) = ((n - r).abs(), tol * r.abs().max(1.0));
-        !matches!(err.partial_cmp(&bound), Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal))
-    };
-    let mismatch = forced || c_native.iter().zip(&c_ref).any(disagrees);
-    if mismatch {
+    if forced || mismatch {
         counters.wrong_results.fetch_add(1, Ordering::SeqCst);
         counters.quarantines.fetch_add(1, Ordering::SeqCst);
         let quarantined = store.quarantine_as(artifact, "wrong-result");

@@ -1,8 +1,9 @@
-//! The loaded native kernel and its proof-guarded dispatch.
+//! The loaded native kernel: compiled code as the unchecked body of an
+//! [`exo_codegen::SimdKernel`].
 
 use std::sync::Arc;
 
-use exo_codegen::{IsaKind, SimdDispatch, SuperwordKernel};
+use exo_codegen::{IsaKind, SimdDispatch, SimdKernel, SuperwordKernel};
 
 use crate::dylib::Dylib;
 use crate::error::Result;
@@ -10,24 +11,23 @@ use crate::error::Result;
 /// The exported symbol every emitted kernel carries.
 pub const KERNEL_SYMBOL: &str = "exo_aot_kernel";
 
-/// The packed micro-kernel ABI: `(KC, Ac, Bc, C)`, matching
-/// [`SuperwordKernel::run_packed`] with the slices lowered to raw
-/// pointers.
-pub type KernelFn = unsafe extern "C" fn(i64, *const f32, *const f32, *mut f32);
+/// The packed micro-kernel ABI: `(KC, Ac, Bc, C)`, the signature
+/// [`exo_codegen::emit_superword_c`] emits.
+pub type KernelFn = exo_codegen::PackedKernelFn;
 
 /// A compiled, loaded native micro-kernel.
 ///
-/// Holds the source superword tape (for the bounds proof and the checked
-/// fallback), the emitted C, and the open dylib the function pointer
-/// points into — the handle keeps the library mapped for as long as any
-/// clone is alive.
+/// Holds the emitted C and the loaded function as the unchecked body of a
+/// [`SimdKernel`] over the source superword tape — so every call runs
+/// behind the workspace's one proved-call site: the memoised
+/// affine-interval proof admits it to the function pointer, or declines
+/// it onto the tape's checked reference, exactly like the simd chain. The
+/// body keeps the dylib mapped for as long as any clone or dispatch
+/// handle is alive.
 #[derive(Debug, Clone)]
 pub struct NativeKernel {
-    source: Arc<SuperwordKernel>,
+    body: Arc<SimdKernel>,
     c_source: Arc<str>,
-    isa: IsaKind,
-    lib: Arc<Dylib>,
-    f: KernelFn,
 }
 
 impl NativeKernel {
@@ -42,12 +42,17 @@ impl NativeKernel {
         // exactly the `KernelFn` signature; the transmute re-types the
         // loader's raw pointer to it.
         let f: KernelFn = unsafe { std::mem::transmute(ptr) };
-        Ok(NativeKernel { source, c_source, isa, lib, f })
+        // SAFETY: `lib` was built from `emit_superword_c(source, isa, ..)`
+        // for this host (the engine's cache key and manifest tie the
+        // artifact to exactly that source and ISA), and `f` points into
+        // it, so it stays callable while the body holds `lib`.
+        let body = unsafe { SimdKernel::from_compiled(source, isa, f, lib) }?;
+        Ok(NativeKernel { body: Arc::new(body), c_source })
     }
 
     /// The superword tape this kernel was compiled from.
     pub fn source(&self) -> &Arc<SuperwordKernel> {
-        &self.source
+        self.body.source()
     }
 
     /// The emitted C translation unit (also kept next to the artifact on
@@ -58,84 +63,27 @@ impl NativeKernel {
 
     /// The ISA the C was lowered for.
     pub fn isa(&self) -> IsaKind {
-        self.isa
-    }
-
-    /// The raw function pointer (for callers managing their own proofs).
-    pub fn raw(&self) -> KernelFn {
-        self.f
-    }
-
-    /// Keeps the dylib mapped independently of this handle.
-    pub fn lib(&self) -> &Arc<Dylib> {
-        &self.lib
+        self.body.isa()
     }
 
     /// Runs the packed micro-kernel `c += ac * bc` natively when the
-    /// affine-interval proof admits the call, and through the checked
-    /// superword tier otherwise — same decline behaviour as the simd
-    /// chain, so the native tier never trades safety for speed.
+    /// affine-interval proof admits the call, and through the tape's
+    /// checked reference otherwise — the simd chain's proved-call site, so
+    /// the native tier never trades safety for speed.
     ///
     /// # Errors
     ///
-    /// As [`SuperwordKernel::run_packed`] (only reachable on the checked
-    /// fallback path; proven calls cannot fail).
+    /// As [`SimdKernel::run_packed`] (only reachable on the checked
+    /// reference; proven calls cannot fail).
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> exo_codegen::Result<()> {
-        if self.source.packed_bounds_provable(kc, ac.len(), bc.len(), c.len()) {
-            // SAFETY: the interval proof just established that every
-            // tensor access of the tape — and therefore of the C lowered
-            // from it — stays inside `ac`, `bc` and `c` for this `kc`
-            // and these lengths; the pointers are valid for those
-            // lengths and `c` is exclusive.
-            unsafe { (self.f)(kc as i64, ac.as_ptr(), bc.as_ptr(), c.as_mut_ptr()) };
-            Ok(())
-        } else {
-            self.source.run_packed(kc, ac, bc, c)
-        }
-    }
-}
-
-/// A reusable dispatch handle pairing the native kernel with a simd
-/// dispatcher: proofs are memoised across calls (the per-GEMM tile loop
-/// hits the same `(kc, lengths)` key thousands of times), and unproven
-/// calls route to the simd handle's own checked ladder.
-#[derive(Debug, Clone)]
-pub struct NativeDispatch {
-    native: Arc<NativeKernel>,
-    simd: SimdDispatch,
-}
-
-impl NativeDispatch {
-    /// Pairs a loaded kernel with the simd dispatcher that backs it up.
-    pub fn new(native: Arc<NativeKernel>, simd: SimdDispatch) -> NativeDispatch {
-        NativeDispatch { native, simd }
+        self.body.run_packed(kc, ac, bc, c)
     }
 
-    /// The loaded kernel.
-    pub fn kernel(&self) -> &Arc<NativeKernel> {
-        &self.native
-    }
-
-    /// Runs the packed call through the native function pointer when the
-    /// memoised proof admits it, else through the simd dispatcher.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimdDispatch::run_packed`] (the fallback path).
-    pub fn run_packed(
-        &mut self,
-        kc: usize,
-        ac: &[f32],
-        bc: &[f32],
-        c: &mut [f32],
-    ) -> exo_codegen::Result<()> {
-        if self.simd.packed_provable(kc, ac.len(), bc.len(), c.len()) {
-            // SAFETY: as in `NativeKernel::run_packed` — the memoised
-            // interval proof covers every access for these lengths.
-            unsafe { (self.native.f)(kc as i64, ac.as_ptr(), bc.as_ptr(), c.as_mut_ptr()) };
-            Ok(())
-        } else {
-            self.simd.run_packed(kc, ac, bc, c)
-        }
+    /// A prove-once dispatch handle over the compiled code: proofs are
+    /// memoised across calls (the per-GEMM tile loop hits the same
+    /// `(kc, lengths)` key thousands of times), and a declined proof takes
+    /// the same route to the checked reference as [`Self::run_packed`].
+    pub fn dispatcher(&self) -> SimdDispatch {
+        self.body.dispatcher()
     }
 }

@@ -8,8 +8,8 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use exo_aot::{AotEngine, AotError, NativeDispatch};
-use exo_codegen::{active_isa, IsaKind, SimdDispatch, SimdKernel, SuperwordKernel};
+use exo_aot::{AotEngine, AotError};
+use exo_codegen::{active_isa, IsaKind, SimdKernel, SuperwordKernel, TensorView};
 use exo_ir::builder::*;
 use exo_ir::{Expr, MemSpace, ScalarType};
 
@@ -153,8 +153,8 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     let (engine, dir) = scratch_engine("dispatch");
     let sw = staged_superword(8, 4);
     let native = engine.compile(&sw, active_isa()).unwrap();
-    let chain = Arc::new(SimdKernel::compile(Arc::clone(&sw)).expect("the active ISA compiles"));
-    let mut dispatch = NativeDispatch::new(Arc::clone(&native), SimdDispatch::new(Arc::clone(&chain)));
+    let chain = SimdKernel::compile(Arc::clone(&sw)).expect("the active ISA compiles");
+    let mut dispatch = native.dispatcher();
     let kc = 17usize;
     let (a, b, c0) = packed_inputs(8, 4, kc);
     let mut c_hot = c0.clone();
@@ -165,10 +165,18 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     // bit equality through the dispatch handle too.
     assert_eq!(c_hot, c_ref);
 
+    assert_eq!(dispatch.memoised_proofs(), 1);
+    dispatch.run_packed(kc, &a, &b, &mut c_hot).unwrap();
+    assert_eq!(dispatch.memoised_proofs(), 1, "the second call recalls the first one's proof");
+
     // Claim kc = 1000 over short operands: the proof declines, the call
-    // routes to the checked tiers, and the error is the tape's.
+    // routes to the checked reference, and the error is the tape's — by
+    // the same route through the handle, the one-shot native entry point
+    // and the simd chain.
     let err = dispatch.run_packed(1000, &a, &b, &mut c_hot);
     assert!(err.is_err(), "an unprovable call must take the checked path and report");
+    assert_eq!(err, native.run_packed(1000, &a, &b, &mut c_hot.clone()));
+    assert_eq!(err, chain.run_packed(1000, &a, &b, &mut c_hot.clone()));
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -257,9 +265,10 @@ fn a_missing_toolchain_is_a_typed_decline() {
             let mut c_native = c0.clone();
             k.run_packed(13, &a, &b, &mut c_native).unwrap();
             let mut c_sw = c0.clone();
-            sw.run_packed(13, &a, &b, &mut c_sw).unwrap();
+            sw.run_checked(&[13], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
+                .unwrap();
             // The scalar floor is bit-exact against the portable tiers.
-            assert_eq!(c_native, c_sw, "the scalar lowering must match the superword tape bitwise");
+            assert_eq!(c_native, c_sw, "the scalar lowering must match the checked reference bitwise");
         }
         Err(e) => {
             assert!(!exo_aot::native_available());
@@ -309,8 +318,14 @@ fn probe_lens_derive_the_exact_packed_extents() {
     // Ac[0..17*8], Bc[0..17*4], C[0..4*8].
     let sw = staged_superword(8, 4);
     assert_eq!(sw.packed_probe_lens(17), Some((136, 68, 32)));
-    // The derived shape is provable, so the verifier's raw call is sound.
+    // The derived shape is provable, so the verifier's call runs the
+    // loaded code rather than the checked reference.
     assert!(sw.packed_bounds_provable(17, 136, 68, 32));
+    // The degenerate probes: kc = 0 touches only C, kc = 1 one row of each
+    // panel — both provable at exactly their derived extents.
+    assert_eq!(sw.packed_probe_lens(0), Some((0, 0, 32)));
+    assert_eq!(sw.packed_probe_lens(1), Some((8, 4, 32)));
+    assert!(sw.packed_bounds_provable(0, 0, 0, 32) && sw.packed_bounds_provable(1, 8, 4, 32));
 
     // A kernel without the packed signature has no probe shape.
     let p = proc("notpacked")
@@ -361,7 +376,20 @@ fn a_planted_wrong_result_artifact_is_rejected_quarantined_and_pinned() {
     if !exo_aot::native_available() {
         return;
     }
-    let (engine, dir) = scratch_engine("planted");
+    // Garbage at every KC — and a kernel that is right everywhere except
+    // the empty and the single-iteration KC loop, which a probe at one
+    // mid-sized KC alone would promote.
+    let garbage = "(void)kc; (void)ac; (void)bc; c[0] += 1234.5f;";
+    let wrong_at_tiny_kc = "for (long long k = 0; k < kc; k++) for (int j = 0; j < 4; j++)\n\
+         for (int i = 0; i < 8; i++) c[j * 8 + i] += ac[k * 8 + i] * bc[k * 4 + j];\n\
+         if (kc < 2) c[0] += 1234.5f;";
+    for (tag, evil_body) in [("planted", garbage), ("planted-tiny-kc", wrong_at_tiny_kc)] {
+        planted_artifact_is_rejected(tag, evil_body);
+    }
+}
+
+fn planted_artifact_is_rejected(tag: &str, evil_body: &str) {
+    let (engine, dir) = scratch_engine(tag);
     let sw = staged_superword(8, 4);
     let req = engine.prepare(&sw, active_isa()).unwrap();
     let tc = exo_aot::toolchain().unwrap();
@@ -375,8 +403,9 @@ fn a_planted_wrong_result_artifact_is_rejected_quarantined_and_pinned() {
     let evil_src = dir.join("evil.c");
     std::fs::write(
         &evil_src,
-        "void exo_aot_kernel(long long kc, const float *ac, const float *bc, float *c) {\n\
-         (void)kc; (void)ac; (void)bc; c[0] += 1234.5f;\n}\n",
+        format!(
+            "void exo_aot_kernel(long long kc, const float *ac, const float *bc, float *c) {{\n{evil_body}\n}}\n"
+        ),
     )
     .unwrap();
     let artifact = engine.store().artifact_path(req.key());

@@ -372,15 +372,17 @@ impl SwEmit {
     /// Emits `reg[dst+i] = fma(reg[a+i], bval, reg[dst+i])` for
     /// `i in 0..lanes`, mirroring the simd chain exactly: whole-vector
     /// FMAs with contracted scalar tails when the runs are disjoint (or
-    /// identical), strict ascending scalar lanes when the operand run
-    /// partially overlaps the accumulator run. Every lane is a single
+    /// identical), strict ascending scalar lanes when the op's lane order
+    /// is semantic ([`VOp::fma_in_order`]). Every lane is a single
     /// correctly-rounded fused multiply-add on the native ISAs (bit-equal
     /// to the chain's) and an explicit two-rounding multiply-then-add on
-    /// the scalar floor (bit-equal to the superword tier, which
+    /// the scalar floor (bit-equal to the portable tiers, which
     /// `-ffp-contract=off` keeps the compiler from re-fusing).
-    fn fma_run(&mut self, out: &mut String, pad: &str, dst: u32, a: u32, bval: &str, lanes: u32) {
-        let in_order = a != dst && overlaps_u32(a, lanes, dst, lanes);
-        if self.isa == IsaKind::Scalar || in_order {
+    fn fma_run(&mut self, out: &mut String, pad: &str, op: &VOp, bval: &str) {
+        let (VOp::VFmaLane { dst, a, lanes, .. } | VOp::VFmaBcast { dst, a, lanes, .. }) = *op else {
+            unreachable!("only the packed FMAs carry a register run")
+        };
+        if self.isa == IsaKind::Scalar || op.fma_in_order() {
             for i in 0..lanes {
                 let (d, s) = (dst + i, a + i);
                 let line = if self.isa == IsaKind::Scalar {
@@ -428,10 +430,6 @@ impl SwEmit {
             let _ = writeln!(out, "{pad}reg[{d}] = fmaf(reg[{s}], {bval}, reg[{d}]);");
         }
     }
-}
-
-fn overlaps_u32(a: u32, len: u32, b: u32, blen: u32) -> bool {
-    a < b + blen && b < a + len
 }
 
 fn aot_unsupported(what: impl Into<String>) -> CodegenError {
@@ -491,9 +489,9 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// `-ffp-contract=off` so the compiler adds no contractions of its own):
 /// on the native ISAs every FMA lane is a single correctly-rounded fused
 /// multiply-add — bit-identical to the simd closure chain of the same ISA,
-/// and therefore within [`crate::fma_contraction_tol`] of the superword
-/// tier; the scalar floor is an explicit multiply-then-add, bit-identical
-/// to the superword/tape/interpreter tiers.
+/// and therefore within [`crate::fma_contraction_tol`] of the portable
+/// tiers; the scalar floor is an explicit multiply-then-add, bit-identical
+/// to the portable/tape/interpreter tiers.
 ///
 /// # Errors
 ///
@@ -622,22 +620,22 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
                 let idx = ctx.saddr(addr);
                 ctx.copy(&mut out, &pad, false, *src, *buf, &idx, *lanes);
             }
-            VOp::VFmaLane { dst, a, b, lanes } => {
+            VOp::VFmaLane { b, .. } => {
                 // The broadcast lane never aliases the accumulator run
                 // (construction-validated), so reading it up front matches
-                // the superword dispatch reading it once per op.
+                // the chain reading it once per op.
                 let bv = ctx.fresh("bv");
                 let _ = writeln!(out, "{pad}const float {bv} = reg[{b}];");
-                ctx.fma_run(&mut out, &pad, *dst, *a, &bv, *lanes);
+                ctx.fma_run(&mut out, &pad, op, &bv);
             }
-            VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
+            VOp::VFmaBcast { buf, addr, scratch, .. } => {
                 prefetch(&mut ctx, &mut out, &pad, &mut prefetched, *buf, addr);
                 let idx = ctx.saddr(addr);
                 let name = ctx.tensor_names[*buf as usize].clone();
                 let bv = ctx.fresh("bv");
                 let _ = writeln!(out, "{pad}const float {bv} = {name}[{idx}];");
                 let _ = writeln!(out, "{pad}reg[{scratch}] = {bv};");
-                ctx.fma_run(&mut out, &pad, *dst, *a, &bv, *lanes);
+                ctx.fma_run(&mut out, &pad, op, &bv);
             }
             VOp::Scalar(s) => {
                 let line = match s {

@@ -14,15 +14,20 @@
 //!   validation and wall-clock benches,
 //! * [`tape`] — a flat, register-allocated tape compiled from the executable
 //!   lowering: the scalar bytecode backend,
-//! * [`superword`] — the superword lowering of the tape: whole-vector ops
-//!   (`VLoad`, `VStore`, `VFmaLane`, `VFmaBcast`) that execute one vector
-//!   register per dispatch over a validated, bounds-free register file —
-//!   the fastest *portable* backend, and every other tier's fallback,
-//! * [`simd`] — the native tier: the validated superword ops compiled once
-//!   per kernel into a chain of monomorphic closures over the widest
-//!   vector ISA the host can run — AVX2/FMA on x86_64, NEON on aarch64, a
-//!   bit-exact scalar reference everywhere (pin one with `EXO_ISA`) — the
-//!   fastest backend, and the one the GEMM hot path dispatches through.
+//! * [`superword`] — the superword lowering of the tape: the SLP pass that
+//!   re-rolls lane runs into whole-vector ops (`VLoad`, `VStore`,
+//!   `VFmaLane`, `VFmaBcast`), plus the construction-time and
+//!   affine-interval proofs every unchecked executor of those ops runs
+//!   under and the checked reference run a declined proof lands on. The
+//!   IR the tiers below consume; it executes nothing unchecked itself,
+//! * [`simd`] — the in-process executors of that IR: the validated
+//!   superword ops compiled once per kernel into a chain of monomorphic
+//!   closures per vector ISA — AVX2/FMA on x86_64, NEON on aarch64, and a
+//!   bit-exact scalar chain everywhere, which is the *portable* tier (pin
+//!   one with `EXO_ISA`). The fastest tier that needs no C toolchain: the
+//!   GEMM hot path serves on it until the ahead-of-time compiled body of
+//!   the `exo-aot` tier ([`c::emit_superword_c`], ~3× faster) promotes,
+//!   and that body then runs behind the same proved-call site.
 
 #![warn(missing_docs)]
 
@@ -42,8 +47,9 @@ pub use env::env_once;
 pub use error::{CodegenError, Result};
 pub use exec::{compile, CompiledKernel, RunArg};
 pub use simd::{
-    active_isa, env_isa_override, fma_contraction_tol, simd_available, IsaKind, SimdDispatch, SimdKernel,
+    active_isa, env_isa_override, fma_contraction_tol, simd_available, IsaKind, PackedKernelFn, SimdDispatch,
+    SimdKernel,
 };
-pub use superword::{SuperwordDispatch, SuperwordKernel};
+pub use superword::SuperwordKernel;
 pub use tape::{TapeKernel, TensorView};
 pub use trace::{extract_trace, summarise, KernelTrace, MachineOp};

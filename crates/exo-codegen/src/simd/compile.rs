@@ -79,11 +79,6 @@ pub(super) unsafe fn run_nodes(
     }
 }
 
-/// Whether `[a, a + len)` and `[b, b + blen)` intersect.
-fn overlaps(a: usize, len: usize, b: usize, blen: usize) -> bool {
-    a < b + blen && b < a + len
-}
-
 /// A register-file copy closure (`VLoad`/`VStore` are memcpys between
 /// a tensor and a lane-aligned register run; `copy_nonoverlapping`
 /// lowers to vector moves). `LOAD` selects the direction.
@@ -115,10 +110,10 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &SAdd
     }
 }
 
-/// One `VFmaLane` op as a closure, vector form when the runs permit.
-fn fma_lane_step<I: VectorIsa>(dst: usize, a: usize, b: usize, lanes: usize) -> StepFn {
-    if a != dst && overlaps(a, lanes, dst, lanes) {
-        // Partial overlap: ascending lane order is semantic — keep it.
+/// One `VFmaLane` op as a closure: vector form unless the op's lane order
+/// is semantic ([`VOp::fma_in_order`]).
+fn fma_lane_step<I: VectorIsa>(in_order: bool, dst: usize, a: usize, b: usize, lanes: usize) -> StepFn {
+    if in_order {
         Box::new(move |regs, _tens, _loops, _scalars| unsafe {
             I::fma_run_inorder(regs, dst, a, *regs.add(b), lanes);
         })
@@ -132,6 +127,7 @@ fn fma_lane_step<I: VectorIsa>(dst: usize, a: usize, b: usize, lanes: usize) -> 
 /// One `VFmaBcast` op: broadcast one tensor element, write the scratch
 /// register (the scalar sequence leaves it written), FMA the run.
 fn fma_bcast_step<I: VectorIsa>(
+    in_order: bool,
     dst: usize,
     a: usize,
     buf: usize,
@@ -140,15 +136,14 @@ fn fma_bcast_step<I: VectorIsa>(
     lanes: usize,
 ) -> StepFn {
     let addr = addr.clone();
-    let plain_order = a == dst || !overlaps(a, lanes, dst, lanes);
     Box::new(move |regs, tens, loops, scalars| unsafe {
         let idx = addr.eval(loops, scalars) as usize;
         let bval = *(*tens.get_unchecked(buf)).add(idx);
         *regs.add(scratch) = bval;
-        if plain_order {
-            I::fma_run(regs, dst, a, bval, lanes);
-        } else {
+        if in_order {
             I::fma_run_inorder(regs, dst, a, bval, lanes);
+        } else {
+            I::fma_run(regs, dst, a, bval, lanes);
         }
     })
 }
@@ -273,7 +268,7 @@ fn match_tile(ops: &[VOp], i: usize) -> Option<(Tile, usize)> {
     // run (and it alone — broadcast registers are re-read per row) to
     // stay disjoint from every accumulator row written before it is
     // read again.
-    if count < 2 || overlaps(tile.a, tile.lanes, tile.dst, count * tile.lanes) {
+    if count < 2 || (tile.a < tile.dst + count * tile.lanes && tile.dst < tile.a + tile.lanes) {
         return None;
     }
     Some((tile, count))
@@ -384,7 +379,7 @@ fn build_nodes_at<I: VectorIsa>(ops: &[VOp], base: usize, stats: &mut BuildStats
                 i = end;
             }
             VOp::LoopEnd { .. } => return None,
-            VOp::VFmaLane { dst, a, b, lanes } => {
+            op @ VOp::VFmaLane { dst, a, b, lanes } => {
                 if let Some((step, used)) = try_fuse_tile::<I>(ops, i) {
                     stats.fused_tiles += 1;
                     stats.steps += 1;
@@ -393,6 +388,7 @@ fn build_nodes_at<I: VectorIsa>(ops: &[VOp], base: usize, stats: &mut BuildStats
                 } else {
                     stats.steps += 1;
                     out.push(Node::Step(fma_lane_step::<I>(
+                        op.fma_in_order(),
                         *dst as usize,
                         *a as usize,
                         *b as usize,
@@ -423,9 +419,10 @@ fn build_nodes_at<I: VectorIsa>(ops: &[VOp], base: usize, stats: &mut BuildStats
                 out.push(Node::Step(copy_step::<false>(*src as usize, *buf as usize, *lanes as usize, addr)));
                 i += 1;
             }
-            VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
+            op @ VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
                 stats.steps += 1;
                 out.push(Node::Step(fma_bcast_step::<I>(
+                    op.fma_in_order(),
                     *dst as usize,
                     *a as usize,
                     *buf as usize,

@@ -1,18 +1,16 @@
-//! Native SIMD execution: the superword tape lowered to per-architecture
-//! vector intrinsics through a pre-compiled chain of monomorphic closures.
+//! Executing the superword tape: per-architecture vector intrinsics
+//! through a pre-compiled chain of monomorphic closures, behind the one
+//! proved-call site of the workspace.
 //!
-//! The superword backend of [`crate::superword`] already dispatches one
-//! whole vector register per op, but each op still runs through a `match`
-//! interpreter whose lane loops the compiler must re-vectorise from
-//! scratch on every dispatch — and in practice does not: `VFmaLane` spends
-//! its time in scalar multiply-then-add lane arithmetic. This module is
-//! the "last mile" the Exo paper delegates to a native compiler backend:
-//! the validated superword ops (`VLoad` / `VStore` / `VFmaLane` /
+//! The superword lowering of [`crate::superword`] describes one whole
+//! vector register per op and executes nothing unchecked itself. This
+//! module is the "last mile" the Exo paper delegates to a native compiler
+//! backend: the validated superword ops (`VLoad` / `VStore` / `VFmaLane` /
 //! `VFmaBcast`) are compiled **once per kernel** into a chain of
 //! monomorphic closures over native vector intrinsics:
 //!
 //! * every closure carries its operands pre-resolved (register offsets,
-//!   the pre-compiled specialised address shapes of the superword tier) —
+//!   the pre-compiled specialised address shapes of the superword lowering) —
 //!   no per-op decode survives to run time;
 //! * runs of isomorphic `VFmaLane` ops over one staged operand (the
 //!   accumulator tile of a laneq kernel) fuse into a single closure that
@@ -32,10 +30,11 @@
 //!   aarch64 (NEON is baseline): an 8-lane superword run re-rolls into a
 //!   pair of `float32x4_t` ops;
 //! * `scalar` — the 1-lane reference implementation, available
-//!   everywhere. Its multiply-then-add matches the superword / tape /
-//!   interpreter rounding **bit for bit**, and it also hosts the checked
-//!   reference executor those tiers fall back to when the bounds proof
-//!   declines.
+//!   everywhere. Its multiply-then-add matches the tape / interpreter
+//!   rounding **bit for bit**, which makes the chain compiled for it the
+//!   *portable* tier (what `EXO_BACKEND=superword` runs); the module also
+//!   hosts the checked reference executor every declined bounds proof
+//!   lands on.
 //!
 //! [`active_isa`] picks the widest available implementation at process
 //! start ([`IsaKind::Avx2`] → [`IsaKind::Neon`] → [`IsaKind::Scalar`]);
@@ -44,34 +43,38 @@
 //! which is how the differential suites compare implementations inside
 //! one process.
 //!
-//! **Selection and safety.** The closure chain runs bounds-free: it
-//! relies on exactly the proofs the superword backend already established
-//! — the construction-time register/loop-structure validation and the
-//! run-time affine-interval proof over the tensor addresses.
-//! [`SimdDispatch`] reuses the memoised proof of its inner
-//! [`SuperwordDispatch`], so steady-state micro-tile dispatch re-proves
-//! nothing; when the proof declines, execution falls back to the checked
-//! reference loop in the `scalar` module with identical error semantics
-//! to the scalar tape.
+//! **Selection and safety.** A [`SimdKernel`]'s body runs bounds-free —
+//! the closure chain, or the ahead-of-time compiled C the `exo-aot` tier
+//! hands in through [`SimdKernel::from_compiled`] — and relies on exactly
+//! the proofs the superword lowering established: the construction-time
+//! register/loop-structure validation and the run-time affine-interval
+//! proof over the tensor addresses. `SimdKernel::run_proved` is the **one
+//! place** in the workspace that chooses between an unchecked body and
+//! the checked reference: proof admits → the body, proof declines →
+//! [`SuperwordKernel::run_checked`]'s loop, with error semantics identical
+//! to the scalar tape's. [`SimdDispatch`] owns the proof memo and one
+//! register file, so steady-state micro-tile dispatch re-proves and
+//! allocates nothing.
 //!
 //! **Bit compatibility.** The native FMA intrinsics *contract* the
 //! multiply-then-add of the tape's `Fma` semantics into a single rounding,
 //! so the AVX2 and NEON chains are **not** bit-identical to the
-//! superword / tape / interp tiers (they are at least as accurate: one
+//! portable / tape / interp tiers (they are at least as accurate: one
 //! rounding instead of two per multiply-add). The differential suites
 //! therefore compare those chains against the references within an
-//! accumulation-scaled ULP bound — `|simd − superword| ≤
+//! accumulation-scaled ULP bound — `|simd − portable| ≤
 //! 2·ε·(KC + 4)²·scale` ([`fma_contraction_tol`]) — and demand exact
 //! equality of the scalar chain, which does not contract. Lane order
 //! inside every packed op is preserved, so every chain stays
 //! deterministic: the same inputs produce the same bits on every run and
 //! every thread count.
 
+use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
 use crate::env::env_once;
 use crate::error::Result;
-use crate::superword::{ExecScratch, SuperwordDispatch, SuperwordKernel};
+use crate::superword::{ProofMemo, SuperwordKernel};
 use crate::tape::TensorView;
 
 #[cfg(target_arch = "aarch64")]
@@ -219,13 +222,14 @@ pub(crate) trait VectorIsa {
                 i = lanes;
             }
         }
-        while i < lanes {
-            let av = *regs.add(a + i);
-            for g in 0..count {
-                let d = regs.add(dst0 + g * lanes + i);
-                *d = Self::fma_scalar(*d, av, *regs.add(b0 + g));
+        // Only the 1-lane scalar ISA gets here with lanes left: row-major,
+        // so each row is a contiguous run the compiler can vectorise.
+        for g in 0..count {
+            let bv = *regs.add(b0 + g);
+            for j in i..lanes {
+                let d = regs.add(dst0 + g * lanes + j);
+                *d = Self::fma_scalar(*d, *regs.add(a + j), bv);
             }
-            i += 1;
         }
     }
 }
@@ -242,7 +246,7 @@ pub enum IsaKind {
     /// re-roll into pairs).
     Neon,
     /// The portable 1-lane reference implementation: available on every
-    /// host, bit-identical to the superword / tape / interpreter tiers.
+    /// host, bit-identical to the tape / interpreter tiers.
     Scalar,
 }
 
@@ -369,7 +373,7 @@ pub fn simd_available() -> bool {
 
 /// The accumulation-scaled tolerance of the SIMD tier's FMA-contraction
 /// contract — the single definition every differential suite in the
-/// workspace holds `|simd − superword|` to, relative to the element
+/// workspace holds `|simd − portable|` to, relative to the element
 /// magnitude (floor 1.0): the native chains contract each multiply-add
 /// into one rounding, so a `k`-deep accumulation over unit-magnitude data
 /// differs from the mul-then-add tiers by at most `2·ε·(k + 4)²`. The
@@ -378,18 +382,57 @@ pub fn fma_contraction_tol(k: usize) -> f32 {
     2.0 * f32::EPSILON * ((k + 4) as f32).powi(2)
 }
 
-/// A kernel compiled to a chain of native vector closures.
+/// The packed micro-kernel C ABI `(KC, Ac, Bc, C)` — the signature of the
+/// function [`crate::emit_superword_c`] emits, and so of every
+/// ahead-of-time compiled body handed to [`SimdKernel::from_compiled`].
+pub type PackedKernelFn = unsafe extern "C" fn(i64, *const f32, *const f32, *mut f32);
+
+/// The unchecked body of a [`SimdKernel`].
+enum Program {
+    /// The in-process closure chain of one vector ISA.
+    Chain(Vec<Node>),
+    /// Ahead-of-time compiled code lowered from the same source kernel;
+    /// `_owner` keeps whatever `entry` points into (the open dylib) mapped.
+    Compiled { entry: PackedKernelFn, _owner: Arc<dyn Any + Send + Sync> },
+}
+
+/// Reusable execution state: the flat register file and the loop
+/// counter/bound tables of one source kernel, allocated once per
+/// [`SimdDispatch`] and shared by the unchecked body and the checked
+/// reference.
+#[derive(Debug, Clone)]
+pub(crate) struct ExecScratch {
+    pub(crate) regs: Vec<f32>,
+    pub(crate) loops: Vec<i64>,
+    pub(crate) bounds: Vec<i64>,
+}
+
+impl ExecScratch {
+    pub(crate) fn for_kernel(kernel: &SuperwordKernel) -> Self {
+        ExecScratch {
+            regs: vec![0.0; kernel.n_regs],
+            loops: vec![0; kernel.n_dyn_loops],
+            bounds: vec![0; kernel.n_dyn_loops],
+        }
+    }
+}
+
+/// A validated superword kernel paired with an unchecked body for one
+/// vector ISA.
 ///
-/// Obtained from [`SimdKernel::compile`] (the host's [`active_isa`]) or
-/// [`SimdKernel::compile_for`] (an explicit ISA). The fastest execution
-/// tier; results of the native chains are within a documented ULP bound
-/// of the superword tier (FMA contraction), the scalar chain is
-/// bit-identical to it, and no chain is ever bit-different across runs or
-/// thread counts.
+/// Obtained from [`SimdKernel::compile`] (a closure chain for the host's
+/// [`active_isa`]), [`SimdKernel::compile_for`] (a chain for an explicit
+/// ISA — [`IsaKind::Scalar`] is the bit-exact *portable* tier) or
+/// [`SimdKernel::from_compiled`] (ahead-of-time compiled C: the native
+/// tier). Results of the contracting ISAs are within a documented ULP
+/// bound of the portable tiers (FMA contraction), the scalar chain is
+/// bit-identical to them, and no body is ever bit-different across runs or
+/// thread counts. Every run goes through the same proved-call site, so
+/// which body a kernel carries changes speed, never safety or errors.
 pub struct SimdKernel {
     source: Arc<SuperwordKernel>,
     isa: IsaKind,
-    program: Vec<Node>,
+    program: Program,
     n_steps: usize,
     n_fused_tiles: usize,
 }
@@ -399,6 +442,7 @@ impl std::fmt::Debug for SimdKernel {
         f.debug_struct("SimdKernel")
             .field("name", &self.source.name)
             .field("isa", &self.isa.name())
+            .field("compiled", &matches!(self.program, Program::Compiled { .. }))
             .field("steps", &self.n_steps)
             .field("fused_tiles", &self.n_fused_tiles)
             .finish_non_exhaustive()
@@ -419,7 +463,8 @@ impl SimdKernel {
 
     /// Compiles a superword kernel into the closure chain of an explicit
     /// ISA — how the differential suites compare implementations inside
-    /// one process, independent of the `EXO_ISA` pin.
+    /// one process, independent of the `EXO_ISA` pin, and how the portable
+    /// tier is built (`IsaKind::Scalar`).
     ///
     /// Returns `None` when the host cannot run `isa`
     /// ([`IsaKind::available`]) or the chain compiler declines the tape.
@@ -428,7 +473,7 @@ impl SimdKernel {
             return None;
         }
         let mut stats = compile::BuildStats::default();
-        let program = match isa {
+        let nodes = match isa {
             IsaKind::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -451,17 +496,44 @@ impl SimdKernel {
             }
             IsaKind::Scalar => compile::build_nodes::<scalar::ScalarIsa>(&source.ops, &mut stats)?,
         };
+        let program = Program::Chain(nodes);
         Some(SimdKernel { source, isa, program, n_steps: stats.steps, n_fused_tiles: stats.fused_tiles })
     }
 
-    /// The superword kernel this chain was compiled from (also the
-    /// portable fallback and the owner of the shared proofs).
+    /// Pairs a superword kernel with ahead-of-time compiled code as its
+    /// unchecked body — how the `exo-aot` native tier enters the same
+    /// proved-call site (and the same checked reference on a declined
+    /// proof) as the closure chains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::CodegenError::BadArguments`] if `source` does not
+    /// have the packed `(KC, Ac, Bc, C)` signature `entry` is called with.
+    ///
+    /// # Safety
+    ///
+    /// `entry` must be the function [`crate::emit_superword_c`] emits for
+    /// `source` and `isa`, compiled for this host, and must stay callable
+    /// for as long as `owner` is alive.
+    pub unsafe fn from_compiled(
+        source: Arc<SuperwordKernel>,
+        isa: IsaKind,
+        entry: PackedKernelFn,
+        owner: Arc<dyn Any + Send + Sync>,
+    ) -> Result<SimdKernel> {
+        source.check_packed_signature()?;
+        let program = Program::Compiled { entry, _owner: owner };
+        Ok(SimdKernel { source, isa, program, n_steps: 0, n_fused_tiles: 0 })
+    }
+
+    /// The superword kernel this body was lowered from (the owner of the
+    /// proofs and of the checked reference).
     pub fn source(&self) -> &Arc<SuperwordKernel> {
         &self.source
     }
 
-    /// The vector ISA this chain's closures target — the reported-ISA
-    /// probe the cross-target CI asserts against.
+    /// The vector ISA this kernel's body targets — the reported-ISA probe
+    /// the cross-target CI asserts against.
     pub fn isa(&self) -> IsaKind {
         self.isa
     }
@@ -472,7 +544,7 @@ impl SimdKernel {
     }
 
     /// Number of pre-compiled closures in the chain (loop nodes count
-    /// their bodies, not themselves).
+    /// their bodies, not themselves; zero for compiled code).
     pub fn step_count(&self) -> usize {
         self.n_steps
     }
@@ -484,69 +556,93 @@ impl SimdKernel {
         self.n_fused_tiles
     }
 
-    /// Runs the chain over borrowed tensor views, proving bounds for this
+    /// Runs the kernel over borrowed tensor views, proving bounds for this
     /// exact input first (one-shot entry point; the GEMM hot path uses
     /// [`SimdDispatch`] instead, which memoises the proof).
     ///
     /// # Errors
     ///
-    /// Exactly [`SuperwordKernel::run_views`]'s:
+    /// Exactly [`SuperwordKernel::run_checked`]'s:
     /// [`crate::CodegenError::BadArguments`] on an argument mismatch, and
-    /// [`crate::CodegenError::OutOfBounds`] from the checked fallback when
+    /// [`crate::CodegenError::OutOfBounds`] from the checked reference when
     /// the interval proof declines and an access indeed leaves its buffer.
     pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.source.validate_views(scalars, tensors)?;
-        let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
-        let mut scratch = ExecScratch::for_kernel(&self.source);
-        if self.source.bounds_provable(scalars, &lens) {
-            // SAFETY: the source kernel's construction proof covers every
-            // register operand and the loop structure; `bounds_provable`
-            // just certified every tensor access for these scalars and
-            // buffer lengths; `validate_views` guaranteed written tensors
-            // are `Rw`.
-            unsafe { self.exec_unchecked(scalars, tensors, &mut scratch) };
-            Ok(())
-        } else {
-            scalar::exec_checked(&self.source, scalars, tensors, &mut scratch)
-        }
+        self.run_proved(
+            scalars,
+            tensors,
+            &mut ProofMemo::default(),
+            &mut ExecScratch::for_kernel(&self.source),
+        )
     }
 
     /// Runs the packed micro-kernel signature `(KC, Ac, Bc, C)`:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]` through the closure chain.
+    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]`.
     ///
     /// # Errors
     ///
-    /// As [`SuperwordKernel::run_packed`].
+    /// As [`Self::run_views`], plus [`crate::CodegenError::BadArguments`]
+    /// when the kernel does not have the packed signature.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
         self.source.check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 
-    /// A prove-once dispatch handle over this chain (see [`SimdDispatch`]).
+    /// A prove-once dispatch handle over this kernel (see [`SimdDispatch`]).
     pub fn dispatcher(self: &Arc<Self>) -> SimdDispatch {
         SimdDispatch::new(Arc::clone(self))
     }
 
-    /// Runs the pre-compiled chain with no checks.
+    /// The one proved-call site: every run of every unchecked body — chain
+    /// or compiled, one-shot or through a dispatch handle — chooses here
+    /// between that body and the checked reference.
+    ///
+    /// `#[inline]` from here up to the packed entry points: this is the
+    /// per-micro-tile call, and inlining it into the packed callers (other
+    /// crates) lets their fixed one-scalar/three-tensor shape fold the
+    /// argument checks — about 10 ns per call, measured at small `KC`.
+    #[inline]
+    fn run_proved(
+        &self,
+        scalars: &[i64],
+        tensors: &mut [TensorView<'_>],
+        proofs: &mut ProofMemo,
+        scratch: &mut ExecScratch,
+    ) -> Result<()> {
+        self.source.validate_views(scalars, tensors)?;
+        if !proofs.admits(&self.source, scalars, tensors) {
+            // Declined (and memoised as declined): the checked reference
+            // reports exactly what the scalar tape would.
+            return scalar::exec_checked(&self.source, scalars, tensors, scratch);
+        }
+        // SAFETY: the source kernel's construction proof covers every
+        // register operand and the loop structure; `admits` just certified
+        // (or recalled the certification of) every tensor access for these
+        // exact scalars and buffer lengths; `validate_views` guaranteed
+        // written tensors are `Rw`; `scratch` is sized for the source.
+        unsafe { self.exec_unchecked(scalars, tensors, scratch) };
+        Ok(())
+    }
+
+    /// Runs the body with no checks.
     ///
     /// # Safety
     ///
-    /// Callers must have established the same three preconditions as
-    /// [`SuperwordKernel`]'s unsafe loop for the *source* kernel: the
+    /// Callers must have established, for the *source* kernel: the
     /// construction-time register/loop proof (always true), the interval
     /// proof for these exact scalars and tensor lengths, and `Rw` views
     /// for every written tensor. `scratch` must be sized for the source
     /// kernel.
+    #[inline]
     unsafe fn exec_unchecked(
         &self,
         scalars: &[i64],
         tensors: &mut [TensorView<'_>],
         scratch: &mut ExecScratch,
     ) {
-        scratch.regs.fill(0.0);
-        let regs = scratch.regs.as_mut_ptr();
-        // Raw base pointers, exactly as the superword loop takes them: the
-        // `*mut` view of a read-only tensor is never written through.
+        // Raw base pointers; the `*mut` view of a read-only tensor is never
+        // written through. The packed micro-kernel signature has three
+        // tensors, so the common case stays on the stack instead of
+        // allocating per dispatch.
         let mut tens_stack = [std::ptr::null_mut::<f32>(); 4];
         let mut tens_heap: Vec<*mut f32> = Vec::new();
         let raw = |t: &mut TensorView<'_>| match t {
@@ -562,104 +658,75 @@ impl SimdKernel {
             tens_heap.extend(tensors.iter_mut().map(raw));
             &tens_heap
         };
-        compile::run_nodes(&self.program, regs, tens, &mut scratch.loops, scalars);
+        match &self.program {
+            Program::Chain(nodes) => {
+                // The register file starts at zero on every run, exactly
+                // like the scalar tape's freshly allocated one; loop slots
+                // are always written by their loop node before being read.
+                scratch.regs.fill(0.0);
+                compile::run_nodes(nodes, scratch.regs.as_mut_ptr(), tens, &mut scratch.loops, scalars);
+            }
+            // `from_compiled` checked the one-scalar/three-tensor packed
+            // signature, and `validate_views` these counts against it.
+            Program::Compiled { entry, .. } => entry(scalars[0], tens[0], tens[1], tens[2]),
+        }
     }
 }
 
-/// A prove-once dispatch handle for the SIMD tier: the per-worker reusable
-/// state of a [`SimdKernel`].
+/// A prove-once dispatch handle: the per-worker reusable state of a
+/// [`SimdKernel`].
 ///
-/// Wraps a [`SuperwordDispatch`] over the source kernel and reuses its
-/// memoised affine-interval proof — one verdict per distinct
-/// `(scalars, buffer lengths)` tuple gates both the intrinsic chain and,
-/// when it declines, the checked reference fallback (identical error
-/// semantics). The handle owns its register file and loop tables, so
-/// steady-state dispatch allocates nothing; create one per worker thread
+/// Owns the memoised affine-interval proof — one verdict per distinct
+/// `(scalars, buffer lengths)` tuple gates both the unchecked body and,
+/// when it declines, the checked reference (identical error semantics) —
+/// and one register file with its loop tables, so steady-state dispatch
+/// allocates nothing and re-proves nothing. Results are bit-for-bit
+/// identical to the one-shot entry points. Create one per worker thread
 /// (it is `Send`) and reuse it for every micro-tile.
 #[derive(Debug, Clone)]
 pub struct SimdDispatch {
     kernel: Arc<SimdKernel>,
-    fallback: SuperwordDispatch,
     scratch: ExecScratch,
+    proofs: ProofMemo,
 }
 
 impl SimdDispatch {
     /// Creates a dispatch handle, allocating the register file and loop
     /// tables up front.
     pub fn new(kernel: Arc<SimdKernel>) -> Self {
-        let fallback = SuperwordDispatch::new(Arc::clone(kernel.source()));
         let scratch = ExecScratch::for_kernel(kernel.source());
-        SimdDispatch { kernel, fallback, scratch }
+        SimdDispatch { kernel, scratch, proofs: ProofMemo::default() }
     }
 
-    /// The compiled chain this handle dispatches.
+    /// The kernel this handle dispatches.
     pub fn kernel(&self) -> &SimdKernel {
         &self.kernel
     }
 
     /// How many distinct `(scalars, buffer lengths)` proof inputs have
-    /// been memoised so far (shared with the superword fallback).
+    /// been memoised so far. A well-blocked GEMM sees only a handful.
     pub fn memoised_proofs(&self) -> usize {
-        self.fallback.memoised_proofs()
+        self.proofs.len()
     }
 
-    /// Whether a packed call with these operand lengths passes the
-    /// memoised affine-interval bounds proof. The native (`exo-aot`)
-    /// dispatch consults this before handing the call to the compiled C
-    /// kernel, which has no bounds checks of its own; a `false` answer
-    /// routes the call to this handle's checked tiers instead.
-    pub fn packed_provable(&mut self, kc: usize, ac_len: usize, bc_len: usize, c_len: usize) -> bool {
-        self.kernel.source().check_packed_signature().is_ok()
-            && self.fallback.provable(&[kc as i64], &[ac_len, bc_len, c_len])
-    }
-
-    /// Runs the chain over borrowed tensor views, reusing the memoised
+    /// Runs the kernel over borrowed tensor views, reusing the memoised
     /// proof and this handle's register file.
     ///
     /// # Errors
     ///
     /// As [`SimdKernel::run_views`].
+    #[inline]
     pub fn run_views(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.kernel.source().validate_views(scalars, tensors)?;
-        let mut lens_stack = [0usize; 4];
-        if tensors.len() > lens_stack.len() {
-            let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
-            return self.run_proved(scalars, tensors, &lens);
-        }
-        for (slot, t) in lens_stack.iter_mut().zip(tensors.iter()) {
-            *slot = t.as_slice().len();
-        }
-        let n = tensors.len();
-        let lens = lens_stack;
-        self.run_proved(scalars, tensors, &lens[..n])
+        self.kernel.run_proved(scalars, tensors, &mut self.proofs, &mut self.scratch)
     }
 
-    fn run_proved(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>], lens: &[usize]) -> Result<()> {
-        // Disjoint field borrows: the kernel is read-only while the
-        // fallback's proof memo and this handle's scratch are mutated — no
-        // per-dispatch Arc traffic on the hot path.
-        let SimdDispatch { kernel, fallback, scratch } = self;
-        if fallback.provable(scalars, lens) {
-            // SAFETY: construction proof of the source kernel, the (memoised)
-            // interval proof for these exact inputs, and the `Rw` check in
-            // `validate_views` — the same three obligations as the superword
-            // unsafe loop.
-            unsafe { kernel.exec_unchecked(scalars, tensors, scratch) };
-            Ok(())
-        } else {
-            // Declined proof: the checked reference loop, which reports
-            // exactly what the scalar tape would (and memoised the declined
-            // verdict, so retries go straight here).
-            fallback.run_views(scalars, tensors)
-        }
-    }
-
-    /// Runs the packed `(KC, Ac, Bc, C)` micro-kernel signature through
-    /// the chain, reusing the memoised proof and register file.
+    /// Runs the packed `(KC, Ac, Bc, C)` micro-kernel signature, reusing
+    /// the memoised proof and register file.
     ///
     /// # Errors
     ///
     /// As [`SimdKernel::run_packed`].
+    #[inline]
     pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
         self.kernel.source().check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
@@ -680,6 +747,12 @@ mod tests {
             let scale = a.abs().max(b.abs()).max(1.0);
             assert!((a - b).abs() <= tol * scale, "{what} at {i}: {a} vs {b} (tol {tol})");
         }
+    }
+
+    /// The checked reference run of a packed call: the bit-exact anchor
+    /// (≡ scalar tape ≡ interpreter) every chain is compared against.
+    fn run_reference(sw: &SuperwordKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        sw.run_checked(&[kc as i64], &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(c)]).unwrap();
     }
 
     /// Every ISA the running host can execute — always at least the
@@ -823,7 +896,7 @@ mod tests {
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
             let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
             let mut c_sw = c0.clone();
-            sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            run_reference(&sw, kc, &a, &b, &mut c_sw);
             let mut c_simd = c0.clone();
             simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
             assert_close(&c_simd, &c_sw, kc, &format!("kc={kc}"));
@@ -847,7 +920,7 @@ mod tests {
                 let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
                 let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
                 let mut c_sw = c0.clone();
-                sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+                run_reference(&sw, kc, &a, &b, &mut c_sw);
                 let mut c_chain = c0.clone();
                 chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
                 if isa.contracts_fma() {
@@ -881,7 +954,7 @@ mod tests {
         let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
         let c0: Vec<f32> = (0..16).map(|i| i as f32 * 0.125).collect();
         let mut c_sw = c0.clone();
-        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        run_reference(&sw, kc, &a, &b, &mut c_sw);
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap();
             let mut c_simd = c0.clone();
@@ -956,7 +1029,7 @@ mod tests {
         let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
         let (n, m) = (3usize, 5usize);
         let mut want = vec![-1.0f32; n * 8];
-        sw.run_views(&[n as i64, m as i64], &mut [TensorView::Rw(&mut want)]).unwrap();
+        sw.run_checked(&[n as i64, m as i64], &mut [TensorView::Rw(&mut want)]).unwrap();
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa)
                 .expect("nested dynamic loops must not decline chain compilation");
@@ -1003,6 +1076,86 @@ mod tests {
             assert_eq!(&y[..7], &[1.0; 7]);
             assert_eq!(dispatch.memoised_proofs(), 2);
         }
+    }
+
+    /// A stand-in for ahead-of-time compiled code: a declined proof must
+    /// never reach it.
+    unsafe extern "C" fn never_called(_kc: i64, _ac: *const f32, _bc: *const f32, _c: *mut f32) {
+        panic!("an unchecked body ran on a call its proof declined");
+    }
+
+    /// ... and an admitted call must: this one leaves its mark in `C[0]`.
+    unsafe extern "C" fn marks_c0(kc: i64, _ac: *const f32, _bc: *const f32, c: *mut f32) {
+        *c = 42.0 + kc as f32;
+    }
+
+    #[test]
+    fn a_declined_proof_takes_one_route_to_the_checked_reference_whatever_the_body() {
+        // A packed-signature kernel that stores into C *inside* the KC loop
+        // (c[k] = ac[k] + bc[0]), so a claimed KC past the buffers leaves
+        // partial stores behind before the faulting access.
+        let p = proc("partial")
+            .size_arg("KC")
+            .tensor_arg("Ac", ScalarType::F32, vec![var("KC")], MemSpace::Dram)
+            .tensor_arg("Bc", ScalarType::F32, vec![int(1)], MemSpace::Dram)
+            .tensor_arg("C", ScalarType::F32, vec![var("KC")], MemSpace::Dram)
+            .body(vec![for_(
+                "k",
+                0,
+                var("KC"),
+                vec![assign(
+                    "C",
+                    vec![var("k")],
+                    Expr::add(read("Ac", vec![var("k")]), read("Bc", vec![int(0)])),
+                )],
+            )])
+            .build();
+        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let (ac, bc, c0) = (vec![1.0f32, 2.0, 3.0, 4.0, 5.0], vec![0.5f32], vec![-1.0f32; 8]);
+        // KC = 9 over a 5-element Ac: the load of Ac[5] faults after five
+        // stores landed.
+        let kc = 9usize;
+        let mut c_ref = c0.clone();
+        let want = sw
+            .run_checked(
+                &[kc as i64],
+                &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_ref)],
+            )
+            .unwrap_err();
+        assert_eq!(want, CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 5, len: 5 });
+        assert_eq!(&c_ref[..6], &[1.5, 2.5, 3.5, 4.5, 5.5, -1.0]);
+
+        let mut bodies: Vec<(String, Arc<SimdKernel>)> = available_isas()
+            .into_iter()
+            .map(|isa| (isa.to_string(), Arc::new(SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap())))
+            .collect();
+        // SAFETY: `never_called` has the packed ABI and is a plain function
+        // (nothing to keep alive); a declined proof never calls it, which is
+        // the point of the test.
+        let compiled =
+            unsafe { SimdKernel::from_compiled(Arc::clone(&sw), active_isa(), never_called, Arc::new(())) };
+        bodies.push(("compiled".into(), Arc::new(compiled.unwrap())));
+        for (label, kernel) in bodies {
+            let mut c_one_shot = c0.clone();
+            assert_eq!(kernel.run_packed(kc, &ac, &bc, &mut c_one_shot), Err(want.clone()), "{label}");
+            assert_eq!(c_one_shot, c_ref, "{label}: partial stores of the one-shot run");
+            let mut dispatch = kernel.dispatcher();
+            for attempt in 0..2 {
+                let mut c = c0.clone();
+                assert_eq!(dispatch.run_packed(kc, &ac, &bc, &mut c), Err(want.clone()), "{label}");
+                assert_eq!(c, c_ref, "{label}: partial stores through the handle, attempt {attempt}");
+            }
+            assert_eq!(dispatch.memoised_proofs(), 1, "{label}: the declined verdict is memoised");
+        }
+
+        // The same site hands an *admitted* call to the compiled body.
+        // SAFETY: `marks_c0` has the packed ABI and writes only `C[0]`,
+        // which every admitted call (KC >= 1) owns.
+        let marked =
+            unsafe { SimdKernel::from_compiled(Arc::clone(&sw), active_isa(), marks_c0, Arc::new(())) };
+        let mut c = c0.clone();
+        marked.unwrap().run_packed(5, &ac, &bc, &mut c[..5]).unwrap();
+        assert_eq!(c[0], 47.0);
     }
 
     #[test]

@@ -3,26 +3,26 @@
 //! proof declines.
 //!
 //! One lane, plain `a * b + acc` multiply-then-add — **two** roundings,
-//! exactly the arithmetic of the superword / tape / interpreter tiers, so
-//! a chain compiled for [`ScalarIsa`] is bit-identical to them (the
-//! differential suites assert equality, not a tolerance). It is available
-//! on every host, which makes it the floor of the runtime ISA selection:
-//! `SimdKernel::compile` never fails for a generated kernel, and
-//! `EXO_ISA=scalar` pins the whole native tier to this implementation —
-//! same closure chains, same fusion, reference rounding.
+//! exactly the arithmetic of the tape / interpreter tiers, so a chain
+//! compiled for [`ScalarIsa`] is bit-identical to them (the differential
+//! suites assert equality, not a tolerance) — it *is* the portable tier.
+//! It is available on every host, which makes it the floor of the runtime
+//! ISA selection: `SimdKernel::compile` never fails for a generated
+//! kernel, and `EXO_ISA=scalar` pins the simd and native tiers to this
+//! implementation — same closure chains, same fusion, reference rounding.
 //!
-//! [`exec_checked`] is the other half of the reference story: the
-//! one-lane-at-a-time checked loop (formerly a bespoke method on the
-//! superword kernel) with identical op order, rounding, and error values
-//! to the scalar tape — including the partial stores already performed
-//! when an access faults. The superword tier and every SIMD chain route
-//! their declined-proof path here.
+//! [`exec_checked`] is the other half of the reference story, the body of
+//! `SuperwordKernel::run_checked`: the one-lane-at-a-time checked loop
+//! with identical op order, rounding, and error values to the scalar tape
+//! — including the partial stores already performed when an access
+//! faults. Every declined proof, whatever unchecked body it declined for,
+//! lands here.
 
 use crate::error::{CodegenError, Result};
-use crate::superword::{ExecScratch, SuperwordKernel, VOp};
+use crate::superword::{SuperwordKernel, VOp};
 use crate::tape::{TOp, TensorView};
 
-use super::VectorIsa;
+use super::{ExecScratch, VectorIsa};
 
 /// The portable one-lane reference implementation: `Vector = f32`,
 /// multiply-then-add rounding, available everywhere.
@@ -73,10 +73,9 @@ impl VectorIsa for ScalarIsa {
 
 /// The fully checked reference executor, taken when the interval proof
 /// declines: identical semantics (op order, rounding, and errors) to the
-/// scalar tape, one lane at a time inside the packed ops. Shared by the
-/// superword tier and the SIMD chains, whose declined-proof paths must
-/// report the same errors — including the stores already performed when
-/// an access faults.
+/// scalar tape, one lane at a time inside the packed ops. Shared by every
+/// unchecked body's declined-proof path, which must report the same
+/// errors — including the stores already performed when an access faults.
 ///
 /// # Errors
 ///

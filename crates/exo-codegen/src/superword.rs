@@ -1,15 +1,13 @@
-//! Superword execution: whole-vector tape ops, one vector register per
-//! dispatch.
+//! The superword lowering: whole-vector tape ops, and the proofs every
+//! unchecked executor of them rests on.
 //!
 //! The scalar tape of [`crate::tape`] already erased the expression trees,
 //! but it still *scalarises* the kernel's vector instructions: a
 //! `vld1q_f32` becomes four `LoadT` ops, a `vfmaq_laneq_f32` four `Fma`
-//! ops, and every one of them pays a dispatch, a register bounds check and
-//! a tensor bounds check. This module closes that gap with a classic
+//! ops. This module closes that gap with a classic
 //! superword-level-parallelism (SLP) pass over the scalar tape: runs of
 //! isomorphic lane ops over consecutive registers and consecutive affine
-//! addresses are re-rolled into whole-vector ops that execute an entire
-//! vector register per dispatch —
+//! addresses are re-rolled into whole-vector ops —
 //!
 //! * `VLoad` / `VStore` — `lanes` contiguous elements moved between a
 //!   tensor and a lane-aligned run of the register file (the tape's local
@@ -21,27 +19,37 @@
 //!   scalar tape's repeated `[LoadT rhs; Fma]` pairs collapse into one
 //!   load plus a vector FMA.
 //!
+//! A [`SuperwordKernel`] is the IR every faster tier consumes — the
+//! closure chains of [`crate::simd`] (one per vector ISA, the scalar one
+//! being the bit-exact *portable* tier) and the C of
+//! [`crate::emit_superword_c`] — and it **executes nothing unchecked
+//! itself**: every line of this module is checked Rust. What it owns is
+//! the two-part proof those executors run under, and the reference they
+//! fall back to.
+//!
 //! **Validated construction.** [`TapeKernel::to_superword`] proves, at
 //! construction time, that every register operand (including the full
 //! `dst..dst+lanes` runs) stays inside the register file, that the loop
 //! structure is well formed, and that no packed op's scalar operand is
 //! clobbered by its own accumulator writes. At run time, a single exact
 //! interval analysis over the (affine) addresses and the dynamic-loop
-//! bounds proves every tensor access in bounds *before* the tape starts —
-//! which unlocks an `unsafe` bounds-free dispatch loop behind the safe
-//! [`SuperwordKernel::run_views`] API. When the proof does not go through
-//! (an address that could leave its buffer), execution transparently falls
-//! back to a fully checked loop with semantics — including the error
-//! reported — identical to the scalar tape's.
+//! bounds (`bounds_provable`, memoised per dispatch handle by
+//! `ProofMemo`) proves every tensor access in bounds *before* a call
+//! starts. When the proof does not go through (an address that could
+//! leave its buffer), the call runs [`SuperwordKernel::run_checked`]
+//! instead: the fully checked reference, with semantics — including the
+//! error reported — identical to the scalar tape's.
 //!
 //! Packing preserves the scalar tape's exact op order within each packed
 //! group (lanes execute in ascending order, multiplication commutes
-//! bitwise), so the superword backend is **bit-for-bit** equal to the
-//! scalar tape and the tree-walking interpreter; the differential suite in
-//! `tests/tape_exec.rs` asserts this across every registry shape.
+//! bitwise), so the checked reference and the scalar chain are
+//! **bit-for-bit** equal to the scalar tape and the tree-walking
+//! interpreter; the differential suite in `tests/tape_exec.rs` asserts
+//! this across every registry shape.
 
 use crate::error::{CodegenError, Result};
-use crate::exec::{CompiledKernel, ParamKind, RunArg};
+use crate::exec::{CompiledKernel, ParamKind};
+use crate::simd::ExecScratch;
 use crate::tape::{Addr, TOp, TapeKernel, TensorView, Term};
 
 /// A pre-compiled affine address: the general [`Addr`] (a heap-allocated
@@ -157,12 +165,32 @@ pub(crate) enum VOp {
     LoopEnd { slot: u16, begin: u32 },
 }
 
+impl VOp {
+    /// Whether this packed FMA must execute its lanes strictly ascending,
+    /// one at a time: its operand run `a..a+lanes` *partially* overlaps
+    /// its accumulator run `dst..dst+lanes`, so a later lane reads what an
+    /// earlier lane wrote and whole-vector loads would read stale values
+    /// (`a == dst` is whole-run aliasing, which a vector load-then-store
+    /// gets right). The one statement of the rule both printers — the
+    /// closure-chain compiler and the C emitter — lower from. `false` for
+    /// every op that is not a packed FMA.
+    pub(crate) fn fma_in_order(&self) -> bool {
+        match *self {
+            VOp::VFmaLane { dst, a, lanes, .. } | VOp::VFmaBcast { dst, a, lanes, .. } => {
+                a != dst && a < dst + lanes && dst < a + lanes
+            }
+            _ => false,
+        }
+    }
+}
+
 /// A kernel lowered to whole-vector superword ops.
 ///
 /// Obtained from [`TapeKernel::to_superword`] (or
-/// [`CompiledKernel::to_superword`]). Computes bit-for-bit the same result
-/// as the scalar tape and the interpreter, dispatching one vector register
-/// per op instead of one lane.
+/// [`CompiledKernel::to_superword`]). Describes bit-for-bit the same
+/// computation as the scalar tape and the interpreter, one vector register
+/// per op instead of one lane; executed by the chains compiled from it
+/// ([`crate::SimdKernel`]) and, proof declined, by [`Self::run_checked`].
 #[derive(Debug, Clone)]
 pub struct SuperwordKernel {
     /// Name of the source procedure.
@@ -357,7 +385,7 @@ fn pack(ops: &[TOp]) -> Result<Vec<VOp>> {
     Ok(out)
 }
 
-/// Construction-time proof obligations for the bounds-free dispatch loop:
+/// Construction-time proof obligations of every bounds-free executor:
 /// every register operand (including whole `dst..dst+lanes` runs) indexes
 /// inside the register file, every buffer index inside the parameter list,
 /// every affine term inside its scalar/loop table (loop terms only under an
@@ -509,8 +537,8 @@ fn addr_interval(a: &Addr, iv: &[(i64, i64)], scalars: &[i64]) -> (i64, i64) {
 
 impl TapeKernel {
     /// Lowers this scalar tape to a [`SuperwordKernel`] via the superword
-    /// packing pass, proving the register-file obligations of the unsafe
-    /// dispatch loop at construction time.
+    /// packing pass, proving the register-file obligations of the unchecked
+    /// executors at construction time.
     ///
     /// # Errors
     ///
@@ -600,59 +628,30 @@ impl SuperwordKernel {
         self.tensor_written.get(idx).copied().unwrap_or(false)
     }
 
-    /// Runs the superword tape through the same argument interface as
-    /// [`CompiledKernel::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] on an argument-count or kind
-    /// mismatch and [`CodegenError::OutOfBounds`] if an access leaves its
-    /// buffer.
-    pub fn run(&self, args: &mut [RunArg<'_>]) -> Result<()> {
-        if args.len() != self.params.len() {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "superword kernel `{}` expects {} arguments, got {}",
-                    self.name,
-                    self.params.len(),
-                    args.len()
-                ),
-            });
-        }
-        let mut scalars = Vec::new();
-        let mut tensors: Vec<TensorView<'_>> = Vec::new();
-        for ((name, kind), arg) in self.params.iter().zip(args.iter_mut()) {
-            match (kind, arg) {
-                (ParamKind::Scalar, RunArg::Size(v)) => scalars.push(*v),
-                (ParamKind::Tensor, RunArg::Tensor(t)) => tensors.push(TensorView::Rw(t)),
-                _ => {
-                    return Err(CodegenError::BadArguments {
-                        reason: format!("argument `{name}` has the wrong kind"),
-                    })
-                }
-            }
-        }
-        self.exec(&scalars, &mut tensors)
-    }
-
-    /// Runs the superword tape over borrowed tensor views.
+    /// The checked reference run — the kernel's one executor that trusts no
+    /// proof: every register and tensor access bounds-checked, one lane at
+    /// a time, with op order, rounding and error values identical to the
+    /// scalar tape's (including the stores already performed when an access
+    /// faults). Every declined interval proof lands here, and the
+    /// ahead-of-time tier's promotion probe uses it as its reference.
     ///
     /// # Errors
     ///
     /// Returns [`CodegenError::BadArguments`] if the counts do not match or
     /// a read-only view is passed for a tensor the tape writes, and
-    /// [`CodegenError::OutOfBounds`] for accesses that leave a buffer.
-    pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
+    /// [`CodegenError::OutOfBounds`] for the first access that leaves its
+    /// buffer.
+    pub fn run_checked(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
         self.validate_views(scalars, tensors)?;
-        self.exec(scalars, tensors)
+        crate::simd::scalar::exec_checked(self, scalars, tensors, &mut ExecScratch::for_kernel(self))
     }
 
-    /// The argument validation shared by the one-shot entry points, the
-    /// prove-once [`SuperwordDispatch`] handle, and the SIMD tier built on
-    /// top of this kernel ([`crate::simd`]).
+    /// The argument validation every run — checked or proved — starts with.
+    #[inline]
     pub(crate) fn validate_views(&self, scalars: &[i64], tensors: &[TensorView<'_>]) -> Result<()> {
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        let n_tensors = self.params.len() - n_scalars;
+        // `tensor_written` has one entry per tensor parameter.
+        let n_tensors = self.tensor_written.len();
+        let n_scalars = self.params.len() - n_tensors;
         if scalars.len() != n_scalars || tensors.len() != n_tensors {
             return Err(CodegenError::BadArguments {
                 reason: format!(
@@ -678,9 +677,9 @@ impl SuperwordKernel {
 
     /// Whether the kernel has the packed `(KC, Ac, Bc, C)` micro-kernel
     /// signature (one scalar, three tensors).
+    #[inline]
     pub(crate) fn check_packed_signature(&self) -> Result<()> {
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        if n_scalars != 1 || self.params.len() != 4 {
+        if self.params.len() != 4 || self.tensor_written.len() != 3 {
             return Err(CodegenError::BadArguments {
                 reason: format!(
                     "superword kernel `{}` does not have the packed (KC, Ac, Bc, C) signature",
@@ -691,12 +690,12 @@ impl SuperwordKernel {
         Ok(())
     }
 
-    /// Whether a packed call `run_packed(kc, ac, bc, c)` with operands of
-    /// the given lengths would take the proven bounds-free path: the
-    /// kernel has the packed signature and the affine interval analysis
-    /// proves every tensor access in bounds. The native (`exo-aot`) tier
-    /// uses this as its dispatch guard — the compiled C kernel has no
-    /// bounds checks, so it only runs on calls this proof admits.
+    /// Whether a packed call `(kc, ac, bc, c)` with operands of the given
+    /// lengths passes the bounds proof: the kernel has the packed signature
+    /// and the affine interval analysis proves every tensor access in
+    /// bounds — the verdict a dispatch handle memoises before it lets an
+    /// unchecked body run, and what the ahead-of-time tier's promotion
+    /// probe checks so that its probe call runs the compiled code.
     pub fn packed_bounds_provable(&self, kc: usize, ac_len: usize, bc_len: usize, c_len: usize) -> bool {
         self.check_packed_signature().is_ok() && self.bounds_provable(&[kc as i64], &[ac_len, bc_len, c_len])
     }
@@ -717,29 +716,48 @@ impl SuperwordKernel {
         // saturated interval): refuse rather than allocate gigabytes.
         const MAX_PROBE_LEN: i64 = 1 << 24;
         self.check_packed_signature().ok()?;
-        let scalars = [kc as i64];
-        let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.n_dyn_loops];
         let mut ends = [0i64; 3];
-        let reach = |(lo, hi): (i64, i64), span: u32| -> Option<i64> {
-            let end = hi.saturating_add(i64::from(span));
-            (lo >= 0 && end <= MAX_PROBE_LEN).then_some(end)
-        };
+        let finite = self.every_access(&[kc as i64], |buf, lo, end| {
+            ends[buf as usize] = ends[buf as usize].max(end);
+            lo >= 0 && end <= MAX_PROBE_LEN
+        });
+        finite.then_some((ends[0] as usize, ends[1] as usize, ends[2] as usize))
+    }
+
+    /// The runtime half of the validation proof: every tensor access stays
+    /// inside a buffer of the given length.
+    pub(crate) fn bounds_provable(&self, scalars: &[i64], lens: &[usize]) -> bool {
+        self.every_access(scalars, |buf, lo, end| lo >= 0 && end <= lens[buf as usize] as i64)
+    }
+
+    /// The exact interval analysis over the affine addresses both proofs
+    /// are phrased in: whether `holds(buf, lo, end)` for every tensor
+    /// access the tape makes, `lo..end` being the half-open range of
+    /// indices the access can touch in tensor `buf` (saturating, so
+    /// overflow only ever widens the range). The tape has no
+    /// data-dependent branches, so an op inside a loop executes for
+    /// *every* counter value in the loop's range — the interval bound is
+    /// not an approximation unless a loop bound itself depends on an outer
+    /// loop (where it degrades to a safe over-approximation and the call
+    /// runs the checked reference).
+    fn every_access(&self, scalars: &[i64], mut holds: impl FnMut(u16, i64, i64) -> bool) -> bool {
+        let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.n_dyn_loops];
         let mut pc = 0usize;
         while pc < self.ops.len() {
-            let touched: Option<(u16, i64)> = match &self.ops[pc] {
+            let access = match &self.ops[pc] {
                 VOp::Scalar(TOp::LoadT { buf, addr, .. }) | VOp::Scalar(TOp::StoreT { buf, addr, .. }) => {
-                    Some((*buf, reach(addr_interval(addr, &iv, &scalars), 1)?))
+                    Some((*buf, addr_interval(addr, &iv, scalars), 1))
                 }
-                VOp::VFmaBcast { buf, addr, .. } => Some((*buf, reach(addr.interval(&iv, &scalars), 1)?)),
+                VOp::VFmaBcast { buf, addr, .. } => Some((*buf, addr.interval(&iv, scalars), 1)),
                 VOp::VLoad { buf, addr, lanes, .. } | VOp::VStore { buf, addr, lanes, .. } => {
-                    Some((*buf, reach(addr.interval(&iv, &scalars), *lanes)?))
+                    Some((*buf, addr.interval(&iv, scalars), *lanes))
                 }
                 VOp::LoopBegin { slot, lo, hi, end } => {
-                    let (lo_min, _) = lo.interval(&iv, &scalars);
-                    let (_, hi_max) = hi.interval(&iv, &scalars);
+                    let (lo_min, _) = lo.interval(&iv, scalars);
+                    let (_, hi_max) = hi.interval(&iv, scalars);
                     if hi_max.saturating_sub(1) < lo_min {
-                        // The loop never executes for any outer
-                        // assignment: its body touches nothing.
+                        // The loop never executes for any outer assignment:
+                        // its body touches nothing.
                         pc = *end as usize;
                         continue;
                     }
@@ -748,273 +766,14 @@ impl SuperwordKernel {
                 }
                 _ => None,
             };
-            if let Some((buf, end)) = touched {
-                let slot = ends.get_mut(buf as usize)?;
-                *slot = (*slot).max(end);
-            }
-            pc += 1;
-        }
-        Some((ends[0] as usize, ends[1] as usize, ends[2] as usize))
-    }
-
-    /// Runs a packed micro-kernel signature `(KC, Ac, Bc, C)`:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]` without copying the operands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] if the kernel does not have
-    /// the one-scalar/three-tensor packed signature or writes its packed
-    /// operands, and propagates execution errors.
-    pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_signature()?;
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
-    }
-
-    fn exec(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let mut scratch = ExecScratch::for_kernel(self);
-        let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
-        if self.bounds_provable(scalars, &lens) {
-            // SAFETY: `validate_construction` proved every register operand
-            // in range and the loop structure well formed;
-            // `bounds_provable` just proved every tensor access in bounds
-            // for these scalars and buffer lengths; and the written-tensor
-            // check in `run_views`/`run` guarantees stores only target
-            // mutably borrowed views.
-            unsafe { self.exec_unchecked(scalars, tensors, &mut scratch) };
-            Ok(())
-        } else {
-            crate::simd::scalar::exec_checked(self, scalars, tensors, &mut scratch)
-        }
-    }
-
-    /// The runtime half of the validation proof: an exact interval analysis
-    /// over the affine addresses. The tape has no data-dependent branches,
-    /// so an op inside a loop executes for *every* counter value in the
-    /// loop's range — the interval bound is not an approximation unless a
-    /// loop bound itself depends on an outer loop (where it degrades to a
-    /// safe over-approximation and execution falls back to the checked
-    /// loop).
-    pub(crate) fn bounds_provable(&self, scalars: &[i64], lens: &[usize]) -> bool {
-        let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.n_dyn_loops];
-        let in_bounds = |lo: i64, hi: i64, span: u32, buf: u16| -> bool {
-            lo >= 0 && hi.saturating_add(i64::from(span) - 1) < lens[buf as usize] as i64
-        };
-        let check = |a: &SAddr, span: u32, iv: &[(i64, i64)], buf: u16| -> bool {
-            let (lo, hi) = a.interval(iv, scalars);
-            in_bounds(lo, hi, span, buf)
-        };
-        let check_addr = |a: &Addr, iv: &[(i64, i64)], buf: u16| -> bool {
-            let (lo, hi) = addr_interval(a, iv, scalars);
-            in_bounds(lo, hi, 1, buf)
-        };
-        let mut pc = 0usize;
-        while pc < self.ops.len() {
-            match &self.ops[pc] {
-                VOp::Scalar(TOp::LoadT { buf, addr, .. }) | VOp::Scalar(TOp::StoreT { buf, addr, .. })
-                    if !check_addr(addr, &iv, *buf) =>
-                {
+            if let Some((buf, (lo, hi), span)) = access {
+                if !holds(buf, lo, hi.saturating_add(i64::from(span))) {
                     return false;
                 }
-                VOp::VFmaBcast { buf, addr, .. } if !check(addr, 1, &iv, *buf) => {
-                    return false;
-                }
-                VOp::VLoad { buf, addr, lanes, .. } | VOp::VStore { buf, addr, lanes, .. }
-                    if !check(addr, *lanes, &iv, *buf) =>
-                {
-                    return false;
-                }
-                VOp::LoopBegin { slot, lo, hi, end } => {
-                    let (lo_min, _) = lo.interval(&iv, scalars);
-                    let (_, hi_max) = hi.interval(&iv, scalars);
-                    if hi_max.saturating_sub(1) < lo_min {
-                        // The loop never executes for any outer assignment:
-                        // skip its body entirely.
-                        pc = *end as usize;
-                        continue;
-                    }
-                    iv[*slot as usize] = (lo_min, hi_max - 1);
-                }
-                _ => {}
             }
             pc += 1;
         }
         true
-    }
-
-    /// The bounds-free dispatch loop.
-    ///
-    /// # Safety
-    ///
-    /// Callers must have established (a) the construction-time register and
-    /// loop-structure proof (always true for a [`SuperwordKernel`], checked
-    /// in `to_superword`), (b) `bounds_provable` for these exact scalars
-    /// and tensor lengths, and (c) that every tensor the tape writes is a
-    /// [`TensorView::Rw`]. `scratch` must be sized for this kernel
-    /// ([`ExecScratch::for_kernel`]).
-    unsafe fn exec_unchecked(
-        &self,
-        scalars: &[i64],
-        tensors: &mut [TensorView<'_>],
-        scratch: &mut ExecScratch,
-    ) {
-        // The register file starts at zero on every run, exactly like the
-        // scalar tape's freshly allocated one; loop slots are always written
-        // by their `LoopBegin` before being read.
-        scratch.regs.fill(0.0);
-        let ExecScratch { regs, loops, bounds } = scratch;
-        let (regs, loops, bounds) = (regs.as_mut_slice(), loops.as_mut_slice(), bounds.as_mut_slice());
-        // Raw base pointers; the `*mut` view of a read-only tensor is never
-        // written through (precondition (c)). The packed micro-kernel
-        // signature has three tensors, so the common case stays on the
-        // stack instead of allocating per dispatch.
-        let mut tens_stack = [std::ptr::null_mut::<f32>(); 4];
-        let mut tens_heap: Vec<*mut f32> = Vec::new();
-        let raw = |t: &mut TensorView<'_>| match t {
-            TensorView::Ro(s) => s.as_ptr().cast_mut(),
-            TensorView::Rw(s) => s.as_mut_ptr(),
-        };
-        let tens: &[*mut f32] = if tensors.len() <= tens_stack.len() {
-            for (slot, t) in tens_stack.iter_mut().zip(tensors.iter_mut()) {
-                *slot = raw(t);
-            }
-            &tens_stack[..tensors.len()]
-        } else {
-            tens_heap.extend(tensors.iter_mut().map(raw));
-            &tens_heap
-        };
-        let ops = &self.ops;
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            match ops.get_unchecked(pc) {
-                VOp::VFmaLane { dst, a, b, lanes } => {
-                    let bval = *regs.get_unchecked(*b as usize);
-                    let (dst, a) = (*dst as usize, *a as usize);
-                    for i in 0..*lanes as usize {
-                        let av = *regs.get_unchecked(a + i);
-                        *regs.get_unchecked_mut(dst + i) += av * bval;
-                    }
-                }
-                VOp::VLoad { dst, buf, addr, lanes } => {
-                    let idx = addr.eval(loops, scalars) as usize;
-                    let src = tens.get_unchecked(*buf as usize).add(idx);
-                    std::ptr::copy_nonoverlapping(src, regs.as_mut_ptr().add(*dst as usize), *lanes as usize);
-                }
-                VOp::VStore { src, buf, addr, lanes } => {
-                    let idx = addr.eval(loops, scalars) as usize;
-                    let dst = tens.get_unchecked(*buf as usize).add(idx);
-                    std::ptr::copy_nonoverlapping(regs.as_ptr().add(*src as usize), dst, *lanes as usize);
-                }
-                VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
-                    let idx = addr.eval(loops, scalars) as usize;
-                    let bval = *tens.get_unchecked(*buf as usize).add(idx);
-                    *regs.get_unchecked_mut(*scratch as usize) = bval;
-                    let (dst, a) = (*dst as usize, *a as usize);
-                    for i in 0..*lanes as usize {
-                        let av = *regs.get_unchecked(a + i);
-                        *regs.get_unchecked_mut(dst + i) += av * bval;
-                    }
-                }
-                VOp::LoopBegin { slot, lo, hi, end } => {
-                    let l = lo.eval(loops, scalars);
-                    let h = hi.eval(loops, scalars);
-                    if l >= h {
-                        pc = *end as usize;
-                        continue;
-                    }
-                    *loops.get_unchecked_mut(*slot as usize) = l;
-                    *bounds.get_unchecked_mut(*slot as usize) = h;
-                }
-                VOp::LoopEnd { slot, begin } => {
-                    let s = *slot as usize;
-                    *loops.get_unchecked_mut(s) += 1;
-                    if *loops.get_unchecked(s) < *bounds.get_unchecked(s) {
-                        pc = *begin as usize + 1;
-                        continue;
-                    }
-                }
-                VOp::Scalar(op) => match op {
-                    TOp::Fma { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) * *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) += v;
-                    }
-                    TOp::LoadT { dst, buf, addr } => {
-                        let idx = addr.eval(loops, scalars) as usize;
-                        *regs.get_unchecked_mut(*dst as usize) = *tens.get_unchecked(*buf as usize).add(idx);
-                    }
-                    TOp::StoreT { src, buf, addr } => {
-                        let idx = addr.eval(loops, scalars) as usize;
-                        *tens.get_unchecked(*buf as usize).add(idx) = *regs.get_unchecked(*src as usize);
-                    }
-                    TOp::ConstF { dst, val } => *regs.get_unchecked_mut(*dst as usize) = *val,
-                    TOp::Mov { dst, src } => {
-                        *regs.get_unchecked_mut(*dst as usize) = *regs.get_unchecked(*src as usize)
-                    }
-                    TOp::Add { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) + *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Sub { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) - *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Mul { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) * *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Div { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) / *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Neg { dst, src } => {
-                        *regs.get_unchecked_mut(*dst as usize) = -*regs.get_unchecked(*src as usize)
-                    }
-                    TOp::AddAssign { dst, src } => {
-                        let v = *regs.get_unchecked(*src as usize);
-                        *regs.get_unchecked_mut(*dst as usize) += v;
-                    }
-                    TOp::CastI { dst, value } => {
-                        *regs.get_unchecked_mut(*dst as usize) = value.eval(loops, scalars) as f32
-                    }
-                    TOp::Round { reg } => {
-                        let r = regs.get_unchecked_mut(*reg as usize);
-                        *r = exo_ir::types::f16_round(f64::from(*r)) as f32;
-                    }
-                    TOp::Zero { base, len } => {
-                        std::ptr::write_bytes(regs.as_mut_ptr().add(*base as usize), 0, *len as usize);
-                    }
-                    TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {
-                        debug_assert!(false, "loop markers are lifted to VOp level");
-                    }
-                },
-            }
-            pc += 1;
-        }
-    }
-
-    /// A prove-once dispatch handle over this kernel (see
-    /// [`SuperwordDispatch`]).
-    pub fn dispatcher(self: &std::sync::Arc<Self>) -> SuperwordDispatch {
-        SuperwordDispatch::new(std::sync::Arc::clone(self))
-    }
-}
-
-/// Reusable execution state: the flat register file and the loop
-/// counter/bound tables, allocated once and shared by every run of one
-/// [`SuperwordDispatch`] (or of the SIMD dispatch handle built on it).
-#[derive(Debug, Clone)]
-pub(crate) struct ExecScratch {
-    pub(crate) regs: Vec<f32>,
-    pub(crate) loops: Vec<i64>,
-    pub(crate) bounds: Vec<i64>,
-}
-
-impl ExecScratch {
-    pub(crate) fn for_kernel(kernel: &SuperwordKernel) -> Self {
-        ExecScratch {
-            regs: vec![0.0; kernel.n_regs],
-            loops: vec![0; kernel.n_dyn_loops],
-            bounds: vec![0; kernel.n_dyn_loops],
-        }
     }
 }
 
@@ -1027,133 +786,64 @@ struct ProofEntry {
     provable: bool,
 }
 
-/// A prove-once dispatch handle: the reusable per-GEMM state of a
-/// [`SuperwordKernel`].
-///
-/// [`SuperwordKernel::run_views`] re-runs the (cheap, `O(ops)`) interval
-/// proof and re-allocates its register file on **every** call, even though a
-/// GEMM driver dispatches the same kernel thousands of times per problem
-/// with only a couple of distinct proof inputs (`KC` full vs. fringe, and
-/// the matching buffer lengths). A `SuperwordDispatch` memoises the proof
-/// verdict per distinct `(scalars, lengths)` tuple and reuses one register
-/// file across calls, so steady-state dispatch does no allocation and no
-/// re-proving. Results are bit-for-bit identical to the one-shot entry
-/// points.
-///
-/// The handle owns its scratch, so create one per worker thread (it is
-/// `Send`) and reuse it for every micro-tile of that worker's share of the
-/// problem.
-#[derive(Debug, Clone)]
-pub struct SuperwordDispatch {
-    kernel: std::sync::Arc<SuperwordKernel>,
-    scratch: ExecScratch,
-    proofs: Vec<ProofEntry>,
-}
+/// The interval proof, memoised per distinct `(scalars, buffer lengths)`
+/// input. A GEMM driver dispatches one kernel thousands of times per
+/// problem with only a couple of distinct proof inputs (`KC` full vs.
+/// fringe, and the matching buffer lengths), so a dispatch handle that
+/// owns one of these re-proves nothing in steady state. Declined verdicts
+/// are memoised too: a retry goes straight back to the checked reference.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProofMemo(Vec<ProofEntry>);
 
-impl SuperwordDispatch {
-    /// Creates a dispatch handle for a kernel, allocating its register file
-    /// and loop tables up front.
-    pub fn new(kernel: std::sync::Arc<SuperwordKernel>) -> Self {
-        let scratch = ExecScratch::for_kernel(&kernel);
-        SuperwordDispatch { kernel, scratch, proofs: Vec::new() }
-    }
-
-    /// The kernel this handle dispatches.
-    pub fn kernel(&self) -> &SuperwordKernel {
-        &self.kernel
-    }
-
-    /// How many distinct `(scalars, buffer lengths)` proof inputs have been
-    /// memoised so far. A well-blocked GEMM sees only a handful.
-    pub fn memoised_proofs(&self) -> usize {
-        self.proofs.len()
-    }
-
-    /// Looks up (or runs and memoises) the interval proof for one input
-    /// tuple. The SIMD dispatch handle shares this memo: the same verdict
-    /// gates both the intrinsic chain and the superword unsafe loop.
-    pub(crate) fn provable(&mut self, scalars: &[i64], lens: &[usize]) -> bool {
-        if let Some(entry) = self.proofs.iter().find(|p| p.scalars == scalars && p.lens == lens) {
+impl ProofMemo {
+    /// Whether `kernel`'s interval proof admits these scalars and tensor
+    /// lengths (contents never matter — the tape has no data-dependent
+    /// control flow), recalled when already run for them.
+    #[inline]
+    pub(crate) fn admits(
+        &mut self,
+        kernel: &SuperwordKernel,
+        scalars: &[i64],
+        tensors: &[TensorView<'_>],
+    ) -> bool {
+        let lens = || tensors.iter().map(|t| t.as_slice().len());
+        if let Some(entry) = self.0.iter().find(|p| p.scalars == scalars && p.lens.iter().copied().eq(lens()))
+        {
             return entry.provable;
         }
-        let provable = self.kernel.bounds_provable(scalars, lens);
-        self.proofs.push(ProofEntry { scalars: scalars.to_vec(), lens: lens.to_vec(), provable });
+        let lens: Vec<usize> = lens().collect();
+        let provable = kernel.bounds_provable(scalars, &lens);
+        self.0.push(ProofEntry { scalars: scalars.to_vec(), lens, provable });
         provable
     }
 
-    /// Runs the kernel over borrowed tensor views, reusing the memoised
-    /// proof and the handle's register file. Semantics (including errors)
-    /// are identical to [`SuperwordKernel::run_views`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] on an argument mismatch and
-    /// [`CodegenError::OutOfBounds`] if an access leaves its buffer.
-    pub fn run_views(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.kernel.validate_views(scalars, tensors)?;
-        // The proof inputs: buffer lengths only (contents never affect
-        // addresses — the tape has no data-dependent control flow).
-        let mut lens_stack = [0usize; 4];
-        let lens: &[usize] = if tensors.len() <= lens_stack.len() {
-            for (slot, t) in lens_stack.iter_mut().zip(tensors.iter()) {
-                *slot = t.as_slice().len();
-            }
-            &lens_stack[..tensors.len()]
-        } else {
-            return self.run_views_slow(scalars, tensors);
-        };
-        let kernel = std::sync::Arc::clone(&self.kernel);
-        if self.provable(scalars, lens) {
-            // SAFETY: construction-time register/loop proof holds for every
-            // `SuperwordKernel`; `provable` just certified (or recalled the
-            // certification of) these exact scalars and buffer lengths; and
-            // `validate_views` guaranteed written tensors are `Rw`.
-            unsafe { kernel.exec_unchecked(scalars, tensors, &mut self.scratch) };
-            Ok(())
-        } else {
-            crate::simd::scalar::exec_checked(&kernel, scalars, tensors, &mut self.scratch)
-        }
-    }
-
-    /// Fallback for kernels with more tensors than the stack buffer holds:
-    /// identical semantics, one heap allocation for the length tuple.
-    fn run_views_slow(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
-        let kernel = std::sync::Arc::clone(&self.kernel);
-        if self.provable(scalars, &lens) {
-            // SAFETY: as in `run_views`.
-            unsafe { kernel.exec_unchecked(scalars, tensors, &mut self.scratch) };
-            Ok(())
-        } else {
-            crate::simd::scalar::exec_checked(&kernel, scalars, tensors, &mut self.scratch)
-        }
-    }
-
-    /// Runs the packed `(KC, Ac, Bc, C)` micro-kernel signature, reusing the
-    /// memoised proof and register file:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]`.
-    ///
-    /// # Errors
-    ///
-    /// As [`SuperwordKernel::run_packed`].
-    pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.kernel.check_packed_signature()?;
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
+    /// How many distinct inputs have been proved (or declined) so far.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::compile;
+    use crate::exec::{compile, RunArg};
+    use crate::simd::{IsaKind, SimdKernel};
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
+    use std::sync::Arc;
+
+    /// The portable tier: the scalar-ISA chain compiled from a superword
+    /// kernel — the executor `EXO_BACKEND=superword` resolves to, held to
+    /// bit equality with the scalar tape throughout this module.
+    fn portable(sw: &Arc<SuperwordKernel>) -> Arc<SimdKernel> {
+        Arc::new(SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar).expect("the scalar chain compiles"))
+    }
 
     /// A hand-staged 8x4 laneq-shaped kernel with the structure every
     /// scheduled micro-kernel lowers to: the `C` tile and both operand
     /// stages live in locals (registers), so the tape scalarises them into
     /// exactly the lane runs the superword pass re-rolls.
-    fn staged_kernels() -> (TapeKernel, SuperwordKernel) {
+    fn staged_kernels() -> (TapeKernel, Arc<SuperwordKernel>) {
         let (mr, nr) = (8i64, 4i64);
         let p = proc("ukr_8x4_staged")
             .size_arg("KC")
@@ -1232,7 +922,7 @@ mod tests {
             .build();
         let compiled = compile(&p).unwrap();
         let tape = compiled.to_tape().unwrap();
-        let sw = tape.to_superword().unwrap();
+        let sw = Arc::new(tape.to_superword().unwrap());
         (tape, sw)
     }
 
@@ -1246,20 +936,27 @@ mod tests {
         let mut c_tape = c0.clone();
         tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
         let mut c_sw = c0.clone();
-        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
-        assert_eq!(c_tape, c_sw, "superword must be bit-for-bit equal to the scalar tape");
+        portable(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        assert_eq!(c_tape, c_sw, "the portable chain must be bit-for-bit equal to the scalar tape");
+        let mut c_checked = c0.clone();
+        sw.run_checked(
+            &[kc as i64],
+            &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_checked)],
+        )
+        .unwrap();
+        assert_eq!(c_tape, c_checked, "and so must the checked reference");
     }
 
     #[test]
     fn unscheduled_kernels_survive_as_scalar_passthrough() {
         // The unscheduled reference kernel keeps `C` in memory, so nothing
-        // packs — the superword tape degenerates to the scalar one (plus
-        // the unchecked dispatch) and must still agree bit for bit.
+        // packs — the superword tape degenerates to the scalar one and
+        // must still agree bit for bit.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
         let compiled = compile(&p).unwrap();
         let tape = compiled.to_tape().unwrap();
-        let sw = tape.to_superword().unwrap();
+        let sw = Arc::new(tape.to_superword().unwrap());
         let kc = 13usize;
         let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
         let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
@@ -1267,7 +964,7 @@ mod tests {
         let mut c_tape = c0.clone();
         tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
         let mut c_sw = c0.clone();
-        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        portable(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
         assert_eq!(c_tape, c_sw);
     }
 
@@ -1282,31 +979,50 @@ mod tests {
     }
 
     #[test]
+    fn partially_overlapping_fma_runs_keep_their_lane_order() {
+        let lane = |dst, a| VOp::VFmaLane { dst, a, b: 100, lanes: 4 };
+        assert!(!lane(8, 0).fma_in_order(), "disjoint runs vectorise");
+        assert!(!lane(8, 8).fma_in_order(), "whole-run aliasing vectorises");
+        assert!(lane(8, 6).fma_in_order() && lane(8, 10).fma_in_order(), "partial overlap is semantic");
+        assert!(!lane(8, 4).fma_in_order() && !lane(8, 12).fma_in_order(), "adjacent runs do not overlap");
+        let bcast = VOp::VFmaBcast { dst: 8, a: 9, buf: 0, addr: SAddr::Const(0), scratch: 100, lanes: 4 };
+        assert!(bcast.fma_in_order(), "the broadcast FMA follows the same rule");
+        assert!(!VOp::LoopEnd { slot: 0, begin: 0 }.fma_in_order());
+    }
+
+    #[test]
     fn empty_kc_loops_skip_their_body() {
         let (_, sw) = staged_kernels();
         // kc = 0: the packed operands are empty, the KC loop never runs, and
         // the interval proof must skip its body rather than reject it.
         let mut c = vec![1.0f32; 32];
         let before = c.clone();
-        sw.run_packed(0, &[], &[], &mut c).unwrap();
+        assert!(sw.packed_bounds_provable(0, 0, 0, 32));
+        portable(&sw).run_packed(0, &[], &[], &mut c).unwrap();
         assert_eq!(c, before, "kc = 0 stages C through registers and writes it back unchanged");
     }
 
-    #[test]
-    fn out_of_bounds_falls_back_to_the_checked_loop_and_reports() {
+    /// `x[i] = 1.0 for i in 0..N` — claimed over a buffer shorter than `N`,
+    /// the interval proof declines.
+    fn oob_kernel() -> Arc<SuperwordKernel> {
         let p = proc("oob")
             .size_arg("N")
             .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
             .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
             .build();
-        let sw = compile(&p).unwrap().to_superword().unwrap();
+        Arc::new(compile(&p).unwrap().to_superword().unwrap())
+    }
+
+    #[test]
+    fn out_of_bounds_falls_back_to_the_checked_loop_and_reports() {
+        let sw = oob_kernel();
         let mut x = vec![0.0f32; 2];
         // Claim N = 7 over a 2-element buffer: the interval proof declines,
         // the checked loop reports exactly what the scalar tape would.
-        assert!(matches!(
-            sw.run(&mut [RunArg::Size(7), RunArg::Tensor(&mut x)]),
-            Err(CodegenError::OutOfBounds { .. })
-        ));
+        assert_eq!(
+            portable(&sw).run_views(&[7], &mut [TensorView::Rw(&mut x)]),
+            Err(CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 2, len: 2 })
+        );
         // The first two stores landed before the error, like the tape's.
         assert_eq!(x, vec![1.0, 1.0]);
     }
@@ -1319,12 +1035,15 @@ mod tests {
             .build();
         let compiled = compile(&p).unwrap();
         let tape = compiled.to_tape().unwrap();
-        let sw = tape.to_superword().unwrap();
+        let sw = Arc::new(tape.to_superword().unwrap());
         let mut out_tape = vec![0.0f32, 3.0];
         tape.run(&mut [RunArg::Tensor(&mut out_tape)]).unwrap();
         let mut out_sw = vec![0.0f32, 3.0];
-        sw.run(&mut [RunArg::Tensor(&mut out_sw)]).unwrap();
+        portable(&sw).run_views(&[], &mut [TensorView::Rw(&mut out_sw)]).unwrap();
         assert_eq!(out_tape, out_sw);
+        let mut out_checked = vec![0.0f32, 3.0];
+        sw.run_checked(&[], &mut [TensorView::Rw(&mut out_checked)]).unwrap();
+        assert_eq!(out_tape, out_checked);
     }
 
     #[test]
@@ -1334,17 +1053,17 @@ mod tests {
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 4];
         let c = vec![0.0f32; 32];
-        let err = sw.run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        let err = sw.run_checked(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
-        let mut too_few = vec![RunArg::Size(1)];
-        assert!(matches!(sw.run(&mut too_few), Err(CodegenError::BadArguments { .. })));
+        let too_few = portable(&sw).run_views(&[1], &mut [TensorView::Ro(&a)]);
+        assert!(matches!(too_few, Err(CodegenError::BadArguments { .. })));
     }
 
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
         let (_, sw) = staged_kernels();
-        let sw = std::sync::Arc::new(sw);
-        let mut dispatch = sw.dispatcher();
+        let chain = portable(&sw);
+        let mut dispatch = chain.dispatcher();
         let (mr, nr) = (8usize, 4usize);
         // Sweep the per-GEMM dispatch pattern: many tiles, two distinct KC
         // values (full and fringe) — the proof must run once per distinct
@@ -1357,7 +1076,7 @@ mod tests {
                 let mut c_dispatch = c0.clone();
                 dispatch.run_packed(kc, &a, &b, &mut c_dispatch).unwrap();
                 let mut c_one_shot = c0.clone();
-                sw.run_packed(kc, &a, &b, &mut c_one_shot).unwrap();
+                chain.run_packed(kc, &a, &b, &mut c_one_shot).unwrap();
                 assert_eq!(c_dispatch, c_one_shot, "kc={kc} rep={rep}");
             }
         }
@@ -1366,19 +1085,16 @@ mod tests {
 
     #[test]
     fn dispatch_handle_reports_checked_path_errors_like_the_one_shot_run() {
-        let p = proc("oob")
-            .size_arg("N")
-            .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
-            .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
-            .build();
-        let sw = std::sync::Arc::new(compile(&p).unwrap().to_superword().unwrap());
-        let mut dispatch = sw.dispatcher();
+        let chain = portable(&oob_kernel());
+        let mut dispatch = chain.dispatcher();
         let mut x = vec![0.0f32; 2];
-        assert!(matches!(
+        let mut x_one_shot = x.clone();
+        assert_eq!(
             dispatch.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
-            Err(CodegenError::OutOfBounds { .. })
-        ));
+            chain.run_views(&[7], &mut [TensorView::Rw(&mut x_one_shot)])
+        );
         assert_eq!(x, vec![1.0, 1.0], "partial stores before the error, like the tape's");
+        assert_eq!(x, x_one_shot);
         // The failed proof is memoised too: a retry with the same inputs
         // goes straight back to the checked loop.
         assert_eq!(dispatch.memoised_proofs(), 1);
@@ -1417,20 +1133,20 @@ mod tests {
             .build();
         let compiled = compile(&p).unwrap();
         let tape = compiled.to_tape().unwrap();
-        let sw = tape.to_superword().unwrap();
+        let sw = Arc::new(tape.to_superword().unwrap());
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VFmaBcast { lanes: 4, .. })), "{:?}", sw.ops);
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VLoad { lanes: 4, .. })));
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VStore { lanes: 4, .. })));
         let x = vec![1.5f32, -2.0, 0.25, 3.0];
         let s = vec![0.5f32];
-        let run = |k: &dyn Fn(&mut [RunArg<'_>]) -> Result<()>| {
-            let mut xb = x.clone();
-            let mut sb = s.clone();
-            let mut y = vec![0.0f32; 4];
-            k(&mut [RunArg::Tensor(&mut xb), RunArg::Tensor(&mut sb), RunArg::Tensor(&mut y)]).unwrap();
-            y
-        };
-        assert_eq!(run(&|args| tape.run(args)), run(&|args| sw.run(args)));
-        assert_eq!(run(&|args| sw.run(args)), vec![0.75, -1.0, 0.125, 1.5]);
+        let (mut xb, mut sb, mut y_tape) = (x.clone(), s.clone(), vec![0.0f32; 4]);
+        tape.run(&mut [RunArg::Tensor(&mut xb), RunArg::Tensor(&mut sb), RunArg::Tensor(&mut y_tape)])
+            .unwrap();
+        let mut y_sw = vec![0.0f32; 4];
+        portable(&sw)
+            .run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_sw)])
+            .unwrap();
+        assert_eq!(y_tape, y_sw);
+        assert_eq!(y_sw, vec![0.75, -1.0, 0.125, 1.5]);
     }
 }

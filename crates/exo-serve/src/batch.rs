@@ -4,9 +4,8 @@
 //! A standalone `gemm` call pays fixed costs that have nothing to do with
 //! the problem's flops: a registry lookup and `KernelImpl` clone, a driver
 //! construction, a packing-arena allocation, and a fresh prove-once
-//! dispatch handle whose backend proof (the superword affine-interval
-//! certificate, or the SIMD closure-chain check) is re-memoised from
-//! scratch. For the small problems of a serving mix those costs dominate.
+//! dispatch handle whose bounds proof (the superword lowering's
+//! affine-interval certificate) is re-memoised from scratch. For the small problems of a serving mix those costs dominate.
 //! [`GemmBatchExecutor::gemm_batch`] restructures the work so they are paid
 //! **once per kernel-shape group instead of once per entry**:
 //!
@@ -33,7 +32,7 @@
 //! the batch completes. A failed or panicked entry whose `beta == 0` (its
 //! `C` is never read, so a re-run fully overwrites any partial write) is
 //! retried **once on the next execution tier down** the ladder
-//! native → simd → superword → tape → interp
+//! native → simd → superword (the portable scalar chain) → tape → interp
 //! ([`gemm_blis::ExecBackend::degraded`]);
 //! a retried success is stamped [`GemmStats::degraded`]. The
 //! [`BatchReport`] carries the per-entry outcomes plus the isolation

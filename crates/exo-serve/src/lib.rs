@@ -39,7 +39,8 @@
 //!   **only that job** with [`gemm_blis::GemmError::JobPanicked`]; the rest
 //!   of the batch completes normally and the pool respawns dead workers.
 //! - Executional failures on `beta == 0` jobs are retried once on the next
-//!   backend tier down (`native → simd → superword → tape`); successes are
+//!   backend tier down (`native → simd → superword → tape → interp`,
+//!   `superword` being the portable scalar chain); successes are
 //!   stamped `degraded` in their [`gemm_blis::GemmStats`].
 //! - Jobs carry optional queue deadlines ([`GemmJob::deadline`]); expired
 //!   jobs resolve with `DeadlineExceeded` instead of executing stale work.

@@ -11,11 +11,11 @@
 //!   and extrapolates the measured wall-clock to the full problem.
 //!   Host-dependent; used to validate that a modelled ranking is not an
 //!   artefact of the model. Candidates time through the same prove-once
-//!   [`gemm_blis::KernelDispatch`] the production driver uses — the native
-//!   SIMD chain (`exo_codegen::simd`, AVX2/FMA intrinsics) on hosts that
-//!   have it, the portable superword backend elsewhere, and whatever tier
-//!   an `EXO_BACKEND` override forces — so the measured cost is the cost
-//!   of the tier that will actually serve the problem.
+//!   [`gemm_blis::KernelDispatch`] the production driver uses — the
+//!   ahead-of-time compiled artifact once it has promoted, the SIMD chain
+//!   of the active vector ISA (`exo_codegen::simd`) until then, and
+//!   whatever tier an `EXO_BACKEND` override forces — so the measured cost
+//!   is the cost of the tier that will actually serve the problem.
 //!
 //! Costs are comparable only *within* one evaluator.
 

@@ -26,11 +26,11 @@ pub struct TunedRun {
 /// Autotuned GEMM: searches-or-loads per problem shape, then dispatches.
 ///
 /// Dispatch goes through the fastest execution backend the host supports:
-/// generated kernels carry their tape, superword, and SIMD closure-chain
-/// lowerings (AVX2/FMA, NEON, or the scalar reference) plus, once the
-/// background build promotes it, the ahead-of-time compiled native
-/// artifact, and the driver picks in the order native → simd → superword →
-/// tape → interp. The five-loop engine runs on one thread unless
+/// generated kernels carry their tape, their superword lowering, and its
+/// SIMD closure chain (AVX2/FMA, NEON, or the scalar reference) plus, once
+/// the background build promotes it, the ahead-of-time compiled native
+/// artifact, and the one ladder in `ukernel_gen` resolves native → simd →
+/// superword (the portable scalar chain) → tape → interp. The five-loop engine runs on one thread unless
 /// [`TunedGemm::with_threads`] raises the knob, in which case it runs once
 /// per window of a partitioned `C`. The `EXO_BACKEND` environment override
 /// (`native|simd|superword|tape|interp`) is honored, so any tier is

@@ -17,7 +17,10 @@ use std::sync::Arc;
 
 use exo_codegen::{KernelTrace, MachineOp};
 use exo_ir::{InstrClass, ScalarType};
-use ukernel_gen::GeneratedKernel;
+use ukernel_gen::{GeneratedKernel, TierDispatch};
+// The tier pin lives where the tier ladder is resolved; re-exported here
+// (and from the crate root) for the driver's callers.
+pub use ukernel_gen::{env_backend_override, ExecBackend};
 
 use crate::GemmError;
 
@@ -37,105 +40,6 @@ pub enum KernelKind {
     Exo(Arc<GeneratedKernel>),
     /// The scalar reference kernel (used in tests).
     Reference,
-}
-
-/// Which execution backend a generated kernel dispatches through.
-///
-/// The per-kernel setting can be overridden process-wide with the
-/// `EXO_BACKEND` environment variable (`native`, `simd`, `superword`,
-/// `tape`, or `interp`), read once at first dispatch: the override wins
-/// over the programmatic [`KernelImpl::backend`] field, so any tier is
-/// forceable for debugging — and CI forces `EXO_BACKEND=superword` to
-/// exercise the portable fallback on AVX2 hosts. Which vector ISA the
-/// `native` and `simd` tiers target is a separate, orthogonal override:
-/// `EXO_ISA` (see [`exo_codegen::active_isa`]) — every host at least gets
-/// the bit-exact scalar chain, so neither tier ever silently vanishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// Ahead-of-time compiled native code: the superword tape lowered to
-    /// C, built into a dylib by the host toolchain (`cc`, or the `EXO_CC`
-    /// override) and called through a raw function pointer — the fastest
-    /// tier and the default. Guarded by the same affine-interval proofs
-    /// as the simd tier and bit-identical to it on the matching ISA, so
-    /// the silent fallback (no toolchain, emission decline, build
-    /// failure, unproven bounds) changes speed, never results.
-    #[default]
-    Native,
-    /// Native vector closure chain over the widest available ISA
-    /// (AVX2/FMA on x86_64, NEON on aarch64, bit-exact scalar everywhere;
-    /// pin one with `EXO_ISA`), falling back to superword, then the scalar
-    /// tape, then the interpreter — the fast in-process default. Results
-    /// of the native ISAs are within the documented FMA-contraction ULP
-    /// bound of the portable tiers (FMA contracts the multiply-add into
-    /// one rounding); the scalar chain is bit-identical to them.
-    Simd,
-    /// Superword whole-vector execution when available, falling back to the
-    /// scalar tape and then the interpreter — the fastest *portable* tier,
-    /// bit-for-bit identical to tape and interpreter.
-    Superword,
-    /// Force the scalar tape (interpreter when no tape compiled) — the
-    /// intermediate tier, kept as a perf baseline and differential anchor.
-    Tape,
-    /// Force the tree-walking interpreter (differential tests, perf
-    /// baselines).
-    Interp,
-}
-
-impl ExecBackend {
-    /// Parses a backend name as accepted by the `EXO_BACKEND` override.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the accepted names.
-    pub fn parse(s: &str) -> Result<ExecBackend, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "native" => Ok(ExecBackend::Native),
-            "simd" => Ok(ExecBackend::Simd),
-            "superword" => Ok(ExecBackend::Superword),
-            "tape" => Ok(ExecBackend::Tape),
-            "interp" => Ok(ExecBackend::Interp),
-            other => Err(format!(
-                "unknown backend `{other}` (expected one of: native, simd, superword, tape, interp)"
-            )),
-        }
-    }
-
-    /// The backend actually dispatched: the `EXO_BACKEND` environment
-    /// override when set (see [`env_backend_override`]), this value
-    /// otherwise.
-    pub fn effective(self) -> ExecBackend {
-        env_backend_override().unwrap_or(self)
-    }
-
-    /// The next execution tier down the degradation ladder
-    /// (native → simd → superword → tape → interp), or `None` at the
-    /// bottom.
-    ///
-    /// This is the retry ladder of the fault-tolerant serving path: when a
-    /// tier fails or panics on an entry, the entry is re-attempted once on
-    /// the tier below, trading speed for the portable tiers' simpler
-    /// dispatch. Note that when `EXO_BACKEND` is set, the override still
-    /// wins at dispatch time, so a "degraded" retry re-runs the forced
-    /// tier — the retry is then a plain re-execution.
-    pub fn degraded(self) -> Option<ExecBackend> {
-        match self {
-            ExecBackend::Native => Some(ExecBackend::Simd),
-            ExecBackend::Simd => Some(ExecBackend::Superword),
-            ExecBackend::Superword => Some(ExecBackend::Tape),
-            ExecBackend::Tape => Some(ExecBackend::Interp),
-            ExecBackend::Interp => None,
-        }
-    }
-}
-
-/// The process-wide `EXO_BACKEND` override, read and parsed once on first
-/// use under the workspace override contract
-/// ([`exo_codegen::env_once`]): an unset or empty variable means "no
-/// override"; an unparseable value panics on first dispatch (a typo
-/// silently ignoring the override would defeat its debugging purpose).
-pub fn env_backend_override() -> Option<ExecBackend> {
-    static OVERRIDE: std::sync::OnceLock<Option<ExecBackend>> = std::sync::OnceLock::new();
-    exo_codegen::env_once(&OVERRIDE, "EXO_BACKEND", ExecBackend::parse)
 }
 
 /// A micro-kernel implementation: functional entry point plus the metadata
@@ -188,110 +92,85 @@ impl KernelImpl {
         self
     }
 
+    /// The resolved tier handle of a generated kernel — the effective
+    /// backend (`EXO_BACKEND` override, then [`Self::backend`]) taken down
+    /// [`GeneratedKernel::dispatcher`]'s ladder — or `None` for the
+    /// hand-written families.
+    fn resolve(&self) -> Option<TierDispatch> {
+        match &self.kind {
+            KernelKind::Exo(kernel) => Some(kernel.dispatcher(self.backend.effective())),
+            _ => None,
+        }
+    }
+
+    /// The one body behind [`Self::run`] and [`KernelDispatch::run`].
+    fn run_on(
+        &self,
+        tier: Option<&mut TierDispatch>,
+        kc: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) -> Result<(), GemmError> {
+        self.check_packed_shape(kc, a, b, c)?;
+        let Some(tier) = tier else {
+            // The hand-written kernels compute the same update; the
+            // functional path models their arithmetic, the trace models
+            // their schedule.
+            for k in 0..kc {
+                for j in 0..self.nr {
+                    let bkj = b[k * self.nr + j];
+                    for i in 0..self.mr {
+                        c[j * self.mr + i] += a[k * self.mr + i] * bkj;
+                    }
+                }
+            }
+            return Ok(());
+        };
+        tier.run_packed(kc, a, b, c)
+            .map_err(|e| GemmError::Kernel { kernel: self.name.clone(), message: e.to_string() })
+    }
+
     /// Runs the kernel functionally: `c[nr][mr] += a[kc][mr] * b[kc][nr]`,
     /// honoring the effective backend (`EXO_BACKEND` override, then
-    /// [`Self::backend`]).
+    /// [`Self::backend`]) — a one-shot [`Self::dispatcher`] run.
     ///
     /// # Errors
     ///
     /// Returns [`GemmError`] if the buffer sizes do not match the shape.
     pub fn run(&self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        self.check_packed_shape(kc, a, b, c)?;
-        match &self.kind {
-            KernelKind::Exo(kernel) => {
-                let result = match self.backend.effective() {
-                    ExecBackend::Native => kernel.run_packed_native(kc, a, b, c),
-                    ExecBackend::Simd => kernel.run_packed(kc, a, b, c),
-                    ExecBackend::Superword => kernel.run_packed_superword(kc, a, b, c),
-                    ExecBackend::Tape => kernel.run_packed_tape(kc, a, b, c),
-                    ExecBackend::Interp => kernel.run_packed_interp(kc, a, b, c),
-                };
-                result.map_err(|e| GemmError::Kernel { kernel: self.name.clone(), message: e.to_string() })
-            }
-            _ => {
-                // The hand-written kernels compute the same update; the
-                // functional path models their arithmetic, the trace models
-                // their schedule.
-                for k in 0..kc {
-                    for j in 0..self.nr {
-                        let bkj = b[k * self.nr + j];
-                        for i in 0..self.mr {
-                            c[j * self.mr + i] += a[k * self.mr + i] * bkj;
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
+        self.run_on(self.resolve().as_mut(), kc, a, b, c)
     }
 
     /// A per-GEMM dispatch handle for this kernel (see [`KernelDispatch`]).
     ///
-    /// Every five-loop engine instance (`GemmRunner`) holds one, so SIMD and
-    /// superword kernels prove their affine-interval obligations and
-    /// allocate their register file **once** per distinct `(KC, buffer
+    /// Every five-loop engine instance (`GemmRunner`) holds one, so a
+    /// generated kernel proves its affine-interval obligations and
+    /// allocates its register file **once** per distinct `(KC, buffer
     /// lengths)` input instead of on every micro-tile — the fringe tiles
     /// of a blocked problem no longer re-prove and re-allocate thousands
-    /// of times. The effective backend (`EXO_BACKEND` override, then
-    /// [`Self::backend`]) selects the tier the handle carries.
+    /// of times. The tier is resolved here, once: a handle built while the
+    /// native artifact is still compiling serves on the simd chain, later
+    /// handles carry the artifact — bit-identical on a matching ISA, so
+    /// the switch is invisible except for speed.
     pub fn dispatcher(&self) -> KernelDispatch {
-        let effective = self.backend.effective();
-        let (native, simd, superword) = match &self.kind {
-            KernelKind::Exo(kernel) => {
-                // Each tier handle is built only when the effective tier
-                // (or its silent-fallback ladder) can actually reach it.
-                let native = match (effective, &kernel.simd) {
-                    // The native dispatch pairs the loaded artifact with
-                    // the kernel's own simd dispatcher: the proofs are
-                    // shared and unproven calls take the simd ladder.
-                    // `native()` is a non-blocking poll — early GEMMs get
-                    // `None` here and serve on the simd handle while the
-                    // background build runs; once the verified artifact
-                    // promotes, later dispatchers carry it. The tiers are
-                    // bit-identical on a matching ISA, so the switch is
-                    // invisible except for speed.
-                    (ExecBackend::Native, Some(chain)) => {
-                        kernel.native().map(|n| exo_aot::NativeDispatch::new(n, chain.dispatcher()))
-                    }
-                    _ => None,
-                };
-                let want_simd =
-                    native.is_none() && matches!(effective, ExecBackend::Native | ExecBackend::Simd);
-                let simd =
-                    if want_simd { kernel.simd.as_ref().map(|chain| chain.dispatcher()) } else { None };
-                // The scalar ISA floor makes a missing chain possible only
-                // when the superword lowering itself declined; the portable
-                // superword tier is the documented fallback either way.
-                let want_superword = native.is_none()
-                    && simd.is_none()
-                    && matches!(effective, ExecBackend::Native | ExecBackend::Simd | ExecBackend::Superword);
-                let superword =
-                    if want_superword { kernel.superword.as_ref().map(|sw| sw.dispatcher()) } else { None };
-                (native, simd, superword)
-            }
-            _ => (None, None, None),
-        };
-        KernelDispatch { imp: self.clone(), native, simd, superword }
+        KernelDispatch { imp: self.clone(), tier: self.resolve() }
     }
 }
 
 /// A reusable per-GEMM (per-worker) micro-kernel handle.
 ///
-/// For generated kernels this wraps a prove-once dispatch of the selected
-/// tier — [`exo_aot::NativeDispatch`] for the ahead-of-time compiled
-/// artifact (the default), [`exo_codegen::SimdDispatch`] for the native
-/// vector chain of the active ISA, [`exo_codegen::SuperwordDispatch`] for
-/// the portable tier: the run-time bounds proof is memoised per distinct
-/// `(KC, buffer lengths)` tuple and the register file is reused, so the
+/// For generated kernels this holds the one resolved
+/// [`ukernel_gen::TierDispatch`]: on the proved tiers (native, simd,
+/// portable) the run-time bounds proof is memoised per distinct `(KC,
+/// buffer lengths)` tuple and the register file is reused, so the
 /// steady-state micro-tile dispatch allocates nothing. Every other kernel
-/// family falls through to [`KernelImpl::run`]. Results are bit-for-bit
-/// identical to calling `run` directly with the same effective backend.
+/// family runs its plain loops. Results are bit-for-bit identical to
+/// calling [`KernelImpl::run`] with the same effective backend.
 #[derive(Debug, Clone)]
 pub struct KernelDispatch {
     imp: KernelImpl,
-    native: Option<exo_aot::NativeDispatch>,
-    simd: Option<exo_codegen::SimdDispatch>,
-    superword: Option<exo_codegen::SuperwordDispatch>,
+    tier: Option<TierDispatch>,
 }
 
 impl KernelDispatch {
@@ -300,33 +179,15 @@ impl KernelDispatch {
         &self.imp
     }
 
-    /// Runs the kernel: `c[nr][mr] += a[kc][mr] * b[kc][nr]`, through the
-    /// prove-once SIMD or superword path when the kernel carries one.
+    /// Runs the kernel: `c[nr][mr] += a[kc][mr] * b[kc][nr]`, on the tier
+    /// this handle resolved when it was built.
     ///
     /// # Errors
     ///
     /// Returns [`GemmError`] if the buffer sizes do not match the shape, and
     /// propagates kernel failures.
     pub fn run(&mut self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        let kernel_err = |name: &str, e: exo_codegen::CodegenError| GemmError::Kernel {
-            kernel: name.to_string(),
-            message: e.to_string(),
-        };
-        if let Some(native) = &mut self.native {
-            self.imp.check_packed_shape(kc, a, b, c)?;
-            return native.run_packed(kc, a, b, c).map_err(|e| kernel_err(&self.imp.name, e));
-        }
-        if let Some(simd) = &mut self.simd {
-            self.imp.check_packed_shape(kc, a, b, c)?;
-            return simd.run_packed(kc, a, b, c).map_err(|e| kernel_err(&self.imp.name, e));
-        }
-        match &mut self.superword {
-            Some(sw) => {
-                self.imp.check_packed_shape(kc, a, b, c)?;
-                sw.run_packed(kc, a, b, c).map_err(|e| kernel_err(&self.imp.name, e))
-            }
-            None => self.imp.run(kc, a, b, c),
-        }
+        self.imp.run_on(self.tier.as_mut(), kc, a, b, c)
     }
 }
 
@@ -413,8 +274,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
 /// through the ahead-of-time compiled native artifact when the host has a
 /// C toolchain (the fastest tier), silently and bit-faithfully falling
 /// back to the in-process SIMD chain of the active vector ISA (AVX2/FMA,
-/// NEON, or the bit-exact scalar reference) when it does not, and to the
-/// portable superword backend when no chain compiled.
+/// NEON, or the bit-exact scalar reference) when it does not.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{}", kernel.mr, kernel.nr),
@@ -441,10 +301,11 @@ pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     }
 }
 
-/// Like [`exo_kernel`] but pinned to the superword tier — the fastest
-/// *portable* backend (bit-for-bit identical to tape and interpreter) and
-/// the fallback when no SIMD chain compiled. The pin lets the differential
-/// tests and benches compare the chain against its own fallback.
+/// Like [`exo_kernel`] but pinned to the portable tier — the superword
+/// lowering executed by the scalar-ISA chain, bit-for-bit identical to
+/// tape and interpreter on every host. The pin lets the differential
+/// tests and benches compare the contracting chains against the bit-exact
+/// one, and is what the serving layer's retry degrades simd onto.
 pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{} (superword)", kernel.mr, kernel.nr),
@@ -454,8 +315,9 @@ pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 }
 
 /// Like [`exo_kernel`] but pinned to the scalar tape — the intermediate
-/// tier: the differential anchor between superword and interpreter, and
-/// the scalar baseline the superword speedup is measured against.
+/// tier: the differential anchor between the portable chain and the
+/// interpreter, and the scalar baseline the SLP speedup is measured
+/// against.
 pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{} (tape)", kernel.mr, kernel.nr),

@@ -201,7 +201,8 @@ pub struct GemmStats {
     pub batched: bool,
     /// Whether the result came from a degradation retry: the first attempt
     /// failed (error or contained panic) and the problem was re-run once on
-    /// the next execution tier down (simd → superword → tape → interp).
+    /// the next execution tier down (native → simd → portable → tape →
+    /// interp).
     pub degraded: bool,
 }
 

@@ -5,12 +5,13 @@
 use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
-    compile, emit_asm, emit_c, extract_trace, CompiledKernel, KernelTrace, RunArg, SimdKernel,
+    compile, emit_asm, emit_c, extract_trace, CompiledKernel, IsaKind, KernelTrace, SimdKernel,
     SuperwordKernel, TapeKernel,
 };
 use exo_ir::{Proc, ScalarType};
 use exo_isa::VectorIsa;
 
+use crate::dispatch::ExecBackend;
 use crate::error::{GenError, Result};
 use crate::recipes::{broadcast_a_recipe, broadcast_b_recipe, laneq_recipe, scalar_recipe, RecipeStep};
 
@@ -91,26 +92,36 @@ pub struct GeneratedKernel {
     pub asm: String,
     /// Machine-operation trace for the performance model.
     pub trace: KernelTrace,
-    /// Executable lowering for functional runs.
-    pub compiled: CompiledKernel,
+    /// Executable lowering for functional runs: the tree-walking
+    /// interpreter, the slow reference tier that defines the semantics
+    /// every other tier is differentially tested against.
+    pub compiled: Arc<CompiledKernel>,
     /// Tape-compiled form of [`Self::compiled`]: the scalar bytecode
-    /// backend. `None` when the scheduled form contains constructs the tape
+    /// tier. `None` when the scheduled form contains constructs the tape
     /// cannot register-allocate, in which case runs fall back to the
     /// interpreter.
     pub tape: Option<Arc<TapeKernel>>,
-    /// Superword lowering of [`Self::tape`]: whole-vector ops, one vector
-    /// register per dispatch — the fastest *portable* backend and every
-    /// other tier's fallback. `None` exactly when `tape` is `None`.
+    /// Superword lowering of [`Self::tape`]: the SLP-packed whole-vector
+    /// ops plus the proofs every unchecked executor of them runs under —
+    /// the IR the three tiers above the tape consume, and the checked
+    /// reference a declined proof lands on. `None` exactly when `tape` is
+    /// `None`.
     pub superword: Option<Arc<SuperwordKernel>>,
-    /// Native closure chain compiled from [`Self::superword`] for the
-    /// active vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or
-    /// the scalar reference — pin one with `EXO_ISA`) — the fastest
-    /// backend and the default for [`Self::run_packed`]. `None` exactly
-    /// when `superword` is `None`: the scalar ISA floor compiles
-    /// everywhere. Results of the native ISAs are within the documented
-    /// FMA-contraction ULP bound of the other tiers; the scalar chain is
-    /// bit-identical to them.
+    /// Closure chain compiled from [`Self::superword`] for the active
+    /// vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or the
+    /// scalar reference — pin one with `EXO_ISA`) — the fastest tier that
+    /// needs no C toolchain, and what [`Self::run_packed`] runs. `None`
+    /// exactly when `superword` is `None`: the scalar ISA floor compiles
+    /// everywhere. Results of the contracting ISAs are within the
+    /// documented FMA-contraction ULP bound of the other tiers; the scalar
+    /// chain is bit-identical to them.
     pub simd: Option<Arc<SimdKernel>>,
+    /// The portable tier — the scalar-ISA chain, bit-identical to tape and
+    /// interpreter — built on the first request for it (a pin or a
+    /// degraded retry; the default ladder never reaches it, so generation
+    /// does not pay for it). [`Self::simd`] itself when the active ISA is
+    /// already scalar.
+    portable: OnceLock<Option<Arc<SimdKernel>>>,
     /// The prepared ahead-of-time request ([`Self::superword`] lowered to
     /// C, toolchain probed, cache key computed), built lazily on the
     /// first [`Self::native`] poll and reused by every later one. `None`
@@ -128,25 +139,29 @@ pub struct GeneratedKernel {
 
 impl GeneratedKernel {
     /// Runs the kernel on packed operands: `c[nr][mr] += ac[kc][mr] *
-    /// bc[kc][nr]` (row-major, exactly the layouts of the paper's Fig. 5).
-    ///
-    /// Dispatches through the native SIMD chain when one compiled (the
-    /// active vector ISA's intrinsics; native ISAs land within the
+    /// bc[kc][nr]` (row-major, exactly the layouts of the paper's Fig. 5)
+    /// — a one-shot [`Self::dispatcher`]`(`[`ExecBackend::Simd`]`)` run: the
+    /// active vector ISA's closure chain (contracting ISAs land within the
     /// FMA-contraction ULP bound of the other tiers, the scalar ISA is
-    /// bit-exact), then the superword backend, then the scalar tape, then
-    /// the interpreter — the last three compute bit-for-bit identical
-    /// results.
+    /// bit-exact), falling through to the tape and the interpreter for a
+    /// kernel that did not tape-compile. Any other tier:
+    /// `dispatcher(backend).run_packed(..)`.
     ///
     /// # Errors
     ///
     /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
     /// shape.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        match &self.simd {
-            Some(simd) => simd.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            None => self.run_packed_superword_unchecked(kc, ac, bc, c),
-        }
+        self.dispatcher(ExecBackend::Simd).run_packed(kc, ac, bc, c)
+    }
+
+    /// The portable chain, compiled on first use.
+    pub(crate) fn portable(&self) -> Option<&Arc<SimdKernel>> {
+        let build = || match &self.simd {
+            Some(simd) if simd.isa() == IsaKind::Scalar => Some(Arc::clone(simd)),
+            _ => SimdKernel::compile_for(Arc::clone(self.superword.as_ref()?), IsaKind::Scalar).map(Arc::new),
+        };
+        self.portable.get_or_init(build).as_ref()
     }
 
     /// The prepared ahead-of-time request, emitting the C and probing the
@@ -189,110 +204,6 @@ impl GeneratedKernel {
         }
         let promoted = exo_aot::engine().wait(self.aot_request()?).ok()?;
         Some(Arc::clone(self.native.get_or_init(|| promoted)))
-    }
-
-    /// Runs the kernel through the ahead-of-time compiled native tier
-    /// when it has promoted (the first call kicks the background build),
-    /// and through [`Self::run_packed`]'s simd-first ladder otherwise —
-    /// the `ExecBackend::Native` entry point. On a matching ISA the
-    /// native tier is bit-identical to the simd chain, so serving on
-    /// simd while the build is in flight — and the moment of promotion —
-    /// is invisible except for speed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the
-    /// kernel's shape.
-    pub fn run_packed_native(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        match self.native() {
-            Some(native) => native.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            None => match &self.simd {
-                Some(simd) => simd.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-                None => self.run_packed_superword_unchecked(kc, ac, bc, c),
-            },
-        }
-    }
-
-    /// Runs the kernel through the superword backend regardless of whether
-    /// a SIMD chain exists — the portable tier, bit-for-bit identical to
-    /// the scalar tape and the interpreter, kept callable so differential
-    /// tests, the forced `EXO_BACKEND=superword` fallback, and the
-    /// `gemm_throughput` bench can compare tiers. Falls back to the scalar
-    /// tape, then the interpreter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
-    /// shape.
-    pub fn run_packed_superword(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        self.run_packed_superword_unchecked(kc, ac, bc, c)
-    }
-
-    fn run_packed_superword_unchecked(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        match (&self.superword, &self.tape) {
-            (Some(sw), _) => sw.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            (None, Some(tape)) => tape.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            (None, None) => self.run_packed_interp_unchecked(kc, ac, bc, c),
-        }
-    }
-
-    /// Runs the kernel through the scalar tape regardless of whether a
-    /// superword lowering exists — the intermediate backend, kept callable
-    /// so differential tests and the `gemm_throughput` bench can compare
-    /// tiers. Falls back to the interpreter when no tape compiled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
-    /// shape.
-    pub fn run_packed_tape(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        match &self.tape {
-            Some(tape) => tape.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            None => self.run_packed_interp_unchecked(kc, ac, bc, c),
-        }
-    }
-
-    /// Runs the kernel through the tree-walking interpreter regardless of
-    /// which compiled backends exist — the slow reference backend, kept
-    /// callable so differential tests and benches can compare the tiers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
-    /// shape.
-    pub fn run_packed_interp(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        self.run_packed_interp_unchecked(kc, ac, bc, c)
-    }
-
-    fn check_packed_shape(&self, kc: usize, ac: &[f32], bc: &[f32], c: &[f32]) -> Result<()> {
-        if ac.len() != kc * self.mr || bc.len() != kc * self.nr || c.len() != self.mr * self.nr {
-            return Err(GenError::Codegen(exo_codegen::CodegenError::BadArguments {
-                reason: format!(
-                    "expected Ac[{}], Bc[{}], C[{}] for a {}x{} kernel with KC={kc}",
-                    kc * self.mr,
-                    kc * self.nr,
-                    self.mr * self.nr,
-                    self.mr,
-                    self.nr
-                ),
-            }));
-        }
-        Ok(())
-    }
-
-    fn run_packed_interp_unchecked(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        // The RunArg interface takes every tensor mutably, so the read-only
-        // operands must be copied; this is part of why the interpreter path
-        // is slow, and why the tape gets a zero-copy entry point.
-        let mut a = ac.to_vec();
-        let mut b = bc.to_vec();
-        let mut args =
-            vec![RunArg::Size(kc as i64), RunArg::Tensor(&mut a), RunArg::Tensor(&mut b), RunArg::Tensor(c)];
-        self.compiled.run(&mut args).map_err(GenError::Codegen)
     }
 
     /// Floating-point operations the kernel performs for a given `KC`.
@@ -384,7 +295,7 @@ impl MicroKernelGenerator {
         let c_code = emit_c(&proc)?;
         let trace = extract_trace(&proc, "KC")?;
         let asm = emit_asm(&trace);
-        let compiled = compile(&proc)?;
+        let compiled = Arc::new(compile(&proc)?);
         // Tape compilation can legitimately decline (e.g. a shape the
         // scheduler left with data-dependent structure); the interpreter
         // remains the fallback, so a missing tape is not an error. The
@@ -410,6 +321,7 @@ impl MicroKernelGenerator {
             tape,
             superword,
             simd,
+            portable: OnceLock::new(),
             aot: OnceLock::new(),
             native: OnceLock::new(),
         })
@@ -546,11 +458,24 @@ mod tests {
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 7 + 11) % 19) as f32 * 0.125 - 1.0).collect();
             let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 7) as f32 * 0.5).collect();
             // The portable tiers are bit-identical.
-            let mut c_sw = c0.clone();
-            kernel.run_packed_superword(kc, &a, &b, &mut c_sw).unwrap();
-            let mut c_interp = c0.clone();
-            kernel.run_packed_interp(kc, &a, &b, &mut c_interp).unwrap();
-            assert_eq!(c_sw, c_interp, "{mr}x{nr} superword diverges from the interpreter");
+            let run_on = |backend| {
+                let mut dispatch = kernel.dispatcher(backend);
+                assert_eq!(
+                    dispatch.tier(),
+                    backend,
+                    "{mr}x{nr}: every lowering exists, nothing falls through"
+                );
+                let mut c = c0.clone();
+                dispatch.run_packed(kc, &a, &b, &mut c).unwrap();
+                c
+            };
+            let c_sw = run_on(ExecBackend::Superword);
+            assert_eq!(c_sw, run_on(ExecBackend::Tape), "{mr}x{nr} portable chain diverges from the tape");
+            assert_eq!(
+                c_sw,
+                run_on(ExecBackend::Interp),
+                "{mr}x{nr} portable chain diverges from the interpreter"
+            );
             // The SIMD default stays within the FMA-contraction bound of
             // the portable tiers (and is bit-identical to them when no
             // chain compiled).

@@ -81,7 +81,7 @@ impl KernelCache {
         Ok(self.get_or_generate(generator, mr, nr)?.tape.clone())
     }
 
-    /// The cached superword backend for `(generator ISA, mr, nr)`,
+    /// The cached superword lowering for `(generator ISA, mr, nr)`,
     /// generating the kernel on the first request. Superword tapes are
     /// lowered once per kernel and cached alongside it; `None` means the
     /// shape did not tape-compile (interpreter fallback).
@@ -100,10 +100,9 @@ impl KernelCache {
 
     /// The cached native SIMD chain for `(generator ISA, mr, nr)`,
     /// generating the kernel on the first request. Chains are compiled
-    /// once per kernel and cached alongside it; `None` means the shape did
-    /// not tape-compile **or** the host lacks AVX2/FMA
-    /// (`exo_codegen::simd_available()`), in which case dispatch stays on
-    /// the superword tier.
+    /// once per kernel and cached alongside it — for the active vector
+    /// ISA, at worst the scalar reference, so `None` only means the shape
+    /// did not tape-compile (dispatch falls through to the interpreter).
     ///
     /// # Errors
     ///

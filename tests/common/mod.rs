@@ -43,8 +43,9 @@ impl Cases {
 /// Asserts the two result buffers are within the SIMD tier's
 /// FMA-contraction bound (`exo_codegen::fma_contraction_tol`, the single
 /// workspace-wide definition) of each other, elementwise, relative to the
-/// element magnitude (floor 1.0). On hosts without AVX2/FMA the simd
-/// backend runs the superword tier and the distance is exactly zero.
+/// element magnitude (floor 1.0). Where the active ISA is the scalar
+/// reference the simd tier *is* the portable chain and the distance is
+/// exactly zero.
 #[allow(dead_code)]
 pub fn assert_fma_close(x: &[f32], y: &[f32], k: usize, label: &str) {
     assert_eq!(x.len(), y.len(), "{label}: length mismatch");

@@ -1,13 +1,15 @@
-//! Differential suite for the execution engines, now a **five-way**
-//! comparison with an **ISA axis**: the ahead-of-time compiled native
-//! tier (a dlopen'd `.so` emitted from the same superword tape), the
+//! Differential suite for the execution engines: a **five-way**
+//! comparison with an **ISA axis**. The ahead-of-time compiled native
+//! tier (a dlopen'd `.so` emitted from the superword lowering), the
 //! in-process SIMD chain (compiled per vector ISA — AVX2/FMA, NEON, or
-//! the scalar reference), the superword backend, the scalar tape, the
-//! tree-walking interpreter, and the naive reference must agree. Where
-//! the computation is literally the same sequence of f32 operations
-//! (superword vs. tape vs. interpreter, 1 vs. N threads, row-block vs.
-//! column-block partition — and any one SIMD chain against *itself*
-//! across thread counts), they must agree **bit for bit**.
+//! the scalar reference), the portable tier (the scalar-ISA chain —
+//! what the `superword` pin runs), the scalar tape, the tree-walking
+//! interpreter, and the naive reference must agree. Where the
+//! computation is literally the same sequence of f32 operations
+//! (portable vs. tape vs. interpreter vs. the superword lowering's
+//! checked reference, 1 vs. N threads, row-block vs. column-block
+//! partition — and any one SIMD chain against *itself* across thread
+//! counts), they must agree **bit for bit**.
 //! The native tier is emitted so that each lane performs the same fused
 //! (or, on the scalar floor, unfused) operations as the simd chain, so
 //! native vs. simd is held to exact equality on every host — including
@@ -17,17 +19,22 @@
 //! `common::assert_fma_close`; the scalar ISA chain does not contract
 //! and is held to exact equality — which is also what `EXO_ISA=scalar`
 //! (the CI forced-scalar leg) pins process-wide, and what
-//! `EXO_BACKEND=superword` (the CI fallback leg) gets by skipping the
-//! chains entirely. `EXO_CC=/nonexistent/cc` (the CI poisoned-toolchain
-//! leg) disables only the ahead-of-time tier; every test here must still
-//! pass, with the native legs collapsing onto the simd chain.
+//! `EXO_BACKEND=superword` (the CI portable leg) gets by resolving every
+//! kernel onto the scalar chain with the native tier off.
+//! `EXO_CC=/nonexistent/cc` (the CI poisoned-toolchain leg) disables
+//! only the ahead-of-time tier; every test here must still pass, with
+//! the native legs collapsing onto the simd chain.
+//!
+//! Every tier is reached the same way — `GeneratedKernel::dispatcher`
+//! resolving an `ExecBackend` down the one ladder — whether the test
+//! asks the kernel directly, pins a `KernelImpl`, or runs the driver.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::{assert_fma_close, Cases};
-use exo_gemm::exo_codegen::SimdKernel;
+use exo_gemm::exo_codegen::{SimdKernel, SuperwordKernel, TensorView};
 use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
@@ -35,6 +42,12 @@ use exo_gemm::gemm_blis::{
     Matrix,
 };
 use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator};
+
+/// The superword lowering's checked reference run of a packed call — the
+/// executor that trusts no proof, bit-identical to tape and interpreter.
+fn run_reference(sw: &SuperwordKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    sw.run_checked(&[kc as i64], &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(c)]).unwrap();
+}
 
 fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let a: Vec<f32> = (0..kc * mr).map(|_| cases.f32_unit()).collect();
@@ -44,8 +57,9 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
 }
 
 /// Five-way differential on every registry tile shape, across several KC
-/// values including `k = 0` and `k = 1`: superword ≡ tape ≡ interpreter
-/// bit-for-bit, the SIMD chain within the FMA-contraction bound, and the
+/// values including `k = 0` and `k = 1`: portable ≡ tape ≡ interpreter ≡
+/// the checked reference bit-for-bit, the SIMD chain within the
+/// FMA-contraction bound, and the
 /// ahead-of-time native tier **bit-identical to the SIMD chain** — with a
 /// toolchain because the emitted C performs the same per-lane fused ops,
 /// without one because the fallback *is* the chain.
@@ -73,18 +87,23 @@ fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
         }
         for kc in [0usize, 1, 2, 17, 64] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
+            let run_on = |backend| {
+                let mut c = c0.clone();
+                kernel.dispatcher(backend).run_packed(kc, &a, &b, &mut c).unwrap();
+                c
+            };
             let mut c_simd = c0.clone();
             kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-            let mut c_sw = c0.clone();
-            kernel.run_packed_superword(kc, &a, &b, &mut c_sw).unwrap();
-            let mut c_tape = c0.clone();
-            kernel.run_packed_tape(kc, &a, &b, &mut c_tape).unwrap();
-            let mut c_interp = c0.clone();
-            kernel.run_packed_interp(kc, &a, &b, &mut c_interp).unwrap();
-            let mut c_native = c0.clone();
-            kernel.run_packed_native(kc, &a, &b, &mut c_native).unwrap();
+            assert_eq!(c_simd, run_on(ExecBackend::Simd), "{mr}x{nr} kc={kc}: run_packed is the simd tier");
+            let c_sw = run_on(ExecBackend::Superword);
+            let c_tape = run_on(ExecBackend::Tape);
+            let c_interp = run_on(ExecBackend::Interp);
+            let c_native = run_on(ExecBackend::Native);
+            let mut c_checked = c0.clone();
+            run_reference(sw, kc, &a, &b, &mut c_checked);
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native must be bit-faithful to simd");
-            assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: superword vs tape");
+            assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable chain vs tape");
+            assert_eq!(c_sw, c_checked, "{mr}x{nr} kc={kc}: portable chain vs checked reference");
             assert_eq!(c_tape, c_interp, "{mr}x{nr} kc={kc}: tape vs interpreter");
             assert_fma_close(&c_simd, &c_sw, kc, &format!("{mr}x{nr} kc={kc}: simd vs superword"));
             if kc == 0 {
@@ -138,6 +157,11 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
                 "{mr}x{nr} on {m}x{n}x{k}: native (default) vs pinned-simd driver"
             );
             assert_eq!(c_sw.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: superword vs tape driver");
+            assert_eq!(
+                run(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Superword)).data,
+                c_sw.data,
+                "{mr}x{nr} on {m}x{n}x{k}: the programmatic pin is the dedicated pin through the driver"
+            );
             assert_eq!(c_tape.data, c_interp.data, "{mr}x{nr} on {m}x{n}x{k}: tape vs interp driver");
             assert_fma_close(
                 &c_simd.data,
@@ -160,35 +184,74 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
     }
 }
 
-/// The programmatic backend pin: `with_backend(Superword)` on the simd
-/// default must be bit-identical to the dedicated superword pin through
-/// the full driver — the portable fallback really is the unchanged
-/// superword path, not a third code path.
+/// A tier pin is never a second code path beside the ladder: on every
+/// registry shape, every one of the five `ExecBackend` pins — set
+/// programmatically with `with_backend` or by the dedicated `exo_kernel_*`
+/// constructor — run one-shot through `KernelImpl::run` and through a
+/// reusable `dispatcher()` handle lands on the tier the one resolution
+/// function names, and the tiers hold their contracts: portable ≡ tape ≡
+/// interp bit for bit, native ≡ simd bit for bit (matching ISA — or no
+/// artifact, where native *is* simd), and both within the FMA-contraction
+/// bound of portable. (Under a forced `EXO_BACKEND` all five pins resolve
+/// to the forced tier and the cross-tier asserts hold trivially — which is
+/// exactly what that CI leg checks.)
 #[test]
-fn forced_superword_fallback_is_bit_identical_to_the_superword_pin() {
+fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
+    use ExecBackend::*;
     let generator = MicroKernelGenerator::new(neon_f32());
-    let kernel = Arc::new(generator.generate(8, 12).unwrap());
     let mut cases = Cases::new(0xfa11);
-    let blocking = BlockingParams { mc: 16, kc: 8, nc: 24, mr: 8, nr: 12 };
-    for &(m, n, k) in &[(37usize, 29usize, 23usize), (8, 60, 9)] {
-        let a = Matrix::from_fn(m, k, |_, _| cases.f32_unit());
-        let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
-        let c0 = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
-        let mut c_forced = c0.clone();
-        BlisGemm::new(blocking)
-            .gemm_with(
-                &exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Superword),
-                GemmProblem::new(a.view(), b.view(), c_forced.view_mut()),
-            )
-            .unwrap();
-        let mut c_sw = c0.clone();
-        BlisGemm::new(blocking)
-            .gemm_with(
-                &exo_kernel_superword(Arc::clone(&kernel)),
-                GemmProblem::new(a.view(), b.view(), c_sw.view_mut()),
-            )
-            .unwrap();
-        assert_eq!(c_forced.data, c_sw.data, "{m}x{n}x{k}");
+    for (mr, nr) in KernelSet::paper_shapes() {
+        let kernel = Arc::new(generator.generate(mr, nr).unwrap());
+        let has_native = kernel.native_wait().is_some();
+        for kc in [0usize, 1, 23] {
+            let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
+            let results: Vec<Vec<f32>> = [
+                (Native, exo_kernel(Arc::clone(&kernel))),
+                (Simd, exo_kernel_simd(Arc::clone(&kernel))),
+                (Superword, exo_kernel_superword(Arc::clone(&kernel))),
+                (Tape, exo_kernel_tape(Arc::clone(&kernel))),
+                (Interp, exo_kernel_interp(Arc::clone(&kernel))),
+            ]
+            .into_iter()
+            .map(|(pin, dedicated)| {
+                let label = format!("{mr}x{nr} kc={kc} pin={pin:?}");
+                assert_eq!(dedicated.backend, pin, "{label}");
+                // Every registry kernel has every in-process lowering, so a
+                // pin resolves to itself — except native without an artifact.
+                let resolved = match pin.effective() {
+                    Native if !has_native => Simd,
+                    tier => tier,
+                };
+                assert_eq!(kernel.dispatcher(pin.effective()).tier(), resolved, "{label}");
+                let pinned = exo_kernel(Arc::clone(&kernel)).with_backend(pin);
+                let mut c = c0.clone();
+                pinned.run(kc, &a, &b, &mut c).unwrap();
+                for (entry, imp) in [("with_backend", &pinned), ("dedicated", &dedicated)] {
+                    let mut c_one_shot = c0.clone();
+                    imp.run(kc, &a, &b, &mut c_one_shot).unwrap();
+                    assert_eq!(c_one_shot, c, "{label}: {entry} one-shot");
+                    let mut handle = imp.dispatcher();
+                    for reuse in 0..2 {
+                        let mut c_handle = c0.clone();
+                        handle.run(kc, &a, &b, &mut c_handle).unwrap();
+                        assert_eq!(c_handle, c, "{label}: {entry} handle, use {reuse}");
+                    }
+                }
+                c
+            })
+            .collect();
+            let [c_native, c_simd, c_sw, c_tape, c_interp] = &results[..] else { unreachable!() };
+            assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable vs tape");
+            assert_eq!(c_tape, c_interp, "{mr}x{nr} kc={kc}: tape vs interp");
+            assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native vs simd");
+            assert_fma_close(c_simd, c_sw, kc, &format!("{mr}x{nr} kc={kc}: simd vs portable"));
+            if !active_isa().contracts_fma() {
+                assert_eq!(
+                    c_simd, c_sw,
+                    "{mr}x{nr} kc={kc}: the scalar ISA's simd tier *is* the portable tier"
+                );
+            }
+        }
     }
 }
 
@@ -273,10 +336,10 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
 /// The ISA axis of the differential suite: for every registry shape and
 /// every vector ISA the host can run, the chain compiled *for that ISA*
 /// (via `SimdKernel::compile_for`, independent of the `EXO_ISA` pin) must
-/// agree with the portable superword reference — the scalar chain **bit
-/// for bit** (it rounds multiply-then-add exactly like the portable
-/// tiers), the native AVX2/NEON chains within the documented
-/// FMA-contraction bound.
+/// agree with the superword lowering's checked reference — the scalar
+/// chain (the portable tier) **bit for bit** (it rounds multiply-then-add
+/// exactly like tape and interpreter), the native AVX2/NEON chains within
+/// the documented FMA-contraction bound.
 #[test]
 fn every_available_isa_matches_superword_across_registry_shapes() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -293,7 +356,7 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
             for kc in [0usize, 1, 2, 17, 64] {
                 let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
                 let mut c_sw = c0.clone();
-                sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+                run_reference(sw, kc, &a, &b, &mut c_sw);
                 let mut c_chain = c0.clone();
                 chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
                 if isa.contracts_fma() {
@@ -404,7 +467,7 @@ fn fringe_lane_runs_take_the_masked_partial_vector_path_on_every_isa() {
         for kc in [0usize, 1, 2, 17, 64] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let mut c_sw = c0.clone();
-            sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            run_reference(&sw, kc, &a, &b, &mut c_sw);
             let mut c_chain = c0.clone();
             chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
             if isa.contracts_fma() {
@@ -479,7 +542,7 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
     for kc in [0usize, 1, 7, 33] {
         let (a, b, c0) = packed_operands(8, 12, kc, &mut cases);
         let mut c_native = c0.clone();
-        kernel.run_packed_native(kc, &a, &b, &mut c_native).unwrap();
+        kernel.dispatcher(ExecBackend::Native).run_packed(kc, &a, &b, &mut c_native).unwrap();
         let mut c_simd = c0.clone();
         kernel.simd.as_ref().expect("scalar floor").run_packed(kc, &a, &b, &mut c_simd).unwrap();
         assert_eq!(c_native, c_simd, "kc={kc}: native entry point vs simd chain");
