@@ -7,10 +7,17 @@
 //!
 //! With a path argument the verdicts are persisted there; a second run then
 //! loads every verdict from the file without invoking the generator.
+//!
+//! Two questions are answered side by side. The *modelled* columns are what
+//! the Carmel model picks from the whole ARM Neon space (`Tuner::new()`,
+//! the paper's question; the same numbers on every host). The *serving*
+//! columns are what `TunedGemm::new()` dispatches on this host: the same
+//! ranking, confined to the tiles the executing vector ISA runs in whole
+//! vectors inside its register file.
 
 use dnn_models::{resnet50_table, vgg16_table};
-use exo_tune::{tune_workload, workload_seconds, KernelRegistry, Tuner};
-use gemm_blis::{Implementation, SimOptions};
+use exo_tune::{tune_workload, workload_seconds, DesignSpace, KernelRegistry, TunedGemm, Tuner};
+use gemm_blis::{active_isa, Implementation, SimOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tuner = match std::env::args().nth(1) {
@@ -22,20 +29,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let warm_verdicts = tuner.registry().len();
 
+    let executing = active_isa();
+    let serving = TunedGemm::new();
     println!("== design space ({}) ==", tuner.isa().name);
-    println!("{:>7} {:>14} {:>10}", "tile", "strategy", "registers");
+    println!("{:>7} {:>14} {:>10} {:>10}", "tile", "strategy", "registers", "serving");
     for tile in tuner.space().tile_shapes() {
         println!(
-            "{:>7} {:>14} {:>10}",
+            "{:>7} {:>14} {:>10} {:>10}",
             format!("{}x{}", tile.mr, tile.nr),
             tile.strategy.to_string(),
-            tile.registers
+            tile.registers,
+            if DesignSpace::fills_vectors_of(executing, tile.mr, tile.nr) { "yes" } else { "-" }
         );
     }
     let candidates = tuner.space().candidates(&tuner.core().mem).len();
     println!(
-        "{} tiles x 2 blocking sources = {candidates} candidates per problem\n",
+        "{} tiles x 2 blocking sources = {candidates} candidates per problem",
         tuner.space().tile_shapes().len()
+    );
+    println!(
+        "serving on {executing} ({} lanes, {} vector registers): {} of them fill whole vectors\n",
+        executing.lanes(),
+        executing.vector_registers().map_or("unbounded".to_string(), |r| r.to_string()),
+        serving.tuner().space().tile_shapes().len()
     );
 
     // The fixed-kernel baseline the tuned path must beat: ALG+EXO pinned to
@@ -65,16 +81,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for workload in [resnet50_table(), vgg16_table()] {
         println!("\n== {} per-layer winners ==", workload.name);
-        println!("{:>22} {:>7} {:>10} {:>14}", "layer (m,n,k)", "winner", "kc", "tuned GF");
+        println!(
+            "{:>22} {:>7} {:>10} {:>14} {:>16}",
+            "layer (m,n,k)",
+            "winner",
+            "kc",
+            "tuned GF",
+            format!("serving@{executing}")
+        );
         let plans = tune_workload(&tuner, &workload)?;
         for plan in &plans {
             let p = &plan.problem;
+            let served = serving.plan(p.m, p.n, p.k)?;
             println!(
-                "{:>22} {:>7} {:>10} {:>14.2}",
+                "{:>22} {:>7} {:>10} {:>14.2} {:>16}",
                 format!("({},{},{})", p.m, p.n, p.k),
                 format!("{}x{}", plan.verdict.mr, plan.verdict.nr),
                 plan.verdict.kc,
-                plan.verdict.predicted_gflops
+                plan.verdict.predicted_gflops,
+                format!("{}x{}", served.mr, served.nr)
             );
         }
         println!(

@@ -273,6 +273,17 @@ impl IsaKind {
         }
     }
 
+    /// Architectural vector registers a kernel can keep live, or `None`
+    /// when the ISA has no vector register file to run out of (the scalar
+    /// reference keeps its "registers" in memory).
+    pub fn vector_registers(self) -> Option<usize> {
+        match self {
+            IsaKind::Avx2 => Some(16),
+            IsaKind::Neon => Some(32),
+            IsaKind::Scalar => None,
+        }
+    }
+
     /// Whether this ISA contracts each multiply-add into a single rounding.
     /// Contracting chains are held to [`fma_contraction_tol`] by the
     /// differential suites; the scalar chain is held to bit equality.
@@ -879,6 +890,9 @@ mod tests {
         assert_eq!(IsaKind::Avx2.lanes(), 8);
         assert_eq!(IsaKind::Neon.lanes(), 4);
         assert_eq!(IsaKind::Scalar.lanes(), 1);
+        assert_eq!(IsaKind::Avx2.vector_registers(), Some(16));
+        assert_eq!(IsaKind::Neon.vector_registers(), Some(32));
+        assert_eq!(IsaKind::Scalar.vector_registers(), None);
         assert!(IsaKind::Avx2.contracts_fma());
         assert!(IsaKind::Neon.contracts_fma());
         assert!(!IsaKind::Scalar.contracts_fma());

@@ -11,18 +11,22 @@
 //!   and extrapolates the measured wall-clock to the full problem.
 //!   Host-dependent; used to validate that a modelled ranking is not an
 //!   artefact of the model. Candidates time through the same prove-once
-//!   [`gemm_blis::KernelDispatch`] the production driver uses — the
-//!   ahead-of-time compiled artifact once it has promoted, the SIMD chain
-//!   of the active vector ISA (`exo_codegen::simd`) until then, and
-//!   whatever tier an `EXO_BACKEND` override forces — so the measured cost
-//!   is the cost of the tier that will actually serve the problem.
+//!   [`gemm_blis::KernelDispatch`] the production driver uses, pinned to
+//!   the SIMD chain of the active vector ISA (`exo_codegen::simd`): the
+//!   tier a fresh kernel serves on until its native artifact promotes, and
+//!   the only fast one that costing a candidate does not have to *build* —
+//!   resolving the native tier would enqueue a `cc` job for every loser.
+//!   The chain and the compiled artifact rank tiles differently (fused
+//!   closures against straight-line code), so this is a validation tool,
+//!   not a predictor of served speed. An `EXO_BACKEND` override still wins
+//!   over the pin, as everywhere.
 //!
 //! Costs are comparable only *within* one evaluator.
 
 use std::time::Instant;
 
 use carmel_sim::CarmelCore;
-use gemm_blis::{modelled_gemm_cycles, BlockingParams, KernelImpl};
+use gemm_blis::{modelled_gemm_cycles, BlockingParams, ExecBackend, KernelImpl};
 
 use crate::error::TuneError;
 
@@ -125,10 +129,12 @@ impl CostEvaluator for FunctionalCost {
         let a = vec![1.0f32; kc * mr];
         let b = vec![0.5f32; kc * nr];
         let mut c = vec![0.0f32; mr * nr];
-        // Time through the prove-once dispatch handle, exactly as the
-        // five-loop driver will run the kernel in production (the warm-up
-        // run also pays the proof and surfaces shape errors before timing).
-        let mut dispatch = kernel.dispatcher();
+        // Time through the prove-once dispatch handle the five-loop driver
+        // runs kernels with (the warm-up run also pays the proof and
+        // surfaces shape errors before timing), on the simd pin: the
+        // default `Native` backend would kick a background compile of
+        // every candidate merely costed.
+        let mut dispatch = kernel.clone().with_backend(ExecBackend::Simd).dispatcher();
         dispatch.run(kc, &a, &b, &mut c)?;
         let reps = self.repetitions.max(1);
         let start = Instant::now();

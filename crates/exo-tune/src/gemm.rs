@@ -12,7 +12,15 @@ use gemm_blis::{BlisGemm, GemmExecutor, GemmProblem, GemmStats};
 
 use crate::error::TuneError;
 use crate::registry::{KernelRegistry, TuneVerdict};
+use crate::space::DesignSpace;
 use crate::tuner::Tuner;
+
+/// The space every serving constructor searches: the tiles generatable
+/// from the ARM Neon f32 description that the vector ISA executing on this
+/// host (`gemm_blis::active_isa()`) runs in whole vectors.
+fn serving_space() -> DesignSpace {
+    DesignSpace::for_execution(exo_isa::neon_f32(), gemm_blis::active_isa())
+}
 
 /// Metadata of one dispatched GEMM.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,22 +45,38 @@ pub struct TunedRun {
 /// forceable for debugging. Use it through [`GemmExecutor::gemm`] like
 /// every other driver, or through [`TunedGemm::execute`] to also receive
 /// the tuning verdict.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TunedGemm {
     tuner: Tuner,
     threads: usize,
 }
 
+impl Default for TunedGemm {
+    fn default() -> Self {
+        TunedGemm::new()
+    }
+}
+
 impl TunedGemm {
-    /// A tuned GEMM with the default tuner (ARM Neon f32, analytical
-    /// evaluator, in-memory registry).
+    /// A tuned GEMM for this host: kernels generated from the ARM Neon f32
+    /// description, the search confined to the tiles the executing vector
+    /// ISA (`gemm_blis::active_isa()`: AVX2, NEON, or the scalar
+    /// reference) runs in whole vectors inside its register file
+    /// ([`DesignSpace::fills_vectors_of`]), ranked inside that space by the
+    /// analytical Carmel model; in-memory registry, one thread.
     pub fn new() -> Self {
-        TunedGemm { tuner: Tuner::new(), threads: 1 }
+        let space = serving_space();
+        let registry = KernelRegistry::new(space.identity());
+        TunedGemm::over(space, registry).expect("a registry named after the space is always consistent")
     }
 
-    /// A tuned GEMM over an explicit tuner.
+    /// A tuned GEMM over an explicit tuner (any space, any evaluator).
     pub fn with_tuner(tuner: Tuner) -> Self {
         TunedGemm { tuner, threads: 1 }
+    }
+
+    fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
+        Ok(TunedGemm::with_tuner(Tuner::over(space, registry)?))
     }
 
     /// Sets the worker-thread count the dispatch driver partitions `C`
@@ -65,29 +89,35 @@ impl TunedGemm {
         self
     }
 
-    /// A tuned GEMM whose registry persists at `path`: the first process
-    /// pays for the search, every later one starts warm.
+    /// [`TunedGemm::new`] with a registry that persists at `path`: the
+    /// first process pays for the search, every later one on the same
+    /// executing ISA starts warm.
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError`] if an existing file cannot be loaded.
+    /// Returns [`TuneError`] if an existing file cannot be loaded —
+    /// [`TuneError::Corrupt`] when it was recorded for another executing
+    /// ISA (the file's `isa` is the space's [`DesignSpace::identity`],
+    /// e.g. `neon-f32@avx2`; files older than that naming say `neon-f32`
+    /// and are refused too).
     pub fn with_persistence(path: impl AsRef<std::path::Path>) -> Result<Self, TuneError> {
-        let isa = exo_isa::neon_f32();
-        let registry = KernelRegistry::with_persistence(isa.name, path)?;
-        Ok(TunedGemm { tuner: Tuner::with_registry(registry)?, threads: 1 })
+        let space = serving_space();
+        let registry = KernelRegistry::with_persistence(space.identity(), path)?;
+        TunedGemm::over(space, registry)
     }
 
-    /// Like [`TunedGemm::with_persistence`], but a damaged registry file
-    /// degrades to a cold start instead of an error: the bad file is
-    /// quarantined as `<path>.corrupt` and tuning restarts fresh, still
-    /// persisting at `path`. Returns the executor along with the tolerated
-    /// load error, if any, so the caller can log the degradation.
+    /// Like [`TunedGemm::with_persistence`], but a damaged registry file —
+    /// or one recorded for another executing ISA — degrades to a cold start
+    /// instead of an error: the file is quarantined as `<path>.corrupt` and
+    /// tuning restarts fresh, still persisting at `path`. Returns the
+    /// executor along with the tolerated load error, if any, so the caller
+    /// can log the degradation.
     pub fn with_persistence_or_fresh(path: impl AsRef<std::path::Path>) -> (Self, Option<TuneError>) {
-        let isa = exo_isa::neon_f32();
-        let (registry, tolerated) = KernelRegistry::with_persistence_or_fresh(isa.name, path);
-        let tuner = Tuner::with_registry(registry)
-            .expect("a fresh or freshly-validated same-ISA registry is always consistent");
-        (TunedGemm { tuner, threads: 1 }, tolerated)
+        let space = serving_space();
+        let (registry, tolerated) = KernelRegistry::with_persistence_or_fresh(space.identity(), path);
+        let tuned = TunedGemm::over(space, registry)
+            .expect("a fresh or freshly-validated registry of the same identity is always consistent");
+        (tuned, tolerated)
     }
 
     /// The underlying tuner.

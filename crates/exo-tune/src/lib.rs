@@ -11,18 +11,30 @@
 //! * [`DesignSpace`] — enumerates every `(MR, NR)` register tile valid for
 //!   a [`exo_isa::VectorIsa`] under a register budget, crossed with
 //!   candidate [`gemm_blis::BlockingParams`] derived from the modelled
-//!   cache hierarchy;
+//!   cache hierarchy. The *modelled* space ([`DesignSpace::for_isa`]) is
+//!   everything the described machine could run; the *serving* space
+//!   ([`DesignSpace::for_execution`]) keeps the tiles that also fill whole
+//!   vectors of the host ISA that executes them, inside its register file;
 //! * [`CostEvaluator`] — pluggable candidate evaluation: the analytical
-//!   `carmel-sim` model ([`AnalyticalCost`], fast, the default) or
-//!   functional execution of the generated kernel ([`FunctionalCost`],
-//!   slow, for validation);
+//!   `carmel-sim` model ([`AnalyticalCost`], deterministic, the ranker of
+//!   both spaces) or timed execution of the generated kernel's simd chain
+//!   ([`FunctionalCost`], host-dependent, for validation only). Neither
+//!   compiles a candidate;
 //! * [`KernelRegistry`] — caches generated kernels keyed by
 //!   `(isa, mr, nr)` (via [`ukernel_gen::KernelCache`]) and memoises
-//!   tuning verdicts keyed by problem shape, with JSON persistence so a
-//!   second run skips the search entirely;
-//! * [`TunedGemm`] — the front-end: a [`gemm_blis::GemmExecutor`] that
-//!   transparently searches-or-loads the verdict for each problem shape and
-//!   dispatches the winning kernel through the functional BLIS-like driver.
+//!   tuning verdicts keyed by problem shape, with JSON persistence — under
+//!   the space's name, executing ISA included — so a second run on the
+//!   same kind of host skips the search entirely;
+//! * [`TunedGemm`] — the serving front-end: a [`gemm_blis::GemmExecutor`]
+//!   that transparently searches-or-loads the verdict for each problem
+//!   shape in the serving space of this host and dispatches the winning
+//!   kernel through the functional BLIS-like driver.
+//!
+//! [`Tuner::new`] stays the paper's question — what the modelled Carmel
+//! picks from the whole Neon space — and is what the figure binaries and
+//! [`tune_workload`] use. A verdict's `predicted_*` fields are that
+//! model's numbers in either space: they rank, they do not predict the
+//! host.
 //!
 //! ```
 //! use exo_tune::TunedGemm;

@@ -8,6 +8,12 @@
 //! is written to a JSON file, and a registry opened on the same path starts
 //! warm: a second tuning run answers every shape from the file without
 //! invoking the generator at all.
+//!
+//! A registry is named after the design space its verdicts were searched
+//! in ([`crate::DesignSpace::identity`]): `neon-f32` for the modelled
+//! space, `neon-f32@avx2` for the tiles served on an AVX2 host. The name is
+//! the file's `isa` field, and a file is only loaded under its own name —
+//! a verdict searched for one executing ISA is never served on another.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -41,9 +47,14 @@ pub struct TuneVerdict {
     pub kc: usize,
     /// Winning cache blocking: columns of the packed `Bc` block.
     pub nc: usize,
-    /// Modelled cost of the winner, in cycles.
+    /// Cost of the winner in cycles of the *modelled Carmel core* (for the
+    /// analytical evaluator; wall-clock at the Carmel frequency for the
+    /// functional one). It ranks candidates against each other and feeds
+    /// the paper's modelled figures; it is never a prediction for the host
+    /// that executes the kernel.
     pub predicted_cycles: f64,
-    /// Modelled GFLOPS of the winner (`2 m n k` useful flops).
+    /// [`Self::predicted_cycles`] as GFLOPS (`2 m n k` useful flops at the
+    /// modelled clock) — the modelled Carmel's rate, not the host's.
     pub predicted_gflops: f64,
     /// How many candidates the search evaluated when this verdict was
     /// produced (memoised answers keep the original search's count).
@@ -118,7 +129,9 @@ pub struct KernelRegistry {
 }
 
 impl KernelRegistry {
-    /// An in-memory registry for an ISA (no persistence).
+    /// An in-memory registry (no persistence) named `isa_name` — the
+    /// [`crate::DesignSpace::identity`] of the space it will hold verdicts
+    /// for.
     pub fn new(isa_name: impl Into<String>) -> Self {
         KernelRegistry {
             kernels: Arc::new(KernelCache::new()),
@@ -134,8 +147,8 @@ impl KernelRegistry {
     /// # Errors
     ///
     /// Returns [`TuneError::Io`] if the file exists but cannot be read, and
-    /// [`TuneError::Corrupt`] if it does not parse as a registry for the
-    /// same ISA.
+    /// [`TuneError::Corrupt`] if it does not parse as a registry of the
+    /// same name.
     pub fn with_persistence(isa_name: impl Into<String>, path: impl AsRef<Path>) -> Result<Self, TuneError> {
         let mut registry = KernelRegistry::new(isa_name);
         let path = path.as_ref().to_path_buf();
@@ -179,7 +192,8 @@ impl KernelRegistry {
         Arc::clone(&self.kernels)
     }
 
-    /// The ISA this registry's verdicts apply to.
+    /// The name of the design space this registry's verdicts apply to: the
+    /// described ISA, plus `@<executing ISA>` for a serving space.
     pub fn isa_name(&self) -> &str {
         &self.isa_name
     }
@@ -269,8 +283,8 @@ impl KernelRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError::Corrupt`] on malformed documents or an ISA
-    /// mismatch.
+    /// Returns [`TuneError::Corrupt`] on malformed documents or a name
+    /// (`isa`) mismatch.
     pub fn load_text(&mut self, text: &str) -> Result<(), TuneError> {
         let doc = json::parse(text).map_err(TuneError::Corrupt)?;
         let version = doc
@@ -364,6 +378,15 @@ mod tests {
         let other = KernelRegistry::new("avx512-f32");
         other.record(verdict(10, 10, 10)).unwrap();
         assert!(matches!(registry.load_text(&other.to_text()), Err(TuneError::Corrupt(_))));
+        // The executing ISA is part of the name: a serving registry loads
+        // neither another host ISA's file nor an unsuffixed (modelled, or
+        // pre-suffix) one, and the modelled registry loads no serving file.
+        let mut avx2 = KernelRegistry::new("neon-f32@avx2");
+        let neon = KernelRegistry::new("neon-f32@neon");
+        assert!(matches!(avx2.load_text(&neon.to_text()), Err(TuneError::Corrupt(_))));
+        assert!(matches!(avx2.load_text(&registry.to_text()), Err(TuneError::Corrupt(_))));
+        assert!(matches!(registry.load_text(&avx2.to_text()), Err(TuneError::Corrupt(_))));
+        assert!(avx2.load_text(&KernelRegistry::new("neon-f32@avx2").to_text()).is_ok());
         assert!(matches!(registry.load_text("not json"), Err(TuneError::Corrupt(_))));
         assert!(matches!(
             registry.load_text("{\"version\": 99, \"isa\": \"neon-f32\", \"verdicts\": []}"),

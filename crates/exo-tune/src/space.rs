@@ -9,10 +9,19 @@
 //! with candidate cache-blocking parameters derived from the modelled
 //! memory hierarchy (the analytical model of Low et al.) and from the fixed
 //! values BLIS ships for the Carmel family.
+//!
+//! Two spaces come out of one description. [`DesignSpace::for_isa`] is the
+//! *modelled* space: what the described machine (the paper's Carmel, 4
+//! lanes, 32 registers) could run. [`DesignSpace::for_execution`] is the
+//! *serving* space: the subset of it whose vectorised extent also fills
+//! whole vectors of the ISA that will execute the kernel on this host
+//! ([`DesignSpace::fills_vectors_of`]) — a 12x8 tile is three Neon vectors
+//! tall but one and a half AVX2 vectors, and the half is paid for on every
+//! `k` iteration.
 
 use carmel_sim::CacheHierarchy;
 use exo_isa::VectorIsa;
-use gemm_blis::BlockingParams;
+use gemm_blis::{BlockingParams, IsaKind};
 use ukernel_gen::{MicroKernelGenerator, Strategy};
 
 /// Where a candidate's blocking parameters came from.
@@ -61,6 +70,9 @@ pub struct Candidate {
 #[derive(Debug, Clone)]
 pub struct DesignSpace {
     isa: VectorIsa,
+    /// The host ISA the kernels will execute on, when the space is for
+    /// serving (`None`: the modelled space, unfiltered).
+    executing: Option<IsaKind>,
     /// Architectural vector registers available to the kernel.
     pub register_budget: usize,
     /// Maximum tile height, in vector registers (`MR <= max_mr_vectors * lanes`).
@@ -70,17 +82,62 @@ pub struct DesignSpace {
 }
 
 impl DesignSpace {
-    /// The default space for an ISA: the 32-register ARM/AVX-512 budget,
-    /// tiles up to four vectors tall and six vectors wide (24 elements on
-    /// 4-lane Neon, matching the widest kernels the paper considers).
+    /// The modelled space of a described ISA: a 32-entry vector register
+    /// file (what ARM Neon and AVX-512 both have), tiles up to four vectors
+    /// tall and six vectors wide (24 elements on 4-lane Neon, matching the
+    /// widest kernels the paper considers). This is the space the Carmel
+    /// model is asked about; nothing in it depends on the host.
     pub fn for_isa(isa: VectorIsa) -> Self {
         let max_nr = 6 * isa.lanes;
-        DesignSpace { isa, register_budget: 32, max_mr_vectors: 4, max_nr }
+        DesignSpace { isa, executing: None, register_budget: 32, max_mr_vectors: 4, max_nr }
+    }
+
+    /// The serving space: the tiles of [`DesignSpace::for_isa`] that also
+    /// satisfy [`DesignSpace::fills_vectors_of`] for `executing`, the host
+    /// ISA their lowering will run on (`gemm_blis::active_isa()` for every
+    /// serving constructor). On 4-lane NEON and on the 1-lane scalar
+    /// reference that is the whole modelled Neon space.
+    pub fn for_execution(isa: VectorIsa, executing: IsaKind) -> Self {
+        DesignSpace { executing: Some(executing), ..DesignSpace::for_isa(isa) }
     }
 
     /// The instruction set the space targets.
     pub fn isa(&self) -> &VectorIsa {
         &self.isa
+    }
+
+    /// The host ISA the space was filtered for, or `None` for the modelled
+    /// space.
+    pub fn executing(&self) -> Option<IsaKind> {
+        self.executing
+    }
+
+    /// What a registry must be named to hold this space's verdicts: the
+    /// described ISA alone for the modelled space (`neon-f32`), suffixed
+    /// with the executing ISA for a serving space (`neon-f32@avx2`), so a
+    /// verdict searched for one host ISA is never served on another.
+    pub fn identity(&self) -> String {
+        match self.executing {
+            Some(executing) => format!("{}@{executing}", self.isa.name),
+            None => self.isa.name.clone(),
+        }
+    }
+
+    /// Whether an `mr x nr` tile's vectorised extent fills whole vectors of
+    /// `executing` with its accumulators and staged operands inside that
+    /// ISA's register file. With `L` lanes and `R` registers:
+    ///
+    /// * `mr > 1` vectorises the rows: `mr % L == 0`, and `(mr/L)·nr`
+    ///   accumulators, `mr/L` vectors of `A` and one broadcast of `B` need
+    ///   `(mr/L)·nr + mr/L + 1 ≤ R`;
+    /// * `mr == 1` vectorises the columns: `nr % L == 0`, and `nr/L`
+    ///   accumulators, `nr/L` vectors of `B` and one broadcast of `A` need
+    ///   `2·(nr/L) + 1 ≤ R`.
+    pub fn fills_vectors_of(executing: IsaKind, mr: usize, nr: usize) -> bool {
+        let lanes = executing.lanes();
+        let (extent, registers) =
+            if mr > 1 { (mr, (mr / lanes) * nr + mr / lanes + 1) } else { (nr, 2 * (nr / lanes) + 1) };
+        extent % lanes == 0 && executing.vector_registers().is_none_or(|file| registers <= file)
     }
 
     /// Vector registers a `(mr, nr)` kernel needs under `strategy`, or
@@ -100,7 +157,8 @@ impl DesignSpace {
         }
     }
 
-    /// All register tiles valid for the ISA under the register budget,
+    /// All register tiles valid for the ISA under the register budget — and,
+    /// in a serving space, executable in whole vectors of the host ISA —
     /// sorted by descending tile area (the order the sweep reports them in).
     pub fn tile_shapes(&self) -> Vec<TileShape> {
         let lanes = self.isa.lanes;
@@ -116,7 +174,9 @@ impl DesignSpace {
                 let Some(registers) = self.register_cost(mr, nr, strategy) else {
                     continue;
                 };
-                if registers <= self.register_budget {
+                let executable =
+                    self.executing.is_none_or(|executing| Self::fills_vectors_of(executing, mr, nr));
+                if registers <= self.register_budget && executable {
                     tiles.push(TileShape { mr, nr, strategy, registers });
                 }
             }
@@ -171,6 +231,34 @@ mod tests {
         let native = tiles.iter().find(|t| (t.mr, t.nr) == (8, 12)).unwrap();
         assert_eq!(native.registers, 29);
         assert_eq!(native.strategy, Strategy::Laneq);
+    }
+
+    #[test]
+    fn serving_space_keeps_the_tiles_that_fill_the_executing_isas_vectors() {
+        let modelled: Vec<(usize, usize)> =
+            DesignSpace::for_isa(neon_f32()).tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
+        assert_eq!(modelled.len(), 18);
+        // In the modelled space's order (descending area), so ties rank alike.
+        let avx2 = vec![(8, 12), (8, 8), (16, 4), (8, 4), (1, 24), (1, 16), (1, 8)];
+        for executing in IsaKind::ALL {
+            let expected = match executing {
+                IsaKind::Avx2 => &avx2,
+                IsaKind::Neon | IsaKind::Scalar => &modelled,
+            };
+            let space = DesignSpace::for_execution(neon_f32(), executing);
+            assert_eq!(space.executing(), Some(executing));
+            assert_eq!(space.identity(), format!("neon-f32@{executing}"));
+            let tiles: Vec<(usize, usize)> = space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
+            assert_eq!(&tiles, expected, "{executing}");
+        }
+        assert_eq!(DesignSpace::for_isa(neon_f32()).identity(), "neon-f32");
+        // The rule itself, at its edges on the 8-lane / 16-register file:
+        // half-filled vectors, and 8x16's 16 accumulators + 2 operands.
+        assert!(!DesignSpace::fills_vectors_of(IsaKind::Avx2, 12, 8));
+        assert!(!DesignSpace::fills_vectors_of(IsaKind::Avx2, 4, 24));
+        assert!(!DesignSpace::fills_vectors_of(IsaKind::Avx2, 8, 16));
+        assert!(!DesignSpace::fills_vectors_of(IsaKind::Avx2, 1, 12));
+        assert!(DesignSpace::fills_vectors_of(IsaKind::Scalar, 12, 8));
     }
 
     #[test]

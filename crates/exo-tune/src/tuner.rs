@@ -40,34 +40,34 @@ impl Default for Tuner {
 }
 
 impl Tuner {
-    /// The default tuner: ARM Neon f32, the Carmel core model, the
-    /// analytical evaluator, and a fresh in-memory registry.
+    /// The Carmel-modelling tuner: the whole ARM Neon f32 space
+    /// ([`DesignSpace::for_isa`]), the Carmel core model, the analytical
+    /// evaluator, and a fresh in-memory registry. It answers "what would
+    /// the modelled machine pick" — the question behind the paper's
+    /// figures — on every host alike. To *run* the verdicts use
+    /// [`crate::TunedGemm`], whose tuner searches the tiles the host's
+    /// vector ISA executes in whole vectors.
     pub fn new() -> Self {
-        let isa = exo_isa::neon_f32();
-        let registry = KernelRegistry::new(isa.name.clone());
-        Tuner::custom(
-            DesignSpace::for_isa(isa),
-            Box::new(AnalyticalCost::default()),
-            CarmelCore::carmel(),
-            registry,
-        )
-        .expect("default tuner is always consistent")
+        let space = DesignSpace::for_isa(exo_isa::neon_f32());
+        let registry = KernelRegistry::new(space.identity());
+        Tuner::over(space, registry).expect("default tuner is always consistent")
     }
 
-    /// A default-configured tuner over an existing registry (for example
-    /// one opened with [`KernelRegistry::with_persistence`]).
+    /// The Carmel-modelling tuner of [`Tuner::new`] over an existing
+    /// registry (for example one opened with
+    /// [`KernelRegistry::with_persistence`]).
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError::Corrupt`] if the registry targets a different
-    /// ISA than ARM Neon f32.
+    /// Returns [`TuneError::Corrupt`] if the registry is not named
+    /// `neon-f32`, the modelled space's [`DesignSpace::identity`].
     pub fn with_registry(registry: KernelRegistry) -> Result<Self, TuneError> {
-        Tuner::custom(
-            DesignSpace::for_isa(exo_isa::neon_f32()),
-            Box::new(AnalyticalCost::default()),
-            CarmelCore::carmel(),
-            registry,
-        )
+        Tuner::over(DesignSpace::for_isa(exo_isa::neon_f32()), registry)
+    }
+
+    /// The Carmel core model and its analytical evaluator over `space`.
+    pub(crate) fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
+        Tuner::custom(space, Box::new(AnalyticalCost::default()), CarmelCore::carmel(), registry)
     }
 
     /// Full control over the space, the evaluator, the core model, and the
@@ -75,19 +75,20 @@ impl Tuner {
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError::Corrupt`] if `registry` targets a different ISA
-    /// than `space`.
+    /// Returns [`TuneError::Corrupt`] if `registry` is not named after
+    /// `space`'s [`DesignSpace::identity`] — another described ISA, or the
+    /// same one searched for another executing ISA.
     pub fn custom(
         space: DesignSpace,
         evaluator: Box<dyn CostEvaluator + Send + Sync>,
         core: CarmelCore,
         registry: KernelRegistry,
     ) -> Result<Self, TuneError> {
-        if registry.isa_name() != space.isa().name {
+        if registry.isa_name() != space.identity() {
             return Err(TuneError::Corrupt(format!(
                 "registry targets `{}` but the design space targets `{}`",
                 registry.isa_name(),
-                space.isa().name
+                space.identity()
             )));
         }
         let generator = MicroKernelGenerator::new(space.isa().clone());
@@ -230,6 +231,7 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gemm_blis::IsaKind;
 
     #[test]
     fn tuning_finds_a_winner_and_memoises_it() {
@@ -297,6 +299,20 @@ mod tests {
     fn mismatched_registry_is_rejected() {
         let registry = KernelRegistry::new("avx512-f32");
         assert!(matches!(Tuner::with_registry(registry), Err(TuneError::Corrupt(_))));
+        // The executing ISA is part of the identity: a modelled-space
+        // registry cannot back a serving space, nor one host ISA another's.
+        let serving = |executing| DesignSpace::for_execution(exo_isa::neon_f32(), executing);
+        for (name, executing, accepted) in [
+            ("neon-f32", IsaKind::Avx2, false),
+            ("neon-f32@neon", IsaKind::Avx2, false),
+            ("neon-f32@avx2", IsaKind::Avx2, true),
+            ("neon-f32@avx2", IsaKind::Scalar, false),
+        ] {
+            let tuner = Tuner::over(serving(executing), KernelRegistry::new(name));
+            assert_eq!(tuner.is_ok(), accepted, "`{name}` under {executing}");
+            assert!(accepted || matches!(tuner, Err(TuneError::Corrupt(_))));
+        }
+        assert!(Tuner::with_registry(KernelRegistry::new("neon-f32@avx2")).is_err());
     }
 
     #[test]

@@ -7,14 +7,19 @@
 //! * a second tuning run loads every verdict from the persisted cache,
 //! * the tuned `ALG+EXO` path is at least as fast (modelled) as the fixed
 //!   8x12 default on the Fig. 14 square sweep,
-//! * every ResNet50 GEMM shape gets a per-layer kernel.
+//! * every ResNet50 GEMM shape gets a per-layer kernel,
+//! * every verdict the serving front-end returns is a tile the executing
+//!   vector ISA runs in whole vectors, and a verdict file recorded for
+//!   another executing ISA is never served.
 
 mod common;
 
 use common::Cases;
 use dnn_models::{resnet50_table, vgg16_table};
-use exo_tune::{KernelRegistry, TunedGemm, Tuner};
-use gemm_blis::{naive_gemm, GemmExecutor, GemmProblem, Implementation, Matrix, SimOptions};
+use exo_tune::{DesignSpace, KernelRegistry, TuneError, TunedGemm, Tuner};
+use gemm_blis::{
+    active_isa, naive_gemm, GemmExecutor, GemmProblem, Implementation, IsaKind, Matrix, SimOptions,
+};
 use ukernel_gen::MicroKernelGenerator;
 
 fn temp_registry_path(tag: &str) -> std::path::PathBuf {
@@ -98,7 +103,39 @@ fn second_run_loads_every_verdict_from_the_persisted_cache() {
     let verdicts = tuner.tune_all(&shapes).unwrap();
     assert_eq!(verdicts.len(), shapes.len());
     assert_eq!(tuner.registry().generator_invocations(), 0, "a warm run must not invoke the generator");
-    let _ = std::fs::remove_file(&path);
+
+    // That file is named `neon-f32` — the modelled space, and what every
+    // serving registry was named before the executing ISA joined the
+    // identity. The serving constructors must never load it, nor a file
+    // recorded for another executing ISA: typed refusal from the strict
+    // one, quarantine and a persisted re-tune from the tolerant one.
+    let other = IsaKind::ALL.into_iter().find(|&isa| isa != active_isa()).unwrap();
+    let foreign = temp_registry_path("foreign-isa");
+    let _ = std::fs::remove_file(&foreign);
+    let (m, n, k) = shapes[0];
+    let elsewhere = KernelRegistry::with_persistence(format!("neon-f32@{other}"), &foreign).unwrap();
+    elsewhere.record(tuner.tune(m, n, k).unwrap()).unwrap();
+    for stale in [&path, &foreign] {
+        let quarantine = std::path::PathBuf::from(format!("{}.corrupt", stale.display()));
+        let _ = std::fs::remove_file(&quarantine);
+        assert!(matches!(TunedGemm::with_persistence(stale), Err(TuneError::Corrupt(_))));
+        assert!(stale.exists() && !quarantine.exists(), "the strict constructor leaves the file alone");
+
+        let (fresh, tolerated) = TunedGemm::with_persistence_or_fresh(stale);
+        assert!(matches!(tolerated, Some(TuneError::Corrupt(_))), "{tolerated:?}");
+        assert!(fresh.registry().is_empty(), "no stale verdict may be served");
+        assert!(quarantine.exists() && !stale.exists());
+        let verdict = fresh.plan(m, n, k).unwrap();
+        assert!(DesignSpace::fills_vectors_of(active_isa(), verdict.mr, verdict.nr));
+
+        // The re-tune persisted under this host's identity: warm from now on.
+        let warm = TunedGemm::with_persistence(stale).unwrap();
+        assert_eq!(warm.registry().isa_name(), format!("neon-f32@{}", active_isa()));
+        assert_eq!(warm.plan(m, n, k).unwrap(), verdict);
+        assert_eq!(warm.registry().generator_invocations(), 0);
+        let _ = std::fs::remove_file(stale);
+        let _ = std::fs::remove_file(&quarantine);
+    }
 }
 
 /// Acceptance: on the Fig. 14 square sweep the tuned kernels are modelled
@@ -137,16 +174,63 @@ fn resnet50_layers_each_get_a_tuned_kernel() {
                 .any(|t| (t.mr, t.nr) == (plan.verdict.mr, plan.verdict.nr)));
         }
     }
-    // Per-layer specialisation: ResNet50's shapes do not all pick one tile.
-    let resnet_tiles: std::collections::BTreeSet<(usize, usize)> = resnet50_table()
-        .gemm_shapes()
-        .iter()
-        .map(|&(m, n, k)| {
-            let v = tuner.tune(m, n, k).unwrap();
-            (v.mr, v.nr)
-        })
-        .collect();
+    // Per-layer specialisation: ResNet50's shapes do not all pick one tile,
+    // neither in the model nor in what is actually dispatched on this host.
+    let distinct_tiles = |plan: &dyn Fn(usize, usize, usize) -> exo_tune::TuneVerdict| {
+        let tiles = resnet50_table().gemm_shapes().into_iter().map(|(m, n, k)| plan(m, n, k));
+        tiles.map(|v| (v.mr, v.nr)).collect::<std::collections::BTreeSet<_>>()
+    };
+    let resnet_tiles = distinct_tiles(&|m, n, k| tuner.tune(m, n, k).unwrap());
     assert!(resnet_tiles.len() > 1, "expected specialised per-layer tiles, got {resnet_tiles:?}");
+    let serving = TunedGemm::new();
+    let served_tiles = distinct_tiles(&|m, n, k| serving.plan(m, n, k).unwrap());
+    assert!(served_tiles.len() > 1, "expected specialised served tiles, got {served_tiles:?}");
+}
+
+/// The eight shapes of the benchmark's `serve_small` workload.
+const SERVE_SHAPES: [(usize, usize, usize); 8] = [
+    (24, 16, 12),
+    (17, 13, 9),
+    (32, 24, 8),
+    (8, 40, 16),
+    (48, 8, 24),
+    (16, 16, 16),
+    (28, 20, 6),
+    (12, 36, 10),
+];
+
+/// Every verdict served on this host is a tile its executing vector ISA
+/// runs in whole vectors inside its register file — whichever ISA that is
+/// (AVX2, NEON under QEMU, or the `EXO_ISA=scalar` pin). Where the rule
+/// removes nothing (4-lane NEON, 1-lane scalar), serving and modelling
+/// search the same space and must agree verdict for verdict.
+#[test]
+fn served_verdicts_fill_the_executing_isas_vectors() {
+    let executing = active_isa();
+    let serving = TunedGemm::new();
+    let threaded = TunedGemm::new().with_threads(4);
+    let modelled = Tuner::new();
+    let space = serving.tuner().space();
+    assert_eq!(space.executing(), Some(executing));
+    let admitted: Vec<(usize, usize)> = space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
+    let unfiltered = admitted.len() == modelled.space().tile_shapes().len();
+    assert_eq!(unfiltered, executing != IsaKind::Avx2, "{executing} admits {admitted:?}");
+
+    let mut shapes = resnet50_table().gemm_shapes();
+    shapes.extend(vgg16_table().gemm_shapes());
+    shapes.extend(SERVE_SHAPES);
+    for (m, n, k) in shapes {
+        let verdict = serving.plan(m, n, k).unwrap();
+        let tile = (verdict.mr, verdict.nr);
+        assert!(DesignSpace::fills_vectors_of(executing, tile.0, tile.1), "{m}x{n}x{k} -> {tile:?}");
+        assert_eq!(verdict.candidates_evaluated, 2 * admitted.len());
+        if unfiltered {
+            assert_eq!(verdict, modelled.tune(m, n, k).unwrap(), "{m}x{n}x{k}");
+        }
+        // Deterministic: a second front-end, at another thread count,
+        // reaches the same verdict.
+        assert_eq!(threaded.plan(m, n, k).unwrap(), verdict);
+    }
 }
 
 /// The `TunedGemm` front-end computes the right answer on fringe-heavy
