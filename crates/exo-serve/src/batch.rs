@@ -15,13 +15,22 @@
 //!    reservation and one dispatch-proof memoisation per shard, not per
 //!    entry (and [`CachedTunedGemm`] keeps them warm *across* batches: once
 //!    per shape family for the executor's lifetime);
-//! 3. small entries are dealt round-robin across the shared pool
-//!    ([`gemm_blis::ThreadPool::global`]), one shard per worker; large
-//!    entries keep the driver's own threaded partition of `C`.
+//! 3. **the entries are the parallel axis**: a group with at least as many
+//!    entries as the shared pool ([`gemm_blis::ThreadPool::global`]) has
+//!    workers deals them round-robin, one shard per worker, and every
+//!    entry — whatever its size — runs whole on its shard's runner. Only a
+//!    group too short to occupy the pool runs its entries one after
+//!    another under the driver's own threaded partition of `C`;
+//! 4. consecutive entries of a group that multiply by the same `B` — a
+//!    layer's weights against a batch of activations — pack it **once per
+//!    batch** into a [`gemm_blis::PackedB`] image every one of them
+//!    slices, instead of once per entry ([`BatchReport::b_images_packed`],
+//!    [`BatchReport::entries_on_shared_b`]).
 //!
 //! The result is **bit-identical to a sequential per-entry loop** over the
 //! same executor: kernel and blocking selection are deterministic per
-//! shape, entries never share a `C`, and each entry runs the exact
+//! shape, entries never share a `C`, a shared image holds the bytes each
+//! entry would have packed for itself, and each entry runs the exact
 //! sequential five-loop op order inside its runner.
 //!
 //! ## Fault isolation and degradation
@@ -44,14 +53,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use gemm_blis::pool::{PoolJob, ThreadPool};
-use gemm_blis::{BlisGemm, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats};
+use gemm_blis::{BlisGemm, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB};
 
 use crate::fault;
-
-/// Problems whose useful flops reach this threshold keep the driver's own
-/// threading (its partition of `C` over the pool); smaller entries are
-/// cheaper to run whole, one per shard.
-const LARGE_FLOP_THRESHOLD: u64 = 32_000_000;
 
 /// An ordered batch of GEMM problems, executed together by a
 /// [`GemmBatchExecutor`].
@@ -125,6 +129,12 @@ pub struct BatchReport {
     /// proof) this batch paid for. A [`CachedTunedGemm`] serving a warm
     /// shape mix reports zero: every shard drew a pooled runner.
     pub runners_built: u64,
+    /// `B` operands packed once for several entries: one per run of two or
+    /// more consecutive entries of a group that borrow the same `B`.
+    pub b_images_packed: u64,
+    /// Entries whose `B` came from such an image instead of being packed
+    /// for them alone.
+    pub entries_on_shared_b: u64,
 }
 
 impl BatchReport {
@@ -181,6 +191,8 @@ struct Tally {
     retries: AtomicU64,
     degraded: AtomicU64,
     runner_builds: AtomicU64,
+    b_images: AtomicU64,
+    shared_b_entries: AtomicU64,
 }
 
 /// Renders a contained panic payload into the `JobPanicked` message.
@@ -196,19 +208,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs one batch entry with panic isolation and one degradation retry.
 ///
-/// The first attempt goes through `runner` (the shard's amortised engine)
-/// when given, the driver's own path (threaded for large entries)
-/// otherwise. A panic is contained and resolved as
-/// [`GemmError::JobPanicked`]. Executional failures — contained panics and
-/// kernel errors — are retried once on the next backend tier down, but
+/// The first attempt goes through `runner` (the shard's amortised engine,
+/// built from `driver`) on up to `threads` pool workers, reading `B` from
+/// `packed_b` when the entry shares an image. A panic is contained and
+/// resolved as [`GemmError::JobPanicked`]. Executional failures —
+/// contained panics and kernel errors — are retried once on the next
+/// backend tier down (on one thread, packing `B` for itself), but
 /// only when `beta == 0`: a failed attempt may have partially written `C`,
 /// and only the never-reads-`C` contract makes a re-run equivalent to a
 /// clean first run. (Under an `EXO_BACKEND` override the dispatch tier is
 /// pinned, so the "degraded" retry re-runs the forced tier.)
 fn run_entry(
     driver: &BlisGemm,
-    runner: Option<&mut GemmRunner>,
+    runner: &mut GemmRunner,
     problem: &mut GemmProblem<'_>,
+    packed_b: Option<&PackedB>,
+    threads: usize,
     tally: &Tally,
 ) -> Result<GemmStats, GemmError> {
     let first = catch_unwind(AssertUnwindSafe(|| {
@@ -218,10 +233,7 @@ fn run_entry(
                 message: "injected fault: simulated proof decline (EXO_FAULT decline)".into(),
             });
         }
-        match runner {
-            Some(runner) => runner.gemm(problem.reborrow()),
-            None => driver.gemm(problem.reborrow()),
-        }
+        runner.run(problem.reborrow(), packed_b, threads)
     }));
     let failure = match first {
         Ok(Ok(stats)) => return Ok(mark_batched(stats)),
@@ -255,43 +267,80 @@ fn run_entry(
     }
 }
 
+/// One entry of a group on its way to a shard: its slot in the batch, the
+/// problem, and the index of the image it reads `B` from, if it shares one.
+type GroupEntry<'a> = (usize, GemmProblem<'a>, Option<usize>);
+
+/// Packs one image per run of two or more consecutive `entries` that
+/// multiply by the same `B` — the same view ([`gemm_blis::MatRef::same_view`])
+/// under the same `op_b`, which the batch holds immutably for as long as the
+/// entries live — and points the run's entries at it. One pass of pointer
+/// compares; a group that shares nothing touches neither `images` nor the
+/// allocator. `images` is scratch: slots are reused from the front, grown
+/// only when a batch has more shared operands than any before it.
+fn pack_shared_b(
+    driver: &BlisGemm,
+    entries: &mut [GroupEntry<'_>],
+    images: &mut Vec<PackedB>,
+    tally: &Tally,
+) {
+    let same_b = |x: &GemmProblem<'_>, y: &GemmProblem<'_>| x.op_b == y.op_b && x.b.same_view(&y.b);
+    let (mut start, mut packed) = (0, 0);
+    while start < entries.len() {
+        let first = &entries[start].1;
+        let run = 1 + entries[start + 1..].iter().take_while(|(_, p, _)| same_b(first, p)).count();
+        if run >= 2 {
+            if images.len() == packed {
+                images.push(PackedB::default());
+            }
+            driver.pack_b(first.op_b.apply(first.b), &mut images[packed]);
+            for entry in &mut entries[start..start + run] {
+                entry.2 = Some(packed);
+            }
+            packed += 1;
+            tally.b_images.fetch_add(1, Ordering::Relaxed);
+            tally.shared_b_entries.fetch_add(run as u64, Ordering::Relaxed);
+        }
+        start += run;
+    }
+}
+
 /// Runs one same-kernel/same-blocking group of entries through `driver`,
 /// writing each entry's outcome into its `out` slot.
 ///
-/// Large entries (by [`LARGE_FLOP_THRESHOLD`]) run in submission order with
-/// the driver's own threading; small entries are dealt round-robin over
-/// pool-worker shards, each shard reusing one [`gemm_blis::GemmRunner`]
-/// (arena + dispatch proof) across its entries. Shard runners are drawn
-/// from `runners` — which must only ever hold runners built from this
-/// `driver` — and returned to it afterwards, so a caller passing a
-/// persistent pool ([`CachedTunedGemm`]) pays runner construction once per
-/// group lifetime and a caller passing an empty vec once per batch.
+/// The entries are the parallel axis: a group with at least as many of
+/// them as the pool has workers deals them round-robin over one shard per
+/// worker, each entry running whole on its shard's [`gemm_blis::GemmRunner`]
+/// (arena + dispatch proof, reused across the shard's entries). A shorter
+/// group cannot occupy the pool that way, so its entries run one after
+/// another on one runner under the driver's own partition of `C`. Either
+/// way, entries that share a `B` read it from one image
+/// ([`pack_shared_b`]). Runners are drawn from `runners` — which must only
+/// ever hold runners built from this `driver` — and returned to it
+/// afterwards, and images are packed into `images`' buffers, so a caller
+/// passing persistent vecs ([`CachedTunedGemm`]) pays runner construction
+/// and image allocation once per lifetime and a caller passing empty ones
+/// once per batch.
 fn run_group<'a>(
     driver: &BlisGemm,
     entries: Vec<(usize, GemmProblem<'a>)>,
     out: &mut [Option<Result<GemmStats, GemmError>>],
     tally: &Tally,
     runners: &mut Vec<GemmRunner>,
+    images: &mut Vec<PackedB>,
 ) {
-    let mut small: Vec<(usize, GemmProblem<'a>)> = Vec::new();
-    let mut large: Vec<(usize, GemmProblem<'a>)> = Vec::new();
+    let mut valid: Vec<GroupEntry<'a>> = Vec::with_capacity(entries.len());
     for (idx, problem) in entries {
         match problem.dims() {
-            Ok((m, n, k)) if GemmStats::flops_for(m, n, k, problem.alpha) >= LARGE_FLOP_THRESHOLD => {
-                large.push((idx, problem));
-            }
-            Ok(_) => small.push((idx, problem)),
+            Ok(_) => valid.push((idx, problem, None)),
             Err(e) => out[idx] = Some(Err(e)),
         }
     }
-
-    for (idx, mut problem) in large {
-        out[idx] = Some(run_entry(driver, None, &mut problem, tally));
-    }
-
-    if small.is_empty() {
+    if valid.is_empty() {
         return;
     }
+    pack_shared_b(driver, &mut valid, images, tally);
+    let images: &[PackedB] = images;
     // A shard's runner comes from the warm pool when it has one; building
     // fresh is the counted cold path.
     let take_runner = |pooled: Option<GemmRunner>| {
@@ -300,18 +349,25 @@ fn run_group<'a>(
             driver.runner()
         })
     };
+    let run_shard = |runner: &mut GemmRunner, (idx, mut problem, image): GroupEntry<'a>, threads: usize| {
+        (idx, run_entry(driver, runner, &mut problem, image.map(|i| &images[i]), threads, tally))
+    };
     let pool = ThreadPool::global();
-    let shard_count = pool.workers().min(small.len());
-    if shard_count <= 1 {
+    let shard_count = pool.workers();
+    if shard_count == 1 || valid.len() < shard_count {
+        // One shard, on this thread. Too few entries to occupy the pool:
+        // each partitions its own `C` over it instead.
+        let threads = if valid.len() < shard_count { driver.threads } else { 1 };
         let mut runner = take_runner(runners.pop());
-        for (idx, mut problem) in small {
-            out[idx] = Some(run_entry(driver, Some(&mut runner), &mut problem, tally));
+        for entry in valid {
+            let (idx, result) = run_shard(&mut runner, entry, threads);
+            out[idx] = Some(result);
         }
         runners.push(runner);
         return;
     }
-    let mut shards: Vec<Vec<(usize, GemmProblem<'a>)>> = (0..shard_count).map(|_| Vec::new()).collect();
-    for (pos, entry) in small.into_iter().enumerate() {
+    let mut shards: Vec<Vec<GroupEntry<'a>>> = (0..shard_count).map(|_| Vec::new()).collect();
+    for (pos, entry) in valid.into_iter().enumerate() {
         shards[pos % shard_count].push(entry);
     }
     let mut shard_results: Vec<Vec<(usize, Result<GemmStats, GemmError>)>> =
@@ -321,7 +377,7 @@ fn run_group<'a>(
     // `None` — that runner is lost with the shard, never returned
     // half-valid.
     let mut slots: Vec<Option<GemmRunner>> = (0..shard_count).map(|_| runners.pop()).collect();
-    let take_runner = &take_runner;
+    let (take_runner, run_shard) = (&take_runner, &run_shard);
     let jobs: Vec<PoolJob<'_>> = shards
         .into_iter()
         .zip(shard_results.iter_mut())
@@ -329,8 +385,8 @@ fn run_group<'a>(
         .map(|((shard, results), slot)| {
             Box::new(move || {
                 let mut runner = take_runner(slot.take());
-                for (idx, mut problem) in shard {
-                    results.push((idx, run_entry(driver, Some(&mut runner), &mut problem, tally)));
+                for entry in shard {
+                    results.push(run_shard(&mut runner, entry, 1));
                 }
                 *slot = Some(runner);
             }) as PoolJob<'_>
@@ -370,19 +426,22 @@ fn collect_outcomes(out: Vec<Option<Result<GemmStats, GemmError>>>, tally: Tally
         retries: tally.retries.into_inner(),
         degraded_completions: tally.degraded.into_inner(),
         runners_built: tally.runner_builds.into_inner(),
+        b_images_packed: tally.b_images.into_inner(),
+        entries_on_shared_b: tally.shared_b_entries.into_inner(),
     }
 }
 
 impl GemmBatchExecutor for BlisGemm {
     /// One group: the driver's stored kernel and blocking serve every
-    /// entry, so the whole batch shares one kernel and per-shard runners
-    /// (rebuilt per batch — [`CachedTunedGemm`] is the executor that keeps
-    /// them across batches).
+    /// entry, so the whole batch shares one kernel, per-shard runners and
+    /// shared-`B` images (rebuilt per batch — [`CachedTunedGemm`] is the
+    /// executor that keeps them across batches).
     fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
         let entries = batch.into_problems();
         let mut out: Vec<Option<Result<GemmStats, GemmError>>> = (0..entries.len()).map(|_| None).collect();
         let tally = Tally::default();
-        run_group(self, entries.into_iter().enumerate().collect(), &mut out, &tally, &mut Vec::new());
+        let group = entries.into_iter().enumerate().collect();
+        run_group(self, group, &mut out, &tally, &mut Vec::new(), &mut Vec::new());
         collect_outcomes(out, tally)
     }
 }
@@ -401,6 +460,16 @@ struct GroupPool {
     runners: Vec<GemmRunner>,
 }
 
+/// Everything a [`CachedTunedGemm`] keeps warm, behind its one mutex.
+#[derive(Default)]
+struct WarmState {
+    pools: HashMap<GroupKey, GroupPool>,
+    /// The shared-`B` image buffers. One list for all groups — groups run
+    /// one after another and an image lives for one batch, so what stays
+    /// resident is the largest batch's images, not every group's.
+    images: Vec<PackedB>,
+}
+
 /// The tuned batch executor: a [`exo_tune::TunedGemm`] whose
 /// per-verdict-group machinery stays warm **across batches**. Entries are
 /// grouped by tuning verdict — kernel register tile plus blocking, the
@@ -410,21 +479,24 @@ struct GroupPool {
 /// pool, so a steady-state serving mix pays those costs once per shape
 /// family for the executor's lifetime instead of once per batch —
 /// [`BatchReport::runners_built`] is zero from the second batch of a
-/// repeated mix on. Results are bit-identical to per-entry
-/// [`exo_tune::TunedGemm::execute`] calls: a runner carries no numeric
-/// state, only warm capacity and proofs.
+/// repeated mix on. The buffers shared-`B` images are packed into persist
+/// the same way, so a steady-state batch that packs a weight matrix once
+/// for all its entries allocates nothing to do it. Results are
+/// bit-identical to per-entry [`exo_tune::TunedGemm::execute`] calls: a
+/// runner carries no numeric state, only warm capacity and proofs, and an
+/// image is repacked from the batch's own `B` every time.
 ///
-/// The pool is behind a mutex, taken once per batch — the service's
+/// The state is behind a mutex, taken once per batch — the service's
 /// single collector thread never contends on it.
 pub struct CachedTunedGemm {
     tuned: exo_tune::TunedGemm,
-    pools: Mutex<HashMap<GroupKey, GroupPool>>,
+    warm: Mutex<WarmState>,
 }
 
 impl CachedTunedGemm {
     /// Wraps a tuned executor with a cross-batch runner pool.
     pub fn new(tuned: exo_tune::TunedGemm) -> Self {
-        CachedTunedGemm { tuned, pools: Mutex::new(HashMap::new()) }
+        CachedTunedGemm { tuned, warm: Mutex::default() }
     }
 
     /// The wrapped executor.
@@ -434,13 +506,13 @@ impl CachedTunedGemm {
 
     /// Number of verdict groups with cached state.
     pub fn cached_groups(&self) -> usize {
-        self.pools.lock().expect("runner pool poisoned").len()
+        self.warm.lock().expect("runner pool poisoned").pools.len()
     }
 
     /// Total idle runners held across all groups (shards currently
     /// executing are not counted — they hold their runner).
     pub fn cached_runners(&self) -> usize {
-        self.pools.lock().expect("runner pool poisoned").values().map(|p| p.runners.len()).sum()
+        self.warm.lock().expect("runner pool poisoned").pools.values().map(|p| p.runners.len()).sum()
     }
 }
 
@@ -452,7 +524,8 @@ impl GemmBatchExecutor for CachedTunedGemm {
     /// exactly as `TunedGemm::execute` treats them.
     fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
         let tuned = &self.tuned;
-        let mut pools = self.pools.lock().expect("runner pool poisoned");
+        let mut warm = self.warm.lock().expect("runner pool poisoned");
+        let WarmState { pools, images } = &mut *warm;
         let entries = batch.into_problems();
         let mut out: Vec<Option<Result<GemmStats, GemmError>>> = (0..entries.len()).map(|_| None).collect();
         let tally = Tally::default();
@@ -510,14 +583,15 @@ impl GemmBatchExecutor for CachedTunedGemm {
             // Same driver TunedGemm::execute uses for untunable shapes.
             let driver = BlisGemm::new(gemm_blis::BlockingParams::carmel_defaults(8, 12))
                 .with_threads(tuned.threads());
+            let mut runner = driver.runner();
             for (idx, mut problem) in degenerate {
-                out[idx] = Some(run_entry(&driver, None, &mut problem, &tally));
+                out[idx] = Some(run_entry(&driver, &mut runner, &mut problem, None, driver.threads, &tally));
             }
         }
         for (key, group) in groups {
             let GroupPool { driver, runners } =
                 pools.get_mut(&key).expect("every pushed group has a pooled driver");
-            run_group(driver, group, &mut out, &tally, runners);
+            run_group(driver, group, &mut out, &tally, runners, images);
         }
         collect_outcomes(out, tally)
     }
@@ -526,7 +600,7 @@ impl GemmBatchExecutor for CachedTunedGemm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gemm_blis::{BlockingParams, GemmExecutor, Matrix};
+    use gemm_blis::{BlockingParams, GemmExecutor, MatRef, Matrix};
 
     fn fill(m: usize, n: usize, seed: usize) -> Matrix {
         Matrix::from_fn(m, n, |i, j| ((i * 7 + j * 3 + seed) % 13) as f32 * 0.25 - 1.0)
@@ -636,6 +710,165 @@ mod tests {
                 .unwrap();
             assert_eq!(c_plain.data, c_got.data, "entry {i}: cached executor vs per-call TunedGemm");
         }
+    }
+
+    /// One `k x n` weight matrix in one of the layouts a caller may hand
+    /// over, on the dyadic grid (products and sums exact in `f32`).
+    struct Weights {
+        data: Vec<f32>,
+        layout: &'static str,
+        k: usize,
+        n: usize,
+    }
+
+    const LAYOUTS: [&str; 3] = ["row-major", "op_b = T", "padded sub-view"];
+
+    impl Weights {
+        fn new(layout: &'static str, k: usize, n: usize, seed: usize) -> Weights {
+            let at = |p: usize, j: usize| ((p * 5 + j * 11 + seed) % 17) as f32 * 0.125 - 1.0;
+            let ld = n + 5;
+            let data = match layout {
+                "row-major" => Matrix::from_fn(k, n, at).data,
+                // Stored as the n x k transpose.
+                "op_b = T" => Matrix::from_fn(n, k, |j, p| at(p, j)).data,
+                // A window at (2, 3) of a (k + 3) x (n + 5) matrix of NaN.
+                _ => {
+                    Matrix::from_fn(k + 3, ld, |r, c| {
+                        if (2..k + 2).contains(&r) && (3..n + 3).contains(&c) {
+                            at(r - 2, c - 3)
+                        } else {
+                            f32::NAN
+                        }
+                    })
+                    .data
+                }
+            };
+            Weights { data, layout, k, n }
+        }
+
+        /// `C = A * op(B) + beta * C` over these weights.
+        fn problem<'a>(&'a self, a: &'a Matrix, c: &'a mut Matrix, beta: f32) -> GemmProblem<'a> {
+            let (k, n) = (self.k, self.n);
+            let (b, transposed) = match self.layout {
+                "row-major" => (MatRef::from_slice(&self.data, k, n), false),
+                "op_b = T" => (MatRef::from_slice(&self.data, n, k), true),
+                _ => (MatRef::with_strides(&self.data[2 * (n + 5) + 3..], k, n, n + 5, 1), false),
+            };
+            let problem = GemmProblem::new(a.view(), b, c.view_mut()).beta(beta);
+            if transposed {
+                problem.transpose_b()
+            } else {
+                problem
+            }
+        }
+    }
+
+    /// Runs `owners[e]`'s weights against activation `e` for every `e`, as
+    /// one batch and as a per-entry loop over the same driver, asserts the
+    /// two agree bit for bit, and returns the batch's report.
+    fn batch_vs_loop(
+        driver: &BlisGemm,
+        weights: &[Weights],
+        owners: &[usize],
+        m: usize,
+        beta: f32,
+    ) -> BatchReport {
+        let acts: Vec<Matrix> = owners.iter().enumerate().map(|(e, &w)| fill(m, weights[w].k, e)).collect();
+        // beta == 0 must never read C, so it starts as NaN.
+        let c0 = |e: usize, w: usize| {
+            Matrix::from_fn(m, weights[w].n, |i, j| {
+                if beta == 0.0 {
+                    f32::NAN
+                } else {
+                    ((i + j + e) % 5) as f32 * 0.5
+                }
+            })
+        };
+        let mut c_batch: Vec<Matrix> = owners.iter().enumerate().map(|(e, &w)| c0(e, w)).collect();
+        let mut batch = GemmBatch::new();
+        for ((a, c), &w) in acts.iter().zip(c_batch.iter_mut()).zip(owners) {
+            batch.push(weights[w].problem(a, c, beta));
+        }
+        let report = driver.gemm_batch(batch);
+        for (e, ((a, got), &w)) in acts.iter().zip(&c_batch).zip(owners).enumerate() {
+            report.outcomes[e].as_ref().expect("healthy entry");
+            let mut want = c0(e, w);
+            driver.gemm(weights[w].problem(a, &mut want, beta)).unwrap();
+            let bits = |c: &Matrix| c.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(got), bits(&want), "entry {e} ({}, beta {beta})", weights[w].layout);
+        }
+        report
+    }
+
+    #[test]
+    fn entries_sharing_a_b_pack_it_once_and_match_the_per_entry_loop() {
+        // Small blocking, so the shapes cross every edge of an image: two
+        // `jc` blocks, each ending in a fringe `nr` panel (n = 45 under
+        // nc = 40, nr = 12), a fringe `kc` block (k = 23 under kc = 16),
+        // and the single-block cases.
+        let driver = BlisGemm::new(BlockingParams { mc: 24, kc: 16, nc: 40, mr: 8, nr: 12 });
+        // (which weight matrix each of the 7 entries multiplies by, images
+        // packed, entries served from an image). Sharing is found among
+        // consecutive entries, so interleaved weights pack for themselves.
+        let sharings: [(&str, [usize; 7], u64, u64); 4] = [
+            ("all share", [0; 7], 1, 7),
+            ("none share", [0, 1, 2, 3, 4, 5, 6], 0, 0),
+            ("two weight matrices back to back", [0, 0, 0, 0, 1, 1, 1], 2, 7),
+            ("two weight matrices interleaved", [0, 1, 0, 1, 0, 1, 0], 0, 0),
+        ];
+        for layout in LAYOUTS {
+            for (m, n, k) in [(13usize, 45usize, 23usize), (30, 36, 16), (9, 7, 40), (5, 90, 33)] {
+                let weights: Vec<Weights> = (0..7).map(|w| Weights::new(layout, k, n, w)).collect();
+                for (sharing, owners, images, sharers) in sharings {
+                    for beta in [0.0f32, 0.75] {
+                        let report = batch_vs_loop(&driver, &weights, &owners, m, beta);
+                        assert_eq!(
+                            (report.b_images_packed, report.entries_on_shared_b),
+                            (images, sharers),
+                            "{layout}, {m}x{n}x{k}, {sharing}, beta {beta}"
+                        );
+                    }
+                }
+                // A pair: fewer entries than a pool of three or more
+                // workers, so there it runs under the driver's partition.
+                let report = batch_vs_loop(&driver.clone().with_threads(0), &weights, &[3, 3], m, 0.75);
+                assert_eq!((report.b_images_packed, report.entries_on_shared_b), (1, 2), "{layout}: a pair");
+            }
+        }
+    }
+
+    #[test]
+    fn the_same_storage_under_another_op_b_is_another_matrix() {
+        // A square B read plain by two entries and transposed by two more:
+        // one storage, two matrices, two images.
+        let driver = BlisGemm::new(BlockingParams { mc: 24, kc: 16, nc: 36, mr: 8, nr: 12 });
+        let (m, s) = (11usize, 29usize);
+        let b = fill(s, s, 3);
+        let acts: Vec<Matrix> = (0..4).map(|e| fill(m, s, e)).collect();
+        fn build<'a>(a: &'a Matrix, b: &'a Matrix, c: &'a mut Matrix, transposed: bool) -> GemmProblem<'a> {
+            let problem = GemmProblem::new(a.view(), b.view(), c.view_mut()).beta(0.0);
+            if transposed {
+                problem.transpose_b()
+            } else {
+                problem
+            }
+        }
+        let mut c_batch: Vec<Matrix> = (0..4).map(|_| Matrix::from_fn(m, s, |_, _| f32::NAN)).collect();
+        let mut batch = GemmBatch::new();
+        for (e, c) in c_batch.iter_mut().enumerate() {
+            batch.push(build(&acts[e], &b, c, e >= 2));
+        }
+        let report = driver.gemm_batch(batch);
+        assert_eq!((report.b_images_packed, report.entries_on_shared_b), (2, 4));
+        for (e, got) in c_batch.iter().enumerate() {
+            let mut want = Matrix::from_fn(m, s, |_, _| f32::NAN);
+            driver.gemm(build(&acts[e], &b, &mut want, e >= 2)).unwrap();
+            assert_eq!(got.data, want.data, "entry {e}");
+        }
+        assert_ne!(
+            c_batch[0].data, c_batch[2].data,
+            "B and its transpose must differ for this to test anything"
+        );
     }
 
     #[test]

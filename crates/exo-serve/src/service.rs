@@ -191,6 +191,12 @@ pub struct ServiceStats {
     pub degraded_completions: u64,
     /// Jobs whose queue deadline expired before execution.
     pub deadline_expired: u64,
+    /// `B` operands packed once for several jobs of a batch
+    /// ([`crate::BatchReport::b_images_packed`], summed over batches).
+    pub b_images_packed: u64,
+    /// Jobs that read their `B` from such an image
+    /// ([`crate::BatchReport::entries_on_shared_b`], summed over batches).
+    pub entries_on_shared_b: u64,
     /// Native kernels verified and promoted since this service was
     /// constructed (the engine counters are process-wide; the service
     /// reports deltas against its construction-time baseline).
@@ -216,6 +222,7 @@ impl std::fmt::Display for ServiceStats {
             "{} submitted / {} completed / {} failed in {} batches (largest {}); \
              queue high-water {}/{}; pool {} workers, {} tasks; {:.3} GFLOP total; \
              {} panics caught, {} retries, {} degraded, {} deadline-expired; \
+             {} shared-B images for {} jobs; \
              aot {} promoted, {} build-failures ({} timeouts, {} wrong-results); health {}",
             self.jobs_submitted,
             self.jobs_completed,
@@ -231,6 +238,8 @@ impl std::fmt::Display for ServiceStats {
             self.retries,
             self.degraded_completions,
             self.deadline_expired,
+            self.b_images_packed,
+            self.entries_on_shared_b,
             self.aot_promotions,
             self.aot_builds_failed,
             self.aot_compile_timeouts,
@@ -254,6 +263,8 @@ struct Counters {
     retries: AtomicU64,
     degraded_jobs: AtomicU64,
     deadline_expired: AtomicU64,
+    b_images: AtomicU64,
+    shared_b_entries: AtomicU64,
     health: AtomicU8,
     /// The process-wide AOT engine counters at service construction.
     /// Engine counters span every engine user in the process, so the
@@ -561,6 +572,8 @@ impl GemmService {
             retries: self.counters.retries.load(Ordering::Relaxed),
             degraded_completions: self.counters.degraded_jobs.load(Ordering::Relaxed),
             deadline_expired: self.counters.deadline_expired.load(Ordering::Relaxed),
+            b_images_packed: self.counters.b_images.load(Ordering::Relaxed),
+            entries_on_shared_b: self.counters.shared_b_entries.load(Ordering::Relaxed),
             aot_promotions,
             aot_builds_failed,
             aot_compile_timeouts,
@@ -669,6 +682,8 @@ fn collector_loop<E: GemmBatchExecutor>(
         counters.panics.fetch_add(report.panics_caught, Ordering::Relaxed);
         counters.retries.fetch_add(report.retries, Ordering::Relaxed);
         counters.degraded_jobs.fetch_add(report.degraded_completions, Ordering::Relaxed);
+        counters.b_images.fetch_add(report.b_images_packed, Ordering::Relaxed);
+        counters.shared_b_entries.fetch_add(report.entries_on_shared_b, Ordering::Relaxed);
         if report.panics_caught > 0 || report.degraded_completions > 0 {
             counters.raise_health(ServiceHealth::Degraded);
         }

@@ -16,13 +16,16 @@
 //! There is one engine. A [`GemmRunner`] owns what one pass of the five
 //! loops needs — blocking, a prove-once [`KernelDispatch`], a
 //! [`crate::packing::PackArena`], and the staged `C` tile — and runs them
-//! over a `(rows, cols)` window of `C`. A one-thread GEMM is that engine
-//! over the whole of `C`. A threaded GEMM ([`BlisGemm::with_threads`])
-//! partitions `C` into disjoint windows — contiguous runs of whole `mc` row
-//! blocks, or of whole `nc` column blocks when the problem is wide and short
-//! — and runs the same engine once per window on the shared pool, each
-//! worker packing its own operands. Every `C` element is computed by exactly
-//! one worker in the sequential `pc` order, so the result is bit-for-bit
+//! over a `(rows, cols)` window of `C`, taking `op(B)` either as a strided
+//! view it packs block by block or as a [`PackedB`] image, packed once for
+//! every GEMM that shares the matrix, whose blocks it slices. A one-thread
+//! GEMM is that engine over the whole of `C`. A threaded GEMM
+//! ([`BlisGemm::with_threads`]) partitions `C` into disjoint windows —
+//! contiguous runs of whole `mc` row blocks, or of whole `nc` column blocks
+//! when the problem is wide and short — and runs the same engine once per
+//! window on the shared pool, each worker packing its own operands (or
+//! slicing the one image). Every `C` element is computed by exactly one
+//! worker in the sequential `pc` order, so the result is bit-for-bit
 //! identical for any thread count.
 //!
 //! Correctness for arbitrary (including fringe) problem sizes is the point;
@@ -33,7 +36,7 @@ use std::ops::Range;
 
 use crate::baselines::{neon_intrinsics_kernel, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
-use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena};
+use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena, PackedB};
 use crate::pool::{PoolJob, ThreadPool};
 use crate::problem::{GemmExecutor, GemmProblem, GemmStats};
 use crate::views::{MatMut, MatRef};
@@ -272,6 +275,14 @@ impl BlisGemm {
         GemmRunner::new(self.blocking, &self.kernel)
     }
 
+    /// Packs the whole of `b` — the effective, op-applied `k x n` operand —
+    /// into `image`, in the layout this driver's runners slice
+    /// ([`GemmRunner::run`]): its blocking's `kc` / `nc`, its stored
+    /// kernel's `nr`.
+    pub fn pack_b(&self, b: MatRef<'_>, image: &mut PackedB) {
+        image.pack(b, &tile_blocking(self.blocking, &self.kernel));
+    }
+
     /// Solves a [`GemmProblem`] with an explicitly supplied micro-kernel
     /// (the stored one is ignored): the full-control entry point behind the
     /// [`GemmExecutor`] impl, used by harnesses that sweep kernels over one
@@ -287,11 +298,7 @@ impl BlisGemm {
     /// Returns [`GemmError::ShapeMismatch`] if the view dimensions are
     /// inconsistent, and propagates micro-kernel failures.
     pub fn gemm_with(&self, kernel: &KernelImpl, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        let threads = match self.threads {
-            0 => ThreadPool::global().workers(),
-            t => t,
-        };
-        GemmRunner::new(self.blocking, kernel).run(problem, threads)
+        GemmRunner::new(self.blocking, kernel).run(problem, None, self.threads)
     }
 }
 
@@ -311,6 +318,8 @@ impl GemmExecutor for BlisGemm {
 /// `exo-serve` batch executor keeps one per shard so a batch pays dispatch
 /// construction, bounds proofs, and arena growth once instead of per entry.
 /// Results are bit-identical either way — same packing, same op order.
+/// The arena holds only what the runner has had to pack: one that has
+/// only ever read `B` from [`PackedB`] images has no `Bc` buffer at all.
 /// Built with [`BlisGemm::runner`].
 pub struct GemmRunner {
     /// The driver's blocking with `mr`/`nr` replaced by the kernel's tile.
@@ -323,18 +332,41 @@ pub struct GemmRunner {
 /// A `(rows, cols)` window of `C`: the unit of work of one engine pass.
 type Window = (Range<usize>, Range<usize>);
 
+/// Where an engine pass reads `op(B)` from.
+#[derive(Clone, Copy)]
+enum BOperand<'a> {
+    /// The effective `k x n` view: each `(jc, pc)` block is packed into the
+    /// runner's `Bc` buffer as the loops reach it.
+    View(MatRef<'a>),
+    /// An image packed ahead of the call for this runner's blocking
+    /// ([`PackedB::check`] passed): blocks are sliced, nothing is packed.
+    Packed(&'a PackedB),
+}
+
+/// `blocking` with `mr`/`nr` replaced by the kernel's register tile. Panels
+/// are shaped by the *kernel's* tile, which the blocking's need not match
+/// (callers may pair a generic blocking with any kernel), so arenas and
+/// images are sized for the tile that will actually be packed.
+fn tile_blocking(blocking: BlockingParams, kernel: &KernelImpl) -> BlockingParams {
+    BlockingParams { mr: kernel.mr, nr: kernel.nr, ..blocking }
+}
+
 impl GemmRunner {
     fn new(blocking: BlockingParams, kernel: &KernelImpl) -> Self {
-        // Panels are shaped by the *kernel's* register tile, which the
-        // blocking's mr/nr need not match (callers may pair a generic
-        // blocking with any kernel), so the arena is sized for the tile
-        // that will actually be packed.
-        let (mr, nr) = (kernel.mr, kernel.nr);
         GemmRunner {
-            blocking: BlockingParams { mr, nr, ..blocking },
+            blocking: tile_blocking(blocking, kernel),
             dispatch: kernel.dispatcher(),
             arena: PackArena::empty(),
-            c_tile: vec![0.0f32; mr * nr],
+            c_tile: vec![0.0f32; kernel.mr * kernel.nr],
+        }
+    }
+
+    /// Grows the arena for an `m x n x k` pass: `Ac` always, `Bc` only
+    /// when this runner is the one packing `B`.
+    fn reserve(&mut self, b: BOperand<'_>, m: usize, n: usize, k: usize) {
+        match b {
+            BOperand::View(_) => self.arena.ensure_for_problem(&self.blocking, m, n, k),
+            BOperand::Packed(_) => self.arena.ensure_a(&self.blocking, m, k),
         }
     }
 
@@ -345,16 +377,40 @@ impl GemmRunner {
     /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
     /// for inconsistent dimensions, micro-kernel failures propagated.
     pub fn gemm(&mut self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        self.run(problem, 1)
+        self.run(problem, None, 1)
     }
 
-    /// Solves one problem on up to `threads` pool workers: partition `C`,
-    /// run the engine once per window. This runner serves the first
-    /// window; the other workers get runners built for the call.
-    fn run(&mut self, problem: GemmProblem<'_>, threads: usize) -> Result<GemmStats, GemmError> {
+    /// Solves one problem on up to `threads` workers of the shared pool
+    /// (`0` = its full width): partition `C`, run the engine once per
+    /// window. This runner serves the first window; the other workers get
+    /// runners built for the call.
+    ///
+    /// With `packed_b`, `op(B)` is read from the image instead of
+    /// `problem.b`, which then only states the shape: no window packs `B`,
+    /// and the result is bit-identical to the run that packs — provided
+    /// the image was packed from that `B` ([`BlisGemm::pack_b`]), which is
+    /// the caller's contract.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`BlisGemm::gemm`], plus
+    /// [`GemmError::ShapeMismatch`] for an image that is not this problem's
+    /// `k x n` packed for this runner's blocking.
+    pub fn run(
+        &mut self,
+        problem: GemmProblem<'_>,
+        packed_b: Option<&PackedB>,
+        threads: usize,
+    ) -> Result<GemmStats, GemmError> {
         let (m, n, k) = problem.dims()?;
         let a = problem.op_a.apply(problem.a);
-        let b = problem.op_b.apply(problem.b);
+        let b = match packed_b {
+            Some(image) => {
+                image.check(k, n, &self.blocking)?;
+                BOperand::Packed(image)
+            }
+            None => BOperand::View(problem.op_b.apply(problem.b)),
+        };
         let (alpha, beta) = (problem.alpha, problem.beta);
         let mut c = problem.c;
         let mut stats = GemmStats {
@@ -386,6 +442,10 @@ impl GemmRunner {
             // is touched by two threads.
             unsafe { gemm_arena_sequential(runner, a, b, c_raw, window, alpha, beta) }
         };
+        let threads = match threads {
+            0 => ThreadPool::global().workers(),
+            t => t,
+        };
         let mut windows = partition(m, n, &self.blocking, threads);
         if windows.len() == 1 {
             run_window(self, windows.next().expect("one window"))?;
@@ -405,7 +465,7 @@ impl GemmRunner {
                 // the buffers come from (and go back to) one allocator
                 // arena instead of leaving a block-sized chunk cached in
                 // every pool thread's.
-                runner.arena.ensure_for_problem(&runner.blocking, window.0.len(), window.1.len(), k);
+                runner.reserve(b, window.0.len(), window.1.len(), k);
                 Box::new(move || *result = run_window(runner, window)) as PoolJob<'_>
             })
             .collect();
@@ -445,12 +505,12 @@ fn partition(
     })
 }
 
-/// The five loops of Fig. 1 over one window of `C`: loops L1/L2 pack the
-/// `Bc` blocks of the window's columns, loop L3 sends the window's rows
-/// through [`run_ic_block`]. This is the only `jc`/`pc`/`ic` nest in the
-/// crate — a one-thread GEMM passes the whole of `C`, each worker of a
-/// threaded GEMM its own window — so every path produces identical bits by
-/// construction.
+/// The five loops of Fig. 1 over one window of `C`: loops L1/L2 pack — or,
+/// from a [`PackedB`] image, slice — the `Bc` blocks of the window's
+/// columns, loop L3 sends the window's rows through [`run_ic_block`]. This
+/// is the only `jc`/`pc`/`ic` nest in the crate — a one-thread GEMM passes
+/// the whole of `C`, each worker of a threaded GEMM its own window — so
+/// every path produces identical bits by construction.
 ///
 /// # Safety
 ///
@@ -460,7 +520,7 @@ fn partition(
 unsafe fn gemm_arena_sequential(
     run: &mut GemmRunner,
     a: MatRef<'_>,
-    b: MatRef<'_>,
+    b: BOperand<'_>,
     c: RawMat,
     (rows, cols): Window,
     alpha: f32,
@@ -468,7 +528,7 @@ unsafe fn gemm_arena_sequential(
 ) -> Result<(), GemmError> {
     let k = a.cols();
     let BlockingParams { mc, kc, nc, nr, .. } = run.blocking;
-    run.arena.ensure_for_problem(&run.blocking, rows.len(), cols.len(), k);
+    run.reserve(b, rows.len(), cols.len(), k);
     // Split-borrowed so the packed Bc prefix can stay live while Ac blocks
     // are repacked.
     let (a_buf, b_buf) = run.arena.buffers();
@@ -481,8 +541,16 @@ unsafe fn gemm_arena_sequential(
         let mut pc = 0;
         while pc < k {
             let kc_eff = kc.min(k - pc);
-            let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
-            pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
+            let packed_b = match b {
+                BOperand::View(b) => {
+                    let packed = &mut b_buf[..nc_eff.div_ceil(nr) * kc_eff * nr];
+                    pack_b_into(packed, b, pc, jc, kc_eff, nc_eff, nr);
+                    &*packed
+                }
+                // Windows start on `nc` boundaries, so theirs are the
+                // image's blocks.
+                BOperand::Packed(image) => image.block(jc, pc),
+            };
             // Loop L3: rows of C / A.
             let mut ic = rows.start;
             while ic < rows.end {
@@ -497,7 +565,7 @@ unsafe fn gemm_arena_sequential(
                         pc,
                         mc_eff,
                         kc_eff,
-                        &b_buf[..b_len],
+                        packed_b,
                         nc_eff,
                         jc,
                         c,
@@ -847,6 +915,63 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_packed_b_image_is_the_engines_own_blocks_and_only_fits_its_blocking() {
+        let kernel = neon_intrinsics_kernel();
+        // nc is not a whole number of nr panels, so full blocks pad too.
+        let blocking = BlockingParams { mc: 16, kc: 16, nc: 40, mr: kernel.mr, nr: kernel.nr };
+        let driver = BlisGemm::new(blocking);
+        // Wide-and-short and tall: the threaded runs below split columns
+        // for the first and rows for the second.
+        for (m, n, k) in [(8usize, 90usize, 23usize), (70, 45, 33)] {
+            let a = Matrix::from_fn(m, k, |i, j| ((i * 5 + j * 7 + 1) % 11) as f32 * 0.25 - 1.0);
+            let stored = Matrix::from_fn(n, k, |i, j| ((i * 3 + j * 13 + 2) % 17) as f32 * 0.125 - 1.0);
+            // op(B) = T over the n x k storage: the image packs the
+            // effective k x n operand.
+            let b = stored.view().t();
+            let mut image = PackedB::default();
+            driver.pack_b(b, &mut image);
+            let mut blocks = Vec::new();
+            for jc in (0..n).step_by(blocking.nc) {
+                let nc_eff = blocking.nc.min(n - jc);
+                for pc in (0..k).step_by(blocking.kc) {
+                    let kc_eff = blocking.kc.min(k - pc);
+                    let mut block = vec![f32::NAN; nc_eff.div_ceil(kernel.nr) * kc_eff * kernel.nr];
+                    pack_b_into(&mut block, b, pc, jc, kc_eff, nc_eff, kernel.nr);
+                    assert_eq!(image.block(jc, pc), &block[..], "{m}x{n}x{k}: block ({jc}, {pc})");
+                    blocks.extend(block);
+                }
+            }
+            assert_eq!(image.as_slice(), &blocks[..], "{m}x{n}x{k}");
+
+            let c0 = Matrix::from_fn(m, n, |i, j| ((i * 2 + j) % 5) as f32 * 0.5 - 1.0);
+            fn build<'x>(a: &'x Matrix, stored: &'x Matrix, c: &'x mut Matrix) -> GemmProblem<'x> {
+                GemmProblem::new(a.view(), stored.view(), c.view_mut()).transpose_b().beta(0.75)
+            }
+            let mut c_view = c0.clone();
+            driver.gemm(build(&a, &stored, &mut c_view)).unwrap();
+            let mut runner = driver.runner();
+            for threads in [1usize, 3] {
+                let mut c_image = c0.clone();
+                runner.run(build(&a, &stored, &mut c_image), Some(&image), threads).unwrap();
+                assert_eq!(c_image.data, c_view.data, "{m}x{n}x{k}, {threads} threads");
+            }
+            assert_eq!(runner.arena.b_capacity(), 0, "a runner served from images packs no B");
+
+            // Packed for another kc, or holding another matrix: refused
+            // before anything is sliced, and C is untouched.
+            let mut other = PackedB::default();
+            BlisGemm::new(BlockingParams { kc: 8, ..blocking }).pack_b(b, &mut other);
+            let mut c = c0.clone();
+            let refused = runner.run(build(&a, &stored, &mut c), Some(&other), 1);
+            assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{refused:?}");
+            driver.pack_b(b.submatrix(0, 0, k, n - 1), &mut other);
+            let refused = runner.run(build(&a, &stored, &mut c), Some(&other), 1);
+            assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{refused:?}");
+            assert_eq!(c.data, c0.data);
         }
     }
 

@@ -21,10 +21,13 @@
 //! * anything else → a scalar stride walk.
 //!
 //! [`pack_a_into`]/[`pack_b_into`] write into caller-owned buffers — in the
-//! driver, the [`PackArena`] each engine instance grows once and reuses.
+//! driver, the [`PackArena`] each engine instance grows once and reuses, or
+//! a [`PackedB`]: the whole of `op(B)` packed once, ahead of the five loops,
+//! for every GEMM that multiplies by the same matrix.
 
 use crate::blocking::BlockingParams;
 use crate::views::MatRef;
+use crate::GemmError;
 
 /// Tile edge of the blocked-transpose gather: big enough that a packed tile
 /// spans a cache line of the destination, small enough that `T` source rows
@@ -180,7 +183,9 @@ pub fn b_panel(packed: &[f32], jr: usize, kc_eff: usize, nr: usize) -> &[f32] {
 /// Reusable packing buffers: one packed `Ac` block and one packed `Bc`
 /// block, sized at the blocking-derived maximum block sizes (clamped to the
 /// problem) so the `pack_*_into` calls of every `(jc, pc, ic)` iteration
-/// write in place and the block loops allocate nothing.
+/// write in place and the block loops allocate nothing. Each buffer exists
+/// only once its owner has packed that operand: an engine whose `B` always
+/// arrives as a [`PackedB`] image keeps `Ac` alone.
 #[derive(Debug, Clone)]
 pub struct PackArena {
     a: Vec<f32>,
@@ -213,14 +218,20 @@ impl PackArena {
     /// reads, so the old contents are dead, and a fresh zeroed allocation
     /// costs no copy and (for block-sized buffers) no memset.
     pub fn ensure_for_problem(&mut self, blocking: &BlockingParams, m: usize, n: usize, k: usize) {
-        let kc = blocking.kc.min(k.max(1));
-        let a_len = blocking.mc.min(m.max(1)).div_ceil(blocking.mr) * blocking.mr * kc;
-        let b_len = blocking.nc.min(n.max(1)).div_ceil(blocking.nr) * blocking.nr * kc;
-        if self.a.len() < a_len {
-            self.a = vec![0.0; a_len];
-        }
+        self.ensure_a(blocking, m, k);
+        let b_len = blocking.nc.min(n.max(1)).div_ceil(blocking.nr) * blocking.nr * blocking.kc.min(k.max(1));
         if self.b.len() < b_len {
             self.b = vec![0.0; b_len];
+        }
+    }
+
+    /// The `Ac` half of [`PackArena::ensure_for_problem`]: all a problem
+    /// needs whose `B` arrives as a [`PackedB`] image, so an engine served
+    /// from images never holds a `Bc` buffer.
+    pub(crate) fn ensure_a(&mut self, blocking: &BlockingParams, m: usize, k: usize) {
+        let a_len = blocking.mc.min(m.max(1)).div_ceil(blocking.mr) * blocking.mr * blocking.kc.min(k.max(1));
+        if self.a.len() < a_len {
+            self.a = vec![0.0; a_len];
         }
     }
 
@@ -274,6 +285,100 @@ impl PackArena {
         let len = nc_eff.div_ceil(nr) * kc_eff * nr;
         pack_b_into(&mut self.b[..len], b, pc, jc, kc_eff, nc_eff, nr);
         &self.b[..len]
+    }
+}
+
+/// The whole of a `k x n` `op(B)` packed ahead of the five loops: every
+/// `(jc, pc)` block exactly as [`pack_b_into`] writes it, concatenated in
+/// the order the engine visits them (`jc` outer, `pc` inner), and stamped
+/// with the `(k, n, kc, nc, nr)` it was packed for.
+///
+/// GEMMs that multiply by one `B` under one blocking — a layer's weights
+/// against a batch of activations — share an image instead of each packing
+/// `B` for itself: [`crate::GemmRunner::run`] slices the image's blocks
+/// where it would otherwise pack them, so the bits are those of the
+/// per-call run. The engine refuses an image whose stamp does not match
+/// the problem and its own blocking; that the image was packed from the
+/// problem's `B` is the caller's contract (a stale image computes with the
+/// matrix it was packed from). The buffer grows on demand and is never
+/// shrunk, so one image repacked batch after batch allocates only when a
+/// `B` is larger than every one before it. The default image is of
+/// nothing and holds no buffer until [`crate::BlisGemm::pack_b`] fills it.
+#[derive(Debug, Clone, Default)]
+pub struct PackedB {
+    /// The buffer; the image is its first `len` elements.
+    data: Vec<f32>,
+    len: usize,
+    k: usize,
+    n: usize,
+    kc: usize,
+    nc: usize,
+    nr: usize,
+}
+
+/// `cols` rounded up to whole `nr`-column panels.
+fn padded(cols: usize, nr: usize) -> usize {
+    cols.div_ceil(nr) * nr
+}
+
+impl PackedB {
+    /// Packs the whole of `b` — the *effective*, op-applied `k x n` view —
+    /// for `blocking`'s `kc`, `nc` and `nr`, replacing what the image held.
+    /// Reached through [`crate::BlisGemm::pack_b`], which supplies the
+    /// blocking its runners will check the image against.
+    pub(crate) fn pack(&mut self, b: MatRef<'_>, blocking: &BlockingParams) {
+        let (k, n) = (b.rows(), b.cols());
+        let BlockingParams { kc, nc, nr, .. } = *blocking;
+        let len = (n / nc * padded(nc, nr) + padded(n % nc, nr)) * k;
+        if self.data.len() < len {
+            // Replaced, not extended, for the reasons `PackArena` gives.
+            self.data = vec![0.0; len];
+        }
+        (self.len, self.k, self.n, self.kc, self.nc, self.nr) = (len, k, n, kc, nc, nr);
+        let mut rest = &mut self.data[..len];
+        for jc in (0..n).step_by(nc) {
+            let nc_eff = nc.min(n - jc);
+            for pc in (0..k).step_by(kc) {
+                let kc_eff = kc.min(k - pc);
+                let (block, tail) = rest.split_at_mut(padded(nc_eff, nr) * kc_eff);
+                pack_b_into(block, b, pc, jc, kc_eff, nc_eff, nr);
+                rest = tail;
+            }
+        }
+    }
+
+    /// The packed elements: the [`pack_b_into`] blocks in `(jc, pc)` order.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data[..self.len]
+    }
+
+    /// Whether this image is a `k x n` matrix packed for `blocking`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GemmError::ShapeMismatch`] naming both sides when it is not.
+    pub(crate) fn check(&self, k: usize, n: usize, blocking: &BlockingParams) -> Result<(), GemmError> {
+        let BlockingParams { kc, nc, nr, .. } = *blocking;
+        if (self.k, self.n, self.kc, self.nc, self.nr) == (k, n, kc, nc, nr) {
+            return Ok(());
+        }
+        Err(GemmError::ShapeMismatch {
+            what: format!(
+                "packed B is {}x{} in (kc, nc, nr) = ({}, {}, {}) blocks, the GEMM needs {k}x{n} in ({kc}, {nc}, {nr})",
+                self.k, self.n, self.kc, self.nc, self.nr
+            ),
+        })
+    }
+
+    /// The packed block whose top-left corner is `(pc, jc)`, both whole
+    /// multiples of the image's `kc` / `nc`.
+    pub(crate) fn block(&self, jc: usize, pc: usize) -> &[f32] {
+        debug_assert!(jc.is_multiple_of(self.nc) && pc.is_multiple_of(self.kc) && jc < self.n && pc < self.k);
+        let width = padded(self.nc.min(self.n - jc), self.nr);
+        // Every block before this `jc` is full width; inside it, the `pc`
+        // blocks before this one hold `pc` rows of `width`.
+        let base = jc / self.nc * padded(self.nc, self.nr) * self.k + width * pc;
+        &self.data[base..base + width * self.kc.min(self.k - pc)]
     }
 }
 

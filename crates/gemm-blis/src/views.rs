@@ -158,6 +158,19 @@ impl<'a> MatRef<'a> {
         self.data[i * self.row_stride + j * self.col_stride]
     }
 
+    /// Whether `other` is this very view: the same storage address read
+    /// through the same dimensions and strides, so element `(i, j)` of one
+    /// *is* element `(i, j)` of the other. (Equal contents at different
+    /// addresses are not the same view; neither is a view and its
+    /// transpose.) Both borrows hold their storage immutably, so views
+    /// found identical stay identical for as long as both live.
+    #[inline]
+    pub fn same_view(&self, other: &MatRef<'_>) -> bool {
+        std::ptr::eq(self.data.as_ptr(), other.data.as_ptr())
+            && (self.rows, self.cols, self.row_stride, self.col_stride)
+                == (other.rows, other.cols, other.row_stride, other.col_stride)
+    }
+
     /// The transpose, by swapping dimensions and strides — zero cost, no
     /// data moves.
     #[inline]

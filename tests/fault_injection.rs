@@ -265,6 +265,151 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
     assert!(wait_or_hang(&clean).is_ok());
 }
 
+/// Activations for `entries` GEMMs against one borrowed `k x n` weight
+/// matrix: `(A_e, C_e)` pairs, the `C`s poisoned when `beta == 0` must never
+/// read them.
+fn shared_weight_operands(
+    entries: usize,
+    (m, n, k): (usize, usize, usize),
+    beta: f32,
+) -> (OwnedMat, Vec<(OwnedMat, OwnedMat)>) {
+    let weights = OwnedMat::from_fn(k, n, |i, j| ((i * 5 + j * 11 + 4) % 17) as f32 * 0.125 - 1.0);
+    let pairs = (0..entries)
+        .map(|e| {
+            let a = OwnedMat::from_fn(m, k, move |i, j| ((i * 7 + j * 3 + e) % 13) as f32 * 0.25 - 1.0);
+            let c = OwnedMat::from_fn(m, n, move |i, j| {
+                if beta == 0.0 {
+                    f32::NAN
+                } else {
+                    ((i + 2 * j + e) % 7) as f32 * 0.5 - 1.0
+                }
+            });
+            (a, c)
+        })
+        .collect();
+    (weights, pairs)
+}
+
+/// One batch of every `(A_e, C_e)` against the borrowed `weights`.
+fn shared_weight_batch<'a>(
+    weights: &'a OwnedMat,
+    pairs: &'a mut [(OwnedMat, OwnedMat)],
+    beta: f32,
+) -> GemmBatch<'a> {
+    pairs
+        .iter_mut()
+        .map(|(a, c)| exo_gemm::GemmProblem::new(a.view(), weights.view(), c.view_mut()).beta(beta))
+        .collect()
+}
+
+/// Entry-level faults on entries riding a shared `B` image resolve exactly
+/// as they do on entries that pack for themselves: with `beta == 0` the
+/// panicked and the declined entry each retry once, one tier down (the
+/// retry packs its own `B`), and complete degraded; with `beta != 0`
+/// neither retries and each fails alone. Their neighbours — on the same
+/// image — complete bit-identical to the clean per-call run either way.
+#[test]
+fn entry_faults_on_a_shared_b_image_stay_with_their_entry() {
+    let _guard = serial();
+    fault::disarm();
+    let driver = driver();
+    const N: usize = 6;
+    let shape = (24, 40, 48);
+    for beta in [0.0f32, 1.0] {
+        let (weights, mut pairs) = shared_weight_operands(N, shape, beta);
+        let refs: Vec<OwnedMat> = pairs
+            .iter()
+            .map(|(a, c)| {
+                let mut c = c.clone();
+                driver
+                    .gemm(exo_gemm::GemmProblem::new(a.view(), weights.view(), c.view_mut()).beta(beta))
+                    .expect("reference gemm");
+                c
+            })
+            .collect();
+
+        FaultPlan::new().entry_panic(3).decline(4).arm();
+        let report = driver.gemm_batch(shared_weight_batch(&weights, &mut pairs, beta));
+        fault::disarm();
+
+        assert_eq!((report.b_images_packed, report.entries_on_shared_b), (1, N as u64), "beta {beta}");
+        assert_eq!(report.panics_caught, 1, "beta {beta}");
+        let retried = if beta == 0.0 { 2 } else { 0 };
+        assert_eq!((report.retries, report.degraded_completions), (retried, retried), "beta {beta}");
+        let (mut degraded, mut panicked, mut declined) = (0, 0, 0);
+        for (idx, ((_, c), outcome)) in pairs.iter().zip(&report.outcomes).enumerate() {
+            let who = format!("beta {beta}, entry {idx}");
+            match outcome {
+                Ok(stats) if stats.degraded => {
+                    degraded += 1;
+                    assert_close(c, &refs[idx], &who);
+                }
+                Ok(_) => assert_bits(c, &refs[idx], &who),
+                Err(GemmError::JobPanicked { .. }) => panicked += 1,
+                Err(GemmError::Kernel { .. }) => declined += 1,
+                Err(other) => panic!("{who}: unexpected error {other:?}"),
+            }
+        }
+        let want = if beta == 0.0 { (2, 0, 0) } else { (0, 1, 1) };
+        assert_eq!((degraded, panicked, declined), want, "beta {beta}: (degraded, panicked, declined)");
+    }
+}
+
+/// A pool-level panic kills one shard of a batch whose entries all ride one
+/// shared `B` image: exactly the entries dealt to that shard fail (it never
+/// reached them), every other entry completes bit-identical to the clean
+/// run, and the next batch on the same executor — same pooled runners, same
+/// pooled image buffer — is whole and bit-identical again. (On a one-worker
+/// pool the single shard runs on the calling thread, no pool job exists,
+/// and nothing fails.)
+#[test]
+fn a_dead_shard_fails_only_its_entries_and_the_shared_image_serves_the_next_batch() {
+    use exo_gemm::exo_serve::{CachedTunedGemm, ThreadPool};
+    let _guard = serial();
+    fault::disarm();
+    let executor = CachedTunedGemm::new(exo_gemm::exo_tune::TunedGemm::new());
+    const N: usize = 7;
+    let (weights, mut pairs) = shared_weight_operands(N, (24, 40, 48), 0.0);
+    let pristine = pairs.clone();
+    let run = |pairs: &mut Vec<(OwnedMat, OwnedMat)>| {
+        *pairs = pristine.clone();
+        executor.gemm_batch(shared_weight_batch(&weights, pairs, 0.0))
+    };
+
+    let clean = run(&mut pairs);
+    assert!(clean.outcomes.iter().all(Result::is_ok), "clean batch");
+    assert_eq!((clean.b_images_packed, clean.entries_on_shared_b), (1, N as u64));
+    let refs: Vec<OwnedMat> = pairs.iter().map(|(_, c)| c.clone()).collect();
+
+    FaultPlan::new().pool_panic(1).arm();
+    let hit = run(&mut pairs);
+    fault::disarm();
+    let workers = ThreadPool::global().workers();
+    let failed: Vec<usize> = (0..N).filter(|&e| hit.outcomes[e].is_err()).collect();
+    if workers == 1 || workers > N {
+        assert!(failed.is_empty(), "no shard is a pool job at {workers} workers: {failed:?}");
+    } else {
+        // Entries are dealt round-robin, so a shard is a residue class.
+        let shard = failed.first().expect("the armed pool job was a shard") % workers;
+        assert_eq!(failed, (shard..N).step_by(workers).collect::<Vec<_>>(), "exactly one shard's entries");
+        assert_eq!(hit.panics_caught, 1);
+    }
+    for (e, ((_, c), outcome)) in pairs.iter().zip(&hit.outcomes).enumerate() {
+        match outcome {
+            Ok(_) => assert_bits(c, &refs[e], &format!("survivor {e}")),
+            Err(GemmError::JobPanicked { .. }) => {}
+            Err(other) => panic!("entry {e}: unexpected error {other:?}"),
+        }
+    }
+
+    let after = run(&mut pairs);
+    assert!(after.outcomes.iter().all(Result::is_ok), "the batch after the fault is whole");
+    assert_eq!((after.b_images_packed, after.entries_on_shared_b), (1, N as u64));
+    for (e, (_, c)) in pairs.iter().enumerate() {
+        assert_bits(c, &refs[e], &format!("after the fault, entry {e}"));
+    }
+}
+
 /// Collector death is the worst case: the service flips to `Failed`,
 /// every outstanding handle resolves with `ServiceShutdown` (no hangs),
 /// later submissions are refused with the job handed back, and the books

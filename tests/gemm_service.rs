@@ -12,6 +12,10 @@
 //! * Runner-reuse: a [`CachedTunedGemm`] executor builds runners
 //!   (dispatch, arena, accumulator tile) on the cold batch only — warm
 //!   batches of the same shapes report `runners_built == 0`.
+//! * Shared weights: entries of a batch that borrow one `B` pack it once
+//!   (`b_images_packed` / `entries_on_shared_b`), bit-identical to
+//!   per-call `TunedGemm::execute`; jobs that own their operands never
+//!   share.
 
 mod common;
 
@@ -21,7 +25,7 @@ use exo_gemm::exo_serve::{
 };
 use exo_gemm::exo_tune::TunedGemm;
 use exo_gemm::gemm_blis::{BlisGemm, BlockingParams};
-use exo_gemm::{GemmExecutor, Op};
+use exo_gemm::{GemmExecutor, GemmProblem, Op};
 
 /// Re-homes a randomly laid-out operand into an owned job operand with the
 /// exact same stride map (padding garbage included).
@@ -67,7 +71,7 @@ impl Case {
         let mut c_seq = Stored { data: c0.data.clone(), ..c0 };
         executor
             .gemm(
-                exo_gemm::GemmProblem::new(a.view(), b.view(), c_seq.view_mut())
+                GemmProblem::new(a.view(), b.view(), c_seq.view_mut())
                     .op_a(op_a)
                     .op_b(op_b)
                     .alpha(alpha)
@@ -163,6 +167,8 @@ fn concurrent_callers_match_the_sequential_reference_bitwise() {
         .map(|c| if c.alpha == 0.0 { 0 } else { 2 * (c.m * c.n * c.k) as u64 })
         .sum();
     assert_eq!(stats.total_flops, want_flops);
+    // Every job owns its operands: nothing to share, no image packed.
+    assert_eq!((stats.b_images_packed, stats.entries_on_shared_b), (0, 0));
 }
 
 /// Batch edge cases through the trait: empty, single entry, and a
@@ -292,5 +298,70 @@ fn warm_batches_through_the_cached_executor_build_zero_runners() {
     for rerun in 0..3 {
         assert_eq!(run(), 0, "warm batch {rerun} must reuse pooled runners, not build anew");
         assert_eq!(executor.cached_runners(), steady, "warm batch {rerun} must not grow the pool");
+    }
+}
+
+/// The DNN pattern: activations against a layer's weights. Entries that
+/// borrow one `B` — any layout, either `op_b` — pack it once per batch,
+/// the counters say so, warm batches build nothing, and every `C` is
+/// bit-identical to a per-call `TunedGemm::execute` of the same entry.
+#[test]
+fn entries_borrowing_one_weight_matrix_pack_it_once_per_batch() {
+    let executor = CachedTunedGemm::new(TunedGemm::new());
+    let mut cases = Cases::new(0x5AA2_ED0B);
+    for round in 0..6 {
+        let (m, n, k) = (cases.usize_in(1, 50), cases.usize_in(1, 70), cases.usize_in(1, 60));
+        let op_b = if round % 2 == 1 { Op::Transpose } else { Op::None };
+        let beta = if round % 3 == 0 { 0.75 } else { 0.0 };
+        let (b_rows, b_cols) = if op_b == Op::Transpose { (n, k) } else { (k, n) };
+        let mut stored = |rows, cols, poison| {
+            let seed = cases.next_u64() | 1;
+            Stored::random(rows, cols, &mut cases, poison_filler(seed, poison))
+        };
+        // Two layers' weights and a loner's own: entries 0..4 borrow the
+        // first, 4..7 the second, entry 7 the third.
+        let weights =
+            [stored(b_rows, b_cols, false), stored(b_rows, b_cols, false), stored(b_rows, b_cols, false)];
+        let owner = |e: usize| [0, 0, 0, 0, 1, 1, 1, 2][e];
+        let acts: Vec<Stored> = (0..8).map(|_| stored(m, k, false)).collect();
+        // beta == 0 must never read C: poison it.
+        let c0: Vec<Stored> = (0..8).map(|_| stored(m, n, beta == 0.0)).collect();
+        let clone = |s: &Stored| Stored { data: s.data.clone(), ..*s };
+        fn build<'a>(
+            a: &'a Stored,
+            b: &'a Stored,
+            c: &'a mut Stored,
+            op_b: Op,
+            beta: f32,
+        ) -> GemmProblem<'a> {
+            GemmProblem::new(a.view(), b.view(), c.view_mut()).op_b(op_b).beta(beta)
+        }
+
+        let want: Vec<Stored> = (0..8)
+            .map(|e| {
+                let mut c = clone(&c0[e]);
+                executor.tuned().execute(build(&acts[e], &weights[owner(e)], &mut c, op_b, beta)).unwrap();
+                c
+            })
+            .collect();
+        for pass in ["cold", "warm"] {
+            let mut cs: Vec<Stored> = c0.iter().map(clone).collect();
+            let mut batch = GemmBatch::new();
+            for (e, c) in cs.iter_mut().enumerate() {
+                batch.push(build(&acts[e], &weights[owner(e)], c, op_b, beta));
+            }
+            let report = executor.gemm_batch(batch);
+            let who = format!("round {round} ({m}x{n}x{k}, {op_b:?}, beta {beta}), {pass}");
+            assert_eq!((report.b_images_packed, report.entries_on_shared_b), (2, 7), "{who}");
+            if pass == "warm" {
+                assert_eq!(report.runners_built, 0, "{who}");
+            }
+            for (e, (got, want)) in cs.iter().zip(&want).enumerate() {
+                report.outcomes[e].as_ref().expect("healthy entry");
+                // Whole buffers: the padding must be untouched too.
+                let bits = |s: &Stored| s.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(got), bits(want), "{who}: entry {e}");
+            }
+        }
     }
 }
