@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exo_isa::neon_f32;
 use gemm_blis::{
-    exo_kernel, naive_gemm, neon_intrinsics_kernel, BlisGemm, BlockingParams, GemmProblem, Matrix,
+    exo_kernel, naive_gemm, neon_intrinsics_kernel, BlisGemm, GemmExecutor, GemmProblem, Matrix,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -31,18 +31,13 @@ fn bench_gemm(c: &mut Criterion) {
         });
     });
     for (label, kernel) in [("alg_exo_8x8", &exo), ("alg_neon_8x12", &neon)] {
-        let driver = BlisGemm::new(BlockingParams::analytical(
-            &carmel_sim::CacheHierarchy::carmel(),
-            kernel.mr,
-            kernel.nr,
-            4,
-        ));
+        let driver = BlisGemm::for_kernel(kernel, &carmel_sim::CacheHierarchy::carmel());
         group.bench_function(BenchmarkId::new("blis_like", label), |bench| {
             bench.iter(|| {
                 let mut c_out = Matrix::zeros(m, n);
                 let problem =
                     GemmProblem::new(black_box(&a).view(), black_box(&b).view(), c_out.view_mut());
-                driver.gemm_with(kernel, problem).unwrap();
+                driver.gemm(problem).unwrap();
                 black_box(c_out);
             });
         });

@@ -29,19 +29,6 @@
 //!   transposed through the view). isolates: the packers'
 //!   blocked-transpose walk (÷ `native`).
 //!
-//! A second section, `serve_throughput`, measures the `exo-serve` layer on
-//! an overhead-dominated workload: 64 small mixed-shape problems run three
-//! ways through the autotuned executor —
-//!
-//! * `per_call` — a sequential loop of plain `TunedGemm::gemm` calls (each
-//!   paying its own registry lookup, driver build, dispatch proof, and
-//!   arena allocation),
-//! * `batched`  — one `GemmBatch` through `CachedTunedGemm::gemm_batch`
-//!   (those fixed costs paid once per kernel-shape group, and kept warm
-//!   across batches),
-//! * `service`  — the same jobs submitted to a `GemmService` over a
-//!   `CachedTunedGemm` from 4 concurrent caller threads.
-//!
 //! Unlike the figure harnesses (which report *modelled* Carmel GFLOPS),
 //! these are real measured numbers on the host — the perf trajectory data
 //! the ROADMAP asks for. Results are written to `BENCH_gemm.json`.
@@ -58,24 +45,20 @@
 //!   reference (`!simd_available()`: both series run the one scalar
 //!   chain), and `native >= simd` when no C toolchain answered the probe
 //!   (`!native_available()`: the native series *is* the simd chain);
-//! * the serve ordering must hold — `batched >= per_call` (batching exists
-//!   to amortise per-call overhead; measuring below the per-call loop
-//!   means the batch path regressed);
 //! * with `--check BASELINE`, each backend's geomean GFLOPS over the sizes
 //!   shared with the committed baseline must not drop more than 25% below
-//!   the baseline's geomean over those same sizes, and each serve series
-//!   present in the baseline must hold the same floor. The JSON records
-//!   which ISA produced the numbers (`"isa"`); a baseline recorded on a
+//!   the baseline's geomean over those same sizes. The JSON records which
+//!   ISA produced the numbers (`"isa"`); a baseline recorded on a
 //!   different ISA is not comparable, so the geomean floors are skipped
 //!   with a visible note instead of failing spuriously.
+//!
+//! The serving layer (per-call against batched against the queued service
+//! on small mixed shapes) is measured by `exo_bench`'s `serve_small`
+//! workload, normalised and confined to one CPU — not here.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use exo_serve::{
-    CachedTunedGemm, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, OwnedMat, ServiceConfig,
-};
-use exo_tune::TunedGemm;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
     native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
@@ -190,144 +173,6 @@ fn measure(variant: &Variant, size: usize, reps: usize) -> f64 {
     flops / best / 1.0e9
 }
 
-/// The serve workload: this many small problems, cycling through
-/// [`SERVE_SHAPES`]. Small on purpose — per-call fixed costs (registry
-/// lookup, driver construction, dispatch proof, arena allocation) dominate,
-/// which is exactly what batching amortises.
-const SERVE_PROBLEMS: usize = 64;
-/// Caller threads feeding the `service` series.
-const SERVE_CALLERS: usize = 4;
-/// The mixed shapes of the serve workload (m, n, k).
-const SERVE_SHAPES: [(usize, usize, usize); 8] = [
-    (24, 16, 12),
-    (17, 13, 9),
-    (32, 24, 8),
-    (8, 40, 16),
-    (48, 8, 24),
-    (16, 16, 16),
-    (28, 20, 6),
-    (12, 36, 10),
-];
-
-/// One owned entry of the serve workload (`beta = 0`, so `C` never needs
-/// re-initialisation between repetitions).
-struct ServeEntry {
-    m: usize,
-    n: usize,
-    k: usize,
-    a: Vec<f32>,
-    b: Vec<f32>,
-    c: Vec<f32>,
-}
-
-impl ServeEntry {
-    fn problem(&mut self) -> GemmProblem<'_> {
-        GemmProblem::new(
-            MatRef::from_slice(&self.a, self.m, self.k),
-            MatRef::from_slice(&self.b, self.k, self.n),
-            MatMut::from_slice(&mut self.c, self.m, self.n),
-        )
-        .beta(0.0)
-    }
-
-    fn job(&self) -> GemmJob {
-        let (m, n, k) = (self.m, self.n, self.k);
-        GemmJob::new(
-            OwnedMat::with_layout(self.a.clone(), m, k, k, 1, 0),
-            OwnedMat::with_layout(self.b.clone(), k, n, n, 1, 0),
-            OwnedMat::zeros(m, n),
-        )
-        .beta(0.0)
-    }
-}
-
-fn serve_workload() -> Vec<ServeEntry> {
-    (0..SERVE_PROBLEMS)
-        .map(|idx| {
-            let (m, n, k) = SERVE_SHAPES[idx % SERVE_SHAPES.len()];
-            let a = (0..m * k).map(|i| ((i * 7 + idx) % 13) as f32 * 0.25 - 1.0).collect();
-            let b = (0..k * n).map(|i| ((i * 5 + idx) % 17) as f32 * 0.125 - 1.0).collect();
-            ServeEntry { m, n, k, a, b, c: vec![0.0f32; m * n] }
-        })
-        .collect()
-}
-
-/// Measured GFLOPS of the three serve series (`per_call`, `batched`,
-/// `service`): the workload's total useful flops over the best wall-clock
-/// of `reps` runs each, after one untimed warm-up per series (tuner
-/// registry, kernel cache, dispatch proofs, the global pool).
-fn measure_serve(reps: usize) -> [f64; 3] {
-    // One pass over the workload is sub-millisecond, so unlike the square
-    // sweep the serve series can afford a deep best-of: this keeps the
-    // per_call/batched ratio stable against scheduler noise on a busy
-    // single-core host.
-    let reps = reps.max(25);
-    let executor = CachedTunedGemm::new(TunedGemm::new());
-    let mut entries = serve_workload();
-    let total_flops: f64 = entries.iter().map(|e| 2.0 * (e.m * e.n * e.k) as f64).sum();
-
-    let per_call = |entries: &mut [ServeEntry]| {
-        for e in entries.iter_mut() {
-            executor.tuned().gemm(e.problem()).expect("per-call gemm");
-        }
-    };
-    let batched = |entries: &mut [ServeEntry]| {
-        let mut batch = GemmBatch::new();
-        for e in entries.iter_mut() {
-            batch.push(e.problem());
-        }
-        executor.gemm_batch(batch).into_stats().expect("batched gemm");
-    };
-    let mut best = [f64::INFINITY; 2];
-    per_call(&mut entries);
-    batched(&mut entries);
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        per_call(&mut entries);
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        batched(&mut entries);
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-    }
-
-    // The service series: the same jobs, submitted concurrently by
-    // SERVE_CALLERS threads. Job construction (owned operand clones) stays
-    // outside the timed region — it is the caller's cost, not the
-    // service's.
-    let service = GemmService::with_config(
-        CachedTunedGemm::new(TunedGemm::new()),
-        ServiceConfig { queue_capacity: SERVE_PROBLEMS, max_batch: SERVE_PROBLEMS },
-    );
-    let mut best_service = f64::INFINITY;
-    for rep in 0..reps.max(1) + 1 {
-        let mut per_caller: Vec<Vec<GemmJob>> = (0..SERVE_CALLERS).map(|_| Vec::new()).collect();
-        for (idx, e) in entries.iter().enumerate() {
-            per_caller[idx % SERVE_CALLERS].push(e.job());
-        }
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for jobs in per_caller.drain(..) {
-                let service = &service;
-                scope.spawn(move || {
-                    let handles: Vec<_> =
-                        jobs.into_iter().map(|j| service.submit(j).expect("service accepting")).collect();
-                    for handle in handles {
-                        handle.wait().expect("service job");
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        if rep > 0 {
-            // rep 0 is the warm-up (tuner registry of the service's own
-            // executor instance).
-            best_service = best_service.min(elapsed);
-        }
-    }
-
-    [total_flops / best[0] / 1.0e9, total_flops / best[1] / 1.0e9, total_flops / best_service / 1.0e9]
-}
-
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.4}")
@@ -344,9 +189,6 @@ fn geomean(values: &[f64]) -> f64 {
 struct Baseline {
     sizes: Vec<usize>,
     series: Vec<(String, Vec<f64>)>,
-    /// The `serve` section's per-series GFLOPS, when the baseline has one
-    /// (older baselines predate the serve layer).
-    serve: Vec<(String, f64)>,
     /// Which vector ISA produced the baseline numbers, when recorded
     /// (older baselines predate the multi-ISA backend and carry none).
     isa: Option<String>,
@@ -376,14 +218,8 @@ fn load_baseline(path: &str) -> Result<Baseline, String> {
         }
         series.push((name.clone(), values));
     }
-    let mut serve = Vec::new();
-    if let Some(serve_gflops) = json.get("serve").and_then(|s| s.get("gflops")).and_then(|g| g.as_obj()) {
-        for (name, v) in serve_gflops {
-            serve.push((name.clone(), v.as_num().ok_or("non-numeric serve gflops")?));
-        }
-    }
     let isa = json.get("isa").and_then(|v| v.as_str()).map(str::to_string);
-    Ok(Baseline { sizes, series, serve, isa })
+    Ok(Baseline { sizes, series, isa })
 }
 
 /// The `--check` regression gate: every backend in the committed baseline
@@ -391,15 +227,7 @@ fn load_baseline(path: &str) -> Result<Baseline, String> {
 /// sizes shared with the baseline must stay within [`CHECK_TOLERANCE`] of
 /// the baseline's geomean over those sizes. Returns `true` if the gate
 /// passes.
-#[allow(clippy::too_many_arguments)]
-fn check_against_baseline(
-    baseline: &Baseline,
-    sizes: &[usize],
-    names: &[&str],
-    gflops: &[Vec<f64>],
-    serve_names: &[&str],
-    serve_gflops: &[f64],
-) -> bool {
+fn check_against_baseline(baseline: &Baseline, sizes: &[usize], names: &[&str], gflops: &[Vec<f64>]) -> bool {
     // The floors compare like-for-like only: a baseline recorded on a
     // different vector ISA (or on one when this run has none pinned the
     // same way) measures different machine code, so its geomeans say
@@ -441,20 +269,6 @@ fn check_against_baseline(
             "  {name:<16} geomean {cur_g:>8.3} vs baseline {base_g:>8.3} (floor {floor:>8.3}) {verdict}"
         );
         if cur_g < floor {
-            ok = false;
-        }
-    }
-    for (name, base_v) in &baseline.serve {
-        let Some(si) = serve_names.iter().position(|n| n == name) else {
-            eprintln!("CHECK FAIL: baseline serve series `{name}` is not measured by this run");
-            ok = false;
-            continue;
-        };
-        let cur = serve_gflops[si];
-        let floor = base_v * (1.0 - CHECK_TOLERANCE);
-        let verdict = if cur >= floor { "ok" } else { "REGRESSED" };
-        println!("  serve/{name:<18} {cur:>8.3} vs baseline {base_v:>8.3} (floor {floor:>8.3}) {verdict}");
-        if cur < floor {
             ok = false;
         }
     }
@@ -580,20 +394,6 @@ fn main() {
         }
     );
 
-    // The serve_throughput section: the exo-serve layer on the
-    // overhead-dominated small-problem mix.
-    let serve_names = ["per_call", "batched", "service"];
-    let serve_gflops = measure_serve(reps);
-    let serve_speedup = serve_gflops[1] / serve_gflops[0];
-    println!(
-        "\nserve_throughput — {SERVE_PROBLEMS} small mixed-shape problems ({} shapes), TunedGemm:",
-        SERVE_SHAPES.len()
-    );
-    for (name, g) in serve_names.iter().zip(serve_gflops) {
-        println!("  {name:<10} {g:>8.3} GFLOPS");
-    }
-    println!("batched over per-call: {serve_speedup:.2}x  (service fed by {SERVE_CALLERS} caller threads)");
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"gemm_throughput\",\n");
@@ -652,17 +452,6 @@ fn main() {
         let comma = if i + 1 < IsaKind::ALL.len() { "," } else { "" };
         json.push_str(&format!("    \"{}\": {}{}\n", isa.name(), isa.available(), comma));
     }
-    json.push_str("  },\n");
-    json.push_str("  \"serve\": {\n");
-    json.push_str(&format!("    \"problems\": {SERVE_PROBLEMS},\n"));
-    json.push_str(&format!("    \"callers\": {SERVE_CALLERS},\n"));
-    json.push_str("    \"gflops\": {\n");
-    for (i, (name, g)) in serve_names.iter().zip(serve_gflops).enumerate() {
-        let comma = if i + 1 < serve_names.len() { "," } else { "" };
-        json.push_str(&format!("      \"{name}\": {}{comma}\n", json_f64(g)));
-    }
-    json.push_str("    },\n");
-    json.push_str(&format!("    \"speedup_batched_over_per_call\": {}\n", json_f64(serve_speedup)));
     json.push_str("  }\n");
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write BENCH_gemm.json");
@@ -695,16 +484,9 @@ fn main() {
             failed = true;
         }
     }
-    // CI gate 2: batching exists to amortise per-call overhead, so the
-    // batched series measuring below the sequential per-call loop is a
-    // hard regression of the batch path.
-    if serve_gflops[1] < serve_gflops[0] {
-        eprintln!("FAIL: batched serve throughput below the per-call loop ({serve_speedup:.2}x)");
-        failed = true;
-    }
-    // CI gate 3: the committed-baseline geomean check.
+    // CI gate 2: the committed-baseline geomean check.
     if let Some(baseline) = &baseline {
-        if !check_against_baseline(baseline, &sizes, &names, &gflops, &serve_names, &serve_gflops) {
+        if !check_against_baseline(baseline, &sizes, &names, &gflops) {
             failed = true;
         }
     }

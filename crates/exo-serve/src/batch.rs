@@ -1,20 +1,26 @@
 //! Batched GEMM execution: many `C_i = alpha_i * op(A_i) * op(B_i) +
 //! beta_i * C_i` entries solved through shared, amortised machinery.
 //!
-//! A standalone `gemm` call pays fixed costs that have nothing to do with
-//! the problem's flops: a registry lookup and `KernelImpl` clone, a driver
-//! construction, a packing-arena allocation, and a fresh prove-once
-//! dispatch handle whose bounds proof (the superword lowering's
-//! affine-interval certificate) is re-memoised from scratch. For the small problems of a serving mix those costs dominate.
-//! [`GemmBatchExecutor::gemm_batch`] restructures the work so they are paid
-//! **once per kernel-shape group instead of once per entry**:
+//! A GEMM pays fixed costs that have nothing to do with the problem's
+//! flops: a verdict lookup, a driver and `KernelImpl` to build, a
+//! packing-arena allocation, and a prove-once dispatch handle whose bounds
+//! proof (the superword lowering's affine-interval certificate) is
+//! memoised from scratch. The drivers own what can be kept — one built
+//! driver per verdict group in [`exo_tune::TunedGemm`], the warm
+//! [`gemm_blis::GemmRunner`]s in each [`gemm_blis::BlisGemm`] — so those
+//! are paid once per executor whichever door a problem comes through;
+//! this module keeps no engine state of its own. What
+//! [`GemmBatchExecutor::gemm_batch`] adds is what only a batch can do:
 //!
-//! 1. entries are grouped by tuning verdict (kernel tile + blocking) — one
-//!    `KernelCache` lookup and one blocking per group;
-//! 2. each group runs on per-shard [`gemm_blis::GemmRunner`]s — one arena
-//!    reservation and one dispatch-proof memoisation per shard, not per
-//!    entry (and [`CachedTunedGemm`] keeps them warm *across* batches: once
-//!    per shape family for the executor's lifetime);
+//! 1. entries are grouped by the driver of their tuning verdict (kernel
+//!    tile + blocking, [`exo_tune::TunedGemm::driver_for`]) — one
+//!    `pack_shared_b` pass, one deal over the pool per group;
+//! 2. each shard checks **one** runner out of the group's driver for all
+//!    its entries and returns it at the end — no lock, no arena
+//!    reservation and no proof memoisation per entry, and the next batch,
+//!    or a per-call `gemm` on the same executor, finds it warm. A runner
+//!    that was checked out when its entry or shard panicked is dropped,
+//!    never returned;
 //! 3. **the entries are the parallel axis**: a group with at least as many
 //!    entries as the shared pool ([`gemm_blis::ThreadPool::global`]) has
 //!    workers deals them round-robin, one shard per worker, and every
@@ -47,10 +53,9 @@
 //! [`BatchReport`] carries the per-entry outcomes plus the isolation
 //! tallies (panics caught, retries, degraded completions).
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use gemm_blis::pool::{PoolJob, ThreadPool};
 use gemm_blis::{BlisGemm, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB};
@@ -125,9 +130,11 @@ pub struct BatchReport {
     pub retries: u64,
     /// Entries that completed on the retry tier ([`GemmStats::degraded`]).
     pub degraded_completions: u64,
-    /// Fresh per-shard runner constructions (arena + staged tile + dispatch
-    /// proof) this batch paid for. A [`CachedTunedGemm`] serving a warm
-    /// shape mix reports zero: every shard drew a pooled runner.
+    /// Runners (arena + staged tile + dispatch proof) the batch's drivers
+    /// had to build while it ran, because a shard's check-out found none
+    /// idle. An executor serving a warm shape mix reports zero. (Read off
+    /// the drivers' own counters, so a per-call `gemm` racing the batch on
+    /// the same driver is counted with it.)
     pub runners_built: u64,
     /// `B` operands packed once for several entries: one per run of two or
     /// more consecutive entries of a group that borrow the same `B`.
@@ -208,16 +215,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs one batch entry with panic isolation and one degradation retry.
 ///
-/// The first attempt goes through `runner` (the shard's amortised engine,
-/// built from `driver`) on up to `threads` pool workers, reading `B` from
+/// The first attempt goes through `runner` (the shard's engine, checked
+/// out of `driver`) on up to `threads` pool workers, reading `B` from
 /// `packed_b` when the entry shares an image. A panic is contained and
-/// resolved as [`GemmError::JobPanicked`]. Executional failures —
-/// contained panics and kernel errors — are retried once on the next
-/// backend tier down (on one thread, packing `B` for itself), but
-/// only when `beta == 0`: a failed attempt may have partially written `C`,
-/// and only the never-reads-`C` contract makes a re-run equivalent to a
-/// clean first run. (Under an `EXO_BACKEND` override the dispatch tier is
-/// pinned, so the "degraded" retry re-runs the forced tier.)
+/// resolved as [`GemmError::JobPanicked`], and the runner whose pass
+/// unwound is dropped: the shard goes on with another one from the driver.
+/// Executional failures — contained panics and kernel errors — are retried
+/// once on the next backend tier down (on one thread, packing `B` for
+/// itself), but only when `beta == 0`: a failed attempt may have partially
+/// written `C`, and only the never-reads-`C` contract makes a re-run
+/// equivalent to a clean first run. (Under an `EXO_BACKEND` override the
+/// dispatch tier is pinned, so the "degraded" retry re-runs the forced
+/// tier.)
 fn run_entry(
     driver: &BlisGemm,
     runner: &mut GemmRunner,
@@ -233,13 +242,14 @@ fn run_entry(
                 message: "injected fault: simulated proof decline (EXO_FAULT decline)".into(),
             });
         }
-        runner.run(problem.reborrow(), packed_b, threads)
+        driver.run(runner, problem.reborrow(), packed_b, threads)
     }));
     let failure = match first {
         Ok(Ok(stats)) => return Ok(mark_batched(stats)),
         Ok(Err(e)) => e,
         Err(payload) => {
             tally.panics.fetch_add(1, Ordering::Relaxed);
+            *runner = driver.runner();
             GemmError::JobPanicked { message: panic_message(payload.as_ref()) }
         }
     };
@@ -315,94 +325,80 @@ fn pack_shared_b(
 /// group cannot occupy the pool that way, so its entries run one after
 /// another on one runner under the driver's own partition of `C`. Either
 /// way, entries that share a `B` read it from one image
-/// ([`pack_shared_b`]). Runners are drawn from `runners` — which must only
-/// ever hold runners built from this `driver` — and returned to it
-/// afterwards, and images are packed into `images`' buffers, so a caller
-/// passing persistent vecs ([`CachedTunedGemm`]) pays runner construction
-/// and image allocation once per lifetime and a caller passing empty ones
-/// once per batch.
+/// ([`pack_shared_b`]), packed into `images`' buffers — a caller passing a
+/// persistent vec ([`CachedTunedGemm`]) pays image allocation once per
+/// lifetime, a caller passing an empty one once per batch. A shard's
+/// runner is checked out of `driver` on the calling thread, owned by the
+/// shard, and returned by it when it is through: a shard that dies takes
+/// its runner with it.
 fn run_group<'a>(
     driver: &BlisGemm,
-    entries: Vec<(usize, GemmProblem<'a>)>,
+    mut entries: Vec<GroupEntry<'a>>,
     out: &mut [Option<Result<GemmStats, GemmError>>],
     tally: &Tally,
-    runners: &mut Vec<GemmRunner>,
     images: &mut Vec<PackedB>,
 ) {
-    let mut valid: Vec<GroupEntry<'a>> = Vec::with_capacity(entries.len());
-    for (idx, problem) in entries {
-        match problem.dims() {
-            Ok(_) => valid.push((idx, problem, None)),
-            Err(e) => out[idx] = Some(Err(e)),
+    entries.retain(|(idx, problem, _)| match problem.dims() {
+        Ok(_) => true,
+        Err(e) => {
+            out[*idx] = Some(Err(e));
+            false
         }
-    }
-    if valid.is_empty() {
+    });
+    if entries.is_empty() {
         return;
     }
-    pack_shared_b(driver, &mut valid, images, tally);
+    let built_before = driver.runners_built();
+    pack_shared_b(driver, &mut entries, images, tally);
     let images: &[PackedB] = images;
-    // A shard's runner comes from the warm pool when it has one; building
-    // fresh is the counted cold path.
-    let take_runner = |pooled: Option<GemmRunner>| {
-        pooled.unwrap_or_else(|| {
-            tally.runner_builds.fetch_add(1, Ordering::Relaxed);
-            driver.runner()
-        })
-    };
-    let run_shard = |runner: &mut GemmRunner, (idx, mut problem, image): GroupEntry<'a>, threads: usize| {
-        (idx, run_entry(driver, runner, &mut problem, image.map(|i| &images[i]), threads, tally))
+    type Sink<'s> = &'s mut dyn FnMut(usize, Result<GemmStats, GemmError>);
+    let run_shard = |shard: Vec<GroupEntry<'a>>, mut runner: GemmRunner, threads: usize, sink: Sink<'_>| {
+        for (idx, mut problem, image) in shard {
+            let image = image.map(|i| &images[i]);
+            sink(idx, run_entry(driver, &mut runner, &mut problem, image, threads, tally));
+        }
+        driver.put_back(runner);
     };
     let pool = ThreadPool::global();
     let shard_count = pool.workers();
-    if shard_count == 1 || valid.len() < shard_count {
-        // One shard, on this thread. Too few entries to occupy the pool:
-        // each partitions its own `C` over it instead.
-        let threads = if valid.len() < shard_count { driver.threads } else { 1 };
-        let mut runner = take_runner(runners.pop());
-        for entry in valid {
-            let (idx, result) = run_shard(&mut runner, entry, threads);
+    if shard_count == 1 || entries.len() < shard_count {
+        // One shard, on this thread: no pool job exists. Too few entries
+        // to occupy the pool: each partitions its own `C` over it instead.
+        let threads = if entries.len() < shard_count { driver.threads } else { 1 };
+        run_shard(entries, driver.runner(), threads, &mut |idx, result| out[idx] = Some(result));
+    } else {
+        let per_shard = entries.len().div_ceil(shard_count);
+        let mut shards: Vec<Vec<GroupEntry<'a>>> =
+            (0..shard_count).map(|_| Vec::with_capacity(per_shard)).collect();
+        for (pos, entry) in entries.into_iter().enumerate() {
+            shards[pos % shard_count].push(entry);
+        }
+        let mut shard_results: Vec<Vec<(usize, Result<GemmStats, GemmError>)>> =
+            (0..shard_count).map(|_| Vec::with_capacity(per_shard)).collect();
+        let run_shard = &run_shard;
+        let jobs: Vec<PoolJob<'_>> = shards
+            .into_iter()
+            .zip(shard_results.iter_mut())
+            .map(|(shard, results)| {
+                // Checked out here and owned by the job: a job that dies
+                // before or while it runs takes its runner with it.
+                let runner = driver.runner();
+                Box::new(move || run_shard(shard, runner, 1, &mut |idx, result| results.push((idx, result))))
+                    as PoolJob<'_>
+            })
+            .collect();
+        // Captured scope: a panic that escapes the per-entry isolation (an
+        // injected pool-job fault, or a future bug in the shard loop
+        // itself) fails only the entries that never produced an outcome,
+        // never the caller.
+        if pool.scope_run_captured(jobs).is_some() {
+            tally.panics.fetch_add(1, Ordering::Relaxed);
+        }
+        for (idx, result) in shard_results.into_iter().flatten() {
             out[idx] = Some(result);
         }
-        runners.push(runner);
-        return;
     }
-    let mut shards: Vec<Vec<GroupEntry<'a>>> = (0..shard_count).map(|_| Vec::new()).collect();
-    for (pos, entry) in valid.into_iter().enumerate() {
-        shards[pos % shard_count].push(entry);
-    }
-    let mut shard_results: Vec<Vec<(usize, Result<GemmStats, GemmError>)>> =
-        (0..shard_count).map(|_| Vec::new()).collect();
-    // One runner per shard, handed back through its slot so the pool stays
-    // warm for the next batch. A shard that dies mid-run leaves its slot
-    // `None` — that runner is lost with the shard, never returned
-    // half-valid.
-    let mut slots: Vec<Option<GemmRunner>> = (0..shard_count).map(|_| runners.pop()).collect();
-    let (take_runner, run_shard) = (&take_runner, &run_shard);
-    let jobs: Vec<PoolJob<'_>> = shards
-        .into_iter()
-        .zip(shard_results.iter_mut())
-        .zip(slots.iter_mut())
-        .map(|((shard, results), slot)| {
-            Box::new(move || {
-                let mut runner = take_runner(slot.take());
-                for entry in shard {
-                    results.push(run_shard(&mut runner, entry, 1));
-                }
-                *slot = Some(runner);
-            }) as PoolJob<'_>
-        })
-        .collect();
-    // Captured scope: a panic that escapes the per-entry isolation (an
-    // injected pool-job fault, or a future bug in the shard loop itself)
-    // fails only the entries that never produced an outcome, never the
-    // caller.
-    if pool.scope_run_captured(jobs).is_some() {
-        tally.panics.fetch_add(1, Ordering::Relaxed);
-    }
-    runners.extend(slots.into_iter().flatten());
-    for (idx, result) in shard_results.into_iter().flatten() {
-        out[idx] = Some(result);
-    }
+    tally.runner_builds.fetch_add(driver.runners_built() - built_before, Ordering::Relaxed);
 }
 
 /// Collapses per-entry slots into the [`BatchReport`]. A slot left empty
@@ -433,165 +429,86 @@ fn collect_outcomes(out: Vec<Option<Result<GemmStats, GemmError>>>, tally: Tally
 
 impl GemmBatchExecutor for BlisGemm {
     /// One group: the driver's stored kernel and blocking serve every
-    /// entry, so the whole batch shares one kernel, per-shard runners and
-    /// shared-`B` images (rebuilt per batch — [`CachedTunedGemm`] is the
-    /// executor that keeps them across batches).
+    /// entry, on the driver's own warm runners. (Shared-`B` image buffers
+    /// are per batch — [`CachedTunedGemm`] is the executor that keeps
+    /// those.)
     fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
         let entries = batch.into_problems();
         let mut out: Vec<Option<Result<GemmStats, GemmError>>> = (0..entries.len()).map(|_| None).collect();
         let tally = Tally::default();
-        let group = entries.into_iter().enumerate().collect();
-        run_group(self, group, &mut out, &tally, &mut Vec::new(), &mut Vec::new());
+        let group = entries.into_iter().enumerate().map(|(idx, problem)| (idx, problem, None)).collect();
+        run_group(self, group, &mut out, &tally, &mut Vec::new());
         collect_outcomes(out, tally)
     }
 }
 
-/// Group key of the tuned batch path: the verdict's register tile plus
-/// blocking — the complete dispatch identity (the kernel cache is keyed by
-/// `(mr, nr)`, the driver by the blocking).
-type GroupKey = (usize, usize, usize, usize, usize);
-
-/// The per-verdict-group state a [`CachedTunedGemm`] keeps warm across
-/// batches: the built driver (registry lookup + kernel clone paid once)
-/// and the idle shard runners built from it (arena + staged tile +
-/// memoised dispatch proofs).
-struct GroupPool {
-    driver: BlisGemm,
-    runners: Vec<GemmRunner>,
-}
-
-/// Everything a [`CachedTunedGemm`] keeps warm, behind its one mutex.
-#[derive(Default)]
-struct WarmState {
-    pools: HashMap<GroupKey, GroupPool>,
-    /// The shared-`B` image buffers. One list for all groups — groups run
-    /// one after another and an image lives for one batch, so what stays
-    /// resident is the largest batch's images, not every group's.
-    images: Vec<PackedB>,
-}
-
-/// The tuned batch executor: a [`exo_tune::TunedGemm`] whose
-/// per-verdict-group machinery stays warm **across batches**. Entries are
-/// grouped by tuning verdict — kernel register tile plus blocking, the
-/// complete dispatch identity — and each group's built driver (registry
-/// lookup + kernel clone) and shard [`gemm_blis::GemmRunner`]s (packing
-/// arena, staged `C` tile, memoised dispatch proofs) persist in a per-key
-/// pool, so a steady-state serving mix pays those costs once per shape
-/// family for the executor's lifetime instead of once per batch —
-/// [`BatchReport::runners_built`] is zero from the second batch of a
-/// repeated mix on. The buffers shared-`B` images are packed into persist
-/// the same way, so a steady-state batch that packs a weight matrix once
-/// for all its entries allocates nothing to do it. Results are
-/// bit-identical to per-entry [`exo_tune::TunedGemm::execute`] calls: a
-/// runner carries no numeric state, only warm capacity and proofs, and an
-/// image is repacked from the batch's own `B` every time.
+/// The tuned batch executor: an [`exo_tune::TunedGemm`] plus the buffers
+/// shared-`B` images are packed into. Entries are grouped by the driver of
+/// their tuning verdict — kernel register tile plus blocking, the complete
+/// dispatch identity — and everything a group keeps warm lives where
+/// per-call dispatch finds it too: the built driver in the `TunedGemm`,
+/// the [`gemm_blis::GemmRunner`]s (packing arena, staged `C` tile, tier
+/// handle with its memoised proofs) in the driver. A steady-state serving
+/// mix therefore pays those costs once per shape family for the executor's
+/// lifetime — [`BatchReport::runners_built`] is zero from the second batch
+/// of a repeated mix on, and zero from the first if per-call
+/// [`exo_tune::TunedGemm::execute`]s on [`CachedTunedGemm::tuned`] already
+/// warmed the group — and a native artifact that promotes while the
+/// executor lives reaches its warm runners at their next GEMM. The image
+/// buffers persist the same way, so a steady-state batch that packs a
+/// weight matrix once for all its entries allocates nothing to do it.
+/// Results are bit-identical to per-entry `execute` calls: a runner
+/// carries no numeric state, only warm capacity and proofs, and an image
+/// is repacked from the batch's own `B` every time.
 ///
-/// The state is behind a mutex, taken once per batch — the service's
-/// single collector thread never contends on it.
+/// The image buffers are behind a mutex, taken once per batch — the
+/// service's single collector thread never contends on it.
 pub struct CachedTunedGemm {
     tuned: exo_tune::TunedGemm,
-    warm: Mutex<WarmState>,
+    /// One list for all groups — groups run one after another and an image
+    /// lives for one batch, so what stays resident is the largest batch's
+    /// images, not every group's.
+    images: Mutex<Vec<PackedB>>,
 }
 
 impl CachedTunedGemm {
-    /// Wraps a tuned executor with a cross-batch runner pool.
+    /// Wraps a tuned executor for batch execution.
     pub fn new(tuned: exo_tune::TunedGemm) -> Self {
-        CachedTunedGemm { tuned, warm: Mutex::default() }
+        CachedTunedGemm { tuned, images: Mutex::default() }
     }
 
-    /// The wrapped executor.
+    /// The wrapped executor: the same drivers and warm runners, one call
+    /// at a time.
     pub fn tuned(&self) -> &exo_tune::TunedGemm {
         &self.tuned
-    }
-
-    /// Number of verdict groups with cached state.
-    pub fn cached_groups(&self) -> usize {
-        self.warm.lock().expect("runner pool poisoned").pools.len()
-    }
-
-    /// Total idle runners held across all groups (shards currently
-    /// executing are not counted — they hold their runner).
-    pub fn cached_runners(&self) -> usize {
-        self.warm.lock().expect("runner pool poisoned").pools.values().map(|p| p.runners.len()).sum()
     }
 }
 
 impl GemmBatchExecutor for CachedTunedGemm {
-    /// Each distinct shape family pays one registry lookup, one kernel
-    /// clone, and one driver construction for the executor's lifetime;
-    /// drivers and shard runners are drawn from — and returned to — the
-    /// warm per-group pool. Degenerate entries run on the default blocking,
-    /// exactly as `TunedGemm::execute` treats them.
+    /// Each entry is routed exactly as `TunedGemm::execute` routes it —
+    /// degenerate shapes included — and each group runs on its driver.
     fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
-        let tuned = &self.tuned;
-        let mut warm = self.warm.lock().expect("runner pool poisoned");
-        let WarmState { pools, images } = &mut *warm;
+        // Buffers only: a poisoned lock's state is consistent.
+        let mut images = self.images.lock().unwrap_or_else(PoisonError::into_inner);
         let entries = batch.into_problems();
         let mut out: Vec<Option<Result<GemmStats, GemmError>>> = (0..entries.len()).map(|_| None).collect();
         let tally = Tally::default();
-        let backend_error = |e: exo_tune::TuneError| GemmError::Backend {
-            backend: "exo-tune".into(),
-            message: e.to_string(),
-        };
 
         // Insertion-ordered Vec lookup — a serving mix has a handful of
         // groups, not thousands.
-        let mut groups: Vec<(GroupKey, Vec<(usize, GemmProblem<'_>)>)> = Vec::new();
-        let mut degenerate: Vec<(usize, GemmProblem<'_>)> = Vec::new();
+        let mut groups: Vec<(Arc<BlisGemm>, Vec<_>)> = Vec::new();
         for (idx, problem) in entries.into_iter().enumerate() {
-            let (m, n, k) = match problem.dims() {
-                Ok(d) => d,
-                Err(e) => {
-                    out[idx] = Some(Err(e));
-                    continue;
-                }
-            };
-            if m == 0 || n == 0 || k == 0 {
-                degenerate.push((idx, problem));
-                continue;
-            }
-            let verdict = match tuned.plan(m, n, k) {
-                Ok(v) => v,
-                Err(e) => {
-                    out[idx] = Some(Err(backend_error(e)));
-                    continue;
-                }
-            };
-            let key: GroupKey = (verdict.mr, verdict.nr, verdict.mc, verdict.kc, verdict.nc);
-            if let Some((_, group)) = groups.iter_mut().find(|(k0, _)| *k0 == key) {
-                group.push((idx, problem));
-                continue;
-            }
-            if let Entry::Vacant(slot) = pools.entry(key) {
-                match tuned.tuner().kernel_impl_for(&verdict) {
-                    Ok(kernel) => {
-                        let driver = BlisGemm::new(verdict.blocking())
-                            .with_threads(tuned.threads())
-                            .with_kernel(kernel);
-                        slot.insert(GroupPool { driver, runners: Vec::new() });
-                    }
-                    Err(e) => {
-                        out[idx] = Some(Err(backend_error(e)));
-                        continue;
-                    }
-                }
-            }
-            groups.push((key, vec![(idx, problem)]));
-        }
-
-        if !degenerate.is_empty() {
-            // Same driver TunedGemm::execute uses for untunable shapes.
-            let driver = BlisGemm::new(gemm_blis::BlockingParams::carmel_defaults(8, 12))
-                .with_threads(tuned.threads());
-            let mut runner = driver.runner();
-            for (idx, mut problem) in degenerate {
-                out[idx] = Some(run_entry(&driver, &mut runner, &mut problem, None, driver.threads, &tally));
+            let routed = problem.dims().and_then(|(m, n, k)| Ok(self.tuned.driver_for(m, n, k)?.1));
+            match routed {
+                Ok(driver) => match groups.iter_mut().find(|(group, _)| Arc::ptr_eq(group, &driver)) {
+                    Some((_, group)) => group.push((idx, problem, None)),
+                    None => groups.push((driver, vec![(idx, problem, None)])),
+                },
+                Err(e) => out[idx] = Some(Err(e)),
             }
         }
-        for (key, group) in groups {
-            let GroupPool { driver, runners } =
-                pools.get_mut(&key).expect("every pushed group has a pooled driver");
-            run_group(driver, group, &mut out, &tally, runners, images);
+        for (driver, group) in groups {
+            run_group(&driver, group, &mut out, &tally, &mut images);
         }
         collect_outcomes(out, tally)
     }
@@ -691,25 +608,32 @@ mod tests {
             assert!(report.outcomes.iter().all(Result::is_ok), "healthy batch");
             (report.runners_built, inputs, cs)
         };
+        let idle = || executor.tuned().drivers().iter().map(|d| d.idle_runners()).sum::<usize>();
+        let built = || executor.tuned().drivers().iter().map(|d| d.runners_built()).sum::<u64>();
         let (cold_builds, inputs, cold_cs) = run_batch(0);
         assert!(cold_builds > 0, "the first batch must build its shard runners");
-        assert!(executor.cached_groups() > 0);
-        let idle = executor.cached_runners();
-        assert!(idle > 0, "finished shards must return their runners to the pool");
+        assert_eq!(cold_builds, built(), "the report counts what the drivers built");
+        assert!(!executor.tuned().drivers().is_empty());
+        let warm = idle();
+        assert_eq!(warm as u64, cold_builds, "finished shards must return their runners to their driver");
         // The same shape mix again: every shard draws a warm runner —
         // no new arenas, no new dispatch proofs.
         let (warm_builds, _, _) = run_batch(0);
         assert_eq!(warm_builds, 0, "a warm batch must allocate no new runners");
-        assert_eq!(executor.cached_runners(), idle, "runner count is steady state");
-        // And the cache changes when fixed costs are paid, never results:
-        // the cold batch's outputs are bit-identical to per-call TunedGemm.
+        assert_eq!(idle(), warm, "runner count is steady state");
+        // And the per-call door opens onto the same state: a warm
+        // `TunedGemm::execute` builds no runner either, and where fixed
+        // costs are paid never changes results — the cold batch's outputs
+        // are bit-identical to per-call execution.
         for (i, ((a, b, c0), c_got)) in inputs.iter().zip(&cold_cs).enumerate() {
             let mut c_plain = c0.clone();
-            exo_tune::TunedGemm::new()
+            executor
+                .tuned()
                 .execute(GemmProblem::new(a.view(), b.view(), c_plain.view_mut()).alpha(1.25).beta(-0.5))
                 .unwrap();
-            assert_eq!(c_plain.data, c_got.data, "entry {i}: cached executor vs per-call TunedGemm");
+            assert_eq!(c_plain.data, c_got.data, "entry {i}: batch vs per-call on the same executor");
         }
+        assert_eq!((built(), idle()), (cold_builds, warm), "per-call dispatch drew the batch's runners");
     }
 
     /// One `k x n` weight matrix in one of the layouts a caller may hand

@@ -8,9 +8,10 @@
 //!   `EXO_THREADS`), created once and borrowed by every GEMM call instead
 //!   of spawning OS threads per call.
 //! - **Batched execution** ([`GemmBatch`] / [`GemmBatchExecutor`]): group
-//!   problems by kernel shape so each group pays for its kernel lookup,
-//!   dispatch proof, and packing arena once, then shard entries across the
-//!   pool. Results are bit-identical to a sequential per-entry loop.
+//!   problems by the driver of their kernel shape, shard a group's entries
+//!   across the pool with one of the driver's warm runners per shard, and
+//!   pack a `B` that several entries share once. Results are bit-identical
+//!   to a sequential per-entry loop.
 //! - **Queued front door** ([`GemmService`]): a bounded submission queue
 //!   fed from any number of caller threads, drained by one collector into
 //!   adaptive batches, with aggregate counters ([`ServiceStats`]).

@@ -2,13 +2,16 @@
 //! blocking are chosen by the autotuner.
 //!
 //! This is the subsystem's serving path. Each distinct problem shape is
-//! tuned once (or loaded from a persisted registry) and dispatched through
-//! the functional five-loop driver with the winning kernel; repeat shapes
-//! skip straight to dispatch. The full BLAS contract of
-//! [`gemm_blis::GemmProblem`] — strided views, `op(A)`/`op(B)`,
-//! `alpha`/`beta` — is honored by the underlying driver.
+//! tuned once (or loaded from a persisted registry), each distinct verdict
+//! group — register tile plus blocking — gets one functional five-loop
+//! driver built around the winning kernel, and every problem is that
+//! driver's `gemm`: repeat shapes skip straight to a warm engine. The full
+//! BLAS contract of [`gemm_blis::GemmProblem`] — strided views,
+//! `op(A)`/`op(B)`, `alpha`/`beta` — is honored by the underlying driver.
 
-use gemm_blis::{BlisGemm, GemmExecutor, GemmProblem, GemmStats};
+use std::sync::{Arc, Mutex, PoisonError};
+
+use gemm_blis::{BlisGemm, BlockingParams, GemmError, GemmExecutor, GemmProblem, GemmStats};
 
 use crate::error::TuneError;
 use crate::registry::{KernelRegistry, TuneVerdict};
@@ -31,16 +34,32 @@ pub struct TunedRun {
     pub stats: GemmStats,
 }
 
-/// Autotuned GEMM: searches-or-loads per problem shape, then dispatches.
+/// A verdict group — the complete dispatch identity: the register tile
+/// (the kernel cache's key) plus the cache blocking (the driver's). `None`
+/// is the group of the shapes there is nothing to tune for.
+type GroupKey = Option<BlockingParams>;
+
+/// Autotuned GEMM: searches-or-loads per problem shape, then dispatches
+/// through the one driver of the verdict's group.
+///
+/// A driver is built the first time a verdict of its group is dispatched —
+/// registry lookup, `KernelImpl`, `BlisGemm` — and kept for as long as the
+/// executor lives, together with the warm runners it owns
+/// ([`gemm_blis::BlisGemm`]): the second problem of a group pays for a
+/// verdict lookup and a GEMM, whichever of [`TunedGemm::execute`],
+/// [`GemmExecutor::gemm`] or an `exo-serve` batch it comes through.
 ///
 /// Dispatch goes through the fastest execution backend the host supports:
 /// generated kernels carry their tape, their superword lowering, and its
 /// SIMD closure chain (AVX2/FMA, NEON, or the scalar reference) plus, once
 /// the background build promotes it, the ahead-of-time compiled native
 /// artifact, and the one ladder in `ukernel_gen` resolves native → simd →
-/// superword (the portable scalar chain) → tape → interp. The five-loop engine runs on one thread unless
-/// [`TunedGemm::with_threads`] raises the knob, in which case it runs once
-/// per window of a partitioned `C`. The `EXO_BACKEND` environment override
+/// superword (the portable scalar chain) → tape → interp — again at the
+/// top of every GEMM while a runner sits below the tier it asked for, so
+/// promotion reaches a long-lived executor's warm runners too. The
+/// five-loop engine runs on one thread unless [`TunedGemm::with_threads`]
+/// raises the knob, in which case it runs once per window of a partitioned
+/// `C`. The `EXO_BACKEND` environment override
 /// (`native|simd|superword|tape|interp`) is honored, so any tier is
 /// forceable for debugging. Use it through [`GemmExecutor::gemm`] like
 /// every other driver, or through [`TunedGemm::execute`] to also receive
@@ -49,6 +68,9 @@ pub struct TunedRun {
 pub struct TunedGemm {
     tuner: Tuner,
     threads: usize,
+    /// One built driver per verdict group, in first-dispatch order. A
+    /// serving mix has a handful of groups, so lookup is a scan.
+    drivers: Mutex<Vec<(GroupKey, Arc<BlisGemm>)>>,
 }
 
 impl Default for TunedGemm {
@@ -72,20 +94,22 @@ impl TunedGemm {
 
     /// A tuned GEMM over an explicit tuner (any space, any evaluator).
     pub fn with_tuner(tuner: Tuner) -> Self {
-        TunedGemm { tuner, threads: 1 }
+        TunedGemm { tuner, threads: 1, drivers: Mutex::default() }
     }
 
     fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
         Ok(TunedGemm::with_tuner(Tuner::over(space, registry)?))
     }
 
-    /// Sets the worker-thread count the dispatch driver partitions `C`
+    /// Sets the worker-thread count the dispatch drivers partition `C`
     /// over (`0` = all cores, `1` = sequential). Thread count never
     /// changes results: every `C` element is computed by exactly one
-    /// worker in the sequential op order.
+    /// worker in the sequential op order. Drivers already built for
+    /// another count are dropped.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
+        self.drivers = Mutex::default();
         self
     }
 
@@ -125,8 +149,7 @@ impl TunedGemm {
         &self.tuner
     }
 
-    /// The worker-thread knob set with [`TunedGemm::with_threads`] (the
-    /// batch executor in `exo-serve` reads it to build matching drivers).
+    /// The worker-thread knob set with [`TunedGemm::with_threads`].
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -145,6 +168,70 @@ impl TunedGemm {
         self.tuner.tune(m, n, k)
     }
 
+    /// The verdict for an `m x n x k` problem and the driver that runs it:
+    /// the one driver of the verdict's group, built on the group's first
+    /// dispatch and shared — with the warm runners it owns — by everything
+    /// this executor dispatches afterwards (the `exo-serve` batch executor
+    /// groups a batch's entries by it). A shape with a zero dimension has
+    /// nothing to tune: it gets a `"degenerate"` verdict on the default
+    /// blocking and a driver of its own — any kernel honours the contract
+    /// that is left (`beta` scaling, nothing else) — and the registry stays
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates search or generation failures.
+    pub fn driver_for(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> Result<(TuneVerdict, Arc<BlisGemm>), TuneError> {
+        let degenerate = m == 0 || n == 0 || k == 0;
+        let verdict = if degenerate {
+            let BlockingParams { mc, kc, nc, mr, nr } = BlockingParams::carmel_defaults(8, 12);
+            TuneVerdict {
+                m,
+                n,
+                k,
+                mr,
+                nr,
+                mc,
+                kc,
+                nc,
+                predicted_cycles: 0.0,
+                predicted_gflops: 0.0,
+                candidates_evaluated: 0,
+                evaluator: "degenerate".into(),
+            }
+        } else {
+            self.tuner.tune(m, n, k)?
+        };
+        let key: GroupKey = (!degenerate).then(|| verdict.blocking());
+        // Held across a build, so a group is built exactly once; the
+        // critical section only reads or appends, so a poisoned lock's
+        // state is consistent.
+        let mut drivers = self.drivers.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, driver)) = drivers.iter().find(|(group, _)| *group == key) {
+            return Ok((verdict, Arc::clone(driver)));
+        }
+        let mut driver = BlisGemm::new(verdict.blocking()).with_threads(self.threads);
+        if !degenerate {
+            driver = driver.with_kernel(self.tuner.kernel_impl_for(&verdict)?);
+        }
+        let driver = Arc::new(driver);
+        drivers.push((key, Arc::clone(&driver)));
+        Ok((verdict, driver))
+    }
+
+    /// The drivers built so far, one per verdict group dispatched, in
+    /// first-dispatch order — read-only access to what this executor keeps
+    /// warm ([`BlisGemm::idle_runners`], [`BlisGemm::runners_built`]).
+    pub fn drivers(&self) -> Vec<Arc<BlisGemm>> {
+        let drivers = self.drivers.lock().unwrap_or_else(PoisonError::into_inner);
+        drivers.iter().map(|(_, driver)| Arc::clone(driver)).collect()
+    }
+
     /// Solves the problem with the autotuned kernel and blocking for its
     /// shape, returning both the verdict and the driver statistics.
     ///
@@ -154,46 +241,27 @@ impl TunedGemm {
     /// propagates search or generation failures.
     pub fn execute(&self, problem: GemmProblem<'_>) -> Result<TunedRun, TuneError> {
         let (m, n, k) = problem.dims().map_err(|e| TuneError::Gemm(e.to_string()))?;
-        if m == 0 || n == 0 || k == 0 {
-            // Nothing to tune: the driver handles the degenerate contract
-            // (beta scaling, nothing else) with any kernel, and the
-            // registry stays untouched.
-            let blocking = gemm_blis::BlockingParams::carmel_defaults(8, 12);
-            let driver = BlisGemm::new(blocking).with_threads(self.threads);
-            let stats = driver.gemm(problem)?;
-            let verdict = TuneVerdict {
-                m,
-                n,
-                k,
-                mr: blocking.mr,
-                nr: blocking.nr,
-                mc: blocking.mc,
-                kc: blocking.kc,
-                nc: blocking.nc,
-                predicted_cycles: 0.0,
-                predicted_gflops: 0.0,
-                candidates_evaluated: 0,
-                evaluator: "degenerate".into(),
-            };
-            return Ok(TunedRun { verdict, stats });
-        }
-        let verdict = self.tuner.tune(m, n, k)?;
-        let kernel = self.tuner.kernel_impl_for(&verdict)?;
-        let driver = BlisGemm::new(verdict.blocking()).with_threads(self.threads).with_kernel(kernel);
+        let (verdict, driver) = self.driver_for(m, n, k)?;
         let stats = driver.gemm(problem)?;
         Ok(TunedRun { verdict, stats })
     }
 }
 
-impl GemmExecutor for TunedGemm {
-    fn gemm(&self, problem: GemmProblem<'_>) -> Result<GemmStats, gemm_blis::GemmError> {
-        match self.execute(problem) {
-            Ok(run) => Ok(run.stats),
-            Err(TuneError::Gemm(what)) => Err(gemm_blis::GemmError::ShapeMismatch { what }),
-            Err(e) => {
-                Err(gemm_blis::GemmError::Backend { backend: "exo-tune".into(), message: e.to_string() })
-            }
+/// How a tuning failure reads to a caller of the GEMM contract: the
+/// driver's own rejections are shape mismatches, everything else is the
+/// `exo-tune` backend failing.
+impl From<TuneError> for GemmError {
+    fn from(e: TuneError) -> Self {
+        match e {
+            TuneError::Gemm(what) => GemmError::ShapeMismatch { what },
+            e => GemmError::Backend { backend: "exo-tune".into(), message: e.to_string() },
         }
+    }
+}
+
+impl GemmExecutor for TunedGemm {
+    fn gemm(&self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
+        Ok(self.execute(problem)?.stats)
     }
 }
 
@@ -230,6 +298,36 @@ mod tests {
         naive_gemm(&a2, &b2, &mut c2_ref);
         assert_eq!(tuned.registry().generator_invocations(), invocations);
         assert_eq!(tuned.registry().len(), 1);
+    }
+
+    #[test]
+    fn a_verdict_group_has_one_driver_and_warm_calls_build_no_runner() {
+        let tuned = TunedGemm::new();
+        let built = || tuned.drivers().iter().map(|d| d.runners_built()).sum::<u64>();
+        let (a, b, mut c, mut c_again) = matrices(45, 37, 29);
+        let first = tuned.execute(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
+        assert_eq!((tuned.drivers().len(), built()), (1, 1));
+        // The same shape through the other door: the group's driver and
+        // its warm runner, nothing built, not a bit changed.
+        let stats = tuned.gemm(GemmProblem::new(a.view(), b.view(), c_again.view_mut())).unwrap();
+        assert_eq!((tuned.drivers().len(), built()), (1, 1));
+        assert_eq!(c.data, c_again.data);
+        assert_eq!(stats.kernel, first.stats.kernel);
+        let (verdict, driver) = tuned.driver_for(45, 37, 29).unwrap();
+        assert_eq!(verdict, first.verdict);
+        assert!(Arc::ptr_eq(&driver, &tuned.drivers()[0]));
+        assert_eq!(driver.blocking, verdict.blocking());
+        assert_eq!(driver.idle_runners(), 1);
+        // Nothing to tune: a group of its own, whatever its blocking says.
+        let (degenerate, fallback) = tuned.driver_for(0, 5, 5).unwrap();
+        assert_eq!(degenerate.evaluator, "degenerate");
+        assert!(!Arc::ptr_eq(&fallback, &driver));
+        assert!(Arc::ptr_eq(&fallback, &tuned.driver_for(3, 4, 0).unwrap().1));
+        assert_eq!((tuned.drivers().len(), tuned.registry().len()), (2, 1));
+        // Another thread count is another set of drivers.
+        let wide = tuned.with_threads(2);
+        assert!(wide.drivers().is_empty());
+        assert_eq!(wide.driver_for(45, 37, 29).unwrap().1.threads, 2);
     }
 
     #[test]

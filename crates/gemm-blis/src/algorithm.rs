@@ -28,16 +28,26 @@
 //! worker in the sequential `pc` order, so the result is bit-for-bit
 //! identical for any thread count.
 //!
+//! And there is one owner of engines, with one lifetime for them: the
+//! [`BlisGemm`] driver keeps its idle runners, every pass — a plain call,
+//! an extra window, a batch shard — checks one out and returns it, and the
+//! only thing that ends a runner early is a pass that unwound. The tier a
+//! generated kernel runs on is settled at the top of each GEMM
+//! (`GemmRunner::begin`), not when the runner was built, so warm state
+//! never pins a problem to a fallback the kernel has since outgrown.
+//!
 //! Correctness for arbitrary (including fringe) problem sizes is the point;
 //! with compiled kernels the same entry point is also the fast path.
 //! Modelled performance questions go through [`crate::model`] instead.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::baselines::{neon_intrinsics_kernel, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
 use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena, PackedB};
-use crate::pool::{PoolJob, ThreadPool};
+use crate::pool::{lock_tolerant, PoolJob, ThreadPool};
 use crate::problem::{GemmExecutor, GemmProblem, GemmStats};
 use crate::views::{MatMut, MatRef};
 use crate::GemmError;
@@ -210,12 +220,21 @@ impl RawMat {
 }
 
 /// The BLIS-like GEMM driver of Fig. 1, parameterised by blocking values and
-/// a micro-kernel.
+/// a micro-kernel — and the one owner of the engine state its GEMMs run on.
+///
+/// A driver keeps its idle [`GemmRunner`]s (tier handle with its memoised
+/// proofs, packing arena, staged `C` tile). Every engine pass checks one
+/// out ([`BlisGemm::runner`]) and returns it afterwards
+/// ([`BlisGemm::put_back`]): a plain [`GemmExecutor::gemm`] call, each extra
+/// window of a threaded run, and each shard of an `exo-serve` batch draw
+/// from the same place, so whichever door a problem comes through, only
+/// the first one pays for building an engine. A runner whose pass unwound
+/// is dropped with the frame that held it, never returned; [`Clone`] and
+/// [`BlisGemm::with_kernel`] start with no runners. The set never holds
+/// more runners than were once in use at the same time.
 ///
 /// As a [`GemmExecutor`] it dispatches its stored kernel (set with
-/// [`BlisGemm::with_kernel`] / [`BlisGemm::for_kernel`]); the kernel-sweep
-/// harnesses use [`BlisGemm::gemm_with`] to supply one per call.
-#[derive(Debug, Clone)]
+/// [`BlisGemm::with_kernel`] / [`BlisGemm::for_kernel`]).
 pub struct BlisGemm {
     /// Cache blocking parameters.
     pub blocking: BlockingParams,
@@ -227,6 +246,39 @@ pub struct BlisGemm {
     pub threads: usize,
     /// The micro-kernel the [`GemmExecutor`] entry point dispatches.
     kernel: KernelImpl,
+    warm: WarmRunners,
+}
+
+/// A driver's idle runners and how many it has had to build.
+#[derive(Default)]
+struct WarmRunners {
+    idle: Mutex<Vec<GemmRunner>>,
+    built: AtomicU64,
+}
+
+impl Clone for BlisGemm {
+    /// The same blocking, thread count and kernel on a driver of its own:
+    /// the clone starts with no runners.
+    fn clone(&self) -> Self {
+        BlisGemm {
+            blocking: self.blocking,
+            threads: self.threads,
+            kernel: self.kernel.clone(),
+            warm: WarmRunners::default(),
+        }
+    }
+}
+
+impl std::fmt::Debug for BlisGemm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlisGemm")
+            .field("blocking", &self.blocking)
+            .field("threads", &self.threads)
+            .field("kernel", &self.kernel.name)
+            .field("idle_runners", &self.idle_runners())
+            .field("runners_built", &self.runners_built())
+            .finish()
+    }
 }
 
 impl BlisGemm {
@@ -234,7 +286,7 @@ impl BlisGemm {
     /// hand-written NEON 8x12 kernel as the executor default — override
     /// with [`BlisGemm::with_kernel`]).
     pub fn new(blocking: BlockingParams) -> Self {
-        BlisGemm { blocking, threads: 1, kernel: neon_intrinsics_kernel() }
+        BlisGemm { blocking, threads: 1, kernel: neon_intrinsics_kernel(), warm: WarmRunners::default() }
     }
 
     /// Creates a driver around a micro-kernel, with blocking derived
@@ -246,9 +298,11 @@ impl BlisGemm {
     }
 
     /// Sets the micro-kernel the [`GemmExecutor`] entry point dispatches.
+    /// Runners built around the previous kernel are dropped.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelImpl) -> Self {
         self.kernel = kernel;
+        self.warm = WarmRunners::default();
         self
     }
 
@@ -266,28 +320,65 @@ impl BlisGemm {
         self
     }
 
-    /// Creates an amortised sequential runner around this driver's stored
-    /// kernel and blocking: the staged `C` tile and prove-once dispatch
-    /// handle are built here, once, and reused (with the arena the runner
-    /// grows) by every [`GemmRunner::gemm`] call. The runner owns copies of
-    /// what it needs, so it may outlive the driver.
+    /// Checks a runner out of this driver: an idle one when there is one,
+    /// else one built here — the only place engines are built — around the
+    /// stored kernel and blocking, with an empty arena it grows on demand.
+    /// The caller owns it until it hands it back with
+    /// [`BlisGemm::put_back`]; a runner that is simply dropped (its pass
+    /// unwound, or its holder is done with it) is never seen again. The
+    /// runner owns copies of what it needs, so it may outlive the driver.
     pub fn runner(&self) -> GemmRunner {
-        GemmRunner::new(self.blocking, &self.kernel)
+        let blocking = tile_blocking(self.blocking, &self.kernel);
+        // `blocking` is a public field: a runner built before it was
+        // changed is not this driver's any more.
+        let idle = lock_tolerant(&self.warm.idle).pop().filter(|runner| runner.blocking == blocking);
+        idle.unwrap_or_else(|| {
+            self.warm.built.fetch_add(1, Ordering::Relaxed);
+            GemmRunner::new(blocking, &self.kernel)
+        })
+    }
+
+    /// Returns a runner checked out with [`BlisGemm::runner`] after a pass
+    /// that came back — with `Ok` or `Err`, but not by unwinding — so the
+    /// next check-out finds it warm: tier handle, memoised proofs, arena.
+    pub fn put_back(&self, runner: GemmRunner) {
+        lock_tolerant(&self.warm.idle).push(runner);
+    }
+
+    /// How many runners sit idle in this driver (those checked out are
+    /// with their holders).
+    pub fn idle_runners(&self) -> usize {
+        lock_tolerant(&self.warm.idle).len()
+    }
+
+    /// How many runners this driver has built so far: what a check-out
+    /// that found none idle costs, counted. A warm driver's stays put.
+    pub fn runners_built(&self) -> u64 {
+        self.warm.built.load(Ordering::Relaxed)
     }
 
     /// Packs the whole of `b` — the effective, op-applied `k x n` operand —
     /// into `image`, in the layout this driver's runners slice
-    /// ([`GemmRunner::run`]): its blocking's `kc` / `nc`, its stored
-    /// kernel's `nr`.
+    /// ([`BlisGemm::run`]): its blocking's `kc` / `nc`, its stored kernel's
+    /// `nr`.
     pub fn pack_b(&self, b: MatRef<'_>, image: &mut PackedB) {
         image.pack(b, &tile_blocking(self.blocking, &self.kernel));
     }
 
-    /// Solves a [`GemmProblem`] with an explicitly supplied micro-kernel
-    /// (the stored one is ignored): the full-control entry point behind the
-    /// [`GemmExecutor`] impl, used by harnesses that sweep kernels over one
-    /// driver. Builds a [`GemmRunner`] for the call and runs it at this
-    /// driver's thread count.
+    /// Solves one problem on `runner` — one of this driver's, checked out
+    /// by the caller — and up to `threads` workers of the shared pool (`0`
+    /// = its full width): partition `C`, run the engine once per window.
+    /// `runner` serves the first window; the others are served by runners
+    /// checked out of this driver for the call and returned after it.
+    /// [`GemmExecutor::gemm`] is this with a check-out around it; a caller
+    /// with many problems (a batch shard) keeps one runner across them and
+    /// takes no lock per problem.
+    ///
+    /// With `packed_b`, `op(B)` is read from the image instead of
+    /// `problem.b`, which then only states the shape: no window packs `B`,
+    /// and the result is bit-identical to the run that packs — provided
+    /// the image was packed from that `B` ([`BlisGemm::pack_b`]), which is
+    /// the caller's contract.
     ///
     /// Fringe tiles are zero-padded by the packing routines and the `C`
     /// tile is staged through a padded scratch tile, exactly as the
@@ -296,31 +387,105 @@ impl BlisGemm {
     /// # Errors
     ///
     /// Returns [`GemmError::ShapeMismatch`] if the view dimensions are
-    /// inconsistent, and propagates micro-kernel failures.
-    pub fn gemm_with(&self, kernel: &KernelImpl, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        GemmRunner::new(self.blocking, kernel).run(problem, None, self.threads)
+    /// inconsistent or the image is not this problem's `k x n` packed for
+    /// this driver's blocking, and propagates micro-kernel failures.
+    pub fn run(
+        &self,
+        runner: &mut GemmRunner,
+        problem: GemmProblem<'_>,
+        packed_b: Option<&PackedB>,
+        threads: usize,
+    ) -> Result<GemmStats, GemmError> {
+        debug_assert_eq!(
+            runner.blocking,
+            tile_blocking(self.blocking, &self.kernel),
+            "another driver's runner"
+        );
+        let (mut stats, operands) = runner.begin(problem, packed_b)?;
+        let Some(operands) = operands else {
+            return Ok(stats);
+        };
+        let run_window = |runner: &mut GemmRunner, window: Window| {
+            // SAFETY: `operands.c` wraps the problem's exclusively borrowed
+            // `C` view, live until this function returns. The windows below
+            // are pairwise disjoint and each goes to exactly one engine
+            // pass, and `MatMut` proved the stride map injective, so no
+            // element is touched by two threads.
+            unsafe { gemm_arena_sequential(runner, operands, window) }
+        };
+        let threads = match threads {
+            0 => ThreadPool::global().workers(),
+            t => t,
+        };
+        let mut windows = partition(stats.m, stats.n, &runner.blocking, threads);
+        if windows.len() == 1 {
+            run_window(runner, windows.next().expect("one window"))?;
+            return Ok(stats);
+        }
+        stats.threads = windows.len();
+        stats.pool_workers = ThreadPool::global().workers();
+        let mut others: Vec<GemmRunner> = (1..windows.len())
+            .map(|_| {
+                let mut other = self.runner();
+                other.dispatch.refresh();
+                other
+            })
+            .collect();
+        let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); windows.len()];
+        let k = operands.a.cols();
+        let jobs: Vec<PoolJob<'_>> = std::iter::once(runner)
+            .chain(others.iter_mut())
+            .zip(windows)
+            .zip(results.iter_mut())
+            .map(|((runner, window), result)| {
+                // Grow each engine's arena here, on the calling thread, so
+                // the buffers come from (and go back to) one allocator
+                // arena instead of leaving a block-sized chunk cached in
+                // every pool thread's.
+                runner.reserve(operands.b, window.0.len(), window.1.len(), k);
+                Box::new(move || *result = run_window(runner, window)) as PoolJob<'_>
+            })
+            .collect();
+        // The shared pool's recycled workers (plus this thread helping) —
+        // no OS threads are spawned here. A window that panics is re-raised
+        // from here once the others are done, and the unwinding drops
+        // `others` instead of returning them.
+        ThreadPool::global().scope_run(jobs);
+        for other in others {
+            self.put_back(other);
+        }
+        results.into_iter().collect::<Result<(), GemmError>>()?;
+        Ok(stats)
     }
 }
 
 impl GemmExecutor for BlisGemm {
     fn gemm(&self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        self.gemm_with(&self.kernel, problem)
+        let mut runner = self.runner();
+        let result = self.run(&mut runner, problem, None, self.threads);
+        self.put_back(runner);
+        result
     }
 }
 
 /// One instance of the five-loop engine: blocking, a prove-once
 /// [`KernelDispatch`] handle, a packing arena (grown on demand, never
-/// shrunk), and the staged `C` tile, reused across every problem passed to
-/// [`GemmRunner::gemm`].
+/// shrunk), and the staged `C` tile, reused across every problem it is
+/// given.
 ///
-/// Every GEMM in the workspace runs on one of these. [`BlisGemm::gemm`]
-/// builds one per call (and one more per extra worker when threaded); the
-/// `exo-serve` batch executor keeps one per shard so a batch pays dispatch
-/// construction, bounds proofs, and arena growth once instead of per entry.
-/// Results are bit-identical either way — same packing, same op order.
-/// The arena holds only what the runner has had to pack: one that has
+/// Every GEMM in the workspace runs on one of these, and every one of
+/// these belongs to a [`BlisGemm`], which builds it on the first check-out
+/// that finds none idle ([`BlisGemm::runner`]) and keeps it warm between
+/// passes — so dispatch construction, bounds proofs and arena growth are
+/// paid once per driver and degree of concurrency, not once per call,
+/// window or batch. Results are bit-identical to a fresh runner's — same
+/// packing, same op order; a runner carries no numeric state. At the top
+/// of each GEMM, before `C` is partitioned, the runner re-resolves a tier
+/// handle that sits below the tier it asked for
+/// ([`KernelDispatch`]), so a native artifact that promotes later reaches
+/// runners that were built before it; [`GemmStats::tier`] says which tier
+/// ran. The arena holds only what the runner has had to pack: one that has
 /// only ever read `B` from [`PackedB`] images has no `Bc` buffer at all.
-/// Built with [`BlisGemm::runner`].
 pub struct GemmRunner {
     /// The driver's blocking with `mr`/`nr` replaced by the kernel's tile.
     blocking: BlockingParams,
@@ -343,6 +508,18 @@ enum BOperand<'a> {
     Packed(&'a PackedB),
 }
 
+/// A validated problem with work left in it, as the engine passes read it:
+/// the effective operands, the raw `C`, and the two scales.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    /// `op(A)`, `m x k`.
+    a: MatRef<'a>,
+    b: BOperand<'a>,
+    c: RawMat,
+    alpha: f32,
+    beta: f32,
+}
+
 /// `blocking` with `mr`/`nr` replaced by the kernel's register tile. Panels
 /// are shaped by the *kernel's* tile, which the blocking's need not match
 /// (callers may pair a generic blocking with any kernel), so arenas and
@@ -352,9 +529,10 @@ fn tile_blocking(blocking: BlockingParams, kernel: &KernelImpl) -> BlockingParam
 }
 
 impl GemmRunner {
+    /// `blocking` is already the kernel's ([`tile_blocking`]).
     fn new(blocking: BlockingParams, kernel: &KernelImpl) -> Self {
         GemmRunner {
-            blocking: tile_blocking(blocking, kernel),
+            blocking,
             dispatch: kernel.dispatcher(),
             arena: PackArena::empty(),
             c_tile: vec![0.0f32; kernel.mr * kernel.nr],
@@ -370,38 +548,16 @@ impl GemmRunner {
         }
     }
 
-    /// Solves one problem on the calling thread with the reused scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
-    /// for inconsistent dimensions, micro-kernel failures propagated.
-    pub fn gemm(&mut self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        self.run(problem, None, 1)
-    }
-
-    /// Solves one problem on up to `threads` workers of the shared pool
-    /// (`0` = its full width): partition `C`, run the engine once per
-    /// window. This runner serves the first window; the other workers get
-    /// runners built for the call.
-    ///
-    /// With `packed_b`, `op(B)` is read from the image instead of
-    /// `problem.b`, which then only states the shape: no window packs `B`,
-    /// and the result is bit-identical to the run that packs — provided
-    /// the image was packed from that `B` ([`BlisGemm::pack_b`]), which is
-    /// the caller's contract.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BlisGemm::gemm`], plus
-    /// [`GemmError::ShapeMismatch`] for an image that is not this problem's
-    /// `k x n` packed for this runner's blocking.
-    pub fn run(
+    /// The top of a GEMM, before any partition: validate the problem
+    /// (and the image, if `B` comes from one), re-resolve the tier handle —
+    /// here and nowhere below, so one problem runs on one tier — and settle
+    /// the contracts that need no engine pass. Returns the stats and, when
+    /// there is a product left to compute, the operands to compute it from.
+    fn begin<'a>(
         &mut self,
-        problem: GemmProblem<'_>,
-        packed_b: Option<&PackedB>,
-        threads: usize,
-    ) -> Result<GemmStats, GemmError> {
+        problem: GemmProblem<'a>,
+        packed_b: Option<&'a PackedB>,
+    ) -> Result<(GemmStats, Option<Operands<'a>>), GemmError> {
         let (m, n, k) = problem.dims()?;
         let a = problem.op_a.apply(problem.a);
         let b = match packed_b {
@@ -413,66 +569,47 @@ impl GemmRunner {
         };
         let (alpha, beta) = (problem.alpha, problem.beta);
         let mut c = problem.c;
-        let mut stats = GemmStats {
+        self.dispatch.refresh();
+        let stats = GemmStats {
             m,
             n,
             k,
             flop_count: GemmStats::flops_for(m, n, k, alpha),
             kernel: self.dispatch.kernel().name.clone(),
+            tier: self.dispatch.tier(),
             threads: 1,
             pool_workers: 0,
             batched: false,
             degraded: false,
         };
         if m == 0 || n == 0 {
-            return Ok(stats);
+            return Ok((stats, None));
         }
         if k == 0 || alpha == 0.0 {
             // Degenerate product: C = beta * C, honoring beta == 0 as
             // "never read".
             scale_c(&mut c, beta);
-            return Ok(stats);
+            return Ok((stats, None));
         }
-        let c_raw = RawMat::of(&mut c);
-        let run_window = |runner: &mut GemmRunner, window: Window| {
-            // SAFETY: `c_raw` wraps the problem's exclusively borrowed `C`
-            // view, live until this function returns. The windows below are
-            // pairwise disjoint and each goes to exactly one engine pass,
-            // and `MatMut` proved the stride map injective, so no element
-            // is touched by two threads.
-            unsafe { gemm_arena_sequential(runner, a, b, c_raw, window, alpha, beta) }
-        };
-        let threads = match threads {
-            0 => ThreadPool::global().workers(),
-            t => t,
-        };
-        let mut windows = partition(m, n, &self.blocking, threads);
-        if windows.len() == 1 {
-            run_window(self, windows.next().expect("one window"))?;
-            return Ok(stats);
+        // `c` is a borrow for `'a`, which outlives the operands.
+        Ok((stats, Some(Operands { a, b, c: RawMat::of(&mut c), alpha, beta })))
+    }
+
+    /// Solves one problem on the calling thread, alone: the whole of `C`
+    /// is this runner's one window.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
+    /// for inconsistent dimensions, micro-kernel failures propagated.
+    pub fn gemm(&mut self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
+        let (stats, operands) = self.begin(problem, None)?;
+        if let Some(operands) = operands {
+            // SAFETY: `operands.c` wraps the problem's exclusively borrowed
+            // `C` view, live until this function returns, and this is the
+            // only pass over it.
+            unsafe { gemm_arena_sequential(self, operands, (0..stats.m, 0..stats.n))? };
         }
-        stats.threads = windows.len();
-        stats.pool_workers = ThreadPool::global().workers();
-        let mut others: Vec<GemmRunner> =
-            (1..windows.len()).map(|_| GemmRunner::new(self.blocking, self.dispatch.kernel())).collect();
-        let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); windows.len()];
-        let jobs: Vec<PoolJob<'_>> = std::iter::once(self)
-            .chain(others.iter_mut())
-            .zip(windows)
-            .zip(results.iter_mut())
-            .map(|((runner, window), result)| {
-                // Grow each engine's arena here, on the calling thread, so
-                // the buffers come from (and go back to) one allocator
-                // arena instead of leaving a block-sized chunk cached in
-                // every pool thread's.
-                runner.reserve(b, window.0.len(), window.1.len(), k);
-                Box::new(move || *result = run_window(runner, window)) as PoolJob<'_>
-            })
-            .collect();
-        // The shared pool's recycled workers (plus this thread helping) —
-        // no OS threads are spawned here.
-        ThreadPool::global().scope_run(jobs);
-        results.into_iter().collect::<Result<(), GemmError>>()?;
         Ok(stats)
     }
 }
@@ -519,12 +656,8 @@ fn partition(
 /// element inside `window` during the call.
 unsafe fn gemm_arena_sequential(
     run: &mut GemmRunner,
-    a: MatRef<'_>,
-    b: BOperand<'_>,
-    c: RawMat,
+    Operands { a, b, c, alpha, beta }: Operands<'_>,
     (rows, cols): Window,
-    alpha: f32,
-    beta: f32,
 ) -> Result<(), GemmError> {
     let k = a.cols();
     let BlockingParams { mc, kc, nc, nr, .. } = run.blocking;
@@ -704,7 +837,8 @@ mod tests {
         // small problems.
         let blocking = BlockingParams { mc: 24, kc: 16, nc: 36, mr: kernel.mr, nr: kernel.nr };
         let stats = BlisGemm::new(blocking)
-            .gemm_with(kernel, GemmProblem::new(a.view(), b.view(), c.view_mut()))
+            .with_kernel(kernel.clone())
+            .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
         assert_eq!((stats.m, stats.n, stats.k), (m, n, k));
         // The inputs sit on a dyadic grid (multiples of 1/4 and 1/8, small
@@ -717,8 +851,9 @@ mod tests {
         // order, disjoint per-thread windows.
         let mut c_threaded = c_start;
         BlisGemm::new(blocking)
+            .with_kernel(kernel.clone())
             .with_threads(4)
-            .gemm_with(kernel, GemmProblem::new(a.view(), b.view(), c_threaded.view_mut()))
+            .gemm(GemmProblem::new(a.view(), b.view(), c_threaded.view_mut()))
             .unwrap();
         assert_eq!(c.data, c_threaded.data, "{}: threads=4 vs threads=1", kernel.name);
     }
@@ -774,7 +909,7 @@ mod tests {
             GemmProblem::new(at.view(), bt.view(), c).transpose_a().transpose_b().alpha(-0.5).beta(0.75)
         }
         let mut c_blis = c0.clone();
-        BlisGemm::new(blocking).gemm_with(&kernel, build(&at, &bt, c_blis.view_mut())).unwrap();
+        BlisGemm::new(blocking).with_kernel(kernel).gemm(build(&at, &bt, c_blis.view_mut())).unwrap();
         let mut c_ref = c0.clone();
         NaiveGemm.gemm(build(&at, &bt, c_ref.view_mut())).unwrap();
         // Dyadic-grid inputs, alpha and beta: exact in f32, so bit for bit.
@@ -789,7 +924,8 @@ mod tests {
         let kernel = neon_intrinsics_kernel();
         let blocking = BlockingParams { mc: 4, kc: 4, nc: 4, mr: kernel.mr, nr: kernel.nr };
         BlisGemm::new(blocking)
-            .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c.view_mut()).beta(0.0))
+            .with_kernel(kernel)
+            .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()).beta(0.0))
             .unwrap();
         assert!(c.data.iter().all(|v| v.is_finite()), "beta = 0 must never read C");
     }
@@ -841,8 +977,9 @@ mod tests {
         let mut c = Matrix::zeros(13, 13);
         let mut c_ref = Matrix::zeros(13, 13);
         BlisGemm::new(blocking)
+            .with_kernel(kernel)
             .with_threads(3)
-            .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c.view_mut()))
+            .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
         naive_gemm(&a, &b, &mut c_ref);
         for idx in 0..c.data.len() {
@@ -910,8 +1047,21 @@ mod tests {
                     // dyadic-grid inputs make the blocked result exact.
                     assert_eq!(sequential, run(&NaiveGemm, "the reference"), "{axis}, {layout}, beta {beta}");
                     for threads in [2usize, 3, 8] {
-                        let threaded = run(&BlisGemm::new(blocking).with_threads(threads), "a threaded run");
+                        let driver = BlisGemm::new(blocking).with_threads(threads);
+                        let threaded = run(&driver, "a threaded run");
                         assert_eq!(sequential, threaded, "{axis}, {layout}, beta {beta}, {threads} threads");
+                        // Every window's runner went back to the driver,
+                        // so the second threaded call on it builds none —
+                        // and warm runners change no bit.
+                        let built = driver.runners_built();
+                        assert_eq!(built as usize, partition(m, n, &blocking, threads).len());
+                        assert_eq!(driver.idle_runners(), built as usize);
+                        assert_eq!(
+                            sequential,
+                            run(&driver, "a warm threaded run"),
+                            "{axis}, {layout}, {threads}"
+                        );
+                        assert_eq!(driver.runners_built(), built, "{axis}, {layout}, {threads} threads");
                     }
                 }
             }
@@ -953,10 +1103,12 @@ mod tests {
             }
             let mut c_view = c0.clone();
             driver.gemm(build(&a, &stored, &mut c_view)).unwrap();
+            // A driver of its own: none of its runners has packed a `B`.
+            let driver = driver.clone();
             let mut runner = driver.runner();
             for threads in [1usize, 3] {
                 let mut c_image = c0.clone();
-                runner.run(build(&a, &stored, &mut c_image), Some(&image), threads).unwrap();
+                driver.run(&mut runner, build(&a, &stored, &mut c_image), Some(&image), threads).unwrap();
                 assert_eq!(c_image.data, c_view.data, "{m}x{n}x{k}, {threads} threads");
             }
             assert_eq!(runner.arena.b_capacity(), 0, "a runner served from images packs no B");
@@ -966,13 +1118,60 @@ mod tests {
             let mut other = PackedB::default();
             BlisGemm::new(BlockingParams { kc: 8, ..blocking }).pack_b(b, &mut other);
             let mut c = c0.clone();
-            let refused = runner.run(build(&a, &stored, &mut c), Some(&other), 1);
+            let refused = driver.run(&mut runner, build(&a, &stored, &mut c), Some(&other), 1);
             assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{refused:?}");
             driver.pack_b(b.submatrix(0, 0, k, n - 1), &mut other);
-            let refused = runner.run(build(&a, &stored, &mut c), Some(&other), 1);
+            let refused = driver.run(&mut runner, build(&a, &stored, &mut c), Some(&other), 1);
             assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{refused:?}");
             assert_eq!(c.data, c0.data);
         }
+    }
+
+    #[test]
+    fn a_driver_keeps_its_runners_warm_and_drops_the_one_whose_pass_unwound() {
+        let generator = MicroKernelGenerator::new(neon_f32());
+        let kernel = exo_kernel(Arc::new(generator.generate(8, 8).unwrap()));
+        let blocking = BlockingParams { mc: 16, kc: 16, nc: 16, mr: 8, nr: 8 };
+        let driver = BlisGemm::new(blocking).with_kernel(kernel.clone());
+        assert_eq!((driver.idle_runners(), driver.runners_built()), (0, 0));
+        let a = Matrix::from_fn(20, 12, |i, j| (i * 3 + j) as f32 * 0.125 - 1.0);
+        let b = Matrix::from_fn(12, 9, |i, j| (i + j * 2) as f32 * 0.25 - 0.5);
+        let run = |driver: &BlisGemm| {
+            let mut c = Matrix::zeros(20, 9);
+            let stats = driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
+            (c.data, stats)
+        };
+        // One call builds one runner and returns it; the next finds it.
+        let (cold, stats) = run(&driver);
+        assert!(stats.tier.is_some(), "a generated kernel reports the tier that ran");
+        assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
+        assert_eq!(run(&driver).0, cold, "a warm runner carries no numeric state");
+        assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
+        // The hand-written families have no tiers, and an error that is
+        // returned, not unwound, costs the driver no runner.
+        assert_eq!(run(&BlisGemm::new(blocking)).1.tier, None);
+        let mut c = Matrix::zeros(3, 3);
+        assert!(driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).is_err());
+        assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
+        // A pass that unwinds takes its runner with it: the next call
+        // builds one, and the driver's lock is none the worse.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _runner = driver.runner();
+            panic!("a pass that unwinds");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!((driver.idle_runners(), driver.runners_built()), (0, 1));
+        assert_eq!(run(&driver).0, cold);
+        assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 2));
+        // Clones and re-kernelled drivers start with no runners, and a
+        // runner built before the public `blocking` field changed is not
+        // handed out for the new blocking.
+        assert_eq!((driver.clone().idle_runners(), driver.clone().runners_built()), (0, 0));
+        assert_eq!(driver.clone().with_kernel(kernel).idle_runners(), 0);
+        let mut driver = driver;
+        driver.blocking.kc = 8;
+        assert_eq!(run(&driver).0, cold, "dyadic inputs: exact under any blocking");
+        assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 3));
     }
 
     #[test]
@@ -984,8 +1183,9 @@ mod tests {
         let mut c_ref = Matrix::zeros(40, 24);
         let blocking = BlockingParams { mc: 8, kc: 8, nc: 24, mr: kernel.mr, nr: kernel.nr };
         BlisGemm::new(blocking)
+            .with_kernel(kernel)
             .with_threads(0)
-            .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c.view_mut()))
+            .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
         naive_gemm(&a, &b, &mut c_ref);
         for idx in 0..c.data.len() {

@@ -142,23 +142,25 @@ impl KernelImpl {
         self.run_on(self.resolve().as_mut(), kc, a, b, c)
     }
 
-    /// A per-GEMM dispatch handle for this kernel (see [`KernelDispatch`]).
+    /// A reusable dispatch handle for this kernel (see [`KernelDispatch`]).
     ///
     /// Every five-loop engine instance (`GemmRunner`) holds one, so a
     /// generated kernel proves its affine-interval obligations and
     /// allocates its register file **once** per distinct `(KC, buffer
     /// lengths)` input instead of on every micro-tile — the fringe tiles
     /// of a blocked problem no longer re-prove and re-allocate thousands
-    /// of times. The tier is resolved here, once: a handle built while the
-    /// native artifact is still compiling serves on the simd chain, later
-    /// handles carry the artifact — bit-identical on a matching ISA, so
-    /// the switch is invisible except for speed.
+    /// of times. The tier is resolved here for the first time, not for the
+    /// last: a handle built while the native artifact is still compiling
+    /// starts on the simd chain, and the engine that holds it re-resolves
+    /// it at the top of every GEMM until it reaches the tier it asked for
+    /// — bit-identical on a matching ISA, so the switch is invisible
+    /// except for speed.
     pub fn dispatcher(&self) -> KernelDispatch {
         KernelDispatch { imp: self.clone(), tier: self.resolve() }
     }
 }
 
-/// A reusable per-GEMM (per-worker) micro-kernel handle.
+/// A reusable per-engine (per-worker) micro-kernel handle.
 ///
 /// For generated kernels this holds the one resolved
 /// [`ukernel_gen::TierDispatch`]: on the proved tiers (native, simd,
@@ -167,6 +169,12 @@ impl KernelImpl {
 /// steady-state micro-tile dispatch allocates nothing. Every other kernel
 /// family runs its plain loops. Results are bit-for-bit identical to
 /// calling [`KernelImpl::run`] with the same effective backend.
+///
+/// The handle may outlive the moment it was built in — engines are kept
+/// warm by their driver — so it remembers the tier it asked for
+/// ([`ExecBackend::effective`] of the kernel's backend) and, while it sits
+/// below it, walks the ladder again at the top of each GEMM: a native
+/// artifact that promotes later reaches handles that were built before it.
 #[derive(Debug, Clone)]
 pub struct KernelDispatch {
     imp: KernelImpl,
@@ -179,8 +187,23 @@ impl KernelDispatch {
         &self.imp
     }
 
+    /// The execution tier this handle currently runs on, or `None` for the
+    /// hand-written kernel families (plain Rust loops, no tier).
+    pub fn tier(&self) -> Option<ExecBackend> {
+        self.tier.as_ref().map(TierDispatch::tier)
+    }
+
+    /// Re-resolves a handle that sits below the tier it asked for
+    /// ([`TierDispatch::refresh`]). The engine calls this once at the top
+    /// of a GEMM — never between tiles, so one problem runs on one tier.
+    pub(crate) fn refresh(&mut self) {
+        if let (KernelKind::Exo(kernel), Some(tier)) = (&self.imp.kind, &mut self.tier) {
+            tier.refresh(kernel);
+        }
+    }
+
     /// Runs the kernel: `c[nr][mr] += a[kc][mr] * b[kc][nr]`, on the tier
-    /// this handle resolved when it was built.
+    /// this handle currently holds.
     ///
     /// # Errors
     ///

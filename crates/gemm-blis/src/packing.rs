@@ -295,7 +295,7 @@ impl PackArena {
 ///
 /// GEMMs that multiply by one `B` under one blocking — a layer's weights
 /// against a batch of activations — share an image instead of each packing
-/// `B` for itself: [`crate::GemmRunner::run`] slices the image's blocks
+/// `B` for itself: [`crate::BlisGemm::run`] slices the image's blocks
 /// where it would otherwise pack them, so the bits are those of the
 /// per-call run. The engine refuses an image whose stamp does not match
 /// the problem and its own blocking; that the image was packed from the

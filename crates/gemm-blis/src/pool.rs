@@ -51,7 +51,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// The pool's critical sections only push/pop plain data, so a poisoned
 /// lock's state is always consistent; propagating the poison (the default
 /// `unwrap`) would turn one contained panic into a process-wide cascade.
-fn lock_tolerant<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_tolerant<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

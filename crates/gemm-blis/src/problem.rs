@@ -22,6 +22,7 @@
 //! values such as NaN), and `alpha == 0` skips the product entirely (neither
 //! `A` nor `B` is read).
 
+use crate::baselines::ExecBackend;
 use crate::views::{MatMut, MatRef};
 use crate::GemmError;
 
@@ -191,6 +192,12 @@ pub struct GemmStats {
     pub flop_count: u64,
     /// Display name of the micro-kernel (or backend) that ran the problem.
     pub kernel: String,
+    /// The execution tier the micro-kernel's dispatch handle had resolved
+    /// when it ran the problem — for a generated kernel the tier that
+    /// actually answered on [`crate::ExecBackend`]'s ladder (a degraded
+    /// retry reports the tier it landed on), `None` for the hand-written
+    /// kernel families and the reference executors, which have no tiers.
+    pub tier: Option<ExecBackend>,
     /// Worker threads the driver used (`1` for sequential executors).
     pub threads: usize,
     /// Width of the shared worker pool the driver drew from, or `0` when
@@ -283,6 +290,7 @@ impl GemmExecutor for NaiveGemm {
             k,
             flop_count,
             kernel: "naive strided reference".into(),
+            tier: None,
             threads: 1,
             pool_workers: 0,
             batched: false,

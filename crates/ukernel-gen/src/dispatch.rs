@@ -9,7 +9,9 @@
 //! native tier, when its background build has promoted), else the next
 //! one down. Every entry point — one-shot runs, the GEMM driver's per-worker
 //! handles, a pinned tier, the serving layer's degraded retry — goes
-//! through it, so a pin is never a second code path beside the ladder.
+//! through it, so a pin is never a second code path beside the ladder —
+//! and so does [`TierDispatch::refresh`], which walks the same ladder again
+//! for a long-lived handle that was built before the native tier promoted.
 
 use std::sync::Arc;
 
@@ -139,10 +141,16 @@ enum Tier {
 /// register file, so steady-state micro-tile dispatch allocates and
 /// re-proves nothing: create one per worker and reuse it for every tile.
 /// Results are bit-for-bit those of a fresh handle on the same tier.
+///
+/// The handle remembers the tier it was asked for, so one that had to
+/// settle below it — the native build was still in flight — can be taken
+/// back up the ladder later ([`TierDispatch::refresh`]) instead of serving
+/// on the fallback for as long as it lives.
 #[derive(Debug, Clone)]
 pub struct TierDispatch {
     mr: usize,
     nr: usize,
+    asked: ExecBackend,
     resolved: ExecBackend,
     tier: Tier,
 }
@@ -151,23 +159,34 @@ impl GeneratedKernel {
     /// Resolves `backend` down the ladder and returns the handle that runs
     /// it: the requested tier when this kernel has that lowering (for
     /// [`ExecBackend::Native`]: when the background build has promoted —
-    /// a non-blocking [`Self::native`] poll, so early handles serve on
-    /// simd and later ones carry the artifact), else the next tier down.
-    /// The interpreter always resolves. Callers honouring `EXO_BACKEND`
-    /// pass [`ExecBackend::effective`].
+    /// a non-blocking [`Self::native`] poll, so a handle built early serves
+    /// on simd until a [`TierDispatch::refresh`] finds the artifact), else
+    /// the next tier down. The interpreter always resolves. Callers
+    /// honouring `EXO_BACKEND` pass [`ExecBackend::effective`].
     pub fn dispatcher(&self, backend: ExecBackend) -> TierDispatch {
+        self.resolve(backend, None).expect("the interpreter always resolves")
+    }
+
+    /// The ladder: the handle of the first tier at or below `asked` this
+    /// kernel can serve now — or `None` once the walk reaches `held`, the
+    /// tier the caller already has a handle on, without building anything.
+    fn resolve(&self, asked: ExecBackend, held: Option<ExecBackend>) -> Option<TierDispatch> {
         let proved = |body: &Arc<SimdKernel>| Tier::Proved(body.dispatcher());
-        let tier = match backend {
-            ExecBackend::Native => self.native().map(|native| Tier::Proved(native.dispatcher())),
-            ExecBackend::Simd => self.simd.as_ref().map(proved),
-            ExecBackend::Superword => self.portable().map(proved),
-            ExecBackend::Tape => self.tape.clone().map(Tier::Tape),
-            ExecBackend::Interp => Some(Tier::Interp(Arc::clone(&self.compiled))),
-        };
-        match tier {
-            Some(tier) => TierDispatch { mr: self.mr, nr: self.nr, resolved: backend, tier },
-            None => self.dispatcher(backend.degraded().expect("the interpreter always resolves")),
+        let mut backend = asked;
+        while Some(backend) != held {
+            let tier = match backend {
+                ExecBackend::Native => self.native().map(|native| Tier::Proved(native.dispatcher())),
+                ExecBackend::Simd => self.simd.as_ref().map(proved),
+                ExecBackend::Superword => self.portable().map(proved),
+                ExecBackend::Tape => self.tape.clone().map(Tier::Tape),
+                ExecBackend::Interp => Some(Tier::Interp(Arc::clone(&self.compiled))),
+            };
+            if let Some(tier) = tier {
+                return Some(TierDispatch { mr: self.mr, nr: self.nr, asked, resolved: backend, tier });
+            }
+            backend = backend.degraded()?;
         }
+        None
     }
 }
 
@@ -176,6 +195,22 @@ impl TierDispatch {
     /// first one below it the kernel could serve.
     pub fn tier(&self) -> ExecBackend {
         self.resolved
+    }
+
+    /// Re-resolves a handle that sits below the tier it was asked for:
+    /// walks `kernel`'s ladder (the kernel this handle was built from)
+    /// from the asked tier down to the held one, and replaces the handle —
+    /// proof memo and register file start over — only when a tier above
+    /// the held one now answers. A handle already on the tier it was asked
+    /// for does nothing; below it the cost is the ladder's own probes (for
+    /// the native tier one `OnceLock` read on a host without a toolchain,
+    /// one engine slot lookup while the build is in flight or rejected).
+    pub fn refresh(&mut self, kernel: &GeneratedKernel) {
+        if self.resolved != self.asked {
+            if let Some(higher) = kernel.resolve(self.asked, Some(self.resolved)) {
+                *self = higher;
+            }
+        }
     }
 
     /// Runs the kernel on packed operands: `c[nr][mr] += ac[kc][mr] *
@@ -266,5 +301,39 @@ mod tests {
             full.dispatcher(Simd).run_packed(kc, &a, &b, &mut [0.0; 3]),
             Err(GenError::Codegen(_))
         ));
+    }
+
+    #[test]
+    fn refresh_takes_a_handle_up_the_ladder_only_when_a_higher_tier_answers() {
+        use ExecBackend::*;
+        let kernel = MicroKernelGenerator::new(exo_isa::neon_f32()).generate(4, 8).unwrap();
+        let kc = 11usize;
+        let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
+        let b: Vec<f32> = (0..kc * 8).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
+        let run = |handle: &mut TierDispatch| {
+            let mut c = vec![0.5f32; 32];
+            handle.run_packed(kc, &a, &b, &mut c).unwrap();
+            c
+        };
+        // Built before the artifact settles (the first poll of a kernel
+        // only enqueues its build), refreshed after: the handle lands on
+        // the native tier when the host can build one and stays put — same
+        // bits either way — when it cannot.
+        let mut early = kernel.dispatcher(Native);
+        let (built_on, before) = (early.tier(), run(&mut early));
+        let settled = kernel.native_wait();
+        early.refresh(&kernel);
+        assert_eq!(early.tier(), if settled.is_some() { Native } else { built_on });
+        assert_eq!(run(&mut early), before, "native is bit-identical to the simd chain it was lowered from");
+        // On the tier it was asked for, a handle has nowhere to go.
+        let mut pinned = kernel.dispatcher(Simd);
+        pinned.refresh(&kernel);
+        assert_eq!(pinned.tier(), Simd);
+        // Below it for good — the lowering does not exist — it stays.
+        let mut stripped = kernel.clone();
+        (stripped.simd, stripped.superword) = (None, None);
+        let mut low = stripped.dispatcher(Simd);
+        low.refresh(&stripped);
+        assert_eq!(low.tier(), Tape);
     }
 }

@@ -64,79 +64,6 @@ impl KernelCache {
         self.kernels.lock().expect("kernel cache poisoned").get(&key).map(Arc::clone)
     }
 
-    /// The cached tape backend for `(generator ISA, mr, nr)`, generating the
-    /// kernel on the first request. Tapes are compiled once per kernel and
-    /// cached alongside it; `None` means the shape generated but its
-    /// scheduled form could not be tape-compiled (interpreter fallback).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_tape(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_codegen::TapeKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.tape.clone())
-    }
-
-    /// The cached superword lowering for `(generator ISA, mr, nr)`,
-    /// generating the kernel on the first request. Superword tapes are
-    /// lowered once per kernel and cached alongside it; `None` means the
-    /// shape did not tape-compile (interpreter fallback).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_superword(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_codegen::SuperwordKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.superword.clone())
-    }
-
-    /// The cached native SIMD chain for `(generator ISA, mr, nr)`,
-    /// generating the kernel on the first request. Chains are compiled
-    /// once per kernel and cached alongside it — for the active vector
-    /// ISA, at worst the scalar reference, so `None` only means the shape
-    /// did not tape-compile (dispatch falls through to the interpreter).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_simd(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_codegen::SimdKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.simd.clone())
-    }
-
-    /// The cached ahead-of-time native kernel for `(generator ISA, mr,
-    /// nr)`, generating the kernel on the first request — **non-blocking**.
-    /// The first call kicks a background build; `None` means "not
-    /// promoted (yet)": the build is still in flight, the host has no C
-    /// toolchain, the emitter declined the shape, or the engine
-    /// terminally rejected the key — dispatch stays on the simd tier
-    /// until the verified artifact lands (warm processes promote from
-    /// the exo-aot artifact cache without invoking the compiler).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_native(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_aot::NativeKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.native())
-    }
-
     /// Inserts an externally generated kernel (e.g. one built with custom
     /// [`crate::KernelOptions`]) without counting a generator invocation.
     pub fn insert(&self, kernel: Arc<GeneratedKernel>) {
@@ -208,69 +135,35 @@ mod tests {
     }
 
     #[test]
-    fn tapes_are_cached_alongside_kernels() {
+    fn every_lowering_is_cached_alongside_its_kernel() {
         let cache = KernelCache::new();
         let generator = MicroKernelGenerator::new(neon_f32());
-        let tape = cache.get_or_generate_tape(&generator, 8, 12).unwrap();
-        assert!(tape.is_some(), "the 8x12 kernel must tape-compile");
-        assert_eq!(cache.generator_invocations(), 1);
-        // A second request serves the same tape without regenerating.
-        let again = cache.get_or_generate_tape(&generator, 8, 12).unwrap().unwrap();
-        assert_eq!(cache.generator_invocations(), 1);
-        assert!(Arc::ptr_eq(&tape.unwrap(), &again));
-    }
-
-    #[test]
-    fn superword_tapes_are_cached_alongside_kernels() {
-        let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        let sw = cache.get_or_generate_superword(&generator, 8, 12).unwrap();
-        assert!(sw.is_some(), "the 8x12 kernel must superword-compile");
-        assert_eq!(cache.generator_invocations(), 1);
-        let again = cache.get_or_generate_superword(&generator, 8, 12).unwrap().unwrap();
-        assert_eq!(cache.generator_invocations(), 1);
-        assert!(Arc::ptr_eq(&sw.unwrap(), &again));
-    }
-
-    #[test]
-    fn simd_chains_are_cached_alongside_kernels() {
-        let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        let simd = cache.get_or_generate_simd(&generator, 8, 12).unwrap();
-        assert_eq!(cache.generator_invocations(), 1);
+        let kernel = cache.get_or_generate(&generator, 8, 12).unwrap();
+        assert!(kernel.tape.is_some(), "the 8x12 kernel must tape-compile");
+        assert!(kernel.superword.is_some(), "the 8x12 kernel must superword-compile");
         // The scalar ISA floor means a chain compiles on every host; it
         // targets whatever ISA the runtime selection (or an `EXO_ISA` pin)
         // chose for this process.
-        let simd = simd.expect("the scalar ISA floor must compile the 8x12 chain");
+        let simd = kernel.simd.as_ref().expect("the scalar ISA floor must compile the 8x12 chain");
         assert_eq!(simd.isa(), exo_codegen::active_isa());
-        let again = cache.get_or_generate_simd(&generator, 8, 12).unwrap().unwrap();
+        // The non-blocking poll may answer `None` while the background
+        // build is in flight; settle the verdict through the blocking
+        // path. With a host toolchain the artifact promotes, without one
+        // the decline is silent and permanent.
+        let settled = kernel.native_wait();
+        assert!(settled.is_none() || exo_aot::native_available(), "an artifact without a toolchain");
+        // A second request serves the same kernel — tape, lowering, chain
+        // and settled native verdict with it — without regenerating.
+        let again = cache.get_or_generate(&generator, 8, 12).unwrap();
         assert_eq!(cache.generator_invocations(), 1);
-        assert!(Arc::ptr_eq(&simd, &again));
-    }
-
-    #[test]
-    fn native_kernels_are_cached_alongside_kernels() {
-        let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        // The first request may answer `None` while the background build
-        // is in flight; settle the verdict through the blocking path.
-        let settled = cache.get_or_generate(&generator, 8, 12).unwrap().native_wait();
-        assert_eq!(cache.generator_invocations(), 1);
-        match settled {
-            // With a host toolchain the artifact promotes once and the
-            // handle is shared: the non-blocking path serves it too.
-            Some(native) => {
+        assert!(Arc::ptr_eq(&kernel, &again));
+        match (settled, again.native()) {
+            (Some(native), Some(polled)) => {
                 assert_eq!(native.isa(), exo_codegen::active_isa());
-                let again = cache.get_or_generate_native(&generator, 8, 12).unwrap().unwrap();
-                assert_eq!(cache.generator_invocations(), 1);
-                assert!(Arc::ptr_eq(&native, &again));
+                assert!(Arc::ptr_eq(&native, &polled));
             }
-            // Without one the decline is silent, permanent, and equally
-            // cached.
-            None => {
-                assert!(cache.get_or_generate_native(&generator, 8, 12).unwrap().is_none());
-                assert_eq!(cache.generator_invocations(), 1);
-            }
+            (None, None) => {}
+            (settled, polled) => panic!("settled {settled:?} but the poll answers {polled:?}"),
         }
     }
 

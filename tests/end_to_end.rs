@@ -7,7 +7,7 @@ use std::sync::Arc;
 use exo_isa::{avx512_f32, neon_f16, neon_f32};
 use gemm_blis::{
     blis_assembly_kernel, exo_kernel, naive_gemm, neon_intrinsics_kernel, BlisGemm, BlockingParams,
-    GemmProblem, Matrix,
+    GemmExecutor, GemmProblem, Matrix,
 };
 use ukernel_gen::{KernelSet, MicroKernelGenerator, Strategy};
 
@@ -19,7 +19,8 @@ fn check_full_gemm(kernel: &gemm_blis::KernelImpl, m: usize, n: usize, k: usize)
 
     let blocking = BlockingParams { mc: 32, kc: 24, nc: 48, mr: kernel.mr, nr: kernel.nr };
     BlisGemm::new(blocking)
-        .gemm_with(kernel, GemmProblem::new(a.view(), b.view(), c.view_mut()))
+        .with_kernel(kernel.clone())
+        .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
         .expect("gemm runs");
     naive_gemm(&a, &b, &mut c_ref);
     for (idx, (x, y)) in c.data.iter().zip(&c_ref.data).enumerate() {

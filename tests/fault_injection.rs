@@ -200,6 +200,10 @@ fn an_entry_panic_fails_only_its_own_job() {
         }
     }
     assert_eq!(panicked, 1, "exactly the faulted entry fails; its neighbours complete");
+    // The runner whose pass unwound is not back with the driver: its shard
+    // went on with another one, so one more was built than is held.
+    assert_eq!(report.runners_built, driver.runners_built());
+    assert_eq!(driver.runners_built(), driver.idle_runners() as u64 + 1);
 }
 
 /// A slow batch holds the queue; jobs whose deadline expires while waiting
@@ -358,10 +362,11 @@ fn entry_faults_on_a_shared_b_image_stay_with_their_entry() {
 /// A pool-level panic kills one shard of a batch whose entries all ride one
 /// shared `B` image: exactly the entries dealt to that shard fail (it never
 /// reached them), every other entry completes bit-identical to the clean
-/// run, and the next batch on the same executor — same pooled runners, same
-/// pooled image buffer — is whole and bit-identical again. (On a one-worker
-/// pool the single shard runs on the calling thread, no pool job exists,
-/// and nothing fails.)
+/// run, the dead shard's runner is gone with it, and the next batch on the
+/// same executor — the surviving runners plus one built to replace the lost
+/// one, the same image buffer — is whole and bit-identical again. (On a
+/// one-worker pool the single shard runs on the calling thread, no pool job
+/// exists, and nothing fails.)
 #[test]
 fn a_dead_shard_fails_only_its_entries_and_the_shared_image_serves_the_next_batch() {
     use exo_gemm::exo_serve::{CachedTunedGemm, ThreadPool};
@@ -402,9 +407,17 @@ fn a_dead_shard_fails_only_its_entries_and_the_shared_image_serves_the_next_batc
         }
     }
 
+    // The dead shard's runner died with it — it was checked out, so it is
+    // never back with its driver — and every other shard returned its own.
+    let drivers = executor.tuned().drivers();
+    let (built, idle) = (drivers[0].runners_built(), drivers[0].idle_runners() as u64);
+    assert_eq!(drivers.len(), 1, "one shape, one verdict group");
+    assert_eq!(built - idle, failed.len().min(1) as u64, "{built} built, {idle} idle, failed {failed:?}");
+
     let after = run(&mut pairs);
     assert!(after.outcomes.iter().all(Result::is_ok), "the batch after the fault is whole");
     assert_eq!((after.b_images_packed, after.entries_on_shared_b), (1, N as u64));
+    assert_eq!(after.runners_built, built - idle, "the next batch builds exactly the runner that was lost");
     for (e, (_, c)) in pairs.iter().enumerate() {
         assert_bits(c, &refs[e], &format!("after the fault, entry {e}"));
     }

@@ -9,9 +9,10 @@
 //!   batch, single-entry batch, mixed-shape batch with degenerate entries.
 //! * Pool-reuse: after warm-up, the hot path never spawns another OS
 //!   thread — the shared pool is borrowed, not recreated.
-//! * Runner-reuse: a [`CachedTunedGemm`] executor builds runners
-//!   (dispatch, arena, accumulator tile) on the cold batch only — warm
-//!   batches of the same shapes report `runners_built == 0`.
+//! * Runner-reuse: a [`CachedTunedGemm`]'s drivers build runners
+//!   (dispatch, arena, accumulator tile) once — warm batches of the same
+//!   shapes report `runners_built == 0`, and warm per-call `gemm`s on the
+//!   wrapped `TunedGemm` draw the same runners.
 //! * Shared weights: entries of a batch that borrow one `B` pack it once
 //!   (`b_images_packed` / `entries_on_shared_b`), bit-identical to
 //!   per-call `TunedGemm::execute`; jobs that own their operands never
@@ -266,15 +267,25 @@ fn hot_paths_reuse_the_pool_without_spawning_threads() {
     assert_eq!(service.stats().pool_workers, pool.workers());
 }
 
-/// Runners (dispatch handle, packing arena, accumulator tile) are
-/// pooled per verdict group by `CachedTunedGemm`: the cold batch builds
-/// runners, warm batches of the same shapes build **zero** and allocate
-/// no new arenas, and the pooling never changes a bit of the results.
+/// Runners (dispatch handle, packing arena, accumulator tile) belong to
+/// the verdict group's driver inside the wrapped `TunedGemm`, so the batch
+/// path and the per-call path warm each other: per-call dispatch leaves
+/// one runner per group, the cold batch builds only what its extra shards
+/// need, warm batches and warm per-call `gemm`s build **zero**, and none
+/// of it ever changes a bit of the results.
 #[test]
 fn warm_batches_through_the_cached_executor_build_zero_runners() {
     let executor = CachedTunedGemm::new(TunedGemm::new());
+    let idle = || executor.tuned().drivers().iter().map(|d| d.idle_runners()).sum::<usize>();
+    let built = || executor.tuned().drivers().iter().map(|d| d.runners_built()).sum::<u64>();
     let mut cases = Cases::new(0xCA5E_D001);
+    // `Case::random` runs each case once through a per-call `gemm` on the
+    // wrapped executor: every group's first call built its runner, every
+    // later one drew it.
     let pool: Vec<Case> = (0..12).map(|_| Case::random(&mut cases, executor.tuned())).collect();
+    let groups = executor.tuned().drivers().len();
+    assert!(groups > 0, "verdict groups must have drivers");
+    assert_eq!((built(), idle()), (groups as u64, groups), "per-call dispatch keeps one runner a group");
     let run = || {
         let mut jobs: Vec<GemmJob> = pool.iter().map(Case::job).collect();
         let mut batch = GemmBatch::new();
@@ -290,15 +301,28 @@ fn warm_batches_through_the_cached_executor_build_zero_runners() {
         }
         report.runners_built
     };
+    // The cold batch's first shard of each group draws the per-call
+    // runner; only the other shards can have had to build one.
     let cold = run();
-    assert!(cold > 0, "the cold batch must build runners");
-    assert!(executor.cached_groups() > 0, "verdict groups must be pooled");
-    let steady = executor.cached_runners();
-    assert!(steady > 0, "runners must be pooled for reuse");
+    assert_eq!(cold, built() - groups as u64, "the report counts what the drivers built");
+    assert!(
+        cold <= (groups * (ThreadPool::global().workers() - 1)) as u64,
+        "{cold} built for {groups} groups"
+    );
+    let steady = idle();
+    assert_eq!(steady as u64, built(), "every runner built is back with its driver");
     for rerun in 0..3 {
-        assert_eq!(run(), 0, "warm batch {rerun} must reuse pooled runners, not build anew");
-        assert_eq!(executor.cached_runners(), steady, "warm batch {rerun} must not grow the pool");
+        assert_eq!(run(), 0, "warm batch {rerun} must reuse the drivers' runners, not build anew");
+        assert_eq!(idle(), steady, "warm batch {rerun} must not grow the drivers' sets");
     }
+    // And back through the per-call door: still nothing built, still the
+    // bits of the batch (both are checked against the same baseline).
+    for case in &pool {
+        let mut job = case.job();
+        executor.tuned().gemm(job.problem()).unwrap();
+        case.check(&job.into_c(), "warm per-call");
+    }
+    assert_eq!((built(), idle()), (steady as u64, steady));
 }
 
 /// The DNN pattern: activations against a layer's weights. Entries that

@@ -22,7 +22,9 @@ use common::Cases;
 use exo_ir::interp::{run_proc, ArgValue, TensorData};
 use exo_ir::{ScalarType, Sym};
 use exo_isa::{neon_f32, ukernel_ref_simple};
-use gemm_blis::{exo_kernel, naive_gemm, BlisGemm, BlockingParams, GemmProblem, MatRef, Matrix};
+use gemm_blis::{
+    exo_kernel, naive_gemm, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, MatRef, Matrix,
+};
 use ukernel_gen::MicroKernelGenerator;
 
 const TILE_SHAPES: [(usize, usize); 9] =
@@ -73,7 +75,8 @@ fn blis_driver_matches_naive() {
         let mut c_ref = Matrix::zeros(m, n);
         let blocking = BlockingParams { mc: 16, kc: 12, nc: 24, mr: 8, nr: 8 };
         BlisGemm::new(blocking)
-            .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c.view_mut()))
+            .with_kernel(kernel.clone())
+            .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
         naive_gemm(&a, &b, &mut c_ref);
         for (x, y) in c.data.iter().zip(&c_ref.data) {

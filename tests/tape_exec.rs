@@ -38,8 +38,8 @@ use exo_gemm::exo_codegen::{SimdKernel, SuperwordKernel, TensorView};
 use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    naive_gemm, native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmProblem, IsaKind,
-    Matrix,
+    naive_gemm, native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor,
+    GemmProblem, IsaKind, Matrix,
 };
 use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator};
 
@@ -142,7 +142,8 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
             let run = |kimpl| {
                 let mut c = c0.clone();
                 BlisGemm::new(blocking)
-                    .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c.view_mut()))
+                    .with_kernel(kimpl)
+                    .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
                     .unwrap();
                 c
             };
@@ -272,16 +273,15 @@ fn thread_count_never_changes_the_result() {
         let c0 = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
         let mut c1 = c0.clone();
         BlisGemm::new(blocking)
-            .gemm_with(&exo_kernel(Arc::clone(&kernel)), GemmProblem::new(a.view(), b.view(), c1.view_mut()))
+            .with_kernel(exo_kernel(Arc::clone(&kernel)))
+            .gemm(GemmProblem::new(a.view(), b.view(), c1.view_mut()))
             .unwrap();
         for threads in [2usize, 4, 7] {
             let mut cn = c0.clone();
             BlisGemm::new(blocking)
+                .with_kernel(exo_kernel(Arc::clone(&kernel)))
                 .with_threads(threads)
-                .gemm_with(
-                    &exo_kernel(Arc::clone(&kernel)),
-                    GemmProblem::new(a.view(), b.view(), cn.view_mut()),
-                )
+                .gemm(GemmProblem::new(a.view(), b.view(), cn.view_mut()))
                 .unwrap();
             assert_eq!(c1.data, cn.data, "{m}x{n}x{k} with {threads} threads");
         }
@@ -310,14 +310,14 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
             ("tape", exo_kernel_tape(Arc::clone(&kernel))),
         ] {
             let mut c_seq = c0.clone();
-            BlisGemm::new(blocking)
-                .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c_seq.view_mut()))
-                .unwrap();
+            let driver = BlisGemm::new(blocking).with_kernel(kimpl);
+            driver.gemm(GemmProblem::new(a.view(), b.view(), c_seq.view_mut())).unwrap();
             for threads in [2usize, 4, 7] {
                 let mut c_par = c0.clone();
-                BlisGemm::new(blocking)
+                driver
+                    .clone()
                     .with_threads(threads)
-                    .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c_par.view_mut()))
+                    .gemm(GemmProblem::new(a.view(), b.view(), c_par.view_mut()))
                     .unwrap();
                 assert_eq!(
                     c_seq.data, c_par.data,
@@ -554,17 +554,13 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
         let c0 = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
         let mut c_native = c0.clone();
         BlisGemm::new(blocking)
-            .gemm_with(
-                &exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Native),
-                GemmProblem::new(a.view(), b.view(), c_native.view_mut()),
-            )
+            .with_kernel(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Native))
+            .gemm(GemmProblem::new(a.view(), b.view(), c_native.view_mut()))
             .unwrap();
         let mut c_simd = c0.clone();
         BlisGemm::new(blocking)
-            .gemm_with(
-                &exo_kernel_simd(Arc::clone(&kernel)),
-                GemmProblem::new(a.view(), b.view(), c_simd.view_mut()),
-            )
+            .with_kernel(exo_kernel_simd(Arc::clone(&kernel)))
+            .gemm(GemmProblem::new(a.view(), b.view(), c_simd.view_mut()))
             .unwrap();
         assert_eq!(c_native.data, c_simd.data, "{m}x{n}x{k}: Native pin vs simd pin through the driver");
     }
