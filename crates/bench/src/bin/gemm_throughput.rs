@@ -33,6 +33,15 @@
 //! these are real measured numbers on the host — the perf trajectory data
 //! the ROADMAP asks for. Results are written to `BENCH_gemm.json`.
 //!
+//! After the sweep, a `solo` block measures the paper's Fig. 13 on the
+//! host: the promoted native 8x12 kernel, called through
+//! `KernelDispatch::run`, against the same update written by hand with
+//! AVX2/FMA intrinsics, both on L1-resident packed panels of the analytical
+//! blocking's `kc`. The two run in alternating short bursts and the figure
+//! reported is the median of the per-pair rate ratios, so drift of a shared
+//! host cancels instead of landing on one side. Off AVX2, or without a
+//! promoted artifact, the block is skipped with a printed reason.
+//!
 //! Usage: `gemm_throughput [--quick] [--out PATH] [--check BASELINE]`
 //!
 //! Exit status encodes the CI perf gates:
@@ -50,19 +59,24 @@
 //!   the baseline's geomean over those same sizes. The JSON records which
 //!   ISA produced the numbers (`"isa"`); a baseline recorded on a
 //!   different ISA is not comparable, so the geomean floors are skipped
-//!   with a visible note instead of failing spuriously.
+//!   with a visible note instead of failing spuriously;
+//! * with `--check`, the `solo` ratio must reach [`SOLO_FLOOR`] — the
+//!   generated kernel within 15 % of the hand-written one. It compares two
+//!   kernels of this run with each other, so it needs no baseline, no ISA
+//!   match and no tolerance for a slow host.
 //!
 //! The serving layer (per-call against batched against the queued service
 //! on small mixed shapes) is measured by `exo_bench`'s `serve_small`
 //! workload, normalised and confined to one CPU — not here.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
-    IsaKind, KernelImpl, MatMut, MatRef,
+    native_available, simd_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor,
+    GemmProblem, IsaKind, KernelImpl, MatMut, MatRef,
 };
 use ukernel_gen::MicroKernelGenerator;
 
@@ -76,6 +90,15 @@ const QUICK_SIZES: [usize; 2] = [128, 256];
 
 /// Geomean drop tolerated by `--check` before the gate fails.
 const CHECK_TOLERANCE: f64 = 0.25;
+
+/// Lowest `solo` ratio (generated over hand-written 8x12 rate) `--check`
+/// accepts. A kernel that spills its accumulators every `k` iteration reads
+/// ~0.7 here and one that keeps them in registers ~1.0.
+const SOLO_FLOOR: f64 = 0.85;
+/// Kernel calls per `solo` burst (~0.1 ms at `kc` = 400).
+const SOLO_BURST: usize = 128;
+/// Alternating burst pairs per `solo` measurement.
+const SOLO_PAIRS: usize = 200;
 
 /// How a variant lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
@@ -171,6 +194,117 @@ fn measure(variant: &Variant, size: usize, reps: usize) -> f64 {
     }
     let flops = 2.0 * (size as f64).powi(3);
     flops / best / 1.0e9
+}
+
+/// The Fig. 13 reference: the 8x12 update written by hand with AVX2/FMA
+/// intrinsics over the packed panels the generated kernel reads — load
+/// `C`, `kc` rank-1 updates with each `B` element broadcast from the panel,
+/// store `C`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn hand_8x12_avx2(kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    use std::arch::x86_64::*;
+    assert!(a.len() >= kc * 8 && b.len() >= kc * 12 && c.len() >= 96);
+    let mut acc = [_mm256_setzero_ps(); 12];
+    for (j, acc) in acc.iter_mut().enumerate() {
+        // SAFETY: `j < 12` and `c` holds at least 96 floats.
+        *acc = unsafe { _mm256_loadu_ps(c.as_ptr().add(j * 8)) };
+    }
+    for (a_col, b_row) in a.chunks_exact(8).zip(b.chunks_exact(12)).take(kc) {
+        // SAFETY: `a_col` is a chunk of exactly 8 floats.
+        let av = unsafe { _mm256_loadu_ps(a_col.as_ptr()) };
+        for (acc, &bv) in acc.iter_mut().zip(b_row) {
+            *acc = _mm256_fmadd_ps(av, _mm256_set1_ps(bv), *acc);
+        }
+    }
+    for (j, acc) in acc.iter().enumerate() {
+        // SAFETY: `j < 12` and `c` holds at least 96 floats.
+        unsafe { _mm256_storeu_ps(c.as_mut_ptr().add(j * 8), *acc) };
+    }
+}
+
+/// Off x86_64 no CPU meets the contract above: `solo` declines on the
+/// active ISA before it could reach this.
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn hand_8x12_avx2(_kc: usize, _a: &[f32], _b: &[f32], _c: &mut [f32]) {
+    unreachable!("AVX2 is never the active ISA off x86_64")
+}
+
+/// One `solo` measurement: both kernels' median burst rates and the median
+/// of the per-pair ratios.
+struct Solo {
+    kc: usize,
+    exo_gflops: f64,
+    hand_gflops: f64,
+    ratio: f64,
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// GFLOPS of one `solo` burst: [`SOLO_BURST`] back-to-back `call`s of a
+/// `kc`-deep 8x12 update.
+fn solo_burst(kc: usize, mut call: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..SOLO_BURST {
+        call();
+    }
+    (SOLO_BURST * 2 * 96 * kc) as f64 / start.elapsed().as_secs_f64() / 1.0e9
+}
+
+/// Measures the `solo` block, or says why it cannot be measured here.
+fn solo(kernel: &KernelImpl, kc: usize) -> Result<Solo, String> {
+    if active_isa() != IsaKind::Avx2 {
+        return Err(format!(
+            "the hand-written reference is AVX2/FMA and the active ISA is `{}`",
+            active_isa()
+        ));
+    }
+    let mut dispatch = kernel.dispatcher();
+    if dispatch.tier() != Some(ExecBackend::Native) {
+        return Err(format!(
+            "the 8x12 kernel resolved to {:?}, not to a promoted native artifact",
+            dispatch.tier()
+        ));
+    }
+    let a: Vec<f32> = (0..kc * 8).map(|i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0).collect();
+    let b: Vec<f32> = (0..kc * 12).map(|i| ((i * 5 + 2) % 17) as f32 * 0.125 - 1.0).collect();
+    let (mut c_exo, mut c_hand) = (vec![0.0f32; 96], vec![0.0f32; 96]);
+    let mut exo_burst = || {
+        solo_burst(kc, || {
+            dispatch.run(kc, black_box(&a), black_box(&b), &mut c_exo).expect("solo micro-kernel call")
+        })
+    };
+    let mut hand_burst = || {
+        // SAFETY: `active_isa()` is AVX2 only on a CPU that reports AVX2 and FMA.
+        solo_burst(kc, || unsafe { hand_8x12_avx2(kc, black_box(&a), black_box(&b), &mut c_hand) })
+    };
+    // One burst each to warm the panels and the proof memo.
+    exo_burst();
+    hand_burst();
+    let (mut exo, mut hand, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..SOLO_PAIRS {
+        let (e, h) = if pair % 2 == 0 {
+            let e = exo_burst();
+            (e, hand_burst())
+        } else {
+            let h = hand_burst();
+            (exo_burst(), h)
+        };
+        exo.push(e);
+        hand.push(h);
+        ratios.push(e / h);
+    }
+    // Each lane is the same chain of fused multiply-adds in the same order
+    // on both sides, burst for burst.
+    assert_eq!(c_exo, c_hand, "the hand-written 8x12 and the generated one compute the same update");
+    Ok(Solo { kc, exo_gflops: median(exo), hand_gflops: median(hand), ratio: median(ratios) })
 }
 
 fn json_f64(v: f64) -> String {
@@ -394,6 +528,16 @@ fn main() {
         }
     );
 
+    let solo = solo(&exo_kernel(Arc::clone(&kernel)), blocking.kc);
+    match &solo {
+        Ok(s) => println!(
+            "solo 8x12 (kc {}):     generated {:.1} GFLOPS, hand-written {:.1} GFLOPS, ratio {:.3} \
+             (median of {SOLO_PAIRS} alternating burst pairs)",
+            s.kc, s.exo_gflops, s.hand_gflops, s.ratio
+        ),
+        Err(why) => println!("solo 8x12:            skipped — {why}"),
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"gemm_throughput\",\n");
@@ -437,6 +581,16 @@ fn main() {
         json_f64(native_min),
         json_f64(native_geo)
     ));
+    json.push_str(&match &solo {
+        Ok(s) => format!(
+            "  \"solo\": {{ \"kc\": {}, \"exo_gflops\": {}, \"hand_gflops\": {}, \"ratio\": {} }},\n",
+            s.kc,
+            json_f64(s.exo_gflops),
+            json_f64(s.hand_gflops),
+            json_f64(s.ratio)
+        ),
+        Err(_) => "  \"solo\": null,\n".to_string(),
+    });
     json.push_str(&format!("  \"simd_available\": {},\n", simd_available()));
     json.push_str(&format!("  \"native_available\": {},\n", native_available()));
     json.push_str(&format!(
@@ -484,10 +638,23 @@ fn main() {
             failed = true;
         }
     }
-    // CI gate 2: the committed-baseline geomean check.
+    // CI gates 2 and 3, under `--check`: the committed-baseline geomean
+    // floors, and the generated 8x12 against the hand-written one.
     if let Some(baseline) = &baseline {
         if !check_against_baseline(baseline, &sizes, &names, &gflops) {
             failed = true;
+        }
+        match &solo {
+            Ok(s) if s.ratio < SOLO_FLOOR => {
+                eprintln!(
+                    "CHECK FAIL: solo ratio {:.3} — the generated 8x12 runs below {SOLO_FLOOR} of the \
+                     hand-written intrinsics kernel",
+                    s.ratio
+                );
+                failed = true;
+            }
+            Ok(s) => println!("  solo             ratio   {:>8.3} (floor {SOLO_FLOOR:>8.3}) ok", s.ratio),
+            Err(why) => println!("  solo             skipped — {why}"),
         }
     }
     if failed {

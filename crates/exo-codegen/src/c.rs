@@ -479,11 +479,23 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 ///
 /// Vector ops lower to AVX2/FMA or NEON intrinsics ([`IsaKind::Avx2`] /
 /// [`IsaKind::Neon`]) or to plain scalar C ([`IsaKind::Scalar`], the
-/// portable floor). The register file becomes a local `float` array with
-/// constant indices throughout, which `-O3` promotes to machine registers;
-/// micro-iterations arrive already unrolled on the tape, and packed-panel
-/// loads inside the dynamic `KC` loop get a software prefetch of the panel
-/// a few iterations ahead (`PREFETCH_ITERS`).
+/// portable floor). Micro-iterations arrive already unrolled on the tape,
+/// and packed-panel loads inside the dynamic `KC` loop get a software
+/// prefetch of the panel a few iterations ahead (`PREFETCH_ITERS`).
+///
+/// The register file becomes a local `float` array with constant indices
+/// throughout, which `-O3` promotes to machine registers on one condition:
+/// every lane group a packed FMA accumulates into is accessed at one width
+/// and one offset by every op that touches it. A prologue that fills an
+/// 8-lane accumulator as two 4-lane halves, or with a vector straddling two
+/// accumulators, leaves the array in memory, and the compiled `KC` loop
+/// writes its accumulators back to the stack on every iteration.
+/// [`SuperwordKernel::split_accumulator_groups`] counts the groups that
+/// break the condition, and
+/// `admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa`
+/// (`tests/tape_exec.rs`) holds it at 0 for every tile a serving space
+/// admits. The order the schedule issues its `C` loads in decides it, not
+/// this emitter.
 ///
 /// Numerical contract (the compile flags must include
 /// `-ffp-contract=off` so the compiler adds no contractions of its own):
@@ -567,7 +579,9 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
     let _ = writeln!(out);
     let _ = writeln!(out, "void {fn_name}({}) {{", sig_parts.join(", "));
     // The register file: a local float array with constant indices, which
-    // the C compiler's scalar replacement promotes to machine registers.
+    // the C compiler's scalar replacement promotes to machine registers as
+    // long as each accumulator lane group is accessed at one width and one
+    // offset (`SuperwordKernel::split_accumulator_groups` == 0, see above).
     // It starts zeroed, exactly like the tape's freshly allocated one.
     let n_regs = kernel.n_regs;
     let _ = writeln!(out, "    float reg[{n_regs}];");
@@ -871,6 +885,10 @@ mod tests {
             "packed signature with restrict + const qualifiers:\n{c}"
         );
         assert!(c.contains("_mm256_fmadd_ps"), "whole-vector fused FMAs:\n{c}");
+        assert!(
+            c.contains("_mm256_loadu_ps(&C[") && !c.contains("_mm_loadu_ps(&C["),
+            "whole C columns:\n{c}"
+        );
         assert!(c.contains("for (int64_t t0 = (0); t0 <"), "dynamic KC loop:\n{c}");
         assert!(c.contains("__builtin_prefetch"), "packed panels are prefetched:\n{c}");
         // The register file starts zeroed, like the tape's.

@@ -182,6 +182,46 @@ impl VOp {
             _ => false,
         }
     }
+
+    /// Every run `(base, len)` of the register file this op reads or
+    /// writes — a packed FMA's accumulator run first. What the
+    /// construction-time validation bounds against the file and
+    /// [`SuperwordKernel::split_accumulator_groups`] cuts into lane groups.
+    fn register_runs(&self) -> Vec<(u32, u32)> {
+        match self {
+            VOp::Scalar(s) => match s {
+                TOp::ConstF { dst, .. } | TOp::LoadT { dst, .. } | TOp::CastI { dst, .. } => vec![(*dst, 1)],
+                TOp::StoreT { src, .. } => vec![(*src, 1)],
+                TOp::Round { reg } => vec![(*reg, 1)],
+                TOp::Mov { dst, src } | TOp::Neg { dst, src } | TOp::AddAssign { dst, src } => {
+                    vec![(*dst, 1), (*src, 1)]
+                }
+                TOp::Add { dst, a, b }
+                | TOp::Sub { dst, a, b }
+                | TOp::Mul { dst, a, b }
+                | TOp::Div { dst, a, b }
+                | TOp::Fma { dst, a, b } => vec![(*dst, 1), (*a, 1), (*b, 1)],
+                TOp::Zero { base, len } => vec![(*base, *len)],
+                TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => Vec::new(),
+            },
+            VOp::VLoad { dst, lanes, .. } => vec![(*dst, *lanes)],
+            VOp::VStore { src, lanes, .. } => vec![(*src, *lanes)],
+            VOp::VFmaLane { dst, a, b, lanes } => vec![(*dst, *lanes), (*a, *lanes), (*b, 1)],
+            VOp::VFmaBcast { dst, a, scratch, lanes, .. } => {
+                vec![(*dst, *lanes), (*a, *lanes), (*scratch, 1)]
+            }
+            VOp::LoopBegin { .. } | VOp::LoopEnd { .. } => Vec::new(),
+        }
+    }
+
+    /// The `(start, width)` pieces an executor `lanes` wide moves one of
+    /// this op's register runs in: whole vectors from the run's base, then
+    /// a narrower tail — or single registers throughout when the op's lane
+    /// order is semantic ([`Self::fma_in_order`]).
+    fn pieces(&self, (base, len): (u32, u32), lanes: u32) -> impl Iterator<Item = (u32, u32)> {
+        let width = if self.fma_in_order() { 1 } else { lanes };
+        (0..len.div_ceil(width)).map(move |i| (base + i * width, width.min(len - i * width)))
+    }
 }
 
 /// A kernel lowered to whole-vector superword ops.
@@ -398,12 +438,6 @@ fn validate_construction(
     n_scalars: usize,
     n_tensors: usize,
 ) -> Result<()> {
-    let reg = |r: u32, lanes: u32| -> Result<()> {
-        if (r as usize) + (lanes as usize) > n_regs {
-            return Err(unsupported(format!("register run {r}+{lanes} exceeds file of {n_regs}")));
-        }
-        Ok(())
-    };
     let buf = |b: u16| -> Result<()> {
         if (b as usize) >= n_tensors {
             return Err(unsupported(format!("tensor index {b} out of {n_tensors}")));
@@ -427,64 +461,43 @@ fn validate_construction(
     let saddr = |a: &SAddr, active: &[bool]| -> Result<()> { a.validate_terms(|t| term(t, active)) };
     let mut stack: Vec<(usize, u16)> = Vec::new();
     for (idx, op) in ops.iter().enumerate() {
+        for (r, lanes) in op.register_runs() {
+            if (r as usize) + (lanes as usize) > n_regs {
+                return Err(unsupported(format!("register run {r}+{lanes} exceeds file of {n_regs}")));
+            }
+        }
         match op {
             VOp::Scalar(s) => match s {
-                TOp::ConstF { dst, .. } => reg(*dst, 1)?,
-                TOp::LoadT { dst, buf: b, addr: a } => {
-                    reg(*dst, 1)?;
+                TOp::LoadT { buf: b, addr: a, .. } | TOp::StoreT { buf: b, addr: a, .. } => {
                     buf(*b)?;
                     addr(a, &active)?;
                 }
-                TOp::StoreT { src, buf: b, addr: a } => {
-                    reg(*src, 1)?;
-                    buf(*b)?;
-                    addr(a, &active)?;
-                }
-                TOp::Mov { dst, src } | TOp::Neg { dst, src } | TOp::AddAssign { dst, src } => {
-                    reg(*dst, 1)?;
-                    reg(*src, 1)?;
-                }
-                TOp::Add { dst, a, b }
-                | TOp::Sub { dst, a, b }
-                | TOp::Mul { dst, a, b }
-                | TOp::Div { dst, a, b }
-                | TOp::Fma { dst, a, b } => {
-                    reg(*dst, 1)?;
-                    reg(*a, 1)?;
-                    reg(*b, 1)?;
-                }
-                TOp::CastI { dst, value } => {
-                    reg(*dst, 1)?;
-                    addr(value, &active)?;
-                }
-                TOp::Round { reg: r } => reg(*r, 1)?,
-                TOp::Zero { base, len } => reg(*base, *len)?,
+                TOp::CastI { value, .. } => addr(value, &active)?,
                 TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {
                     return Err(unsupported("loop marker hidden in a scalar op"))
                 }
+                TOp::ConstF { .. }
+                | TOp::Mov { .. }
+                | TOp::Neg { .. }
+                | TOp::AddAssign { .. }
+                | TOp::Add { .. }
+                | TOp::Sub { .. }
+                | TOp::Mul { .. }
+                | TOp::Div { .. }
+                | TOp::Fma { .. }
+                | TOp::Round { .. }
+                | TOp::Zero { .. } => {}
             },
-            VOp::VLoad { dst, buf: b, addr: a, lanes } => {
-                reg(*dst, *lanes)?;
+            VOp::VLoad { buf: b, addr: a, .. } | VOp::VStore { buf: b, addr: a, .. } => {
                 buf(*b)?;
                 saddr(a, &active)?;
             }
-            VOp::VStore { src, buf: b, addr: a, lanes } => {
-                reg(*src, *lanes)?;
-                buf(*b)?;
-                saddr(a, &active)?;
-            }
-            VOp::VFmaLane { dst, a, b, lanes } => {
-                reg(*dst, *lanes)?;
-                reg(*a, *lanes)?;
-                reg(*b, 1)?;
+            VOp::VFmaLane { dst, b, lanes, .. } => {
                 if *b >= *dst && *b < dst + lanes {
                     return Err(unsupported("broadcast lane aliases its accumulator run"));
                 }
             }
-            VOp::VFmaBcast { dst, a, buf: b, addr: ad, scratch, lanes } => {
-                reg(*dst, *lanes)?;
-                reg(*a, *lanes)?;
-                reg(*scratch, 1)?;
+            VOp::VFmaBcast { dst, buf: b, addr: ad, scratch, lanes, .. } => {
                 buf(*b)?;
                 saddr(ad, &active)?;
                 if *scratch >= *dst && *scratch < dst + lanes {
@@ -620,6 +633,39 @@ impl SuperwordKernel {
     /// How many scalar ops survived unpacked.
     pub fn scalar_op_count(&self) -> usize {
         self.n_scalar_ops
+    }
+
+    /// How many accumulator lane groups an executor `lanes` registers wide
+    /// cannot keep in one machine register — 0 is the condition under which
+    /// `cc -O3` promotes [`crate::emit_superword_c`]'s `reg[]` array out of
+    /// memory. A lane group is one piece of a packed FMA's accumulator run
+    /// as that executor cuts it (whole vectors from the run's base, then a
+    /// narrower tail); it is split when it is itself such a tail, or when
+    /// any op — a load, a store, another FMA, a scalar leftover — touches
+    /// some of its registers in a piece that is not exactly the group: part
+    /// of it, a different width, or a vector straddling two groups.
+    pub fn split_accumulator_groups(&self, lanes: usize) -> usize {
+        let lanes = u32::try_from(lanes).unwrap_or(u32::MAX).max(1);
+        let mut groups: Vec<(u32, u32)> = self
+            .ops
+            .iter()
+            .filter(|op| matches!(op, VOp::VFmaLane { .. } | VOp::VFmaBcast { .. }))
+            .flat_map(|op| op.pieces(op.register_runs()[0], lanes))
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        let touched: Vec<(u32, u32)> = self
+            .ops
+            .iter()
+            .flat_map(|op| op.register_runs().into_iter().flat_map(move |run| op.pieces(run, lanes)))
+            .collect();
+        let split = |&(start, width): &(u32, u32)| {
+            width != lanes
+                || touched
+                    .iter()
+                    .any(|&(s, w)| (s, w) != (start, width) && s < start + width && start < s + w)
+        };
+        groups.iter().filter(|group| split(group)).count()
     }
 
     /// Whether the tape stores to tensor parameter `idx` (counting tensor
@@ -976,6 +1022,33 @@ mod tests {
         // than the scalar one; the FMA stream packs completely.
         assert!(sw.len() * 3 < tape.len(), "superword tape ({}) vs scalar tape ({})", sw.len(), tape.len());
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VFmaLane { lanes, .. } if *lanes >= 4)));
+    }
+
+    #[test]
+    fn accumulator_groups_split_by_width_offset_and_straddle() {
+        let (_, sw) = staged_kernels();
+        // Ct loads, accumulates and stores as whole 8-register columns.
+        for lanes in [8, 4, 1] {
+            assert_eq!(sw.split_accumulator_groups(lanes), 0, "{lanes} lanes");
+        }
+        assert_eq!(sw.split_accumulator_groups(16), 4, "every 8-lane run is a half-filled tail");
+        // Two 8-lane accumulators whose prologue loads arrive as a 4-lane
+        // half and an 8-lane move across the boundary between them: both
+        // split at 8 lanes, neither at 4.
+        let mut straddled = (*sw).clone();
+        straddled.ops = vec![
+            VOp::VLoad { dst: 0, buf: 2, addr: SAddr::Const(0), lanes: 4 },
+            VOp::VLoad { dst: 4, buf: 2, addr: SAddr::Const(4), lanes: 8 },
+            VOp::VLoad { dst: 12, buf: 2, addr: SAddr::Const(12), lanes: 4 },
+            VOp::VFmaLane { dst: 0, a: 32, b: 40, lanes: 8 },
+            VOp::VFmaLane { dst: 8, a: 32, b: 41, lanes: 8 },
+            VOp::VStore { src: 0, buf: 2, addr: SAddr::Const(0), lanes: 16 },
+        ];
+        assert_eq!(straddled.split_accumulator_groups(8), 2);
+        assert_eq!(straddled.split_accumulator_groups(4), 0);
+        // A scalar leftover inside an accumulator splits it at any vector width.
+        straddled.ops.push(VOp::Scalar(TOp::Mov { dst: 9, src: 40 }));
+        assert_eq!(straddled.split_accumulator_groups(4), 1);
     }
 
     #[test]

@@ -111,6 +111,12 @@ pub fn divide_loop(
 /// variables separated by whitespace, outer first — the paper's
 /// `reorder_loops(p, 'jtt it')`.
 ///
+/// Loops are addressed by name only, so when several nests carry the same
+/// pair of names (after `stage_mem` and `autofission` the `C` load, the
+/// computation and the `C` store all iterate `jtt` over `it`), the one that
+/// moves is the **first in program order**; every later nest is left as it
+/// was.
+///
 /// # Errors
 ///
 /// * [`SchedError::PatternNotFound`] if the outer loop does not exist.
@@ -326,6 +332,27 @@ mod tests {
         let pos_jtt = text.find("for jtt in").unwrap();
         assert!(pos_it < pos_jtt, "after reorder `it` should come before `jtt`:\n{text}");
         assert_eq!(run_kernel(&p, 3, 8, 12), run_kernel(&q, 3, 8, 12));
+    }
+
+    #[test]
+    fn reorder_moves_only_the_first_matching_nest_in_program_order() {
+        // Two `jtt`/`it` nests, as a staged kernel has: a load nest first,
+        // the computation after it.
+        let nest = |stmt| for_("jtt", 0, 4, vec![for_("it", 0, 2, vec![stmt])]);
+        let at = || vec![Expr::add(Expr::mul(var("jtt"), int(2)), var("it"))];
+        let p = proc("two_nests")
+            .tensor_arg("x", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+            .tensor_arg("y", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+            .body(vec![nest(assign("y", at(), read("x", at()))), nest(reduce("y", at(), read("x", at())))])
+            .build();
+        let text = proc_to_string(&reorder_loops(&p, "jtt it").unwrap());
+        let order: Vec<&str> = text
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("for "))
+            .map(|l| &l[..l.find(" in").unwrap()])
+            .collect();
+        assert_eq!(order, ["for it", "for jtt", "for jtt", "for it"], "{text}");
     }
 
     #[test]

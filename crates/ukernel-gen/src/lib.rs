@@ -8,7 +8,8 @@
 //! shape `(MR, NR)`, [`MicroKernelGenerator`] applies the step-by-step recipe
 //! of the paper's Section III — `partial_eval`, `divide_loop`, `stage_mem`,
 //! `expand_dim`, `lift_alloc`, `autofission`, `replace`, `set_memory`,
-//! `reorder_loops`, `unroll_loop` — and returns a [`GeneratedKernel`]
+//! `unroll_loop` (all but Fig. 10's `reorder_loops`, see
+//! [`recipes::laneq_recipe`]) — and returns a [`GeneratedKernel`]
 //! containing the scheduled IR, the C-with-intrinsics source, a pseudo
 //! assembly listing, a machine-operation trace for the performance model,
 //! and an executable lowering.

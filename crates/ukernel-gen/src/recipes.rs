@@ -3,7 +3,9 @@
 //! code.
 //!
 //! [`laneq_recipe`] is the paper's Section III recipe, step for step
-//! (Figs. 6–11). [`broadcast_b_recipe`] and [`broadcast_a_recipe`] are the
+//! (Figs. 6–11) but for the loop reorder of Fig. 10, which it leaves out
+//! so that the register tile stays in whole vectors on wider ISAs than the
+//! one it is described for. [`broadcast_b_recipe`] and [`broadcast_a_recipe`] are the
 //! variants Section III-B sketches for edge cases and non-packed operands,
 //! built from the same operators. [`scalar_recipe`] is the unvectorised
 //! fallback.
@@ -15,8 +17,8 @@
 use exo_ir::Proc;
 use exo_isa::VectorIsa;
 use exo_sched::{
-    autofission, bind_expr, divide_loop, expand_dim, lift_alloc, partial_eval, rename, reorder_loops,
-    replace, set_memory, stage_mem, unroll_loop, unroll_loop_nth, Anchor,
+    autofission, bind_expr, divide_loop, expand_dim, lift_alloc, partial_eval, rename, replace, set_memory,
+    stage_mem, unroll_loop, unroll_loop_nth, Anchor,
 };
 
 use crate::error::{step, GenError, Result};
@@ -103,8 +105,19 @@ pub fn laneq_recipe(
     let p = step("set_memory B_reg", set_memory(&p, "B_reg", isa.mem))?;
     steps.push(snap("v4: Ac and Bc operands in registers", &p));
 
-    // v5: reorder and map the computation onto the lane-indexed FMA (Fig. 10).
-    let p = step("reorder_loops jtt/it", reorder_loops(&p, "jtt it"))?;
+    // v5: map the computation onto the lane-indexed FMA (Fig. 10) — without
+    // the figure's `reorder_loops(p, 'jtt it')`. That operator moves the
+    // first `jtt`/`it` nest in program order, which since v3 is the C-load
+    // nest, not the computation; and the computation is better left alone:
+    // in `(jt, jtt, it)` order the `mr / lanes` updates of one C column are
+    // adjacent, so the superword pass re-rolls them into one whole-column
+    // FMA (two 4-lane halves become one 8-lane AVX2 op), where the figure's
+    // `(jt, it, jtt)` leaves every FMA `lanes` wide. So the three nests over
+    // `C_reg` — load, FMA, store — all keep v3's order, registers and
+    // addresses both ascending, and each accumulator is one whole, aligned
+    // vector from load to store on any executing width that divides `mr`
+    // (`SuperwordKernel::split_accumulator_groups` == 0, held by
+    // `tests/tape_exec.rs`).
     let p = step("replace FMA", replace(&p, "for itt in _: _", &fma))?;
     steps.push(snap("v5: GEMM operation on vector FMA", &p));
 
@@ -296,6 +309,13 @@ mod tests {
         assert!(v3.contains("neon_vld_4xf32(C_reg["));
         assert!(v3.contains("neon_vst_4xf32(C["));
         let v5 = proc_to_string(&steps[4].proc);
+        // The C tile still loads in the order it stores (v3's).
+        for access in ["neon_vld_4xf32(C_reg[", "neon_vst_4xf32(C["] {
+            let nest = format!(
+                "    for jt in seq(0, 3):\n        for jtt in seq(0, 4):\n            for it in seq(0, 2):\n                {access}"
+            );
+            assert!(v5.contains(&nest), "{v5}");
+        }
         assert!(
             v5.contains(
                 "neon_vfmla_4xf32_4xf32(C_reg[4 * jt + jtt, it, 0:4], A_reg[it, 0:4], B_reg[jt, 0:4], jtt)"

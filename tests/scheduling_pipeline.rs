@@ -8,8 +8,8 @@ use exo_ir::printer::proc_to_string;
 use exo_ir::ScalarType;
 use exo_isa::{neon_f32, ukernel_ref_simple};
 use exo_sched::{
-    autofission, bind_expr, divide_loop, expand_dim, lift_alloc, partial_eval, rename, reorder_loops,
-    replace, set_memory, set_precision, stage_mem, unroll_loop, Anchor, SchedError,
+    autofission, bind_expr, divide_loop, expand_dim, lift_alloc, partial_eval, rename, replace, set_memory,
+    set_precision, stage_mem, unroll_loop, Anchor, SchedError,
 };
 use ukernel_gen::MicroKernelGenerator;
 
@@ -81,7 +81,9 @@ fn manual_section_iii_recipe_preserves_semantics_at_every_step() {
     let p = set_memory(&p, "B_reg", isa.mem).unwrap();
     assert_same_behaviour(&p, mr, nr, kc);
 
-    let p = reorder_loops(&p, "jtt it").unwrap();
+    // No `reorder_loops(p, 'jtt it')` here, as in `laneq_recipe`: it would
+    // move the first `jtt`/`it` nest in program order — the C load — and
+    // the register tile must load in the order it stores.
     let fma = isa.fma_lane.clone().unwrap();
     let p = replace(&p, "for itt in _: _", &fma).unwrap();
     assert_same_behaviour(&p, mr, nr, kc);
@@ -89,6 +91,27 @@ fn manual_section_iii_recipe_preserves_semantics_at_every_step() {
     let text = proc_to_string(&p);
     assert!(text.contains("neon_vfmla_4xf32_4xf32("));
     assert!(text.contains("C_reg: f32[12, 2, 4] @ Neon"));
+    let store_nest = loops_around(&text, "neon_vst_4xf32(C[");
+    assert_eq!(store_nest, ["jt", "jtt", "it"], "{text}");
+    assert_eq!(loops_around(&text, "neon_vld_4xf32(C_reg["), store_nest, "{text}");
+    assert_eq!(loops_around(&text, "neon_vfmla_4xf32_4xf32("), ["k", "jt", "jtt", "it"], "{text}");
+}
+
+/// The loop variables enclosing the first line of a printed procedure that
+/// contains `needle`, outermost first.
+fn loops_around(text: &str, needle: &str) -> Vec<String> {
+    let mut open: Vec<(usize, String)> = Vec::new();
+    for line in text.lines() {
+        let indent = line.len() - line.trim_start().len();
+        open.retain(|(depth, _)| *depth < indent);
+        if line.contains(needle) {
+            return open.into_iter().map(|(_, var)| var).collect();
+        }
+        if let Some(var) = line.trim_start().strip_prefix("for ").and_then(|rest| rest.split(' ').next()) {
+            open.push((indent, var.to_string()));
+        }
+    }
+    panic!("no line contains `{needle}`:\n{text}");
 }
 
 #[test]

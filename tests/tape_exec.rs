@@ -34,8 +34,9 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_fma_close, Cases};
-use exo_gemm::exo_codegen::{SimdKernel, SuperwordKernel, TensorView};
+use exo_gemm::exo_codegen::{emit_superword_c, SimdKernel, SuperwordKernel, TensorView};
 use exo_gemm::exo_isa::neon_f32;
+use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
     naive_gemm, native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor,
@@ -365,6 +366,42 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
                     assert_eq!(c_chain, c_sw, "{mr}x{nr} kc={kc}: the scalar chain must be bit-exact");
                 }
             }
+        }
+    }
+}
+
+/// Every tile a serving space admits keeps its register tile in whole
+/// vectors of the ISA that space executes on: each accumulator is loaded,
+/// accumulated and stored at one width and one offset, which is what lets
+/// `cc -O3` promote the emitted `reg[]` array to machine registers (a
+/// half-width or straddling prologue load spills the accumulators every
+/// `k` iteration). The lowering is host-independent, so every ISA is
+/// checked on every host.
+#[test]
+fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa() {
+    let generator = MicroKernelGenerator::new(neon_f32());
+    for isa in IsaKind::ALL {
+        let tiles = DesignSpace::for_execution(neon_f32(), isa).tile_shapes();
+        assert!(!tiles.is_empty(), "{isa}: the serving space admits tiles");
+        for tile in tiles {
+            let kernel = generator.generate(tile.mr, tile.nr).unwrap();
+            let sw = kernel.superword.as_ref().expect("admitted tiles superword-compile");
+            assert_eq!(
+                sw.split_accumulator_groups(isa.lanes()),
+                0,
+                "{}x{} on {isa}: accumulator groups touched partially, at another width, or across a boundary",
+                tile.mr,
+                tile.nr
+            );
+            // The same property in the text `cc` sees: on the 8-lane ISA the
+            // `C` tile never moves as 128-bit halves.
+            let c = emit_superword_c(sw, isa, "k").unwrap();
+            assert!(
+                !c.contains("_mm_loadu_ps(&C[") && !c.contains("_mm_storeu_ps(&C["),
+                "{}x{} on {isa}: half-width move of the C tile:\n{c}",
+                tile.mr,
+                tile.nr
+            );
         }
     }
 }
