@@ -42,6 +42,13 @@
 //! host cancels instead of landing on one side. Off AVX2, or without a
 //! promoted artifact, the block is skipped with a printed reason.
 //!
+//! A `movers` block does the same for the data movement around the kernel:
+//! the strided mover (`exo_codegen::simd::strided_move_on`) packing the
+//! analytical `mc x kc` block of `A` into `mr`-row panels, and staging an
+//! `mr x nr` tile of a row-major `C` into the kernel's column-major scratch
+//! and back, each on the active ISA's body against the scalar body —
+//! alternating bursts again, median of the per-pair ratios.
+//!
 //! Usage: `gemm_throughput [--quick] [--out PATH] [--check BASELINE]`
 //!
 //! Exit status encodes the CI perf gates:
@@ -63,7 +70,11 @@
 //! * with `--check`, the `solo` ratio must reach [`SOLO_FLOOR`] — the
 //!   generated kernel within 15 % of the hand-written one. It compares two
 //!   kernels of this run with each other, so it needs no baseline, no ISA
-//!   match and no tolerance for a slow host.
+//!   match and no tolerance for a slow host;
+//! * with `--check` on AVX2, both `movers` ratios must reach
+//!   [`MOVERS_FLOOR`] — packing and `C` staging at least 1.5x the scalar
+//!   loops they replaced (~3x measured). Self-relative like `solo`; on
+//!   another ISA it is skipped with a printed reason.
 //!
 //! The serving layer (per-call against batched against the queued service
 //! on small mixed shapes) is measured by `exo_bench`'s `serve_small`
@@ -73,6 +84,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use exo_codegen::simd::strided_move_on;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
     native_available, simd_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor,
@@ -99,6 +111,15 @@ const SOLO_FLOOR: f64 = 0.85;
 const SOLO_BURST: usize = 128;
 /// Alternating burst pairs per `solo` measurement.
 const SOLO_PAIRS: usize = 200;
+
+/// Lowest `movers` ratio (active ISA's mover over the scalar one) `--check`
+/// accepts on AVX2, for packing `A` and for the `C`-tile round trip alike.
+const MOVERS_FLOOR: f64 = 1.5;
+/// Alternating burst pairs per `movers` measurement.
+const MOVERS_PAIRS: usize = 60;
+/// Rows and leading dimension of the row-major `C` the `movers` block
+/// stages tiles of: L2-resident, and rows that do not alias in L1.
+const MOVERS_C: (usize, usize) = (64, 960);
 
 /// How a variant lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
@@ -305,6 +326,102 @@ fn solo(kernel: &KernelImpl, kc: usize) -> Result<Solo, String> {
     // on both sides, burst for burst.
     assert_eq!(c_exo, c_hand, "the hand-written 8x12 and the generated one compute the same update");
     Ok(Solo { kc, exo_gflops: median(exo), hand_gflops: median(hand), ratio: median(ratios) })
+}
+
+/// One `movers` measurement: the active ISA's rates, and the median
+/// per-pair ratios to the scalar body's.
+struct Movers {
+    /// Read + write traffic of packing the `mc x kc` block, GB/s.
+    pack_a_gbps: f64,
+    pack_a_ratio: f64,
+    /// One tile staged into the kernel's scratch and back out.
+    c_tile_ns: f64,
+    c_tile_ratio: f64,
+}
+
+/// Times `burst` on the active ISA's mover and on the scalar one,
+/// [`MOVERS_PAIRS`] pairs in alternating order after one warming call each.
+/// Returns the active side's median seconds and the median of the per-pair
+/// `scalar / active` time ratios.
+fn alternate(mut burst: impl FnMut(IsaKind)) -> (f64, f64) {
+    let mut time = |isa: IsaKind| {
+        let start = Instant::now();
+        burst(isa);
+        start.elapsed().as_secs_f64()
+    };
+    let (active, scalar) = (active_isa(), IsaKind::Scalar);
+    time(active);
+    time(scalar);
+    let (mut secs, mut ratios) = (Vec::new(), Vec::new());
+    for pair in 0..MOVERS_PAIRS {
+        let (a, s) = if pair % 2 == 0 {
+            let a = time(active);
+            (a, time(scalar))
+        } else {
+            let s = time(scalar);
+            (time(active), s)
+        };
+        secs.push(a);
+        ratios.push(s / a);
+    }
+    (median(secs), median(ratios))
+}
+
+/// Measures the `movers` block for `blocking`'s `mc x kc` block and
+/// `mr x nr` tile. That the bodies move the same bits is the differential
+/// test's business (`tests/strided_mover.rs`), not checked again here.
+fn movers(blocking: &BlockingParams) -> Movers {
+    let BlockingParams { mc, kc, mr, nr, .. } = *blocking;
+    let panels = mc / mr;
+    let a: Vec<f32> = (0..mc * kc).map(|i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0).collect();
+    let mut packed = vec![0.0f32; mc * kc];
+    // `pack_a_into`'s walk over a dense row-major block: panel `p` is the
+    // transpose of rows `p * mr ..` of `A`.
+    let (pack_secs, pack_a_ratio) = alternate(|isa| {
+        for p in 0..panels {
+            // SAFETY: panel `p` is `kc * mr` elements of `packed` and rows
+            // `p * mr .. (p + 1) * mr` of the `mc x kc` block `a`.
+            unsafe {
+                strided_move_on(
+                    isa,
+                    packed.as_mut_ptr().add(p * kc * mr),
+                    (mr, 1),
+                    black_box(a.as_ptr()).add(p * mr * kc),
+                    (1, kc),
+                    (kc, mr),
+                    1.0,
+                );
+            }
+        }
+    });
+
+    let (rows, ldc) = MOVERS_C;
+    let tiles = (rows / mr, ldc / nr);
+    let mut c = vec![1.0f32; rows * ldc];
+    let mut tile = vec![0.0f32; mr * nr];
+    // The driver's staging of every full tile of `C`, in its `jr`-outer
+    // order: into `c_tile[j * mr + i]` scaled as a first k-block would,
+    // and back out untouched.
+    let (trip_secs, c_tile_ratio) = alternate(|isa| {
+        for jr in 0..tiles.1 {
+            for ir in 0..tiles.0 {
+                // SAFETY: the tile at `(ir * mr, jr * nr)` lies inside the
+                // `rows x ldc` matrix `c`; `tile` holds `mr * nr` elements.
+                unsafe {
+                    let corner = c.as_mut_ptr().add(ir * mr * ldc + jr * nr);
+                    strided_move_on(isa, tile.as_mut_ptr(), (1, mr), corner, (ldc, 1), (mr, nr), -1.0);
+                    black_box(&mut tile);
+                    strided_move_on(isa, corner, (ldc, 1), tile.as_ptr(), (1, mr), (mr, nr), 1.0);
+                }
+            }
+        }
+    });
+    Movers {
+        pack_a_gbps: 2.0 * (panels * mr * kc * 4) as f64 / pack_secs / 1.0e9,
+        pack_a_ratio,
+        c_tile_ns: trip_secs / (tiles.0 * tiles.1) as f64 * 1.0e9,
+        c_tile_ratio,
+    }
 }
 
 fn json_f64(v: f64) -> String {
@@ -538,6 +655,21 @@ fn main() {
         Err(why) => println!("solo 8x12:            skipped — {why}"),
     }
 
+    let movers = movers(&blocking);
+    println!(
+        "movers ({}):        pack A {}x{} {:.1} GB/s ({:.2}x the scalar mover), C tile {}x{} in+out {:.1} ns \
+         ({:.2}x; medians of {MOVERS_PAIRS} alternating pairs)",
+        active_isa(),
+        blocking.mc,
+        blocking.kc,
+        movers.pack_a_gbps,
+        movers.pack_a_ratio,
+        blocking.mr,
+        blocking.nr,
+        movers.c_tile_ns,
+        movers.c_tile_ratio
+    );
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"gemm_throughput\",\n");
@@ -591,6 +723,14 @@ fn main() {
         ),
         Err(_) => "  \"solo\": null,\n".to_string(),
     });
+    json.push_str(&format!(
+        "  \"movers\": {{ \"pack_a_gbps\": {}, \"pack_a_vs_scalar\": {}, \"c_tile_ns\": {}, \
+         \"c_tile_vs_scalar\": {} }},\n",
+        json_f64(movers.pack_a_gbps),
+        json_f64(movers.pack_a_ratio),
+        json_f64(movers.c_tile_ns),
+        json_f64(movers.c_tile_ratio)
+    ));
     json.push_str(&format!("  \"simd_available\": {},\n", simd_available()));
     json.push_str(&format!("  \"native_available\": {},\n", native_available()));
     json.push_str(&format!(
@@ -638,8 +778,9 @@ fn main() {
             failed = true;
         }
     }
-    // CI gates 2 and 3, under `--check`: the committed-baseline geomean
-    // floors, and the generated 8x12 against the hand-written one.
+    // CI gates 2 to 4, under `--check`: the committed-baseline geomean
+    // floors, the generated 8x12 against the hand-written one, and the
+    // active ISA's mover against the scalar one.
     if let Some(baseline) = &baseline {
         if !check_against_baseline(baseline, &sizes, &names, &gflops) {
             failed = true;
@@ -655,6 +796,24 @@ fn main() {
             }
             Ok(s) => println!("  solo             ratio   {:>8.3} (floor {SOLO_FLOOR:>8.3}) ok", s.ratio),
             Err(why) => println!("  solo             skipped — {why}"),
+        }
+        if active_isa() != IsaKind::Avx2 {
+            println!(
+                "  movers           skipped — the floor is AVX2's and the active ISA is `{}`",
+                active_isa()
+            );
+        } else {
+            for (what, ratio) in [("pack A", movers.pack_a_ratio), ("C tile", movers.c_tile_ratio)] {
+                if ratio < MOVERS_FLOOR {
+                    eprintln!(
+                        "CHECK FAIL: movers {what} ratio {ratio:.3} — the AVX2 mover runs below \
+                         {MOVERS_FLOOR}x the scalar one"
+                    );
+                    failed = true;
+                } else {
+                    println!("  movers {what:<9} ratio   {ratio:>8.3} (floor {MOVERS_FLOOR:>8.3}) ok");
+                }
+            }
         }
     }
     if failed {

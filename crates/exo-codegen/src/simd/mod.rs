@@ -43,6 +43,12 @@
 //! which is how the differential suites compare implementations inside
 //! one process.
 //!
+//! **Data movement.** The same three implementations carry the strided
+//! 2-D mover ([`strided_move`]) that a BLIS-like driver packs its operands
+//! and stages its `C` tiles with: one body per ISA beside that ISA's
+//! arithmetic, picked by the same [`active_isa`], bit-identical to the
+//! scalar one by construction (a move and at most one multiply).
+//!
 //! **Selection and safety.** A [`SimdKernel`]'s body runs bounds-free —
 //! the closure chain, or the ahead-of-time compiled C the `exo-aot` tier
 //! hands in through [`SimdKernel::from_compiled`] — and relies on exactly
@@ -80,11 +86,13 @@ use crate::tape::TensorView;
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod aarch64;
 mod compile;
+mod mover;
 pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86_64;
 
 use compile::Node;
+pub use mover::{strided_move, strided_move_on};
 
 /// The per-architecture vector primitive set the chain compiler is
 /// generic over. One implementation per [`IsaKind`]; the compiler is

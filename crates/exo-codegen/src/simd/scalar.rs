@@ -17,11 +17,15 @@
 //! — including the partial stores already performed when an access
 //! faults. Every declined proof, whatever unchecked body it declined for,
 //! lands here.
+//!
+//! The module also holds the scalar body of the strided mover
+//! ([`move_2d`]): the element loops every vector body must reproduce.
 
 use crate::error::{CodegenError, Result};
 use crate::superword::{SuperwordKernel, VOp};
 use crate::tape::{TOp, TensorView};
 
+use super::mover::{Move2d, Walk};
 use super::{ExecScratch, VectorIsa};
 
 /// The portable one-lane reference implementation: `Vector = f32`,
@@ -210,4 +214,59 @@ pub(crate) fn exec_checked(
         pc += 1;
     }
     Ok(())
+}
+
+/// One moved element: `scale == 1.0` keeps the bits (a `C` tile staged on
+/// a later `k`-block, an unscaled pack), anything else is one multiply.
+#[inline(always)]
+pub(crate) fn scaled(v: f32, scale: f32) -> f32 {
+    if scale == 1.0 {
+        v
+    } else {
+        scale * v
+    }
+}
+
+/// Tile edge of the blocked transposing gather: big enough that a tile
+/// spans a cache line of the destination, small enough that `XPOSE_TILE`
+/// source columns stay resident while the tile transposes.
+const XPOSE_TILE: usize = 8;
+
+/// The scalar body of the strided mover ([`super::mover`]): the reference
+/// every vector body reproduces bit for bit, and the one `EXO_ISA=scalar`
+/// runs.
+///
+/// # Safety
+///
+/// As [`super::strided_move`]; `m` must be named for `walk`
+/// (`Move2d::classified`).
+pub(crate) unsafe fn move_2d(walk: Walk, m: &Move2d) {
+    match walk {
+        Walk::Rows => {
+            for r in 0..m.rows {
+                if m.scale == 1.0 {
+                    std::ptr::copy_nonoverlapping(m.src.add(r * m.srs), m.dst.add(r * m.drs), m.cols);
+                } else {
+                    m.walk(r..r + 1, 0..m.cols);
+                }
+            }
+        }
+        // The source is contiguous *across* destination rows: gather in
+        // square tiles so each source run of `XPOSE_TILE` elements is read
+        // once, instead of one element per strided pass.
+        Walk::Transposed => {
+            for c0 in (0..m.cols).step_by(XPOSE_TILE) {
+                let c1 = m.cols.min(c0 + XPOSE_TILE);
+                for r0 in (0..m.rows).step_by(XPOSE_TILE) {
+                    let r1 = m.rows.min(r0 + XPOSE_TILE);
+                    for c in c0..c1 {
+                        for r in r0..r1 {
+                            *m.dst.add(r * m.drs + c) = scaled(*m.src.add(c * m.scs + r), m.scale);
+                        }
+                    }
+                }
+            }
+        }
+        Walk::General => m.walk(0..m.rows, 0..m.cols),
+    }
 }

@@ -13,12 +13,18 @@
 //! ops are implemented for completeness (the generic defaults are never
 //! reached once the helpers are overridden) but carry no
 //! `target_feature` of their own.
+//!
+//! The strided mover's AVX2 body ([`move_2d`]) follows the same rule: one
+//! `target_feature` entry per moved region, everything under it inlined.
 
 use std::arch::x86_64::{
-    __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm_fmadd_ps, _mm_loadu_ps,
-    _mm_set1_ps, _mm_storeu_ps,
+    __m128, __m256, _mm256_castps128_ps256, _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps,
+    _mm256_mul_ps, _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
+    _mm256_unpacklo_ps, _mm_fmadd_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_set1_ps,
+    _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
 };
 
+use super::mover::{Move2d, Walk};
 use super::VectorIsa;
 
 /// The AVX2 + FMA vector implementation (8 × f32 per register).
@@ -156,4 +162,147 @@ unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usiz
             _mm_storeu_ps(d, _mm_fmadd_ps(va, vb, _mm_loadu_ps(d)));
         }
     }
+}
+
+/// The AVX2 body of the strided mover ([`super::mover`]): whole `__m256`
+/// then `__m128` row copies, 8×8 in-register transposes (as pairs of 4×8
+/// halves) with 4×4 granules for the tails, scalars for what no 4-wide
+/// granule covers. One call — one `target_feature` boundary — moves a whole
+/// region.
+///
+/// # Safety
+///
+/// Requires AVX2; otherwise as [`super::strided_move`], with `m` named
+/// for `walk` (`Move2d::classified`).
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn move_2d(walk: Walk, m: &Move2d) {
+    match walk {
+        Walk::Rows => move_rows(m),
+        Walk::Transposed => move_transposed(m),
+        Walk::General => m.walk(0..m.rows, 0..m.cols),
+    }
+}
+
+/// `scale` broadcast at both widths, or `None` for the pure move of
+/// `scale == 1.0`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn scale_vectors(scale: f32) -> (Option<__m256>, Option<__m128>) {
+    if scale == 1.0 {
+        (None, None)
+    } else {
+        (Some(_mm256_set1_ps(scale)), Some(_mm_set1_ps(scale)))
+    }
+}
+
+/// `k · v`, or `v` untouched when there is no scale.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn scaled_256(v: __m256, k: Option<__m256>) -> __m256 {
+    match k {
+        Some(k) => _mm256_mul_ps(k, v),
+        None => v,
+    }
+}
+
+/// The `__m128` form of [`scaled_256`].
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn scaled_128(v: __m128, k: Option<__m128>) -> __m128 {
+    match k {
+        Some(k) => _mm_mul_ps(k, v),
+        None => v,
+    }
+}
+
+/// [`Walk::Rows`]: each row is `cols` contiguous elements on both sides —
+/// 8 at a time, then 4, then one.
+#[target_feature(enable = "avx2")]
+unsafe fn move_rows(m: &Move2d) {
+    let (k8, k4) = scale_vectors(m.scale);
+    for r in 0..m.rows {
+        let (d, s) = (m.dst.add(r * m.drs), m.src.add(r * m.srs));
+        let mut c = 0;
+        while c + 8 <= m.cols {
+            _mm256_storeu_ps(d.add(c), scaled_256(_mm256_loadu_ps(s.add(c)), k8));
+            c += 8;
+        }
+        if c + 4 <= m.cols {
+            _mm_storeu_ps(d.add(c), scaled_128(_mm_loadu_ps(s.add(c)), k4));
+            c += 4;
+        }
+        m.walk(r..r + 1, c..m.cols);
+    }
+}
+
+/// [`Walk::Transposed`]: destination rows and source columns are the
+/// contiguous runs. The region is tiled in strips of eight columns walked
+/// four rows at a time — 4×8 blocks, two of which, one under the other,
+/// are an 8×8 transpose — then one strip of 4×4 blocks where four columns
+/// remain, and the scalar walk over what is left at the bottom and on the
+/// right (fewer than four rows or columns wide).
+#[target_feature(enable = "avx2")]
+unsafe fn move_transposed(m: &Move2d) {
+    let (k8, k4) = scale_vectors(m.scale);
+    let (rows4, cols4) = (m.rows & !3, m.cols & !3);
+    let mut c = 0;
+    while c + 8 <= m.cols {
+        for r in (0..rows4).step_by(4) {
+            transpose_4x8(m.dst.add(r * m.drs + c), m.drs, m.src.add(c * m.scs + r), m.scs, k8);
+        }
+        c += 8;
+    }
+    if c < cols4 {
+        for r in (0..rows4).step_by(4) {
+            transpose_4x4(m.dst.add(r * m.drs + c), m.drs, m.src.add(c * m.scs + r), m.scs, k4);
+        }
+    }
+    m.walk(rows4..m.rows, 0..m.cols);
+    m.walk(0..rows4, cols4..m.cols);
+}
+
+/// Loads 4 elements from each of eight source columns (`scs` apart),
+/// transposes them in registers and stores four 8-element destination rows
+/// (`drs` apart) — half of an 8×8 transpose.
+///
+/// Column `j` is loaded beside column `j + 4`, one per 128-bit lane, so the
+/// lane crossing of the 8×8 transpose happens in the load ports
+/// (`vinsertf128` from memory) and the shuffle ports only run the two
+/// in-lane stages, `unpack` then `shuffle`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_4x8(d: *mut f32, drs: usize, s: *const f32, scs: usize, k: Option<__m256>) {
+    let pair =
+        [column_pair(s, scs, 0), column_pair(s, scs, 1), column_pair(s, scs, 2), column_pair(s, scs, 3)];
+    // Interleave pairs of columns, then pairs of pairs: each vector is one
+    // whole row, columns 0..4 in its low lane and 4..8 in its high lane.
+    let (p0, p1) = (_mm256_unpacklo_ps(pair[0], pair[1]), _mm256_unpackhi_ps(pair[0], pair[1]));
+    let (p2, p3) = (_mm256_unpacklo_ps(pair[2], pair[3]), _mm256_unpackhi_ps(pair[2], pair[3]));
+    _mm256_storeu_ps(d, scaled_256(_mm256_shuffle_ps::<0x44>(p0, p2), k));
+    _mm256_storeu_ps(d.add(drs), scaled_256(_mm256_shuffle_ps::<0xEE>(p0, p2), k));
+    _mm256_storeu_ps(d.add(2 * drs), scaled_256(_mm256_shuffle_ps::<0x44>(p1, p3), k));
+    _mm256_storeu_ps(d.add(3 * drs), scaled_256(_mm256_shuffle_ps::<0xEE>(p1, p3), k));
+}
+
+/// Four elements of source column `j` in the low lane, of column `j + 4` in
+/// the high lane.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn column_pair(s: *const f32, scs: usize, j: usize) -> __m256 {
+    let low = _mm256_castps128_ps256(_mm_loadu_ps(s.add(j * scs)));
+    _mm256_insertf128_ps::<1>(low, _mm_loadu_ps(s.add((j + 4) * scs)))
+}
+
+/// The 4×4 granule of [`transpose_4x8`], on `__m128`s.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_4x4(d: *mut f32, drs: usize, s: *const f32, scs: usize, k: Option<__m128>) {
+    let (c0, c1) = (_mm_loadu_ps(s), _mm_loadu_ps(s.add(scs)));
+    let (c2, c3) = (_mm_loadu_ps(s.add(2 * scs)), _mm_loadu_ps(s.add(3 * scs)));
+    let (p0, p1) = (_mm_unpacklo_ps(c0, c1), _mm_unpackhi_ps(c0, c1));
+    let (p2, p3) = (_mm_unpacklo_ps(c2, c3), _mm_unpackhi_ps(c2, c3));
+    _mm_storeu_ps(d, scaled_128(_mm_movelh_ps(p0, p2), k));
+    _mm_storeu_ps(d.add(drs), scaled_128(_mm_movehl_ps(p2, p0), k));
+    _mm_storeu_ps(d.add(2 * drs), scaled_128(_mm_movelh_ps(p1, p3), k));
+    _mm_storeu_ps(d.add(3 * drs), scaled_128(_mm_movehl_ps(p3, p1), k));
 }

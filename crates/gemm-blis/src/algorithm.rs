@@ -10,8 +10,17 @@
 //!   a transpose is a different gather walk, not a copy;
 //! * `alpha` is folded into the packed `Ac` elements (one multiply in the
 //!   pass that already touches every element once per k-block);
-//! * `beta` is applied on the `C` write-back path of the **first** k-block
+//! * `beta` is applied as a `C` tile is staged in on the **first** k-block
 //!   only — later k-blocks accumulate — and `beta == 0` never reads `C`.
+//!
+//! Every strided ↔ packed move — `A` and `B` into micro-panels, a `C` tile
+//! into the kernel's column-major scratch and back — is one call of the
+//! workspace's strided mover ([`exo_codegen::simd::strided_move`]): vector
+//! copies and in-register transposes on the ISA the kernels execute on,
+//! the scalar walk elsewhere, the same bits everywhere. A tile is reached
+//! through `C`'s raw pointer and the mover touches nothing outside it, so
+//! the elements of another worker's window that lie between a tile's rows
+//! are never read, written or spanned by a reference.
 //!
 //! There is one engine. A [`GemmRunner`] owns what one pass of the five
 //! loops needs — blocking, a prove-once [`KernelDispatch`], a
@@ -43,6 +52,8 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use exo_codegen::simd::strided_move;
 
 use crate::baselines::{neon_intrinsics_kernel, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
@@ -198,24 +209,15 @@ impl RawMat {
         RawMat { ptr, row_stride, col_stride, rows, cols }
     }
 
+    /// The address of element `(i, j)`.
+    ///
     /// # Safety
     ///
-    /// `(i, j)` must be in bounds and the caller must own the element (no
-    /// concurrent writer).
+    /// `(i, j)` must be in bounds.
     #[inline]
-    unsafe fn load(&self, i: usize, j: usize) -> f32 {
+    unsafe fn at(&self, i: usize, j: usize) -> *mut f32 {
         debug_assert!(i < self.rows && j < self.cols);
-        *self.ptr.add(i * self.row_stride + j * self.col_stride)
-    }
-
-    /// # Safety
-    ///
-    /// `(i, j)` must be in bounds and the caller must own the element (no
-    /// concurrent reader or writer).
-    #[inline]
-    unsafe fn store(&self, i: usize, j: usize, v: f32) {
-        debug_assert!(i < self.rows && j < self.cols);
-        *self.ptr.add(i * self.row_stride + j * self.col_stride) = v;
+        self.ptr.add(i * self.row_stride + j * self.col_stride)
     }
 }
 
@@ -380,9 +382,11 @@ impl BlisGemm {
     /// the image was packed from that `B` ([`BlisGemm::pack_b`]), which is
     /// the caller's contract.
     ///
-    /// Fringe tiles are zero-padded by the packing routines and the `C`
-    /// tile is staged through a padded scratch tile, exactly as the
-    /// monolithic library kernels do.
+    /// Fringe tiles are zero-padded by the packing routines, and every `C`
+    /// tile, full or fringe, is staged through a padded scratch tile in the
+    /// kernel's layout — in and out by the strided mover, which moves the
+    /// tile's elements and no others — exactly as the monolithic library
+    /// kernels do.
     ///
     /// # Errors
     ///
@@ -731,24 +735,11 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
     }
 }
 
-/// The staged value of one `C` element: `beta` belongs to the first k-block
-/// only, and `beta == 0` means the stored value is never trusted (it may be
-/// NaN garbage) — the tile starts from zero instead.
-#[inline]
-fn staged_c_value(stored: f32, beta: f32, first_k_block: bool) -> f32 {
-    if !first_k_block || beta == 1.0 {
-        stored
-    } else if beta == 0.0 {
-        0.0
-    } else {
-        beta * stored
-    }
-}
-
 /// Loops L4/L5 for one `ic` block: pack the `op(A)` block (scaled by
 /// `alpha`) into `a_buf`, then run the micro-kernel over every `(jr, ir)`
-/// tile, staging each (possibly fringe) `C` tile through `c_tile` and
-/// applying `beta` on the first k-block's staging load.
+/// tile, staging each (possibly fringe) `C` tile into the kernel's
+/// column-major `c_tile` and back out through the strided mover — scaled by
+/// `beta` on the first k-block's way in, moved untouched after.
 ///
 /// # Safety
 ///
@@ -775,9 +766,14 @@ unsafe fn run_ic_block(
     c_tile: &mut [f32],
 ) -> Result<(), GemmError> {
     let (mr, nr) = (dispatch.kernel().mr, dispatch.kernel().nr);
+    assert!(c_tile.len() >= mr * nr, "the staged tile holds a whole register tile");
     let a_len = mc_eff.div_ceil(mr) * kc_eff * mr;
     pack_a_into(&mut a_buf[..a_len], a, ic, pc, mc_eff, kc_eff, mr, alpha);
     let packed_a = &a_buf[..a_len];
+    // `beta` belongs to the first k-block only; later blocks accumulate.
+    let stage_in_scale = if first_k_block { beta } else { 1.0 };
+    // `C` as the mover sees it, and the kernel's `c_tile[j * mr + i]`.
+    let (c_strides, tile_strides) = ((c.row_stride, c.col_stride), (1, mr));
 
     let n_panels = nc_eff.div_ceil(nr);
     let m_panels = mc_eff.div_ceil(mr);
@@ -785,34 +781,28 @@ unsafe fn run_ic_block(
         for ir in 0..m_panels {
             let ap = a_panel(packed_a, ir, kc_eff, mr);
             let bp = b_panel(packed_b, jr, kc_eff, nr);
-            let rows = mr.min(mc_eff - ir * mr);
-            let cols = nr.min(nc_eff - jr * nr);
+            let extent = (mr.min(mc_eff - ir * mr), nr.min(nc_eff - jr * nr));
+            // The tile's corner in `C`: reached through the raw pointer, so
+            // no reference ever spans the elements of another worker's
+            // window that lie between this tile's rows.
+            let c_corner = c.at(ic + ir * mr, jc + jr * nr);
             // Stage the C tile. Fringe padding positions receive only
             // zero-padded products from the kernel and are never copied
-            // back, so the reused scratch needs no re-zeroing. On the first
-            // k-block the staged values carry beta (and beta == 0 loads
-            // nothing at all — C may hold NaN garbage).
-            if first_k_block && beta == 0.0 {
-                for j in 0..cols {
-                    c_tile[j * mr..j * mr + rows].fill(0.0);
-                }
+            // back, so the reused scratch needs no re-zeroing. `beta == 0`
+            // loads nothing at all — C may hold NaN garbage — and starts
+            // the tile from zero instead.
+            if stage_in_scale == 0.0 {
+                c_tile.fill(0.0);
             } else {
-                for j in 0..cols {
-                    let col0 = jc + jr * nr + j;
-                    let tile_col = &mut c_tile[j * mr..j * mr + rows];
-                    for (i, t) in tile_col.iter_mut().enumerate() {
-                        *t = staged_c_value(c.load(ic + ir * mr + i, col0), beta, first_k_block);
-                    }
-                }
+                // SAFETY: `extent` fits the `mr x nr` tile (asserted above)
+                // and, by the caller's contract, lies inside this worker's
+                // window of `C`; a scratch buffer and `C` do not overlap.
+                strided_move(c_tile.as_mut_ptr(), tile_strides, c_corner, c_strides, extent, stage_in_scale);
             }
             dispatch.run(kc_eff, ap, bp, c_tile)?;
-            for j in 0..cols {
-                let col0 = jc + jr * nr + j;
-                let tile_col = &c_tile[j * mr..j * mr + rows];
-                for (i, t) in tile_col.iter().enumerate() {
-                    c.store(ic + ir * mr + i, col0, *t);
-                }
-            }
+            // SAFETY: as above, with the roles exchanged; `MatMut` proved
+            // `C`'s stride map injective.
+            strided_move(c_corner, c_strides, c_tile.as_ptr(), tile_strides, extent, 1.0);
         }
     }
     Ok(())
@@ -822,7 +812,7 @@ unsafe fn run_ic_block(
 mod tests {
     use super::*;
     use crate::baselines::{blis_assembly_kernel, exo_kernel, neon_intrinsics_kernel, reference_kernel};
-    use crate::problem::NaiveGemm;
+    use crate::problem::{NaiveGemm, Op};
     use exo_isa::neon_f32;
     use std::sync::Arc;
     use ukernel_gen::MicroKernelGenerator;
@@ -987,6 +977,116 @@ mod tests {
         }
     }
 
+    /// Where an `m x n` `C` lives in its buffer: element `(i, j)` at
+    /// `offset + i * rs + j * cs` of `len` elements. With `via_t` the view
+    /// is built as the `n x m` matrix those strides also describe and
+    /// handed over as its transpose.
+    #[derive(Clone, Copy, Debug)]
+    struct CLayout {
+        name: &'static str,
+        offset: usize,
+        rs: usize,
+        cs: usize,
+        len: usize,
+        via_t: bool,
+    }
+
+    /// Every `C` layout the shared raw write-back must respect.
+    fn c_layouts(m: usize, n: usize) -> [CLayout; 5] {
+        let ld = n + 5;
+        let layout = |name, offset, rs, cs, len| CLayout { name, offset, rs, cs, len, via_t: false };
+        [
+            layout("row-major", 0, n, 1, m * n),
+            layout("column-major", 0, 1, m, m * n),
+            layout("padded sub-view", 2 * ld + 3, ld, 1, (m + 3) * ld),
+            CLayout { via_t: true, ..layout("C.t()", 0, 1, m, m * n) },
+            layout("row stride 2n", 0, 2 * n, 1, 2 * m * n),
+        ]
+    }
+
+    /// One strided problem, `C = alpha * op(A) * op(B) + beta * C` over
+    /// dyadic-grid operands (every product and partial sum exact in `f32`,
+    /// so any two correct executors agree bit for bit) with `C` laid out as
+    /// `layout` says inside a buffer of sentinels.
+    struct StridedCase {
+        dims: (usize, usize, usize),
+        op_a: Op,
+        op_b: Op,
+        alpha: f32,
+        beta: f32,
+        layout: CLayout,
+        /// `A` and `B` as stored: transposed storage under `Op::Transpose`.
+        a: Matrix,
+        b: Matrix,
+    }
+
+    impl StridedCase {
+        const PAD: f32 = -77.0;
+
+        fn new(dims: (usize, usize, usize), ops: (Op, Op), scales: (f32, f32), layout: CLayout) -> Self {
+            let (m, n, k) = dims;
+            let av = |i: usize, p: usize| ((i * 5 + p * 7 + 1) % 11) as f32 * 0.25 - 1.0;
+            let bv = |p: usize, j: usize| ((p * 3 + j * 13 + 2) % 17) as f32 * 0.125 - 1.0;
+            let a = match ops.0 {
+                Op::None => Matrix::from_fn(m, k, av),
+                Op::Transpose => Matrix::from_fn(k, m, |p, i| av(i, p)),
+            };
+            let b = match ops.1 {
+                Op::None => Matrix::from_fn(k, n, bv),
+                Op::Transpose => Matrix::from_fn(n, k, |j, p| bv(p, j)),
+            };
+            StridedCase { dims, op_a: ops.0, op_b: ops.1, alpha: scales.0, beta: scales.1, layout, a, b }
+        }
+
+        /// Solves the case on `executor` and returns the whole buffer's
+        /// bits, having checked that nothing outside the view was written
+        /// and that `beta == 0` — under which `C` starts as NaN, since it
+        /// must never be read — left nothing but finite values inside it.
+        fn run(&self, executor: &dyn GemmExecutor, who: &str) -> Vec<u32> {
+            let (m, n, _) = self.dims;
+            let CLayout { offset, rs, cs, len, via_t, .. } = self.layout;
+            let mut buf = vec![Self::PAD; len];
+            let mut in_view = vec![false; len];
+            for i in 0..m {
+                for j in 0..n {
+                    let at = offset + i * rs + j * cs;
+                    buf[at] = if self.beta == 0.0 { f32::NAN } else { ((i + j) % 5) as f32 * 0.5 };
+                    in_view[at] = true;
+                }
+            }
+            let c = if via_t {
+                MatMut::with_strides(&mut buf[offset..], n, m, cs, rs).t()
+            } else {
+                MatMut::with_strides(&mut buf[offset..], m, n, rs, cs)
+            };
+            let problem = GemmProblem::new(self.a.view(), self.b.view(), c)
+                .op_a(self.op_a)
+                .op_b(self.op_b)
+                .alpha(self.alpha)
+                .beta(self.beta);
+            executor.gemm(problem).unwrap();
+            for (at, v) in buf.iter().enumerate() {
+                if in_view[at] {
+                    assert!(self.beta != 0.0 || v.is_finite(), "{self}: {who} read C under beta = 0");
+                } else {
+                    assert_eq!(v.to_bits(), Self::PAD.to_bits(), "{self}: {who} wrote padding element {at}");
+                }
+            }
+            buf.iter().map(|v| v.to_bits()).collect()
+        }
+    }
+
+    impl std::fmt::Display for StridedCase {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let (m, n, k) = self.dims;
+            write!(
+                f,
+                "{m}x{n}x{k}, {}, op_a {:?}, op_b {:?}, alpha {}, beta {}",
+                self.layout.name, self.op_a, self.op_b, self.alpha, self.beta
+            )
+        }
+    }
+
     #[test]
     fn wide_short_problems_split_the_jc_loop_bit_identically() {
         // The partitioned threaded path, end to end: both split axes (many
@@ -996,7 +1096,6 @@ mod tests {
         // unevenly, and both `beta` regimes. Every run must equal the
         // one-thread run bit for bit and leave the storage outside the
         // view untouched.
-        const PAD: f32 = -77.0;
         let kernel = neon_intrinsics_kernel();
         let blocking = BlockingParams { mc: 32, kc: 16, nc: 24, mr: kernel.mr, nr: kernel.nr };
         let k = 33;
@@ -1009,63 +1108,81 @@ mod tests {
                 windows.iter().all(|(rows, cols)| if by_cols { *rows == (0..m) } else { *cols == (0..n) }),
                 "{axis}: {windows:?}"
             );
-            let a = Matrix::from_fn(m, k, |i, j| ((i * 5 + j * 7 + 1) % 11) as f32 * 0.25 - 1.0);
-            let b = Matrix::from_fn(k, n, |i, j| ((i * 3 + j * 13 + 2) % 17) as f32 * 0.125 - 1.0);
-            let ld = n + 5;
-            // (layout, offset, row stride, column stride, buffer length)
-            let layouts = [
-                ("row-major", 0, n, 1, m * n),
-                ("column-major", 0, 1, m, m * n),
-                ("padded sub-view", 2 * ld + 3, ld, 1, (m + 3) * ld),
-            ];
-            for (layout, offset, rs, cs, len) in layouts {
+            for layout in c_layouts(m, n) {
                 for beta in [0.0f32, 0.75] {
-                    // beta == 0 must never read C, so it starts as NaN.
-                    let mut start = vec![PAD; len];
-                    let mut in_view = vec![false; len];
-                    for i in 0..m {
-                        for j in 0..n {
-                            let at = offset + i * rs + j * cs;
-                            start[at] = if beta == 0.0 { f32::NAN } else { ((i + j) % 5) as f32 * 0.5 };
-                            in_view[at] = true;
-                        }
-                    }
-                    let run = |executor: &dyn GemmExecutor, who: &str| -> Vec<u32> {
-                        let mut buf = start.clone();
-                        let c = MatMut::with_strides(&mut buf[offset..], m, n, rs, cs);
-                        executor.gemm(GemmProblem::new(a.view(), b.view(), c).beta(beta)).unwrap();
-                        for (at, v) in buf.iter().enumerate() {
-                            assert!(
-                                in_view[at] || v.to_bits() == PAD.to_bits(),
-                                "{axis}, {layout}, beta {beta}: {who} wrote padding element {at}"
-                            );
-                        }
-                        buf.iter().map(|v| v.to_bits()).collect()
-                    };
-                    let sequential = run(&BlisGemm::new(blocking), "threads = 1");
-                    // And it is actually correct, not just self-consistent:
-                    // dyadic-grid inputs make the blocked result exact.
-                    assert_eq!(sequential, run(&NaiveGemm, "the reference"), "{axis}, {layout}, beta {beta}");
+                    let case = StridedCase::new((m, n, k), (Op::None, Op::None), (1.0, beta), layout);
+                    let sequential = case.run(&BlisGemm::new(blocking), "threads = 1");
+                    // And it is actually correct, not just self-consistent.
+                    assert_eq!(sequential, case.run(&NaiveGemm, "the reference"), "{axis}, {case}");
                     for threads in [2usize, 3, 8] {
                         let driver = BlisGemm::new(blocking).with_threads(threads);
-                        let threaded = run(&driver, "a threaded run");
-                        assert_eq!(sequential, threaded, "{axis}, {layout}, beta {beta}, {threads} threads");
+                        let threaded = case.run(&driver, "a threaded run");
+                        assert_eq!(sequential, threaded, "{axis}, {case}, {threads} threads");
                         // Every window's runner went back to the driver,
                         // so the second threaded call on it builds none —
                         // and warm runners change no bit.
                         let built = driver.runners_built();
                         assert_eq!(built as usize, partition(m, n, &blocking, threads).len());
                         assert_eq!(driver.idle_runners(), built as usize);
-                        assert_eq!(
-                            sequential,
-                            run(&driver, "a warm threaded run"),
-                            "{axis}, {layout}, {threads}"
-                        );
-                        assert_eq!(driver.runners_built(), built, "{axis}, {layout}, {threads} threads");
+                        assert_eq!(sequential, case.run(&driver, "a warm threaded run"), "{axis}, {case}");
+                        assert_eq!(driver.runners_built(), built, "{axis}, {case}, {threads} threads");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn strided_c_layouts_ops_and_scales_match_the_reference_on_every_kernel_family() {
+        // A seeded sweep of what the strided mover sits under: every `C`
+        // layout, both transposes, `alpha` and `beta` in {0, 1, -1, 0.75},
+        // one worker and three, the generated tiles the host's verdicts
+        // serve plus the hand-written kernel, on shapes that are mostly
+        // fringe. `BlisGemm` must equal the naive strided reference bit
+        // for bit — up to the sign of a zero, the one thing a blocked sum
+        // started from `beta * c` and the reference's `alpha * sum +
+        // beta * c` may disagree on under a negative scale.
+        let zeros_unsigned = |bits: Vec<u32>| -> Vec<u32> {
+            bits.into_iter().map(|b| if b == (-0.0f32).to_bits() { 0 } else { b }).collect()
+        };
+        let generator = MicroKernelGenerator::new(neon_f32());
+        let generated = |mr, nr| exo_kernel(Arc::new(generator.generate(mr, nr).unwrap()));
+        let kernels = [generated(8, 12), generated(16, 4), generated(8, 8), neon_intrinsics_kernel()];
+        const SCALES: [f32; 4] = [0.0, 1.0, -1.0, 0.75];
+        const OPS: [Op; 2] = [Op::None, Op::Transpose];
+        // xorshift64: the draws repeat run to run.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut cases = 0;
+        for kernel in &kernels {
+            let blocking = BlockingParams { mc: 32, kc: 16, nc: 24, mr: kernel.mr, nr: kernel.nr };
+            for dims in [(49usize, 50usize, 23usize), (17, 13, 9), (8, 200, 33)] {
+                for layout in c_layouts(dims.0, dims.1) {
+                    for threads in [1usize, 3] {
+                        let driver =
+                            BlisGemm::new(blocking).with_kernel(kernel.clone()).with_threads(threads);
+                        // Every beta in every cell; ops and alpha drawn.
+                        for beta in SCALES {
+                            let ops = (OPS[draw(2)], OPS[draw(2)]);
+                            let case = StridedCase::new(dims, ops, (SCALES[draw(4)], beta), layout);
+                            assert_eq!(
+                                zeros_unsigned(case.run(&driver, "BlisGemm")),
+                                zeros_unsigned(case.run(&NaiveGemm, "the reference")),
+                                "{}, {threads} threads: {case}",
+                                kernel.name
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 3 * 5 * 2 * 4);
     }
 
     #[test]

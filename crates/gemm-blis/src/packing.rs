@@ -11,13 +11,15 @@
 //! The source is a [`MatRef`] — an arbitrary strided view — so transposes
 //! and sub-matrices are *stride walks*, not copies: `op(X) = T` reaches the
 //! packers as a view whose strides are swapped. Every pack funnels through
-//! one region packer with three code paths, chosen by the region's strides:
+//! one region packer, which is the workspace's strided mover
+//! ([`exo_codegen::simd::strided_move`]) plus the zero padding: the
+//! region's strides pick the mover's walk and the executing ISA its body —
 //!
-//! * unit stride along the packed row → `copy_from_slice` (the dense `B`
-//!   hot path, and the dense-`A`-transposed path);
-//! * unit stride *across* packed rows → a blocked transpose in small square
-//!   tiles, so the strided gather reads each source cache line once (the
-//!   dense `A` hot path, and the dense-`B`-transposed path);
+//! * unit stride along the packed row → whole-vector row copies (the dense
+//!   `B` hot path, and the dense-`A`-transposed path);
+//! * unit stride *across* packed rows → in-register transposes, so the
+//!   strided gather reads each source cache line once and writes whole
+//!   vectors (the dense `A` hot path, and the dense-`B`-transposed path);
 //! * anything else → a scalar stride walk.
 //!
 //! [`pack_a_into`]/[`pack_b_into`] write into caller-owned buffers — in the
@@ -25,66 +27,35 @@
 //! a [`PackedB`]: the whole of `op(B)` packed once, ahead of the five loops,
 //! for every GEMM that multiplies by the same matrix.
 
+use exo_codegen::simd::strided_move;
+
 use crate::blocking::BlockingParams;
 use crate::views::MatRef;
 use crate::GemmError;
-
-/// Tile edge of the blocked-transpose gather: big enough that a packed tile
-/// spans a cache line of the destination, small enough that `T` source rows
-/// stay resident while the tile transposes.
-const XPOSE_TILE: usize = 8;
 
 /// Packs the `R x C` `region` into `out` as `R` rows of `tile_w` contiguous
 /// elements (`C <= tile_w`; columns `C..tile_w` are zero-padded), scaling
 /// every element by `alpha`.
 ///
-/// This is the shared engine of [`pack_a_into`] and [`pack_b_into`]; the
-/// region view's strides decide the code path (see the module docs).
+/// This is the shared engine of [`pack_a_into`] and [`pack_b_into`]: the
+/// strided mover, then the padding.
 fn pack_region(out: &mut [f32], region: MatRef<'_>, tile_w: usize, alpha: f32) {
     let (rows, cols) = (region.rows(), region.cols());
-    debug_assert!(cols <= tile_w && out.len() >= rows * tile_w);
-    let (rs, cs) = (region.row_stride(), region.col_stride());
-    let data = region.data();
-    if cs == 1 && rows > 0 && cols > 0 {
-        // Packed rows are contiguous in the source.
-        for (r, dst) in out.chunks_exact_mut(tile_w).take(rows).enumerate() {
-            let src = &data[r * rs..r * rs + cols];
-            if alpha == 1.0 {
-                dst[..cols].copy_from_slice(src);
-            } else {
-                for (d, &s) in dst[..cols].iter_mut().zip(src) {
-                    *d = alpha * s;
-                }
-            }
-        }
-    } else if rs == 1 && rows > 0 && cols > 0 {
-        // The source is contiguous *across* packed rows: gather in square
-        // tiles so each source run of XPOSE_TILE elements is read once,
-        // instead of one element per strided pass.
-        let mut c0 = 0;
-        while c0 < cols {
-            let tc = XPOSE_TILE.min(cols - c0);
-            let mut r0 = 0;
-            while r0 < rows {
-                let tr = XPOSE_TILE.min(rows - r0);
-                for c in 0..tc {
-                    let src = &data[(c0 + c) * cs + r0..(c0 + c) * cs + r0 + tr];
-                    for (r, &s) in src.iter().enumerate() {
-                        out[(r0 + r) * tile_w + c0 + c] = alpha * s;
-                    }
-                }
-                r0 += tr;
-            }
-            c0 += tc;
-        }
-    } else {
-        // General strided walk (also covers empty regions).
-        for r in 0..rows {
-            let dst = &mut out[r * tile_w..r * tile_w + cols];
-            for (c, d) in dst.iter_mut().enumerate() {
-                *d = alpha * region.get(r, c);
-            }
-        }
+    assert!(cols <= tile_w && out.len() >= rows * tile_w, "pack_region: panel too small");
+    // SAFETY: a `MatRef` holds every `(r, c)` of its extent inside its
+    // backing slice (checked at construction, kept by `t` and `submatrix`),
+    // the assert above does the same for `out` under strides `(tile_w, 1)`,
+    // which are injective as `cols <= tile_w`, and a shared and an
+    // exclusive borrow cannot overlap.
+    unsafe {
+        strided_move(
+            out.as_mut_ptr(),
+            (tile_w, 1),
+            region.data().as_ptr(),
+            (region.row_stride(), region.col_stride()),
+            (rows, cols),
+            alpha,
+        );
     }
     // Zero-pad the fringe columns of every row (values beyond `rows * tile_w`
     // are the caller's responsibility — pack_*_into never leaves them stale).
@@ -126,8 +97,8 @@ pub fn pack_a_into(
         let prows = mr.min(mc_eff - p * mr);
         // The packed panel is the (kc_eff x prows) *transpose* of the
         // A-block rows, so the region view is the sub-block transposed:
-        // dense row-major A lands on the blocked-transpose gather, and
-        // op(A) = T (stride-swapped view) lands on the contiguous copy.
+        // dense row-major A lands on the mover's transposing walk, and
+        // op(A) = T (stride-swapped view) on its row copies.
         let region = a.submatrix(ic + p * mr, pc, prows, kc_eff).t();
         pack_region(&mut out[p * panel_len..(p + 1) * panel_len], region, mr, alpha);
     }
@@ -161,8 +132,8 @@ pub fn pack_b_into(
     for p in 0..panels {
         let pcols = nr.min(nc_eff - p * nr);
         // The packed panel is the (kc_eff x pcols) sub-block as-is: dense
-        // row-major B lands on the contiguous copy, op(B) = T on the
-        // blocked-transpose gather.
+        // row-major B lands on the mover's row copies, op(B) = T on its
+        // transposing walk.
         let region = b.submatrix(pc, jc + p * nr, kc_eff, pcols);
         pack_region(&mut out[p * panel_len..(p + 1) * panel_len], region, nr, 1.0);
     }

@@ -30,10 +30,15 @@ use std::fmt;
 /// indices — the sufficient condition used for mutable views: the larger
 /// stride must step over the full extent of the smaller-stride dimension.
 /// Covers row-major (padded or not), column-major, and every sub-matrix of
-/// either. Overflowing extents count as aliasing (checked math).
+/// either. Overflowing extents count as aliasing (checked math). A view
+/// with a single row or column is a strided vector: injective exactly when
+/// the stride along its one axis of extent > 1 is non-zero.
 fn strides_non_aliasing(rows: usize, cols: usize, row_stride: usize, col_stride: usize) -> bool {
-    if rows <= 1 || cols <= 1 {
+    if rows == 0 || cols == 0 {
         return true;
+    }
+    if rows == 1 || cols == 1 {
+        return (rows == 1 || row_stride != 0) && (cols == 1 || col_stride != 0);
     }
     let spans = |outer: usize, inner: usize, inner_extent: usize| {
         inner_extent.checked_mul(inner).is_some_and(|span| outer >= span) && inner > 0
@@ -460,6 +465,38 @@ mod tests {
         let mut data = vec![0.0f32; 16];
         // (i + j) * 2 maps (0, 1) and (1, 0) to the same element.
         let _ = MatMut::with_strides(&mut data, 3, 3, 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "aliasing strides")]
+    fn a_zero_stride_along_a_single_row_aliases_every_column() {
+        // The whole row would be one element: five writers, one address.
+        let mut data = vec![0.0f32; 16];
+        let _ = MatMut::with_strides(&mut data, 1, 5, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "aliasing strides")]
+    fn a_zero_stride_along_a_single_column_aliases_every_row() {
+        let mut data = vec![0.0f32; 16];
+        let _ = MatMut::with_strides(&mut data, 5, 1, 0, 1);
+    }
+
+    #[test]
+    fn strides_of_axes_with_nothing_to_step_over_are_free() {
+        // Only an axis of extent > 1 needs a stride: 1x1 and empty views
+        // construct whatever theirs are, and a vector may carry any stride
+        // on the axis it does not extend along.
+        let mut data = vec![0.0f32; 16];
+        for (rows, cols, rs, cs) in
+            [(1, 1, 0, 0), (0, 5, 0, 0), (5, 0, 0, 0), (0, 0, 0, 0), (1, 5, 0, 3), (5, 1, 3, 0)]
+        {
+            let c = MatMut::with_strides(&mut data, rows, cols, rs, cs);
+            assert_eq!((c.rows(), c.cols()), (rows, cols));
+        }
+        let mut row = MatMut::with_strides(&mut data, 1, 5, 0, 3);
+        row.set(0, 4, 7.0);
+        assert_eq!(data[12], 7.0);
     }
 
     #[cfg(debug_assertions)]
