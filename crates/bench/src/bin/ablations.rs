@@ -1,6 +1,7 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
-//! specialisation vs. monolithic EXO kernel, prefetch, analytical vs. fixed
-//! blocking, unrolling, and ISA vector length.
+//! Ablation studies for the design choices `gemm_blis::SimOptions` and
+//! `ukernel_gen::KernelOptions` expose: specialisation vs. monolithic EXO
+//! kernel, prefetch, analytical vs. fixed blocking, unrolling, and ISA vector
+//! length.
 
 use carmel_sim::CarmelCore;
 use exo_isa::{avx512_f32, neon_f32};

@@ -2,8 +2,12 @@
 //!
 //! Harnesses that regenerate every table and figure of the paper's
 //! evaluation (Section IV). Each figure has a dedicated binary printing the
-//! same series the paper plots; see DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+//! same series the paper plots — modelled Carmel numbers, identical on every
+//! host; the table below is the experiment index and
+//! `tests/paper_results.rs` pins the paper-vs-modelled comparisons. Measured
+//! numbers come from two other places (README, "Execution backends"): the
+//! `gemm_throughput` binary's same-run gates, and the `exo_bench` package
+//! under `src/bin/exo_bench` for everything absolute.
 //!
 //! | target | artefact |
 //! |---|---|
@@ -15,7 +19,7 @@
 //! | `fig17_vgg_layers` | Fig. 17 (VGG16 per-layer GFLOPS) |
 //! | `fig18_vgg_time` | Fig. 18 (VGG16 aggregated time) |
 //! | `tables_dnn` | Tables I and II (IM2ROW GEMM dimensions) |
-//! | `ablations` | design-choice ablations listed in DESIGN.md |
+//! | `ablations` | design-choice ablations ([`gemm_blis::SimOptions`], `ukernel_gen::KernelOptions`, ISA vector length) |
 //! | `autotune` | the `exo-tune` sweep: explored design space + per-shape winners |
 
 #![warn(missing_docs)]

@@ -7,10 +7,9 @@
 //! semantic bodies at compile time, multi-dimensional accesses are linearised
 //! into row-major address polynomials, and the kernel runs over caller
 //! provided buffers. It is used by the differential tests (generated kernel
-//! vs. naive reference), by the BLIS-like GEMM driver's functional mode, and
-//! by the wall-clock Criterion benches (where only *relative* numbers are
-//! meaningful — absolute GFLOPS figures come from the `carmel-sim`
-//! performance model).
+//! vs. naive reference) and by the BLIS-like GEMM driver's functional mode
+//! (absolute Carmel GFLOPS figures come from the `carmel-sim` performance
+//! model).
 
 use exo_ir::{ArgKind, BinOp, Expr, Proc, ScalarType, Stmt, Sym};
 use exo_sched::inline_call;

@@ -273,7 +273,8 @@ struct Counters {
     aot_base: exo_aot::AotStats,
     /// Serializes submission accounting against the collector's terminal
     /// drain, so `jobs_submitted == jobs_completed + jobs_failed` holds
-    /// exactly even when the collector dies mid-submission.
+    /// exactly even when the collector dies mid-submission. Held around a
+    /// non-blocking offer to the queue only, never across a wait.
     gate: Mutex<()>,
 }
 
@@ -309,6 +310,9 @@ impl Counters {
         self.gate.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
+
+/// How long a submitter parked on a full queue waits between offers.
+const FULL_QUEUE_POLL: Duration = Duration::from_micros(100);
 
 struct Submission {
     job: GemmJob,
@@ -436,60 +440,24 @@ impl GemmService {
     // owned operands — back to the caller instead of dropping it.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, job: GemmJob) -> Result<JobHandle, SubmitError> {
-        let (job, tx) = self.submit_channel(job)?;
-        let (reply, rx) = mpsc::channel();
-        let gate = self.counters.gate();
-        // Depth rises before the send so the collector's decrement (which
-        // can only follow a successful send) never underflows the counter.
-        self.pre_enqueue();
-        match tx.send(Submission { job, reply, enqueued: Instant::now() }) {
-            Ok(()) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                drop(gate);
-                Ok(JobHandle { rx })
-            }
-            Err(mpsc::SendError(submission)) => {
-                self.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                drop(gate);
-                Err(SubmitError { job: submission.job, reason: SubmitErrorReason::Shutdown })
-            }
-        }
+        self.enqueue(job, None)
     }
 
     /// Non-blocking [`GemmService::submit`]: a full queue rejects with
-    /// [`SubmitErrorReason::QueueFull`] instead of blocking, handing the
-    /// job back for the caller to retry or reroute.
+    /// [`SubmitErrorReason::QueueFull`] instead of blocking — also while
+    /// other callers are parked in `submit` — handing the job back for the
+    /// caller to retry or reroute.
     ///
     /// # Errors
     ///
     /// `QueueFull` under backpressure, `Shutdown` on a dead service.
     #[allow(clippy::result_large_err)]
     pub fn try_submit(&self, job: GemmJob) -> Result<JobHandle, SubmitError> {
-        let (job, tx) = self.submit_channel(job)?;
-        let (reply, rx) = mpsc::channel();
-        let gate = self.counters.gate();
-        self.pre_enqueue();
-        match tx.try_send(Submission { job, reply, enqueued: Instant::now() }) {
-            Ok(()) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                drop(gate);
-                Ok(JobHandle { rx })
-            }
-            Err(mpsc::TrySendError::Full(submission)) => {
-                self.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                drop(gate);
-                Err(SubmitError { job: submission.job, reason: SubmitErrorReason::QueueFull })
-            }
-            Err(mpsc::TrySendError::Disconnected(submission)) => {
-                self.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                drop(gate);
-                Err(SubmitError { job: submission.job, reason: SubmitErrorReason::Shutdown })
-            }
-        }
+        self.enqueue(job, Some(Instant::now()))
     }
 
     /// [`GemmService::submit`] with a bound on how long backpressure may
-    /// block: retries a non-blocking submit until `timeout` elapses.
+    /// block.
     ///
     /// # Errors
     ///
@@ -497,39 +465,57 @@ impl GemmService {
     /// time, `Shutdown` on a dead service.
     #[allow(clippy::result_large_err)]
     pub fn submit_timeout(&self, job: GemmJob, timeout: Duration) -> Result<JobHandle, SubmitError> {
-        let deadline = Instant::now() + timeout;
-        let mut job = job;
+        self.enqueue(job, Some(Instant::now() + timeout)).map_err(|e| match e.reason {
+            SubmitErrorReason::QueueFull => SubmitError { reason: SubmitErrorReason::Timeout, ..e },
+            _ => e,
+        })
+    }
+
+    /// The one submission path: offer the job to the queue, and while the
+    /// queue is full and `give_up_at` has not passed (`None`: never gives
+    /// up) offer it again every [`FULL_QUEUE_POLL`]. The accounting gate is
+    /// held around each non-blocking offer and never across a wait, so a
+    /// caller parked on a full queue delays no other caller's answer.
+    #[allow(clippy::result_large_err)]
+    fn enqueue(&self, job: GemmJob, give_up_at: Option<Instant>) -> Result<JobHandle, SubmitError> {
+        let tx = match self.tx.as_ref() {
+            Some(tx) if self.health() != ServiceHealth::Failed => tx,
+            _ => return Err(SubmitError { job, reason: SubmitErrorReason::Shutdown }),
+        };
+        let (reply, rx) = mpsc::channel();
+        let mut submission = Submission { job, reply, enqueued: Instant::now() };
         loop {
-            match self.try_submit(job) {
-                Ok(handle) => return Ok(handle),
-                Err(e) if e.reason() == SubmitErrorReason::QueueFull => {
-                    if Instant::now() >= deadline {
-                        return Err(SubmitError { job: e.into_job(), reason: SubmitErrorReason::Timeout });
-                    }
-                    job = e.into_job();
-                    std::thread::sleep(Duration::from_micros(100));
+            let gate = self.counters.gate();
+            // Depth rises before the offer so the collector's decrement
+            // (which can only follow an accepted one) never underflows the
+            // counter; a refused offer takes it back under the same gate.
+            let depth = self.counters.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+            let refused = match tx.try_send(submission) {
+                Ok(()) => {
+                    // The collector subtracts a batch after it has drained
+                    // it, so the counter can run ahead of the channel by the
+                    // batch in hand; the channel never holds more than its
+                    // bound.
+                    let depth = depth.min(self.config.queue_capacity);
+                    self.counters.queue_highwater.fetch_max(depth, Ordering::Relaxed);
+                    self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                    return Ok(JobHandle { rx });
                 }
-                Err(e) => return Err(e),
-            }
+                Err(refused) => refused,
+            };
+            self.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            drop(gate);
+            let (back, reason) = match refused {
+                mpsc::TrySendError::Full(back) if give_up_at.is_none_or(|at| Instant::now() < at) => {
+                    submission = back;
+                    std::thread::sleep(FULL_QUEUE_POLL);
+                    continue;
+                }
+                mpsc::TrySendError::Full(back) => (back, SubmitErrorReason::QueueFull),
+                mpsc::TrySendError::Disconnected(back) => (back, SubmitErrorReason::Shutdown),
+            };
+            return Err(SubmitError { job: back.job, reason });
         }
-    }
-
-    /// Shared front half of the submit variants: refuse fast on a failed
-    /// service, hand back the channel otherwise.
-    #[allow(clippy::type_complexity, clippy::result_large_err)]
-    fn submit_channel(&self, job: GemmJob) -> Result<(GemmJob, &mpsc::SyncSender<Submission>), SubmitError> {
-        if self.health() == ServiceHealth::Failed {
-            return Err(SubmitError { job, reason: SubmitErrorReason::Shutdown });
-        }
-        match self.tx.as_ref() {
-            Some(tx) => Ok((job, tx)),
-            None => Err(SubmitError { job, reason: SubmitErrorReason::Shutdown }),
-        }
-    }
-
-    fn pre_enqueue(&self) {
-        let depth = self.counters.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.counters.queue_highwater.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Submits every job, then waits for all of them, returning results in
@@ -599,25 +585,18 @@ impl Drop for GemmService {
 /// `jobs_submitted == jobs_completed + jobs_failed` holds exactly.
 fn fail_everything_outstanding(rx: mpsc::Receiver<Submission>, counters: &Counters) {
     counters.raise_health(ServiceHealth::Failed);
-    let fail = |submission: Submission| {
+    // With the gate held no submitter is mid-offer (none ever waits under
+    // it), so drain-then-drop loses nothing and the balance below sees final
+    // counts; an offer after the drop is refused as `Shutdown`.
+    let gate = counters.gate();
+    while let Ok(submission) = rx.try_recv() {
         counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
         counters.failed.fetch_add(1, Ordering::Relaxed);
         let _ = submission.reply.send(Err(GemmError::ServiceShutdown));
-    };
-    // First drain without the gate so a submitter blocked on a full queue
-    // can finish its send and release the gate.
-    while let Ok(submission) = rx.try_recv() {
-        fail(submission);
-    }
-    // With the gate held no submitter is mid-send, so drain-then-drop loses
-    // nothing and the balance below sees final counts.
-    let gate = counters.gate();
-    while let Ok(submission) = rx.try_recv() {
-        fail(submission);
     }
     drop(rx);
     // Safety net: in-flight jobs were failed by `InFlight::fail_all` and
-    // queued jobs by the drains above, so this normally adds zero — but if
+    // queued jobs by the drain above, so this normally adds zero — but if
     // any job slipped through, count it failed so the books still balance.
     let submitted = counters.submitted.load(Ordering::Relaxed);
     let resolved = counters.completed.load(Ordering::Relaxed) + counters.failed.load(Ordering::Relaxed);

@@ -92,7 +92,7 @@ impl TunedGemm {
         TunedGemm::over(space, registry).expect("a registry named after the space is always consistent")
     }
 
-    /// A tuned GEMM over an explicit tuner (any space, any evaluator).
+    /// A tuned GEMM over an explicit tuner (any space).
     pub fn with_tuner(tuner: Tuner) -> Self {
         TunedGemm { tuner, threads: 1, drivers: Mutex::default() }
     }

@@ -6,7 +6,7 @@
 //! The paper's headline result comes from generating *many*
 //! size-specialised micro-kernels and picking the best register tile and
 //! blocking configuration per problem shape. This crate turns that
-//! methodology into a reusable subsystem with four pieces:
+//! methodology into a reusable subsystem with three pieces:
 //!
 //! * [`DesignSpace`] — enumerates every `(MR, NR)` register tile valid for
 //!   a [`exo_isa::VectorIsa`] under a register budget, crossed with
@@ -15,11 +15,6 @@
 //!   everything the described machine could run; the *serving* space
 //!   ([`DesignSpace::for_execution`]) keeps the tiles that also fill whole
 //!   vectors of the host ISA that executes them, inside its register file;
-//! * [`CostEvaluator`] — pluggable candidate evaluation: the analytical
-//!   `carmel-sim` model ([`AnalyticalCost`], deterministic, the ranker of
-//!   both spaces) or timed execution of the generated kernel's simd chain
-//!   ([`FunctionalCost`], host-dependent, for validation only). Neither
-//!   compiles a candidate;
 //! * [`KernelRegistry`] — caches generated kernels keyed by
 //!   `(isa, mr, nr)` (via [`ukernel_gen::KernelCache`]) and memoises
 //!   tuning verdicts keyed by problem shape, with JSON persistence — under
@@ -30,11 +25,14 @@
 //!   shape in the serving space of this host and dispatches the winning
 //!   kernel through the functional BLIS-like driver.
 //!
-//! [`Tuner::new`] stays the paper's question — what the modelled Carmel
-//! picks from the whole Neon space — and is what the figure binaries and
-//! [`tune_workload`] use. A verdict's `predicted_*` fields are that
-//! model's numbers in either space: they rank, they do not predict the
-//! host.
+//! Candidates of both spaces are ranked by one cost, the analytical
+//! `carmel-sim` model run through the five-loop structure
+//! ([`gemm_blis::modelled_gemm_cycles`]): deterministic, and ranking a
+//! candidate neither runs nor compiles it. [`Tuner::new`] stays the
+//! paper's question — what the modelled Carmel picks from the whole Neon
+//! space — and is what the figure binaries and [`tune_workload`] use. A
+//! verdict's `predicted_*` fields are that model's numbers in either
+//! space: they rank, they do not predict the host.
 //!
 //! ```
 //! use exo_tune::TunedGemm;
@@ -53,7 +51,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
 mod error;
 pub mod gemm;
 pub mod json;
@@ -62,7 +59,6 @@ pub mod space;
 pub mod tuner;
 pub mod workload;
 
-pub use cost::{AnalyticalCost, CostEvaluator, FunctionalCost};
 pub use error::TuneError;
 pub use gemm::{TunedGemm, TunedRun};
 pub use registry::{KernelRegistry, TuneVerdict};

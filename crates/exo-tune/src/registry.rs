@@ -47,11 +47,10 @@ pub struct TuneVerdict {
     pub kc: usize,
     /// Winning cache blocking: columns of the packed `Bc` block.
     pub nc: usize,
-    /// Cost of the winner in cycles of the *modelled Carmel core* (for the
-    /// analytical evaluator; wall-clock at the Carmel frequency for the
-    /// functional one). It ranks candidates against each other and feeds
-    /// the paper's modelled figures; it is never a prediction for the host
-    /// that executes the kernel.
+    /// Cost of the winner in cycles of the *modelled Carmel core*. It ranks
+    /// candidates against each other and feeds the paper's modelled
+    /// figures; it is never a prediction for the host that executes the
+    /// kernel.
     pub predicted_cycles: f64,
     /// [`Self::predicted_cycles`] as GFLOPS (`2 m n k` useful flops at the
     /// modelled clock) — the modelled Carmel's rate, not the host's.
@@ -59,7 +58,10 @@ pub struct TuneVerdict {
     /// How many candidates the search evaluated when this verdict was
     /// produced (memoised answers keep the original search's count).
     pub candidates_evaluated: usize,
-    /// Name of the evaluator that produced the verdict.
+    /// Name of the cost that ranked the verdict: `"analytical"` for every
+    /// search of this tree (`"degenerate"` for the verdict an empty problem
+    /// is dispatched with). Kept in the file format so that a verdict
+    /// ranked by anything else is searched again instead of served.
     pub evaluator: String,
 }
 

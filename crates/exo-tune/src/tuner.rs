@@ -5,20 +5,24 @@ use std::sync::Arc;
 
 use carmel_sim::{gflops, CarmelCore};
 use exo_isa::VectorIsa;
-use gemm_blis::{exo_kernel, GemmSimulator, KernelImpl, SimOptions};
+use gemm_blis::{exo_kernel, modelled_gemm_cycles, GemmSimulator, KernelImpl, SimOptions};
 use ukernel_gen::{GeneratedKernel, MicroKernelGenerator};
 
-use crate::cost::{AnalyticalCost, CostEvaluator};
 use crate::error::TuneError;
 use crate::registry::{KernelRegistry, TuneVerdict};
 use crate::space::DesignSpace;
+
+/// What [`TuneVerdict::evaluator`] says of a verdict this tuner ranked: the
+/// `carmel-sim` core model run through the five-loop BLIS structure
+/// ([`modelled_gemm_cycles`]). Deterministic and host-independent; no
+/// candidate is executed, timed or compiled to be ranked.
+const EVALUATOR: &str = "analytical";
 
 /// Searches the design space for one GEMM problem at a time, memoising
 /// verdicts in a [`KernelRegistry`].
 pub struct Tuner {
     space: DesignSpace,
     generator: MicroKernelGenerator,
-    evaluator: Box<dyn CostEvaluator + Send + Sync>,
     registry: KernelRegistry,
     core: CarmelCore,
 }
@@ -27,7 +31,6 @@ impl std::fmt::Debug for Tuner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tuner")
             .field("isa", &self.space.isa().name)
-            .field("evaluator", &self.evaluator.name())
             .field("verdicts", &self.registry.len())
             .finish()
     }
@@ -41,12 +44,11 @@ impl Default for Tuner {
 
 impl Tuner {
     /// The Carmel-modelling tuner: the whole ARM Neon f32 space
-    /// ([`DesignSpace::for_isa`]), the Carmel core model, the analytical
-    /// evaluator, and a fresh in-memory registry. It answers "what would
-    /// the modelled machine pick" — the question behind the paper's
-    /// figures — on every host alike. To *run* the verdicts use
-    /// [`crate::TunedGemm`], whose tuner searches the tiles the host's
-    /// vector ISA executes in whole vectors.
+    /// ([`DesignSpace::for_isa`]), the Carmel core model, and a fresh
+    /// in-memory registry. It answers "what would the modelled machine
+    /// pick" — the question behind the paper's figures — on every host
+    /// alike. To *run* the verdicts use [`crate::TunedGemm`], whose tuner
+    /// searches the tiles the host's vector ISA executes in whole vectors.
     pub fn new() -> Self {
         let space = DesignSpace::for_isa(exo_isa::neon_f32());
         let registry = KernelRegistry::new(space.identity());
@@ -65,25 +67,14 @@ impl Tuner {
         Tuner::over(DesignSpace::for_isa(exo_isa::neon_f32()), registry)
     }
 
-    /// The Carmel core model and its analytical evaluator over `space`.
-    pub(crate) fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
-        Tuner::custom(space, Box::new(AnalyticalCost::default()), CarmelCore::carmel(), registry)
-    }
-
-    /// Full control over the space, the evaluator, the core model, and the
-    /// registry.
+    /// The Carmel core model over `space`, memoising in `registry`.
     ///
     /// # Errors
     ///
     /// Returns [`TuneError::Corrupt`] if `registry` is not named after
     /// `space`'s [`DesignSpace::identity`] — another described ISA, or the
     /// same one searched for another executing ISA.
-    pub fn custom(
-        space: DesignSpace,
-        evaluator: Box<dyn CostEvaluator + Send + Sync>,
-        core: CarmelCore,
-        registry: KernelRegistry,
-    ) -> Result<Self, TuneError> {
+    pub(crate) fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
         if registry.isa_name() != space.identity() {
             return Err(TuneError::Corrupt(format!(
                 "registry targets `{}` but the design space targets `{}`",
@@ -92,7 +83,7 @@ impl Tuner {
             )));
         }
         let generator = MicroKernelGenerator::new(space.isa().clone());
-        Ok(Tuner { space, generator, evaluator, registry, core })
+        Ok(Tuner { space, generator, registry, core: CarmelCore::carmel() })
     }
 
     /// The design space being searched.
@@ -120,20 +111,21 @@ impl Tuner {
     /// otherwise searches the full candidate space, records the winner, and
     /// returns it.
     ///
-    /// A memoised verdict is only reused when it was produced by the same
-    /// evaluator this tuner is configured with; a verdict recorded by a
-    /// different cost model is re-searched and overwritten.
+    /// Candidates are ranked by [`modelled_gemm_cycles`] on the tuner's core
+    /// model (lower is better). A memoised verdict is only reused when its
+    /// [`TuneVerdict::evaluator`] names that model; a verdict some other
+    /// ranker recorded in the file is re-searched and overwritten.
     ///
     /// # Errors
     ///
     /// Returns [`TuneError`] if the problem is degenerate, a candidate
-    /// cannot be generated or evaluated, or the verdict cannot be persisted.
+    /// cannot be generated, or the verdict cannot be persisted.
     pub fn tune(&self, m: usize, n: usize, k: usize) -> Result<TuneVerdict, TuneError> {
         if m == 0 || n == 0 || k == 0 {
             return Err(TuneError::Gemm(format!("cannot tune the empty problem {m}x{n}x{k}")));
         }
         if let Some(verdict) = self.registry.verdict(m, n, k) {
-            if verdict.evaluator == self.evaluator.name() {
+            if verdict.evaluator == EVALUATOR {
                 return Ok(verdict);
             }
         }
@@ -150,7 +142,7 @@ impl Tuner {
                 .get_or_generate(&self.generator, mr, nr)
                 .map_err(|e| TuneError::Generation { mr, nr, message: e.to_string() })?;
             let kernel = exo_kernel(kernel);
-            let cost = self.evaluator.cost(&kernel, &candidate.blocking, m, n, k)?;
+            let cost = modelled_gemm_cycles(&self.core, &kernel, &candidate.blocking, m, n, k);
             let better = match &best {
                 Some((best_cost, _)) => cost < *best_cost,
                 None => true,
@@ -171,7 +163,7 @@ impl Tuner {
                         predicted_cycles: cost,
                         predicted_gflops: gflops(useful_flops, cost, self.core.freq_ghz),
                         candidates_evaluated: evaluated,
-                        evaluator: self.evaluator.name().to_string(),
+                        evaluator: EVALUATOR.to_string(),
                     },
                 ));
             }
@@ -266,33 +258,27 @@ mod tests {
 
     #[test]
     fn memoised_verdicts_from_another_evaluator_are_re_searched() {
-        use crate::cost::FunctionalCost;
-        use crate::space::DesignSpace;
-        use carmel_sim::CarmelCore;
+        // A registry file whose verdict for the shape names a ranker this
+        // tree does not have (older trees could time candidates).
+        let seeded = Tuner::new();
+        assert_eq!(seeded.tune(24, 24, 24).unwrap().evaluator, "analytical");
+        let text = seeded.registry().to_text();
+        assert!(text.contains("\"analytical\""));
+        let mut registry = KernelRegistry::new("neon-f32");
+        registry.load_text(&text.replace("\"analytical\"", "\"functional\"")).unwrap();
+        assert_eq!(registry.verdict(24, 24, 24).unwrap().evaluator, "functional");
 
-        // Seed a registry with an analytical verdict for the shape.
-        let analytical = Tuner::new();
-        let seeded = analytical.tune(24, 24, 24).unwrap();
-        assert_eq!(seeded.evaluator, "analytical");
-        let registry = KernelRegistry::new("neon-f32");
-        registry.record(seeded).unwrap();
-
-        // A functional tuner over the same registry must not serve it.
-        let functional = Tuner::custom(
-            DesignSpace::for_isa(exo_isa::neon_f32()),
-            Box::new(FunctionalCost { repetitions: 1, ..FunctionalCost::default() }),
-            CarmelCore::carmel(),
-            registry,
-        )
-        .unwrap();
-        let verdict = functional.tune(24, 24, 24).unwrap();
-        assert_eq!(verdict.evaluator, "functional");
-        // The re-search overwrote the stored verdict.
-        assert_eq!(functional.registry().verdict(24, 24, 24).unwrap().evaluator, "functional");
-        // And a repeat request is now memoised for the functional evaluator.
-        let invocations = functional.registry().generator_invocations();
-        functional.tune(24, 24, 24).unwrap();
-        assert_eq!(functional.registry().generator_invocations(), invocations);
+        // The tuner must not serve it: it searches, and overwrites it.
+        let tuner = Tuner::with_registry(registry).unwrap();
+        assert_eq!(tuner.registry().generator_invocations(), 0);
+        let verdict = tuner.tune(24, 24, 24).unwrap();
+        assert_eq!(verdict.evaluator, "analytical");
+        let invocations = tuner.registry().generator_invocations();
+        assert!(invocations > 0, "a foreign verdict was served without a search");
+        assert_eq!(tuner.registry().verdict(24, 24, 24).unwrap(), verdict);
+        // And a repeat request is now memoised.
+        tuner.tune(24, 24, 24).unwrap();
+        assert_eq!(tuner.registry().generator_invocations(), invocations);
     }
 
     #[test]

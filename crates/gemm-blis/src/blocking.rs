@@ -6,7 +6,8 @@
 //! modeling is enough for high-performance BLIS", reference \[9\] of the
 //! paper), and the fixed values BLIS ships for the Carmel/A57 family, which
 //! the paper quotes (`kc = 512`). The choice between them is one of the
-//! ablations listed in DESIGN.md.
+//! ablations of [`crate::SimOptions`] (`analytical_blocking`; the
+//! `ablations` binary of `exo-bench` prints it).
 
 use carmel_sim::{CacheHierarchy, CacheLevel};
 

@@ -67,7 +67,8 @@ pub struct SimResult {
     pub gflops: f64,
 }
 
-/// Simulator options (the ablations called out in DESIGN.md).
+/// Simulator options: the ablations the `ablations` binary of `exo-bench`
+/// sweeps.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
     /// Use the analytical blocking model instead of the fixed Carmel values.

@@ -222,41 +222,6 @@ impl PackArena {
     pub fn b_capacity(&self) -> usize {
         self.b.len()
     }
-
-    /// Packs an `op(A)` block into the arena (see [`pack_a_into`]) and
-    /// returns the packed prefix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pack_a<'s>(
-        &'s mut self,
-        a: MatRef<'_>,
-        ic: usize,
-        pc: usize,
-        mc_eff: usize,
-        kc_eff: usize,
-        mr: usize,
-        alpha: f32,
-    ) -> &'s [f32] {
-        let len = mc_eff.div_ceil(mr) * kc_eff * mr;
-        pack_a_into(&mut self.a[..len], a, ic, pc, mc_eff, kc_eff, mr, alpha);
-        &self.a[..len]
-    }
-
-    /// Packs an `op(B)` block into the arena (see [`pack_b_into`]) and
-    /// returns the packed prefix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pack_b<'s>(
-        &'s mut self,
-        b: MatRef<'_>,
-        pc: usize,
-        jc: usize,
-        kc_eff: usize,
-        nc_eff: usize,
-        nr: usize,
-    ) -> &'s [f32] {
-        let len = nc_eff.div_ceil(nr) * kc_eff * nr;
-        pack_b_into(&mut self.b[..len], b, pc, jc, kc_eff, nc_eff, nr);
-        &self.b[..len]
-    }
 }
 
 /// The whole of a `k x n` `op(B)` packed ahead of the five loops: every
@@ -362,13 +327,32 @@ mod tests {
         PackArena::for_problem(&BlockingParams { mc: 16, kc: 16, nc: 16, mr, nr }, 16, 16, 16)
     }
 
+    /// Packs the `[ic, pc, mc_eff, kc_eff]` block of `op(A)` into the
+    /// arena's `Ac` the way the engine does — [`pack_a_into`] on
+    /// [`PackArena::buffers`] — and returns the packed prefix.
+    fn pack_a(arena: &mut PackArena, a: MatRef<'_>, block: [usize; 4], mr: usize, alpha: f32) -> Vec<f32> {
+        let [ic, pc, mc_eff, kc_eff] = block;
+        let (ac, _) = arena.buffers();
+        pack_a_into(ac, a, ic, pc, mc_eff, kc_eff, mr, alpha);
+        ac[..mc_eff.div_ceil(mr) * kc_eff * mr].to_vec()
+    }
+
+    /// The same for the `[pc, jc, kc_eff, nc_eff]` block of `op(B)`:
+    /// [`pack_b_into`] on the arena's `Bc`.
+    fn pack_b(arena: &mut PackArena, b: MatRef<'_>, block: [usize; 4], nr: usize) -> Vec<f32> {
+        let [pc, jc, kc_eff, nc_eff] = block;
+        let (_, bc) = arena.buffers();
+        pack_b_into(bc, b, pc, jc, kc_eff, nc_eff, nr);
+        bc[..nc_eff.div_ceil(nr) * kc_eff * nr].to_vec()
+    }
+
     #[test]
     fn pack_a_is_unit_stride_per_panel() {
         // A is 6 x 4 with A[i][j] = 10 i + j.
         let (m, k) = (6usize, 4usize);
         let a: Vec<f32> = (0..m * k).map(|x| (10 * (x / k) + x % k) as f32).collect();
         let mut arena = roomy_arena(4, 4);
-        let packed = arena.pack_a(MatRef::from_slice(&a, m, k), 0, 0, m, k, 4, 1.0);
+        let packed = &pack_a(&mut arena, MatRef::from_slice(&a, m, k), [0, 0, m, k], 4, 1.0);
         // Two panels of 4 rows (second padded by 2 rows of zeros).
         assert_eq!(packed.len(), 2 * k * 4);
         // Panel 0, k = 1 holds rows 0..4 column 1: 1, 11, 21, 31.
@@ -385,7 +369,7 @@ mod tests {
         let (k, n) = (3usize, 7usize);
         let b: Vec<f32> = (0..k * n).map(|x| (100 * (x / n) + x % n) as f32).collect();
         let mut arena = roomy_arena(4, 4);
-        let packed = arena.pack_b(MatRef::from_slice(&b, k, n), 0, 0, k, n, 4);
+        let packed = &pack_b(&mut arena, MatRef::from_slice(&b, k, n), [0, 0, k, n], 4);
         assert_eq!(packed.len(), 2 * k * 4);
         let p0 = b_panel(packed, 0, k, 4);
         assert_eq!(&p0[0..4], &[0.0, 1.0, 2.0, 3.0]);
@@ -400,7 +384,7 @@ mod tests {
         let (m, k) = (8usize, 8usize);
         let a: Vec<f32> = (0..m * k).map(|x| x as f32).collect();
         let mut arena = roomy_arena(4, 4);
-        let packed = arena.pack_a(MatRef::from_slice(&a, m, k), 4, 2, 4, 3, 4, 1.0);
+        let packed = &pack_a(&mut arena, MatRef::from_slice(&a, m, k), [4, 2, 4, 3], 4, 1.0);
         // Single panel: rows 4..8, columns 2..5.
         let p = a_panel(packed, 0, 3, 4);
         assert_eq!(p[0], a[4 * k + 2]);
@@ -426,8 +410,8 @@ mod tests {
         };
         for mr in [4usize, 8] {
             let mut arena = roomy_arena(mr, 4);
-            let via_view = arena.pack_a(MatRef::from_slice(&at, k, m).t(), 0, 0, m, k, mr, 1.0).to_vec();
-            let via_dense = arena.pack_a(MatRef::from_slice(&a_dense, m, k), 0, 0, m, k, mr, 1.0);
+            let via_view = pack_a(&mut arena, MatRef::from_slice(&at, k, m).t(), [0, 0, m, k], mr, 1.0);
+            let via_dense = pack_a(&mut arena, MatRef::from_slice(&a_dense, m, k), [0, 0, m, k], mr, 1.0);
             assert_eq!(via_view, via_dense, "mr = {mr}");
         }
         // Same for B: a transposed view and a column-major view of the same
@@ -444,9 +428,9 @@ mod tests {
             d
         };
         let mut arena = roomy_arena(4, 4);
-        let via_dense = arena.pack_b(MatRef::from_slice(&b_dense, kk, n), 1, 2, 4, 7, 4).to_vec();
-        let via_cm = arena.pack_b(MatRef::col_major(&b_cm, kk, n), 1, 2, 4, 7, 4).to_vec();
-        let via_t = arena.pack_b(MatRef::from_slice(&b_cm, n, kk).t(), 1, 2, 4, 7, 4);
+        let via_dense = pack_b(&mut arena, MatRef::from_slice(&b_dense, kk, n), [1, 2, 4, 7], 4);
+        let via_cm = pack_b(&mut arena, MatRef::col_major(&b_cm, kk, n), [1, 2, 4, 7], 4);
+        let via_t = pack_b(&mut arena, MatRef::from_slice(&b_cm, n, kk).t(), [1, 2, 4, 7], 4);
         assert_eq!(via_dense, via_cm);
         assert_eq!(via_dense, via_t);
     }
@@ -455,9 +439,9 @@ mod tests {
     fn alpha_scales_packed_a_elements() {
         let a: Vec<f32> = (0..12).map(|x| x as f32).collect();
         let mut arena = roomy_arena(4, 4);
-        let plain = arena.pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, 1.0).to_vec();
-        let scaled = arena.pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, -0.5);
-        for (p, s) in plain.iter().zip(scaled) {
+        let plain = pack_a(&mut arena, MatRef::from_slice(&a, 3, 4), [0, 0, 3, 4], 4, 1.0);
+        let scaled = pack_a(&mut arena, MatRef::from_slice(&a, 3, 4), [0, 0, 3, 4], 4, -0.5);
+        for (p, s) in plain.iter().zip(&scaled) {
             assert_eq!(*s, -0.5 * *p);
         }
     }
@@ -474,13 +458,13 @@ mod tests {
         // Dirty the arena with a large block first, then pack a smaller
         // fringe block: the reused buffer must not leak stale values, i.e.
         // it must match the same pack into a fresh arena.
-        arena.pack_a(a_view, 0, 0, 7, 6, 4, 1.0);
-        arena.pack_b(b_view, 0, 0, 6, 11, 4);
-        let got_a = arena.pack_a(a_view, 4, 1, 3, 5, 4, 1.0).to_vec();
+        pack_a(&mut arena, a_view, [0, 0, 7, 6], 4, 1.0);
+        pack_b(&mut arena, b_view, [0, 0, 6, 11], 4);
+        let got_a = pack_a(&mut arena, a_view, [4, 1, 3, 5], 4, 1.0);
         let mut fresh = PackArena::for_problem(&blocking, m, n, k);
-        assert_eq!(got_a, fresh.pack_a(a_view, 4, 1, 3, 5, 4, 1.0));
-        let got_b = arena.pack_b(b_view, 2, 8, 4, 3, 4).to_vec();
-        assert_eq!(got_b, fresh.pack_b(b_view, 2, 8, 4, 3, 4));
+        assert_eq!(got_a, pack_a(&mut fresh, a_view, [4, 1, 3, 5], 4, 1.0));
+        let got_b = pack_b(&mut arena, b_view, [2, 8, 4, 3], 4);
+        assert_eq!(got_b, pack_b(&mut fresh, b_view, [2, 8, 4, 3], 4));
     }
 
     #[test]

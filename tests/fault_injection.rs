@@ -14,8 +14,8 @@
 //! Fault countdowns are process-global, so the tests serialise on one
 //! mutex and disarm on entry and exit.
 
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 use exo_gemm::exo_serve::fault::{self, FaultPlan};
 use exo_gemm::exo_serve::{
@@ -240,6 +240,91 @@ fn slow_batches_expire_queued_deadlines() {
     assert_eq!(stats.deadline_expired, 2);
     assert_eq!(stats.jobs_failed, 2);
     assert_eq!(stats.jobs_completed, 1);
+}
+
+/// Every bit a job carries: its three operands as stored, then the scales.
+fn job_bits(job: &mut GemmJob) -> Vec<u32> {
+    let problem = job.problem();
+    let mut bits = Vec::new();
+    for mat in [problem.a, problem.b, problem.c.rb()] {
+        for i in 0..mat.rows() {
+            bits.extend((0..mat.cols()).map(|j| mat.get(i, j).to_bits()));
+        }
+    }
+    bits.extend([problem.alpha.to_bits(), problem.beta.to_bits()]);
+    bits
+}
+
+/// Backpressure answers on time. The collector is stalled inside a batch,
+/// the queue is full and one caller is parked in a blocking `submit`:
+/// `try_submit` must still refuse at once and hand the job back untouched,
+/// `submit_timeout` must give up at its bound, and when the collector
+/// resumes everything that was accepted — the parked job included —
+/// completes bit-identically, with the books balanced and the recorded
+/// queue depth within the queue's bound.
+#[test]
+fn a_full_queue_rejects_on_time_while_a_blocking_submit_is_parked() {
+    let _guard = serial();
+    fault::disarm();
+    let job = |seed: usize| make_job(16, 16, 16, seed, 0.5);
+    let wants: Vec<OwnedMat> = (0..4).map(|seed| reference_c(16, 16, 16, seed, 0.5)).collect();
+    let service = GemmService::with_config(driver(), ServiceConfig { queue_capacity: 2, max_batch: 2 });
+    FaultPlan::new().slow(1, 600).arm();
+
+    // Job 0 stalls the collector inside its batch. Once the batch is
+    // counted the queue is empty again, and jobs 1 and 2 fill it.
+    let stalled = service.submit(job(0)).expect("accepting");
+    let picked_up_by = Instant::now() + Duration::from_secs(5);
+    while service.stats().batches == 0 {
+        assert!(Instant::now() < picked_up_by, "the collector never took the first job");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued: Vec<JobHandle> =
+        (1..3).map(|seed| service.try_submit(job(seed)).expect("room for two")).collect();
+
+    let accepted: Vec<JobHandle> = std::thread::scope(|scope| {
+        let (entering, entered) = mpsc::channel();
+        let service = &service;
+        let parked = scope.spawn(move || {
+            entering.send(()).expect("the test thread is listening");
+            service.submit(job(3)).expect("accepted once the queue drains")
+        });
+        // Every assertion below holds wherever the parked caller is; the
+        // pause only lets it reach its wait, so that a `submit` that waits
+        // with the accounting gate held is caught.
+        entered.recv().expect("the parked caller started");
+        std::thread::sleep(Duration::from_millis(20));
+
+        let asked = Instant::now();
+        let refused = service.try_submit(job(4)).expect_err("the queue is full");
+        let took = asked.elapsed();
+        assert_eq!(refused.reason(), SubmitErrorReason::QueueFull);
+        assert!(took < Duration::from_millis(50), "try_submit waited {took:?} behind a parked submit");
+        assert_eq!(
+            job_bits(&mut refused.into_job()),
+            job_bits(&mut job(4)),
+            "the job comes back as submitted"
+        );
+
+        let asked = Instant::now();
+        let refused = service.submit_timeout(job(5), Duration::from_millis(5)).expect_err("still full");
+        let took = asked.elapsed();
+        assert_eq!(refused.reason(), SubmitErrorReason::Timeout);
+        assert!(took < Duration::from_millis(100), "submit_timeout(5 ms) took {took:?}");
+
+        // The stall ends, the queue drains, and the parked caller gets in.
+        let parked = parked.join().expect("parked caller");
+        [stalled].into_iter().chain(queued).chain([parked]).collect()
+    });
+    for (seed, (handle, want)) in accepted.iter().zip(&wants).enumerate() {
+        let done = wait_or_hang(handle).expect("every accepted job completes");
+        assert_bits(&done.c, want, &format!("job {seed}"));
+    }
+    fault::disarm();
+
+    let stats = service.stats();
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed, stats.jobs_failed), (4, 4, 0), "{stats}");
+    assert!(stats.queue_highwater <= stats.queue_capacity, "{stats}");
 }
 
 /// A simulated backend decline on a `beta = 0` job retries once on the
