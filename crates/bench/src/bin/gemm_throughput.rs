@@ -395,8 +395,6 @@ fn verdict(gate: &str, ratio: f64, floor: f64) -> bool {
 fn main() {
     let generator = MicroKernelGenerator::new(exo_isa::neon_f32());
     let kernel = Arc::new(generator.generate(8, 12).expect("8x12 kernel generates"));
-    assert!(kernel.tape.is_some(), "the 8x12 kernel must tape-compile");
-    assert!(kernel.superword.is_some(), "the 8x12 kernel must superword-compile");
     // Settle the asynchronous native build before any measurement: the
     // `native` series must bench the promoted artifact (when a toolchain
     // answers), not race the background compile and silently measure the

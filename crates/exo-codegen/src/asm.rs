@@ -86,12 +86,15 @@ pub fn emit_asm(trace: &KernelTrace) -> String {
         let _ = writeln!(out, "    prfm    pldl1keep, [x{}, 256]", base_reg);
     }
 
-    // Accumulator registers start after the source registers.
+    // Accumulator registers start after the source registers. A trace
+    // with more loads per iteration than the file has registers (the
+    // unvectorised fallback: two scalar loads per tile element) leaves
+    // none over, and every FMA is listed on the one after the sources.
     let acc_base = qreg.max(1);
     let total_regs: usize = 32;
     let src_count = qreg.max(1);
     for f in 0..fmas {
-        let acc = acc_base + (f as usize % (total_regs - acc_base).max(1));
+        let acc = acc_base + (f as usize % total_regs.saturating_sub(acc_base).max(1));
         let src_a = f as usize % src_count;
         let lane = f as usize % 4;
         let _ = writeln!(

@@ -11,9 +11,8 @@
 //!   every consumer sees the same decision and the hot path never touches
 //!   the environment.
 //!
-//! [`env_once`] is that contract, factored out of the four call sites that
-//! used to re-implement it (`EXO_BACKEND`, `EXO_THREADS`, `EXO_FAULT`, and
-//! now `EXO_ISA`). The caller owns the `OnceLock` cell — overrides stay
+//! [`env_once`] is that contract, written once for its call sites
+//! (`EXO_ISA`, `EXO_THREADS`, `EXO_FAULT`). The caller owns the `OnceLock` cell — overrides stay
 //! distinct statics at their point of use — and supplies only the parser.
 
 use std::sync::OnceLock;

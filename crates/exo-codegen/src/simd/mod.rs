@@ -32,7 +32,7 @@
 //! * `scalar` — the 1-lane reference implementation, available
 //!   everywhere. Its multiply-then-add matches the tape / interpreter
 //!   rounding **bit for bit**, which makes the chain compiled for it the
-//!   *portable* tier (what `EXO_BACKEND=superword` runs); the module also
+//!   *portable* tier (what a `Superword` pin runs); the module also
 //!   hosts the checked reference executor every declined bounds proof
 //!   lands on.
 //!
@@ -339,8 +339,8 @@ impl std::fmt::Display for IsaKind {
     }
 }
 
-/// The process-wide `EXO_ISA` override, read once (same contract as
-/// `EXO_BACKEND` — see [`crate::env::env_once`]): unset or empty means "no
+/// The process-wide `EXO_ISA` override, read once (the workspace override
+/// contract — see [`crate::env::env_once`]): unset or empty means "no
 /// override" (pick the widest available ISA), anything else must parse as
 /// an ISA name.
 ///

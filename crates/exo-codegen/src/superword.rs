@@ -593,7 +593,7 @@ impl CompiledKernel {
     /// # Errors
     ///
     /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
-    /// register-allocate; callers keep the interpreter as the fallback.
+    /// register-allocate.
     pub fn to_superword(&self) -> Result<SuperwordKernel> {
         self.to_tape()?.to_superword()
     }
@@ -879,7 +879,7 @@ mod tests {
     use std::sync::Arc;
 
     /// The portable tier: the scalar-ISA chain compiled from a superword
-    /// kernel — the executor `EXO_BACKEND=superword` resolves to, held to
+    /// kernel — the executor a `Superword` pin resolves to, held to
     /// bit equality with the scalar tape throughout this module.
     fn portable(sw: &Arc<SuperwordKernel>) -> Arc<SimdKernel> {
         Arc::new(SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar).expect("the scalar chain compiles"))

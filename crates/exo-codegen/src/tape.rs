@@ -23,8 +23,9 @@
 //! points), so results are bit-for-bit equal — the differential suite
 //! asserts this. Constructs the tape cannot register-allocate (dynamically
 //! sized locals, data-dependent branches, non-affine addresses) fail
-//! `to_tape` with [`CodegenError::Unsupported`]; callers keep the
-//! interpreter as the fallback.
+//! `to_tape` with [`CodegenError::Unsupported`] — to the micro-kernel
+//! generator a generation error; a caller with a procedure of its own can
+//! still run it on the interpreter.
 
 use std::collections::HashMap;
 
@@ -433,7 +434,7 @@ impl CompiledKernel {
     /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
     /// register-allocate: dynamically sized locals, dynamic indices into
     /// locals, data-dependent branches, and non-affine index arithmetic.
-    /// Callers should fall back to [`CompiledKernel::run`] in that case.
+    /// [`CompiledKernel::run`] still executes such a procedure.
     pub fn to_tape(&self) -> Result<TapeKernel> {
         let mut b = TapeBuilder {
             ops: Vec::new(),

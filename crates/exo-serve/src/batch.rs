@@ -46,9 +46,9 @@
 //! panicking entry resolves as [`GemmError::JobPanicked`] while the rest of
 //! the batch completes. A failed or panicked entry whose `beta == 0` (its
 //! `C` is never read, so a re-run fully overwrites any partial write) is
-//! retried **once on the next execution tier down** the ladder
+//! retried **once on the tier below the one it ran on**, down the ladder
 //! native → simd → superword (the portable scalar chain) → tape → interp
-//! ([`gemm_blis::ExecBackend::degraded`]);
+//! ([`gemm_blis::ExecBackend::degraded`] of [`gemm_blis::GemmRunner::tier`]);
 //! a retried success is stamped [`GemmStats::degraded`]. The
 //! [`BatchReport`] carries the per-entry outcomes plus the isolation
 //! tallies (panics caught, retries, degraded completions).
@@ -221,12 +221,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// resolved as [`GemmError::JobPanicked`], and the runner whose pass
 /// unwound is dropped: the shard goes on with another one from the driver.
 /// Executional failures — contained panics and kernel errors — are retried
-/// once on the next backend tier down (on one thread, packing `B` for
-/// itself), but only when `beta == 0`: a failed attempt may have partially
+/// once on the tier below the one the runner held (on one thread, packing
+/// `B` for itself; a hand-written kernel has no tiers and is re-run as it
+/// is), but only when `beta == 0`: a failed attempt may have partially
 /// written `C`, and only the never-reads-`C` contract makes a re-run
-/// equivalent to a clean first run. (Under an `EXO_BACKEND` override the
-/// dispatch tier is pinned, so the "degraded" retry re-runs the forced
-/// tier.)
+/// equivalent to a clean first run.
 fn run_entry(
     driver: &BlisGemm,
     runner: &mut GemmRunner,
@@ -235,6 +234,7 @@ fn run_entry(
     threads: usize,
     tally: &Tally,
 ) -> Result<GemmStats, GemmError> {
+    let ran_on = runner.tier();
     let first = catch_unwind(AssertUnwindSafe(|| {
         if let Some(fault::EntryFault::Decline) = fault::entry_hook() {
             return Err(GemmError::Kernel {
@@ -257,12 +257,13 @@ fn run_entry(
     if !executional || problem.beta != 0.0 {
         return Err(failure);
     }
-    let Some(tier) = driver.kernel().backend.effective().degraded() else {
-        return Err(failure);
-    };
+    let mut retry_kernel = driver.kernel().clone();
+    if let Some(tier) = ran_on {
+        let Some(below) = tier.degraded() else { return Err(failure) };
+        retry_kernel.backend = below;
+    }
     tally.retries.fetch_add(1, Ordering::Relaxed);
-    let degraded_driver =
-        driver.clone().with_kernel(driver.kernel().clone().with_backend(tier)).with_threads(1);
+    let degraded_driver = driver.clone().with_kernel(retry_kernel).with_threads(1);
     match catch_unwind(AssertUnwindSafe(|| degraded_driver.gemm(problem.reborrow()))) {
         Ok(Ok(mut stats)) => {
             stats.degraded = true;

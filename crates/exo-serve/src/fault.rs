@@ -327,7 +327,7 @@ pub fn disarm() {
 /// test binary into a fault run. An unset or empty variable means "no
 /// faults"; an unparseable value panics (a typo silently ignoring the
 /// requested fault would defeat its purpose — the workspace override
-/// contract of [`gemm_blis::env_once`], as `EXO_BACKEND`/`EXO_THREADS`).
+/// contract of [`gemm_blis::env_once`], as `EXO_ISA`/`EXO_THREADS`).
 pub fn arm_from_env() -> bool {
     static PLAN: std::sync::OnceLock<Option<FaultPlan>> = std::sync::OnceLock::new();
     // Arming inside the parse closure keeps the once-per-process contract:

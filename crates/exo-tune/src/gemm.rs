@@ -53,17 +53,14 @@ type GroupKey = Option<BlockingParams>;
 /// generated kernels carry their tape, their superword lowering, and its
 /// SIMD closure chain (AVX2/FMA, NEON, or the scalar reference) plus, once
 /// the background build promotes it, the ahead-of-time compiled native
-/// artifact, and the one ladder in `ukernel_gen` resolves native → simd →
-/// superword (the portable scalar chain) → tape → interp — again at the
-/// top of every GEMM while a runner sits below the tier it asked for, so
-/// promotion reaches a long-lived executor's warm runners too. The
-/// five-loop engine runs on one thread unless [`TunedGemm::with_threads`]
-/// raises the knob, in which case it runs once per window of a partitioned
-/// `C`. The `EXO_BACKEND` environment override
-/// (`native|simd|superword|tape|interp`) is honored, so any tier is
-/// forceable for debugging. Use it through [`GemmExecutor::gemm`] like
-/// every other driver, or through [`TunedGemm::execute`] to also receive
-/// the tuning verdict.
+/// artifact; the one ladder in `ukernel_gen` serves a native request on
+/// the simd chain until then, and polls again at the top of every GEMM
+/// while a runner sits there, so promotion reaches a long-lived executor's
+/// warm runners too. The five-loop engine runs on one thread unless
+/// [`TunedGemm::with_threads`] raises the knob, in which case it runs once
+/// per window of a partitioned `C`. Use it through [`GemmExecutor::gemm`]
+/// like every other driver, or through [`TunedGemm::execute`] to also
+/// receive the tuning verdict.
 #[derive(Debug)]
 pub struct TunedGemm {
     tuner: Tuner,

@@ -170,7 +170,7 @@ impl DesignSpace {
         let mut tiles = Vec::new();
         for &mr in &rows {
             for &nr in &cols {
-                let strategy = generator.choose_strategy(mr, nr, true);
+                let strategy = generator.choose_strategy(mr, nr);
                 let Some(registers) = self.register_cost(mr, nr, strategy) else {
                     continue;
                 };

@@ -55,7 +55,7 @@ use std::sync::Mutex;
 
 use exo_codegen::simd::strided_move;
 
-use crate::baselines::{neon_intrinsics_kernel, KernelDispatch, KernelImpl};
+use crate::baselines::{neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
 use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena, PackedB};
 use crate::pool::{lock_tolerant, PoolJob, ThreadPool};
@@ -541,6 +541,13 @@ impl GemmRunner {
             arena: PackArena::empty(),
             c_tile: vec![0.0f32; kernel.mr * kernel.nr],
         }
+    }
+
+    /// The execution tier this runner's handle currently holds — what its
+    /// next GEMM runs on unless a native artifact promotes first — or
+    /// `None` for the hand-written kernel families.
+    pub fn tier(&self) -> Option<ExecBackend> {
+        self.dispatch.tier()
     }
 
     /// Grows the arena for an `m x n x k` pass: `Ac` always, `Bc` only

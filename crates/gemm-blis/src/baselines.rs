@@ -20,7 +20,7 @@ use exo_ir::{InstrClass, ScalarType};
 use ukernel_gen::{GeneratedKernel, TierDispatch};
 // The tier pin lives where the tier ladder is resolved; re-exported here
 // (and from the crate root) for the driver's callers.
-pub use ukernel_gen::{env_backend_override, ExecBackend};
+pub use ukernel_gen::ExecBackend;
 
 use crate::GemmError;
 
@@ -83,22 +83,20 @@ impl KernelImpl {
         Ok(())
     }
 
-    /// Sets the execution backend for a generated kernel — the
-    /// programmatic override (the `EXO_BACKEND` environment variable still
-    /// wins, see [`ExecBackend`]). Ignored by the hand-written families.
+    /// Pins the execution backend of a generated kernel (see
+    /// [`ExecBackend`]). Ignored by the hand-written families.
     #[must_use]
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// The resolved tier handle of a generated kernel — the effective
-    /// backend (`EXO_BACKEND` override, then [`Self::backend`]) taken down
-    /// [`GeneratedKernel::dispatcher`]'s ladder — or `None` for the
-    /// hand-written families.
+    /// The resolved tier handle of a generated kernel —
+    /// [`GeneratedKernel::dispatcher`] of [`Self::backend`] — or `None` for
+    /// the hand-written families.
     fn resolve(&self) -> Option<TierDispatch> {
         match &self.kind {
-            KernelKind::Exo(kernel) => Some(kernel.dispatcher(self.backend.effective())),
+            KernelKind::Exo(kernel) => Some(kernel.dispatcher(self.backend)),
             _ => None,
         }
     }
@@ -132,8 +130,7 @@ impl KernelImpl {
     }
 
     /// Runs the kernel functionally: `c[nr][mr] += a[kc][mr] * b[kc][nr]`,
-    /// honoring the effective backend (`EXO_BACKEND` override, then
-    /// [`Self::backend`]) — a one-shot [`Self::dispatcher`] run.
+    /// on [`Self::backend`] — a one-shot [`Self::dispatcher`] run.
     ///
     /// # Errors
     ///
@@ -168,13 +165,13 @@ impl KernelImpl {
 /// buffer lengths)` tuple and the register file is reused, so the
 /// steady-state micro-tile dispatch allocates nothing. Every other kernel
 /// family runs its plain loops. Results are bit-for-bit identical to
-/// calling [`KernelImpl::run`] with the same effective backend.
+/// calling [`KernelImpl::run`] on the same kernel.
 ///
 /// The handle may outlive the moment it was built in — engines are kept
-/// warm by their driver — so it remembers the tier it asked for
-/// ([`ExecBackend::effective`] of the kernel's backend) and, while it sits
-/// below it, walks the ladder again at the top of each GEMM: a native
-/// artifact that promotes later reaches handles that were built before it.
+/// warm by their driver — so it remembers the tier it asked for (the
+/// kernel's backend) and, while a native request sits on the simd chain,
+/// polls for the artifact again at the top of each GEMM: one that promotes
+/// later reaches handles that were built before it.
 #[derive(Debug, Clone)]
 pub struct KernelDispatch {
     imp: KernelImpl,
@@ -193,7 +190,7 @@ impl KernelDispatch {
         self.tier.as_ref().map(TierDispatch::tier)
     }
 
-    /// Re-resolves a handle that sits below the tier it asked for
+    /// Promotes a handle whose native request sits on the simd chain
     /// ([`TierDispatch::refresh`]). The engine calls this once at the top
     /// of a GEMM — never between tiles, so one problem runs on one tier.
     pub(crate) fn refresh(&mut self) {
@@ -295,9 +292,10 @@ pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
 /// Wraps a generated kernel as a [`KernelImpl`] (the paper's `EXO` series):
 /// no edge-case logic, no prefetch, exactly the generated trace. Executes
 /// through the ahead-of-time compiled native artifact when the host has a
-/// C toolchain (the fastest tier), silently and bit-faithfully falling
-/// back to the in-process SIMD chain of the active vector ISA (AVX2/FMA,
-/// NEON, or the bit-exact scalar reference) when it does not.
+/// C toolchain (the fastest tier), and bit-faithfully on the in-process
+/// SIMD chain of the active vector ISA (AVX2/FMA, NEON, or the bit-exact
+/// scalar reference) when it does not — [`KernelDispatch::tier`] says
+/// which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{}", kernel.mr, kernel.nr),
@@ -449,16 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_parse_and_reject_typos() {
-        assert_eq!(ExecBackend::parse("native"), Ok(ExecBackend::Native));
-        assert_eq!(ExecBackend::parse("simd"), Ok(ExecBackend::Simd));
-        assert_eq!(ExecBackend::parse("SUPERWORD"), Ok(ExecBackend::Superword));
-        assert_eq!(ExecBackend::parse("tape"), Ok(ExecBackend::Tape));
-        assert_eq!(ExecBackend::parse("interp"), Ok(ExecBackend::Interp));
+    fn the_default_backend_is_native_and_degrades_to_simd() {
         assert_eq!(ExecBackend::default(), ExecBackend::Native);
         assert_eq!(ExecBackend::Native.degraded(), Some(ExecBackend::Simd));
-        let err = ExecBackend::parse("simd2").unwrap_err();
-        assert!(err.contains("simd2") && err.contains("native") && err.contains("superword"), "{err}");
     }
 
     #[test]
@@ -466,9 +457,7 @@ mod tests {
         // The portable tiers are bit-identical; the native default is
         // bit-faithful to the simd pin (same artifact or silent fallback
         // to the same chain), and both stay within the FMA-contraction
-        // bound of the portable tiers. (Under a forced EXO_BACKEND
-        // override all five pins run the same tier and the asserts hold
-        // trivially — which is exactly what the fallback CI leg checks.)
+        // bound of the portable tiers.
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 12).unwrap());
         let kc = 37usize;

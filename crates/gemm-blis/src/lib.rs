@@ -40,9 +40,9 @@ pub mod views;
 
 pub use algorithm::{naive_gemm, BlisGemm, GemmRunner, Matrix};
 pub use baselines::{
-    blis_assembly_kernel, env_backend_override, exo_kernel, exo_kernel_interp, exo_kernel_simd,
-    exo_kernel_superword, exo_kernel_tape, neon_intrinsics_kernel, reference_kernel, ExecBackend,
-    KernelDispatch, KernelImpl, KernelKind,
+    blis_assembly_kernel, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword,
+    exo_kernel_tape, neon_intrinsics_kernel, reference_kernel, ExecBackend, KernelDispatch, KernelImpl,
+    KernelKind,
 };
 pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};

@@ -459,8 +459,7 @@ pub fn parse_threads(value: &str) -> Result<usize, String> {
 }
 
 /// The process-wide `EXO_THREADS` override, read once under the workspace
-/// override contract ([`exo_codegen::env_once`], as `EXO_BACKEND` and
-/// `EXO_ISA`): unset or empty means "no override" (size the pool to the
+/// override contract ([`exo_codegen::env_once`], as `EXO_ISA`): unset or empty means "no override" (size the pool to the
 /// machine), anything else must parse as a positive worker count — a typo
 /// panics with the parse error rather than silently falling back.
 pub fn env_threads_override() -> Option<usize> {

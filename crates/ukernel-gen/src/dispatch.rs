@@ -1,36 +1,32 @@
 //! The tier ladder, written once: which execution tier a generated kernel
 //! runs a packed call on, and the reusable handle that runs it.
 //!
-//! A [`GeneratedKernel`] carries up to five ways to execute the same
-//! schedule — `native → simd → portable → tape → interp`, fastest first.
+//! A [`GeneratedKernel`] carries five ways to execute the same schedule —
+//! `native → simd → portable → tape → interp`, fastest first. Four of them
+//! are built by the generator and always there, so a request for one — a
+//! pin — resolves to itself. The fifth, the native tier, is compiled in
+//! the background: [`ExecBackend::Native`] serves on the simd chain until
+//! its artifact promotes, and that is the ladder's one edge.
 //! [`GeneratedKernel::dispatcher`] is the **one** function in the workspace
-//! that maps a requested [`ExecBackend`] onto the tier that actually runs:
-//! the requested one when the kernel has that lowering (and, for the
-//! native tier, when its background build has promoted), else the next
-//! one down. Every entry point — one-shot runs, the GEMM driver's per-worker
-//! handles, a pinned tier, the serving layer's degraded retry — goes
-//! through it, so a pin is never a second code path beside the ladder —
-//! and so does [`TierDispatch::refresh`], which walks the same ladder again
-//! for a long-lived handle that was built before the native tier promoted.
+//! that maps a requested [`ExecBackend`] onto the tier that runs, and every
+//! entry point — one-shot runs, the GEMM driver's per-worker handles, a
+//! pinned tier, the serving layer's degraded retry — goes through it;
+//! [`TierDispatch::refresh`] takes the same edge later, for a long-lived
+//! handle that was built before the native tier promoted.
 
 use std::sync::Arc;
 
-use exo_codegen::{CodegenError, CompiledKernel, RunArg, SimdDispatch, SimdKernel, TapeKernel};
+use exo_codegen::{CodegenError, CompiledKernel, RunArg, SimdDispatch, TapeKernel};
 
 use crate::error::{GenError, Result};
 use crate::generator::GeneratedKernel;
 
-/// Which execution tier a generated kernel dispatches through.
-///
-/// The per-kernel setting can be overridden process-wide with the
-/// `EXO_BACKEND` environment variable (`native`, `simd`, `superword`,
-/// `tape`, or `interp`), read once at first dispatch: the override wins
-/// over the programmatic pin, so any tier is forceable for debugging —
-/// and CI forces `EXO_BACKEND=superword` to run the whole suite with the
-/// native tier off and the portable chain on. Which vector ISA the
-/// `native` and `simd` tiers target is a separate, orthogonal override:
+/// Which execution tier a generated kernel dispatches through — asked for
+/// one way, the pin a caller passes to [`GeneratedKernel::dispatcher`] (for
+/// the GEMM driver: the `backend` of its kernel). Which vector ISA the
+/// `native` and `simd` tiers target is a separate, process-wide choice:
 /// `EXO_ISA` (see [`exo_codegen::active_isa`]) — every host at least gets
-/// the bit-exact scalar chain, so neither tier ever silently vanishes.
+/// the bit-exact scalar chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Ahead-of-time compiled native code: the superword tape lowered to
@@ -64,42 +60,14 @@ pub enum ExecBackend {
 }
 
 impl ExecBackend {
-    /// Parses a backend name as accepted by the `EXO_BACKEND` override.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the accepted names.
-    pub fn parse(s: &str) -> std::result::Result<ExecBackend, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "native" => Ok(ExecBackend::Native),
-            "simd" => Ok(ExecBackend::Simd),
-            "superword" => Ok(ExecBackend::Superword),
-            "tape" => Ok(ExecBackend::Tape),
-            "interp" => Ok(ExecBackend::Interp),
-            other => Err(format!(
-                "unknown backend `{other}` (expected one of: native, simd, superword, tape, interp)"
-            )),
-        }
-    }
-
-    /// The backend actually requested of the ladder: the `EXO_BACKEND`
-    /// environment override when set (see [`env_backend_override`]), this
-    /// value otherwise.
-    pub fn effective(self) -> ExecBackend {
-        env_backend_override().unwrap_or(self)
-    }
-
     /// The next execution tier down the ladder
     /// (native → simd → superword → tape → interp), or `None` at the
     /// bottom.
     ///
-    /// This is the fall-through of [`GeneratedKernel::dispatcher`] and the
-    /// retry ladder of the fault-tolerant serving path: when a tier fails
-    /// or panics on an entry, the entry is re-attempted once on the tier
-    /// below, trading speed for the portable tiers' simpler dispatch. Note
-    /// that when `EXO_BACKEND` is set, the override still wins at dispatch
-    /// time, so a "degraded" retry re-runs the forced tier — the retry is
-    /// then a plain re-execution.
+    /// This is the retry ladder of the fault-tolerant serving path: when a
+    /// tier fails or panics on an entry, the entry is re-attempted once on
+    /// the tier below the one it ran on, trading speed for the portable
+    /// tiers' simpler dispatch.
     pub fn degraded(self) -> Option<ExecBackend> {
         match self {
             ExecBackend::Native => Some(ExecBackend::Simd),
@@ -109,16 +77,6 @@ impl ExecBackend {
             ExecBackend::Interp => None,
         }
     }
-}
-
-/// The process-wide `EXO_BACKEND` override, read and parsed once on first
-/// use under the workspace override contract
-/// ([`exo_codegen::env_once`]): an unset or empty variable means "no
-/// override"; an unparseable value panics on first dispatch (a typo
-/// silently ignoring the override would defeat its debugging purpose).
-pub fn env_backend_override() -> Option<ExecBackend> {
-    static OVERRIDE: std::sync::OnceLock<Option<ExecBackend>> = std::sync::OnceLock::new();
-    exo_codegen::env_once(&OVERRIDE, "EXO_BACKEND", ExecBackend::parse)
 }
 
 /// What a resolved tier runs a packed call on.
@@ -142,10 +100,10 @@ enum Tier {
 /// re-proves nothing: create one per worker and reuse it for every tile.
 /// Results are bit-for-bit those of a fresh handle on the same tier.
 ///
-/// The handle remembers the tier it was asked for, so one that had to
-/// settle below it — the native build was still in flight — can be taken
-/// back up the ladder later ([`TierDispatch::refresh`]) instead of serving
-/// on the fallback for as long as it lives.
+/// The handle remembers the tier it was asked for, so one that was asked
+/// for the native tier while the build was still in flight can be promoted
+/// later ([`TierDispatch::refresh`]) instead of serving on the simd chain
+/// for as long as it lives.
 #[derive(Debug, Clone)]
 pub struct TierDispatch {
     mr: usize,
@@ -156,59 +114,51 @@ pub struct TierDispatch {
 }
 
 impl GeneratedKernel {
-    /// Resolves `backend` down the ladder and returns the handle that runs
-    /// it: the requested tier when this kernel has that lowering (for
-    /// [`ExecBackend::Native`]: when the background build has promoted —
-    /// a non-blocking [`Self::native`] poll, so a handle built early serves
-    /// on simd until a [`TierDispatch::refresh`] finds the artifact), else
-    /// the next tier down. The interpreter always resolves. Callers
-    /// honouring `EXO_BACKEND` pass [`ExecBackend::effective`].
+    /// The handle that runs `backend`: the requested tier itself, except
+    /// that [`ExecBackend::Native`] serves on the simd chain until its
+    /// background build has promoted — a non-blocking [`Self::native`]
+    /// poll, so a handle built early stays on simd until a
+    /// [`TierDispatch::refresh`] finds the artifact.
     pub fn dispatcher(&self, backend: ExecBackend) -> TierDispatch {
-        self.resolve(backend, None).expect("the interpreter always resolves")
+        let (resolved, tier) = self.resolve(backend);
+        TierDispatch { mr: self.mr, nr: self.nr, asked: backend, resolved, tier }
     }
 
-    /// The ladder: the handle of the first tier at or below `asked` this
-    /// kernel can serve now — or `None` once the walk reaches `held`, the
-    /// tier the caller already has a handle on, without building anything.
-    fn resolve(&self, asked: ExecBackend, held: Option<ExecBackend>) -> Option<TierDispatch> {
-        let proved = |body: &Arc<SimdKernel>| Tier::Proved(body.dispatcher());
-        let mut backend = asked;
-        while Some(backend) != held {
-            let tier = match backend {
-                ExecBackend::Native => self.native().map(|native| Tier::Proved(native.dispatcher())),
-                ExecBackend::Simd => self.simd.as_ref().map(proved),
-                ExecBackend::Superword => self.portable().map(proved),
-                ExecBackend::Tape => self.tape.clone().map(Tier::Tape),
-                ExecBackend::Interp => Some(Tier::Interp(Arc::clone(&self.compiled))),
-            };
-            if let Some(tier) = tier {
-                return Some(TierDispatch { mr: self.mr, nr: self.nr, asked, resolved: backend, tier });
-            }
-            backend = backend.degraded()?;
+    /// The ladder: every tier resolves to itself but the native one, which
+    /// is the simd chain for as long as no artifact has promoted.
+    fn resolve(&self, asked: ExecBackend) -> (ExecBackend, Tier) {
+        use ExecBackend::*;
+        match asked {
+            Native => match self.native() {
+                Some(native) => (Native, Tier::Proved(native.dispatcher())),
+                None => (Simd, Tier::Proved(self.simd.dispatcher())),
+            },
+            Simd => (Simd, Tier::Proved(self.simd.dispatcher())),
+            Superword => (Superword, Tier::Proved(self.portable.dispatcher())),
+            Tape => (Tape, Tier::Tape(Arc::clone(&self.tape))),
+            Interp => (Interp, Tier::Interp(Arc::clone(&self.compiled))),
         }
-        None
     }
 }
 
 impl TierDispatch {
-    /// The tier this handle resolved to — the requested backend, or the
-    /// first one below it the kernel could serve.
+    /// The tier this handle runs on — the requested backend, or the simd
+    /// chain under a native request whose artifact has not promoted.
     pub fn tier(&self) -> ExecBackend {
         self.resolved
     }
 
-    /// Re-resolves a handle that sits below the tier it was asked for:
-    /// walks `kernel`'s ladder (the kernel this handle was built from)
-    /// from the asked tier down to the held one, and replaces the handle —
-    /// proof memo and register file start over — only when a tier above
-    /// the held one now answers. A handle already on the tier it was asked
-    /// for does nothing; below it the cost is the ladder's own probes (for
-    /// the native tier one `OnceLock` read on a host without a toolchain,
-    /// one engine slot lookup while the build is in flight or rejected).
+    /// Promotes a handle that was asked for the native tier and sits on
+    /// the simd chain, once `kernel` (the kernel this handle was built
+    /// from) has its artifact: the handle is replaced — proof memo and
+    /// register file start over. A handle on the tier it was asked for
+    /// does nothing; below it the cost is one native poll (one `OnceLock`
+    /// read on a host without a toolchain, one engine slot lookup while
+    /// the build is in flight or rejected).
     pub fn refresh(&mut self, kernel: &GeneratedKernel) {
         if self.resolved != self.asked {
-            if let Some(higher) = kernel.resolve(self.asked, Some(self.resolved)) {
-                *self = higher;
+            if let Some(native) = kernel.native() {
+                (self.resolved, self.tier) = (ExecBackend::Native, Tier::Proved(native.dispatcher()));
             }
         }
     }
@@ -260,50 +210,6 @@ mod tests {
     use crate::MicroKernelGenerator;
 
     #[test]
-    fn a_missing_lowering_falls_through_to_the_next_tier_down() {
-        use ExecBackend::*;
-        let full = MicroKernelGenerator::new(exo_isa::neon_f32()).generate(4, 4).unwrap();
-        let kc = 9usize;
-        let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
-        let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
-        let run = |kernel: &GeneratedKernel, backend: ExecBackend, resolved: ExecBackend| {
-            let mut dispatch = kernel.dispatcher(backend);
-            assert_eq!(dispatch.tier(), resolved, "{backend:?} must resolve to {resolved:?}");
-            let mut c = vec![0.5f32; 16];
-            dispatch.run_packed(kc, &a, &b, &mut c).unwrap();
-            c
-        };
-        let want = run(&full, Interp, Interp);
-        // Strip the lowerings top down (each stage from a fresh clone —
-        // the lazily built portable chain is derived state): every request
-        // lands on the first tier below it that still exists, with the
-        // portable result.
-        let stripped = |strip: fn(&mut GeneratedKernel)| {
-            let mut kernel = full.clone();
-            strip(&mut kernel);
-            kernel
-        };
-        let no_chain = stripped(|k| k.simd = None);
-        assert_eq!(run(&no_chain, Simd, Superword), want, "the portable chain compiles on demand");
-        let no_superword = stripped(|k| (k.simd, k.superword) = (None, None));
-        for backend in [Native, Simd, Superword, Tape] {
-            assert_eq!(run(&no_superword, backend, Tape), want);
-        }
-        let interp_only = stripped(|k| (k.simd, k.superword, k.tape) = (None, None, None));
-        for backend in [Native, Simd, Superword, Tape, Interp] {
-            assert_eq!(run(&interp_only, backend, Interp), want);
-        }
-        // Nothing stripped, every in-process pin is its own tier.
-        for backend in [Simd, Superword, Tape] {
-            run(&full, backend, backend);
-        }
-        assert!(matches!(
-            full.dispatcher(Simd).run_packed(kc, &a, &b, &mut [0.0; 3]),
-            Err(GenError::Codegen(_))
-        ));
-    }
-
-    #[test]
     fn refresh_takes_a_handle_up_the_ladder_only_when_a_higher_tier_answers() {
         use ExecBackend::*;
         let kernel = MicroKernelGenerator::new(exo_isa::neon_f32()).generate(4, 8).unwrap();
@@ -329,11 +235,5 @@ mod tests {
         let mut pinned = kernel.dispatcher(Simd);
         pinned.refresh(&kernel);
         assert_eq!(pinned.tier(), Simd);
-        // Below it for good — the lowering does not exist — it stays.
-        let mut stripped = kernel.clone();
-        (stripped.simd, stripped.superword) = (None, None);
-        let mut low = stripped.dispatcher(Simd);
-        low.refresh(&stripped);
-        assert_eq!(low.tier(), Tape);
     }
 }

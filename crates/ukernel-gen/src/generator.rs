@@ -5,7 +5,7 @@
 use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
-    compile, emit_asm, emit_c, extract_trace, CompiledKernel, IsaKind, KernelTrace, SimdKernel,
+    compile, emit_asm, emit_c, extract_trace, CodegenError, CompiledKernel, IsaKind, KernelTrace, SimdKernel,
     SuperwordKernel, TapeKernel,
 };
 use exo_ir::{Proc, ScalarType};
@@ -55,15 +55,12 @@ pub struct KernelOptions {
     pub strategy: Option<Strategy>,
     /// Unroll the operand-load loops (the paper's step f; on by default).
     pub unroll: bool,
-    /// Whether the `Ac` operand is packed. When false the generator prefers
-    /// the broadcast-A form, as described in Section III-B.
-    pub packed_a: bool,
 }
 
 impl KernelOptions {
     /// Default options for a tile shape.
     pub fn new(mr: usize, nr: usize) -> Self {
-        KernelOptions { mr, nr, strategy: None, unroll: true, packed_a: true }
+        KernelOptions { mr, nr, strategy: None, unroll: true }
     }
 }
 
@@ -97,37 +94,31 @@ pub struct GeneratedKernel {
     /// every other tier is differentially tested against.
     pub compiled: Arc<CompiledKernel>,
     /// Tape-compiled form of [`Self::compiled`]: the scalar bytecode
-    /// tier. `None` when the scheduled form contains constructs the tape
-    /// cannot register-allocate, in which case runs fall back to the
-    /// interpreter.
-    pub tape: Option<Arc<TapeKernel>>,
+    /// tier.
+    pub tape: Arc<TapeKernel>,
     /// Superword lowering of [`Self::tape`]: the SLP-packed whole-vector
     /// ops plus the proofs every unchecked executor of them runs under —
     /// the IR the three tiers above the tape consume, and the checked
-    /// reference a declined proof lands on. `None` exactly when `tape` is
-    /// `None`.
-    pub superword: Option<Arc<SuperwordKernel>>,
+    /// reference a declined proof lands on.
+    pub superword: Arc<SuperwordKernel>,
     /// Closure chain compiled from [`Self::superword`] for the active
     /// vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or the
     /// scalar reference — pin one with `EXO_ISA`) — the fastest tier that
-    /// needs no C toolchain, and what [`Self::run_packed`] runs. `None`
-    /// exactly when `superword` is `None`: the scalar ISA floor compiles
-    /// everywhere. Results of the contracting ISAs are within the
-    /// documented FMA-contraction ULP bound of the other tiers; the scalar
-    /// chain is bit-identical to them.
-    pub simd: Option<Arc<SimdKernel>>,
-    /// The portable tier — the scalar-ISA chain, bit-identical to tape and
-    /// interpreter — built on the first request for it (a pin or a
-    /// degraded retry; the default ladder never reaches it, so generation
-    /// does not pay for it). [`Self::simd`] itself when the active ISA is
-    /// already scalar.
-    portable: OnceLock<Option<Arc<SimdKernel>>>,
+    /// needs no C toolchain, and what [`Self::run_packed`] runs. Results
+    /// of the contracting ISAs are within the documented FMA-contraction
+    /// ULP bound of the other tiers; the scalar chain is bit-identical to
+    /// them.
+    pub simd: Arc<SimdKernel>,
+    /// The portable tier — the scalar-ISA chain over [`Self::superword`],
+    /// bit-identical to tape and interpreter. [`Self::simd`] itself when
+    /// the active ISA is already scalar.
+    pub portable: Arc<SimdKernel>,
     /// The prepared ahead-of-time request ([`Self::superword`] lowered to
     /// C, toolchain probed, cache key computed), built lazily on the
     /// first [`Self::native`] poll and reused by every later one. `None`
     /// — permanently, the verdict is cached — when the host has no C
-    /// toolchain or the emitter declines the tape: silent declines onto
-    /// [`Self::simd`].
+    /// toolchain or the emitter declines the lowering: the native tier
+    /// then serves on [`Self::simd`] for good.
     aot: OnceLock<Option<exo_aot::AotRequest>>,
     /// The promoted native kernel: [`Self::superword`] compiled with the
     /// host toolchain, `dlopen`ed, and probe-verified by the engine — the
@@ -143,9 +134,7 @@ impl GeneratedKernel {
     /// — a one-shot [`Self::dispatcher`]`(`[`ExecBackend::Simd`]`)` run: the
     /// active vector ISA's closure chain (contracting ISAs land within the
     /// FMA-contraction ULP bound of the other tiers, the scalar ISA is
-    /// bit-exact), falling through to the tape and the interpreter for a
-    /// kernel that did not tape-compile. Any other tier:
-    /// `dispatcher(backend).run_packed(..)`.
+    /// bit-exact). Any other tier: `dispatcher(backend).run_packed(..)`.
     ///
     /// # Errors
     ///
@@ -155,24 +144,11 @@ impl GeneratedKernel {
         self.dispatcher(ExecBackend::Simd).run_packed(kc, ac, bc, c)
     }
 
-    /// The portable chain, compiled on first use.
-    pub(crate) fn portable(&self) -> Option<&Arc<SimdKernel>> {
-        let build = || match &self.simd {
-            Some(simd) if simd.isa() == IsaKind::Scalar => Some(Arc::clone(simd)),
-            _ => SimdKernel::compile_for(Arc::clone(self.superword.as_ref()?), IsaKind::Scalar).map(Arc::new),
-        };
-        self.portable.get_or_init(build).as_ref()
-    }
-
     /// The prepared ahead-of-time request, emitting the C and probing the
     /// toolchain once per kernel.
     fn aot_request(&self) -> Option<&exo_aot::AotRequest> {
         self.aot
-            .get_or_init(|| {
-                self.superword
-                    .as_ref()
-                    .and_then(|sw| exo_aot::engine().prepare(sw, exo_codegen::active_isa()).ok())
-            })
+            .get_or_init(|| exo_aot::engine().prepare(&self.superword, exo_codegen::active_isa()).ok())
             .as_ref()
     }
 
@@ -184,8 +160,8 @@ impl GeneratedKernel {
     /// build lands and passes probe verification, after which the
     /// promoted kernel is cached here and every call returns it. `None`
     /// forever when the host has no C toolchain, the emitter declines
-    /// the tape, or the engine has terminally rejected the key: callers
-    /// silently stay on the simd chain.
+    /// the lowering, or the engine has terminally rejected the key: callers
+    /// stay on the simd chain.
     pub fn native(&self) -> Option<Arc<exo_aot::NativeKernel>> {
         if let Some(native) = self.native.get() {
             return Some(Arc::clone(native));
@@ -218,7 +194,6 @@ impl GeneratedKernel {
 pub struct MicroKernelGenerator {
     isa: VectorIsa,
     base: Proc,
-    unroll: bool,
 }
 
 impl MicroKernelGenerator {
@@ -226,14 +201,7 @@ impl MicroKernelGenerator {
     /// the reference kernel of the paper's Fig. 5 in the ISA's element type.
     pub fn new(isa: VectorIsa) -> Self {
         let base = exo_isa::ukernel_ref_simple(isa.elem);
-        MicroKernelGenerator { isa, base, unroll: true }
-    }
-
-    /// Disables unrolling of the operand-load loops (ablation of the paper's
-    /// step f).
-    pub fn without_unroll(mut self) -> Self {
-        self.unroll = false;
-        self
+        MicroKernelGenerator { isa, base }
     }
 
     /// The target instruction set.
@@ -243,12 +211,9 @@ impl MicroKernelGenerator {
 
     /// Chooses the scheduling strategy for a tile shape, mirroring the
     /// decision procedure of Sections III-B/III-C.
-    pub fn choose_strategy(&self, mr: usize, nr: usize, packed_a: bool) -> Strategy {
+    pub fn choose_strategy(&self, mr: usize, nr: usize) -> Strategy {
         let lanes = self.isa.lanes;
         let has_lane_fma = self.isa.fma_lane.is_some();
-        if !packed_a && nr.is_multiple_of(lanes) && mr == 1 {
-            return Strategy::BroadcastA;
-        }
         if mr.is_multiple_of(lanes) && nr.is_multiple_of(lanes) && has_lane_fma {
             Strategy::Laneq
         } else if mr.is_multiple_of(lanes) {
@@ -274,7 +239,10 @@ impl MicroKernelGenerator {
     /// # Errors
     ///
     /// Returns [`GenError`] if the requested strategy cannot handle the shape
-    /// or a scheduling step fails.
+    /// or a scheduling step fails, and [`GenError::Codegen`] if any
+    /// lowering of the scheduled form — C text, trace, interpreter, tape,
+    /// superword, the active ISA's chain, the scalar chain — cannot be
+    /// built: a kernel comes back with all of them or not at all.
     pub fn generate_with(&self, opts: &KernelOptions) -> Result<GeneratedKernel> {
         if opts.mr == 0 || opts.nr == 0 {
             return Err(GenError::UnsupportedShape {
@@ -283,12 +251,11 @@ impl MicroKernelGenerator {
                 reason: "tile dimensions must be positive".into(),
             });
         }
-        let strategy = opts.strategy.unwrap_or_else(|| self.choose_strategy(opts.mr, opts.nr, opts.packed_a));
-        let unroll = opts.unroll && self.unroll;
+        let strategy = opts.strategy.unwrap_or_else(|| self.choose_strategy(opts.mr, opts.nr));
         let steps = match strategy {
-            Strategy::Laneq => laneq_recipe(&self.base, &self.isa, opts.mr, opts.nr, unroll)?,
-            Strategy::BroadcastB => broadcast_b_recipe(&self.base, &self.isa, opts.mr, opts.nr, unroll)?,
-            Strategy::BroadcastA => broadcast_a_recipe(&self.base, &self.isa, opts.mr, opts.nr, unroll)?,
+            Strategy::Laneq => laneq_recipe(&self.base, &self.isa, opts.mr, opts.nr, opts.unroll)?,
+            Strategy::BroadcastB => broadcast_b_recipe(&self.base, &self.isa, opts.mr, opts.nr, opts.unroll)?,
+            Strategy::BroadcastA => broadcast_a_recipe(&self.base, &self.isa, opts.mr, opts.nr, opts.unroll)?,
             Strategy::Scalar => scalar_recipe(&self.base, opts.mr, opts.nr)?,
         };
         let proc = steps.last().expect("every recipe produces at least one step").proc.clone();
@@ -296,15 +263,19 @@ impl MicroKernelGenerator {
         let trace = extract_trace(&proc, "KC")?;
         let asm = emit_asm(&trace);
         let compiled = Arc::new(compile(&proc)?);
-        // Tape compilation can legitimately decline (e.g. a shape the
-        // scheduler left with data-dependent structure); the interpreter
-        // remains the fallback, so a missing tape is not an error. The
-        // superword lowering always succeeds on a valid tape, and the SIMD
-        // chain compiles from it for the active vector ISA (at worst the
-        // scalar reference, so every host gets a chain).
-        let tape = compiled.to_tape().ok().map(Arc::new);
-        let superword = tape.as_ref().and_then(|t| t.to_superword().ok()).map(Arc::new);
-        let simd = superword.as_ref().and_then(|sw| SimdKernel::compile(Arc::clone(sw))).map(Arc::new);
+        let tape = Arc::new(compiled.to_tape()?);
+        let superword = Arc::new(tape.to_superword()?);
+        let chain = |isa: IsaKind| {
+            SimdKernel::compile_for(Arc::clone(&superword), isa).map(Arc::new).ok_or_else(|| {
+                GenError::Codegen(CodegenError::Unsupported {
+                    backend: "simd",
+                    what: format!("the {}x{} kernel's superword lowering on the {isa} ISA", opts.mr, opts.nr),
+                })
+            })
+        };
+        let simd = chain(exo_codegen::active_isa())?;
+        let portable =
+            if simd.isa() == IsaKind::Scalar { Arc::clone(&simd) } else { chain(IsaKind::Scalar)? };
         Ok(GeneratedKernel {
             mr: opts.mr,
             nr: opts.nr,
@@ -321,7 +292,7 @@ impl MicroKernelGenerator {
             tape,
             superword,
             simd,
-            portable: OnceLock::new(),
+            portable,
             aot: OnceLock::new(),
             native: OnceLock::new(),
         })
@@ -360,40 +331,6 @@ impl KernelSet {
     /// All kernels in the set.
     pub fn kernels(&self) -> &[Arc<GeneratedKernel>] {
         &self.kernels
-    }
-
-    /// Looks up the kernel with exactly the given shape.
-    pub fn get(&self, mr: usize, nr: usize) -> Option<Arc<GeneratedKernel>> {
-        self.kernels.iter().find(|k| k.mr == mr && k.nr == nr).cloned()
-    }
-
-    /// Chooses the best kernel for a `m x n` problem: the kernel whose tile
-    /// exactly divides the problem with the largest tile area, falling back
-    /// to the kernel that wastes the least work on fringe tiles.
-    pub fn best_for(&self, m: usize, n: usize) -> Option<Arc<GeneratedKernel>> {
-        if self.kernels.is_empty() || m == 0 || n == 0 {
-            return None;
-        }
-        let exact = self
-            .kernels
-            .iter()
-            .filter(|k| m.is_multiple_of(k.mr) && n.is_multiple_of(k.nr))
-            .max_by_key(|k| k.mr * k.nr)
-            .cloned();
-        if exact.is_some() {
-            return exact;
-        }
-        // Least wasted work: ceil-divide the problem into tiles and compare
-        // the padded area.
-        self.kernels
-            .iter()
-            .min_by_key(|k| {
-                let tiles_m = m.div_ceil(k.mr);
-                let tiles_n = n.div_ceil(k.nr);
-                let padded = tiles_m * k.mr * tiles_n * k.nr;
-                (padded, std::cmp::Reverse(k.mr * k.nr))
-            })
-            .cloned()
     }
 }
 
@@ -445,14 +382,19 @@ mod tests {
         let generator = MicroKernelGenerator::new(neon_f32());
         for (mr, nr) in KernelSet::paper_shapes() {
             let kernel = generator.generate(mr, nr).unwrap();
-            let tape = kernel.tape.as_ref().unwrap_or_else(|| panic!("{mr}x{nr} must tape-compile"));
             // Scheduled kernels stage the C tile (and vector operands) in
             // locals, which the tape register-allocates.
-            assert!(tape.register_count() >= mr * nr, "{mr}x{nr} C tile must live in registers");
-            {
-                let simd = kernel.simd.as_ref().expect("the scalar ISA floor compiles everywhere");
-                assert_eq!(simd.isa(), exo_codegen::active_isa(), "{mr}x{nr}: chain targets the active ISA");
-            }
+            assert!(kernel.tape.register_count() >= mr * nr, "{mr}x{nr} C tile must live in registers");
+            assert_eq!(
+                kernel.simd.isa(),
+                exo_codegen::active_isa(),
+                "{mr}x{nr}: chain targets the active ISA"
+            );
+            assert_eq!(
+                kernel.portable.isa(),
+                IsaKind::Scalar,
+                "{mr}x{nr}: the portable chain is the scalar one"
+            );
             let kc = 23;
             let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 13 + 5) % 17) as f32 * 0.25 - 2.0).collect();
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 7 + 11) % 19) as f32 * 0.125 - 1.0).collect();
@@ -460,11 +402,7 @@ mod tests {
             // The portable tiers are bit-identical.
             let run_on = |backend| {
                 let mut dispatch = kernel.dispatcher(backend);
-                assert_eq!(
-                    dispatch.tier(),
-                    backend,
-                    "{mr}x{nr}: every lowering exists, nothing falls through"
-                );
+                assert_eq!(dispatch.tier(), backend, "{mr}x{nr}: a pin is its own tier");
                 let mut c = c0.clone();
                 dispatch.run_packed(kc, &a, &b, &mut c).unwrap();
                 c
@@ -477,8 +415,7 @@ mod tests {
                 "{mr}x{nr} portable chain diverges from the interpreter"
             );
             // The SIMD default stays within the FMA-contraction bound of
-            // the portable tiers (and is bit-identical to them when no
-            // chain compiled).
+            // the portable tiers.
             let mut c_simd = c0.clone();
             kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
             let tol = exo_codegen::fma_contraction_tol(kc);
@@ -489,18 +426,72 @@ mod tests {
         }
     }
 
+    /// Generation is total over the bundled instruction libraries, and a
+    /// kernel that comes back is whole: every in-process pin resolves to
+    /// itself (the native pin is the ladder's one edge, held by
+    /// `dispatch::tests`) and the bit-exact tiers agree.
+    #[test]
+    fn every_tile_generates_whole_and_every_pin_is_its_own_tier() {
+        use ExecBackend::*;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut sampled = 0;
+        for isa in [neon_f32(), neon_f16(), avx512_f32()] {
+            let generator = MicroKernelGenerator::new(isa.clone());
+            for (mr, nr) in (1..=16).flat_map(|mr| (1..=16).map(move |nr| (mr, nr))) {
+                for unroll in [true, false] {
+                    let label = format!("{} {mr}x{nr} unroll={unroll}", isa.name);
+                    let kernel = generator
+                        .generate_with(&KernelOptions { unroll, ..KernelOptions::new(mr, nr) })
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    if next() % 24 != 0 {
+                        continue;
+                    }
+                    sampled += 1;
+                    for kc in [0usize, 1, 17] {
+                        let mut operand = |len: usize| {
+                            (0..len).map(|_| (next() % 64) as f32 / 32.0 - 1.0).collect::<Vec<f32>>()
+                        };
+                        let (a, b, c0) = (operand(kc * mr), operand(kc * nr), operand(mr * nr));
+                        let run_on = |pin| {
+                            let mut dispatch = kernel.dispatcher(pin);
+                            assert_eq!(dispatch.tier(), pin, "{label}: a pin is its own tier");
+                            let mut c = c0.clone();
+                            dispatch
+                                .run_packed(kc, &a, &b, &mut c)
+                                .unwrap_or_else(|e| panic!("{label} {pin:?}: {e}"));
+                            c
+                        };
+                        let c_interp = run_on(Interp);
+                        assert_eq!(run_on(Tape), c_interp, "{label} kc={kc}: tape vs interpreter");
+                        assert_eq!(run_on(Superword), c_interp, "{label} kc={kc}: portable vs interpreter");
+                        run_on(Simd);
+                    }
+                    // A call that does not fit the tile is a typed error, not a run.
+                    let misfit = kernel.dispatcher(Simd).run_packed(0, &[], &[], &mut vec![0.0; mr * nr + 1]);
+                    assert!(matches!(misfit, Err(GenError::Codegen(_))), "{label}: {misfit:?}");
+                }
+            }
+        }
+        assert!(sampled >= 32, "the sample must not be empty: {sampled}");
+    }
+
     #[test]
     fn strategy_selection_follows_the_paper() {
         let generator = MicroKernelGenerator::new(neon_f32());
-        assert_eq!(generator.choose_strategy(8, 12, true), Strategy::Laneq);
-        assert_eq!(generator.choose_strategy(4, 4, true), Strategy::Laneq);
-        assert_eq!(generator.choose_strategy(8, 6, true), Strategy::BroadcastB);
-        assert_eq!(generator.choose_strategy(1, 12, true), Strategy::BroadcastA);
-        assert_eq!(generator.choose_strategy(3, 5, true), Strategy::Scalar);
-        assert_eq!(generator.choose_strategy(1, 12, false), Strategy::BroadcastA);
+        assert_eq!(generator.choose_strategy(8, 12), Strategy::Laneq);
+        assert_eq!(generator.choose_strategy(4, 4), Strategy::Laneq);
+        assert_eq!(generator.choose_strategy(8, 6), Strategy::BroadcastB);
+        assert_eq!(generator.choose_strategy(1, 12), Strategy::BroadcastA);
+        assert_eq!(generator.choose_strategy(3, 5), Strategy::Scalar);
 
         let avx = MicroKernelGenerator::new(avx512_f32());
-        assert_eq!(avx.choose_strategy(16, 16, true), Strategy::BroadcastB);
+        assert_eq!(avx.choose_strategy(16, 16), Strategy::BroadcastB);
     }
 
     #[test]
@@ -565,22 +556,6 @@ mod tests {
             rolled.trace.per_k_count(exo_ir::InstrClass::VecFma),
             unrolled.trace.per_k_count(exo_ir::InstrClass::VecFma)
         );
-    }
-
-    #[test]
-    fn kernel_set_selection_prefers_exact_divisors() {
-        let generator = MicroKernelGenerator::new(neon_f32());
-        let set = KernelSet::generate(&generator, &KernelSet::paper_shapes()).unwrap();
-        assert_eq!(set.kernels().len(), 8);
-        let k = set.best_for(64, 48).unwrap();
-        assert_eq!((k.mr, k.nr), (8, 12));
-        let k = set.best_for(12544, 64).unwrap();
-        assert_eq!((k.mr, k.nr), (8, 8), "12544 and 64 are multiples of 8 but not of 12");
-        let k = set.best_for(49, 512).unwrap();
-        assert_eq!(k.mr, 1, "49 rows favour the single-row kernels");
-        assert!(set.best_for(0, 4).is_none());
-        assert!(set.get(8, 12).is_some());
-        assert!(set.get(2, 2).is_none());
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod generator;
 pub mod recipes;
 pub mod registry;
 
-pub use dispatch::{env_backend_override, ExecBackend, TierDispatch};
+pub use dispatch::{ExecBackend, TierDispatch};
 pub use error::{GenError, Result};
 pub use generator::{GeneratedKernel, KernelOptions, KernelSet, MicroKernelGenerator, Strategy};
 pub use recipes::RecipeStep;

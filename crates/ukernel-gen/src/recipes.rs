@@ -36,6 +36,53 @@ fn snap(label: &str, p: &Proc) -> RecipeStep {
     RecipeStep { label: label.to_string(), proc: p.clone() }
 }
 
+/// Stages the `C` tile, accessed as `window`, in `C_reg` (Fig. 8). `dims`
+/// are the register buffer's `(extent, index)` dimensions, innermost first —
+/// the innermost is the vectorised loop and its lanes; `depth` is how many
+/// loops the buffer is lifted, and its load and store nests fissioned, out of.
+fn stage_c_tile(
+    p: &Proc,
+    isa: &VectorIsa,
+    window: &str,
+    dims: &[(usize, &str)],
+    depth: usize,
+) -> Result<Proc> {
+    let vec_loop = format!("for {} in _: _", dims[0].1);
+    let mut p = step("stage_mem C", stage_mem(p, "C[_] += _", window, "C_reg"))?;
+    for &(extent, index) in dims {
+        p = step(&format!("expand_dim C_reg {index}"), expand_dim(&p, "C_reg", extent as i64, index))?;
+    }
+    let p = step("lift_alloc C_reg", lift_alloc(&p, "C_reg", depth))?;
+    let p = step("autofission after C load", autofission(&p, "C_reg[_] = _", Anchor::After, depth))?;
+    let p = step("autofission before C store", autofission(&p, "C[_] = _", Anchor::Before, depth))?;
+    let p = step("replace C load", replace(&p, &vec_loop, &isa.load))?;
+    let p = step("replace C store", replace(&p, &vec_loop, &isa.store))?;
+    step("set_memory C_reg", set_memory(&p, "C_reg", isa.mem))
+}
+
+/// Stages the packed operand `Ac` or `Bc` (`name` is `"A"` or `"B"`) in
+/// `{name}_reg` (Fig. 9). `dims` and `depth` as in [`stage_c_tile`], but the
+/// load nest is fissioned out of one loop fewer: it stays inside `k`.
+fn stage_operand(
+    p: &Proc,
+    isa: &VectorIsa,
+    name: &str,
+    dims: &[(usize, &str)],
+    depth: usize,
+) -> Result<Proc> {
+    let (reg, vec_loop) = (format!("{name}_reg"), format!("for {} in _: _", dims[0].1));
+    let mut p = step(&format!("bind_expr {name}c"), bind_expr(p, &format!("{name}c[_]"), &reg))?;
+    for &(extent, index) in dims {
+        p = step(&format!("expand_dim {reg} {index}"), expand_dim(&p, &reg, extent as i64, index))?;
+    }
+    let p = step(&format!("lift_alloc {reg}"), lift_alloc(&p, &reg, depth))?;
+    let load = format!("{reg}[_] = _");
+    let p =
+        step(&format!("autofission after {name} load"), autofission(&p, &load, Anchor::After, depth - 1))?;
+    let p = step(&format!("replace {name} load"), replace(&p, &vec_loop, &isa.load))?;
+    step(&format!("set_memory {reg}"), set_memory(&p, &reg, isa.mem))
+}
+
 /// The paper's main recipe (Section III): vectorise both register-tile
 /// dimensions and compute with the lane-indexed FMA.
 ///
@@ -72,37 +119,13 @@ pub fn laneq_recipe(
 
     // v3: stage the C tile into registers (Fig. 8).
     let window = format!("C[{lanes} * jt + jtt, {lanes} * it + itt]");
-    let p = step("stage_mem C", stage_mem(&p, "C[_] += _", &window, "C_reg"))?;
-    let p = step("expand_dim C_reg itt", expand_dim(&p, "C_reg", lanes as i64, "itt"))?;
-    let p = step("expand_dim C_reg it", expand_dim(&p, "C_reg", (mr / lanes) as i64, "it"))?;
-    let p = step(
-        "expand_dim C_reg jt*4+jtt",
-        expand_dim(&p, "C_reg", nr as i64, &format!("jt * {lanes} + jtt")),
-    )?;
-    let p = step("lift_alloc C_reg", lift_alloc(&p, "C_reg", 5))?;
-    let p = step("autofission after C load", autofission(&p, "C_reg[_] = _", Anchor::After, 5))?;
-    let p = step("autofission before C store", autofission(&p, "C[_] = _", Anchor::Before, 5))?;
-    let p = step("replace C load", replace(&p, "for itt in _: _", &isa.load))?;
-    let p = step("replace C store", replace(&p, "for itt in _: _", &isa.store))?;
-    let p = step("set_memory C_reg", set_memory(&p, "C_reg", isa.mem))?;
+    let column = format!("jt*{lanes}+jtt");
+    let p = stage_c_tile(&p, isa, &window, &[(lanes, "itt"), (mr / lanes, "it"), (nr, &column)], 5)?;
     steps.push(snap("v3: C matrix in registers", &p));
 
     // v4: stage the Ac and Bc operands (Fig. 9).
-    let p = step("bind_expr Ac", bind_expr(&p, "Ac[_]", "A_reg"))?;
-    let p = step("expand_dim A_reg itt", expand_dim(&p, "A_reg", lanes as i64, "itt"))?;
-    let p = step("expand_dim A_reg it", expand_dim(&p, "A_reg", (mr / lanes) as i64, "it"))?;
-    let p = step("lift_alloc A_reg", lift_alloc(&p, "A_reg", 5))?;
-    let p = step("autofission after A load", autofission(&p, "A_reg[_] = _", Anchor::After, 4))?;
-    let p = step("replace A load", replace(&p, "for itt in _: _", &isa.load))?;
-    let p = step("set_memory A_reg", set_memory(&p, "A_reg", isa.mem))?;
-
-    let p = step("bind_expr Bc", bind_expr(&p, "Bc[_]", "B_reg"))?;
-    let p = step("expand_dim B_reg jtt", expand_dim(&p, "B_reg", lanes as i64, "jtt"))?;
-    let p = step("expand_dim B_reg jt", expand_dim(&p, "B_reg", (nr / lanes) as i64, "jt"))?;
-    let p = step("lift_alloc B_reg", lift_alloc(&p, "B_reg", 5))?;
-    let p = step("autofission after B load", autofission(&p, "B_reg[_] = _", Anchor::After, 4))?;
-    let p = step("replace B load", replace(&p, "for jtt in _: _", &isa.load))?;
-    let p = step("set_memory B_reg", set_memory(&p, "B_reg", isa.mem))?;
+    let p = stage_operand(&p, isa, "A", &[(lanes, "itt"), (mr / lanes, "it")], 5)?;
+    let p = stage_operand(&p, isa, "B", &[(lanes, "jtt"), (nr / lanes, "jt")], 5)?;
     steps.push(snap("v4: Ac and Bc operands in registers", &p));
 
     // v5: map the computation onto the lane-indexed FMA (Fig. 10) — without
@@ -122,15 +145,11 @@ pub fn laneq_recipe(
     steps.push(snap("v5: GEMM operation on vector FMA", &p));
 
     // v6: unroll the operand load loops (Fig. 11).
-    let p = if unroll {
+    if unroll {
         let p = step("unroll_loop it (operand loads)", unroll_loop_nth(&p, "it", 1))?;
         let p = step("unroll_loop jt (operand loads)", unroll_loop_nth(&p, "jt", 1))?;
         steps.push(snap("v6: unrolled operand loads", &p));
-        p
-    } else {
-        p
-    };
-    let _ = p;
+    }
     Ok(steps)
 }
 
@@ -161,38 +180,19 @@ pub fn broadcast_b_recipe(
     steps.push(snap("v2: vectorisable row loop", &p));
 
     let window = format!("C[j, {lanes} * it + itt]");
-    let p = step("stage_mem C", stage_mem(&p, "C[_] += _", &window, "C_reg"))?;
-    let p = step("expand_dim C_reg itt", expand_dim(&p, "C_reg", lanes as i64, "itt"))?;
-    let p = step("expand_dim C_reg it", expand_dim(&p, "C_reg", (mr / lanes) as i64, "it"))?;
-    let p = step("expand_dim C_reg j", expand_dim(&p, "C_reg", nr as i64, "j"))?;
-    let p = step("lift_alloc C_reg", lift_alloc(&p, "C_reg", 4))?;
-    let p = step("autofission after C load", autofission(&p, "C_reg[_] = _", Anchor::After, 4))?;
-    let p = step("autofission before C store", autofission(&p, "C[_] = _", Anchor::Before, 4))?;
-    let p = step("replace C load", replace(&p, "for itt in _: _", &isa.load))?;
-    let p = step("replace C store", replace(&p, "for itt in _: _", &isa.store))?;
-    let p = step("set_memory C_reg", set_memory(&p, "C_reg", isa.mem))?;
+    let p = stage_c_tile(&p, isa, &window, &[(lanes, "itt"), (mr / lanes, "it"), (nr, "j")], 4)?;
     steps.push(snap("v3: C matrix in registers", &p));
 
-    let p = step("bind_expr Ac", bind_expr(&p, "Ac[_]", "A_reg"))?;
-    let p = step("expand_dim A_reg itt", expand_dim(&p, "A_reg", lanes as i64, "itt"))?;
-    let p = step("expand_dim A_reg it", expand_dim(&p, "A_reg", (mr / lanes) as i64, "it"))?;
-    let p = step("lift_alloc A_reg", lift_alloc(&p, "A_reg", 4))?;
-    let p = step("autofission after A load", autofission(&p, "A_reg[_] = _", Anchor::After, 3))?;
-    let p = step("replace A load", replace(&p, "for itt in _: _", &isa.load))?;
-    let p = step("set_memory A_reg", set_memory(&p, "A_reg", isa.mem))?;
+    let p = stage_operand(&p, isa, "A", &[(lanes, "itt"), (mr / lanes, "it")], 4)?;
     steps.push(snap("v4: Ac operand in registers", &p));
 
     let p = step("replace broadcast FMA", replace(&p, "for itt in _: _", &isa.fma_broadcast))?;
     steps.push(snap("v5: broadcast FMA over Bc", &p));
 
-    let p = if unroll {
+    if unroll {
         let p = step("unroll_loop it (operand loads)", unroll_loop_nth(&p, "it", 1))?;
         steps.push(snap("v6: unrolled operand loads", &p));
-        p
-    } else {
-        p
-    };
-    let _ = p;
+    }
     Ok(steps)
 }
 
@@ -223,37 +223,19 @@ pub fn broadcast_a_recipe(
     steps.push(snap("v2: vectorisable column loop", &p));
 
     let window = format!("C[{lanes} * jt + jtt, 0]");
-    let p = step("stage_mem C", stage_mem(&p, "C[_] += _", &window, "C_reg"))?;
-    let p = step("expand_dim C_reg jtt", expand_dim(&p, "C_reg", lanes as i64, "jtt"))?;
-    let p = step("expand_dim C_reg jt", expand_dim(&p, "C_reg", (nr / lanes) as i64, "jt"))?;
-    let p = step("lift_alloc C_reg", lift_alloc(&p, "C_reg", 3))?;
-    let p = step("autofission after C load", autofission(&p, "C_reg[_] = _", Anchor::After, 3))?;
-    let p = step("autofission before C store", autofission(&p, "C[_] = _", Anchor::Before, 3))?;
-    let p = step("replace C load", replace(&p, "for jtt in _: _", &isa.load))?;
-    let p = step("replace C store", replace(&p, "for jtt in _: _", &isa.store))?;
-    let p = step("set_memory C_reg", set_memory(&p, "C_reg", isa.mem))?;
+    let p = stage_c_tile(&p, isa, &window, &[(lanes, "jtt"), (nr / lanes, "jt")], 3)?;
     steps.push(snap("v3: C matrix in registers", &p));
 
-    let p = step("bind_expr Bc", bind_expr(&p, "Bc[_]", "B_reg"))?;
-    let p = step("expand_dim B_reg jtt", expand_dim(&p, "B_reg", lanes as i64, "jtt"))?;
-    let p = step("expand_dim B_reg jt", expand_dim(&p, "B_reg", (nr / lanes) as i64, "jt"))?;
-    let p = step("lift_alloc B_reg", lift_alloc(&p, "B_reg", 3))?;
-    let p = step("autofission after B load", autofission(&p, "B_reg[_] = _", Anchor::After, 2))?;
-    let p = step("replace B load", replace(&p, "for jtt in _: _", &isa.load))?;
-    let p = step("set_memory B_reg", set_memory(&p, "B_reg", isa.mem))?;
+    let p = stage_operand(&p, isa, "B", &[(lanes, "jtt"), (nr / lanes, "jt")], 3)?;
     steps.push(snap("v4: Bc operand in registers", &p));
 
     let p = step("replace broadcast FMA", replace(&p, "for jtt in _: _", &isa.fma_broadcast))?;
     steps.push(snap("v5: broadcast FMA over Ac", &p));
 
-    let p = if unroll {
+    if unroll {
         let p = step("unroll_loop jt (operand loads)", unroll_loop_nth(&p, "jt", 1))?;
         steps.push(snap("v6: unrolled operand loads", &p));
-        p
-    } else {
-        p
-    };
-    let _ = p;
+    }
     Ok(steps)
 }
 

@@ -139,13 +139,9 @@ mod tests {
         let cache = KernelCache::new();
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = cache.get_or_generate(&generator, 8, 12).unwrap();
-        assert!(kernel.tape.is_some(), "the 8x12 kernel must tape-compile");
-        assert!(kernel.superword.is_some(), "the 8x12 kernel must superword-compile");
-        // The scalar ISA floor means a chain compiles on every host; it
-        // targets whatever ISA the runtime selection (or an `EXO_ISA` pin)
-        // chose for this process.
-        let simd = kernel.simd.as_ref().expect("the scalar ISA floor must compile the 8x12 chain");
-        assert_eq!(simd.isa(), exo_codegen::active_isa());
+        // The chain targets whatever ISA the runtime selection (or an
+        // `EXO_ISA` pin) chose for this process.
+        assert_eq!(kernel.simd.isa(), exo_codegen::active_isa());
         // The non-blocking poll may answer `None` while the background
         // build is in flight; settle the verdict through the blocking
         // path. With a host toolchain the artifact promotes, without one

@@ -354,6 +354,55 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
     assert!(wait_or_hang(&clean).is_ok());
 }
 
+/// The retry degrades from the tier that *ran*, not the tier that was asked
+/// for. A `neon_f16` 8x8 tile can never promote on any host — its rounding
+/// steps are outside what `emit_superword_c` lowers — so under the default
+/// `Native` pin it serves on the simd chain for good: the clean entry says
+/// `Simd`, and the declined one must land one below *that*, on the portable
+/// chain, not be re-run on simd and stamped degraded. A kernel pinned to
+/// the portable chain retries onto the tape. (Every operand is a small
+/// dyadic, so the f16 sums are exact on every tier.)
+#[test]
+fn a_retry_degrades_from_the_tier_that_ran() {
+    use exo_gemm::gemm_blis::{exo_kernel, exo_kernel_superword, ExecBackend};
+    let _guard = serial();
+    fault::disarm();
+    let kernel = std::sync::Arc::new(
+        exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f16())
+            .generate(8, 8)
+            .expect("the f16 8x8 tile generates"),
+    );
+    assert!(kernel.native_wait().is_none(), "an f16 tile has no C lowering, with or without a toolchain");
+    let want = reference_c(24, 24, 24, 9, 0.0);
+    for (imp, ran, retried) in [
+        (exo_kernel(kernel.clone()), ExecBackend::Simd, ExecBackend::Superword),
+        (exo_kernel_superword(kernel.clone()), ExecBackend::Superword, ExecBackend::Tape),
+    ] {
+        let who = imp.name.clone();
+        let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 8)).with_kernel(imp);
+        let mut jobs = [make_job(24, 24, 24, 9, 0.0), make_job(24, 24, 24, 9, 0.0)];
+        FaultPlan::new().decline(1).arm();
+        let report = driver.gemm_batch(jobs.iter_mut().map(GemmJob::problem).collect());
+        fault::disarm();
+
+        assert_eq!((report.retries, report.degraded_completions), (1, 1), "{who}");
+        let mut tiers: Vec<(bool, Option<ExecBackend>)> = report
+            .outcomes
+            .iter()
+            .map(|outcome| outcome.as_ref().map(|stats| (stats.degraded, stats.tier)).expect("both complete"))
+            .collect();
+        tiers.sort_by_key(|&(degraded, _)| degraded);
+        assert_eq!(
+            tiers,
+            [(false, Some(ran)), (true, Some(retried))],
+            "{who}: (degraded, tier), clean entry first"
+        );
+        for job in jobs {
+            assert_close(&job.into_c(), &want, &who);
+        }
+    }
+}
+
 /// Activations for `entries` GEMMs against one borrowed `k x n` weight
 /// matrix: `(A_e, C_e)` pairs, the `C`s poisoned when `beta == 0` must never
 /// read them.
@@ -616,9 +665,8 @@ fn settle_shared_native_key() {
 /// cache the compiler is never invoked, so a fault hooked into the
 /// compile path could never fire. Returns the artifact path.
 fn evict_artifact(kernel: &std::sync::Arc<exo_gemm::ukernel_gen::GeneratedKernel>) -> std::path::PathBuf {
-    let sw = kernel.superword.as_ref().expect("kernel superword-compiles");
     let c_source = exo_gemm::exo_codegen::emit_superword_c(
-        sw,
+        &kernel.superword,
         exo_gemm::exo_codegen::active_isa(),
         exo_gemm::exo_aot::KERNEL_SYMBOL,
     )
@@ -702,9 +750,6 @@ fn simd_refs(
 /// AOT stats, raising health to `Degraded`.
 #[test]
 fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
-    if exo_gemm::gemm_blis::env_backend_override().is_some() {
-        return; // a pinned backend never consults the native tier
-    }
     let _guard = serial();
     fault::disarm();
     if !exo_gemm::gemm_blis::native_available() {
@@ -747,9 +792,6 @@ fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
 /// service's AOT stats.
 #[test]
 fn a_hung_compiler_never_delays_jobs_and_the_books_balance() {
-    if exo_gemm::gemm_blis::env_backend_override().is_some() {
-        return;
-    }
     let _guard = serial();
     fault::disarm();
     if !exo_gemm::gemm_blis::native_available() {
@@ -841,9 +883,6 @@ fn a_hung_compiler_never_delays_jobs_and_the_books_balance() {
 /// `<path>.wrong-result`, and the key is pinned to simd terminally.
 #[test]
 fn a_wrong_result_kernel_is_quarantined_before_dispatch_ever_sees_it() {
-    if exo_gemm::gemm_blis::env_backend_override().is_some() {
-        return;
-    }
     let _guard = serial();
     fault::disarm();
     if !exo_gemm::gemm_blis::native_available() {

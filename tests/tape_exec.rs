@@ -18,15 +18,13 @@
 //! tiers they are held to the accumulation-scaled ULP bound of
 //! `common::assert_fma_close`; the scalar ISA chain does not contract
 //! and is held to exact equality — which is also what `EXO_ISA=scalar`
-//! (the CI forced-scalar leg) pins process-wide, and what
-//! `EXO_BACKEND=superword` (the CI portable leg) gets by resolving every
-//! kernel onto the scalar chain with the native tier off.
+//! (the CI forced-scalar leg) pins process-wide.
 //! `EXO_CC=/nonexistent/cc` (the CI poisoned-toolchain leg) disables
 //! only the ahead-of-time tier; every test here must still pass, with
 //! the native legs collapsing onto the simd chain.
 //!
 //! Every tier is reached the same way — `GeneratedKernel::dispatcher`
-//! resolving an `ExecBackend` down the one ladder — whether the test
+//! resolving an `ExecBackend` pin on the one ladder — whether the test
 //! asks the kernel directly, pins a `KernelImpl`, or runs the driver.
 
 mod common;
@@ -71,13 +69,9 @@ fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
     let mut cases = Cases::new(0x7a9e);
     for (mr, nr) in KernelSet::paper_shapes() {
         let kernel = cache.get_or_generate(&generator, mr, nr).unwrap();
-        assert!(kernel.tape.is_some(), "{mr}x{nr} must tape-compile");
-        let sw = kernel.superword.as_ref().unwrap_or_else(|| panic!("{mr}x{nr} must superword-compile"));
+        let sw = &kernel.superword;
         assert!(sw.vector_op_count() > 0, "{mr}x{nr} must pack whole-vector ops");
-        let chain = kernel.simd.as_ref().unwrap_or_else(|| {
-            panic!("{mr}x{nr} must compile a SIMD chain (the scalar ISA floor exists everywhere)")
-        });
-        assert_eq!(chain.isa(), exo_gemm::gemm_blis::active_isa(), "{mr}x{nr}: chain targets the active ISA");
+        assert_eq!(kernel.simd.isa(), active_isa(), "{mr}x{nr}: chain targets the active ISA");
         // Settle the asynchronous native verdict before measuring, so the
         // bit-faithfulness leg below actually exercises the compiled tier
         // whenever a toolchain answers. A None verdict (no toolchain, or
@@ -194,9 +188,7 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 /// function names, and the tiers hold their contracts: portable ≡ tape ≡
 /// interp bit for bit, native ≡ simd bit for bit (matching ISA — or no
 /// artifact, where native *is* simd), and both within the FMA-contraction
-/// bound of portable. (Under a forced `EXO_BACKEND` all five pins resolve
-/// to the forced tier and the cross-tier asserts hold trivially — which is
-/// exactly what that CI leg checks.)
+/// bound of portable.
 #[test]
 fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
     use ExecBackend::*;
@@ -218,13 +210,12 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
             .map(|(pin, dedicated)| {
                 let label = format!("{mr}x{nr} kc={kc} pin={pin:?}");
                 assert_eq!(dedicated.backend, pin, "{label}");
-                // Every registry kernel has every in-process lowering, so a
-                // pin resolves to itself — except native without an artifact.
-                let resolved = match pin.effective() {
+                // A pin resolves to itself — except native without an artifact.
+                let resolved = match pin {
                     Native if !has_native => Simd,
                     tier => tier,
                 };
-                assert_eq!(kernel.dispatcher(pin.effective()).tier(), resolved, "{label}");
+                assert_eq!(kernel.dispatcher(pin).tier(), resolved, "{label}");
                 let pinned = exo_kernel(Arc::clone(&kernel)).with_backend(pin);
                 let mut c = c0.clone();
                 pinned.run(kc, &a, &b, &mut c).unwrap();
@@ -349,7 +340,7 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
     assert!(isas.contains(&IsaKind::Scalar), "the scalar reference is available on every host");
     for (mr, nr) in KernelSet::paper_shapes() {
         let kernel = generator.generate(mr, nr).unwrap();
-        let sw = kernel.superword.as_ref().unwrap_or_else(|| panic!("{mr}x{nr} must superword-compile"));
+        let sw = &kernel.superword;
         for &isa in &isas {
             let chain = SimdKernel::compile_for(Arc::clone(sw), isa)
                 .unwrap_or_else(|| panic!("{mr}x{nr}: {isa} is available but declined the chain"));
@@ -385,9 +376,8 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
         assert!(!tiles.is_empty(), "{isa}: the serving space admits tiles");
         for tile in tiles {
             let kernel = generator.generate(tile.mr, tile.nr).unwrap();
-            let sw = kernel.superword.as_ref().expect("admitted tiles superword-compile");
             assert_eq!(
-                sw.split_accumulator_groups(isa.lanes()),
+                kernel.superword.split_accumulator_groups(isa.lanes()),
                 0,
                 "{}x{} on {isa}: accumulator groups touched partially, at another width, or across a boundary",
                 tile.mr,
@@ -395,7 +385,7 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
             );
             // The same property in the text `cc` sees: on the 8-lane ISA the
             // `C` tile never moves as 128-bit halves.
-            let c = emit_superword_c(sw, isa, "k").unwrap();
+            let c = emit_superword_c(&kernel.superword, isa, "k").unwrap();
             assert!(
                 !c.contains("_mm_loadu_ps(&C[") && !c.contains("_mm_storeu_ps(&C["),
                 "{}x{} on {isa}: half-width move of the C tile:\n{c}",
@@ -542,7 +532,7 @@ fn the_active_isa_is_the_native_one_unless_pinned() {
     }
     // The generator's chains report the same selection.
     let kernel = MicroKernelGenerator::new(neon_f32()).generate(4, 4).unwrap();
-    assert_eq!(kernel.simd.as_ref().expect("scalar floor").isa(), active);
+    assert_eq!(kernel.simd.isa(), active);
 }
 
 /// The native-tier probe the CI toolchain legs assert against. With an
@@ -581,7 +571,7 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
         let mut c_native = c0.clone();
         kernel.dispatcher(ExecBackend::Native).run_packed(kc, &a, &b, &mut c_native).unwrap();
         let mut c_simd = c0.clone();
-        kernel.simd.as_ref().expect("scalar floor").run_packed(kc, &a, &b, &mut c_simd).unwrap();
+        kernel.simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
         assert_eq!(c_native, c_simd, "kc={kc}: native entry point vs simd chain");
     }
     let blocking = BlockingParams { mc: 16, kc: 8, nc: 24, mr: 8, nr: 12 };
