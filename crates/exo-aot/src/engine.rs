@@ -27,7 +27,9 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use exo_codegen::{active_isa, emit_superword_c, fma_contraction_tol, IsaKind, SuperwordKernel, TensorView};
+use exo_codegen::{
+    active_isa, emit_superword_c, fma_contraction_tol, Countdown, IsaKind, SuperwordKernel, TensorView,
+};
 
 use crate::dylib::Dylib;
 use crate::error::{io_err, AotError, Result};
@@ -77,54 +79,47 @@ const HANG_FAULT_DEADLINE: Duration = Duration::from_millis(150);
 /// armed, the Nth build attempt in the process fails with
 /// [`AotError::FaultInjected`] before touching the cache or the
 /// toolchain. Armed by exo-serve's fault harness.
-static COMPILE_FAIL_IN: AtomicU64 = AtomicU64::new(0);
+static COMPILE_FAIL_IN: Countdown = Countdown::new();
 
 /// Fault-injection countdown for the `aot-hang` class: the Nth compiler
 /// invocation is replaced by a child that sleeps forever, so the
 /// kill-on-deadline wrapper must reap it and report
 /// [`AotError::CompileTimeout`].
-static HANG_IN: AtomicU64 = AtomicU64::new(0);
+static HANG_IN: Countdown = Countdown::new();
 
 /// Fault-injection countdown for the `aot-bad-artifact` class: the Nth
 /// successful compile has its artifact bytes replaced with garbage
 /// *before* the manifest is computed — the manifest matches, `dlopen`
 /// fails, and the quarantine path is exercised end-to-end.
-static BAD_ARTIFACT_IN: AtomicU64 = AtomicU64::new(0);
+static BAD_ARTIFACT_IN: Countdown = Countdown::new();
 
 /// Fault-injection countdown for the `aot-wrong-result` class: the Nth
 /// verification probe reports a mismatch, driving the
 /// `<path>.wrong-result` quarantine and the terminal simd pin.
-static WRONG_RESULT_IN: AtomicU64 = AtomicU64::new(0);
+static WRONG_RESULT_IN: Countdown = Countdown::new();
 
 /// Arms the `aot-compile-fail` countdown: the `n`-th build attempt from
 /// now fails. `0` disarms.
 pub fn arm_compile_fail(n: u64) {
-    COMPILE_FAIL_IN.store(n, Ordering::SeqCst);
+    COMPILE_FAIL_IN.arm(n);
 }
 
 /// Arms the `aot-hang` countdown: the `n`-th compiler invocation from
 /// now hangs and must be killed on deadline. `0` disarms.
 pub fn arm_hang(n: u64) {
-    HANG_IN.store(n, Ordering::SeqCst);
+    HANG_IN.arm(n);
 }
 
 /// Arms the `aot-bad-artifact` countdown: the `n`-th successful compile
 /// from now produces a sealed-but-unloadable artifact. `0` disarms.
 pub fn arm_bad_artifact(n: u64) {
-    BAD_ARTIFACT_IN.store(n, Ordering::SeqCst);
+    BAD_ARTIFACT_IN.arm(n);
 }
 
 /// Arms the `aot-wrong-result` countdown: the `n`-th verification probe
 /// from now reports a mismatch. `0` disarms.
 pub fn arm_wrong_result(n: u64) {
-    WRONG_RESULT_IN.store(n, Ordering::SeqCst);
-}
-
-fn countdown_fires(countdown: &AtomicU64) -> bool {
-    countdown
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-        .map(|prev| prev == 1)
-        .unwrap_or(false)
+    WRONG_RESULT_IN.arm(n);
 }
 
 /// The compile deadline (`EXO_AOT_TIMEOUT_MS`, default 20 000): how long
@@ -525,7 +520,7 @@ fn build_and_verify(
 ) -> Result<Arc<NativeKernel>> {
     counters.build_attempts.fetch_add(1, Ordering::SeqCst);
     let outcome = (|| {
-        if countdown_fires(&COMPILE_FAIL_IN) {
+        if COMPILE_FAIL_IN.fires() {
             return Err(AotError::FaultInjected);
         }
         let artifact = store.artifact_path(req.key);
@@ -609,7 +604,7 @@ fn build(
     store.write_atomic(&src, req.c_source.as_bytes())?;
 
     let tmp = store.scratch_path(artifact, "cc");
-    let (mut cmd, deadline) = if countdown_fires(&HANG_IN) {
+    let (mut cmd, deadline) = if HANG_IN.fires() {
         // The `aot-hang` fault: a compiler that never answers. A sleeping
         // child stands in for `cc`, with the deadline clamped so the
         // chaos suite proves the kill path without waiting out the real
@@ -619,10 +614,7 @@ fn build(
         (cmd, compile_deadline().min(HANG_FAULT_DEADLINE))
     } else {
         let mut cmd = Command::new(&req.tc.cc);
-        cmd.args(["-O3", "-shared", "-fPIC", "-ffp-contract=off"]);
-        if req.isa == IsaKind::Avx2 {
-            cmd.args(["-mavx2", "-mfma"]);
-        }
+        cmd.args(["-O3", "-shared", "-fPIC", "-ffp-contract=off"]).args(req.isa.cc_flags());
         cmd.arg(&src).arg("-o").arg(&tmp);
         (cmd, compile_deadline())
     };
@@ -643,7 +635,7 @@ fn build(
         stderr.truncate(2000);
         return Err(AotError::CompileFailed { compiler: req.tc.cc.clone(), stderr });
     }
-    if countdown_fires(&BAD_ARTIFACT_IN) {
+    if BAD_ARTIFACT_IN.fires() {
         // The `aot-bad-artifact` fault: a build that "succeeds" but
         // leaves garbage (a torn disk, an OOM-killed assembler). Written
         // before the hash so the manifest seals the garbage — only the
@@ -772,7 +764,7 @@ fn verify(
         };
         mismatch |= c_native.iter().zip(&c_ref).any(disagrees);
     }
-    let forced = countdown_fires(&WRONG_RESULT_IN);
+    let forced = WRONG_RESULT_IN.fires();
     if forced || mismatch {
         counters.wrong_results.fetch_add(1, Ordering::SeqCst);
         counters.quarantines.fetch_add(1, Ordering::SeqCst);
@@ -798,20 +790,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_countdown_fires_exactly_once_on_the_nth_call() {
-        let c = AtomicU64::new(3);
-        assert!(!countdown_fires(&c));
-        assert!(!countdown_fires(&c));
-        assert!(countdown_fires(&c), "fires on the third call");
-        assert!(!countdown_fires(&c), "then stays quiet at zero");
-        assert!(!countdown_fires(&c));
-    }
-
-    #[test]
     fn disarming_resets_the_global_countdown() {
         arm_compile_fail(1);
         arm_compile_fail(0);
-        assert!(!countdown_fires(&COMPILE_FAIL_IN));
+        assert!(!COMPILE_FAIL_IN.fires());
     }
 
     #[test]

@@ -329,105 +329,71 @@ impl SwEmit {
         self.affine(a.base, a.terms.as_ref())
     }
 
-    /// Emits `lanes` register-file copies to/from a tensor (`LOAD` selects
-    /// the direction), as whole-vector moves with scalar tails. Copies are
-    /// exact, so any chunking computes the same bits.
+    /// Emits `lanes` register-file copies to/from a tensor (`load` selects
+    /// the direction), as whole-vector moves widest shape first with scalar
+    /// tails. Copies are exact, so any chunking computes the same bits.
     #[allow(clippy::too_many_arguments)]
     fn copy(&mut self, out: &mut String, pad: &str, load: bool, reg: u32, buf: u16, idx: &str, lanes: u32) {
         let name = self.tensor_names[buf as usize].clone();
         let base = self.fresh("i");
         let _ = writeln!(out, "{pad}const int64_t {base} = {idx};");
         let mut o = 0u32;
-        let step = |o: u32, width: u32, out: &mut String| {
-            let r = reg + o;
-            let (rd, td) = (format!("&reg[{r}]"), format!("&{name}[{base} + {o}]"));
-            let line = match (self.isa, width, load) {
-                (IsaKind::Avx2, 8, true) => format!("_mm256_storeu_ps({rd}, _mm256_loadu_ps({td}));"),
-                (IsaKind::Avx2, 8, false) => format!("_mm256_storeu_ps({td}, _mm256_loadu_ps({rd}));"),
-                (IsaKind::Avx2, 4, true) => format!("_mm_storeu_ps({rd}, _mm_loadu_ps({td}));"),
-                (IsaKind::Avx2, 4, false) => format!("_mm_storeu_ps({td}, _mm_loadu_ps({rd}));"),
-                (IsaKind::Neon, 4, true) => format!("vst1q_f32({rd}, vld1q_f32({td}));"),
-                (IsaKind::Neon, 4, false) => format!("vst1q_f32({td}, vld1q_f32({rd}));"),
-                (_, _, true) => format!("reg[{r}] = {name}[{base} + {o}];"),
-                (_, _, false) => format!("{name}[{base} + {o}] = reg[{r}];"),
-            };
-            let _ = writeln!(out, "{pad}{line}");
-        };
-        let widths: &[u32] = match self.isa {
-            IsaKind::Avx2 => &[8, 4, 1],
-            IsaKind::Neon => &[4, 1],
-            IsaKind::Scalar => &[1],
-        };
-        for &w in widths {
-            while lanes - o >= w {
-                step(o, w, out);
-                o += w;
-                if w > 1 && lanes - o < w {
-                    break;
-                }
+        for v in self.isa.row().vectors {
+            while lanes - o >= v.lanes {
+                let (rd, td) = (format!("&reg[{}]", reg + o), format!("&{name}[{base} + {o}]"));
+                let (to, from) = if load { (rd, td) } else { (td, rd) };
+                let _ = writeln!(out, "{pad}{}({to}, {}({from}));", v.store, v.load);
+                o += v.lanes;
             }
+        }
+        for o in o..lanes {
+            let (r, t) = (format!("reg[{}]", reg + o), format!("{name}[{base} + {o}]"));
+            let (to, from) = if load { (r, t) } else { (t, r) };
+            let _ = writeln!(out, "{pad}{to} = {from};");
+        }
+    }
+
+    /// One scalar multiply-add lane `acc = a·b + acc` in the ISA's rounding:
+    /// a single `fmaf` where it contracts, an explicit multiply-then-add
+    /// where it does not (which `-ffp-contract=off` keeps the compiler from
+    /// re-fusing).
+    fn fma_lane(&self, acc: &str, a: &str, b: &str) -> String {
+        if self.isa.contracts_fma() {
+            format!("{acc} = fmaf({a}, {b}, {acc});")
+        } else {
+            format!("{acc} += {a} * {b};")
         }
     }
 
     /// Emits `reg[dst+i] = fma(reg[a+i], bval, reg[dst+i])` for
     /// `i in 0..lanes`, mirroring the simd chain exactly: whole-vector
-    /// FMAs with contracted scalar tails when the runs are disjoint (or
-    /// identical), strict ascending scalar lanes when the op's lane order
-    /// is semantic ([`VOp::fma_in_order`]). Every lane is a single
+    /// FMAs widest shape first with scalar tails when the runs are disjoint
+    /// (or identical), strict ascending scalar lanes when the op's lane
+    /// order is semantic ([`VOp::fma_in_order`]). Every lane is a single
     /// correctly-rounded fused multiply-add on the native ISAs (bit-equal
-    /// to the chain's) and an explicit two-rounding multiply-then-add on
-    /// the scalar floor (bit-equal to the portable tiers, which
-    /// `-ffp-contract=off` keeps the compiler from re-fusing).
+    /// to the chain's) and two roundings on the scalar floor (bit-equal to
+    /// the portable tiers).
     fn fma_run(&mut self, out: &mut String, pad: &str, op: &VOp, bval: &str) {
         let (VOp::VFmaLane { dst, a, lanes, .. } | VOp::VFmaBcast { dst, a, lanes, .. }) = *op else {
             unreachable!("only the packed FMAs carry a register run")
         };
-        if self.isa == IsaKind::Scalar || op.fma_in_order() {
-            for i in 0..lanes {
-                let (d, s) = (dst + i, a + i);
-                let line = if self.isa == IsaKind::Scalar {
-                    format!("reg[{d}] += reg[{s}] * {bval};")
-                } else {
-                    format!("reg[{d}] = fmaf(reg[{s}], {bval}, reg[{d}]);")
-                };
-                let _ = writeln!(out, "{pad}{line}");
-            }
-            return;
-        }
         let mut o = 0u32;
-        if self.isa == IsaKind::Avx2 {
-            while lanes - o >= 8 {
+        let vectors = if op.fma_in_order() { &[] } else { self.isa.row().vectors };
+        for v in vectors {
+            while lanes - o >= v.lanes {
                 let (d, s) = (dst + o, a + o);
-                let _ = writeln!(
-                    out,
-                    "{pad}_mm256_storeu_ps(&reg[{d}], _mm256_fmadd_ps(_mm256_loadu_ps(&reg[{s}]), \
-                     _mm256_set1_ps({bval}), _mm256_loadu_ps(&reg[{d}])));"
-                );
-                o += 8;
-            }
-            if lanes - o >= 4 {
-                let (d, s) = (dst + o, a + o);
-                let _ = writeln!(
-                    out,
-                    "{pad}_mm_storeu_ps(&reg[{d}], _mm_fmadd_ps(_mm_loadu_ps(&reg[{s}]), \
-                     _mm_set1_ps({bval}), _mm_loadu_ps(&reg[{d}])));"
-                );
-                o += 4;
-            }
-        } else {
-            while lanes - o >= 4 {
-                let (d, s) = (dst + o, a + o);
-                let _ = writeln!(
-                    out,
-                    "{pad}vst1q_f32(&reg[{d}], vfmaq_f32(vld1q_f32(&reg[{d}]), vld1q_f32(&reg[{s}]), \
-                     vdupq_n_f32({bval})));"
-                );
-                o += 4;
+                let fma = v
+                    .fma
+                    .replace("{a}", &format!("{}(&reg[{s}])", v.load))
+                    .replace("{b}", &format!("{}({bval})", v.splat))
+                    .replace("{acc}", &format!("{}(&reg[{d}])", v.load));
+                let _ = writeln!(out, "{pad}{}(&reg[{d}], {fma});", v.store);
+                o += v.lanes;
             }
         }
         for i in o..lanes {
-            let (d, s) = (dst + i, a + i);
-            let _ = writeln!(out, "{pad}reg[{d}] = fmaf(reg[{s}], {bval}, reg[{d}]);");
+            let line = self.fma_lane(&format!("reg[{}]", dst + i), &format!("reg[{}]", a + i), bval);
+            let _ = writeln!(out, "{pad}{line}");
         }
     }
 }
@@ -477,8 +443,8 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 ///                const float* restrict Bc, float* restrict C);
 /// ```
 ///
-/// Vector ops lower to AVX2/FMA or NEON intrinsics ([`IsaKind::Avx2`] /
-/// [`IsaKind::Neon`]) or to plain scalar C ([`IsaKind::Scalar`], the
+/// Vector ops lower to the intrinsics `isa`'s row spells its vector shapes
+/// with (AVX2/FMA, NEON), or to plain scalar C where it has none (the
 /// portable floor). Micro-iterations arrive already unrolled on the tape,
 /// and packed-panel loads inside the dynamic `KC` loop get a software
 /// prefetch of the panel a few iterations ahead (`PREFETCH_ITERS`).
@@ -561,20 +527,8 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
     let _ = writeln!(out, "// Compile with -O3 -ffp-contract=off (see exo_codegen::emit_superword_c).");
     let _ = writeln!(out, "#include <stdint.h>");
     let _ = writeln!(out, "#include <math.h>");
-    match isa {
-        IsaKind::Avx2 => {
-            let _ = writeln!(out, "#if !(defined(__AVX2__) && defined(__FMA__))");
-            let _ = writeln!(out, "#error \"this kernel requires -mavx2 -mfma\"");
-            let _ = writeln!(out, "#endif");
-            let _ = writeln!(out, "#include <immintrin.h>");
-        }
-        IsaKind::Neon => {
-            let _ = writeln!(out, "#ifndef __ARM_NEON");
-            let _ = writeln!(out, "#error \"this kernel requires NEON\"");
-            let _ = writeln!(out, "#endif");
-            let _ = writeln!(out, "#include <arm_neon.h>");
-        }
-        IsaKind::Scalar => {}
+    for line in isa.row().c_prelude {
+        let _ = writeln!(out, "{line}");
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "void {fn_name}({}) {{", sig_parts.join(", "));
@@ -670,11 +624,7 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
                     // The chain's scalar FMA is contracted on native ISAs
                     // and two-rounding on the scalar floor — mirrored here.
                     TOp::Fma { dst, a, b } => {
-                        if ctx.isa == IsaKind::Scalar {
-                            format!("reg[{dst}] += reg[{a}] * reg[{b}];")
-                        } else {
-                            format!("reg[{dst}] = fmaf(reg[{a}], reg[{b}], reg[{dst}]);")
-                        }
+                        ctx.fma_lane(&format!("reg[{dst}]"), &format!("reg[{a}]"), &format!("reg[{b}]"))
                     }
                     TOp::CastI { dst, value } => format!("reg[{dst}] = (float)({});", ctx.addr(value)),
                     TOp::Zero { base, len } => {

@@ -14,7 +14,12 @@
 //! [`env_once`] is that contract, written once for its call sites
 //! (`EXO_ISA`, `EXO_THREADS`, `EXO_FAULT`). The caller owns the `OnceLock` cell — overrides stay
 //! distinct statics at their point of use — and supplies only the parser.
+//!
+//! [`Countdown`] is what `EXO_FAULT` arms: the one "fire on the Nth event"
+//! counter under every fault hook of the workspace (the pool's, the batch
+//! executor's, the ahead-of-time engine's).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Reads environment variable `var` through `cell`, applying the
@@ -40,10 +45,61 @@ pub fn env_once<T: Clone>(
     .clone()
 }
 
+/// A fault-injection countdown: armed with `n`, [`Countdown::fires`]
+/// answers `true` on exactly the `n`-th call from then on and `false` on
+/// every other, from any number of threads. Disarmed (the initial state)
+/// a call is one atomic load and no write, so hooks stay on hot paths.
+#[derive(Debug, Default)]
+pub struct Countdown(AtomicU64);
+
+impl Countdown {
+    /// A disarmed countdown.
+    pub const fn new() -> Self {
+        Countdown(AtomicU64::new(0))
+    }
+
+    /// Arms the countdown to fire on the `n`-th call from now; `0` disarms.
+    pub fn arm(&self, n: u64) {
+        self.0.store(n, Ordering::SeqCst);
+    }
+
+    /// Counts one event; `true` exactly once, on the call that takes an
+    /// armed countdown to zero.
+    pub fn fires(&self) -> bool {
+        self.0.load(Ordering::SeqCst) != 0
+            && self.0.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1)) == Ok(1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
+
+    #[test]
+    fn the_countdown_fires_exactly_once_on_the_nth_call() {
+        let c = Countdown::new();
+        assert!(!c.fires(), "disarmed until told otherwise");
+        c.arm(3);
+        assert!(!c.fires());
+        assert!(!c.fires());
+        assert!(c.fires(), "fires on the third call");
+        assert!(!c.fires(), "then stays quiet at zero");
+        c.arm(1);
+        c.arm(0);
+        assert!(!c.fires(), "arming with 0 disarms");
+    }
+
+    #[test]
+    fn racing_callers_see_an_armed_countdown_fire_once() {
+        let c = Countdown::new();
+        c.arm(5);
+        let fired: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4).map(|_| s.spawn(|| (0..8).filter(|_| c.fires()).count())).collect();
+            workers.into_iter().map(|w| w.join().expect("a counting thread panicked")).sum()
+        });
+        assert_eq!(fired, 1, "32 calls across 4 threads cross zero once");
+    }
 
     // Each test owns a uniquely named variable: integration with the real
     // process environment is the point, and unique names keep parallel

@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use asm::{count_mnemonics, emit_asm};
 pub use c::{emit_c, emit_superword_c};
-pub use env::env_once;
+pub use env::{env_once, Countdown};
 pub use error::{CodegenError, Result};
 pub use exec::{compile, CompiledKernel, RunArg};
 pub use simd::{

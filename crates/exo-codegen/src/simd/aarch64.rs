@@ -1,18 +1,16 @@
-//! The NEON implementation of [`VectorIsa`]: 4-lane `float32x4_t` chains
-//! via `vfmaq_f32`.
+//! The NEON implementation of [`VectorIsa`]: 4-lane `float32x4_t` chunks
+//! via `vfmaq_f32`, contracted `mul_add` scalar tails.
 //!
 //! NEON (Advanced SIMD) is a baseline feature of every aarch64 Rust
 //! target — `cfg!(target_feature = "neon")` holds without any
 //! `-C target-feature` flags — so unlike AVX2 there is no
-//! `#[target_feature]` call boundary to honour: the fine-grained trait
-//! ops inline straight into the generic composed helpers, and the
-//! monomorphised defaults *are* the NEON implementation. An 8-lane
-//! superword run (the `MR = 8` micro-kernels were shaped for one
-//! `__m256`) re-rolls into a pair of `float32x4_t` ops inside the
-//! default [`VectorIsa::fma_run`] / [`VectorIsa::fma_tile`] loops; this
-//! is exactly the 2×`vfmaq_f32`-per-row lowering the paper's Fig. 5
-//! Carmel micro-kernel uses, recovered mechanically instead of
-//! hand-written.
+//! `#[target_feature]` call boundary to honour: the intrinsics inline
+//! straight into the trait methods. An 8-lane superword run (the `MR = 8`
+//! micro-kernels were shaped for one `__m256`) re-rolls into a pair of
+//! `float32x4_t` ops inside [`VectorIsa::fma_run`] /
+//! [`VectorIsa::fma_tile`]; this is exactly the 2×`vfmaq_f32`-per-row
+//! lowering the paper's Fig. 5 Carmel micro-kernel uses, recovered
+//! mechanically instead of hand-written.
 //!
 //! `vfmaq_f32(acc, a, b)` computes `acc + a·b` with a single rounding —
 //! the same FMA contraction contract as the AVX2 chain, held to
@@ -24,91 +22,75 @@ use std::arch::aarch64::{
 };
 
 use super::mover::{Move2d, Walk};
-use super::VectorIsa;
+use super::{IsaKind, VectorIsa};
 
-/// The NEON vector implementation (4 × f32 per register).
+/// The NEON vector implementation.
 pub(crate) struct Neon;
 
 impl VectorIsa for Neon {
-    type Vector = float32x4_t;
-    const LANES: usize = 4;
-    const NAME: &'static str = "neon";
+    const KIND: IsaKind = IsaKind::Neon;
 
     fn available() -> bool {
         // Baseline on aarch64: the module only compiles there.
         true
     }
 
-    unsafe fn splat(v: f32) -> float32x4_t {
-        vdupq_n_f32(v)
-    }
-
-    unsafe fn load(p: *const f32) -> float32x4_t {
-        vld1q_f32(p)
-    }
-
-    unsafe fn store(p: *mut f32, v: float32x4_t) {
-        vst1q_f32(p, v)
-    }
-
-    unsafe fn fma(acc: float32x4_t, a: float32x4_t, b: float32x4_t) -> float32x4_t {
-        vfmaq_f32(acc, a, b)
-    }
-
-    unsafe fn load_partial(p: *const f32, n: usize) -> float32x4_t {
-        debug_assert!(n < Self::LANES);
-        let mut buf = [0.0f32; 4];
-        std::ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), n);
-        vld1q_f32(buf.as_ptr())
-    }
-
-    unsafe fn store_partial(p: *mut f32, v: float32x4_t, n: usize) {
-        debug_assert!(n < Self::LANES);
-        let mut buf = [0.0f32; 4];
-        vst1q_f32(buf.as_mut_ptr(), v);
-        std::ptr::copy_nonoverlapping(buf.as_ptr(), p, n);
-    }
-
     fn fma_scalar(acc: f32, a: f32, b: f32) -> f32 {
         // Lowers to a scalar `fmadd` — contracted like the vector lanes.
         a.mul_add(b, acc)
     }
-}
 
-/// The NEON body of the strided mover ([`super::mover`]): `float32x4_t`
-/// row copies and 4×4 `trn` transposes, scalars for what no 4-wide granule
-/// covers. NEON is baseline, so there is no call boundary to place.
-///
-/// # Safety
-///
-/// As [`super::strided_move`], with `m` named for `walk`
-/// (`Move2d::classified`).
-pub(crate) unsafe fn move_2d(walk: Walk, m: &Move2d) {
-    let k = if m.scale == 1.0 { None } else { Some(vdupq_n_f32(m.scale)) };
-    match walk {
-        Walk::Rows => {
-            for r in 0..m.rows {
-                let (d, s) = (m.dst.add(r * m.drs), m.src.add(r * m.srs));
-                let mut c = 0;
-                while c + 4 <= m.cols {
-                    vst1q_f32(d.add(c), scaled(vld1q_f32(s.add(c)), k));
-                    c += 4;
-                }
-                m.walk(r..r + 1, c..m.cols);
+    unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
+        let vb = vdupq_n_f32(bval);
+        let mut i = 0;
+        while i + 4 <= lanes {
+            let d = regs.add(dst + i);
+            vst1q_f32(d, vfmaq_f32(vld1q_f32(d), vld1q_f32(regs.add(a + i)), vb));
+            i += 4;
+        }
+        Self::fma_run_inorder(regs, dst + i, a + i, bval, lanes - i)
+    }
+
+    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
+        debug_assert_eq!(lanes % 4, 0, "a fused tile is whole vectors");
+        for i in (0..lanes).step_by(4) {
+            let va = vld1q_f32(regs.add(a + i));
+            for g in 0..count {
+                let d = regs.add(dst0 + g * lanes + i);
+                vst1q_f32(d, vfmaq_f32(vld1q_f32(d), va, vdupq_n_f32(*regs.add(b0 + g))));
             }
         }
-        // Destination rows and source columns are the contiguous runs.
-        Walk::Transposed => {
-            let (rows4, cols4) = (m.rows & !3, m.cols & !3);
-            for r in (0..rows4).step_by(4) {
-                for c in (0..cols4).step_by(4) {
-                    transpose_4x4(m.dst.add(r * m.drs + c), m.drs, m.src.add(c * m.scs + r), m.scs, k);
+    }
+
+    /// `float32x4_t` row copies and 4×4 `trn` transposes, scalars for what
+    /// no 4-wide granule covers.
+    unsafe fn move_2d(walk: Walk, m: &Move2d) {
+        let k = if m.scale == 1.0 { None } else { Some(vdupq_n_f32(m.scale)) };
+        match walk {
+            Walk::Rows => {
+                for r in 0..m.rows {
+                    let (d, s) = (m.dst.add(r * m.drs), m.src.add(r * m.srs));
+                    let mut c = 0;
+                    while c + 4 <= m.cols {
+                        vst1q_f32(d.add(c), scaled(vld1q_f32(s.add(c)), k));
+                        c += 4;
+                    }
+                    m.walk(r..r + 1, c..m.cols);
                 }
             }
-            m.walk(rows4..m.rows, 0..m.cols);
-            m.walk(0..rows4, cols4..m.cols);
+            // Destination rows and source columns are the contiguous runs.
+            Walk::Transposed => {
+                let (rows4, cols4) = (m.rows & !3, m.cols & !3);
+                for r in (0..rows4).step_by(4) {
+                    for c in (0..cols4).step_by(4) {
+                        transpose_4x4(m.dst.add(r * m.drs + c), m.drs, m.src.add(c * m.scs + r), m.scs, k);
+                    }
+                }
+                m.walk(rows4..m.rows, 0..m.cols);
+                m.walk(0..rows4, cols4..m.cols);
+            }
+            Walk::General => m.walk(0..m.rows, 0..m.cols),
         }
-        Walk::General => m.walk(0..m.rows, 0..m.cols),
     }
 }
 

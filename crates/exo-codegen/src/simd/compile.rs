@@ -6,7 +6,8 @@
 //! compiled *for* one ISA, so the hot path never dispatches over the ISA
 //! again. Register-file copies (`VLoad`/`VStore`) are plain memcpys and
 //! need no intrinsics; the FMA ops route through the ISA's register-run
-//! helpers, which pick vector bodies, masked fringes, and scalar tails.
+//! helpers, which pick vector bodies and scalar tails. No lane width is
+//! named here: which runs fuse is the ISA row's narrowest vector shape.
 
 use super::VectorIsa;
 use crate::superword::{SAddr, VOp};
@@ -245,14 +246,14 @@ struct Tile {
 }
 
 /// Recognises a run of `VFmaLane` ops starting at `ops[i]` that forms
-/// one tile: identical lane count (8 or 4 — the shapes `match_tile` was
-/// proven against; an ISA narrower than the run re-rolls it inside
-/// `fma_tile`), one shared operand run, broadcast registers ascending by
+/// one tile: identical lane count, a whole number of the ISA's narrowest
+/// vector shape (`fma_tile` walks the run widest shape first and has no
+/// scalar tail), one shared operand run, broadcast registers ascending by
 /// one, accumulators ascending by `lanes`. Returns the tile and how many
 /// ops it spans.
-fn match_tile(ops: &[VOp], i: usize) -> Option<(Tile, usize)> {
+fn match_tile<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(Tile, usize)> {
     let &VOp::VFmaLane { dst, a, b, lanes } = ops.get(i)? else { return None };
-    if lanes != 8 && lanes != 4 {
+    if !(lanes as usize).is_multiple_of(I::KIND.row().narrowest_lanes()) {
         return None;
     }
     let mut count = 1usize;
@@ -322,7 +323,7 @@ fn try_fuse_iteration<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, us
         });
         j += 1;
     }
-    let (tile, tile_ops) = match_tile(ops, j)?;
+    let (tile, tile_ops) = match_tile::<I>(ops, j)?;
     let used = (j - i) + tile_ops;
     let step = match *loads.as_slice() {
         [] => return None,
@@ -336,7 +337,7 @@ fn try_fuse_iteration<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, us
 
 /// A lone tile (no leading loads) as its own closure.
 fn try_fuse_tile<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, usize)> {
-    let (tile, used) = match_tile(ops, i)?;
+    let (tile, used) = match_tile::<I>(ops, i)?;
     let step: StepFn = Box::new(move |regs, _tens, _loops, _scalars| unsafe {
         I::fma_tile(regs, tile.dst, tile.a, tile.b, tile.lanes, tile.count);
     });
@@ -347,7 +348,7 @@ fn try_fuse_tile<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, usize)>
 /// into loop bodies. Returns `None` only for structurally invalid input
 /// (which `to_superword` never produces).
 pub(super) fn build_nodes<I: VectorIsa>(ops: &[VOp], stats: &mut BuildStats) -> Option<Vec<Node>> {
-    debug_assert!(I::available(), "chain compiled for {} on a host that cannot run it", I::NAME);
+    debug_assert!(I::available(), "chain compiled for {} on a host that cannot run it", I::KIND);
     build_nodes_at::<I>(ops, 0, stats)
 }
 

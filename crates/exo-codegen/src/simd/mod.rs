@@ -18,22 +18,26 @@
 //! * dynamic loops become native Rust loops over the closure chain — the
 //!   tape's `LoopBegin`/`LoopEnd` jump dispatch disappears entirely.
 //!
-//! **Multi-ISA.** The chain compiler (the `compile` submodule) is generic
-//! over the crate-private `VectorIsa` trait — splat / load / store / fma
-//! plus masked partial load/store for fringes, a `LANES` width, and a
-//! runtime `available()` probe — and is monomorphised once per
-//! implementation:
+//! **Multi-ISA.** An executing ISA is said twice and no more: one
+//! target-independent *row* ([`IsaKind`]'s table — name, vector shapes
+//! widest first, register count, whether it contracts, the C compiler's
+//! flags and the C spelling of each shape, which the C emitter and the
+//! `exo-aot` build read) and one crate-private `VectorIsa` *impl* (the
+//! register-run helpers the chain calls, the mover body, a runtime
+//! `available()` probe), reached through the single `with_isa_impl!`
+//! dispatch. The chain compiler (the `compile` submodule) is generic over
+//! the impl and monomorphised once per ISA:
 //!
-//! * `x86_64` — AVX2/FMA (`_mm256_fmadd_ps`), 8 lanes, selected when
+//! * `x86_64` — AVX2/FMA, `__m256` then `__m128` chunks, selected when
 //!   `is_x86_feature_detected!` confirms both features;
-//! * `aarch64` — NEON (`vfmaq_f32`), 4 lanes, always available on
-//!   aarch64 (NEON is baseline): an 8-lane superword run re-rolls into a
-//!   pair of `float32x4_t` ops;
-//! * `scalar` — the 1-lane reference implementation, available
-//!   everywhere. Its multiply-then-add matches the tape / interpreter
-//!   rounding **bit for bit**, which makes the chain compiled for it the
-//!   *portable* tier (what a `Superword` pin runs); the module also
-//!   hosts the checked reference executor every declined bounds proof
+//! * `aarch64` — NEON, `float32x4_t` chunks, always available on aarch64
+//!   (NEON is baseline): an 8-lane superword run re-rolls into a pair of
+//!   them;
+//! * `scalar` — the one-lane reference, available everywhere: the trait's
+//!   provided bodies, unchanged. Its multiply-then-add matches the tape /
+//!   interpreter rounding **bit for bit**, which makes the chain compiled
+//!   for it the *portable* tier (what a `Superword` pin runs); the module
+//!   also hosts the checked reference executor every declined bounds proof
 //!   lands on.
 //!
 //! [`active_isa`] picks the widest available implementation at process
@@ -45,7 +49,7 @@
 //!
 //! **Data movement.** The same three implementations carry the strided
 //! 2-D mover ([`strided_move`]) that a BLIS-like driver packs its operands
-//! and stages its `C` tiles with: one body per ISA beside that ISA's
+//! and stages its `C` tiles with: one body per impl beside that ISA's
 //! arithmetic, picked by the same [`active_isa`], bit-identical to the
 //! scalar one by construction (a move and at most one multiply).
 //!
@@ -83,6 +87,32 @@ use crate::error::Result;
 use crate::superword::{ProofMemo, SuperwordKernel};
 use crate::tape::TensorView;
 
+/// The one kind → impl dispatch: evaluates `$body` with `$I` naming the
+/// `VectorIsa` impl of `$kind`, or `$none` on a build target that has no
+/// impl for it. An executing ISA appears here once and in [`IsaKind`]'s
+/// row table once; nothing else matches on the kind.
+macro_rules! with_isa_impl {
+    ($kind:expr, $I:ident => $body:expr, else $none:expr) => {
+        match $kind {
+            #[cfg(target_arch = "x86_64")]
+            $crate::simd::IsaKind::Avx2 => {
+                type $I = $crate::simd::x86_64::Avx2;
+                $body
+            }
+            #[cfg(target_arch = "aarch64")]
+            $crate::simd::IsaKind::Neon => {
+                type $I = $crate::simd::aarch64::Neon;
+                $body
+            }
+            $crate::simd::IsaKind::Scalar => {
+                type $I = $crate::simd::scalar::ScalarIsa;
+                $body
+            }
+            _ => $none,
+        }
+    };
+}
+
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod aarch64;
 mod compile;
@@ -93,18 +123,19 @@ pub(crate) mod x86_64;
 
 use compile::Node;
 pub use mover::{strided_move, strided_move_on};
+use mover::{Move2d, Walk};
 
-/// The per-architecture vector primitive set the chain compiler is
-/// generic over. One implementation per [`IsaKind`]; the compiler is
-/// monomorphised per implementation, so every closure in a compiled chain
-/// calls straight into one ISA's intrinsics with no dispatch in between.
+/// The run-time half of one executing ISA: what has to be compiled for
+/// the target and so cannot be a row of [`IsaKind`]'s table. One
+/// implementation per kind; the chain compiler is monomorphised per
+/// implementation, so every closure in a compiled chain calls straight
+/// into one ISA's intrinsics with no dispatch in between.
 ///
-/// The fine-grained ops (`splat` / `load` / `store` / `fma` and the masked
-/// `load_partial` / `store_partial` fringe forms) describe one vector
-/// register; the provided register-file helpers (`fma_run`, `fma_tile`,
-/// `fma_run_inorder`) compose them over superword lane runs and may be
-/// overridden where an architecture needs a `#[target_feature]` call
-/// boundary (x86_64) instead of the generic composition (aarch64, scalar).
+/// The provided bodies are the one-lane reference forms, each lane rounded
+/// by [`VectorIsa::fma_scalar`]: the scalar ISA *is* them, and a vector ISA
+/// overrides what its registers speed up — whole vectors widest shape
+/// first, the same lanes in the same rounding (on x86_64 behind a
+/// `#[target_feature]` call boundary).
 ///
 /// Not to be confused with `exo_isa::VectorIsa`, the *codegen-time*
 /// description of the paper's target instruction set: this trait is the
@@ -112,82 +143,32 @@ pub use mover::{strided_move, strided_move_on};
 ///
 /// # Safety
 ///
-/// All vector ops are `unsafe fn`s: callers guarantee the pointers are
-/// valid for the accessed lanes and, for the native implementations, that
-/// [`VectorIsa::available`] returned `true` on this host.
+/// The register-run helpers and the mover are `unsafe fn`s: callers
+/// guarantee the pointers are valid for the accessed lanes and, for the
+/// native implementations, that [`VectorIsa::available`] returned `true`
+/// on this host.
 pub(crate) trait VectorIsa {
-    /// One native vector register (`[f32; LANES]` semantics).
-    type Vector: Copy;
-    /// Lane count of one vector register.
-    const LANES: usize;
-    /// Short lowercase name, equal to the matching [`IsaKind::name`].
-    const NAME: &'static str;
+    /// The row of [`IsaKind`]'s table this implementation executes: its
+    /// name, lane width and every other target-independent fact are read
+    /// from there, not restated.
+    const KIND: IsaKind;
 
     /// Whether the running host can execute this implementation's ops.
     fn available() -> bool;
 
-    /// Broadcasts one value into every lane.
-    unsafe fn splat(v: f32) -> Self::Vector;
-    /// Loads `LANES` contiguous values from `p`.
-    unsafe fn load(p: *const f32) -> Self::Vector;
-    /// Stores `LANES` contiguous values to `p`.
-    unsafe fn store(p: *mut f32, v: Self::Vector);
-    /// Per-lane multiply-add `acc + a·b` in this implementation's
-    /// rounding (contracted for the native ISAs, two roundings for the
-    /// scalar reference).
-    unsafe fn fma(acc: Self::Vector, a: Self::Vector, b: Self::Vector) -> Self::Vector;
-    /// Masked fringe load: lanes `0..n` from `p`, remaining lanes zero.
-    /// Only lanes `0..n` of `p` are accessed (`n < LANES`).
-    unsafe fn load_partial(p: *const f32, n: usize) -> Self::Vector;
-    /// Masked fringe store: lanes `0..n` of `v` to `p`, the rest dropped.
-    /// Only lanes `0..n` of `p` are accessed (`n < LANES`).
-    unsafe fn store_partial(p: *mut f32, v: Self::Vector, n: usize);
     /// One scalar multiply-add `acc + a·b` in this implementation's
-    /// rounding — the lane the vector ops generalise.
+    /// rounding (contracted for the native ISAs, two roundings for the
+    /// scalar reference) — the lane the vector ops generalise.
     fn fma_scalar(acc: f32, a: f32, b: f32) -> f32;
 
-    /// `lanes` multiply-adds `reg[dst+i] = reg[a+i]·bval + reg[dst+i]`:
-    /// whole vectors, then a masked fringe, in ascending lane order.
+    /// `lanes` multiply-adds `reg[dst+i] = reg[a+i]·bval + reg[dst+i]`,
+    /// strictly ascending one lane at a time: the form taken when the
+    /// operand run partially overlaps the accumulator run and the lane
+    /// order is semantic.
     ///
     /// # Safety
     ///
-    /// Both register runs in bounds (the superword construction proof)
-    /// and, where they overlap, `dst == a` (whole-register loads of a
-    /// *partially* overlapping run would read stale lanes — the compiler
-    /// routes those to [`VectorIsa::fma_run_inorder`]).
-    unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
-        let mut i = 0;
-        if Self::LANES > 1 && lanes >= Self::LANES {
-            let vb = Self::splat(bval);
-            while i + Self::LANES <= lanes {
-                let d = regs.add(dst + i);
-                let va = Self::load(regs.add(a + i));
-                Self::store(d, Self::fma(Self::load(d), va, vb));
-                i += Self::LANES;
-            }
-            if i < lanes {
-                let rem = lanes - i;
-                let d = regs.add(dst + i);
-                let va = Self::load_partial(regs.add(a + i), rem);
-                let acc = Self::load_partial(d, rem);
-                Self::store_partial(d, Self::fma(acc, va, vb), rem);
-                i = lanes;
-            }
-        }
-        while i < lanes {
-            let d = regs.add(dst + i);
-            *d = Self::fma_scalar(*d, *regs.add(a + i), bval);
-            i += 1;
-        }
-    }
-
-    /// The strictly ascending one-lane-at-a-time form of
-    /// [`VectorIsa::fma_run`], taken when the operand run partially
-    /// overlaps the accumulator run and the lane order is semantic.
-    ///
-    /// # Safety
-    ///
-    /// Both register runs in bounds.
+    /// Both register runs in bounds (the superword construction proof).
     unsafe fn fma_run_inorder(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
         for i in 0..lanes {
             let d = regs.add(dst + i);
@@ -195,50 +176,84 @@ pub(crate) trait VectorIsa {
         }
     }
 
-    /// A fused accumulator tile: `count` consecutive `VFmaLane` ops over
-    /// one operand run, `reg[dst0 + g·lanes + i] += reg[a+i] · reg[b0+g]`.
-    /// Each operand vector is loaded once and held across the whole tile —
-    /// the inner-loop body of a laneq micro-kernel with the operand reload
-    /// hoisted. Every accumulator element is touched exactly once (the
-    /// rows are disjoint), so the chunk-major walk computes the same bits
-    /// as the row-major op order.
+    /// [`VectorIsa::fma_run_inorder`] with the lane order left free: whole
+    /// vectors where the ISA has them, then what is left.
     ///
     /// # Safety
     ///
-    /// All register runs in bounds, and the operand run disjoint from the
-    /// accumulator span (checked at fuse time).
+    /// Both register runs in bounds and, where they overlap, `dst == a`
+    /// (whole-register loads of a *partially* overlapping run would read
+    /// stale lanes — the compiler routes those to
+    /// [`VectorIsa::fma_run_inorder`]).
+    unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
+        Self::fma_run_inorder(regs, dst, a, bval, lanes)
+    }
+
+    /// A fused accumulator tile: `count` consecutive `VFmaLane` ops over
+    /// one operand run, `reg[dst0 + g·lanes + i] += reg[a+i] · reg[b0+g]`.
+    /// A vector ISA loads each operand vector once and holds it across the
+    /// whole tile — the inner-loop body of a laneq micro-kernel with the
+    /// operand reload hoisted. Every accumulator element is touched exactly
+    /// once (the rows are disjoint), so a chunk-major walk computes the
+    /// same bits as this row-major op order.
+    ///
+    /// # Safety
+    ///
+    /// All register runs in bounds, the operand run disjoint from the
+    /// accumulator span, and `lanes` a whole number of the ISA's narrowest
+    /// vector shape (both checked at fuse time).
     unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
-        let mut i = 0;
-        if Self::LANES > 1 {
-            while i + Self::LANES <= lanes {
-                let va = Self::load(regs.add(a + i));
-                for g in 0..count {
-                    let d = regs.add(dst0 + g * lanes + i);
-                    let vb = Self::splat(*regs.add(b0 + g));
-                    Self::store(d, Self::fma(Self::load(d), va, vb));
-                }
-                i += Self::LANES;
-            }
-            if i < lanes {
-                let rem = lanes - i;
-                let va = Self::load_partial(regs.add(a + i), rem);
-                for g in 0..count {
-                    let d = regs.add(dst0 + g * lanes + i);
-                    let vb = Self::splat(*regs.add(b0 + g));
-                    Self::store_partial(d, Self::fma(Self::load_partial(d, rem), va, vb), rem);
-                }
-                i = lanes;
-            }
-        }
-        // Only the 1-lane scalar ISA gets here with lanes left: row-major,
-        // so each row is a contiguous run the compiler can vectorise.
         for g in 0..count {
-            let bv = *regs.add(b0 + g);
-            for j in i..lanes {
-                let d = regs.add(dst0 + g * lanes + j);
-                *d = Self::fma_scalar(*d, *regs.add(a + j), bv);
-            }
+            Self::fma_run_inorder(regs, dst0 + g * lanes, a, *regs.add(b0 + g), lanes);
         }
+    }
+
+    /// This ISA's body of the strided mover ([`strided_move`]).
+    ///
+    /// # Safety
+    ///
+    /// As [`strided_move`], with `m` named for `walk`
+    /// (`Move2d::classified`).
+    unsafe fn move_2d(walk: Walk, m: &Move2d);
+}
+
+/// One vector shape of an executing ISA, as the C emitter spells it.
+pub(crate) struct VectorShape {
+    /// `f32` lanes of one register of this shape.
+    pub(crate) lanes: u32,
+    /// Unaligned load from a `const float*`.
+    pub(crate) load: &'static str,
+    /// Unaligned store, `(float*, vector)`.
+    pub(crate) store: &'static str,
+    /// Broadcast of one `float`.
+    pub(crate) splat: &'static str,
+    /// The fused multiply-add `acc + a·b` with its operands in the
+    /// intrinsic's own order, as `{a}` / `{b}` / `{acc}` placeholders.
+    pub(crate) fma: &'static str,
+}
+
+/// Everything target-independent about one executing ISA, said once: what
+/// [`IsaKind`]'s accessors answer from, what the C emitter spells vector
+/// ops with, what the ahead-of-time build passes the compiler.
+pub(crate) struct IsaRow {
+    name: &'static str,
+    vector_registers: Option<usize>,
+    /// Whether a multiply-add is one rounding. Decides the scalar lane of
+    /// the emitted C too: `fmaf` when it is, multiply-then-add when not.
+    contracts_fma: bool,
+    cc_flags: &'static [&'static str],
+    /// The lines the emitted C opens with: a guard that refuses a compiler
+    /// not targeting the ISA, then its intrinsics header.
+    pub(crate) c_prelude: &'static [&'static str],
+    /// Vector shapes, widest first; none on the scalar reference.
+    pub(crate) vectors: &'static [VectorShape],
+}
+
+impl IsaRow {
+    /// Lanes of the narrowest vector shape (1 without any): the unit a
+    /// lane run must be a whole number of for the chain to fuse it.
+    pub(crate) fn narrowest_lanes(&self) -> usize {
+        self.vectors.last().map_or(1, |v| v.lanes as usize)
     }
 }
 
@@ -262,60 +277,102 @@ impl IsaKind {
     /// Every ISA, widest first — the runtime selection order.
     pub const ALL: [IsaKind; 3] = [IsaKind::Avx2, IsaKind::Neon, IsaKind::Scalar];
 
-    /// The lowercase name, as accepted by `EXO_ISA` and recorded by the
-    /// bench harness.
-    pub fn name(self) -> &'static str {
+    /// The row table: one entry per executing ISA.
+    pub(crate) const fn row(self) -> &'static IsaRow {
         match self {
-            IsaKind::Avx2 => "avx2",
-            IsaKind::Neon => "neon",
-            IsaKind::Scalar => "scalar",
+            IsaKind::Avx2 => &IsaRow {
+                name: "avx2",
+                vector_registers: Some(16),
+                contracts_fma: true,
+                cc_flags: &["-mavx2", "-mfma"],
+                c_prelude: &[
+                    "#if !(defined(__AVX2__) && defined(__FMA__))",
+                    "#error \"this kernel requires -mavx2 -mfma\"",
+                    "#endif",
+                    "#include <immintrin.h>",
+                ],
+                vectors: &[
+                    VectorShape {
+                        lanes: 8,
+                        load: "_mm256_loadu_ps",
+                        store: "_mm256_storeu_ps",
+                        splat: "_mm256_set1_ps",
+                        fma: "_mm256_fmadd_ps({a}, {b}, {acc})",
+                    },
+                    VectorShape {
+                        lanes: 4,
+                        load: "_mm_loadu_ps",
+                        store: "_mm_storeu_ps",
+                        splat: "_mm_set1_ps",
+                        fma: "_mm_fmadd_ps({a}, {b}, {acc})",
+                    },
+                ],
+            },
+            IsaKind::Neon => &IsaRow {
+                name: "neon",
+                vector_registers: Some(32),
+                contracts_fma: true,
+                cc_flags: &[],
+                c_prelude: &[
+                    "#ifndef __ARM_NEON",
+                    "#error \"this kernel requires NEON\"",
+                    "#endif",
+                    "#include <arm_neon.h>",
+                ],
+                vectors: &[VectorShape {
+                    lanes: 4,
+                    load: "vld1q_f32",
+                    store: "vst1q_f32",
+                    splat: "vdupq_n_f32",
+                    fma: "vfmaq_f32({acc}, {a}, {b})",
+                }],
+            },
+            IsaKind::Scalar => &IsaRow {
+                name: "scalar",
+                vector_registers: None,
+                contracts_fma: false,
+                cc_flags: &[],
+                c_prelude: &[],
+                vectors: &[],
+            },
         }
     }
 
-    /// Vector lane width of one register.
+    /// The lowercase name, as accepted by `EXO_ISA` and recorded by the
+    /// bench harness.
+    pub fn name(self) -> &'static str {
+        self.row().name
+    }
+
+    /// Vector lane width of one register (of the widest shape).
     pub fn lanes(self) -> usize {
-        match self {
-            IsaKind::Avx2 => 8,
-            IsaKind::Neon => 4,
-            IsaKind::Scalar => 1,
-        }
+        self.row().vectors.first().map_or(1, |v| v.lanes as usize)
     }
 
     /// Architectural vector registers a kernel can keep live, or `None`
     /// when the ISA has no vector register file to run out of (the scalar
     /// reference keeps its "registers" in memory).
     pub fn vector_registers(self) -> Option<usize> {
-        match self {
-            IsaKind::Avx2 => Some(16),
-            IsaKind::Neon => Some(32),
-            IsaKind::Scalar => None,
-        }
+        self.row().vector_registers
     }
 
     /// Whether this ISA contracts each multiply-add into a single rounding.
     /// Contracting chains are held to [`fma_contraction_tol`] by the
     /// differential suites; the scalar chain is held to bit equality.
     pub fn contracts_fma(self) -> bool {
-        !matches!(self, IsaKind::Scalar)
+        self.row().contracts_fma
+    }
+
+    /// The C compiler flags that enable this ISA, for whoever builds the
+    /// output of [`crate::emit_superword_c`] (none where the ISA is the
+    /// compiler's baseline).
+    pub fn cc_flags(self) -> &'static [&'static str] {
+        self.row().cc_flags
     }
 
     /// Whether the running host can execute chains compiled for this ISA.
     pub fn available(self) -> bool {
-        match self {
-            IsaKind::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-            // NEON is baseline on every aarch64 Rust target.
-            IsaKind::Neon => cfg!(target_arch = "aarch64"),
-            IsaKind::Scalar => true,
-        }
+        with_isa_impl!(self, I => I::available(), else false)
     }
 
     /// Parses an `EXO_ISA` value.
@@ -324,12 +381,11 @@ impl IsaKind {
     ///
     /// Returns a description naming the accepted ISAs.
     pub fn parse(value: &str) -> std::result::Result<IsaKind, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "avx2" => Ok(IsaKind::Avx2),
-            "neon" => Ok(IsaKind::Neon),
-            "scalar" => Ok(IsaKind::Scalar),
-            other => Err(format!("unknown ISA `{other}` (expected one of: avx2, neon, scalar)")),
-        }
+        let wanted = value.trim().to_ascii_lowercase();
+        IsaKind::ALL.into_iter().find(|isa| isa.name() == wanted).ok_or_else(|| {
+            let names: Vec<&str> = IsaKind::ALL.iter().map(|isa| isa.name()).collect();
+            format!("unknown ISA `{wanted}` (expected one of: {})", names.join(", "))
+        })
     }
 }
 
@@ -387,7 +443,7 @@ pub fn active_isa() -> IsaKind {
 /// bound (native chains contract) and bit equality (the scalar chain does
 /// not); `EXO_ISA=scalar` therefore reports `false` even on AVX2 hosts.
 pub fn simd_available() -> bool {
-    active_isa() != IsaKind::Scalar
+    active_isa().lanes() > 1
 }
 
 /// The accumulation-scaled tolerance of the SIMD tier's FMA-contraction
@@ -492,29 +548,7 @@ impl SimdKernel {
             return None;
         }
         let mut stats = compile::BuildStats::default();
-        let nodes = match isa {
-            IsaKind::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    compile::build_nodes::<x86_64::Avx2>(&source.ops, &mut stats)?
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    return None;
-                }
-            }
-            IsaKind::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                {
-                    compile::build_nodes::<aarch64::Neon>(&source.ops, &mut stats)?
-                }
-                #[cfg(not(target_arch = "aarch64"))]
-                {
-                    return None;
-                }
-            }
-            IsaKind::Scalar => compile::build_nodes::<scalar::ScalarIsa>(&source.ops, &mut stats)?,
-        };
+        let nodes = with_isa_impl!(isa, I => compile::build_nodes::<I>(&source.ops, &mut stats), else None)?;
         let program = Program::Chain(nodes);
         Some(SimdKernel { source, isa, program, n_steps: stats.steps, n_fused_tiles: stats.fused_tiles })
     }
@@ -884,12 +918,16 @@ mod tests {
         assert_eq!(IsaKind::parse("avx2"), Ok(IsaKind::Avx2));
         assert_eq!(IsaKind::parse(" NEON "), Ok(IsaKind::Neon));
         assert_eq!(IsaKind::parse("Scalar"), Ok(IsaKind::Scalar));
+        // The choices a typo is answered with are the table's names.
+        let names: Vec<&str> = IsaKind::ALL.iter().map(|isa| isa.name()).collect();
         assert_eq!(
             IsaKind::parse("sse9"),
-            Err("unknown ISA `sse9` (expected one of: avx2, neon, scalar)".to_string())
+            Err(format!("unknown ISA `sse9` (expected one of: {})", names.join(", ")))
         );
+        assert_eq!(names, ["avx2", "neon", "scalar"]);
         for isa in IsaKind::ALL {
             assert_eq!(IsaKind::parse(isa.name()), Ok(isa), "names round-trip");
+            assert_eq!(isa.to_string(), isa.name());
         }
     }
 
@@ -904,6 +942,29 @@ mod tests {
         assert!(IsaKind::Avx2.contracts_fma());
         assert!(IsaKind::Neon.contracts_fma());
         assert!(!IsaKind::Scalar.contracts_fma());
+        assert_eq!(IsaKind::Avx2.cc_flags(), ["-mavx2", "-mfma"]);
+        assert!(IsaKind::Neon.cc_flags().is_empty() && IsaKind::Scalar.cc_flags().is_empty());
+    }
+
+    #[test]
+    fn every_row_has_at_most_one_impl_and_the_impl_names_its_row() {
+        for kind in IsaKind::ALL {
+            // The dispatch reaches an impl of *this* kind, or none on a
+            // target that cannot compile one — never a neighbour's.
+            let reached = with_isa_impl!(kind, I => Some((I::KIND, I::available())), else None);
+            match reached {
+                Some((named, available)) => {
+                    assert_eq!(named, kind, "the impl behind `{kind}` reads another row");
+                    assert_eq!(kind.available(), available);
+                }
+                None => assert!(!kind.available(), "`{kind}` claims a host it has no impl for"),
+            }
+            // Shapes are widest first and the row's width is the widest.
+            let row = kind.row();
+            assert!(row.vectors.windows(2).all(|pair| pair[0].lanes > pair[1].lanes), "{kind}");
+            assert!(kind.lanes().is_multiple_of(row.narrowest_lanes()), "{kind}");
+            assert_eq!(row.vectors.is_empty(), row.c_prelude.is_empty(), "{kind}: intrinsics need a header");
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   `shuffle`) with 4×4 granules for the tails, on NEON 4×4 `trn` blocks;
 //! * **anything else** — the scalar stride walk.
 //!
-//! and the ISA picks one of three bodies, exactly as it does for the simd
-//! chain: [`strided_move`] runs [`active_isa`]'s, [`strided_move_on`] an
+//! and the ISA picks one body per `VectorIsa` impl, exactly as it does for
+//! the simd chain: [`strided_move`] runs [`active_isa`]'s, [`strided_move_on`] an
 //! explicit one (how the differential test and the bench compare bodies
 //! inside one process). The scalar body is the reference: it is what
 //! `EXO_ISA=scalar` runs, and every vector body must reproduce it bit for
@@ -25,7 +25,7 @@
 
 use std::ops::Range;
 
-use super::{active_isa, scalar, IsaKind};
+use super::{active_isa, scalar, IsaKind, VectorIsa};
 
 /// One move, as the per-ISA bodies read it: both sides' base pointers and
 /// `(row, column)` strides in elements, the extent, and the scale.
@@ -157,14 +157,7 @@ pub unsafe fn strided_move_on(
 ) {
     assert!(isa.available(), "the `{isa}` mover cannot run on this host");
     let (walk, m) = Move2d { dst, drs, dcs, src, srs, scs, rows, cols, scale }.classified();
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        IsaKind::Avx2 => super::x86_64::move_2d(walk, &m),
-        #[cfg(target_arch = "aarch64")]
-        IsaKind::Neon => super::aarch64::move_2d(walk, &m),
-        IsaKind::Scalar => scalar::move_2d(walk, &m),
-        _ => unreachable!("`{isa}` is never available on this architecture"),
-    }
+    with_isa_impl!(isa, I => I::move_2d(walk, &m), else unreachable!("`{isa}` passed `available()` with no impl"))
 }
 
 #[cfg(test)]

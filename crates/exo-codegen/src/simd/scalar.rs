@@ -18,53 +18,26 @@
 //! faults. Every declined proof, whatever unchecked body it declined for,
 //! lands here.
 //!
-//! The module also holds the scalar body of the strided mover
-//! ([`move_2d`]): the element loops every vector body must reproduce.
+//! The impl also holds the scalar body of the strided mover: the element
+//! loops every vector body must reproduce.
 
 use crate::error::{CodegenError, Result};
 use crate::superword::{SuperwordKernel, VOp};
 use crate::tape::{TOp, TensorView};
 
 use super::mover::{Move2d, Walk};
-use super::{ExecScratch, VectorIsa};
+use super::{ExecScratch, IsaKind, VectorIsa};
 
-/// The portable one-lane reference implementation: `Vector = f32`,
-/// multiply-then-add rounding, available everywhere.
+/// The portable one-lane reference implementation: multiply-then-add
+/// rounding under the trait's provided one-lane bodies, available
+/// everywhere.
 pub(crate) struct ScalarIsa;
 
 impl VectorIsa for ScalarIsa {
-    type Vector = f32;
-    const LANES: usize = 1;
-    const NAME: &'static str = "scalar";
+    const KIND: IsaKind = IsaKind::Scalar;
 
     fn available() -> bool {
         true
-    }
-
-    unsafe fn splat(v: f32) -> f32 {
-        v
-    }
-
-    unsafe fn load(p: *const f32) -> f32 {
-        *p
-    }
-
-    unsafe fn store(p: *mut f32, v: f32) {
-        *p = v
-    }
-
-    unsafe fn fma(acc: f32, a: f32, b: f32) -> f32 {
-        Self::fma_scalar(acc, a, b)
-    }
-
-    unsafe fn load_partial(_p: *const f32, n: usize) -> f32 {
-        // `n < LANES = 1` means no lanes: nothing to read.
-        debug_assert_eq!(n, 0);
-        0.0
-    }
-
-    unsafe fn store_partial(_p: *mut f32, _v: f32, n: usize) {
-        debug_assert_eq!(n, 0);
     }
 
     fn fma_scalar(acc: f32, a: f32, b: f32) -> f32 {
@@ -72,6 +45,39 @@ impl VectorIsa for ScalarIsa {
         // NOT `mul_add` — bit equality with the portable tiers is the
         // whole point of this implementation.
         a * b + acc
+    }
+
+    /// The reference every vector body reproduces bit for bit, and the one
+    /// `EXO_ISA=scalar` runs.
+    unsafe fn move_2d(walk: Walk, m: &Move2d) {
+        match walk {
+            Walk::Rows => {
+                for r in 0..m.rows {
+                    if m.scale == 1.0 {
+                        std::ptr::copy_nonoverlapping(m.src.add(r * m.srs), m.dst.add(r * m.drs), m.cols);
+                    } else {
+                        m.walk(r..r + 1, 0..m.cols);
+                    }
+                }
+            }
+            // The source is contiguous *across* destination rows: gather in
+            // square tiles so each source run of `XPOSE_TILE` elements is
+            // read once, instead of one element per strided pass.
+            Walk::Transposed => {
+                for c0 in (0..m.cols).step_by(XPOSE_TILE) {
+                    let c1 = m.cols.min(c0 + XPOSE_TILE);
+                    for r0 in (0..m.rows).step_by(XPOSE_TILE) {
+                        let r1 = m.rows.min(r0 + XPOSE_TILE);
+                        for c in c0..c1 {
+                            for r in r0..r1 {
+                                *m.dst.add(r * m.drs + c) = scaled(*m.src.add(c * m.scs + r), m.scale);
+                            }
+                        }
+                    }
+                }
+            }
+            Walk::General => m.walk(0..m.rows, 0..m.cols),
+        }
     }
 }
 
@@ -231,42 +237,3 @@ pub(crate) fn scaled(v: f32, scale: f32) -> f32 {
 /// spans a cache line of the destination, small enough that `XPOSE_TILE`
 /// source columns stay resident while the tile transposes.
 const XPOSE_TILE: usize = 8;
-
-/// The scalar body of the strided mover ([`super::mover`]): the reference
-/// every vector body reproduces bit for bit, and the one `EXO_ISA=scalar`
-/// runs.
-///
-/// # Safety
-///
-/// As [`super::strided_move`]; `m` must be named for `walk`
-/// (`Move2d::classified`).
-pub(crate) unsafe fn move_2d(walk: Walk, m: &Move2d) {
-    match walk {
-        Walk::Rows => {
-            for r in 0..m.rows {
-                if m.scale == 1.0 {
-                    std::ptr::copy_nonoverlapping(m.src.add(r * m.srs), m.dst.add(r * m.drs), m.cols);
-                } else {
-                    m.walk(r..r + 1, 0..m.cols);
-                }
-            }
-        }
-        // The source is contiguous *across* destination rows: gather in
-        // square tiles so each source run of `XPOSE_TILE` elements is read
-        // once, instead of one element per strided pass.
-        Walk::Transposed => {
-            for c0 in (0..m.cols).step_by(XPOSE_TILE) {
-                let c1 = m.cols.min(c0 + XPOSE_TILE);
-                for r0 in (0..m.rows).step_by(XPOSE_TILE) {
-                    let r1 = m.rows.min(r0 + XPOSE_TILE);
-                    for c in c0..c1 {
-                        for r in r0..r1 {
-                            *m.dst.add(r * m.drs + c) = scaled(*m.src.add(c * m.scs + r), m.scale);
-                        }
-                    }
-                }
-            }
-        }
-        Walk::General => m.walk(0..m.rows, 0..m.cols),
-    }
-}

@@ -1,21 +1,14 @@
-//! The AVX2/FMA implementation of [`VectorIsa`]: 8-lane `__m256` chains
-//! with `__m128` quarters and contracted `mul_add` scalar tails.
+//! The AVX2/FMA implementation of [`VectorIsa`]: 8-lane `__m256` chunks,
+//! a `__m128` quarter, and contracted `mul_add` scalar tails.
 //!
 //! AVX2 is not a baseline x86_64 feature, so every vector body must sit
 //! behind a `#[target_feature(enable = "avx2", enable = "fma")]` call
-//! boundary — and `target_feature` cannot be applied to trait methods or
-//! generic functions. [`Avx2`] therefore overrides the three composed
-//! register-run helpers the chain compiler actually calls
-//! ([`VectorIsa::fma_run`] / [`VectorIsa::fma_run_inorder`] /
-//! [`VectorIsa::fma_tile`]) with thin delegations to `target_feature`
-//! free functions: one call boundary per closure invocation, exactly the
-//! structure the tier had when it was x86-only. The fine-grained trait
-//! ops are implemented for completeness (the generic defaults are never
-//! reached once the helpers are overridden) but carry no
-//! `target_feature` of their own.
-//!
-//! The strided mover's AVX2 body ([`move_2d`]) follows the same rule: one
-//! `target_feature` entry per moved region, everything under it inlined.
+//! boundary. [`Avx2`] therefore overrides all three register-run helpers
+//! the chain compiler calls ([`VectorIsa::fma_run`] /
+//! [`VectorIsa::fma_run_inorder`] / [`VectorIsa::fma_tile`]) and the mover
+//! body with thin delegations to `target_feature` free functions: one call
+//! boundary per closure invocation or moved region, everything under it
+//! inlined.
 
 use std::arch::x86_64::{
     __m128, __m256, _mm256_castps128_ps256, _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps,
@@ -25,48 +18,16 @@ use std::arch::x86_64::{
 };
 
 use super::mover::{Move2d, Walk};
-use super::VectorIsa;
+use super::{IsaKind, VectorIsa};
 
-/// The AVX2 + FMA vector implementation (8 × f32 per register).
+/// The AVX2 + FMA vector implementation.
 pub(crate) struct Avx2;
 
 impl VectorIsa for Avx2 {
-    type Vector = __m256;
-    const LANES: usize = 8;
-    const NAME: &'static str = "avx2";
+    const KIND: IsaKind = IsaKind::Avx2;
 
     fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    unsafe fn splat(v: f32) -> __m256 {
-        _mm256_set1_ps(v)
-    }
-
-    unsafe fn load(p: *const f32) -> __m256 {
-        _mm256_loadu_ps(p)
-    }
-
-    unsafe fn store(p: *mut f32, v: __m256) {
-        _mm256_storeu_ps(p, v)
-    }
-
-    unsafe fn fma(acc: __m256, a: __m256, b: __m256) -> __m256 {
-        _mm256_fmadd_ps(a, b, acc)
-    }
-
-    unsafe fn load_partial(p: *const f32, n: usize) -> __m256 {
-        debug_assert!(n < Self::LANES);
-        let mut buf = [0.0f32; 8];
-        std::ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), n);
-        _mm256_loadu_ps(buf.as_ptr())
-    }
-
-    unsafe fn store_partial(p: *mut f32, v: __m256, n: usize) {
-        debug_assert!(n < Self::LANES);
-        let mut buf = [0.0f32; 8];
-        _mm256_storeu_ps(buf.as_mut_ptr(), v);
-        std::ptr::copy_nonoverlapping(buf.as_ptr(), p, n);
     }
 
     fn fma_scalar(acc: f32, a: f32, b: f32) -> f32 {
@@ -83,6 +44,10 @@ impl VectorIsa for Avx2 {
 
     unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
         fma_tile(regs, dst0, a, b0, lanes, count)
+    }
+
+    unsafe fn move_2d(walk: Walk, m: &Move2d) {
+        move_2d(walk, m)
     }
 }
 
@@ -135,29 +100,34 @@ unsafe fn fma_run_scalar(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes:
 }
 
 /// A fused accumulator tile: `count` consecutive `VFmaLane` ops over
-/// one operand run, `reg[dst0 + g·lanes + i] += reg[a+i] * reg[b0+g]`.
-/// The operand run is loaded once and held across the whole tile —
-/// the inner-loop body of a laneq micro-kernel in three instructions
-/// per accumulator row.
+/// one operand run, `reg[dst0 + g·lanes + i] += reg[a+i] * reg[b0+g]`,
+/// walked like [`fma_run`] walks one row: 8-lane chunks, then a 4-lane
+/// quarter. Each operand chunk is loaded once and held across every row —
+/// the inner-loop body of a laneq micro-kernel in three instructions per
+/// accumulator vector.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA, all register runs in bounds, and the operand run
-/// disjoint from the accumulator span (checked at fuse time).
+/// Requires AVX2+FMA, all register runs in bounds, the operand run
+/// disjoint from the accumulator span and `lanes` a whole number of
+/// 4-lane vectors (both checked at fuse time).
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
-    if lanes == 8 {
-        let va = _mm256_loadu_ps(regs.add(a));
+    debug_assert_eq!(lanes % 4, 0, "a fused tile is whole vectors");
+    let mut i = 0;
+    while i + 8 <= lanes {
+        let va = _mm256_loadu_ps(regs.add(a + i));
         for g in 0..count {
-            let d = regs.add(dst0 + g * 8);
+            let d = regs.add(dst0 + g * lanes + i);
             let vb = _mm256_set1_ps(*regs.add(b0 + g));
             _mm256_storeu_ps(d, _mm256_fmadd_ps(va, vb, _mm256_loadu_ps(d)));
         }
-    } else {
-        debug_assert_eq!(lanes, 4);
-        let va = _mm_loadu_ps(regs.add(a));
+        i += 8;
+    }
+    if i + 4 <= lanes {
+        let va = _mm_loadu_ps(regs.add(a + i));
         for g in 0..count {
-            let d = regs.add(dst0 + g * 4);
+            let d = regs.add(dst0 + g * lanes + i);
             let vb = _mm_set1_ps(*regs.add(b0 + g));
             _mm_storeu_ps(d, _mm_fmadd_ps(va, vb, _mm_loadu_ps(d)));
         }
@@ -175,7 +145,7 @@ unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usiz
 /// Requires AVX2; otherwise as [`super::strided_move`], with `m` named
 /// for `walk` (`Move2d::classified`).
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn move_2d(walk: Walk, m: &Move2d) {
+unsafe fn move_2d(walk: Walk, m: &Move2d) {
     match walk {
         Walk::Rows => move_rows(m),
         Walk::Transposed => move_transposed(m),

@@ -1,5 +1,5 @@
 //! Deterministic fault injection for the serving stack: compiled always,
-//! inert unless armed, one relaxed atomic load per hook on the happy path.
+//! inert unless armed, one atomic load per hook on the happy path.
 //!
 //! A [`FaultPlan`] names *which* fault fires and *when* (the Nth event of
 //! its class, counted process-wide from arming), so a stress run is exactly
@@ -34,29 +34,22 @@
 //! are process-global: arm one plan at a time and [`disarm`] between
 //! experiments (the stress suite serialises its tests for this reason).
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use gemm_blis::pool::ThreadPool;
+use gemm_blis::Countdown;
 
 /// Countdown until an injected panic inside the Nth batch entry.
-static ENTRY_PANIC_IN: AtomicI64 = AtomicI64::new(0);
+static ENTRY_PANIC_IN: Countdown = Countdown::new();
 /// Countdown until the Nth batch entry runs artificially slow.
-static ENTRY_SLOW_IN: AtomicI64 = AtomicI64::new(0);
+static ENTRY_SLOW_IN: Countdown = Countdown::new();
 /// Sleep applied by the slow fault, in milliseconds.
-static ENTRY_SLOW_MS: AtomicI64 = AtomicI64::new(0);
+static ENTRY_SLOW_MS: AtomicU64 = AtomicU64::new(0);
 /// Countdown until the Nth batch entry reports a simulated proof decline.
-static ENTRY_DECLINE_IN: AtomicI64 = AtomicI64::new(0);
+static ENTRY_DECLINE_IN: Countdown = Countdown::new();
 /// Countdown until the collector thread panics before its Nth batch.
-static COLLECTOR_PANIC_IN: AtomicI64 = AtomicI64::new(0);
-
-/// Decrements an armed countdown; `true` exactly once, when it hits zero.
-fn countdown_fires(counter: &AtomicI64) -> bool {
-    if counter.load(Ordering::Relaxed) <= 0 {
-        return false;
-    }
-    counter.fetch_sub(1, Ordering::Relaxed) == 1
-}
+static COLLECTOR_PANIC_IN: Countdown = Countdown::new();
 
 /// Entry-level fault outcomes the batch executor must act on itself (the
 /// panic and slow classes act directly inside [`entry_hook`]).
@@ -71,14 +64,13 @@ pub(crate) enum EntryFault {
 /// panic capture. Panics for the entry-panic class, sleeps for the slow
 /// class, and returns the declines the caller must turn into errors.
 pub(crate) fn entry_hook() -> Option<EntryFault> {
-    if countdown_fires(&ENTRY_PANIC_IN) {
+    if ENTRY_PANIC_IN.fires() {
         panic!("injected fault: batch entry panic (EXO_FAULT entry-panic)");
     }
-    if countdown_fires(&ENTRY_SLOW_IN) {
-        let ms = ENTRY_SLOW_MS.load(Ordering::Relaxed).max(0) as u64;
-        std::thread::sleep(Duration::from_millis(ms));
+    if ENTRY_SLOW_IN.fires() {
+        std::thread::sleep(Duration::from_millis(ENTRY_SLOW_MS.load(Ordering::Relaxed)));
     }
-    if countdown_fires(&ENTRY_DECLINE_IN) {
+    if ENTRY_DECLINE_IN.fires() {
         return Some(EntryFault::Decline);
     }
     None
@@ -89,7 +81,7 @@ pub(crate) fn entry_hook() -> Option<EntryFault> {
 /// service's liveness layer (not the batch isolation layer) must contain
 /// it.
 pub(crate) fn collector_hook() {
-    if countdown_fires(&COLLECTOR_PANIC_IN) {
+    if COLLECTOR_PANIC_IN.fires() {
         panic!("injected fault: collector panic (EXO_FAULT collector-panic)");
     }
 }
@@ -291,9 +283,7 @@ impl FaultPlan {
     /// (classes this plan leaves `None` are disarmed). Counting starts
     /// now: `@1` means the very next event of the class.
     pub fn arm(&self) {
-        let set = |counter: &AtomicI64, v: Option<u64>| {
-            counter.store(v.map_or(0, |n| n.max(1) as i64), Ordering::Relaxed);
-        };
+        let set = |counter: &Countdown, v: Option<u64>| counter.arm(v.map_or(0, |n| n.max(1)));
         let pool = ThreadPool::global();
         pool.disarm_faults();
         if let Some(nth) = self.pool_panic {
@@ -304,7 +294,7 @@ impl FaultPlan {
         }
         set(&ENTRY_PANIC_IN, self.entry_panic);
         set(&ENTRY_SLOW_IN, self.slow.map(|(n, _)| n));
-        ENTRY_SLOW_MS.store(self.slow.map_or(0, |(_, ms)| ms as i64), Ordering::Relaxed);
+        ENTRY_SLOW_MS.store(self.slow.map_or(0, |(_, ms)| ms), Ordering::Relaxed);
         set(&ENTRY_DECLINE_IN, self.decline);
         set(&COLLECTOR_PANIC_IN, self.collector_panic);
         exo_aot::arm_compile_fail(self.aot_compile_fail.unwrap_or(0));

@@ -46,7 +46,7 @@ pub use baselines::{
 };
 pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};
-pub use exo_codegen::{active_isa, env_isa_override, env_once, simd_available, IsaKind};
+pub use exo_codegen::{active_isa, env_isa_override, env_once, simd_available, Countdown, IsaKind};
 pub use model::{modelled_gemm_cycles, GemmSimulator, Implementation, SimOptions, SimResult};
 pub use packing::{pack_a_into, pack_b_into, PackArena, PackedB};
 pub use pool::{env_threads_override, PoolJob, ThreadPool};

@@ -43,8 +43,10 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+
+use exo_codegen::Countdown;
 
 /// Acquires a mutex whether or not it is poisoned.
 ///
@@ -64,17 +66,9 @@ pub(crate) fn lock_tolerant<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 // countdowns live per pool (tests arm private pools without interfering);
 // the free functions [`arm_task_panic`]/[`arm_worker_death`]/
 // [`disarm_pool_faults`] target the process-wide [`ThreadPool::global`],
-// which is what the service layer executes on. Each hook is one relaxed
-// atomic load on the hot path when disarmed.
+// which is what the service layer executes on. Each hook is one atomic load
+// on the hot path when disarmed ([`Countdown`]).
 // ---------------------------------------------------------------------------
-
-/// Decrements an armed countdown; `true` exactly once, when it hits zero.
-fn countdown_fires(counter: &AtomicI64) -> bool {
-    if counter.load(Ordering::Relaxed) <= 0 {
-        return false;
-    }
-    counter.fetch_sub(1, Ordering::Relaxed) == 1
-}
 
 /// Arms [`ThreadPool::arm_task_panic`] on the global pool.
 pub fn arm_task_panic(nth: u64) {
@@ -165,13 +159,13 @@ struct Shared {
     /// Workers respawned after dying of an unwinding panic.
     respawned: AtomicUsize,
     /// Fault hook: countdown until an injected panic inside the Nth job of
-    /// this pool (`<= 0` = disarmed).
-    task_panic_in: AtomicI64,
+    /// this pool.
+    task_panic_in: Countdown,
     /// Fault hook: countdown until the worker finishing the Nth queued task
-    /// of this pool dies (`<= 0` = disarmed). The kill fires *after* the
+    /// of this pool dies. The kill fires *after* the
     /// task signalled its scope, so no latch is stranded — the observable
     /// is the worker death plus its respawn.
-    worker_death_in: AtomicI64,
+    worker_death_in: Countdown,
 }
 
 struct QueueState {
@@ -188,7 +182,7 @@ impl Shared {
     /// Called at the start of every job of this pool (inside its capture).
     #[inline]
     fn maybe_injected_task_panic(&self) {
-        if countdown_fires(&self.task_panic_in) {
+        if self.task_panic_in.fires() {
             panic!("injected fault: pool job panic (EXO_FAULT pool-panic)");
         }
     }
@@ -237,8 +231,8 @@ impl ThreadPool {
             spawned: AtomicUsize::new(0),
             executed: AtomicUsize::new(0),
             respawned: AtomicUsize::new(0),
-            task_panic_in: AtomicI64::new(0),
-            worker_death_in: AtomicI64::new(0),
+            task_panic_in: Countdown::new(),
+            worker_death_in: Countdown::new(),
         });
         for idx in 0..workers {
             spawn_worker(Arc::clone(&shared), format!("exo-gemm-worker-{idx}"));
@@ -277,7 +271,7 @@ impl ThreadPool {
     /// job's scope and either re-thrown from [`ThreadPool::scope_run`] or
     /// returned from [`ThreadPool::scope_run_captured`].
     pub fn arm_task_panic(&self, nth: u64) {
-        self.shared.task_panic_in.store(nth.max(1) as i64, Ordering::Relaxed);
+        self.shared.task_panic_in.arm(nth.max(1));
     }
 
     /// Arms a deterministic fault: the worker that finishes the `nth`
@@ -285,13 +279,13 @@ impl ThreadPool {
     /// signalling the task's scope, exercising the respawn path without
     /// stranding any waiter.
     pub fn arm_worker_death(&self, nth: u64) {
-        self.shared.worker_death_in.store(nth.max(1) as i64, Ordering::Relaxed);
+        self.shared.worker_death_in.arm(nth.max(1));
     }
 
     /// Disarms every fault hook of this pool.
     pub fn disarm_faults(&self) {
-        self.shared.task_panic_in.store(0, Ordering::Relaxed);
-        self.shared.worker_death_in.store(0, Ordering::Relaxed);
+        self.shared.task_panic_in.arm(0);
+        self.shared.worker_death_in.arm(0);
     }
 
     /// Runs every job to completion before returning, on pool workers plus
@@ -433,7 +427,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 // signalled its scope: no waiter is stranded, the only
                 // observable is this thread dying and the respawn guard
                 // replacing it.
-                if countdown_fires(&shared.worker_death_in) {
+                if shared.worker_death_in.fires() {
                     panic!("injected fault: pool worker death (EXO_FAULT worker-death)");
                 }
             }

@@ -396,15 +396,68 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
     }
 }
 
-/// The masked-fringe axis: a staged kernel whose lane runs (6 and 3) are
-/// *not* multiples of any native vector width, so the NEON chain must take
-/// its masked partial-vector path (one whole `float32x4_t` plus a 2-lane
-/// masked fringe per 6-lane run) and the AVX2 chain its `__m128`-quarter +
-/// scalar-tail path. Every available ISA must still agree with the
-/// superword reference under the same per-ISA contract as the registry
-/// shapes.
+/// Every lane-indexed tile a serving space admits runs its `k` loop as one
+/// fused closure on the chain — operand stage loads and the whole
+/// accumulator tile behind a single indirect call per iteration — whatever
+/// the tile's height is in vectors of the executing ISA. This is the tier
+/// a host without a C toolchain serves on, and every host until promotion.
+/// The chain compiler is host-independent up to the impl it is
+/// monomorphised for, so every ISA this host can run is checked.
 #[test]
-fn fringe_lane_runs_take_the_masked_partial_vector_path_on_every_isa() {
+fn every_lane_indexed_serving_tile_fuses_its_k_loop_on_the_chain() {
+    let generator = MicroKernelGenerator::new(neon_f32());
+    for isa in IsaKind::ALL.into_iter().filter(|isa| isa.available()) {
+        for tile in DesignSpace::for_execution(neon_f32(), isa).tile_shapes() {
+            if tile.mr == 1 {
+                continue; // row kernels broadcast `A`; there is no lane-indexed run to fuse
+            }
+            let kernel = generator.generate(tile.mr, tile.nr).unwrap();
+            let chain = SimdKernel::compile_for(Arc::clone(&kernel.superword), isa).unwrap();
+            assert!(
+                chain.fused_tile_count() >= 1,
+                "{}x{} on {isa}: no fused accumulator tile: {chain:?}",
+                tile.mr,
+                tile.nr
+            );
+            // C in, operand-register zeroing (two), the `k` loop's single
+            // node, C out: nothing left unfused inside the loop.
+            assert_eq!(chain.step_count(), 6, "{}x{} on {isa}: {chain:?}", tile.mr, tile.nr);
+        }
+    }
+}
+
+/// The emitted C of three tiles (a fused 8-lane tile, a two-vector-tall
+/// one, a row kernel) on all three ISAs, as content hashes recorded from
+/// the commit before the per-ISA vocabulary became a table. The native
+/// tier's artifact key is a hash of this text, so a moved constant means
+/// every warm cache goes cold; and the NEON spelling cannot be compiled
+/// on an x86 host, so its bytes are the offline proof it did not move.
+#[test]
+fn the_emitted_c_of_every_isa_is_byte_stable() {
+    use exo_gemm::exo_aot::content_hash;
+    let golden: [((usize, usize), [u64; 3]); 3] = [
+        ((8, 12), [0x065d_ef25_60a5_2175, 0x0ec9_1984_e5f7_7875, 0x1ffb_d55b_f7b2_1d55]),
+        ((16, 4), [0xef67_418a_da2c_3312, 0x83e9_3a70_23dc_59bd, 0x86a6_967b_7cf8_b0a4]),
+        ((1, 16), [0x0f9f_b851_61e7_e503, 0xb4d2_3796_c4ed_4f2f, 0xc191_59ee_d6bb_28af]),
+    ];
+    let generator = MicroKernelGenerator::new(neon_f32());
+    for ((mr, nr), hashes) in golden {
+        let kernel = generator.generate(mr, nr).unwrap();
+        for (isa, want) in IsaKind::ALL.into_iter().zip(hashes) {
+            let c = emit_superword_c(&kernel.superword, isa, "exo_aot_kernel").unwrap();
+            assert_eq!(content_hash(c.as_bytes()), want, "{mr}x{nr} on {isa} no longer emits:\n{c}");
+        }
+    }
+}
+
+/// The fringe axis: a staged kernel whose lane runs (6 and 3) are *not*
+/// multiples of any native vector width, so no chain may fuse them into a
+/// tile and each finishes its runs below its widest shape (one whole
+/// `float32x4_t` / `__m128` plus two contracted scalar lanes per 6-lane
+/// run). Every available ISA must still agree with the superword reference
+/// under the same per-ISA contract as the registry shapes.
+#[test]
+fn fringe_lane_runs_finish_in_narrower_shapes_and_scalar_lanes_on_every_isa() {
     use exo_gemm::exo_ir::builder::*;
     use exo_gemm::exo_ir::{Expr, MemSpace, ScalarType};
 
