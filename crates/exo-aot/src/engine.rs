@@ -27,9 +27,7 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use exo_codegen::{
-    active_isa, emit_superword_c, fma_contraction_tol, Countdown, IsaKind, SuperwordKernel, TensorView,
-};
+use exo_codegen::{emit_superword_c, fma_contraction_tol, Countdown, IsaKind, SuperwordKernel, TensorView};
 
 use crate::dylib::Dylib;
 use crate::error::{io_err, AotError, Result};
@@ -498,14 +496,6 @@ impl AotEngine {
     /// As [`Self::prepare`] and [`Self::wait`].
     pub fn compile(&self, source: &Arc<SuperwordKernel>, isa: IsaKind) -> Result<Arc<NativeKernel>> {
         self.wait(&self.prepare(source, isa)?)
-    }
-
-    /// Compiles for the host's active ISA (honouring the `EXO_ISA` pin,
-    /// so native stays bit-faithful to the simd tier it backs up),
-    /// swallowing the error: `None` means "no native tier for this
-    /// kernel" and the caller stays on simd.
-    pub fn compile_or_none(&self, source: &Arc<SuperwordKernel>) -> Option<Arc<NativeKernel>> {
-        self.compile(source, active_isa()).ok()
     }
 }
 

@@ -312,7 +312,6 @@ fn emission_declines_surface_as_unsupported() {
     let sw = Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap());
     let err = engine.compile(&sw, active_isa()).expect_err("a non-packed kernel must decline");
     assert!(matches!(err, AotError::Unsupported { .. }));
-    assert!(engine.compile_or_none(&sw).is_none());
     let _ = std::fs::remove_dir_all(dir);
 }
 

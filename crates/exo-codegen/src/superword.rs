@@ -241,7 +241,6 @@ pub struct SuperwordKernel {
     pub(crate) n_dyn_loops: usize,
     tensor_written: Vec<bool>,
     n_vector_ops: usize,
-    n_scalar_ops: usize,
 }
 
 fn unsupported(what: impl Into<String>) -> CodegenError {
@@ -572,7 +571,6 @@ impl TapeKernel {
                 )
             })
             .count();
-        let n_scalar_ops = ops.iter().filter(|op| matches!(op, VOp::Scalar(_))).count();
         Ok(SuperwordKernel {
             name: self.name.clone(),
             params: self.params.clone(),
@@ -581,7 +579,6 @@ impl TapeKernel {
             n_dyn_loops: self.n_dyn_loops,
             tensor_written: self.tensor_written.clone(),
             n_vector_ops,
-            n_scalar_ops,
         })
     }
 }
@@ -628,11 +625,6 @@ impl SuperwordKernel {
     /// How many whole-vector ops the packing pass produced.
     pub fn vector_op_count(&self) -> usize {
         self.n_vector_ops
-    }
-
-    /// How many scalar ops survived unpacked.
-    pub fn scalar_op_count(&self) -> usize {
-        self.n_scalar_ops
     }
 
     /// How many accumulator lane groups an executor `lanes` registers wide

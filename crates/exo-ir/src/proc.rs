@@ -35,11 +35,6 @@ impl ArgKind {
     pub fn tensor(ty: ScalarType, dims: Vec<Expr>, mem: MemSpace) -> ArgKind {
         ArgKind::Tensor { ty, dims, mem }
     }
-
-    /// Whether this argument is a buffer.
-    pub fn is_tensor(&self) -> bool {
-        matches!(self, ArgKind::Tensor { .. })
-    }
 }
 
 /// A named procedure argument.

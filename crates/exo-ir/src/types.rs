@@ -60,11 +60,6 @@ impl ScalarType {
         }
     }
 
-    /// Whether the type is a floating-point type.
-    pub fn is_float(self) -> bool {
-        matches!(self, ScalarType::F32 | ScalarType::F16 | ScalarType::F64)
-    }
-
     /// Rounds a value held at model precision (f64) to this storage precision.
     ///
     /// This is what gives the interpreter faithful `f16`/`f32` semantics while

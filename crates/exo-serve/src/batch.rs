@@ -203,7 +203,7 @@ struct Tally {
 }
 
 /// Renders a contained panic payload into the `JobPanicked` message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -462,8 +462,8 @@ impl GemmBatchExecutor for BlisGemm {
 /// carries no numeric state, only warm capacity and proofs, and an image
 /// is repacked from the batch's own `B` every time.
 ///
-/// The image buffers are behind a mutex, taken once per batch — the
-/// service's single collector thread never contends on it.
+/// The image buffers are behind a mutex, taken once per batch — a
+/// service runs one pass at a time and never contends on it.
 pub struct CachedTunedGemm {
     tuned: exo_tune::TunedGemm,
     /// One list for all groups — groups run one after another and an image

@@ -17,7 +17,9 @@
 //! | `entry-panic@N`  | the Nth batch entry panics mid-execution         |
 //! | `slow@N=MS`      | the Nth batch entry sleeps `MS` ms first         |
 //! | `decline@N`      | the Nth batch entry reports a kernel decline     |
-//! | `collector-panic@N` | the collector panics before its Nth batch     |
+//! | `collector-panic@N` | the thread draining a service's queue panics |
+//! |                  | before its Nth pass (the name is older than the  |
+//! |                  | design: no service owns a collector thread)      |
 //! | `aot-compile-fail@N` | the Nth native-kernel compile attempt fails  |
 //! | `aot-hang@N`     | the Nth compiler invocation hangs (killed on the |
 //! |                  | deadline; surfaces as a compile timeout)         |
@@ -30,9 +32,10 @@
 //! `gemm_blis::pool`, and the aot classes by hooks inside
 //! `exo_aot::engine` (the dependency arrows point down, so those crates
 //! cannot call into this one); the entry and collector classes live here
-//! and are called from the batch executor and the service collector. Counters
-//! are process-global: arm one plan at a time and [`disarm`] between
-//! experiments (the stress suite serialises its tests for this reason).
+//! and are called from the batch executor and from the submitter draining
+//! a service's queue. Counters are process-global: arm one plan at a time
+//! and [`disarm`] between experiments (the stress suite serialises its
+//! tests for this reason).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -48,7 +51,8 @@ static ENTRY_SLOW_IN: Countdown = Countdown::new();
 static ENTRY_SLOW_MS: AtomicU64 = AtomicU64::new(0);
 /// Countdown until the Nth batch entry reports a simulated proof decline.
 static ENTRY_DECLINE_IN: Countdown = Countdown::new();
-/// Countdown until the collector thread panics before its Nth batch.
+/// Countdown until the thread draining a service's queue panics before its
+/// Nth pass.
 static COLLECTOR_PANIC_IN: Countdown = Countdown::new();
 
 /// Entry-level fault outcomes the batch executor must act on itself (the
@@ -76,13 +80,13 @@ pub(crate) fn entry_hook() -> Option<EntryFault> {
     None
 }
 
-/// Called by the service collector once per batch, before processing.
-/// An armed collector-panic unwinds the collector thread itself — the
-/// service's liveness layer (not the batch isolation layer) must contain
-/// it.
-pub(crate) fn collector_hook() {
+/// Called by the submitter draining a service's queue once per pass,
+/// before processing. An armed collector-panic unwinds that pass outside
+/// any batch entry — the service (not the batch isolation layer) must
+/// contain it: the pass's jobs fail typed, the thread goes on draining.
+pub(crate) fn drain_hook() {
     if COLLECTOR_PANIC_IN.fires() {
-        panic!("injected fault: collector panic (EXO_FAULT collector-panic)");
+        panic!("injected fault: the draining thread panics (EXO_FAULT collector-panic)");
     }
 }
 
@@ -104,7 +108,8 @@ pub struct FaultPlan {
     pub slow: Option<(u64, u64)>,
     /// `decline@N`: the Nth batch entry reports a simulated proof decline.
     pub decline: Option<u64>,
-    /// `collector-panic@N`: the collector panics before its Nth batch.
+    /// `collector-panic@N`: the thread draining the queue panics before its
+    /// Nth pass.
     pub collector_panic: Option<u64>,
     /// `aot-compile-fail@N`: the Nth attempt to compile a native kernel
     /// fails with [`exo_aot::AotError::FaultInjected`] — the shape a
@@ -193,7 +198,7 @@ impl FaultPlan {
         self
     }
 
-    /// The collector panics before processing its Nth batch.
+    /// The thread draining the queue panics before processing its Nth pass.
     #[must_use]
     pub fn collector_panic(mut self, nth: u64) -> Self {
         self.collector_panic = Some(nth);
@@ -372,6 +377,6 @@ mod tests {
             let nth = nth.unwrap();
             assert!((1..=10).contains(&nth), "trigger {nth} out of span");
         }
-        assert!(a.collector_panic.is_none(), "seeded plans leave the collector alive");
+        assert!(a.collector_panic.is_none(), "seeded plans unwind no pass");
     }
 }

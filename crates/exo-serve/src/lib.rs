@@ -13,8 +13,9 @@
 //!   pack a `B` that several entries share once. Results are bit-identical
 //!   to a sequential per-entry loop.
 //! - **Queued front door** ([`GemmService`]): a bounded submission queue
-//!   fed from any number of caller threads, drained by one collector into
-//!   adaptive batches, with aggregate counters ([`ServiceStats`]).
+//!   fed from any number of caller threads and drained into adaptive
+//!   batches by whichever caller finds it idle — the service owns no
+//!   thread — with aggregate counters ([`ServiceStats`]).
 //!
 //! ```
 //! use exo_serve::{GemmJob, GemmService, OwnedMat};
@@ -45,9 +46,10 @@
 //!   stamped `degraded` in their [`gemm_blis::GemmStats`].
 //! - Jobs carry optional queue deadlines ([`GemmJob::deadline`]); expired
 //!   jobs resolve with `DeadlineExceeded` instead of executing stale work.
-//! - If the collector thread itself dies, every outstanding and future
-//!   handle resolves with an error — no caller ever hangs — and the service
-//!   reports [`ServiceHealth::Failed`].
+//! - If a pass unwinds on the thread draining the queue, exactly that
+//!   pass's jobs resolve with `JobPanicked`, the thread goes on draining
+//!   and the service reports [`ServiceHealth::Degraded`] — no caller ever
+//!   hangs and a live service never refuses work.
 //! - The [`fault`] module provides a deterministic, seeded fault-injection
 //!   harness (inert unless armed; see `EXO_FAULT`) used by the stress suite.
 

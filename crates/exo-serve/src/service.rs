@@ -1,11 +1,11 @@
-//! The queued GEMM front door: many caller threads submit owned jobs, one
-//! collector thread drains them into [`GemmBatch`]es, the shared pool
-//! executes them.
+//! The queued GEMM front door: many caller threads submit owned jobs, and
+//! whichever of them finds the queue idle drains it into [`GemmBatch`]es on
+//! its own thread. The service owns no thread.
 //!
 //! Lifecycle and flow:
 //!
-//! 1. [`GemmService::new`] spawns the collector thread and takes ownership
-//!    of a [`GemmBatchExecutor`] (typically a [`crate::CachedTunedGemm`]).
+//! 1. [`GemmService::new`] takes ownership of a [`GemmBatchExecutor`]
+//!    (typically a [`crate::CachedTunedGemm`]).
 //! 2. Callers [`GemmService::submit`] owned [`GemmJob`]s from any number of
 //!    threads. The queue is **bounded** ([`ServiceConfig::queue_capacity`]):
 //!    a full queue blocks the submitter — backpressure, not unbounded
@@ -13,37 +13,47 @@
 //!    [`GemmService::submit_timeout`] are the non-blocking and bounded-wait
 //!    variants; both hand the job back in the [`SubmitError`] so nothing is
 //!    lost on rejection.
-//! 3. The collector drains whatever is queued (up to
-//!    [`ServiceConfig::max_batch`] entries) into one batch, so batch size
-//!    adapts to load: an idle service runs singletons with no added
-//!    latency, a loaded service amortises fixed costs across everything
-//!    that queued up meanwhile.
+//! 3. A submitter queues its job under the one lock. If nobody is draining
+//!    the queue it becomes the **combiner**: it takes up to
+//!    [`ServiceConfig::max_batch`] queued jobs, runs them as one batch on
+//!    its own thread, and repeats until the queue is empty — its own job
+//!    and whatever other callers queued meanwhile. Otherwise it returns
+//!    its handle at once: a combiner never leaves a non-empty queue
+//!    behind. So an idle service runs a job on the calling thread and
+//!    returns a resolved handle, and batches form exactly when callers
+//!    contend.
 //! 4. Each job's result — the updated `C` plus [`gemm_blis::GemmStats`] —
-//!    comes back
-//!    through its [`JobHandle`]; per-call stats aggregate into the
-//!    process-wide counters of [`GemmService::stats`].
+//!    comes back through its [`JobHandle`]; per-call stats aggregate into
+//!    the counters of [`GemmService::stats`], always before the handle
+//!    resolves.
+//!
+//! What `submit` costs: on an idle service, the job itself; for a
+//! combiner, also every job other callers queue before it finds the queue
+//! empty — bounded by the windows of closed-loop callers, unbounded while
+//! open-loop callers submit faster than one thread executes.
 //!
 //! Failure semantics: a panic inside one batch entry fails only that job
 //! (see [`crate::batch`]); jobs with a queue deadline
 //! ([`GemmJob::with_deadline`]) that expire before execution resolve with
-//! [`GemmError::DeadlineExceeded`]; and if the collector thread itself dies
-//! the service flips to [`ServiceHealth::Failed`], every queued and
-//! in-flight handle resolves with [`GemmError::ServiceShutdown`], and later
-//! submissions are refused — callers never hang on a dead service.
+//! [`GemmError::DeadlineExceeded`]; and if a pass itself unwinds on the
+//! draining thread, exactly the jobs of that pass resolve with
+//! [`GemmError::JobPanicked`], health rises to [`ServiceHealth::Degraded`]
+//! and the same thread goes on draining — there is no state in which a
+//! live service refuses work, and no handle can hang.
 //!
-//! Shutdown: dropping the service closes the queue, lets the collector
-//! finish everything already accepted, and joins it. Handles outstanding at
-//! shutdown resolve with an error rather than hanging.
+//! Shutdown: a queued job implies a combiner inside `submit`, borrowing
+//! the service, so a service that can be dropped has an empty queue and
+//! dropping it is dropping its fields. Handles outlive it.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gemm_blis::pool::ThreadPool;
 use gemm_blis::GemmError;
 
-use crate::batch::{GemmBatch, GemmBatchExecutor};
+use crate::batch::{panic_message, BatchReport, GemmBatch, GemmBatchExecutor};
 use crate::fault;
 use crate::job::{CompletedJob, GemmJob};
 
@@ -51,7 +61,8 @@ use crate::job::{CompletedJob, GemmJob};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Bound of the submission queue. A full queue blocks `submit` until
-    /// the collector drains — the service's backpressure mechanism.
+    /// the draining thread takes a batch — the service's backpressure
+    /// mechanism.
     pub queue_capacity: usize,
     /// Maximum entries drained into a single batch.
     pub max_batch: usize,
@@ -63,30 +74,18 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Service liveness, reported by [`GemmService::health`]. Health only ever
-/// worsens over a service's lifetime (raise-only), so a snapshot is a safe
-/// upper bound on how well the service has behaved so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
+/// How well the service has behaved, reported by [`GemmService::health`].
+/// Health only ever worsens over a service's lifetime (raise-only), so a
+/// snapshot is a safe upper bound on how well the service has behaved so
+/// far. Neither state refuses work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ServiceHealth {
     /// Every job so far ran cleanly on its intended backend.
-    Healthy = 0,
-    /// The service is live but has caught panics or completed jobs on a
-    /// degraded (tiered-down) backend.
-    Degraded = 1,
-    /// The collector thread died; the service refuses new work and all
-    /// outstanding handles resolve with [`GemmError::ServiceShutdown`].
-    Failed = 2,
-}
-
-impl ServiceHealth {
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => ServiceHealth::Healthy,
-            1 => ServiceHealth::Degraded,
-            _ => ServiceHealth::Failed,
-        }
-    }
+    #[default]
+    Healthy,
+    /// The service has caught panics, completed jobs on a degraded
+    /// (tiered-down) backend, or lost a native-kernel build.
+    Degraded,
 }
 
 impl std::fmt::Display for ServiceHealth {
@@ -94,7 +93,6 @@ impl std::fmt::Display for ServiceHealth {
         match self {
             ServiceHealth::Healthy => write!(f, "healthy"),
             ServiceHealth::Degraded => write!(f, "degraded"),
-            ServiceHealth::Failed => write!(f, "failed"),
         }
     }
 }
@@ -107,8 +105,6 @@ pub enum SubmitErrorReason {
     /// The queue stayed at capacity for the whole allowed wait
     /// ([`GemmService::submit_timeout`]).
     Timeout,
-    /// The service has shut down or its collector died.
-    Shutdown,
 }
 
 /// A rejected submission. The job is handed back untouched
@@ -134,10 +130,7 @@ impl SubmitError {
     /// The rejection as a [`GemmError`], for callers folding submission
     /// failures into per-job results (as [`GemmService::execute_all`] does).
     pub fn gemm_error(&self) -> GemmError {
-        match self.reason {
-            SubmitErrorReason::QueueFull | SubmitErrorReason::Timeout => GemmError::QueueFull,
-            SubmitErrorReason::Shutdown => GemmError::ServiceShutdown,
-        }
+        GemmError::QueueFull
     }
 }
 
@@ -148,7 +141,6 @@ impl std::fmt::Display for SubmitError {
             SubmitErrorReason::Timeout => {
                 write!(f, "submission rejected: queue stayed full past the timeout")
             }
-            SubmitErrorReason::Shutdown => write!(f, "submission rejected: service shut down"),
         }
     }
 }
@@ -156,7 +148,7 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// Aggregate service counters, snapshot via [`GemmService::stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs accepted by `submit` so far.
     pub jobs_submitted: u64,
@@ -164,7 +156,7 @@ pub struct ServiceStats {
     pub jobs_completed: u64,
     /// Jobs that resolved with an error.
     pub jobs_failed: u64,
-    /// Batches the collector has executed.
+    /// Batches (passes of a draining thread) executed.
     pub batches: u64,
     /// Largest batch executed so far.
     pub largest_batch: usize,
@@ -182,8 +174,9 @@ pub struct ServiceStats {
     /// Total useful flops of completed jobs (degenerate jobs count as
     /// zero-flop completions, not omissions).
     pub total_flops: u64,
-    /// Panics caught and isolated to single jobs (each fails only its own
-    /// job; the rest of the batch completes).
+    /// Panics caught and isolated: to single jobs (each fails only its own
+    /// job; the rest of the batch completes), or — a pass that unwound
+    /// outside any entry — to that pass's jobs.
     pub panics_caught: u64,
     /// Tier-down retries attempted after an executional failure.
     pub retries: u64,
@@ -211,7 +204,7 @@ pub struct ServiceStats {
     /// Kernels that failed probe verification since construction (also a
     /// subset of `aot_builds_failed`; their keys are pinned to simd).
     pub aot_wrong_results: u64,
-    /// Current service health (raise-only: healthy → degraded → failed).
+    /// Current service health (raise-only: healthy → degraded).
     pub health: ServiceHealth,
 }
 
@@ -249,144 +242,219 @@ impl std::fmt::Display for ServiceStats {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    largest_batch: AtomicUsize,
-    queue_depth: AtomicUsize,
-    queue_highwater: AtomicUsize,
-    flops: AtomicU64,
-    panics: AtomicU64,
-    retries: AtomicU64,
-    degraded_jobs: AtomicU64,
-    deadline_expired: AtomicU64,
-    b_images: AtomicU64,
-    shared_b_entries: AtomicU64,
-    health: AtomicU8,
-    /// The process-wide AOT engine counters at service construction.
-    /// Engine counters span every engine user in the process, so the
-    /// service reports (and judges its health by) deltas against this
-    /// baseline: only degradations on *this service's* watch count.
-    aot_base: exo_aot::AotStats,
-    /// Serializes submission accounting against the collector's terminal
-    /// drain, so `jobs_submitted == jobs_completed + jobs_failed` holds
-    /// exactly even when the collector dies mid-submission. Held around a
-    /// non-blocking offer to the queue only, never across a wait.
-    gate: Mutex<()>,
+/// Locks `mutex` whatever an earlier holder did: nothing here panics with a
+/// lock held except a misused handle, which poisons only its own slot.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl Counters {
-    fn raise_health(&self, to: ServiceHealth) {
-        self.health.fetch_max(to as u8, Ordering::Relaxed);
+/// Parks on `on` until it is notified or `give_up_at` comes (`None`: waits
+/// as long as it takes). `None` once the time is up, the guard released.
+fn park<'a, T>(
+    on: &Condvar,
+    guard: MutexGuard<'a, T>,
+    give_up_at: Option<Instant>,
+) -> Option<MutexGuard<'a, T>> {
+    let Some(at) = give_up_at else {
+        return Some(on.wait(guard).unwrap_or_else(PoisonError::into_inner));
+    };
+    let left = at.saturating_duration_since(Instant::now());
+    (!left.is_zero()).then(|| on.wait_timeout(guard, left).unwrap_or_else(PoisonError::into_inner).0)
+}
+
+/// Where one job's result is left for its [`JobHandle`].
+#[derive(Debug)]
+struct Slot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+}
+
+#[derive(Debug)]
+enum SlotState {
+    /// Not resolved yet; `awaited` once a handle is parked on `ready`, so a
+    /// result nobody waits for yet is published without a wake-up.
+    Pending {
+        awaited: bool,
+    },
+    Ready(Result<CompletedJob, GemmError>),
+    Redeemed,
+}
+
+/// A fresh slot's two ends.
+fn slot() -> (Reply, JobHandle) {
+    let slot =
+        Arc::new(Slot { state: Mutex::new(SlotState::Pending { awaited: false }), ready: Condvar::new() });
+    (Reply { slot: Arc::clone(&slot), sent: false }, JobHandle { slot })
+}
+
+/// The resolving side of a [`Slot`]. Dropped unsent it resolves the handle
+/// with [`GemmError::JobPanicked`]: only an unwind drops a submission, and
+/// a handle that waits on a result nobody will send would hang.
+struct Reply {
+    slot: Arc<Slot>,
+    sent: bool,
+}
+
+impl Reply {
+    fn send(mut self, result: Result<CompletedJob, GemmError>) {
+        self.publish(result);
     }
 
-    /// The engine's counter movement since this service was constructed:
-    /// `(promotions, builds_failed, compile_timeouts, wrong_results)`.
-    fn aot_deltas(&self) -> (u64, u64, u64, u64) {
-        let now = exo_aot::engine().stats();
-        (
-            now.verified_promotions.saturating_sub(self.aot_base.verified_promotions),
-            now.builds_failed.saturating_sub(self.aot_base.builds_failed),
-            now.compile_timeouts.saturating_sub(self.aot_base.compile_timeouts),
-            now.wrong_results.saturating_sub(self.aot_base.wrong_results),
-        )
-    }
-
-    /// Folds AOT degradations into service health: any failed build on
-    /// this service's watch means some kernel is serving below its best
-    /// tier — degraded, not failed (the simd fallback is bit-faithful
-    /// and jobs keep completing).
-    fn observe_aot_health(&self) {
-        let (_, builds_failed, _, _) = self.aot_deltas();
-        if builds_failed > 0 {
-            self.raise_health(ServiceHealth::Degraded);
+    fn publish(&mut self, result: Result<CompletedJob, GemmError>) {
+        self.sent = true;
+        let mut state = lock(&self.slot.state);
+        let awaited = matches!(*state, SlotState::Pending { awaited: true });
+        *state = SlotState::Ready(result);
+        if awaited {
+            self.slot.ready.notify_all();
         }
     }
-
-    fn gate(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.gate.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 }
 
-/// How long a submitter parked on a full queue waits between offers.
-const FULL_QUEUE_POLL: Duration = Duration::from_micros(100);
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.publish(Err(GemmError::JobPanicked {
+                message: "the job was dropped before it was resolved".into(),
+            }));
+        }
+    }
+}
 
 struct Submission {
     job: GemmJob,
-    reply: mpsc::Sender<Result<CompletedJob, GemmError>>,
+    reply: Reply,
     enqueued: Instant,
-}
-
-/// Submissions the collector has received but not yet replied to. Owned
-/// outside the collector's panic capture so a dying collector can fail
-/// every one of them with the failure counted *before* the reply lands —
-/// callers never observe a resolved handle the stats don't yet account
-/// for.
-#[derive(Default)]
-struct InFlight {
-    /// Drained from the queue, not yet triaged (deadline/shape checks).
-    triage: Vec<Submission>,
-    /// Triaged and awaiting batch execution / replies.
-    valid: Vec<Submission>,
-}
-
-impl InFlight {
-    fn fail_all(&mut self, counters: &Counters) {
-        for submission in self.triage.drain(..).chain(self.valid.drain(..)) {
-            counters.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = submission.reply.send(Err(GemmError::ServiceShutdown));
-        }
-    }
 }
 
 /// The handle returned by [`GemmService::submit`]: redeem it with
 /// [`JobHandle::wait`] for the job's `C` operand and stats.
 #[derive(Debug)]
 pub struct JobHandle {
-    rx: mpsc::Receiver<Result<CompletedJob, GemmError>>,
+    slot: Arc<Slot>,
 }
 
 impl JobHandle {
-    /// Blocks until the job resolves.
+    /// Blocks until the job resolves; returns at once if it already has
+    /// (a job submitted to an idle service ran inside `submit`).
     ///
     /// # Errors
     ///
-    /// Propagates the executor's error for this job, or
-    /// [`GemmError::ServiceShutdown`] if the service (or its collector)
-    /// went away first — a dead service resolves handles, it never hangs
-    /// them.
+    /// Propagates the executor's error for this job,
+    /// [`GemmError::DeadlineExceeded`] if it expired in the queue, or
+    /// [`GemmError::JobPanicked`] if the pass that held it unwound — every
+    /// accepted job resolves, a handle never hangs.
     pub fn wait(self) -> Result<CompletedJob, GemmError> {
-        self.rx.recv().unwrap_or(Err(GemmError::ServiceShutdown))
+        self.redeem(None).expect("a wait without a limit ends with the result")
     }
 
     /// Like [`JobHandle::wait`] but gives up after `timeout`, returning
     /// `None` so the caller can retry later (the handle stays redeemable).
-    /// A dead service still resolves immediately with
-    /// [`GemmError::ServiceShutdown`].
+    /// A timeout too large to be a point in time never gives up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle already returned its result: a job resolves
+    /// once.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<CompletedJob, GemmError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Some(result),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(GemmError::ServiceShutdown)),
+        self.redeem(Instant::now().checked_add(timeout))
+    }
+
+    /// Takes the result out, parking until it is there or `give_up_at`
+    /// comes (`None`: as long as it takes, so never `None` back).
+    fn redeem(&self, give_up_at: Option<Instant>) -> Option<Result<CompletedJob, GemmError>> {
+        let mut state = lock(&self.slot.state);
+        loop {
+            match std::mem::replace(&mut *state, SlotState::Redeemed) {
+                SlotState::Ready(result) => return Some(result),
+                SlotState::Pending { .. } => *state = SlotState::Pending { awaited: true },
+                SlotState::Redeemed => panic!("this JobHandle already returned its result"),
+            }
+            state = park(&self.slot.ready, state, give_up_at)?;
         }
     }
 }
 
-/// A persistent GEMM service: one collector thread batching submissions
-/// from any number of caller threads onto the shared worker pool.
+/// What the one lock guards: the queue, the right to drain it, the books.
+struct State {
+    pending: VecDeque<Submission>,
+    /// The executor while nobody drains the queue. The submitter that takes
+    /// it is the combiner and puts it back in the critical section that
+    /// finds `pending` empty, so `None` here means "someone is draining"
+    /// and a non-empty queue implies it.
+    executor: Option<Box<dyn GemmBatchExecutor + Send>>,
+    /// The counters this service moves itself; [`GemmService::stats`] fills
+    /// in the pool's and the AOT engine's. All of them move under the lock,
+    /// so `jobs_submitted >= jobs_completed + jobs_failed` in every
+    /// snapshot, with equality whenever no job is queued or running.
+    stats: ServiceStats,
+}
+
+impl State {
+    /// Books one pass's outcomes — before any of them is published, so a
+    /// caller never holds a result the stats do not yet account for.
+    fn book(&mut self, report: &BatchReport, aot_builds_failed: u64) {
+        let stats = &mut self.stats;
+        stats.panics_caught += report.panics_caught;
+        stats.retries += report.retries;
+        stats.degraded_completions += report.degraded_completions;
+        stats.b_images_packed += report.b_images_packed;
+        stats.entries_on_shared_b += report.entries_on_shared_b;
+        for outcome in &report.outcomes {
+            match outcome {
+                Ok(done) => {
+                    stats.jobs_completed += 1;
+                    stats.total_flops += done.flop_count;
+                }
+                Err(e) => {
+                    stats.jobs_failed += 1;
+                    stats.deadline_expired += u64::from(matches!(e, GemmError::DeadlineExceeded { .. }));
+                }
+            }
+        }
+        // AOT builds land asynchronously: folding their failures in here
+        // makes the degradation visible without a `stats()` call.
+        if report.panics_caught > 0 || report.degraded_completions > 0 || aot_builds_failed > 0 {
+            stats.health = ServiceHealth::Degraded;
+        }
+    }
+}
+
+/// The combiner's hold on the executor. Every pass runs inside a panic
+/// capture and nothing between passes can unwind, so the executor normally
+/// goes back by hand, together with the emptiness check; this returns it if
+/// that reasoning is ever wrong, so the next submitter can still drain.
+struct Combiner<'a> {
+    service: &'a GemmService,
+    executor: Option<Box<dyn GemmBatchExecutor + Send>>,
+}
+
+impl Drop for Combiner<'_> {
+    fn drop(&mut self) {
+        if let Some(executor) = self.executor.take() {
+            lock(&self.service.state).executor = Some(executor);
+        }
+    }
+}
+
+/// A persistent GEMM service: any number of caller threads submit to one
+/// bounded queue, and the caller that finds it idle batches and runs what
+/// is queued on its own thread.
 ///
 /// See the module docs for lifecycle, batching, backpressure, and failure
 /// semantics. The service is `Sync` — share `&GemmService` freely across
 /// caller threads (or clone the jobs' data and use scoped threads, as
 /// `examples/gemm_service.rs` does).
 pub struct GemmService {
-    tx: Option<mpsc::SyncSender<Submission>>,
-    collector: Option<std::thread::JoinHandle<()>>,
-    counters: Arc<Counters>,
+    state: Mutex<State>,
+    /// Signalled when a batch is taken out of a full queue.
+    room: Condvar,
     config: ServiceConfig,
+    /// The process-wide AOT engine counters at service construction.
+    /// Engine counters span every engine user in the process, so the
+    /// service reports (and judges its health by) deltas against this
+    /// baseline: only degradations on *this service's* watch count.
+    aot_base: exo_aot::AotStats,
 }
 
 impl GemmService {
@@ -405,37 +473,30 @@ impl GemmService {
         assert!(config.queue_capacity > 0, "queue_capacity must be at least 1");
         assert!(config.max_batch > 0, "max_batch must be at least 1");
         fault::arm_from_env();
-        let (tx, rx) = mpsc::sync_channel::<Submission>(config.queue_capacity);
-        let counters = Arc::new(Counters { aot_base: exo_aot::engine().stats(), ..Counters::default() });
-        let collector_counters = Arc::clone(&counters);
-        let max_batch = config.max_batch;
-        let collector = std::thread::Builder::new()
-            .name("exo-serve-collector".into())
-            .spawn(move || {
-                // The in-flight holder lives OUTSIDE the panic capture, so
-                // submissions the collector had already received when it
-                // died are failed with full accounting below — their
-                // handles never resolve before the books record them.
-                let mut in_flight = InFlight::default();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    collector_loop(executor, &rx, &mut in_flight, &collector_counters, max_batch)
-                }));
-                if outcome.is_err() {
-                    in_flight.fail_all(&collector_counters);
-                    fail_everything_outstanding(rx, &collector_counters);
-                }
-            })
-            .expect("failed to spawn exo-serve collector");
-        GemmService { tx: Some(tx), collector: Some(collector), counters, config }
+        let state = State {
+            pending: VecDeque::with_capacity(config.queue_capacity),
+            executor: Some(Box::new(executor)),
+            stats: ServiceStats { queue_capacity: config.queue_capacity, ..ServiceStats::default() },
+        };
+        GemmService {
+            state: Mutex::new(state),
+            room: Condvar::new(),
+            config,
+            aot_base: exo_aot::engine().stats(),
+        }
     }
 
     /// Submits one owned job, blocking while the queue is at capacity
     /// (backpressure). Redeem the handle with [`JobHandle::wait`].
     ///
+    /// On an idle service the job runs on this thread, inside the call, and
+    /// the handle comes back resolved; see the module docs for what a
+    /// combiner may run besides.
+    ///
     /// # Errors
     ///
-    /// [`SubmitErrorReason::Shutdown`] if the service has failed or shut
-    /// down; the job comes back in the error.
+    /// None: a blocking submission waits for room, and a live service
+    /// never refuses work. (The `Result` is what the three doors share.)
     // The error variant is deliberately large: it hands the job — three
     // owned operands — back to the caller instead of dropping it.
     #[allow(clippy::result_large_err)]
@@ -444,85 +505,109 @@ impl GemmService {
     }
 
     /// Non-blocking [`GemmService::submit`]: a full queue rejects with
-    /// [`SubmitErrorReason::QueueFull`] instead of blocking — also while
-    /// other callers are parked in `submit` — handing the job back for the
-    /// caller to retry or reroute.
+    /// [`SubmitErrorReason::QueueFull`] instead of waiting for room — also
+    /// while other callers are parked in `submit` — handing the job back
+    /// for the caller to retry or reroute. (An accepted job may still run
+    /// inside the call, like any submission.)
     ///
     /// # Errors
     ///
-    /// `QueueFull` under backpressure, `Shutdown` on a dead service.
+    /// `QueueFull` under backpressure.
     #[allow(clippy::result_large_err)]
     pub fn try_submit(&self, job: GemmJob) -> Result<JobHandle, SubmitError> {
-        self.enqueue(job, Some(Instant::now()))
+        self.enqueue(job, Some(Duration::ZERO))
     }
 
     /// [`GemmService::submit`] with a bound on how long backpressure may
-    /// block.
+    /// block. A timeout too large to be a point in time never gives up.
     ///
     /// # Errors
     ///
     /// [`SubmitErrorReason::Timeout`] if the queue stayed full the whole
-    /// time, `Shutdown` on a dead service.
+    /// time.
     #[allow(clippy::result_large_err)]
     pub fn submit_timeout(&self, job: GemmJob, timeout: Duration) -> Result<JobHandle, SubmitError> {
-        self.enqueue(job, Some(Instant::now() + timeout)).map_err(|e| match e.reason {
-            SubmitErrorReason::QueueFull => SubmitError { reason: SubmitErrorReason::Timeout, ..e },
-            _ => e,
-        })
+        self.enqueue(job, Some(timeout)).map_err(|e| SubmitError { reason: SubmitErrorReason::Timeout, ..e })
     }
 
-    /// The one submission path: offer the job to the queue, and while the
-    /// queue is full and `give_up_at` has not passed (`None`: never gives
-    /// up) offer it again every [`FULL_QUEUE_POLL`]. The accounting gate is
-    /// held around each non-blocking offer and never across a wait, so a
-    /// caller parked on a full queue delays no other caller's answer.
+    /// The one submission path: wait for room for at most `patience`
+    /// (`None`: as long as it takes), queue the job, and drain the queue if
+    /// nobody else is.
     #[allow(clippy::result_large_err)]
-    fn enqueue(&self, job: GemmJob, give_up_at: Option<Instant>) -> Result<JobHandle, SubmitError> {
-        let tx = match self.tx.as_ref() {
-            Some(tx) if self.health() != ServiceHealth::Failed => tx,
-            _ => return Err(SubmitError { job, reason: SubmitErrorReason::Shutdown }),
-        };
-        let (reply, rx) = mpsc::channel();
-        let mut submission = Submission { job, reply, enqueued: Instant::now() };
-        loop {
-            let gate = self.counters.gate();
-            // Depth rises before the offer so the collector's decrement
-            // (which can only follow an accepted one) never underflows the
-            // counter; a refused offer takes it back under the same gate.
-            let depth = self.counters.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-            let refused = match tx.try_send(submission) {
-                Ok(()) => {
-                    // The collector subtracts a batch after it has drained
-                    // it, so the counter can run ahead of the channel by the
-                    // batch in hand; the channel never holds more than its
-                    // bound.
-                    let depth = depth.min(self.config.queue_capacity);
-                    self.counters.queue_highwater.fetch_max(depth, Ordering::Relaxed);
-                    self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(JobHandle { rx });
-                }
-                Err(refused) => refused,
+    fn enqueue(&self, job: GemmJob, patience: Option<Duration>) -> Result<JobHandle, SubmitError> {
+        let enqueued = Instant::now();
+        let give_up_at = patience.and_then(|patience| enqueued.checked_add(patience));
+        let mut state = lock(&self.state);
+        while state.pending.len() >= self.config.queue_capacity {
+            state = match park(&self.room, state, give_up_at) {
+                Some(state) => state,
+                None => return Err(SubmitError { job, reason: SubmitErrorReason::QueueFull }),
             };
-            self.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            drop(gate);
-            let (back, reason) = match refused {
-                mpsc::TrySendError::Full(back) if give_up_at.is_none_or(|at| Instant::now() < at) => {
-                    submission = back;
-                    std::thread::sleep(FULL_QUEUE_POLL);
-                    continue;
+        }
+        let (reply, handle) = slot();
+        state.pending.push_back(Submission { job, reply, enqueued });
+        state.stats.jobs_submitted += 1;
+        state.stats.queue_highwater = state.stats.queue_highwater.max(state.pending.len());
+        if let Some(executor) = state.executor.take() {
+            let first = self.take_pass(&mut state);
+            drop(state);
+            self.drain(executor, first);
+        }
+        Ok(handle)
+    }
+
+    /// The next pass: up to `max_batch` jobs from the front of the queue
+    /// (none if it is empty), counted, with parked submitters told if that
+    /// made room.
+    fn take_pass(&self, state: &mut State) -> Vec<Submission> {
+        let was_full = state.pending.len() >= self.config.queue_capacity;
+        let take = state.pending.len().min(self.config.max_batch);
+        let pass: Vec<Submission> = state.pending.drain(..take).collect();
+        if take > 0 {
+            state.stats.batches += 1;
+            state.stats.largest_batch = state.stats.largest_batch.max(take);
+        }
+        // Submitters only park on a full queue, and every take from one
+        // comes through here.
+        if was_full {
+            self.room.notify_all();
+        }
+        pass
+    }
+
+    /// Runs `pass`, then whatever queued up meanwhile, until the queue is
+    /// found empty. One lock per pass: it books the pass just run and takes
+    /// the next one (or hands the executor back); the results are published
+    /// after it, outside it.
+    fn drain(&self, executor: Box<dyn GemmBatchExecutor + Send>, mut pass: Vec<Submission>) {
+        let mut combiner = Combiner { service: self, executor: Some(executor) };
+        while !pass.is_empty() {
+            let executor = combiner.executor.as_deref().expect("held until the queue is found empty");
+            // The pass lives outside the capture: if it unwinds, its jobs
+            // are still here to be failed — typed, and counted first.
+            let report = catch_unwind(AssertUnwindSafe(|| run_pass(executor, &mut pass)))
+                .unwrap_or_else(|payload| unwound_pass(pass.len(), &panic_message(payload.as_ref())));
+            let (_, aot_builds_failed, _, _) = self.aot_deltas();
+            let next = {
+                let mut state = lock(&self.state);
+                state.book(&report, aot_builds_failed);
+                let next = self.take_pass(&mut state);
+                if next.is_empty() {
+                    state.executor = combiner.executor.take();
                 }
-                mpsc::TrySendError::Full(back) => (back, SubmitErrorReason::QueueFull),
-                mpsc::TrySendError::Disconnected(back) => (back, SubmitErrorReason::Shutdown),
+                next
             };
-            return Err(SubmitError { job: back.job, reason });
+            for (Submission { job, reply, .. }, outcome) in
+                std::mem::replace(&mut pass, next).into_iter().zip(report.outcomes)
+            {
+                reply.send(outcome.map(|stats| CompletedJob { c: job.into_c(), stats }));
+            }
         }
     }
 
     /// Submits every job, then waits for all of them, returning results in
-    /// submission order. Blocking submission + bounded queue means this
-    /// paces itself against the collector instead of buffering everything.
-    /// Rejected submissions fold into per-job errors
-    /// ([`SubmitError::gemm_error`]) instead of aborting the rest.
+    /// submission order. A lone caller runs each job inside its `submit`;
+    /// beside other callers the bounded queue paces it.
     pub fn execute_all(&self, jobs: Vec<GemmJob>) -> Vec<Result<CompletedJob, GemmError>> {
         let handles: Vec<Result<JobHandle, GemmError>> =
             jobs.into_iter().map(|job| self.submit(job).map_err(|e| e.gemm_error())).collect();
@@ -531,159 +616,89 @@ impl GemmService {
 
     /// Current service health (raise-only; see [`ServiceHealth`]).
     pub fn health(&self) -> ServiceHealth {
-        ServiceHealth::from_u8(self.counters.health.load(Ordering::Relaxed))
+        lock(&self.state).stats.health
+    }
+
+    /// The engine's counter movement since this service was constructed:
+    /// `(promotions, builds_failed, compile_timeouts, wrong_results)`.
+    fn aot_deltas(&self) -> (u64, u64, u64, u64) {
+        let now = exo_aot::engine().stats();
+        (
+            now.verified_promotions.saturating_sub(self.aot_base.verified_promotions),
+            now.builds_failed.saturating_sub(self.aot_base.builds_failed),
+            now.compile_timeouts.saturating_sub(self.aot_base.compile_timeouts),
+            now.wrong_results.saturating_sub(self.aot_base.wrong_results),
+        )
     }
 
     /// A snapshot of the aggregate counters. Observing the snapshot also
-    /// folds any AOT build failures since construction into the health
-    /// (background builds settle between batches, so the collector alone
-    /// cannot see every late failure).
+    /// folds any AOT build failures since construction into the health:
+    /// any failed build on this service's watch means some kernel is
+    /// serving below its best tier — degraded, not refused (the simd
+    /// fallback is bit-faithful and jobs keep completing) — and background
+    /// builds settle between passes, so a pass alone cannot see every late
+    /// failure.
     pub fn stats(&self) -> ServiceStats {
         let pool = ThreadPool::global();
-        self.counters.observe_aot_health();
-        let (aot_promotions, aot_builds_failed, aot_compile_timeouts, aot_wrong_results) =
-            self.counters.aot_deltas();
+        let (aot_promotions, aot_builds_failed, aot_compile_timeouts, aot_wrong_results) = self.aot_deltas();
+        let mut state = lock(&self.state);
+        if aot_builds_failed > 0 {
+            state.stats.health = ServiceHealth::Degraded;
+        }
         ServiceStats {
-            jobs_submitted: self.counters.submitted.load(Ordering::Relaxed),
-            jobs_completed: self.counters.completed.load(Ordering::Relaxed),
-            jobs_failed: self.counters.failed.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            largest_batch: self.counters.largest_batch.load(Ordering::Relaxed),
-            queue_highwater: self.counters.queue_highwater.load(Ordering::Relaxed),
-            queue_capacity: self.config.queue_capacity,
             pool_workers: pool.workers(),
             pool_tasks_executed: pool.tasks_executed(),
-            total_flops: self.counters.flops.load(Ordering::Relaxed),
-            panics_caught: self.counters.panics.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
-            degraded_completions: self.counters.degraded_jobs.load(Ordering::Relaxed),
-            deadline_expired: self.counters.deadline_expired.load(Ordering::Relaxed),
-            b_images_packed: self.counters.b_images.load(Ordering::Relaxed),
-            entries_on_shared_b: self.counters.shared_b_entries.load(Ordering::Relaxed),
             aot_promotions,
             aot_builds_failed,
             aot_compile_timeouts,
             aot_wrong_results,
-            health: self.health(),
+            ..state.stats.clone()
         }
     }
 }
 
-impl Drop for GemmService {
-    fn drop(&mut self) {
-        // Closing the queue ends the collector's recv loop after it drains
-        // everything already accepted; then join so no thread leaks.
-        drop(self.tx.take());
-        if let Some(collector) = self.collector.take() {
-            let _ = collector.join();
+/// One pass on the draining thread: jobs whose queue deadline has passed or
+/// whose shapes disagree fail alone and never reach the executor, the rest
+/// run as one batch. One outcome per job of `pass`, in its order.
+fn run_pass(executor: &dyn GemmBatchExecutor, pass: &mut [Submission]) -> BatchReport {
+    fault::drain_hook();
+    let mut refused = Vec::with_capacity(pass.len());
+    let mut batch = GemmBatch::new();
+    for submission in pass.iter_mut() {
+        let expired = submission.job.deadline().and_then(|deadline| {
+            let waited = submission.enqueued.elapsed();
+            (waited >= deadline)
+                .then_some(GemmError::DeadlineExceeded { waited_ms: waited.as_millis() as u64 })
+        });
+        let problem = submission.job.problem();
+        match expired.map_or_else(|| problem.dims().map(drop), Err) {
+            Ok(()) => {
+                batch.push(problem);
+                refused.push(None);
+            }
+            Err(e) => refused.push(Some(e)),
         }
     }
+    let mut report = executor.gemm_batch(batch);
+    let mut ran = std::mem::take(&mut report.outcomes).into_iter();
+    report.outcomes = refused
+        .into_iter()
+        .map(|refusal| refusal.map_or_else(|| ran.next().expect("one outcome per batch entry"), Err))
+        .collect();
+    report
 }
 
-/// Terminal cleanup after a collector panic: refuse-and-resolve everything
-/// still queued, close the queue, and square the books so
-/// `jobs_submitted == jobs_completed + jobs_failed` holds exactly.
-fn fail_everything_outstanding(rx: mpsc::Receiver<Submission>, counters: &Counters) {
-    counters.raise_health(ServiceHealth::Failed);
-    // With the gate held no submitter is mid-offer (none ever waits under
-    // it), so drain-then-drop loses nothing and the balance below sees final
-    // counts; an offer after the drop is refused as `Shutdown`.
-    let gate = counters.gate();
-    while let Ok(submission) = rx.try_recv() {
-        counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        counters.failed.fetch_add(1, Ordering::Relaxed);
-        let _ = submission.reply.send(Err(GemmError::ServiceShutdown));
-    }
-    drop(rx);
-    // Safety net: in-flight jobs were failed by `InFlight::fail_all` and
-    // queued jobs by the drain above, so this normally adds zero — but if
-    // any job slipped through, count it failed so the books still balance.
-    let submitted = counters.submitted.load(Ordering::Relaxed);
-    let resolved = counters.completed.load(Ordering::Relaxed) + counters.failed.load(Ordering::Relaxed);
-    counters.failed.fetch_add(submitted.saturating_sub(resolved), Ordering::Relaxed);
-    drop(gate);
-}
-
-/// The collector: block for one submission, opportunistically drain the
-/// rest of the queue (up to `max_batch`), execute as one batch, reply per
-/// job.
-fn collector_loop<E: GemmBatchExecutor>(
-    executor: E,
-    rx: &mpsc::Receiver<Submission>,
-    in_flight: &mut InFlight,
-    counters: &Counters,
-    max_batch: usize,
-) {
-    while let Ok(first) = rx.recv() {
-        in_flight.triage.push(first);
-        while in_flight.triage.len() < max_batch {
-            match rx.try_recv() {
-                Ok(submission) => in_flight.triage.push(submission),
-                Err(_) => break,
-            }
-        }
-        counters.queue_depth.fetch_sub(in_flight.triage.len(), Ordering::Relaxed);
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters.largest_batch.fetch_max(in_flight.triage.len(), Ordering::Relaxed);
-        fault::collector_hook();
-
-        // Expired and invalid jobs fail individually and never poison the
-        // batch. Pop front-to-back so every submission is either still in
-        // the holder or already replied to, whatever happens mid-triage.
-        in_flight.triage.reverse();
-        while let Some(mut submission) = in_flight.triage.pop() {
-            if let Some(deadline) = submission.job.deadline() {
-                let waited = submission.enqueued.elapsed();
-                if waited >= deadline {
-                    counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    counters.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = submission
-                        .reply
-                        .send(Err(GemmError::DeadlineExceeded { waited_ms: waited.as_millis() as u64 }));
-                    continue;
-                }
-            }
-            match submission.job.problem().dims() {
-                Ok(_) => in_flight.valid.push(submission),
-                Err(e) => {
-                    counters.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = submission.reply.send(Err(e));
-                }
-            }
-        }
-        if in_flight.valid.is_empty() {
-            continue;
-        }
-        let report = {
-            let batch: GemmBatch<'_> = in_flight.valid.iter_mut().map(|s| s.job.problem()).collect();
-            executor.gemm_batch(batch)
-        };
-        counters.panics.fetch_add(report.panics_caught, Ordering::Relaxed);
-        counters.retries.fetch_add(report.retries, Ordering::Relaxed);
-        counters.degraded_jobs.fetch_add(report.degraded_completions, Ordering::Relaxed);
-        counters.b_images.fetch_add(report.b_images_packed, Ordering::Relaxed);
-        counters.shared_b_entries.fetch_add(report.entries_on_shared_b, Ordering::Relaxed);
-        if report.panics_caught > 0 || report.degraded_completions > 0 {
-            counters.raise_health(ServiceHealth::Degraded);
-        }
-        // AOT builds land asynchronously; fold any failures since the
-        // last batch into health so degradation is visible without a
-        // stats() call.
-        counters.observe_aot_health();
-        debug_assert_eq!(report.len(), in_flight.valid.len(), "one outcome per batch entry");
-        for (submission, outcome) in in_flight.valid.drain(..).zip(report.outcomes) {
-            match outcome {
-                Ok(stats) => {
-                    counters.completed.fetch_add(1, Ordering::Relaxed);
-                    counters.flops.fetch_add(stats.flop_count, Ordering::Relaxed);
-                    let _ = submission.reply.send(Ok(CompletedJob { c: submission.job.into_c(), stats }));
-                }
-                Err(e) => {
-                    counters.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = submission.reply.send(Err(e));
-                }
-            }
-        }
+/// What a pass of `jobs` jobs that unwound outside any batch entry reports:
+/// every one of them failed by the one panic.
+fn unwound_pass(jobs: usize, message: &str) -> BatchReport {
+    BatchReport {
+        outcomes: (0..jobs).map(|_| Err(GemmError::JobPanicked { message: message.into() })).collect(),
+        panics_caught: 1,
+        retries: 0,
+        degraded_completions: 0,
+        runners_built: 0,
+        b_images_packed: 0,
+        entries_on_shared_b: 0,
     }
 }
 
@@ -764,7 +779,22 @@ mod tests {
             (0..4).map(|s| service.submit(job(12, 12, 12, s)).expect("service accepting")).collect();
         drop(service);
         for handle in handles {
-            assert!(handle.wait().is_ok(), "accepted jobs must finish during shutdown");
+            assert!(
+                handle.wait().is_ok(),
+                "accepted jobs are finished and redeemable after the service is gone"
+            );
+        }
+    }
+
+    #[test]
+    fn a_submission_dropped_unresolved_resolves_its_handle_typed() {
+        let (reply, handle) = slot();
+        let submission = Submission { job: job(4, 4, 4, 0), reply, enqueued: Instant::now() };
+        assert!(handle.wait_timeout(Duration::ZERO).is_none(), "nothing has resolved it yet");
+        drop(submission);
+        match handle.wait() {
+            Err(GemmError::JobPanicked { message }) => assert!(message.contains("dropped"), "{message}"),
+            other => panic!("expected JobPanicked, got {other:?}"),
         }
     }
 
@@ -797,10 +827,14 @@ mod tests {
         let b = service
             .submit_timeout(job(8, 8, 8, 1), Duration::from_secs(5))
             .expect("room well within the timeout");
+        // A timeout too large to add to the clock is "never gives up", on
+        // both sides of a job: it used to panic with the job in hand.
+        let c = service.submit_timeout(job(8, 8, 8, 2), Duration::MAX).expect("room, whatever the timeout");
         assert!(a.wait().is_ok());
         match b.wait_timeout(Duration::from_secs(30)) {
             Some(Ok(_)) => {}
             other => panic!("expected a completion, got {other:?}"),
         }
+        assert!(matches!(c.wait_timeout(Duration::MAX), Some(Ok(_))));
     }
 }

@@ -215,11 +215,6 @@ impl KernelRegistry {
         self.verdicts.lock().expect("verdict table poisoned").get(&(m, n, k)).cloned()
     }
 
-    /// All memoised verdicts, in shape order.
-    pub fn verdicts(&self) -> Vec<TuneVerdict> {
-        self.verdicts.lock().expect("verdict table poisoned").values().cloned().collect()
-    }
-
     /// Number of memoised verdicts.
     pub fn len(&self) -> usize {
         self.verdicts.lock().expect("verdict table poisoned").len()

@@ -74,11 +74,11 @@ pub struct DesignSpace {
     /// serving (`None`: the modelled space, unfiltered).
     executing: Option<IsaKind>,
     /// Architectural vector registers available to the kernel.
-    pub register_budget: usize,
+    register_budget: usize,
     /// Maximum tile height, in vector registers (`MR <= max_mr_vectors * lanes`).
-    pub max_mr_vectors: usize,
+    max_mr_vectors: usize,
     /// Maximum tile width in elements.
-    pub max_nr: usize,
+    max_nr: usize,
 }
 
 impl DesignSpace {

@@ -236,7 +236,7 @@ impl RawMat {
 /// more runners than were once in use at the same time.
 ///
 /// As a [`GemmExecutor`] it dispatches its stored kernel (set with
-/// [`BlisGemm::with_kernel`] / [`BlisGemm::for_kernel`]).
+/// [`BlisGemm::with_kernel`]).
 pub struct BlisGemm {
     /// Cache blocking parameters.
     pub blocking: BlockingParams,
@@ -289,14 +289,6 @@ impl BlisGemm {
     /// with [`BlisGemm::with_kernel`]).
     pub fn new(blocking: BlockingParams) -> Self {
         BlisGemm { blocking, threads: 1, kernel: neon_intrinsics_kernel(), warm: WarmRunners::default() }
-    }
-
-    /// Creates a driver around a micro-kernel, with blocking derived
-    /// analytically from the cache hierarchy for the kernel's register tile
-    /// — the constructor used when a registry (rather than a hard-coded
-    /// shape) chooses the kernel.
-    pub fn for_kernel(kernel: &KernelImpl, mem: &carmel_sim::CacheHierarchy) -> Self {
-        BlisGemm::new(BlockingParams::analytical(mem, kernel.mr, kernel.nr, 4)).with_kernel(kernel.clone())
     }
 
     /// Sets the micro-kernel the [`GemmExecutor`] entry point dispatches.
@@ -879,7 +871,8 @@ mod tests {
     fn executor_entry_point_uses_the_stored_kernel() {
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = exo_kernel(Arc::new(generator.generate(8, 8).unwrap()));
-        let driver = BlisGemm::for_kernel(&kernel, &carmel_sim::CacheHierarchy::carmel());
+        let blocking = BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), 8, 8, 4);
+        let driver = BlisGemm::new(blocking).with_kernel(kernel);
         let a = Matrix::from_fn(20, 12, |i, j| (i * 3 + j) as f32 * 0.125 - 1.0);
         let b = Matrix::from_fn(12, 9, |i, j| (i + j * 2) as f32 * 0.25 - 0.5);
         let mut c = Matrix::zeros(20, 9);

@@ -92,9 +92,6 @@ pub enum GemmError {
         /// milliseconds.
         waited_ms: u64,
     },
-    /// The service shut down (or its collector failed) before the job could
-    /// be accepted or completed.
-    ServiceShutdown,
     /// The service's bounded submission queue was full and the submission
     /// mode did not allow blocking (`try_submit`, or `submit_timeout`
     /// running out of time).
@@ -114,9 +111,6 @@ impl fmt::Display for GemmError {
             }
             GemmError::DeadlineExceeded { waited_ms } => {
                 write!(f, "gemm job deadline exceeded after {waited_ms}ms in queue; not executed")
-            }
-            GemmError::ServiceShutdown => {
-                write!(f, "gemm service shut down before the job completed")
             }
             GemmError::QueueFull => {
                 write!(f, "gemm service queue is full (backpressure); job not accepted")
@@ -141,7 +135,6 @@ mod tests {
         assert!(e.to_string().contains("isolated"));
         let e = GemmError::DeadlineExceeded { waited_ms: 12 };
         assert!(e.to_string().contains("12ms"));
-        assert!(GemmError::ServiceShutdown.to_string().contains("shut down"));
         assert!(GemmError::QueueFull.to_string().contains("full"));
     }
 }

@@ -33,7 +33,7 @@
 //!   defend against) can never cascade `PoisonError` unwraps through every
 //!   later pool user.
 //! * **Worker respawn.** If a worker thread dies of an unwinding panic
-//!   (only reachable through the [`arm_worker_death`] fault hook today, but
+//!   (only reachable through the [`ThreadPool::arm_worker_death`] fault hook today, but
 //!   defended regardless), a replacement is spawned on its way out, so the
 //!   pool's width survives any fault the harness can inject.
 //! * **Bit-identical results are the driver's concern, not the pool's.**
@@ -64,26 +64,10 @@ pub(crate) fn lock_tolerant<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 // dependency arrow points from `exo-serve` down to this crate, so the hooks
 // that must fire *inside* the pool live here and are armed from above. The
 // countdowns live per pool (tests arm private pools without interfering);
-// the free functions [`arm_task_panic`]/[`arm_worker_death`]/
-// [`disarm_pool_faults`] target the process-wide [`ThreadPool::global`],
+// `exo_serve::fault` arms the ones of the process-wide [`ThreadPool::global`],
 // which is what the service layer executes on. Each hook is one atomic load
 // on the hot path when disarmed ([`Countdown`]).
 // ---------------------------------------------------------------------------
-
-/// Arms [`ThreadPool::arm_task_panic`] on the global pool.
-pub fn arm_task_panic(nth: u64) {
-    ThreadPool::global().arm_task_panic(nth);
-}
-
-/// Arms [`ThreadPool::arm_worker_death`] on the global pool.
-pub fn arm_worker_death(nth: u64) {
-    ThreadPool::global().arm_worker_death(nth);
-}
-
-/// Disarms every fault hook of the global pool.
-pub fn disarm_pool_faults() {
-    ThreadPool::global().disarm_faults();
-}
 
 /// A unit of work submitted to the pool: a lifetime-erased closure plus the
 /// completion latch of the `scope_run` that owns it.

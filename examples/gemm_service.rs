@@ -4,7 +4,8 @@
 //! Each caller owns a slice of the network's unique GEMM-lowered
 //! convolution shapes (miniaturised so the example stays quick), builds
 //! owned jobs, and submits them through the shared bounded queue. The
-//! collector drains whatever queued up into batches, the shared worker
+//! service owns no thread: whichever caller finds the queue idle drains
+//! whatever queued up into batches on its own thread, the shared worker
 //! pool executes them, and every caller gets its `C` operands back through
 //! job handles. Aggregate service counters are printed at the end.
 //!

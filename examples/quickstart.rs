@@ -69,9 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    MatRef/GemmProblem/GemmExecutor front door (see
     //    `examples/blas_api.rs` for the strided/transposed/alpha-beta
     //    tour).
-    use gemm_blis::{exo_kernel, BlisGemm, GemmExecutor, GemmProblem, Matrix};
-    let driver =
-        BlisGemm::for_kernel(&exo_kernel(std::sync::Arc::new(kernel)), &carmel_sim::CacheHierarchy::carmel());
+    use gemm_blis::{exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix};
+    let kernel = exo_kernel(std::sync::Arc::new(kernel));
+    let blocking = BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), kernel.mr, kernel.nr, 4);
+    let driver = BlisGemm::new(blocking).with_kernel(kernel);
     let (m, n, k) = (100usize, 90usize, 70usize);
     let a = Matrix::from_fn(m, k, |i, j| ((i + 2 * j) % 7) as f32 * 0.25 - 0.5);
     let b = Matrix::from_fn(k, n, |i, j| ((3 * i + j) % 5) as f32 * 0.5 - 1.0);

@@ -154,7 +154,6 @@ fn armed_chaos_run_stays_live_and_survivors_stay_bit_identical() {
     assert!(stats.retries >= 1, "beta = 0 failures must have been retried: {stats}");
     assert!(stats.degraded_completions >= 1, "the declined entry must complete degraded: {stats}");
     assert_eq!(stats.deadline_expired, 0);
-    assert_ne!(service.health(), ServiceHealth::Failed, "chaos must not kill the service");
 
     // Disarmed, the service keeps serving cleanly.
     let epilogue =
@@ -206,10 +205,22 @@ fn an_entry_panic_fails_only_its_own_job() {
     assert_eq!(driver.runners_built(), driver.idle_runners() as u64 + 1);
 }
 
-/// A slow batch holds the queue; jobs whose deadline expires while waiting
-/// resolve with `DeadlineExceeded` instead of executing stale work, while
-/// the slow job itself still completes bit-identically (the fault only
-/// sleeps).
+/// Polls until the service has started its first pass (a pass is counted
+/// when it is taken off the queue, before it runs).
+fn await_first_pass(service: &GemmService) {
+    let by = Instant::now() + Duration::from_secs(5);
+    while service.stats().batches == 0 {
+        assert!(Instant::now() < by, "nobody took the first job");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A slow pass holds the queue; jobs whose deadline expires while they
+/// wait behind it resolve with `DeadlineExceeded` instead of executing
+/// stale work, while the slow job itself still completes bit-identically
+/// (the fault only sleeps). The slow job is submitted from a helper thread:
+/// the submitter that finds the queue idle runs the pass, so it is that
+/// thread which stalls, inside `submit`.
 #[test]
 fn slow_batches_expire_queued_deadlines() {
     let _guard = serial();
@@ -217,21 +228,26 @@ fn slow_batches_expire_queued_deadlines() {
     let want = reference_c(16, 16, 16, 1, 0.0);
     let service = GemmService::with_config(driver(), ServiceConfig { queue_capacity: 8, max_batch: 4 });
     FaultPlan::new().slow(1, 120).arm();
-    let slow = service.submit(make_job(16, 16, 16, 1, 0.0)).expect("accepting");
-    // Give the collector a beat to pick up the slow batch, then queue
-    // deadline-bound work behind it.
-    std::thread::sleep(Duration::from_millis(30));
-    let expired: Vec<JobHandle> = (2..4)
-        .map(|s| {
-            service.submit(make_job(16, 16, 16, s, 0.0).with_deadline(Duration::ZERO)).expect("accepting")
-        })
-        .collect();
+    let (slow, expired): (JobHandle, Vec<JobHandle>) = std::thread::scope(|scope| {
+        let slow = scope.spawn(|| service.submit(make_job(16, 16, 16, 1, 0.0)).expect("accepting"));
+        await_first_pass(&service);
+        // Queued behind the running pass with a budget well inside the stall.
+        let expired = (2..4)
+            .map(|s| {
+                let job = make_job(16, 16, 16, s, 0.0).with_deadline(Duration::from_millis(20));
+                service.submit(job).expect("accepting")
+            })
+            .collect();
+        (slow.join().expect("the stalled submitter"), expired)
+    });
 
     let done = wait_or_hang(&slow).expect("the slow job still completes");
     assert_bits(&done.c, &want, "slow job");
     for handle in &expired {
         match wait_or_hang(handle) {
-            Err(GemmError::DeadlineExceeded { .. }) => {}
+            Err(GemmError::DeadlineExceeded { waited_ms }) => {
+                assert!(waited_ms >= 20, "waited {waited_ms} ms")
+            }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
@@ -255,66 +271,79 @@ fn job_bits(job: &mut GemmJob) -> Vec<u32> {
     bits
 }
 
-/// Backpressure answers on time. The collector is stalled inside a batch,
-/// the queue is full and one caller is parked in a blocking `submit`:
-/// `try_submit` must still refuse at once and hand the job back untouched,
-/// `submit_timeout` must give up at its bound, and when the collector
-/// resumes everything that was accepted — the parked job included —
-/// completes bit-identically, with the books balanced and the recorded
-/// queue depth within the queue's bound.
+/// Backpressure answers on time. One caller is stalled inside a pass (it
+/// found the queue idle, so it runs the batch, inside `submit`), the queue
+/// is full and two more callers are parked waiting for room — one in
+/// `submit`, one in `submit_timeout` with a timeout too large to be a point
+/// in time, which must park like `submit`, not panic: `try_submit` must
+/// still refuse at once and hand the job back untouched, `submit_timeout`
+/// must give up at its bound, and when the stall ends everything that was
+/// accepted — the parked jobs included — completes bit-identically, with
+/// the books balanced and the recorded queue depth within the queue's
+/// bound.
 #[test]
 fn a_full_queue_rejects_on_time_while_a_blocking_submit_is_parked() {
     let _guard = serial();
     fault::disarm();
     let job = |seed: usize| make_job(16, 16, 16, seed, 0.5);
-    let wants: Vec<OwnedMat> = (0..4).map(|seed| reference_c(16, 16, 16, seed, 0.5)).collect();
+    let wants: Vec<OwnedMat> = (0..5).map(|seed| reference_c(16, 16, 16, seed, 0.5)).collect();
     let service = GemmService::with_config(driver(), ServiceConfig { queue_capacity: 2, max_batch: 2 });
     FaultPlan::new().slow(1, 600).arm();
 
-    // Job 0 stalls the collector inside its batch. Once the batch is
-    // counted the queue is empty again, and jobs 1 and 2 fill it.
-    let stalled = service.submit(job(0)).expect("accepting");
-    let picked_up_by = Instant::now() + Duration::from_secs(5);
-    while service.stats().batches == 0 {
-        assert!(Instant::now() < picked_up_by, "the collector never took the first job");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let queued: Vec<JobHandle> =
-        (1..3).map(|seed| service.try_submit(job(seed)).expect("room for two")).collect();
-
     let accepted: Vec<JobHandle> = std::thread::scope(|scope| {
-        let (entering, entered) = mpsc::channel();
         let service = &service;
-        let parked = scope.spawn(move || {
-            entering.send(()).expect("the test thread is listening");
-            service.submit(job(3)).expect("accepted once the queue drains")
-        });
-        // Every assertion below holds wherever the parked caller is; the
-        // pause only lets it reach its wait, so that a `submit` that waits
-        // with the accounting gate held is caught.
-        entered.recv().expect("the parked caller started");
+        // Job 0 stalls its submitter inside the first pass. Once that pass
+        // is taken the queue is empty again, and jobs 1 and 2 fill it.
+        let stalled = scope.spawn(move || service.submit(job(0)).expect("accepting"));
+        await_first_pass(service);
+        let queued: Vec<JobHandle> =
+            (1..3).map(|seed| service.try_submit(job(seed)).expect("room for two")).collect();
+
+        let (entering, entered) = mpsc::channel();
+        let parked: Vec<_> = [None, Some(Duration::MAX)]
+            .into_iter()
+            .zip(3..)
+            .map(|(timeout, seed)| {
+                let entering = entering.clone();
+                scope.spawn(move || {
+                    entering.send(()).expect("the test thread is listening");
+                    match timeout {
+                        None => service.submit(job(seed)),
+                        Some(timeout) => service.submit_timeout(job(seed), timeout),
+                    }
+                    .expect("accepted once the queue drains")
+                })
+            })
+            .collect();
+        // Every assertion below holds wherever the parked callers are; the
+        // pause only lets them reach their wait, so that a `submit` that
+        // waits with the queue's lock held is caught.
+        for _ in &parked {
+            entered.recv().expect("a parked caller started");
+        }
         std::thread::sleep(Duration::from_millis(20));
 
         let asked = Instant::now();
-        let refused = service.try_submit(job(4)).expect_err("the queue is full");
+        let refused = service.try_submit(job(5)).expect_err("the queue is full");
         let took = asked.elapsed();
         assert_eq!(refused.reason(), SubmitErrorReason::QueueFull);
         assert!(took < Duration::from_millis(50), "try_submit waited {took:?} behind a parked submit");
         assert_eq!(
             job_bits(&mut refused.into_job()),
-            job_bits(&mut job(4)),
+            job_bits(&mut job(5)),
             "the job comes back as submitted"
         );
 
         let asked = Instant::now();
-        let refused = service.submit_timeout(job(5), Duration::from_millis(5)).expect_err("still full");
+        let refused = service.submit_timeout(job(6), Duration::from_millis(5)).expect_err("still full");
         let took = asked.elapsed();
         assert_eq!(refused.reason(), SubmitErrorReason::Timeout);
         assert!(took < Duration::from_millis(100), "submit_timeout(5 ms) took {took:?}");
 
-        // The stall ends, the queue drains, and the parked caller gets in.
-        let parked = parked.join().expect("parked caller");
-        [stalled].into_iter().chain(queued).chain([parked]).collect()
+        // The stall ends, the queue drains, and the parked callers get in.
+        let stalled = stalled.join().expect("the stalled submitter");
+        let parked = parked.into_iter().map(|caller| caller.join().expect("parked caller"));
+        [stalled].into_iter().chain(queued).chain(parked).collect()
     });
     for (seed, (handle, want)) in accepted.iter().zip(&wants).enumerate() {
         let done = wait_or_hang(handle).expect("every accepted job completes");
@@ -323,7 +352,7 @@ fn a_full_queue_rejects_on_time_while_a_blocking_submit_is_parked() {
     fault::disarm();
 
     let stats = service.stats();
-    assert_eq!((stats.jobs_submitted, stats.jobs_completed, stats.jobs_failed), (4, 4, 0), "{stats}");
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed, stats.jobs_failed), (5, 5, 0), "{stats}");
     assert!(stats.queue_highwater <= stats.queue_capacity, "{stats}");
 }
 
@@ -557,68 +586,53 @@ fn a_dead_shard_fails_only_its_entries_and_the_shared_image_serves_the_next_batc
     }
 }
 
-/// Collector death is the worst case: the service flips to `Failed`,
-/// every outstanding handle resolves with `ServiceShutdown` (no hangs),
-/// later submissions are refused with the job handed back, and the books
-/// still balance.
+/// The thread draining the queue unwinds outside any batch entry
+/// (`collector-panic@2`: before its second pass). Exactly the jobs of that
+/// pass resolve `JobPanicked`; the same thread goes on draining, so every
+/// other job — before it, behind it — completes bit-identically, the books
+/// balance, health is `Degraded`, and the service keeps accepting work.
+/// Two submitters: a helper that stalls inside pass 1 (and so is the one
+/// that drains), and this thread, which queues jobs 1..=3 behind it; with
+/// `max_batch` 2 the unwound pass is jobs 1 and 2.
 #[test]
-fn collector_death_resolves_outstanding_handles_and_fails_the_service() {
+fn a_combiner_that_unwinds_fails_its_pass_and_the_service_keeps_serving() {
     let _guard = serial();
     fault::disarm();
-    let service = GemmService::with_config(driver(), ServiceConfig { queue_capacity: 8, max_batch: 4 });
-    FaultPlan::new().collector_panic(2).arm();
+    let wants: Vec<OwnedMat> = (0..5).map(|seed| reference_c(16, 16, 16, seed, 0.0)).collect();
+    let service = GemmService::with_config(driver(), ServiceConfig { queue_capacity: 8, max_batch: 2 });
+    FaultPlan::new().slow(1, 100).collector_panic(2).arm();
 
-    // Batch 1 survives (the countdown fires before batch 2).
-    let first = service.submit(make_job(16, 16, 16, 0, 0.0)).expect("accepting");
-    assert!(wait_or_hang(&first).is_ok());
-
-    // The next burst triggers the collector panic. Depending on timing a
-    // submission may be accepted (its handle must then resolve with
-    // ServiceShutdown) or refused outright — either way nothing hangs and
-    // nothing is lost.
-    let mut accepted = Vec::new();
-    for s in 1..5 {
-        match service.submit(make_job(16, 16, 16, s, 0.0)) {
-            Ok(handle) => accepted.push(handle),
-            Err(e) => assert_eq!(e.reason(), SubmitErrorReason::Shutdown),
-        }
-    }
-    for handle in &accepted {
-        match wait_or_hang(handle) {
-            Err(GemmError::ServiceShutdown) => {}
-            other => panic!("expected ServiceShutdown, got {other:?}"),
+    let handles: Vec<JobHandle> = std::thread::scope(|scope| {
+        let first = scope.spawn(|| service.submit(make_job(16, 16, 16, 0, 0.0)).expect("accepting"));
+        await_first_pass(&service);
+        let queued: Vec<JobHandle> =
+            (1..4).map(|seed| service.submit(make_job(16, 16, 16, seed, 0.0)).expect("accepting")).collect();
+        [first.join().expect("the draining submitter returns, it does not unwind")]
+            .into_iter()
+            .chain(queued)
+            .collect()
+    });
+    for (seed, handle) in handles.iter().enumerate() {
+        match (seed, wait_or_hang(handle)) {
+            (1 | 2, Err(GemmError::JobPanicked { message })) => {
+                assert!(message.contains("injected fault"), "unexpected payload: {message}");
+            }
+            (0 | 3, Ok(done)) => assert_bits(&done.c, &wants[seed], &format!("job {seed}")),
+            (_, other) => panic!("job {seed}: {other:?}"),
         }
     }
     fault::disarm();
 
-    // Health flips to Failed (the flip races the last handle resolution by
-    // a hair, so poll briefly).
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while service.health() != ServiceHealth::Failed {
-        assert!(std::time::Instant::now() < deadline, "service never reported Failed");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let refused = service.submit(make_job(16, 16, 16, 9, 0.0));
-    match refused {
-        Err(e) => {
-            assert_eq!(e.reason(), SubmitErrorReason::Shutdown);
-            let job = e.into_job(); // the job comes back intact
-            assert_eq!(job.deadline(), None);
-        }
-        Ok(_) => panic!("a failed service must refuse new work"),
-    }
     let stats = service.stats();
-    assert_eq!(
-        stats.jobs_completed + stats.jobs_failed,
-        stats.jobs_submitted,
-        "the books must balance after collector death: {stats}"
-    );
-    assert_eq!(stats.health, ServiceHealth::Failed);
-    drop(service); // must join cleanly, not hang
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed, stats.jobs_failed), (4, 2, 2), "{stats}");
+    assert_eq!((stats.batches, stats.panics_caught), (3, 1), "{stats}");
+    assert_eq!(service.health(), ServiceHealth::Degraded);
+    let after = service.submit(make_job(16, 16, 16, 4, 0.0)).expect("a live service accepts");
+    assert_bits(&wait_or_hang(&after).expect("clean job after the unwind").c, &wants[4], "job 4");
 }
 
-/// Dropping a service with handles still outstanding must resolve every
-/// one of them — accepted work drains and completes; nothing hangs.
+/// Handles outlive the service: every accepted job has completed by the
+/// time the service can be dropped, and its handle still redeems.
 #[test]
 fn shutdown_with_outstanding_handles_resolves_them_all() {
     let _guard = serial();
@@ -630,10 +644,7 @@ fn shutdown_with_outstanding_handles_resolves_them_all() {
     for (idx, handle) in handles.iter().enumerate() {
         match wait_or_hang(handle) {
             Ok(done) => assert_eq!(done.stats.flop_count, 2 * 16 * 16 * 16),
-            // A job can only fail here if shutdown outran acceptance —
-            // and then it must say so, not hang.
-            Err(GemmError::ServiceShutdown) => panic!("job {idx} was accepted, it must complete"),
-            Err(other) => panic!("job {idx}: unexpected error {other:?}"),
+            Err(other) => panic!("job {idx} was accepted, it must complete: {other:?}"),
         }
     }
 }
@@ -946,17 +957,12 @@ fn env_spec_drives_a_full_fault_run() {
             .map(|caller| {
                 let service = &service;
                 scope.spawn(move || {
-                    let mut results = Vec::new();
-                    for j in 0..JOBS {
-                        match service.submit(make_job(24, 20, 16, caller * JOBS + j, 0.0)) {
-                            Ok(handle) => results.push(wait_or_hang(&handle)),
-                            // A collector-panic spec may flip the service
-                            // to Failed mid-run; refusal is a valid
-                            // outcome, hanging is not.
-                            Err(e) => results.push(Err(e.gemm_error())),
-                        }
-                    }
-                    results
+                    (0..JOBS)
+                        .map(|j| {
+                            let job = make_job(24, 20, 16, caller * JOBS + j, 0.0);
+                            wait_or_hang(&service.submit(job).expect("a live service accepts submissions"))
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -971,8 +977,6 @@ fn env_spec_drives_a_full_fault_run() {
         stats.jobs_submitted,
         "books must balance under EXO_FAULT={spec}: {stats}"
     );
-    if service.health() != ServiceHealth::Failed {
-        let clean = service.submit(make_job(16, 16, 16, 777, 0.0)).expect("live service accepts");
-        assert!(wait_or_hang(&clean).is_ok());
-    }
+    let clean = service.submit(make_job(16, 16, 16, 777, 0.0)).expect("live service accepts");
+    assert!(wait_or_hang(&clean).is_ok());
 }

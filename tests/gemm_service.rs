@@ -17,12 +17,20 @@
 //!   (`b_images_packed` / `entries_on_shared_b`), bit-identical to
 //!   per-call `TunedGemm::execute`; jobs that own their operands never
 //!   share.
+//! * Who runs what: the service owns no thread, so an idle service runs a
+//!   job on the submitting thread and a busy one on the thread already
+//!   draining; and all three submission doors under a queue of two.
 
 mod common;
 
+use std::sync::{mpsc, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
+
 use common::{poison_filler, reference, Cases, Stored};
 use exo_gemm::exo_serve::{
-    CachedTunedGemm, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, OwnedMat, ServiceConfig, ThreadPool,
+    BatchReport, CachedTunedGemm, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle, OwnedMat,
+    ServiceConfig, SubmitErrorReason, ThreadPool,
 };
 use exo_gemm::exo_tune::TunedGemm;
 use exo_gemm::gemm_blis::{BlisGemm, BlockingParams};
@@ -387,5 +395,153 @@ fn entries_borrowing_one_weight_matrix_pack_it_once_per_batch() {
                 assert_eq!(bits(got), bits(want), "{who}: entry {e}");
             }
         }
+    }
+}
+
+/// An executor that notes which thread ran each batch, and holds its first
+/// batch until the test lets it go.
+struct Observed<E> {
+    inner: E,
+    ran_on: mpsc::Sender<ThreadId>,
+    /// Taken by the first batch: it announces itself on the sender, then
+    /// waits on the receiver.
+    first: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl<E: GemmBatchExecutor> GemmBatchExecutor for Observed<E> {
+    fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
+        self.ran_on.send(std::thread::current().id()).expect("the test outlives the service");
+        if let Some((inside, release)) = self.first.lock().unwrap().take() {
+            inside.send(()).expect("the test is listening");
+            release.recv().expect("the test releases the first batch");
+        }
+        self.inner.gemm_batch(batch)
+    }
+}
+
+/// The service owns no thread. A job submitted while another caller is
+/// inside a pass returns unresolved at once and is run by *that* caller's
+/// thread; a job submitted to an idle service runs on the submitting
+/// thread, inside `submit`, and its handle comes back resolved.
+#[test]
+fn the_submitter_that_finds_the_queue_idle_runs_the_batch() {
+    let executor = BlisGemm::new(BlockingParams::carmel_defaults(8, 12));
+    let mut cases = Cases::new(0x5E27_0004);
+    let cases: Vec<Case> = (0..3).map(|_| Case::random(&mut cases, &executor)).collect();
+    let (ran_on, ran_on_rx) = mpsc::channel();
+    let ((inside, is_inside), (release, released)) = (mpsc::channel(), mpsc::channel());
+    let service =
+        GemmService::new(Observed { inner: executor, ran_on, first: Mutex::new(Some((inside, released))) });
+
+    let (helper, first, second) = std::thread::scope(|scope| {
+        let helper = scope.spawn(|| {
+            (std::thread::current().id(), service.submit(cases[0].job()).expect("accepting").wait())
+        });
+        is_inside.recv().expect("the helper's pass started");
+        let second = service.submit(cases[1].job()).expect("accepting");
+        assert!(
+            second.wait_timeout(Duration::ZERO).is_none(),
+            "queued behind the helper's pass, not run here"
+        );
+        release.send(()).expect("the pass is waiting");
+        let (helper, first) = helper.join().expect("helper");
+        (helper, first, second)
+    });
+    cases[0].check(&first.unwrap().c, "the helper's own job");
+    // The helper left `submit` only after finding the queue empty.
+    let second = second.wait_timeout(Duration::ZERO).expect("resolved before the helper returned");
+    cases[1].check(&second.unwrap().c, "the job queued behind it");
+    assert_eq!(ran_on_rx.try_iter().collect::<Vec<_>>(), [helper, helper], "both passes ran on the helper");
+
+    let third = service.submit(cases[2].job()).expect("accepting");
+    let third = third.wait_timeout(Duration::ZERO).expect("an idle service returns a resolved handle");
+    cases[2].check(&third.unwrap().c, "the idle service's job");
+    assert_eq!(ran_on_rx.try_iter().collect::<Vec<_>>(), [std::thread::current().id()]);
+    let stats = service.stats();
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed, stats.batches), (3, 3, 3), "{stats}");
+}
+
+/// Every bit a job carries: its three operands as stored, then the scales.
+fn job_bits(job: &mut GemmJob) -> Vec<u32> {
+    let problem = job.problem();
+    let mut bits = Vec::new();
+    for mat in [problem.a, problem.b, problem.c.rb()] {
+        for i in 0..mat.rows() {
+            bits.extend((0..mat.cols()).map(|j| mat.get(i, j).to_bits()));
+        }
+    }
+    bits.extend([problem.alpha.to_bits(), problem.beta.to_bits()]);
+    bits
+}
+
+/// Four callers, 64 jobs each, taking turns at the three doors, against a
+/// queue of two — with passes of one job and of up to eight. Whatever the
+/// interleaving: a refused job comes back bit-equal, every accepted one
+/// resolves (once: `wait` consumes the handle) bit-identical to the
+/// per-call run, the queue never held more than its bound, no pass
+/// exceeded `max_batch`, and the books balance.
+#[test]
+fn three_doors_and_a_queue_of_two_lose_and_duplicate_nothing() {
+    const CALLERS: usize = 4;
+    const JOBS: usize = 64;
+    let reference = CachedTunedGemm::new(TunedGemm::new());
+    let mut cases = Cases::new(0x5E27_0005);
+    let per_caller: Vec<Vec<Case>> = (0..CALLERS)
+        .map(|_| (0..JOBS).map(|_| Case::random(&mut cases, reference.tuned())).collect())
+        .collect();
+    for max_batch in [1, 8] {
+        let service = GemmService::with_config(
+            CachedTunedGemm::new(TunedGemm::new()),
+            ServiceConfig { queue_capacity: 2, max_batch },
+        );
+        let accepted: usize = std::thread::scope(|scope| {
+            let callers: Vec<_> = per_caller
+                .iter()
+                .map(|caller| {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let mut handles: Vec<(&Case, JobHandle)> = Vec::new();
+                        for (j, case) in caller.iter().enumerate() {
+                            let (offered, reason) = match j % 3 {
+                                0 => (service.submit(case.job()), None),
+                                1 => (service.try_submit(case.job()), Some(SubmitErrorReason::QueueFull)),
+                                _ => (
+                                    service.submit_timeout(case.job(), Duration::from_micros(20)),
+                                    Some(SubmitErrorReason::Timeout),
+                                ),
+                            };
+                            match offered {
+                                Ok(handle) => handles.push((case, handle)),
+                                Err(refused) => {
+                                    assert_eq!(Some(refused.reason()), reason, "job {j}");
+                                    assert_eq!(
+                                        job_bits(&mut refused.into_job()),
+                                        job_bits(&mut case.job()),
+                                        "refused job {j} comes back as submitted"
+                                    );
+                                }
+                            }
+                        }
+                        let accepted = handles.len();
+                        for (case, handle) in handles {
+                            case.check(&handle.wait().expect("an accepted job completes").c, "mixed doors");
+                        }
+                        accepted
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|caller| caller.join().expect("caller")).sum()
+        });
+        let stats = service.stats();
+        assert!(accepted >= CALLERS * JOBS.div_ceil(3), "blocking submits are always accepted: {accepted}");
+        assert_eq!(
+            (stats.jobs_submitted, stats.jobs_completed, stats.jobs_failed),
+            (accepted as u64, accepted as u64, 0),
+            "max_batch {max_batch}: {stats}"
+        );
+        assert!(
+            stats.queue_highwater <= 2 && stats.largest_batch <= max_batch,
+            "max_batch {max_batch}: {stats}"
+        );
     }
 }
