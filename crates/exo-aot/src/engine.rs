@@ -65,8 +65,11 @@ const SWEEP_TTL: Duration = Duration::from_secs(24 * 3600);
 /// first).
 const MAX_QUARANTINE: usize = 16;
 
-/// Default compile deadline when `EXO_AOT_TIMEOUT_MS` is unset.
-const DEFAULT_TIMEOUT_MS: u64 = 20_000;
+/// The compile deadline: how long one compiler invocation may run before
+/// it is killed and the attempt reported as [`AotError::CompileTimeout`].
+/// A kernel's translation unit builds in well under a second; 20 s only
+/// ever ends a compiler that is not going to answer.
+const COMPILE_DEADLINE: Duration = Duration::from_secs(20);
 
 /// Effective deadline when the `aot-hang` fault replaces the compiler
 /// with a sleeping child: long enough to prove the kill path runs, short
@@ -118,22 +121,6 @@ pub fn arm_bad_artifact(n: u64) {
 /// from now reports a mismatch. `0` disarms.
 pub fn arm_wrong_result(n: u64) {
     WRONG_RESULT_IN.arm(n);
-}
-
-/// The compile deadline (`EXO_AOT_TIMEOUT_MS`, default 20 000): how long
-/// one compiler invocation may run before it is killed and the attempt
-/// reported as [`AotError::CompileTimeout`].
-pub fn compile_deadline() -> Duration {
-    static CELL: OnceLock<Option<u64>> = OnceLock::new();
-    let ms = exo_codegen::env_once(&CELL, "EXO_AOT_TIMEOUT_MS", |v| {
-        v.trim()
-            .parse::<u64>()
-            .ok()
-            .filter(|&ms| ms >= 1)
-            .ok_or_else(|| format!("`{v}` is not a positive compile deadline in milliseconds"))
-    })
-    .unwrap_or(DEFAULT_TIMEOUT_MS);
-    Duration::from_millis(ms)
 }
 
 /// A point-in-time snapshot of an engine's observability counters.
@@ -596,17 +583,16 @@ fn build(
     let tmp = store.scratch_path(artifact, "cc");
     let (mut cmd, deadline) = if HANG_IN.fires() {
         // The `aot-hang` fault: a compiler that never answers. A sleeping
-        // child stands in for `cc`, with the deadline clamped so the
-        // chaos suite proves the kill path without waiting out the real
-        // deadline.
+        // child stands in for `cc`, under a short deadline so the chaos
+        // suite proves the kill path without waiting out the real one.
         let mut cmd = Command::new("sleep");
         cmd.arg("600");
-        (cmd, compile_deadline().min(HANG_FAULT_DEADLINE))
+        (cmd, HANG_FAULT_DEADLINE)
     } else {
         let mut cmd = Command::new(&req.tc.cc);
         cmd.args(["-O3", "-shared", "-fPIC", "-ffp-contract=off"]).args(req.isa.cc_flags());
         cmd.arg(&src).arg("-o").arg(&tmp);
-        (cmd, compile_deadline())
+        (cmd, COMPILE_DEADLINE)
     };
     counters.compiler_invocations.fetch_add(1, Ordering::SeqCst);
     let (status, stderr) = match run_with_deadline(&mut cmd, deadline, store, artifact) {

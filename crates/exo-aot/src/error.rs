@@ -49,8 +49,7 @@ pub enum AotError {
         /// The OS error rendered to a string (keeps the type `Clone`).
         reason: String,
     },
-    /// The C compiler exceeded its deadline (`EXO_AOT_TIMEOUT_MS`) and
-    /// was killed.
+    /// The C compiler exceeded its deadline (20 s) and was killed.
     CompileTimeout {
         /// The compiler invoked.
         compiler: String,

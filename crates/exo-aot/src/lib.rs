@@ -33,7 +33,7 @@
 //! passes a deterministic probe run against the portable tier (a
 //! mismatch quarantines the artifact as `<path>.wrong-result` and pins
 //! the key to simd). Compiler invocations run under a kill-on-deadline
-//! wrapper (`EXO_AOT_TIMEOUT_MS`), failed keys retry with exponential
+//! wrapper (20 s), failed keys retry with exponential
 //! backoff at most [`engine::MAX_BUILD_ATTEMPTS`] times per process, and
 //! engine init sweeps stale cache debris.
 //!
@@ -53,8 +53,8 @@ pub mod store;
 pub mod toolchain;
 
 pub use engine::{
-    arm_bad_artifact, arm_compile_fail, arm_hang, arm_wrong_result, compile_deadline, engine, AotEngine,
-    AotRequest, AotStats, MAX_BUILD_ATTEMPTS,
+    arm_bad_artifact, arm_compile_fail, arm_hang, arm_wrong_result, engine, AotEngine, AotRequest, AotStats,
+    MAX_BUILD_ATTEMPTS,
 };
 pub use error::{AotError, Result};
 pub use kernel::{KernelFn, NativeKernel, KERNEL_SYMBOL};

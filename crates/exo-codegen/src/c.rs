@@ -478,11 +478,12 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// for tapes that write a packed operand or carry an f16 rounding step
 /// (the native tier declines; callers fall back to simd).
 pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -> Result<String> {
-    kernel.check_packed_signature()?;
-    let n_tensors = kernel.params.iter().filter(|(_, k)| *k == ParamKind::Tensor).count();
-    for idx in 0..n_tensors.saturating_sub(1) {
-        if kernel.writes_tensor(idx) {
-            return Err(aot_unsupported(format!("kernel `{}` writes packed operand {idx}", kernel.name)));
+    let tape = kernel.tape();
+    tape.check_packed_signature()?;
+    // `Ac` and `Bc`, the two tensors the signature declares `const`.
+    for idx in 0..2 {
+        if tape.writes_tensor(idx) {
+            return Err(aot_unsupported(format!("kernel `{}` writes packed operand {idx}", tape.name)));
         }
     }
     for op in &kernel.ops {
@@ -500,7 +501,7 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
     let mut scalar_names = Vec::new();
     let mut tensor_names = Vec::new();
     let mut sig_parts: Vec<String> = Vec::new();
-    for (i, (name, kind)) in kernel.params.iter().enumerate() {
+    for (i, (name, kind)) in tape.params.iter().enumerate() {
         let c_name = c_ident(name, &mut used);
         match kind {
             ParamKind::Scalar => {
@@ -508,8 +509,8 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
                 scalar_names.push(c_name);
             }
             ParamKind::Tensor => {
-                let tensor_idx = kernel.params[..i].iter().filter(|(_, k)| *k == ParamKind::Tensor).count();
-                let qual = if kernel.writes_tensor(tensor_idx) { "" } else { "const " };
+                let tensor_idx = tape.params[..i].iter().filter(|(_, k)| *k == ParamKind::Tensor).count();
+                let qual = if tape.writes_tensor(tensor_idx) { "" } else { "const " };
                 sig_parts.push(format!("{qual}float* restrict {c_name}"));
                 tensor_names.push(c_name);
             }
@@ -521,7 +522,7 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
     let _ = writeln!(
         out,
         "// Generated by exo-aot: superword tape `{}` lowered to C ({}).",
-        kernel.name,
+        tape.name,
         isa.name()
     );
     let _ = writeln!(out, "// Compile with -O3 -ffp-contract=off (see exo_codegen::emit_superword_c).");
@@ -537,7 +538,7 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
     // long as each accumulator lane group is accessed at one width and one
     // offset (`SuperwordKernel::split_accumulator_groups` == 0, see above).
     // It starts zeroed, exactly like the tape's freshly allocated one.
-    let n_regs = kernel.n_regs;
+    let n_regs = tape.n_regs;
     let _ = writeln!(out, "    float reg[{n_regs}];");
     let _ = writeln!(out, "    for (int64_t z0 = 0; z0 < {n_regs}; z0++) reg[z0] = 0.0f;");
 
@@ -822,7 +823,7 @@ mod tests {
                 ),
             ])
             .build();
-        crate::exec::compile(&p).unwrap().to_tape().unwrap().to_superword().unwrap()
+        crate::exec::compile(&p).unwrap().to_superword().unwrap()
     }
 
     #[test]

@@ -2,27 +2,38 @@
 //! [`CompiledKernel`] that runs directly on `f32` slices.
 //!
 //! The original toolchain compiles Exo's C output with `gcc` and runs it on
-//! an ARM board. Neither is available here, so this backend provides the
-//! *functional* execution path: instruction calls are inlined back to their
-//! semantic bodies at compile time, multi-dimensional accesses are linearised
-//! into row-major address polynomials, and the kernel runs over caller
-//! provided buffers. It is used by the differential tests (generated kernel
-//! vs. naive reference) and by the BLIS-like GEMM driver's functional mode
-//! (absolute Carmel GFLOPS figures come from the `carmel-sim` performance
-//! model).
+//! an ARM board; the `exo-aot` tier does the same with the host's compiler.
+//! This backend is what that path is held against — the *reference
+//! semantics* of a scheduled procedure: instruction calls are inlined back
+//! to their semantic bodies at compile time, multi-dimensional accesses are
+//! linearised into row-major address polynomials, and the tree is walked
+//! over caller provided buffers with every access checked. Every faster
+//! tier is lowered from a [`CompiledKernel`] and differentially tested
+//! against it; it also runs whatever the tape cannot register-allocate.
 
 use exo_ir::{ArgKind, BinOp, Expr, Proc, ScalarType, Stmt, Sym};
 use exo_sched::inline_call;
 
 use crate::error::{CodegenError, Result};
 
-/// A runtime argument for [`CompiledKernel::run`].
+/// A borrowed tensor argument — with the scalars beside it, the one way a
+/// kernel of any tier is called (`run_views`).
 #[derive(Debug)]
-pub enum RunArg<'a> {
-    /// Value for a `size` or `index` parameter.
-    Size(i64),
-    /// Buffer for a tensor parameter (mutated in place).
-    Tensor(&'a mut [f32]),
+pub enum TensorView<'a> {
+    /// A tensor the kernel only reads.
+    Ro(&'a [f32]),
+    /// A tensor the kernel may write.
+    Rw(&'a mut [f32]),
+}
+
+impl TensorView<'_> {
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        match self {
+            TensorView::Ro(s) => s,
+            TensorView::Rw(s) => s,
+        }
+    }
 }
 
 /// Which runtime slot a compiled buffer reference points to.
@@ -302,56 +313,34 @@ pub fn compile(p: &Proc) -> Result<CompiledKernel> {
     })
 }
 
-struct Runtime<'a> {
-    tensors: Vec<&'a mut [f32]>,
+struct Runtime<'a, 'v> {
+    tensors: &'a mut [TensorView<'v>],
     locals: Vec<Vec<f32>>,
     loops: Vec<i64>,
-    scalars: Vec<i64>,
+    scalars: &'a [i64],
 }
 
 impl CompiledKernel {
-    /// Number of parameters (scalar and tensor) the kernel expects.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Parameter names in signature order.
-    pub fn param_names(&self) -> Vec<&str> {
-        self.params.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Runs the kernel. `args` must supply one entry per parameter, in
-    /// signature order: [`RunArg::Size`] for `size`/`index` parameters and
-    /// [`RunArg::Tensor`] for buffers.
+    /// Runs the kernel. `scalars` and `tensors` are matched to the
+    /// `size`/`index` and the tensor parameters in signature order.
     ///
     /// # Errors
     ///
-    /// Returns [`CodegenError::BadArguments`] on an argument-count or kind
-    /// mismatch and [`CodegenError::OutOfBounds`] if an access leaves its
-    /// buffer.
-    pub fn run(&self, args: &mut [RunArg<'_>]) -> Result<()> {
-        if args.len() != self.params.len() {
+    /// Returns [`CodegenError::BadArguments`] if the counts do not match or
+    /// the kernel stores to a tensor passed read-only, and
+    /// [`CodegenError::OutOfBounds`] if an access leaves its buffer.
+    pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
+        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
+        let n_tensors = self.params.len() - n_scalars;
+        if scalars.len() != n_scalars || tensors.len() != n_tensors {
             return Err(CodegenError::BadArguments {
                 reason: format!(
-                    "kernel `{}` expects {} arguments, got {}",
+                    "kernel `{}` expects {n_scalars} scalars and {n_tensors} tensors, got {} and {}",
                     self.name,
-                    self.params.len(),
-                    args.len()
+                    scalars.len(),
+                    tensors.len()
                 ),
             });
-        }
-        let mut scalars = Vec::new();
-        let mut tensors: Vec<&mut [f32]> = Vec::new();
-        for ((name, kind), arg) in self.params.iter().zip(args.iter_mut()) {
-            match (kind, arg) {
-                (ParamKind::Scalar, RunArg::Size(v)) => scalars.push(*v),
-                (ParamKind::Tensor, RunArg::Tensor(t)) => tensors.push(t),
-                _ => {
-                    return Err(CodegenError::BadArguments {
-                        reason: format!("argument `{name}` has the wrong kind"),
-                    })
-                }
-            }
         }
         let mut rt = Runtime {
             tensors,
@@ -363,7 +352,7 @@ impl CompiledKernel {
     }
 }
 
-fn exec_block(ops: &[Op], rt: &mut Runtime<'_>) -> Result<()> {
+fn exec_block(ops: &[Op], rt: &mut Runtime<'_, '_>) -> Result<()> {
     for op in ops {
         match op {
             Op::AllocLocal { slot, len } => {
@@ -403,7 +392,7 @@ fn exec_block(ops: &[Op], rt: &mut Runtime<'_>) -> Result<()> {
     Ok(())
 }
 
-fn eval_i(e: &IExpr, rt: &Runtime<'_>) -> i64 {
+fn eval_i(e: &IExpr, rt: &Runtime<'_, '_>) -> i64 {
     match e {
         IExpr::Const(v) => *v,
         IExpr::Loop(i) => rt.loops[*i as usize],
@@ -431,7 +420,7 @@ fn eval_i(e: &IExpr, rt: &Runtime<'_>) -> i64 {
     }
 }
 
-fn eval_v(e: &VExpr, rt: &Runtime<'_>) -> Result<f32> {
+fn eval_v(e: &VExpr, rt: &Runtime<'_, '_>) -> Result<f32> {
     Ok(match e {
         VExpr::Const(v) => *v,
         VExpr::Int(i) => eval_i(i, rt) as f32,
@@ -444,9 +433,9 @@ fn eval_v(e: &VExpr, rt: &Runtime<'_>) -> Result<f32> {
     })
 }
 
-fn load(buf: &BufSlot, flat: i64, rt: &Runtime<'_>) -> Result<f32> {
+fn load(buf: &BufSlot, flat: i64, rt: &Runtime<'_, '_>) -> Result<f32> {
     let slice: &[f32] = match buf {
-        BufSlot::Arg(i) => rt.tensors[*i as usize],
+        BufSlot::Arg(i) => rt.tensors[*i as usize].as_slice(),
         BufSlot::Local(i) => &rt.locals[*i as usize],
     };
     if flat < 0 || flat as usize >= slice.len() {
@@ -455,9 +444,16 @@ fn load(buf: &BufSlot, flat: i64, rt: &Runtime<'_>) -> Result<f32> {
     Ok(slice[flat as usize])
 }
 
-fn store(buf: &BufSlot, flat: i64, value: f32, rt: &mut Runtime<'_>) -> Result<()> {
+fn store(buf: &BufSlot, flat: i64, value: f32, rt: &mut Runtime<'_, '_>) -> Result<()> {
     let slice: &mut [f32] = match buf {
-        BufSlot::Arg(i) => rt.tensors[*i as usize],
+        BufSlot::Arg(i) => match &mut rt.tensors[*i as usize] {
+            TensorView::Rw(slice) => slice,
+            TensorView::Ro(_) => {
+                return Err(CodegenError::BadArguments {
+                    reason: format!("store to read-only tensor parameter {i}"),
+                })
+            }
+        },
         BufSlot::Local(i) => &mut rt.locals[*i as usize],
     };
     if flat < 0 || flat as usize >= slice.len() {
@@ -487,7 +483,6 @@ mod tests {
     fn compiled_reference_kernel_matches_naive_gemm() {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let kernel = compile(&p).unwrap();
-        assert_eq!(kernel.param_count(), 6);
 
         let (mr, nr, kc) = (8usize, 12usize, 17usize);
         let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
@@ -495,17 +490,12 @@ mod tests {
         let mut c: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32).collect();
         let mut c_ref = c.clone();
 
-        let mut a_buf = a.clone();
-        let mut b_buf = b.clone();
-        let mut args = vec![
-            RunArg::Size(mr as i64),
-            RunArg::Size(nr as i64),
-            RunArg::Size(kc as i64),
-            RunArg::Tensor(&mut a_buf),
-            RunArg::Tensor(&mut b_buf),
-            RunArg::Tensor(&mut c),
-        ];
-        kernel.run(&mut args).unwrap();
+        kernel
+            .run_views(
+                &[mr as i64, nr as i64, kc as i64],
+                &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c)],
+            )
+            .unwrap();
         naive_gemm(&a, &b, &mut c_ref, mr, nr, kc);
         for (x, y) in c.iter().zip(&c_ref) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
@@ -558,12 +548,10 @@ mod tests {
             ])
             .build();
         let kernel = compile(&p).unwrap();
-        let mut x: Vec<f32> = (0..8).map(|i| i as f32 * 1.5).collect();
-        let x_copy = x.clone();
+        let x: Vec<f32> = (0..8).map(|i| i as f32 * 1.5).collect();
         let mut y = vec![0.0f32; 8];
-        let mut args = vec![RunArg::Tensor(&mut x), RunArg::Tensor(&mut y)];
-        kernel.run(&mut args).unwrap();
-        assert_eq!(y, x_copy);
+        kernel.run_views(&[], &mut [TensorView::Ro(&x), TensorView::Rw(&mut y)]).unwrap();
+        assert_eq!(y, x);
     }
 
     #[test]
@@ -574,7 +562,7 @@ mod tests {
             .build();
         let kernel = compile(&p).unwrap();
         let mut out = vec![0.0f32; 1];
-        kernel.run(&mut [RunArg::Tensor(&mut out)]).unwrap();
+        kernel.run_views(&[], &mut [TensorView::Rw(&mut out)]).unwrap();
         assert_eq!(out[0], 1.0);
     }
 
@@ -582,17 +570,15 @@ mod tests {
     fn argument_mismatches_are_reported() {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let kernel = compile(&p).unwrap();
-        let mut too_few = vec![RunArg::Size(1)];
-        assert!(matches!(kernel.run(&mut too_few), Err(CodegenError::BadArguments { .. })));
-        let mut wrong = vec![
-            RunArg::Tensor(&mut []),
-            RunArg::Size(1),
-            RunArg::Size(1),
-            RunArg::Size(1),
-            RunArg::Size(1),
-            RunArg::Size(1),
-        ];
-        assert!(matches!(kernel.run(&mut wrong), Err(CodegenError::BadArguments { .. })));
+        assert!(matches!(kernel.run_views(&[1], &mut []), Err(CodegenError::BadArguments { .. })));
+        let (a, b, c) = ([0.0f32], [0.0f32], [0.0f32]);
+        let too_many_scalars = kernel
+            .run_views(&[1, 1, 1, 1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        assert!(matches!(too_many_scalars, Err(CodegenError::BadArguments { .. })));
+        // A store through a read-only view is refused where it happens.
+        let read_only_c =
+            kernel.run_views(&[1, 1, 1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        assert!(matches!(read_only_c, Err(CodegenError::BadArguments { .. })));
     }
 
     #[test]
@@ -603,13 +589,17 @@ mod tests {
             .build();
         let kernel = compile(&p).unwrap();
         let mut x = vec![0.0f32; 2];
-        assert!(matches!(kernel.run(&mut [RunArg::Tensor(&mut x)]), Err(CodegenError::OutOfBounds { .. })));
+        assert!(matches!(
+            kernel.run_views(&[], &mut [TensorView::Rw(&mut x)]),
+            Err(CodegenError::OutOfBounds { .. })
+        ));
     }
 
     #[test]
     fn param_names_follow_signature_order() {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let kernel = compile(&p).unwrap();
-        assert_eq!(kernel.param_names(), vec!["MR", "NR", "KC", "Ac", "Bc", "C"]);
+        let names: Vec<&str> = kernel.params.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["MR", "NR", "KC", "Ac", "Bc", "C"]);
     }
 }

@@ -10,16 +10,17 @@
 //!   analogue of the paper's Fig. 12,
 //! * [`trace::extract_trace`] — the machine-operation trace consumed by the
 //!   `carmel-sim` performance model,
-//! * [`exec::compile`] — an executable lowering used for functional
-//!   validation and wall-clock benches,
+//! * [`exec::compile`] — the executable lowering, walked as a tree: the
+//!   reference semantics every tier below is tested against,
 //! * [`tape`] — a flat, register-allocated tape compiled from the executable
-//!   lowering: the scalar bytecode backend,
+//!   lowering, every access checked: the checked reference a declined
+//!   proof of any tier below runs,
 //! * [`superword`] — the superword lowering of the tape: the SLP pass that
 //!   re-rolls lane runs into whole-vector ops (`VLoad`, `VStore`,
 //!   `VFmaLane`, `VFmaBcast`), plus the construction-time and
 //!   affine-interval proofs every unchecked executor of those ops runs
-//!   under and the checked reference run a declined proof lands on. The
-//!   IR the tiers below consume; it executes nothing unchecked itself,
+//!   under. The IR the tiers below consume; it executes nothing unchecked
+//!   itself and keeps the tape it was packed from for everything checked,
 //! * [`simd`] — the in-process executors of that IR: the validated
 //!   superword ops compiled once per kernel into a chain of monomorphic
 //!   closures per vector ISA — AVX2/FMA on x86_64, NEON on aarch64, and a
@@ -45,11 +46,11 @@ pub use asm::{count_mnemonics, emit_asm};
 pub use c::{emit_c, emit_superword_c};
 pub use env::{env_once, Countdown};
 pub use error::{CodegenError, Result};
-pub use exec::{compile, CompiledKernel, RunArg};
+pub use exec::{compile, CompiledKernel, TensorView};
 pub use simd::{
     active_isa, env_isa_override, fma_contraction_tol, simd_available, IsaKind, PackedKernelFn, SimdDispatch,
     SimdKernel,
 };
 pub use superword::SuperwordKernel;
-pub use tape::{TapeKernel, TensorView};
+pub use tape::TapeKernel;
 pub use trace::{extract_trace, summarise, KernelTrace, MachineOp};

@@ -36,9 +36,7 @@
 //! * `scalar` — the one-lane reference, available everywhere: the trait's
 //!   provided bodies, unchanged. Its multiply-then-add matches the tape /
 //!   interpreter rounding **bit for bit**, which makes the chain compiled
-//!   for it the *portable* tier (what a `Superword` pin runs); the module
-//!   also hosts the checked reference executor every declined bounds proof
-//!   lands on.
+//!   for it the *portable* tier (what a `Superword` pin runs).
 //!
 //! [`active_isa`] picks the widest available implementation at process
 //! start ([`IsaKind::Avx2`] → [`IsaKind::Neon`] → [`IsaKind::Scalar`]);
@@ -61,8 +59,8 @@
 //! proof over the tensor addresses. `SimdKernel::run_proved` is the **one
 //! place** in the workspace that chooses between an unchecked body and
 //! the checked reference: proof admits → the body, proof declines →
-//! [`SuperwordKernel::run_checked`]'s loop, with error semantics identical
-//! to the scalar tape's. [`SimdDispatch`] owns the proof memo and one
+//! [`SuperwordKernel::run_checked`], the scalar tape the source was packed
+//! from. [`SimdDispatch`] owns the proof memo and, for a chain, one
 //! register file, so steady-state micro-tile dispatch re-proves and
 //! allocates nothing.
 //!
@@ -84,8 +82,8 @@ use std::sync::{Arc, OnceLock};
 
 use crate::env::env_once;
 use crate::error::Result;
+use crate::exec::TensorView;
 use crate::superword::{ProofMemo, SuperwordKernel};
-use crate::tape::TensorView;
 
 /// The one kind → impl dispatch: evaluates `$body` with `$I` naming the
 /// `VectorIsa` impl of `$kind`, or `$none` on a build target that has no
@@ -471,25 +469,14 @@ enum Program {
     Compiled { entry: PackedKernelFn, _owner: Arc<dyn Any + Send + Sync> },
 }
 
-/// Reusable execution state: the flat register file and the loop
-/// counter/bound tables of one source kernel, allocated once per
-/// [`SimdDispatch`] and shared by the unchecked body and the checked
-/// reference.
-#[derive(Debug, Clone)]
-pub(crate) struct ExecScratch {
-    pub(crate) regs: Vec<f32>,
-    pub(crate) loops: Vec<i64>,
-    pub(crate) bounds: Vec<i64>,
-}
-
-impl ExecScratch {
-    pub(crate) fn for_kernel(kernel: &SuperwordKernel) -> Self {
-        ExecScratch {
-            regs: vec![0.0; kernel.n_regs],
-            loops: vec![0; kernel.n_dyn_loops],
-            bounds: vec![0; kernel.n_dyn_loops],
-        }
-    }
+/// Reusable execution state of a closure chain: the flat register file and
+/// the loop-counter table of its source kernel, allocated once per
+/// [`SimdDispatch`]. Empty for compiled code, which keeps both on its own
+/// stack.
+#[derive(Debug, Clone, Default)]
+struct ExecScratch {
+    regs: Vec<f32>,
+    loops: Vec<i64>,
 }
 
 /// A validated superword kernel paired with an unchecked body for one
@@ -515,7 +502,7 @@ pub struct SimdKernel {
 impl std::fmt::Debug for SimdKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimdKernel")
-            .field("name", &self.source.name)
+            .field("name", &self.source.name())
             .field("isa", &self.isa.name())
             .field("compiled", &matches!(self.program, Program::Compiled { .. }))
             .field("steps", &self.n_steps)
@@ -574,7 +561,7 @@ impl SimdKernel {
         entry: PackedKernelFn,
         owner: Arc<dyn Any + Send + Sync>,
     ) -> Result<SimdKernel> {
-        source.check_packed_signature()?;
+        source.tape().check_packed_signature()?;
         let program = Program::Compiled { entry, _owner: owner };
         Ok(SimdKernel { source, isa, program, n_steps: 0, n_fused_tiles: 0 })
     }
@@ -593,7 +580,7 @@ impl SimdKernel {
 
     /// Name of the source procedure.
     pub fn name(&self) -> &str {
-        &self.source.name
+        self.source.name()
     }
 
     /// Number of pre-compiled closures in the chain (loop nodes count
@@ -620,12 +607,7 @@ impl SimdKernel {
     /// [`crate::CodegenError::OutOfBounds`] from the checked reference when
     /// the interval proof declines and an access indeed leaves its buffer.
     pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.run_proved(
-            scalars,
-            tensors,
-            &mut ProofMemo::default(),
-            &mut ExecScratch::for_kernel(&self.source),
-        )
+        self.run_proved(scalars, tensors, &mut ProofMemo::default(), &mut self.scratch())
     }
 
     /// Runs the packed micro-kernel signature `(KC, Ac, Bc, C)`:
@@ -636,8 +618,20 @@ impl SimdKernel {
     /// As [`Self::run_views`], plus [`crate::CodegenError::BadArguments`]
     /// when the kernel does not have the packed signature.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.source.check_packed_signature()?;
+        self.source.tape().check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
+    }
+
+    /// What this kernel's body needs between calls: a chain's register
+    /// file and loop table, nothing for compiled code.
+    fn scratch(&self) -> ExecScratch {
+        match self.program {
+            Program::Chain(_) => {
+                let tape = self.source.tape();
+                ExecScratch { regs: vec![0.0; tape.n_regs], loops: vec![0; tape.n_dyn_loops] }
+            }
+            Program::Compiled { .. } => ExecScratch::default(),
+        }
     }
 
     /// A prove-once dispatch handle over this kernel (see [`SimdDispatch`]).
@@ -661,17 +655,18 @@ impl SimdKernel {
         proofs: &mut ProofMemo,
         scratch: &mut ExecScratch,
     ) -> Result<()> {
-        self.source.validate_views(scalars, tensors)?;
+        self.source.tape().validate_views(scalars, tensors)?;
         if !proofs.admits(&self.source, scalars, tensors) {
-            // Declined (and memoised as declined): the checked reference
-            // reports exactly what the scalar tape would.
-            return scalar::exec_checked(&self.source, scalars, tensors, scratch);
+            // Declined (and memoised as declined): the scalar tape runs the
+            // call and reports what it finds.
+            return self.source.run_checked(scalars, tensors);
         }
         // SAFETY: the source kernel's construction proof covers every
         // register operand and the loop structure; `admits` just certified
         // (or recalled the certification of) every tensor access for these
         // exact scalars and buffer lengths; `validate_views` guaranteed
-        // written tensors are `Rw`; `scratch` is sized for the source.
+        // written tensors are `Rw`; `scratch` is `Self::scratch`'s (both
+        // callers), so a chain finds its register file and loop table.
         unsafe { self.exec_unchecked(scalars, tensors, scratch) };
         Ok(())
     }
@@ -683,8 +678,8 @@ impl SimdKernel {
     /// Callers must have established, for the *source* kernel: the
     /// construction-time register/loop proof (always true), the interval
     /// proof for these exact scalars and tensor lengths, and `Rw` views
-    /// for every written tensor. `scratch` must be sized for the source
-    /// kernel.
+    /// for every written tensor. `scratch` must come from
+    /// [`Self::scratch`] of this kernel.
     #[inline]
     unsafe fn exec_unchecked(
         &self,
@@ -732,10 +727,11 @@ impl SimdKernel {
 /// Owns the memoised affine-interval proof — one verdict per distinct
 /// `(scalars, buffer lengths)` tuple gates both the unchecked body and,
 /// when it declines, the checked reference (identical error semantics) —
-/// and one register file with its loop tables, so steady-state dispatch
-/// allocates nothing and re-proves nothing. Results are bit-for-bit
-/// identical to the one-shot entry points. Create one per worker thread
-/// (it is `Send`) and reuse it for every micro-tile.
+/// and, for a chain, one register file with its loop table (compiled code
+/// needs neither), so steady-state dispatch allocates nothing and re-proves
+/// nothing. Results are bit-for-bit identical to the one-shot entry points.
+/// Create one per worker thread (it is `Send`) and reuse it for every
+/// micro-tile.
 #[derive(Debug, Clone)]
 pub struct SimdDispatch {
     kernel: Arc<SimdKernel>,
@@ -744,10 +740,10 @@ pub struct SimdDispatch {
 }
 
 impl SimdDispatch {
-    /// Creates a dispatch handle, allocating the register file and loop
-    /// tables up front.
+    /// Creates a dispatch handle, allocating a chain's register file and
+    /// loop table up front.
     pub fn new(kernel: Arc<SimdKernel>) -> Self {
-        let scratch = ExecScratch::for_kernel(kernel.source());
+        let scratch = kernel.scratch();
         SimdDispatch { kernel, scratch, proofs: ProofMemo::default() }
     }
 
@@ -781,7 +777,7 @@ impl SimdDispatch {
     /// As [`SimdKernel::run_packed`].
     #[inline]
     pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.kernel.source().check_packed_signature()?;
+        self.kernel.source().tape().check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 }
@@ -802,10 +798,10 @@ mod tests {
         }
     }
 
-    /// The checked reference run of a packed call: the bit-exact anchor
-    /// (≡ scalar tape ≡ interpreter) every chain is compared against.
+    /// The scalar tape's run of a packed call: the bit-exact anchor
+    /// (≡ interpreter) every chain is compared against.
     fn run_reference(sw: &SuperwordKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        sw.run_checked(&[kc as i64], &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(c)]).unwrap();
+        sw.tape().run_packed(kc, a, b, c).unwrap();
     }
 
     /// Every ISA the running host can execute — always at least the
@@ -1112,7 +1108,7 @@ mod tests {
         let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
         let (n, m) = (3usize, 5usize);
         let mut want = vec![-1.0f32; n * 8];
-        sw.run_checked(&[n as i64, m as i64], &mut [TensorView::Rw(&mut want)]).unwrap();
+        sw.tape().run_views(&[n as i64, m as i64], &mut [TensorView::Rw(&mut want)]).unwrap();
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa)
                 .expect("nested dynamic loops must not decline chain compilation");
@@ -1132,27 +1128,25 @@ mod tests {
             .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
             .build();
         let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        // Claim N = 7 over a 2-element buffer: what the scalar tape itself
+        // reports, and the partial stores it leaves behind.
+        let mut x_tape = vec![0.0f32; 2];
+        let want = sw.tape().run_views(&[7], &mut [TensorView::Rw(&mut x_tape)]);
+        assert_eq!(want, Err(CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 2, len: 2 }));
+        assert_eq!(x_tape, vec![1.0, 1.0]);
         for isa in available_isas() {
             let simd = Arc::new(SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap());
-            // Claim N = 7 over a 2-element buffer: the interval proof
-            // declines and the checked reference loop reports exactly what
-            // the scalar tape would — including the partial stores before
-            // the error.
+            // The interval proof declines and the call is the tape's: its
+            // error, after its partial stores.
             let mut x = vec![0.0f32; 2];
-            assert!(matches!(
-                simd.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
-                Err(CodegenError::OutOfBounds { .. })
-            ));
-            assert_eq!(x, vec![1.0, 1.0], "{isa}: partial stores precede the error");
+            assert_eq!(simd.run_views(&[7], &mut [TensorView::Rw(&mut x)]), want, "{isa}");
+            assert_eq!(x, x_tape, "{isa}: partial stores precede the error");
             // Same through the dispatch handle, which memoises the declined
             // verdict too.
             let mut dispatch = simd.dispatcher();
             let mut x = vec![0.0f32; 2];
-            assert!(matches!(
-                dispatch.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
-                Err(CodegenError::OutOfBounds { .. })
-            ));
-            assert_eq!(x, vec![1.0, 1.0]);
+            assert_eq!(dispatch.run_views(&[7], &mut [TensorView::Rw(&mut x)]), want, "{isa}");
+            assert_eq!(x, x_tape);
             assert_eq!(dispatch.memoised_proofs(), 1);
             let mut y = vec![0.0f32; 8];
             dispatch.run_views(&[7], &mut [TensorView::Rw(&mut y)]).unwrap();
@@ -1200,7 +1194,8 @@ mod tests {
         let kc = 9usize;
         let mut c_ref = c0.clone();
         let want = sw
-            .run_checked(
+            .tape()
+            .run_views(
                 &[kc as i64],
                 &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_ref)],
             )

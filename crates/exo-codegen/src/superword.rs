@@ -24,8 +24,8 @@
 //! being the bit-exact *portable* tier) and the C of
 //! [`crate::emit_superword_c`] — and it **executes nothing unchecked
 //! itself**: every line of this module is checked Rust. What it owns is
-//! the two-part proof those executors run under, and the reference they
-//! fall back to.
+//! the two-part proof those executors run under; the reference they fall
+//! back to is the scalar tape it was packed from, which it keeps.
 //!
 //! **Validated construction.** [`TapeKernel::to_superword`] proves, at
 //! construction time, that every register operand (including the full
@@ -37,20 +37,21 @@
 //! `ProofMemo`) proves every tensor access in bounds *before* a call
 //! starts. When the proof does not go through (an address that could
 //! leave its buffer), the call runs [`SuperwordKernel::run_checked`]
-//! instead: the fully checked reference, with semantics — including the
-//! error reported — identical to the scalar tape's.
+//! instead: the scalar tape itself ([`TapeKernel::run_views`]), the one
+//! flat executor that checks every access, so a declined call reports the
+//! tape's error after the tape's partial stores by construction.
 //!
 //! Packing preserves the scalar tape's exact op order within each packed
 //! group (lanes execute in ascending order, multiplication commutes
-//! bitwise), so the checked reference and the scalar chain are
-//! **bit-for-bit** equal to the scalar tape and the tree-walking
-//! interpreter; the differential suite in `tests/tape_exec.rs` asserts
-//! this across every registry shape.
+//! bitwise), so the scalar chain is **bit-for-bit** equal to the scalar
+//! tape and the tree-walking interpreter; the differential suite in
+//! `tests/tape_exec.rs` asserts this across every registry shape.
+
+use std::sync::Arc;
 
 use crate::error::{CodegenError, Result};
-use crate::exec::{CompiledKernel, ParamKind};
-use crate::simd::ExecScratch;
-use crate::tape::{Addr, TOp, TapeKernel, TensorView, Term};
+use crate::exec::{CompiledKernel, TensorView};
+use crate::tape::{Addr, TOp, TapeKernel, Term};
 
 /// A pre-compiled affine address: the general [`Addr`] (a heap-allocated
 /// term list walked per evaluation) specialised, at superword construction
@@ -230,16 +231,14 @@ impl VOp {
 /// [`CompiledKernel::to_superword`]). Describes bit-for-bit the same
 /// computation as the scalar tape and the interpreter, one vector register
 /// per op instead of one lane; executed by the chains compiled from it
-/// ([`crate::SimdKernel`]) and, proof declined, by [`Self::run_checked`].
+/// ([`crate::SimdKernel`]) and, proof declined, by the tape it was packed
+/// from ([`Self::run_checked`]).
 #[derive(Debug, Clone)]
 pub struct SuperwordKernel {
-    /// Name of the source procedure.
-    pub name: String,
-    pub(crate) params: Vec<(String, ParamKind)>,
+    /// The scalar tape these ops were packed from: the signature, the
+    /// register-file and loop-table sizes, and the checked reference.
+    tape: Arc<TapeKernel>,
     pub(crate) ops: Vec<VOp>,
-    pub(crate) n_regs: usize,
-    pub(crate) n_dyn_loops: usize,
-    tensor_written: Vec<bool>,
     n_vector_ops: usize,
 }
 
@@ -557,10 +556,10 @@ impl TapeKernel {
     /// Returns [`CodegenError::Unsupported`] if the tape violates a
     /// structural invariant (which a tape built by
     /// [`CompiledKernel::to_tape`] never does).
-    pub fn to_superword(&self) -> Result<SuperwordKernel> {
+    pub fn to_superword(self: &Arc<Self>) -> Result<SuperwordKernel> {
         let ops = pack(&self.ops)?;
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        let n_tensors = self.params.len() - n_scalars;
+        let n_tensors = self.tensor_written.len();
+        let n_scalars = self.params.len() - n_tensors;
         validate_construction(&ops, self.n_regs, self.n_dyn_loops, n_scalars, n_tensors)?;
         let n_vector_ops = ops
             .iter()
@@ -571,15 +570,7 @@ impl TapeKernel {
                 )
             })
             .count();
-        Ok(SuperwordKernel {
-            name: self.name.clone(),
-            params: self.params.clone(),
-            ops,
-            n_regs: self.n_regs,
-            n_dyn_loops: self.n_dyn_loops,
-            tensor_written: self.tensor_written.clone(),
-            n_vector_ops,
-        })
+        Ok(SuperwordKernel { tape: Arc::clone(self), ops, n_vector_ops })
     }
 }
 
@@ -592,19 +583,21 @@ impl CompiledKernel {
     /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
     /// register-allocate.
     pub fn to_superword(&self) -> Result<SuperwordKernel> {
-        self.to_tape()?.to_superword()
+        Arc::new(self.to_tape()?).to_superword()
     }
 }
 
 impl SuperwordKernel {
-    /// Number of parameters (scalar and tensor) the kernel expects.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
+    /// Name of the source procedure.
+    pub fn name(&self) -> &str {
+        &self.tape.name
     }
 
-    /// Parameter names in signature order.
-    pub fn param_names(&self) -> Vec<&str> {
-        self.params.iter().map(|(n, _)| n.as_str()).collect()
+    /// The scalar tape this kernel was packed from — the checked reference
+    /// of every executor of it.
+    #[inline]
+    pub fn tape(&self) -> &Arc<TapeKernel> {
+        &self.tape
     }
 
     /// Number of ops on the superword tape (packed ops count once).
@@ -615,11 +608,6 @@ impl SuperwordKernel {
     /// Whether the tape is empty.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Size of the flat `f32` register file.
-    pub fn register_count(&self) -> usize {
-        self.n_regs
     }
 
     /// How many whole-vector ops the packing pass produced.
@@ -660,72 +648,19 @@ impl SuperwordKernel {
         groups.iter().filter(|group| split(group)).count()
     }
 
-    /// Whether the tape stores to tensor parameter `idx` (counting tensor
-    /// parameters only, in signature order).
-    pub fn writes_tensor(&self, idx: usize) -> bool {
-        self.tensor_written.get(idx).copied().unwrap_or(false)
-    }
-
-    /// The checked reference run — the kernel's one executor that trusts no
-    /// proof: every register and tensor access bounds-checked, one lane at
-    /// a time, with op order, rounding and error values identical to the
-    /// scalar tape's (including the stores already performed when an access
-    /// faults). Every declined interval proof lands here, and the
-    /// ahead-of-time tier's promotion probe uses it as its reference.
+    /// The checked reference run — the scalar tape these ops were packed
+    /// from, the kernel's one executor that trusts no proof: every register
+    /// and tensor access bounds-checked, one lane at a time (packing keeps
+    /// the tape's op order, so the stores already performed when an access
+    /// faults are the tape's too). Every declined interval proof lands
+    /// here, and the ahead-of-time tier's promotion probe uses it as its
+    /// reference.
     ///
     /// # Errors
     ///
-    /// Returns [`CodegenError::BadArguments`] if the counts do not match or
-    /// a read-only view is passed for a tensor the tape writes, and
-    /// [`CodegenError::OutOfBounds`] for the first access that leaves its
-    /// buffer.
+    /// [`TapeKernel::run_views`]'s.
     pub fn run_checked(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.validate_views(scalars, tensors)?;
-        crate::simd::scalar::exec_checked(self, scalars, tensors, &mut ExecScratch::for_kernel(self))
-    }
-
-    /// The argument validation every run — checked or proved — starts with.
-    #[inline]
-    pub(crate) fn validate_views(&self, scalars: &[i64], tensors: &[TensorView<'_>]) -> Result<()> {
-        // `tensor_written` has one entry per tensor parameter.
-        let n_tensors = self.tensor_written.len();
-        let n_scalars = self.params.len() - n_tensors;
-        if scalars.len() != n_scalars || tensors.len() != n_tensors {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "superword kernel `{}` expects {n_scalars} scalars and {n_tensors} tensors, got {} and {}",
-                    self.name,
-                    scalars.len(),
-                    tensors.len()
-                ),
-            });
-        }
-        for (i, view) in tensors.iter().enumerate() {
-            if matches!(view, TensorView::Ro(_)) && self.tensor_written[i] {
-                return Err(CodegenError::BadArguments {
-                    reason: format!(
-                        "superword kernel `{}` writes tensor parameter {i}, which was passed read-only",
-                        self.name
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the kernel has the packed `(KC, Ac, Bc, C)` micro-kernel
-    /// signature (one scalar, three tensors).
-    #[inline]
-    pub(crate) fn check_packed_signature(&self) -> Result<()> {
-        if self.params.len() != 4 || self.tensor_written.len() != 3 {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "superword kernel `{}` does not have the packed (KC, Ac, Bc, C) signature",
-                    self.name
-                ),
-            });
-        }
-        Ok(())
+        self.tape.run_views(scalars, tensors)
     }
 
     /// Whether a packed call `(kc, ac, bc, c)` with operands of the given
@@ -735,7 +670,8 @@ impl SuperwordKernel {
     /// unchecked body run, and what the ahead-of-time tier's promotion
     /// probe checks so that its probe call runs the compiled code.
     pub fn packed_bounds_provable(&self, kc: usize, ac_len: usize, bc_len: usize, c_len: usize) -> bool {
-        self.check_packed_signature().is_ok() && self.bounds_provable(&[kc as i64], &[ac_len, bc_len, c_len])
+        self.tape.check_packed_signature().is_ok()
+            && self.bounds_provable(&[kc as i64], &[ac_len, bc_len, c_len])
     }
 
     /// The minimal packed operand lengths `(ac_len, bc_len, c_len)` that
@@ -753,7 +689,7 @@ impl SuperwordKernel {
         // Lengths past this are not a probe, they are a bug (or a
         // saturated interval): refuse rather than allocate gigabytes.
         const MAX_PROBE_LEN: i64 = 1 << 24;
-        self.check_packed_signature().ok()?;
+        self.tape.check_packed_signature().ok()?;
         let mut ends = [0i64; 3];
         let finite = self.every_access(&[kc as i64], |buf, lo, end| {
             ends[buf as usize] = ends[buf as usize].max(end);
@@ -779,7 +715,7 @@ impl SuperwordKernel {
     /// loop (where it degrades to a safe over-approximation and the call
     /// runs the checked reference).
     fn every_access(&self, scalars: &[i64], mut holds: impl FnMut(u16, i64, i64) -> bool) -> bool {
-        let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.n_dyn_loops];
+        let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.tape.n_dyn_loops];
         let mut pc = 0usize;
         while pc < self.ops.len() {
             let access = match &self.ops[pc] {
@@ -864,11 +800,10 @@ impl ProofMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{compile, RunArg};
+    use crate::exec::compile;
     use crate::simd::{IsaKind, SimdKernel};
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
-    use std::sync::Arc;
 
     /// The portable tier: the scalar-ISA chain compiled from a superword
     /// kernel — the executor a `Superword` pin resolves to, held to
@@ -881,7 +816,7 @@ mod tests {
     /// scheduled micro-kernel lowers to: the `C` tile and both operand
     /// stages live in locals (registers), so the tape scalarises them into
     /// exactly the lane runs the superword pass re-rolls.
-    fn staged_kernels() -> (TapeKernel, Arc<SuperwordKernel>) {
+    fn staged_kernels() -> (Arc<TapeKernel>, Arc<SuperwordKernel>) {
         let (mr, nr) = (8i64, 4i64);
         let p = proc("ukr_8x4_staged")
             .size_arg("KC")
@@ -958,9 +893,9 @@ mod tests {
                 ),
             ])
             .build();
-        let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
+        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
+        assert!(Arc::ptr_eq(&tape, sw.tape()), "the lowering keeps the tape it was packed from");
         (tape, sw)
     }
 
@@ -976,13 +911,16 @@ mod tests {
         let mut c_sw = c0.clone();
         portable(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
         assert_eq!(c_tape, c_sw, "the portable chain must be bit-for-bit equal to the scalar tape");
-        let mut c_checked = c0.clone();
-        sw.run_checked(
-            &[kc as i64],
-            &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_checked)],
-        )
-        .unwrap();
-        assert_eq!(c_tape, c_checked, "and so must the checked reference");
+        // A call the proof declines (Ac two rows short): the chain reports
+        // the tape's own error and leaves C as the tape leaves it.
+        let short = &a[..(kc - 2) * mr];
+        let mut c_tape = c0.clone();
+        let want = tape.run_packed(kc, short, &b, &mut c_tape).unwrap_err();
+        assert_eq!(want, CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 216, len: 216 });
+        let mut c_sw = c0.clone();
+        assert_eq!(portable(&sw).run_packed(kc, short, &b, &mut c_sw), Err(want));
+        assert_eq!(c_tape, c_sw, "C is staged in registers: a faulting call stores nothing");
+        assert_eq!(c_sw, c0);
     }
 
     #[test]
@@ -992,8 +930,7 @@ mod tests {
         // must still agree bit for bit.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
-        let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
+        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
         let kc = 13usize;
         let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
@@ -1082,14 +1019,15 @@ mod tests {
     fn out_of_bounds_falls_back_to_the_checked_loop_and_reports() {
         let sw = oob_kernel();
         let mut x = vec![0.0f32; 2];
-        // Claim N = 7 over a 2-element buffer: the interval proof declines,
-        // the checked loop reports exactly what the scalar tape would.
-        assert_eq!(
-            portable(&sw).run_views(&[7], &mut [TensorView::Rw(&mut x)]),
-            Err(CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 2, len: 2 })
-        );
+        // Claim N = 7 over a 2-element buffer: the interval proof declines
+        // and the scalar tape runs the call.
+        let mut x_tape = x.clone();
+        let want = sw.tape().run_views(&[7], &mut [TensorView::Rw(&mut x_tape)]);
+        assert_eq!(want, Err(CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 2, len: 2 }));
+        assert_eq!(portable(&sw).run_views(&[7], &mut [TensorView::Rw(&mut x)]), want);
         // The first two stores landed before the error, like the tape's.
         assert_eq!(x, vec![1.0, 1.0]);
+        assert_eq!(x, x_tape);
     }
 
     #[test]
@@ -1098,27 +1036,24 @@ mod tests {
             .tensor_arg("out", ScalarType::F16, vec![int(2)], MemSpace::Dram)
             .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
             .build();
-        let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
+        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
         let mut out_tape = vec![0.0f32, 3.0];
-        tape.run(&mut [RunArg::Tensor(&mut out_tape)]).unwrap();
+        tape.run_views(&[], &mut [TensorView::Rw(&mut out_tape)]).unwrap();
         let mut out_sw = vec![0.0f32, 3.0];
         portable(&sw).run_views(&[], &mut [TensorView::Rw(&mut out_sw)]).unwrap();
         assert_eq!(out_tape, out_sw);
-        let mut out_checked = vec![0.0f32, 3.0];
-        sw.run_checked(&[], &mut [TensorView::Rw(&mut out_checked)]).unwrap();
-        assert_eq!(out_tape, out_checked);
     }
 
     #[test]
     fn written_tensors_and_argument_mismatches_are_rejected() {
         let (_, sw) = staged_kernels();
-        assert!(!sw.writes_tensor(0) && !sw.writes_tensor(1) && sw.writes_tensor(2));
+        assert!(!sw.tape().writes_tensor(0) && !sw.tape().writes_tensor(1) && sw.tape().writes_tensor(2));
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 4];
         let c = vec![0.0f32; 32];
-        let err = sw.run_checked(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        let err =
+            portable(&sw).run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
         let too_few = portable(&sw).run_views(&[1], &mut [TensorView::Ro(&a)]);
         assert!(matches!(too_few, Err(CodegenError::BadArguments { .. })));
@@ -1196,16 +1131,15 @@ mod tests {
                 for_("i", 0, 4, vec![assign("y", vec![var("i")], read("acc", vec![var("i")]))]),
             ])
             .build();
-        let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
+        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VFmaBcast { lanes: 4, .. })), "{:?}", sw.ops);
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VLoad { lanes: 4, .. })));
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VStore { lanes: 4, .. })));
         let x = vec![1.5f32, -2.0, 0.25, 3.0];
         let s = vec![0.5f32];
-        let (mut xb, mut sb, mut y_tape) = (x.clone(), s.clone(), vec![0.0f32; 4]);
-        tape.run(&mut [RunArg::Tensor(&mut xb), RunArg::Tensor(&mut sb), RunArg::Tensor(&mut y_tape)])
+        let mut y_tape = vec![0.0f32; 4];
+        tape.run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_tape)])
             .unwrap();
         let mut y_sw = vec![0.0f32; 4];
         portable(&sw)

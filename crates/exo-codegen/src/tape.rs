@@ -18,6 +18,15 @@
 //!   dynamic (the `KC` loop) — no expression trees survive to run time.
 //! * Remaining loops (`for k in 0..KC`) are tape-level jump pairs.
 //!
+//! **The tape's job is to be the checked reference.** It is the one flat
+//! executor that bounds-checks every register and tensor access, and every
+//! faster lowering is packed *from* it and keeps it
+//! ([`crate::SuperwordKernel::tape`]): a call whose bounds proof declines
+//! runs here whatever unchecked body it declined for, the ahead-of-time
+//! tier's promotion probe compares a fresh artifact against it, and a
+//! `Tape` pin runs it on every call. No other module spells the scalar ops
+//! with checks.
+//!
 //! The tape executes the *identical* sequence of f32 operations as the
 //! interpreter (same order, same mul-then-add rounding, same f16 rounding
 //! points), so results are bit-for-bit equal — the differential suite
@@ -30,7 +39,7 @@
 use std::collections::HashMap;
 
 use crate::error::{CodegenError, Result};
-use crate::exec::{BufSlot, CompiledKernel, IExpr, Op, ParamKind, RunArg, VExpr};
+use crate::exec::{BufSlot, CompiledKernel, IExpr, Op, ParamKind, TensorView, VExpr};
 
 /// Loops with a constant trip count at or below this are unrolled; longer
 /// ones stay dynamic loops on the tape.
@@ -168,26 +177,6 @@ pub(crate) enum TOp {
     LoopEnd { slot: u16, begin: u32 },
 }
 
-/// A borrowed tensor argument for [`TapeKernel::run_views`]: read-only
-/// operands avoid the copies the [`RunArg`] interface forces on callers.
-#[derive(Debug)]
-pub enum TensorView<'a> {
-    /// A tensor the kernel only reads.
-    Ro(&'a [f32]),
-    /// A tensor the kernel may write.
-    Rw(&'a mut [f32]),
-}
-
-impl TensorView<'_> {
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        match self {
-            TensorView::Ro(s) => s,
-            TensorView::Rw(s) => s,
-        }
-    }
-}
-
 /// A kernel compiled to a flat tape of register ops.
 ///
 /// Obtained from [`CompiledKernel::to_tape`]. Runs the same computation as
@@ -206,16 +195,6 @@ pub struct TapeKernel {
 }
 
 impl TapeKernel {
-    /// Number of parameters (scalar and tensor) the kernel expects.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Parameter names in signature order.
-    pub fn param_names(&self) -> Vec<&str> {
-        self.params.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Number of ops on the tape.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -237,55 +216,31 @@ impl TapeKernel {
         self.tensor_written.get(idx).copied().unwrap_or(false)
     }
 
-    /// Runs the tape through the same argument interface as
-    /// [`CompiledKernel::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] on an argument-count or kind
-    /// mismatch and [`CodegenError::OutOfBounds`] if an access leaves its
-    /// buffer.
-    pub fn run(&self, args: &mut [RunArg<'_>]) -> Result<()> {
-        if args.len() != self.params.len() {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "tape kernel `{}` expects {} arguments, got {}",
-                    self.name,
-                    self.params.len(),
-                    args.len()
-                ),
-            });
-        }
-        let mut scalars = Vec::new();
-        let mut tensors: Vec<TensorView<'_>> = Vec::new();
-        for ((name, kind), arg) in self.params.iter().zip(args.iter_mut()) {
-            match (kind, arg) {
-                (ParamKind::Scalar, RunArg::Size(v)) => scalars.push(*v),
-                (ParamKind::Tensor, RunArg::Tensor(t)) => tensors.push(TensorView::Rw(t)),
-                _ => {
-                    return Err(CodegenError::BadArguments {
-                        reason: format!("argument `{name}` has the wrong kind"),
-                    })
-                }
-            }
-        }
-        self.exec(&scalars, &mut tensors)
-    }
-
-    /// Runs the tape over borrowed tensor views, avoiding the defensive
-    /// copies [`RunArg`] forces for read-only operands.
-    ///
-    /// `scalars` and `tensors` are matched to the scalar and tensor
-    /// parameters in signature order.
+    /// Runs the tape over borrowed tensor views: `scalars` and `tensors`
+    /// are matched to the scalar and tensor parameters in signature order.
+    /// Every register and tensor access is bounds-checked, which makes this
+    /// the *checked reference* of every lowering packed from this tape:
+    /// what a declined bounds proof runs
+    /// ([`crate::SuperwordKernel::run_checked`]), what the ahead-of-time
+    /// tier's promotion probe compares against, and what a `Tape` pin runs.
     ///
     /// # Errors
     ///
     /// Returns [`CodegenError::BadArguments`] if the counts do not match or
     /// a read-only view is passed for a tensor the tape writes, and
-    /// [`CodegenError::OutOfBounds`] for accesses that leave a buffer.
+    /// [`CodegenError::OutOfBounds`] for the first access that leaves its
+    /// buffer (the stores before it have landed).
     pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        let n_tensors = self.params.len() - n_scalars;
+        self.validate_views(scalars, tensors)?;
+        self.exec(scalars, tensors)
+    }
+
+    /// The argument validation every run — checked or proved — starts with.
+    #[inline]
+    pub(crate) fn validate_views(&self, scalars: &[i64], tensors: &[TensorView<'_>]) -> Result<()> {
+        // `tensor_written` has one entry per tensor parameter.
+        let n_tensors = self.tensor_written.len();
+        let n_scalars = self.params.len() - n_tensors;
         if scalars.len() != n_scalars || tensors.len() != n_tensors {
             return Err(CodegenError::BadArguments {
                 reason: format!(
@@ -306,20 +261,14 @@ impl TapeKernel {
                 });
             }
         }
-        self.exec(scalars, tensors)
+        Ok(())
     }
 
-    /// Runs a packed micro-kernel signature `(KC, Ac, Bc, C)`:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]` without copying the operands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] if the kernel does not have
-    /// the one-scalar/three-tensor packed signature or writes its packed
-    /// operands, and propagates execution errors.
-    pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        if n_scalars != 1 || self.params.len() != 4 {
+    /// Whether the kernel has the packed `(KC, Ac, Bc, C)` micro-kernel
+    /// signature (one scalar, three tensors).
+    #[inline]
+    pub(crate) fn check_packed_signature(&self) -> Result<()> {
+        if self.params.len() != 4 || self.tensor_written.len() != 3 {
             return Err(CodegenError::BadArguments {
                 reason: format!(
                     "tape kernel `{}` does not have the packed (KC, Ac, Bc, C) signature",
@@ -327,6 +276,19 @@ impl TapeKernel {
                 ),
             });
         }
+        Ok(())
+    }
+
+    /// Runs a packed micro-kernel signature `(KC, Ac, Bc, C)`:
+    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodegenError::BadArguments`] if the kernel does not have
+    /// the one-scalar/three-tensor packed signature or writes its packed
+    /// operands, and propagates execution errors.
+    pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
+        self.check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 
@@ -434,7 +396,7 @@ impl CompiledKernel {
     /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
     /// register-allocate: dynamically sized locals, dynamic indices into
     /// locals, data-dependent branches, and non-affine index arithmetic.
-    /// [`CompiledKernel::run`] still executes such a procedure.
+    /// [`CompiledKernel::run_views`] still executes such a procedure.
     pub fn to_tape(&self) -> Result<TapeKernel> {
         let mut b = TapeBuilder {
             ops: Vec::new(),
@@ -870,24 +832,21 @@ mod tests {
         let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
         let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
 
-        let run = |kernel: &dyn Fn(&mut [RunArg<'_>]) -> Result<()>| {
-            let mut a_buf = a.clone();
-            let mut b_buf = b.clone();
-            let mut c = c0.clone();
-            let mut args = vec![
-                RunArg::Size(kc as i64),
-                RunArg::Tensor(&mut a_buf),
-                RunArg::Tensor(&mut b_buf),
-                RunArg::Tensor(&mut c),
-            ];
-            kernel(&mut args).unwrap();
-            c
-        };
-        let c_interp = run(&|args| compiled.run(args));
-        let c_tape = run(&|args| tape.run(args));
+        let (mut c_interp, mut c_tape) = (c0.clone(), c0.clone());
+        compiled
+            .run_views(
+                &[kc as i64],
+                &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_interp)],
+            )
+            .unwrap();
+        tape.run_views(
+            &[kc as i64],
+            &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_tape)],
+        )
+        .unwrap();
         assert_eq!(c_interp, c_tape, "tape must be bit-for-bit equal to the interpreter");
 
-        // The zero-copy packed entry point computes the same values.
+        // The packed entry point computes the same values.
         let mut c_packed = c0.clone();
         tape.run_packed(kc, &a, &b, &mut c_packed).unwrap();
         assert_eq!(c_interp, c_packed);
@@ -937,7 +896,7 @@ mod tests {
         let mut x = vec![0.0f32; 2];
         // Claim N = 7 over a 2-element buffer.
         assert!(matches!(
-            tape.run(&mut [RunArg::Size(7), RunArg::Tensor(&mut x)]),
+            tape.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
             Err(CodegenError::OutOfBounds { .. })
         ));
     }
@@ -951,9 +910,9 @@ mod tests {
         let compiled = compile(&p).unwrap();
         let tape = compiled.to_tape().unwrap();
         let mut out_interp = vec![0.0f32, 3.0];
-        compiled.run(&mut [RunArg::Tensor(&mut out_interp)]).unwrap();
+        compiled.run_views(&[], &mut [TensorView::Rw(&mut out_interp)]).unwrap();
         let mut out_tape = vec![0.0f32, 3.0];
-        tape.run(&mut [RunArg::Tensor(&mut out_tape)]).unwrap();
+        tape.run_views(&[], &mut [TensorView::Rw(&mut out_tape)]).unwrap();
         assert_eq!(out_interp, out_tape);
         assert_eq!(out_interp[0], 1.0);
     }
@@ -961,7 +920,6 @@ mod tests {
     #[test]
     fn argument_mismatches_are_reported() {
         let (_, tape) = reference_tape();
-        let mut too_few = vec![RunArg::Size(1)];
-        assert!(matches!(tape.run(&mut too_few), Err(CodegenError::BadArguments { .. })));
+        assert!(matches!(tape.run_views(&[1], &mut []), Err(CodegenError::BadArguments { .. })));
     }
 }

@@ -198,8 +198,8 @@ pub struct ServiceStats {
     /// every one is a degradation: the affected kernels serve on the
     /// simd tier.
     pub aot_builds_failed: u64,
-    /// Compiler invocations killed on the `EXO_AOT_TIMEOUT_MS` deadline
-    /// since construction (a subset of `aot_builds_failed`).
+    /// Compiler invocations killed on the 20 s compile deadline since
+    /// construction (a subset of `aot_builds_failed`).
     pub aot_compile_timeouts: u64,
     /// Kernels that failed probe verification since construction (also a
     /// subset of `aot_builds_failed`; their keys are pinned to simd).

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gemm_blis::BlockingParams;
 use ukernel_gen::KernelCache;
@@ -210,14 +210,22 @@ impl KernelRegistry {
         self.kernels.generator_invocations()
     }
 
+    /// The verdict table, whether or not a holder of the lock panicked:
+    /// every critical section is one whole map operation, so the table is
+    /// consistent at any point a panic can leave it — and one contained
+    /// panic must not fail every later lookup.
+    fn table(&self) -> MutexGuard<'_, BTreeMap<(usize, usize, usize), TuneVerdict>> {
+        self.verdicts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The memoised verdict for a problem shape, if present.
     pub fn verdict(&self, m: usize, n: usize, k: usize) -> Option<TuneVerdict> {
-        self.verdicts.lock().expect("verdict table poisoned").get(&(m, n, k)).cloned()
+        self.table().get(&(m, n, k)).cloned()
     }
 
     /// Number of memoised verdicts.
     pub fn len(&self) -> usize {
-        self.verdicts.lock().expect("verdict table poisoned").len()
+        self.table().len()
     }
 
     /// Whether the registry holds no verdicts.
@@ -232,10 +240,7 @@ impl KernelRegistry {
     ///
     /// Returns [`TuneError::Io`] if the file cannot be written.
     pub fn record(&self, verdict: TuneVerdict) -> Result<(), TuneError> {
-        self.verdicts
-            .lock()
-            .expect("verdict table poisoned")
-            .insert((verdict.m, verdict.n, verdict.k), verdict);
+        self.table().insert((verdict.m, verdict.n, verdict.k), verdict);
         self.save()
     }
 
@@ -267,7 +272,7 @@ impl KernelRegistry {
 
     /// Serialises the registry to its JSON document.
     pub fn to_text(&self) -> String {
-        let verdicts = self.verdicts.lock().expect("verdict table poisoned");
+        let verdicts = self.table();
         let mut obj = BTreeMap::new();
         obj.insert("version".to_string(), Json::Num(FORMAT_VERSION));
         obj.insert("isa".to_string(), Json::Str(self.isa_name.clone()));
@@ -310,7 +315,7 @@ impl KernelRegistry {
             let verdict = TuneVerdict::from_json(entry)?;
             table.insert((verdict.m, verdict.n, verdict.k), verdict);
         }
-        *self.verdicts.lock().expect("verdict table poisoned") = table;
+        *self.table() = table;
         Ok(())
     }
 }
@@ -422,6 +427,29 @@ mod tests {
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&quarantine);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_take_the_registry_down() {
+        let mut registry = KernelRegistry::new("neon-f32");
+        registry.record(verdict(32, 32, 32)).unwrap();
+        // A thread dies holding the verdict lock (joined, so the poison is
+        // in place before the next line).
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = registry.verdicts.lock().unwrap();
+                panic!("a contained panic under the verdict lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && registry.verdicts.is_poisoned());
+        // Every door still answers, with the state the panic found.
+        assert!(registry.verdict(32, 32, 32).is_some());
+        registry.record(verdict(64, 64, 64)).unwrap();
+        assert_eq!(registry.len(), 2);
+        let text = registry.to_text();
+        registry.load_text(&text).unwrap();
+        assert_eq!(registry.len(), 2);
     }
 
     #[test]

@@ -67,7 +67,9 @@ pub struct KernelImpl {
 }
 
 impl KernelImpl {
-    /// Validates the packed-operand buffer sizes against the tile shape.
+    /// Validates the packed-operand buffer sizes against the tile shape —
+    /// for the hand-written families; a generated kernel's tier handle makes
+    /// the same three comparisons itself (`TierDispatch::run_packed`).
     fn check_packed_shape(&self, kc: usize, a: &[f32], b: &[f32], c: &[f32]) -> Result<(), GemmError> {
         if a.len() != kc * self.mr || b.len() != kc * self.nr || c.len() != self.mr * self.nr {
             return Err(GemmError::ShapeMismatch {
@@ -110,11 +112,11 @@ impl KernelImpl {
         b: &[f32],
         c: &mut [f32],
     ) -> Result<(), GemmError> {
-        self.check_packed_shape(kc, a, b, c)?;
         let Some(tier) = tier else {
             // The hand-written kernels compute the same update; the
             // functional path models their arithmetic, the trace models
             // their schedule.
+            self.check_packed_shape(kc, a, b, c)?;
             for k in 0..kc {
                 for j in 0..self.nr {
                     let bkj = b[k * self.nr + j];
@@ -134,7 +136,9 @@ impl KernelImpl {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError`] if the buffer sizes do not match the shape.
+    /// Returns [`GemmError`] if the buffer sizes do not match the shape
+    /// ([`GemmError::ShapeMismatch`] from a hand-written kernel,
+    /// [`GemmError::Kernel`] from a generated one's tier handle).
     pub fn run(&self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
         self.run_on(self.resolve().as_mut(), kc, a, b, c)
     }
@@ -429,6 +433,13 @@ mod tests {
         let k = neon_intrinsics_kernel();
         let mut c = vec![0.0f32; 8 * 12];
         assert!(matches!(k.run(4, &[0.0; 3], &[0.0; 48], &mut c), Err(GemmError::ShapeMismatch { .. })));
+        // A generated kernel's one length check is its tier handle's, on
+        // every tier — the driver never gets a misfit as far as a body.
+        let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
+        for backend in [ExecBackend::Native, ExecBackend::Superword, ExecBackend::Tape, ExecBackend::Interp] {
+            let misfit = exo.clone().with_backend(backend).run(4, &[0.0; 3], &[0.0; 48], &mut c);
+            assert!(matches!(misfit, Err(GemmError::Kernel { .. })), "{backend:?}: {misfit:?}");
+        }
     }
 
     #[test]

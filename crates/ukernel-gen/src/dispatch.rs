@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use exo_codegen::{CodegenError, CompiledKernel, RunArg, SimdDispatch, TapeKernel};
+use exo_codegen::{CodegenError, CompiledKernel, SimdDispatch, TapeKernel, TensorView};
 
 use crate::error::{GenError, Result};
 use crate::generator::GeneratedKernel;
@@ -52,10 +52,13 @@ pub enum ExecBackend {
     /// interpreter on every host. (The name is the lowering's; the
     /// superword module itself executes nothing unchecked.)
     Superword,
-    /// The scalar tape — the intermediate tier, kept as a perf baseline and
-    /// differential anchor.
+    /// The scalar tape — the checked reference: the flat executor that
+    /// bounds-checks every access, which is what any declined proof of the
+    /// three tiers above runs and what the native tier's promotion probe
+    /// compares against. The pin runs it on every call.
     Tape,
-    /// The tree-walking interpreter (differential tests, perf baselines).
+    /// The tree-walking interpreter — the reference semantics every other
+    /// tier is lowered from and differentially tested against.
     Interp,
 }
 
@@ -86,7 +89,8 @@ enum Tier {
     /// checked reference on a decline: the native, simd and portable
     /// tiers differ only in the body their handle carries.
     Proved(SimdDispatch),
-    /// The scalar tape (checks every access itself).
+    /// The scalar tape (checks every access itself) — also where a
+    /// [`Tier::Proved`] call goes when its proof declines.
     Tape(Arc<TapeKernel>),
     /// The tree-walking interpreter.
     Interp(Arc<CompiledKernel>),
@@ -186,19 +190,8 @@ impl TierDispatch {
         let ran = match &mut self.tier {
             Tier::Proved(dispatch) => dispatch.run_packed(kc, ac, bc, c),
             Tier::Tape(tape) => tape.run_packed(kc, ac, bc, c),
-            Tier::Interp(compiled) => {
-                // The RunArg interface takes every tensor mutably, so the
-                // read-only operands must be copied; this is part of why
-                // the interpreter is slow, and why the tape gets a
-                // zero-copy entry point.
-                let (mut a, mut b) = (ac.to_vec(), bc.to_vec());
-                compiled.run(&mut [
-                    RunArg::Size(kc as i64),
-                    RunArg::Tensor(&mut a),
-                    RunArg::Tensor(&mut b),
-                    RunArg::Tensor(c),
-                ])
-            }
+            Tier::Interp(compiled) => compiled
+                .run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)]),
         };
         ran.map_err(GenError::Codegen)
     }

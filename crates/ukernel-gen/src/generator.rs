@@ -93,13 +93,14 @@ pub struct GeneratedKernel {
     /// interpreter, the slow reference tier that defines the semantics
     /// every other tier is differentially tested against.
     pub compiled: Arc<CompiledKernel>,
-    /// Tape-compiled form of [`Self::compiled`]: the scalar bytecode
-    /// tier.
+    /// Tape-compiled form of [`Self::compiled`]: the flat executor that
+    /// checks every access — the checked reference a declined proof of any
+    /// tier above lands on, and what a `Tape` pin runs.
     pub tape: Arc<TapeKernel>,
-    /// Superword lowering of [`Self::tape`]: the SLP-packed whole-vector
-    /// ops plus the proofs every unchecked executor of them runs under —
-    /// the IR the three tiers above the tape consume, and the checked
-    /// reference a declined proof lands on.
+    /// Superword lowering of [`Self::tape`] (it keeps this same `Arc`):
+    /// the SLP-packed whole-vector ops plus the proofs every unchecked
+    /// executor of them runs under — the IR the three tiers above the
+    /// tape consume.
     pub superword: Arc<SuperwordKernel>,
     /// Closure chain compiled from [`Self::superword`] for the active
     /// vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or the

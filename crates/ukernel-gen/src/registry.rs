@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::Result;
 use crate::generator::{GeneratedKernel, MicroKernelGenerator};
@@ -33,6 +33,14 @@ impl KernelCache {
         KernelCache::default()
     }
 
+    /// The table, whether or not a holder of the lock panicked: the map is
+    /// only touched by whole `get` / `insert` calls after generation has
+    /// returned, so a panic inside `generate` leaves it as it was — and one
+    /// contained panic must not fail every later lookup.
+    fn table(&self) -> MutexGuard<'_, HashMap<KernelKey, Arc<GeneratedKernel>>> {
+        self.kernels.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the cached kernel for `(generator ISA, mr, nr)`, generating
     /// (and caching) it on the first request.
     ///
@@ -46,7 +54,7 @@ impl KernelCache {
         nr: usize,
     ) -> Result<Arc<GeneratedKernel>> {
         let key = (generator.isa().name.clone(), mr, nr);
-        let mut kernels = self.kernels.lock().expect("kernel cache poisoned");
+        let mut kernels = self.table();
         if let Some(kernel) = kernels.get(&key) {
             return Ok(Arc::clone(kernel));
         }
@@ -61,19 +69,19 @@ impl KernelCache {
     /// Looks up a kernel without generating.
     pub fn get(&self, isa: &str, mr: usize, nr: usize) -> Option<Arc<GeneratedKernel>> {
         let key = (isa.to_string(), mr, nr);
-        self.kernels.lock().expect("kernel cache poisoned").get(&key).map(Arc::clone)
+        self.table().get(&key).map(Arc::clone)
     }
 
     /// Inserts an externally generated kernel (e.g. one built with custom
     /// [`crate::KernelOptions`]) without counting a generator invocation.
     pub fn insert(&self, kernel: Arc<GeneratedKernel>) {
         let key = (kernel.isa_name.clone(), kernel.mr, kernel.nr);
-        self.kernels.lock().expect("kernel cache poisoned").insert(key, kernel);
+        self.table().insert(key, kernel);
     }
 
     /// Number of kernels currently cached.
     pub fn len(&self) -> usize {
-        self.kernels.lock().expect("kernel cache poisoned").len()
+        self.table().len()
     }
 
     /// Whether the cache is empty.
@@ -88,14 +96,8 @@ impl KernelCache {
 
     /// The tile shapes cached for one ISA, sorted.
     pub fn shapes_for(&self, isa: &str) -> Vec<(usize, usize)> {
-        let mut shapes: Vec<(usize, usize)> = self
-            .kernels
-            .lock()
-            .expect("kernel cache poisoned")
-            .keys()
-            .filter(|(name, _, _)| name == isa)
-            .map(|&(_, mr, nr)| (mr, nr))
-            .collect();
+        let mut shapes: Vec<(usize, usize)> =
+            self.table().keys().filter(|(name, _, _)| name == isa).map(|&(_, mr, nr)| (mr, nr)).collect();
         shapes.sort_unstable();
         shapes
     }
@@ -161,6 +163,31 @@ mod tests {
             (None, None) => {}
             (settled, polled) => panic!("settled {settled:?} but the poll answers {polled:?}"),
         }
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_take_the_cache_down() {
+        let cache = KernelCache::new();
+        let generator = MicroKernelGenerator::new(neon_f32());
+        let before = cache.get_or_generate(&generator, 4, 4).unwrap();
+        // What a panic inside `generate` does: the thread dies holding the
+        // lock. (Joined, so the poison is in place before the next line.)
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.kernels.lock().unwrap();
+                panic!("a contained panic inside generation");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && cache.kernels.is_poisoned());
+        // Every door still answers, with the state the panic found.
+        assert!(Arc::ptr_eq(&cache.get_or_generate(&generator, 4, 4).unwrap(), &before));
+        assert!(cache.get("neon-f32", 4, 4).is_some());
+        cache.get_or_generate(&generator, 4, 8).unwrap();
+        cache.insert(Arc::new(generator.generate(8, 4).unwrap()));
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.shapes_for("neon-f32"), vec![(4, 4), (4, 8), (8, 4)]);
+        assert_eq!(cache.generator_invocations(), 2);
     }
 
     #[test]

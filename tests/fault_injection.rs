@@ -795,8 +795,8 @@ fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
 }
 
 /// The hung-compiler fault class (`aot-hang@1`): the first compiler
-/// invocation never returns and must be killed on the
-/// `EXO_AOT_TIMEOUT_MS` deadline — in the background. Four concurrent
+/// invocation never returns and must be killed on its deadline — in the
+/// background. Four concurrent
 /// callers keep submitting the whole time; no GEMM ever waits on `cc`,
 /// every handle resolves, the books balance, the results are
 /// bit-identical to a simd-pinned run, and the timeout surfaces in the

@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use common::Cases;
 
+use exo_codegen::{CodegenError, IsaKind, SimdKernel, TensorView};
 use exo_ir::interp::{run_proc, ArgValue, TensorData};
 use exo_ir::{ScalarType, Sym};
 use exo_isa::{neon_f32, ukernel_ref_simple};
@@ -155,8 +156,10 @@ fn f16_rounding_is_idempotent() {
     }
 }
 
-/// The interpreter and the executable lowering agree on the reference
-/// kernel for random sizes — the two execution paths are interchangeable.
+/// The IR interpreter and the executable lowering agree on the reference
+/// kernel for random sizes, and every tier lowered from it — tree walker,
+/// checked tape, portable chain — takes the same `run_views` call and
+/// returns the same bits.
 #[test]
 fn interpreter_and_compiled_execution_agree() {
     let mut cases = Cases::new(0xA5A5_0006);
@@ -183,17 +186,25 @@ fn interpreter_and_compiled_execution_agree() {
         run_proc(&p, &mut interp_args).unwrap();
         let interp_c = interp_args[3].as_tensor().unwrap().clone();
 
-        // Compiled path.
-        let mut a32: Vec<f32> = a_data.iter().map(|&v| v as f32).collect();
-        let mut b32: Vec<f32> = b_data.iter().map(|&v| v as f32).collect();
-        let mut c32 = vec![0.0f32; nr * mr];
-        let mut run_args = vec![
-            exo_codegen::RunArg::Size(kc as i64),
-            exo_codegen::RunArg::Tensor(&mut a32),
-            exo_codegen::RunArg::Tensor(&mut b32),
-            exo_codegen::RunArg::Tensor(&mut c32),
+        // Compiled paths: one calling convention for every tier.
+        let a32: Vec<f32> = a_data.iter().map(|&v| v as f32).collect();
+        let b32: Vec<f32> = b_data.iter().map(|&v| v as f32).collect();
+        let tape = Arc::new(compiled.to_tape().unwrap());
+        let chain = SimdKernel::compile_for(Arc::new(tape.to_superword().unwrap()), IsaKind::Scalar).unwrap();
+        type Run<'k> = &'k dyn Fn(&[i64], &mut [TensorView<'_>]) -> Result<(), CodegenError>;
+        let tiers: [(&str, Run<'_>); 3] = [
+            ("interp", &|s, t| compiled.run_views(s, t)),
+            ("tape", &|s, t| tape.run_views(s, t)),
+            ("portable", &|s, t| chain.run_views(s, t)),
         ];
-        compiled.run(&mut run_args).unwrap();
+        let [c32, c_tape, c_chain] = tiers.map(|(tier, run)| {
+            let mut c = vec![0.0f32; nr * mr];
+            run(&[kc as i64], &mut [TensorView::Ro(&a32), TensorView::Ro(&b32), TensorView::Rw(&mut c)])
+                .unwrap_or_else(|e| panic!("{tier} {mr}x{nr} kc={kc}: {e}"));
+            c
+        });
+        assert_eq!(c_tape, c32, "{mr}x{nr} kc={kc}: tape vs tree walker");
+        assert_eq!(c_chain, c32, "{mr}x{nr} kc={kc}: portable chain vs tree walker");
 
         for (idx, &v) in c32.iter().enumerate() {
             assert!((v as f64 - interp_c.data[idx]).abs() < 1e-4);
