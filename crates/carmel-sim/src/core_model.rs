@@ -39,12 +39,6 @@ impl Residency {
     pub fn solo() -> Self {
         Residency { a: CacheLevel::L1, b: CacheLevel::L1, c: CacheLevel::L1 }
     }
-
-    /// The steady-state residency of the BLIS blocking for large problems:
-    /// `Ac` in L2, `Bc` in L3, `C` in DRAM.
-    pub fn blis_steady_state() -> Self {
-        Residency { a: CacheLevel::L2, b: CacheLevel::L3, c: CacheLevel::Dram }
-    }
 }
 
 /// Cycle breakdown of one micro-kernel invocation.
@@ -267,6 +261,10 @@ mod tests {
     use exo_codegen::MachineOp;
     use exo_ir::ScalarType;
 
+    /// The steady-state residency of the BLIS blocking for large problems:
+    /// `Ac` in L2, `Bc` in L3, `C` in DRAM.
+    const STEADY: Residency = Residency { a: CacheLevel::L2, b: CacheLevel::L3, c: CacheLevel::Dram };
+
     /// The per-k trace of the paper's 8x12 kernel: 2 A loads, 3 B loads,
     /// 24 lane-indexed FMAs; prologue/epilogue: 24 C loads / stores.
     fn trace_8x12() -> KernelTrace {
@@ -356,7 +354,7 @@ mod tests {
     #[test]
     fn prefetch_helps_when_c_lives_in_dram() {
         let core = CarmelCore::carmel();
-        let resid = Residency::blis_steady_state();
+        let resid = STEADY;
         let without = core.kernel_cycles(&trace_8x12(), 512, resid, false, 0.0);
         let with = core.kernel_cycles(&trace_8x12(), 512, resid, true, 0.0);
         assert!(with.total_cycles < without.total_cycles);
@@ -369,7 +367,7 @@ mod tests {
     fn far_operands_cost_more_than_near_operands() {
         let core = CarmelCore::carmel();
         let solo = core.kernel_cycles(&trace_8x12(), 512, Residency::solo(), false, 0.0);
-        let steady = core.kernel_cycles(&trace_8x12(), 512, Residency::blis_steady_state(), false, 0.0);
+        let steady = core.kernel_cycles(&trace_8x12(), 512, STEADY, false, 0.0);
         assert!(steady.total_cycles >= solo.total_cycles);
     }
 

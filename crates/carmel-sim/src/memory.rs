@@ -81,21 +81,6 @@ impl CacheHierarchy {
         self.bandwidth_bytes_per_cycle[Self::index(level)]
     }
 
-    /// The innermost level whose capacity can hold `bytes` (together with a
-    /// `working_set` of other data competing for the same level).
-    pub fn residency_for(&self, bytes: usize, working_set: usize) -> CacheLevel {
-        let total = bytes.saturating_add(working_set);
-        if total <= self.l1_bytes {
-            CacheLevel::L1
-        } else if total <= self.l2_bytes {
-            CacheLevel::L2
-        } else if total <= self.l3_bytes {
-            CacheLevel::L3
-        } else {
-            CacheLevel::Dram
-        }
-    }
-
     /// Cycles to stream `bytes` from a level assuming the hardware
     /// prefetchers hide all but the bandwidth cost (sequential access).
     pub fn stream_cycles(&self, bytes: f64, from: CacheLevel) -> f64 {
@@ -103,15 +88,6 @@ impl CacheHierarchy {
             return 0.0;
         }
         bytes / self.bandwidth(from)
-    }
-
-    /// Cycles to stream `bytes` with a cold start: one latency to first use
-    /// plus the bandwidth cost.
-    pub fn stream_cycles_cold(&self, bytes: f64, from: CacheLevel) -> f64 {
-        if bytes <= 0.0 {
-            return 0.0;
-        }
-        self.latency(from) + self.stream_cycles(bytes, from)
     }
 
     /// Cycles to copy `bytes` from one level to another (a packing routine):
@@ -149,22 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn residency_accounts_for_working_set() {
-        let m = CacheHierarchy::carmel();
-        assert_eq!(m.residency_for(16 * 1024, 0), CacheLevel::L1);
-        assert_eq!(m.residency_for(16 * 1024, 60 * 1024), CacheLevel::L2);
-        assert_eq!(m.residency_for(3 * 1024 * 1024, 0), CacheLevel::L3);
-        assert_eq!(m.residency_for(8 * 1024 * 1024, 0), CacheLevel::Dram);
-    }
-
-    #[test]
     fn streaming_costs_scale_with_bytes() {
         let m = CacheHierarchy::carmel();
         let one = m.stream_cycles(1024.0, CacheLevel::L2);
         let two = m.stream_cycles(2048.0, CacheLevel::L2);
         assert!((two - 2.0 * one).abs() < 1e-9);
         assert_eq!(m.stream_cycles(0.0, CacheLevel::Dram), 0.0);
-        assert!(m.stream_cycles_cold(1024.0, CacheLevel::Dram) > m.stream_cycles(1024.0, CacheLevel::Dram));
     }
 
     #[test]

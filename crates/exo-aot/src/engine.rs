@@ -212,7 +212,7 @@ impl AotRequest {
 enum KeyState {
     /// Buildable (or failed retryably): eligible again once `retry_at`
     /// passes.
-    Pending { attempts: u32, last_error: Option<AotError>, retry_at: Instant },
+    Pending { attempts: u32, retry_at: Instant },
     /// A build — background or foreground — is in flight.
     Building { attempts: u32 },
     /// Verified and promoted.
@@ -231,7 +231,7 @@ struct KeySlot {
 impl KeySlot {
     fn fresh() -> Arc<KeySlot> {
         Arc::new(KeySlot {
-            state: Mutex::new(KeyState::Pending { attempts: 0, last_error: None, retry_at: Instant::now() }),
+            state: Mutex::new(KeyState::Pending { attempts: 0, retry_at: Instant::now() }),
             settled: Condvar::new(),
         })
     }
@@ -260,7 +260,6 @@ fn settle(
             } else {
                 KeyState::Pending {
                     attempts,
-                    last_error: Some(e.clone()),
                     retry_at: Instant::now() + RETRY_BACKOFF_BASE * 2u32.saturating_pow(attempts.min(8)),
                 }
             };
@@ -342,17 +341,6 @@ impl AotEngine {
         &self.store
     }
 
-    /// How many times this engine has invoked the C compiler.
-    pub fn compiler_invocations(&self) -> u64 {
-        self.counters.compiler_invocations.load(Ordering::SeqCst)
-    }
-
-    /// How many kernels were satisfied by an on-disk artifact without a
-    /// compiler invocation.
-    pub fn disk_hits(&self) -> u64 {
-        self.counters.disk_hits.load(Ordering::SeqCst)
-    }
-
     /// A snapshot of every pipeline counter.
     pub fn stats(&self) -> AotStats {
         self.counters.snapshot()
@@ -390,14 +378,8 @@ impl AotEngine {
         match &*state {
             KeyState::Ready(k) => Some(Arc::clone(k)),
             KeyState::Building { .. } | KeyState::Rejected(_) => None,
-            KeyState::Pending { attempts, last_error, retry_at } => {
-                let (attempts, last_error) = (*attempts, last_error.clone());
-                if attempts >= MAX_BUILD_ATTEMPTS {
-                    // Lazily promote an exhausted Pending (left by a
-                    // blocking waiter) to the terminal state.
-                    *state = KeyState::Rejected(last_error.unwrap_or(AotError::ToolchainMissing));
-                    return None;
-                }
+            KeyState::Pending { attempts, retry_at } => {
+                let attempts = *attempts;
                 if Instant::now() < *retry_at {
                     return None;
                 }
@@ -413,7 +395,7 @@ impl AotEngine {
                     // Queue full: hand the slot back unchanged; a later
                     // poll re-enqueues.
                     let mut state = job.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-                    *state = KeyState::Pending { attempts, last_error, retry_at: Instant::now() };
+                    *state = KeyState::Pending { attempts, retry_at: Instant::now() };
                 }
                 None
             }
@@ -444,15 +426,7 @@ impl AotEngine {
                 KeyState::Ready(k) => return Ok(Arc::clone(k)),
                 KeyState::Rejected(e) => return Err(e.clone()),
                 KeyState::Building { .. } => Next::WaitForBuilder,
-                KeyState::Pending { attempts, last_error, .. } => {
-                    if *attempts >= MAX_BUILD_ATTEMPTS {
-                        let e = last_error.clone().unwrap_or(AotError::ToolchainMissing);
-                        *state = KeyState::Rejected(e.clone());
-                        slot.settled.notify_all();
-                        return Err(e);
-                    }
-                    Next::Build(*attempts)
-                }
+                KeyState::Pending { attempts, .. } => Next::Build(*attempts),
             };
             match next {
                 Next::WaitForBuilder => {

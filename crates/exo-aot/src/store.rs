@@ -117,11 +117,6 @@ impl ArtifactStore {
         self.dir.join(format!(".{name}.{tag}.{}.tmp", std::process::id()))
     }
 
-    /// Whether a finished artifact for `key` is already on disk.
-    pub fn has_artifact(&self, key: u64) -> bool {
-        self.artifact_path(key).is_file()
-    }
-
     /// Creates the directory.
     pub fn ensure_dir(&self) -> Result<()> {
         std::fs::create_dir_all(&self.dir).map_err(|e| io_err(format!("creating {}", self.dir.display()), e))
@@ -232,10 +227,10 @@ mod tests {
         let key = artifact_key("test source", "test cc");
         let path = store.artifact_path(key);
         store.write_atomic(&path, b"payload").unwrap();
-        assert!(store.has_artifact(key));
+        assert!(path.is_file());
         assert_eq!(std::fs::read(&path).unwrap(), b"payload");
         let q = store.quarantine(&path);
-        assert!(!store.has_artifact(key), "the slot is free after quarantine");
+        assert!(!path.is_file(), "the slot is free after quarantine");
         assert!(q.extension().is_some_and(|e| e == "corrupt"));
         assert_eq!(std::fs::read(&q).unwrap(), b"payload", "the evidence is kept");
         let _ = std::fs::remove_file(&q);

@@ -189,18 +189,18 @@ fn warm_start_skips_the_compiler_entirely() {
     let (cold, dir) = scratch_engine("warm");
     let sw = staged_superword(8, 4);
     cold.compile(&sw, active_isa()).unwrap();
-    assert_eq!(cold.compiler_invocations(), 1);
-    assert_eq!(cold.disk_hits(), 0);
+    assert_eq!(cold.stats().compiler_invocations, 1);
+    assert_eq!(cold.stats().disk_hits, 0);
     // Same engine, same kernel: served from the in-process memo.
     cold.compile(&sw, active_isa()).unwrap();
-    assert_eq!(cold.compiler_invocations(), 1);
+    assert_eq!(cold.stats().compiler_invocations, 1);
 
     // A fresh engine over the same directory models a second process: the
     // artifact is on disk, so zero compiler invocations.
     let warm = AotEngine::with_dir(dir.clone());
     let k = warm.compile(&sw, active_isa()).unwrap();
-    assert_eq!(warm.compiler_invocations(), 0, "the warm start must not invoke the compiler");
-    assert_eq!(warm.disk_hits(), 1);
+    assert_eq!(warm.stats().compiler_invocations, 0, "the warm start must not invoke the compiler");
+    assert_eq!(warm.stats().disk_hits, 1);
     let (a, b, mut c) = packed_inputs(8, 4, 5);
     k.run_packed(5, &a, &b, &mut c).unwrap();
     let _ = std::fs::remove_dir_all(dir);
@@ -221,8 +221,8 @@ fn corrupt_artifacts_are_quarantined_and_rebuilt() {
     // Plant garbage where the artifact belongs.
     cold.store().write_atomic(&artifact, b"not an object file").unwrap();
     let k = cold.compile(&sw, active_isa()).unwrap();
-    assert_eq!(cold.compiler_invocations(), 1, "the corrupt entry must be rebuilt");
-    assert_eq!(cold.disk_hits(), 0);
+    assert_eq!(cold.stats().compiler_invocations, 1, "the corrupt entry must be rebuilt");
+    assert_eq!(cold.stats().disk_hits, 0);
     let mut quarantined = artifact.as_os_str().to_owned();
     quarantined.push(".corrupt");
     assert!(
@@ -293,7 +293,7 @@ fn the_fault_hook_fails_compiles_without_touching_the_cache() {
     exo_aot::arm_compile_fail(1);
     let err = engine.compile(&sw, active_isa()).expect_err("the armed hook must fire");
     assert_eq!(err, AotError::FaultInjected);
-    assert_eq!(engine.compiler_invocations(), 0, "the hook fires before the toolchain");
+    assert_eq!(engine.stats().compiler_invocations, 0, "the hook fires before the toolchain");
     exo_aot::arm_compile_fail(0);
     // Disarmed, the same engine compiles normally.
     engine.compile(&sw, active_isa()).unwrap();
@@ -549,8 +549,8 @@ fn a_tampered_artifact_is_caught_by_the_manifest_before_dlopen() {
 
     let warm = AotEngine::with_dir(dir.clone());
     warm.compile(&sw, active_isa()).unwrap();
-    assert_eq!(warm.disk_hits(), 0, "a tampered artifact must never count as a disk hit");
-    assert_eq!(warm.compiler_invocations(), 1, "it is quarantined and rebuilt");
+    assert_eq!(warm.stats().disk_hits, 0, "a tampered artifact must never count as a disk hit");
+    assert_eq!(warm.stats().compiler_invocations, 1, "it is quarantined and rebuilt");
     assert_eq!(warm.stats().quarantines, 1);
     let mut quarantined = artifact.as_os_str().to_owned();
     quarantined.push(".corrupt");

@@ -23,7 +23,7 @@ use exo_ir::{ArgKind, CallArg, Expr, MemSpace, Proc, ScalarType, Stmt, Sym, WAcc
 use crate::error::{CodegenError, Result};
 use crate::exec::ParamKind;
 use crate::simd::IsaKind;
-use crate::superword::{SAddr, SuperwordKernel, VOp};
+use crate::superword::{SuperwordKernel, VOp};
 use crate::tape::{Addr, TOp, Term};
 
 /// Per-buffer shape information collected before emission.
@@ -297,13 +297,13 @@ impl SwEmit {
         format!("{prefix}{n}")
     }
 
-    /// Renders one affine term sum as a parenthesised `int64_t` expression.
-    fn affine(&self, base: i64, terms: &[(Term, i64)]) -> String {
+    /// Renders an affine address as a parenthesised `int64_t` expression.
+    fn addr(&self, a: &Addr) -> String {
         let mut parts: Vec<String> = Vec::new();
-        if base != 0 || terms.is_empty() {
-            parts.push(base.to_string());
+        if a.base() != 0 || a.terms().next().is_none() {
+            parts.push(a.base().to_string());
         }
-        for &(t, c) in terms {
+        for (t, c) in a.terms() {
             let name = match t {
                 Term::Loop(slot) => format!("t{slot}"),
                 Term::Scalar(slot) => self.scalar_names[slot as usize].clone(),
@@ -314,19 +314,6 @@ impl SwEmit {
             }
         }
         format!("({})", parts.join(" + "))
-    }
-
-    fn saddr(&self, a: &SAddr) -> String {
-        match a {
-            SAddr::Const(v) => format!("({v})"),
-            SAddr::Loop { base, slot, coeff } => self.affine(*base, &[(Term::Loop(*slot), *coeff)]),
-            SAddr::Scalar { base, slot, coeff } => self.affine(*base, &[(Term::Scalar(*slot), *coeff)]),
-            SAddr::General(addr) => self.addr(addr),
-        }
-    }
-
-    fn addr(&self, a: &Addr) -> String {
-        self.affine(a.base, a.terms.as_ref())
     }
 
     /// Emits `lanes` register-file copies to/from a tensor (`load` selects
@@ -551,15 +538,15 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
                     pad: &str,
                     prefetched: &mut Vec<Vec<u16>>,
                     buf: u16,
-                    addr: &SAddr| {
+                    addr: &Addr| {
         let Some(scope) = prefetched.last_mut() else { return };
         if scope.contains(&buf) {
             return;
         }
-        if let SAddr::Loop { base, slot, coeff } = addr {
+        if let Addr::Loop { base, slot, coeff } = *addr {
             scope.push(buf);
             let name = &ctx.tensor_names[buf as usize];
-            let ahead = ctx.affine(*base + coeff * PREFETCH_ITERS, &[(Term::Loop(*slot), *coeff)]);
+            let ahead = ctx.addr(&Addr::Loop { base: base + coeff * PREFETCH_ITERS, slot, coeff });
             let _ = writeln!(out, "{pad}__builtin_prefetch(&{name}[{ahead}], 0, 3);");
         }
     };
@@ -568,7 +555,7 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
         let pad = indent(level);
         match op {
             VOp::LoopBegin { slot, lo, hi, .. } => {
-                let (lo_c, hi_c) = (ctx.saddr(lo), ctx.saddr(hi));
+                let (lo_c, hi_c) = (ctx.addr(lo), ctx.addr(hi));
                 let bound = ctx.fresh("e");
                 let _ = writeln!(out, "{pad}const int64_t {bound} = {hi_c};");
                 let _ = writeln!(out, "{pad}for (int64_t t{slot} = {lo_c}; t{slot} < {bound}; t{slot}++) {{");
@@ -582,11 +569,11 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
             }
             VOp::VLoad { dst, buf, addr, lanes } => {
                 prefetch(&mut ctx, &mut out, &pad, &mut prefetched, *buf, addr);
-                let idx = ctx.saddr(addr);
+                let idx = ctx.addr(addr);
                 ctx.copy(&mut out, &pad, true, *dst, *buf, &idx, *lanes);
             }
             VOp::VStore { src, buf, addr, lanes } => {
-                let idx = ctx.saddr(addr);
+                let idx = ctx.addr(addr);
                 ctx.copy(&mut out, &pad, false, *src, *buf, &idx, *lanes);
             }
             VOp::VFmaLane { b, .. } => {
@@ -599,7 +586,7 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
             }
             VOp::VFmaBcast { buf, addr, scratch, .. } => {
                 prefetch(&mut ctx, &mut out, &pad, &mut prefetched, *buf, addr);
-                let idx = ctx.saddr(addr);
+                let idx = ctx.addr(addr);
                 let name = ctx.tensor_names[*buf as usize].clone();
                 let bv = ctx.fresh("bv");
                 let _ = writeln!(out, "{pad}const float {bv} = {name}[{idx}];");

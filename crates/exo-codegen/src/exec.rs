@@ -9,7 +9,8 @@
 //! linearised into row-major address polynomials, and the tree is walked
 //! over caller provided buffers with every access checked. Every faster
 //! tier is lowered from a [`CompiledKernel`] and differentially tested
-//! against it; it also runs whatever the tape cannot register-allocate.
+//! against it. A generated kernel the tape cannot register-allocate is a
+//! generation error; only a hand-built procedure runs here for that reason.
 
 use exo_ir::{ArgKind, BinOp, Expr, Proc, ScalarType, Stmt, Sym};
 use exo_sched::inline_call;

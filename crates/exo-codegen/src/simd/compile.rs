@@ -10,7 +10,7 @@
 //! named here: which runs fuse is the ISA row's narrowest vector shape.
 
 use super::VectorIsa;
-use crate::superword::{SAddr, VOp};
+use crate::superword::VOp;
 use crate::tape::{Addr, TOp};
 
 /// Chain statistics accumulated during compilation.
@@ -32,11 +32,11 @@ pub(super) enum Node {
     Step(StepFn),
     /// A dynamic loop: evaluate bounds, run the body chain per iteration
     /// with the counter written into its slot.
-    Loop { slot: usize, lo: SAddr, hi: SAddr, body: Vec<Node> },
+    Loop { slot: usize, lo: Addr, hi: Addr, body: Vec<Node> },
     /// A dynamic loop whose whole body fused into one closure (the laneq
     /// micro-kernel's `KC` loop): the counter drives the step directly,
     /// no per-iteration chain walk.
-    LoopStep { slot: usize, lo: SAddr, hi: SAddr, step: StepFn },
+    LoopStep { slot: usize, lo: Addr, hi: Addr, step: StepFn },
 }
 
 /// Runs a compiled chain: steps call straight through their closure, loops
@@ -83,10 +83,10 @@ pub(super) unsafe fn run_nodes(
 /// A register-file copy closure (`VLoad`/`VStore` are memcpys between
 /// a tensor and a lane-aligned register run; `copy_nonoverlapping`
 /// lowers to vector moves). `LOAD` selects the direction.
-fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &SAddr) -> StepFn {
+fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &Addr) -> StepFn {
     // Specialise the hot single-loop-term address so the chain never
     // touches the general evaluator on the packed-operand walk.
-    if let SAddr::Loop { base, slot, coeff } = *addr {
+    if let Addr::Loop { base, slot, coeff } = *addr {
         let slot = slot as usize;
         Box::new(move |regs, tens, loops, _scalars| unsafe {
             let idx = (base + coeff * *loops.get_unchecked(slot)) as usize;
@@ -132,7 +132,7 @@ fn fma_bcast_step<I: VectorIsa>(
     dst: usize,
     a: usize,
     buf: usize,
-    addr: &SAddr,
+    addr: &Addr,
     scratch: usize,
     lanes: usize,
 ) -> StepFn {
@@ -153,26 +153,22 @@ fn fma_bcast_step<I: VectorIsa>(
 /// rounding (contracted on the native ISAs, two roundings on the scalar
 /// reference) like the rest of the tier.
 fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
-    let addr_eval = |addr: &Addr| {
-        let addr = SAddr::from_addr(addr);
-        move |loops: &[i64], scalars: &[i64]| addr.eval(loops, scalars)
-    };
     Some(match op {
         TOp::ConstF { dst, val } => {
             let (dst, val) = (*dst as usize, *val);
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = val })
         }
         TOp::LoadT { dst, buf, addr } => {
-            let (dst, buf, at) = (*dst as usize, *buf as usize, addr_eval(addr));
+            let (dst, buf, addr) = (*dst as usize, *buf as usize, addr.clone());
             Box::new(move |regs, tens, loops, scalars| unsafe {
-                let idx = at(loops, scalars) as usize;
+                let idx = addr.eval(loops, scalars) as usize;
                 *regs.add(dst) = *(*tens.get_unchecked(buf)).add(idx);
             })
         }
         TOp::StoreT { src, buf, addr } => {
-            let (src, buf, at) = (*src as usize, *buf as usize, addr_eval(addr));
+            let (src, buf, addr) = (*src as usize, *buf as usize, addr.clone());
             Box::new(move |regs, tens, loops, scalars| unsafe {
-                let idx = at(loops, scalars) as usize;
+                let idx = addr.eval(loops, scalars) as usize;
                 *(*tens.get_unchecked(buf)).add(idx) = *regs.add(src);
             })
         }
@@ -211,9 +207,9 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) += *regs.add(src) })
         }
         TOp::CastI { dst, value } => {
-            let (dst, at) = (*dst as usize, addr_eval(value));
+            let (dst, value) = (*dst as usize, value.clone());
             Box::new(move |regs, _tens, loops, scalars| unsafe {
-                *regs.add(dst) = at(loops, scalars) as f32;
+                *regs.add(dst) = value.eval(loops, scalars) as f32;
             })
         }
         TOp::Round { reg } => {
@@ -312,7 +308,7 @@ fn try_fuse_iteration<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, us
     while let Some(VOp::VLoad { dst, buf, addr, lanes }) = ops.get(j) {
         // Only the hot loop-term address shape fuses; anything else
         // keeps its own specialised closure.
-        let SAddr::Loop { base, slot, coeff } = *addr else { return None };
+        let Addr::Loop { base, slot, coeff } = *addr else { return None };
         loads.push(StageLoad {
             reg: *dst as usize,
             buf: *buf as usize,

@@ -53,95 +53,6 @@ use crate::error::{CodegenError, Result};
 use crate::exec::{CompiledKernel, TensorView};
 use crate::tape::{Addr, TOp, TapeKernel, Term};
 
-/// A pre-compiled affine address: the general [`Addr`] (a heap-allocated
-/// term list walked per evaluation) specialised, at superword construction
-/// time, into the handful of monomorphic shapes a micro-kernel tape
-/// actually produces. The packed ops of the dispatch loops evaluate these
-/// without pointer-chasing a term slice or matching per term — the address
-/// arithmetic is hoisted into this table once per kernel.
-#[derive(Debug, Clone)]
-pub(crate) enum SAddr {
-    /// A compile-time constant address.
-    Const(i64),
-    /// `base + coeff * loop[slot]` — the hot shape of every packed operand
-    /// access inside the dynamic `KC` loop.
-    Loop {
-        /// Constant offset.
-        base: i64,
-        /// Dynamic-loop slot supplying the counter.
-        slot: u16,
-        /// Stride applied to the counter.
-        coeff: i64,
-    },
-    /// `base + coeff * scalar[slot]` — loop bounds (`0..KC`).
-    Scalar {
-        /// Constant offset.
-        base: i64,
-        /// Scalar-parameter slot.
-        slot: u16,
-        /// Stride applied to the scalar.
-        coeff: i64,
-    },
-    /// Anything with two or more terms: kept in the general affine form.
-    General(Addr),
-}
-
-impl SAddr {
-    pub(crate) fn from_addr(a: &Addr) -> SAddr {
-        match a.terms.as_ref() {
-            [] => SAddr::Const(a.base),
-            &[(Term::Loop(slot), coeff)] => SAddr::Loop { base: a.base, slot, coeff },
-            &[(Term::Scalar(slot), coeff)] => SAddr::Scalar { base: a.base, slot, coeff },
-            _ => SAddr::General(a.clone()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn eval(&self, loops: &[i64], scalars: &[i64]) -> i64 {
-        match self {
-            SAddr::Const(v) => *v,
-            SAddr::Loop { base, slot, coeff } => base + coeff * loops[*slot as usize],
-            SAddr::Scalar { base, slot, coeff } => base + coeff * scalars[*slot as usize],
-            SAddr::General(a) => a.eval(loops, scalars),
-        }
-    }
-
-    /// Exact interval over the current loop-counter intervals (saturating,
-    /// so overflow only ever widens the range and fails toward the checked
-    /// path).
-    fn interval(&self, iv: &[(i64, i64)], scalars: &[i64]) -> (i64, i64) {
-        match self {
-            SAddr::Const(v) => (*v, *v),
-            SAddr::Scalar { base, slot, coeff } => {
-                let v = base.saturating_add(coeff.saturating_mul(scalars[*slot as usize]));
-                (v, v)
-            }
-            SAddr::Loop { base, slot, coeff } => {
-                let (tmin, tmax) = iv[*slot as usize];
-                let (p, q) = if *coeff >= 0 { (tmin, tmax) } else { (tmax, tmin) };
-                (base.saturating_add(coeff.saturating_mul(p)), base.saturating_add(coeff.saturating_mul(q)))
-            }
-            SAddr::General(a) => addr_interval(a, iv, scalars),
-        }
-    }
-
-    /// Runs `f` over every term, mirroring the construction-time validation
-    /// walk of the general affine form.
-    fn validate_terms(&self, mut f: impl FnMut(Term) -> Result<()>) -> Result<()> {
-        match self {
-            SAddr::Const(_) => Ok(()),
-            SAddr::Loop { slot, .. } => f(Term::Loop(*slot)),
-            SAddr::Scalar { slot, .. } => f(Term::Scalar(*slot)),
-            SAddr::General(a) => {
-                for &(t, _) in a.terms.iter() {
-                    f(t)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 /// One superword tape operation. Packed ops carry their lane count; scalar
 /// leftovers ride along unchanged.
 #[derive(Debug, Clone)]
@@ -149,9 +60,9 @@ pub(crate) enum VOp {
     /// A scalar tape op that did not pack (never a loop marker).
     Scalar(TOp),
     /// `reg[dst..dst+lanes] = tensor[buf][addr..addr+lanes]`
-    VLoad { dst: u32, buf: u16, addr: SAddr, lanes: u32 },
+    VLoad { dst: u32, buf: u16, addr: Addr, lanes: u32 },
     /// `tensor[buf][addr..addr+lanes] = reg[src..src+lanes]`
-    VStore { src: u32, buf: u16, addr: SAddr, lanes: u32 },
+    VStore { src: u32, buf: u16, addr: Addr, lanes: u32 },
     /// `reg[dst+i] += reg[a+i] * reg[b]` for `i in 0..lanes` (`b` is one
     /// lane of a vector register, held fixed across the run).
     VFmaLane { dst: u32, a: u32, b: u32, lanes: u32 },
@@ -159,9 +70,9 @@ pub(crate) enum VOp {
     /// reg[scratch]` for `i in 0..lanes` — the broadcast-from-memory FMA.
     /// `scratch` is written so the register file finishes in exactly the
     /// state the scalar sequence leaves it in.
-    VFmaBcast { dst: u32, a: u32, buf: u16, addr: SAddr, scratch: u32, lanes: u32 },
+    VFmaBcast { dst: u32, a: u32, buf: u16, addr: Addr, scratch: u32, lanes: u32 },
     /// Enter a dynamic loop: evaluate bounds, jump to `end` if empty.
-    LoopBegin { slot: u16, lo: SAddr, hi: SAddr, end: u32 },
+    LoopBegin { slot: u16, lo: Addr, hi: Addr, end: u32 },
     /// Bottom of a dynamic loop: bump the counter, jump back while it holds.
     LoopEnd { slot: u16, begin: u32 },
 }
@@ -246,26 +157,19 @@ fn unsupported(what: impl Into<String>) -> CodegenError {
     CodegenError::Unsupported { backend: "superword", what: what.into() }
 }
 
-/// `next` is `base` shifted by a constant `k` (same strides, consecutive
-/// memory).
-fn addr_offset_by(base: &Addr, next: &Addr, k: i64) -> bool {
-    next.base == base.base + k && next.terms == base.terms
-}
-
 /// Maximal `VLoad` run starting at `ops[i]`: consecutive destination
 /// registers fed from consecutive addresses of one buffer.
 fn try_vload(ops: &[TOp], i: usize) -> Option<(VOp, usize)> {
     let TOp::LoadT { dst, buf, addr } = &ops[i] else { return None };
     let mut lanes: u32 = 1;
     while let Some(TOp::LoadT { dst: d2, buf: b2, addr: a2 }) = ops.get(i + lanes as usize) {
-        if *b2 == *buf && *d2 == dst.wrapping_add(lanes) && addr_offset_by(addr, a2, i64::from(lanes)) {
+        if *b2 == *buf && *d2 == dst.wrapping_add(lanes) && addr.offset_by(a2, i64::from(lanes)) {
             lanes += 1;
         } else {
             break;
         }
     }
-    (lanes >= 2)
-        .then(|| (VOp::VLoad { dst: *dst, buf: *buf, addr: SAddr::from_addr(addr), lanes }, lanes as usize))
+    (lanes >= 2).then(|| (VOp::VLoad { dst: *dst, buf: *buf, addr: addr.clone(), lanes }, lanes as usize))
 }
 
 /// Maximal `VStore` run starting at `ops[i]`.
@@ -273,14 +177,13 @@ fn try_vstore(ops: &[TOp], i: usize) -> Option<(VOp, usize)> {
     let TOp::StoreT { src, buf, addr } = &ops[i] else { return None };
     let mut lanes: u32 = 1;
     while let Some(TOp::StoreT { src: s2, buf: b2, addr: a2 }) = ops.get(i + lanes as usize) {
-        if *b2 == *buf && *s2 == src.wrapping_add(lanes) && addr_offset_by(addr, a2, i64::from(lanes)) {
+        if *b2 == *buf && *s2 == src.wrapping_add(lanes) && addr.offset_by(a2, i64::from(lanes)) {
             lanes += 1;
         } else {
             break;
         }
     }
-    (lanes >= 2)
-        .then(|| (VOp::VStore { src: *src, buf: *buf, addr: SAddr::from_addr(addr), lanes }, lanes as usize))
+    (lanes >= 2).then(|| (VOp::VStore { src: *src, buf: *buf, addr: addr.clone(), lanes }, lanes as usize))
 }
 
 /// Maximal `VFmaLane` run starting at `ops[i]`: consecutive accumulators,
@@ -334,7 +237,7 @@ fn try_vfma_bcast(ops: &[TOp], i: usize) -> Option<(VOp, usize)> {
             (Some(TOp::LoadT { dst: t2, buf: b2, addr: a2 }), Some(TOp::Fma { dst: d2, a: av2, b: bv2 }))
                 if t2 == t
                     && *b2 == *buf
-                    && addr_offset_by(addr, a2, 0)
+                    && addr.offset_by(a2, 0)
                     && *d2 == dst.wrapping_add(lanes)
                     && *av2 == a.wrapping_add(lanes)
                     && bv2 == t =>
@@ -353,7 +256,7 @@ fn try_vfma_bcast(ops: &[TOp], i: usize) -> Option<(VOp, usize)> {
         return None;
     }
     Some((
-        VOp::VFmaBcast { dst: *dst, a: *a, buf: *buf, addr: SAddr::from_addr(addr), scratch: *t, lanes },
+        VOp::VFmaBcast { dst: *dst, a: *a, buf: *buf, addr: addr.clone(), scratch: *t, lanes },
         2 * lanes as usize,
     ))
 }
@@ -368,12 +271,7 @@ fn pack(ops: &[TOp]) -> Result<Vec<VOp>> {
         match &ops[i] {
             TOp::LoopBegin { slot, lo, hi, .. } => {
                 begin_stack.push(out.len());
-                out.push(VOp::LoopBegin {
-                    slot: *slot,
-                    lo: SAddr::from_addr(lo),
-                    hi: SAddr::from_addr(hi),
-                    end: 0,
-                });
+                out.push(VOp::LoopBegin { slot: *slot, lo: lo.clone(), hi: hi.clone(), end: 0 });
                 i += 1;
             }
             TOp::LoopEnd { slot, .. } => {
@@ -443,20 +341,13 @@ fn validate_construction(
         Ok(())
     };
     let mut active = vec![false; n_dyn];
-    let term = |t: Term, active: &[bool]| -> Result<()> {
-        match t {
+    let addr = |a: &Addr, active: &[bool]| -> Result<()> {
+        a.terms().try_for_each(|(t, _)| match t {
             Term::Scalar(s) if (s as usize) < n_scalars => Ok(()),
             Term::Loop(l) if (l as usize) < n_dyn && active[l as usize] => Ok(()),
             _ => Err(unsupported("affine term outside its table or loop")),
-        }
+        })
     };
-    let addr = |a: &Addr, active: &[bool]| -> Result<()> {
-        for &(t, _) in a.terms.iter() {
-            term(t, active)?;
-        }
-        Ok(())
-    };
-    let saddr = |a: &SAddr, active: &[bool]| -> Result<()> { a.validate_terms(|t| term(t, active)) };
     let mut stack: Vec<(usize, u16)> = Vec::new();
     for (idx, op) in ops.iter().enumerate() {
         for (r, lanes) in op.register_runs() {
@@ -465,15 +356,17 @@ fn validate_construction(
             }
         }
         match op {
-            VOp::Scalar(s) => match s {
-                TOp::LoadT { buf: b, addr: a, .. } | TOp::StoreT { buf: b, addr: a, .. } => {
-                    buf(*b)?;
-                    addr(a, &active)?;
-                }
-                TOp::CastI { value, .. } => addr(value, &active)?,
-                TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {
-                    return Err(unsupported("loop marker hidden in a scalar op"))
-                }
+            VOp::Scalar(TOp::LoadT { buf: b, addr: a, .. } | TOp::StoreT { buf: b, addr: a, .. })
+            | VOp::VLoad { buf: b, addr: a, .. }
+            | VOp::VStore { buf: b, addr: a, .. } => {
+                buf(*b)?;
+                addr(a, &active)?;
+            }
+            VOp::Scalar(TOp::CastI { value, .. }) => addr(value, &active)?,
+            VOp::Scalar(TOp::LoopBegin { .. } | TOp::LoopEnd { .. }) => {
+                return Err(unsupported("loop marker hidden in a scalar op"))
+            }
+            VOp::Scalar(
                 TOp::ConstF { .. }
                 | TOp::Mov { .. }
                 | TOp::Neg { .. }
@@ -484,12 +377,8 @@ fn validate_construction(
                 | TOp::Div { .. }
                 | TOp::Fma { .. }
                 | TOp::Round { .. }
-                | TOp::Zero { .. } => {}
-            },
-            VOp::VLoad { buf: b, addr: a, .. } | VOp::VStore { buf: b, addr: a, .. } => {
-                buf(*b)?;
-                saddr(a, &active)?;
-            }
+                | TOp::Zero { .. },
+            ) => {}
             VOp::VFmaLane { dst, b, lanes, .. } => {
                 if *b >= *dst && *b < dst + lanes {
                     return Err(unsupported("broadcast lane aliases its accumulator run"));
@@ -497,7 +386,7 @@ fn validate_construction(
             }
             VOp::VFmaBcast { dst, buf: b, addr: ad, scratch, lanes, .. } => {
                 buf(*b)?;
-                saddr(ad, &active)?;
+                addr(ad, &active)?;
                 if *scratch >= *dst && *scratch < dst + lanes {
                     return Err(unsupported("broadcast scratch aliases its accumulator run"));
                 }
@@ -506,8 +395,8 @@ fn validate_construction(
                 if (*slot as usize) >= n_dyn || active[*slot as usize] {
                     return Err(unsupported("bad loop slot"));
                 }
-                saddr(lo, &active)?;
-                saddr(hi, &active)?;
+                addr(lo, &active)?;
+                addr(hi, &active)?;
                 stack.push((idx, *slot));
                 active[*slot as usize] = true;
             }
@@ -527,23 +416,6 @@ fn validate_construction(
         return Err(unsupported("unterminated loop"));
     }
     Ok(())
-}
-
-/// Exact interval of an affine address over the current loop-counter
-/// intervals (saturating, so overflow only ever widens the range and fails
-/// toward the checked path).
-fn addr_interval(a: &Addr, iv: &[(i64, i64)], scalars: &[i64]) -> (i64, i64) {
-    let (mut lo, mut hi) = (a.base, a.base);
-    for &(t, c) in a.terms.iter() {
-        let (tmin, tmax) = match t {
-            Term::Loop(i) => iv[i as usize],
-            Term::Scalar(i) => (scalars[i as usize], scalars[i as usize]),
-        };
-        let (p, q) = if c >= 0 { (tmin, tmax) } else { (tmax, tmin) };
-        lo = lo.saturating_add(c.saturating_mul(p));
-        hi = hi.saturating_add(c.saturating_mul(q));
-    }
-    (lo, hi)
 }
 
 impl TapeKernel {
@@ -719,10 +591,8 @@ impl SuperwordKernel {
         let mut pc = 0usize;
         while pc < self.ops.len() {
             let access = match &self.ops[pc] {
-                VOp::Scalar(TOp::LoadT { buf, addr, .. }) | VOp::Scalar(TOp::StoreT { buf, addr, .. }) => {
-                    Some((*buf, addr_interval(addr, &iv, scalars), 1))
-                }
-                VOp::VFmaBcast { buf, addr, .. } => Some((*buf, addr.interval(&iv, scalars), 1)),
+                VOp::Scalar(TOp::LoadT { buf, addr, .. } | TOp::StoreT { buf, addr, .. })
+                | VOp::VFmaBcast { buf, addr, .. } => Some((*buf, addr.interval(&iv, scalars), 1)),
                 VOp::VLoad { buf, addr, lanes, .. } | VOp::VStore { buf, addr, lanes, .. } => {
                     Some((*buf, addr.interval(&iv, scalars), *lanes))
                 }
@@ -966,12 +836,12 @@ mod tests {
         // split at 8 lanes, neither at 4.
         let mut straddled = (*sw).clone();
         straddled.ops = vec![
-            VOp::VLoad { dst: 0, buf: 2, addr: SAddr::Const(0), lanes: 4 },
-            VOp::VLoad { dst: 4, buf: 2, addr: SAddr::Const(4), lanes: 8 },
-            VOp::VLoad { dst: 12, buf: 2, addr: SAddr::Const(12), lanes: 4 },
+            VOp::VLoad { dst: 0, buf: 2, addr: Addr::Const(0), lanes: 4 },
+            VOp::VLoad { dst: 4, buf: 2, addr: Addr::Const(4), lanes: 8 },
+            VOp::VLoad { dst: 12, buf: 2, addr: Addr::Const(12), lanes: 4 },
             VOp::VFmaLane { dst: 0, a: 32, b: 40, lanes: 8 },
             VOp::VFmaLane { dst: 8, a: 32, b: 41, lanes: 8 },
-            VOp::VStore { src: 0, buf: 2, addr: SAddr::Const(0), lanes: 16 },
+            VOp::VStore { src: 0, buf: 2, addr: Addr::Const(0), lanes: 16 },
         ];
         assert_eq!(straddled.split_accumulator_groups(8), 2);
         assert_eq!(straddled.split_accumulator_groups(4), 0);
@@ -987,7 +857,7 @@ mod tests {
         assert!(!lane(8, 8).fma_in_order(), "whole-run aliasing vectorises");
         assert!(lane(8, 6).fma_in_order() && lane(8, 10).fma_in_order(), "partial overlap is semantic");
         assert!(!lane(8, 4).fma_in_order() && !lane(8, 12).fma_in_order(), "adjacent runs do not overlap");
-        let bcast = VOp::VFmaBcast { dst: 8, a: 9, buf: 0, addr: SAddr::Const(0), scratch: 100, lanes: 4 };
+        let bcast = VOp::VFmaBcast { dst: 8, a: 9, buf: 0, addr: Addr::Const(0), scratch: 100, lanes: 4 };
         assert!(bcast.fma_in_order(), "the broadcast FMA follows the same rule");
         assert!(!VOp::LoopEnd { slot: 0, begin: 0 }.fma_in_order());
     }

@@ -112,30 +112,94 @@ impl Affine {
         self
     }
 
+    /// The address in the one shape its terms call for, picked here once so
+    /// no later stage re-classifies it.
     fn into_addr(self) -> Addr {
-        Addr { base: self.base, terms: self.terms.into_boxed_slice() }
+        match *self.terms.as_slice() {
+            [] => Addr::Const(self.base),
+            [(Term::Loop(slot), coeff)] => Addr::Loop { base: self.base, slot, coeff },
+            [(Term::Scalar(slot), coeff)] => Addr::Scalar { base: self.base, slot, coeff },
+            _ => Addr::General { base: self.base, terms: self.terms.into_boxed_slice() },
+        }
     }
 }
 
-/// A precomputed affine address, evaluated per use with one multiply-add per
-/// term (typically zero or one term in a micro-kernel's hot loop).
+/// A precomputed affine address `base + Σ coeff·term`, specialised at tape
+/// build time into the handful of shapes a micro-kernel produces, so the
+/// hot shapes evaluate without walking a term list. The one address type
+/// of every lowering below the interpreter: the checked tape, the superword
+/// packing and its proofs, the closure chains and the emitted C all read it.
 #[derive(Debug, Clone)]
-pub(crate) struct Addr {
-    pub(crate) base: i64,
-    pub(crate) terms: Box<[(Term, i64)]>,
+pub(crate) enum Addr {
+    /// A compile-time constant address.
+    Const(i64),
+    /// `base + coeff * loop[slot]` — the hot shape of every packed operand
+    /// access inside the dynamic `KC` loop.
+    Loop { base: i64, slot: u16, coeff: i64 },
+    /// `base + coeff * scalar[slot]` — loop bounds (`0..KC`).
+    Scalar { base: i64, slot: u16, coeff: i64 },
+    /// Two or more terms, kept as a list.
+    General { base: i64, terms: Box<[(Term, i64)]> },
 }
 
 impl Addr {
+    /// The constant offset.
+    pub(crate) fn base(&self) -> i64 {
+        match *self {
+            Addr::Const(base)
+            | Addr::Loop { base, .. }
+            | Addr::Scalar { base, .. }
+            | Addr::General { base, .. } => base,
+        }
+    }
+
+    /// Every `(term, coeff)` pair, in order.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = (Term, i64)> + '_ {
+        let single = match *self {
+            Addr::Loop { slot, coeff, .. } => Some((Term::Loop(slot), coeff)),
+            Addr::Scalar { slot, coeff, .. } => Some((Term::Scalar(slot), coeff)),
+            Addr::Const(_) | Addr::General { .. } => None,
+        };
+        let list = match self {
+            Addr::General { terms, .. } => &terms[..],
+            _ => &[],
+        };
+        single.into_iter().chain(list.iter().copied())
+    }
+
     #[inline]
     pub(crate) fn eval(&self, loops: &[i64], scalars: &[i64]) -> i64 {
-        let mut v = self.base;
-        for &(t, c) in self.terms.iter() {
-            v += c * match t {
-                Term::Loop(i) => loops[i as usize],
-                Term::Scalar(i) => scalars[i as usize],
-            };
+        match self {
+            Addr::Const(v) => *v,
+            Addr::Loop { base, slot, coeff } => base + coeff * loops[*slot as usize],
+            Addr::Scalar { base, slot, coeff } => base + coeff * scalars[*slot as usize],
+            Addr::General { base, terms } => terms.iter().fold(*base, |v, &(t, c)| {
+                v + c * match t {
+                    Term::Loop(i) => loops[i as usize],
+                    Term::Scalar(i) => scalars[i as usize],
+                }
+            }),
         }
-        v
+    }
+
+    /// Exact interval over the current loop-counter intervals (saturating,
+    /// so overflow only ever widens the range and fails toward the checked
+    /// path).
+    pub(crate) fn interval(&self, iv: &[(i64, i64)], scalars: &[i64]) -> (i64, i64) {
+        self.terms().fold((self.base(), self.base()), |(lo, hi), (t, c)| {
+            let (tmin, tmax) = match t {
+                Term::Loop(i) => iv[i as usize],
+                Term::Scalar(i) => (scalars[i as usize], scalars[i as usize]),
+            };
+            let (p, q) = if c >= 0 { (tmin, tmax) } else { (tmax, tmin) };
+            (lo.saturating_add(c.saturating_mul(p)), hi.saturating_add(c.saturating_mul(q)))
+        })
+    }
+
+    /// Whether `next` is this address shifted by a constant `k`: the same
+    /// shape and strides, consecutive memory.
+    pub(crate) fn offset_by(&self, next: &Addr, k: i64) -> bool {
+        next.base() == self.base() + k && self.terms().eq(next.terms())
     }
 }
 

@@ -85,17 +85,6 @@ impl KernelTrace {
     pub fn once_count(&self, class: InstrClass) -> u64 {
         self.prologue.iter().chain(&self.epilogue).filter(|op| op.class == class).map(|op| op.count).sum()
     }
-
-    /// Bytes read per `k` iteration from a specific buffer.
-    pub fn per_k_bytes_from(&self, buffer: &str) -> u64 {
-        self.per_k
-            .iter()
-            .filter(|op| {
-                op.class == InstrClass::VecLoad && op.buffer.as_ref().map(|b| b.as_str()) == Some(buffer)
-            })
-            .map(|op| op.count * op.bytes() as u64)
-            .sum()
-    }
 }
 
 /// Extracts the trace of a procedure, treating the first loop whose extent is
@@ -396,8 +385,15 @@ mod tests {
         // Flops: 24 FMAs x 8 flops x KC plus nothing outside the k loop.
         assert_eq!(trace.total_flops(512), 24 * 8 * 512);
         // Memory traffic per iteration: 32 bytes of A, 48 bytes of B.
-        assert_eq!(trace.per_k_bytes_from("Ac"), 32);
-        assert_eq!(trace.per_k_bytes_from("Bc"), 48);
+        let bytes_from = |buffer: &str| -> u64 {
+            let loads = trace.per_k.iter().filter(|op| op.class == InstrClass::VecLoad);
+            loads
+                .filter(|op| op.buffer.as_ref().map(Sym::as_str) == Some(buffer))
+                .map(|op| op.count * op.bytes() as u64)
+                .sum()
+        };
+        assert_eq!(bytes_from("Ac"), 32);
+        assert_eq!(bytes_from("Bc"), 48);
     }
 
     #[test]

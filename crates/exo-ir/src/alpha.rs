@@ -1,14 +1,11 @@
-//! Alpha-equivalence: structural comparison of statements and procedures up to
+//! Alpha-equivalence: structural comparison of statement blocks up to
 //! consistent renaming of bound loop variables.
 //!
-//! Used by the scheduling layer's tests (a transformed program should differ
-//! from the original in structure, not by accident of naming) and by the
-//! `replace` operator's verification step.
+//! Used by the `replace` operator's verification step.
 
 use std::collections::BTreeMap;
 
 use crate::expr::Expr;
-use crate::proc::Proc;
 use crate::stmt::{CallArg, Stmt, WAccess};
 use crate::sym::Sym;
 
@@ -143,56 +140,21 @@ fn stmts_eq_inner(a: &Stmt, b: &Stmt, ren: &Renaming) -> bool {
     }
 }
 
-/// Whether two statements are equal up to renaming of loop variables bound
-/// within them. Free symbols (arguments, buffers) must match by name.
-pub fn stmts_alpha_eq(a: &Stmt, b: &Stmt) -> bool {
-    stmts_eq_inner(a, b, &Renaming::default())
-}
-
-/// Whether two statement blocks are alpha-equivalent element-wise.
+/// Whether two statement blocks are alpha-equivalent element-wise: equal
+/// up to renaming of loop variables bound within them. Free symbols
+/// (arguments, buffers) must match by name.
 pub fn blocks_alpha_eq(a: &[Stmt], b: &[Stmt]) -> bool {
     blocks_eq(a, b, &Renaming::default())
-}
-
-/// Whether two procedures are alpha-equivalent: same argument kinds in the
-/// same order (argument names are bound, so they may differ) and
-/// alpha-equivalent bodies.
-pub fn procs_alpha_eq(a: &Proc, b: &Proc) -> bool {
-    if a.args.len() != b.args.len() {
-        return false;
-    }
-    let mut ren = Renaming::default();
-    for (x, y) in a.args.iter().zip(&b.args) {
-        use crate::proc::ArgKind;
-        let kinds_match = match (&x.kind, &y.kind) {
-            (ArgKind::Size, ArgKind::Size) | (ArgKind::Index, ArgKind::Index) => true,
-            (
-                ArgKind::Tensor { ty: t1, dims: d1, mem: m1 },
-                ArgKind::Tensor { ty: t2, dims: d2, mem: m2 },
-            ) => {
-                t1 == t2
-                    && m1 == m2
-                    && d1.len() == d2.len()
-                    && d1.iter().zip(d2).all(|(p, q)| exprs_eq(p, q, &ren))
-            }
-            _ => false,
-        };
-        if !kinds_match {
-            return false;
-        }
-        ren = match ren.bind(&x.name, &y.name) {
-            Some(r) => r,
-            None => return false,
-        };
-    }
-    blocks_eq(&a.body, &b.body, &ren)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::*;
-    use crate::types::{MemSpace, ScalarType};
+
+    fn stmts_alpha_eq(a: &Stmt, b: &Stmt) -> bool {
+        blocks_alpha_eq(std::slice::from_ref(a), std::slice::from_ref(b))
+    }
 
     #[test]
     fn loop_variable_names_do_not_matter() {
@@ -231,28 +193,6 @@ mod tests {
         assert!(!stmts_alpha_eq(&a, &b));
         let c = for_("i", 0, 5, vec![assign("x", vec![var("i")], flt(0.0))]);
         assert!(!stmts_alpha_eq(&a, &c));
-    }
-
-    #[test]
-    fn procs_alpha_eq_allows_renamed_args() {
-        let p1 = proc("p")
-            .size_arg("N")
-            .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
-            .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
-            .build();
-        let p2 = proc("q")
-            .size_arg("M")
-            .tensor_arg("x", ScalarType::F32, vec![var("M")], MemSpace::Dram)
-            .body(vec![for_("t", 0, var("M"), vec![assign("x", vec![var("t")], flt(1.0))])])
-            .build();
-        assert!(procs_alpha_eq(&p1, &p2));
-    }
-
-    #[test]
-    fn procs_with_different_arg_kinds_differ() {
-        let p1 = proc("p").size_arg("N").body(vec![]).build();
-        let p2 = proc("p").index_arg("N").body(vec![]).build();
-        assert!(!procs_alpha_eq(&p1, &p2));
     }
 
     #[test]

@@ -208,13 +208,6 @@ impl Expr {
         }
     }
 
-    /// Substitutes a single variable with an expression.
-    pub fn subst_var(&self, var: &Sym, with: &Expr) -> Expr {
-        let mut map = BTreeMap::new();
-        map.insert(var.clone(), with.clone());
-        self.subst(&map)
-    }
-
     /// Renames every read of buffer `from` to `to`.
     pub fn rename_buf(&self, from: &Sym, to: &Sym) -> Expr {
         match self {
@@ -531,7 +524,7 @@ mod tests {
     #[test]
     fn subst_replaces_vars() {
         let e = Expr::int(4) * v("it") + v("itt");
-        let out = e.subst_var(&"it".into(), &Expr::int(1));
+        let out = e.subst(&BTreeMap::from([("it".into(), Expr::int(1))]));
         assert_eq!(out.simplify(), Expr::add(v("itt"), Expr::int(4)));
     }
 

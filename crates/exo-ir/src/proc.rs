@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::expr::Expr;
-use crate::stmt::{walk, Stmt};
+use crate::stmt::Stmt;
 use crate::sym::Sym;
 use crate::types::{MemSpace, ScalarType};
 
@@ -330,12 +330,6 @@ impl Proc {
         }
         Ok(())
     }
-
-    /// Counts statements in the body (recursively), a rough complexity metric
-    /// used in tests and reports.
-    pub fn stmt_count(&self) -> usize {
-        walk(&self.body).len()
-    }
 }
 
 /// Errors produced while constructing or validating IR.
@@ -509,7 +503,7 @@ mod tests {
 
     #[test]
     fn stmt_count_counts_nested() {
-        assert_eq!(simple_proc().stmt_count(), 4);
+        assert_eq!(crate::stmt::walk(&simple_proc().body).len(), 4);
     }
 
     #[test]

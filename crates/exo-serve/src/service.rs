@@ -393,7 +393,7 @@ struct State {
 impl State {
     /// Books one pass's outcomes — before any of them is published, so a
     /// caller never holds a result the stats do not yet account for.
-    fn book(&mut self, report: &BatchReport, aot_builds_failed: u64) {
+    fn book(&mut self, report: &BatchReport) {
         let stats = &mut self.stats;
         stats.panics_caught += report.panics_caught;
         stats.retries += report.retries;
@@ -412,9 +412,7 @@ impl State {
                 }
             }
         }
-        // AOT builds land asynchronously: folding their failures in here
-        // makes the degradation visible without a `stats()` call.
-        if report.panics_caught > 0 || report.degraded_completions > 0 || aot_builds_failed > 0 {
+        if report.panics_caught > 0 || report.degraded_completions > 0 {
             stats.health = ServiceHealth::Degraded;
         }
     }
@@ -587,10 +585,9 @@ impl GemmService {
             // are still here to be failed — typed, and counted first.
             let report = catch_unwind(AssertUnwindSafe(|| run_pass(executor, &mut pass)))
                 .unwrap_or_else(|payload| unwound_pass(pass.len(), &panic_message(payload.as_ref())));
-            let (_, aot_builds_failed, _, _) = self.aot_deltas();
             let next = {
                 let mut state = lock(&self.state);
-                state.book(&report, aot_builds_failed);
+                state.book(&report);
                 let next = self.take_pass(&mut state);
                 if next.is_empty() {
                     state.executor = combiner.executor.take();
@@ -616,35 +613,36 @@ impl GemmService {
 
     /// Current service health (raise-only; see [`ServiceHealth`]).
     pub fn health(&self) -> ServiceHealth {
-        lock(&self.state).stats.health
+        self.observe().0.stats.health
     }
 
-    /// The engine's counter movement since this service was constructed:
-    /// `(promotions, builds_failed, compile_timeouts, wrong_results)`.
-    fn aot_deltas(&self) -> (u64, u64, u64, u64) {
+    /// The locked books and the engine's counter movement since this
+    /// service was constructed, `(promotions, builds_failed,
+    /// compile_timeouts, wrong_results)`, with any failed build folded into
+    /// the health: some kernel then serves below its best tier — degraded,
+    /// not refused (the simd fallback is bit-faithful). Builds settle in the
+    /// background, after the passes that kicked them, so [`Self::health`]
+    /// and [`Self::stats`] both read through here.
+    fn observe(&self) -> (MutexGuard<'_, State>, (u64, u64, u64, u64)) {
         let now = exo_aot::engine().stats();
-        (
+        let deltas = (
             now.verified_promotions.saturating_sub(self.aot_base.verified_promotions),
             now.builds_failed.saturating_sub(self.aot_base.builds_failed),
             now.compile_timeouts.saturating_sub(self.aot_base.compile_timeouts),
             now.wrong_results.saturating_sub(self.aot_base.wrong_results),
-        )
-    }
-
-    /// A snapshot of the aggregate counters. Observing the snapshot also
-    /// folds any AOT build failures since construction into the health:
-    /// any failed build on this service's watch means some kernel is
-    /// serving below its best tier — degraded, not refused (the simd
-    /// fallback is bit-faithful and jobs keep completing) — and background
-    /// builds settle between passes, so a pass alone cannot see every late
-    /// failure.
-    pub fn stats(&self) -> ServiceStats {
-        let pool = ThreadPool::global();
-        let (aot_promotions, aot_builds_failed, aot_compile_timeouts, aot_wrong_results) = self.aot_deltas();
+        );
         let mut state = lock(&self.state);
-        if aot_builds_failed > 0 {
+        if deltas.1 > 0 {
             state.stats.health = ServiceHealth::Degraded;
         }
+        (state, deltas)
+    }
+
+    /// A snapshot of the aggregate counters.
+    pub fn stats(&self) -> ServiceStats {
+        let pool = ThreadPool::global();
+        let (state, (aot_promotions, aot_builds_failed, aot_compile_timeouts, aot_wrong_results)) =
+            self.observe();
         ServiceStats {
             pool_workers: pool.workers(),
             pool_tasks_executed: pool.tasks_executed(),

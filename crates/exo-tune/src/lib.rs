@@ -62,6 +62,6 @@ pub mod workload;
 pub use error::TuneError;
 pub use gemm::{TunedGemm, TunedRun};
 pub use registry::{KernelRegistry, TuneVerdict};
-pub use space::{BlockingSource, Candidate, DesignSpace, TileShape};
+pub use space::{Candidate, DesignSpace, TileShape};
 pub use tuner::Tuner;
 pub use workload::{tune_workload, workload_seconds, LayerPlan};

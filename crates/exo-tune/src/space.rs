@@ -24,24 +24,6 @@ use exo_isa::VectorIsa;
 use gemm_blis::{BlockingParams, IsaKind};
 use ukernel_gen::{MicroKernelGenerator, Strategy};
 
-/// Where a candidate's blocking parameters came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BlockingSource {
-    /// The analytical cache model (`BlockingParams::analytical`).
-    Analytical,
-    /// The fixed Carmel/A57 values BLIS ships (`BlockingParams::carmel_defaults`).
-    CarmelDefaults,
-}
-
-impl std::fmt::Display for BlockingSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BlockingSource::Analytical => f.write_str("analytical"),
-            BlockingSource::CarmelDefaults => f.write_str("carmel-defaults"),
-        }
-    }
-}
-
 /// A register tile admitted to the design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileShape {
@@ -62,8 +44,6 @@ pub struct Candidate {
     pub tile: TileShape,
     /// Cache-blocking parameters to run the tile with.
     pub blocking: BlockingParams,
-    /// Provenance of the blocking parameters.
-    pub blocking_source: BlockingSource,
 }
 
 /// The enumerable design space for one instruction set.
@@ -191,16 +171,12 @@ impl DesignSpace {
         let elem = self.isa.elem.size_bytes();
         let mut out = Vec::new();
         for tile in self.tile_shapes() {
-            out.push(Candidate {
-                tile,
-                blocking: BlockingParams::analytical(mem, tile.mr, tile.nr, elem),
-                blocking_source: BlockingSource::Analytical,
-            });
-            out.push(Candidate {
-                tile,
-                blocking: BlockingParams::carmel_defaults(tile.mr, tile.nr),
-                blocking_source: BlockingSource::CarmelDefaults,
-            });
+            for blocking in [
+                BlockingParams::analytical(mem, tile.mr, tile.nr, elem),
+                BlockingParams::carmel_defaults(tile.mr, tile.nr),
+            ] {
+                out.push(Candidate { tile, blocking });
+            }
         }
         out
     }
@@ -287,11 +263,11 @@ mod tests {
         let mem = CacheHierarchy::carmel();
         let candidates = space.candidates(&mem);
         assert_eq!(candidates.len(), 2 * space.tile_shapes().len());
-        assert!(candidates.iter().any(|c| c.blocking_source == BlockingSource::Analytical));
-        assert!(candidates.iter().any(|c| c.blocking_source == BlockingSource::CarmelDefaults));
-        for c in &candidates {
-            assert_eq!(c.blocking.mr, c.tile.mr);
-            assert_eq!(c.blocking.nr, c.tile.nr);
+        for pair in candidates.chunks(2) {
+            let (mr, nr) = (pair[0].tile.mr, pair[0].tile.nr);
+            assert_eq!(pair[0].blocking, BlockingParams::analytical(&mem, mr, nr, 4));
+            assert_eq!(pair[1].blocking, BlockingParams::carmel_defaults(mr, nr));
+            assert_eq!(pair[1].tile, pair[0].tile);
         }
     }
 }

@@ -24,24 +24,6 @@ pub use ukernel_gen::ExecBackend;
 
 use crate::GemmError;
 
-/// How a kernel implementation computes and how it is modelled.
-#[derive(Debug, Clone)]
-pub enum KernelKind {
-    /// Hand-written Neon-intrinsics kernel (monolithic, edge logic in the
-    /// loop, compiler-scheduled).
-    HandIntrinsics,
-    /// BLIS assembly kernel (monolithic, edge logic, hand-scheduled,
-    /// optionally prefetching `C`).
-    BlisAssembly {
-        /// Whether the kernel issues software prefetches for the `C` tile.
-        prefetch: bool,
-    },
-    /// A generated, size-specialised kernel.
-    Exo(Arc<GeneratedKernel>),
-    /// The scalar reference kernel (used in tests).
-    Reference,
-}
-
 /// A micro-kernel implementation: functional entry point plus the metadata
 /// the performance model needs.
 #[derive(Debug, Clone)]
@@ -52,8 +34,11 @@ pub struct KernelImpl {
     pub mr: usize,
     /// Register-tile columns.
     pub nr: usize,
-    /// Implementation family.
-    pub kind: KernelKind,
+    /// The generated, size-specialised kernel behind an `EXO` series;
+    /// `None` for the hand-written families and the reference kernel,
+    /// which run the same plain loops and differ only in what the model
+    /// reads (trace, overhead, prefetch).
+    pub generated: Option<Arc<GeneratedKernel>>,
     /// Machine-operation trace of one invocation.
     pub trace: KernelTrace,
     /// Extra modelled cycles per `k` iteration (edge-case logic, scheduling
@@ -97,10 +82,7 @@ impl KernelImpl {
     /// [`GeneratedKernel::dispatcher`] of [`Self::backend`] — or `None` for
     /// the hand-written families.
     fn resolve(&self) -> Option<TierDispatch> {
-        match &self.kind {
-            KernelKind::Exo(kernel) => Some(kernel.dispatcher(self.backend)),
-            _ => None,
-        }
+        self.generated.as_ref().map(|kernel| kernel.dispatcher(self.backend))
     }
 
     /// The one body behind [`Self::run`] and [`KernelDispatch::run`].
@@ -198,7 +180,7 @@ impl KernelDispatch {
     /// ([`TierDispatch::refresh`]). The engine calls this once at the top
     /// of a GEMM — never between tiles, so one problem runs on one tier.
     pub(crate) fn refresh(&mut self) {
-        if let (KernelKind::Exo(kernel), Some(tier)) = (&self.imp.kind, &mut self.tier) {
+        if let (Some(kernel), Some(tier)) = (&self.imp.generated, &mut self.tier) {
             tier.refresh(kernel);
         }
     }
@@ -267,7 +249,7 @@ pub fn neon_intrinsics_kernel() -> KernelImpl {
         name: "NEON".to_string(),
         mr: 8,
         nr: 12,
-        kind: KernelKind::HandIntrinsics,
+        generated: None,
         trace: monolithic_trace("neon_8x12", 8, 12, 4, 3, false),
         per_k_overhead: 1.5,
         prefetch_c: false,
@@ -285,7 +267,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
         name: if prefetch { "BLIS".to_string() } else { "ALG+BLIS kernel".to_string() },
         mr: 8,
         nr: 12,
-        kind: KernelKind::BlisAssembly { prefetch },
+        generated: None,
         trace: monolithic_trace("blis_8x12", 8, 12, 4, 2, prefetch),
         per_k_overhead: 0.75,
         prefetch_c: prefetch,
@@ -306,7 +288,7 @@ pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
         mr: kernel.mr,
         nr: kernel.nr,
         trace: kernel.trace.clone(),
-        kind: KernelKind::Exo(kernel),
+        generated: Some(kernel),
         per_k_overhead: 0.0,
         prefetch_c: false,
         backend: ExecBackend::Native,
@@ -387,7 +369,7 @@ pub fn reference_kernel(mr: usize, nr: usize) -> KernelImpl {
         name: format!("REF {mr}x{nr}"),
         mr,
         nr,
-        kind: KernelKind::Reference,
+        generated: None,
         trace,
         per_k_overhead: 0.0,
         prefetch_c: false,

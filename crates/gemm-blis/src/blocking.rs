@@ -50,16 +50,6 @@ impl BlockingParams {
         let nc = round_down_multiple((l3 / (2.0 * s * kc as f64)) as usize, nr).max(nr);
         BlockingParams { mc, kc, nc, mr, nr }
     }
-
-    /// Bytes of the packed `Ac` block.
-    pub fn a_block_bytes(&self, elem_bytes: usize) -> usize {
-        self.mc * self.kc * elem_bytes
-    }
-
-    /// Bytes of the packed `Bc` block.
-    pub fn b_block_bytes(&self, elem_bytes: usize) -> usize {
-        self.kc * self.nc * elem_bytes
-    }
 }
 
 fn round_down_multiple(value: usize, multiple: usize) -> usize {
@@ -87,8 +77,8 @@ mod tests {
         // A and B micro-panels plus the C tile fit in L1.
         let l1_use = (b.mr + b.nr) * b.kc * 4 + b.mr * b.nr * 4;
         assert!(l1_use <= cache.capacity(CacheLevel::L1), "L1 use {l1_use}");
-        assert!(b.a_block_bytes(4) <= cache.capacity(CacheLevel::L2));
-        assert!(b.b_block_bytes(4) <= cache.capacity(CacheLevel::L3));
+        assert!(b.mc * b.kc * 4 <= cache.capacity(CacheLevel::L2), "the Ac block fits L2");
+        assert!(b.kc * b.nc * 4 <= cache.capacity(CacheLevel::L3), "the Bc block fits L3");
         // Multiples of the register tile.
         assert_eq!(b.mc % b.mr, 0);
         assert_eq!(b.nc % b.nr, 0);

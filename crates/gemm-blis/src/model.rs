@@ -95,7 +95,6 @@ pub struct GemmSimulator {
     core: CarmelCore,
     exo_kernels: Vec<KernelImpl>,
     options: SimOptions,
-    cache: Arc<KernelCache>,
 }
 
 impl GemmSimulator {
@@ -146,7 +145,7 @@ impl GemmSimulator {
                 message: "the simulator needs at least one generated kernel shape".into(),
             });
         }
-        Ok(GemmSimulator { core, exo_kernels, options, cache })
+        Ok(GemmSimulator { core, exo_kernels, options })
     }
 
     /// The core model in use.
@@ -159,15 +158,10 @@ impl GemmSimulator {
         &self.exo_kernels
     }
 
-    /// The kernel cache serving this simulator's generated kernels.
-    pub fn kernel_cache(&self) -> &Arc<KernelCache> {
-        &self.cache
-    }
-
     /// Simulates one GEMM problem with one implementation.
     pub fn simulate(&self, implementation: Implementation, m: usize, n: usize, k: usize) -> SimResult {
         let kernel = self.select_kernel(implementation, m, n, k);
-        let cycles = self.gemm_cycles(&kernel, m, n, k);
+        let cycles = self.modelled_cycles(&kernel, m, n, k);
         let seconds = carmel_sim::cycles_to_seconds(cycles, self.core.freq_ghz);
         let useful_flops = 2.0 * m as f64 * n as f64 * k as f64;
         SimResult {
@@ -241,8 +235,8 @@ impl GemmSimulator {
                 self.exo_kernels
                     .iter()
                     .min_by(|a, b| {
-                        let ca = self.gemm_cycles(a, m, n, k);
-                        let cb = self.gemm_cycles(b, m, n, k);
+                        let ca = self.modelled_cycles(a, m, n, k);
+                        let cb = self.modelled_cycles(b, m, n, k);
                         ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
                     })
                     .cloned()
@@ -263,10 +257,6 @@ impl GemmSimulator {
     /// using this simulator's blocking policy for the kernel.
     pub fn modelled_cycles(&self, kernel: &KernelImpl, m: usize, n: usize, k: usize) -> f64 {
         modelled_gemm_cycles(&self.core, kernel, &self.blocking_for(kernel), m, n, k)
-    }
-
-    fn gemm_cycles(&self, kernel: &KernelImpl, m: usize, n: usize, k: usize) -> f64 {
-        self.modelled_cycles(kernel, m, n, k)
     }
 }
 

@@ -206,11 +206,6 @@ impl PackArena {
         }
     }
 
-    /// Capacity of the `Ac` buffer in elements.
-    pub fn a_capacity(&self) -> usize {
-        self.a.len()
-    }
-
     /// Both buffers at once (`Ac`, `Bc`), split-borrowed so a packed `Bc`
     /// prefix can stay borrowed while `Ac` blocks are repacked — the form
     /// the five-loop driver needs.
@@ -472,10 +467,10 @@ mod tests {
         let blocking = BlockingParams { mc: 120, kc: 512, nc: 3072, mr: 8, nr: 12 };
         let small = PackArena::for_problem(&blocking, 10, 10, 10);
         // 10 rows -> 2 panels of 8, depth 10; 10 cols -> 1 panel of 12.
-        assert_eq!(small.a_capacity(), 16 * 10);
+        assert_eq!(small.a.len(), 16 * 10);
         assert_eq!(small.b_capacity(), 12 * 10);
         let large = PackArena::for_problem(&blocking, 4000, 4000, 4000);
-        assert_eq!(large.a_capacity(), 120 * 512);
+        assert_eq!(large.a.len(), 120 * 512);
         assert_eq!(large.b_capacity(), 3072 * 512);
     }
 }

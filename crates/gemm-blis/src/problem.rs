@@ -164,16 +164,6 @@ impl<'a> GemmProblem<'a> {
             op_b: self.op_b,
         }
     }
-
-    /// Floating-point operations of the problem (`2 m n k`, zero when
-    /// `alpha == 0`).
-    pub fn flops(&self) -> u64 {
-        if self.alpha == 0.0 {
-            return 0;
-        }
-        let a = self.op_a.apply(self.a);
-        2 * a.rows() as u64 * self.c.cols() as u64 * a.cols() as u64
-    }
 }
 
 /// What a [`GemmExecutor`] reports about one completed GEMM.
@@ -214,12 +204,6 @@ pub struct GemmStats {
 }
 
 impl GemmStats {
-    /// Useful floating-point operations of the executed problem (zero when
-    /// `alpha == 0` skipped the product).
-    pub fn flops(&self) -> u64 {
-        self.flop_count
-    }
-
     /// Useful floating-point operations of an `m x n x k` problem:
     /// `2 m n k`, explicitly zero both for `alpha == 0` (the product is
     /// skipped, `A`/`B` never read) and for degenerate shapes (any
@@ -377,14 +361,16 @@ mod tests {
         let a = dense(4, 8, |_, _| 0.0);
         let b = dense(8, 2, |_, _| 0.0);
         let mut c = vec![0.0f32; 8];
-        let p = GemmProblem::new(
-            MatRef::from_slice(&a, 4, 8),
-            MatRef::from_slice(&b, 8, 2),
-            MatMut::from_slice(&mut c, 4, 2),
-        );
-        assert_eq!(p.flops(), 2 * 4 * 2 * 8);
-        let p = p.alpha(0.0);
-        assert_eq!(p.flops(), 0);
+        let mut run = |alpha| {
+            let p = GemmProblem::new(
+                MatRef::from_slice(&a, 4, 8),
+                MatRef::from_slice(&b, 8, 2),
+                MatMut::from_slice(&mut c, 4, 2),
+            );
+            NaiveGemm.gemm(p.alpha(alpha)).unwrap().flop_count
+        };
+        assert_eq!(run(1.0), 2 * 4 * 2 * 8);
+        assert_eq!(run(0.0), 0);
     }
 
     #[test]
@@ -406,7 +392,7 @@ mod tests {
         );
         let stats = NaiveGemm.gemm(p).unwrap();
         assert_eq!((stats.m, stats.n, stats.k), (2, 3, 0));
-        assert_eq!(stats.flops(), 0);
+        assert_eq!(stats.flop_count, 0);
         assert!(!stats.batched);
         assert_eq!(stats.pool_workers, 0);
     }

@@ -34,9 +34,9 @@ impl KernelCache {
     }
 
     /// The table, whether or not a holder of the lock panicked: the map is
-    /// only touched by whole `get` / `insert` calls after generation has
-    /// returned, so a panic inside `generate` leaves it as it was — and one
-    /// contained panic must not fail every later lookup.
+    /// only touched by whole lookups and by the insertion after generation
+    /// has returned, so a panic inside `generate` leaves it as it was — and
+    /// one contained panic must not fail every later lookup.
     fn table(&self) -> MutexGuard<'_, HashMap<KernelKey, Arc<GeneratedKernel>>> {
         self.kernels.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -66,19 +66,6 @@ impl KernelCache {
         Ok(kernel)
     }
 
-    /// Looks up a kernel without generating.
-    pub fn get(&self, isa: &str, mr: usize, nr: usize) -> Option<Arc<GeneratedKernel>> {
-        let key = (isa.to_string(), mr, nr);
-        self.table().get(&key).map(Arc::clone)
-    }
-
-    /// Inserts an externally generated kernel (e.g. one built with custom
-    /// [`crate::KernelOptions`]) without counting a generator invocation.
-    pub fn insert(&self, kernel: Arc<GeneratedKernel>) {
-        let key = (kernel.isa_name.clone(), kernel.mr, kernel.nr);
-        self.table().insert(key, kernel);
-    }
-
     /// Number of kernels currently cached.
     pub fn len(&self) -> usize {
         self.table().len()
@@ -92,14 +79,6 @@ impl KernelCache {
     /// How many times the cache has invoked a generator since creation.
     pub fn generator_invocations(&self) -> u64 {
         self.invocations.load(Ordering::Relaxed)
-    }
-
-    /// The tile shapes cached for one ISA, sorted.
-    pub fn shapes_for(&self, isa: &str) -> Vec<(usize, usize)> {
-        let mut shapes: Vec<(usize, usize)> =
-            self.table().keys().filter(|(name, _, _)| name == isa).map(|&(_, mr, nr)| (mr, nr)).collect();
-        shapes.sort_unstable();
-        shapes
     }
 }
 
@@ -127,13 +106,12 @@ mod tests {
         let cache = KernelCache::new();
         let neon = MicroKernelGenerator::new(neon_f32());
         let avx = MicroKernelGenerator::new(avx512_f32());
-        cache.get_or_generate(&neon, 8, 8).unwrap();
-        cache.get_or_generate(&avx, 16, 8).unwrap();
-        assert_eq!(cache.generator_invocations(), 2);
-        assert_eq!(cache.shapes_for("neon-f32"), vec![(8, 8)]);
-        assert_eq!(cache.shapes_for("avx512-f32"), vec![(16, 8)]);
-        assert!(cache.get("neon-f32", 8, 8).is_some());
-        assert!(cache.get("neon-f32", 16, 8).is_none());
+        let neon_8x8 = cache.get_or_generate(&neon, 8, 8).unwrap();
+        let avx_8x8 = cache.get_or_generate(&avx, 8, 8).unwrap();
+        assert_eq!(cache.generator_invocations(), 2, "one shape, two ISAs: two kernels");
+        assert_eq!((neon_8x8.isa_name.as_str(), avx_8x8.isa_name.as_str()), ("neon-f32", "avx512-f32"));
+        assert!(Arc::ptr_eq(&cache.get_or_generate(&neon, 8, 8).unwrap(), &neon_8x8));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -182,24 +160,8 @@ mod tests {
         assert!(poisoner.is_err() && cache.kernels.is_poisoned());
         // Every door still answers, with the state the panic found.
         assert!(Arc::ptr_eq(&cache.get_or_generate(&generator, 4, 4).unwrap(), &before));
-        assert!(cache.get("neon-f32", 4, 4).is_some());
         cache.get_or_generate(&generator, 4, 8).unwrap();
-        cache.insert(Arc::new(generator.generate(8, 4).unwrap()));
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.shapes_for("neon-f32"), vec![(4, 4), (4, 8), (8, 4)]);
+        assert_eq!(cache.len(), 2);
         assert_eq!(cache.generator_invocations(), 2);
-    }
-
-    #[test]
-    fn external_insertions_do_not_count_as_invocations() {
-        let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        let kernel = Arc::new(generator.generate(4, 8).unwrap());
-        cache.insert(kernel);
-        assert_eq!(cache.generator_invocations(), 0);
-        assert!(!cache.is_empty());
-        // And the cached copy is served without regenerating.
-        cache.get_or_generate(&generator, 4, 8).unwrap();
-        assert_eq!(cache.generator_invocations(), 0);
     }
 }

@@ -80,11 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = driver.gemm(GemmProblem::new(a.view(), b.view(), c_full.view_mut()))?;
     println!(
         "five-loop driver solved {}x{}x{} with `{}` ({} useful flops)",
-        stats.m,
-        stats.n,
-        stats.k,
-        stats.kernel,
-        stats.flops()
+        stats.m, stats.n, stats.k, stats.kernel, stats.flop_count
     );
     Ok(())
 }

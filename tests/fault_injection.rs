@@ -794,6 +794,27 @@ fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
     assert_eq!(service.health(), ServiceHealth::Degraded, "a lost build is a visible degradation");
 }
 
+/// Health is decided in one place: a build that fails after the service's
+/// last pass (here, before its first) reads `Degraded` from `health()`
+/// asked first, with no `stats()` call to fold the failure in beforehand.
+#[test]
+fn a_build_failure_between_passes_reads_degraded_from_health_alone() {
+    let _guard = serial();
+    fault::disarm();
+    if !exo_gemm::gemm_blis::native_available() {
+        return; // no toolchain: the request declines before any build starts
+    }
+    settle_shared_native_key();
+    let kernel = fresh_kernel(12, 8);
+    let service = GemmService::new(driver());
+    FaultPlan::new().aot_compile_fail(1).arm();
+    let built = exo_gemm::exo_aot::engine().compile(&kernel.superword, exo_gemm::exo_codegen::active_isa());
+    fault::disarm();
+    assert!(built.is_err(), "the armed build attempt fails");
+    assert_eq!(service.health(), ServiceHealth::Degraded, "health() folds the lost build in itself");
+    assert_eq!(service.stats().health, ServiceHealth::Degraded);
+}
+
 /// The hung-compiler fault class (`aot-hang@1`): the first compiler
 /// invocation never returns and must be killed on its deadline — in the
 /// background. Four concurrent

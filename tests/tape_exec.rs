@@ -423,26 +423,37 @@ fn every_lane_indexed_serving_tile_fuses_its_k_loop_on_the_chain() {
     }
 }
 
-/// The emitted C of three tiles (a fused 8-lane tile, a two-vector-tall
-/// one, a row kernel) on all three ISAs, as content hashes recorded from
-/// the commit before the per-ISA vocabulary became a table. The native
+/// The emitted C of every tile the NEON-described space admits (18) plus
+/// one unvectorised scalar-strategy tile, whose scalar leftovers carry
+/// constant and general addresses, on all three ISAs: one content hash per
+/// ISA over the concatenated emissions, recorded at the commit before the
+/// tape and the superword lowering shared one address type. The native
 /// tier's artifact key is a hash of this text, so a moved constant means
 /// every warm cache goes cold; and the NEON spelling cannot be compiled
 /// on an x86 host, so its bytes are the offline proof it did not move.
 #[test]
 fn the_emitted_c_of_every_isa_is_byte_stable() {
     use exo_gemm::exo_aot::content_hash;
-    let golden: [((usize, usize), [u64; 3]); 3] = [
-        ((8, 12), [0x065d_ef25_60a5_2175, 0x0ec9_1984_e5f7_7875, 0x1ffb_d55b_f7b2_1d55]),
-        ((16, 4), [0xef67_418a_da2c_3312, 0x83e9_3a70_23dc_59bd, 0x86a6_967b_7cf8_b0a4]),
-        ((1, 16), [0x0f9f_b851_61e7_e503, 0xb4d2_3796_c4ed_4f2f, 0xc191_59ee_d6bb_28af]),
-    ];
+    use exo_gemm::ukernel_gen::{KernelOptions, Strategy};
+    let golden: [u64; 3] = [0x5823_1f20_ea6a_1a78, 0xdae8_18c7_11cc_8483, 0xdbc2_dae6_3885_1b65];
     let generator = MicroKernelGenerator::new(neon_f32());
-    for ((mr, nr), hashes) in golden {
-        let kernel = generator.generate(mr, nr).unwrap();
-        for (isa, want) in IsaKind::ALL.into_iter().zip(hashes) {
-            let c = emit_superword_c(&kernel.superword, isa, "exo_aot_kernel").unwrap();
-            assert_eq!(content_hash(c.as_bytes()), want, "{mr}x{nr} on {isa} no longer emits:\n{c}");
+    let mut kernels: Vec<_> = DesignSpace::for_isa(neon_f32())
+        .tile_shapes()
+        .into_iter()
+        .map(|tile| generator.generate(tile.mr, tile.nr).unwrap())
+        .collect();
+    let scalar = KernelOptions { strategy: Some(Strategy::Scalar), ..KernelOptions::new(3, 5) };
+    kernels.push(generator.generate_with(&scalar).unwrap());
+    assert_eq!(kernels.len(), 19);
+    for (isa, want) in IsaKind::ALL.into_iter().zip(golden) {
+        let emitted: Vec<String> =
+            kernels.iter().map(|k| emit_superword_c(&k.superword, isa, "exo_aot_kernel").unwrap()).collect();
+        let got = content_hash(emitted.concat().as_bytes());
+        if got != want {
+            for (k, c) in kernels.iter().zip(&emitted) {
+                eprintln!("{}x{} {} on {isa}: {:#018x}", k.mr, k.nr, k.strategy, content_hash(c.as_bytes()));
+            }
+            panic!("the emitted C on {isa} moved: {got:#018x}, recorded {want:#018x}");
         }
     }
 }
