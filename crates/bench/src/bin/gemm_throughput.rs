@@ -1,10 +1,10 @@
-//! The perf gates measured outside `exo_bench`: four comparisons of two
+//! The perf gates measured outside `exo_bench`: five comparisons of two
 //! things timed in one run. Nothing here is compared with a recorded
 //! number and nothing is written — every absolute figure (GFLOPS, latency,
 //! per-layer shares, normalised to a calibration burst and run
 //! parent-against-change) is `exo_bench`'s, declared in `BENCHMARK.json`.
-//! Every series runs the generated 8x12 kernel through the one five-loop
-//! driver on one thread.
+//! Every GEMM series runs the generated 8x12 kernel through the one
+//! five-loop driver on one thread.
 //!
 //! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `interp < tape <
 //!    superword < simd < native` must hold strictly at both sizes — a
@@ -17,24 +17,32 @@
 //!    when the active ISA is the scalar reference (`!simd_available()`),
 //!    and `native` over `simd` when no C toolchain answered the probe
 //!    (`!native_available()`: the native series *is* the simd chain).
-//! 2. **`solo`** — the paper's Fig. 13 on the host: the promoted native
-//!    8x12, called through `KernelDispatch::run`, against the same update
-//!    written by hand with AVX2/FMA intrinsics, both on L1-resident packed
-//!    panels of the analytical blocking's `kc`. The generated kernel must
-//!    reach [`SOLO_FLOOR`] of the hand-written one. Skipped off AVX2 and
-//!    without a promoted artifact.
-//! 3. **`movers`** — the strided mover
+//! 2. **`solo`** — the paper's Fig. 13 on the host: the 8x12 promoted for
+//!    AVX2, called through its proved dispatch handle, against the same
+//!    update written by hand with AVX2/FMA intrinsics, both on L1-resident
+//!    packed panels of the analytical blocking's `kc`. The generated kernel
+//!    must reach [`SOLO_FLOOR`] of the hand-written one. Skipped on a host
+//!    without AVX2 or without a C toolchain.
+//! 3. **`solo512`** — the paper's Section III-C on the host: the 16x16
+//!    broadcast-B kernel generated from the `avx512_f32` library and
+//!    promoted for AVX-512, against the Neon 8x12 promoted for AVX2 (the
+//!    kernel an AVX-512 host would serve without its own library), both at
+//!    [`SOLO512_KC`]. The AVX-512 kernel's rate must reach
+//!    [`SOLO512_FLOOR`] of the 8x12's. Skipped on a host without AVX-512
+//!    or without a C toolchain.
+//! 4. **`movers`** — the strided mover
 //!    (`exo_codegen::simd::strided_move_on`) packing the analytical `mc x
 //!    kc` block of `A` into `mr`-row panels, and staging an `mr x nr` tile
 //!    of a row-major `C` into the kernel's column-major scratch and back,
-//!    each on the active ISA's body against the scalar body. Both must
-//!    reach [`MOVERS_FLOOR`] on AVX2; skipped on another ISA.
-//! 4. **Parity** of the operand layouts the packers absorb: `native` over
+//!    each on the AVX2 body (which AVX-512 runs too) against the scalar
+//!    body. Both must reach [`MOVERS_FLOOR`]; skipped on a host without
+//!    AVX2.
+//! 5. **Parity** of the operand layouts the packers absorb: `native` over
 //!    strided views (padded leading dimensions on `A`, `B` and `C`) and
 //!    with `op(B) = T` (`B` stored `n x k`), each against `native` over
 //!    dense operands. Both must reach [`PARITY_FLOOR`] of the dense rate.
 //!
-//! Gates 2 to 4 run their two sides in alternating short bursts and judge
+//! Gates 2 to 5 run their two sides in alternating short bursts and judge
 //! the median of the per-pair ratios ([`alternate`]), so drift of a shared
 //! host cancels instead of landing on one side. The exit status is 1 if
 //! any gate fails; a skipped gate prints its reason.
@@ -43,13 +51,14 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use exo_aot::NativeKernel;
 use exo_codegen::simd::strided_move_on;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    native_available, simd_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor,
-    GemmProblem, IsaKind, KernelImpl, MatMut, MatRef,
+    native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
+    IsaKind, KernelImpl, MatMut, MatRef,
 };
-use ukernel_gen::MicroKernelGenerator;
+use ukernel_gen::{GeneratedKernel, MicroKernelGenerator};
 
 /// Problem sizes of the ordering gate: large enough that every tier runs
 /// its steady-state loop, small enough for the interpreter.
@@ -63,6 +72,13 @@ const SOLO_FLOOR: f64 = 0.85;
 const SOLO_BURST: usize = 128;
 /// Alternating burst pairs per `solo` measurement.
 const SOLO_PAIRS: usize = 200;
+
+/// Lowest `solo512` ratio (the AVX-512 16x16's rate over the AVX2 8x12's)
+/// accepted: the margin by which the 512-bit kernel must win for an
+/// AVX-512 host to be served from its own library (~2.0 measured).
+const SOLO512_FLOOR: f64 = 1.3;
+/// `kc` of both `solo512` kernels: a 16x16 panel pair stays L1-resident.
+const SOLO512_KC: usize = 256;
 
 /// Lowest `movers` ratio (active ISA's mover over the scalar one) accepted
 /// on AVX2, for packing `A` and for the `C`-tile round trip alike (~2.3 and
@@ -266,34 +282,50 @@ fn alternate(pairs: usize, mut burst: impl FnMut(Side)) -> Paired {
     Paired { subject_secs: median(subject), reference_secs: median(reference), ratio: median(ratios) }
 }
 
-/// Measures the `solo` block — the generated 8x12 (subject) against the
-/// hand-written one, [`SOLO_BURST`] back-to-back `kc`-deep updates a burst
-/// — or says why it cannot be measured here.
-fn solo(kernel: &KernelImpl, kc: usize) -> Result<Paired, String> {
-    if active_isa() != IsaKind::Avx2 {
-        return Err(format!(
-            "the hand-written reference is AVX2/FMA and the active ISA is `{}`",
-            active_isa()
-        ));
+/// A promoted native artifact and the register tile it updates.
+struct Promoted {
+    native: Arc<NativeKernel>,
+    mr: usize,
+    nr: usize,
+}
+
+/// `kernel` compiled for `isa` and promoted (built, loaded and verified by
+/// the process-wide ahead-of-time engine) whichever ISA this process
+/// selected, or why it cannot be.
+fn promoted(kernel: &GeneratedKernel, isa: IsaKind) -> Result<Promoted, String> {
+    let (mr, nr) = (kernel.mr, kernel.nr);
+    if !isa.available() {
+        return Err(format!("this host cannot run `{isa}`"));
     }
-    let mut dispatch = kernel.dispatcher();
-    if dispatch.tier() != Some(ExecBackend::Native) {
-        return Err(format!(
-            "the 8x12 kernel resolved to {:?}, not to a promoted native artifact",
-            dispatch.tier()
-        ));
-    }
-    let a: Vec<f32> = (0..kc * 8).map(|i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0).collect();
-    let b: Vec<f32> = (0..kc * 12).map(|i| ((i * 5 + 2) % 17) as f32 * 0.125 - 1.0).collect();
-    let (mut c_exo, mut c_hand) = (vec![0.0f32; 96], vec![0.0f32; 96]);
+    let native = exo_aot::engine()
+        .compile(&kernel.superword, isa)
+        .map_err(|e| format!("no promoted `{isa}` artifact of the {mr}x{nr} kernel: {e}"))?;
+    Ok(Promoted { native, mr, nr })
+}
+
+/// Seeded packed operands of an `mr x nr` tile `kc` deep, and a zero `C`.
+fn packed(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let a = (0..kc * mr).map(|i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0).collect();
+    let b = (0..kc * nr).map(|i| ((i * 5 + 2) % 17) as f32 * 0.125 - 1.0).collect();
+    (a, b, vec![0.0f32; mr * nr])
+}
+
+/// Measures the `solo` block — the generated 8x12 promoted for AVX2
+/// (subject) against the hand-written one, [`SOLO_BURST`] back-to-back
+/// `kc`-deep updates a burst.
+fn solo(native: &NativeKernel, kc: usize) -> Paired {
+    let mut dispatch = native.dispatcher();
+    let (a, b, mut c_exo) = packed(8, 12, kc);
+    let mut c_hand = c_exo.clone();
     // The warming burst also pays the proof memo.
     let paired = alternate(SOLO_PAIRS, |side| {
         for _ in 0..SOLO_BURST {
             match side {
                 Side::Subject => dispatch
-                    .run(kc, black_box(&a), black_box(&b), &mut c_exo)
+                    .run_packed(kc, black_box(&a), black_box(&b), &mut c_exo)
                     .expect("solo micro-kernel call"),
-                // SAFETY: `active_isa()` is AVX2 only on a CPU that reports AVX2 and FMA.
+                // SAFETY: an AVX2 artifact was promoted only where
+                // `IsaKind::Avx2.available()`: the CPU reports AVX2 and FMA.
                 Side::Reference => unsafe { hand_8x12_avx2(kc, black_box(&a), black_box(&b), &mut c_hand) },
             }
         }
@@ -301,11 +333,34 @@ fn solo(kernel: &KernelImpl, kc: usize) -> Result<Paired, String> {
     // Each lane is the same chain of fused multiply-adds in the same order
     // on both sides, burst for burst.
     assert_eq!(c_exo, c_hand, "the hand-written 8x12 and the generated one compute the same update");
-    Ok(paired)
+    paired
 }
 
-/// One `movers` measurement: the active ISA's mover (subject) against the
-/// scalar one.
+/// Measures the `solo512` block — the AVX-512 16x16 (subject) against the
+/// AVX2 8x12, [`SOLO_BURST`] back-to-back [`SOLO512_KC`]-deep updates a
+/// burst each. Returns the pair and the ratio of their rates (the bursts
+/// differ in flops by the tiles' areas).
+fn solo512(subject: &Promoted, reference: &Promoted) -> (Paired, f64) {
+    let setup = |p: &Promoted| (p.native.dispatcher(), packed(p.mr, p.nr, SOLO512_KC));
+    let (mut sub, (sub_a, sub_b, mut sub_c)) = setup(subject);
+    let (mut re, (re_a, re_b, mut re_c)) = setup(reference);
+    let paired = alternate(SOLO_PAIRS, |side| {
+        let (dispatch, a, b, c) = match side {
+            Side::Subject => (&mut sub, &sub_a, &sub_b, &mut sub_c),
+            Side::Reference => (&mut re, &re_a, &re_b, &mut re_c),
+        };
+        for _ in 0..SOLO_BURST {
+            dispatch
+                .run_packed(SOLO512_KC, black_box(a), black_box(b), c)
+                .expect("solo512 micro-kernel call");
+        }
+    });
+    let rate_ratio = paired.ratio * (subject.mr * subject.nr) as f64 / (reference.mr * reference.nr) as f64;
+    (paired, rate_ratio)
+}
+
+/// One `movers` measurement: the AVX2 mover (subject) against the scalar
+/// one.
 struct Movers {
     /// Packing the `mc x kc` block of `A`, one burst per block.
     pack_a: Paired,
@@ -320,7 +375,7 @@ struct Movers {
 fn movers(blocking: &BlockingParams) -> Movers {
     let BlockingParams { mc, kc, mr, nr, .. } = *blocking;
     let isa_of = |side| match side {
-        Side::Subject => active_isa(),
+        Side::Subject => IsaKind::Avx2,
         Side::Reference => IsaKind::Scalar,
     };
     let panels = mc / mr;
@@ -465,8 +520,12 @@ fn main() {
     }
 
     let (_, native) = &tiers[tiers.len() - 1];
-    match solo(&exo_kernel(Arc::clone(&kernel)), blocking.kc) {
-        Ok(s) => {
+    // The kernel-level gates compile for an explicit ISA, so that each
+    // measures the same code whichever ISA this process selected.
+    let kernel_8x12_avx2 = promoted(&kernel, IsaKind::Avx2);
+    match &kernel_8x12_avx2 {
+        Ok(reference) => {
+            let s = solo(&reference.native, blocking.kc);
             let rate = |secs: f64| (SOLO_BURST * 2 * 96 * blocking.kc) as f64 / secs / 1.0e9;
             println!(
                 "  solo 8x12 (kc {}): generated {:.1} GFLOPS, hand-written {:.1} GFLOPS",
@@ -479,17 +538,31 @@ fn main() {
         Err(why) => println!("  solo                   skipped — {why}"),
     }
 
-    if active_isa() != IsaKind::Avx2 {
-        println!(
-            "  movers                 skipped — the floor is AVX2's and the active ISA is `{}`",
-            active_isa()
-        );
+    let avx512_16x16 =
+        MicroKernelGenerator::new(exo_isa::avx512_f32()).generate(16, 16).expect("16x16 generates");
+    match (&promoted(&avx512_16x16, IsaKind::Avx512), &kernel_8x12_avx2) {
+        (Ok(subject), Ok(reference)) => {
+            let (s, ratio) = solo512(subject, reference);
+            let rate =
+                |p: &Promoted, secs: f64| (SOLO_BURST * 2 * p.mr * p.nr * SOLO512_KC) as f64 / secs / 1.0e9;
+            println!(
+                "  solo512 (kc {SOLO512_KC}): avx512 16x16 {:.1} GFLOPS, avx2 8x12 {:.1} GFLOPS",
+                rate(subject, s.subject_secs),
+                rate(reference, s.reference_secs)
+            );
+            failed |= !verdict("solo512", ratio, SOLO512_FLOOR);
+        }
+        (Err(why), _) | (_, Err(why)) => println!("  solo512                skipped — {why}"),
+    }
+
+    if !IsaKind::Avx2.available() {
+        println!("  movers                 skipped — the floor is AVX2's and this host has no AVX2");
     } else {
         let m = movers(&blocking);
         let (rows, ldc) = MOVERS_C;
         println!(
             "  movers ({}): pack A {}x{} {:.1} GB/s, C tile {}x{} in+out {:.1} ns",
-            active_isa(),
+            IsaKind::Avx2,
             blocking.mc,
             blocking.kc,
             2.0 * (blocking.mc / blocking.mr * blocking.mr * blocking.kc * 4) as f64

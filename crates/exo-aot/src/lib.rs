@@ -9,7 +9,7 @@
 //!
 //! 1. **Emission** — [`exo_codegen::emit_superword_c`] lowers the
 //!    validated superword tape to a self-contained C translation unit
-//!    (AVX2/NEON intrinsics, or plain C for the portable floor) with the
+//!    (AVX-512/AVX2/NEON intrinsics, or plain C for the portable floor) with the
 //!    packed `(KC, Ac, Bc, C)` kernel ABI.
 //! 2. **Build + cache** — [`AotEngine`] detects a host C compiler
 //!    ([`toolchain()`], overridable with `EXO_CC`), compiles the source to

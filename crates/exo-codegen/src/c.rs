@@ -11,8 +11,9 @@
 //! * [`emit_superword_c`] — lowers a *validated superword tape* to a
 //!   self-contained, compilable C translation unit: the ahead-of-time
 //!   source of the `exo-aot` native tier. Unlike `emit_c`, this output is
-//!   built to be compiled on the host (AVX2/FMA or NEON intrinsics, or a
-//!   plain-C portable floor) and `dlopen`ed as the fifth execution tier.
+//!   built to be compiled on the host (AVX-512, AVX2/FMA or NEON
+//!   intrinsics, or a plain-C portable floor) and `dlopen`ed as the fifth
+//!   execution tier.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -281,16 +282,35 @@ fn emit_expr(e: &Expr, bufs: &BTreeMap<Sym, BufInfo>) -> Result<String> {
 const PREFETCH_ITERS: i64 = 4;
 
 /// Context shared by the superword-to-C emission helpers: the ISA being
-/// targeted, the C names of the kernel's parameters, and a counter for
-/// unique local temporaries.
+/// targeted, the C names of the kernel's parameters, the kernel's
+/// accumulator groups on that ISA, and a counter for unique local
+/// temporaries.
 struct SwEmit {
     isa: IsaKind,
     scalar_names: Vec<String>,
     tensor_names: Vec<String>,
+    /// [`SuperwordKernel::accumulator_groups`] at the ISA's widest vector,
+    /// sorted by start.
+    groups: Vec<(u32, u32)>,
     tmp: usize,
 }
 
 impl SwEmit {
+    /// How many registers from `r` one move may cover without taking part
+    /// of an accumulator group: to the end of the group `r` lies in, or up
+    /// to the start of the next one.
+    fn group_room(&self, r: u32) -> u32 {
+        for &(start, width) in &self.groups {
+            if r < start {
+                return start - r;
+            }
+            if r < start + width {
+                return start + width - r;
+            }
+        }
+        u32::MAX
+    }
+
     fn fresh(&mut self, prefix: &str) -> String {
         let n = self.tmp;
         self.tmp += 1;
@@ -317,26 +337,34 @@ impl SwEmit {
     }
 
     /// Emits `lanes` register-file copies to/from a tensor (`load` selects
-    /// the direction), as whole-vector moves widest shape first with scalar
-    /// tails. Copies are exact, so any chunking computes the same bits.
+    /// the direction), each the widest vector that fits, then scalars.
+    /// Copies are exact, so any chunking computes the same bits; but no
+    /// move covers part of an accumulator group, so each accumulator is
+    /// moved at the width it is accumulated at (a 512-bit copy across two
+    /// 8-lane accumulators keeps both out of registers).
     #[allow(clippy::too_many_arguments)]
     fn copy(&mut self, out: &mut String, pad: &str, load: bool, reg: u32, buf: u16, idx: &str, lanes: u32) {
         let name = self.tensor_names[buf as usize].clone();
         let base = self.fresh("i");
         let _ = writeln!(out, "{pad}const int64_t {base} = {idx};");
         let mut o = 0u32;
-        for v in self.isa.row().vectors {
-            while lanes - o >= v.lanes {
-                let (rd, td) = (format!("&reg[{}]", reg + o), format!("&{name}[{base} + {o}]"));
-                let (to, from) = if load { (rd, td) } else { (td, rd) };
-                let _ = writeln!(out, "{pad}{}({to}, {}({from}));", v.store, v.load);
-                o += v.lanes;
-            }
-        }
-        for o in o..lanes {
-            let (r, t) = (format!("reg[{}]", reg + o), format!("{name}[{base} + {o}]"));
-            let (to, from) = if load { (r, t) } else { (t, r) };
-            let _ = writeln!(out, "{pad}{to} = {from};");
+        while o < lanes {
+            let room = (lanes - o).min(self.group_room(reg + o));
+            let line = match self.isa.row().vectors.iter().find(|v| v.lanes <= room) {
+                Some(v) => {
+                    let (rd, td) = (format!("&reg[{}]", reg + o), format!("&{name}[{base} + {o}]"));
+                    let (to, from) = if load { (rd, td) } else { (td, rd) };
+                    o += v.lanes;
+                    format!("{}({to}, {}({from}));", v.store, v.load)
+                }
+                None => {
+                    let (r, t) = (format!("reg[{}]", reg + o), format!("{name}[{base} + {o}]"));
+                    let (to, from) = if load { (r, t) } else { (t, r) };
+                    o += 1;
+                    format!("{to} = {from};")
+                }
+            };
+            let _ = writeln!(out, "{pad}{line}");
         }
     }
 
@@ -431,9 +459,9 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// ```
 ///
 /// Vector ops lower to the intrinsics `isa`'s row spells its vector shapes
-/// with (AVX2/FMA, NEON), or to plain scalar C where it has none (the
-/// portable floor). Micro-iterations arrive already unrolled on the tape,
-/// and packed-panel loads inside the dynamic `KC` loop get a software
+/// with (AVX-512, AVX2/FMA, NEON), or to plain scalar C where it has none
+/// (the portable floor). Micro-iterations arrive already unrolled on the
+/// tape, and packed-panel loads inside the dynamic `KC` loop get a software
 /// prefetch of the panel a few iterations ahead (`PREFETCH_ITERS`).
 ///
 /// The register file becomes a local `float` array with constant indices
@@ -442,13 +470,14 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// and one offset by every op that touches it. A prologue that fills an
 /// 8-lane accumulator as two 4-lane halves, or with a vector straddling two
 /// accumulators, leaves the array in memory, and the compiled `KC` loop
-/// writes its accumulators back to the stack on every iteration.
-/// [`SuperwordKernel::split_accumulator_groups`] counts the groups that
-/// break the condition, and
+/// writes its accumulators back to the stack on every iteration. This
+/// emitter never moves a group with a vector wider than the group (so the
+/// 8-lane accumulators of a tile keep their 256-bit moves under the
+/// 512-bit ISA); that the schedule accumulates and moves each group whole
+/// is what [`SuperwordKernel::split_accumulator_groups`] counts, and
 /// `admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa`
 /// (`tests/tape_exec.rs`) holds it at 0 for every tile a serving space
-/// admits. The order the schedule issues its `C` loads in decides it, not
-/// this emitter.
+/// admits.
 ///
 /// Numerical contract (the compile flags must include
 /// `-ffp-contract=off` so the compiler adds no contractions of its own):
@@ -504,7 +533,8 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
         }
     }
 
-    let mut ctx = SwEmit { isa, scalar_names, tensor_names, tmp: 0 };
+    let groups = kernel.accumulator_groups(isa.lanes() as u32);
+    let mut ctx = SwEmit { isa, scalar_names, tensor_names, groups, tmp: 0 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -831,6 +861,24 @@ mod tests {
         assert!(c.contains("__builtin_prefetch"), "packed panels are prefetched:\n{c}");
         // The register file starts zeroed, like the tape's.
         assert!(c.contains("reg[z0] = 0.0f;"), "got:\n{c}");
+    }
+
+    #[test]
+    fn superword_avx512_emission_moves_each_accumulator_at_its_own_width() {
+        let body = |c: &str| c[c.find("\nvoid ").unwrap()..].to_string();
+        // 8-lane accumulators: no 512-bit move across two of them, so the
+        // body is AVX2's under the AVX-512 guard.
+        let sw = staged_superword(8, 4);
+        let c = emit_superword_c(&sw, IsaKind::Avx512, "exo_aot_kernel").unwrap();
+        assert!(c.contains("#error \"this kernel requires -mavx512f -mavx2 -mfma\""), "got:\n{c}");
+        assert!(!c.contains("_mm512"), "8-lane accumulators stay __m256:\n{c}");
+        assert_eq!(body(&c), body(&emit_superword_c(&sw, IsaKind::Avx2, "exo_aot_kernel").unwrap()));
+        // 16-lane accumulators: loaded, accumulated and stored as __m512.
+        let c = emit_superword_c(&staged_superword(16, 4), IsaKind::Avx512, "exo_aot_kernel").unwrap();
+        for op in ["_mm512_loadu_ps(&C[", "_mm512_storeu_ps(&C[", "_mm512_fmadd_ps"] {
+            assert!(c.contains(op), "{op}:\n{c}");
+        }
+        assert!(!c.contains("_mm256_loadu_ps(&C[") && !c.contains("_mm256_fmadd_ps"), "got:\n{c}");
     }
 
     #[test]

@@ -51,13 +51,13 @@ impl VectorIsa for Neon {
         Self::fma_run_inorder(regs, dst + i, a + i, bval, lanes - i)
     }
 
-    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
+    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
         debug_assert_eq!(lanes % 4, 0, "a fused tile is whole vectors");
         for i in (0..lanes).step_by(4) {
             let va = vld1q_f32(regs.add(a + i));
             for g in 0..count {
                 let d = regs.add(dst0 + g * lanes + i);
-                vst1q_f32(d, vfmaq_f32(vld1q_f32(d), va, vdupq_n_f32(*regs.add(b0 + g))));
+                vst1q_f32(d, vfmaq_f32(vld1q_f32(d), va, vdupq_n_f32(*b.add(g))));
             }
         }
     }

@@ -1,5 +1,6 @@
 //! The ISA-generic chain compiler: one monomorphic closure per superword
-//! op, fused tiles for `VFmaLane` runs, vector intrinsics per lane shape.
+//! op, fused tiles for `VFmaLane` and `VFmaBcast` runs, vector intrinsics
+//! per lane shape.
 //!
 //! Everything here is generic over [`VectorIsa`] and monomorphised per
 //! implementation at [`build_nodes`] time: the closures a chain holds are
@@ -231,41 +232,89 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
     })
 }
 
+/// Where the rows of a fused tile take their broadcast value from, one
+/// value per row, ascending by one from the first row's.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Broadcast {
+    /// Staged `B` registers (`VFmaLane`, the laneq kernel).
+    Regs(usize),
+    /// `B` elements read from a tensor at a loop address (`VFmaBcast`, the
+    /// broadcast-B kernel), each row writing the shared scratch register.
+    Tensor { buf: usize, base: i64, slot: usize, coeff: i64, scratch: usize },
+}
+
+impl Broadcast {
+    /// The source of the row `g` rows below this one.
+    fn shifted(self, g: usize) -> Broadcast {
+        match self {
+            Broadcast::Regs(b) => Broadcast::Regs(b + g),
+            Broadcast::Tensor { buf, base, slot, coeff, scratch } => {
+                Broadcast::Tensor { buf, base: base + g as i64, slot, coeff, scratch }
+            }
+        }
+    }
+}
+
 /// Pre-resolved parameters of a fused accumulator tile.
 #[derive(Clone, Copy)]
 struct Tile {
     dst: usize,
     a: usize,
-    b: usize,
+    b: Broadcast,
     lanes: usize,
     count: usize,
 }
 
-/// Recognises a run of `VFmaLane` ops starting at `ops[i]` that forms
-/// one tile: identical lane count, a whole number of the ISA's narrowest
+/// One accumulator row of a candidate tile: `(dst, a, lanes, broadcast)`
+/// of a packed FMA whose broadcast a tile can step through — a register,
+/// or a tensor element at a single-loop-term address.
+fn tile_row(op: &VOp) -> Option<(usize, usize, usize, Broadcast)> {
+    match *op {
+        VOp::VFmaLane { dst, a, b, lanes } => {
+            Some((dst as usize, a as usize, lanes as usize, Broadcast::Regs(b as usize)))
+        }
+        VOp::VFmaBcast { dst, a, buf, addr: Addr::Loop { base, slot, coeff }, scratch, lanes } => {
+            let (buf, slot, scratch) = (buf as usize, slot as usize, scratch as usize);
+            Some((
+                dst as usize,
+                a as usize,
+                lanes as usize,
+                Broadcast::Tensor { buf, base, slot, coeff, scratch },
+            ))
+        }
+        _ => None,
+    }
+}
+
+/// Recognises a run of packed FMAs starting at `ops[i]` that forms one
+/// tile: identical lane count, a whole number of the ISA's narrowest
 /// vector shape (`fma_tile` walks the run widest shape first and has no
-/// scalar tail), one shared operand run, broadcast registers ascending by
-/// one, accumulators ascending by `lanes`. Returns the tile and how many
-/// ops it spans.
+/// scalar tail), one shared operand run, broadcast sources ascending by
+/// one (registers, or the addresses of one tensor under one loop term,
+/// sharing one scratch register), accumulators ascending by `lanes`.
+/// Returns the tile and how many ops it spans.
 fn match_tile<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(Tile, usize)> {
-    let &VOp::VFmaLane { dst, a, b, lanes } = ops.get(i)? else { return None };
-    if !(lanes as usize).is_multiple_of(I::KIND.row().narrowest_lanes()) {
+    let (dst, a, lanes, b) = tile_row(ops.get(i)?)?;
+    if !lanes.is_multiple_of(I::KIND.row().narrowest_lanes()) {
         return None;
     }
     let mut count = 1usize;
-    while let Some(VOp::VFmaLane { dst: d2, a: a2, b: b2, lanes: l2 }) = ops.get(i + count) {
-        if *l2 == lanes && *a2 == a && *b2 == b + count as u32 && *d2 == dst + count as u32 * lanes {
-            count += 1;
-        } else {
-            break;
-        }
+    while ops.get(i + count).and_then(tile_row) == Some((dst + count * lanes, a, lanes, b.shifted(count))) {
+        count += 1;
     }
-    let tile = Tile { dst: dst as usize, a: a as usize, b: b as usize, lanes: lanes as usize, count };
+    let tile = Tile { dst, a, b, lanes, count };
+    let span = dst..dst + count * lanes;
+    let overlaps_span = |start: usize, len: usize| start < span.end && span.start < start + len;
     // Hoisting the operand load across the tile requires the operand
     // run (and it alone — broadcast registers are re-read per row) to
     // stay disjoint from every accumulator row written before it is
-    // read again.
-    if count < 2 || (tile.a < tile.dst + count * tile.lanes && tile.dst < tile.a + tile.lanes) {
+    // read again; the scratch register a broadcast-B tile writes once,
+    // at its end, must be read by no row.
+    let scratch_read = match b {
+        Broadcast::Tensor { scratch, .. } => overlaps_span(scratch, 1) || (a..a + lanes).contains(&scratch),
+        Broadcast::Regs(_) => false,
+    };
+    if count < 2 || overlaps_span(a, lanes) || scratch_read {
         return None;
     }
     Some((tile, count))
@@ -283,25 +332,52 @@ struct StageLoad {
     coeff: i64,
 }
 
-/// The monomorphic fused micro-iteration: `N` stage loads then the
-/// tile, one indirect call per `k` iteration, everything unrolled.
-fn fused_iteration<I: VectorIsa, const N: usize>(loads: [StageLoad; N], tile: Tile) -> StepFn {
-    Box::new(move |regs, tens, loops, _scalars| unsafe {
-        for ld in &loads {
-            let idx = (ld.base + ld.coeff * *loops.get_unchecked(ld.slot)) as usize;
-            let src = (*tens.get_unchecked(ld.buf)).add(idx);
-            std::ptr::copy_nonoverlapping(src as *const f32, regs.add(ld.reg), ld.lanes);
-        }
-        I::fma_tile(regs, tile.dst, tile.a, tile.b, tile.lanes, tile.count);
-    })
+/// The operand-stage loads of a fused micro-iteration, in order.
+///
+/// # Safety
+///
+/// As `SimdKernel::exec_unchecked`.
+#[inline(always)]
+unsafe fn stage(loads: &[StageLoad], regs: *mut f32, tens: &[*mut f32], loops: &[i64]) {
+    for ld in loads {
+        let idx = (ld.base + ld.coeff * *loops.get_unchecked(ld.slot)) as usize;
+        let src = (*tens.get_unchecked(ld.buf)).add(idx);
+        std::ptr::copy_nonoverlapping(src as *const f32, regs.add(ld.reg), ld.lanes);
+    }
 }
 
-/// Fuses the dominant inner-loop body of a laneq micro-kernel —
-/// operand stage loads followed by one accumulator tile — into a
-/// single closure, so one `k` iteration costs one indirect call
-/// instead of one per op. Op order inside the closure is exactly the
-/// tape's: every load in sequence, then the tile rows ascending.
-/// Returns the closure and how many ops it consumed.
+/// The monomorphic fused micro-iteration: `N` stage loads (none for a
+/// lone tile) then the tile, one indirect call per `k` iteration,
+/// everything unrolled; one closure body per broadcast source, so the
+/// laneq iteration carries no branch for the broadcast-B one.
+fn fused_iteration<I: VectorIsa, const N: usize>(loads: [StageLoad; N], tile: Tile) -> StepFn {
+    let Tile { dst, a, b, lanes, count } = tile;
+    match b {
+        Broadcast::Regs(b0) => Box::new(move |regs, tens, loops, _scalars| unsafe {
+            stage(&loads, regs, tens, loops);
+            I::fma_tile(regs, dst, a, regs.add(b0), lanes, count);
+        }),
+        Broadcast::Tensor { buf, base, slot, coeff, scratch } => {
+            // SAFETY: `b.add(g)` for `g < count` is the address of row `g`'s
+            // own op, which the proofs the chain runs under cover.
+            Box::new(move |regs, tens, loops, _scalars| unsafe {
+                stage(&loads, regs, tens, loops);
+                let b = (*tens.get_unchecked(buf)).add((base + coeff * *loops.get_unchecked(slot)) as usize);
+                I::fma_tile(regs, dst, a, b, lanes, count);
+                // Each row of the run wrote the scratch register; the last
+                // write is the one the scalar sequence leaves behind.
+                *regs.add(scratch) = *b.add(count - 1);
+            })
+        }
+    }
+}
+
+/// Fuses the dominant inner-loop body of a micro-kernel — operand stage
+/// loads followed by one accumulator tile, laneq or broadcast-B, or the
+/// tile alone — into a single closure, so one `k` iteration costs one
+/// indirect call instead of one per op. Op order inside the closure is
+/// exactly the tape's: every load in sequence, then the tile rows
+/// ascending. Returns the closure and how many ops it consumed.
 fn try_fuse_iteration<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, usize)> {
     let mut loads = Vec::new();
     let mut j = i;
@@ -322,21 +398,12 @@ fn try_fuse_iteration<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, us
     let (tile, tile_ops) = match_tile::<I>(ops, j)?;
     let used = (j - i) + tile_ops;
     let step = match *loads.as_slice() {
-        [] => return None,
+        [] => fused_iteration::<I, 0>([], tile),
         [l0] => fused_iteration::<I, 1>([l0], tile),
         [l0, l1] => fused_iteration::<I, 2>([l0, l1], tile),
         [l0, l1, l2] => fused_iteration::<I, 3>([l0, l1, l2], tile),
         _ => return None,
     };
-    Some((step, used))
-}
-
-/// A lone tile (no leading loads) as its own closure.
-fn try_fuse_tile<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, usize)> {
-    let (tile, used) = match_tile::<I>(ops, i)?;
-    let step: StepFn = Box::new(move |regs, _tens, _loops, _scalars| unsafe {
-        I::fma_tile(regs, tile.dst, tile.a, tile.b, tile.lanes, tile.count);
-    });
     Some((step, used))
 }
 
@@ -357,6 +424,13 @@ fn build_nodes_at<I: VectorIsa>(ops: &[VOp], base: usize, stats: &mut BuildStats
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < ops.len() {
+        if let Some((step, used)) = try_fuse_iteration::<I>(ops, i) {
+            stats.fused_tiles += 1;
+            stats.steps += 1;
+            out.push(Node::Step(step));
+            i += used;
+            continue;
+        }
         match &ops[i] {
             VOp::LoopBegin { slot, lo, hi, end } => {
                 let end = (*end as usize).checked_sub(base)?;
@@ -377,39 +451,20 @@ fn build_nodes_at<I: VectorIsa>(ops: &[VOp], base: usize, stats: &mut BuildStats
             }
             VOp::LoopEnd { .. } => return None,
             op @ VOp::VFmaLane { dst, a, b, lanes } => {
-                if let Some((step, used)) = try_fuse_tile::<I>(ops, i) {
-                    stats.fused_tiles += 1;
-                    stats.steps += 1;
-                    out.push(Node::Step(step));
-                    i += used;
-                } else {
-                    stats.steps += 1;
-                    out.push(Node::Step(fma_lane_step::<I>(
-                        op.fma_in_order(),
-                        *dst as usize,
-                        *a as usize,
-                        *b as usize,
-                        *lanes as usize,
-                    )));
-                    i += 1;
-                }
+                stats.steps += 1;
+                out.push(Node::Step(fma_lane_step::<I>(
+                    op.fma_in_order(),
+                    *dst as usize,
+                    *a as usize,
+                    *b as usize,
+                    *lanes as usize,
+                )));
+                i += 1;
             }
             VOp::VLoad { dst, buf, addr, lanes } => {
-                if let Some((step, used)) = try_fuse_iteration::<I>(ops, i) {
-                    stats.fused_tiles += 1;
-                    stats.steps += 1;
-                    out.push(Node::Step(step));
-                    i += used;
-                } else {
-                    stats.steps += 1;
-                    out.push(Node::Step(copy_step::<true>(
-                        *dst as usize,
-                        *buf as usize,
-                        *lanes as usize,
-                        addr,
-                    )));
-                    i += 1;
-                }
+                stats.steps += 1;
+                out.push(Node::Step(copy_step::<true>(*dst as usize, *buf as usize, *lanes as usize, addr)));
+                i += 1;
             }
             VOp::VStore { src, buf, addr, lanes } => {
                 stats.steps += 1;

@@ -12,9 +12,11 @@
 //! * every closure carries its operands pre-resolved (register offsets,
 //!   the pre-compiled specialised address shapes of the superword lowering) —
 //!   no per-op decode survives to run time;
-//! * runs of isomorphic `VFmaLane` ops over one staged operand (the
-//!   accumulator tile of a laneq kernel) fuse into a single closure that
-//!   hoists the operand load across the whole tile;
+//! * runs of isomorphic packed FMAs over one staged operand — the
+//!   accumulator tile of a laneq kernel (`VFmaLane`, broadcasting a staged
+//!   `B` register) or of a broadcast-B kernel (`VFmaBcast`, broadcasting
+//!   consecutive `B` elements from memory) — fuse into a single closure
+//!   that hoists the operand load across the whole tile;
 //! * dynamic loops become native Rust loops over the closure chain — the
 //!   tape's `LoopBegin`/`LoopEnd` jump dispatch disappears entirely.
 //!
@@ -28,6 +30,11 @@
 //! dispatch. The chain compiler (the `compile` submodule) is generic over
 //! the impl and monomorphised once per ISA:
 //!
+//! * `avx512` — AVX-512F: `__m512` shapes ahead of AVX2's in its row, for
+//!   the emitted C, which is where its 512-bit code lives; its chain and
+//!   mover are the AVX2 bodies (each lane is one FMA, one rounding, at any
+//!   width, so they compute the same bits), selected when
+//!   `is_x86_feature_detected!` confirms AVX-512F, AVX2 and FMA;
 //! * `x86_64` — AVX2/FMA, `__m256` then `__m128` chunks, selected when
 //!   `is_x86_feature_detected!` confirms both features;
 //! * `aarch64` — NEON, `float32x4_t` chunks, always available on aarch64
@@ -39,11 +46,11 @@
 //!   for it the *portable* tier (what a `Superword` pin runs).
 //!
 //! [`active_isa`] picks the widest available implementation at process
-//! start ([`IsaKind::Avx2`] → [`IsaKind::Neon`] → [`IsaKind::Scalar`]);
-//! `EXO_ISA=avx2|neon|scalar` pins one (a pin the host cannot run
-//! panics). [`SimdKernel::compile_for`] compiles for an explicit ISA,
-//! which is how the differential suites compare implementations inside
-//! one process.
+//! start ([`IsaKind::Avx512`] → [`IsaKind::Avx2`] → [`IsaKind::Neon`] →
+//! [`IsaKind::Scalar`]); `EXO_ISA=avx512|avx2|neon|scalar` pins one (a pin
+//! the host cannot run panics). [`SimdKernel::compile_for`] compiles for an
+//! explicit ISA, which is how the differential suites compare
+//! implementations inside one process.
 //!
 //! **Data movement.** The same three implementations carry the strided
 //! 2-D mover ([`strided_move`]) that a BLIS-like driver packs its operands
@@ -66,7 +73,7 @@
 //!
 //! **Bit compatibility.** The native FMA intrinsics *contract* the
 //! multiply-then-add of the tape's `Fma` semantics into a single rounding,
-//! so the AVX2 and NEON chains are **not** bit-identical to the
+//! so the AVX-512, AVX2 and NEON chains are **not** bit-identical to the
 //! portable / tape / interp tiers (they are at least as accurate: one
 //! rounding instead of two per multiply-add). The differential suites
 //! therefore compare those chains against the references within an
@@ -93,6 +100,11 @@ macro_rules! with_isa_impl {
     ($kind:expr, $I:ident => $body:expr, else $none:expr) => {
         match $kind {
             #[cfg(target_arch = "x86_64")]
+            $crate::simd::IsaKind::Avx512 => {
+                type $I = $crate::simd::avx512::Avx512;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
             $crate::simd::IsaKind::Avx2 => {
                 type $I = $crate::simd::x86_64::Avx2;
                 $body
@@ -113,6 +125,8 @@ macro_rules! with_isa_impl {
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod aarch64;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512;
 mod compile;
 mod mover;
 pub(crate) mod scalar;
@@ -187,22 +201,25 @@ pub(crate) trait VectorIsa {
         Self::fma_run_inorder(regs, dst, a, bval, lanes)
     }
 
-    /// A fused accumulator tile: `count` consecutive `VFmaLane` ops over
-    /// one operand run, `reg[dst0 + g·lanes + i] += reg[a+i] · reg[b0+g]`.
-    /// A vector ISA loads each operand vector once and holds it across the
-    /// whole tile — the inner-loop body of a laneq micro-kernel with the
-    /// operand reload hoisted. Every accumulator element is touched exactly
-    /// once (the rows are disjoint), so a chunk-major walk computes the
-    /// same bits as this row-major op order.
+    /// A fused accumulator tile: `count` consecutive packed FMAs over one
+    /// operand run, `reg[dst0 + g·lanes + i] += reg[a+i] · b[g]`, where `b`
+    /// is the run of broadcast values — staged `B` registers for a laneq
+    /// tile (`VFmaLane`), consecutive `B` elements in memory for a
+    /// broadcast-B one (`VFmaBcast`). A vector ISA loads each operand
+    /// vector once and holds it across the whole tile — the inner-loop body
+    /// of a micro-kernel with the operand reload hoisted. Every accumulator
+    /// element is touched exactly once (the rows are disjoint), so a
+    /// chunk-major walk computes the same bits as this row-major op order.
     ///
     /// # Safety
     ///
-    /// All register runs in bounds, the operand run disjoint from the
-    /// accumulator span, and `lanes` a whole number of the ISA's narrowest
-    /// vector shape (both checked at fuse time).
-    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
+    /// All register runs in bounds, `b` valid for `count` reads, the
+    /// operand run disjoint from the accumulator span, and `lanes` a whole
+    /// number of the ISA's narrowest vector shape (both checked at fuse
+    /// time).
+    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
         for g in 0..count {
-            Self::fma_run_inorder(regs, dst0 + g * lanes, a, *regs.add(b0 + g), lanes);
+            Self::fma_run_inorder(regs, dst0 + g * lanes, a, *b.add(g), lanes);
         }
     }
 
@@ -255,12 +272,31 @@ impl IsaRow {
     }
 }
 
+/// The AVX2 vector shapes, which AVX-512's row repeats below its own.
+const M256: VectorShape = VectorShape {
+    lanes: 8,
+    load: "_mm256_loadu_ps",
+    store: "_mm256_storeu_ps",
+    splat: "_mm256_set1_ps",
+    fma: "_mm256_fmadd_ps({a}, {b}, {acc})",
+};
+const M128: VectorShape = VectorShape {
+    lanes: 4,
+    load: "_mm_loadu_ps",
+    store: "_mm_storeu_ps",
+    splat: "_mm_set1_ps",
+    fma: "_mm_fmadd_ps({a}, {b}, {acc})",
+};
+
 /// The vector instruction sets the chain compiler can target, widest
 /// first. Every variant exists on every build target so `EXO_ISA` values
 /// parse everywhere — pinning an ISA the host cannot run is a loud panic,
 /// not an "unknown ISA" error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsaKind {
+    /// x86_64 AVX-512F (with AVX2 + FMA): 16-lane `__m512` kernels in the
+    /// emitted C, 32 vector registers; the chain runs the AVX2 bodies.
+    Avx512,
     /// x86_64 AVX2 + FMA: 8-lane `__m256` chains.
     Avx2,
     /// aarch64 NEON: 4-lane `float32x4_t` chains (8-lane superword runs
@@ -273,11 +309,34 @@ pub enum IsaKind {
 
 impl IsaKind {
     /// Every ISA, widest first — the runtime selection order.
-    pub const ALL: [IsaKind; 3] = [IsaKind::Avx2, IsaKind::Neon, IsaKind::Scalar];
+    pub const ALL: [IsaKind; 4] = [IsaKind::Avx512, IsaKind::Avx2, IsaKind::Neon, IsaKind::Scalar];
 
     /// The row table: one entry per executing ISA.
     pub(crate) const fn row(self) -> &'static IsaRow {
         match self {
+            IsaKind::Avx512 => &IsaRow {
+                name: "avx512",
+                vector_registers: Some(32),
+                contracts_fma: true,
+                cc_flags: &["-mavx512f", "-mavx2", "-mfma"],
+                c_prelude: &[
+                    "#if !(defined(__AVX512F__) && defined(__AVX2__) && defined(__FMA__))",
+                    "#error \"this kernel requires -mavx512f -mavx2 -mfma\"",
+                    "#endif",
+                    "#include <immintrin.h>",
+                ],
+                vectors: &[
+                    VectorShape {
+                        lanes: 16,
+                        load: "_mm512_loadu_ps",
+                        store: "_mm512_storeu_ps",
+                        splat: "_mm512_set1_ps",
+                        fma: "_mm512_fmadd_ps({a}, {b}, {acc})",
+                    },
+                    M256,
+                    M128,
+                ],
+            },
             IsaKind::Avx2 => &IsaRow {
                 name: "avx2",
                 vector_registers: Some(16),
@@ -289,22 +348,7 @@ impl IsaKind {
                     "#endif",
                     "#include <immintrin.h>",
                 ],
-                vectors: &[
-                    VectorShape {
-                        lanes: 8,
-                        load: "_mm256_loadu_ps",
-                        store: "_mm256_storeu_ps",
-                        splat: "_mm256_set1_ps",
-                        fma: "_mm256_fmadd_ps({a}, {b}, {acc})",
-                    },
-                    VectorShape {
-                        lanes: 4,
-                        load: "_mm_loadu_ps",
-                        store: "_mm_storeu_ps",
-                        splat: "_mm_set1_ps",
-                        fma: "_mm_fmadd_ps({a}, {b}, {acc})",
-                    },
-                ],
+                vectors: &[M256, M128],
             },
             IsaKind::Neon => &IsaRow {
                 name: "neon",
@@ -408,8 +452,9 @@ pub fn env_isa_override() -> Option<IsaKind> {
 
 /// The vector ISA the SIMD tier targets on this host, decided once per
 /// process: the `EXO_ISA` pin when set, otherwise the widest available
-/// implementation (AVX2 → NEON → scalar). Never less than
-/// [`IsaKind::Scalar`], so [`SimdKernel::compile`] succeeds on every host.
+/// implementation (AVX-512 → AVX2 → NEON → scalar, [`IsaKind::ALL`]'s
+/// order). Never less than [`IsaKind::Scalar`], so [`SimdKernel::compile`]
+/// succeeds on every host.
 ///
 /// # Panics
 ///
@@ -814,85 +859,55 @@ mod tests {
     /// scalarises its staged tiles into exactly the lane runs the chain
     /// compiler fuses.
     fn staged_kernels() -> (Arc<SuperwordKernel>, SimdKernel) {
+        let sw = staged_kernel(false);
+        let simd = SimdKernel::compile(Arc::clone(&sw)).expect("the scalar floor always compiles");
+        (sw, simd)
+    }
+
+    /// The staged 8x4 kernel, laneq-shaped (`B` staged in registers, one
+    /// `VFmaLane` per column) or broadcast-B-shaped (`B` read from memory,
+    /// one `VFmaBcast` per column).
+    fn staged_kernel(broadcast_b: bool) -> Arc<SuperwordKernel> {
         let (mr, nr) = (8i64, 4i64);
+        let mut body = vec![
+            alloc("Ct", ScalarType::F32, vec![int(nr), int(mr)], MemSpace::Neon),
+            alloc("Ra", ScalarType::F32, vec![int(mr)], MemSpace::Neon),
+        ];
+        let (b_stage, b_value) = if broadcast_b {
+            (vec![], read("Bc", vec![var("k"), var("j")]))
+        } else {
+            body.push(alloc("Rb", ScalarType::F32, vec![int(nr)], MemSpace::Neon));
+            let load = assign("Rb", vec![var("j")], read("Bc", vec![var("k"), var("j")]));
+            (vec![for_("j", 0, nr, vec![load])], read("Rb", vec![var("j")]))
+        };
+        let mut k_body =
+            vec![for_("i", 0, mr, vec![assign("Ra", vec![var("i")], read("Ac", vec![var("k"), var("i")]))])];
+        k_body.extend(b_stage);
+        k_body.push(for_(
+            "j",
+            0,
+            nr,
+            vec![for_(
+                "i",
+                0,
+                mr,
+                vec![reduce("Ct", vec![var("j"), var("i")], Expr::mul(read("Ra", vec![var("i")]), b_value))],
+            )],
+        ));
+        let c_at = || Expr::add(Expr::mul(var("j"), int(mr)), var("i"));
+        let c_in = assign("Ct", vec![var("j"), var("i")], read("C", vec![c_at()]));
+        let c_out = assign("C", vec![c_at()], read("Ct", vec![var("j"), var("i")]));
+        body.push(for_("j", 0, nr, vec![for_("i", 0, mr, vec![c_in])]));
+        body.push(for_("k", 0, var("KC"), k_body));
+        body.push(for_("j", 0, nr, vec![for_("i", 0, mr, vec![c_out])]));
         let p = proc("ukr_8x4_staged")
             .size_arg("KC")
             .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(mr)], MemSpace::Dram)
             .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(nr)], MemSpace::Dram)
             .tensor_arg("C", ScalarType::F32, vec![int(nr * mr)], MemSpace::Dram)
-            .body(vec![
-                alloc("Ct", ScalarType::F32, vec![int(nr), int(mr)], MemSpace::Neon),
-                alloc("Ra", ScalarType::F32, vec![int(mr)], MemSpace::Neon),
-                alloc("Rb", ScalarType::F32, vec![int(nr)], MemSpace::Neon),
-                for_(
-                    "j",
-                    0,
-                    nr,
-                    vec![for_(
-                        "i",
-                        0,
-                        mr,
-                        vec![assign(
-                            "Ct",
-                            vec![var("j"), var("i")],
-                            read("C", vec![Expr::add(Expr::mul(var("j"), int(mr)), var("i"))]),
-                        )],
-                    )],
-                ),
-                for_(
-                    "k",
-                    0,
-                    var("KC"),
-                    vec![
-                        for_(
-                            "i",
-                            0,
-                            mr,
-                            vec![assign("Ra", vec![var("i")], read("Ac", vec![var("k"), var("i")]))],
-                        ),
-                        for_(
-                            "j",
-                            0,
-                            nr,
-                            vec![assign("Rb", vec![var("j")], read("Bc", vec![var("k"), var("j")]))],
-                        ),
-                        for_(
-                            "j",
-                            0,
-                            nr,
-                            vec![for_(
-                                "i",
-                                0,
-                                mr,
-                                vec![reduce(
-                                    "Ct",
-                                    vec![var("j"), var("i")],
-                                    Expr::mul(read("Ra", vec![var("i")]), read("Rb", vec![var("j")])),
-                                )],
-                            )],
-                        ),
-                    ],
-                ),
-                for_(
-                    "j",
-                    0,
-                    nr,
-                    vec![for_(
-                        "i",
-                        0,
-                        mr,
-                        vec![assign(
-                            "C",
-                            vec![Expr::add(Expr::mul(var("j"), int(mr)), var("i"))],
-                            read("Ct", vec![var("j"), var("i")]),
-                        )],
-                    )],
-                ),
-            ])
+            .body(body)
             .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
-        let simd = SimdKernel::compile(Arc::clone(&sw)).expect("the scalar floor always compiles");
-        (sw, simd)
+        Arc::new(compile_proc(&p).unwrap().to_superword().unwrap())
     }
 
     #[test]
@@ -912,6 +927,7 @@ mod tests {
     #[test]
     fn isa_parse_accepts_names_case_insensitively_and_names_the_choices_on_a_typo() {
         assert_eq!(IsaKind::parse("avx2"), Ok(IsaKind::Avx2));
+        assert_eq!(IsaKind::parse("AVX512"), Ok(IsaKind::Avx512));
         assert_eq!(IsaKind::parse(" NEON "), Ok(IsaKind::Neon));
         assert_eq!(IsaKind::parse("Scalar"), Ok(IsaKind::Scalar));
         // The choices a typo is answered with are the table's names.
@@ -920,7 +936,7 @@ mod tests {
             IsaKind::parse("sse9"),
             Err(format!("unknown ISA `sse9` (expected one of: {})", names.join(", ")))
         );
-        assert_eq!(names, ["avx2", "neon", "scalar"]);
+        assert_eq!(names, ["avx512", "avx2", "neon", "scalar"]);
         for isa in IsaKind::ALL {
             assert_eq!(IsaKind::parse(isa.name()), Ok(isa), "names round-trip");
             assert_eq!(isa.to_string(), isa.name());
@@ -929,15 +945,19 @@ mod tests {
 
     #[test]
     fn isa_lane_widths_and_contraction_contract() {
+        assert_eq!(IsaKind::Avx512.lanes(), 16);
         assert_eq!(IsaKind::Avx2.lanes(), 8);
         assert_eq!(IsaKind::Neon.lanes(), 4);
         assert_eq!(IsaKind::Scalar.lanes(), 1);
+        assert_eq!(IsaKind::Avx512.vector_registers(), Some(32));
         assert_eq!(IsaKind::Avx2.vector_registers(), Some(16));
         assert_eq!(IsaKind::Neon.vector_registers(), Some(32));
         assert_eq!(IsaKind::Scalar.vector_registers(), None);
+        assert!(IsaKind::Avx512.contracts_fma());
         assert!(IsaKind::Avx2.contracts_fma());
         assert!(IsaKind::Neon.contracts_fma());
         assert!(!IsaKind::Scalar.contracts_fma());
+        assert_eq!(IsaKind::Avx512.cc_flags(), ["-mavx512f", "-mavx2", "-mfma"]);
         assert_eq!(IsaKind::Avx2.cc_flags(), ["-mavx2", "-mfma"]);
         assert!(IsaKind::Neon.cc_flags().is_empty() && IsaKind::Scalar.cc_flags().is_empty());
     }
@@ -997,6 +1017,32 @@ mod tests {
             for kc in [0usize, 1, 2, 17, 64] {
                 let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
                 let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
+                let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
+                let mut c_sw = c0.clone();
+                run_reference(&sw, kc, &a, &b, &mut c_sw);
+                let mut c_chain = c0.clone();
+                chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
+                if isa.contracts_fma() {
+                    assert_close(&c_chain, &c_sw, kc, &format!("{isa} kc={kc}"));
+                } else {
+                    assert_eq!(c_chain, c_sw, "{isa} kc={kc}: the scalar chain must be bit-exact");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_b_runs_fuse_into_one_tile_on_every_isa_and_the_scalar_chain_is_bit_exact() {
+        let sw = staged_kernel(true);
+        let (mr, nr) = (8usize, 4usize);
+        for isa in available_isas() {
+            let chain = SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap();
+            // C in (zeroing, load), the `A` stage's zeroing, the `k` loop as
+            // one node — its load and the four broadcast rows — C out.
+            assert_eq!((chain.fused_tile_count(), chain.step_count()), (1, 5), "{isa}: {chain:?}");
+            for kc in [0usize, 1, 2, 17, 64] {
+                let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.37 - 2.0).collect();
+                let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.21 - 1.0).collect();
                 let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
                 let mut c_sw = c0.clone();
                 run_reference(&sw, kc, &a, &b, &mut c_sw);

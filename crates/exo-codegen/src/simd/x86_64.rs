@@ -42,8 +42,8 @@ impl VectorIsa for Avx2 {
         fma_run_scalar(regs, dst, a, bval, lanes)
     }
 
-    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
-        fma_tile(regs, dst0, a, b0, lanes, count)
+    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
+        fma_tile(regs, dst0, a, b, lanes, count)
     }
 
     unsafe fn move_2d(walk: Walk, m: &Move2d) {
@@ -99,27 +99,26 @@ unsafe fn fma_run_scalar(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes:
     }
 }
 
-/// A fused accumulator tile: `count` consecutive `VFmaLane` ops over
-/// one operand run, `reg[dst0 + g·lanes + i] += reg[a+i] * reg[b0+g]`,
-/// walked like [`fma_run`] walks one row: 8-lane chunks, then a 4-lane
-/// quarter. Each operand chunk is loaded once and held across every row —
-/// the inner-loop body of a laneq micro-kernel in three instructions per
-/// accumulator vector.
+/// A fused accumulator tile: `count` consecutive packed FMAs over one
+/// operand run, `reg[dst0 + g·lanes + i] += reg[a+i] * b[g]`, walked like
+/// [`fma_run`] walks one row: 8-lane chunks, then a 4-lane quarter. Each
+/// operand chunk is loaded once and held across every row — the inner-loop
+/// body of a micro-kernel in three instructions per accumulator vector.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA, all register runs in bounds, the operand run
-/// disjoint from the accumulator span and `lanes` a whole number of
-/// 4-lane vectors (both checked at fuse time).
+/// Requires AVX2+FMA, all register runs in bounds, `b` valid for `count`
+/// reads, the operand run disjoint from the accumulator span and `lanes` a
+/// whole number of 4-lane vectors (both checked at fuse time).
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usize, count: usize) {
+unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
     debug_assert_eq!(lanes % 4, 0, "a fused tile is whole vectors");
     let mut i = 0;
     while i + 8 <= lanes {
         let va = _mm256_loadu_ps(regs.add(a + i));
         for g in 0..count {
             let d = regs.add(dst0 + g * lanes + i);
-            let vb = _mm256_set1_ps(*regs.add(b0 + g));
+            let vb = _mm256_set1_ps(*b.add(g));
             _mm256_storeu_ps(d, _mm256_fmadd_ps(va, vb, _mm256_loadu_ps(d)));
         }
         i += 8;
@@ -128,7 +127,7 @@ unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b0: usize, lanes: usiz
         let va = _mm_loadu_ps(regs.add(a + i));
         for g in 0..count {
             let d = regs.add(dst0 + g * lanes + i);
-            let vb = _mm_set1_ps(*regs.add(b0 + g));
+            let vb = _mm_set1_ps(*b.add(g));
             _mm_storeu_ps(d, _mm_fmadd_ps(va, vb, _mm_loadu_ps(d)));
         }
     }

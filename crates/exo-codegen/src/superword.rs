@@ -498,14 +498,7 @@ impl SuperwordKernel {
     /// of it, a different width, or a vector straddling two groups.
     pub fn split_accumulator_groups(&self, lanes: usize) -> usize {
         let lanes = u32::try_from(lanes).unwrap_or(u32::MAX).max(1);
-        let mut groups: Vec<(u32, u32)> = self
-            .ops
-            .iter()
-            .filter(|op| matches!(op, VOp::VFmaLane { .. } | VOp::VFmaBcast { .. }))
-            .flat_map(|op| op.pieces(op.register_runs()[0], lanes))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
+        let groups = self.accumulator_groups(lanes);
         let touched: Vec<(u32, u32)> = self
             .ops
             .iter()
@@ -518,6 +511,21 @@ impl SuperwordKernel {
                     .any(|&(s, w)| (s, w) != (start, width) && s < start + width && start < s + w)
         };
         groups.iter().filter(|group| split(group)).count()
+    }
+
+    /// The accumulator lane groups of an executor `lanes` registers wide,
+    /// as [`Self::split_accumulator_groups`] defines them: `(start, width)`
+    /// pieces of every packed FMA's accumulator run, sorted by start.
+    pub(crate) fn accumulator_groups(&self, lanes: u32) -> Vec<(u32, u32)> {
+        let mut groups: Vec<(u32, u32)> = self
+            .ops
+            .iter()
+            .filter(|op| matches!(op, VOp::VFmaLane { .. } | VOp::VFmaBcast { .. }))
+            .flat_map(|op| op.pieces(op.register_runs()[0], lanes))
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        groups
     }
 
     /// The checked reference run — the scalar tape these ops were packed

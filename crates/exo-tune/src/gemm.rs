@@ -18,11 +18,10 @@ use crate::registry::{KernelRegistry, TuneVerdict};
 use crate::space::DesignSpace;
 use crate::tuner::Tuner;
 
-/// The space every serving constructor searches: the tiles generatable
-/// from the ARM Neon f32 description that the vector ISA executing on this
-/// host (`gemm_blis::active_isa()`) runs in whole vectors.
+/// The space every serving constructor searches: [`DesignSpace::serving`]
+/// for the vector ISA executing on this host (`gemm_blis::active_isa()`).
 fn serving_space() -> DesignSpace {
-    DesignSpace::for_execution(exo_isa::neon_f32(), gemm_blis::active_isa())
+    DesignSpace::serving(gemm_blis::active_isa())
 }
 
 /// Metadata of one dispatched GEMM.
@@ -51,7 +50,8 @@ type GroupKey = Option<BlockingParams>;
 ///
 /// Dispatch goes through the fastest execution backend the host supports:
 /// generated kernels carry their tape, their superword lowering, and its
-/// SIMD closure chain (AVX2/FMA, NEON, or the scalar reference) plus, once
+/// SIMD closure chain (AVX-512, AVX2/FMA, NEON, or the scalar reference)
+/// plus, once
 /// the background build promotes it, the ahead-of-time compiled native
 /// artifact; the one ladder in `ukernel_gen` serves a native request on
 /// the simd chain until then, and polls again at the top of every GEMM
@@ -77,12 +77,14 @@ impl Default for TunedGemm {
 }
 
 impl TunedGemm {
-    /// A tuned GEMM for this host: kernels generated from the ARM Neon f32
-    /// description, the search confined to the tiles the executing vector
-    /// ISA (`gemm_blis::active_isa()`: AVX2, NEON, or the scalar
-    /// reference) runs in whole vectors inside its register file
-    /// ([`DesignSpace::fills_vectors_of`]), ranked inside that space by the
-    /// analytical Carmel model; in-memory registry, one thread.
+    /// A tuned GEMM for this host: kernels generated from the instruction
+    /// library of the executing vector ISA (`gemm_blis::active_isa()`) —
+    /// `avx512_f32` on AVX-512, the ARM Neon f32 description on AVX2, NEON
+    /// and the scalar reference ([`DesignSpace::serving`]) — the search
+    /// confined to the tiles that ISA runs in whole vectors inside its
+    /// register file ([`DesignSpace::fills_vectors_of`]), ranked inside
+    /// that space by the analytical Carmel model; in-memory registry, one
+    /// thread.
     pub fn new() -> Self {
         let space = serving_space();
         let registry = KernelRegistry::new(space.identity());

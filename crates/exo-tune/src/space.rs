@@ -18,6 +18,14 @@
 //! ([`DesignSpace::fills_vectors_of`]) — a 12x8 tile is three Neon vectors
 //! tall but one and a half AVX2 vectors, and the half is paid for on every
 //! `k` iteration.
+//!
+//! Which description a host serves from is [`DesignSpace::serving`]'s
+//! choice: an executing ISA the tree has an instruction library for serves
+//! from that library — AVX-512 from the paper's own `avx512_f32`, whose
+//! 16x16 broadcast-B kernel runs at about twice the rate of the Neon 8x12
+//! re-rolled onto AVX2 on the same host — and every other ISA from the ARM
+//! Neon f32 description, re-rolled (AVX2) or run as described (NEON, the
+//! scalar reference).
 
 use carmel_sim::CacheHierarchy;
 use exo_isa::VectorIsa;
@@ -72,13 +80,22 @@ impl DesignSpace {
         DesignSpace { isa, executing: None, register_budget: 32, max_mr_vectors: 4, max_nr }
     }
 
-    /// The serving space: the tiles of [`DesignSpace::for_isa`] that also
-    /// satisfy [`DesignSpace::fills_vectors_of`] for `executing`, the host
-    /// ISA their lowering will run on (`gemm_blis::active_isa()` for every
-    /// serving constructor). On 4-lane NEON and on the 1-lane scalar
+    /// The tiles of [`DesignSpace::for_isa`] that also satisfy
+    /// [`DesignSpace::fills_vectors_of`] for `executing`, the host ISA their
+    /// lowering will run on. On 4-lane NEON and on the 1-lane scalar
     /// reference that is the whole modelled Neon space.
     pub fn for_execution(isa: VectorIsa, executing: IsaKind) -> Self {
         DesignSpace { executing: Some(executing), ..DesignSpace::for_isa(isa) }
+    }
+
+    /// The space every serving constructor searches on a host executing
+    /// `executing` (`gemm_blis::active_isa()`): [`Self::for_execution`] over
+    /// the `avx512_f32` library on AVX-512 (`avx512-f32@avx512`: the 16x16
+    /// broadcast-B tile and the `1 x 16j` rows), over `neon_f32` on every
+    /// other ISA (`neon-f32@avx2`, `neon-f32@neon`, `neon-f32@scalar`).
+    pub fn serving(executing: IsaKind) -> Self {
+        let library = if executing == IsaKind::Avx512 { exo_isa::avx512_f32() } else { exo_isa::neon_f32() };
+        DesignSpace::for_execution(library, executing)
     }
 
     /// The instruction set the space targets.
@@ -215,9 +232,11 @@ mod tests {
             DesignSpace::for_isa(neon_f32()).tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
         assert_eq!(modelled.len(), 18);
         // In the modelled space's order (descending area), so ties rank alike.
+        let avx512 = vec![(16, 4), (1, 16)];
         let avx2 = vec![(8, 12), (8, 8), (16, 4), (8, 4), (1, 24), (1, 16), (1, 8)];
         for executing in IsaKind::ALL {
             let expected = match executing {
+                IsaKind::Avx512 => &avx512,
                 IsaKind::Avx2 => &avx2,
                 IsaKind::Neon | IsaKind::Scalar => &modelled,
             };
@@ -235,6 +254,37 @@ mod tests {
         assert!(!DesignSpace::fills_vectors_of(IsaKind::Avx2, 8, 16));
         assert!(!DesignSpace::fills_vectors_of(IsaKind::Avx2, 1, 12));
         assert!(DesignSpace::fills_vectors_of(IsaKind::Scalar, 12, 8));
+    }
+
+    #[test]
+    fn an_executing_isa_serves_from_its_own_library_where_the_tree_has_one() {
+        for executing in IsaKind::ALL {
+            let space = DesignSpace::serving(executing);
+            assert_eq!(space.executing(), Some(executing));
+            let library = if executing == IsaKind::Avx512 { "avx512-f32" } else { "neon-f32" };
+            assert_eq!(space.identity(), format!("{library}@{executing}"));
+            if executing != IsaKind::Avx512 {
+                assert_eq!(
+                    space.tile_shapes(),
+                    DesignSpace::for_execution(neon_f32(), executing).tile_shapes()
+                );
+            }
+        }
+        // AVX-512's own space is its whole modelled space: the one
+        // broadcast-B tile whose 16 accumulators, operand and broadcast fit
+        // 32 registers, and the single-row tiles one to six vectors wide.
+        let tiles: Vec<(usize, usize, Strategy)> = DesignSpace::serving(IsaKind::Avx512)
+            .tile_shapes()
+            .iter()
+            .map(|t| (t.mr, t.nr, t.strategy))
+            .collect();
+        let mut expected = vec![(16, 16, Strategy::BroadcastB)];
+        expected.extend((1..=6).rev().map(|j| (1, 16 * j, Strategy::BroadcastA)));
+        assert_eq!(tiles, expected);
+        assert_eq!(
+            DesignSpace::for_isa(avx512_f32()).tile_shapes(),
+            DesignSpace::serving(IsaKind::Avx512).tile_shapes()
+        );
     }
 
     #[test]

@@ -67,14 +67,15 @@ impl Tuner {
         Tuner::over(DesignSpace::for_isa(exo_isa::neon_f32()), registry)
     }
 
-    /// The Carmel core model over `space`, memoising in `registry`.
+    /// The Carmel core model over `space` — the modelled space of another
+    /// instruction library, or a serving space — memoising in `registry`.
     ///
     /// # Errors
     ///
     /// Returns [`TuneError::Corrupt`] if `registry` is not named after
     /// `space`'s [`DesignSpace::identity`] — another described ISA, or the
     /// same one searched for another executing ISA.
-    pub(crate) fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
+    pub fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
         if registry.isa_name() != space.identity() {
             return Err(TuneError::Corrupt(format!(
                 "registry targets `{}` but the design space targets `{}`",
@@ -299,6 +300,13 @@ mod tests {
             assert!(accepted || matches!(tuner, Err(TuneError::Corrupt(_))));
         }
         assert!(Tuner::with_registry(KernelRegistry::new("neon-f32@avx2")).is_err());
+        // An AVX-512 host serves another library: what an AVX2 run of the
+        // same machine recorded is refused.
+        let avx512 =
+            |name: &str| Tuner::over(DesignSpace::serving(IsaKind::Avx512), KernelRegistry::new(name));
+        assert!(matches!(avx512("neon-f32@avx2"), Err(TuneError::Corrupt(_))));
+        assert!(matches!(avx512("neon-f32@avx512"), Err(TuneError::Corrupt(_))));
+        assert!(avx512("avx512-f32@avx512").is_ok());
     }
 
     #[test]

@@ -279,7 +279,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
 /// no edge-case logic, no prefetch, exactly the generated trace. Executes
 /// through the ahead-of-time compiled native artifact when the host has a
 /// C toolchain (the fastest tier), and bit-faithfully on the in-process
-/// SIMD chain of the active vector ISA (AVX2/FMA, NEON, or the bit-exact
+/// SIMD chain of the active vector ISA (AVX-512, AVX2/FMA, NEON, or the bit-exact
 /// scalar reference) when it does not — [`KernelDispatch::tier`] says
 /// which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {

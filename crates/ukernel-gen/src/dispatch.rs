@@ -40,7 +40,7 @@ pub enum ExecBackend {
     #[default]
     Native,
     /// The in-process vector closure chain of the widest available ISA
-    /// (AVX2/FMA on x86_64, NEON on aarch64, bit-exact scalar everywhere;
+    /// (AVX-512 or AVX2/FMA on x86_64, NEON on aarch64, bit-exact scalar everywhere;
     /// pin one with `EXO_ISA`) — the fastest tier that needs no C
     /// toolchain. Results of the contracting ISAs are within the
     /// documented FMA-contraction ULP bound of the portable tiers (FMA

@@ -103,7 +103,7 @@ pub struct GeneratedKernel {
     /// tape consume.
     pub superword: Arc<SuperwordKernel>,
     /// Closure chain compiled from [`Self::superword`] for the active
-    /// vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or the
+    /// vector ISA (`exo_codegen::active_isa()`: AVX-512, AVX2/FMA, NEON, or the
     /// scalar reference — pin one with `EXO_ISA`) — the fastest tier that
     /// needs no C toolchain, and what [`Self::run_packed`] runs. Results
     /// of the contracting ISAs are within the documented FMA-contraction

@@ -109,11 +109,14 @@ fn second_run_loads_every_verdict_from_the_persisted_cache() {
     // identity. The serving constructors must never load it, nor a file
     // recorded for another executing ISA: typed refusal from the strict
     // one, quarantine and a persisted re-tune from the tolerant one.
+    // On an AVX-512 host the other ISA is AVX2: a verdict file an
+    // `EXO_ISA=avx2` run of the same machine left behind.
     let other = IsaKind::ALL.into_iter().find(|&isa| isa != active_isa()).unwrap();
     let foreign = temp_registry_path("foreign-isa");
     let _ = std::fs::remove_file(&foreign);
     let (m, n, k) = shapes[0];
-    let elsewhere = KernelRegistry::with_persistence(format!("neon-f32@{other}"), &foreign).unwrap();
+    let elsewhere =
+        KernelRegistry::with_persistence(DesignSpace::serving(other).identity(), &foreign).unwrap();
     elsewhere.record(tuner.tune(m, n, k).unwrap()).unwrap();
     for stale in [&path, &foreign] {
         let quarantine = std::path::PathBuf::from(format!("{}.corrupt", stale.display()));
@@ -130,7 +133,7 @@ fn second_run_loads_every_verdict_from_the_persisted_cache() {
 
         // The re-tune persisted under this host's identity: warm from now on.
         let warm = TunedGemm::with_persistence(stale).unwrap();
-        assert_eq!(warm.registry().isa_name(), format!("neon-f32@{}", active_isa()));
+        assert_eq!(warm.registry().isa_name(), DesignSpace::serving(active_isa()).identity());
         assert_eq!(warm.plan(m, n, k).unwrap(), verdict);
         assert_eq!(warm.registry().generator_invocations(), 0);
         let _ = std::fs::remove_file(stale);
@@ -184,7 +187,17 @@ fn resnet50_layers_each_get_a_tuned_kernel() {
     assert!(resnet_tiles.len() > 1, "expected specialised per-layer tiles, got {resnet_tiles:?}");
     let serving = TunedGemm::new();
     let served_tiles = distinct_tiles(&|m, n, k| serving.plan(m, n, k).unwrap());
-    assert!(served_tiles.len() > 1, "expected specialised served tiles, got {served_tiles:?}");
+    // Every layer has more than one row, so the served tiles specialise
+    // where the serving space has several tiles taller than one row.
+    // AVX-512's has one, 16x16 (the rest are single rows), and it serves
+    // every layer.
+    let tall: std::collections::BTreeSet<(usize, usize)> =
+        serving.tuner().space().tile_shapes().iter().filter(|t| t.mr > 1).map(|t| (t.mr, t.nr)).collect();
+    if tall.len() > 1 {
+        assert!(served_tiles.len() > 1, "expected specialised served tiles, got {served_tiles:?}");
+    } else {
+        assert_eq!(served_tiles, tall, "the one tall tile serves every layer");
+    }
 }
 
 /// The eight shapes of the benchmark's `serve_small` workload.
@@ -201,17 +214,22 @@ const SERVE_SHAPES: [(usize, usize, usize); 8] = [
 
 /// Every verdict served on this host is a tile its executing vector ISA
 /// runs in whole vectors inside its register file — whichever ISA that is
-/// (AVX2, NEON under QEMU, or the `EXO_ISA=scalar` pin). Where the rule
-/// removes nothing (4-lane NEON, 1-lane scalar), serving and modelling
-/// search the same space and must agree verdict for verdict.
+/// (AVX-512 on its own library, AVX2, NEON under QEMU, or the
+/// `EXO_ISA=scalar` pin). Where the rule removes nothing from the serving
+/// library's modelled space (AVX-512's own, 4-lane NEON, 1-lane scalar),
+/// serving and modelling search the same space and must agree verdict for
+/// verdict.
 #[test]
 fn served_verdicts_fill_the_executing_isas_vectors() {
     let executing = active_isa();
     let serving = TunedGemm::new();
     let threaded = TunedGemm::new().with_threads(4);
-    let modelled = Tuner::new();
     let space = serving.tuner().space();
     assert_eq!(space.executing(), Some(executing));
+    assert_eq!(space.identity(), DesignSpace::serving(executing).identity());
+    let library = space.isa().clone();
+    let modelled =
+        Tuner::over(DesignSpace::for_isa(library.clone()), KernelRegistry::new(library.name)).unwrap();
     let admitted: Vec<(usize, usize)> = space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
     let unfiltered = admitted.len() == modelled.space().tile_shapes().len();
     assert_eq!(unfiltered, executing != IsaKind::Avx2, "{executing} admits {admitted:?}");

@@ -91,8 +91,18 @@ fn promotion_reaches_every_executor_that_outlives_it() {
     let probe = TunedGemm::new();
     let mut polled: Vec<(usize, usize)> = Vec::new();
     let mut fresh_shape = || {
-        let candidates =
-            [(45, 37, 29), (48, 48, 32), (30, 17, 23), (1, 64, 64), (3, 3, 3), (64, 1, 64), (96, 60, 33)];
+        // Four legs need four tiles; AVX-512's space has one tile more than
+        // one vector tall, so its single-row tiles supply the rest.
+        let candidates = [
+            (45, 37, 29),
+            (48, 48, 32),
+            (30, 17, 23),
+            (1, 64, 64),
+            (3, 3, 3),
+            (64, 1, 64),
+            (96, 60, 33),
+            (1, 48, 16),
+        ];
         let (shape, tile) = candidates
             .into_iter()
             .map(|(m, n, k)| ((m, n, k), probe.plan(m, n, k).expect("candidate shape tunes")))

@@ -1,7 +1,7 @@
 //! Differential suite for the execution engines: a **five-way**
 //! comparison with an **ISA axis**. The ahead-of-time compiled native
 //! tier (a dlopen'd `.so` emitted from the superword lowering), the
-//! in-process SIMD chain (compiled per vector ISA — AVX2/FMA, NEON, or
+//! in-process SIMD chain (compiled per vector ISA — AVX-512, AVX2/FMA, NEON, or
 //! the scalar reference), the portable tier (the scalar-ISA chain —
 //! what the `superword` pin runs), the scalar tape, the tree-walking
 //! interpreter, and the naive reference must agree. Where the
@@ -33,14 +33,14 @@ use std::sync::Arc;
 
 use common::{assert_fma_close, Cases};
 use exo_gemm::exo_codegen::{emit_superword_c, SimdKernel, SuperwordKernel, TensorView};
-use exo_gemm::exo_isa::neon_f32;
+use exo_gemm::exo_isa::{avx512_f32, neon_f32};
 use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
     naive_gemm, native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor,
     GemmProblem, IsaKind, Matrix,
 };
-use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator};
+use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator, Strategy};
 
 /// The superword lowering's checked reference run of a packed call — the
 /// scalar tape it was packed from, the executor that trusts no proof.
@@ -55,20 +55,29 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
     (a, b, c)
 }
 
-/// Five-way differential on every registry tile shape, across several KC
-/// values including `k = 0` and `k = 1`: portable ≡ tape ≡ interpreter
-/// bit-for-bit, the SIMD chain within the
+/// Five-way differential on every registry tile shape, and on every tile
+/// of the AVX-512 serving space (the `avx512_f32` library's broadcast
+/// kernels), across several KC values including `k = 0` and `k = 1`:
+/// portable ≡ tape ≡ interpreter bit-for-bit, the SIMD chain within the
 /// FMA-contraction bound, and the
 /// ahead-of-time native tier **bit-identical to the SIMD chain** — with a
-/// toolchain because the emitted C performs the same per-lane fused ops,
-/// without one because the fallback *is* the chain.
+/// toolchain because the emitted C performs the same per-lane fused ops
+/// (`__m512` ones on an AVX-512 host), without one because the fallback
+/// *is* the chain.
 #[test]
 fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
+    let avx512_tiles: Vec<(usize, usize)> =
+        DesignSpace::serving(IsaKind::Avx512).tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
+    for (library, shapes) in [(neon_f32(), KernelSet::paper_shapes()), (avx512_f32(), avx512_tiles)] {
+        five_way_differential(&MicroKernelGenerator::new(library), &shapes);
+    }
+}
+
+fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usize)]) {
     let cache = KernelCache::new();
-    let generator = MicroKernelGenerator::new(neon_f32());
     let mut cases = Cases::new(0x7a9e);
-    for (mr, nr) in KernelSet::paper_shapes() {
-        let kernel = cache.get_or_generate(&generator, mr, nr).unwrap();
+    for &(mr, nr) in shapes {
+        let kernel = cache.get_or_generate(generator, mr, nr).unwrap();
         let sw = &kernel.superword;
         assert!(sw.vector_op_count() > 0, "{mr}x{nr} must pack whole-vector ops");
         assert_eq!(kernel.simd.isa(), active_isa(), "{mr}x{nr}: chain targets the active ISA");
@@ -105,7 +114,7 @@ fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
     }
     // The cache compiled each tape, superword, and simd lowering exactly
     // once, alongside its kernel.
-    assert_eq!(cache.generator_invocations(), KernelSet::paper_shapes().len() as u64);
+    assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
 /// All five tiers agree with `naive_gemm` (to accumulation tolerance) on
@@ -327,7 +336,7 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
 /// (via `SimdKernel::compile_for`, independent of the `EXO_ISA` pin) must
 /// agree with the superword lowering's checked reference — the scalar
 /// chain (the portable tier) **bit for bit** (it rounds multiply-then-add
-/// exactly like tape and interpreter), the native AVX2/NEON chains within
+/// exactly like tape and interpreter), the native vector chains within
 /// the documented FMA-contraction bound.
 #[test]
 fn every_available_isa_matches_superword_across_registry_shapes() {
@@ -363,14 +372,23 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
 /// accumulated and stored at one width and one offset, which is what lets
 /// `cc -O3` promote the emitted `reg[]` array to machine registers (a
 /// half-width or straddling prologue load spills the accumulators every
-/// `k` iteration). The lowering is host-independent, so every ISA is
-/// checked on every host.
+/// `k` iteration). The lowering is host-independent, so every ISA's
+/// serving space — AVX-512's from its own library — is checked on every
+/// host.
 #[test]
 fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa() {
-    let generator = MicroKernelGenerator::new(neon_f32());
     for isa in IsaKind::ALL {
-        let tiles = DesignSpace::for_execution(neon_f32(), isa).tile_shapes();
+        let space = DesignSpace::serving(isa);
+        let generator = MicroKernelGenerator::new(space.isa().clone());
+        let tiles = space.tile_shapes();
         assert!(!tiles.is_empty(), "{isa}: the serving space admits tiles");
+        // The shapes narrower than the ISA's widest, as the emitted C
+        // spells them: the `C` tile never moves in one of them.
+        let narrower: &[&str] = match isa {
+            IsaKind::Avx512 => &["_mm256_", "_mm_"],
+            IsaKind::Avx2 => &["_mm_"],
+            IsaKind::Neon | IsaKind::Scalar => &[],
+        };
         for tile in tiles {
             let kernel = generator.generate(tile.mr, tile.nr).unwrap();
             assert_eq!(
@@ -380,62 +398,81 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
                 tile.mr,
                 tile.nr
             );
-            // The same property in the text `cc` sees: on the 8-lane ISA the
-            // `C` tile never moves as 128-bit halves.
+            // The same property in the text `cc` sees.
             let c = emit_superword_c(&kernel.superword, isa, "k").unwrap();
-            assert!(
-                !c.contains("_mm_loadu_ps(&C[") && !c.contains("_mm_storeu_ps(&C["),
-                "{}x{} on {isa}: half-width move of the C tile:\n{c}",
-                tile.mr,
-                tile.nr
-            );
+            for shape in narrower {
+                assert!(
+                    !c.contains(&format!("{shape}loadu_ps(&C["))
+                        && !c.contains(&format!("{shape}storeu_ps(&C[")),
+                    "{}x{} on {isa}: a narrower move of the C tile:\n{c}",
+                    tile.mr,
+                    tile.nr
+                );
+            }
         }
     }
 }
 
-/// Every lane-indexed tile a serving space admits runs its `k` loop as one
-/// fused closure on the chain — operand stage loads and the whole
-/// accumulator tile behind a single indirect call per iteration — whatever
-/// the tile's height is in vectors of the executing ISA. This is the tier
-/// a host without a C toolchain serves on, and every host until promotion.
-/// The chain compiler is host-independent up to the impl it is
-/// monomorphised for, so every ISA this host can run is checked.
+/// Every serving tile taller than one row — lane-indexed (the Neon
+/// library's laneq tiles) or broadcast-B (AVX-512's 16x16) — runs its `k`
+/// loop as one fused closure on the chain: operand stage loads and the
+/// whole accumulator tile behind a single indirect call per iteration,
+/// whatever the tile's height is in vectors of the executing ISA. This is
+/// the tier a host without a C toolchain serves on, and every host until
+/// promotion. The chain compiler is host-independent up to the impl it is
+/// monomorphised for, so every ISA this host can run compiles its own
+/// serving tiles and AVX-512's.
 #[test]
 fn every_lane_indexed_serving_tile_fuses_its_k_loop_on_the_chain() {
-    let generator = MicroKernelGenerator::new(neon_f32());
     for isa in IsaKind::ALL.into_iter().filter(|isa| isa.available()) {
-        for tile in DesignSpace::for_execution(neon_f32(), isa).tile_shapes() {
-            if tile.mr == 1 {
-                continue; // row kernels broadcast `A`; there is no lane-indexed run to fuse
+        let mut spaces = vec![DesignSpace::serving(isa)];
+        if isa != IsaKind::Avx512 {
+            spaces.push(DesignSpace::serving(IsaKind::Avx512));
+        }
+        for space in spaces {
+            let generator = MicroKernelGenerator::new(space.isa().clone());
+            for tile in space.tile_shapes() {
+                if tile.mr == 1 {
+                    continue; // row kernels broadcast `A` once per `k`: one op, nothing to fuse
+                }
+                let label = format!("{} {}x{} on {isa}", space.isa().name, tile.mr, tile.nr);
+                let kernel = generator.generate(tile.mr, tile.nr).unwrap();
+                let chain = SimdKernel::compile_for(Arc::clone(&kernel.superword), isa).unwrap();
+                assert!(chain.fused_tile_count() >= 1, "{label}: no fused accumulator tile: {chain:?}");
+                // C in (zeroing, load), one zeroing per staged operand (`A`
+                // and `B` for laneq, `A` for broadcast-B), the `k` loop's
+                // single node, C out: nothing left unfused inside the loop.
+                let staged = if tile.strategy == Strategy::Laneq { 2 } else { 1 };
+                assert_eq!(chain.step_count(), 4 + staged, "{label}: {chain:?}");
             }
-            let kernel = generator.generate(tile.mr, tile.nr).unwrap();
-            let chain = SimdKernel::compile_for(Arc::clone(&kernel.superword), isa).unwrap();
-            assert!(
-                chain.fused_tile_count() >= 1,
-                "{}x{} on {isa}: no fused accumulator tile: {chain:?}",
-                tile.mr,
-                tile.nr
-            );
-            // C in, operand-register zeroing (two), the `k` loop's single
-            // node, C out: nothing left unfused inside the loop.
-            assert_eq!(chain.step_count(), 6, "{}x{} on {isa}: {chain:?}", tile.mr, tile.nr);
         }
     }
 }
 
 /// The emitted C of every tile the NEON-described space admits (18) plus
 /// one unvectorised scalar-strategy tile, whose scalar leftovers carry
-/// constant and general addresses, on all three ISAs: one content hash per
-/// ISA over the concatenated emissions, recorded at the commit before the
-/// tape and the superword lowering shared one address type. The native
-/// tier's artifact key is a hash of this text, so a moved constant means
-/// every warm cache goes cold; and the NEON spelling cannot be compiled
-/// on an x86 host, so its bytes are the offline proof it did not move.
+/// constant and general addresses, on every ISA: one content hash per ISA,
+/// keyed by its name, over the concatenated emissions. The native tier's
+/// artifact key is a hash of this text, so a moved constant means every
+/// warm cache goes cold; and the NEON spelling cannot be compiled on an x86
+/// host, so its bytes are the offline proof it did not move.
+///
+/// The `avx2` hash was re-recorded when register-file copies stopped
+/// covering part of an accumulator group. That moved the tiles whose
+/// accumulators are narrower than 8 lanes or not a whole number of them —
+/// 4x24, 4x20, 4x16, 4x12, 4x8, 4x4, 12x8 and 12x4 — none of which the
+/// AVX2 serving space admits (those are held per tile below).
 #[test]
 fn the_emitted_c_of_every_isa_is_byte_stable() {
     use exo_gemm::exo_aot::content_hash;
-    use exo_gemm::ukernel_gen::{KernelOptions, Strategy};
-    let golden: [u64; 3] = [0x5823_1f20_ea6a_1a78, 0xdae8_18c7_11cc_8483, 0xdbc2_dae6_3885_1b65];
+    use exo_gemm::ukernel_gen::KernelOptions;
+    let golden: [(&str, u64); 4] = [
+        ("avx512", 0x29e2_edec_786e_857b),
+        ("avx2", 0x3952_1ce3_2ab0_067c),
+        ("neon", 0xdae8_18c7_11cc_8483),
+        ("scalar", 0xdbc2_dae6_3885_1b65),
+    ];
+    assert_eq!(golden.map(|(name, _)| name), IsaKind::ALL.map(IsaKind::name), "one hash per ISA");
     let generator = MicroKernelGenerator::new(neon_f32());
     let mut kernels: Vec<_> = DesignSpace::for_isa(neon_f32())
         .tile_shapes()
@@ -445,7 +482,8 @@ fn the_emitted_c_of_every_isa_is_byte_stable() {
     let scalar = KernelOptions { strategy: Some(Strategy::Scalar), ..KernelOptions::new(3, 5) };
     kernels.push(generator.generate_with(&scalar).unwrap());
     assert_eq!(kernels.len(), 19);
-    for (isa, want) in IsaKind::ALL.into_iter().zip(golden) {
+    for (name, want) in golden {
+        let isa = IsaKind::parse(name).unwrap();
         let emitted: Vec<String> =
             kernels.iter().map(|k| emit_superword_c(&k.superword, isa, "exo_aot_kernel").unwrap()).collect();
         let got = content_hash(emitted.concat().as_bytes());
@@ -454,6 +492,48 @@ fn the_emitted_c_of_every_isa_is_byte_stable() {
                 eprintln!("{}x{} {} on {isa}: {:#018x}", k.mr, k.nr, k.strategy, content_hash(c.as_bytes()));
             }
             panic!("the emitted C on {isa} moved: {got:#018x}, recorded {want:#018x}");
+        }
+    }
+}
+
+/// The AVX2 serving space, tile by tile: each tile emits the very C it
+/// emitted before AVX-512 joined the ISAs (hashes recorded then), so an
+/// AVX2 host's warm artifacts stay warm; and on AVX-512 a tile whose
+/// accumulators are 8 lanes wide emits the same function body — its
+/// `__m256` accumulators are never moved as halves of a `__m512` — while a
+/// wider accumulator is held in `__m512`s.
+#[test]
+fn every_avx2_serving_tile_emits_the_c_it_did_and_the_same_body_on_avx512() {
+    use exo_gemm::exo_aot::content_hash;
+    let recorded: [((usize, usize), u64); 7] = [
+        ((8, 12), 0x065d_ef25_60a5_2175),
+        ((8, 8), 0x34cf_bfba_887d_a604),
+        ((16, 4), 0xef67_418a_da2c_3312),
+        ((8, 4), 0xda18_4cf1_08ff_e23b),
+        ((1, 24), 0x002d_0270_6c87_2bd1),
+        ((1, 16), 0x0f9f_b851_61e7_e503),
+        ((1, 8), 0x080b_5b91_429c_6261),
+    ];
+    let tiles: Vec<(usize, usize)> =
+        DesignSpace::serving(IsaKind::Avx2).tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
+    assert_eq!(tiles, recorded.map(|(tile, _)| tile));
+    let body = |c: &str| c[c.find("\nvoid ").expect("one kernel function")..].to_string();
+    let generator = MicroKernelGenerator::new(neon_f32());
+    for ((mr, nr), want) in recorded {
+        let sw = generator.generate(mr, nr).unwrap().superword;
+        let avx2 = emit_superword_c(&sw, IsaKind::Avx2, "exo_aot_kernel").unwrap();
+        assert_eq!(content_hash(avx2.as_bytes()), want, "{mr}x{nr} on avx2 moved:\n{avx2}");
+        let avx512 = emit_superword_c(&sw, IsaKind::Avx512, "exo_aot_kernel").unwrap();
+        // A laneq tile accumulates `mr`-lane columns, a single-row tile
+        // its whole `nr`-lane row.
+        let accumulator = if mr == 1 { nr } else { mr };
+        if accumulator <= 8 {
+            assert_eq!(body(&avx512), body(&avx2), "{mr}x{nr}: the avx512 body");
+        } else {
+            assert!(
+                avx512.contains("_mm512_fmadd_ps"),
+                "{mr}x{nr}: {accumulator}-lane accumulators:\n{avx512}"
+            );
         }
     }
 }
@@ -592,9 +672,10 @@ fn fringe_lane_runs_finish_in_narrower_shapes_and_scalar_lanes_on_every_isa() {
 }
 
 /// The reported-ISA probe the cross-target CI matrix asserts against: the
-/// runtime selection must actually pick the native ISA of the build target
-/// (NEON under the aarch64/QEMU job, AVX2 on the x86 runners) unless
-/// `EXO_ISA` pins one — and a pinned run must report exactly the pin.
+/// runtime selection must actually pick the widest ISA the host can run
+/// (NEON under the aarch64/QEMU job, AVX-512 or AVX2 on the x86 runners)
+/// unless `EXO_ISA` pins one — and a pinned run must report exactly the
+/// pin.
 /// `simd_available()` means "a native ISA was selected", so the
 /// forced-scalar leg reports `false` even on AVX2 hosts.
 #[test]
@@ -607,12 +688,8 @@ fn the_active_isa_is_the_native_one_unless_pinned() {
         None => {
             #[cfg(target_arch = "aarch64")]
             assert_eq!(active, IsaKind::Neon, "NEON is baseline on aarch64 and must be selected");
-            #[cfg(target_arch = "x86_64")]
-            if IsaKind::Avx2.available() {
-                assert_eq!(active, IsaKind::Avx2, "AVX2 hosts must select the AVX2 chain");
-            } else {
-                assert_eq!(active, IsaKind::Scalar);
-            }
+            let widest = IsaKind::ALL.into_iter().find(|isa| isa.available()).unwrap();
+            assert_eq!(active, widest, "an unpinned run selects the widest ISA the host can run");
         }
     }
     // The generator's chains report the same selection.

@@ -1,0 +1,85 @@
+//! Every tiling computes the same bits. The five-loop driver folds `alpha`
+//! into the packed `A` panel (one multiply), applies `beta` as a `C` tile is
+//! staged in on the first `k`-block and moves it untouched after, and every
+//! micro-kernel accumulates an element of `C` as one `k`-ordered chain of
+//! the executing ISA's multiply-adds — fused on the vector ISAs, two
+//! roundings on the scalar reference, one lane at a time either way. So a
+//! GEMM's result depends neither on the register tile, nor on the library
+//! or strategy that scheduled it, nor on the `kc` that cut its chain into
+//! blocks: `TunedGemm`, whatever tile and blocking it picks for a shape,
+//! equals `BlisGemm` with the fixed Neon 8x12 on the analytical blocking
+//! **bit for bit**, on every ISA (`EXO_ISA=scalar` included), whichever of
+//! the native artifact and the simd chain runs a call.
+
+mod common;
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use common::Cases;
+use exo_gemm::carmel_sim::CacheHierarchy;
+use exo_gemm::dnn_models::{resnet50_table, vgg16_table};
+use exo_gemm::exo_isa::neon_f32;
+use exo_gemm::exo_tune::TunedGemm;
+use exo_gemm::gemm_blis::{exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix};
+use exo_gemm::ukernel_gen::MicroKernelGenerator;
+
+/// The eight shapes of the benchmark's `serve_small` workload.
+const SERVE_SMALL: [(usize, usize, usize); 8] = [
+    (24, 16, 12),
+    (17, 13, 9),
+    (32, 24, 8),
+    (8, 40, 16),
+    (48, 8, 24),
+    (16, 16, 16),
+    (28, 20, 6),
+    (12, 36, 10),
+];
+
+/// Rows of a layer's GEMM run here. A layer's verdict — tile, `kc`, `mc`,
+/// `nc` — is tuned for its full shape and its driver runs the first rows
+/// of it: `n` and `k`, which set the tile's column fringe and the `kc`
+/// blocks of every chain, are the layer's own, and the rows beyond these
+/// would only repeat the row blocks.
+const MAX_ROWS: usize = 128;
+
+#[test]
+fn every_tiling_computes_the_same_bits() {
+    let threads = 2;
+    let tuned = TunedGemm::new().with_threads(threads);
+    let reference_kernel = Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap());
+    let reference = BlisGemm::new(BlockingParams::analytical(&CacheHierarchy::carmel(), 8, 12, 4))
+        .with_kernel(exo_kernel(reference_kernel))
+        .with_threads(threads);
+    let mut shapes = resnet50_table().gemm_shapes();
+    shapes.extend(vgg16_table().gemm_shapes());
+    shapes.extend(SERVE_SMALL);
+    let mut cases = Cases::new(0x7111_6b17);
+    let mut tilings = BTreeSet::new();
+    for (alpha, beta) in [(1.0f32, 0.0f32), (1.5, -0.25)] {
+        for &(m, n, k) in &shapes {
+            let (verdict, driver) = tuned.driver_for(m, n, k).unwrap();
+            tilings.insert((verdict.mr, verdict.nr, verdict.kc));
+            let rows = m.min(MAX_ROWS);
+            let a = Matrix::from_fn(rows, k, |_, _| cases.f32_unit());
+            let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
+            let c0 = Matrix::from_fn(rows, n, |_, _| cases.f32_unit());
+            let run = |gemm: &dyn GemmExecutor| {
+                let mut c = c0.clone();
+                gemm.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()).alpha(alpha).beta(beta))
+                    .unwrap();
+                c.data
+            };
+            let label = format!(
+                "{m}x{n}x{k} ({rows} rows), alpha {alpha}, beta {beta}: {}x{} kc {} against 8x12",
+                verdict.mr, verdict.nr, verdict.kc
+            );
+            let (got, want) = (run(&*driver), run(&reference));
+            assert!(got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()), "{label}");
+        }
+    }
+    assert!(
+        tilings.iter().any(|&(mr, nr, _)| (mr, nr) != (8, 12)),
+        "the tuner served no tile but the reference's: {tilings:?}"
+    );
+}
