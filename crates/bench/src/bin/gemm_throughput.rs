@@ -1,10 +1,10 @@
-//! The perf gates measured outside `exo_bench`: five comparisons of two
+//! The perf gates measured outside `exo_bench`: six comparisons of two
 //! things timed in one run. Nothing here is compared with a recorded
 //! number and nothing is written — every absolute figure (GFLOPS, latency,
 //! per-layer shares, normalised to a calibration burst and run
 //! parent-against-change) is `exo_bench`'s, declared in `BENCHMARK.json`.
-//! Every GEMM series runs the generated 8x12 kernel through the one
-//! five-loop driver on one thread.
+//! Every GEMM series runs through the one five-loop driver on one thread,
+//! the generated 8x12 kernel in all but the last gate.
 //!
 //! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `interp < tape <
 //!    superword < simd < native` must hold strictly at both sizes — a
@@ -41,8 +41,16 @@
 //!    strided views (padded leading dimensions on `A`, `B` and `C`) and
 //!    with `op(B) = T` (`B` stored `n x k`), each against `native` over
 //!    dense operands. Both must reach [`PARITY_FLOOR`] of the dense rate.
+//! 6. **`placement`** — where the caller's operands start must not matter:
+//!    the serving verdict's driver (`TunedGemm`'s, the 16x16 on an AVX-512
+//!    host) on a dense [`PLACEMENT_SIZE`]-cubed GEMM with `A`, `B` and `C`
+//!    each 16 bytes past a 64-byte boundary, against the same GEMM with all
+//!    three on one. The driver's own buffers are aligned and the mover keeps
+//!    its stores into `C` inside cache lines, so only the caller's layout
+//!    is left to differ. Must reach [`PLACEMENT_FLOOR`]; skipped on a host
+//!    without AVX2.
 //!
-//! Gates 2 to 5 run their two sides in alternating short bursts and judge
+//! Gates 2 to 6 run their two sides in alternating short bursts and judge
 //! the median of the per-pair ratios ([`alternate`]), so drift of a shared
 //! host cancels instead of landing on one side. The exit status is 1 if
 //! any gate fails; a skipped gate prints its reason.
@@ -53,6 +61,7 @@ use std::time::Instant;
 
 use exo_aot::NativeKernel;
 use exo_codegen::simd::strided_move_on;
+use exo_tune::TunedGemm;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
     native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
@@ -97,6 +106,15 @@ const PARITY_FLOOR: f64 = 0.75;
 const PARITY_SIZE: usize = 256;
 /// Alternating GEMM pairs per parity measurement.
 const PARITY_PAIRS: usize = 30;
+
+/// Lowest `placement` ratio (the rate with every operand 16 bytes past a
+/// cache line over the rate with every one on a line) accepted: 0.96–0.98
+/// measured, the rest being `C` lines that neighbouring tiles share.
+const PLACEMENT_FLOOR: f64 = 0.95;
+/// Problem size of the placement gate.
+const PLACEMENT_SIZE: usize = 512;
+/// Alternating GEMM pairs per placement measurement.
+const PLACEMENT_PAIRS: usize = 40;
 
 /// How a measurement lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
@@ -440,6 +458,44 @@ fn parity(native: &BlisGemm, mode: Mode) -> Paired {
     })
 }
 
+/// `len` elements `f(0..len)` in a buffer where they start `bytes` past a
+/// 64-byte boundary, and the index they start at.
+fn placed(len: usize, bytes: usize, f: impl Fn(usize) -> f32) -> (Vec<f32>, usize) {
+    let mut buf = vec![0.0f32; len + 32];
+    let start = buf.as_ptr().addr().wrapping_neg() % 64 / 4 + bytes / 4;
+    for (i, x) in buf[start..start + len].iter_mut().enumerate() {
+        *x = f(i);
+    }
+    (buf, start)
+}
+
+/// The placement gate: `driver` with `A`, `B` and `C` 16 bytes past a
+/// cache line (subject) against the same with all three on one, one
+/// [`PLACEMENT_SIZE`]-cubed GEMM a burst.
+fn placement(driver: &BlisGemm) -> Paired {
+    let (n, len) = (PLACEMENT_SIZE, PLACEMENT_SIZE * PLACEMENT_SIZE);
+    let operands = |bytes: usize| {
+        [
+            placed(len, bytes, |i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0),
+            placed(len, bytes, |i| ((i * 5 + 2) % 17) as f32 * 0.125 - 1.0),
+            placed(len, bytes, |_| 0.0),
+        ]
+    };
+    let (mut off_line, mut on_line) = (operands(16), operands(0));
+    alternate(PLACEMENT_PAIRS, |side| {
+        let [(a, a0), (b, b0), (c, c0)] = match side {
+            Side::Subject => &mut off_line,
+            Side::Reference => &mut on_line,
+        };
+        let problem = GemmProblem::new(
+            MatRef::from_slice(&a[*a0..*a0 + len], n, n),
+            MatRef::from_slice(&b[*b0..*b0 + len], n, n),
+            MatMut::from_slice(&mut c[*c0..*c0 + len], n, n),
+        );
+        driver.gemm(problem).expect("gemm run");
+    })
+}
+
 /// Prints one ratio gate's verdict line and returns whether it passed.
 fn verdict(gate: &str, ratio: f64, floor: f64) -> bool {
     let ok = ratio >= floor;
@@ -584,6 +640,26 @@ fn main() {
             gemm_gflops(PARITY_SIZE, p.reference_secs)
         );
         failed |= !verdict(gate, p.ratio, PARITY_FLOOR);
+    }
+
+    if !IsaKind::Avx2.available() {
+        println!(
+            "  placement              skipped — the write-back it judges is AVX2's and this host has no AVX2"
+        );
+    } else {
+        let size = PLACEMENT_SIZE;
+        let (tuned, driver) = TunedGemm::new().driver_for(size, size, size).expect("the serving space tunes");
+        // The native artifact, settled before timing, as for the 8x12.
+        let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+        let p = placement(&driver);
+        println!(
+            "  placement at {size} ({}x{} verdict): off a line {:.1} GFLOPS, on a line {:.1} GFLOPS",
+            tuned.mr,
+            tuned.nr,
+            gemm_gflops(size, p.subject_secs),
+            gemm_gflops(size, p.reference_secs)
+        );
+        failed |= !verdict("placement", p.ratio, PLACEMENT_FLOOR);
     }
 
     if failed {

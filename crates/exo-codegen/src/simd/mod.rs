@@ -56,7 +56,10 @@
 //! 2-D mover ([`strided_move`]) that a BLIS-like driver packs its operands
 //! and stages its `C` tiles with: one body per impl beside that ISA's
 //! arithmetic, picked by the same [`active_isa`], bit-identical to the
-//! scalar one by construction (a move and at most one multiply).
+//! scalar one by construction (a move and at most one multiply). What the
+//! driver moves into, it owns as an [`AlignedBuf`] — packed panels, the
+//! staged `C` tile, a chain's register file — so every one starts on a
+//! cache line wherever `malloc` put it.
 //!
 //! **Selection and safety.** A [`SimdKernel`]'s body runs bounds-free —
 //! the closure chain, or the ahead-of-time compiled C the `exo-aot` tier
@@ -125,6 +128,7 @@ macro_rules! with_isa_impl {
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod aarch64;
+mod aligned;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
 mod compile;
@@ -133,6 +137,7 @@ pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86_64;
 
+pub use aligned::AlignedBuf;
 use compile::Node;
 pub use mover::{strided_move, strided_move_on};
 use mover::{Move2d, Walk};
@@ -517,10 +522,11 @@ enum Program {
 /// Reusable execution state of a closure chain: the flat register file and
 /// the loop-counter table of its source kernel, allocated once per
 /// [`SimdDispatch`]. Empty for compiled code, which keeps both on its own
-/// stack.
+/// stack. The register file starts on a cache line, so the tape's
+/// `LANE_ALIGN`-register locals are whole 32-byte vectors in memory too.
 #[derive(Debug, Clone, Default)]
 struct ExecScratch {
-    regs: Vec<f32>,
+    regs: AlignedBuf,
     loops: Vec<i64>,
 }
 
@@ -673,7 +679,7 @@ impl SimdKernel {
         match self.program {
             Program::Chain(_) => {
                 let tape = self.source.tape();
-                ExecScratch { regs: vec![0.0; tape.n_regs], loops: vec![0; tape.n_dyn_loops] }
+                ExecScratch { regs: AlignedBuf::zeroed(tape.n_regs), loops: vec![0; tape.n_dyn_loops] }
             }
             Program::Compiled { .. } => ExecScratch::default(),
         }

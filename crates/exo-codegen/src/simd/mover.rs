@@ -12,7 +12,9 @@
 //! * **transposed** (the destination contiguous along one axis, the
 //!   source along the other) — in-register transposes: on AVX2 8×8
 //!   blocks as pairs of 4×8 halves (`vinsertf128` loads, then `unpack` and
-//!   `shuffle`) with 4×4 granules for the tails, on NEON 4×4 `trn` blocks;
+//!   `shuffle`) with 4×4 granules for the tails — and for a leading strip
+//!   where the destination rows start 16 bytes past a 32-byte boundary, so
+//!   that no 8-wide store splits a cache line — on NEON 4×4 `trn` blocks;
 //! * **anything else** — the scalar stride walk.
 //!
 //! and the ISA picks one body per `VectorIsa` impl, exactly as it does for

@@ -210,11 +210,21 @@ unsafe fn move_rows(m: &Move2d) {
 /// are an 8×8 transpose — then one strip of 4×4 blocks where four columns
 /// remain, and the scalar walk over what is left at the bottom and on the
 /// right (fewer than four rows or columns wide).
+///
+/// When every destination row starts 16 bytes past a 32-byte boundary (the
+/// first does and `drs` is a whole number of 8-element vectors) — a caller's
+/// `C` the driver stages tiles back into, say — one strip of 4×4 blocks
+/// goes first. It puts every 8-wide store that follows on a 32-byte
+/// boundary, so none of them splits a cache line.
 #[target_feature(enable = "avx2")]
 unsafe fn move_transposed(m: &Move2d) {
     let (k8, k4) = scale_vectors(m.scale);
     let (rows4, cols4) = (m.rows & !3, m.cols & !3);
     let mut c = 0;
+    if m.dst.addr() % 32 == 16 && m.drs.is_multiple_of(8) && cols4 >= 4 {
+        transpose_strip_4x4(m, 0, rows4, k4);
+        c = 4;
+    }
     while c + 8 <= m.cols {
         for r in (0..rows4).step_by(4) {
             transpose_4x8(m.dst.add(r * m.drs + c), m.drs, m.src.add(c * m.scs + r), m.scs, k8);
@@ -222,12 +232,19 @@ unsafe fn move_transposed(m: &Move2d) {
         c += 8;
     }
     if c < cols4 {
-        for r in (0..rows4).step_by(4) {
-            transpose_4x4(m.dst.add(r * m.drs + c), m.drs, m.src.add(c * m.scs + r), m.scs, k4);
-        }
+        transpose_strip_4x4(m, c, rows4, k4);
     }
     m.walk(rows4..m.rows, 0..m.cols);
     m.walk(0..rows4, cols4..m.cols);
+}
+
+/// The four columns from `c` of the first `rows4` rows, as 4×4 blocks.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_strip_4x4(m: &Move2d, c: usize, rows4: usize, k4: Option<__m128>) {
+    for r in (0..rows4).step_by(4) {
+        transpose_4x4(m.dst.add(r * m.drs + c), m.drs, m.src.add(c * m.scs + r), m.scs, k4);
+    }
 }
 
 /// Loads 4 elements from each of eight source columns (`scs` apart),

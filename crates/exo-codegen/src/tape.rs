@@ -55,7 +55,9 @@ const TEMP_FLAG: u32 = 1 << 31;
 
 /// Vector lanes the register file is aligned to: every local buffer starts
 /// on a multiple of this, so the whole-vector ops of the superword backend
-/// ([`crate::superword`]) always address lane-aligned register runs.
+/// ([`crate::superword`]) always address lane-aligned register runs — and,
+/// over the chain's cache-line-aligned file ([`crate::simd::AlignedBuf`]),
+/// whole 32-byte vectors in memory.
 pub(crate) const LANE_ALIGN: u32 = 8;
 
 /// A term of an affine address: one dynamic-loop counter or one scalar

@@ -53,7 +53,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use exo_codegen::simd::strided_move;
+use exo_codegen::simd::{strided_move, AlignedBuf};
 
 use crate::baselines::{neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
@@ -487,7 +487,9 @@ pub struct GemmRunner {
     blocking: BlockingParams,
     dispatch: KernelDispatch,
     arena: PackArena,
-    c_tile: Vec<f32>,
+    /// On a cache line, like the arena's panels: a 16-row tile's columns
+    /// are whole lines.
+    c_tile: AlignedBuf,
 }
 
 /// A `(rows, cols)` window of `C`: the unit of work of one engine pass.
@@ -531,7 +533,7 @@ impl GemmRunner {
             blocking,
             dispatch: kernel.dispatcher(),
             arena: PackArena::empty(),
-            c_tile: vec![0.0f32; kernel.mr * kernel.nr],
+            c_tile: AlignedBuf::zeroed(kernel.mr * kernel.nr),
         }
     }
 
@@ -1242,6 +1244,23 @@ mod tests {
             assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{refused:?}");
             assert_eq!(c.data, c0.data);
         }
+    }
+
+    #[test]
+    fn a_runner_stages_tiles_and_packs_panels_on_cache_lines() {
+        let kernel = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
+        let driver =
+            BlisGemm::new(BlockingParams { mc: 64, kc: 48, nc: 96, mr: 8, nr: 12 }).with_kernel(kernel);
+        let mut runner = driver.runner();
+        let (a, b) =
+            (Matrix::from_fn(70, 50, |i, j| (i + j) as f32), Matrix::from_fn(50, 100, |i, j| (i * j) as f32));
+        let mut c = Matrix::zeros(70, 100);
+        runner.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
+        let (ac, bc) = runner.arena.buffers();
+        for (what, buf) in [("the C tile", &runner.c_tile[..]), ("Ac", &ac[..]), ("Bc", &bc[..])] {
+            assert_eq!(buf.as_ptr().addr() % 64, 0, "{what} does not start on a cache line");
+        }
+        assert_eq!(runner.c_tile.len(), 8 * 12);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! a [`PackedB`]: the whole of `op(B)` packed once, ahead of the five loops,
 //! for every GEMM that multiplies by the same matrix.
 
-use exo_codegen::simd::strided_move;
+use exo_codegen::simd::{strided_move, AlignedBuf};
 
 use crate::blocking::BlockingParams;
 use crate::views::MatRef;
@@ -156,11 +156,13 @@ pub fn b_panel(packed: &[f32], jr: usize, kc_eff: usize, nr: usize) -> &[f32] {
 /// problem) so the `pack_*_into` calls of every `(jc, pc, ic)` iteration
 /// write in place and the block loops allocate nothing. Each buffer exists
 /// only once its owner has packed that operand: an engine whose `B` always
-/// arrives as a [`PackedB`] image keeps `Ac` alone.
+/// arrives as a [`PackedB`] image keeps `Ac` alone. Both start on a cache
+/// line ([`AlignedBuf`]), and so does every panel whose rows are whole
+/// lines, so the kernel's panel loads never straddle two.
 #[derive(Debug, Clone)]
 pub struct PackArena {
-    a: Vec<f32>,
-    b: Vec<f32>,
+    a: AlignedBuf,
+    b: AlignedBuf,
 }
 
 impl PackArena {
@@ -178,7 +180,7 @@ impl PackArena {
     /// so a stream of small entries never pays for the blocking's
     /// unclamped maxima.
     pub fn empty() -> Self {
-        PackArena { a: Vec::new(), b: Vec::new() }
+        PackArena { a: AlignedBuf::default(), b: AlignedBuf::default() }
     }
 
     /// Grows the arena (never shrinks) to fit an `m x n x k` problem under
@@ -191,9 +193,7 @@ impl PackArena {
     pub fn ensure_for_problem(&mut self, blocking: &BlockingParams, m: usize, n: usize, k: usize) {
         self.ensure_a(blocking, m, k);
         let b_len = blocking.nc.min(n.max(1)).div_ceil(blocking.nr) * blocking.nr * blocking.kc.min(k.max(1));
-        if self.b.len() < b_len {
-            self.b = vec![0.0; b_len];
-        }
+        self.b.grow_to(b_len);
     }
 
     /// The `Ac` half of [`PackArena::ensure_for_problem`]: all a problem
@@ -201,9 +201,7 @@ impl PackArena {
     /// from images never holds a `Bc` buffer.
     pub(crate) fn ensure_a(&mut self, blocking: &BlockingParams, m: usize, k: usize) {
         let a_len = blocking.mc.min(m.max(1)).div_ceil(blocking.mr) * blocking.mr * blocking.kc.min(k.max(1));
-        if self.a.len() < a_len {
-            self.a = vec![0.0; a_len];
-        }
+        self.a.grow_to(a_len);
     }
 
     /// Both buffers at once (`Ac`, `Bc`), split-borrowed so a packed `Bc`
@@ -234,11 +232,12 @@ impl PackArena {
 /// matrix it was packed from). The buffer grows on demand and is never
 /// shrunk, so one image repacked batch after batch allocates only when a
 /// `B` is larger than every one before it. The default image is of
-/// nothing and holds no buffer until [`crate::BlisGemm::pack_b`] fills it.
+/// nothing, with an empty buffer until [`crate::BlisGemm::pack_b`] fills
+/// it. The image starts on a cache line, as [`PackArena`]'s buffers do.
 #[derive(Debug, Clone, Default)]
 pub struct PackedB {
     /// The buffer; the image is its first `len` elements.
-    data: Vec<f32>,
+    data: AlignedBuf,
     len: usize,
     k: usize,
     n: usize,
@@ -261,10 +260,8 @@ impl PackedB {
         let (k, n) = (b.rows(), b.cols());
         let BlockingParams { kc, nc, nr, .. } = *blocking;
         let len = (n / nc * padded(nc, nr) + padded(n % nc, nr)) * k;
-        if self.data.len() < len {
-            // Replaced, not extended, for the reasons `PackArena` gives.
-            self.data = vec![0.0; len];
-        }
+        // Replaced, not extended, for the reasons `PackArena` gives.
+        self.data.grow_to(len);
         (self.len, self.k, self.n, self.kc, self.nc, self.nr) = (len, k, n, kc, nc, nr);
         let mut rest = &mut self.data[..len];
         for jc in (0..n).step_by(nc) {
@@ -462,15 +459,52 @@ mod tests {
         assert_eq!(got_b, pack_b(&mut fresh, b_view, [2, 8, 4, 3], 4));
     }
 
+    /// Asserts `buf` starts on a 64-byte boundary.
+    fn assert_on_a_line(buf: &[f32], what: &str) {
+        assert_eq!(buf.as_ptr().addr() % 64, 0, "{what} does not start on a cache line");
+    }
+
+    /// The lengths of `Ac` and `Bc` as the driver borrows them, each checked
+    /// to start on a cache line.
+    fn buffer_lens(arena: &mut PackArena) -> (usize, usize) {
+        let (a, b) = arena.buffers();
+        assert_on_a_line(a, "Ac");
+        assert_on_a_line(b, "Bc");
+        (a.len(), b.len())
+    }
+
     #[test]
     fn arena_capacity_is_clamped_to_the_problem() {
         let blocking = BlockingParams { mc: 120, kc: 512, nc: 3072, mr: 8, nr: 12 };
-        let small = PackArena::for_problem(&blocking, 10, 10, 10);
+        let mut small = PackArena::for_problem(&blocking, 10, 10, 10);
         // 10 rows -> 2 panels of 8, depth 10; 10 cols -> 1 panel of 12.
-        assert_eq!(small.a.len(), 16 * 10);
+        assert_eq!(buffer_lens(&mut small), (16 * 10, 12 * 10));
         assert_eq!(small.b_capacity(), 12 * 10);
-        let large = PackArena::for_problem(&blocking, 4000, 4000, 4000);
-        assert_eq!(large.a.len(), 120 * 512);
+        let mut large = PackArena::for_problem(&blocking, 4000, 4000, 4000);
+        assert_eq!(buffer_lens(&mut large), (120 * 512, 3072 * 512));
         assert_eq!(large.b_capacity(), 3072 * 512);
+    }
+
+    #[test]
+    fn packed_buffers_start_on_a_cache_line_however_they_grew() {
+        let blocking = BlockingParams { mc: 120, kc: 256, nc: 3072, mr: 16, nr: 16 };
+        // Empty, block-sized (past glibc's `mmap` threshold, where a plain
+        // `Vec` starts 16 bytes into a page), then cloned.
+        let mut arena = PackArena::empty();
+        buffer_lens(&mut arena);
+        for (m, n, k) in [(10, 10, 10), (100, 300, 200), (4000, 4000, 4000)] {
+            arena.ensure_for_problem(&blocking, m, n, k);
+            buffer_lens(&mut arena);
+            buffer_lens(&mut arena.clone());
+        }
+        let mut image = PackedB::default();
+        assert_on_a_line(image.as_slice(), "the default image");
+        for (k, n) in [(3, 7), (600, 200)] {
+            let b: Vec<f32> = (0..k * n).map(|x| x as f32).collect();
+            image.pack(MatRef::from_slice(&b, k, n), &blocking);
+            assert_on_a_line(image.as_slice(), &format!("a {k}x{n} image"));
+            assert_on_a_line(image.clone().as_slice(), &format!("a clone of the {k}x{n} image"));
+            assert_eq!(image.clone().as_slice(), image.as_slice());
+        }
     }
 }

@@ -805,7 +805,11 @@ fn a_build_failure_between_passes_reads_degraded_from_health_alone() {
         return; // no toolchain: the request declines before any build starts
     }
     settle_shared_native_key();
-    let kernel = fresh_kernel(12, 8);
+    // A tile no serving space admits and no other test builds, so no
+    // neighbour can have left it `Ready` in the engine's memory; evicted
+    // from disk, so the build cannot short-circuit past the armed fault.
+    let kernel = fresh_kernel(5, 3);
+    let _ = evict_artifact(&kernel);
     let service = GemmService::new(driver());
     FaultPlan::new().aot_compile_fail(1).arm();
     let built = exo_gemm::exo_aot::engine().compile(&kernel.superword, exo_gemm::exo_codegen::active_isa());

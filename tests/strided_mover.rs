@@ -7,7 +7,10 @@
 //! (so every 8 / 4 / scalar tail combination on both axes), both
 //! orientations of the row-copy and transposing walks plus the general
 //! one, dense and padded leading dimensions on both sides, and a pure move
-//! beside two scales.
+//! beside two scales. A second axis is where the destination starts: each
+//! of the 16 element offsets from a cache line, under row strides that keep
+//! every row at that offset and one that does not — where the AVX2 body
+//! (AVX-512's too) peels a strip to keep its stores inside cache lines.
 
 use exo_gemm::exo_codegen::simd::strided_move_on;
 use exo_gemm::exo_codegen::IsaKind;
@@ -99,6 +102,76 @@ fn every_available_isa_moves_exactly_what_the_scalar_walk_moves() {
         }
     }
     assert_eq!(moves, 26 * 26 * 2 * 5 * 3 * isas.len());
+}
+
+/// Elements in one 64-byte cache line.
+const LINE: usize = 16;
+
+#[test]
+fn every_destination_placement_moves_exactly_what_the_scalar_walk_moves() {
+    let isas: Vec<IsaKind> = IsaKind::ALL.into_iter().filter(|isa| isa.available()).collect();
+    let mut moves = 0usize;
+    for offset in 0..LINE {
+        for rows in 1..=9usize {
+            for cols in 12..=25usize {
+                let extent = (rows, cols);
+                // Two row strides of whole 8-element vectors, so that every
+                // row starts at the first one's offset (offsets 4 and 12 take
+                // the peel), and one that is not.
+                let wide = cols.next_multiple_of(8);
+                for drs in [wide, wide + 8, cols + 3] {
+                    // Into row-major rows from a column-major source (the
+                    // transposing walk that stages a tile out to `C`) and
+                    // from a row-major one (row copies).
+                    for src_strides in [(1, rows + 1), (cols + 2, 1)] {
+                        let src: Vec<f32> =
+                            (0..reach(extent, src_strides)).map(|i| (i as f32) * 0.37 - 41.0).collect();
+                        // Room to start `offset` elements past a line wherever
+                        // the allocation itself lands.
+                        let dst_len = GUARD + LINE + reach(extent, (drs, 1)) + GUARD;
+                        for scale in [1.0f32, 0.75, -1.0] {
+                            for &isa in &isas {
+                                let mut dst = vec![SENTINEL; dst_len];
+                                let start = GUARD + dst.as_ptr().addr().wrapping_neg() % 64 / 4 + offset;
+                                let mut want = dst.clone();
+                                for r in 0..rows {
+                                    for c in 0..cols {
+                                        let v = src[r * src_strides.0 + c * src_strides.1];
+                                        want[start + r * drs + c] = if scale == 1.0 { v } else { scale * v };
+                                    }
+                                }
+                                // SAFETY: `dst` covers `start` plus the
+                                // destination's reach, `src` its own; they
+                                // are distinct allocations, and both stride
+                                // maps are injective.
+                                unsafe {
+                                    strided_move_on(
+                                        isa,
+                                        dst.as_mut_ptr().add(start),
+                                        (drs, 1),
+                                        src.as_ptr(),
+                                        src_strides,
+                                        extent,
+                                        scale,
+                                    );
+                                }
+                                moves += 1;
+                                for (at, (got, want)) in dst.iter().zip(&want).enumerate() {
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "{isa}: destination {offset} elements past a line, {rows}x{cols}, row \
+                                         stride {drs}, src strides {src_strides:?}, scale {scale}: element {at}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(moves, LINE * 9 * 14 * 3 * 2 * 3 * isas.len());
 }
 
 #[test]

@@ -9,7 +9,8 @@
 //! blocks: `TunedGemm`, whatever tile and blocking it picks for a shape,
 //! equals `BlisGemm` with the fixed Neon 8x12 on the analytical blocking
 //! **bit for bit**, on every ISA (`EXO_ISA=scalar` included), whichever of
-//! the native artifact and the simd chain runs a call.
+//! the native artifact and the simd chain runs a call. Nor does it depend
+//! on where the caller's operands start relative to a cache line.
 
 mod common;
 
@@ -21,7 +22,9 @@ use exo_gemm::carmel_sim::CacheHierarchy;
 use exo_gemm::dnn_models::{resnet50_table, vgg16_table};
 use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::exo_tune::TunedGemm;
-use exo_gemm::gemm_blis::{exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix};
+use exo_gemm::gemm_blis::{
+    exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, MatMut, MatRef, Matrix,
+};
 use exo_gemm::ukernel_gen::MicroKernelGenerator;
 
 /// The eight shapes of the benchmark's `serve_small` workload.
@@ -82,4 +85,47 @@ fn every_tiling_computes_the_same_bits() {
         tilings.iter().any(|&(mr, nr, _)| (mr, nr) != (8, 12)),
         "the tuner served no tile but the reference's: {tilings:?}"
     );
+}
+
+/// `data` copied into a fresh buffer so that it starts `bytes` past a
+/// 64-byte boundary; returns the buffer and where the copy starts in it.
+fn placed(data: &[f32], bytes: usize) -> (Vec<f32>, usize) {
+    let mut buf = vec![0.0f32; data.len() + 32];
+    let start = buf.as_ptr().addr().wrapping_neg() % 64 / 4 + bytes / 4;
+    buf[start..start + data.len()].copy_from_slice(data);
+    (buf, start)
+}
+
+#[test]
+fn operand_placement_computes_the_same_bits() {
+    // One shape through its serving verdict: on an AVX-512 host the 16x16,
+    // with a fringe on both axes.
+    let (m, n, k) = (70usize, 200usize, 300usize);
+    let (_, driver) = TunedGemm::new().driver_for(m, n, k).unwrap();
+    let mut cases = Cases::new(0x0ff5_e7ed);
+    let a: Vec<f32> = (0..m * k).map(|_| cases.f32_unit()).collect();
+    let b: Vec<f32> = (0..k * n).map(|_| cases.f32_unit()).collect();
+    let c0: Vec<f32> = (0..m * n).map(|_| cases.f32_unit()).collect();
+    let mut first: Option<Vec<f32>> = None;
+    for a_at in [0, 16, 32, 48] {
+        for b_at in [0, 16, 32, 48] {
+            for c_at in [0, 16, 32, 48] {
+                let ((a_buf, a0), (b_buf, b0), (mut c_buf, c0_at)) =
+                    (placed(&a, a_at), placed(&b, b_at), placed(&c0, c_at));
+                let problem = GemmProblem::new(
+                    MatRef::from_slice(&a_buf[a0..a0 + m * k], m, k),
+                    MatRef::from_slice(&b_buf[b0..b0 + k * n], k, n),
+                    MatMut::from_slice(&mut c_buf[c0_at..c0_at + m * n], m, n),
+                )
+                .alpha(1.5)
+                .beta(-0.25);
+                driver.gemm(problem).unwrap();
+                let c = c_buf[c0_at..c0_at + m * n].to_vec();
+                match &first {
+                    None => first = Some(c),
+                    Some(want) => assert_eq!(&c, want, "A, B, C at {a_at}, {b_at}, {c_at} bytes past a line"),
+                }
+            }
+        }
+    }
 }
