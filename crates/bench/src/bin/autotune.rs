@@ -14,7 +14,9 @@
 //! columns are what `TunedGemm::new()` dispatches on this host: the same
 //! ranking over the executing vector ISA's own library where the tree has
 //! one (`avx512_f32` on AVX-512) and the Neon one elsewhere, confined to
-//! the tiles that ISA runs in whole vectors inside its register file.
+//! the tiles that ISA runs in whole vectors inside its register file, each
+//! tile blocked for the caches probed on this host (printed first, with the
+//! `(mc, kc, nc)` every serving tile gets).
 
 use dnn_models::{resnet50_table, vgg16_table};
 use exo_tune::{tune_workload, workload_seconds, KernelRegistry, TunedGemm, Tuner};
@@ -33,8 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let executing = active_isa();
     let serving = TunedGemm::new();
     let library = &serving.tuner().isa().name;
-    let served: Vec<(usize, usize)> =
-        serving.tuner().space().tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
+    let serving_space = serving.tuner().space();
+    let host = serving_space.host().expect("a serving space has a host");
+    let served: Vec<(usize, usize)> = serving_space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
+    println!("host caches (serving blocking is sized for these): {host}");
     println!("== design space ({}) ==", tuner.isa().name);
     println!("{:>7} {:>14} {:>10} {:>10}", "tile", "strategy", "registers", "serving");
     for tile in tuner.space().tile_shapes() {
@@ -47,18 +51,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if is_served { "yes" } else { "-" }
         );
     }
-    let candidates = tuner.space().candidates(&tuner.core().mem).len();
+    let candidates = tuner.space().candidates().len();
     println!(
-        "{} tiles x 2 blocking sources = {candidates} candidates per problem",
+        "{} tiles x 2 Carmel blocking sources = {candidates} modelled candidates per problem",
         tuner.space().tile_shapes().len()
     );
     println!(
-        "serving on {executing} ({} lanes, {} vector registers): {} of {library}'s tiles fill whole vectors ({})\n",
+        "serving on {executing} ({} lanes, {} vector registers): {} of {library}'s tiles fill whole vectors, \
+         each with one host blocking (mc,kc,nc):",
         executing.lanes(),
         executing.vector_registers().map_or("unbounded".to_string(), |r| r.to_string()),
         served.len(),
-        served.iter().map(|(mr, nr)| format!("{mr}x{nr}")).collect::<Vec<_>>().join(", ")
     );
+    let blocked: Vec<String> = serving_space
+        .candidates()
+        .iter()
+        .map(|c| {
+            format!("{}x{} ({},{},{})", c.tile.mr, c.tile.nr, c.blocking.mc, c.blocking.kc, c.blocking.nc)
+        })
+        .collect();
+    println!("  {}\n", blocked.join(", "));
 
     // The fixed-kernel baseline the tuned path must beat: ALG+EXO pinned to
     // the monolithic 8x12 tile. Building it generates the design-space tiles
@@ -88,24 +100,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for workload in [resnet50_table(), vgg16_table()] {
         println!("\n== {} per-layer winners ==", workload.name);
         println!(
-            "{:>22} {:>7} {:>10} {:>14} {:>16}",
+            "{:>22} {:>7} {:>10} {:>14} {:>24}",
             "layer (m,n,k)",
             "winner",
             "kc",
             "tuned GF",
-            format!("serving@{executing}")
+            format!("serving@{executing} (mc,kc,nc)")
         );
         let plans = tune_workload(&tuner, &workload)?;
         for plan in &plans {
             let p = &plan.problem;
             let served = serving.plan(p.m, p.n, p.k)?;
             println!(
-                "{:>22} {:>7} {:>10} {:>14.2} {:>16}",
+                "{:>22} {:>7} {:>10} {:>14.2} {:>24}",
                 format!("({},{},{})", p.m, p.n, p.k),
                 format!("{}x{}", plan.verdict.mr, plan.verdict.nr),
                 plan.verdict.kc,
                 plan.verdict.predicted_gflops,
-                format!("{}x{}", served.mr, served.nr)
+                format!("{}x{} ({},{},{})", served.mr, served.nr, served.mc, served.kc, served.nc)
             );
         }
         println!(

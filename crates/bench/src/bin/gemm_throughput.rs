@@ -1,4 +1,4 @@
-//! The perf gates measured outside `exo_bench`: six comparisons of two
+//! The perf gates measured outside `exo_bench`: seven comparisons of two
 //! things timed in one run. Nothing here is compared with a recorded
 //! number and nothing is written — every absolute figure (GFLOPS, latency,
 //! per-layer shares, normalised to a calibration burst and run
@@ -49,8 +49,15 @@
 //!    its stores into `C` inside cache lines, so only the caller's layout
 //!    is left to differ. Must reach [`PLACEMENT_FLOOR`]; skipped on a host
 //!    without AVX2.
+//! 7. **`host_blocking`** — the serving blocking is sized for the caches of
+//!    the machine that runs it: the serving verdict's driver
+//!    (`BlockingParams::for_host` on this host's probed caches) against the
+//!    same kernel on `BlockingParams::analytical` of Carmel's caches, on
+//!    each of [`HOST_BLOCKING_SHAPES`], one GEMM a burst. Each must reach
+//!    [`HOST_BLOCKING_FLOOR`]; skipped on a host without AVX2, where the
+//!    floor has never been measured.
 //!
-//! Gates 2 to 6 run their two sides in alternating short bursts and judge
+//! Gates 2 to 7 run their two sides in alternating short bursts and judge
 //! the median of the per-pair ratios ([`alternate`]), so drift of a shared
 //! host cancels instead of landing on one side. The exit status is 1 if
 //! any gate fails; a skipped gate prints its reason.
@@ -65,7 +72,7 @@ use exo_tune::TunedGemm;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
     native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
-    IsaKind, KernelImpl, MatMut, MatRef,
+    HostDescription, IsaKind, KernelImpl, MatMut, MatRef,
 };
 use ukernel_gen::{GeneratedKernel, MicroKernelGenerator};
 
@@ -115,6 +122,15 @@ const PLACEMENT_FLOOR: f64 = 0.95;
 const PLACEMENT_SIZE: usize = 512;
 /// Alternating GEMM pairs per placement measurement.
 const PLACEMENT_PAIRS: usize = 40;
+
+/// Lowest `host_blocking` ratio (the verdict's driver on the host blocking
+/// over the same kernel on Carmel's analytical blocking) accepted.
+const HOST_BLOCKING_FLOOR: f64 = 0.95;
+/// The `host_blocking` shapes: two VGG-16 layers (ResNet-50's 3x3 stages
+/// share their `n` and `k`), tall and square-ish.
+const HOST_BLOCKING_SHAPES: [(usize, usize, usize); 2] = [(3136, 256, 1152), (784, 512, 2304)];
+/// Alternating GEMM pairs per `host_blocking` shape.
+const HOST_BLOCKING_PAIRS: usize = 15;
 
 /// How a measurement lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
@@ -496,6 +512,26 @@ fn placement(driver: &BlisGemm) -> Paired {
     })
 }
 
+/// The `host_blocking` gate on one `m x n x k` shape: `subject` against
+/// `reference`, one GEMM a burst, over one set of line-aligned operands.
+fn host_blocking(subject: &BlisGemm, reference: &BlisGemm, (m, n, k): (usize, usize, usize)) -> Paired {
+    let (a, a0) = placed(m * k, 0, |i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0);
+    let (b, b0) = placed(k * n, 0, |i| ((i * 5 + 2) % 17) as f32 * 0.125 - 1.0);
+    let (mut c, c0) = placed(m * n, 0, |_| 0.0);
+    alternate(HOST_BLOCKING_PAIRS, |side| {
+        let driver = match side {
+            Side::Subject => subject,
+            Side::Reference => reference,
+        };
+        let problem = GemmProblem::new(
+            MatRef::from_slice(&a[a0..a0 + m * k], m, k),
+            MatRef::from_slice(&b[b0..b0 + k * n], k, n),
+            MatMut::from_slice(&mut c[c0..c0 + m * n], m, n),
+        );
+        driver.gemm(problem).expect("gemm run");
+    })
+}
+
 /// Prints one ratio gate's verdict line and returns whether it passed.
 fn verdict(gate: &str, ratio: f64, floor: f64) -> bool {
     let ok = ratio >= floor;
@@ -660,6 +696,35 @@ fn main() {
             gemm_gflops(size, p.reference_secs)
         );
         failed |= !verdict("placement", p.ratio, PLACEMENT_FLOOR);
+    }
+
+    if !IsaKind::Avx2.available() {
+        println!(
+            "  host_blocking          skipped — the floor is measured on AVX2 hosts and this one has no AVX2"
+        );
+    } else {
+        let tuned = TunedGemm::new();
+        println!("  host caches: {}", HostDescription::probed());
+        for (m, n, k) in HOST_BLOCKING_SHAPES {
+            let (plan, driver) = tuned.driver_for(m, n, k).expect("the serving space tunes");
+            let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+            let carmel =
+                BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), plan.mr, plan.nr, 4);
+            let reference = BlisGemm::new(carmel).with_kernel(driver.kernel().clone());
+            let p = host_blocking(&driver, &reference, (m, n, k));
+            let blocks = |b: &BlockingParams| format!("({},{},{})", b.mc, b.kc, b.nc);
+            let rate = |secs: f64| 2.0 * (m * n * k) as f64 / secs / 1.0e9;
+            println!(
+                "  host_blocking {m}x{n}x{k} ({}x{}): host {} {:.1} GFLOPS, Carmel {} {:.1} GFLOPS",
+                plan.mr,
+                plan.nr,
+                blocks(&driver.blocking),
+                rate(p.subject_secs),
+                blocks(&carmel),
+                rate(p.reference_secs)
+            );
+            failed |= !verdict(&format!("host_blocking {m}x{n}x{k}"), p.ratio, HOST_BLOCKING_FLOOR);
+        }
     }
 
     if failed {

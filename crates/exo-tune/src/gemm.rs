@@ -5,7 +5,11 @@
 //! tuned once (or loaded from a persisted registry), each distinct verdict
 //! group — register tile plus blocking — gets one functional five-loop
 //! driver built around the winning kernel, and every problem is that
-//! driver's `gemm`: repeat shapes skip straight to a warm engine. The full
+//! driver's `gemm`: repeat shapes skip straight to a warm engine. The
+//! blocking is not searched: every tile runs with the one `mc` / `kc` / `nc`
+//! sized for this host's probed caches
+//! ([`gemm_blis::BlockingParams::for_host`]), so a verdict group is a tile,
+//! and a workload the tuner serves one tile has one driver. The full
 //! BLAS contract of [`gemm_blis::GemmProblem`] — strided views,
 //! `op(A)`/`op(B)`, `alpha`/`beta` — is honored by the underlying driver.
 
@@ -82,9 +86,10 @@ impl TunedGemm {
     /// `avx512_f32` on AVX-512, the ARM Neon f32 description on AVX2, NEON
     /// and the scalar reference ([`DesignSpace::serving`]) — the search
     /// confined to the tiles that ISA runs in whole vectors inside its
-    /// register file ([`DesignSpace::fills_vectors_of`]), ranked inside
-    /// that space by the analytical Carmel model; in-memory registry, one
-    /// thread.
+    /// register file ([`DesignSpace::fills_vectors_of`]), each tile blocked
+    /// for this host's probed caches
+    /// ([`gemm_blis::BlockingParams::for_host`]) and the tiles ranked by the
+    /// analytical Carmel model; in-memory registry, one thread.
     pub fn new() -> Self {
         let space = serving_space();
         let registry = KernelRegistry::new(space.identity());
@@ -114,15 +119,17 @@ impl TunedGemm {
 
     /// [`TunedGemm::new`] with a registry that persists at `path`: the
     /// first process pays for the search, every later one on the same
-    /// executing ISA starts warm.
+    /// executing ISA and the same caches starts warm.
     ///
     /// # Errors
     ///
     /// Returns [`TuneError`] if an existing file cannot be loaded —
     /// [`TuneError::Corrupt`] when it was recorded for another executing
-    /// ISA (the file's `isa` is the space's [`DesignSpace::identity`],
-    /// e.g. `neon-f32@avx2`; files older than that naming say `neon-f32`
-    /// and are refused too).
+    /// ISA or other caches (the file's `isa` is the space's
+    /// [`DesignSpace::identity`], e.g.
+    /// `neon-f32@avx2:l1d:48K/12w/64B,l2:2M/16w/64B,l3:300M/20w/64B`; files
+    /// older than that naming say `neon-f32@avx2` or `neon-f32` and are
+    /// refused too).
     pub fn with_persistence(path: impl AsRef<std::path::Path>) -> Result<Self, TuneError> {
         let space = serving_space();
         let registry = KernelRegistry::with_persistence(space.identity(), path)?;
@@ -130,9 +137,10 @@ impl TunedGemm {
     }
 
     /// Like [`TunedGemm::with_persistence`], but a damaged registry file —
-    /// or one recorded for another executing ISA — degrades to a cold start
-    /// instead of an error: the file is quarantined as `<path>.corrupt` and
-    /// tuning restarts fresh, still persisting at `path`. Returns the
+    /// or one recorded for another executing ISA or other caches — degrades
+    /// to a cold start instead of an error: the file is quarantined as
+    /// `<path>.corrupt` and tuning restarts fresh, still persisting at
+    /// `path`. Returns the
     /// executor along with the tolerated load error, if any, so the caller
     /// can log the degradation.
     pub fn with_persistence_or_fresh(path: impl AsRef<std::path::Path>) -> (Self, Option<TuneError>) {

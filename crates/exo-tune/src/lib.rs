@@ -9,17 +9,19 @@
 //! methodology into a reusable subsystem with three pieces:
 //!
 //! * [`DesignSpace`] — enumerates every `(MR, NR)` register tile valid for
-//!   a [`exo_isa::VectorIsa`] under a register budget, crossed with
-//!   candidate [`gemm_blis::BlockingParams`] derived from the modelled
-//!   cache hierarchy. The *modelled* space ([`DesignSpace::for_isa`]) is
-//!   everything the described machine could run; the *serving* space
-//!   ([`DesignSpace::for_execution`]) keeps the tiles that also fill whole
-//!   vectors of the host ISA that executes them, inside its register file;
+//!   a [`exo_isa::VectorIsa`] under a register budget, paired with
+//!   [`gemm_blis::BlockingParams`]. The *modelled* space
+//!   ([`DesignSpace::for_isa`]) is everything the described machine could
+//!   run, each tile crossed with two blockings for Carmel's caches; the
+//!   *serving* space ([`DesignSpace::for_execution`]) keeps the tiles that
+//!   also fill whole vectors of the host ISA that executes them, inside its
+//!   register file, each with the one blocking for the host's probed caches
+//!   ([`gemm_blis::HostDescription`]);
 //! * [`KernelRegistry`] — caches generated kernels keyed by
 //!   `(isa, mr, nr)` (via [`ukernel_gen::KernelCache`]) and memoises
 //!   tuning verdicts keyed by problem shape, with JSON persistence — under
-//!   the space's name, executing ISA included — so a second run on the
-//!   same kind of host skips the search entirely;
+//!   the space's name, executing ISA and cache signature included — so a
+//!   second run on the same kind of host skips the search entirely;
 //! * [`TunedGemm`] — the serving front-end: a [`gemm_blis::GemmExecutor`]
 //!   that transparently searches-or-loads the verdict for each problem
 //!   shape in the serving space of this host and dispatches the winning

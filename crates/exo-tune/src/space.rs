@@ -6,18 +6,20 @@
 //! when a vectorised scheduling strategy exists for it and its register
 //! footprint — the `C` accumulators plus the staged `A`/`B` operand
 //! vectors — fits the architectural register file. Each tile is then paired
-//! with candidate cache-blocking parameters derived from the modelled
-//! memory hierarchy (the analytical model of Low et al.) and from the fixed
-//! values BLIS ships for the Carmel family.
+//! with cache-blocking parameters for the machine the space is about.
 //!
 //! Two spaces come out of one description. [`DesignSpace::for_isa`] is the
 //! *modelled* space: what the described machine (the paper's Carmel, 4
-//! lanes, 32 registers) could run. [`DesignSpace::for_execution`] is the
-//! *serving* space: the subset of it whose vectorised extent also fills
-//! whole vectors of the ISA that will execute the kernel on this host
-//! ([`DesignSpace::fills_vectors_of`]) — a 12x8 tile is three Neon vectors
-//! tall but one and a half AVX2 vectors, and the half is paid for on every
-//! `k` iteration.
+//! lanes, 32 registers, 64 KB / 2 MB / 4 MB caches) could run, each tile
+//! crossed with the analytical blocking of Low et al. on Carmel's caches and
+//! the fixed values BLIS ships for the Carmel family.
+//! [`DesignSpace::for_execution`] is the *serving* space of one executing
+//! machine — its vector ISA and its caches ([`HostDescription`]): the
+//! subset of the modelled tiles whose vectorised extent also fills whole
+//! vectors of that ISA ([`DesignSpace::fills_vectors_of`]) — a 12x8 tile is
+//! three Neon vectors tall but one and a half AVX2 vectors, and the half is
+//! paid for on every `k` iteration — each paired with the one blocking
+//! sized for those caches ([`BlockingParams::for_host`]).
 //!
 //! Which description a host serves from is [`DesignSpace::serving`]'s
 //! choice: an executing ISA the tree has an instruction library for serves
@@ -25,11 +27,12 @@
 //! 16x16 broadcast-B kernel runs at about twice the rate of the Neon 8x12
 //! re-rolled onto AVX2 on the same host — and every other ISA from the ARM
 //! Neon f32 description, re-rolled (AVX2) or run as described (NEON, the
-//! scalar reference).
+//! scalar reference). Its caches are the ones this process probed
+//! ([`HostDescription::probed`]).
 
 use carmel_sim::CacheHierarchy;
 use exo_isa::VectorIsa;
-use gemm_blis::{BlockingParams, IsaKind};
+use gemm_blis::{BlockingParams, HostDescription, IsaKind};
 use ukernel_gen::{MicroKernelGenerator, Strategy};
 
 /// A register tile admitted to the design space.
@@ -58,9 +61,10 @@ pub struct Candidate {
 #[derive(Debug, Clone)]
 pub struct DesignSpace {
     isa: VectorIsa,
-    /// The host ISA the kernels will execute on, when the space is for
-    /// serving (`None`: the modelled space, unfiltered).
-    executing: Option<IsaKind>,
+    /// The host ISA the kernels will execute on and the caches they will
+    /// run in, when the space is for serving (`None`: the modelled space,
+    /// unfiltered and blocked for Carmel).
+    executing: Option<(IsaKind, HostDescription)>,
     /// Architectural vector registers available to the kernel.
     register_budget: usize,
     /// Maximum tile height, in vector registers (`MR <= max_mr_vectors * lanes`).
@@ -82,20 +86,21 @@ impl DesignSpace {
 
     /// The tiles of [`DesignSpace::for_isa`] that also satisfy
     /// [`DesignSpace::fills_vectors_of`] for `executing`, the host ISA their
-    /// lowering will run on. On 4-lane NEON and on the 1-lane scalar
-    /// reference that is the whole modelled Neon space.
-    pub fn for_execution(isa: VectorIsa, executing: IsaKind) -> Self {
-        DesignSpace { executing: Some(executing), ..DesignSpace::for_isa(isa) }
+    /// lowering will run on, each blocked for `host`'s caches. On 4-lane
+    /// NEON and on the 1-lane scalar reference the tiles are the whole
+    /// modelled Neon space.
+    pub fn for_execution(isa: VectorIsa, executing: IsaKind, host: HostDescription) -> Self {
+        DesignSpace { executing: Some((executing, host)), ..DesignSpace::for_isa(isa) }
     }
 
     /// The space every serving constructor searches on a host executing
-    /// `executing` (`gemm_blis::active_isa()`): [`Self::for_execution`] over
-    /// the `avx512_f32` library on AVX-512 (`avx512-f32@avx512`: the 16x16
-    /// broadcast-B tile and the `1 x 16j` rows), over `neon_f32` on every
-    /// other ISA (`neon-f32@avx2`, `neon-f32@neon`, `neon-f32@scalar`).
+    /// `executing` (`gemm_blis::active_isa()`): [`Self::for_execution`] on
+    /// this process's probed caches, over the `avx512_f32` library on
+    /// AVX-512 (the 16x16 broadcast-B tile and the `1 x 16j` rows), over
+    /// `neon_f32` on every other ISA.
     pub fn serving(executing: IsaKind) -> Self {
         let library = if executing == IsaKind::Avx512 { exo_isa::avx512_f32() } else { exo_isa::neon_f32() };
-        DesignSpace::for_execution(library, executing)
+        DesignSpace::for_execution(library, executing, *HostDescription::probed())
     }
 
     /// The instruction set the space targets.
@@ -106,16 +111,25 @@ impl DesignSpace {
     /// The host ISA the space was filtered for, or `None` for the modelled
     /// space.
     pub fn executing(&self) -> Option<IsaKind> {
-        self.executing
+        self.executing.map(|(isa, _)| isa)
+    }
+
+    /// The caches a serving space blocks for, or `None` for the modelled
+    /// space.
+    pub fn host(&self) -> Option<&HostDescription> {
+        self.executing.as_ref().map(|(_, host)| host)
     }
 
     /// What a registry must be named to hold this space's verdicts: the
     /// described ISA alone for the modelled space (`neon-f32`), suffixed
-    /// with the executing ISA for a serving space (`neon-f32@avx2`), so a
-    /// verdict searched for one host ISA is never served on another.
+    /// with the executing ISA and the caches' [`HostDescription::signature`]
+    /// for a serving space
+    /// (`neon-f32@avx2:l1d:48K/12w/64B,l2:2M/16w/64B,l3:300M/20w/64B`), so a
+    /// verdict searched for one host ISA, or blocked for other caches, is
+    /// never served on another.
     pub fn identity(&self) -> String {
-        match self.executing {
-            Some(executing) => format!("{}@{executing}", self.isa.name),
+        match &self.executing {
+            Some((executing, host)) => format!("{}@{executing}:{}", self.isa.name, host.signature()),
             None => self.isa.name.clone(),
         }
     }
@@ -172,7 +186,7 @@ impl DesignSpace {
                     continue;
                 };
                 let executable =
-                    self.executing.is_none_or(|executing| Self::fills_vectors_of(executing, mr, nr));
+                    self.executing().is_none_or(|executing| Self::fills_vectors_of(executing, mr, nr));
                 if registers <= self.register_budget && executable {
                     tiles.push(TileShape { mr, nr, strategy, registers });
                 }
@@ -182,17 +196,28 @@ impl DesignSpace {
         tiles
     }
 
-    /// The full candidate list: every valid tile crossed with every blocking
-    /// source derived from the cache hierarchy.
-    pub fn candidates(&self, mem: &CacheHierarchy) -> Vec<Candidate> {
+    /// The full candidate list. In the modelled space every valid tile is
+    /// crossed with both Carmel blocking sources (the analytical model on
+    /// Carmel's caches, then BLIS's fixed values); in a serving space every
+    /// tile gets the one blocking for its host's caches.
+    pub fn candidates(&self) -> Vec<Candidate> {
         let elem = self.isa.elem.size_bytes();
+        let carmel = CacheHierarchy::carmel();
         let mut out = Vec::new();
         for tile in self.tile_shapes() {
-            for blocking in [
-                BlockingParams::analytical(mem, tile.mr, tile.nr, elem),
-                BlockingParams::carmel_defaults(tile.mr, tile.nr),
-            ] {
-                out.push(Candidate { tile, blocking });
+            let (mr, nr) = (tile.mr, tile.nr);
+            match &self.executing {
+                Some((_, host)) => {
+                    out.push(Candidate { tile, blocking: BlockingParams::for_host(host, mr, nr) })
+                }
+                None => {
+                    for blocking in [
+                        BlockingParams::analytical(&carmel, mr, nr, elem),
+                        BlockingParams::carmel_defaults(mr, nr),
+                    ] {
+                        out.push(Candidate { tile, blocking });
+                    }
+                }
             }
         }
         out
@@ -240,9 +265,12 @@ mod tests {
                 IsaKind::Avx2 => &avx2,
                 IsaKind::Neon | IsaKind::Scalar => &modelled,
             };
-            let space = DesignSpace::for_execution(neon_f32(), executing);
+            let space = DesignSpace::for_execution(neon_f32(), executing, HostDescription::carmel());
             assert_eq!(space.executing(), Some(executing));
-            assert_eq!(space.identity(), format!("neon-f32@{executing}"));
+            assert_eq!(
+                space.identity(),
+                format!("neon-f32@{executing}:{}", HostDescription::carmel().signature())
+            );
             let tiles: Vec<(usize, usize)> = space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
             assert_eq!(&tiles, expected, "{executing}");
         }
@@ -261,12 +289,17 @@ mod tests {
         for executing in IsaKind::ALL {
             let space = DesignSpace::serving(executing);
             assert_eq!(space.executing(), Some(executing));
+            assert_eq!(space.host(), Some(HostDescription::probed()));
             let library = if executing == IsaKind::Avx512 { "avx512-f32" } else { "neon-f32" };
-            assert_eq!(space.identity(), format!("{library}@{executing}"));
+            assert_eq!(
+                space.identity(),
+                format!("{library}@{executing}:{}", HostDescription::probed().signature())
+            );
             if executing != IsaKind::Avx512 {
                 assert_eq!(
                     space.tile_shapes(),
-                    DesignSpace::for_execution(neon_f32(), executing).tile_shapes()
+                    DesignSpace::for_execution(neon_f32(), executing, HostDescription::carmel())
+                        .tile_shapes()
                 );
             }
         }
@@ -311,7 +344,7 @@ mod tests {
     fn candidates_cross_tiles_with_both_blocking_sources() {
         let space = DesignSpace::for_isa(neon_f32());
         let mem = CacheHierarchy::carmel();
-        let candidates = space.candidates(&mem);
+        let candidates = space.candidates();
         assert_eq!(candidates.len(), 2 * space.tile_shapes().len());
         for pair in candidates.chunks(2) {
             let (mr, nr) = (pair[0].tile.mr, pair[0].tile.nr);
@@ -319,5 +352,27 @@ mod tests {
             assert_eq!(pair[1].blocking, BlockingParams::carmel_defaults(mr, nr));
             assert_eq!(pair[1].tile, pair[0].tile);
         }
+    }
+
+    #[test]
+    fn a_serving_space_blocks_each_tile_once_for_its_host() {
+        let geometry = |bytes| gemm_blis::CacheGeometry { bytes, ways: 16, line: 64 };
+        let small = HostDescription { l1d: geometry(32 << 10), l2: geometry(1 << 20), l3: geometry(0) };
+        for host in [HostDescription::carmel(), small] {
+            for executing in IsaKind::ALL {
+                let library = if executing == IsaKind::Avx512 { avx512_f32() } else { neon_f32() };
+                let space = DesignSpace::for_execution(library, executing, host);
+                assert_eq!(space.host(), Some(&host));
+                let candidates = space.candidates();
+                assert_eq!(candidates.len(), space.tile_shapes().len(), "one blocking per tile");
+                for Candidate { tile, blocking } in candidates {
+                    assert_eq!(blocking, BlockingParams::for_host(&host, tile.mr, tile.nr));
+                }
+            }
+        }
+        // Other caches, another identity.
+        let on = |host| DesignSpace::for_execution(neon_f32(), IsaKind::Avx2, host).identity();
+        assert_ne!(on(HostDescription::carmel()), on(small));
+        assert_eq!(DesignSpace::for_isa(neon_f32()).host(), None);
     }
 }

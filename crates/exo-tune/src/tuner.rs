@@ -112,10 +112,13 @@ impl Tuner {
     /// otherwise searches the full candidate space, records the winner, and
     /// returns it.
     ///
-    /// Candidates are ranked by [`modelled_gemm_cycles`] on the tuner's core
-    /// model (lower is better). A memoised verdict is only reused when its
-    /// [`TuneVerdict::evaluator`] names that model; a verdict some other
-    /// ranker recorded in the file is re-searched and overwritten.
+    /// Candidates — each tile with both Carmel blockings in the modelled
+    /// space, with its host's one blocking in a serving space
+    /// ([`DesignSpace::candidates`]) — are ranked by [`modelled_gemm_cycles`]
+    /// on the tuner's core model (lower is better). A memoised verdict is
+    /// only reused when its [`TuneVerdict::evaluator`] names that model; a
+    /// verdict some other ranker recorded in the file is re-searched and
+    /// overwritten.
     ///
     /// # Errors
     ///
@@ -130,7 +133,7 @@ impl Tuner {
                 return Ok(verdict);
             }
         }
-        let candidates = self.space.candidates(&self.core.mem);
+        let candidates = self.space.candidates();
         if candidates.is_empty() {
             return Err(TuneError::EmptySpace);
         }
@@ -224,7 +227,7 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gemm_blis::IsaKind;
+    use gemm_blis::{HostDescription, IsaKind};
 
     #[test]
     fn tuning_finds_a_winner_and_memoises_it() {
@@ -286,27 +289,33 @@ mod tests {
     fn mismatched_registry_is_rejected() {
         let registry = KernelRegistry::new("avx512-f32");
         assert!(matches!(Tuner::with_registry(registry), Err(TuneError::Corrupt(_))));
-        // The executing ISA is part of the identity: a modelled-space
-        // registry cannot back a serving space, nor one host ISA another's.
-        let serving = |executing| DesignSpace::for_execution(exo_isa::neon_f32(), executing);
+        // The executing ISA and its caches are part of the identity: a
+        // modelled-space registry cannot back a serving space, nor one host
+        // ISA another's, nor one host's caches another's.
+        let carmel = HostDescription::carmel();
+        let serving = |executing| DesignSpace::for_execution(exo_isa::neon_f32(), executing, carmel);
+        let on_carmel = |name: &str| format!("{name}:{}", carmel.signature());
         for (name, executing, accepted) in [
-            ("neon-f32", IsaKind::Avx2, false),
-            ("neon-f32@neon", IsaKind::Avx2, false),
-            ("neon-f32@avx2", IsaKind::Avx2, true),
-            ("neon-f32@avx2", IsaKind::Scalar, false),
+            ("neon-f32".to_string(), IsaKind::Avx2, false),
+            ("neon-f32@avx2".to_string(), IsaKind::Avx2, false),
+            (on_carmel("neon-f32@neon"), IsaKind::Avx2, false),
+            (on_carmel("neon-f32@avx2"), IsaKind::Avx2, true),
+            (on_carmel("neon-f32@avx2"), IsaKind::Scalar, false),
         ] {
-            let tuner = Tuner::over(serving(executing), KernelRegistry::new(name));
+            let tuner = Tuner::over(serving(executing), KernelRegistry::new(name.clone()));
             assert_eq!(tuner.is_ok(), accepted, "`{name}` under {executing}");
             assert!(accepted || matches!(tuner, Err(TuneError::Corrupt(_))));
         }
-        assert!(Tuner::with_registry(KernelRegistry::new("neon-f32@avx2")).is_err());
+        assert!(Tuner::with_registry(KernelRegistry::new(on_carmel("neon-f32@avx2"))).is_err());
         // An AVX-512 host serves another library: what an AVX2 run of the
         // same machine recorded is refused.
         let avx512 =
             |name: &str| Tuner::over(DesignSpace::serving(IsaKind::Avx512), KernelRegistry::new(name));
-        assert!(matches!(avx512("neon-f32@avx2"), Err(TuneError::Corrupt(_))));
-        assert!(matches!(avx512("neon-f32@avx512"), Err(TuneError::Corrupt(_))));
-        assert!(avx512("avx512-f32@avx512").is_ok());
+        let here = |name: &str| format!("{name}:{}", HostDescription::probed().signature());
+        assert!(matches!(avx512(&here("neon-f32@avx2")), Err(TuneError::Corrupt(_))));
+        assert!(matches!(avx512(&here("neon-f32@avx512")), Err(TuneError::Corrupt(_))));
+        assert!(matches!(avx512("avx512-f32@avx512"), Err(TuneError::Corrupt(_))));
+        assert!(avx512(&here("avx512-f32@avx512")).is_ok());
     }
 
     #[test]

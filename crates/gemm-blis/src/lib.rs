@@ -32,6 +32,7 @@
 pub mod algorithm;
 pub mod baselines;
 pub mod blocking;
+pub mod host;
 pub mod model;
 pub mod packing;
 pub mod pool;
@@ -46,6 +47,7 @@ pub use baselines::{
 pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};
 pub use exo_codegen::{active_isa, env_isa_override, env_once, simd_available, Countdown, IsaKind};
+pub use host::{CacheGeometry, HostDescription};
 pub use model::{modelled_gemm_cycles, GemmSimulator, Implementation, SimOptions, SimResult};
 pub use packing::{pack_a_into, pack_b_into, PackArena, PackedB};
 pub use pool::{env_threads_override, PoolJob, ThreadPool};

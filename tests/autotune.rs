@@ -9,8 +9,9 @@
 //!   8x12 default on the Fig. 14 square sweep,
 //! * every ResNet50 GEMM shape gets a per-layer kernel,
 //! * every verdict the serving front-end returns is a tile the executing
-//!   vector ISA runs in whole vectors, and a verdict file recorded for
-//!   another executing ISA is never served.
+//!   vector ISA runs in whole vectors, blocked for this host's caches in
+//!   whole tiles, and a verdict file recorded for another executing ISA or
+//!   other caches is never served.
 
 mod common;
 
@@ -18,7 +19,8 @@ use common::Cases;
 use dnn_models::{resnet50_table, vgg16_table};
 use exo_tune::{DesignSpace, KernelRegistry, TuneError, TunedGemm, Tuner};
 use gemm_blis::{
-    active_isa, naive_gemm, GemmExecutor, GemmProblem, Implementation, IsaKind, Matrix, SimOptions,
+    active_isa, naive_gemm, BlockingParams, CacheGeometry, GemmExecutor, GemmProblem, HostDescription,
+    Implementation, IsaKind, Matrix, SimOptions,
 };
 use ukernel_gen::MicroKernelGenerator;
 
@@ -212,13 +214,17 @@ const SERVE_SHAPES: [(usize, usize, usize); 8] = [
     (12, 36, 10),
 ];
 
+/// The four shapes of the benchmark's `batch_shared_b` workload.
+const BATCH_SHAPES: [(usize, usize, usize); 4] =
+    [(49, 512, 2048), (49, 2048, 512), (196, 256, 1024), (196, 1024, 256)];
+
 /// Every verdict served on this host is a tile its executing vector ISA
 /// runs in whole vectors inside its register file — whichever ISA that is
 /// (AVX-512 on its own library, AVX2, NEON under QEMU, or the
-/// `EXO_ISA=scalar` pin). Where the rule removes nothing from the serving
-/// library's modelled space (AVX-512's own, 4-lane NEON, 1-lane scalar),
-/// serving and modelling search the same space and must agree verdict for
-/// verdict.
+/// `EXO_ISA=scalar` pin) — chosen among one candidate per tile. Where the
+/// rule removes nothing from the serving library's modelled space
+/// (AVX-512's own, 4-lane NEON, 1-lane scalar), serving and modelling
+/// search the same tiles.
 #[test]
 fn served_verdicts_fill_the_executing_isas_vectors() {
     let executing = active_isa();
@@ -227,11 +233,9 @@ fn served_verdicts_fill_the_executing_isas_vectors() {
     let space = serving.tuner().space();
     assert_eq!(space.executing(), Some(executing));
     assert_eq!(space.identity(), DesignSpace::serving(executing).identity());
-    let library = space.isa().clone();
-    let modelled =
-        Tuner::over(DesignSpace::for_isa(library.clone()), KernelRegistry::new(library.name)).unwrap();
+    let modelled = DesignSpace::for_isa(space.isa().clone());
     let admitted: Vec<(usize, usize)> = space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
-    let unfiltered = admitted.len() == modelled.space().tile_shapes().len();
+    let unfiltered = admitted.len() == modelled.tile_shapes().len();
     assert_eq!(unfiltered, executing != IsaKind::Avx2, "{executing} admits {admitted:?}");
 
     let mut shapes = resnet50_table().gemm_shapes();
@@ -241,13 +245,96 @@ fn served_verdicts_fill_the_executing_isas_vectors() {
         let verdict = serving.plan(m, n, k).unwrap();
         let tile = (verdict.mr, verdict.nr);
         assert!(DesignSpace::fills_vectors_of(executing, tile.0, tile.1), "{m}x{n}x{k} -> {tile:?}");
-        assert_eq!(verdict.candidates_evaluated, 2 * admitted.len());
-        if unfiltered {
-            assert_eq!(verdict, modelled.tune(m, n, k).unwrap(), "{m}x{n}x{k}");
-        }
+        assert_eq!(verdict.candidates_evaluated, admitted.len(), "one blocking per tile");
         // Deterministic: a second front-end, at another thread count,
         // reaches the same verdict.
         assert_eq!(threaded.plan(m, n, k).unwrap(), verdict);
+    }
+}
+
+/// Every verdict the serving tuner hands out — the ResNet-50 and VGG-16
+/// layers and the benchmark's `serve_small` and `batch_shared_b` shapes —
+/// blocks in whole tiles (`mc % mr == 0`, `nc % nr == 0`) with the one
+/// blocking sized for this host's caches, so no `ic` or `jc` block ends in
+/// a part-empty tile. A table the tuner serves one tile has one driver.
+#[test]
+fn served_verdicts_block_in_whole_tiles_for_this_hosts_caches() {
+    let serving = TunedGemm::new();
+    let host = HostDescription::probed();
+    assert_eq!(serving.tuner().space().host(), Some(host));
+    let mut shapes = resnet50_table().gemm_shapes();
+    shapes.extend(vgg16_table().gemm_shapes());
+    shapes.extend(SERVE_SHAPES);
+    shapes.extend(BATCH_SHAPES);
+    let mut tiles = std::collections::BTreeSet::new();
+    for (m, n, k) in shapes {
+        let (verdict, driver) = serving.driver_for(m, n, k).unwrap();
+        let (mr, nr) = (verdict.mr, verdict.nr);
+        assert_eq!((verdict.mc % mr, verdict.nc % nr), (0, 0), "{m}x{n}x{k} -> {:?}", verdict.blocking());
+        assert_eq!(verdict.blocking(), BlockingParams::for_host(host, mr, nr), "{m}x{n}x{k}");
+        assert_eq!(driver.blocking, verdict.blocking());
+        tiles.insert((mr, nr));
+    }
+    // Blocking is a function of the tile, so verdict groups are tiles.
+    assert_eq!(serving.drivers().len(), tiles.len(), "{tiles:?}");
+}
+
+/// A registry file recorded for other caches — or by a tree whose identity
+/// named no caches at all — is refused by the strict constructor and
+/// quarantined by the tolerant one; the re-tune persists under this host's
+/// identity.
+#[test]
+fn a_registry_recorded_for_other_caches_is_quarantined() {
+    let executing = active_isa();
+    let here = DesignSpace::serving(executing);
+    let library = here.isa().clone();
+    let geometry = |bytes| CacheGeometry { bytes, ways: 8, line: 64 };
+    let elsewhere = HostDescription { l1d: geometry(32 << 10), l2: geometry(1 << 20), l3: geometry(8 << 20) };
+    assert_ne!(&elsewhere, HostDescription::probed());
+    let other_caches = DesignSpace::for_execution(library.clone(), executing, elsewhere).identity();
+    let unsigned = format!("{}@{executing}", library.name);
+    let (m, n, k) = (64, 64, 64);
+    for (tag, name) in [("other-caches", other_caches), ("unsigned", unsigned)] {
+        assert_ne!(name, here.identity());
+        let path = temp_registry_path(tag);
+        let quarantine = std::path::PathBuf::from(format!("{}.corrupt", path.display()));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&quarantine);
+        let stale = KernelRegistry::with_persistence(name.clone(), &path).unwrap();
+        let blocking = BlockingParams::for_host(&elsewhere, 16, 16);
+        stale
+            .record(exo_tune::TuneVerdict {
+                m,
+                n,
+                k,
+                mr: 16,
+                nr: 16,
+                mc: blocking.mc,
+                kc: blocking.kc,
+                nc: blocking.nc,
+                predicted_cycles: 1.0,
+                predicted_gflops: 1.0,
+                candidates_evaluated: 1,
+                evaluator: "analytical".into(),
+            })
+            .unwrap();
+
+        assert!(matches!(TunedGemm::with_persistence(&path), Err(TuneError::Corrupt(_))), "{name}");
+        assert!(path.exists() && !quarantine.exists(), "the strict constructor leaves the file alone");
+        let (fresh, tolerated) = TunedGemm::with_persistence_or_fresh(&path);
+        assert!(matches!(tolerated, Some(TuneError::Corrupt(_))), "{name}: {tolerated:?}");
+        assert!(fresh.registry().is_empty(), "no verdict blocked for other caches may be served");
+        assert!(quarantine.exists() && !path.exists());
+        let verdict = fresh.plan(m, n, k).unwrap();
+        assert_eq!(
+            verdict.blocking(),
+            BlockingParams::for_host(HostDescription::probed(), verdict.mr, verdict.nr)
+        );
+        let warm = TunedGemm::with_persistence(&path).unwrap();
+        assert_eq!(warm.registry().isa_name(), here.identity());
+        assert_eq!(warm.plan(m, n, k).unwrap(), verdict);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&quarantine);
     }
 }
 
