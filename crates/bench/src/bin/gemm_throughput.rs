@@ -1,4 +1,4 @@
-//! The perf gates measured outside `exo_bench`: seven comparisons of two
+//! The perf gates measured outside `exo_bench`: eight comparisons of two
 //! things timed in one run. Nothing here is compared with a recorded
 //! number and nothing is written — every absolute figure (GFLOPS, latency,
 //! per-layer shares, normalised to a calibration burst and run
@@ -56,8 +56,16 @@
 //!    each of [`HOST_BLOCKING_SHAPES`], one GEMM a burst. Each must reach
 //!    [`HOST_BLOCKING_FLOOR`]; skipped on a host without AVX2, where the
 //!    floor has never been measured.
+//! 8. **`pack_b_in_situ`** — packing `B` inside the call must not cost an
+//!    `m = 49` layer half its time: the serving verdict's driver on
+//!    [`PACK_B_IN_SITU_SHAPE`] packing `B` block by block, against the same
+//!    driver reading an image of `B` packed once ahead, one GEMM a burst.
+//!    Must reach [`PACK_B_IN_SITU_FLOOR`]; skipped when the verdict's `B`
+//!    blocks keep the panel walk (`gemm_blis::packing::source_order`: panel
+//!    rows that are not whole cache lines, as on AVX2, NEON and scalar
+//!    tiles), where the floor has never been measured.
 //!
-//! Gates 2 to 7 run their two sides in alternating short bursts and judge
+//! Gates 2 to 8 run their two sides in alternating short bursts and judge
 //! the median of the per-pair ratios ([`alternate`]), so drift of a shared
 //! host cancels instead of landing on one side. The exit status is 1 if
 //! any gate fails; a skipped gate prints its reason.
@@ -72,7 +80,7 @@ use exo_tune::TunedGemm;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
     native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
-    HostDescription, IsaKind, KernelImpl, MatMut, MatRef,
+    HostDescription, IsaKind, KernelImpl, MatMut, MatRef, PackedB,
 };
 use ukernel_gen::{GeneratedKernel, MicroKernelGenerator};
 
@@ -131,6 +139,16 @@ const HOST_BLOCKING_FLOOR: f64 = 0.95;
 const HOST_BLOCKING_SHAPES: [(usize, usize, usize); 2] = [(3136, 256, 1152), (784, 512, 2304)];
 /// Alternating GEMM pairs per `host_blocking` shape.
 const HOST_BLOCKING_PAIRS: usize = 15;
+
+/// Lowest `pack_b_in_situ` ratio (the rate packing `B` in the call over
+/// the rate reading a prepacked image) accepted: ~0.5 with the panel walk,
+/// ~0.74 in source order.
+const PACK_B_IN_SITU_FLOOR: f64 = 0.6;
+/// The `pack_b_in_situ` shape: ResNet-50's `m = 49` layer with the largest
+/// `B`.
+const PACK_B_IN_SITU_SHAPE: (usize, usize, usize) = (49, 512, 4608);
+/// Alternating GEMM pairs of the `pack_b_in_situ` gate.
+const PACK_B_IN_SITU_PAIRS: usize = 30;
 
 /// How a measurement lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
@@ -532,6 +550,31 @@ fn host_blocking(subject: &BlisGemm, reference: &BlisGemm, (m, n, k): (usize, us
     })
 }
 
+/// The `pack_b_in_situ` gate: `driver` packing `B` inside the call
+/// (subject) against the same driver reading an image of `B` packed once,
+/// one [`PACK_B_IN_SITU_SHAPE`] GEMM on one thread a burst, over one set of
+/// line-aligned operands.
+fn pack_b_in_situ(driver: &BlisGemm) -> Paired {
+    let (m, n, k) = PACK_B_IN_SITU_SHAPE;
+    let (a, a0) = placed(m * k, 0, |i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0);
+    let (b, b0) = placed(k * n, 0, |i| ((i * 5 + 2) % 17) as f32 * 0.125 - 1.0);
+    let (mut c, c0) = placed(m * n, 0, |_| 0.0);
+    let (a, b) = (MatRef::from_slice(&a[a0..a0 + m * k], m, k), MatRef::from_slice(&b[b0..b0 + k * n], k, n));
+    let mut image = PackedB::default();
+    driver.pack_b(b, &mut image);
+    let mut runner = driver.runner();
+    let paired = alternate(PACK_B_IN_SITU_PAIRS, |side| {
+        let problem = GemmProblem::new(a, b, MatMut::from_slice(&mut c[c0..c0 + m * n], m, n));
+        let packed_b = match side {
+            Side::Subject => None,
+            Side::Reference => Some(&image),
+        };
+        driver.run(&mut runner, problem, packed_b, 1).expect("gemm run");
+    });
+    driver.put_back(runner);
+    paired
+}
+
 /// Prints one ratio gate's verdict line and returns whether it passed.
 fn verdict(gate: &str, ratio: f64, floor: f64) -> bool {
     let ok = ratio >= floor;
@@ -725,6 +768,30 @@ fn main() {
             );
             failed |= !verdict(&format!("host_blocking {m}x{n}x{k}"), p.ratio, HOST_BLOCKING_FLOOR);
         }
+    }
+
+    let (m, n, k) = PACK_B_IN_SITU_SHAPE;
+    let (plan, driver) = TunedGemm::new().driver_for(m, n, k).expect("the serving space tunes");
+    let (BlockingParams { kc, nc, .. }, nr) = (driver.blocking, plan.nr);
+    let host = HostDescription::probed();
+    if !gemm_blis::packing::source_order(kc.min(k), nc.min(n), 1, nr, host) {
+        println!(
+            "  pack_b_in_situ         skipped — the {}x{nr} verdict's {}-byte panel rows are not whole {}-byte lines, so its B blocks keep the panel walk",
+            plan.mr,
+            nr * 4,
+            host.l1d.line
+        );
+    } else {
+        let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+        let p = pack_b_in_situ(&driver);
+        let rate = |secs: f64| 2.0 * (m * n * k) as f64 / secs / 1.0e9;
+        println!(
+            "  pack_b_in_situ {m}x{n}x{k} ({}x{nr}): packing B {:.1} GFLOPS, prepacked image {:.1} GFLOPS",
+            plan.mr,
+            rate(p.subject_secs),
+            rate(p.reference_secs)
+        );
+        failed |= !verdict("pack_b_in_situ", p.ratio, PACK_B_IN_SITU_FLOOR);
     }
 
     if failed {

@@ -67,8 +67,9 @@ impl HostDescription {
     /// Reads a sysfs cache tree rooted at `root` (a directory of `index*`
     /// entries, each with `level`, `type`, `size`, `ways_of_associativity`
     /// and `coherency_line_size`). Instruction caches are skipped. A tree
-    /// without a readable L1d and L2 falls back to [`Self::carmel`]; one
-    /// without an L3 records it as zero bytes.
+    /// without a readable L1d and L2 — each of some bytes, on a line that
+    /// is a power of two — falls back to [`Self::carmel`]; one without an
+    /// L3 records it as zero bytes.
     pub fn probe(root: &Path) -> Self {
         Self::read(root).unwrap_or_else(Self::carmel)
     }
@@ -101,8 +102,9 @@ impl HostDescription {
             };
             slot.get_or_insert(geometry);
         }
+        let usable = |level: &CacheGeometry| level.bytes > 0 && level.line.is_power_of_two();
         Some(HostDescription { l1d: l1d?, l2: l2?, l3: l3.unwrap_or_default() })
-            .filter(|host| host.l1d.bytes > 0 && host.l2.bytes > 0)
+            .filter(|host| usable(&host.l1d) && usable(&host.l2))
     }
 
     /// The caches as one token for a registry identity: a verdict file is
@@ -167,12 +169,16 @@ mod tests {
     }
 
     fn level(root: &Path, n: usize, level: &str, kind: &str, size: &str, ways: &str) {
+        level_on(root, n, level, kind, size, ways, "64");
+    }
+
+    fn level_on(root: &Path, n: usize, level: &str, kind: &str, size: &str, ways: &str, line: &str) {
         let fields = [
             ("level", level),
             ("type", kind),
             ("size", size),
             ("ways_of_associativity", ways),
-            ("coherency_line_size", "64"),
+            ("coherency_line_size", line),
         ];
         index(root, n, &fields);
     }
@@ -226,6 +232,21 @@ mod tests {
         index(&root, 1, &[("level", "2"), ("type", "Unified"), ("size", "2048K")]);
         assert_eq!(HostDescription::probe(&root), carmel);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_line_that_is_not_a_power_of_two_is_a_garbled_tree() {
+        let carmel = HostDescription::carmel();
+        for line in ["0", "48", "96"] {
+            for garbled in [1, 2] {
+                let root = tree(&format!("line-{line}-l{garbled}"));
+                let line_of = |level| if level == garbled { line } else { "64" };
+                level_on(&root, 0, "1", "Data", "48K", "12", line_of(1));
+                level_on(&root, 1, "2", "Unified", "2048K", "16", line_of(2));
+                assert_eq!(HostDescription::probe(&root), carmel, "a {line}-byte L{garbled} line");
+                let _ = std::fs::remove_dir_all(&root);
+            }
+        }
     }
 
     #[test]

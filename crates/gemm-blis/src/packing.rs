@@ -22,6 +22,18 @@
 //!   vectors (the dense `A` hot path, and the dense-`B`-transposed path);
 //! * anything else → a scalar stride walk.
 //!
+//! A block of `B` is walked one of two ways ([`source_order`] picks):
+//!
+//! * **panel order** — one mover call per `nr`-wide panel, which reads a
+//!   `nr`-wide piece of each of `kc` source rows a whole row apart;
+//! * **source order** — one mover call per source row, which reads the
+//!   row's whole panels front to back and scatters them `kc · nr` apart
+//!   into the panels. It is taken when the block's rows are contiguous,
+//!   a packed panel row is a whole number of cache lines, and the block
+//!   outgrows the L1d: then the panel walk's row-apart pieces are what
+//!   the hardware prefetcher cannot follow, and the scattered stores each
+//!   fill whole lines. The fringe panel is always packed in panel order.
+//!
 //! [`pack_a_into`]/[`pack_b_into`] write into caller-owned buffers — in the
 //! driver, the [`PackArena`] each engine instance grows once and reuses, or
 //! a [`PackedB`]: the whole of `op(B)` packed once, ahead of the five loops,
@@ -30,6 +42,7 @@
 use exo_codegen::simd::{strided_move, AlignedBuf};
 
 use crate::blocking::BlockingParams;
+use crate::host::HostDescription;
 use crate::views::MatRef;
 use crate::GemmError;
 
@@ -113,6 +126,9 @@ pub fn pack_a_into(
 /// contiguous elements. Every element of that prefix is written, so a
 /// reused arena buffer never leaks stale data.
 ///
+/// The walk is the one [`source_order`] picks for this host
+/// ([`HostDescription::probed`]); both write the same bits.
+///
 /// # Panics
 ///
 /// Panics if `out` is shorter than the packed block or the block exceeds
@@ -126,10 +142,64 @@ pub fn pack_b_into(
     nc_eff: usize,
     nr: usize,
 ) {
+    let in_source_order = source_order(kc_eff, nc_eff, b.col_stride(), nr, HostDescription::probed());
+    pack_b_walk(out, b, [pc, jc, kc_eff, nc_eff], nr, in_source_order);
+}
+
+/// Whether [`pack_b_into`] walks a `kc_eff x nc_eff` block of a `B` whose
+/// elements along a row lie `col_stride` apart in source order (one mover
+/// call per source row) rather than panel order (one per panel) on `host`:
+/// when the block's rows are contiguous, a packed panel row of `nr`
+/// elements is a whole number of the L1d's lines, and the block outgrows
+/// the L1d. (A zero-byte line divides no panel row, so a host that reads
+/// one keeps the panel walk.)
+pub fn source_order(
+    kc_eff: usize,
+    nc_eff: usize,
+    col_stride: usize,
+    nr: usize,
+    host: &HostDescription,
+) -> bool {
+    let l1d = host.l1d;
+    col_stride == 1
+        && (nr * size_of::<f32>()).is_multiple_of(l1d.line)
+        && kc_eff * nc_eff * size_of::<f32>() > l1d.bytes
+}
+
+/// [`pack_b_into`] on the `[pc, jc, kc_eff, nc_eff]` block with the walk
+/// named: in source order the whole panels are packed one source row at a
+/// time, and the fringe panel, as every panel of the panel walk, one panel
+/// at a time.
+fn pack_b_walk(out: &mut [f32], b: MatRef<'_>, block: [usize; 4], nr: usize, in_source_order: bool) {
+    let [pc, jc, kc_eff, nc_eff] = block;
     let panels = nc_eff.div_ceil(nr);
     let panel_len = kc_eff * nr;
     assert!(out.len() >= panels * panel_len, "pack_b_into: arena too small");
-    for p in 0..panels {
+    let whole = if in_source_order { nc_eff / nr } else { 0 };
+    if whole > 0 {
+        let cs = b.col_stride();
+        for k in 0..kc_eff {
+            let row = b.submatrix(pc + k, jc, 1, whole * nr);
+            // SAFETY: the `whole` pieces of `nr` elements `cs` apart are
+            // the `whole * nr` elements of `row`, which its `MatRef` holds
+            // inside its slice. Piece `p` lands on row `k` of panel `p`,
+            // `p * panel_len + k * nr + 0..nr`, inside the `panels *
+            // panel_len` prefix of `out` the assert above checked; as `k <
+            // kc_eff` no two pieces share an element, and a shared and an
+            // exclusive borrow cannot overlap.
+            unsafe {
+                strided_move(
+                    out.as_mut_ptr().add(k * nr),
+                    (panel_len, 1),
+                    row.data().as_ptr(),
+                    (nr * cs, cs),
+                    (whole, nr),
+                    1.0,
+                );
+            }
+        }
+    }
+    for p in whole..panels {
         let pcols = nr.min(nc_eff - p * nr);
         // The packed panel is the (kc_eff x pcols) sub-block as-is: dense
         // row-major B lands on the mover's row copies, op(B) = T on its
@@ -457,6 +527,120 @@ mod tests {
         assert_eq!(got_a, pack_a(&mut fresh, a_view, [4, 1, 3, 5], 4, 1.0));
         let got_b = pack_b(&mut arena, b_view, [2, 8, 4, 3], 4);
         assert_eq!(got_b, pack_b(&mut fresh, b_view, [2, 8, 4, 3], 4));
+    }
+
+    /// The `[pc, jc, kc_eff, nc_eff]` block of `b` packed by each walk into
+    /// a dirtied buffer, as bits: (panel order, source order).
+    fn both_walks(b: MatRef<'_>, block: [usize; 4], nr: usize) -> (Vec<u32>, Vec<u32>) {
+        let len = block[3].div_ceil(nr) * block[2] * nr;
+        let walk = |in_source_order| {
+            let mut out = vec![f32::NAN; len];
+            pack_b_walk(&mut out, b, block, nr, in_source_order);
+            out.iter().map(|x| x.to_bits()).collect()
+        };
+        (walk(false), walk(true))
+    }
+
+    /// The `[pc, jc, kc_eff, nc_eff]` block of `b` in `nr`-column panels,
+    /// element by element, as bits.
+    fn packed_by_hand(b: MatRef<'_>, block: [usize; 4], nr: usize) -> Vec<u32> {
+        let [pc, jc, kc_eff, nc_eff] = block;
+        let mut out = Vec::new();
+        for panel in 0..nc_eff.div_ceil(nr) {
+            for r in 0..kc_eff {
+                for j in panel * nr..(panel + 1) * nr {
+                    let x = if j < nc_eff { b.get(pc + r, jc + j) } else { 0.0 };
+                    out.push(x.to_bits());
+                }
+            }
+        }
+        out
+    }
+
+    /// `rows x cols` values in a buffer whose rows are `ld` apart and whose
+    /// first element lies `bytes` past a 64-byte boundary, and that
+    /// element's index.
+    fn placed(rows: usize, cols: usize, ld: usize, bytes: usize) -> (Vec<f32>, usize) {
+        let mut buf = vec![-9.0f32; rows * ld + 32];
+        let start = buf.as_ptr().addr().wrapping_neg() % 64 / 4 + bytes / 4;
+        for r in 0..rows {
+            for c in 0..cols {
+                buf[start + r * ld + c] = (r * 1000 + c) as f32 + 0.5;
+            }
+        }
+        (buf, start)
+    }
+
+    #[test]
+    fn both_walks_pack_the_same_bytes() {
+        for nr in [4usize, 8, 12, 16] {
+            for fringe in [0, 1, nr - 1] {
+                for kc_eff in [1usize, 17, 300] {
+                    let (pc, jc, nc_eff) = (3, 5, 3 * nr + fringe);
+                    let (k, n) = (pc + kc_eff + 2, jc + nc_eff + 1);
+                    let block = [pc, jc, kc_eff, nc_eff];
+                    let at = format!("nr {nr}, nc_eff {nc_eff}, kc_eff {kc_eff}");
+                    let check = |source: &str, b: MatRef<'_>| {
+                        let want = packed_by_hand(b, block, nr);
+                        assert_eq!(both_walks(b, block, nr), (want.clone(), want), "{source}, {at}");
+                    };
+                    let (dense, start) = placed(k, n, n, 0);
+                    check("dense", MatRef::from_slice(&dense[start..start + k * n], k, n));
+                    // A window of a wider matrix, at every 16-byte placement.
+                    for bytes in [0, 16, 32, 48] {
+                        let (wide, start) = placed(k, n, n + 7, bytes);
+                        check(&format!("+{bytes} B"), MatRef::with_strides(&wide[start..], k, n, n + 7, 1));
+                    }
+                    let (bt, start) = placed(n, k, k, 0);
+                    check("op(B) = T", MatRef::from_slice(&bt[start..start + n * k], n, k).t());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_packed_image_holds_the_blocks_both_walks_pack() {
+        let (k, n) = (700, 300);
+        let (b, start) = placed(k, n, n, 0);
+        let b = MatRef::from_slice(&b[start..start + k * n], k, n);
+        let blocking = BlockingParams { mc: 16, kc: 320, nc: 208, mr: 16, nr: 16 };
+        let mut image = PackedB::default();
+        image.pack(b, &blocking);
+        for jc in (0..n).step_by(blocking.nc) {
+            for pc in (0..k).step_by(blocking.kc) {
+                let block = [pc, jc, blocking.kc.min(k - pc), blocking.nc.min(n - jc)];
+                let bits: Vec<u32> = image.block(jc, pc).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(both_walks(b, block, blocking.nr), (bits.clone(), bits), "block {block:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_is_chosen_by_the_block_the_strides_and_the_host() {
+        use crate::host::CacheGeometry;
+        let level = |bytes| CacheGeometry { bytes, ways: 16, line: 64 };
+        let host = HostDescription {
+            l1d: CacheGeometry { bytes: 48 << 10, ways: 12, line: 64 },
+            l2: level(2 << 20),
+            l3: level(0),
+        };
+        // The largest `serve_small` block (8x40x16) under 16x16: L1-resident.
+        assert!(!source_order(16, 40, 1, 16, &host));
+        // 8x12's 48-byte panel rows are not whole lines, however large the block.
+        assert!(!source_order(768, 512, 1, 12, &host));
+        // op(B) = T: the block's rows are not contiguous.
+        assert!(!source_order(768, 512, 768, 16, &host));
+        // A ResNet-50 block under 16x16, and the same under 8x8 on 32-byte lines.
+        assert!(source_order(768, 512, 1, 16, &host));
+        let short_lines = HostDescription { l1d: CacheGeometry { line: 32, ..host.l1d }, ..host };
+        assert!(source_order(768, 512, 1, 8, &short_lines));
+        assert!(!source_order(768, 512, 1, 8, &host));
+        // A block of exactly the L1d is not larger than it.
+        assert!(!source_order(768, 16, 1, 16, &host));
+        assert!(source_order(769, 16, 1, 16, &host));
+        // A zero-byte line keeps the panel walk, and does not divide by zero.
+        let no_line = HostDescription { l1d: CacheGeometry { line: 0, ..host.l1d }, ..host };
+        assert!(!source_order(768, 512, 1, 16, &no_line));
     }
 
     /// Asserts `buf` starts on a 64-byte boundary.
