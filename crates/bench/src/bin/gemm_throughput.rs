@@ -6,8 +6,8 @@
 //! Every GEMM series runs through the one five-loop driver on one thread,
 //! the generated 8x12 kernel in all but the last gate.
 //!
-//! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `interp < tape <
-//!    superword < simd < native` must hold strictly at both sizes — a
+//! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `tape < superword
+//!    < simd < native` must hold strictly at both sizes — a
 //!    faster tier measuring slower than its own fallback means the fast
 //!    path regressed below the slow one. `superword` is the portable tier
 //!    (the superword lowering on the scalar-ISA closure chain), `simd` the
@@ -78,14 +78,14 @@ use exo_aot::NativeKernel;
 use exo_codegen::simd::strided_move_on;
 use exo_tune::TunedGemm;
 use gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
-    HostDescription, IsaKind, KernelImpl, MatMut, MatRef, PackedB,
+    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape, native_available,
+    simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, HostDescription, IsaKind,
+    KernelImpl, MatMut, MatRef, PackedB,
 };
 use ukernel_gen::{GeneratedKernel, MicroKernelGenerator};
 
 /// Problem sizes of the ordering gate: large enough that every tier runs
-/// its steady-state loop, small enough for the interpreter.
+/// its steady-state loop, small enough for the tape.
 const SIZES: [usize; 2] = [128, 256];
 
 /// Lowest `solo` ratio (generated over hand-written 8x12 rate) accepted. A
@@ -594,7 +594,6 @@ fn main() {
     let driver = |kernel: KernelImpl| BlisGemm::new(blocking).with_kernel(kernel);
     // Slowest first: each tier must beat the one before it.
     let tiers = [
-        ("interp", driver(exo_kernel_interp(Arc::clone(&kernel)))),
         ("tape", driver(exo_kernel_tape(Arc::clone(&kernel)))),
         ("superword", driver(exo_kernel_superword(Arc::clone(&kernel)))),
         ("simd", driver(exo_kernel_simd(Arc::clone(&kernel)))),
@@ -624,11 +623,10 @@ fn main() {
             print!("{size:<8}");
             let row: Vec<f64> = tiers
                 .iter()
-                .map(|(name, driver)| {
+                .map(|(_, driver)| {
                     // Best of 2, so that one disturbed run does not decide a
-                    // leg; the interpreter (orders of magnitude slower, and
-                    // the least noise-sensitive series) is never repeated.
-                    let g = measure(driver, size, if *name == "interp" { 1 } else { 2 });
+                    // leg.
+                    let g = measure(driver, size, 2);
                     print!("{g:>12.3}");
                     g
                 })

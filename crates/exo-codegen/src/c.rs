@@ -10,10 +10,17 @@
 //!   meant for inspection and for the artifact's code-listing outputs.
 //! * [`emit_superword_c`] — lowers a *validated superword tape* to a
 //!   self-contained, compilable C translation unit: the ahead-of-time
-//!   source of the `exo-aot` native tier. Unlike `emit_c`, this output is
-//!   built to be compiled on the host (AVX-512, AVX2/FMA or NEON
-//!   intrinsics, or a plain-C portable floor) and `dlopen`ed as the fifth
-//!   execution tier.
+//!   source of the `exo-aot` native tier, `dlopen`ed as the top of the
+//!   ladder.
+//!
+//! The two do different jobs, so neither replaces the other. Only
+//! `emit_superword_c` emits C for the *executing* ISA (AVX-512, AVX2/FMA
+//! or NEON intrinsics, or a plain-C floor), whatever instruction library
+//! described the kernel, and C that matches the simd chain of that ISA bit
+//! for bit. `emit_c` speaks the describing library's intrinsics: for the
+//! `neon_f32` kernels served on AVX2 and on the scalar floor that is NEON
+//! C, which neither host compiles. It stays as the paper's listing, read by
+//! `codegen_steps`, `quickstart` and `portability`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -485,7 +492,7 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// multiply-add — bit-identical to the simd closure chain of the same ISA,
 /// and therefore within [`crate::fma_contraction_tol`] of the portable
 /// tiers; the scalar floor is an explicit multiply-then-add, bit-identical
-/// to the portable/tape/interpreter tiers.
+/// to the portable tier, the tape and the interpreter.
 ///
 /// # Errors
 ///

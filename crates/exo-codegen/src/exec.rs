@@ -481,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_reference_kernel_matches_naive_gemm() {
+    fn compiled_fig5_ukernel_matches_naive_gemm() {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let kernel = compile(&p).unwrap();
 

@@ -77,7 +77,7 @@
 //! **Bit compatibility.** The native FMA intrinsics *contract* the
 //! multiply-then-add of the tape's `Fma` semantics into a single rounding,
 //! so the AVX-512, AVX2 and NEON chains are **not** bit-identical to the
-//! portable / tape / interp tiers (they are at least as accurate: one
+//! portable tier, the tape and the interpreter (they are at least as accurate: one
 //! rounding instead of two per multiply-add). The differential suites
 //! therefore compare those chains against the references within an
 //! accumulation-scaled ULP bound — `|simd − portable| ≤
@@ -308,7 +308,7 @@ pub enum IsaKind {
     /// re-roll into pairs).
     Neon,
     /// The portable 1-lane reference implementation: available on every
-    /// host, bit-identical to the tape / interpreter tiers.
+    /// host, bit-identical to the tape and the interpreter.
     Scalar,
 }
 

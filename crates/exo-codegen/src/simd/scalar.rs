@@ -1,7 +1,7 @@
 //! The scalar reference implementation of [`VectorIsa`].
 //!
 //! One lane, plain `a * b + acc` multiply-then-add — **two** roundings,
-//! exactly the arithmetic of the tape / interpreter tiers, so a chain
+//! exactly the arithmetic of the tape and the interpreter, so a chain
 //! compiled for [`ScalarIsa`] is bit-identical to them (the differential
 //! suites assert equality, not a tolerance) — it *is* the portable tier.
 //! It is available on every host, which makes it the floor of the runtime

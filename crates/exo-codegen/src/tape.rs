@@ -891,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn tape_matches_interpreter_bit_for_bit_on_the_reference_kernel() {
+    fn tape_matches_interpreter_bit_for_bit_on_the_fig5_ukernel() {
         let (compiled, tape) = reference_tape();
         let (mr, nr, kc) = (8usize, 12usize, 29usize);
         let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();

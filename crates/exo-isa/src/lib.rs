@@ -366,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_kernels_validate_and_agree() {
+    fn fig5_ukernels_validate_and_agree() {
         let general = ukernel_ref_general(ScalarType::F32);
         let simple = ukernel_ref_simple(ScalarType::F32);
         assert_eq!(general.validate(), Ok(()));

@@ -47,9 +47,11 @@
 //! the batch completes. A failed or panicked entry whose `beta == 0` (its
 //! `C` is never read, so a re-run fully overwrites any partial write) is
 //! retried **once on the tier below the one it ran on**, down the ladder
-//! native → simd → superword (the portable scalar chain) → tape → interp
+//! native → simd → superword (the portable scalar chain) → tape
 //! ([`gemm_blis::ExecBackend::degraded`] of [`gemm_blis::GemmRunner::tier`]);
-//! a retried success is stamped [`GemmStats::degraded`]. The
+//! a retried success is stamped [`GemmStats::degraded`]. An entry that has
+//! no rung below it — it ran on the tape, the checked floor, or on a
+//! hand-written kernel, which has no tiers — keeps its first failure. The
 //! [`BatchReport`] carries the per-entry outcomes plus the isolation
 //! tallies (panics caught, retries, degraded completions).
 
@@ -58,7 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gemm_blis::pool::{PoolJob, ThreadPool};
-use gemm_blis::{BlisGemm, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB};
+use gemm_blis::{
+    BlisGemm, ExecBackend, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB,
+};
 
 use crate::fault;
 
@@ -222,10 +226,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// unwound is dropped: the shard goes on with another one from the driver.
 /// Executional failures — contained panics and kernel errors — are retried
 /// once on the tier below the one the runner held (on one thread, packing
-/// `B` for itself; a hand-written kernel has no tiers and is re-run as it
-/// is), but only when `beta == 0`: a failed attempt may have partially
-/// written `C`, and only the never-reads-`C` contract makes a re-run
-/// equivalent to a clean first run.
+/// `B` for itself), but only when there is such a tier and `beta == 0`: a
+/// failed attempt may have partially written `C`, and only the
+/// never-reads-`C` contract makes a re-run equivalent to a clean first run.
 fn run_entry(
     driver: &BlisGemm,
     runner: &mut GemmRunner,
@@ -254,16 +257,13 @@ fn run_entry(
         }
     };
     let executional = matches!(failure, GemmError::JobPanicked { .. } | GemmError::Kernel { .. });
-    if !executional || problem.beta != 0.0 {
+    let below = ran_on.and_then(ExecBackend::degraded);
+    let Some(below) = below.filter(|_| executional && problem.beta == 0.0) else {
         return Err(failure);
-    }
-    let mut retry_kernel = driver.kernel().clone();
-    if let Some(tier) = ran_on {
-        let Some(below) = tier.degraded() else { return Err(failure) };
-        retry_kernel.backend = below;
-    }
+    };
     tally.retries.fetch_add(1, Ordering::Relaxed);
-    let degraded_driver = driver.clone().with_kernel(retry_kernel).with_threads(1);
+    let degraded_driver =
+        driver.clone().with_kernel(driver.kernel().clone().with_backend(below)).with_threads(1);
     match catch_unwind(AssertUnwindSafe(|| degraded_driver.gemm(problem.reborrow()))) {
         Ok(Ok(mut stats)) => {
             stats.degraded = true;

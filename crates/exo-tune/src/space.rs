@@ -35,6 +35,22 @@ use exo_isa::VectorIsa;
 use gemm_blis::{BlockingParams, HostDescription, IsaKind};
 use ukernel_gen::{MicroKernelGenerator, Strategy};
 
+/// The one register-count rule: vector registers an `mr x nr` kernel keeps
+/// live under `strategy` at `lanes` lanes, or `None` for the scalar
+/// fallback, which keeps no register tile.
+fn register_count(lanes: usize, mr: usize, nr: usize, strategy: Strategy) -> Option<usize> {
+    match strategy {
+        // C accumulators as (mr/lanes) x nr vectors, A column vectors,
+        // B row vectors (both tile dimensions vectorised).
+        Strategy::Laneq => Some((mr / lanes) * nr + mr / lanes + nr / lanes),
+        // Rows vectorised; B elements broadcast through one register.
+        Strategy::BroadcastB => Some((mr / lanes) * nr + mr / lanes + 1),
+        // Columns vectorised; the single A element broadcast.
+        Strategy::BroadcastA => Some(nr.div_ceil(lanes) + nr.div_ceil(lanes) + 1),
+        Strategy::Scalar => None,
+    }
+}
+
 /// A register tile admitted to the design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileShape {
@@ -136,18 +152,18 @@ impl DesignSpace {
 
     /// Whether an `mr x nr` tile's vectorised extent fills whole vectors of
     /// `executing` with its accumulators and staged operands inside that
-    /// ISA's register file. With `L` lanes and `R` registers:
+    /// ISA's register file. The executing ISA runs the tile re-rolled into
+    /// its own lanes, with the broadcast that needs no lane-indexed FMA:
     ///
-    /// * `mr > 1` vectorises the rows: `mr % L == 0`, and `(mr/L)·nr`
-    ///   accumulators, `mr/L` vectors of `A` and one broadcast of `B` need
-    ///   `(mr/L)·nr + mr/L + 1 ≤ R`;
-    /// * `mr == 1` vectorises the columns: `nr % L == 0`, and `nr/L`
-    ///   accumulators, `nr/L` vectors of `B` and one broadcast of `A` need
-    ///   `2·(nr/L) + 1 ≤ R`.
+    /// * `mr > 1` vectorises the rows (broadcast-B): `mr` fills whole
+    ///   vectors, and the broadcast-B register count fits the file;
+    /// * `mr == 1` vectorises the columns (broadcast-A): `nr` fills whole
+    ///   vectors, and the broadcast-A register count fits the file.
     pub fn fills_vectors_of(executing: IsaKind, mr: usize, nr: usize) -> bool {
         let lanes = executing.lanes();
-        let (extent, registers) =
-            if mr > 1 { (mr, (mr / lanes) * nr + mr / lanes + 1) } else { (nr, 2 * (nr / lanes) + 1) };
+        let (extent, strategy) = if mr > 1 { (mr, Strategy::BroadcastB) } else { (nr, Strategy::BroadcastA) };
+        let registers =
+            register_count(lanes, mr, nr, strategy).expect("a broadcast strategy keeps a register tile");
         extent % lanes == 0 && executing.vector_registers().is_none_or(|file| registers <= file)
     }
 
@@ -155,17 +171,7 @@ impl DesignSpace {
     /// `None` when the strategy keeps no register tile (the scalar
     /// fallback, which the space excludes).
     pub fn register_cost(&self, mr: usize, nr: usize, strategy: Strategy) -> Option<usize> {
-        let lanes = self.isa.lanes;
-        match strategy {
-            // C accumulators as (mr/lanes) x nr vectors, A column vectors,
-            // B row vectors (both tile dimensions vectorised).
-            Strategy::Laneq => Some((mr / lanes) * nr + mr / lanes + nr / lanes),
-            // Rows vectorised; B elements broadcast through one register.
-            Strategy::BroadcastB => Some((mr / lanes) * nr + mr / lanes + 1),
-            // Columns vectorised; the single A element broadcast.
-            Strategy::BroadcastA => Some(nr.div_ceil(lanes) + nr.div_ceil(lanes) + 1),
-            Strategy::Scalar => None,
-        }
+        register_count(self.isa.lanes, mr, nr, strategy)
     }
 
     /// All register tiles valid for the ISA under the register budget — and,

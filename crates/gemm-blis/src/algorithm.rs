@@ -812,7 +812,7 @@ unsafe fn run_ic_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{blis_assembly_kernel, exo_kernel, neon_intrinsics_kernel, reference_kernel};
+    use crate::baselines::{blis_assembly_kernel, exo_kernel, neon_intrinsics_kernel};
     use crate::problem::{NaiveGemm, Op};
     use exo_isa::neon_f32;
     use std::sync::Arc;
@@ -857,7 +857,8 @@ mod tests {
     #[test]
     fn blis_algorithm_handles_fringe_tiles() {
         check_gemm(&blis_assembly_kernel(true), 50, 45, 23);
-        check_gemm(&reference_kernel(3, 5), 17, 11, 9);
+        let scalar_3x5 = MicroKernelGenerator::new(neon_f32()).generate(3, 5).unwrap();
+        check_gemm(&exo_kernel(Arc::new(scalar_3x5)), 17, 11, 9);
     }
 
     #[test]
@@ -962,7 +963,7 @@ mod tests {
         // The public API lets a generic blocking drive any kernel; the
         // arena must size its panels from the kernel's tile, not the
         // blocking's, or packing overruns the buffer.
-        let kernel = reference_kernel(16, 32);
+        let kernel = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(16, 16).unwrap()));
         let blocking = BlockingParams { mc: 24, kc: 16, nc: 36, mr: 8, nr: 12 };
         let a = Matrix::from_fn(13, 9, |i, j| (i * 2 + j) as f32 * 0.25);
         let b = Matrix::from_fn(9, 13, |i, j| (i + j * 3) as f32 * 0.125);

@@ -35,9 +35,8 @@ pub struct KernelImpl {
     /// Register-tile columns.
     pub nr: usize,
     /// The generated, size-specialised kernel behind an `EXO` series;
-    /// `None` for the hand-written families and the reference kernel,
-    /// which run the same plain loops and differ only in what the model
-    /// reads (trace, overhead, prefetch).
+    /// `None` for the hand-written families, which run the same plain loops
+    /// and differ only in what the model reads (trace, overhead, prefetch).
     pub generated: Option<Arc<GeneratedKernel>>,
     /// Machine-operation trace of one invocation.
     pub trace: KernelTrace,
@@ -321,9 +320,9 @@ pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     }
 }
 
-/// Like [`exo_kernel`] but pinned to the scalar tape — the intermediate
-/// tier: the differential anchor between the portable chain and the
-/// interpreter, and the scalar baseline the SLP speedup is measured
+/// Like [`exo_kernel`] but pinned to the scalar tape — the checked floor of
+/// the ladder, where every declined proof lands and below which a failed
+/// retry does not go; also the scalar baseline the SLP speedup is measured
 /// against.
 pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
@@ -333,53 +332,10 @@ pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     }
 }
 
-/// Like [`exo_kernel`] but pinned to the tree-walking interpreter — the
-/// slow reference backend that defines the semantics every other tier is
-/// differentially tested (and benchmarked) against.
-pub fn exo_kernel_interp(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    KernelImpl {
-        name: format!("EXO {}x{} (interp)", kernel.mr, kernel.nr),
-        backend: ExecBackend::Interp,
-        ..exo_kernel(kernel)
-    }
-}
-
-/// A scalar reference kernel of arbitrary shape, used by tests as the ground
-/// truth and by the simulator as a "no vectorisation" baseline.
-pub fn reference_kernel(mr: usize, nr: usize) -> KernelImpl {
-    let scalar_op = |class, buffer: Option<&str>, count| MachineOp {
-        class,
-        lanes: 1,
-        elem: ScalarType::F32,
-        buffer: buffer.map(|b| b.into()),
-        count,
-    };
-    let trace = KernelTrace {
-        name: format!("ref_{mr}x{nr}"),
-        prologue: vec![scalar_op(InstrClass::VecLoad, Some("C"), (mr * nr) as u64)],
-        per_k: vec![
-            scalar_op(InstrClass::VecLoad, Some("Ac"), mr as u64),
-            scalar_op(InstrClass::VecLoad, Some("Bc"), nr as u64),
-            scalar_op(InstrClass::VecFma, None, (mr * nr) as u64),
-        ],
-        epilogue: vec![scalar_op(InstrClass::VecStore, Some("C"), (mr * nr) as u64)],
-        inner_loop_levels: 2,
-    };
-    KernelImpl {
-        name: format!("REF {mr}x{nr}"),
-        mr,
-        nr,
-        generated: None,
-        trace,
-        per_k_overhead: 0.0,
-        prefetch_c: false,
-        backend: ExecBackend::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_codegen::TensorView;
     use exo_isa::neon_f32;
     use ukernel_gen::MicroKernelGenerator;
 
@@ -389,9 +345,14 @@ mod tests {
         let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 2) % 9) as f32 - 4.0).collect();
         let mut c = vec![0.0f32; mr * nr];
         kernel.run(kc, &a, &b, &mut c).unwrap();
-        let reference = reference_kernel(mr, nr);
         let mut c_ref = vec![0.0f32; mr * nr];
-        reference.run(kc, &a, &b, &mut c_ref).unwrap();
+        for k in 0..kc {
+            for j in 0..nr {
+                for i in 0..mr {
+                    c_ref[j * mr + i] += a[k * mr + i] * b[k * nr + j];
+                }
+            }
+        }
         for (x, y) in c.iter().zip(&c_ref) {
             // Relative tolerance: the SIMD default contracts the FMA, so
             // generated kernels are ULP-close, not bit-equal, to the
@@ -418,7 +379,7 @@ mod tests {
         // A generated kernel's one length check is its tier handle's, on
         // every tier — the driver never gets a misfit as far as a body.
         let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
-        for backend in [ExecBackend::Native, ExecBackend::Superword, ExecBackend::Tape, ExecBackend::Interp] {
+        for backend in [ExecBackend::Native, ExecBackend::Superword, ExecBackend::Tape] {
             let misfit = exo.clone().with_backend(backend).run(4, &[0.0; 3], &[0.0; 48], &mut c);
             assert!(matches!(misfit, Err(GemmError::Kernel { .. })), "{backend:?}: {misfit:?}");
         }
@@ -466,7 +427,9 @@ mod tests {
         let c_simd = run(&exo_kernel_simd(Arc::clone(&kernel)));
         let c_sw = run(&exo_kernel_superword(Arc::clone(&kernel)));
         let c_tape = run(&exo_kernel_tape(Arc::clone(&kernel)));
-        let c_interp = run(&exo_kernel_interp(Arc::clone(&kernel)));
+        let mut c_interp = c0.clone();
+        let views = &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_interp)];
+        kernel.compiled.run_views(&[kc as i64], views).unwrap();
         assert_eq!(c_native, c_simd, "the native tier is bit-faithful to the simd chain");
         assert_eq!(c_sw, c_tape, "superword and tape are bit-identical");
         assert_eq!(c_tape, c_interp, "tape and interpreter are bit-identical");

@@ -41,8 +41,8 @@ pub mod views;
 
 pub use algorithm::{naive_gemm, BlisGemm, GemmRunner, Matrix};
 pub use baselines::{
-    blis_assembly_kernel, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword,
-    exo_kernel_tape, neon_intrinsics_kernel, reference_kernel, ExecBackend, KernelDispatch, KernelImpl,
+    blis_assembly_kernel, exo_kernel, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
+    neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl,
 };
 pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};

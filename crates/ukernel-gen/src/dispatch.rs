@@ -1,12 +1,15 @@
 //! The tier ladder, written once: which execution tier a generated kernel
 //! runs a packed call on, and the reusable handle that runs it.
 //!
-//! A [`GeneratedKernel`] carries five ways to execute the same schedule —
-//! `native → simd → portable → tape → interp`, fastest first. Four of them
-//! are built by the generator and always there, so a request for one — a
-//! pin — resolves to itself. The fifth, the native tier, is compiled in
-//! the background: [`ExecBackend::Native`] serves on the simd chain until
-//! its artifact promotes, and that is the ladder's one edge.
+//! A [`GeneratedKernel`] carries four ways to execute the same schedule —
+//! `native → simd → portable → tape`, fastest first, the checked tape at the
+//! floor. Three of them are built by the generator and always there, so a
+//! request for one — a pin — resolves to itself. The fourth, the native
+//! tier, is compiled in the background: [`ExecBackend::Native`] serves on
+//! the simd chain until its artifact promotes, and that is the ladder's one
+//! edge. The tree-walking interpreter ([`GeneratedKernel::compiled`]) is not
+//! a rung: it is the reference semantics the tiers are tested against, and
+//! the tests call it directly.
 //! [`GeneratedKernel::dispatcher`] is the **one** function in the workspace
 //! that maps a requested [`ExecBackend`] onto the tier that runs, and every
 //! entry point — one-shot runs, the GEMM driver's per-worker handles, a
@@ -16,7 +19,7 @@
 
 use std::sync::Arc;
 
-use exo_codegen::{CodegenError, CompiledKernel, SimdDispatch, TapeKernel, TensorView};
+use exo_codegen::{CodegenError, SimdDispatch, TapeKernel};
 
 use crate::error::{GenError, Result};
 use crate::generator::GeneratedKernel;
@@ -48,36 +51,33 @@ pub enum ExecBackend {
     /// bit-identical to them.
     Simd,
     /// The portable tier: the superword lowering executed by the
-    /// scalar-ISA closure chain — bit-for-bit identical to tape and
+    /// scalar-ISA closure chain — bit-for-bit identical to the tape and the
     /// interpreter on every host. (The name is the lowering's; the
     /// superword module itself executes nothing unchecked.)
     Superword,
-    /// The scalar tape — the checked reference: the flat executor that
+    /// The scalar tape — the checked floor: the flat executor that
     /// bounds-checks every access, which is what any declined proof of the
     /// three tiers above runs and what the native tier's promotion probe
     /// compares against. The pin runs it on every call.
     Tape,
-    /// The tree-walking interpreter — the reference semantics every other
-    /// tier is lowered from and differentially tested against.
-    Interp,
 }
 
 impl ExecBackend {
     /// The next execution tier down the ladder
-    /// (native → simd → superword → tape → interp), or `None` at the
-    /// bottom.
+    /// (native → simd → superword → tape), or `None` at the tape, the
+    /// checked floor.
     ///
     /// This is the retry ladder of the fault-tolerant serving path: when a
     /// tier fails or panics on an entry, the entry is re-attempted once on
     /// the tier below the one it ran on, trading speed for the portable
-    /// tiers' simpler dispatch.
+    /// tiers' simpler dispatch. A failure on the tape is final: nothing
+    /// below it checks more.
     pub fn degraded(self) -> Option<ExecBackend> {
         match self {
             ExecBackend::Native => Some(ExecBackend::Simd),
             ExecBackend::Simd => Some(ExecBackend::Superword),
             ExecBackend::Superword => Some(ExecBackend::Tape),
-            ExecBackend::Tape => Some(ExecBackend::Interp),
-            ExecBackend::Interp => None,
+            ExecBackend::Tape => None,
         }
     }
 }
@@ -92,8 +92,6 @@ enum Tier {
     /// The scalar tape (checks every access itself) — also where a
     /// [`Tier::Proved`] call goes when its proof declines.
     Tape(Arc<TapeKernel>),
-    /// The tree-walking interpreter.
-    Interp(Arc<CompiledKernel>),
 }
 
 /// A reusable packed-call handle on one resolved tier of a
@@ -140,7 +138,6 @@ impl GeneratedKernel {
             Simd => (Simd, Tier::Proved(self.simd.dispatcher())),
             Superword => (Superword, Tier::Proved(self.portable.dispatcher())),
             Tape => (Tape, Tier::Tape(Arc::clone(&self.tape))),
-            Interp => (Interp, Tier::Interp(Arc::clone(&self.compiled))),
         }
     }
 }
@@ -190,8 +187,6 @@ impl TierDispatch {
         let ran = match &mut self.tier {
             Tier::Proved(dispatch) => dispatch.run_packed(kc, ac, bc, c),
             Tier::Tape(tape) => tape.run_packed(kc, ac, bc, c),
-            Tier::Interp(compiled) => compiled
-                .run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)]),
         };
         ran.map_err(GenError::Codegen)
     }
@@ -201,6 +196,16 @@ impl TierDispatch {
 mod tests {
     use super::*;
     use crate::MicroKernelGenerator;
+
+    #[test]
+    fn the_ladder_steps_down_one_rung_at_a_time_and_stops_at_the_tape() {
+        use ExecBackend::*;
+        let mut ladder = vec![Native];
+        while let Some(below) = ladder.last().and_then(|tier| tier.degraded()) {
+            ladder.push(below);
+        }
+        assert_eq!(ladder, [Native, Simd, Superword, Tape]);
+    }
 
     #[test]
     fn refresh_takes_a_handle_up_the_ladder_only_when_a_higher_tier_answers() {

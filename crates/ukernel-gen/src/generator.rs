@@ -89,9 +89,10 @@ pub struct GeneratedKernel {
     pub asm: String,
     /// Machine-operation trace for the performance model.
     pub trace: KernelTrace,
-    /// Executable lowering for functional runs: the tree-walking
-    /// interpreter, the slow reference tier that defines the semantics
-    /// every other tier is differentially tested against.
+    /// The tree-walking interpreter of [`Self::proc`]: the reference
+    /// semantics every tier is lowered from and differentially tested
+    /// against. No dispatch rung runs it; tests call its `run_views` on the
+    /// same packed operands a tier ran.
     pub compiled: Arc<CompiledKernel>,
     /// Tape-compiled form of [`Self::compiled`]: the flat executor that
     /// checks every access — the checked reference a declined proof of any
@@ -338,6 +339,7 @@ impl KernelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_codegen::TensorView;
     use exo_isa::{avx512_f32, neon_f16, neon_f32};
 
     fn naive(mr: usize, nr: usize, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -348,6 +350,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The reference semantics on packed operands: the interpreter run on a
+    /// copy of `c0`.
+    fn interpret(kernel: &GeneratedKernel, kc: usize, a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
+        let mut c = c0.to_vec();
+        let views = &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(&mut c)];
+        kernel.compiled.run_views(&[kc as i64], views).unwrap();
+        c
     }
 
     fn check_against_naive(kernel: &GeneratedKernel, kc: usize) {
@@ -412,7 +423,7 @@ mod tests {
             assert_eq!(c_sw, run_on(ExecBackend::Tape), "{mr}x{nr} portable chain diverges from the tape");
             assert_eq!(
                 c_sw,
-                run_on(ExecBackend::Interp),
+                interpret(&kernel, kc, &a, &b, &c0),
                 "{mr}x{nr} portable chain diverges from the interpreter"
             );
             // The SIMD default stays within the FMA-contraction bound of
@@ -468,7 +479,7 @@ mod tests {
                                 .unwrap_or_else(|e| panic!("{label} {pin:?}: {e}"));
                             c
                         };
-                        let c_interp = run_on(Interp);
+                        let c_interp = interpret(&kernel, kc, &a, &b, &c0);
                         assert_eq!(run_on(Tape), c_interp, "{label} kc={kc}: tape vs interpreter");
                         assert_eq!(run_on(Superword), c_interp, "{label} kc={kc}: portable vs interpreter");
                         run_on(Simd);

@@ -14,7 +14,7 @@
 //! Fault countdowns are process-global, so the tests serialise on one
 //! mutex and disarm on entry and exit.
 
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use exo_gemm::exo_serve::fault::{self, FaultPlan};
@@ -22,7 +22,8 @@ use exo_gemm::exo_serve::{
     CompletedJob, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle, OwnedMat, ServiceConfig,
     ServiceHealth, SubmitErrorReason,
 };
-use exo_gemm::gemm_blis::{BlisGemm, BlockingParams};
+use exo_gemm::gemm_blis::{exo_kernel, exo_kernel_simd, BlisGemm, BlockingParams};
+use exo_gemm::ukernel_gen::GeneratedKernel;
 use exo_gemm::{GemmError, GemmExecutor};
 
 /// Fault countdowns are process-global: one experiment at a time.
@@ -32,8 +33,18 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// The generated Neon 8x12, generated once per test binary.
+fn kernel_8x12() -> Arc<GeneratedKernel> {
+    static KERNEL: OnceLock<Arc<GeneratedKernel>> = OnceLock::new();
+    Arc::clone(KERNEL.get_or_init(|| fresh_kernel(8, 12)))
+}
+
+/// The shared driver: the generated 8x12 pinned to the simd tier, so a
+/// failed `beta = 0` entry retries one rung down, on the portable chain.
+/// The pin never polls the native tier, so it starts no background build
+/// that could spend a countdown a test armed for an `aot-*` fault.
 fn driver() -> BlisGemm {
-    BlisGemm::new(BlockingParams::carmel_defaults(8, 12))
+    BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel_simd(kernel_8x12()))
 }
 
 fn make_job(m: usize, n: usize, k: usize, seed: usize, beta: f32) -> GemmJob {
@@ -389,23 +400,27 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
 /// `Native` pin it serves on the simd chain for good: the clean entry says
 /// `Simd`, and the declined one must land one below *that*, on the portable
 /// chain, not be re-run on simd and stamped degraded. A kernel pinned to
-/// the portable chain retries onto the tape. (Every operand is a small
-/// dyadic, so the f16 sums are exact on every tier.)
+/// the portable chain retries onto the tape. A kernel pinned to the tape is
+/// on the floor: its declined entry is not retried, fails with the kernel
+/// error, and leaves its `C` as it was. (Every operand is a small dyadic,
+/// so the f16 sums are exact on every tier.)
 #[test]
 fn a_retry_degrades_from_the_tier_that_ran() {
-    use exo_gemm::gemm_blis::{exo_kernel, exo_kernel_superword, ExecBackend};
+    use exo_gemm::gemm_blis::{exo_kernel_superword, exo_kernel_tape, ExecBackend};
     let _guard = serial();
     fault::disarm();
-    let kernel = std::sync::Arc::new(
+    let kernel = Arc::new(
         exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f16())
             .generate(8, 8)
             .expect("the f16 8x8 tile generates"),
     );
     assert!(kernel.native_wait().is_none(), "an f16 tile has no C lowering, with or without a toolchain");
     let want = reference_c(24, 24, 24, 9, 0.0);
+    let untouched = make_job(24, 24, 24, 9, 0.0).into_c();
     for (imp, ran, retried) in [
-        (exo_kernel(kernel.clone()), ExecBackend::Simd, ExecBackend::Superword),
-        (exo_kernel_superword(kernel.clone()), ExecBackend::Superword, ExecBackend::Tape),
+        (exo_kernel(kernel.clone()), ExecBackend::Simd, Some(ExecBackend::Superword)),
+        (exo_kernel_superword(kernel.clone()), ExecBackend::Superword, Some(ExecBackend::Tape)),
+        (exo_kernel_tape(kernel.clone()), ExecBackend::Tape, None),
     ] {
         let who = imp.name.clone();
         let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 8)).with_kernel(imp);
@@ -414,21 +429,26 @@ fn a_retry_degrades_from_the_tier_that_ran() {
         let report = driver.gemm_batch(jobs.iter_mut().map(GemmJob::problem).collect());
         fault::disarm();
 
-        assert_eq!((report.retries, report.degraded_completions), (1, 1), "{who}");
-        let mut tiers: Vec<(bool, Option<ExecBackend>)> = report
-            .outcomes
-            .iter()
-            .map(|outcome| outcome.as_ref().map(|stats| (stats.degraded, stats.tier)).expect("both complete"))
-            .collect();
-        tiers.sort_by_key(|&(degraded, _)| degraded);
-        assert_eq!(
-            tiers,
-            [(false, Some(ran)), (true, Some(retried))],
-            "{who}: (degraded, tier), clean entry first"
-        );
-        for job in jobs {
-            assert_close(&job.into_c(), &want, &who);
+        let retries = u64::from(retried.is_some());
+        assert_eq!((report.retries, report.degraded_completions), (retries, retries), "{who}");
+        let mut tiers: Vec<(bool, Option<ExecBackend>)> = Vec::new();
+        for (job, outcome) in jobs.into_iter().zip(&report.outcomes) {
+            let c = job.into_c();
+            match outcome {
+                Ok(stats) => {
+                    assert_close(&c, &want, &who);
+                    tiers.push((stats.degraded, stats.tier));
+                }
+                Err(GemmError::Kernel { .. }) if retried.is_none() => {
+                    assert_bits(&c, &untouched, &format!("{who}: the declined entry's C"))
+                }
+                Err(other) => panic!("{who}: unexpected failure {other:?}"),
+            }
         }
+        tiers.sort_by_key(|&(degraded, _)| degraded);
+        let expected: Vec<_> =
+            [(false, Some(ran))].into_iter().chain(retried.map(|tier| (true, Some(tier)))).collect();
+        assert_eq!(tiers, expected, "{who}: (degraded, tier) of each completion, clean entry first");
     }
 }
 
@@ -654,8 +674,8 @@ fn shutdown_with_outstanding_handles_resolves_them_all() {
 /// tile shape no other test in this binary serves (the shared 8x12 key
 /// may already be promoted, and an armed countdown must fire in the
 /// experiment that armed it, not in a neighbour's background build).
-fn fresh_kernel(mr: usize, nr: usize) -> std::sync::Arc<exo_gemm::ukernel_gen::GeneratedKernel> {
-    std::sync::Arc::new(
+fn fresh_kernel(mr: usize, nr: usize) -> Arc<GeneratedKernel> {
+    Arc::new(
         exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f32())
             .generate(mr, nr)
             .unwrap_or_else(|e| panic!("{mr}x{nr} generates: {e}")),
@@ -663,11 +683,12 @@ fn fresh_kernel(mr: usize, nr: usize) -> std::sync::Arc<exo_gemm::ukernel_gen::G
 }
 
 /// Settles any in-flight background build of the shared 8x12 key before
-/// an AOT fault is armed: earlier tests' drivers poll that key, and a
-/// build they kicked must not still be running (and consuming
-/// countdowns) when the experiment starts.
+/// an AOT fault is armed: earlier tests may poll that key (a `TunedGemm`
+/// serving the Neon 8x12 on AVX2, the env-spec run), and a build they
+/// kicked must not still be running (and consuming countdowns) when the
+/// experiment starts.
 fn settle_shared_native_key() {
-    let _ = fresh_kernel(8, 12).native_wait();
+    let _ = kernel_8x12().native_wait();
 }
 
 /// Computes the cache key the native tier will use for `kernel` on this
@@ -675,7 +696,7 @@ fn settle_shared_native_key() {
 /// need the build pipeline to actually run end to end: against a warm
 /// cache the compiler is never invoked, so a fault hooked into the
 /// compile path could never fire. Returns the artifact path.
-fn evict_artifact(kernel: &std::sync::Arc<exo_gemm::ukernel_gen::GeneratedKernel>) -> std::path::PathBuf {
+fn evict_artifact(kernel: &Arc<GeneratedKernel>) -> std::path::PathBuf {
     let c_source = exo_gemm::exo_codegen::emit_superword_c(
         &kernel.superword,
         exo_gemm::exo_codegen::active_isa(),
@@ -733,12 +754,11 @@ fn await_aot_stat(
 /// computed while faults are disarmed. This is the tier every AOT
 /// failure must silently land on, bit for bit.
 fn simd_refs(
-    kernel: &std::sync::Arc<exo_gemm::ukernel_gen::GeneratedKernel>,
+    kernel: &Arc<GeneratedKernel>,
     blocking: BlockingParams,
     shapes: &[(usize, usize, usize)],
 ) -> Vec<OwnedMat> {
-    let simd_driver = BlisGemm::new(blocking)
-        .with_kernel(exo_gemm::gemm_blis::exo_kernel_simd(std::sync::Arc::clone(kernel)));
+    let simd_driver = BlisGemm::new(blocking).with_kernel(exo_kernel_simd(Arc::clone(kernel)));
     shapes
         .iter()
         .enumerate()
@@ -776,8 +796,7 @@ fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
     // The serve run: Native-tier kernel (the default ladder), with the
     // first background build attempt failing.
     FaultPlan::new().aot_compile_fail(1).arm();
-    let native_driver =
-        BlisGemm::new(blocking).with_kernel(exo_gemm::gemm_blis::exo_kernel(std::sync::Arc::clone(&kernel)));
+    let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
     let service = run_clean_batch(native_driver, &shapes, &refs, "compile-fail");
 
     // The failed background build lands in the service's AOT deltas and
@@ -849,7 +868,7 @@ fn a_hung_compiler_never_delays_jobs_and_the_books_balance() {
                     let (m, n, k) = shape(j);
                     let mut job = make_job(m, n, k, caller * JOBS + j, 0.0);
                     BlisGemm::new(blocking)
-                        .with_kernel(exo_gemm::gemm_blis::exo_kernel_simd(std::sync::Arc::clone(&kernel)))
+                        .with_kernel(exo_kernel_simd(Arc::clone(&kernel)))
                         .gemm(job.problem())
                         .expect("reference gemm");
                     job.into_c()
@@ -859,8 +878,7 @@ fn a_hung_compiler_never_delays_jobs_and_the_books_balance() {
         .collect();
 
     FaultPlan::new().aot_hang(1).arm();
-    let native_driver =
-        BlisGemm::new(blocking).with_kernel(exo_gemm::gemm_blis::exo_kernel(std::sync::Arc::clone(&kernel)));
+    let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
     let service = GemmService::with_config(native_driver, ServiceConfig { queue_capacity: 16, max_batch: 8 });
     let started = std::time::Instant::now();
     let outcomes: Vec<Vec<Result<CompletedJob, GemmError>>> = std::thread::scope(|scope| {
@@ -940,8 +958,7 @@ fn a_wrong_result_kernel_is_quarantined_before_dispatch_ever_sees_it() {
     let _ = std::fs::remove_file(&quarantined);
 
     FaultPlan::new().aot_wrong_result(1).arm();
-    let native_driver =
-        BlisGemm::new(blocking).with_kernel(exo_gemm::gemm_blis::exo_kernel(std::sync::Arc::clone(&kernel)));
+    let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
     let service = run_clean_batch(native_driver, &shapes, &refs, "wrong-result");
 
     // The probe verdict lands first, the failed attempt a beat later;
@@ -964,7 +981,13 @@ fn a_wrong_result_kernel_is_quarantined_before_dispatch_ever_sees_it() {
 
 /// CI's entry point: when `EXO_FAULT` is set, the first service
 /// construction arms it and this generic liveness run must survive
-/// whatever the spec throws. Without `EXO_FAULT` the test is a no-op.
+/// whatever the spec throws. The jobs run the generated 8x12 on the native
+/// tier, so a retry steps down the real ladder and the first job starts
+/// the kernel's background build. When the spec arms `aot-hang` and a
+/// toolchain answers, that build must meet the hung compiler: the test
+/// waits for it to settle and asserts the timeout was booked. Meant to run
+/// filtered to this test, as CI does, so that its service is the first in
+/// the process. Without `EXO_FAULT` the test is a no-op.
 #[test]
 fn env_spec_drives_a_full_fault_run() {
     let spec = match std::env::var("EXO_FAULT") {
@@ -972,9 +995,17 @@ fn env_spec_drives_a_full_fault_run() {
         _ => return,
     };
     let _guard = serial();
+    let hang = FaultPlan::parse(&spec).expect("EXO_FAULT parses").aot_hang.is_some()
+        && exo_gemm::gemm_blis::native_available();
+    if hang {
+        // Against a cached artifact the compiler never runs.
+        let _ = evict_artifact(&kernel_8x12());
+    }
     // Constructing the service arms the env plan (first construction in
     // this process wins the OnceLock).
-    let service = GemmService::with_config(driver(), ServiceConfig { queue_capacity: 16, max_batch: 8 });
+    let native_driver =
+        BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel(kernel_8x12()));
+    let service = GemmService::with_config(native_driver, ServiceConfig { queue_capacity: 16, max_batch: 8 });
     const CALLERS: usize = 4;
     const JOBS: usize = 8;
     let outcomes: Vec<Result<CompletedJob, GemmError>> = std::thread::scope(|scope| {
@@ -993,6 +1024,11 @@ fn env_spec_drives_a_full_fault_run() {
             .collect();
         spawned.into_iter().flat_map(|h| h.join().expect("submitter thread")).collect()
     });
+    // The build runs in the background: disarming before it settles could
+    // zero the hang countdown before the compiler is invoked.
+    if hang {
+        let _ = kernel_8x12().native_wait();
+    }
     fault::disarm();
 
     assert_eq!(outcomes.len(), CALLERS * JOBS, "every job resolved, spec `{spec}`");
@@ -1002,6 +1038,9 @@ fn env_spec_drives_a_full_fault_run() {
         stats.jobs_submitted,
         "books must balance under EXO_FAULT={spec}: {stats}"
     );
+    if hang {
+        assert!(stats.aot_compile_timeouts >= 1, "the hung compiler must be killed and booked: {stats}");
+    }
     let clean = service.submit(make_job(16, 16, 16, 777, 0.0)).expect("live service accepts");
     assert!(wait_or_hang(&clean).is_ok());
 }

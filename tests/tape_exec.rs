@@ -1,11 +1,12 @@
-//! Differential suite for the execution engines: a **five-way**
-//! comparison with an **ISA axis**. The ahead-of-time compiled native
-//! tier (a dlopen'd `.so` emitted from the superword lowering), the
-//! in-process SIMD chain (compiled per vector ISA — AVX-512, AVX2/FMA, NEON, or
-//! the scalar reference), the portable tier (the scalar-ISA chain —
-//! what the `superword` pin runs), the scalar tape, the tree-walking
-//! interpreter, and the naive reference must agree. Where the
-//! computation is literally the same sequence of f32 operations
+//! Differential suite for the execution engines: the four tiers with an
+//! **ISA axis**, against the reference semantics. The ahead-of-time
+//! compiled native tier (a dlopen'd `.so` emitted from the superword
+//! lowering), the in-process SIMD chain (compiled per vector ISA — AVX-512,
+//! AVX2/FMA, NEON, or the scalar reference), the portable tier (the
+//! scalar-ISA chain — what the `superword` pin runs), the scalar tape, the
+//! tree-walking interpreter (no tier: the reference, called directly on
+//! the packed operands a tier ran), and the naive reference must agree.
+//! Where the computation is literally the same sequence of f32 operations
 //! (portable vs. tape vs. interpreter — the tape being the checked
 //! reference of the superword lowering — 1 vs. N threads, row-block vs.
 //! column-block partition — and any one SIMD chain against *itself*
@@ -36,16 +37,25 @@ use exo_gemm::exo_codegen::{emit_superword_c, SimdKernel, SuperwordKernel, Tenso
 use exo_gemm::exo_isa::{avx512_f32, neon_f32};
 use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    naive_gemm, native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor,
-    GemmProblem, IsaKind, Matrix,
+    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape, naive_gemm,
+    native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind,
+    Matrix,
 };
-use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator, Strategy};
+use exo_gemm::ukernel_gen::{GeneratedKernel, KernelCache, KernelSet, MicroKernelGenerator, Strategy};
 
 /// The superword lowering's checked reference run of a packed call — the
 /// scalar tape it was packed from, the executor that trusts no proof.
 fn run_reference(sw: &SuperwordKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     sw.run_checked(&[kc as i64], &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(c)]).unwrap();
+}
+
+/// The reference semantics of a packed call: the tree-walking interpreter
+/// of the scheduled procedure, run on a copy of `c0`.
+fn interpret(kernel: &GeneratedKernel, kc: usize, a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
+    let mut c = c0.to_vec();
+    let views = &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(&mut c)];
+    kernel.compiled.run_views(&[kc as i64], views).unwrap();
+    c
 }
 
 fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -101,7 +111,7 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
             assert_eq!(c_simd, run_on(ExecBackend::Simd), "{mr}x{nr} kc={kc}: run_packed is the simd tier");
             let c_sw = run_on(ExecBackend::Superword);
             let c_tape = run_on(ExecBackend::Tape);
-            let c_interp = run_on(ExecBackend::Interp);
+            let c_interp = interpret(&kernel, kc, &a, &b, &c0);
             let c_native = run_on(ExecBackend::Native);
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native must be bit-faithful to simd");
             assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable chain vs tape");
@@ -117,7 +127,7 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
     assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
-/// All five tiers agree with `naive_gemm` (to accumulation tolerance) on
+/// All four tiers agree with `naive_gemm` (to accumulation tolerance) on
 /// fringe-heavy problems through the full five-loop driver; the portable
 /// driver runs are bit-identical to each other, the native (default)
 /// driver run is bit-identical to the pinned-simd run, and both stay
@@ -153,7 +163,6 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
             let c_simd = run(exo_kernel_simd(Arc::clone(&kernel)));
             let c_sw = run(exo_kernel_superword(Arc::clone(&kernel)));
             let c_tape = run(exo_kernel_tape(Arc::clone(&kernel)));
-            let c_interp = run(exo_kernel_interp(Arc::clone(&kernel)));
             assert_eq!(
                 c_native.data, c_simd.data,
                 "{mr}x{nr} on {m}x{n}x{k}: native (default) vs pinned-simd driver"
@@ -164,7 +173,6 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
                 c_sw.data,
                 "{mr}x{nr} on {m}x{n}x{k}: the programmatic pin is the dedicated pin through the driver"
             );
-            assert_eq!(c_tape.data, c_interp.data, "{mr}x{nr} on {m}x{n}x{k}: tape vs interp driver");
             assert_fma_close(
                 &c_simd.data,
                 &c_sw.data,
@@ -187,7 +195,7 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 }
 
 /// A tier pin is never a second code path beside the ladder: on every
-/// registry shape, every one of the five `ExecBackend` pins — set
+/// registry shape, every one of the four `ExecBackend` pins — set
 /// programmatically with `with_backend` or by the dedicated `exo_kernel_*`
 /// constructor — run one-shot through `KernelImpl::run` and through a
 /// reusable `dispatcher()` handle lands on the tier the one resolution
@@ -210,7 +218,6 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
                 (Simd, exo_kernel_simd(Arc::clone(&kernel))),
                 (Superword, exo_kernel_superword(Arc::clone(&kernel))),
                 (Tape, exo_kernel_tape(Arc::clone(&kernel))),
-                (Interp, exo_kernel_interp(Arc::clone(&kernel))),
             ]
             .into_iter()
             .map(|(pin, dedicated)| {
@@ -239,9 +246,9 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
                 c
             })
             .collect();
-            let [c_native, c_simd, c_sw, c_tape, c_interp] = &results[..] else { unreachable!() };
+            let [c_native, c_simd, c_sw, c_tape] = &results[..] else { unreachable!() };
             assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable vs tape");
-            assert_eq!(c_tape, c_interp, "{mr}x{nr} kc={kc}: tape vs interp");
+            assert_eq!(c_tape, &interpret(&kernel, kc, &a, &b, &c0), "{mr}x{nr} kc={kc}: tape vs interp");
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native vs simd");
             assert_fma_close(c_simd, c_sw, kc, &format!("{mr}x{nr} kc={kc}: simd vs portable"));
             if !active_isa().contracts_fma() {

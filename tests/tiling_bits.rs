@@ -50,9 +50,9 @@ const MAX_ROWS: usize = 128;
 fn every_tiling_computes_the_same_bits() {
     let threads = 2;
     let tuned = TunedGemm::new().with_threads(threads);
-    let reference_kernel = Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap());
+    let kernel_8x12 = Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap());
     let reference = BlisGemm::new(BlockingParams::analytical(&CacheHierarchy::carmel(), 8, 12, 4))
-        .with_kernel(exo_kernel(reference_kernel))
+        .with_kernel(exo_kernel(kernel_8x12))
         .with_threads(threads);
     let mut shapes = resnet50_table().gemm_shapes();
     shapes.extend(vgg16_table().gemm_shapes());
