@@ -22,7 +22,7 @@ fn main() {
     for (imp, count) in Implementation::all().iter().zip(best_counts) {
         println!("  {:<10} {}", imp.label(), count);
     }
-    let exo_kernels: std::collections::BTreeSet<String> = workload
+    let exo_kernels: std::collections::BTreeSet<std::sync::Arc<str>> = workload
         .unique_layers
         .iter()
         .map(|p| sim.select_kernel(Implementation::AlgExo, p.m, p.n, p.k).name)

@@ -1,10 +1,11 @@
-//! The perf gates measured outside `exo_bench`: eight comparisons of two
+//! The perf gates measured outside `exo_bench`: nine comparisons of two
 //! things timed in one run. Nothing here is compared with a recorded
 //! number and nothing is written — every absolute figure (GFLOPS, latency,
 //! per-layer shares, normalised to a calibration burst and run
 //! parent-against-change) is `exo_bench`'s, declared in `BENCHMARK.json`.
 //! Every GEMM series runs through the one five-loop driver on one thread,
-//! the generated 8x12 kernel in all but the last gate.
+//! the generated 8x12 kernel's in gates 1 to 5, the serving verdict's from
+//! gate 6 on.
 //!
 //! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `tape < superword
 //!    < simd < native` must hold strictly at both sizes — a
@@ -64,8 +65,13 @@
 //!    blocks keep the panel walk (`gemm_blis::packing::source_order`: panel
 //!    rows that are not whole cache lines, as on AVX2, NEON and scalar
 //!    tiles), where the floor has never been measured.
+//! 9. **`serve_pass`** — what the queued front door adds to a small GEMM on
+//!    an idle service: a lone `GemmService::submit` + `wait` of each of
+//!    `exo_bench`'s eight `serve_small` shapes ([`SERVE_SHAPES`]), against
+//!    the serving verdict's `TunedGemm::gemm` of the same operands. Must
+//!    reach [`SERVE_PASS_FLOOR`]; never skipped.
 //!
-//! Gates 2 to 8 run their two sides in alternating short bursts and judge
+//! Gates 2 to 9 run their two sides in alternating short bursts and judge
 //! the median of the per-pair ratios ([`alternate`]), so drift of a shared
 //! host cancels instead of landing on one side. The exit status is 1 if
 //! any gate fails; a skipped gate prints its reason.
@@ -76,6 +82,7 @@ use std::time::Instant;
 
 use exo_aot::NativeKernel;
 use exo_codegen::simd::strided_move_on;
+use exo_serve::{CachedTunedGemm, CompletedJob, GemmJob, GemmService, OwnedMat};
 use exo_tune::TunedGemm;
 use gemm_blis::{
     active_isa, exo_kernel, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape, native_available,
@@ -149,6 +156,27 @@ const PACK_B_IN_SITU_FLOOR: f64 = 0.6;
 const PACK_B_IN_SITU_SHAPE: (usize, usize, usize) = (49, 512, 4608);
 /// Alternating GEMM pairs of the `pack_b_in_situ` gate.
 const PACK_B_IN_SITU_PAIRS: usize = 30;
+
+/// Lowest `serve_pass` ratio (a lone `submit` + `wait`'s rate over the
+/// per-call `TunedGemm::gemm`'s on the same jobs) accepted: 0.68-0.73
+/// measured on a 2-vCPU AVX-512 Xeon, against 0.54-0.56 when a lone job
+/// ran through a `gemm_batch` of one.
+const SERVE_PASS_FLOOR: f64 = 0.62;
+/// The eight tiny mixed shapes of `exo_bench`'s `serve_small` workload.
+const SERVE_SHAPES: [(usize, usize, usize); 8] = [
+    (24, 16, 12),
+    (17, 13, 9),
+    (32, 24, 8),
+    (8, 40, 16),
+    (48, 8, 24),
+    (16, 16, 16),
+    (28, 20, 6),
+    (12, 36, 10),
+];
+/// Jobs of each shape in one `serve_pass` burst (~0.1-0.2 ms a burst).
+const SERVE_PASS_ROUNDS: usize = 16;
+/// Alternating burst pairs of the `serve_pass` gate.
+const SERVE_PASS_PAIRS: usize = 200;
 
 /// How a measurement lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
@@ -311,10 +339,24 @@ struct Paired {
 /// Times `burst` on both sides, `pairs` pairs with the order swapped every
 /// pair, after one warming burst each.
 fn alternate(pairs: usize, mut burst: impl FnMut(Side)) -> Paired {
+    alternate_prepared(pairs, |_| (), |side, ()| burst(side))
+}
+
+/// [`alternate`] over bursts that consume an input and leave an output:
+/// `prepare` makes each burst's input before its clock starts, and the
+/// output is dropped after the clock stops.
+fn alternate_prepared<T, U>(
+    pairs: usize,
+    mut prepare: impl FnMut(Side) -> T,
+    mut burst: impl FnMut(Side, T) -> U,
+) -> Paired {
     let mut time = |side: Side| {
+        let input = prepare(side);
         let start = Instant::now();
-        burst(side);
-        start.elapsed().as_secs_f64()
+        let output = burst(side, input);
+        let secs = start.elapsed().as_secs_f64();
+        drop(output);
+        secs
     };
     time(Side::Subject);
     time(Side::Reference);
@@ -575,6 +617,97 @@ fn pack_b_in_situ(driver: &BlisGemm) -> Paired {
     paired
 }
 
+/// The operands of one [`SERVE_SHAPES`] job.
+struct ServeOperands {
+    dims: (usize, usize, usize),
+    a: Vec<f32>,
+    b: Vec<f32>,
+}
+
+impl ServeOperands {
+    fn new((m, n, k): (usize, usize, usize)) -> Self {
+        let a = (0..m * k).map(|i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0).collect();
+        let b = (0..k * n).map(|i| ((i * 5 + 2) % 17) as f32 * 0.125 - 1.0).collect();
+        ServeOperands { dims: (m, n, k), a, b }
+    }
+
+    /// An owned job over copies of the operands, as `serve_small` builds.
+    fn job(&self) -> GemmJob {
+        let (m, n, k) = self.dims;
+        let (a, b) = (
+            OwnedMat::with_layout(self.a.clone(), m, k, k, 1, 0),
+            OwnedMat::with_layout(self.b.clone(), k, n, n, 1, 0),
+        );
+        GemmJob::new(a, b, OwnedMat::zeros(m, n)).beta(0.0)
+    }
+
+    /// The same product over the operands in place, into `c`.
+    fn problem<'a>(&'a self, c: &'a mut [f32]) -> GemmProblem<'a> {
+        let (m, n, k) = self.dims;
+        GemmProblem::new(
+            MatRef::from_slice(&self.a, m, k),
+            MatRef::from_slice(&self.b, k, n),
+            MatMut::from_slice(c, m, n),
+        )
+        .beta(0.0)
+    }
+}
+
+/// The `serve_pass` gate: a lone `submit` + `wait` of every
+/// [`SERVE_SHAPES`] job on an idle service (subject) against the serving
+/// verdict's `TunedGemm::gemm` of the same operands (reference), every shape
+/// [`SERVE_PASS_ROUNDS`] times a burst, `beta = 0` as in `serve_small`. The
+/// subject's owned jobs are built before its clock starts and its results
+/// dropped after it stops. Each side has its own `TunedGemm` — the service
+/// owns its executor — over the same verdicts, native artifacts settled
+/// first; both return the same bits, which is checked before timing.
+fn serve_pass() -> Paired {
+    let operands: Vec<ServeOperands> = SERVE_SHAPES.into_iter().map(ServeOperands::new).collect();
+    let settle = |tuned: &TunedGemm| {
+        for (m, n, k) in SERVE_SHAPES {
+            let (_, driver) = tuned.driver_for(m, n, k).expect("the serving space tunes");
+            let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+        }
+    };
+    let reference = TunedGemm::new();
+    settle(&reference);
+    let executor = CachedTunedGemm::new(TunedGemm::new());
+    settle(executor.tuned());
+    let service = GemmService::new(executor);
+    let lone = |job: GemmJob| -> CompletedJob {
+        service.submit(job).expect("an idle service accepts").wait().expect("a lone job completes")
+    };
+    let mut c: Vec<Vec<f32>> = SERVE_SHAPES.iter().map(|&(m, n, _)| vec![0.0f32; m * n]).collect();
+    let per_call = |c: &mut [Vec<f32>]| {
+        for (operands, c) in operands.iter().zip(c) {
+            reference.gemm(operands.problem(c)).expect("gemm run");
+        }
+    };
+    per_call(&mut c);
+    for (operands, want) in operands.iter().zip(&c) {
+        let got = lone(operands.job()).c.into_data();
+        assert_eq!(&got, want, "a lone submit and TunedGemm::gemm compute the same bits");
+    }
+    alternate_prepared(
+        SERVE_PASS_PAIRS,
+        |side| match side {
+            Side::Subject => {
+                (0..SERVE_PASS_ROUNDS).flat_map(|_| operands.iter().map(ServeOperands::job)).collect()
+            }
+            Side::Reference => Vec::new(),
+        },
+        |side, jobs: Vec<GemmJob>| match side {
+            Side::Subject => jobs.into_iter().map(lone).collect::<Vec<CompletedJob>>(),
+            Side::Reference => {
+                for _ in 0..SERVE_PASS_ROUNDS {
+                    per_call(&mut c);
+                }
+                Vec::new()
+            }
+        },
+    )
+}
+
 /// Prints one ratio gate's verdict line and returns whether it passed.
 fn verdict(gate: &str, ratio: f64, floor: f64) -> bool {
     let ok = ratio >= floor;
@@ -791,6 +924,16 @@ fn main() {
         );
         failed |= !verdict("pack_b_in_situ", p.ratio, PACK_B_IN_SITU_FLOOR);
     }
+
+    let p = serve_pass();
+    let jobs = (SERVE_PASS_ROUNDS * SERVE_SHAPES.len()) as f64;
+    println!(
+        "  serve_pass ({} serve_small shapes): lone submit + wait {:.2} us a job, TunedGemm::gemm {:.2} us",
+        SERVE_SHAPES.len(),
+        p.subject_secs / jobs * 1.0e6,
+        p.reference_secs / jobs * 1.0e6
+    );
+    failed |= !verdict("serve_pass", p.ratio, SERVE_PASS_FLOOR);
 
     if failed {
         eprintln!("FAIL: a gate above did not hold");

@@ -33,6 +33,12 @@
 //!    slices, instead of once per entry ([`BatchReport::b_images_packed`],
 //!    [`BatchReport::entries_on_shared_b`]).
 //!
+//! A batch of one gains nothing from any of that, so
+//! [`GemmBatchExecutor::gemm_one`] is the same engine pass without it: one
+//! runner checked out of the problem's driver, one `run_entry`, the
+//! runner put back — the door a service takes for a lone job. Executors
+//! that implement only `gemm_batch` get a batch of one there.
+//!
 //! The result is **bit-identical to a sequential per-entry loop** over the
 //! same executor: kernel and blocking selection are deterministic per
 //! shape, entries never share a `C`, a shared image holds the bytes each
@@ -172,6 +178,27 @@ impl BatchReport {
     }
 }
 
+/// The outcome of one entry run through [`GemmBatchExecutor::gemm_one`],
+/// plus the isolation tallies of [`BatchReport`] that a service books.
+#[derive(Debug)]
+pub struct EntryReport {
+    /// Stats (with [`GemmStats::batched`] set) or the entry's own error.
+    pub outcome: Result<GemmStats, GemmError>,
+    /// Panic events contained while the entry ran.
+    pub panics_caught: u64,
+    /// Degradation retries attempted (`0` or `1`).
+    pub retries: u64,
+    /// `1` if the entry completed on the retry tier.
+    pub degraded_completions: u64,
+}
+
+impl EntryReport {
+    /// An entry that never ran: its error, nothing tallied.
+    pub(crate) fn refused(error: GemmError) -> Self {
+        EntryReport { outcome: Err(error), panics_caught: 0, retries: 0, degraded_completions: 0 }
+    }
+}
+
 /// An executor that solves a whole [`GemmBatch`] with amortised fixed costs
 /// (see the module docs for the cost model).
 pub trait GemmBatchExecutor {
@@ -187,6 +214,22 @@ pub trait GemmBatchExecutor {
     /// pre-dispatch errors (shape, planning, decline) and unspecified for
     /// contained panics without a successful retry.
     fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport;
+
+    /// Solves one problem as a batch of one would: the same outcome, panic
+    /// capture, tier-down retry and tallies. This default is that batch of
+    /// one. The executors of this crate override it with one runner checked
+    /// out of the problem's driver around one engine pass, and no batch,
+    /// group or outcome vector — the door a lone service job takes.
+    fn gemm_one(&self, problem: GemmProblem<'_>) -> EntryReport {
+        let report = self.gemm_batch(GemmBatch { entries: vec![problem] });
+        let outcome = report.outcomes.into_iter().next().expect("one outcome per batch entry");
+        EntryReport {
+            outcome,
+            panics_caught: report.panics_caught,
+            retries: report.retries,
+            degraded_completions: report.degraded_completions,
+        }
+    }
 }
 
 /// Stamps the batch marker on stats produced through the batch path.
@@ -241,7 +284,7 @@ fn run_entry(
     let first = catch_unwind(AssertUnwindSafe(|| {
         if let Some(fault::EntryFault::Decline) = fault::entry_hook() {
             return Err(GemmError::Kernel {
-                kernel: driver.kernel().name.clone(),
+                kernel: driver.kernel().name.to_string(),
                 message: "injected fault: simulated proof decline (EXO_FAULT decline)".into(),
             });
         }
@@ -428,6 +471,28 @@ fn collect_outcomes(out: Vec<Option<Result<GemmStats, GemmError>>>, tally: Tally
     }
 }
 
+/// One problem on one of `driver`'s runners, checked out for it and put
+/// back after it — the batch path's group of one, minus the group: the
+/// same shape check, the same thread count and [`run_entry`].
+fn run_one(driver: &BlisGemm, mut problem: GemmProblem<'_>) -> EntryReport {
+    if let Err(e) = problem.dims() {
+        return EntryReport::refused(e);
+    }
+    let tally = Tally::default();
+    // A group of one runs under the driver's partition of `C`, unless the
+    // pool has a single worker ([`run_group`]).
+    let threads = if ThreadPool::global().workers() == 1 { 1 } else { driver.threads };
+    let mut runner = driver.runner();
+    let outcome = run_entry(driver, &mut runner, &mut problem, None, threads, &tally);
+    driver.put_back(runner);
+    EntryReport {
+        outcome,
+        panics_caught: tally.panics.into_inner(),
+        retries: tally.retries.into_inner(),
+        degraded_completions: tally.degraded.into_inner(),
+    }
+}
+
 impl GemmBatchExecutor for BlisGemm {
     /// One group: the driver's stored kernel and blocking serve every
     /// entry, on the driver's own warm runners. (Shared-`B` image buffers
@@ -440,6 +505,10 @@ impl GemmBatchExecutor for BlisGemm {
         let group = entries.into_iter().enumerate().map(|(idx, problem)| (idx, problem, None)).collect();
         run_group(self, group, &mut out, &tally, &mut Vec::new());
         collect_outcomes(out, tally)
+    }
+
+    fn gemm_one(&self, problem: GemmProblem<'_>) -> EntryReport {
+        run_one(self, problem)
     }
 }
 
@@ -512,6 +581,15 @@ impl GemmBatchExecutor for CachedTunedGemm {
             run_group(&driver, group, &mut out, &tally, &mut images);
         }
         collect_outcomes(out, tally)
+    }
+
+    /// Routed as `gemm_batch` routes an entry, run on its group's driver;
+    /// the image buffers are not touched.
+    fn gemm_one(&self, problem: GemmProblem<'_>) -> EntryReport {
+        match problem.dims().and_then(|(m, n, k)| Ok(self.tuned.driver_for(m, n, k)?.1)) {
+            Ok(driver) => run_one(&driver, problem),
+            Err(e) => EntryReport::refused(e),
+        }
     }
 }
 

@@ -15,7 +15,9 @@
 //! - **Queued front door** ([`GemmService`]): a bounded submission queue
 //!   fed from any number of caller threads and drained into adaptive
 //!   batches by whichever caller finds it idle — the service owns no
-//!   thread — with aggregate counters ([`ServiceStats`]).
+//!   thread, and a lone job runs through the executor's one-entry door
+//!   ([`GemmBatchExecutor::gemm_one`]) — with aggregate counters
+//!   ([`ServiceStats`]).
 //!
 //! ```
 //! use exo_serve::{GemmJob, GemmService, OwnedMat};
@@ -62,7 +64,7 @@ pub mod fault;
 pub mod job;
 pub mod service;
 
-pub use batch::{BatchReport, CachedTunedGemm, GemmBatch, GemmBatchExecutor};
+pub use batch::{BatchReport, CachedTunedGemm, EntryReport, GemmBatch, GemmBatchExecutor};
 pub use fault::FaultPlan;
 pub use gemm_blis::pool::{env_threads_override, PoolJob, ThreadPool};
 pub use job::{CompletedJob, GemmJob, OwnedMat};

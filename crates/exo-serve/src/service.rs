@@ -1,6 +1,7 @@
 //! The queued GEMM front door: many caller threads submit owned jobs, and
-//! whichever of them finds the queue idle drains it into [`GemmBatch`]es on
-//! its own thread. The service owns no thread.
+//! whichever of them finds the queue idle drains it into passes on its own
+//! thread — a pass of one job through the executor's one-entry door, a
+//! longer one as a [`GemmBatch`]. The service owns no thread.
 //!
 //! Lifecycle and flow:
 //!
@@ -15,9 +16,11 @@
 //!    lost on rejection.
 //! 3. A submitter queues its job under the one lock. If nobody is draining
 //!    the queue it becomes the **combiner**: it takes up to
-//!    [`ServiceConfig::max_batch`] queued jobs, runs them as one batch on
-//!    its own thread, and repeats until the queue is empty — its own job
-//!    and whatever other callers queued meanwhile. Otherwise it returns
+//!    [`ServiceConfig::max_batch`] queued jobs, runs them as one pass on
+//!    its own thread (a lone job through [`GemmBatchExecutor::gemm_one`],
+//!    two or more as one [`GemmBatchExecutor::gemm_batch`]), and repeats
+//!    until the queue is empty — its own job and whatever other callers
+//!    queued meanwhile. Otherwise it returns
 //!    its handle at once: a combiner never leaves a non-empty queue
 //!    behind. So an idle service runs a job on the calling thread and
 //!    returns a resolved handle, and batches form exactly when callers
@@ -27,10 +30,11 @@
 //!    the counters of [`GemmService::stats`], always before the handle
 //!    resolves.
 //!
-//! What `submit` costs: on an idle service, the job itself; for a
-//! combiner, also every job other callers queue before it finds the queue
-//! empty — bounded by the windows of closed-loop callers, unbounded while
-//! open-loop callers submit faster than one thread executes.
+//! What `submit` costs: on an idle service, the job's one engine pass plus
+//! one lock and a completion slot; for a combiner, also every job other
+//! callers queue before it finds the queue empty — bounded by the windows
+//! of closed-loop callers, unbounded while open-loop callers submit faster
+//! than one thread executes.
 //!
 //! Failure semantics: a panic inside one batch entry fails only that job
 //! (see [`crate::batch`]); jobs with a queue deadline
@@ -51,9 +55,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gemm_blis::pool::ThreadPool;
-use gemm_blis::GemmError;
+use gemm_blis::{GemmError, GemmProblem, GemmStats};
 
-use crate::batch::{panic_message, BatchReport, GemmBatch, GemmBatchExecutor};
+use crate::batch::{panic_message, BatchReport, EntryReport, GemmBatch, GemmBatchExecutor};
 use crate::fault;
 use crate::job::{CompletedJob, GemmJob};
 
@@ -324,7 +328,9 @@ impl Drop for Reply {
 struct Submission {
     job: GemmJob,
     reply: Reply,
-    enqueued: Instant,
+    /// When `submit` was called, for a job with a deadline: the deadline
+    /// check is all that reads it, so no other job reads the clock for it.
+    enqueued: Option<Instant>,
 }
 
 /// The handle returned by [`GemmService::submit`]: redeem it with
@@ -393,14 +399,20 @@ struct State {
 impl State {
     /// Books one pass's outcomes — before any of them is published, so a
     /// caller never holds a result the stats do not yet account for.
-    fn book(&mut self, report: &BatchReport) {
+    fn book(&mut self, report: &PassReport) {
         let stats = &mut self.stats;
-        stats.panics_caught += report.panics_caught;
-        stats.retries += report.retries;
-        stats.degraded_completions += report.degraded_completions;
-        stats.b_images_packed += report.b_images_packed;
-        stats.entries_on_shared_b += report.entries_on_shared_b;
-        for outcome in &report.outcomes {
+        let (panics, retries, degraded, b_images, shared_b) = match report {
+            PassReport::Lone(e) => (e.panics_caught, e.retries, e.degraded_completions, 0, 0),
+            PassReport::Batch(b) => {
+                (b.panics_caught, b.retries, b.degraded_completions, b.b_images_packed, b.entries_on_shared_b)
+            }
+        };
+        stats.panics_caught += panics;
+        stats.retries += retries;
+        stats.degraded_completions += degraded;
+        stats.b_images_packed += b_images;
+        stats.entries_on_shared_b += shared_b;
+        for outcome in report.outcomes() {
             match outcome {
                 Ok(done) => {
                     stats.jobs_completed += 1;
@@ -412,9 +424,34 @@ impl State {
                 }
             }
         }
-        if report.panics_caught > 0 || report.degraded_completions > 0 {
+        if panics > 0 || degraded > 0 {
             stats.health = ServiceHealth::Degraded;
         }
+    }
+}
+
+/// What one pass reports: one outcome per job of the pass, in its order.
+enum PassReport {
+    /// A pass of one job, run through the executor's one-entry door.
+    Lone(EntryReport),
+    /// A longer pass, or one that unwound.
+    Batch(BatchReport),
+}
+
+impl PassReport {
+    fn outcomes(&self) -> &[Result<GemmStats, GemmError>] {
+        match self {
+            PassReport::Lone(entry) => std::slice::from_ref(&entry.outcome),
+            PassReport::Batch(batch) => &batch.outcomes,
+        }
+    }
+
+    fn into_outcomes(self) -> impl Iterator<Item = Result<GemmStats, GemmError>> {
+        let (lone, batch) = match self {
+            PassReport::Lone(entry) => (Some(entry.outcome), Vec::new()),
+            PassReport::Batch(batch) => (None, batch.outcomes),
+        };
+        lone.into_iter().chain(batch)
     }
 }
 
@@ -533,14 +570,19 @@ impl GemmService {
     /// nobody else is.
     #[allow(clippy::result_large_err)]
     fn enqueue(&self, job: GemmJob, patience: Option<Duration>) -> Result<JobHandle, SubmitError> {
-        let enqueued = Instant::now();
-        let give_up_at = patience.and_then(|patience| enqueued.checked_add(patience));
+        // The clock is read for a job with a deadline, whose queue time
+        // starts here, and for a bounded wait once the queue is found full.
+        let enqueued = job.deadline().map(|_| Instant::now());
         let mut state = lock(&self.state);
-        while state.pending.len() >= self.config.queue_capacity {
-            state = match park(&self.room, state, give_up_at) {
-                Some(state) => state,
-                None => return Err(SubmitError { job, reason: SubmitErrorReason::QueueFull }),
-            };
+        if state.pending.len() >= self.config.queue_capacity {
+            let give_up_at =
+                patience.and_then(|patience| enqueued.unwrap_or_else(Instant::now).checked_add(patience));
+            while state.pending.len() >= self.config.queue_capacity {
+                state = match park(&self.room, state, give_up_at) {
+                    Some(state) => state,
+                    None => return Err(SubmitError { job, reason: SubmitErrorReason::QueueFull }),
+                };
+            }
         }
         let (reply, handle) = slot();
         state.pending.push_back(Submission { job, reply, enqueued });
@@ -583,8 +625,10 @@ impl GemmService {
             let executor = combiner.executor.as_deref().expect("held until the queue is found empty");
             // The pass lives outside the capture: if it unwinds, its jobs
             // are still here to be failed — typed, and counted first.
-            let report = catch_unwind(AssertUnwindSafe(|| run_pass(executor, &mut pass)))
-                .unwrap_or_else(|payload| unwound_pass(pass.len(), &panic_message(payload.as_ref())));
+            let report =
+                catch_unwind(AssertUnwindSafe(|| run_pass(executor, &mut pass))).unwrap_or_else(|payload| {
+                    PassReport::Batch(unwound_pass(pass.len(), &panic_message(payload.as_ref())))
+                });
             let next = {
                 let mut state = lock(&self.state);
                 state.book(&report);
@@ -595,7 +639,7 @@ impl GemmService {
                 next
             };
             for (Submission { job, reply, .. }, outcome) in
-                std::mem::replace(&mut pass, next).into_iter().zip(report.outcomes)
+                std::mem::replace(&mut pass, next).into_iter().zip(report.into_outcomes())
             {
                 reply.send(outcome.map(|stats| CompletedJob { c: job.into_c(), stats }));
             }
@@ -655,22 +699,33 @@ impl GemmService {
     }
 }
 
-/// One pass on the draining thread: jobs whose queue deadline has passed or
-/// whose shapes disagree fail alone and never reach the executor, the rest
-/// run as one batch. One outcome per job of `pass`, in its order.
-fn run_pass(executor: &dyn GemmBatchExecutor, pass: &mut [Submission]) -> BatchReport {
+/// A queued job's problem, unless its queue deadline has passed or its
+/// shapes disagree: such a job fails alone and never reaches the executor.
+fn admit(submission: &mut Submission) -> Result<GemmProblem<'_>, GemmError> {
+    let expired = submission.job.deadline().zip(submission.enqueued).and_then(|(deadline, enqueued)| {
+        let waited = enqueued.elapsed();
+        (waited >= deadline).then_some(GemmError::DeadlineExceeded { waited_ms: waited.as_millis() as u64 })
+    });
+    let problem = submission.job.problem();
+    match expired {
+        Some(e) => Err(e),
+        None => problem.dims().map(|_| problem),
+    }
+}
+
+/// One pass on the draining thread: a lone admitted job runs through the
+/// executor's one-entry door, the admitted jobs of a longer pass as one
+/// batch. One outcome per job of `pass`, in its order.
+fn run_pass(executor: &dyn GemmBatchExecutor, pass: &mut [Submission]) -> PassReport {
     fault::drain_hook();
+    if let [lone] = pass {
+        return PassReport::Lone(admit(lone).map_or_else(EntryReport::refused, |p| executor.gemm_one(p)));
+    }
     let mut refused = Vec::with_capacity(pass.len());
     let mut batch = GemmBatch::new();
     for submission in pass.iter_mut() {
-        let expired = submission.job.deadline().and_then(|deadline| {
-            let waited = submission.enqueued.elapsed();
-            (waited >= deadline)
-                .then_some(GemmError::DeadlineExceeded { waited_ms: waited.as_millis() as u64 })
-        });
-        let problem = submission.job.problem();
-        match expired.map_or_else(|| problem.dims().map(drop), Err) {
-            Ok(()) => {
+        match admit(submission) {
+            Ok(problem) => {
                 batch.push(problem);
                 refused.push(None);
             }
@@ -683,7 +738,7 @@ fn run_pass(executor: &dyn GemmBatchExecutor, pass: &mut [Submission]) -> BatchR
         .into_iter()
         .map(|refusal| refusal.map_or_else(|| ran.next().expect("one outcome per batch entry"), Err))
         .collect();
-    report
+    PassReport::Batch(report)
 }
 
 /// What a pass of `jobs` jobs that unwound outside any batch entry reports:
@@ -787,7 +842,7 @@ mod tests {
     #[test]
     fn a_submission_dropped_unresolved_resolves_its_handle_typed() {
         let (reply, handle) = slot();
-        let submission = Submission { job: job(4, 4, 4, 0), reply, enqueued: Instant::now() };
+        let submission = Submission { job: job(4, 4, 4, 0), reply, enqueued: None };
         assert!(handle.wait_timeout(Duration::ZERO).is_none(), "nothing has resolved it yet");
         drop(submission);
         match handle.wait() {

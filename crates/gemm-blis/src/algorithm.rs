@@ -881,7 +881,7 @@ mod tests {
         let mut c = Matrix::zeros(20, 9);
         let mut c_ref = Matrix::zeros(20, 9);
         let stats = driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
-        assert_eq!(stats.kernel, "EXO 8x8");
+        assert_eq!(&*stats.kernel, "EXO 8x8");
         naive_gemm(&a, &b, &mut c_ref);
         for idx in 0..c.data.len() {
             assert!((c.data[idx] - c_ref.data[idx]).abs() < 1e-3);

@@ -28,8 +28,9 @@ use crate::GemmError;
 /// the performance model needs.
 #[derive(Debug, Clone)]
 pub struct KernelImpl {
-    /// Display name (`"NEON"`, `"BLIS"`, `"EXO 8x8"`, ...).
-    pub name: String,
+    /// Display name (`"NEON"`, `"BLIS"`, `"EXO 8x8"`, ...), shared with the
+    /// [`crate::GemmStats::kernel`] of every GEMM it runs.
+    pub name: Arc<str>,
     /// Register-tile rows.
     pub mr: usize,
     /// Register-tile columns.
@@ -109,7 +110,7 @@ impl KernelImpl {
             return Ok(());
         };
         tier.run_packed(kc, a, b, c)
-            .map_err(|e| GemmError::Kernel { kernel: self.name.clone(), message: e.to_string() })
+            .map_err(|e| GemmError::Kernel { kernel: self.name.to_string(), message: e.to_string() })
     }
 
     /// Runs the kernel functionally: `c[nr][mr] += a[kc][mr] * b[kc][nr]`,
@@ -245,7 +246,7 @@ fn monolithic_trace(
 /// The hand-written Neon-intrinsics 8x12 kernel (the paper's `NEON` series).
 pub fn neon_intrinsics_kernel() -> KernelImpl {
     KernelImpl {
-        name: "NEON".to_string(),
+        name: "NEON".into(),
         mr: 8,
         nr: 12,
         generated: None,
@@ -263,7 +264,7 @@ pub fn neon_intrinsics_kernel() -> KernelImpl {
 /// paper uses to explain Fig. 14.
 pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
     KernelImpl {
-        name: if prefetch { "BLIS".to_string() } else { "ALG+BLIS kernel".to_string() },
+        name: if prefetch { "BLIS" } else { "ALG+BLIS kernel" }.into(),
         mr: 8,
         nr: 12,
         generated: None,
@@ -283,7 +284,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
 /// which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
-        name: format!("EXO {}x{}", kernel.mr, kernel.nr),
+        name: format!("EXO {}x{}", kernel.mr, kernel.nr).into(),
         mr: kernel.mr,
         nr: kernel.nr,
         trace: kernel.trace.clone(),
@@ -301,7 +302,7 @@ pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 /// was lowered from.
 pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
-        name: format!("EXO {}x{} (simd)", kernel.mr, kernel.nr),
+        name: format!("EXO {}x{} (simd)", kernel.mr, kernel.nr).into(),
         backend: ExecBackend::Simd,
         ..exo_kernel(kernel)
     }
@@ -314,7 +315,7 @@ pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 /// one, and is what the serving layer's retry degrades simd onto.
 pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
-        name: format!("EXO {}x{} (superword)", kernel.mr, kernel.nr),
+        name: format!("EXO {}x{} (superword)", kernel.mr, kernel.nr).into(),
         backend: ExecBackend::Superword,
         ..exo_kernel(kernel)
     }
@@ -326,7 +327,7 @@ pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 /// against.
 pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
-        name: format!("EXO {}x{} (tape)", kernel.mr, kernel.nr),
+        name: format!("EXO {}x{} (tape)", kernel.mr, kernel.nr).into(),
         backend: ExecBackend::Tape,
         ..exo_kernel(kernel)
     }

@@ -169,7 +169,7 @@ impl GemmSimulator {
             m,
             n,
             k,
-            kernel: kernel.name.clone(),
+            kernel: kernel.name.to_string(),
             cycles,
             seconds,
             gflops: gflops(useful_flops, cycles, self.core.freq_ghz),
@@ -210,7 +210,7 @@ impl GemmSimulator {
             m: mr,
             n: nr,
             k: kc,
-            kernel: kernel.name,
+            kernel: kernel.name.to_string(),
             cycles: perf.total_cycles,
             seconds: carmel_sim::cycles_to_seconds(perf.total_cycles, self.core.freq_ghz),
             gflops: gflops(useful_flops, perf.total_cycles, self.core.freq_ghz),

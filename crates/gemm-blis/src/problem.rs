@@ -22,6 +22,8 @@
 //! values such as NaN), and `alpha == 0` skips the product entirely (neither
 //! `A` nor `B` is read).
 
+use std::sync::Arc;
+
 use crate::baselines::ExecBackend;
 use crate::views::{MatMut, MatRef};
 use crate::GemmError;
@@ -180,8 +182,9 @@ pub struct GemmStats {
     /// recorded by the executor so throughput derived from stats stays
     /// honest.
     pub flop_count: u64,
-    /// Display name of the micro-kernel (or backend) that ran the problem.
-    pub kernel: String,
+    /// Display name of the micro-kernel (or backend) that ran the problem,
+    /// shared with its [`crate::KernelImpl::name`].
+    pub kernel: Arc<str>,
     /// The execution tier the micro-kernel's dispatch handle had resolved
     /// when it ran the problem — for a generated kernel the tier that
     /// actually answered on [`crate::ExecBackend`]'s ladder (a degraded
@@ -194,12 +197,12 @@ pub struct GemmStats {
     /// the run stayed entirely on the calling thread.
     pub pool_workers: usize,
     /// Whether the problem ran through a batch executor (`exo-serve`'s
-    /// `GemmBatch` path) rather than a standalone call.
+    /// `GemmBatchExecutor`: a batch, or its one-entry door that a lone
+    /// service job takes) rather than a standalone call.
     pub batched: bool,
     /// Whether the result came from a degradation retry: the first attempt
     /// failed (error or contained panic) and the problem was re-run once on
-    /// the next execution tier down (native → simd → portable → tape →
-    /// interp).
+    /// the next execution tier down (native → simd → portable → tape).
     pub degraded: bool,
 }
 

@@ -14,17 +14,18 @@
 //! Fault countdowns are process-global, so the tests serialise on one
 //! mutex and disarm on entry and exit.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use exo_gemm::exo_serve::fault::{self, FaultPlan};
 use exo_gemm::exo_serve::{
-    CompletedJob, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle, OwnedMat, ServiceConfig,
-    ServiceHealth, SubmitErrorReason,
+    BatchReport, CompletedJob, EntryReport, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle,
+    OwnedMat, ServiceConfig, ServiceHealth, ServiceStats, SubmitErrorReason,
 };
 use exo_gemm::gemm_blis::{exo_kernel, exo_kernel_simd, BlisGemm, BlockingParams};
 use exo_gemm::ukernel_gen::GeneratedKernel;
-use exo_gemm::{GemmError, GemmExecutor};
+use exo_gemm::{GemmError, GemmExecutor, GemmProblem};
 
 /// Fault countdowns are process-global: one experiment at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -649,6 +650,221 @@ fn a_combiner_that_unwinds_fails_its_pass_and_the_service_keeps_serving() {
     assert_eq!(service.health(), ServiceHealth::Degraded);
     let after = service.submit(make_job(16, 16, 16, 4, 0.0)).expect("a live service accepts");
     assert_bits(&wait_or_hang(&after).expect("clean job after the unwind").c, &wants[4], "job 4");
+}
+
+/// Calls an executor took at each door.
+#[derive(Default)]
+struct Doors {
+    one: AtomicU64,
+    batch: AtomicU64,
+}
+
+/// The shared driver behind a gate: its first call, at either door, waits
+/// until the test lets it go (when a hold is set), so that jobs submitted
+/// meanwhile queue up behind it and run as one pass. Both doors delegate to
+/// the driver's own, so a lone job takes the driver's one-entry door.
+struct Gated {
+    inner: BlisGemm,
+    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    doors: Arc<Doors>,
+}
+
+impl Gated {
+    fn pass_the_gate(&self) {
+        if let Some((inside, release)) = self.hold.lock().unwrap().take() {
+            inside.send(()).expect("the test is listening");
+            release.recv().expect("the test opens the gate");
+        }
+    }
+}
+
+impl GemmBatchExecutor for Gated {
+    fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
+        self.doors.batch.fetch_add(1, Ordering::Relaxed);
+        self.pass_the_gate();
+        self.inner.gemm_batch(batch)
+    }
+
+    fn gemm_one(&self, problem: GemmProblem<'_>) -> EntryReport {
+        self.doors.one.fetch_add(1, Ordering::Relaxed);
+        self.pass_the_gate();
+        self.inner.gemm_one(problem)
+    }
+}
+
+/// What one run of [`behind_a_gate`] gave back.
+struct GateRun {
+    /// The gate job's outcome, then the two jobs' in submission order.
+    outcomes: Vec<Result<CompletedJob, GemmError>>,
+    stats: ServiceStats,
+    /// `(one-entry door, batch door)` calls.
+    doors: (u64, u64),
+}
+
+/// Under `plan`, a clean gate job (the service's first pass, and its first
+/// batch entry), then `jobs`: each in a pass of its own (`paired ==
+/// false`), or both queued behind the held gate and run as one pass of two.
+fn behind_a_gate(plan: FaultPlan, jobs: [GemmJob; 2], paired: bool) -> GateRun {
+    let doors = Arc::new(Doors::default());
+    let ((inside, is_inside), (release, released)) = (mpsc::channel(), mpsc::channel());
+    let gated = Gated {
+        inner: driver(),
+        hold: Mutex::new(paired.then_some((inside, released))),
+        doors: doors.clone(),
+    };
+    let service = GemmService::new(gated);
+    plan.arm();
+    let handles: Vec<JobHandle> = std::thread::scope(|scope| {
+        let gate = scope.spawn(|| service.submit(make_job(16, 16, 16, 100, 0.0)).expect("accepting"));
+        let gate = if paired {
+            is_inside.recv().expect("the gate's pass is held");
+            Err(gate)
+        } else {
+            // The gate's pass is over, so each job finds the queue idle.
+            Ok(gate.join().expect("the gate's submitter"))
+        };
+        let queued: Vec<JobHandle> =
+            jobs.into_iter().map(|job| service.submit(job).expect("accepting")).collect();
+        let gate = gate.unwrap_or_else(|held| {
+            release.send(()).expect("the gate's pass is waiting");
+            held.join().expect("the gate's submitter")
+        });
+        [gate].into_iter().chain(queued).collect()
+    });
+    let outcomes = handles.iter().map(wait_or_hang).collect();
+    fault::disarm();
+    let stats = service.stats();
+    GateRun {
+        outcomes,
+        stats,
+        doors: (doors.one.load(Ordering::Relaxed), doors.batch.load(Ordering::Relaxed)),
+    }
+}
+
+/// An outcome's class, checked against `want` (the clean per-call `C`) on
+/// the way: bit for bit for a clean completion, to tolerance for a degraded
+/// one, which ran another tier.
+fn class_of(outcome: &Result<CompletedJob, GemmError>, want: &OwnedMat, who: &str) -> &'static str {
+    match outcome {
+        Ok(done) if done.stats.degraded => {
+            assert_close(&done.c, want, who);
+            "degraded"
+        }
+        Ok(done) => {
+            assert_bits(&done.c, want, who);
+            "ok"
+        }
+        Err(GemmError::JobPanicked { message }) => {
+            assert!(message.contains("injected fault"), "{who}: unexpected payload: {message}");
+            "panicked"
+        }
+        Err(GemmError::Kernel { .. }) => "declined",
+        Err(GemmError::DeadlineExceeded { .. }) => "expired",
+        Err(GemmError::ShapeMismatch { .. }) => "shape",
+        Err(other) => panic!("{who}: unexpected failure {other:?}"),
+    }
+}
+
+/// The books a pass of one and a pass of two must agree on: all of them
+/// but the pass counts, the queue depth and the process-wide pool's.
+fn books(stats: &ServiceStats) -> ServiceStats {
+    ServiceStats { batches: 0, largest_batch: 0, queue_highwater: 0, pool_tasks_executed: 0, ..stats.clone() }
+}
+
+/// A lone job — a pass of one, through the executor's one-entry door —
+/// under each per-entry fault class resolves exactly as it does in a pass
+/// of two: the same typed outcome, the same books, balanced. The two jobs
+/// behind the gate are twins (same operands, `C` and `beta`) where the
+/// fault fires inside the executor, because a pass of two may deal them
+/// to two pool shards and either can be the armed entry; a job the service
+/// refuses (expired, misshapen) never reaches the executor, so its
+/// neighbour is a clean job. A collector panic is the one class whose
+/// blast radius is the pass: alone, it fails its one job; paired, both.
+#[test]
+fn a_lone_job_resolves_every_entry_fault_as_a_pass_of_two_does() {
+    let _guard = serial();
+    fault::disarm();
+    fn twin(beta: f32) -> [GemmJob; 2] {
+        [make_job(24, 20, 16, 7, beta), make_job(24, 20, 16, 7, beta)]
+    }
+    /// A class, its plan, the two jobs behind the gate, and what passes of
+    /// one resolve them to.
+    type Case = (&'static str, FaultPlan, fn() -> [GemmJob; 2], [&'static str; 2]);
+    let cases: [Case; 7] = [
+        ("entry-panic, beta 1", FaultPlan::new().entry_panic(2), || twin(1.0), ["panicked", "ok"]),
+        ("entry-panic, beta 0", FaultPlan::new().entry_panic(2), || twin(0.0), ["degraded", "ok"]),
+        ("decline", FaultPlan::new().decline(2), || twin(0.0), ["degraded", "ok"]),
+        ("slow", FaultPlan::new().slow(2, 20), || twin(0.0), ["ok", "ok"]),
+        (
+            "expired deadline",
+            FaultPlan::new(),
+            || [make_job(24, 20, 16, 7, 0.0).with_deadline(Duration::ZERO), make_job(24, 20, 16, 8, 0.0)],
+            ["expired", "ok"],
+        ),
+        (
+            "shape mismatch",
+            FaultPlan::new(),
+            || {
+                let misshapen =
+                    GemmJob::new(OwnedMat::zeros(24, 16), OwnedMat::zeros(15, 20), OwnedMat::zeros(24, 20));
+                [misshapen, make_job(24, 20, 16, 8, 0.0)]
+            },
+            ["shape", "ok"],
+        ),
+        ("collector-panic", FaultPlan::new().collector_panic(2), || twin(0.0), ["panicked", "ok"]),
+    ];
+    let gate_want = reference_c(16, 16, 16, 100, 0.0);
+    for (class, plan, jobs, lone_classes) in cases {
+        let wants: Vec<OwnedMat> = jobs()
+            .into_iter()
+            .map(|mut job| {
+                // The shape-mismatch job has no reference; its outcome is never
+                // compared with one.
+                let _ = driver().gemm(job.problem());
+                job.into_c()
+            })
+            .collect();
+        let mut seen = Vec::new();
+        for paired in [false, true] {
+            let who = format!("{class}, {}", if paired { "a pass of two" } else { "passes of one" });
+            let run = behind_a_gate(plan, jobs(), paired);
+            assert_eq!(class_of(&run.outcomes[0], &gate_want, &who), "ok", "{who}: the gate job");
+            let mut classes: Vec<&str> = run.outcomes[1..]
+                .iter()
+                .zip(&wants)
+                .map(|(outcome, want)| class_of(outcome, want, &who))
+                .collect();
+            classes.sort_unstable();
+            let stats = &run.stats;
+            assert_eq!(stats.jobs_submitted, 3, "{who}: {stats}");
+            assert_eq!(stats.jobs_submitted, stats.jobs_completed + stats.jobs_failed, "{who}: {stats}");
+            let (one, batch) = run.doors;
+            if paired {
+                assert_eq!((stats.batches, stats.largest_batch), (2, 2), "{who}: {stats}");
+                assert_eq!(one, 1, "{who}: only the gate ran alone");
+                assert!(batch <= 1, "{who}: the pair ran as one batch, if at all");
+            } else {
+                assert_eq!((stats.batches, stats.largest_batch), (3, 1), "{who}: {stats}");
+                assert_eq!(batch, 0, "{who}: a pass of one never builds a batch");
+                assert!(one >= 2, "{who}: the gate and the jobs the service admitted ran alone");
+            }
+            seen.push((classes, books(stats)));
+        }
+        let (lone, pair) = (&seen[0], &seen[1]);
+        let mut want_lone = lone_classes.to_vec();
+        want_lone.sort_unstable();
+        assert_eq!(lone.0, want_lone, "{class}: passes of one");
+        if class == "collector-panic" {
+            assert_eq!(pair.0, ["panicked", "panicked"], "{class}: a pass of two fails both its jobs");
+            let (l, p) = (&lone.1, &pair.1);
+            assert_eq!((l.jobs_failed, p.jobs_failed), (1, 2), "{class}: {l} / {p}");
+            assert_eq!((l.panics_caught, p.panics_caught), (1, 1), "{class}: {l} / {p}");
+            assert_eq!((l.health, p.health), (ServiceHealth::Degraded, ServiceHealth::Degraded));
+        } else {
+            assert_eq!(pair.0, lone.0, "{class}: a pass of two resolves the jobs as passes of one do");
+            assert_eq!(pair.1, lone.1, "{class}: the same books");
+        }
+    }
 }
 
 /// Handles outlive the service: every accepted job has completed by the

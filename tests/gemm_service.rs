@@ -20,17 +20,21 @@
 //! * Who runs what: the service owns no thread, so an idle service runs a
 //!   job on the submitting thread and a busy one on the thread already
 //!   draining; and all three submission doors under a queue of two.
+//! * Four doors, one result: the same jobs through `TunedGemm::gemm`,
+//!   `gemm_batch`, a lone `submit` (a pass of one, through the executor's
+//!   one-entry door) and a contended pass give bit-identical `C`s, and a
+//!   warm lone `submit` builds no runner.
 
 mod common;
 
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
 use common::{poison_filler, reference, Cases, Stored};
 use exo_gemm::exo_serve::{
-    BatchReport, CachedTunedGemm, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle, OwnedMat,
-    ServiceConfig, SubmitErrorReason, ThreadPool,
+    BatchReport, CachedTunedGemm, EntryReport, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle,
+    OwnedMat, ServiceConfig, SubmitErrorReason, ThreadPool,
 };
 use exo_gemm::exo_tune::TunedGemm;
 use exo_gemm::gemm_blis::{BlisGemm, BlockingParams};
@@ -544,4 +548,90 @@ fn three_doors_and_a_queue_of_two_lose_and_duplicate_nothing() {
             "max_batch {max_batch}: {stats}"
         );
     }
+}
+
+/// One executor behind any number of services, both doors delegating to
+/// it; when a hold is set, its first call waits for the test (as
+/// [`Observed`]'s does), so that jobs submitted meanwhile queue up into one
+/// contended pass.
+struct Shared {
+    inner: Arc<CachedTunedGemm>,
+    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl Shared {
+    fn pass_the_hold(&self) {
+        if let Some((inside, release)) = self.hold.lock().unwrap().take() {
+            inside.send(()).expect("the test is listening");
+            release.recv().expect("the test releases the first pass");
+        }
+    }
+}
+
+impl GemmBatchExecutor for Shared {
+    fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
+        self.pass_the_hold();
+        self.inner.gemm_batch(batch)
+    }
+
+    fn gemm_one(&self, problem: GemmProblem<'_>) -> EntryReport {
+        self.pass_the_hold();
+        self.inner.gemm_one(problem)
+    }
+}
+
+/// The same jobs through the four ways onto one executor: a per-call
+/// `TunedGemm::gemm` each (`Case::random`'s baseline), one `gemm_batch` of
+/// all of them, a lone `submit` each — a pass of one, through the
+/// executor's one-entry door — and all of them queued behind a held pass
+/// into one contended pass. Every `C` is bit-identical to the per-call one,
+/// and the warm lone path builds no runner.
+#[test]
+fn four_doors_onto_one_executor_give_the_same_bits() {
+    const JOBS: usize = 12;
+    let executor = Arc::new(CachedTunedGemm::new(TunedGemm::new()));
+    let built = || executor.tuned().drivers().iter().map(|d| d.runners_built()).sum::<u64>();
+    let mut cases = Cases::new(0x5E27_0006);
+    let cases: Vec<Case> = (0..JOBS).map(|_| Case::random(&mut cases, executor.tuned())).collect();
+
+    let mut jobs: Vec<GemmJob> = cases.iter().map(Case::job).collect();
+    let report = executor.gemm_batch(jobs.iter_mut().map(GemmJob::problem).collect());
+    for ((case, job), outcome) in cases.iter().zip(jobs).zip(&report.outcomes) {
+        outcome.as_ref().expect("batch entry");
+        case.check(&job.into_c(), "gemm_batch");
+    }
+
+    let lone = GemmService::new(Shared { inner: Arc::clone(&executor), hold: Mutex::new(None) });
+    let warm = built();
+    for case in &cases {
+        let handle = lone.submit(case.job()).expect("accepting");
+        let done = handle.wait_timeout(Duration::ZERO).expect("an idle service returns a resolved handle");
+        let done = done.expect("a lone job completes");
+        assert!(done.stats.batched, "the one-entry door is a door of the batch executor");
+        case.check(&done.c, "lone submit");
+    }
+    assert_eq!(built(), warm, "a warm lone submit builds no runner");
+    let stats = lone.stats();
+    assert_eq!((stats.jobs_completed, stats.batches, stats.largest_batch), (JOBS as u64, JOBS as u64, 1));
+
+    let ((inside, is_inside), (release, released)) = (mpsc::channel(), mpsc::channel());
+    let contended =
+        GemmService::new(Shared { inner: Arc::clone(&executor), hold: Mutex::new(Some((inside, released))) });
+    let handles: Vec<JobHandle> = std::thread::scope(|scope| {
+        let first = scope.spawn(|| contended.submit(cases[0].job()).expect("accepting"));
+        is_inside.recv().expect("the first pass is held");
+        let queued: Vec<JobHandle> =
+            cases[1..].iter().map(|case| contended.submit(case.job()).expect("accepting")).collect();
+        release.send(()).expect("the first pass is waiting");
+        [first.join().expect("the draining submitter")].into_iter().chain(queued).collect()
+    });
+    for (case, handle) in cases.iter().zip(handles) {
+        case.check(&handle.wait().expect("a contended job completes").c, "contended pass");
+    }
+    let stats = contended.stats();
+    assert_eq!(
+        (stats.jobs_completed, stats.batches, stats.largest_batch),
+        (JOBS as u64, 2, JOBS - 1),
+        "{stats}"
+    );
 }

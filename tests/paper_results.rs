@@ -125,7 +125,7 @@ fn tables_match_the_paper() {
 #[test]
 fn exo_uses_multiple_specialised_kernels_across_resnet() {
     let sim = simulator();
-    let kernels: std::collections::BTreeSet<String> = resnet50_table()
+    let kernels: std::collections::BTreeSet<std::sync::Arc<str>> = resnet50_table()
         .unique_layers
         .iter()
         .map(|p| sim.select_kernel(Implementation::AlgExo, p.m, p.n, p.k).name)
