@@ -92,6 +92,13 @@ impl VectorIsa for Neon {
             Walk::General => m.walk(0..m.rows, 0..m.cols),
         }
     }
+
+    /// `prfm pldl1keep` through `asm!`: the prefetch intrinsic is not
+    /// stable on the crate's minimum Rust.
+    #[inline(always)]
+    unsafe fn prefetch(p: *const u8) {
+        std::arch::asm!("prfm pldl1keep, [{p}]", p = in(reg) p, options(nostack, preserves_flags, readonly));
+    }
 }
 
 /// `k · v`, or `v` untouched when there is no scale.

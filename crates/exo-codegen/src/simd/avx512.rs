@@ -46,4 +46,9 @@ impl VectorIsa for Avx512 {
     unsafe fn move_2d(walk: Walk, m: &Move2d) {
         Avx2::move_2d(walk, m)
     }
+
+    #[inline(always)]
+    unsafe fn prefetch(p: *const u8) {
+        Avx2::prefetch(p)
+    }
 }

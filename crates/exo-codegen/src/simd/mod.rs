@@ -59,7 +59,9 @@
 //! scalar one by construction (a move and at most one multiply). What the
 //! driver moves into, it owns as an [`AlignedBuf`] — packed panels, the
 //! staged `C` tile, a chain's register file — so every one starts on a
-//! cache line wherever `malloc` put it.
+//! cache line wherever `malloc` put it. What it will move next it can
+//! announce with [`strided_prefetch`]: one cache hint per line of a strided
+//! region, again one body per impl (none on the scalar reference).
 //!
 //! **Selection and safety.** A [`SimdKernel`]'s body runs bounds-free —
 //! the closure chain, or the ahead-of-time compiled C the `exo-aot` tier
@@ -139,7 +141,7 @@ pub(crate) mod x86_64;
 
 pub use aligned::AlignedBuf;
 use compile::Node;
-pub use mover::{strided_move, strided_move_on};
+pub use mover::{strided_move, strided_move_on, strided_prefetch};
 use mover::{Move2d, Walk};
 
 /// The run-time half of one executing ISA: what has to be compiled for
@@ -235,6 +237,16 @@ pub(crate) trait VectorIsa {
     /// As [`strided_move`], with `m` named for `walk`
     /// (`Move2d::classified`).
     unsafe fn move_2d(walk: Walk, m: &Move2d);
+
+    /// Hints the cache to fetch the line holding `p` ([`strided_prefetch`]);
+    /// the scalar reference hints nothing.
+    ///
+    /// # Safety
+    ///
+    /// Only that the host can run this implementation: a hint accesses no
+    /// memory and cannot fault, so `p` need not even be valid.
+    #[inline(always)]
+    unsafe fn prefetch(_p: *const u8) {}
 }
 
 /// One vector shape of an executing ISA, as the C emitter spells it.

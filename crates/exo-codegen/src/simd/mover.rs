@@ -24,6 +24,10 @@
 //! `EXO_ISA=scalar` runs, and every vector body must reproduce it bit for
 //! bit — a move plus at most one multiply per element leaves no room for
 //! a rounding difference. `scale == 1.0` is a pure move on every body.
+//!
+//! Beside the mover sits its prefetch, [`strided_prefetch`]: one cache hint
+//! per line of a strided region, per ISA as well, which a driver issues
+//! for the region it will move next while it computes on this one.
 
 use std::ops::Range;
 
@@ -162,9 +166,131 @@ pub unsafe fn strided_move_on(
     with_isa_impl!(isa, I => I::move_2d(walk, &m), else unreachable!("`{isa}` passed `available()` with no impl"))
 }
 
+/// Hints the cache to fetch every line of a `rows × cols` region of `f32`s
+/// at `base` with `(row, column)` strides in elements — one hint per
+/// distinct `line`-byte line along the region's unit-stride axis: each row
+/// when `col_stride == 1`, else each column when `row_stride == 1`, and no
+/// hint at all when neither stride is 1 (or `line` is 0). The driver issues
+/// it for the next `C` tile while the micro-kernel runs on this one, so the
+/// tile's stage-in and write-back find their lines in the L1d.
+///
+/// A hint reads and writes no element and cannot fault. Every address it
+/// names lies inside one of the region's runs: it is `base` stepped with
+/// `wrapping_add` to the run's first byte or to the first byte of a later
+/// line the run touches, so nothing outside the region is formed, let alone
+/// accessed. The bodies are per ISA: `prefetcht0` on x86_64 (AVX-512 runs
+/// the AVX2 one), `prfm pldl1keep` on aarch64, nothing on the scalar
+/// reference.
+#[inline]
+pub fn strided_prefetch(base: *const f32, strides: (usize, usize), extent: (usize, usize), line: usize) {
+    let base = base.cast::<u8>();
+    let isa = active_isa();
+    with_isa_impl!(
+        isa,
+        I => for_each_hint(base.addr(), strides, extent, line, |offset| {
+            // SAFETY: `active_isa` is available on this host, and a
+            // prefetch accesses nothing.
+            unsafe { I::prefetch(base.wrapping_add(offset)) }
+        }),
+        else unreachable!("`{isa}` is the active ISA with no impl")
+    )
+}
+
+/// Calls `hint` with the byte offset from `start` (an address) of each of
+/// [`strided_prefetch`]'s hints over a `rows × cols` region with `(row,
+/// column)` element strides: [`for_each_line`] of every run along the
+/// unit-stride axis.
+#[inline(always)]
+fn for_each_hint(
+    start: usize,
+    (row_stride, col_stride): (usize, usize),
+    (rows, cols): (usize, usize),
+    line: usize,
+    mut hint: impl FnMut(usize),
+) {
+    let elem = size_of::<f32>();
+    let (runs, run_len, run_stride) = if col_stride == 1 {
+        (rows, cols, row_stride)
+    } else if row_stride == 1 {
+        (cols, rows, col_stride)
+    } else {
+        (0, 0, 0)
+    };
+    for r in 0..runs {
+        let run = r * run_stride * elem;
+        for_each_line(start.wrapping_add(run), run_len * elem, line, |offset| hint(run + offset));
+    }
+}
+
+/// Calls `hint` with one byte offset from `start` (an address) into each
+/// distinct `line`-byte line the `bytes` bytes from `start` touch: `0` for
+/// the first line, then the first byte of each later one. Every offset is
+/// below `bytes`; no bytes, or a zero-byte line, gives none.
+#[inline(always)]
+fn for_each_line(start: usize, bytes: usize, line: usize, mut hint: impl FnMut(usize)) {
+    if bytes == 0 || line == 0 {
+        return;
+    }
+    // How far `start` lies past the start of its line: a mask for the
+    // power-of-two lines every real cache has, no division per run.
+    let skew = if line.is_power_of_two() { start & (line - 1) } else { start % line };
+    hint(0);
+    let mut offset = line - skew;
+    while offset < bytes {
+        hint(offset);
+        offset += line;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lines(start: usize, bytes: usize, line: usize) -> Vec<usize> {
+        let mut offsets = Vec::new();
+        for_each_line(start, bytes, line, |offset| offsets.push(offset));
+        offsets
+    }
+
+    fn hints(strides: (usize, usize), extent: (usize, usize)) -> Vec<usize> {
+        let mut offsets = Vec::new();
+        for_each_hint(0x1000, strides, extent, 64, |offset| offsets.push(offset));
+        offsets
+    }
+
+    #[test]
+    fn a_run_takes_one_hint_per_line_it_touches() {
+        // 16 floats on one line, and the same 16 floats 16 bytes past one.
+        assert_eq!(lines(0x1000, 64, 64), [0]);
+        assert_eq!(lines(0x1010, 64, 64), [0, 48]);
+        // A 24-float row of a 4x24 tile, 48 bytes past a line: three.
+        assert_eq!(lines(0x1030, 96, 64), [0, 16, 80]);
+        // One float, the last of its line.
+        assert_eq!(lines(0x103c, 4, 64), [0]);
+        // A line size that is no power of two walks the same way.
+        assert_eq!(lines(0x1000 + 40, 96, 48), [0, 40, 88]);
+        // Nothing to hint: no bytes, or a zero-byte line.
+        assert_eq!(lines(0x1000, 0, 64), [] as [usize; 0]);
+        assert_eq!(lines(0x1000, 64, 0), [] as [usize; 0]);
+    }
+
+    #[test]
+    fn a_region_is_enumerated_along_its_unit_stride() {
+        // A row-major 4x24 tile of a `C` whose rows are whole lines apart
+        // (`ldc = 112`): two lines per row, each row's first at its start.
+        let row_major = hints((112, 1), (4, 24));
+        assert_eq!(row_major, [0, 64, 448, 512, 896, 960, 1344, 1408]);
+        // With `ldc = 100` the rows start 0, 16, 32 and 48 bytes past a
+        // line, and the last one spans three.
+        assert_eq!(hints((100, 1), (4, 24)).len(), 2 + 2 + 2 + 3);
+        // The same tile of a column-major `C` (`ldc = 100`): one run per
+        // column, 16 bytes each, so one hint per column.
+        assert_eq!(hints((1, 100), (4, 24)), (0..24).map(|j| j * 400).collect::<Vec<_>>());
+        // No unit stride: nothing to walk line by line.
+        assert_eq!(hints((200, 2), (4, 24)), [] as [usize; 0]);
+        // An empty region.
+        assert_eq!(hints((100, 1), (0, 24)), [] as [usize; 0]);
+    }
 
     fn classify(dst: (usize, usize), src: (usize, usize)) -> (Walk, (usize, usize)) {
         let m = Move2d {

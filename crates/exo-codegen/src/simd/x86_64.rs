@@ -13,8 +13,8 @@
 use std::arch::x86_64::{
     __m128, __m256, _mm256_castps128_ps256, _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps,
     _mm256_mul_ps, _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
-    _mm256_unpacklo_ps, _mm_fmadd_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_set1_ps,
-    _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+    _mm256_unpacklo_ps, _mm_fmadd_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_prefetch,
+    _mm_set1_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps, _MM_HINT_T0,
 };
 
 use super::mover::{Move2d, Walk};
@@ -48,6 +48,12 @@ impl VectorIsa for Avx2 {
 
     unsafe fn move_2d(walk: Walk, m: &Move2d) {
         move_2d(walk, m)
+    }
+
+    /// `prefetcht0`: an SSE instruction, baseline on x86_64.
+    #[inline(always)]
+    unsafe fn prefetch(p: *const u8) {
+        _mm_prefetch::<_MM_HINT_T0>(p.cast())
     }
 }
 

@@ -22,6 +22,15 @@
 //! the elements of another worker's window that lie between a tile's rows
 //! are never read, written or spanned by a reference.
 //!
+//! A kernel only ever sees the staged scratch tile, so it cannot prefetch
+//! `C` the way the BLIS library kernel does. The engine does it for every
+//! kernel it drives: where the window of `C` a pass works on outgrows the
+//! L1d, each kernel call is preceded by one prefetch hint per line of the
+//! `C` tile the walk visits next
+//! ([`exo_codegen::simd::strided_prefetch`]), and the kernel's runtime
+//! covers that tile's stage-in and write-back misses. A window that fits
+//! the L1d gets no hints; its tiles stay resident anyway.
+//!
 //! There is one engine. A [`GemmRunner`] owns what one pass of the five
 //! loops needs — blocking, a prove-once [`KernelDispatch`], a
 //! [`crate::packing::PackArena`], and the staged `C` tile — and runs them
@@ -53,10 +62,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use exo_codegen::simd::{strided_move, AlignedBuf};
+use exo_codegen::simd::{strided_move, strided_prefetch, AlignedBuf};
 
 use crate::baselines::{neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
+use crate::host::HostDescription;
 use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena, PackedB};
 use crate::pool::{lock_tolerant, PoolJob, ThreadPool};
 use crate::problem::{GemmExecutor, GemmProblem, GemmStats};
@@ -667,6 +677,7 @@ unsafe fn gemm_arena_sequential(
     let k = a.cols();
     let BlockingParams { mc, kc, nc, nr, .. } = run.blocking;
     run.reserve(b, rows.len(), cols.len(), k);
+    let c_lines = c_prefetch_line(rows.len(), cols.len(), HostDescription::probed());
     // Split-borrowed so the packed Bc prefix can stay live while Ac blocks
     // are repacked.
     let (a_buf, b_buf) = run.arena.buffers();
@@ -712,6 +723,7 @@ unsafe fn gemm_arena_sequential(
                         pc == 0,
                         a_buf,
                         &mut run.c_tile,
+                        c_lines,
                     )?;
                 }
                 ic += mc_eff;
@@ -721,6 +733,15 @@ unsafe fn gemm_arena_sequential(
         jc += nc_eff;
     }
     Ok(())
+}
+
+/// The line size at which [`run_ic_block`] prefetches the next `C` tile
+/// over a `rows x cols` window on `host`, or `None` when the window fits
+/// the L1d: there the tiles stay resident from one `k`-block to the next,
+/// and a hint would only cost issue slots.
+fn c_prefetch_line(rows: usize, cols: usize, host: &HostDescription) -> Option<usize> {
+    let l1d = host.l1d;
+    (rows * cols * size_of::<f32>() > l1d.bytes).then_some(l1d.line)
 }
 
 /// `C = beta * C` in place, honoring `beta == 0` as "never read".
@@ -741,6 +762,13 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 /// tile, staging each (possibly fringe) `C` tile into the kernel's
 /// column-major `c_tile` and back out through the strided mover — scaled by
 /// `beta` on the first k-block's way in, moved untouched after.
+///
+/// With `c_lines` (a line size: the window outgrows the L1d, see
+/// [`c_prefetch_line`]) each kernel call is preceded by one prefetch hint
+/// per line of the `C` tile the walk visits next — the next `ir`, or the
+/// first tile of the next `jr` panel — so the kernel's runtime covers that
+/// tile's stage-in and write-back misses. A hint reads and writes no
+/// element, and its addresses lie inside the next tile.
 ///
 /// # Safety
 ///
@@ -765,6 +793,7 @@ unsafe fn run_ic_block(
     first_k_block: bool,
     a_buf: &mut [f32],
     c_tile: &mut [f32],
+    c_lines: Option<usize>,
 ) -> Result<(), GemmError> {
     let (mr, nr) = (dispatch.kernel().mr, dispatch.kernel().nr);
     assert!(c_tile.len() >= mr * nr, "the staged tile holds a whole register tile");
@@ -778,15 +807,21 @@ unsafe fn run_ic_block(
 
     let n_panels = nc_eff.div_ceil(nr);
     let m_panels = mc_eff.div_ceil(mr);
+    // Tile `(ir, jr)`'s corner in `C` and its (possibly fringe) extent. The
+    // corner is reached through the raw pointer, so no reference ever spans
+    // the elements of another worker's window that lie between a tile's
+    // rows.
+    let tile = |ir: usize, jr: usize| {
+        let (i, j) = (ir * mr, jr * nr);
+        // SAFETY: `i < mc_eff` and `j < nc_eff`, so the element is in this
+        // block, which lies inside `C`.
+        (unsafe { c.at(ic + i, jc + j) }, (mr.min(mc_eff - i), nr.min(nc_eff - j)))
+    };
     for jr in 0..n_panels {
         for ir in 0..m_panels {
             let ap = a_panel(packed_a, ir, kc_eff, mr);
             let bp = b_panel(packed_b, jr, kc_eff, nr);
-            let extent = (mr.min(mc_eff - ir * mr), nr.min(nc_eff - jr * nr));
-            // The tile's corner in `C`: reached through the raw pointer, so
-            // no reference ever spans the elements of another worker's
-            // window that lie between this tile's rows.
-            let c_corner = c.at(ic + ir * mr, jc + jr * nr);
+            let (c_corner, extent) = tile(ir, jr);
             // Stage the C tile. Fringe padding positions receive only
             // zero-padded products from the kernel and are never copied
             // back, so the reused scratch needs no re-zeroing. `beta == 0`
@@ -799,6 +834,13 @@ unsafe fn run_ic_block(
                 // and, by the caller's contract, lies inside this worker's
                 // window of `C`; a scratch buffer and `C` do not overlap.
                 strided_move(c_tile.as_mut_ptr(), tile_strides, c_corner, c_strides, extent, stage_in_scale);
+            }
+            // The tile the walk visits next: the next row panel, or the
+            // first of the next column panel.
+            let (next_ir, next_jr) = if ir + 1 < m_panels { (ir + 1, jr) } else { (0, jr + 1) };
+            if let Some(line) = c_lines.filter(|_| next_jr < n_panels) {
+                let (next_corner, next_extent) = tile(next_ir, next_jr);
+                strided_prefetch(next_corner, c_strides, next_extent, line);
             }
             dispatch.run(kc_eff, ap, bp, c_tile)?;
             // SAFETY: as above, with the roles exchanged; `MatMut` proved
@@ -1186,6 +1228,80 @@ mod tests {
             }
         }
         assert_eq!(cases, 4 * 3 * 5 * 2 * 4);
+    }
+
+    /// The four `C` layouts the prefetch walk reads strides from, each
+    /// ending exactly where its buffer ends: a hint past the last tile
+    /// would name an address outside the allocation.
+    fn flush_c_layouts(m: usize, n: usize) -> [CLayout; 4] {
+        let ld = n + 5;
+        let layout = |name, rs, cs, len| CLayout { name, offset: 0, rs, cs, len, via_t: false };
+        [
+            layout("row-major", n, 1, m * n),
+            layout("column-major", 1, m, m * n),
+            layout("padded ldc", ld, 1, (m - 1) * ld + n),
+            layout("no unit stride", 2 * n, 2, 2 * m * n - 1),
+        ]
+    }
+
+    #[test]
+    fn prefetching_the_next_c_tile_stays_in_c_and_changes_no_bit() {
+        // Windows that outgrow the L1d, so every kernel call is preceded by
+        // the hints for the next tile: fringe rows under enough columns,
+        // and fringe columns beside enough rows, on every kernel family and
+        // every `C` layout, `k` across two blocks and both `beta` regimes.
+        // Every hint's tile corner comes from `RawMat::at`, which debug
+        // builds bound-check; the results must equal `tiling_bits`'
+        // reference, the generated 8x12 on the analytical blocking, bit for
+        // bit (dyadic-grid operands: any correct executor agrees).
+        let host = HostDescription::probed();
+        let l1d_floats = host.l1d.bytes / size_of::<f32>();
+        // The smallest extent past `l1d_floats / fringe` that is no whole
+        // number of `tile`s.
+        let outgrowing = |fringe: usize, tile: usize| {
+            let extent = l1d_floats / fringe + 1;
+            extent + usize::from(extent.is_multiple_of(tile))
+        };
+        let generator = MicroKernelGenerator::new(neon_f32());
+        let generated = |mr, nr| exo_kernel(Arc::new(generator.generate(mr, nr).unwrap()));
+        let reference =
+            BlisGemm::new(BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), 8, 12, 4))
+                .with_kernel(generated(8, 12));
+        let kernels = [generated(8, 12), generated(16, 4), generated(8, 8), neon_intrinsics_kernel()];
+        let k = 20;
+        let mut cases = 0;
+        for kernel in &kernels {
+            let (mr, nr) = (kernel.mr, kernel.nr);
+            let driver =
+                BlisGemm::new(BlockingParams { mc: 32, kc: 16, nc: 24, mr, nr }).with_kernel(kernel.clone());
+            let row_fringes = [mr - 1, mr + 1, 2 * mr + 1].map(|m| (m, outgrowing(m, nr)));
+            let column_fringes = [nr - 1, nr + 1, 2 * nr + 1].map(|n| (outgrowing(n, mr), n));
+            for (m, n) in row_fringes.into_iter().chain(column_fringes) {
+                assert!(c_prefetch_line(m, n, host).is_some(), "{m}x{n} fits the L1d");
+                for layout in flush_c_layouts(m, n) {
+                    for beta in [0.0f32, 0.75] {
+                        let case = StridedCase::new((m, n, k), (Op::None, Op::None), (1.0, beta), layout);
+                        assert_eq!(
+                            case.run(&driver, "BlisGemm"),
+                            case.run(&reference, "the reference"),
+                            "{}: {case}",
+                            kernel.name
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 6 * 4 * 2);
+    }
+
+    #[test]
+    fn the_c_prefetch_starts_where_the_window_outgrows_the_l1d() {
+        let host = HostDescription::probed();
+        let l1d_floats = host.l1d.bytes / size_of::<f32>();
+        assert_eq!(c_prefetch_line(1, l1d_floats, host), None, "a window of exactly the L1d");
+        assert_eq!(c_prefetch_line(1, l1d_floats + 1, host), Some(host.l1d.line));
+        assert_eq!(c_prefetch_line(24, 16, host), None, "a small served GEMM");
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! alpha/beta bookkeeping in the loop body, the compiler-scheduled intrinsics
 //! version is a little less tight than the assembly one, and only the BLIS
 //! library kernel prefetches `C` — exactly the distinctions the paper draws.
+//!
+//! "Only the BLIS library kernel prefetches `C`" describes the modelled
+//! kernel traces ([`KernelImpl::prefetch_c`]), which Figs. 13–18 read. The
+//! executing engine prefetches the next `C` tile for every kernel it
+//! drives, once the window of `C` outgrows the L1d (see
+//! [`crate::algorithm`]); the model does not see that.
 
 use std::sync::Arc;
 
