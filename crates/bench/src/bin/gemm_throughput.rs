@@ -666,7 +666,7 @@ fn serve_pass() -> Paired {
     let settle = |tuned: &TunedGemm| {
         for (m, n, k) in SERVE_SHAPES {
             let (_, driver) = tuned.driver_for(m, n, k).expect("the serving space tunes");
-            let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+            let _ = driver.kernel().generated.native_wait();
         }
     };
     let reference = TunedGemm::new();
@@ -860,7 +860,7 @@ fn main() {
         let size = PLACEMENT_SIZE;
         let (tuned, driver) = TunedGemm::new().driver_for(size, size, size).expect("the serving space tunes");
         // The native artifact, settled before timing, as for the 8x12.
-        let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+        let _ = driver.kernel().generated.native_wait();
         let p = placement(&driver);
         println!(
             "  placement at {size} ({}x{} verdict): off a line {:.1} GFLOPS, on a line {:.1} GFLOPS",
@@ -881,7 +881,7 @@ fn main() {
         println!("  host caches: {}", HostDescription::probed());
         for (m, n, k) in HOST_BLOCKING_SHAPES {
             let (plan, driver) = tuned.driver_for(m, n, k).expect("the serving space tunes");
-            let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+            let _ = driver.kernel().generated.native_wait();
             let carmel =
                 BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), plan.mr, plan.nr, 4);
             let reference = BlisGemm::new(carmel).with_kernel(driver.kernel().clone());
@@ -913,7 +913,7 @@ fn main() {
             host.l1d.line
         );
     } else {
-        let _ = driver.kernel().generated.as_ref().map(|kernel| kernel.native_wait());
+        let _ = driver.kernel().generated.native_wait();
         let p = pack_b_in_situ(&driver);
         let rate = |secs: f64| 2.0 * (m * n * k) as f64 / secs / 1.0e9;
         println!(

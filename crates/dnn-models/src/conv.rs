@@ -277,10 +277,10 @@ mod tests {
         for (idx, (x, y)) in out_gemm.iter().zip(&out_ref).enumerate() {
             assert!((x - y).abs() < 1e-3, "{} at {idx}: {x} vs {y}", l.name);
         }
-        // And through the blocked driver, which must agree too.
-        let kernel = gemm_blis::neon_intrinsics_kernel();
-        let blocking = gemm_blis::BlockingParams { mc: 16, kc: 8, nc: 24, mr: kernel.mr, nr: kernel.nr };
-        let driver = gemm_blis::BlisGemm::new(blocking).with_kernel(kernel);
+        // And through the blocked driver — its default, the generated 8x12
+        // on the portable tier — which must agree too.
+        let blocking = gemm_blis::BlockingParams { mc: 16, kc: 8, nc: 24, mr: 8, nr: 12 };
+        let driver = gemm_blis::BlisGemm::new(blocking);
         let mut out_blis = vec![f32::NAN; shape.m * shape.n];
         conv2d(l, &input, w, &mut out_blis, &driver).unwrap();
         for (idx, (x, y)) in out_blis.iter().zip(&out_ref).enumerate() {

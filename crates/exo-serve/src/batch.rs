@@ -56,19 +56,16 @@
 //! native → simd → superword (the portable scalar chain) → tape
 //! ([`gemm_blis::ExecBackend::degraded`] of [`gemm_blis::GemmRunner::tier`]);
 //! a retried success is stamped [`GemmStats::degraded`]. An entry that has
-//! no rung below it — it ran on the tape, the checked floor, or on a
-//! hand-written kernel, which has no tiers — keeps its first failure. The
-//! [`BatchReport`] carries the per-entry outcomes plus the isolation
-//! tallies (panics caught, retries, degraded completions).
+//! no rung below it — it ran on the tape, the checked floor — keeps its
+//! first failure. The [`BatchReport`] carries the per-entry outcomes plus
+//! the isolation tallies (panics caught, retries, degraded completions).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gemm_blis::pool::{PoolJob, ThreadPool};
-use gemm_blis::{
-    BlisGemm, ExecBackend, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB,
-};
+use gemm_blis::{BlisGemm, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB};
 
 use crate::fault;
 
@@ -300,8 +297,7 @@ fn run_entry(
         }
     };
     let executional = matches!(failure, GemmError::JobPanicked { .. } | GemmError::Kernel { .. });
-    let below = ran_on.and_then(ExecBackend::degraded);
-    let Some(below) = below.filter(|_| executional && problem.beta == 0.0) else {
+    let Some(below) = ran_on.degraded().filter(|_| executional && problem.beta == 0.0) else {
         return Err(failure);
     };
     tally.retries.fetch_add(1, Ordering::Relaxed);

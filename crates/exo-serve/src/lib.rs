@@ -46,8 +46,7 @@
 //!   backend tier down (`native → simd → superword → tape`, `superword`
 //!   being the portable scalar chain); successes are stamped `degraded` in
 //!   their [`gemm_blis::GemmStats`]. A job that failed on the tape, the
-//!   checked floor, or on a hand-written kernel, which has no tiers, is
-//!   not retried.
+//!   checked floor, is not retried.
 //! - Jobs carry optional queue deadlines ([`GemmJob::deadline`]); expired
 //!   jobs resolve with `DeadlineExceeded` instead of executing stale work.
 //! - If a pass unwinds on the thread draining the queue, exactly that

@@ -188,12 +188,6 @@ pub struct ServiceStats {
     pub degraded_completions: u64,
     /// Jobs whose queue deadline expired before execution.
     pub deadline_expired: u64,
-    /// `B` operands packed once for several jobs of a batch
-    /// ([`crate::BatchReport::b_images_packed`], summed over batches).
-    pub b_images_packed: u64,
-    /// Jobs that read their `B` from such an image
-    /// ([`crate::BatchReport::entries_on_shared_b`], summed over batches).
-    pub entries_on_shared_b: u64,
     /// Native kernels verified and promoted since this service was
     /// constructed (the engine counters are process-wide; the service
     /// reports deltas against its construction-time baseline).
@@ -219,7 +213,6 @@ impl std::fmt::Display for ServiceStats {
             "{} submitted / {} completed / {} failed in {} batches (largest {}); \
              queue high-water {}/{}; pool {} workers, {} tasks; {:.3} GFLOP total; \
              {} panics caught, {} retries, {} degraded, {} deadline-expired; \
-             {} shared-B images for {} jobs; \
              aot {} promoted, {} build-failures ({} timeouts, {} wrong-results); health {}",
             self.jobs_submitted,
             self.jobs_completed,
@@ -235,8 +228,6 @@ impl std::fmt::Display for ServiceStats {
             self.retries,
             self.degraded_completions,
             self.deadline_expired,
-            self.b_images_packed,
-            self.entries_on_shared_b,
             self.aot_promotions,
             self.aot_builds_failed,
             self.aot_compile_timeouts,
@@ -401,17 +392,13 @@ impl State {
     /// caller never holds a result the stats do not yet account for.
     fn book(&mut self, report: &PassReport) {
         let stats = &mut self.stats;
-        let (panics, retries, degraded, b_images, shared_b) = match report {
-            PassReport::Lone(e) => (e.panics_caught, e.retries, e.degraded_completions, 0, 0),
-            PassReport::Batch(b) => {
-                (b.panics_caught, b.retries, b.degraded_completions, b.b_images_packed, b.entries_on_shared_b)
-            }
+        let (panics, retries, degraded) = match report {
+            PassReport::Lone(e) => (e.panics_caught, e.retries, e.degraded_completions),
+            PassReport::Batch(b) => (b.panics_caught, b.retries, b.degraded_completions),
         };
         stats.panics_caught += panics;
         stats.retries += retries;
         stats.degraded_completions += degraded;
-        stats.b_images_packed += b_images;
-        stats.entries_on_shared_b += shared_b;
         for outcome in report.outcomes() {
             match outcome {
                 Ok(done) => {

@@ -128,6 +128,9 @@ pub struct KernelRegistry {
     verdicts: Mutex<BTreeMap<(usize, usize, usize), TuneVerdict>>,
     isa_name: String,
     path: Option<PathBuf>,
+    /// Held across a save's render, write and rename, so concurrent saves
+    /// take turns and the last one to rename published the newest table.
+    saving: Mutex<()>,
 }
 
 impl KernelRegistry {
@@ -140,6 +143,7 @@ impl KernelRegistry {
             verdicts: Mutex::new(BTreeMap::new()),
             isa_name: isa_name.into(),
             path: None,
+            saving: Mutex::new(()),
         }
     }
 
@@ -262,9 +266,12 @@ impl KernelRegistry {
         }
         // Write-then-rename so an interrupted save never leaves a truncated
         // file behind: the previous registry stays intact until the new one
-        // is fully on disk.
+        // is fully on disk. The scratch file is named for this process, and
+        // this registry's saves take turns on it from render to rename.
+        let _turn = self.saving.lock().unwrap_or_else(PoisonError::into_inner);
         let text = self.to_text();
-        let tmp = path.with_extension("json.tmp");
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let tmp = path.with_file_name(format!(".{name}.{}.tmp", std::process::id()));
         std::fs::write(&tmp, text).map_err(|e| TuneError::Io(format!("writing {}: {e}", tmp.display())))?;
         std::fs::rename(&tmp, path)
             .map_err(|e| TuneError::Io(format!("renaming {} to {}: {e}", tmp.display(), path.display())))
@@ -450,6 +457,41 @@ mod tests {
         let text = registry.to_text();
         registry.load_text(&text).unwrap();
         assert_eq!(registry.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_records_on_one_persisted_registry_all_land() {
+        // Every record renders, writes and renames its own save; run
+        // together, none may fail and the file must end up with every
+        // verdict, whichever save published last.
+        const THREADS: usize = 8;
+        const RECORDS: usize = 50;
+        let path = temp_path("concurrent");
+        let _ = std::fs::remove_file(&path);
+        let registry = KernelRegistry::with_persistence("neon-f32", &path).unwrap();
+        let results: Vec<Result<(), TuneError>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let registry = &registry;
+                    s.spawn(move || {
+                        (1..=RECORDS).map(|r| registry.record(verdict(t + 1, r, 7))).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results.len(), THREADS * RECORDS);
+        for result in &results {
+            assert!(result.is_ok(), "{result:?}");
+        }
+        let reopened = KernelRegistry::with_persistence("neon-f32", &path).unwrap();
+        assert_eq!(reopened.len(), THREADS * RECORDS);
+        for t in 1..=THREADS {
+            for r in 1..=RECORDS {
+                assert_eq!(reopened.verdict(t, r, 7), Some(verdict(t, r, 7)));
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

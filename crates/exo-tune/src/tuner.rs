@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use carmel_sim::{gflops, CarmelCore};
 use exo_isa::VectorIsa;
-use gemm_blis::{exo_kernel, modelled_gemm_cycles, GemmSimulator, KernelImpl, SimOptions};
+use gemm_blis::{exo_kernel, modelled_gemm_cycles, GemmSimulator, KernelImpl, ModelledKernel, SimOptions};
 use ukernel_gen::{GeneratedKernel, MicroKernelGenerator};
 
 use crate::error::TuneError;
@@ -145,7 +145,7 @@ impl Tuner {
             let kernel = cache
                 .get_or_generate(&self.generator, mr, nr)
                 .map_err(|e| TuneError::Generation { mr, nr, message: e.to_string() })?;
-            let kernel = exo_kernel(kernel);
+            let kernel = ModelledKernel::generated(&kernel);
             let cost = modelled_gemm_cycles(&self.core, &kernel, &candidate.blocking, m, n, k);
             let better = match &best {
                 Some((best_cost, _)) => cost < *best_cost,

@@ -64,7 +64,7 @@ use std::sync::Mutex;
 
 use exo_codegen::simd::{strided_move, strided_prefetch, AlignedBuf};
 
-use crate::baselines::{neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl};
+use crate::baselines::{default_kernel, ExecBackend, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
 use crate::host::HostDescription;
 use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena, PackedB};
@@ -295,10 +295,10 @@ impl std::fmt::Debug for BlisGemm {
 
 impl BlisGemm {
     /// Creates a driver with the given blocking (single thread, and the
-    /// hand-written NEON 8x12 kernel as the executor default — override
-    /// with [`BlisGemm::with_kernel`]).
+    /// generated `neon_f32` 8x12 on the portable tier as the executor
+    /// default — override with [`BlisGemm::with_kernel`]).
     pub fn new(blocking: BlockingParams) -> Self {
-        BlisGemm { blocking, threads: 1, kernel: neon_intrinsics_kernel(), warm: WarmRunners::default() }
+        BlisGemm { blocking, threads: 1, kernel: default_kernel(), warm: WarmRunners::default() }
     }
 
     /// Sets the micro-kernel the [`GemmExecutor`] entry point dispatches.
@@ -548,9 +548,8 @@ impl GemmRunner {
     }
 
     /// The execution tier this runner's handle currently holds — what its
-    /// next GEMM runs on unless a native artifact promotes first — or
-    /// `None` for the hand-written kernel families.
-    pub fn tier(&self) -> Option<ExecBackend> {
+    /// next GEMM runs on unless a native artifact promotes first.
+    pub fn tier(&self) -> ExecBackend {
         self.dispatch.tier()
     }
 
@@ -591,7 +590,7 @@ impl GemmRunner {
             k,
             flop_count: GemmStats::flops_for(m, n, k, alpha),
             kernel: self.dispatch.kernel().name.clone(),
-            tier: self.dispatch.tier(),
+            tier: Some(self.dispatch.tier()),
             threads: 1,
             pool_workers: 0,
             batched: false,
@@ -854,7 +853,7 @@ unsafe fn run_ic_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{blis_assembly_kernel, exo_kernel, neon_intrinsics_kernel};
+    use crate::baselines::exo_kernel;
     use crate::problem::{NaiveGemm, Op};
     use exo_isa::neon_f32;
     use std::sync::Arc;
@@ -893,12 +892,12 @@ mod tests {
 
     #[test]
     fn blis_algorithm_matches_naive_for_exact_tiles() {
-        check_gemm(&neon_intrinsics_kernel(), 48, 48, 32);
+        check_gemm(&default_kernel(), 48, 48, 32);
     }
 
     #[test]
     fn blis_algorithm_handles_fringe_tiles() {
-        check_gemm(&blis_assembly_kernel(true), 50, 45, 23);
+        check_gemm(&default_kernel(), 50, 45, 23);
         let scalar_3x5 = MicroKernelGenerator::new(neon_f32()).generate(3, 5).unwrap();
         check_gemm(&exo_kernel(Arc::new(scalar_3x5)), 17, 11, 9);
     }
@@ -931,6 +930,49 @@ mod tests {
     }
 
     #[test]
+    fn the_default_kernel_is_the_generated_8x12_with_the_plain_loops_bits() {
+        // The default is the generated 8x12 on the portable tier, which
+        // rounds every product and every sum on its own: the bits of a
+        // mul-then-add loop in `k` order over `alpha * a`, started from
+        // `beta * c` (from zero when `beta == 0`, which never reads `C`).
+        // Off-grid inputs, so every rounding shows.
+        let driver = BlisGemm::new(BlockingParams { mc: 24, kc: 16, nc: 36, mr: 8, nr: 12 });
+        let alpha = -1.3f32;
+        for (m, n, k) in [(8usize, 12usize, 16usize), (13, 29, 37), (50, 45, 23), (1, 7, 40)] {
+            let a = Matrix::from_fn(m, k, |i, p| ((i * 7 + p * 3 + 1) % 13) as f32 * 0.3 - 1.7);
+            let b = Matrix::from_fn(k, n, |p, j| ((p * 5 + j * 11 + 2) % 17) as f32 * 0.11 - 0.9);
+            for (beta, col_major) in [(0.0f32, false), (0.75, false), (0.0, true), (0.75, true)] {
+                let at = |i: usize, j: usize| if col_major { j * m + i } else { i * n + j };
+                let start = |x: usize| if beta == 0.0 { f32::NAN } else { (x % 7) as f32 * 0.37 - 1.1 };
+                let mut c: Vec<f32> = (0..m * n).map(start).collect();
+                let mut want = c.clone();
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = if beta == 0.0 { 0.0 } else { beta * want[at(i, j)] };
+                        for p in 0..k {
+                            acc += (alpha * a.get(i, p)) * b.get(p, j);
+                        }
+                        want[at(i, j)] = acc;
+                    }
+                }
+                let view = if col_major {
+                    MatMut::col_major(&mut c, m, n)
+                } else {
+                    MatMut::from_slice(&mut c, m, n)
+                };
+                let stats =
+                    driver.gemm(GemmProblem::new(a.view(), b.view(), view).alpha(alpha).beta(beta)).unwrap();
+                assert_eq!(
+                    (&*stats.kernel, stats.tier),
+                    ("EXO 8x12 (superword)", Some(ExecBackend::Superword))
+                );
+                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&c), bits(&want), "{m}x{n}x{k}, beta {beta}, column-major {col_major}");
+            }
+        }
+    }
+
+    #[test]
     fn transposes_alpha_and_beta_match_the_strided_reference() {
         // C = alpha * A^T * B^T + beta * C, through the blocked driver vs
         // the naive strided reference.
@@ -938,7 +980,7 @@ mod tests {
         let at = Matrix::from_fn(k, m, |i, j| ((i * 5 + j * 7 + 3) % 11) as f32 * 0.25 - 1.0);
         let bt = Matrix::from_fn(n, k, |i, j| ((i * 3 + j * 13 + 1) % 7) as f32 * 0.5 - 1.5);
         let c0 = Matrix::from_fn(m, n, |i, j| ((i * 2 + j) % 5) as f32 * 0.5 - 1.0);
-        let kernel = neon_intrinsics_kernel();
+        let kernel = default_kernel();
         let blocking = BlockingParams { mc: 8, kc: 4, nc: 12, mr: kernel.mr, nr: kernel.nr };
         fn build<'x>(at: &'x Matrix, bt: &'x Matrix, c: MatMut<'x>) -> GemmProblem<'x> {
             GemmProblem::new(at.view(), bt.view(), c).transpose_a().transpose_b().alpha(-0.5).beta(0.75)
@@ -956,7 +998,7 @@ mod tests {
         let a = Matrix::from_fn(10, 6, |i, j| (i + j) as f32 * 0.25);
         let b = Matrix::from_fn(6, 7, |i, j| (i * 2 + j) as f32 * 0.125);
         let mut c = Matrix::from_fn(10, 7, |_, _| f32::NAN);
-        let kernel = neon_intrinsics_kernel();
+        let kernel = default_kernel();
         let blocking = BlockingParams { mc: 4, kc: 4, nc: 4, mr: kernel.mr, nr: kernel.nr };
         BlisGemm::new(blocking)
             .with_kernel(kernel)
@@ -1141,7 +1183,7 @@ mod tests {
         // unevenly, and both `beta` regimes. Every run must equal the
         // one-thread run bit for bit and leave the storage outside the
         // view untouched.
-        let kernel = neon_intrinsics_kernel();
+        let kernel = default_kernel();
         let blocking = BlockingParams { mc: 32, kc: 16, nc: 24, mr: kernel.mr, nr: kernel.nr };
         let k = 33;
         for (axis, m, n, by_cols) in
@@ -1182,7 +1224,7 @@ mod tests {
         // A seeded sweep of what the strided mover sits under: every `C`
         // layout, both transposes, `alpha` and `beta` in {0, 1, -1, 0.75},
         // one worker and three, the generated tiles the host's verdicts
-        // serve plus the hand-written kernel, on shapes that are mostly
+        // serve plus the driver's default, on shapes that are mostly
         // fringe. `BlisGemm` must equal the naive strided reference bit
         // for bit — up to the sign of a zero, the one thing a blocked sum
         // started from `beta * c` and the reference's `alpha * sum +
@@ -1192,7 +1234,7 @@ mod tests {
         };
         let generator = MicroKernelGenerator::new(neon_f32());
         let generated = |mr, nr| exo_kernel(Arc::new(generator.generate(mr, nr).unwrap()));
-        let kernels = [generated(8, 12), generated(16, 4), generated(8, 8), neon_intrinsics_kernel()];
+        let kernels = [generated(8, 12), generated(16, 4), generated(8, 8), default_kernel()];
         const SCALES: [f32; 4] = [0.0, 1.0, -1.0, 0.75];
         const OPS: [Op; 2] = [Op::None, Op::Transpose];
         // xorshift64: the draws repeat run to run.
@@ -1267,7 +1309,7 @@ mod tests {
         let reference =
             BlisGemm::new(BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), 8, 12, 4))
                 .with_kernel(generated(8, 12));
-        let kernels = [generated(8, 12), generated(16, 4), generated(8, 8), neon_intrinsics_kernel()];
+        let kernels = [generated(8, 12), generated(16, 4), generated(8, 8), default_kernel()];
         let k = 20;
         let mut cases = 0;
         for kernel in &kernels {
@@ -1306,7 +1348,7 @@ mod tests {
 
     #[test]
     fn a_packed_b_image_is_the_engines_own_blocks_and_only_fits_its_blocking() {
-        let kernel = neon_intrinsics_kernel();
+        let kernel = default_kernel();
         // nc is not a whole number of nr panels, so full blocks pad too.
         let blocking = BlockingParams { mc: 16, kc: 16, nc: 40, mr: kernel.mr, nr: kernel.nr };
         let driver = BlisGemm::new(blocking);
@@ -1400,9 +1442,9 @@ mod tests {
         assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
         assert_eq!(run(&driver).0, cold, "a warm runner carries no numeric state");
         assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
-        // The hand-written families have no tiers, and an error that is
-        // returned, not unwound, costs the driver no runner.
-        assert_eq!(run(&BlisGemm::new(blocking)).1.tier, None);
+        // The default kernel runs on the portable tier, and an error that
+        // is returned, not unwound, costs the driver no runner.
+        assert_eq!(run(&BlisGemm::new(blocking)).1.tier, Some(ExecBackend::Superword));
         let mut c = Matrix::zeros(3, 3);
         assert!(driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).is_err());
         assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
@@ -1429,7 +1471,7 @@ mod tests {
 
     #[test]
     fn zero_threads_means_all_cores() {
-        let kernel = neon_intrinsics_kernel();
+        let kernel = default_kernel();
         let a = Matrix::from_fn(40, 16, |i, j| (i + j) as f32 * 0.25);
         let b = Matrix::from_fn(16, 24, |i, j| (i * 2 + j) as f32 * 0.125);
         let mut c = Matrix::zeros(40, 24);

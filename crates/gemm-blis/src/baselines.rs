@@ -5,118 +5,60 @@
 //!   `C` tile and edge-case handling),
 //! * `EXO`  — kernels generated by [`ukernel_gen`], one per tile shape.
 //!
-//! All three are *functionally* implemented in Rust (they compute the same
-//! `C[nr][mr] += Ac[kc][mr] * Bc[kc][nr]` update); what distinguishes them in
-//! the performance model is their machine-operation trace and their modelled
-//! per-iteration overhead: the monolithic library kernels carry edge-case and
-//! alpha/beta bookkeeping in the loop body, the compiler-scheduled intrinsics
-//! version is a little less tight than the assembly one, and only the BLIS
-//! library kernel prefetches `C` — exactly the distinctions the paper draws.
+//! This repository has neither the intrinsics nor the assembly, so `NEON`
+//! and `BLIS` exist only as [`ModelledKernel`]s: a machine-operation trace
+//! plus a modelled per-iteration overhead, which is all Figs. 13–18 read.
+//! The monolithic library kernels carry edge-case and alpha/beta
+//! bookkeeping in the loop body, the compiler-scheduled intrinsics version
+//! is a little less tight than the assembly one, and only the BLIS library
+//! kernel prefetches `C` — exactly the distinctions the paper draws. An
+//! `EXO` descriptor is a generated kernel's own trace
+//! ([`ModelledKernel::generated`]).
+//!
+//! A kernel that runs is a generated one: [`KernelImpl`] wraps a
+//! [`GeneratedKernel`] and the tier it is pinned to, and nothing else
+//! executes the micro-kernel semantics in the GEMM driver.
 //!
 //! "Only the BLIS library kernel prefetches `C`" describes the modelled
-//! kernel traces ([`KernelImpl::prefetch_c`]), which Figs. 13–18 read. The
-//! executing engine prefetches the next `C` tile for every kernel it
-//! drives, once the window of `C` outgrows the L1d (see
-//! [`crate::algorithm`]); the model does not see that.
+//! kernel traces ([`ModelledKernel::prefetch_c`]). The executing engine
+//! prefetches the next `C` tile for every kernel it drives, once the
+//! window of `C` outgrows the L1d (see [`crate::algorithm`]); the model
+//! does not see that.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{KernelTrace, MachineOp};
 use exo_ir::{InstrClass, ScalarType};
-use ukernel_gen::{GeneratedKernel, TierDispatch};
+use ukernel_gen::{GeneratedKernel, MicroKernelGenerator, TierDispatch};
 // The tier pin lives where the tier ladder is resolved; re-exported here
 // (and from the crate root) for the driver's callers.
 pub use ukernel_gen::ExecBackend;
 
 use crate::GemmError;
 
-/// A micro-kernel implementation: functional entry point plus the metadata
-/// the performance model needs.
+/// An executable micro-kernel: a generated, size-specialised kernel and
+/// the tier it is asked to run on.
 #[derive(Debug, Clone)]
 pub struct KernelImpl {
-    /// Display name (`"NEON"`, `"BLIS"`, `"EXO 8x8"`, ...), shared with the
-    /// [`crate::GemmStats::kernel`] of every GEMM it runs.
+    /// Display name (`"EXO 8x12"`, `"EXO 8x12 (superword)"`, ...), shared
+    /// with the [`crate::GemmStats::kernel`] of every GEMM it runs.
     pub name: Arc<str>,
     /// Register-tile rows.
     pub mr: usize,
     /// Register-tile columns.
     pub nr: usize,
-    /// The generated, size-specialised kernel behind an `EXO` series;
-    /// `None` for the hand-written families, which run the same plain loops
-    /// and differ only in what the model reads (trace, overhead, prefetch).
-    pub generated: Option<Arc<GeneratedKernel>>,
-    /// Machine-operation trace of one invocation.
-    pub trace: KernelTrace,
-    /// Extra modelled cycles per `k` iteration (edge-case logic, scheduling
-    /// slack). Zero for generated kernels.
-    pub per_k_overhead: f64,
-    /// Whether the kernel software-prefetches the `C` tile.
-    pub prefetch_c: bool,
-    /// Execution backend for generated kernels (ignored by the hand-written
-    /// families, which are plain Rust loops either way).
+    /// The generated kernel this runs.
+    pub generated: Arc<GeneratedKernel>,
+    /// The execution tier asked for ([`GeneratedKernel::dispatcher`]).
     pub backend: ExecBackend,
 }
 
 impl KernelImpl {
-    /// Validates the packed-operand buffer sizes against the tile shape —
-    /// for the hand-written families; a generated kernel's tier handle makes
-    /// the same three comparisons itself (`TierDispatch::run_packed`).
-    fn check_packed_shape(&self, kc: usize, a: &[f32], b: &[f32], c: &[f32]) -> Result<(), GemmError> {
-        if a.len() != kc * self.mr || b.len() != kc * self.nr || c.len() != self.mr * self.nr {
-            return Err(GemmError::ShapeMismatch {
-                what: format!(
-                    "micro-kernel `{}` expects Ac[{}], Bc[{}], C[{}]",
-                    self.name,
-                    kc * self.mr,
-                    kc * self.nr,
-                    self.mr * self.nr
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Pins the execution backend of a generated kernel (see
-    /// [`ExecBackend`]). Ignored by the hand-written families.
+    /// Pins the execution backend (see [`ExecBackend`]).
     #[must_use]
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// The resolved tier handle of a generated kernel —
-    /// [`GeneratedKernel::dispatcher`] of [`Self::backend`] — or `None` for
-    /// the hand-written families.
-    fn resolve(&self) -> Option<TierDispatch> {
-        self.generated.as_ref().map(|kernel| kernel.dispatcher(self.backend))
-    }
-
-    /// The one body behind [`Self::run`] and [`KernelDispatch::run`].
-    fn run_on(
-        &self,
-        tier: Option<&mut TierDispatch>,
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) -> Result<(), GemmError> {
-        let Some(tier) = tier else {
-            // The hand-written kernels compute the same update; the
-            // functional path models their arithmetic, the trace models
-            // their schedule.
-            self.check_packed_shape(kc, a, b, c)?;
-            for k in 0..kc {
-                for j in 0..self.nr {
-                    let bkj = b[k * self.nr + j];
-                    for i in 0..self.mr {
-                        c[j * self.mr + i] += a[k * self.mr + i] * bkj;
-                    }
-                }
-            }
-            return Ok(());
-        };
-        tier.run_packed(kc, a, b, c)
-            .map_err(|e| GemmError::Kernel { kernel: self.name.to_string(), message: e.to_string() })
     }
 
     /// Runs the kernel functionally: `c[nr][mr] += a[kc][mr] * b[kc][nr]`,
@@ -124,11 +66,10 @@ impl KernelImpl {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError`] if the buffer sizes do not match the shape
-    /// ([`GemmError::ShapeMismatch`] from a hand-written kernel,
-    /// [`GemmError::Kernel`] from a generated one's tier handle).
+    /// Returns [`GemmError::Kernel`] if the buffer sizes do not match the
+    /// shape (the tier handle's one length check).
     pub fn run(&self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        self.run_on(self.resolve().as_mut(), kc, a, b, c)
+        self.dispatcher().run(kc, a, b, c)
     }
 
     /// A reusable dispatch handle for this kernel (see [`KernelDispatch`]).
@@ -145,19 +86,18 @@ impl KernelImpl {
     /// — bit-identical on a matching ISA, so the switch is invisible
     /// except for speed.
     pub fn dispatcher(&self) -> KernelDispatch {
-        KernelDispatch { imp: self.clone(), tier: self.resolve() }
+        KernelDispatch { tier: self.generated.dispatcher(self.backend), imp: self.clone() }
     }
 }
 
 /// A reusable per-engine (per-worker) micro-kernel handle.
 ///
-/// For generated kernels this holds the one resolved
-/// [`ukernel_gen::TierDispatch`]: on the proved tiers (native, simd,
-/// portable) the run-time bounds proof is memoised per distinct `(KC,
-/// buffer lengths)` tuple and the register file is reused, so the
-/// steady-state micro-tile dispatch allocates nothing. Every other kernel
-/// family runs its plain loops. Results are bit-for-bit identical to
-/// calling [`KernelImpl::run`] on the same kernel.
+/// It holds the one resolved [`ukernel_gen::TierDispatch`]: on the proved
+/// tiers (native, simd, portable) the run-time bounds proof is memoised
+/// per distinct `(KC, buffer lengths)` tuple and the register file is
+/// reused, so the steady-state micro-tile dispatch allocates nothing.
+/// Results are bit-for-bit identical to calling [`KernelImpl::run`] on the
+/// same kernel.
 ///
 /// The handle may outlive the moment it was built in — engines are kept
 /// warm by their driver — so it remembers the tier it asked for (the
@@ -167,7 +107,7 @@ impl KernelImpl {
 #[derive(Debug, Clone)]
 pub struct KernelDispatch {
     imp: KernelImpl,
-    tier: Option<TierDispatch>,
+    tier: TierDispatch,
 }
 
 impl KernelDispatch {
@@ -176,19 +116,16 @@ impl KernelDispatch {
         &self.imp
     }
 
-    /// The execution tier this handle currently runs on, or `None` for the
-    /// hand-written kernel families (plain Rust loops, no tier).
-    pub fn tier(&self) -> Option<ExecBackend> {
-        self.tier.as_ref().map(TierDispatch::tier)
+    /// The execution tier this handle currently runs on.
+    pub fn tier(&self) -> ExecBackend {
+        self.tier.tier()
     }
 
     /// Promotes a handle whose native request sits on the simd chain
     /// ([`TierDispatch::refresh`]). The engine calls this once at the top
     /// of a GEMM — never between tiles, so one problem runs on one tier.
     pub(crate) fn refresh(&mut self) {
-        if let (Some(kernel), Some(tier)) = (&self.imp.generated, &mut self.tier) {
-            tier.refresh(kernel);
-        }
+        self.tier.refresh(&self.imp.generated);
     }
 
     /// Runs the kernel: `c[nr][mr] += a[kc][mr] * b[kc][nr]`, on the tier
@@ -196,10 +133,49 @@ impl KernelDispatch {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError`] if the buffer sizes do not match the shape, and
-    /// propagates kernel failures.
+    /// Returns [`GemmError::Kernel`] if the buffer sizes do not match the
+    /// shape, and propagates kernel failures.
     pub fn run(&mut self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        self.imp.run_on(self.tier.as_mut(), kc, a, b, c)
+        self.tier
+            .run_packed(kc, a, b, c)
+            .map_err(|e| GemmError::Kernel { kernel: self.imp.name.to_string(), message: e.to_string() })
+    }
+}
+
+/// A micro-kernel as the performance model reads it: the tile, the
+/// machine-operation trace of one invocation, and what the trace does not
+/// say. Nothing here executes; [`crate::GemmSimulator`],
+/// [`crate::modelled_gemm_cycles`] and the `exo-tune` ranker read it.
+#[derive(Debug, Clone)]
+pub struct ModelledKernel {
+    /// Display name (`"NEON"`, `"BLIS"`, `"EXO 8x8"`, ...), the
+    /// [`crate::SimResult::kernel`] of every simulation that picks it.
+    pub name: Arc<str>,
+    /// Register-tile rows.
+    pub mr: usize,
+    /// Register-tile columns.
+    pub nr: usize,
+    /// Machine-operation trace of one invocation.
+    pub trace: KernelTrace,
+    /// Extra modelled cycles per `k` iteration (edge-case logic, scheduling
+    /// slack). Zero for generated kernels.
+    pub per_k_overhead: f64,
+    /// Whether the kernel software-prefetches the `C` tile.
+    pub prefetch_c: bool,
+}
+
+impl ModelledKernel {
+    /// A generated kernel as the paper's `EXO` series models it: no
+    /// edge-case logic, no prefetch, exactly the generated trace.
+    pub fn generated(kernel: &GeneratedKernel) -> Self {
+        ModelledKernel {
+            name: format!("EXO {}x{}", kernel.mr, kernel.nr).into(),
+            mr: kernel.mr,
+            nr: kernel.nr,
+            trace: kernel.trace.clone(),
+            per_k_overhead: 0.0,
+            prefetch_c: false,
+        }
     }
 }
 
@@ -249,54 +225,47 @@ fn monolithic_trace(
     }
 }
 
-/// The hand-written Neon-intrinsics 8x12 kernel (the paper's `NEON` series).
-pub fn neon_intrinsics_kernel() -> KernelImpl {
-    KernelImpl {
+/// The hand-written Neon-intrinsics 8x12 kernel (the paper's `NEON`
+/// series), as modelled.
+pub fn neon_intrinsics_kernel() -> ModelledKernel {
+    ModelledKernel {
         name: "NEON".into(),
         mr: 8,
         nr: 12,
-        generated: None,
         trace: monolithic_trace("neon_8x12", 8, 12, 4, 3, false),
         per_k_overhead: 1.5,
         prefetch_c: false,
-        backend: ExecBackend::default(),
     }
 }
 
-/// The BLIS v0.9 assembly 8x12 kernel (the paper's `BLIS` series). `prefetch`
-/// selects whether the software prefetch of `C` is active — it is inside the
-/// BLIS library, and inactive when the kernel is dropped into the external
-/// BLIS-like algorithm (`ALG+BLIS`), which is exactly the distinction the
-/// paper uses to explain Fig. 14.
-pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
-    KernelImpl {
+/// The BLIS v0.9 assembly 8x12 kernel (the paper's `BLIS` series), as
+/// modelled. `prefetch` selects whether the software prefetch of `C` is
+/// active — it is inside the BLIS library, and inactive when the kernel is
+/// dropped into the external BLIS-like algorithm (`ALG+BLIS`), which is
+/// exactly the distinction the paper uses to explain Fig. 14.
+pub fn blis_assembly_kernel(prefetch: bool) -> ModelledKernel {
+    ModelledKernel {
         name: if prefetch { "BLIS" } else { "ALG+BLIS kernel" }.into(),
         mr: 8,
         nr: 12,
-        generated: None,
         trace: monolithic_trace("blis_8x12", 8, 12, 4, 2, prefetch),
         per_k_overhead: 0.75,
         prefetch_c: prefetch,
-        backend: ExecBackend::default(),
     }
 }
 
-/// Wraps a generated kernel as a [`KernelImpl`] (the paper's `EXO` series):
-/// no edge-case logic, no prefetch, exactly the generated trace. Executes
-/// through the ahead-of-time compiled native artifact when the host has a
-/// C toolchain (the fastest tier), and bit-faithfully on the in-process
-/// SIMD chain of the active vector ISA (AVX-512, AVX2/FMA, NEON, or the bit-exact
-/// scalar reference) when it does not — [`KernelDispatch::tier`] says
-/// which.
+/// Wraps a generated kernel as a [`KernelImpl`] (the paper's `EXO`
+/// series). Executes through the ahead-of-time compiled native artifact
+/// when the host has a C toolchain (the fastest tier), and bit-faithfully
+/// on the in-process SIMD chain of the active vector ISA (AVX-512,
+/// AVX2/FMA, NEON, or the bit-exact scalar reference) when it does not —
+/// [`KernelDispatch::tier`] says which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{}", kernel.mr, kernel.nr).into(),
         mr: kernel.mr,
         nr: kernel.nr,
-        trace: kernel.trace.clone(),
-        generated: Some(kernel),
-        per_k_overhead: 0.0,
-        prefetch_c: false,
+        generated: kernel,
         backend: ExecBackend::Native,
     }
 }
@@ -339,6 +308,19 @@ pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     }
 }
 
+/// The kernel a [`crate::BlisGemm`] runs until it is given another: the
+/// generated `neon_f32` 8x12 — the paper's monolithic tile — pinned to the
+/// portable tier, which computes the same bits on every host. Generated
+/// once per process.
+pub(crate) fn default_kernel() -> KernelImpl {
+    static KERNEL: OnceLock<Arc<GeneratedKernel>> = OnceLock::new();
+    let kernel = KERNEL.get_or_init(|| {
+        let generator = MicroKernelGenerator::new(exo_isa::neon_f32());
+        Arc::new(generator.generate(8, 12).expect("the 8x12 kernel generates"))
+    });
+    exo_kernel_superword(Arc::clone(kernel))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,9 +352,9 @@ mod tests {
 
     #[test]
     fn all_baselines_compute_the_same_update() {
-        run_and_check(&neon_intrinsics_kernel(), 33);
-        run_and_check(&blis_assembly_kernel(true), 33);
-        run_and_check(&blis_assembly_kernel(false), 33);
+        // The baselines' 8x12 tile executes as the generated kernel: the
+        // driver's default and the native default alike.
+        run_and_check(&default_kernel(), 33);
         let generator = MicroKernelGenerator::new(neon_f32());
         let exo = exo_kernel(Arc::new(generator.generate(8, 12).unwrap()));
         run_and_check(&exo, 33);
@@ -380,11 +362,9 @@ mod tests {
 
     #[test]
     fn shape_mismatches_are_rejected() {
-        let k = neon_intrinsics_kernel();
         let mut c = vec![0.0f32; 8 * 12];
-        assert!(matches!(k.run(4, &[0.0; 3], &[0.0; 48], &mut c), Err(GemmError::ShapeMismatch { .. })));
-        // A generated kernel's one length check is its tier handle's, on
-        // every tier — the driver never gets a misfit as far as a body.
+        // A kernel's one length check is its tier handle's, on every tier —
+        // the driver never gets a misfit as far as a body.
         let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
         for backend in [ExecBackend::Native, ExecBackend::Superword, ExecBackend::Tape] {
             let misfit = exo.clone().with_backend(backend).run(4, &[0.0; 3], &[0.0; 48], &mut c);
@@ -477,9 +457,10 @@ mod tests {
     #[test]
     fn exo_kernels_have_no_modelled_overhead() {
         let generator = MicroKernelGenerator::new(neon_f32());
-        let exo = exo_kernel(Arc::new(generator.generate(4, 4).unwrap()));
-        assert_eq!(exo.per_k_overhead, 0.0);
-        assert_eq!(exo.trace.per_k_count(InstrClass::VecFma), 4);
-        run_and_check(&exo, 21);
+        let kernel = Arc::new(generator.generate(4, 4).unwrap());
+        let modelled = ModelledKernel::generated(&kernel);
+        assert_eq!((&*modelled.name, modelled.per_k_overhead, modelled.prefetch_c), ("EXO 4x4", 0.0, false));
+        assert_eq!(modelled.trace.per_k_count(InstrClass::VecFma), 4);
+        run_and_check(&exo_kernel(kernel), 21);
     }
 }

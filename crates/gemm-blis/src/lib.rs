@@ -3,8 +3,9 @@
 //! The BLIS-like GEMM substrate of the paper's evaluation: the five-loop
 //! GotoBLAS/BLIS algorithm (Fig. 1) with its packing routines and cache
 //! blocking model, the baseline micro-kernels (`NEON` hand-written
-//! intrinsics, `BLIS` assembly with prefetch), and the glue that plugs in
-//! generated Exo micro-kernels.
+//! intrinsics, `BLIS` assembly with prefetch) as modelled traces — this
+//! repository runs neither — and the glue that plugs in the generated Exo
+//! micro-kernels, the only ones that execute.
 //!
 //! The public GEMM front door is the BLAS-grade triple of
 //!
@@ -42,7 +43,7 @@ pub mod views;
 pub use algorithm::{naive_gemm, BlisGemm, GemmRunner, Matrix};
 pub use baselines::{
     blis_assembly_kernel, exo_kernel, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl,
+    neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl, ModelledKernel,
 };
 pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use carmel_sim::{gflops, CacheHierarchy, CacheLevel, CarmelCore, Residency};
 use ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator};
 
-use crate::baselines::{blis_assembly_kernel, exo_kernel, neon_intrinsics_kernel, KernelImpl};
+use crate::baselines::{blis_assembly_kernel, neon_intrinsics_kernel, ModelledKernel};
 use crate::blocking::BlockingParams;
 use crate::GemmError;
 
@@ -93,7 +93,7 @@ impl Default for SimOptions {
 #[derive(Debug, Clone)]
 pub struct GemmSimulator {
     core: CarmelCore,
-    exo_kernels: Vec<KernelImpl>,
+    exo_kernels: Vec<ModelledKernel>,
     options: SimOptions,
 }
 
@@ -137,7 +137,7 @@ impl GemmSimulator {
                 kernel: format!("EXO {mr}x{nr}"),
                 message: e.to_string(),
             })?;
-            exo_kernels.push(exo_kernel(kernel));
+            exo_kernels.push(ModelledKernel::generated(&kernel));
         }
         if exo_kernels.is_empty() {
             return Err(GemmError::Kernel {
@@ -154,7 +154,7 @@ impl GemmSimulator {
     }
 
     /// The generated kernels available to `ALG+EXO`.
-    pub fn exo_kernels(&self) -> &[KernelImpl] {
+    pub fn exo_kernels(&self) -> &[ModelledKernel] {
         &self.exo_kernels
     }
 
@@ -221,7 +221,13 @@ impl GemmSimulator {
     /// `ALG+EXO` every generated kernel is evaluated with the performance
     /// model and the best one wins — the paper's "the optimization process
     /// boils down to evaluating a number of generated micro-kernels".
-    pub fn select_kernel(&self, implementation: Implementation, m: usize, n: usize, k: usize) -> KernelImpl {
+    pub fn select_kernel(
+        &self,
+        implementation: Implementation,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> ModelledKernel {
         match implementation {
             Implementation::AlgNeon => neon_intrinsics_kernel(),
             Implementation::AlgBlis => blis_assembly_kernel(false),
@@ -245,7 +251,7 @@ impl GemmSimulator {
         }
     }
 
-    fn blocking_for(&self, kernel: &KernelImpl) -> BlockingParams {
+    fn blocking_for(&self, kernel: &ModelledKernel) -> BlockingParams {
         if self.options.analytical_blocking {
             BlockingParams::analytical(&self.core.mem, kernel.mr, kernel.nr, 4)
         } else {
@@ -255,7 +261,7 @@ impl GemmSimulator {
 
     /// Models the total cycles of one GEMM with the BLIS loop structure,
     /// using this simulator's blocking policy for the kernel.
-    pub fn modelled_cycles(&self, kernel: &KernelImpl, m: usize, n: usize, k: usize) -> f64 {
+    pub fn modelled_cycles(&self, kernel: &ModelledKernel, m: usize, n: usize, k: usize) -> f64 {
         modelled_gemm_cycles(&self.core, kernel, &self.blocking_for(kernel), m, n, k)
     }
 }
@@ -271,7 +277,7 @@ impl GemmSimulator {
 /// `(kernel, blocking)` candidates — not just the simulator's own policy.
 pub fn modelled_gemm_cycles(
     core: &CarmelCore,
-    kernel: &KernelImpl,
+    kernel: &ModelledKernel,
     blocking: &BlockingParams,
     m: usize,
     n: usize,

@@ -186,10 +186,10 @@ pub struct GemmStats {
     /// shared with its [`crate::KernelImpl::name`].
     pub kernel: Arc<str>,
     /// The execution tier the micro-kernel's dispatch handle had resolved
-    /// when it ran the problem — for a generated kernel the tier that
-    /// actually answered on [`crate::ExecBackend`]'s ladder (a degraded
-    /// retry reports the tier it landed on), `None` for the hand-written
-    /// kernel families and the reference executors, which have no tiers.
+    /// when it ran the problem — the tier that actually answered on
+    /// [`crate::ExecBackend`]'s ladder (a degraded retry reports the tier
+    /// it landed on), `None` for the reference executors
+    /// ([`crate::NaiveGemm`]), which have no tiers.
     pub tier: Option<ExecBackend>,
     /// Worker threads the driver used (`1` for sequential executors).
     pub threads: usize,

@@ -6,8 +6,7 @@ use std::sync::Arc;
 
 use exo_isa::{avx512_f32, neon_f16, neon_f32};
 use gemm_blis::{
-    blis_assembly_kernel, exo_kernel, naive_gemm, neon_intrinsics_kernel, BlisGemm, BlockingParams,
-    GemmExecutor, GemmProblem, Matrix,
+    exo_kernel, exo_kernel_superword, naive_gemm, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix,
 };
 use ukernel_gen::{KernelSet, MicroKernelGenerator, Strategy};
 
@@ -43,11 +42,11 @@ fn generated_kernels_run_inside_the_blis_algorithm() {
 fn baseline_kernels_and_generated_kernels_agree_on_dnn_shapes() {
     let generator = MicroKernelGenerator::new(neon_f32());
     let exo = exo_kernel(Arc::new(generator.generate(8, 8).unwrap()));
-    let neon = neon_intrinsics_kernel();
-    let blis = blis_assembly_kernel(true);
+    // The baselines' 8x12 tile, generated and on the portable tier.
+    let baseline = exo_kernel_superword(Arc::new(generator.generate(8, 12).unwrap()));
     // A miniature version of the ResNet50 layer 12 shape (196 x 256 x 2304,
     // scaled down to keep the test fast).
-    for kernel in [&exo, &neon, &blis] {
+    for kernel in [&exo, &baseline] {
         check_full_gemm(kernel, 49, 64, 72);
     }
 }

@@ -453,6 +453,35 @@ fn a_retry_degrades_from_the_tier_that_ran() {
     }
 }
 
+/// A default driver — the generated 8x12 on the portable tier — is a
+/// portable entry like any other: a declined `beta = 0` entry retries once
+/// onto the tape and completes stamped `degraded`, with the bits of its
+/// clean neighbour (portable and tape are bit-identical).
+#[test]
+fn a_default_drivers_declined_entry_retries_onto_the_tape() {
+    use exo_gemm::gemm_blis::ExecBackend;
+    let _guard = serial();
+    fault::disarm();
+    let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 12));
+    let mut want = make_job(24, 20, 16, 3, 0.0);
+    driver.gemm(want.problem()).expect("clean default run");
+    let want = want.into_c();
+    let mut jobs = [make_job(24, 20, 16, 3, 0.0), make_job(24, 20, 16, 3, 0.0)];
+    FaultPlan::new().decline(1).arm();
+    let report = driver.gemm_batch(jobs.iter_mut().map(GemmJob::problem).collect());
+    fault::disarm();
+
+    assert_eq!((report.retries, report.degraded_completions), (1, 1));
+    let mut tiers = Vec::new();
+    for (job, outcome) in jobs.into_iter().zip(&report.outcomes) {
+        let stats = outcome.as_ref().expect("both entries complete");
+        tiers.push((stats.degraded, stats.tier));
+        assert_bits(&job.into_c(), &want, &format!("degraded {}", stats.degraded));
+    }
+    tiers.sort_by_key(|&(degraded, _)| degraded);
+    assert_eq!(tiers, [(false, Some(ExecBackend::Superword)), (true, Some(ExecBackend::Tape))]);
+}
+
 /// Activations for `entries` GEMMs against one borrowed `k x n` weight
 /// matrix: `(A_e, C_e)` pairs, the `C`s poisoned when `beta == 0` must never
 /// read them.

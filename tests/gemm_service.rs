@@ -15,8 +15,7 @@
 //!   wrapped `TunedGemm` draw the same runners.
 //! * Shared weights: entries of a batch that borrow one `B` pack it once
 //!   (`b_images_packed` / `entries_on_shared_b`), bit-identical to
-//!   per-call `TunedGemm::execute`; jobs that own their operands never
-//!   share.
+//!   per-call `TunedGemm::execute`.
 //! * Who runs what: the service owns no thread, so an idle service runs a
 //!   job on the submitting thread and a busy one on the thread already
 //!   draining; and all three submission doors under a queue of two.
@@ -180,8 +179,6 @@ fn concurrent_callers_match_the_sequential_reference_bitwise() {
         .map(|c| if c.alpha == 0.0 { 0 } else { 2 * (c.m * c.n * c.k) as u64 })
         .sum();
     assert_eq!(stats.total_flops, want_flops);
-    // Every job owns its operands: nothing to share, no image packed.
-    assert_eq!((stats.b_images_packed, stats.entries_on_shared_b), (0, 0));
 }
 
 /// Batch edge cases through the trait: empty, single entry, and a
