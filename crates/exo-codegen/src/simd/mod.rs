@@ -678,10 +678,9 @@ impl SimdKernel {
     ///
     /// # Errors
     ///
-    /// As [`Self::run_views`], plus [`crate::CodegenError::BadArguments`]
-    /// when the kernel does not have the packed signature.
+    /// As [`Self::run_views`]: a kernel without the packed signature is an
+    /// argument mismatch there.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.source.tape().check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 
@@ -840,7 +839,6 @@ impl SimdDispatch {
     /// As [`SimdKernel::run_packed`].
     #[inline]
     pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.kernel.source().tape().check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 }

@@ -935,6 +935,17 @@ mod tests {
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
         let too_few = portable(&sw).run_views(&[1], &mut [TensorView::Ro(&a)]);
         assert!(matches!(too_few, Err(CodegenError::BadArguments { .. })));
+        // A kernel without the packed (KC, Ac, Bc, C) signature is turned
+        // away by the views' validation, with one error on every packed
+        // door: the tape, the one-shot chain and a dispatch handle.
+        let one_tensor = oob_kernel();
+        let mut c = vec![0.0f32; 2];
+        let want = one_tensor.tape().run_packed(1, &a, &b, &mut c).unwrap_err();
+        assert!(matches!(want, CodegenError::BadArguments { .. }), "{want:?}");
+        let chain = portable(&one_tensor);
+        assert_eq!(chain.run_packed(1, &a, &b, &mut c), Err(want.clone()));
+        assert_eq!(chain.dispatcher().run_packed(1, &a, &b, &mut c), Err(want));
+        assert_eq!(c, [0.0; 2], "nothing ran");
     }
 
     #[test]

@@ -331,8 +331,10 @@ impl TapeKernel {
     }
 
     /// Whether the kernel has the packed `(KC, Ac, Bc, C)` micro-kernel
-    /// signature (one scalar, three tensors).
-    #[inline]
+    /// signature (one scalar, three tensors) — for the callers that lower or
+    /// prove it without validating a call's views. A packed call needs no
+    /// such check: [`Self::validate_views`] of one scalar and three tensors
+    /// accepts exactly these kernels.
     pub(crate) fn check_packed_signature(&self) -> Result<()> {
         if self.params.len() != 4 || self.tensor_written.len() != 3 {
             return Err(CodegenError::BadArguments {
@@ -352,9 +354,8 @@ impl TapeKernel {
     ///
     /// Returns [`CodegenError::BadArguments`] if the kernel does not have
     /// the one-scalar/three-tensor packed signature or writes its packed
-    /// operands, and propagates execution errors.
+    /// operands (the views' validation), and propagates execution errors.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 

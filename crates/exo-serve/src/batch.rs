@@ -72,53 +72,11 @@ use crate::fault;
 /// An ordered batch of GEMM problems, executed together by a
 /// [`GemmBatchExecutor`].
 ///
-/// Entry `i` of the returned stats corresponds to entry `i` pushed here,
+/// Entry `i` of the returned stats corresponds to entry `i` of the vector,
 /// and results are bit-identical to running the entries one by one through
 /// the same executor — batching changes *when* fixed costs are paid, never
 /// *what* is computed.
-#[derive(Default)]
-pub struct GemmBatch<'a> {
-    entries: Vec<GemmProblem<'a>>,
-}
-
-impl<'a> GemmBatch<'a> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        GemmBatch { entries: Vec::new() }
-    }
-
-    /// Appends one problem; it keeps its position in the stats vector.
-    pub fn push(&mut self, problem: GemmProblem<'a>) {
-        self.entries.push(problem);
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the batch has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Consumes the batch into its problems, in submission order.
-    pub fn into_problems(self) -> Vec<GemmProblem<'a>> {
-        self.entries
-    }
-}
-
-impl<'a> From<Vec<GemmProblem<'a>>> for GemmBatch<'a> {
-    fn from(entries: Vec<GemmProblem<'a>>) -> Self {
-        GemmBatch { entries }
-    }
-}
-
-impl<'a> FromIterator<GemmProblem<'a>> for GemmBatch<'a> {
-    fn from_iter<I: IntoIterator<Item = GemmProblem<'a>>>(iter: I) -> Self {
-        GemmBatch { entries: iter.into_iter().collect() }
-    }
-}
+pub type GemmBatch<'a> = Vec<GemmProblem<'a>>;
 
 /// The per-entry outcomes of one batch, plus the isolation tallies.
 ///
@@ -218,7 +176,7 @@ pub trait GemmBatchExecutor {
     /// out of the problem's driver around one engine pass, and no batch,
     /// group or outcome vector — the door a lone service job takes.
     fn gemm_one(&self, problem: GemmProblem<'_>) -> EntryReport {
-        let report = self.gemm_batch(GemmBatch { entries: vec![problem] });
+        let report = self.gemm_batch(vec![problem]);
         let outcome = report.outcomes.into_iter().next().expect("one outcome per batch entry");
         EntryReport {
             outcome,
@@ -494,8 +452,7 @@ impl GemmBatchExecutor for BlisGemm {
     /// entry, on the driver's own warm runners. (Shared-`B` image buffers
     /// are per batch — [`CachedTunedGemm`] is the executor that keeps
     /// those.)
-    fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
-        let entries = batch.into_problems();
+    fn gemm_batch(&self, entries: GemmBatch<'_>) -> BatchReport {
         let mut out: Vec<Option<Result<GemmStats, GemmError>>> = (0..entries.len()).map(|_| None).collect();
         let tally = Tally::default();
         let group = entries.into_iter().enumerate().map(|(idx, problem)| (idx, problem, None)).collect();
@@ -553,10 +510,9 @@ impl CachedTunedGemm {
 impl GemmBatchExecutor for CachedTunedGemm {
     /// Each entry is routed exactly as `TunedGemm::execute` routes it —
     /// degenerate shapes included — and each group runs on its driver.
-    fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
+    fn gemm_batch(&self, entries: GemmBatch<'_>) -> BatchReport {
         // Buffers only: a poisoned lock's state is consistent.
         let mut images = self.images.lock().unwrap_or_else(PoisonError::into_inner);
-        let entries = batch.into_problems();
         let mut out: Vec<Option<Result<GemmStats, GemmError>>> = (0..entries.len()).map(|_| None).collect();
         let tally = Tally::default();
 
@@ -645,8 +601,7 @@ mod tests {
         let b = fill(6, 7, 1);
         let mut c = fill(10, 7, 2);
         let c0 = c.clone();
-        let mut batch = GemmBatch::new();
-        batch.push(GemmProblem::new(a.view(), b.view(), c.view_mut()));
+        let batch = vec![GemmProblem::new(a.view(), b.view(), c.view_mut())];
         assert_eq!(driver.gemm_batch(batch).into_stats().unwrap().len(), 1);
         let mut c_seq = c0;
         driver.gemm(GemmProblem::new(a.view(), b.view(), c_seq.view_mut())).unwrap();
@@ -656,8 +611,7 @@ mod tests {
         let ea = Matrix::zeros(3, 0);
         let eb = Matrix::zeros(0, 4);
         let mut ec = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f32);
-        let mut batch = GemmBatch::new();
-        batch.push(GemmProblem::new(ea.view(), eb.view(), ec.view_mut()).beta(2.0));
+        let batch = vec![GemmProblem::new(ea.view(), eb.view(), ec.view_mut()).beta(2.0)];
         let stats = driver.gemm_batch(batch).into_stats().unwrap();
         assert_eq!(stats[0].flop_count, 0);
         assert!(stats[0].batched);
@@ -878,9 +832,10 @@ mod tests {
         let good_b = fill(4, 4, 2);
         let mut c_bad = Matrix::zeros(4, 4);
         let mut c_good = Matrix::zeros(4, 4);
-        let mut batch = GemmBatch::new();
-        batch.push(GemmProblem::new(a.view(), bad_b.view(), c_bad.view_mut()));
-        batch.push(GemmProblem::new(a.view(), good_b.view(), c_good.view_mut()).beta(0.0));
+        let batch = vec![
+            GemmProblem::new(a.view(), bad_b.view(), c_bad.view_mut()),
+            GemmProblem::new(a.view(), good_b.view(), c_good.view_mut()).beta(0.0),
+        ];
         let report = driver.gemm_batch(batch);
         assert!(matches!(report.outcomes[0], Err(GemmError::ShapeMismatch { .. })));
         assert!(report.outcomes[1].is_ok(), "the good entry must complete despite its neighbour");
@@ -888,8 +843,7 @@ mod tests {
         let a2 = fill(4, 4, 0);
         let b2 = fill(5, 4, 1);
         let mut c2 = Matrix::zeros(4, 4);
-        let mut batch = GemmBatch::new();
-        batch.push(GemmProblem::new(a2.view(), b2.view(), c2.view_mut()));
+        let batch = vec![GemmProblem::new(a2.view(), b2.view(), c2.view_mut())];
         assert!(matches!(driver.gemm_batch(batch).into_stats(), Err(GemmError::ShapeMismatch { .. })));
     }
 }

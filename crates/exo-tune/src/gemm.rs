@@ -180,10 +180,10 @@ impl TunedGemm {
     /// dispatch and shared — with the warm runners it owns — by everything
     /// this executor dispatches afterwards (the `exo-serve` batch executor
     /// groups a batch's entries by it). A shape with a zero dimension has
-    /// nothing to tune: it gets a `"degenerate"` verdict on the default
-    /// blocking and a driver of its own — any kernel honours the contract
-    /// that is left (`beta` scaling, nothing else) — and the registry stays
-    /// untouched.
+    /// nothing to tune: it gets a degenerate verdict (no candidates
+    /// evaluated) on the default blocking and a driver of its own — any
+    /// kernel honours the contract that is left (`beta` scaling, nothing
+    /// else) — and the registry stays untouched.
     ///
     /// # Errors
     ///
@@ -209,7 +209,6 @@ impl TunedGemm {
                 predicted_cycles: 0.0,
                 predicted_gflops: 0.0,
                 candidates_evaluated: 0,
-                evaluator: "degenerate".into(),
             }
         } else {
             self.tuner.tune(m, n, k)?
@@ -327,7 +326,7 @@ mod tests {
         assert_eq!(driver.idle_runners(), 1);
         // Nothing to tune: a group of its own, whatever its blocking says.
         let (degenerate, fallback) = tuned.driver_for(0, 5, 5).unwrap();
-        assert_eq!(degenerate.evaluator, "degenerate");
+        assert_eq!(degenerate.candidates_evaluated, 0);
         assert!(!Arc::ptr_eq(&fallback, &driver));
         assert!(Arc::ptr_eq(&fallback, &tuned.driver_for(3, 4, 0).unwrap().1));
         assert_eq!((tuned.drivers().len(), tuned.registry().len()), (2, 1));

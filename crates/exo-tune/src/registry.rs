@@ -13,7 +13,9 @@
 //! in ([`crate::DesignSpace::identity`]): `neon-f32` for the modelled
 //! space, `neon-f32@avx2` for the tiles served on an AVX2 host. The name is
 //! the file's `isa` field, and a file is only loaded under its own name —
-//! a verdict searched for one executing ISA is never served on another.
+//! a verdict searched for one executing ISA is never served on another —
+//! and in the current format: every verdict in it was ranked by the one
+//! analytical model, so a verdict carries no note of its ranker.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -25,8 +27,11 @@ use ukernel_gen::KernelCache;
 use crate::error::TuneError;
 use crate::json::{self, Json};
 
-/// Current on-disk format version.
-const FORMAT_VERSION: f64 = 1.0;
+/// Current on-disk format version. Version 2 dropped the per-verdict
+/// `evaluator` key: every search of this tree ranks with the one analytical
+/// model, so a file from an older ranker is refused whole as
+/// [`TuneError::Corrupt`] instead of re-checked verdict by verdict.
+const FORMAT_VERSION: f64 = 2.0;
 
 /// The outcome of tuning one GEMM problem shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,13 +61,10 @@ pub struct TuneVerdict {
     /// modelled clock) — the modelled Carmel's rate, not the host's.
     pub predicted_gflops: f64,
     /// How many candidates the search evaluated when this verdict was
-    /// produced (memoised answers keep the original search's count).
+    /// produced (memoised answers keep the original search's count). Zero
+    /// marks the verdict an empty problem is dispatched with, which no
+    /// search produced.
     pub candidates_evaluated: usize,
-    /// Name of the cost that ranked the verdict: `"analytical"` for every
-    /// search of this tree (`"degenerate"` for the verdict an empty problem
-    /// is dispatched with). Kept in the file format so that a verdict
-    /// ranked by anything else is searched again instead of served.
-    pub evaluator: String,
 }
 
 impl TuneVerdict {
@@ -87,7 +89,6 @@ impl TuneVerdict {
         put("predicted_cycles", self.predicted_cycles);
         put("predicted_gflops", self.predicted_gflops);
         put("candidates_evaluated", self.candidates_evaluated as f64);
-        obj.insert("evaluator".to_string(), Json::Str(self.evaluator.clone()));
         Json::Obj(obj)
     }
 
@@ -116,7 +117,6 @@ impl TuneVerdict {
             predicted_cycles: num("predicted_cycles")?,
             predicted_gflops: num("predicted_gflops")?,
             candidates_evaluated: field("candidates_evaluated")?,
-            evaluator: value.get("evaluator").and_then(Json::as_str).unwrap_or("analytical").to_string(),
         })
     }
 }
@@ -344,7 +344,6 @@ mod tests {
             predicted_cycles: 1.25e6,
             predicted_gflops: 30.5,
             candidates_evaluated: 36,
-            evaluator: "analytical".into(),
         }
     }
 

@@ -12,12 +12,6 @@ use crate::error::TuneError;
 use crate::registry::{KernelRegistry, TuneVerdict};
 use crate::space::DesignSpace;
 
-/// What [`TuneVerdict::evaluator`] says of a verdict this tuner ranked: the
-/// `carmel-sim` core model run through the five-loop BLIS structure
-/// ([`modelled_gemm_cycles`]). Deterministic and host-independent; no
-/// candidate is executed, timed or compiled to be ranked.
-const EVALUATOR: &str = "analytical";
-
 /// Searches the design space for one GEMM problem at a time, memoising
 /// verdicts in a [`KernelRegistry`].
 pub struct Tuner {
@@ -115,10 +109,11 @@ impl Tuner {
     /// Candidates — each tile with both Carmel blockings in the modelled
     /// space, with its host's one blocking in a serving space
     /// ([`DesignSpace::candidates`]) — are ranked by [`modelled_gemm_cycles`]
-    /// on the tuner's core model (lower is better). A memoised verdict is
-    /// only reused when its [`TuneVerdict::evaluator`] names that model; a
-    /// verdict some other ranker recorded in the file is re-searched and
-    /// overwritten.
+    /// on the tuner's core model (lower is better): the `carmel-sim` core
+    /// model run through the five-loop BLIS structure. Deterministic and
+    /// host-independent; no candidate is executed, timed or compiled to be
+    /// ranked. It is the only ranker a registry file of the current format
+    /// holds verdicts of, so a memoised verdict is served as it is.
     ///
     /// # Errors
     ///
@@ -129,9 +124,7 @@ impl Tuner {
             return Err(TuneError::Gemm(format!("cannot tune the empty problem {m}x{n}x{k}")));
         }
         if let Some(verdict) = self.registry.verdict(m, n, k) {
-            if verdict.evaluator == EVALUATOR {
-                return Ok(verdict);
-            }
+            return Ok(verdict);
         }
         let candidates = self.space.candidates();
         if candidates.is_empty() {
@@ -167,7 +160,6 @@ impl Tuner {
                         predicted_cycles: cost,
                         predicted_gflops: gflops(useful_flops, cost, self.core.freq_ghz),
                         candidates_evaluated: evaluated,
-                        evaluator: EVALUATOR.to_string(),
                     },
                 ));
             }
@@ -261,28 +253,39 @@ mod tests {
     }
 
     #[test]
-    fn memoised_verdicts_from_another_evaluator_are_re_searched() {
-        // A registry file whose verdict for the shape names a ranker this
-        // tree does not have (older trees could time candidates).
+    fn registry_files_of_an_older_format_are_refused_and_quarantined() {
+        // A version-1 file, as a tree that still tagged every verdict with
+        // the ranker that produced it wrote it.
         let seeded = Tuner::new();
-        assert_eq!(seeded.tune(24, 24, 24).unwrap().evaluator, "analytical");
+        seeded.tune(24, 24, 24).unwrap();
         let text = seeded.registry().to_text();
-        assert!(text.contains("\"analytical\""));
-        let mut registry = KernelRegistry::new("neon-f32");
-        registry.load_text(&text.replace("\"analytical\"", "\"functional\"")).unwrap();
-        assert_eq!(registry.verdict(24, 24, 24).unwrap().evaluator, "functional");
+        assert!(text.contains("\"version\":2"), "{text}");
+        let old = text
+            .replace("\"version\":2", "\"version\":1")
+            .replace("\"candidates_evaluated\"", "\"evaluator\":\"functional\",\"candidates_evaluated\"");
+        let path = std::env::temp_dir().join(format!("exo-tune-tuner-v1-{}.json", std::process::id()));
+        let quarantine = path.with_extension("json.corrupt");
+        let _ = std::fs::remove_file(&quarantine);
+        std::fs::write(&path, &old).unwrap();
 
-        // The tuner must not serve it: it searches, and overwrites it.
-        let tuner = Tuner::with_registry(registry).unwrap();
-        assert_eq!(tuner.registry().generator_invocations(), 0);
-        let verdict = tuner.tune(24, 24, 24).unwrap();
-        assert_eq!(verdict.evaluator, "analytical");
-        let invocations = tuner.registry().generator_invocations();
-        assert!(invocations > 0, "a foreign verdict was served without a search");
-        assert_eq!(tuner.registry().verdict(24, 24, 24).unwrap(), verdict);
-        // And a repeat request is now memoised.
+        // The strict constructor refuses the whole file and leaves it be.
+        let refused = KernelRegistry::with_persistence("neon-f32", &path);
+        assert!(matches!(refused, Err(TuneError::Corrupt(_))), "{refused:?}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), old);
+
+        // The tolerant one sets it aside and starts cold: the shape is
+        // searched again, not served from the old file.
+        let (fresh, tolerated) = KernelRegistry::with_persistence_or_fresh("neon-f32", &path);
+        assert!(matches!(tolerated, Some(TuneError::Corrupt(_))), "{tolerated:?}");
+        assert_eq!(std::fs::read_to_string(&quarantine).unwrap(), old);
+        let tuner = Tuner::with_registry(fresh).unwrap();
         tuner.tune(24, 24, 24).unwrap();
-        assert_eq!(tuner.registry().generator_invocations(), invocations);
+        assert!(tuner.registry().generator_invocations() > 0, "an old verdict was served without a search");
+        // What it persists is the current format, and opens warm.
+        assert_eq!(KernelRegistry::with_persistence("neon-f32", &path).unwrap().len(), 1);
+
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&quarantine);
     }
 
     #[test]

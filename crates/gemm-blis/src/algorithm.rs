@@ -32,19 +32,19 @@
 //! the L1d gets no hints; its tiles stay resident anyway.
 //!
 //! There is one engine. A [`GemmRunner`] owns what one pass of the five
-//! loops needs — blocking, a prove-once [`KernelDispatch`], a
-//! [`crate::packing::PackArena`], and the staged `C` tile — and runs them
-//! over a `(rows, cols)` window of `C`, taking `op(B)` either as a strided
-//! view it packs block by block or as a [`PackedB`] image, packed once for
-//! every GEMM that shares the matrix, whose blocks it slices. A one-thread
-//! GEMM is that engine over the whole of `C`. A threaded GEMM
-//! ([`BlisGemm::with_threads`]) partitions `C` into disjoint windows —
-//! contiguous runs of whole `mc` row blocks, or of whole `nc` column blocks
-//! when the problem is wide and short — and runs the same engine once per
-//! window on the shared pool, each worker packing its own operands (or
-//! slicing the one image). Every `C` element is computed by exactly one
-//! worker in the sequential `pc` order, so the result is bit-for-bit
-//! identical for any thread count.
+//! loops needs — blocking, the kernel and its prove-once tier handle
+//! ([`KernelImpl::dispatcher`]), a [`crate::packing::PackArena`], and the
+//! staged `C` tile — and runs them over a `(rows, cols)` window of `C`,
+//! taking `op(B)` either as a strided view it packs block by block or as a
+//! [`PackedB`] image, packed once for every GEMM that shares the matrix,
+//! whose blocks it slices. A one-thread GEMM is that engine over the whole
+//! of `C`. A threaded GEMM ([`BlisGemm::with_threads`]) partitions `C` into
+//! disjoint windows — contiguous runs of whole `mc` row blocks, or of whole
+//! `nc` column blocks when the problem is wide and short — and runs the
+//! same engine once per window on the shared pool, each worker packing its
+//! own operands (or slicing the one image). Every `C` element is computed
+//! by exactly one worker in the sequential `pc` order, so the result is
+//! bit-for-bit identical for any thread count.
 //!
 //! And there is one owner of engines, with one lifetime for them: the
 //! [`BlisGemm`] driver keeps its idle runners, every pass — a plain call,
@@ -63,8 +63,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use exo_codegen::simd::{strided_move, strided_prefetch, AlignedBuf};
+use ukernel_gen::{GenError, TierDispatch};
 
-use crate::baselines::{default_kernel, ExecBackend, KernelDispatch, KernelImpl};
+use crate::baselines::{default_kernel, ExecBackend, KernelImpl};
 use crate::blocking::BlockingParams;
 use crate::host::HostDescription;
 use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena, PackedB};
@@ -433,7 +434,7 @@ impl BlisGemm {
         let mut others: Vec<GemmRunner> = (1..windows.len())
             .map(|_| {
                 let mut other = self.runner();
-                other.dispatch.refresh();
+                other.dispatch.refresh(&other.kernel.generated);
                 other
             })
             .collect();
@@ -474,10 +475,10 @@ impl GemmExecutor for BlisGemm {
     }
 }
 
-/// One instance of the five-loop engine: blocking, a prove-once
-/// [`KernelDispatch`] handle, a packing arena (grown on demand, never
-/// shrunk), and the staged `C` tile, reused across every problem it is
-/// given.
+/// One instance of the five-loop engine: blocking, the kernel and its
+/// prove-once [`TierDispatch`] handle, a packing arena (grown on demand,
+/// never shrunk), and the staged `C` tile, reused across every problem it
+/// is given.
 ///
 /// Every GEMM in the workspace runs on one of these, and every one of
 /// these belongs to a [`BlisGemm`], which builds it on the first check-out
@@ -486,16 +487,21 @@ impl GemmExecutor for BlisGemm {
 /// paid once per driver and degree of concurrency, not once per call,
 /// window or batch. Results are bit-identical to a fresh runner's — same
 /// packing, same op order; a runner carries no numeric state. At the top
-/// of each GEMM, before `C` is partitioned, the runner re-resolves a tier
-/// handle that sits below the tier it asked for
-/// ([`KernelDispatch`]), so a native artifact that promotes later reaches
-/// runners that were built before it; [`GemmStats::tier`] says which tier
-/// ran. The arena holds only what the runner has had to pack: one that has
-/// only ever read `B` from [`PackedB`] images has no `Bc` buffer at all.
+/// of each GEMM, before `C` is partitioned, the runner refreshes its
+/// handle from its own kernel ([`TierDispatch::refresh`]) — a handle that
+/// sits below the tier it asked for is re-resolved — so a native artifact
+/// that promotes later reaches runners that were built before it;
+/// [`GemmStats::tier`] says which tier ran. The arena holds only what the
+/// runner has had to pack: one that has only ever read `B` from
+/// [`PackedB`] images has no `Bc` buffer at all.
 pub struct GemmRunner {
     /// The driver's blocking with `mr`/`nr` replaced by the kernel's tile.
     blocking: BlockingParams,
-    dispatch: KernelDispatch,
+    /// The kernel `dispatch` was built from, and the only one it is
+    /// refreshed from.
+    kernel: KernelImpl,
+    /// The micro-kernel call of every register tile.
+    dispatch: TierDispatch,
     arena: PackArena,
     /// On a cache line, like the arena's panels: a 16-row tile's columns
     /// are whole lines.
@@ -541,6 +547,7 @@ impl GemmRunner {
     fn new(blocking: BlockingParams, kernel: &KernelImpl) -> Self {
         GemmRunner {
             blocking,
+            kernel: kernel.clone(),
             dispatch: kernel.dispatcher(),
             arena: PackArena::empty(),
             c_tile: AlignedBuf::zeroed(kernel.mr * kernel.nr),
@@ -583,13 +590,13 @@ impl GemmRunner {
         };
         let (alpha, beta) = (problem.alpha, problem.beta);
         let mut c = problem.c;
-        self.dispatch.refresh();
+        self.dispatch.refresh(&self.kernel.generated);
         let stats = GemmStats {
             m,
             n,
             k,
             flop_count: GemmStats::flops_for(m, n, k, alpha),
-            kernel: self.dispatch.kernel().name.clone(),
+            kernel: self.kernel.name.clone(),
             tier: Some(self.dispatch.tier()),
             threads: 1,
             pool_workers: 0,
@@ -674,7 +681,7 @@ unsafe fn gemm_arena_sequential(
     (rows, cols): Window,
 ) -> Result<(), GemmError> {
     let k = a.cols();
-    let BlockingParams { mc, kc, nc, nr, .. } = run.blocking;
+    let BlockingParams { mc, kc, nc, mr, nr } = run.blocking;
     run.reserve(b, rows.len(), cols.len(), k);
     let c_lines = c_prefetch_line(rows.len(), cols.len(), HostDescription::probed());
     // Split-borrowed so the packed Bc prefix can stay live while Ac blocks
@@ -705,9 +712,10 @@ unsafe fn gemm_arena_sequential(
                 let mc_eff = mc.min(rows.end - ic);
                 // SAFETY: forwarded from the caller — exclusive access to
                 // the window, which contains this block.
-                unsafe {
+                let ran = unsafe {
                     run_ic_block(
                         &mut run.dispatch,
+                        (mr, nr),
                         a,
                         ic,
                         pc,
@@ -723,8 +731,14 @@ unsafe fn gemm_arena_sequential(
                         a_buf,
                         &mut run.c_tile,
                         c_lines,
-                    )?;
-                }
+                    )
+                };
+                // The engine's one conversion of a kernel failure: the
+                // tier handle's error, under the kernel's name.
+                ran.map_err(|e| GemmError::Kernel {
+                    kernel: run.kernel.name.to_string(),
+                    message: e.to_string(),
+                })?;
                 ic += mc_eff;
             }
             pc += kc_eff;
@@ -769,6 +783,10 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 /// tile's stage-in and write-back misses. A hint reads and writes no
 /// element, and its addresses lie inside the next tile.
 ///
+/// `(mr, nr)` is the runner's blocking's tile, which [`tile_blocking`] set
+/// to the kernel's. A failed kernel call returns the tier handle's error
+/// as it is; the caller names the kernel.
+///
 /// # Safety
 ///
 /// `c` must point to live storage covering its declared `rows x cols`
@@ -777,7 +795,8 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 /// driver guarantees this by handing each worker a disjoint window of `C`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn run_ic_block(
-    dispatch: &mut KernelDispatch,
+    dispatch: &mut TierDispatch,
+    (mr, nr): (usize, usize),
     a: MatRef<'_>,
     ic: usize,
     pc: usize,
@@ -793,8 +812,7 @@ unsafe fn run_ic_block(
     a_buf: &mut [f32],
     c_tile: &mut [f32],
     c_lines: Option<usize>,
-) -> Result<(), GemmError> {
-    let (mr, nr) = (dispatch.kernel().mr, dispatch.kernel().nr);
+) -> Result<(), GenError> {
     assert!(c_tile.len() >= mr * nr, "the staged tile holds a whole register tile");
     let a_len = mc_eff.div_ceil(mr) * kc_eff * mr;
     pack_a_into(&mut a_buf[..a_len], a, ic, pc, mc_eff, kc_eff, mr, alpha);

@@ -17,7 +17,10 @@
 //!
 //! A kernel that runs is a generated one: [`KernelImpl`] wraps a
 //! [`GeneratedKernel`] and the tier it is pinned to, and nothing else
-//! executes the micro-kernel semantics in the GEMM driver.
+//! executes the micro-kernel semantics in the GEMM driver. Its call handle
+//! is the generated kernel's own [`TierDispatch`]
+//! ([`KernelImpl::dispatcher`]): the engine holds it beside the kernel and
+//! calls it once per register tile.
 //!
 //! "Only the BLIS library kernel prefetches `C`" describes the modelled
 //! kernel traces ([`ModelledKernel::prefetch_c`]). The executing engine
@@ -69,76 +72,27 @@ impl KernelImpl {
     /// Returns [`GemmError::Kernel`] if the buffer sizes do not match the
     /// shape (the tier handle's one length check).
     pub fn run(&self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        self.dispatcher().run(kc, a, b, c)
+        self.dispatcher()
+            .run(kc, a, b, c)
+            .map_err(|e| GemmError::Kernel { kernel: self.name.to_string(), message: e.to_string() })
     }
 
-    /// A reusable dispatch handle for this kernel (see [`KernelDispatch`]).
+    /// A reusable dispatch handle for this kernel: the generated kernel's
+    /// [`TierDispatch`] on [`Self::backend`].
     ///
-    /// Every five-loop engine instance (`GemmRunner`) holds one, so a
-    /// generated kernel proves its affine-interval obligations and
-    /// allocates its register file **once** per distinct `(KC, buffer
+    /// Every five-loop engine instance (`GemmRunner`) holds one beside its
+    /// kernel, so a generated kernel proves its affine-interval obligations
+    /// and allocates its register file **once** per distinct `(KC, buffer
     /// lengths)` input instead of on every micro-tile — the fringe tiles
     /// of a blocked problem no longer re-prove and re-allocate thousands
     /// of times. The tier is resolved here for the first time, not for the
     /// last: a handle built while the native artifact is still compiling
-    /// starts on the simd chain, and the engine that holds it re-resolves
-    /// it at the top of every GEMM until it reaches the tier it asked for
-    /// — bit-identical on a matching ISA, so the switch is invisible
-    /// except for speed.
-    pub fn dispatcher(&self) -> KernelDispatch {
-        KernelDispatch { tier: self.generated.dispatcher(self.backend), imp: self.clone() }
-    }
-}
-
-/// A reusable per-engine (per-worker) micro-kernel handle.
-///
-/// It holds the one resolved [`ukernel_gen::TierDispatch`]: on the proved
-/// tiers (native, simd, portable) the run-time bounds proof is memoised
-/// per distinct `(KC, buffer lengths)` tuple and the register file is
-/// reused, so the steady-state micro-tile dispatch allocates nothing.
-/// Results are bit-for-bit identical to calling [`KernelImpl::run`] on the
-/// same kernel.
-///
-/// The handle may outlive the moment it was built in — engines are kept
-/// warm by their driver — so it remembers the tier it asked for (the
-/// kernel's backend) and, while a native request sits on the simd chain,
-/// polls for the artifact again at the top of each GEMM: one that promotes
-/// later reaches handles that were built before it.
-#[derive(Debug, Clone)]
-pub struct KernelDispatch {
-    imp: KernelImpl,
-    tier: TierDispatch,
-}
-
-impl KernelDispatch {
-    /// The kernel this handle dispatches.
-    pub fn kernel(&self) -> &KernelImpl {
-        &self.imp
-    }
-
-    /// The execution tier this handle currently runs on.
-    pub fn tier(&self) -> ExecBackend {
-        self.tier.tier()
-    }
-
-    /// Promotes a handle whose native request sits on the simd chain
-    /// ([`TierDispatch::refresh`]). The engine calls this once at the top
-    /// of a GEMM — never between tiles, so one problem runs on one tier.
-    pub(crate) fn refresh(&mut self) {
-        self.tier.refresh(&self.imp.generated);
-    }
-
-    /// Runs the kernel: `c[nr][mr] += a[kc][mr] * b[kc][nr]`, on the tier
-    /// this handle currently holds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GemmError::Kernel`] if the buffer sizes do not match the
-    /// shape, and propagates kernel failures.
-    pub fn run(&mut self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        self.tier
-            .run_packed(kc, a, b, c)
-            .map_err(|e| GemmError::Kernel { kernel: self.imp.name.to_string(), message: e.to_string() })
+    /// starts on the simd chain, and the engine that holds it refreshes it
+    /// from this kernel ([`TierDispatch::refresh`]) at the top of every
+    /// GEMM until it reaches the tier it asked for — bit-identical on a
+    /// matching ISA, so the switch is invisible except for speed.
+    pub fn dispatcher(&self) -> TierDispatch {
+        self.generated.dispatcher(self.backend)
     }
 }
 
@@ -259,7 +213,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> ModelledKernel {
 /// when the host has a C toolchain (the fastest tier), and bit-faithfully
 /// on the in-process SIMD chain of the active vector ISA (AVX-512,
 /// AVX2/FMA, NEON, or the bit-exact scalar reference) when it does not —
-/// [`KernelDispatch::tier`] says which.
+/// [`TierDispatch::tier`] says which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{}", kernel.mr, kernel.nr).into(),
@@ -367,8 +321,20 @@ mod tests {
         // the driver never gets a misfit as far as a body.
         let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
         for backend in [ExecBackend::Native, ExecBackend::Superword, ExecBackend::Tape] {
-            let misfit = exo.clone().with_backend(backend).run(4, &[0.0; 3], &[0.0; 48], &mut c);
+            let imp = exo.clone().with_backend(backend);
+            let misfit = imp.run(4, &[0.0; 3], &[0.0; 48], &mut c);
             assert!(matches!(misfit, Err(GemmError::Kernel { .. })), "{backend:?}: {misfit:?}");
+            // A short `C` through the handle: the tier's own error, naming
+            // the lengths it expected; through `run`, the same message
+            // under the kernel's name.
+            let (a, b) = ([0.0; 32], [0.0; 48]);
+            let short = imp.dispatcher().run(4, &a, &b, &mut c[..95]).unwrap_err();
+            assert!(short.to_string().contains("expected Ac[32], Bc[48], C[96]"), "{backend:?}: {short}");
+            assert_eq!(
+                imp.run(4, &a, &b, &mut c[..95]),
+                Err(GemmError::Kernel { kernel: "EXO 8x12".into(), message: short.to_string() }),
+                "{backend:?}"
+            );
         }
     }
 

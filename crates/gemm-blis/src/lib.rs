@@ -43,7 +43,7 @@ pub mod views;
 pub use algorithm::{naive_gemm, BlisGemm, GemmRunner, Matrix};
 pub use baselines::{
     blis_assembly_kernel, exo_kernel, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    neon_intrinsics_kernel, ExecBackend, KernelDispatch, KernelImpl, ModelledKernel,
+    neon_intrinsics_kernel, ExecBackend, KernelImpl, ModelledKernel,
 };
 pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};

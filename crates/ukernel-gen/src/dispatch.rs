@@ -12,8 +12,9 @@
 //! the tests call it directly.
 //! [`GeneratedKernel::dispatcher`] is the **one** function in the workspace
 //! that maps a requested [`ExecBackend`] onto the tier that runs, and every
-//! entry point — one-shot runs, the GEMM driver's per-worker handles, a
-//! pinned tier, the serving layer's degraded retry — goes through it;
+//! entry point — one-shot runs, the handle each GEMM engine holds and calls
+//! once per register tile, a pinned tier, the serving layer's degraded
+//! retry — goes through it;
 //! [`TierDispatch::refresh`] takes the same edge later, for a long-lived
 //! handle that was built before the native tier promoted.
 
@@ -172,7 +173,7 @@ impl TierDispatch {
     /// Returns [`GenError::Codegen`] if the buffers do not match the
     /// kernel's shape.
     #[inline]
-    pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
+    pub fn run(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
         let (mr, nr) = (self.mr, self.nr);
         if ac.len() != kc * mr || bc.len() != kc * nr || c.len() != mr * nr {
             return Err(GenError::Codegen(CodegenError::BadArguments {
@@ -216,7 +217,7 @@ mod tests {
         let b: Vec<f32> = (0..kc * 8).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
         let run = |handle: &mut TierDispatch| {
             let mut c = vec![0.5f32; 32];
-            handle.run_packed(kc, &a, &b, &mut c).unwrap();
+            handle.run(kc, &a, &b, &mut c).unwrap();
             c
         };
         // Built before the artifact settles (the first poll of a kernel

@@ -136,14 +136,14 @@ impl GeneratedKernel {
     /// — a one-shot [`Self::dispatcher`]`(`[`ExecBackend::Simd`]`)` run: the
     /// active vector ISA's closure chain (contracting ISAs land within the
     /// FMA-contraction ULP bound of the other tiers, the scalar ISA is
-    /// bit-exact). Any other tier: `dispatcher(backend).run_packed(..)`.
+    /// bit-exact). Any other tier: `dispatcher(backend).run(..)`.
     ///
     /// # Errors
     ///
     /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
     /// shape.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.dispatcher(ExecBackend::Simd).run_packed(kc, ac, bc, c)
+        self.dispatcher(ExecBackend::Simd).run(kc, ac, bc, c)
     }
 
     /// The prepared ahead-of-time request, emitting the C and probing the
@@ -416,7 +416,7 @@ mod tests {
                 let mut dispatch = kernel.dispatcher(backend);
                 assert_eq!(dispatch.tier(), backend, "{mr}x{nr}: a pin is its own tier");
                 let mut c = c0.clone();
-                dispatch.run_packed(kc, &a, &b, &mut c).unwrap();
+                dispatch.run(kc, &a, &b, &mut c).unwrap();
                 c
             };
             let c_sw = run_on(ExecBackend::Superword);
@@ -475,7 +475,7 @@ mod tests {
                             assert_eq!(dispatch.tier(), pin, "{label}: a pin is its own tier");
                             let mut c = c0.clone();
                             dispatch
-                                .run_packed(kc, &a, &b, &mut c)
+                                .run(kc, &a, &b, &mut c)
                                 .unwrap_or_else(|e| panic!("{label} {pin:?}: {e}"));
                             c
                         };
@@ -485,7 +485,7 @@ mod tests {
                         run_on(Simd);
                     }
                     // A call that does not fit the tile is a typed error, not a run.
-                    let misfit = kernel.dispatcher(Simd).run_packed(0, &[], &[], &mut vec![0.0; mr * nr + 1]);
+                    let misfit = kernel.dispatcher(Simd).run(0, &[], &[], &mut vec![0.0; mr * nr + 1]);
                     assert!(matches!(misfit, Err(GenError::Codegen(_))), "{label}: {misfit:?}");
                 }
             }

@@ -315,7 +315,6 @@ fn a_registry_recorded_for_other_caches_is_quarantined() {
                 predicted_cycles: 1.0,
                 predicted_gflops: 1.0,
                 candidates_evaluated: 1,
-                evaluator: "analytical".into(),
             })
             .unwrap();
 

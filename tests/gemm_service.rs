@@ -195,9 +195,7 @@ fn batch_edge_cases_empty_single_mixed_degenerate() {
     let mut cases = Cases::new(0x5E27_0002);
     let single = Case::random(&mut cases, executor.tuned());
     let mut job = single.job();
-    let mut batch = GemmBatch::new();
-    batch.push(job.problem());
-    let stats = executor.gemm_batch(batch).into_stats().unwrap();
+    let stats = executor.gemm_batch(vec![job.problem()]).into_stats().unwrap();
     assert_eq!(stats.len(), 1);
     assert!(stats[0].batched);
 
@@ -245,9 +243,7 @@ fn hot_paths_reuse_the_pool_without_spawning_threads() {
     let warm = Case::random(&mut cases, &executor);
     let mut job = warm.job();
     executor.gemm(job.problem()).unwrap();
-    let mut batch = GemmBatch::new();
-    batch.push(job.problem());
-    executor.gemm_batch(batch).into_stats().unwrap();
+    executor.gemm_batch(vec![job.problem()]).into_stats().unwrap();
 
     let spawned_after_warmup = pool.threads_spawned();
 

@@ -142,8 +142,7 @@ fn promotion_reaches_every_executor_that_outlives_it() {
     let kernel = executor.tuned().tuner().kernel_for(&executor.tuned().plan(m, n, k).unwrap()).unwrap();
     let run = || {
         let mut c = c0.clone();
-        let mut batch = GemmBatch::new();
-        batch.push(GemmProblem::new(a.view(), b.view(), c.view_mut()));
+        let batch = vec![GemmProblem::new(a.view(), b.view(), c.view_mut())];
         let stats = executor.gemm_batch(batch).into_stats().unwrap().remove(0);
         (bits(c), stats)
     };

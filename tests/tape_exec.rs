@@ -103,7 +103,7 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let run_on = |backend| {
                 let mut c = c0.clone();
-                kernel.dispatcher(backend).run_packed(kc, &a, &b, &mut c).unwrap();
+                kernel.dispatcher(backend).run(kc, &a, &b, &mut c).unwrap();
                 c
             };
             let mut c_simd = c0.clone();
@@ -546,7 +546,7 @@ fn every_avx2_serving_tile_emits_the_c_it_did_and_the_same_body_on_avx512() {
 }
 
 /// No GEMM in this tree reaches the checked reference: the exact-shape call
-/// `TierDispatch::run_packed` admits (`Ac[kc*mr]`, `Bc[kc*nr]`, `C[mr*nr]`)
+/// `TierDispatch::run` admits (`Ac[kc*mr]`, `Bc[kc*nr]`, `C[mr*nr]`)
 /// passes the interval proof for every tile of the whole space at every
 /// `kc`, empty and single-iteration loops included — so what a declined
 /// proof costs (the tape allocates its register file per run) is paid by
@@ -738,7 +738,7 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
     for kc in [0usize, 1, 7, 33] {
         let (a, b, c0) = packed_operands(8, 12, kc, &mut cases);
         let mut c_native = c0.clone();
-        kernel.dispatcher(ExecBackend::Native).run_packed(kc, &a, &b, &mut c_native).unwrap();
+        kernel.dispatcher(ExecBackend::Native).run(kc, &a, &b, &mut c_native).unwrap();
         let mut c_simd = c0.clone();
         kernel.simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
         assert_eq!(c_native, c_simd, "kc={kc}: native entry point vs simd chain");
