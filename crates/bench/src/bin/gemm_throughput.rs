@@ -80,8 +80,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use exo_aot::NativeKernel;
 use exo_codegen::simd::strided_move_on;
+use exo_codegen::SimdKernel;
 use exo_serve::{CachedTunedGemm, CompletedJob, GemmJob, GemmService, OwnedMat};
 use exo_tune::TunedGemm;
 use gemm_blis::{
@@ -378,7 +378,7 @@ fn alternate_prepared<T, U>(
 
 /// A promoted native artifact and the register tile it updates.
 struct Promoted {
-    native: Arc<NativeKernel>,
+    native: Arc<SimdKernel>,
     mr: usize,
     nr: usize,
 }
@@ -407,7 +407,7 @@ fn packed(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
 /// Measures the `solo` block — the generated 8x12 promoted for AVX2
 /// (subject) against the hand-written one, [`SOLO_BURST`] back-to-back
 /// `kc`-deep updates a burst.
-fn solo(native: &NativeKernel, kc: usize) -> Paired {
+fn solo(native: &Arc<SimdKernel>, kc: usize) -> Paired {
     let mut dispatch = native.dispatcher();
     let (a, b, mut c_exo) = packed(8, 12, kc);
     let mut c_hand = c_exo.clone();

@@ -27,11 +27,13 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use exo_codegen::{emit_superword_c, fma_contraction_tol, Countdown, IsaKind, SuperwordKernel, TensorView};
+use exo_codegen::{
+    emit_superword_c, fma_contraction_tol, Countdown, IsaKind, SimdKernel, SuperwordKernel, TensorView,
+};
 
 use crate::dylib::Dylib;
 use crate::error::{io_err, AotError, Result};
-use crate::kernel::{NativeKernel, KERNEL_SYMBOL};
+use crate::kernel::{self, KERNEL_SYMBOL};
 use crate::manifest::{self, Manifest};
 use crate::store::{artifact_key, default_artifact_dir, ArtifactStore};
 use crate::toolchain::{toolchain, Toolchain};
@@ -216,7 +218,7 @@ enum KeyState {
     /// A build — background or foreground — is in flight.
     Building { attempts: u32 },
     /// Verified and promoted.
-    Ready(Arc<NativeKernel>),
+    Ready(Arc<SimdKernel>),
     /// Terminally declined for this process: the attempt cap was reached
     /// or the kernel computed a wrong result. The key stays on simd.
     Rejected(AotError),
@@ -238,11 +240,7 @@ impl KeySlot {
 }
 
 /// Records a finished attempt in the slot and wakes blocked waiters.
-fn settle(
-    slot: &KeySlot,
-    prior_attempts: u32,
-    outcome: Result<Arc<NativeKernel>>,
-) -> Result<Arc<NativeKernel>> {
+fn settle(slot: &KeySlot, prior_attempts: u32, outcome: Result<Arc<SimdKernel>>) -> Result<Arc<SimdKernel>> {
     let mut state = slot.state.lock().unwrap_or_else(|e| e.into_inner());
     let result = match outcome {
         Ok(kernel) => {
@@ -372,7 +370,7 @@ impl AotEngine {
     /// if the key is buildable (first poll, or a retryable failure whose
     /// backoff has elapsed). Rejected keys and in-flight builds cost one
     /// map lookup and return immediately: no GEMM ever waits on `cc`.
-    pub fn poll(&self, req: &AotRequest) -> Option<Arc<NativeKernel>> {
+    pub fn poll(&self, req: &AotRequest) -> Option<Arc<SimdKernel>> {
         let slot = self.slot(req.key);
         let mut state = slot.state.lock().unwrap_or_else(|e| e.into_inner());
         match &*state {
@@ -414,7 +412,7 @@ impl AotEngine {
     /// Any [`AotError`]: compile/load/verify failures, the timeout, the
     /// fault hook, or the cached terminal decline. All mean "stay on
     /// simd".
-    pub fn wait(&self, req: &AotRequest) -> Result<Arc<NativeKernel>> {
+    pub fn wait(&self, req: &AotRequest) -> Result<Arc<SimdKernel>> {
         enum Next {
             Build(u32),
             WaitForBuilder,
@@ -455,7 +453,7 @@ impl AotEngine {
     /// # Errors
     ///
     /// As [`Self::prepare`] and [`Self::wait`].
-    pub fn compile(&self, source: &Arc<SuperwordKernel>, isa: IsaKind) -> Result<Arc<NativeKernel>> {
+    pub fn compile(&self, source: &Arc<SuperwordKernel>, isa: IsaKind) -> Result<Arc<SimdKernel>> {
         self.wait(&self.prepare(source, isa)?)
     }
 }
@@ -468,7 +466,7 @@ fn build_and_verify(
     store: &ArtifactStore,
     counters: &EngineCounters,
     req: &AotRequest,
-) -> Result<Arc<NativeKernel>> {
+) -> Result<Arc<SimdKernel>> {
     counters.build_attempts.fetch_add(1, Ordering::SeqCst);
     let outcome = (|| {
         if COMPILE_FAIL_IN.fires() {
@@ -479,12 +477,7 @@ fn build_and_verify(
             Some(lib) => lib,
             None => build(store, counters, req, &artifact)?,
         };
-        let kernel = match NativeKernel::from_lib(
-            Arc::clone(&req.source),
-            Arc::clone(&req.c_source),
-            req.isa,
-            Arc::new(lib),
-        ) {
+        let kernel = match kernel::load(Arc::clone(&req.source), req.isa, Arc::new(lib)) {
             Ok(kernel) => kernel,
             Err(e) => {
                 // Loadable but not our kernel (the symbol is missing):
@@ -672,7 +665,7 @@ fn verify(
     counters: &EngineCounters,
     req: &AotRequest,
     artifact: &Path,
-    kernel: &NativeKernel,
+    kernel: &SimdKernel,
 ) -> Result<()> {
     let sw = &req.source;
     // Deterministic seeded operands (xorshift64*), identical in every

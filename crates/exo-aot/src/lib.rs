@@ -20,11 +20,11 @@
 //!    (write-then-rename), every artifact carries an integrity
 //!    [`manifest`] sidecar checked before `dlopen`, and untrusted
 //!    entries are quarantined (`<path>.corrupt`) and rebuilt.
-//! 3. **Dispatch** — a [`NativeKernel`] is the loaded function wrapped
-//!    as the unchecked body of an [`exo_codegen::SimdKernel`], so every
-//!    call is guarded by the same proved-call site — the same memoised
-//!    affine-interval bounds proof, the same checked reference on a
-//!    decline — as the simd chain.
+//! 3. **Dispatch** — the loaded function is the unchecked body of an
+//!    [`exo_codegen::SimdKernel`], the type [`AotEngine::poll`] and
+//!    [`AotEngine::wait`] hand out, so every call is guarded by the same
+//!    proved-call site — the same memoised affine-interval bounds proof,
+//!    the same checked reference on a decline — as the simd chain.
 //!
 //! The engine is *asynchronous by default* — trust-but-verify. A
 //! kernel's first [`AotEngine::poll`] kicks a bounded background build
@@ -57,7 +57,7 @@ pub use engine::{
     MAX_BUILD_ATTEMPTS,
 };
 pub use error::{AotError, Result};
-pub use kernel::{KernelFn, NativeKernel, KERNEL_SYMBOL};
+pub use kernel::KERNEL_SYMBOL;
 pub use manifest::Manifest;
 pub use store::{artifact_key, content_hash, default_artifact_dir, ArtifactStore};
 pub use toolchain::{native_available, toolchain, Toolchain};

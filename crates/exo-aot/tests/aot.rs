@@ -242,10 +242,10 @@ fn the_emitted_source_is_kept_next_to_the_artifact() {
     }
     let (engine, dir) = scratch_engine("source");
     let sw = staged_superword(4, 4);
-    let native = engine.compile(&sw, active_isa()).unwrap();
-    let key = exo_aot::artifact_key(native.c_source(), &exo_aot::toolchain().unwrap().version);
-    let src = engine.store().source_path(key);
-    assert_eq!(std::fs::read_to_string(&src).unwrap(), native.c_source());
+    let req = engine.prepare(&sw, active_isa()).unwrap();
+    engine.wait(&req).unwrap();
+    let src = engine.store().source_path(req.key());
+    assert_eq!(std::fs::read_to_string(&src).unwrap(), req.c_source());
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -532,9 +532,9 @@ fn a_tampered_artifact_is_caught_by_the_manifest_before_dlopen() {
     }
     let (cold, dir) = scratch_engine("tamper");
     let sw = staged_superword(8, 4);
-    let native = cold.compile(&sw, active_isa()).unwrap();
-    let key = exo_aot::artifact_key(native.c_source(), &exo_aot::toolchain().unwrap().version);
-    let artifact = cold.store().artifact_path(key);
+    let req = cold.prepare(&sw, active_isa()).unwrap();
+    let native = cold.wait(&req).unwrap();
+    let artifact = cold.store().artifact_path(req.key());
 
     // Append a byte: the dylib very likely still loads, but the manifest
     // (length, then hash) no longer matches. Tamper via write-then-rename

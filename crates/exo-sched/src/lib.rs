@@ -16,7 +16,7 @@
 //! | `expand_dim(p, 'C_reg', 4, 'itt')` | [`expand_dim`] |
 //! | `lift_alloc(p, 'C_reg', n_lifts=5)` | [`lift_alloc`] |
 //! | `autofission(p, p.find(..).after(), n_lifts=5)` | [`autofission`] |
-//! | `replace(p, 'for itt in _: _', neon_vld_4xf32)` | [`replace`] |
+//! | `replace(p, 'for itt in _: _', neon_vld_4xf32)` | [`replace()`] |
 //! | `set_memory(p, 'C_reg', Neon)` | [`set_memory`] |
 //! | `set_precision(p, 'A_reg', 'f16')` | [`set_precision`] |
 //! | `unroll_loop(p, 'it')` | [`unroll_loop`] |

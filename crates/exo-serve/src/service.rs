@@ -25,10 +25,11 @@
 //!    behind. So an idle service runs a job on the calling thread and
 //!    returns a resolved handle, and batches form exactly when callers
 //!    contend.
-//! 4. Each job's result — the updated `C` plus [`gemm_blis::GemmStats`] —
-//!    comes back through its [`JobHandle`]; per-call stats aggregate into
-//!    the counters of [`GemmService::stats`], always before the handle
-//!    resolves.
+//! 4. A pass writes each job's answer — [`gemm_blis::GemmStats`] or its
+//!    error — onto the queued job itself. The combiner books the pass's
+//!    answers into the counters of [`GemmService::stats`], then sends each
+//!    job's own answer, with its updated `C`, through its [`JobHandle`]:
+//!    the books always balance before any handle resolves.
 //!
 //! What `submit` costs: on an idle service, the job's one engine pass plus
 //! one lock and a completion slot; for a combiner, also every job other
@@ -37,13 +38,16 @@
 //! than one thread executes.
 //!
 //! Failure semantics: a panic inside one batch entry fails only that job
-//! (see [`crate::batch`]); jobs with a queue deadline
-//! ([`GemmJob::with_deadline`]) that expire before execution resolve with
-//! [`GemmError::DeadlineExceeded`]; and if a pass itself unwinds on the
-//! draining thread, exactly the jobs of that pass resolve with
-//! [`GemmError::JobPanicked`], health rises to [`ServiceHealth::Degraded`]
-//! and the same thread goes on draining — there is no state in which a
-//! live service refuses work, and no handle can hang.
+//! (see [`crate::batch`]); a misshapen job is refused by the executor
+//! with [`GemmError::ShapeMismatch`], its `C` untouched; jobs with a queue
+//! deadline ([`GemmJob::with_deadline`]) that expire before execution
+//! resolve with [`GemmError::DeadlineExceeded`] and never reach the
+//! executor; and if a pass itself unwinds on the draining thread, exactly
+//! the jobs of that pass resolve with [`GemmError::JobPanicked`], the
+//! caught panic makes [`GemmService::health`] read
+//! [`ServiceHealth::Degraded`], and the same thread goes on draining —
+//! there is no state in which a live service refuses work, and no handle
+//! can hang.
 //!
 //! Shutdown: a queued job implies a combiner inside `submit`, borrowing
 //! the service, so a service that can be dropped has an empty queue and
@@ -55,9 +59,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gemm_blis::pool::ThreadPool;
-use gemm_blis::{GemmError, GemmProblem, GemmStats};
+use gemm_blis::{GemmError, GemmStats};
 
-use crate::batch::{panic_message, BatchReport, EntryReport, GemmBatch, GemmBatchExecutor};
+use crate::batch::{panic_message, GemmBatch, GemmBatchExecutor};
 use crate::fault;
 use crate::job::{CompletedJob, GemmJob};
 
@@ -79,7 +83,9 @@ impl Default for ServiceConfig {
 }
 
 /// How well the service has behaved, reported by [`GemmService::health`].
-/// Health only ever worsens over a service's lifetime (raise-only), so a
+/// It is read off three counters of [`ServiceStats`] that only grow —
+/// `panics_caught`, `degraded_completions` and `aot_builds_failed` — so it
+/// only ever worsens over a service's lifetime (raise-only), and a
 /// snapshot is a safe upper bound on how well the service has behaved so
 /// far. Neither state refuses work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -202,7 +208,9 @@ pub struct ServiceStats {
     /// Kernels that failed probe verification since construction (also a
     /// subset of `aot_builds_failed`; their keys are pinned to simd).
     pub aot_wrong_results: u64,
-    /// Current service health (raise-only: healthy → degraded).
+    /// Service health: [`ServiceHealth::Degraded`] exactly when
+    /// `panics_caught`, `degraded_completions` or `aot_builds_failed` is
+    /// non-zero (raise-only, since all three only grow).
     pub health: ServiceHealth,
 }
 
@@ -322,6 +330,8 @@ struct Submission {
     /// When `submit` was called, for a job with a deadline: the deadline
     /// check is all that reads it, so no other job reads the clock for it.
     enqueued: Option<Instant>,
+    /// The job's answer, `None` until the pass that holds it gives one.
+    outcome: Option<Result<GemmStats, GemmError>>,
 }
 
 /// The handle returned by [`GemmService::submit`]: redeem it with
@@ -381,64 +391,38 @@ struct State {
     /// and a non-empty queue implies it.
     executor: Option<Box<dyn GemmBatchExecutor + Send>>,
     /// The counters this service moves itself; [`GemmService::stats`] fills
-    /// in the pool's and the AOT engine's. All of them move under the lock,
-    /// so `jobs_submitted >= jobs_completed + jobs_failed` in every
-    /// snapshot, with equality whenever no job is queued or running.
+    /// in the pool's and the AOT engine's, and the health read off them.
+    /// All of them move under the lock, so `jobs_submitted >=
+    /// jobs_completed + jobs_failed` in every snapshot, with equality
+    /// whenever no job is queued or running.
     stats: ServiceStats,
 }
 
+/// A pass's isolation tallies: `(panics caught, retries, degraded
+/// completions)`.
+type Tallies = (u64, u64, u64);
+
 impl State {
-    /// Books one pass's outcomes — before any of them is published, so a
+    /// Books one answered pass — before any answer is published, so a
     /// caller never holds a result the stats do not yet account for.
-    fn book(&mut self, report: &PassReport) {
+    fn book(&mut self, (panics, retries, degraded): Tallies, pass: &[Submission]) {
         let stats = &mut self.stats;
-        let (panics, retries, degraded) = match report {
-            PassReport::Lone(e) => (e.panics_caught, e.retries, e.degraded_completions),
-            PassReport::Batch(b) => (b.panics_caught, b.retries, b.degraded_completions),
-        };
         stats.panics_caught += panics;
         stats.retries += retries;
         stats.degraded_completions += degraded;
-        for outcome in report.outcomes() {
-            match outcome {
-                Ok(done) => {
+        for submission in pass {
+            match &submission.outcome {
+                Some(Ok(done)) => {
                     stats.jobs_completed += 1;
                     stats.total_flops += done.flop_count;
                 }
-                Err(e) => {
+                failed => {
                     stats.jobs_failed += 1;
-                    stats.deadline_expired += u64::from(matches!(e, GemmError::DeadlineExceeded { .. }));
+                    stats.deadline_expired +=
+                        u64::from(matches!(failed, Some(Err(GemmError::DeadlineExceeded { .. }))));
                 }
             }
         }
-        if panics > 0 || degraded > 0 {
-            stats.health = ServiceHealth::Degraded;
-        }
-    }
-}
-
-/// What one pass reports: one outcome per job of the pass, in its order.
-enum PassReport {
-    /// A pass of one job, run through the executor's one-entry door.
-    Lone(EntryReport),
-    /// A longer pass, or one that unwound.
-    Batch(BatchReport),
-}
-
-impl PassReport {
-    fn outcomes(&self) -> &[Result<GemmStats, GemmError>] {
-        match self {
-            PassReport::Lone(entry) => std::slice::from_ref(&entry.outcome),
-            PassReport::Batch(batch) => &batch.outcomes,
-        }
-    }
-
-    fn into_outcomes(self) -> impl Iterator<Item = Result<GemmStats, GemmError>> {
-        let (lone, batch) = match self {
-            PassReport::Lone(entry) => (Some(entry.outcome), Vec::new()),
-            PassReport::Batch(batch) => (None, batch.outcomes),
-        };
-        lone.into_iter().chain(batch)
     }
 }
 
@@ -572,7 +556,7 @@ impl GemmService {
             }
         }
         let (reply, handle) = slot();
-        state.pending.push_back(Submission { job, reply, enqueued });
+        state.pending.push_back(Submission { job, reply, enqueued, outcome: None });
         state.stats.jobs_submitted += 1;
         state.stats.queue_highwater = state.stats.queue_highwater.max(state.pending.len());
         if let Some(executor) = state.executor.take() {
@@ -603,31 +587,34 @@ impl GemmService {
     }
 
     /// Runs `pass`, then whatever queued up meanwhile, until the queue is
-    /// found empty. One lock per pass: it books the pass just run and takes
-    /// the next one (or hands the executor back); the results are published
-    /// after it, outside it.
+    /// found empty. One lock per pass: it books the answers the pass left
+    /// on its jobs and takes the next pass (or hands the executor back);
+    /// each job's answer is sent after it, outside it.
     fn drain(&self, executor: Box<dyn GemmBatchExecutor + Send>, mut pass: Vec<Submission>) {
         let mut combiner = Combiner { service: self, executor: Some(executor) };
         while !pass.is_empty() {
             let executor = combiner.executor.as_deref().expect("held until the queue is found empty");
             // The pass lives outside the capture: if it unwinds, its jobs
             // are still here to be failed — typed, and counted first.
-            let report =
+            let tallies =
                 catch_unwind(AssertUnwindSafe(|| run_pass(executor, &mut pass))).unwrap_or_else(|payload| {
-                    PassReport::Batch(unwound_pass(pass.len(), &panic_message(payload.as_ref())))
+                    let message = panic_message(payload.as_ref());
+                    for submission in &mut pass {
+                        submission.outcome = Some(Err(GemmError::JobPanicked { message: message.clone() }));
+                    }
+                    (1, 0, 0)
                 });
             let next = {
                 let mut state = lock(&self.state);
-                state.book(&report);
+                state.book(tallies, &pass);
                 let next = self.take_pass(&mut state);
                 if next.is_empty() {
                     state.executor = combiner.executor.take();
                 }
                 next
             };
-            for (Submission { job, reply, .. }, outcome) in
-                std::mem::replace(&mut pass, next).into_iter().zip(report.into_outcomes())
-            {
+            for Submission { job, reply, outcome, .. } in std::mem::replace(&mut pass, next) {
+                let outcome = outcome.expect("a pass answers every job, or fails them all");
                 reply.send(outcome.map(|stats| CompletedJob { c: job.into_c(), stats }));
             }
         }
@@ -642,104 +629,71 @@ impl GemmService {
         handles.into_iter().map(|handle| handle.and_then(JobHandle::wait)).collect()
     }
 
-    /// Current service health (raise-only; see [`ServiceHealth`]).
+    /// Current service health (raise-only; see [`ServiceHealth`]): the
+    /// health of a [`Self::stats`] snapshot.
     pub fn health(&self) -> ServiceHealth {
-        self.observe().0.stats.health
+        self.stats().health
     }
 
-    /// The locked books and the engine's counter movement since this
-    /// service was constructed, `(promotions, builds_failed,
-    /// compile_timeouts, wrong_results)`, with any failed build folded into
-    /// the health: some kernel then serves below its best tier — degraded,
-    /// not refused (the simd fallback is bit-faithful). Builds settle in the
-    /// background, after the passes that kicked them, so [`Self::health`]
-    /// and [`Self::stats`] both read through here.
-    fn observe(&self) -> (MutexGuard<'_, State>, (u64, u64, u64, u64)) {
-        let now = exo_aot::engine().stats();
-        let deltas = (
-            now.verified_promotions.saturating_sub(self.aot_base.verified_promotions),
-            now.builds_failed.saturating_sub(self.aot_base.builds_failed),
-            now.compile_timeouts.saturating_sub(self.aot_base.compile_timeouts),
-            now.wrong_results.saturating_sub(self.aot_base.wrong_results),
-        );
-        let mut state = lock(&self.state);
-        if deltas.1 > 0 {
-            state.stats.health = ServiceHealth::Degraded;
-        }
-        (state, deltas)
-    }
-
-    /// A snapshot of the aggregate counters.
+    /// A snapshot of the aggregate counters. The AOT counters are the
+    /// engine's movement since this service was constructed; builds settle
+    /// in the background, after the passes that kicked them, so a failed
+    /// one counts here, and degrades the health, whenever it lands — some
+    /// kernel then serves below its best tier, degraded but not refused
+    /// (the simd fallback is bit-faithful).
     pub fn stats(&self) -> ServiceStats {
         let pool = ThreadPool::global();
-        let (state, (aot_promotions, aot_builds_failed, aot_compile_timeouts, aot_wrong_results)) =
-            self.observe();
+        let (now, base) = (exo_aot::engine().stats(), &self.aot_base);
+        let books = lock(&self.state).stats.clone();
+        let aot_builds_failed = now.builds_failed.saturating_sub(base.builds_failed);
+        let degraded = books.panics_caught + books.degraded_completions + aot_builds_failed > 0;
         ServiceStats {
             pool_workers: pool.workers(),
             pool_tasks_executed: pool.tasks_executed(),
-            aot_promotions,
+            aot_promotions: now.verified_promotions.saturating_sub(base.verified_promotions),
             aot_builds_failed,
-            aot_compile_timeouts,
-            aot_wrong_results,
-            ..state.stats.clone()
+            aot_compile_timeouts: now.compile_timeouts.saturating_sub(base.compile_timeouts),
+            aot_wrong_results: now.wrong_results.saturating_sub(base.wrong_results),
+            health: if degraded { ServiceHealth::Degraded } else { ServiceHealth::Healthy },
+            ..books
         }
     }
 }
 
-/// A queued job's problem, unless its queue deadline has passed or its
-/// shapes disagree: such a job fails alone and never reaches the executor.
-fn admit(submission: &mut Submission) -> Result<GemmProblem<'_>, GemmError> {
-    let expired = submission.job.deadline().zip(submission.enqueued).and_then(|(deadline, enqueued)| {
-        let waited = enqueued.elapsed();
-        (waited >= deadline).then_some(GemmError::DeadlineExceeded { waited_ms: waited.as_millis() as u64 })
-    });
-    let problem = submission.job.problem();
-    match expired {
-        Some(e) => Err(e),
-        None => problem.dims().map(|_| problem),
-    }
-}
-
-/// One pass on the draining thread: a lone admitted job runs through the
-/// executor's one-entry door, the admitted jobs of a longer pass as one
-/// batch. One outcome per job of `pass`, in its order.
-fn run_pass(executor: &dyn GemmBatchExecutor, pass: &mut [Submission]) -> PassReport {
+/// One pass on the draining thread. It answers every job of `pass` on the
+/// job: `DeadlineExceeded` for one whose queue deadline passed, which never
+/// reaches the executor; the executor's outcome for the rest — a pass of
+/// one through its one-entry door, the unanswered jobs of a longer pass as
+/// one batch. Returns the pass's isolation tallies.
+fn run_pass(executor: &dyn GemmBatchExecutor, pass: &mut [Submission]) -> Tallies {
     fault::drain_hook();
-    if let [lone] = pass {
-        return PassReport::Lone(admit(lone).map_or_else(EntryReport::refused, |p| executor.gemm_one(p)));
-    }
-    let mut refused = Vec::with_capacity(pass.len());
-    let mut batch = GemmBatch::new();
-    for submission in pass.iter_mut() {
-        match admit(submission) {
-            Ok(problem) => {
-                batch.push(problem);
-                refused.push(None);
+    for Submission { job, enqueued, outcome, .. } in pass.iter_mut() {
+        if let Some((deadline, at)) = job.deadline().zip(*enqueued) {
+            let waited = at.elapsed();
+            if waited >= deadline {
+                *outcome = Some(Err(GemmError::DeadlineExceeded { waited_ms: waited.as_millis() as u64 }));
             }
-            Err(e) => refused.push(Some(e)),
         }
     }
-    let mut report = executor.gemm_batch(batch);
-    let mut ran = std::mem::take(&mut report.outcomes).into_iter();
-    report.outcomes = refused
-        .into_iter()
-        .map(|refusal| refusal.map_or_else(|| ran.next().expect("one outcome per batch entry"), Err))
-        .collect();
-    PassReport::Batch(report)
-}
-
-/// What a pass of `jobs` jobs that unwound outside any batch entry reports:
-/// every one of them failed by the one panic.
-fn unwound_pass(jobs: usize, message: &str) -> BatchReport {
-    BatchReport {
-        outcomes: (0..jobs).map(|_| Err(GemmError::JobPanicked { message: message.into() })).collect(),
-        panics_caught: 1,
-        retries: 0,
-        degraded_completions: 0,
-        runners_built: 0,
-        b_images_packed: 0,
-        entries_on_shared_b: 0,
+    if let [Submission { job, outcome: outcome @ None, .. }] = pass {
+        let entry = executor.gemm_one(job.problem());
+        *outcome = Some(entry.outcome);
+        return (entry.panics_caught, entry.retries, entry.degraded_completions);
     }
+    let (batch, answers): (GemmBatch<'_>, Vec<_>) = pass
+        .iter_mut()
+        .filter(|submission| submission.outcome.is_none())
+        .map(|Submission { job, outcome, .. }| (job.problem(), outcome))
+        .unzip();
+    if batch.is_empty() {
+        return (0, 0, 0);
+    }
+    let report = executor.gemm_batch(batch);
+    let mut outcomes = report.outcomes.into_iter();
+    for answer in answers {
+        *answer = Some(outcomes.next().expect("one outcome per batch entry"));
+    }
+    (report.panics_caught, report.retries, report.degraded_completions)
 }
 
 #[cfg(test)]
@@ -829,7 +783,7 @@ mod tests {
     #[test]
     fn a_submission_dropped_unresolved_resolves_its_handle_typed() {
         let (reply, handle) = slot();
-        let submission = Submission { job: job(4, 4, 4, 0), reply, enqueued: None };
+        let submission = Submission { job: job(4, 4, 4, 0), reply, enqueued: None, outcome: None };
         assert!(handle.wait_timeout(Duration::ZERO).is_none(), "nothing has resolved it yet");
         drop(submission);
         match handle.wait() {

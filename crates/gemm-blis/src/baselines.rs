@@ -43,8 +43,9 @@ use crate::GemmError;
 /// the tier it is asked to run on.
 #[derive(Debug, Clone)]
 pub struct KernelImpl {
-    /// Display name (`"EXO 8x12"`, `"EXO 8x12 (superword)"`, ...), shared
-    /// with the [`crate::GemmStats::kernel`] of every GEMM it runs.
+    /// Display name (`"EXO 8x12"`, `"EXO 8x12 (superword)"`, ...): the tile
+    /// and the pin, shared with the [`crate::GemmStats::kernel`] of every
+    /// GEMM it runs.
     pub name: Arc<str>,
     /// Register-tile rows.
     pub mr: usize,
@@ -57,11 +58,11 @@ pub struct KernelImpl {
 }
 
 impl KernelImpl {
-    /// Pins the execution backend (see [`ExecBackend`]).
+    /// Pins the execution backend (see [`ExecBackend`]), renaming the
+    /// kernel after the new pin.
     #[must_use]
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
+    pub fn with_backend(self, backend: ExecBackend) -> Self {
+        KernelImpl { name: exo_name(self.mr, self.nr, backend), backend, ..self }
     }
 
     /// Runs the kernel functionally: `c[nr][mr] += a[kc][mr] * b[kc][nr]`,
@@ -216,12 +217,25 @@ pub fn blis_assembly_kernel(prefetch: bool) -> ModelledKernel {
 /// [`TierDispatch::tier`] says which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
-        name: format!("EXO {}x{}", kernel.mr, kernel.nr).into(),
+        name: exo_name(kernel.mr, kernel.nr, ExecBackend::Native),
         mr: kernel.mr,
         nr: kernel.nr,
         generated: kernel,
         backend: ExecBackend::Native,
     }
+}
+
+/// The name of a generated `mr x nr` kernel pinned to `backend`: the
+/// default native pin is the plain `EXO` series, any other pin says its
+/// tier.
+fn exo_name(mr: usize, nr: usize, backend: ExecBackend) -> Arc<str> {
+    let pin = match backend {
+        ExecBackend::Native => "",
+        ExecBackend::Simd => " (simd)",
+        ExecBackend::Superword => " (superword)",
+        ExecBackend::Tape => " (tape)",
+    };
+    format!("EXO {mr}x{nr}{pin}").into()
 }
 
 /// Like [`exo_kernel`] but pinned to the in-process SIMD chain — the
@@ -230,11 +244,7 @@ pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 /// tests and benches compare the compiled artifact against the chain it
 /// was lowered from.
 pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    KernelImpl {
-        name: format!("EXO {}x{} (simd)", kernel.mr, kernel.nr).into(),
-        backend: ExecBackend::Simd,
-        ..exo_kernel(kernel)
-    }
+    exo_kernel(kernel).with_backend(ExecBackend::Simd)
 }
 
 /// Like [`exo_kernel`] but pinned to the portable tier — the superword
@@ -243,11 +253,7 @@ pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 /// tests and benches compare the contracting chains against the bit-exact
 /// one, and is what the serving layer's retry degrades simd onto.
 pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    KernelImpl {
-        name: format!("EXO {}x{} (superword)", kernel.mr, kernel.nr).into(),
-        backend: ExecBackend::Superword,
-        ..exo_kernel(kernel)
-    }
+    exo_kernel(kernel).with_backend(ExecBackend::Superword)
 }
 
 /// Like [`exo_kernel`] but pinned to the scalar tape — the checked floor of
@@ -255,11 +261,7 @@ pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 /// retry does not go; also the scalar baseline the SLP speedup is measured
 /// against.
 pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    KernelImpl {
-        name: format!("EXO {}x{} (tape)", kernel.mr, kernel.nr).into(),
-        backend: ExecBackend::Tape,
-        ..exo_kernel(kernel)
-    }
+    exo_kernel(kernel).with_backend(ExecBackend::Tape)
 }
 
 /// The kernel a [`crate::BlisGemm`] runs until it is given another: the
@@ -320,7 +322,11 @@ mod tests {
         // A kernel's one length check is its tier handle's, on every tier —
         // the driver never gets a misfit as far as a body.
         let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
-        for backend in [ExecBackend::Native, ExecBackend::Superword, ExecBackend::Tape] {
+        for (backend, name) in [
+            (ExecBackend::Native, "EXO 8x12"),
+            (ExecBackend::Superword, "EXO 8x12 (superword)"),
+            (ExecBackend::Tape, "EXO 8x12 (tape)"),
+        ] {
             let imp = exo.clone().with_backend(backend);
             let misfit = imp.run(4, &[0.0; 3], &[0.0; 48], &mut c);
             assert!(matches!(misfit, Err(GemmError::Kernel { .. })), "{backend:?}: {misfit:?}");
@@ -332,7 +338,7 @@ mod tests {
             assert!(short.to_string().contains("expected Ac[32], Bc[48], C[96]"), "{backend:?}: {short}");
             assert_eq!(
                 imp.run(4, &a, &b, &mut c[..95]),
-                Err(GemmError::Kernel { kernel: "EXO 8x12".into(), message: short.to_string() }),
+                Err(GemmError::Kernel { kernel: name.into(), message: short.to_string() }),
                 "{backend:?}"
             );
         }
@@ -416,8 +422,21 @@ mod tests {
         let mut c_pinned = vec![0.0f32; 64];
         pinned.run(kc, &a, &b, &mut c_pinned).unwrap();
         let mut c_sw = vec![0.0f32; 64];
-        exo_kernel_superword(kernel).run(kc, &a, &b, &mut c_sw).unwrap();
+        exo_kernel_superword(Arc::clone(&kernel)).run(kc, &a, &b, &mut c_sw).unwrap();
         assert_eq!(c_pinned, c_sw, "with_backend(Superword) is the superword pin");
+        // The name follows the pin: re-pinning any kernel names it as the
+        // pinned constructor does.
+        for (backend, pinned, name) in [
+            (ExecBackend::Native, exo_kernel(Arc::clone(&kernel)), "EXO 8x8"),
+            (ExecBackend::Simd, exo_kernel_simd(Arc::clone(&kernel)), "EXO 8x8 (simd)"),
+            (ExecBackend::Superword, exo_kernel_superword(Arc::clone(&kernel)), "EXO 8x8 (superword)"),
+            (ExecBackend::Tape, exo_kernel_tape(Arc::clone(&kernel)), "EXO 8x8 (tape)"),
+        ] {
+            assert_eq!(&*pinned.name, name);
+            for from in [exo_kernel(Arc::clone(&kernel)), exo_kernel_tape(Arc::clone(&kernel))] {
+                assert_eq!(from.with_backend(backend).name, pinned.name, "{backend:?}");
+            }
+        }
     }
 
     #[test]

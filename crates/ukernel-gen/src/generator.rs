@@ -127,7 +127,7 @@ pub struct GeneratedKernel {
     /// top tier. Set once the engine's background build lands; until
     /// then callers serve on [`Self::simd`], which is bit-identical on
     /// the same ISA, so promotion is invisible except for speed.
-    native: OnceLock<Arc<exo_aot::NativeKernel>>,
+    native: OnceLock<Arc<SimdKernel>>,
 }
 
 impl GeneratedKernel {
@@ -164,7 +164,7 @@ impl GeneratedKernel {
     /// forever when the host has no C toolchain, the emitter declines
     /// the lowering, or the engine has terminally rejected the key: callers
     /// stay on the simd chain.
-    pub fn native(&self) -> Option<Arc<exo_aot::NativeKernel>> {
+    pub fn native(&self) -> Option<Arc<SimdKernel>> {
         if let Some(native) = self.native.get() {
             return Some(Arc::clone(native));
         }
@@ -176,7 +176,7 @@ impl GeneratedKernel {
     /// promoted kernel, or `None` with the decline recorded in the
     /// engine. For benches and tests that measure or assert the native
     /// tier itself; serving paths use the non-blocking [`Self::native`].
-    pub fn native_wait(&self) -> Option<Arc<exo_aot::NativeKernel>> {
+    pub fn native_wait(&self) -> Option<Arc<SimdKernel>> {
         if let Some(native) = self.native.get() {
             return Some(Arc::clone(native));
         }

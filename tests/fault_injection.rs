@@ -456,7 +456,8 @@ fn a_retry_degrades_from_the_tier_that_ran() {
 /// A default driver — the generated 8x12 on the portable tier — is a
 /// portable entry like any other: a declined `beta = 0` entry retries once
 /// onto the tape and completes stamped `degraded`, with the bits of its
-/// clean neighbour (portable and tape are bit-identical).
+/// clean neighbour (portable and tape are bit-identical), under the name of
+/// the tier it ran on.
 #[test]
 fn a_default_drivers_declined_entry_retries_onto_the_tape() {
     use exo_gemm::gemm_blis::ExecBackend;
@@ -475,11 +476,17 @@ fn a_default_drivers_declined_entry_retries_onto_the_tape() {
     let mut tiers = Vec::new();
     for (job, outcome) in jobs.into_iter().zip(&report.outcomes) {
         let stats = outcome.as_ref().expect("both entries complete");
-        tiers.push((stats.degraded, stats.tier));
+        tiers.push((stats.degraded, stats.tier, stats.kernel.to_string()));
         assert_bits(&job.into_c(), &want, &format!("degraded {}", stats.degraded));
     }
-    tiers.sort_by_key(|&(degraded, _)| degraded);
-    assert_eq!(tiers, [(false, Some(ExecBackend::Superword)), (true, Some(ExecBackend::Tape))]);
+    tiers.sort_by_key(|&(degraded, ..)| degraded);
+    assert_eq!(
+        tiers,
+        [
+            (false, Some(ExecBackend::Superword), "EXO 8x12 (superword)".to_string()),
+            (true, Some(ExecBackend::Tape), "EXO 8x12 (tape)".to_string()),
+        ]
+    );
 }
 
 /// Activations for `entries` GEMMs against one borrowed `k x n` weight
@@ -681,11 +688,15 @@ fn a_combiner_that_unwinds_fails_its_pass_and_the_service_keeps_serving() {
     assert_bits(&wait_or_hang(&after).expect("clean job after the unwind").c, &wants[4], "job 4");
 }
 
-/// Calls an executor took at each door.
+/// The `A` and `B` shapes, `(rows, cols)`, of one entry an executor received.
+type Operands = ((usize, usize), (usize, usize));
+
+/// Calls an executor took at the one-entry door, and the entries of each
+/// call at the batch door.
 #[derive(Default)]
 struct Doors {
     one: AtomicU64,
-    batch: AtomicU64,
+    batches: Mutex<Vec<Vec<Operands>>>,
 }
 
 /// The shared driver behind a gate: its first call, at either door, waits
@@ -709,7 +720,8 @@ impl Gated {
 
 impl GemmBatchExecutor for Gated {
     fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
-        self.doors.batch.fetch_add(1, Ordering::Relaxed);
+        let entries = batch.iter().map(|p| ((p.a.rows(), p.a.cols()), (p.b.rows(), p.b.cols()))).collect();
+        self.doors.batches.lock().unwrap().push(entries);
         self.pass_the_gate();
         self.inner.gemm_batch(batch)
     }
@@ -723,17 +735,19 @@ impl GemmBatchExecutor for Gated {
 
 /// What one run of [`behind_a_gate`] gave back.
 struct GateRun {
-    /// The gate job's outcome, then the two jobs' in submission order.
+    /// The gate job's outcome, then the jobs' in submission order.
     outcomes: Vec<Result<CompletedJob, GemmError>>,
     stats: ServiceStats,
     /// `(one-entry door, batch door)` calls.
     doors: (u64, u64),
+    /// The entries of each call at the batch door, in call order.
+    batches: Vec<Vec<Operands>>,
 }
 
 /// Under `plan`, a clean gate job (the service's first pass, and its first
 /// batch entry), then `jobs`: each in a pass of its own (`paired ==
-/// false`), or both queued behind the held gate and run as one pass of two.
-fn behind_a_gate(plan: FaultPlan, jobs: [GemmJob; 2], paired: bool) -> GateRun {
+/// false`), or all queued behind the held gate and run as one pass.
+fn behind_a_gate(plan: FaultPlan, jobs: impl IntoIterator<Item = GemmJob>, paired: bool) -> GateRun {
     let doors = Arc::new(Doors::default());
     let ((inside, is_inside), (release, released)) = (mpsc::channel(), mpsc::channel());
     let gated = Gated {
@@ -763,11 +777,8 @@ fn behind_a_gate(plan: FaultPlan, jobs: [GemmJob; 2], paired: bool) -> GateRun {
     let outcomes = handles.iter().map(wait_or_hang).collect();
     fault::disarm();
     let stats = service.stats();
-    GateRun {
-        outcomes,
-        stats,
-        doors: (doors.one.load(Ordering::Relaxed), doors.batch.load(Ordering::Relaxed)),
-    }
+    let batches = std::mem::take(&mut *doors.batches.lock().unwrap());
+    GateRun { outcomes, stats, doors: (doors.one.load(Ordering::Relaxed), batches.len() as u64), batches }
 }
 
 /// An outcome's class, checked against `want` (the clean per-call `C`) on
@@ -805,10 +816,11 @@ fn books(stats: &ServiceStats) -> ServiceStats {
 /// of two: the same typed outcome, the same books, balanced. The two jobs
 /// behind the gate are twins (same operands, `C` and `beta`) where the
 /// fault fires inside the executor, because a pass of two may deal them
-/// to two pool shards and either can be the armed entry; a job the service
-/// refuses (expired, misshapen) never reaches the executor, so its
-/// neighbour is a clean job. A collector panic is the one class whose
-/// blast radius is the pass: alone, it fails its one job; paired, both.
+/// to two pool shards and either can be the armed entry. An expired job
+/// never reaches the executor, and a misshapen one reaches it and is
+/// refused there, before any entry fault counts it; so each has a clean
+/// neighbour. A collector panic is the one class whose blast radius is
+/// the pass: alone, it fails its one job; paired, both.
 #[test]
 fn a_lone_job_resolves_every_entry_fault_as_a_pass_of_two_does() {
     let _guard = serial();
@@ -894,6 +906,45 @@ fn a_lone_job_resolves_every_entry_fault_as_a_pass_of_two_does() {
             assert_eq!(pair.1, lone.1, "{class}: the same books");
         }
     }
+}
+
+/// A pass longer than two whose refusals interleave with live jobs: behind
+/// the held gate, `[live, expired, misshapen, live]` queue up and run as one
+/// pass of four. Every job gets its own answer, in submission order; the
+/// expired job never reaches the executor, so the one batch holds the
+/// other three, and the executor refuses the misshapen one in it.
+#[test]
+fn a_pass_of_four_answers_interleaved_refusals_in_order() {
+    let _guard = serial();
+    fault::disarm();
+    let wants = [reference_c(24, 20, 16, 7, 0.0), reference_c(8, 12, 20, 9, 1.0)];
+    let jobs = vec![
+        make_job(24, 20, 16, 7, 0.0),
+        make_job(16, 16, 8, 8, 0.0).with_deadline(Duration::ZERO),
+        GemmJob::new(OwnedMat::zeros(24, 16), OwnedMat::zeros(15, 20), OwnedMat::zeros(24, 20)),
+        make_job(8, 12, 20, 9, 1.0),
+    ];
+    let run = behind_a_gate(FaultPlan::new(), jobs, true);
+    let gate_want = reference_c(16, 16, 16, 100, 0.0);
+    let classes: Vec<&str> = run
+        .outcomes
+        .iter()
+        .zip([&gate_want, &wants[0], &wants[0], &wants[0], &wants[1]])
+        .enumerate()
+        .map(|(idx, (outcome, want))| class_of(outcome, want, &format!("job {idx}")))
+        .collect();
+    assert_eq!(classes, ["ok", "ok", "expired", "shape", "ok"], "outcomes in submission order");
+
+    let stats = &run.stats;
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed, stats.jobs_failed), (5, 3, 2), "{stats}");
+    assert_eq!(stats.deadline_expired, 1, "{stats}");
+    assert_eq!((stats.batches, stats.largest_batch), (2, 4), "{stats}");
+    assert_eq!(run.doors, (1, 1), "the gate alone at the one-entry door, the pass of four as one batch");
+    assert_eq!(
+        run.batches,
+        [vec![((24, 16), (16, 20)), ((24, 16), (15, 20)), ((8, 20), (20, 12))]],
+        "the batch holds the three jobs that did not expire, in order"
+    );
 }
 
 /// Handles outlive the service: every accepted job has completed by the
