@@ -36,6 +36,8 @@ pub struct Dylib {
 // SAFETY: the handle is an opaque loader token; `dlsym`/`dlclose` are
 // thread-safe, and the wrapper exposes no interior mutability.
 unsafe impl Send for Dylib {}
+// SAFETY: as for `Send`: shared references only ever pass the handle to
+// the thread-safe `dlsym`.
 unsafe impl Sync for Dylib {}
 
 #[cfg(unix)]

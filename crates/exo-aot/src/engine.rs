@@ -6,8 +6,8 @@
 //! The native tier is *eventually fast, immediately safe*. A kernel's
 //! first [`AotEngine::poll`] answers `None` (the caller serves on the
 //! simd tier) while a bounded background builder compiles the artifact;
-//! once the build lands **and** the loaded code reproduces the portable
-//! tier on a deterministic seeded probe problem, the key atomically
+//! once the build lands **and** the loaded code reproduces the checked
+//! tape bit for bit on deterministic seeded probe problems, the key atomically
 //! promotes and later polls return the native kernel. No GEMM ever waits
 //! on `cc`.
 //!
@@ -27,9 +27,7 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use exo_codegen::{
-    emit_superword_c, fma_contraction_tol, Countdown, IsaKind, SimdKernel, SuperwordKernel, TensorView,
-};
+use exo_codegen::{emit_superword_c, Countdown, IsaKind, SimdKernel, SuperwordKernel, TensorView};
 
 use crate::dylib::Dylib;
 use crate::error::{io_err, AotError, Result};
@@ -558,7 +556,8 @@ fn build(
     } else {
         let mut cmd = Command::new(&req.tc.cc);
         cmd.args(["-O3", "-shared", "-fPIC", "-ffp-contract=off"]).args(req.isa.cc_flags());
-        cmd.arg(&src).arg("-o").arg(&tmp);
+        // `-lm` after the source: the scalar floor's lanes call `fmaf`.
+        cmd.arg(&src).arg("-lm").arg("-o").arg(&tmp);
         (cmd, COMPILE_DEADLINE)
     };
     counters.compiler_invocations.fetch_add(1, Ordering::SeqCst);
@@ -656,9 +655,9 @@ fn run_with_deadline(
 /// Verified promotion: before a freshly built *or* disk-loaded kernel
 /// enters dispatch, run it on deterministic seeded probe problems (one
 /// per [`PROBE_KCS`] entry) and compare against the source tape's checked
-/// reference — a reference that trusts no proof — within the documented
-/// FMA-contraction bound ([`fma_contraction_tol`]; the scalar lowering
-/// is bit-exact, well inside it). A mismatch quarantines the artifact to
+/// reference — a reference that trusts no proof — bit for bit: every
+/// tier computes the same fused arithmetic, so one differing bit is a
+/// wrong result. A mismatch quarantines the artifact to
 /// `<path>.wrong-result` and the caller pins the key to simd terminally.
 fn verify(
     store: &ArtifactStore,
@@ -698,14 +697,7 @@ fn verify(
         sw.run_checked(&[kc as i64], views).map_err(|e| AotError::Unsupported {
             what: format!("a probe the checked reference declines ({e})"),
         })?;
-        let tol = fma_contraction_tol(kc);
-        // A lane disagrees when its error exceeds the bound — or is NaN
-        // (incomparable), which must also count as a mismatch.
-        let disagrees = |(n, r): (&f32, &f32)| {
-            let (err, bound) = ((n - r).abs(), tol * r.abs().max(1.0));
-            !matches!(err.partial_cmp(&bound), Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal))
-        };
-        mismatch |= c_native.iter().zip(&c_ref).any(disagrees);
+        mismatch |= c_native.iter().zip(&c_ref).any(|(n, r)| n.to_bits() != r.to_bits());
     }
     let forced = WRONG_RESULT_IN.fires();
     if forced || mismatch {

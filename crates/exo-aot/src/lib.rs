@@ -30,17 +30,18 @@
 //! kernel's first [`AotEngine::poll`] kicks a bounded background build
 //! and returns `None` (the caller serves on the simd tier); the key
 //! promotes atomically once the build lands **and** the loaded code
-//! passes a deterministic probe run against the portable tier (a
+//! reproduces the checked tape bit for bit on a deterministic probe run (a
 //! mismatch quarantines the artifact as `<path>.wrong-result` and pins
 //! the key to simd). Compiler invocations run under a kill-on-deadline
 //! wrapper (20 s), failed keys retry with exponential
 //! backoff at most [`engine::MAX_BUILD_ATTEMPTS`] times per process, and
 //! engine init sweeps stale cache debris.
 //!
-//! On a matching ISA the compiled code is bit-identical to the simd
-//! closure chain (both contract every FMA lane individually; the scalar
-//! floor is kept two-rounding with `-ffp-contract=off`), so a mid-run
-//! promotion is invisible except for speed.
+//! The compiled code is bit-identical to the simd closure chain, the tape
+//! and the reference interpreter: every FMA lane is one fused multiply-add
+//! (an intrinsic's, or `fmaf` on the scalar floor), and `-ffp-contract=off`
+//! keeps the compiler from fusing anything else. So the probe compares
+//! bits, and a mid-run promotion is invisible except for speed.
 
 #![warn(missing_docs)]
 

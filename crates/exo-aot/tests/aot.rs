@@ -132,8 +132,8 @@ fn native_agrees_with_the_simd_chain_on_the_matching_isa() {
                 native.run_packed(kc, &a, &b, &mut c_native).unwrap();
                 let mut c_simd = c0.clone();
                 simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-                // Both tiers contract every FMA lane individually (and the
-                // scalar floor contracts none): bit equality, not a bound.
+                // Both tiers fuse every FMA lane individually: bit
+                // equality, not a bound.
                 assert_eq!(c_native, c_simd, "native vs simd bits at kc={kc} on {}", isa.name());
             }
         }
@@ -161,8 +161,8 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     dispatch.run_packed(kc, &a, &b, &mut c_hot).unwrap();
     let mut c_ref = c0.clone();
     chain.run_packed(kc, &a, &b, &mut c_ref).unwrap();
-    // Native and the simd chain of the same ISA contract identically:
-    // bit equality through the dispatch handle too.
+    // Native and the simd chain fuse identically: bit equality through
+    // the dispatch handle too.
     assert_eq!(c_hot, c_ref);
 
     assert_eq!(dispatch.memoised_proofs(), 1);
@@ -267,7 +267,7 @@ fn a_missing_toolchain_is_a_typed_decline() {
             let mut c_sw = c0.clone();
             sw.run_checked(&[13], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
                 .unwrap();
-            // The scalar floor is bit-exact against the portable tiers.
+            // The scalar floor's `fmaf` lanes are the tape's fused ones.
             assert_eq!(c_native, c_sw, "the scalar lowering must match the checked reference bitwise");
         }
         Err(e) => {
@@ -379,14 +379,17 @@ fn a_planted_wrong_result_artifact_is_rejected_quarantined_and_pinned() {
     if !exo_aot::native_available() {
         return;
     }
-    // Garbage at every KC — and a kernel that is right everywhere except
-    // the empty and the single-iteration KC loop, which a probe at one
-    // mid-sized KC alone would promote.
+    // Garbage at every KC; a kernel that is right everywhere except the
+    // empty and the single-iteration KC loop, which a probe at one
+    // mid-sized KC alone would promote; and the right loop unfused — a
+    // multiply and an add, two roundings where every tier rounds once.
     let garbage = "(void)kc; (void)ac; (void)bc; c[0] += 1234.5f;";
-    let wrong_at_tiny_kc = "for (long long k = 0; k < kc; k++) for (int j = 0; j < 4; j++)\n\
-         for (int i = 0; i < 8; i++) c[j * 8 + i] += ac[k * 8 + i] * bc[k * 4 + j];\n\
-         if (kc < 2) c[0] += 1234.5f;";
-    for (tag, evil_body) in [("planted", garbage), ("planted-tiny-kc", wrong_at_tiny_kc)] {
+    let unfused = "for (long long k = 0; k < kc; k++) for (int j = 0; j < 4; j++)\n\
+         for (int i = 0; i < 8; i++) c[j * 8 + i] += ac[k * 8 + i] * bc[k * 4 + j];";
+    let wrong_at_tiny_kc = format!("{unfused}\nif (kc < 2) c[0] += 1234.5f;");
+    for (tag, evil_body) in
+        [("planted", garbage), ("planted-tiny-kc", &wrong_at_tiny_kc), ("planted-unfused", unfused)]
+    {
         planted_artifact_is_rejected(tag, evil_body);
     }
 }
@@ -413,7 +416,7 @@ fn planted_artifact_is_rejected(tag: &str, evil_body: &str) {
     .unwrap();
     let artifact = engine.store().artifact_path(req.key());
     let status = std::process::Command::new(&tc.cc)
-        .args(["-O2", "-shared", "-fPIC"])
+        .args(["-O2", "-shared", "-fPIC", "-ffp-contract=off"])
         .arg(&evil_src)
         .arg("-o")
         .arg(&artifact)

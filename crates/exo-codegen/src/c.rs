@@ -15,9 +15,9 @@
 //!
 //! The two do different jobs, so neither replaces the other. Only
 //! `emit_superword_c` emits C for the *executing* ISA (AVX-512, AVX2/FMA
-//! or NEON intrinsics, or a plain-C floor), whatever instruction library
-//! described the kernel, and C that matches the simd chain of that ISA bit
-//! for bit. `emit_c` speaks the describing library's intrinsics: for the
+//! or NEON intrinsics, or a plain-C floor whose lanes call `fmaf`),
+//! whatever instruction library described the kernel, and C that matches
+//! the simd chains and the tape bit for bit. `emit_c` speaks the describing library's intrinsics: for the
 //! `neon_f32` kernels served on AVX2 and on the scalar floor that is NEON
 //! C, which neither host compiles. It stays as the paper's listing, read by
 //! `codegen_steps`, `quickstart` and `portability`.
@@ -375,26 +375,12 @@ impl SwEmit {
         }
     }
 
-    /// One scalar multiply-add lane `acc = a·b + acc` in the ISA's rounding:
-    /// a single `fmaf` where it contracts, an explicit multiply-then-add
-    /// where it does not (which `-ffp-contract=off` keeps the compiler from
-    /// re-fusing).
-    fn fma_lane(&self, acc: &str, a: &str, b: &str) -> String {
-        if self.isa.contracts_fma() {
-            format!("{acc} = fmaf({a}, {b}, {acc});")
-        } else {
-            format!("{acc} += {a} * {b};")
-        }
-    }
-
     /// Emits `reg[dst+i] = fma(reg[a+i], bval, reg[dst+i])` for
     /// `i in 0..lanes`, mirroring the simd chain exactly: whole-vector
     /// FMAs widest shape first with scalar tails when the runs are disjoint
     /// (or identical), strict ascending scalar lanes when the op's lane
     /// order is semantic ([`VOp::fma_in_order`]). Every lane is a single
-    /// correctly-rounded fused multiply-add on the native ISAs (bit-equal
-    /// to the chain's) and two roundings on the scalar floor (bit-equal to
-    /// the portable tiers).
+    /// correctly-rounded fused multiply-add, bit-equal to the chain's.
     fn fma_run(&mut self, out: &mut String, pad: &str, op: &VOp, bval: &str) {
         let (VOp::VFmaLane { dst, a, lanes, .. } | VOp::VFmaBcast { dst, a, lanes, .. }) = *op else {
             unreachable!("only the packed FMAs carry a register run")
@@ -414,10 +400,16 @@ impl SwEmit {
             }
         }
         for i in o..lanes {
-            let line = self.fma_lane(&format!("reg[{}]", dst + i), &format!("reg[{}]", a + i), bval);
+            let line = fma_lane(&format!("reg[{}]", dst + i), &format!("reg[{}]", a + i), bval);
             let _ = writeln!(out, "{pad}{line}");
         }
     }
+}
+
+/// One scalar multiply-add lane `acc = a·b + acc`: a single `fmaf`, one
+/// rounding on every ISA.
+fn fma_lane(acc: &str, a: &str, b: &str) -> String {
+    format!("{acc} = fmaf({a}, {b}, {acc});")
 }
 
 fn aot_unsupported(what: impl Into<String>) -> CodegenError {
@@ -487,12 +479,12 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// admits.
 ///
 /// Numerical contract (the compile flags must include
-/// `-ffp-contract=off` so the compiler adds no contractions of its own):
-/// on the native ISAs every FMA lane is a single correctly-rounded fused
-/// multiply-add — bit-identical to the simd closure chain of the same ISA,
-/// and therefore within [`crate::fma_contraction_tol`] of the portable
-/// tiers; the scalar floor is an explicit multiply-then-add, bit-identical
-/// to the portable tier, the tape and the interpreter.
+/// `-ffp-contract=off` so the compiler fuses nothing the tape does not,
+/// and the link line `-lm` for the scalar floor's `fmaf`, which its row's
+/// prelude gives an inline FMA clone on x86_64): every FMA lane
+/// is a single correctly-rounded fused multiply-add, an intrinsic's or
+/// `fmaf`'s, and every other op rounds once — bit-identical to the simd
+/// closure chains, the tape and the reference interpreter.
 ///
 /// # Errors
 ///
@@ -646,10 +638,8 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
                     TOp::Sub { dst, a, b } => format!("reg[{dst}] = reg[{a}] - reg[{b}];"),
                     TOp::Mul { dst, a, b } => format!("reg[{dst}] = reg[{a}] * reg[{b}];"),
                     TOp::Div { dst, a, b } => format!("reg[{dst}] = reg[{a}] / reg[{b}];"),
-                    // The chain's scalar FMA is contracted on native ISAs
-                    // and two-rounding on the scalar floor — mirrored here.
                     TOp::Fma { dst, a, b } => {
-                        ctx.fma_lane(&format!("reg[{dst}]"), &format!("reg[{a}]"), &format!("reg[{b}]"))
+                        fma_lane(&format!("reg[{dst}]"), &format!("reg[{a}]"), &format!("reg[{b}]"))
                     }
                     TOp::CastI { dst, value } => format!("reg[{dst}] = (float)({});", ctx.addr(value)),
                     TOp::Zero { base, len } => {
@@ -898,15 +888,16 @@ mod tests {
     }
 
     #[test]
-    fn superword_scalar_floor_is_plain_unfused_c() {
+    fn superword_scalar_floor_is_plain_c_with_fmaf() {
         let sw = staged_superword(8, 4);
         let c = emit_superword_c(&sw, IsaKind::Scalar, "exo_aot_kernel").unwrap();
-        // Bit-equality with the portable tiers: explicit mul-then-add,
-        // no contracted `fmaf`, no intrinsics. `-ffp-contract=off` keeps
-        // the C compiler from undoing this.
-        assert!(!c.contains("fmaf"), "scalar floor must not contract:\n{c}");
+        // Bit-equality with every other tier: each multiply-add lane is one
+        // `fmaf`, and no lane multiplies and adds on its own. No intrinsics.
+        assert!(c.contains("= fmaf(reg[") && c.contains(", bv"), "broadcast multiply-add lanes:\n{c}");
+        assert!(!c.contains("] * bv") && !c.contains("+="), "no two-rounding lane:\n{c}");
         assert!(!c.contains("_mm256") && !c.contains("vfmaq"), "got:\n{c}");
-        assert!(c.contains("] * bv"), "broadcast multiply-accumulate runs:\n{c}");
+        // Built without `-mfma`, so an x86_64 CPU with FMA gets an inline clone.
+        assert!(c.contains("target_clones(\"fma\", \"default\")"), "got:\n{c}");
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! Executable lowering: compiles a scheduled procedure into a
-//! [`CompiledKernel`] that runs directly on `f32` slices.
+//! The tape's front end: lowers a scheduled procedure into a
+//! [`CompiledKernel`], the form [`CompiledKernel::to_tape`] reads.
 //!
-//! The original toolchain compiles Exo's C output with `gcc` and runs it on
-//! an ARM board; the `exo-aot` tier does the same with the host's compiler.
-//! This backend is what that path is held against — the *reference
-//! semantics* of a scheduled procedure: instruction calls are inlined back
-//! to their semantic bodies at compile time, multi-dimensional accesses are
-//! linearised into row-major address polynomials, and the tree is walked
-//! over caller provided buffers with every access checked. Every faster
-//! tier is lowered from a [`CompiledKernel`] and differentially tested
-//! against it. A generated kernel the tape cannot register-allocate is a
-//! generation error; only a hand-built procedure runs here for that reason.
+//! Instruction calls are inlined back to their semantic bodies, multi-
+//! dimensional accesses are linearised into row-major address polynomials,
+//! and every store to an `f16` buffer is marked for rounding. Nothing here
+//! executes: the reference semantics of a procedure is
+//! `exo_ir::interp::run_proc`, which every tier reproduces bit for bit.
 
 use exo_ir::{ArgKind, BinOp, Expr, Proc, ScalarType, Stmt, Sym};
 use exo_sched::inline_call;
@@ -87,15 +82,13 @@ pub(crate) enum ParamKind {
     Tensor,
 }
 
-/// A procedure lowered to an executable form over `f32` buffers.
+/// A procedure lowered for the tape: calls inlined, accesses linearised.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     /// Name of the source procedure.
     pub name: String,
     pub(crate) params: Vec<(String, ParamKind)>,
     pub(crate) body: Vec<Op>,
-    n_loop_vars: usize,
-    n_locals: usize,
 }
 
 #[derive(Default)]
@@ -280,7 +273,7 @@ impl Compiler {
     }
 }
 
-/// Compiles a procedure for execution over `f32` buffers.
+/// Lowers a procedure for the tape over `f32` buffers.
 ///
 /// # Errors
 ///
@@ -305,163 +298,7 @@ pub fn compile(p: &Proc) -> Result<CompiledKernel> {
         }
     }
     let body = compiler.compile_block(&p.body)?;
-    Ok(CompiledKernel {
-        name: p.name.clone(),
-        params,
-        body,
-        n_loop_vars: compiler.loop_vars.len(),
-        n_locals: compiler.locals.len(),
-    })
-}
-
-struct Runtime<'a, 'v> {
-    tensors: &'a mut [TensorView<'v>],
-    locals: Vec<Vec<f32>>,
-    loops: Vec<i64>,
-    scalars: &'a [i64],
-}
-
-impl CompiledKernel {
-    /// Runs the kernel. `scalars` and `tensors` are matched to the
-    /// `size`/`index` and the tensor parameters in signature order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] if the counts do not match or
-    /// the kernel stores to a tensor passed read-only, and
-    /// [`CodegenError::OutOfBounds`] if an access leaves its buffer.
-    pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        let n_tensors = self.params.len() - n_scalars;
-        if scalars.len() != n_scalars || tensors.len() != n_tensors {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "kernel `{}` expects {n_scalars} scalars and {n_tensors} tensors, got {} and {}",
-                    self.name,
-                    scalars.len(),
-                    tensors.len()
-                ),
-            });
-        }
-        let mut rt = Runtime {
-            tensors,
-            locals: vec![Vec::new(); self.n_locals],
-            loops: vec![0; self.n_loop_vars],
-            scalars,
-        };
-        exec_block(&self.body, &mut rt)
-    }
-}
-
-fn exec_block(ops: &[Op], rt: &mut Runtime<'_, '_>) -> Result<()> {
-    for op in ops {
-        match op {
-            Op::AllocLocal { slot, len } => {
-                let len = eval_i(len, rt).max(1) as usize;
-                rt.locals[*slot as usize] = vec![0.0; len];
-            }
-            Op::Assign { buf, flat, rhs, f16 } => {
-                let value = eval_v(rhs, rt)?;
-                let value = if *f16 { exo_ir::types::f16_round(value as f64) as f32 } else { value };
-                let flat = eval_i(flat, rt);
-                store(buf, flat, value, rt)?;
-            }
-            Op::Reduce { buf, flat, rhs, f16 } => {
-                let value = eval_v(rhs, rt)?;
-                let flat = eval_i(flat, rt);
-                let next = load(buf, flat, rt)? + value;
-                let next = if *f16 { exo_ir::types::f16_round(next as f64) as f32 } else { next };
-                store(buf, flat, next, rt)?;
-            }
-            Op::For { var, lo, hi, body } => {
-                let lo = eval_i(lo, rt);
-                let hi = eval_i(hi, rt);
-                for i in lo..hi {
-                    rt.loops[*var as usize] = i;
-                    exec_block(body, rt)?;
-                }
-            }
-            Op::If { lhs, op, rhs, then_body, else_body } => {
-                if op.eval(eval_i(lhs, rt), eval_i(rhs, rt)) {
-                    exec_block(then_body, rt)?;
-                } else {
-                    exec_block(else_body, rt)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn eval_i(e: &IExpr, rt: &Runtime<'_, '_>) -> i64 {
-    match e {
-        IExpr::Const(v) => *v,
-        IExpr::Loop(i) => rt.loops[*i as usize],
-        IExpr::Scalar(i) => rt.scalars[*i as usize],
-        IExpr::Add(a, b) => eval_i(a, rt) + eval_i(b, rt),
-        IExpr::Sub(a, b) => eval_i(a, rt) - eval_i(b, rt),
-        IExpr::Mul(a, b) => eval_i(a, rt) * eval_i(b, rt),
-        IExpr::Div(a, b) => {
-            let d = eval_i(b, rt);
-            if d == 0 {
-                0
-            } else {
-                eval_i(a, rt).div_euclid(d)
-            }
-        }
-        IExpr::Mod(a, b) => {
-            let d = eval_i(b, rt);
-            if d == 0 {
-                0
-            } else {
-                eval_i(a, rt).rem_euclid(d)
-            }
-        }
-        IExpr::Neg(a) => -eval_i(a, rt),
-    }
-}
-
-fn eval_v(e: &VExpr, rt: &Runtime<'_, '_>) -> Result<f32> {
-    Ok(match e {
-        VExpr::Const(v) => *v,
-        VExpr::Int(i) => eval_i(i, rt) as f32,
-        VExpr::Load { buf, flat } => load(buf, eval_i(flat, rt), rt)?,
-        VExpr::Add(a, b) => eval_v(a, rt)? + eval_v(b, rt)?,
-        VExpr::Sub(a, b) => eval_v(a, rt)? - eval_v(b, rt)?,
-        VExpr::Mul(a, b) => eval_v(a, rt)? * eval_v(b, rt)?,
-        VExpr::Div(a, b) => eval_v(a, rt)? / eval_v(b, rt)?,
-        VExpr::Neg(a) => -eval_v(a, rt)?,
-    })
-}
-
-fn load(buf: &BufSlot, flat: i64, rt: &Runtime<'_, '_>) -> Result<f32> {
-    let slice: &[f32] = match buf {
-        BufSlot::Arg(i) => rt.tensors[*i as usize].as_slice(),
-        BufSlot::Local(i) => &rt.locals[*i as usize],
-    };
-    if flat < 0 || flat as usize >= slice.len() {
-        return Err(CodegenError::OutOfBounds { buf: format!("{buf:?}"), index: flat, len: slice.len() });
-    }
-    Ok(slice[flat as usize])
-}
-
-fn store(buf: &BufSlot, flat: i64, value: f32, rt: &mut Runtime<'_, '_>) -> Result<()> {
-    let slice: &mut [f32] = match buf {
-        BufSlot::Arg(i) => match &mut rt.tensors[*i as usize] {
-            TensorView::Rw(slice) => slice,
-            TensorView::Ro(_) => {
-                return Err(CodegenError::BadArguments {
-                    reason: format!("store to read-only tensor parameter {i}"),
-                })
-            }
-        },
-        BufSlot::Local(i) => &mut rt.locals[*i as usize],
-    };
-    if flat < 0 || flat as usize >= slice.len() {
-        return Err(CodegenError::OutOfBounds { buf: format!("{buf:?}"), index: flat, len: slice.len() });
-    }
-    slice[flat as usize] = value;
-    Ok(())
+    Ok(CompiledKernel { name: p.name.clone(), params, body })
 }
 
 #[cfg(test)]
@@ -470,34 +307,30 @@ mod tests {
     use exo_ir::builder::*;
     use exo_ir::MemSpace;
 
-    fn naive_gemm(a: &[f32], b: &[f32], c: &mut [f32], mr: usize, nr: usize, kc: usize) {
-        for k in 0..kc {
-            for j in 0..nr {
-                for i in 0..mr {
-                    c[j * mr + i] += a[k * mr + i] * b[k * nr + j];
-                }
-            }
-        }
+    /// Runs a lowering on the tape, the one executor it has.
+    fn run(kernel: &CompiledKernel, tensors: &mut [TensorView<'_>]) {
+        kernel.to_tape().unwrap().run_views(&[], tensors).unwrap();
     }
 
     #[test]
     fn compiled_fig5_ukernel_matches_naive_gemm() {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
-        let kernel = compile(&p).unwrap();
-
         let (mr, nr, kc) = (8usize, 12usize, 17usize);
+        let kernel = compile(&exo_sched::partial_eval(&p, &[mr as i64, nr as i64]).unwrap()).unwrap();
         let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25).collect();
         let mut c: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32).collect();
         let mut c_ref = c.clone();
-
-        kernel
-            .run_views(
-                &[mr as i64, nr as i64, kc as i64],
-                &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c)],
-            )
+        let tape = kernel.to_tape().unwrap();
+        tape.run_views(&[kc as i64], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c)])
             .unwrap();
-        naive_gemm(&a, &b, &mut c_ref, mr, nr, kc);
+        for k in 0..kc {
+            for j in 0..nr {
+                for i in 0..mr {
+                    c_ref[j * mr + i] += a[k * mr + i] * b[k * nr + j];
+                }
+            }
+        }
         for (x, y) in c.iter().zip(&c_ref) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
@@ -551,7 +384,7 @@ mod tests {
         let kernel = compile(&p).unwrap();
         let x: Vec<f32> = (0..8).map(|i| i as f32 * 1.5).collect();
         let mut y = vec![0.0f32; 8];
-        kernel.run_views(&[], &mut [TensorView::Ro(&x), TensorView::Rw(&mut y)]).unwrap();
+        run(&kernel, &mut [TensorView::Ro(&x), TensorView::Rw(&mut y)]);
         assert_eq!(y, x);
     }
 
@@ -563,37 +396,8 @@ mod tests {
             .build();
         let kernel = compile(&p).unwrap();
         let mut out = vec![0.0f32; 1];
-        kernel.run_views(&[], &mut [TensorView::Rw(&mut out)]).unwrap();
+        run(&kernel, &mut [TensorView::Rw(&mut out)]);
         assert_eq!(out[0], 1.0);
-    }
-
-    #[test]
-    fn argument_mismatches_are_reported() {
-        let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
-        let kernel = compile(&p).unwrap();
-        assert!(matches!(kernel.run_views(&[1], &mut []), Err(CodegenError::BadArguments { .. })));
-        let (a, b, c) = ([0.0f32], [0.0f32], [0.0f32]);
-        let too_many_scalars = kernel
-            .run_views(&[1, 1, 1, 1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
-        assert!(matches!(too_many_scalars, Err(CodegenError::BadArguments { .. })));
-        // A store through a read-only view is refused where it happens.
-        let read_only_c =
-            kernel.run_views(&[1, 1, 1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
-        assert!(matches!(read_only_c, Err(CodegenError::BadArguments { .. })));
-    }
-
-    #[test]
-    fn out_of_bounds_accesses_are_reported() {
-        let p = proc("oob")
-            .tensor_arg("x", ScalarType::F32, vec![int(2)], MemSpace::Dram)
-            .body(vec![assign("x", vec![int(7)], flt(1.0))])
-            .build();
-        let kernel = compile(&p).unwrap();
-        let mut x = vec![0.0f32; 2];
-        assert!(matches!(
-            kernel.run_views(&[], &mut [TensorView::Rw(&mut x)]),
-            Err(CodegenError::OutOfBounds { .. })
-        ));
     }
 
     #[test]

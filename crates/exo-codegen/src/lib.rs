@@ -10,11 +10,12 @@
 //!   analogue of the paper's Fig. 12,
 //! * [`trace::extract_trace`] — the machine-operation trace consumed by the
 //!   `carmel-sim` performance model,
-//! * [`exec::compile`] — the executable lowering, walked as a tree: the
-//!   reference semantics every tier below is tested against,
-//! * [`tape`] — a flat, register-allocated tape compiled from the executable
+//! * [`exec::compile`] — the tape's front end: calls inlined, accesses
+//!   linearised,
+//! * [`tape`] — a flat, register-allocated tape compiled from that
 //!   lowering, every access checked: the checked reference a declined
-//!   proof of any tier below runs,
+//!   proof of any tier below runs. Every tier computes the bits of the
+//!   reference interpreter, `exo_ir::interp::run_proc`,
 //! * [`superword`] — the superword lowering of the tape: the SLP pass that
 //!   re-rolls lane runs into whole-vector ops (`VLoad`, `VStore`,
 //!   `VFmaLane`, `VFmaBcast`), plus the construction-time and
@@ -24,7 +25,7 @@
 //! * [`simd`] — the in-process executors of that IR: the validated
 //!   superword ops compiled once per kernel into a chain of monomorphic
 //!   closures per vector ISA — AVX2/FMA on x86_64, NEON on aarch64, and a
-//!   bit-exact scalar chain everywhere, which is the *portable* tier (pin
+//!   scalar chain everywhere, which is the *portable* tier (pin
 //!   one with `EXO_ISA`). The fastest tier that needs no C toolchain: the
 //!   GEMM hot path serves on it until the ahead-of-time compiled body of
 //!   the `exo-aot` tier ([`c::emit_superword_c`], ~3× faster) promotes,
@@ -48,8 +49,7 @@ pub use env::{env_once, Countdown};
 pub use error::{CodegenError, Result};
 pub use exec::{compile, CompiledKernel, TensorView};
 pub use simd::{
-    active_isa, env_isa_override, fma_contraction_tol, simd_available, IsaKind, PackedKernelFn, SimdDispatch,
-    SimdKernel,
+    active_isa, env_isa_override, simd_available, IsaKind, PackedKernelFn, SimdDispatch, SimdKernel,
 };
 pub use superword::SuperwordKernel;
 pub use tape::TapeKernel;

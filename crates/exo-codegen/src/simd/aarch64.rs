@@ -1,5 +1,5 @@
 //! The NEON implementation of [`VectorIsa`]: 4-lane `float32x4_t` chunks
-//! via `vfmaq_f32`, contracted `mul_add` scalar tails.
+//! via `vfmaq_f32`, `mul_add` scalar tails.
 //!
 //! NEON (Advanced SIMD) is a baseline feature of every aarch64 Rust
 //! target — `cfg!(target_feature = "neon")` holds without any
@@ -12,9 +12,9 @@
 //! lowering the paper's Fig. 5 Carmel micro-kernel uses, recovered
 //! mechanically instead of hand-written.
 //!
-//! `vfmaq_f32(acc, a, b)` computes `acc + a·b` with a single rounding —
-//! the same FMA contraction contract as the AVX2 chain, held to
-//! [`super::fma_contraction_tol`] by the differential suites.
+//! `vfmaq_f32(acc, a, b)` computes `acc + a·b` with a single rounding, and
+//! `mul_add` lowers to a scalar `fmadd` (FMA is baseline here too): each
+//! lane is the one-rounding multiply-add of the reference semantics.
 
 use std::arch::aarch64::{
     float32x4_t, vcombine_f32, vdupq_n_f32, vfmaq_f32, vget_high_f32, vget_low_f32, vld1q_f32, vmulq_f32,
@@ -33,11 +33,6 @@ impl VectorIsa for Neon {
     fn available() -> bool {
         // Baseline on aarch64: the module only compiles there.
         true
-    }
-
-    fn fma_scalar(acc: f32, a: f32, b: f32) -> f32 {
-        // Lowers to a scalar `fmadd` — contracted like the vector lanes.
-        a.mul_add(b, acc)
     }
 
     unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {

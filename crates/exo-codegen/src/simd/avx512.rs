@@ -24,10 +24,6 @@ impl VectorIsa for Avx512 {
         std::arch::is_x86_feature_detected!("avx512f") && Avx2::available()
     }
 
-    fn fma_scalar(acc: f32, a: f32, b: f32) -> f32 {
-        Avx2::fma_scalar(acc, a, b)
-    }
-
     // Every body below runs only where `available()` held, which implies
     // the AVX2 body's own contract.
 

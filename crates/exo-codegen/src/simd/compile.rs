@@ -89,6 +89,8 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &Addr
     // touches the general evaluator on the packed-operand walk.
     if let Addr::Loop { base, slot, coeff } = *addr {
         let slot = slot as usize;
+        // SAFETY: the interval proof admitted `idx..idx + lanes` in `buf`, the
+        // construction proof `reg..reg + lanes` and `slot` in the loop table.
         Box::new(move |regs, tens, loops, _scalars| unsafe {
             let idx = (base + coeff * *loops.get_unchecked(slot)) as usize;
             let t = (*tens.get_unchecked(buf)).add(idx);
@@ -100,6 +102,7 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &Addr
         })
     } else {
         let addr = addr.clone();
+        // SAFETY: as the closure above, at the general address.
         Box::new(move |regs, tens, loops, scalars| unsafe {
             let idx = addr.eval(loops, scalars) as usize;
             let t = (*tens.get_unchecked(buf)).add(idx);
@@ -116,10 +119,14 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &Addr
 /// is semantic ([`VOp::fma_in_order`]).
 fn fma_lane_step<I: VectorIsa>(in_order: bool, dst: usize, a: usize, b: usize, lanes: usize) -> StepFn {
     if in_order {
+        // SAFETY: the construction proof keeps both runs and `b` in the register file,
+        // and `compile_for` checked that the host runs `I`.
         Box::new(move |regs, _tens, _loops, _scalars| unsafe {
             I::fma_run_inorder(regs, dst, a, *regs.add(b), lanes);
         })
     } else {
+        // SAFETY: as above; the lane order is free, so the runs are disjoint or
+        // identical, as `fma_run` asks.
         Box::new(move |regs, _tens, _loops, _scalars| unsafe {
             I::fma_run(regs, dst, a, *regs.add(b), lanes);
         })
@@ -138,6 +145,8 @@ fn fma_bcast_step<I: VectorIsa>(
     lanes: usize,
 ) -> StepFn {
     let addr = addr.clone();
+    // SAFETY: the interval proof admitted `idx` in `buf`; the construction proof
+    // the register runs and `scratch`, and `compile_for` the ISA.
     Box::new(move |regs, tens, loops, scalars| unsafe {
         let idx = addr.eval(loops, scalars) as usize;
         let bval = *(*tens.get_unchecked(buf)).add(idx);
@@ -150,17 +159,18 @@ fn fma_bcast_step<I: VectorIsa>(
     })
 }
 
-/// A scalar tape op as a closure. Scalar `Fma` takes the ISA's scalar
-/// rounding (contracted on the native ISAs, two roundings on the scalar
-/// reference) like the rest of the tier.
+/// A scalar tape op as a closure. Scalar `Fma` is a one-lane run of the
+/// ISA's multiply-add, one rounding like every other lane.
 fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
     Some(match op {
         TOp::ConstF { dst, val } => {
             let (dst, val) = (*dst as usize, *val);
+            // SAFETY: `dst` is in the register file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = val })
         }
         TOp::LoadT { dst, buf, addr } => {
             let (dst, buf, addr) = (*dst as usize, *buf as usize, addr.clone());
+            // SAFETY: the interval proof admitted `idx` in `buf`, the construction proof `dst`.
             Box::new(move |regs, tens, loops, scalars| unsafe {
                 let idx = addr.eval(loops, scalars) as usize;
                 *regs.add(dst) = *(*tens.get_unchecked(buf)).add(idx);
@@ -168,6 +178,7 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
         }
         TOp::StoreT { src, buf, addr } => {
             let (src, buf, addr) = (*src as usize, *buf as usize, addr.clone());
+            // SAFETY: the interval proof admitted `idx` in `buf`, the construction proof `src`.
             Box::new(move |regs, tens, loops, scalars| unsafe {
                 let idx = addr.eval(loops, scalars) as usize;
                 *(*tens.get_unchecked(buf)).add(idx) = *regs.add(src);
@@ -175,46 +186,58 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
         }
         TOp::Mov { dst, src } => {
             let (dst, src) = (*dst as usize, *src as usize);
+            // SAFETY: both registers are in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(src) })
         }
         TOp::Add { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: every operand register is in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) + *regs.add(b) })
         }
         TOp::Sub { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: every operand register is in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) - *regs.add(b) })
         }
         TOp::Mul { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: every operand register is in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) * *regs.add(b) })
         }
         TOp::Div { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: every operand register is in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) / *regs.add(b) })
         }
         TOp::Neg { dst, src } => {
             let (dst, src) = (*dst as usize, *src as usize);
+            // SAFETY: both registers are in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = -*regs.add(src) })
         }
         TOp::Fma { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: every operand register is in the file (construction proof), and
+            // `compile_for` checked that the host runs `I`.
             Box::new(move |regs, _t, _l, _s| unsafe {
                 I::fma_run_inorder(regs, dst, a, *regs.add(b), 1);
             })
         }
         TOp::AddAssign { dst, src } => {
             let (dst, src) = (*dst as usize, *src as usize);
+            // SAFETY: both registers are in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) += *regs.add(src) })
         }
         TOp::CastI { dst, value } => {
             let (dst, value) = (*dst as usize, value.clone());
+            // SAFETY: `dst` is in the file and `value`'s terms index the loop and scalar
+            // tables (construction proof).
             Box::new(move |regs, _tens, loops, scalars| unsafe {
                 *regs.add(dst) = value.eval(loops, scalars) as f32;
             })
         }
         TOp::Round { reg } => {
             let reg = *reg as usize;
+            // SAFETY: `reg` is in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe {
                 let r = regs.add(reg);
                 *r = exo_ir::types::f16_round(f64::from(*r)) as f32;
@@ -222,6 +245,7 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
         }
         TOp::Zero { base, len } => {
             let (base, len) = (*base as usize, *len as usize);
+            // SAFETY: `base..base + len` is in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe {
                 std::ptr::write_bytes(regs.add(base), 0, len);
             })
@@ -353,6 +377,9 @@ unsafe fn stage(loads: &[StageLoad], regs: *mut f32, tens: &[*mut f32], loops: &
 fn fused_iteration<I: VectorIsa, const N: usize>(loads: [StageLoad; N], tile: Tile) -> StepFn {
     let Tile { dst, a, b, lanes, count } = tile;
     match b {
+        // SAFETY: the construction proof covers the staged registers, the tile's runs
+        // and `b0..b0 + count`, the interval proof the stage loads, and
+        // `match_tile` the run shape `fma_tile` asks for.
         Broadcast::Regs(b0) => Box::new(move |regs, tens, loops, _scalars| unsafe {
             stage(&loads, regs, tens, loops);
             I::fma_tile(regs, dst, a, regs.add(b0), lanes, count);

@@ -22,8 +22,7 @@
 //!
 //! **Multi-ISA.** An executing ISA is said twice and no more: one
 //! target-independent *row* ([`IsaKind`]'s table — name, vector shapes
-//! widest first, register count, whether it contracts, the C compiler's
-//! flags and the C spelling of each shape, which the C emitter and the
+//! widest first, register count, the C compiler's flags and the C spelling of each shape, which the C emitter and the
 //! `exo-aot` build read) and one crate-private `VectorIsa` *impl* (the
 //! register-run helpers the chain calls, the mover body, a runtime
 //! `available()` probe), reached through the single `with_isa_impl!`
@@ -41,9 +40,10 @@
 //!   (NEON is baseline): an 8-lane superword run re-rolls into a pair of
 //!   them;
 //! * `scalar` — the one-lane reference, available everywhere: the trait's
-//!   provided bodies, unchanged. Its multiply-then-add matches the tape /
-//!   interpreter rounding **bit for bit**, which makes the chain compiled
-//!   for it the *portable* tier (what a `Superword` pin runs).
+//!   provided bodies, each lane one `mul_add` (on x86_64 behind an `fma`
+//!   call boundary where the CPU has FMA, in software where it has none).
+//!   The chain compiled for it is the *portable* tier (what a `Superword`
+//!   pin runs).
 //!
 //! [`active_isa`] picks the widest available implementation at process
 //! start ([`IsaKind::Avx512`] → [`IsaKind::Avx2`] → [`IsaKind::Neon`] →
@@ -76,18 +76,13 @@
 //! register file, so steady-state micro-tile dispatch re-proves and
 //! allocates nothing.
 //!
-//! **Bit compatibility.** The native FMA intrinsics *contract* the
-//! multiply-then-add of the tape's `Fma` semantics into a single rounding,
-//! so the AVX-512, AVX2 and NEON chains are **not** bit-identical to the
-//! portable tier, the tape and the interpreter (they are at least as accurate: one
-//! rounding instead of two per multiply-add). The differential suites
-//! therefore compare those chains against the references within an
-//! accumulation-scaled ULP bound — `|simd − portable| ≤
-//! 2·ε·(KC + 4)²·scale` ([`fma_contraction_tol`]) — and demand exact
-//! equality of the scalar chain, which does not contract. Lane order
-//! inside every packed op is preserved, so every chain stays
-//! deterministic: the same inputs produce the same bits on every run and
-//! every thread count.
+//! **Bit compatibility.** Every lane of every packed FMA is one fused
+//! multiply-add, a single rounding at any vector width, and each
+//! accumulator sees its multiply-adds in the tape's order. So every chain —
+//! AVX-512, AVX2, NEON and scalar — computes the bits of the tape and of
+//! the reference interpreter (`exo_ir::interp::run_proc`), and the
+//! differential suites demand exact equality on every ISA. The same inputs
+//! produce the same bits on every run, every thread count and every ISA.
 
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
@@ -150,11 +145,10 @@ use mover::{Move2d, Walk};
 /// implementation, so every closure in a compiled chain calls straight
 /// into one ISA's intrinsics with no dispatch in between.
 ///
-/// The provided bodies are the one-lane reference forms, each lane rounded
-/// by [`VectorIsa::fma_scalar`]: the scalar ISA *is* them, and a vector ISA
-/// overrides what its registers speed up — whole vectors widest shape
-/// first, the same lanes in the same rounding (on x86_64 behind a
-/// `#[target_feature]` call boundary).
+/// The provided bodies are the one-lane reference forms, each lane one
+/// [`f32::mul_add`]: a vector ISA overrides what its registers speed up —
+/// whole vectors widest shape first, the same lanes in the same rounding
+/// (on x86_64 behind a `#[target_feature]` call boundary).
 ///
 /// Not to be confused with `exo_isa::VectorIsa`, the *codegen-time*
 /// description of the paper's target instruction set: this trait is the
@@ -175,11 +169,6 @@ pub(crate) trait VectorIsa {
     /// Whether the running host can execute this implementation's ops.
     fn available() -> bool;
 
-    /// One scalar multiply-add `acc + a·b` in this implementation's
-    /// rounding (contracted for the native ISAs, two roundings for the
-    /// scalar reference) — the lane the vector ops generalise.
-    fn fma_scalar(acc: f32, a: f32, b: f32) -> f32;
-
     /// `lanes` multiply-adds `reg[dst+i] = reg[a+i]·bval + reg[dst+i]`,
     /// strictly ascending one lane at a time: the form taken when the
     /// operand run partially overlaps the accumulator run and the lane
@@ -191,7 +180,7 @@ pub(crate) trait VectorIsa {
     unsafe fn fma_run_inorder(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
         for i in 0..lanes {
             let d = regs.add(dst + i);
-            *d = Self::fma_scalar(*d, *regs.add(a + i), bval);
+            *d = (*regs.add(a + i)).mul_add(bval, *d);
         }
     }
 
@@ -270,12 +259,10 @@ pub(crate) struct VectorShape {
 pub(crate) struct IsaRow {
     name: &'static str,
     vector_registers: Option<usize>,
-    /// Whether a multiply-add is one rounding. Decides the scalar lane of
-    /// the emitted C too: `fmaf` when it is, multiply-then-add when not.
-    contracts_fma: bool,
     cc_flags: &'static [&'static str],
-    /// The lines the emitted C opens with: a guard that refuses a compiler
-    /// not targeting the ISA, then its intrinsics header.
+    /// The lines the emitted C opens with, just before the kernel: a guard
+    /// that refuses a compiler not targeting the ISA, then its intrinsics
+    /// header — or, for the scalar floor, its function's attribute.
     pub(crate) c_prelude: &'static [&'static str],
     /// Vector shapes, widest first; none on the scalar reference.
     pub(crate) vectors: &'static [VectorShape],
@@ -319,8 +306,8 @@ pub enum IsaKind {
     /// aarch64 NEON: 4-lane `float32x4_t` chains (8-lane superword runs
     /// re-roll into pairs).
     Neon,
-    /// The portable 1-lane reference implementation: available on every
-    /// host, bit-identical to the tape and the interpreter.
+    /// The portable 1-lane reference implementation, available on every
+    /// host.
     Scalar,
 }
 
@@ -334,7 +321,6 @@ impl IsaKind {
             IsaKind::Avx512 => &IsaRow {
                 name: "avx512",
                 vector_registers: Some(32),
-                contracts_fma: true,
                 cc_flags: &["-mavx512f", "-mavx2", "-mfma"],
                 c_prelude: &[
                     "#if !(defined(__AVX512F__) && defined(__AVX2__) && defined(__FMA__))",
@@ -357,7 +343,6 @@ impl IsaKind {
             IsaKind::Avx2 => &IsaRow {
                 name: "avx2",
                 vector_registers: Some(16),
-                contracts_fma: true,
                 cc_flags: &["-mavx2", "-mfma"],
                 c_prelude: &[
                     "#if !(defined(__AVX2__) && defined(__FMA__))",
@@ -370,7 +355,6 @@ impl IsaKind {
             IsaKind::Neon => &IsaRow {
                 name: "neon",
                 vector_registers: Some(32),
-                contracts_fma: true,
                 cc_flags: &[],
                 c_prelude: &[
                     "#ifndef __ARM_NEON",
@@ -389,9 +373,14 @@ impl IsaKind {
             IsaKind::Scalar => &IsaRow {
                 name: "scalar",
                 vector_registers: None,
-                contracts_fma: false,
                 cc_flags: &[],
-                c_prelude: &[],
+                // Built without `-mfma`, a lane's `fmaf` is a library call;
+                // an x86_64 CPU with FMA gets an inline clone at load time.
+                c_prelude: &[
+                    "#if defined(__x86_64__) && !defined(__FMA__)",
+                    "__attribute__((target_clones(\"fma\", \"default\")))",
+                    "#endif",
+                ],
                 vectors: &[],
             },
         }
@@ -413,13 +402,6 @@ impl IsaKind {
     /// reference keeps its "registers" in memory).
     pub fn vector_registers(self) -> Option<usize> {
         self.row().vector_registers
-    }
-
-    /// Whether this ISA contracts each multiply-add into a single rounding.
-    /// Contracting chains are held to [`fma_contraction_tol`] by the
-    /// differential suites; the scalar chain is held to bit equality.
-    pub fn contracts_fma(self) -> bool {
-        self.row().contracts_fma
     }
 
     /// The C compiler flags that enable this ISA, for whoever builds the
@@ -498,23 +480,10 @@ pub fn active_isa() -> IsaKind {
 }
 
 /// Whether the SIMD tier runs a *native* vector ISA on this host — i.e.
-/// [`active_isa`] resolved to something wider than the scalar reference.
-/// Differential suites use this to decide between the FMA-contraction
-/// bound (native chains contract) and bit equality (the scalar chain does
-/// not); `EXO_ISA=scalar` therefore reports `false` even on AVX2 hosts.
+/// [`active_isa`] resolved to something wider than the scalar reference;
+/// `EXO_ISA=scalar` therefore reports `false` even on AVX2 hosts.
 pub fn simd_available() -> bool {
     active_isa().lanes() > 1
-}
-
-/// The accumulation-scaled tolerance of the SIMD tier's FMA-contraction
-/// contract — the single definition every differential suite in the
-/// workspace holds `|simd − portable|` to, relative to the element
-/// magnitude (floor 1.0): the native chains contract each multiply-add
-/// into one rounding, so a `k`-deep accumulation over unit-magnitude data
-/// differs from the mul-then-add tiers by at most `2·ε·(k + 4)²`. The
-/// scalar chain does not contract and its distance is exactly zero.
-pub fn fma_contraction_tol(k: usize) -> f32 {
-    2.0 * f32::EPSILON * ((k + 4) as f32).powi(2)
 }
 
 /// The packed micro-kernel C ABI `(KC, Ac, Bc, C)` — the signature of the
@@ -547,13 +516,12 @@ struct ExecScratch {
 ///
 /// Obtained from [`SimdKernel::compile`] (a closure chain for the host's
 /// [`active_isa`]), [`SimdKernel::compile_for`] (a chain for an explicit
-/// ISA — [`IsaKind::Scalar`] is the bit-exact *portable* tier) or
+/// ISA — [`IsaKind::Scalar`] is the *portable* tier) or
 /// [`SimdKernel::from_compiled`] (ahead-of-time compiled C: the native
-/// tier). Results of the contracting ISAs are within a documented ULP
-/// bound of the portable tiers (FMA contraction), the scalar chain is
-/// bit-identical to them, and no body is ever bit-different across runs or
-/// thread counts. Every run goes through the same proved-call site, so
-/// which body a kernel carries changes speed, never safety or errors.
+/// tier). Every body computes the bits of the tape and of the reference
+/// interpreter, on every ISA, run and thread count. Every run goes through
+/// the same proved-call site, so which body a kernel carries changes speed,
+/// never results, safety or errors.
 pub struct SimdKernel {
     source: Arc<SuperwordKernel>,
     isa: IsaKind,
@@ -849,20 +817,14 @@ mod tests {
     use crate::error::CodegenError;
     use crate::exec::compile as compile_proc;
     use exo_ir::builder::*;
-    use exo_ir::{Expr, MemSpace, ScalarType};
+    use exo_ir::{Expr, MemSpace, Proc, ScalarType};
 
-    fn assert_close(x: &[f32], y: &[f32], kc: usize, what: &str) {
-        let tol = fma_contraction_tol(kc);
-        for (i, (a, b)) in x.iter().zip(y).enumerate() {
-            let scale = a.abs().max(b.abs()).max(1.0);
-            assert!((a - b).abs() <= tol * scale, "{what} at {i}: {a} vs {b} (tol {tol})");
-        }
-    }
-
-    /// The scalar tape's run of a packed call: the bit-exact anchor
-    /// (≡ interpreter) every chain is compared against.
-    fn run_reference(sw: &SuperwordKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        sw.tape().run_packed(kc, a, b, c).unwrap();
+    /// The reference interpreter's run of a packed call on a copy of `c0`:
+    /// the bits every chain computes.
+    fn reference(p: &Proc, kc: usize, a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
+        let mut c = c0.to_vec();
+        exo_ir::interp::run_packed(p, kc, a, b, &mut c).unwrap();
+        c
     }
 
     /// Every ISA the running host can execute — always at least the
@@ -874,16 +836,16 @@ mod tests {
     /// The laneq-shaped staged 8x4 kernel of the superword tests: the tape
     /// scalarises its staged tiles into exactly the lane runs the chain
     /// compiler fuses.
-    fn staged_kernels() -> (Arc<SuperwordKernel>, SimdKernel) {
-        let sw = staged_kernel(false);
+    fn staged_kernels() -> (Proc, Arc<SuperwordKernel>, SimdKernel) {
+        let (p, sw) = staged_kernel(false);
         let simd = SimdKernel::compile(Arc::clone(&sw)).expect("the scalar floor always compiles");
-        (sw, simd)
+        (p, sw, simd)
     }
 
     /// The staged 8x4 kernel, laneq-shaped (`B` staged in registers, one
     /// `VFmaLane` per column) or broadcast-B-shaped (`B` read from memory,
     /// one `VFmaBcast` per column).
-    fn staged_kernel(broadcast_b: bool) -> Arc<SuperwordKernel> {
+    fn staged_kernel(broadcast_b: bool) -> (Proc, Arc<SuperwordKernel>) {
         let (mr, nr) = (8i64, 4i64);
         let mut body = vec![
             alloc("Ct", ScalarType::F32, vec![int(nr), int(mr)], MemSpace::Neon),
@@ -923,7 +885,8 @@ mod tests {
             .tensor_arg("C", ScalarType::F32, vec![int(nr * mr)], MemSpace::Dram)
             .body(body)
             .build();
-        Arc::new(compile_proc(&p).unwrap().to_superword().unwrap())
+        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        (p, sw)
     }
 
     #[test]
@@ -961,6 +924,10 @@ mod tests {
 
     #[test]
     fn isa_lane_widths_and_contraction_contract() {
+        // Every vector shape's multiply-add is the fused intrinsic.
+        for isa in IsaKind::ALL {
+            assert!(isa.row().vectors.iter().all(|v| v.fma.contains("fma")), "{isa}");
+        }
         assert_eq!(IsaKind::Avx512.lanes(), 16);
         assert_eq!(IsaKind::Avx2.lanes(), 8);
         assert_eq!(IsaKind::Neon.lanes(), 4);
@@ -969,10 +936,6 @@ mod tests {
         assert_eq!(IsaKind::Avx2.vector_registers(), Some(16));
         assert_eq!(IsaKind::Neon.vector_registers(), Some(32));
         assert_eq!(IsaKind::Scalar.vector_registers(), None);
-        assert!(IsaKind::Avx512.contracts_fma());
-        assert!(IsaKind::Avx2.contracts_fma());
-        assert!(IsaKind::Neon.contracts_fma());
-        assert!(!IsaKind::Scalar.contracts_fma());
         assert_eq!(IsaKind::Avx512.cc_flags(), ["-mavx512f", "-mavx2", "-mfma"]);
         assert_eq!(IsaKind::Avx2.cc_flags(), ["-mavx2", "-mfma"]);
         assert!(IsaKind::Neon.cc_flags().is_empty() && IsaKind::Scalar.cc_flags().is_empty());
@@ -995,13 +958,13 @@ mod tests {
             let row = kind.row();
             assert!(row.vectors.windows(2).all(|pair| pair[0].lanes > pair[1].lanes), "{kind}");
             assert!(kind.lanes().is_multiple_of(row.narrowest_lanes()), "{kind}");
-            assert_eq!(row.vectors.is_empty(), row.c_prelude.is_empty(), "{kind}: intrinsics need a header");
+            assert!(row.vectors.is_empty() || !row.c_prelude.is_empty(), "{kind}: intrinsics need a header");
         }
     }
 
     #[test]
-    fn simd_matches_superword_within_the_fma_bound_and_fuses_tiles() {
-        let (sw, simd) = staged_kernels();
+    fn simd_matches_the_reference_bit_for_bit_and_fuses_tiles() {
+        let (p, _, simd) = staged_kernels();
         assert_eq!(simd.isa(), active_isa());
         assert!(simd.fused_tile_count() > 0, "the staged kernel's FMA runs must fuse: {simd:?}");
         assert!(simd.step_count() > 0);
@@ -1010,11 +973,9 @@ mod tests {
             let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
             let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
-            let mut c_sw = c0.clone();
-            run_reference(&sw, kc, &a, &b, &mut c_sw);
             let mut c_simd = c0.clone();
             simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-            assert_close(&c_simd, &c_sw, kc, &format!("kc={kc}"));
+            assert_eq!(c_simd, reference(&p, kc, &a, &b, &c0), "kc={kc}");
             if kc == 0 {
                 assert_eq!(c_simd, c0, "kc = 0 stages C through registers and writes it back unchanged");
             }
@@ -1023,7 +984,7 @@ mod tests {
 
     #[test]
     fn every_available_isa_compiles_the_staged_kernel_and_the_scalar_chain_is_bit_exact() {
-        let (sw, _) = staged_kernels();
+        let (p, sw, _) = staged_kernels();
         let (mr, nr) = (8usize, 4usize);
         for isa in available_isas() {
             let chain = SimdKernel::compile_for(Arc::clone(&sw), isa)
@@ -1034,22 +995,16 @@ mod tests {
                 let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
                 let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
                 let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
-                let mut c_sw = c0.clone();
-                run_reference(&sw, kc, &a, &b, &mut c_sw);
                 let mut c_chain = c0.clone();
                 chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
-                if isa.contracts_fma() {
-                    assert_close(&c_chain, &c_sw, kc, &format!("{isa} kc={kc}"));
-                } else {
-                    assert_eq!(c_chain, c_sw, "{isa} kc={kc}: the scalar chain must be bit-exact");
-                }
+                assert_eq!(c_chain, reference(&p, kc, &a, &b, &c0), "{isa} kc={kc}");
             }
         }
     }
 
     #[test]
     fn broadcast_b_runs_fuse_into_one_tile_on_every_isa_and_the_scalar_chain_is_bit_exact() {
-        let sw = staged_kernel(true);
+        let (p, sw) = staged_kernel(true);
         let (mr, nr) = (8usize, 4usize);
         for isa in available_isas() {
             let chain = SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap();
@@ -1060,22 +1015,16 @@ mod tests {
                 let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.37 - 2.0).collect();
                 let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.21 - 1.0).collect();
                 let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
-                let mut c_sw = c0.clone();
-                run_reference(&sw, kc, &a, &b, &mut c_sw);
                 let mut c_chain = c0.clone();
                 chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
-                if isa.contracts_fma() {
-                    assert_close(&c_chain, &c_sw, kc, &format!("{isa} kc={kc}"));
-                } else {
-                    assert_eq!(c_chain, c_sw, "{isa} kc={kc}: the scalar chain must be bit-exact");
-                }
+                assert_eq!(c_chain, reference(&p, kc, &a, &b, &c0), "{isa} kc={kc}");
             }
         }
     }
 
     #[test]
     fn compile_for_an_unavailable_isa_returns_none() {
-        let (sw, _) = staged_kernels();
+        let (_, sw, _) = staged_kernels();
         for isa in IsaKind::ALL {
             if !isa.available() {
                 assert!(SimdKernel::compile_for(Arc::clone(&sw), isa).is_none());
@@ -1091,16 +1040,15 @@ mod tests {
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
         let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
         let kc = 13usize;
-        let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
-        let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
+        let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.37 - 0.5).collect();
+        let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.21 - 1.0).collect();
         let c0: Vec<f32> = (0..16).map(|i| i as f32 * 0.125).collect();
-        let mut c_sw = c0.clone();
-        run_reference(&sw, kc, &a, &b, &mut c_sw);
+        let want = reference(&p, kc, &a, &b, &c0);
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap();
             let mut c_simd = c0.clone();
             simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-            assert_close(&c_simd, &c_sw, kc, &format!("{isa} scalar passthrough"));
+            assert_eq!(c_simd, want, "{isa} scalar passthrough");
         }
 
         // A broadcast-from-memory FMA (VFmaBcast) shape.
@@ -1300,7 +1248,7 @@ mod tests {
 
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
-        let (_, simd) = staged_kernels();
+        let (_, _, simd) = staged_kernels();
         let simd = Arc::new(simd);
         let mut dispatch = simd.dispatcher();
         let (mr, nr) = (8usize, 4usize);

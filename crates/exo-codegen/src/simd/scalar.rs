@@ -1,13 +1,15 @@
 //! The scalar reference implementation of [`VectorIsa`].
 //!
-//! One lane, plain `a * b + acc` multiply-then-add — **two** roundings,
-//! exactly the arithmetic of the tape and the interpreter, so a chain
-//! compiled for [`ScalarIsa`] is bit-identical to them (the differential
-//! suites assert equality, not a tolerance) — it *is* the portable tier.
-//! It is available on every host, which makes it the floor of the runtime
-//! ISA selection: `SimdKernel::compile` never fails for a generated
-//! kernel, and `EXO_ISA=scalar` pins the simd and native tiers to this
-//! implementation — same closure chains, same fusion, reference rounding.
+//! One lane, one `mul_add` per multiply-add — the fused, single-rounding
+//! arithmetic of the tape and the reference interpreter, which every ISA
+//! shares, so the chain compiled for [`ScalarIsa`] is the portable tier.
+//! On x86_64 a CPU with FMA runs each register run under one
+//! `#[target_feature(enable = "fma")]` call (a `vfmadd` per lane); one
+//! without it computes `mul_add` in software, the same bits slower. On
+//! aarch64 FMA is baseline. It is available on every host, which makes it
+//! the floor of the runtime ISA selection: `SimdKernel::compile` never
+//! fails for a generated kernel, and `EXO_ISA=scalar` pins the simd and
+//! native tiers to this implementation — same closure chains, same fusion.
 //!
 //! The impl also holds the scalar body of the strided mover: the element
 //! loops every vector body must reproduce.
@@ -15,9 +17,7 @@
 use super::mover::{Move2d, Walk};
 use super::{IsaKind, VectorIsa};
 
-/// The portable one-lane reference implementation: multiply-then-add
-/// rounding under the trait's provided one-lane bodies, available
-/// everywhere.
+/// The portable one-lane reference implementation, available everywhere.
 pub(crate) struct ScalarIsa;
 
 impl VectorIsa for ScalarIsa {
@@ -27,11 +27,27 @@ impl VectorIsa for ScalarIsa {
         true
     }
 
-    fn fma_scalar(acc: f32, a: f32, b: f32) -> f32 {
-        // Multiply then add, two roundings: the tape's `Fma` semantics,
-        // NOT `mul_add` — bit equality with the portable tiers is the
-        // whole point of this implementation.
-        a * b + acc
+    unsafe fn fma_run_inorder(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: FMA was just detected; the runs are the caller's.
+            return super::x86_64::fma_run_scalar(regs, dst, a, bval, lanes);
+        }
+        for i in 0..lanes {
+            let d = regs.add(dst + i);
+            *d = (*regs.add(a + i)).mul_add(bval, *d);
+        }
+    }
+
+    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: FMA was just detected; the runs and `b` are the caller's.
+            return super::x86_64::fma_tile_scalar(regs, dst0, a, b, lanes, count);
+        }
+        for g in 0..count {
+            Self::fma_run_inorder(regs, dst0 + g * lanes, a, *b.add(g), lanes);
+        }
     }
 
     /// The reference every vector body reproduces bit for bit, and the one

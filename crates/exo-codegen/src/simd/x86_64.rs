@@ -1,5 +1,6 @@
 //! The AVX2/FMA implementation of [`VectorIsa`]: 8-lane `__m256` chunks,
-//! a `__m128` quarter, and contracted `mul_add` scalar tails.
+//! a `__m128` quarter, and `mul_add` scalar tails — plus the `fma`-enabled
+//! one-lane bodies the scalar reference runs on a CPU with FMA.
 //!
 //! AVX2 is not a baseline x86_64 feature, so every vector body must sit
 //! behind a `#[target_feature(enable = "avx2", enable = "fma")]` call
@@ -30,10 +31,6 @@ impl VectorIsa for Avx2 {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
 
-    fn fma_scalar(acc: f32, a: f32, b: f32) -> f32 {
-        a.mul_add(b, acc)
-    }
-
     unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
         fma_run(regs, dst, a, bval, lanes)
     }
@@ -60,7 +57,7 @@ impl VectorIsa for Avx2 {
 /// `lanes` FMAs `reg[dst+i] = reg[a+i] * bval + reg[dst+i]`, ascending:
 /// whole `__m256`s, then a `__m128` quarter, then `mul_add` scalar
 /// tails. Inside this `target_feature` context the scalar `mul_add`
-/// also lowers to a single `vfmadd` — the whole tier contracts.
+/// lowers to a single `vfmadd`, not a library call.
 ///
 /// # Safety
 ///
@@ -92,13 +89,14 @@ unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize)
 }
 
 /// The strict ascending-lane form, taken when the operand run overlaps
-/// the accumulator run (whole-register loads would read stale lanes).
+/// the accumulator run (whole-register loads would read stale lanes), and
+/// the scalar reference's lanes where the CPU has FMA.
 ///
 /// # Safety
 ///
 /// Requires FMA and both register runs in bounds.
 #[target_feature(enable = "fma")]
-unsafe fn fma_run_scalar(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
+pub(crate) unsafe fn fma_run_scalar(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
     for i in 0..lanes {
         let d = regs.add(dst + i);
         *d = (*regs.add(a + i)).mul_add(bval, *d);
@@ -136,6 +134,28 @@ unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: 
             let vb = _mm_set1_ps(*b.add(g));
             _mm_storeu_ps(d, _mm_fmadd_ps(va, vb, _mm_loadu_ps(d)));
         }
+    }
+}
+
+/// The scalar reference's fused tile on a CPU with FMA: the rows of
+/// [`super::VectorIsa::fma_tile`]'s provided body, one lane at a time, under one
+/// call boundary.
+///
+/// # Safety
+///
+/// Requires FMA, all register runs in bounds and `b` valid for `count`
+/// reads.
+#[target_feature(enable = "fma")]
+pub(crate) unsafe fn fma_tile_scalar(
+    regs: *mut f32,
+    dst0: usize,
+    a: usize,
+    b: *const f32,
+    lanes: usize,
+    count: usize,
+) {
+    for g in 0..count {
+        fma_run_scalar(regs, dst0 + g * lanes, a, *b.add(g), lanes);
     }
 }
 

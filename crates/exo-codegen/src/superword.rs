@@ -21,7 +21,7 @@
 //!
 //! A [`SuperwordKernel`] is the IR every faster tier consumes — the
 //! closure chains of [`crate::simd`] (one per vector ISA, the scalar one
-//! being the bit-exact *portable* tier) and the C of
+//! being the *portable* tier) and the C of
 //! [`crate::emit_superword_c`] — and it **executes nothing unchecked
 //! itself**: every line of this module is checked Rust. What it owns is
 //! the two-part proof those executors run under; the reference they fall
@@ -43,9 +43,10 @@
 //!
 //! Packing preserves the scalar tape's exact op order within each packed
 //! group (lanes execute in ascending order, multiplication commutes
-//! bitwise), so the scalar chain is **bit-for-bit** equal to the scalar
-//! tape and the tree-walking interpreter; the differential suite in
-//! `tests/tape_exec.rs` asserts this across every registry shape.
+//! bitwise, each lane one fused multiply-add), so every chain is
+//! **bit-for-bit** equal to the scalar tape and the reference interpreter;
+//! the differential suite in `tests/tape_exec.rs` asserts this across
+//! every registry shape and ISA.
 
 use std::sync::Arc;
 

@@ -1,12 +1,11 @@
 //! Tape-compiled execution: a flat, register-allocated lowering of a
 //! [`CompiledKernel`].
 //!
-//! The tree-walking interpreter in [`crate::exec`] re-evaluates boxed
-//! expression nodes, re-linearises addresses, and re-allocates locals on
-//! every statement it touches — fine for validation, orders of magnitude off
-//! for a hot GEMM inner loop. `to_tape` compiles the same kernel once more,
-//! this time into a *tape*: a linear array of ops over a flat `f32` register
-//! file.
+//! The reference interpreter (`exo_ir::interp::run_proc`) re-evaluates
+//! expression trees and re-resolves buffers on every statement it touches —
+//! fine for validation, orders of magnitude off for a hot GEMM inner loop.
+//! `to_tape` compiles a kernel once more, into a *tape*: a linear array of
+//! ops over a flat `f32` register file.
 //!
 //! * Constant-trip loops (the register-tile loops of a micro-kernel) are
 //!   fully unrolled at tape-build time.
@@ -27,14 +26,14 @@
 //! `Tape` pin runs it on every call. No other module spells the scalar ops
 //! with checks.
 //!
-//! The tape executes the *identical* sequence of f32 operations as the
-//! interpreter (same order, same mul-then-add rounding, same f16 rounding
-//! points), so results are bit-for-bit equal — the differential suite
-//! asserts this. Constructs the tape cannot register-allocate (dynamically
-//! sized locals, data-dependent branches, non-affine addresses) fail
-//! `to_tape` with [`CodegenError::Unsupported`] — to the micro-kernel
-//! generator a generation error; a caller with a procedure of its own can
-//! still run it on the interpreter.
+//! The tape executes the interpreter's operations in the interpreter's
+//! order and rounding — one rounding per op, a reduce of a product as one
+//! fused `Fma`, `f16` rounding on the same stores — so results are bit for
+//! bit equal; the differential suites assert this. Constructs the tape
+//! cannot register-allocate (dynamically sized locals, data-dependent
+//! branches, non-affine addresses) fail `to_tape` with
+//! [`CodegenError::Unsupported`], which the micro-kernel generator reports
+//! as a generation error.
 
 use std::collections::HashMap;
 
@@ -226,8 +225,7 @@ pub(crate) enum TOp {
     Div { dst: u32, a: u32, b: u32 },
     /// `reg[dst] = -reg[src]`
     Neg { dst: u32, src: u32 },
-    /// `reg[dst] += reg[a] * reg[b]` — the hot op (mul then add, unfused,
-    /// matching the interpreter's rounding).
+    /// `reg[dst] = reg[a] * reg[b] + reg[dst]`, one rounding — the hot op.
     Fma { dst: u32, a: u32, b: u32 },
     /// `reg[dst] += reg[src]`
     AddAssign { dst: u32, src: u32 },
@@ -368,8 +366,8 @@ impl TapeKernel {
         while pc < ops.len() {
             match &ops[pc] {
                 TOp::Fma { dst, a, b } => {
-                    let v = regs[*a as usize] * regs[*b as usize];
-                    regs[*dst as usize] += v;
+                    let v = regs[*a as usize].mul_add(regs[*b as usize], regs[*dst as usize]);
+                    regs[*dst as usize] = v;
                 }
                 TOp::LoadT { dst, buf, addr } => {
                     let idx = addr.eval(&loops, scalars);
@@ -463,7 +461,6 @@ impl CompiledKernel {
     /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
     /// register-allocate: dynamically sized locals, dynamic indices into
     /// locals, data-dependent branches, and non-affine index arithmetic.
-    /// [`CompiledKernel::run_views`] still executes such a procedure.
     pub fn to_tape(&self) -> Result<TapeKernel> {
         let mut b = TapeBuilder {
             ops: Vec::new(),
@@ -564,9 +561,9 @@ impl TapeBuilder {
                     return Err(unsupported("product of two non-constant indices"));
                 }
             }
-            // Division and modulo mirror the interpreter exactly, including
-            // its divide-by-zero convention, but only for fully constant
-            // operands — anything else is not affine.
+            // Division and modulo fold, Euclidean like the interpreter's,
+            // only for fully constant operands (a zero divisor folds to 0)
+            // — anything else is not affine.
             IExpr::Div(a, b) => {
                 let (l, r) = (self.affine(a)?.as_const(), self.affine(b)?.as_const());
                 match (l, r) {
@@ -741,32 +738,32 @@ impl TapeBuilder {
             }
             Op::Reduce { buf, flat, rhs, f16 } => {
                 self.temp_reset();
-                match self.resolve(buf, flat)? {
-                    Target::Reg(r) => {
-                        if !*f16 {
-                            if let VExpr::Mul(a, b) = rhs {
-                                let (ra, _) = self.vexpr(a)?;
-                                let (rb, _) = self.vexpr(b)?;
-                                return self.push(TOp::Fma { dst: r, a: ra, b: rb });
-                            }
-                        }
-                        let (v, _) = self.vexpr(rhs)?;
-                        self.push(TOp::AddAssign { dst: r, src: v })?;
-                        if *f16 {
-                            self.push(TOp::Round { reg: r })?;
-                        }
-                        Ok(())
-                    }
-                    Target::Mem { buf, addr } => {
-                        let (v, _) = self.vexpr(rhs)?;
-                        let t = self.temp();
-                        self.push(TOp::LoadT { dst: t, buf, addr: addr.clone() })?;
-                        self.push(TOp::Add { dst: t, a: t, b: v })?;
-                        if *f16 {
-                            self.push(TOp::Round { reg: t })?;
-                        }
-                        self.push(TOp::StoreT { src: t, buf, addr })
-                    }
+                // The accumulator: the target register, or a temporary the
+                // target's element is loaded into and stored back from.
+                let (acc, mem) = match self.resolve(buf, flat)? {
+                    Target::Reg(r) => (r, None),
+                    Target::Mem { buf, addr } => (self.temp(), Some((buf, addr))),
+                };
+                let load = |tb: &mut Self| match &mem {
+                    Some((buf, addr)) => tb.push(TOp::LoadT { dst: acc, buf: *buf, addr: addr.clone() }),
+                    None => Ok(()),
+                };
+                if let VExpr::Mul(a, b) = rhs {
+                    let (ra, _) = self.vexpr(a)?;
+                    let (rb, _) = self.vexpr(b)?;
+                    load(self)?;
+                    self.push(TOp::Fma { dst: acc, a: ra, b: rb })?;
+                } else {
+                    let (v, _) = self.vexpr(rhs)?;
+                    load(self)?;
+                    self.push(TOp::AddAssign { dst: acc, src: v })?;
+                }
+                if *f16 {
+                    self.push(TOp::Round { reg: acc })?;
+                }
+                match mem {
+                    Some((buf, addr)) => self.push(TOp::StoreT { src: acc, buf, addr }),
+                    None => Ok(()),
                 }
             }
             Op::For { var, lo, hi, body } => {
@@ -883,29 +880,26 @@ mod tests {
     /// The reference kernel specialised to an 8x12 tile: signature
     /// `(KC, Ac, Bc, C)` with constant-trip tile loops, the form every
     /// generated kernel takes.
-    fn reference_tape() -> (CompiledKernel, TapeKernel) {
+    fn reference_tape() -> (exo_ir::Proc, TapeKernel) {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[8, 12]).unwrap();
-        let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
-        (compiled, tape)
+        let tape = compile(&p).unwrap().to_tape().unwrap();
+        (p, tape)
     }
 
     #[test]
     fn tape_matches_interpreter_bit_for_bit_on_the_fig5_ukernel() {
-        let (compiled, tape) = reference_tape();
+        // `C` is reduced in memory here, so the load / fused multiply-add /
+        // store lowering of a memory reduce runs; off-grid values make every
+        // rounding show.
+        let (p, tape) = reference_tape();
         let (mr, nr, kc) = (8usize, 12usize, 29usize);
-        let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
-        let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
-        let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
+        let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.37 - 2.0).collect();
+        let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.21 - 1.0).collect();
+        let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.53).collect();
 
         let (mut c_interp, mut c_tape) = (c0.clone(), c0.clone());
-        compiled
-            .run_views(
-                &[kc as i64],
-                &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_interp)],
-            )
-            .unwrap();
+        exo_ir::interp::run_packed(&p, kc, &a, &b, &mut c_interp).unwrap();
         tape.run_views(
             &[kc as i64],
             &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_tape)],
@@ -945,11 +939,10 @@ mod tests {
     #[test]
     fn fully_symbolic_kernels_fall_back_to_the_interpreter() {
         // Without partial evaluation the tile loops multiply two unknowns
-        // (`k * MR`), which is not affine: the tape refuses, and callers keep
-        // the interpreter.
+        // (`k * MR`), which is not affine: the tape refuses, and only the
+        // reference interpreter runs such a procedure.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
-        let compiled = compile(&p).unwrap();
-        assert!(matches!(compiled.to_tape(), Err(CodegenError::Unsupported { .. })));
+        assert!(matches!(compile(&p).unwrap().to_tape(), Err(CodegenError::Unsupported { .. })));
     }
 
     #[test]
@@ -970,14 +963,16 @@ mod tests {
 
     #[test]
     fn f16_rounding_matches_the_interpreter() {
+        use exo_ir::interp::{run_proc, ArgValue, TensorData};
         let p = proc("round16")
             .tensor_arg("out", ScalarType::F16, vec![int(2)], MemSpace::Dram)
             .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
             .build();
-        let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
-        let mut out_interp = vec![0.0f32, 3.0];
-        compiled.run_views(&[], &mut [TensorView::Rw(&mut out_interp)]).unwrap();
+        let tape = compile(&p).unwrap().to_tape().unwrap();
+        let mut args =
+            [ArgValue::Tensor(TensorData { dims: vec![2], data: vec![0.0, 3.0], ty: ScalarType::F16 })];
+        run_proc(&p, &mut args).unwrap();
+        let out_interp: Vec<f32> = args[0].as_tensor().unwrap().data.iter().map(|&v| v as f32).collect();
         let mut out_tape = vec![0.0f32, 3.0];
         tape.run_views(&[], &mut [TensorView::Rw(&mut out_tape)]).unwrap();
         assert_eq!(out_interp, out_tape);

@@ -5,8 +5,16 @@
 //! are behaviour-preserving: run the original and the transformed procedure on
 //! the same inputs and compare the output buffers.
 //!
-//! Values are carried in `f64` and rounded to the destination buffer's storage
-//! precision on every store, so `f32` and `f16` kernels behave faithfully.
+//! It is also *the* numeric semantics every executor of the workspace
+//! reproduces bit for bit, and it is fused, as the paper's `fmla` is:
+//!
+//! * every arithmetic op rounds once to `f32`;
+//! * a `Reduce` whose right-hand side is a product is one [`f32::mul_add`]
+//!   (a single rounding), whether its target is a register or memory;
+//! * a store to an `f16` buffer rounds that `f32` result to half.
+//!
+//! Buffers keep their elements in `f64` ([`TensorData`]), and every store
+//! rounds to the buffer's storage type.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -110,8 +118,7 @@ impl ArgValue {
 /// Counters accumulated while interpreting, used by tests and by reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterpStats {
-    /// Scalar floating-point multiply-accumulate style operations executed
-    /// (one per `Reduce` of a product, two flops each).
+    /// `Reduce` statements executed, whatever their right-hand side.
     pub reduces: u64,
     /// Scalar assignments executed.
     pub assigns: u64,
@@ -342,12 +349,12 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn eval_value(&self, e: &Expr, env: &Env) -> Result<f64, InterpError> {
+    fn eval_value(&self, e: &Expr, env: &Env) -> Result<f32, InterpError> {
         match e {
-            Expr::Int(v) => Ok(*v as f64),
-            Expr::Float(v) => Ok(*v),
+            Expr::Int(v) => Ok(*v as f32),
+            Expr::Float(v) => Ok(*v as f32),
             Expr::Var(s) => match env.get(s) {
-                Some(Binding::Int(v)) => Ok(*v as f64),
+                Some(Binding::Int(v)) => Ok(*v as f32),
                 Some(Binding::Buf(_)) => Err(InterpError::BadValueExpr { expr: s.to_string() }),
                 None => Err(InterpError::Unbound { name: s.clone() }),
             },
@@ -358,7 +365,7 @@ impl<'a> Machine<'a> {
                     None => return Err(InterpError::Unbound { name: buf.clone() }),
                 };
                 let idx_vals: Result<Vec<i64>, _> = idx.iter().map(|i| self.eval_index(i, env)).collect();
-                self.read_view(&view, buf, &idx_vals?)
+                Ok(self.read_view(&view, buf, &idx_vals?)? as f32)
             }
             Expr::Binop { op, lhs, rhs } => {
                 let a = self.eval_value(lhs, env)?;
@@ -394,16 +401,25 @@ impl<'a> Machine<'a> {
                     let view = self.lookup_view(buf, env)?;
                     let idx_vals: Result<Vec<i64>, _> = idx.iter().map(|i| self.eval_index(i, env)).collect();
                     let value = self.eval_value(rhs, env)?;
-                    self.write_view(&view, buf, &idx_vals?, value)?;
+                    self.write_view(&view, buf, &idx_vals?, value.into())?;
                     self.stats.assigns += 1;
                 }
                 Stmt::Reduce { buf, idx, rhs } => {
                     let view = self.lookup_view(buf, env)?;
                     let idx_vals: Vec<i64> =
                         idx.iter().map(|i| self.eval_index(i, env)).collect::<Result<_, _>>()?;
-                    let value = self.eval_value(rhs, env)?;
-                    let current = self.read_view(&view, buf, &idx_vals)?;
-                    self.write_view(&view, buf, &idx_vals, current + value)?;
+                    // A product is the one-rounding multiply-add the paper's `fmla` is.
+                    let next = match rhs {
+                        Expr::Binop { op: crate::expr::BinOp::Mul, lhs, rhs } => {
+                            let (a, b) = (self.eval_value(lhs, env)?, self.eval_value(rhs, env)?);
+                            a.mul_add(b, self.read_view(&view, buf, &idx_vals)? as f32)
+                        }
+                        _ => {
+                            let value = self.eval_value(rhs, env)?;
+                            self.read_view(&view, buf, &idx_vals)? as f32 + value
+                        }
+                    };
+                    self.write_view(&view, buf, &idx_vals, next.into())?;
                     self.stats.reduces += 1;
                 }
                 Stmt::For { var, lo, hi, body } => {
@@ -554,6 +570,50 @@ pub fn run_proc(p: &Proc, args: &mut [ArgValue]) -> Result<InterpStats, InterpEr
     let mut machine = Machine { args, locals: Vec::new(), stats: InterpStats::default() };
     machine.exec_block(&p.body.clone(), &mut env)?;
     Ok(machine.stats)
+}
+
+/// [`run_proc`] on a packed micro-kernel `(KC, Ac, Bc, C)` over flat
+/// row-major `f32` buffers, each shaped by its declared extents at
+/// `KC = kc`: the reference an executor's `C` is held to bit for bit.
+///
+/// # Errors
+///
+/// As [`run_proc`]; a signature of another arity is an
+/// [`InterpError::ArgCountMismatch`], and a buffer whose length is not
+/// its extents' product an [`InterpError::ArgKindMismatch`].
+pub fn run_packed(
+    p: &Proc,
+    kc: usize,
+    ac: &[f32],
+    bc: &[f32],
+    c: &mut [f32],
+) -> Result<InterpStats, InterpError> {
+    if p.args.len() != 4 {
+        return Err(InterpError::ArgCountMismatch { proc: p.name.clone(), expected: 4, got: p.args.len() });
+    }
+    let kc = kc as i64;
+    let env = Env::from([(p.args[0].name.clone(), Binding::Int(kc))]);
+    let shaper = Machine { args: &mut [], locals: Vec::new(), stats: InterpStats::default() };
+    let mut args = vec![ArgValue::Size(kc)];
+    for (formal, data) in p.args[1..].iter().zip([ac, bc, &*c]) {
+        let mismatch = || InterpError::ArgKindMismatch { name: formal.name.clone() };
+        let ArgKind::Tensor { ty, dims, .. } = &formal.kind else { return Err(mismatch()) };
+        let dims: Vec<usize> =
+            dims.iter().map(|d| Ok(shaper.eval_index(d, &env)?.max(0) as usize)).collect::<Result<_, _>>()?;
+        if dims.iter().product::<usize>() != data.len() {
+            return Err(mismatch());
+        }
+        args.push(ArgValue::Tensor(TensorData {
+            dims,
+            data: data.iter().map(|&v| v.into()).collect(),
+            ty: *ty,
+        }));
+    }
+    let stats = run_proc(p, &mut args)?;
+    if let Some(ArgValue::Tensor(out)) = args.get(3) {
+        c.iter_mut().zip(&out.data).for_each(|(c, &v)| *c = v as f32);
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]

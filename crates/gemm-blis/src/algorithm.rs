@@ -211,6 +211,8 @@ struct RawMat {
 // SAFETY: see the type docs — workers touch disjoint element sets, which
 // the driver guarantees by partitioning `C` into disjoint windows.
 unsafe impl Send for RawMat {}
+// SAFETY: as for `Send`: a shared `RawMat` is only the pointer each worker
+// derives its own disjoint window from.
 unsafe impl Sync for RawMat {}
 
 impl RawMat {
@@ -949,37 +951,25 @@ mod tests {
 
     #[test]
     fn the_default_kernel_is_the_generated_8x12_with_the_plain_loops_bits() {
-        // The default is the generated 8x12 on the portable tier, which
-        // rounds every product and every sum on its own: the bits of a
-        // mul-then-add loop in `k` order over `alpha * a`, started from
-        // `beta * c` (from zero when `beta == 0`, which never reads `C`).
-        // Off-grid inputs, so every rounding shows.
+        // The default is the generated 8x12 on the portable tier: the bits
+        // of `NaiveGemm`'s plain loops, one fused multiply-add per `k` over
+        // `alpha * a`, started from `beta * c` (from zero when `beta == 0`,
+        // which never reads `C`). Off-grid inputs, so every rounding shows.
         let driver = BlisGemm::new(BlockingParams { mc: 24, kc: 16, nc: 36, mr: 8, nr: 12 });
         let alpha = -1.3f32;
         for (m, n, k) in [(8usize, 12usize, 16usize), (13, 29, 37), (50, 45, 23), (1, 7, 40)] {
             let a = Matrix::from_fn(m, k, |i, p| ((i * 7 + p * 3 + 1) % 13) as f32 * 0.3 - 1.7);
             let b = Matrix::from_fn(k, n, |p, j| ((p * 5 + j * 11 + 2) % 17) as f32 * 0.11 - 0.9);
             for (beta, col_major) in [(0.0f32, false), (0.75, false), (0.0, true), (0.75, true)] {
-                let at = |i: usize, j: usize| if col_major { j * m + i } else { i * n + j };
                 let start = |x: usize| if beta == 0.0 { f32::NAN } else { (x % 7) as f32 * 0.37 - 1.1 };
                 let mut c: Vec<f32> = (0..m * n).map(start).collect();
                 let mut want = c.clone();
-                for i in 0..m {
-                    for j in 0..n {
-                        let mut acc = if beta == 0.0 { 0.0 } else { beta * want[at(i, j)] };
-                        for p in 0..k {
-                            acc += (alpha * a.get(i, p)) * b.get(p, j);
-                        }
-                        want[at(i, j)] = acc;
-                    }
-                }
-                let view = if col_major {
-                    MatMut::col_major(&mut c, m, n)
-                } else {
-                    MatMut::from_slice(&mut c, m, n)
+                let run = |gemm: &dyn GemmExecutor, c: &mut [f32]| {
+                    let c = if col_major { MatMut::col_major(c, m, n) } else { MatMut::from_slice(c, m, n) };
+                    gemm.gemm(GemmProblem::new(a.view(), b.view(), c).alpha(alpha).beta(beta)).unwrap()
                 };
-                let stats =
-                    driver.gemm(GemmProblem::new(a.view(), b.view(), view).alpha(alpha).beta(beta)).unwrap();
+                run(&NaiveGemm, &mut want);
+                let stats = run(&driver, &mut c);
                 assert_eq!(
                     (&*stats.kernel, stats.tier),
                     ("EXO 8x12 (superword)", Some(ExecBackend::Superword))

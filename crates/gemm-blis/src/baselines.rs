@@ -90,8 +90,8 @@ impl KernelImpl {
     /// last: a handle built while the native artifact is still compiling
     /// starts on the simd chain, and the engine that holds it refreshes it
     /// from this kernel ([`TierDispatch::refresh`]) at the top of every
-    /// GEMM until it reaches the tier it asked for — bit-identical on a
-    /// matching ISA, so the switch is invisible except for speed.
+    /// GEMM until it reaches the tier it asked for — bit-identical, so the
+    /// switch is invisible except for speed.
     pub fn dispatcher(&self) -> TierDispatch {
         self.generated.dispatcher(self.backend)
     }
@@ -213,7 +213,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> ModelledKernel {
 /// series). Executes through the ahead-of-time compiled native artifact
 /// when the host has a C toolchain (the fastest tier), and bit-faithfully
 /// on the in-process SIMD chain of the active vector ISA (AVX-512,
-/// AVX2/FMA, NEON, or the bit-exact scalar reference) when it does not —
+/// AVX2/FMA, NEON, or the scalar reference) when it does not —
 /// [`TierDispatch::tier`] says which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
@@ -240,7 +240,7 @@ fn exo_name(mr: usize, nr: usize, backend: ExecBackend) -> Arc<str> {
 
 /// Like [`exo_kernel`] but pinned to the in-process SIMD chain — the
 /// fastest tier that needs no C toolchain, and the one the native tier
-/// must match bit for bit on the same ISA. The pin lets the differential
+/// must match bit for bit. The pin lets the differential
 /// tests and benches compare the compiled artifact against the chain it
 /// was lowered from.
 pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
@@ -249,9 +249,9 @@ pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 
 /// Like [`exo_kernel`] but pinned to the portable tier — the superword
 /// lowering executed by the scalar-ISA chain, bit-for-bit identical to
-/// tape and interpreter on every host. The pin lets the differential
-/// tests and benches compare the contracting chains against the bit-exact
-/// one, and is what the serving layer's retry degrades simd onto.
+/// every other tier on every host. The pin lets the benches time the
+/// vector chains against the scalar one, and is what the serving layer's
+/// retry degrades simd onto.
 pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     exo_kernel(kernel).with_backend(ExecBackend::Superword)
 }
@@ -280,7 +280,6 @@ pub(crate) fn default_kernel() -> KernelImpl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_codegen::TensorView;
     use exo_isa::neon_f32;
     use ukernel_gen::MicroKernelGenerator;
 
@@ -299,9 +298,8 @@ mod tests {
             }
         }
         for (x, y) in c.iter().zip(&c_ref) {
-            // Relative tolerance: the SIMD default contracts the FMA, so
-            // generated kernels are ULP-close, not bit-equal, to the
-            // mul-then-add reference.
+            // Relative tolerance: the kernels fuse each multiply-add, this
+            // loop does not.
             assert!((x - y).abs() < 1e-3 * y.abs().max(1.0), "{} mismatch: {x} vs {y}", kernel.name);
         }
     }
@@ -366,36 +364,30 @@ mod tests {
     }
 
     #[test]
-    fn pinned_backends_agree_within_the_fma_bound_and_portable_tiers_bitwise() {
-        // The portable tiers are bit-identical; the native default is
-        // bit-faithful to the simd pin (same artifact or silent fallback
-        // to the same chain), and both stay within the FMA-contraction
-        // bound of the portable tiers.
+    fn pinned_backends_agree_with_the_reference_bit_for_bit() {
+        // Every pin computes the reference interpreter's bits: the native
+        // default (its artifact, or the silent fallback to the chain), the
+        // simd chain, the portable chain and the tape.
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 12).unwrap());
         let kc = 37usize;
-        let a: Vec<f32> = (0..kc * 8).map(|i| ((i * 7 + 3) % 13) as f32 * 0.25 - 1.5).collect();
-        let b: Vec<f32> = (0..kc * 12).map(|i| ((i * 5 + 1) % 11) as f32 * 0.125 - 0.5).collect();
+        let a: Vec<f32> = (0..kc * 8).map(|i| ((i * 7 + 3) % 13) as f32 * 0.37 - 1.5).collect();
+        let b: Vec<f32> = (0..kc * 12).map(|i| ((i * 5 + 1) % 11) as f32 * 0.21 - 0.5).collect();
         let c0: Vec<f32> = (0..96).map(|i| (i % 5) as f32 * 0.5).collect();
         let run = |imp: &KernelImpl| {
             let mut c = c0.clone();
             imp.run(kc, &a, &b, &mut c).unwrap();
             c
         };
-        let c_native = run(&exo_kernel(Arc::clone(&kernel)));
-        let c_simd = run(&exo_kernel_simd(Arc::clone(&kernel)));
-        let c_sw = run(&exo_kernel_superword(Arc::clone(&kernel)));
-        let c_tape = run(&exo_kernel_tape(Arc::clone(&kernel)));
         let mut c_interp = c0.clone();
-        let views = &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_interp)];
-        kernel.compiled.run_views(&[kc as i64], views).unwrap();
-        assert_eq!(c_native, c_simd, "the native tier is bit-faithful to the simd chain");
-        assert_eq!(c_sw, c_tape, "superword and tape are bit-identical");
-        assert_eq!(c_tape, c_interp, "tape and interpreter are bit-identical");
-        let tol = exo_codegen::fma_contraction_tol(kc);
-        for (i, (x, y)) in c_simd.iter().zip(&c_sw).enumerate() {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            assert!((x - y).abs() <= tol * scale, "simd vs superword at {i}: {x} vs {y}");
+        exo_ir::interp::run_packed(&kernel.proc, kc, &a, &b, &mut c_interp).unwrap();
+        for imp in [
+            exo_kernel(Arc::clone(&kernel)),
+            exo_kernel_simd(Arc::clone(&kernel)),
+            exo_kernel_superword(Arc::clone(&kernel)),
+            exo_kernel_tape(Arc::clone(&kernel)),
+        ] {
+            assert_eq!(run(&imp), c_interp, "{} vs the interpreter", imp.name);
         }
         // The dispatch handle of each pin matches its one-shot run
         // bit-for-bit (same tier, same op order).

@@ -239,10 +239,14 @@ pub trait GemmExecutor {
 }
 
 /// The strided reference executor: a straight `(i, j, k)` triple loop over
-/// the views, one `f32` accumulator per output element, `k` ascending.
+/// the views, one `f32` accumulator per output element, `k` ascending, in
+/// the engine's arithmetic — the accumulator starts at `beta·c` (at zero
+/// when `beta == 0`) and takes `(alpha·a[i,p]).mul_add(b[p,j], acc)` per
+/// `p`.
 ///
 /// Slow and obviously correct — the ground truth the differential suites
-/// compare every other [`GemmExecutor`] against.
+/// compare every other [`GemmExecutor`] against, and bit for bit what the
+/// five-loop driver computes with any kernel, tile, blocking and ISA.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NaiveGemm;
 
@@ -257,17 +261,13 @@ impl GemmExecutor for NaiveGemm {
             for j in 0..n {
                 // beta == 0 must not read C (it may hold NaN), and
                 // alpha == 0 must not read A or B.
-                let base = if beta == 0.0 { 0.0 } else { beta * c.get(i, j) };
-                let update = if alpha == 0.0 {
-                    0.0
-                } else {
-                    let mut acc = 0.0f32;
+                let mut acc = if beta == 0.0 { 0.0 } else { beta * c.get(i, j) };
+                if alpha != 0.0 {
                     for p in 0..k {
-                        acc += a.get(i, p) * b.get(p, j);
+                        acc = (alpha * a.get(i, p)).mul_add(b.get(p, j), acc);
                     }
-                    alpha * acc
-                };
-                c.set(i, j, base + update);
+                }
+                c.set(i, j, acc);
             }
         }
         let flop_count = GemmStats::flops_for(m, n, k, alpha);

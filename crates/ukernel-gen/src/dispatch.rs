@@ -7,9 +7,9 @@
 //! request for one — a pin — resolves to itself. The fourth, the native
 //! tier, is compiled in the background: [`ExecBackend::Native`] serves on
 //! the simd chain until its artifact promotes, and that is the ladder's one
-//! edge. The tree-walking interpreter ([`GeneratedKernel::compiled`]) is not
-//! a rung: it is the reference semantics the tiers are tested against, and
-//! the tests call it directly.
+//! edge. The reference interpreter (`exo_ir::interp::run_proc` of
+//! [`GeneratedKernel::proc`]) is not a rung: it is the semantics every tier
+//! computes bit for bit, and the tests call it directly.
 //! [`GeneratedKernel::dispatcher`] is the **one** function in the workspace
 //! that maps a requested [`ExecBackend`] onto the tier that runs, and every
 //! entry point — one-shot runs, the handle each GEMM engine holds and calls
@@ -30,26 +30,23 @@ use crate::generator::GeneratedKernel;
 /// the GEMM driver: the `backend` of its kernel). Which vector ISA the
 /// `native` and `simd` tiers target is a separate, process-wide choice:
 /// `EXO_ISA` (see [`exo_codegen::active_isa`]) — every host at least gets
-/// the bit-exact scalar chain.
+/// the scalar chain. Every tier computes the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Ahead-of-time compiled native code: the superword tape lowered to
     /// C, built into a dylib by the host toolchain (`cc`, or the `EXO_CC`
     /// override) and called through a raw function pointer — the fastest
     /// tier and the default. Guarded by the same affine-interval proofs
-    /// as the simd tier and bit-identical to it on the matching ISA, so
+    /// as the simd tier and bit-identical to it, so
     /// serving on simd while the build is in flight (or for good: no
     /// toolchain, emission decline, build failure) changes speed, never
     /// results.
     #[default]
     Native,
     /// The in-process vector closure chain of the widest available ISA
-    /// (AVX-512 or AVX2/FMA on x86_64, NEON on aarch64, bit-exact scalar everywhere;
+    /// (AVX-512 or AVX2/FMA on x86_64, NEON on aarch64, scalar everywhere;
     /// pin one with `EXO_ISA`) — the fastest tier that needs no C
-    /// toolchain. Results of the contracting ISAs are within the
-    /// documented FMA-contraction ULP bound of the portable tiers (FMA
-    /// contracts the multiply-add into one rounding); the scalar chain is
-    /// bit-identical to them.
+    /// toolchain.
     Simd,
     /// The portable tier: the superword lowering executed by the
     /// scalar-ISA closure chain — bit-for-bit identical to the tape and the

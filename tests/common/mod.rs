@@ -40,25 +40,6 @@ impl Cases {
     }
 }
 
-/// Asserts the two result buffers are within the SIMD tier's
-/// FMA-contraction bound (`exo_codegen::fma_contraction_tol`, the single
-/// workspace-wide definition) of each other, elementwise, relative to the
-/// element magnitude (floor 1.0). Where the active ISA is the scalar
-/// reference the simd tier *is* the portable chain and the distance is
-/// exactly zero.
-#[allow(dead_code)]
-pub fn assert_fma_close(x: &[f32], y: &[f32], k: usize, label: &str) {
-    assert_eq!(x.len(), y.len(), "{label}: length mismatch");
-    let tol = exo_gemm::exo_codegen::fma_contraction_tol(k);
-    for (i, (a, b)) in x.iter().zip(y).enumerate() {
-        let scale = a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() <= tol * scale,
-            "{label} at {i}: {a} vs {b} exceeds the FMA-contraction bound {tol}"
-        );
-    }
-}
-
 /// One operand held in a randomly chosen strided layout. The view covers a
 /// `rows x cols` logical matrix; the backing buffer may be larger (padding,
 /// enclosing matrix), and the padding holds garbage on purpose.
@@ -124,7 +105,8 @@ impl Stored {
 
 /// The inline strided reference: the BLAS contract, spelled out directly
 /// over the stored layouts (no view machinery), one accumulator per output
-/// element, `k` ascending.
+/// element, `k` ascending, in `NaiveGemm`'s arithmetic — from `beta·c`, one
+/// fused multiply-add of `alpha·a` per `k`.
 #[allow(dead_code)]
 #[allow(clippy::too_many_arguments)]
 pub fn reference(
@@ -144,17 +126,13 @@ pub fn reference(
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
         for j in 0..n {
-            let base = if beta == 0.0 { 0.0 } else { beta * c0.get(i, j) };
-            let update = if alpha == 0.0 {
-                0.0
-            } else {
-                let mut acc = 0.0f32;
+            let mut acc = if beta == 0.0 { 0.0 } else { beta * c0.get(i, j) };
+            if alpha != 0.0 {
                 for p in 0..k {
-                    acc += a_at(i, p) * b_at(p, j);
+                    acc = (alpha * a_at(i, p)).mul_add(b_at(p, j), acc);
                 }
-                alpha * acc
-            };
-            out[i * n + j] = base + update;
+            }
+            out[i * n + j] = acc;
         }
     }
     out

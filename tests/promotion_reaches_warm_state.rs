@@ -22,7 +22,7 @@ use exo_gemm::ukernel_gen::GeneratedKernel;
 use exo_gemm::{GemmExecutor, GemmProblem, GemmStats};
 
 /// `A`, `B` and the initial `C` of an `m x n x k` problem, off the dyadic
-/// grid so the contracting tiers round differently from the portable ones.
+/// grid so every rounding shows in the bits the tiers must agree on.
 fn operands(m: usize, n: usize, k: usize) -> (OwnedMat, OwnedMat, OwnedMat) {
     (
         OwnedMat::from_fn(m, k, |i, j| ((i * 7 + j * 3 + 1) % 13) as f32 * 0.37 - 1.1),
@@ -54,7 +54,7 @@ fn promotion_reaches(
     let settled = kernel.native_wait();
     let (warm_bits, warm) = run();
     assert_eq!(built(), built_cold, "{door}: the second run built a runner");
-    assert_eq!(warm_bits, cold_bits, "{door}: native and simd are bit-identical on a matching ISA");
+    assert_eq!(warm_bits, cold_bits, "{door}: native and simd are bit-identical");
     if !native_available() {
         println!("{door}: no C toolchain answered the probe, so nothing can promote: both runs stay on simd");
         assert_eq!((cold.tier, warm.tier), (Some(ExecBackend::Simd), Some(ExecBackend::Simd)), "{door}");

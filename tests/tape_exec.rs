@@ -4,22 +4,14 @@
 //! lowering), the in-process SIMD chain (compiled per vector ISA — AVX-512,
 //! AVX2/FMA, NEON, or the scalar reference), the portable tier (the
 //! scalar-ISA chain — what the `superword` pin runs), the scalar tape, the
-//! tree-walking interpreter (no tier: the reference, called directly on
-//! the packed operands a tier ran), and the naive reference must agree.
-//! Where the computation is literally the same sequence of f32 operations
-//! (portable vs. tape vs. interpreter — the tape being the checked
-//! reference of the superword lowering — 1 vs. N threads, row-block vs.
-//! column-block partition — and any one SIMD chain against *itself*
-//! across thread counts), they must agree **bit for bit**.
-//! The native tier is emitted so that each lane performs the same fused
-//! (or, on the scalar floor, unfused) operations as the simd chain, so
-//! native vs. simd is held to exact equality on every host — including
-//! hosts without a C toolchain, where "native" silently *is* the simd
-//! chain. The native ISAs contract their FMAs, so against the portable
-//! tiers they are held to the accumulation-scaled ULP bound of
-//! `common::assert_fma_close`; the scalar ISA chain does not contract
-//! and is held to exact equality — which is also what `EXO_ISA=scalar`
-//! (the CI forced-scalar leg) pins process-wide.
+//! reference interpreter (`exo_ir::interp::run_proc` — no tier, called
+//! directly on the packed operands a tier ran), and the naive reference
+//! must agree. Every tier performs the interpreter's operations in its
+//! order, each multiply-add one fused rounding, so all of them agree **bit
+//! for bit**, on every ISA — native vs. simd vs. portable vs. tape vs.
+//! interpreter, 1 vs. N threads, row-block vs. column-block partition.
+//! `EXO_ISA=scalar` (the CI forced-scalar leg) and `EXO_ISA=avx2` pin the
+//! simd and native tiers process-wide; the assertions do not change.
 //! `EXO_CC=/nonexistent/cc` (the CI poisoned-toolchain leg) disables
 //! only the ahead-of-time tier; every test here must still pass, with
 //! the native legs collapsing onto the simd chain.
@@ -32,8 +24,10 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_fma_close, Cases};
-use exo_gemm::exo_codegen::{emit_superword_c, SimdKernel, SuperwordKernel, TensorView};
+use common::Cases;
+use exo_gemm::exo_codegen::{emit_superword_c, SimdKernel};
+use exo_gemm::exo_ir::interp::run_packed;
+use exo_gemm::exo_ir::Proc;
 use exo_gemm::exo_isa::{avx512_f32, neon_f32};
 use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
@@ -41,20 +35,13 @@ use exo_gemm::gemm_blis::{
     native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind,
     Matrix,
 };
-use exo_gemm::ukernel_gen::{GeneratedKernel, KernelCache, KernelSet, MicroKernelGenerator, Strategy};
+use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator, Strategy};
 
-/// The superword lowering's checked reference run of a packed call — the
-/// scalar tape it was packed from, the executor that trusts no proof.
-fn run_reference(sw: &SuperwordKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    sw.run_checked(&[kc as i64], &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(c)]).unwrap();
-}
-
-/// The reference semantics of a packed call: the tree-walking interpreter
-/// of the scheduled procedure, run on a copy of `c0`.
-fn interpret(kernel: &GeneratedKernel, kc: usize, a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
+/// The reference semantics of a packed call: the interpreter of the
+/// scheduled procedure, run on a copy of `c0`.
+fn interpret(p: &Proc, kc: usize, a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
     let mut c = c0.to_vec();
-    let views = &mut [TensorView::Ro(a), TensorView::Ro(b), TensorView::Rw(&mut c)];
-    kernel.compiled.run_views(&[kc as i64], views).unwrap();
+    run_packed(p, kc, a, b, &mut c).unwrap();
     c
 }
 
@@ -68,12 +55,10 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
 /// Five-way differential on every registry tile shape, and on every tile
 /// of the AVX-512 serving space (the `avx512_f32` library's broadcast
 /// kernels), across several KC values including `k = 0` and `k = 1`:
-/// portable ≡ tape ≡ interpreter bit-for-bit, the SIMD chain within the
-/// FMA-contraction bound, and the
-/// ahead-of-time native tier **bit-identical to the SIMD chain** — with a
-/// toolchain because the emitted C performs the same per-lane fused ops
-/// (`__m512` ones on an AVX-512 host), without one because the fallback
-/// *is* the chain.
+/// native ≡ simd ≡ portable ≡ tape ≡ interpreter bit for bit — the native
+/// tier with a toolchain because the emitted C performs the same per-lane
+/// fused ops (`__m512` ones on an AVX-512 host), without one because the
+/// fallback *is* the chain.
 #[test]
 fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
     let avx512_tiles: Vec<(usize, usize)> =
@@ -111,15 +96,12 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
             assert_eq!(c_simd, run_on(ExecBackend::Simd), "{mr}x{nr} kc={kc}: run_packed is the simd tier");
             let c_sw = run_on(ExecBackend::Superword);
             let c_tape = run_on(ExecBackend::Tape);
-            let c_interp = interpret(&kernel, kc, &a, &b, &c0);
+            let c_interp = interpret(&kernel.proc, kc, &a, &b, &c0);
             let c_native = run_on(ExecBackend::Native);
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native must be bit-faithful to simd");
+            assert_eq!(c_simd, c_sw, "{mr}x{nr} kc={kc}: simd vs portable chain");
             assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable chain vs tape");
             assert_eq!(c_tape, c_interp, "{mr}x{nr} kc={kc}: tape vs interpreter");
-            assert_fma_close(&c_simd, &c_sw, kc, &format!("{mr}x{nr} kc={kc}: simd vs superword"));
-            if kc == 0 {
-                assert_eq!(c_simd, c_sw, "{mr}x{nr} kc=0: no FMA executes, all tiers bit-equal");
-            }
         }
     }
     // The cache compiled each tape, superword, and simd lowering exactly
@@ -128,10 +110,8 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
 }
 
 /// All four tiers agree with `naive_gemm` (to accumulation tolerance) on
-/// fringe-heavy problems through the full five-loop driver; the portable
-/// driver runs are bit-identical to each other, the native (default)
-/// driver run is bit-identical to the pinned-simd run, and both stay
-/// within the FMA bound of the portable tiers.
+/// fringe-heavy problems through the full five-loop driver, and with each
+/// other bit for bit.
 #[test]
 fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -173,12 +153,7 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
                 c_sw.data,
                 "{mr}x{nr} on {m}x{n}x{k}: the programmatic pin is the dedicated pin through the driver"
             );
-            assert_fma_close(
-                &c_simd.data,
-                &c_sw.data,
-                k,
-                &format!("{mr}x{nr} on {m}x{n}x{k}: simd vs superword driver"),
-            );
+            assert_eq!(c_simd.data, c_sw.data, "{mr}x{nr} on {m}x{n}x{k}: simd vs superword driver");
 
             let mut c_ref = c0.clone();
             naive_gemm(&a, &b, &mut c_ref);
@@ -199,10 +174,9 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 /// programmatically with `with_backend` or by the dedicated `exo_kernel_*`
 /// constructor — run one-shot through `KernelImpl::run` and through a
 /// reusable `dispatcher()` handle lands on the tier the one resolution
-/// function names, and the tiers hold their contracts: portable ≡ tape ≡
-/// interp bit for bit, native ≡ simd bit for bit (matching ISA — or no
-/// artifact, where native *is* simd), and both within the FMA-contraction
-/// bound of portable.
+/// function names, and the tiers hold their contract: native ≡ simd ≡
+/// portable ≡ tape ≡ interp bit for bit (native without an artifact *is*
+/// simd).
 #[test]
 fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
     use ExecBackend::*;
@@ -248,23 +222,20 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
             .collect();
             let [c_native, c_simd, c_sw, c_tape] = &results[..] else { unreachable!() };
             assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable vs tape");
-            assert_eq!(c_tape, &interpret(&kernel, kc, &a, &b, &c0), "{mr}x{nr} kc={kc}: tape vs interp");
+            assert_eq!(
+                c_tape,
+                &interpret(&kernel.proc, kc, &a, &b, &c0),
+                "{mr}x{nr} kc={kc}: tape vs interp"
+            );
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native vs simd");
-            assert_fma_close(c_simd, c_sw, kc, &format!("{mr}x{nr} kc={kc}: simd vs portable"));
-            if !active_isa().contracts_fma() {
-                assert_eq!(
-                    c_simd, c_sw,
-                    "{mr}x{nr} kc={kc}: the scalar ISA's simd tier *is* the portable tier"
-                );
-            }
+            assert_eq!(c_simd, c_sw, "{mr}x{nr} kc={kc}: simd vs portable");
         }
     }
 }
 
 /// `threads = 1` and `threads = N` produce identical `C` on the default
 /// tier: the workers' windows hold disjoint row blocks, each computed in
-/// the same order — the chain is deterministic, so even the contracted
-/// FMAs agree bit-for-bit across thread counts.
+/// the same order.
 #[test]
 fn thread_count_never_changes_the_result() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -341,10 +312,7 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
 /// The ISA axis of the differential suite: for every registry shape and
 /// every vector ISA the host can run, the chain compiled *for that ISA*
 /// (via `SimdKernel::compile_for`, independent of the `EXO_ISA` pin) must
-/// agree with the superword lowering's checked reference — the scalar
-/// chain (the portable tier) **bit for bit** (it rounds multiply-then-add
-/// exactly like tape and interpreter), the native vector chains within
-/// the documented FMA-contraction bound.
+/// compute the reference interpreter's bits.
 #[test]
 fn every_available_isa_matches_superword_across_registry_shapes() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -360,15 +328,10 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
             assert_eq!(chain.isa(), isa);
             for kc in [0usize, 1, 2, 17, 64] {
                 let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
-                let mut c_sw = c0.clone();
-                run_reference(sw, kc, &a, &b, &mut c_sw);
                 let mut c_chain = c0.clone();
                 chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
-                if isa.contracts_fma() {
-                    assert_fma_close(&c_chain, &c_sw, kc, &format!("{mr}x{nr} kc={kc}: {isa} vs superword"));
-                } else {
-                    assert_eq!(c_chain, c_sw, "{mr}x{nr} kc={kc}: the scalar chain must be bit-exact");
-                }
+                let want = interpret(&kernel.proc, kc, &a, &b, &c0);
+                assert_eq!(c_chain, want, "{mr}x{nr} kc={kc}: {isa} vs the interpreter");
             }
         }
     }
@@ -469,15 +432,21 @@ fn every_lane_indexed_serving_tile_fuses_its_k_loop_on_the_chain() {
 /// accumulators are narrower than 8 lanes or not a whole number of them —
 /// 4x24, 4x20, 4x16, 4x12, 4x8, 4x4, 12x8 and 12x4 — none of which the
 /// AVX2 serving space admits (those are held per tile below).
+///
+/// All four were re-recorded when every tier took one fused semantics:
+/// the scalar floor's lanes became `fmaf` calls (in a function with an
+/// FMA clone for x86_64), and the scalar-strategy 3x5 tile, the one kernel
+/// here that reduces into memory, prints that reduce as a fused
+/// multiply-add on every ISA. No vector ISA's tile of the space moved.
 #[test]
 fn the_emitted_c_of_every_isa_is_byte_stable() {
     use exo_gemm::exo_aot::content_hash;
     use exo_gemm::ukernel_gen::KernelOptions;
     let golden: [(&str, u64); 4] = [
-        ("avx512", 0x29e2_edec_786e_857b),
-        ("avx2", 0x3952_1ce3_2ab0_067c),
-        ("neon", 0xdae8_18c7_11cc_8483),
-        ("scalar", 0xdbc2_dae6_3885_1b65),
+        ("avx512", 0xa9c4_9792_65f6_dd49),
+        ("avx2", 0xe417_a0fe_b8af_1758),
+        ("neon", 0x84c8_ee55_54c4_fba1),
+        ("scalar", 0x04e1_c97c_0ba7_296e),
     ];
     assert_eq!(golden.map(|(name, _)| name), IsaKind::ALL.map(IsaKind::name), "one hash per ISA");
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -572,9 +541,8 @@ fn every_exact_shape_call_is_provable_so_no_gemm_reaches_the_checked_tape() {
 /// The fringe axis: a staged kernel whose lane runs (6 and 3) are *not*
 /// multiples of any native vector width, so no chain may fuse them into a
 /// tile and each finishes its runs below its widest shape (one whole
-/// `float32x4_t` / `__m128` plus two contracted scalar lanes per 6-lane
-/// run). Every available ISA must still agree with the superword reference
-/// under the same per-ISA contract as the registry shapes.
+/// `float32x4_t` / `__m128` plus two fused scalar lanes per 6-lane run).
+/// Every available ISA must still compute the interpreter's bits.
 #[test]
 fn fringe_lane_runs_finish_in_narrower_shapes_and_scalar_lanes_on_every_isa() {
     use exo_gemm::exo_ir::builder::*;
@@ -665,15 +633,10 @@ fn fringe_lane_runs_finish_in_narrower_shapes_and_scalar_lanes_on_every_isa() {
             .unwrap_or_else(|| panic!("{isa} declined the fringe kernel"));
         for kc in [0usize, 1, 2, 17, 64] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
-            let mut c_sw = c0.clone();
-            run_reference(&sw, kc, &a, &b, &mut c_sw);
             let mut c_chain = c0.clone();
             chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
-            if isa.contracts_fma() {
-                assert_fma_close(&c_chain, &c_sw, kc, &format!("fringe {mr}x{nr} kc={kc}: {isa}"));
-            } else {
-                assert_eq!(c_chain, c_sw, "fringe {mr}x{nr} kc={kc}: scalar chain must be bit-exact");
-            }
+            let want = interpret(&p, kc, &a, &b, &c0);
+            assert_eq!(c_chain, want, "fringe {mr}x{nr} kc={kc}: {isa} vs the interpreter");
         }
     }
 }

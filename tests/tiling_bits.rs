@@ -2,15 +2,15 @@
 //! into the packed `A` panel (one multiply), applies `beta` as a `C` tile is
 //! staged in on the first `k`-block and moves it untouched after, and every
 //! micro-kernel accumulates an element of `C` as one `k`-ordered chain of
-//! the executing ISA's multiply-adds — fused on the vector ISAs, two
-//! roundings on the scalar reference, one lane at a time either way. So a
-//! GEMM's result depends neither on the register tile, nor on the library
-//! or strategy that scheduled it, nor on the `kc` that cut its chain into
+//! fused multiply-adds, one lane at a time, on every ISA. So a GEMM's
+//! result depends neither on the register tile, nor on the library or
+//! strategy that scheduled it, nor on the `kc` that cut its chain into
 //! blocks: `TunedGemm`, whatever tile and blocking it picks for a shape,
 //! equals `BlisGemm` with the fixed Neon 8x12 on the analytical blocking
-//! **bit for bit**, on every ISA (`EXO_ISA=scalar` included), whichever of
-//! the native artifact and the simd chain runs a call. Nor does it depend
-//! on where the caller's operands start relative to a cache line.
+//! — and `NaiveGemm`'s plain loops — **bit for bit**, on every ISA
+//! (`EXO_ISA=scalar` included), whichever of the native artifact and the
+//! simd chain runs a call. Nor does it depend on where the caller's
+//! operands start relative to a cache line.
 
 mod common;
 
@@ -23,7 +23,7 @@ use exo_gemm::dnn_models::{resnet50_table, vgg16_table};
 use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::exo_tune::TunedGemm;
 use exo_gemm::gemm_blis::{
-    exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, MatMut, MatRef, Matrix,
+    exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, MatMut, MatRef, Matrix, NaiveGemm,
 };
 use exo_gemm::ukernel_gen::MicroKernelGenerator;
 
@@ -85,6 +85,43 @@ fn every_tiling_computes_the_same_bits() {
         tilings.iter().any(|&(mr, nr, _)| (mr, nr) != (8, 12)),
         "the tuner served no tile but the reference's: {tilings:?}"
     );
+}
+
+/// `NaiveGemm` is the one bit-exact reference for the driver: its plain
+/// loops run the engine's arithmetic — the accumulator starts at `beta·c`
+/// and takes one fused multiply-add of `alpha·a` per `k` — so a served
+/// GEMM equals it bit for bit on every ISA, on the `serve_small` shapes and
+/// on a layer whose `k` the verdict's `kc` cuts into blocks (its first 13
+/// rows: a row fringe of every tile, at a tenth of the layer's time).
+#[test]
+fn naive_gemm_is_the_bits_of_every_tiling() {
+    let tuned = TunedGemm::new().with_threads(2);
+    let mut shapes: Vec<_> = SERVE_SMALL.iter().map(|&(m, n, k)| (m, n, k, m)).collect();
+    shapes.push((49, 512, 4608, 13));
+    let mut cases = Cases::new(0x4a17_e0e5);
+    let mut crossed_kc = false;
+    for (alpha, beta) in [(1.0f32, 0.0f32), (1.5, -0.25)] {
+        for &(m, n, k, rows) in &shapes {
+            let (verdict, driver) = tuned.driver_for(m, n, k).unwrap();
+            crossed_kc |= k > verdict.kc;
+            let a = Matrix::from_fn(rows, k, |_, _| cases.f32_unit());
+            let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
+            let c0 = Matrix::from_fn(rows, n, |_, _| cases.f32_unit());
+            let run = |gemm: &dyn GemmExecutor| {
+                let mut c = c0.clone();
+                gemm.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()).alpha(alpha).beta(beta))
+                    .unwrap();
+                c.data
+            };
+            let (got, want) = (run(&*driver), run(&NaiveGemm));
+            let label = format!(
+                "{m}x{n}x{k}, alpha {alpha}, beta {beta}: {}x{} kc {}",
+                verdict.mr, verdict.nr, verdict.kc
+            );
+            assert!(got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()), "{label}");
+        }
+    }
+    assert!(crossed_kc, "no shape's k crossed its verdict's kc");
 }
 
 /// `data` copied into a fresh buffer so that it starts `bytes` past a
