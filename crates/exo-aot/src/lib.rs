@@ -8,9 +8,12 @@
 //! fail loudly) so the stack above silently stays on the simd tier:
 //!
 //! 1. **Emission** — [`exo_codegen::emit_superword_c`] lowers the
-//!    validated superword tape to a self-contained C translation unit
-//!    (AVX-512/AVX2/NEON intrinsics, or plain C for the portable floor) with the
-//!    packed `(KC, Ac, Bc, C)` kernel ABI.
+//!    validated superword tape to a self-contained C translation unit with
+//!    the packed `(KC, Ac, Bc, C)` kernel ABI: on AVX-512 and AVX2 through
+//!    vector helpers the unit defines itself over gcc's FMA builtins (no
+//!    `<immintrin.h>` to parse, so `cc` spends its time on the kernel), on
+//!    NEON through `<arm_neon.h>`'s intrinsics, plain C for the portable
+//!    floor.
 //! 2. **Build + cache** — [`AotEngine`] detects a host C compiler
 //!    ([`toolchain()`], overridable with `EXO_CC`), compiles the source to
 //!    a shared object in a per-user artifact directory
@@ -39,7 +42,7 @@
 //!
 //! The compiled code is bit-identical to the simd closure chain, the tape
 //! and the reference interpreter: every FMA lane is one fused multiply-add
-//! (an intrinsic's, or `fmaf` on the scalar floor), and `-ffp-contract=off`
+//! (a vector FMA instruction's, or `fmaf` on the scalar floor), and `-ffp-contract=off`
 //! keeps the compiler from fusing anything else. So the probe compares
 //! bits, and a mid-run promotion is invisible except for speed.
 

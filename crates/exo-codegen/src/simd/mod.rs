@@ -29,7 +29,7 @@
 //! dispatch. The chain compiler (the `compile` submodule) is generic over
 //! the impl and monomorphised once per ISA:
 //!
-//! * `avx512` — AVX-512F: `__m512` shapes ahead of AVX2's in its row, for
+//! * `avx512` — AVX-512F: 16-lane shapes ahead of AVX2's in its row, for
 //!   the emitted C, which is where its 512-bit code lives; its chain and
 //!   mover are the AVX2 bodies (each lane is one FMA, one rounding, at any
 //!   width, so they compute the same bits), selected when
@@ -261,8 +261,11 @@ pub(crate) struct IsaRow {
     vector_registers: Option<usize>,
     cc_flags: &'static [&'static str],
     /// The lines the emitted C opens with, just before the kernel: a guard
-    /// that refuses a compiler not targeting the ISA, then its intrinsics
-    /// header — or, for the scalar floor, its function's attribute.
+    /// that refuses a compiler not targeting the ISA, then what defines the
+    /// names its vector shapes spell — on x86 the helpers themselves, each
+    /// width guarding the compiler builtin it calls; on NEON its intrinsics
+    /// header — or, for the scalar floor, its function's attribute. Each
+    /// entry is one or more whole lines.
     pub(crate) c_prelude: &'static [&'static str],
     /// Vector shapes, widest first; none on the scalar reference.
     pub(crate) vectors: &'static [VectorShape],
@@ -276,20 +279,90 @@ impl IsaRow {
     }
 }
 
+/// What every x86 prelude defines its helpers with: the attributes gcc's
+/// own intrinsics headers give `_mm*_loadu_ps` and friends, so a helper is
+/// inlined exactly where the intrinsic was.
+const X86_INLINE: &str =
+    "#define EXO_INLINE extern __inline __attribute__((__gnu_inline__, __always_inline__, __artificial__))";
+
+/// The x86 helpers of one vector width: gcc's own header definitions of
+/// `_mm512_loadu_ps`, `_mm512_storeu_ps`, `_mm512_set1_ps` and
+/// `_mm512_fmadd_ps` (and of their 8- and 4-lane kin below), types and
+/// attributes included, under the names the row's [`VectorShape`] spells.
+/// Spelled the header's way, a kernel compiles to the very instructions the
+/// intrinsics gave it, without parsing the ~46 000 preprocessed lines of
+/// `<immintrin.h>` (most of a native build's time).
+///
+/// Each block first guards the compiler builtin its FMA calls, where the
+/// compiler can say (`__has_builtin`, gcc 10 and later): one without it
+/// stops on a named `#error` — a failed build, which keeps the kernel on
+/// the simd tier. An older compiler skips the check, and a builtin it
+/// lacks is then an ordinary compile error: the same decline.
+const X86_F32X16: &str = "\
+#ifdef __has_builtin
+#if !__has_builtin(__builtin_ia32_vfmaddps512_mask)
+#error \"this kernel requires __builtin_ia32_vfmaddps512_mask\"
+#endif
+#endif
+typedef float exo_f32x16 __attribute__((__vector_size__(64), __may_alias__));
+typedef float exo_f32x16_u __attribute__((__vector_size__(64), __may_alias__, __aligned__(1)));
+EXO_INLINE exo_f32x16
+exo_load16(float const *p) { return *(exo_f32x16_u *)p; }
+EXO_INLINE void
+exo_store16(float *p, exo_f32x16 a) { *(exo_f32x16_u *)p = a; }
+EXO_INLINE exo_f32x16
+exo_splat16(float a) { return (exo_f32x16){ a, a, a, a, a, a, a, a, a, a, a, a, a, a, a, a }; }
+EXO_INLINE exo_f32x16
+exo_fma16(exo_f32x16 a, exo_f32x16 b, exo_f32x16 c) {
+  return __builtin_ia32_vfmaddps512_mask(a, b, c, (unsigned short)-1, 4);
+}";
+const X86_F32X8: &str = "\
+#ifdef __has_builtin
+#if !__has_builtin(__builtin_ia32_vfmaddps256)
+#error \"this kernel requires __builtin_ia32_vfmaddps256\"
+#endif
+#endif
+typedef float exo_f32x8 __attribute__((__vector_size__(32), __may_alias__));
+typedef float exo_f32x8_u __attribute__((__vector_size__(32), __may_alias__, __aligned__(1)));
+EXO_INLINE exo_f32x8
+exo_load8(float const *p) { return *(exo_f32x8_u *)p; }
+EXO_INLINE void
+exo_store8(float *p, exo_f32x8 a) { *(exo_f32x8_u *)p = a; }
+EXO_INLINE exo_f32x8
+exo_splat8(float a) { return (exo_f32x8){ a, a, a, a, a, a, a, a }; }
+EXO_INLINE exo_f32x8
+exo_fma8(exo_f32x8 a, exo_f32x8 b, exo_f32x8 c) { return __builtin_ia32_vfmaddps256(a, b, c); }";
+const X86_F32X4: &str = "\
+#ifdef __has_builtin
+#if !__has_builtin(__builtin_ia32_vfmaddps)
+#error \"this kernel requires __builtin_ia32_vfmaddps\"
+#endif
+#endif
+typedef float exo_f32x4 __attribute__((__vector_size__(16), __may_alias__));
+typedef float exo_f32x4_u __attribute__((__vector_size__(16), __may_alias__, __aligned__(1)));
+EXO_INLINE exo_f32x4
+exo_load4(float const *p) { return *(exo_f32x4_u *)p; }
+EXO_INLINE void
+exo_store4(float *p, exo_f32x4 a) { *(exo_f32x4_u *)p = a; }
+EXO_INLINE exo_f32x4
+exo_splat4(float a) { return (exo_f32x4){ a, a, a, a }; }
+EXO_INLINE exo_f32x4
+exo_fma4(exo_f32x4 a, exo_f32x4 b, exo_f32x4 c) { return __builtin_ia32_vfmaddps(a, b, c); }";
+
 /// The AVX2 vector shapes, which AVX-512's row repeats below its own.
-const M256: VectorShape = VectorShape {
+const F32X8: VectorShape = VectorShape {
     lanes: 8,
-    load: "_mm256_loadu_ps",
-    store: "_mm256_storeu_ps",
-    splat: "_mm256_set1_ps",
-    fma: "_mm256_fmadd_ps({a}, {b}, {acc})",
+    load: "exo_load8",
+    store: "exo_store8",
+    splat: "exo_splat8",
+    fma: "exo_fma8({a}, {b}, {acc})",
 };
-const M128: VectorShape = VectorShape {
+const F32X4: VectorShape = VectorShape {
     lanes: 4,
-    load: "_mm_loadu_ps",
-    store: "_mm_storeu_ps",
-    splat: "_mm_set1_ps",
-    fma: "_mm_fmadd_ps({a}, {b}, {acc})",
+    load: "exo_load4",
+    store: "exo_store4",
+    splat: "exo_splat4",
+    fma: "exo_fma4({a}, {b}, {acc})",
 };
 
 /// The vector instruction sets the chain compiler can target, widest
@@ -298,8 +371,8 @@ const M128: VectorShape = VectorShape {
 /// not an "unknown ISA" error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsaKind {
-    /// x86_64 AVX-512F (with AVX2 + FMA): 16-lane `__m512` kernels in the
-    /// emitted C, 32 vector registers; the chain runs the AVX2 bodies.
+    /// x86_64 AVX-512F (with AVX2 + FMA): 16-lane vectors in the emitted C,
+    /// 32 vector registers; the chain runs the AVX2 bodies.
     Avx512,
     /// x86_64 AVX2 + FMA: 8-lane `__m256` chains.
     Avx2,
@@ -326,18 +399,21 @@ impl IsaKind {
                     "#if !(defined(__AVX512F__) && defined(__AVX2__) && defined(__FMA__))",
                     "#error \"this kernel requires -mavx512f -mavx2 -mfma\"",
                     "#endif",
-                    "#include <immintrin.h>",
+                    X86_INLINE,
+                    X86_F32X16,
+                    X86_F32X8,
+                    X86_F32X4,
                 ],
                 vectors: &[
                     VectorShape {
                         lanes: 16,
-                        load: "_mm512_loadu_ps",
-                        store: "_mm512_storeu_ps",
-                        splat: "_mm512_set1_ps",
-                        fma: "_mm512_fmadd_ps({a}, {b}, {acc})",
+                        load: "exo_load16",
+                        store: "exo_store16",
+                        splat: "exo_splat16",
+                        fma: "exo_fma16({a}, {b}, {acc})",
                     },
-                    M256,
-                    M128,
+                    F32X8,
+                    F32X4,
                 ],
             },
             IsaKind::Avx2 => &IsaRow {
@@ -348,9 +424,11 @@ impl IsaKind {
                     "#if !(defined(__AVX2__) && defined(__FMA__))",
                     "#error \"this kernel requires -mavx2 -mfma\"",
                     "#endif",
-                    "#include <immintrin.h>",
+                    X86_INLINE,
+                    X86_F32X8,
+                    X86_F32X4,
                 ],
-                vectors: &[M256, M128],
+                vectors: &[F32X8, F32X4],
             },
             IsaKind::Neon => &IsaRow {
                 name: "neon",
@@ -818,6 +896,7 @@ mod tests {
     use crate::exec::compile as compile_proc;
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, Proc, ScalarType};
+    use std::collections::BTreeSet;
 
     /// The reference interpreter's run of a packed call on a copy of `c0`:
     /// the bits every chain computes.
@@ -958,7 +1037,53 @@ mod tests {
             let row = kind.row();
             assert!(row.vectors.windows(2).all(|pair| pair[0].lanes > pair[1].lanes), "{kind}");
             assert!(kind.lanes().is_multiple_of(row.narrowest_lanes()), "{kind}");
-            assert!(row.vectors.is_empty() || !row.c_prelude.is_empty(), "{kind}: intrinsics need a header");
+        }
+    }
+
+    #[test]
+    fn every_name_a_row_spells_is_defined_by_its_prelude() {
+        for kind in IsaKind::ALL {
+            let row = kind.row();
+            if row.vectors.is_empty() {
+                continue;
+            }
+            let named: BTreeSet<&str> = row
+                .vectors
+                .iter()
+                .flat_map(|v| [v.load, v.store, v.splat, v.fma.split('(').next().unwrap()])
+                .collect();
+            let lines: Vec<&str> = row.c_prelude.iter().flat_map(|entry| entry.lines()).collect();
+            let includes: Vec<&str> = lines.iter().copied().filter(|l| l.starts_with("#include")).collect();
+            // A definition opens its line with the helper's name.
+            let defined: BTreeSet<&str> = lines
+                .iter()
+                .filter_map(|l| l.split_once('(').map(|(head, _)| head))
+                .filter(|head| {
+                    !head.is_empty() && head.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                })
+                .collect();
+            if kind == IsaKind::Neon {
+                // NEON's names are its header's intrinsics.
+                assert!(defined.is_empty(), "{kind}: {defined:?}");
+                assert_eq!(includes, ["#include <arm_neon.h>"], "{kind}");
+            } else {
+                // Every other row defines exactly the helpers it names and
+                // parses no header for them.
+                assert_eq!(defined, named, "{kind}: defined against named");
+                assert!(includes.is_empty(), "{kind}: {includes:?}");
+                // Each width's block guards the compiler builtin its FMA
+                // calls, so a compiler without it stops on a named `#error`.
+                for entry in row.c_prelude {
+                    if let Some((_, rest)) = entry.split_once("return __builtin_") {
+                        let guard = format!("__has_builtin(__builtin_{})", &rest[..rest.find('(').unwrap()]);
+                        // Asked only where the compiler can answer: gcc before 10 cannot.
+                        assert!(
+                            entry.starts_with("#ifdef __has_builtin\n") && entry.contains(&guard),
+                            "{kind}: {guard}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -57,7 +57,7 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
 /// kernels), across several KC values including `k = 0` and `k = 1`:
 /// native ≡ simd ≡ portable ≡ tape ≡ interpreter bit for bit — the native
 /// tier with a toolchain because the emitted C performs the same per-lane
-/// fused ops (`__m512` ones on an AVX-512 host), without one because the
+/// fused ops (16-lane ones on an AVX-512 host), without one because the
 /// fallback *is* the chain.
 #[test]
 fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
@@ -352,12 +352,16 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
         let generator = MicroKernelGenerator::new(space.isa().clone());
         let tiles = space.tile_shapes();
         assert!(!tiles.is_empty(), "{isa}: the serving space admits tiles");
-        // The shapes narrower than the ISA's widest, as the emitted C
-        // spells them: the `C` tile never moves in one of them.
-        let narrower: &[&str] = match isa {
-            IsaKind::Avx512 => &["_mm256_", "_mm_"],
-            IsaKind::Avx2 => &["_mm_"],
-            IsaKind::Neon | IsaKind::Scalar => &[],
+        // The `C`-tile moves of the ISA's widest shape and of the narrower
+        // ones, as the emitted C spells them: the tile moves in the widest
+        // (which keeps the spellings below live) and never in a narrower one.
+        let (widest, narrower): (&[&str], &[&str]) = match isa {
+            IsaKind::Avx512 => (
+                &["exo_load16(&C[", "exo_store16(&C["],
+                &["exo_load8(&C[", "exo_store8(&C[", "exo_load4(&C[", "exo_store4(&C["],
+            ),
+            IsaKind::Avx2 => (&["exo_load8(&C[", "exo_store8(&C["], &["exo_load4(&C[", "exo_store4(&C["]),
+            IsaKind::Neon | IsaKind::Scalar => (&[], &[]),
         };
         for tile in tiles {
             let kernel = generator.generate(tile.mr, tile.nr).unwrap();
@@ -370,11 +374,13 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
             );
             // The same property in the text `cc` sees.
             let c = emit_superword_c(&kernel.superword, isa, "k").unwrap();
-            for shape in narrower {
+            for op in widest {
+                assert!(c.contains(op), "{}x{} on {isa}: no {op}:\n{c}", tile.mr, tile.nr);
+            }
+            for op in narrower {
                 assert!(
-                    !c.contains(&format!("{shape}loadu_ps(&C["))
-                        && !c.contains(&format!("{shape}storeu_ps(&C[")),
-                    "{}x{} on {isa}: a narrower move of the C tile:\n{c}",
+                    !c.contains(op),
+                    "{}x{} on {isa}: a narrower move of the C tile, {op}:\n{c}",
                     tile.mr,
                     tile.nr
                 );
@@ -443,8 +449,8 @@ fn the_emitted_c_of_every_isa_is_byte_stable() {
     use exo_gemm::exo_aot::content_hash;
     use exo_gemm::ukernel_gen::KernelOptions;
     let golden: [(&str, u64); 4] = [
-        ("avx512", 0xa9c4_9792_65f6_dd49),
-        ("avx2", 0xe417_a0fe_b8af_1758),
+        ("avx512", 0x8afc_eb93_91a1_4862),
+        ("avx2", 0x5a97_4bef_fdbd_4604),
         ("neon", 0x84c8_ee55_54c4_fba1),
         ("scalar", 0x04e1_c97c_0ba7_296e),
     ];
@@ -472,23 +478,24 @@ fn the_emitted_c_of_every_isa_is_byte_stable() {
     }
 }
 
-/// The AVX2 serving space, tile by tile: each tile emits the very C it
-/// emitted before AVX-512 joined the ISAs (hashes recorded then), so an
-/// AVX2 host's warm artifacts stay warm; and on AVX-512 a tile whose
-/// accumulators are 8 lanes wide emits the same function body — its
-/// `__m256` accumulators are never moved as halves of a `__m512` — while a
-/// wider accumulator is held in `__m512`s.
+/// The AVX2 serving space, tile by tile: each tile emits the very C whose
+/// hash is recorded below (recorded when the x86 helpers replaced
+/// `<immintrin.h>`, which rebuilt every warm AVX2 artifact once), so an AVX2
+/// host's warm artifacts stay warm; and on AVX-512 a tile whose
+/// accumulators are 8 lanes wide emits the same function body — its 8-lane
+/// accumulators are never moved as halves of a 16-lane vector — while a
+/// wider accumulator is held in 16-lane vectors.
 #[test]
 fn every_avx2_serving_tile_emits_the_c_it_did_and_the_same_body_on_avx512() {
     use exo_gemm::exo_aot::content_hash;
     let recorded: [((usize, usize), u64); 7] = [
-        ((8, 12), 0x065d_ef25_60a5_2175),
-        ((8, 8), 0x34cf_bfba_887d_a604),
-        ((16, 4), 0xef67_418a_da2c_3312),
-        ((8, 4), 0xda18_4cf1_08ff_e23b),
-        ((1, 24), 0x002d_0270_6c87_2bd1),
-        ((1, 16), 0x0f9f_b851_61e7_e503),
-        ((1, 8), 0x080b_5b91_429c_6261),
+        ((8, 12), 0x7e44_1a49_079f_c62e),
+        ((8, 8), 0x943f_8ad1_8cd8_5d41),
+        ((16, 4), 0x76f8_2803_cfab_b68d),
+        ((8, 4), 0x6f26_31c6_63d6_4e28),
+        ((1, 24), 0xe92d_0e55_3ac8_ed1e),
+        ((1, 16), 0x05fb_e7d1_4d40_5b6a),
+        ((1, 8), 0x6387_1782_0ee3_bcb2),
     ];
     let tiles: Vec<(usize, usize)> =
         DesignSpace::serving(IsaKind::Avx2).tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
@@ -507,11 +514,57 @@ fn every_avx2_serving_tile_emits_the_c_it_did_and_the_same_body_on_avx512() {
             assert_eq!(body(&avx512), body(&avx2), "{mr}x{nr}: the avx512 body");
         } else {
             assert!(
-                avx512.contains("_mm512_fmadd_ps"),
+                avx512.contains("exo_fma16(exo_load16(&reg["),
                 "{mr}x{nr}: {accumulator}-lane accumulators:\n{avx512}"
             );
         }
     }
+}
+
+/// A canary for the helpers the x86 preludes define in place of
+/// `<immintrin.h>`: the emitted C of every serving tile of both x86 rows
+/// (which includes `square`'s Neon 8x12), under both x86 rows, compiles on
+/// the host C compiler with `-Wall -Wextra -Werror` and the row's flags. It
+/// compiles only, so an AVX2-only host checks the AVX-512 row too; without
+/// a toolchain, or off x86_64, it skips and says why.
+#[test]
+fn every_x86_serving_tile_emits_c_that_compiles_without_a_warning() {
+    let Some(tc) = toolchain().filter(|_| cfg!(target_arch = "x86_64")) else {
+        eprintln!("skipped: no x86_64 C toolchain answers here, so no emitted C can be compiled");
+        return;
+    };
+    let x86 = [IsaKind::Avx512, IsaKind::Avx2];
+    let mut kernels = Vec::new();
+    for space in x86.map(DesignSpace::serving) {
+        let generator = MicroKernelGenerator::new(space.isa().clone());
+        for tile in space.tile_shapes() {
+            let label = format!("{} {}x{}", space.isa().name, tile.mr, tile.nr);
+            kernels.push((label, generator.generate(tile.mr, tile.nr).unwrap().superword));
+        }
+    }
+    assert!(kernels.iter().any(|(label, _)| label == "neon-f32 8x12"), "square's kernel is a serving tile");
+    let dir = std::env::temp_dir().join(format!("exo-emitted-c-warnings-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut failures = Vec::new();
+    for (label, sw) in &kernels {
+        for isa in x86 {
+            let src = dir.join("kernel.c");
+            std::fs::write(&src, emit_superword_c(sw, isa, "exo_aot_kernel").unwrap()).unwrap();
+            let out = std::process::Command::new(&tc.cc)
+                .args(["-O3", "-fPIC", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror", "-c"])
+                .args(isa.cc_flags())
+                .arg(&src)
+                .arg("-o")
+                .arg(dir.join("kernel.o"))
+                .output()
+                .unwrap();
+            if !out.status.success() {
+                failures.push(format!("{label} on {isa}:\n{}", String::from_utf8_lossy(&out.stderr)));
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// No GEMM in this tree reaches the checked reference: the exact-shape call
