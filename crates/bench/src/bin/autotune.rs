@@ -3,10 +3,10 @@
 //! ResNet50 / VGG16 layer tables (Tables I/II) — the repo's analogue of the
 //! paper's micro-kernel sweep.
 //!
-//! Run with: `cargo run --release --bin autotune [registry.json]`
+//! Run with: `cargo run --release -p exo-bench --bin autotune`
 //!
-//! With a path argument the verdicts are persisted there; a second run then
-//! loads every verdict from the file without invoking the generator.
+//! It takes no arguments, and refuses any: verdicts are re-derived in every
+//! run, so there is nothing to point it at.
 //!
 //! Two questions are answered side by side. The *modelled* columns are what
 //! the Carmel model picks from the whole ARM Neon space (`Tuner::new()`,
@@ -19,18 +19,15 @@
 //! `(mc, kc, nc)` every serving tile gets).
 
 use dnn_models::{resnet50_table, vgg16_table};
-use exo_tune::{tune_workload, workload_seconds, KernelRegistry, TunedGemm, Tuner};
+use exo_tune::{tune_workload, workload_seconds, TunedGemm, Tuner};
 use gemm_blis::{active_isa, Implementation, SimOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let tuner = match std::env::args().nth(1) {
-        Some(path) => {
-            println!("registry: {path}");
-            Tuner::with_registry(KernelRegistry::with_persistence("neon-f32", path)?)?
-        }
-        None => Tuner::new(),
-    };
-    let warm_verdicts = tuner.registry().len();
+    if std::env::args().len() > 1 {
+        eprintln!("usage: autotune (no arguments; verdicts are re-derived in every run)");
+        std::process::exit(2);
+    }
+    let tuner = Tuner::new();
 
     let executing = active_isa();
     let serving = TunedGemm::new();
@@ -75,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The fixed-kernel baseline the tuned path must beat: ALG+EXO pinned to
     // the monolithic 8x12 tile. Building it generates the design-space tiles
     // once; snapshot the count so the summary reports only tuning-driven
-    // generation (zero on a warm registry).
+    // generation (zero: the candidate tiles are problem-independent).
     let monolithic = tuner.simulator(SimOptions { monolithic_exo: true, ..SimOptions::default() })?;
     let baseline_invocations = tuner.registry().generator_invocations();
 
@@ -127,9 +124,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\ntuned {} shapes ({} loaded warm); kernel cache holds {} kernels, {} generated during tuning",
+        "\ntuned {} shapes; kernel cache holds {} kernels, {} generated during tuning",
         tuner.registry().len(),
-        warm_verdicts,
         tuner.registry().kernel_cache().len(),
         tuner.registry().generator_invocations() - baseline_invocations,
     );

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors produced while searching, persisting or dispatching.
+/// Errors produced while searching or dispatching.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TuneError {
     /// Kernel generation failed for a candidate shape.
@@ -16,10 +16,6 @@ pub enum TuneError {
     },
     /// The GEMM driver or simulator rejected a problem.
     Gemm(String),
-    /// The persistence file could not be read or written.
-    Io(String),
-    /// The persistence file exists but does not parse as a registry.
-    Corrupt(String),
     /// The search space is empty for the requested problem.
     EmptySpace,
 }
@@ -31,8 +27,6 @@ impl fmt::Display for TuneError {
                 write!(f, "generating the {mr}x{nr} candidate failed: {message}")
             }
             TuneError::Gemm(message) => write!(f, "gemm failed: {message}"),
-            TuneError::Io(message) => write!(f, "registry persistence failed: {message}"),
-            TuneError::Corrupt(message) => write!(f, "registry file is corrupt: {message}"),
             TuneError::EmptySpace => f.write_str("the design space contains no candidates"),
         }
     }

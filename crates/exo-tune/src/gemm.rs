@@ -2,12 +2,12 @@
 //! blocking are chosen by the autotuner.
 //!
 //! This is the subsystem's serving path. Each distinct problem shape is
-//! tuned once (or loaded from a persisted registry), each distinct verdict
-//! group — register tile plus blocking — gets one functional five-loop
-//! driver built around the winning kernel, and every problem is that
-//! driver's `gemm`: repeat shapes skip straight to a warm engine. The
-//! blocking is not searched: every tile runs with the one `mc` / `kc` / `nc`
-//! sized for this host's probed caches
+//! tuned once per executor, each distinct verdict group — register tile
+//! plus blocking — gets one functional five-loop driver built around the
+//! winning kernel, and every problem is that driver's `gemm`: repeat
+//! shapes skip straight to a warm engine. The blocking is not searched:
+//! every tile runs with the one `mc` / `kc` / `nc` sized for this host's
+//! probed caches
 //! ([`gemm_blis::BlockingParams::for_host`]), so a verdict group is a tile,
 //! and a workload the tuner serves one tile has one driver. The full
 //! BLAS contract of [`gemm_blis::GemmProblem`] — strided views,
@@ -21,12 +21,6 @@ use crate::error::TuneError;
 use crate::registry::{KernelRegistry, TuneVerdict};
 use crate::space::DesignSpace;
 use crate::tuner::Tuner;
-
-/// The space every serving constructor searches: [`DesignSpace::serving`]
-/// for the vector ISA executing on this host (`gemm_blis::active_isa()`).
-fn serving_space() -> DesignSpace {
-    DesignSpace::serving(gemm_blis::active_isa())
-}
 
 /// Metadata of one dispatched GEMM.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +36,7 @@ pub struct TunedRun {
 /// is the group of the shapes there is nothing to tune for.
 type GroupKey = Option<BlockingParams>;
 
-/// Autotuned GEMM: searches-or-loads per problem shape, then dispatches
+/// Autotuned GEMM: searches each problem shape once, then dispatches
 /// through the one driver of the verdict's group.
 ///
 /// A driver is built the first time a verdict of its group is dispatched —
@@ -91,18 +85,12 @@ impl TunedGemm {
     /// ([`gemm_blis::BlockingParams::for_host`]) and the tiles ranked by the
     /// analytical Carmel model; in-memory registry, one thread.
     pub fn new() -> Self {
-        let space = serving_space();
-        let registry = KernelRegistry::new(space.identity());
-        TunedGemm::over(space, registry).expect("a registry named after the space is always consistent")
+        TunedGemm::with_tuner(Tuner::over(DesignSpace::serving(gemm_blis::active_isa())))
     }
 
     /// A tuned GEMM over an explicit tuner (any space).
     pub fn with_tuner(tuner: Tuner) -> Self {
         TunedGemm { tuner, threads: 1, drivers: Mutex::default() }
-    }
-
-    fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
-        Ok(TunedGemm::with_tuner(Tuner::over(space, registry)?))
     }
 
     /// Sets the worker-thread count the dispatch drivers partition `C`
@@ -115,40 +103,6 @@ impl TunedGemm {
         self.threads = threads;
         self.drivers = Mutex::default();
         self
-    }
-
-    /// [`TunedGemm::new`] with a registry that persists at `path`: the
-    /// first process pays for the search, every later one on the same
-    /// executing ISA and the same caches starts warm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TuneError`] if an existing file cannot be loaded —
-    /// [`TuneError::Corrupt`] when it was recorded for another executing
-    /// ISA or other caches (the file's `isa` is the space's
-    /// [`DesignSpace::identity`], e.g.
-    /// `neon-f32@avx2:l1d:48K/12w/64B,l2:2M/16w/64B,l3:300M/20w/64B`; files
-    /// older than that naming say `neon-f32@avx2` or `neon-f32` and are
-    /// refused too).
-    pub fn with_persistence(path: impl AsRef<std::path::Path>) -> Result<Self, TuneError> {
-        let space = serving_space();
-        let registry = KernelRegistry::with_persistence(space.identity(), path)?;
-        TunedGemm::over(space, registry)
-    }
-
-    /// Like [`TunedGemm::with_persistence`], but a damaged registry file —
-    /// or one recorded for another executing ISA or other caches — degrades
-    /// to a cold start instead of an error: the file is quarantined as
-    /// `<path>.corrupt` and tuning restarts fresh, still persisting at
-    /// `path`. Returns the
-    /// executor along with the tolerated load error, if any, so the caller
-    /// can log the degradation.
-    pub fn with_persistence_or_fresh(path: impl AsRef<std::path::Path>) -> (Self, Option<TuneError>) {
-        let space = serving_space();
-        let (registry, tolerated) = KernelRegistry::with_persistence_or_fresh(space.identity(), path);
-        let tuned = TunedGemm::over(space, registry)
-            .expect("a fresh or freshly-validated registry of the same identity is always consistent");
-        (tuned, tolerated)
     }
 
     /// The underlying tuner.
@@ -166,7 +120,8 @@ impl TunedGemm {
         self.tuner.registry()
     }
 
-    /// Tunes (or loads the verdict for) a problem shape without running it.
+    /// Tunes (or recalls the verdict for) a problem shape without running
+    /// it.
     ///
     /// # Errors
     ///

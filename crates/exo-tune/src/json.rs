@@ -1,11 +1,11 @@
-//! A minimal JSON reader/writer for the registry's persistence file.
+//! A minimal JSON reader/writer for `exo_bench`'s records.
 //!
-//! The workspace carries no external dependencies, so the registry cannot
+//! The workspace carries no external dependencies, so the benchmark cannot
 //! use `serde`. This module implements just enough of RFC 8259 for the
-//! verdict cache: objects, arrays, strings, numbers, booleans and null,
-//! with no extensions. It is not a general-purpose JSON library — inputs
-//! other than registry files are only guaranteed to parse or fail cleanly,
-//! never to panic.
+//! benchmark's result lines and span files: objects, arrays, strings,
+//! numbers, booleans and null, with no extensions. Nothing else in
+//! `exo-tune` calls it. It is not a general-purpose JSON library — inputs
+//! are only guaranteed to parse or fail cleanly, never to panic.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

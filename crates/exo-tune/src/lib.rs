@@ -19,11 +19,12 @@
 //!   ([`gemm_blis::HostDescription`]);
 //! * [`KernelRegistry`] — caches generated kernels keyed by
 //!   `(isa, mr, nr)` (via [`ukernel_gen::KernelCache`]) and memoises
-//!   tuning verdicts keyed by problem shape, with JSON persistence — under
-//!   the space's name, executing ISA and cache signature included — so a
-//!   second run on the same kind of host skips the search entirely;
+//!   tuning verdicts keyed by problem shape, for the life of the
+//!   [`Tuner`] that owns it: a verdict is deterministic per
+//!   `(m, n, k, executing ISA, caches)`, so each process re-derives it
+//!   once and no verdict crosses design spaces;
 //! * [`TunedGemm`] — the serving front-end: a [`gemm_blis::GemmExecutor`]
-//!   that transparently searches-or-loads the verdict for each problem
+//!   that transparently searches (once) the verdict for each problem
 //!   shape in the serving space of this host and dispatches the winning
 //!   kernel through the functional BLIS-like driver.
 //!

@@ -136,20 +136,6 @@ impl DesignSpace {
         self.executing.as_ref().map(|(_, host)| host)
     }
 
-    /// What a registry must be named to hold this space's verdicts: the
-    /// described ISA alone for the modelled space (`neon-f32`), suffixed
-    /// with the executing ISA and the caches' [`HostDescription::signature`]
-    /// for a serving space
-    /// (`neon-f32@avx2:l1d:48K/12w/64B,l2:2M/16w/64B,l3:300M/20w/64B`), so a
-    /// verdict searched for one host ISA, or blocked for other caches, is
-    /// never served on another.
-    pub fn identity(&self) -> String {
-        match &self.executing {
-            Some((executing, host)) => format!("{}@{executing}:{}", self.isa.name, host.signature()),
-            None => self.isa.name.clone(),
-        }
-    }
-
     /// Whether an `mr x nr` tile's vectorised extent fills whole vectors of
     /// `executing` with its accumulators and staged operands inside that
     /// ISA's register file. The executing ISA runs the tile re-rolled into
@@ -272,15 +258,14 @@ mod tests {
                 IsaKind::Neon | IsaKind::Scalar => &modelled,
             };
             let space = DesignSpace::for_execution(neon_f32(), executing, HostDescription::carmel());
+            assert_eq!(space.isa().name, "neon-f32");
             assert_eq!(space.executing(), Some(executing));
-            assert_eq!(
-                space.identity(),
-                format!("neon-f32@{executing}:{}", HostDescription::carmel().signature())
-            );
+            assert_eq!(space.host(), Some(&HostDescription::carmel()));
             let tiles: Vec<(usize, usize)> = space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
             assert_eq!(&tiles, expected, "{executing}");
         }
-        assert_eq!(DesignSpace::for_isa(neon_f32()).identity(), "neon-f32");
+        let modelled_space = DesignSpace::for_isa(neon_f32());
+        assert_eq!((modelled_space.executing(), modelled_space.host()), (None, None));
         // The rule itself, at its edges on the 8-lane / 16-register file:
         // half-filled vectors, and 8x16's 16 accumulators + 2 operands.
         assert!(!DesignSpace::fills_vectors_of(IsaKind::Avx2, 12, 8));
@@ -297,10 +282,7 @@ mod tests {
             assert_eq!(space.executing(), Some(executing));
             assert_eq!(space.host(), Some(HostDescription::probed()));
             let library = if executing == IsaKind::Avx512 { "avx512-f32" } else { "neon-f32" };
-            assert_eq!(
-                space.identity(),
-                format!("{library}@{executing}:{}", HostDescription::probed().signature())
-            );
+            assert_eq!(space.isa().name, library);
             if executing != IsaKind::Avx512 {
                 assert_eq!(
                     space.tile_shapes(),
@@ -376,8 +358,8 @@ mod tests {
                 }
             }
         }
-        // Other caches, another identity.
-        let on = |host| DesignSpace::for_execution(neon_f32(), IsaKind::Avx2, host).identity();
+        // Other caches, other blockings.
+        let on = |host| DesignSpace::for_execution(neon_f32(), IsaKind::Avx2, host).candidates();
         assert_ne!(on(HostDescription::carmel()), on(small));
         assert_eq!(DesignSpace::for_isa(neon_f32()).host(), None);
     }

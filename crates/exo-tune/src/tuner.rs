@@ -44,41 +44,15 @@ impl Tuner {
     /// alike. To *run* the verdicts use [`crate::TunedGemm`], whose tuner
     /// searches the tiles the host's vector ISA executes in whole vectors.
     pub fn new() -> Self {
-        let space = DesignSpace::for_isa(exo_isa::neon_f32());
-        let registry = KernelRegistry::new(space.identity());
-        Tuner::over(space, registry).expect("default tuner is always consistent")
-    }
-
-    /// The Carmel-modelling tuner of [`Tuner::new`] over an existing
-    /// registry (for example one opened with
-    /// [`KernelRegistry::with_persistence`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TuneError::Corrupt`] if the registry is not named
-    /// `neon-f32`, the modelled space's [`DesignSpace::identity`].
-    pub fn with_registry(registry: KernelRegistry) -> Result<Self, TuneError> {
-        Tuner::over(DesignSpace::for_isa(exo_isa::neon_f32()), registry)
+        Tuner::over(DesignSpace::for_isa(exo_isa::neon_f32()))
     }
 
     /// The Carmel core model over `space` — the modelled space of another
-    /// instruction library, or a serving space — memoising in `registry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TuneError::Corrupt`] if `registry` is not named after
-    /// `space`'s [`DesignSpace::identity`] — another described ISA, or the
-    /// same one searched for another executing ISA.
-    pub fn over(space: DesignSpace, registry: KernelRegistry) -> Result<Self, TuneError> {
-        if registry.isa_name() != space.identity() {
-            return Err(TuneError::Corrupt(format!(
-                "registry targets `{}` but the design space targets `{}`",
-                registry.isa_name(),
-                space.identity()
-            )));
-        }
+    /// instruction library, or a serving space — memoising in a registry of
+    /// its own, so its verdicts are never served for another space.
+    pub fn over(space: DesignSpace) -> Self {
         let generator = MicroKernelGenerator::new(space.isa().clone());
-        Ok(Tuner { space, generator, registry, core: CarmelCore::carmel() })
+        Tuner { space, generator, registry: KernelRegistry::new(), core: CarmelCore::carmel() }
     }
 
     /// The design space being searched.
@@ -112,13 +86,12 @@ impl Tuner {
     /// on the tuner's core model (lower is better): the `carmel-sim` core
     /// model run through the five-loop BLIS structure. Deterministic and
     /// host-independent; no candidate is executed, timed or compiled to be
-    /// ranked. It is the only ranker a registry file of the current format
-    /// holds verdicts of, so a memoised verdict is served as it is.
+    /// ranked.
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError`] if the problem is degenerate, a candidate
-    /// cannot be generated, or the verdict cannot be persisted.
+    /// Returns [`TuneError`] if the problem is degenerate or a candidate
+    /// cannot be generated.
     pub fn tune(&self, m: usize, n: usize, k: usize) -> Result<TuneVerdict, TuneError> {
         if m == 0 || n == 0 || k == 0 {
             return Err(TuneError::Gemm(format!("cannot tune the empty problem {m}x{n}x{k}")));
@@ -165,7 +138,7 @@ impl Tuner {
             }
         }
         let (_, verdict) = best.expect("non-empty candidate list always yields a winner");
-        self.registry.record(verdict.clone())?;
+        self.registry.record(verdict.clone());
         Ok(verdict)
     }
 
@@ -219,7 +192,6 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gemm_blis::{HostDescription, IsaKind};
 
     #[test]
     fn tuning_finds_a_winner_and_memoises_it() {
@@ -250,75 +222,6 @@ mod tests {
     fn degenerate_problems_are_rejected() {
         let tuner = Tuner::new();
         assert!(matches!(tuner.tune(0, 8, 8), Err(TuneError::Gemm(_))));
-    }
-
-    #[test]
-    fn registry_files_of_an_older_format_are_refused_and_quarantined() {
-        // A version-1 file, as a tree that still tagged every verdict with
-        // the ranker that produced it wrote it.
-        let seeded = Tuner::new();
-        seeded.tune(24, 24, 24).unwrap();
-        let text = seeded.registry().to_text();
-        assert!(text.contains("\"version\":2"), "{text}");
-        let old = text
-            .replace("\"version\":2", "\"version\":1")
-            .replace("\"candidates_evaluated\"", "\"evaluator\":\"functional\",\"candidates_evaluated\"");
-        let path = std::env::temp_dir().join(format!("exo-tune-tuner-v1-{}.json", std::process::id()));
-        let quarantine = path.with_extension("json.corrupt");
-        let _ = std::fs::remove_file(&quarantine);
-        std::fs::write(&path, &old).unwrap();
-
-        // The strict constructor refuses the whole file and leaves it be.
-        let refused = KernelRegistry::with_persistence("neon-f32", &path);
-        assert!(matches!(refused, Err(TuneError::Corrupt(_))), "{refused:?}");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), old);
-
-        // The tolerant one sets it aside and starts cold: the shape is
-        // searched again, not served from the old file.
-        let (fresh, tolerated) = KernelRegistry::with_persistence_or_fresh("neon-f32", &path);
-        assert!(matches!(tolerated, Some(TuneError::Corrupt(_))), "{tolerated:?}");
-        assert_eq!(std::fs::read_to_string(&quarantine).unwrap(), old);
-        let tuner = Tuner::with_registry(fresh).unwrap();
-        tuner.tune(24, 24, 24).unwrap();
-        assert!(tuner.registry().generator_invocations() > 0, "an old verdict was served without a search");
-        // What it persists is the current format, and opens warm.
-        assert_eq!(KernelRegistry::with_persistence("neon-f32", &path).unwrap().len(), 1);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&quarantine);
-    }
-
-    #[test]
-    fn mismatched_registry_is_rejected() {
-        let registry = KernelRegistry::new("avx512-f32");
-        assert!(matches!(Tuner::with_registry(registry), Err(TuneError::Corrupt(_))));
-        // The executing ISA and its caches are part of the identity: a
-        // modelled-space registry cannot back a serving space, nor one host
-        // ISA another's, nor one host's caches another's.
-        let carmel = HostDescription::carmel();
-        let serving = |executing| DesignSpace::for_execution(exo_isa::neon_f32(), executing, carmel);
-        let on_carmel = |name: &str| format!("{name}:{}", carmel.signature());
-        for (name, executing, accepted) in [
-            ("neon-f32".to_string(), IsaKind::Avx2, false),
-            ("neon-f32@avx2".to_string(), IsaKind::Avx2, false),
-            (on_carmel("neon-f32@neon"), IsaKind::Avx2, false),
-            (on_carmel("neon-f32@avx2"), IsaKind::Avx2, true),
-            (on_carmel("neon-f32@avx2"), IsaKind::Scalar, false),
-        ] {
-            let tuner = Tuner::over(serving(executing), KernelRegistry::new(name.clone()));
-            assert_eq!(tuner.is_ok(), accepted, "`{name}` under {executing}");
-            assert!(accepted || matches!(tuner, Err(TuneError::Corrupt(_))));
-        }
-        assert!(Tuner::with_registry(KernelRegistry::new(on_carmel("neon-f32@avx2"))).is_err());
-        // An AVX-512 host serves another library: what an AVX2 run of the
-        // same machine recorded is refused.
-        let avx512 =
-            |name: &str| Tuner::over(DesignSpace::serving(IsaKind::Avx512), KernelRegistry::new(name));
-        let here = |name: &str| format!("{name}:{}", HostDescription::probed().signature());
-        assert!(matches!(avx512(&here("neon-f32@avx2")), Err(TuneError::Corrupt(_))));
-        assert!(matches!(avx512(&here("neon-f32@avx512")), Err(TuneError::Corrupt(_))));
-        assert!(matches!(avx512("avx512-f32@avx512"), Err(TuneError::Corrupt(_))));
-        assert!(avx512(&here("avx512-f32@avx512")).is_ok());
     }
 
     #[test]

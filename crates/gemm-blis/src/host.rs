@@ -106,12 +106,6 @@ impl HostDescription {
         Some(HostDescription { l1d: l1d?, l2: l2?, l3: l3.unwrap_or_default() })
             .filter(|host| usable(&host.l1d) && usable(&host.l2))
     }
-
-    /// The caches as one token for a registry identity: a verdict file is
-    /// only loaded on a host whose caches read the same.
-    pub fn signature(&self) -> String {
-        format!("l1d:{},l2:{},l3:{}", self.l1d, self.l2, self.l3)
-    }
 }
 
 /// A sysfs `size`: bytes, or a count with a `K`, `M` or `G` suffix.
@@ -195,7 +189,7 @@ mod tests {
         assert_eq!(host.l1d, geometry(48 << 10, 12), "the instruction cache is not the L1d");
         assert_eq!(host.l2, geometry(2 << 20, 16));
         assert_eq!(host.l3, geometry(300 << 20, 20));
-        assert_eq!(host.signature(), "l1d:48K/12w/64B,l2:2M/16w/64B,l3:300M/20w/64B");
+        assert_eq!(host.to_string(), "L1d 48K/12w/64B, L2 2M/16w/64B, L3 300M/20w/64B");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -18,7 +18,7 @@
 //! | sim | [`carmel_sim`] | cycle model of one NVIDIA Carmel core and its cache hierarchy |
 //! | GEMM | [`gemm_blis`] | five-loop BLIS algorithm, packing, blocking, baselines, the figure simulator |
 //! | workloads | [`dnn_models`] | ResNet50 v1.5 / VGG16 convolutions lowered to GEMM (Tables I/II) |
-//! | tune | [`exo_tune`] | design-space search, verdict registry with JSON persistence, [`exo_tune::TunedGemm`] dispatch |
+//! | tune | [`exo_tune`] | design-space search, per-process verdict memo, [`exo_tune::TunedGemm`] dispatch |
 //! | serve | [`exo_serve`] | persistent service layer: shared worker pool, batched execution, queued front door |
 //!
 //! The public GEMM entry point is the BLAS-grade front door re-exported at
@@ -78,3 +78,9 @@ pub use gemm_blis;
 pub use ukernel_gen;
 
 pub use gemm_blis::{GemmError, GemmExecutor, GemmProblem, GemmStats, MatMut, MatRef, Matrix, NaiveGemm, Op};
+
+/// The README's code blocks, compiled and run as doctests so they track the
+/// API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -4,29 +4,24 @@
 //! * every kernel the design-space enumerator proposes computes
 //!   `C += A * B` exactly like `gemm_blis::naive_gemm`,
 //! * a warm registry performs zero generator invocations,
-//! * a second tuning run loads every verdict from the persisted cache,
 //! * the tuned `ALG+EXO` path is at least as fast (modelled) as the fixed
 //!   8x12 default on the Fig. 14 square sweep,
 //! * every ResNet50 GEMM shape gets a per-layer kernel,
 //! * every verdict the serving front-end returns is a tile the executing
 //!   vector ISA runs in whole vectors, blocked for this host's caches in
-//!   whole tiles, and a verdict file recorded for another executing ISA or
-//!   other caches is never served.
+//!   whole tiles, and a verdict searched for other caches stays with the
+//!   tuner that searched it.
 
 mod common;
 
 use common::Cases;
 use dnn_models::{resnet50_table, vgg16_table};
-use exo_tune::{DesignSpace, KernelRegistry, TuneError, TunedGemm, Tuner};
+use exo_tune::{DesignSpace, TuneVerdict, TunedGemm, Tuner};
 use gemm_blis::{
     active_isa, naive_gemm, BlockingParams, CacheGeometry, GemmExecutor, GemmProblem, HostDescription,
     Implementation, IsaKind, Matrix, SimOptions,
 };
 use ukernel_gen::MicroKernelGenerator;
-
-fn temp_registry_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("exo-tune-it-{tag}-{}.json", std::process::id()))
-}
 
 /// Property: every tile the enumerator proposes generates a kernel that
 /// agrees with the naive reference on random data (via `run_packed`).
@@ -81,68 +76,6 @@ fn warm_registry_skips_the_generator() {
     assert_eq!(tuner.registry().generator_invocations(), after_search);
 }
 
-/// Acceptance: a second tuning run over a persisted registry loads every
-/// verdict from disk and never invokes the generator.
-#[test]
-fn second_run_loads_every_verdict_from_the_persisted_cache() {
-    let path = temp_registry_path("second-run");
-    let _ = std::fs::remove_file(&path);
-    let shapes: Vec<(usize, usize, usize)> = resnet50_table().gemm_shapes();
-
-    // First run: cold search, persists verdicts.
-    {
-        let registry = KernelRegistry::with_persistence("neon-f32", &path).unwrap();
-        let tuner = Tuner::with_registry(registry).unwrap();
-        let verdicts = tuner.tune_all(&shapes).unwrap();
-        assert_eq!(verdicts.len(), shapes.len());
-        assert!(tuner.registry().generator_invocations() > 0);
-    }
-
-    // Second run: every verdict comes from the file, generator untouched.
-    let registry = KernelRegistry::with_persistence("neon-f32", &path).unwrap();
-    assert_eq!(registry.len(), shapes.len(), "all verdicts must be persisted");
-    let tuner = Tuner::with_registry(registry).unwrap();
-    let verdicts = tuner.tune_all(&shapes).unwrap();
-    assert_eq!(verdicts.len(), shapes.len());
-    assert_eq!(tuner.registry().generator_invocations(), 0, "a warm run must not invoke the generator");
-
-    // That file is named `neon-f32` — the modelled space, and what every
-    // serving registry was named before the executing ISA joined the
-    // identity. The serving constructors must never load it, nor a file
-    // recorded for another executing ISA: typed refusal from the strict
-    // one, quarantine and a persisted re-tune from the tolerant one.
-    // On an AVX-512 host the other ISA is AVX2: a verdict file an
-    // `EXO_ISA=avx2` run of the same machine left behind.
-    let other = IsaKind::ALL.into_iter().find(|&isa| isa != active_isa()).unwrap();
-    let foreign = temp_registry_path("foreign-isa");
-    let _ = std::fs::remove_file(&foreign);
-    let (m, n, k) = shapes[0];
-    let elsewhere =
-        KernelRegistry::with_persistence(DesignSpace::serving(other).identity(), &foreign).unwrap();
-    elsewhere.record(tuner.tune(m, n, k).unwrap()).unwrap();
-    for stale in [&path, &foreign] {
-        let quarantine = std::path::PathBuf::from(format!("{}.corrupt", stale.display()));
-        let _ = std::fs::remove_file(&quarantine);
-        assert!(matches!(TunedGemm::with_persistence(stale), Err(TuneError::Corrupt(_))));
-        assert!(stale.exists() && !quarantine.exists(), "the strict constructor leaves the file alone");
-
-        let (fresh, tolerated) = TunedGemm::with_persistence_or_fresh(stale);
-        assert!(matches!(tolerated, Some(TuneError::Corrupt(_))), "{tolerated:?}");
-        assert!(fresh.registry().is_empty(), "no stale verdict may be served");
-        assert!(quarantine.exists() && !stale.exists());
-        let verdict = fresh.plan(m, n, k).unwrap();
-        assert!(DesignSpace::fills_vectors_of(active_isa(), verdict.mr, verdict.nr));
-
-        // The re-tune persisted under this host's identity: warm from now on.
-        let warm = TunedGemm::with_persistence(stale).unwrap();
-        assert_eq!(warm.registry().isa_name(), DesignSpace::serving(active_isa()).identity());
-        assert_eq!(warm.plan(m, n, k).unwrap(), verdict);
-        assert_eq!(warm.registry().generator_invocations(), 0);
-        let _ = std::fs::remove_file(stale);
-        let _ = std::fs::remove_file(&quarantine);
-    }
-}
-
 /// Acceptance: on the Fig. 14 square sweep the tuned kernels are modelled
 /// at least as fast as the fixed 8x12 default.
 #[test]
@@ -181,7 +114,7 @@ fn resnet50_layers_each_get_a_tuned_kernel() {
     }
     // Per-layer specialisation: ResNet50's shapes do not all pick one tile,
     // neither in the model nor in what is actually dispatched on this host.
-    let distinct_tiles = |plan: &dyn Fn(usize, usize, usize) -> exo_tune::TuneVerdict| {
+    let distinct_tiles = |plan: &dyn Fn(usize, usize, usize) -> TuneVerdict| {
         let tiles = resnet50_table().gemm_shapes().into_iter().map(|(m, n, k)| plan(m, n, k));
         tiles.map(|v| (v.mr, v.nr)).collect::<std::collections::BTreeSet<_>>()
     };
@@ -232,7 +165,8 @@ fn served_verdicts_fill_the_executing_isas_vectors() {
     let threaded = TunedGemm::new().with_threads(4);
     let space = serving.tuner().space();
     assert_eq!(space.executing(), Some(executing));
-    assert_eq!(space.identity(), DesignSpace::serving(executing).identity());
+    assert_eq!(space.isa().name, DesignSpace::serving(executing).isa().name);
+    assert_eq!(space.host(), Some(HostDescription::probed()));
     let modelled = DesignSpace::for_isa(space.isa().clone());
     let admitted: Vec<(usize, usize)> = space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
     let unfiltered = admitted.len() == modelled.tile_shapes().len();
@@ -279,62 +213,29 @@ fn served_verdicts_block_in_whole_tiles_for_this_hosts_caches() {
     assert_eq!(serving.drivers().len(), tiles.len(), "{tiles:?}");
 }
 
-/// A registry file recorded for other caches — or by a tree whose identity
-/// named no caches at all — is refused by the strict constructor and
-/// quarantined by the tolerant one; the re-tune persists under this host's
-/// identity.
+/// A verdict stays with the tuner that searched it: two tuners over the
+/// same library and executing ISA but different caches, in one process,
+/// each block the same shape for their own caches, and tuning on one
+/// leaves the other's registry untouched.
 #[test]
-fn a_registry_recorded_for_other_caches_is_quarantined() {
-    let executing = active_isa();
-    let here = DesignSpace::serving(executing);
-    let library = here.isa().clone();
+fn verdicts_follow_the_space_they_were_searched_in() {
     let geometry = |bytes| CacheGeometry { bytes, ways: 8, line: 64 };
-    let elsewhere = HostDescription { l1d: geometry(32 << 10), l2: geometry(1 << 20), l3: geometry(8 << 20) };
-    assert_ne!(&elsewhere, HostDescription::probed());
-    let other_caches = DesignSpace::for_execution(library.clone(), executing, elsewhere).identity();
-    let unsigned = format!("{}@{executing}", library.name);
-    let (m, n, k) = (64, 64, 64);
-    for (tag, name) in [("other-caches", other_caches), ("unsigned", unsigned)] {
-        assert_ne!(name, here.identity());
-        let path = temp_registry_path(tag);
-        let quarantine = std::path::PathBuf::from(format!("{}.corrupt", path.display()));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&quarantine);
-        let stale = KernelRegistry::with_persistence(name.clone(), &path).unwrap();
-        let blocking = BlockingParams::for_host(&elsewhere, 16, 16);
-        stale
-            .record(exo_tune::TuneVerdict {
-                m,
-                n,
-                k,
-                mr: 16,
-                nr: 16,
-                mc: blocking.mc,
-                kc: blocking.kc,
-                nc: blocking.nc,
-                predicted_cycles: 1.0,
-                predicted_gflops: 1.0,
-                candidates_evaluated: 1,
-            })
-            .unwrap();
+    let small = HostDescription { l1d: geometry(32 << 10), l2: geometry(1 << 20), l3: geometry(0) };
+    let carmel = HostDescription::carmel();
+    let tuner_on = |host| Tuner::over(DesignSpace::for_execution(exo_isa::neon_f32(), IsaKind::Avx2, host));
+    let (on_carmel, on_small) = (tuner_on(carmel), tuner_on(small));
+    let blocked_for = |host, v: &TuneVerdict| BlockingParams::for_host(host, v.mr, v.nr);
+    let (m, n, k) = (196, 256, 2304);
 
-        assert!(matches!(TunedGemm::with_persistence(&path), Err(TuneError::Corrupt(_))), "{name}");
-        assert!(path.exists() && !quarantine.exists(), "the strict constructor leaves the file alone");
-        let (fresh, tolerated) = TunedGemm::with_persistence_or_fresh(&path);
-        assert!(matches!(tolerated, Some(TuneError::Corrupt(_))), "{name}: {tolerated:?}");
-        assert!(fresh.registry().is_empty(), "no verdict blocked for other caches may be served");
-        assert!(quarantine.exists() && !path.exists());
-        let verdict = fresh.plan(m, n, k).unwrap();
-        assert_eq!(
-            verdict.blocking(),
-            BlockingParams::for_host(HostDescription::probed(), verdict.mr, verdict.nr)
-        );
-        let warm = TunedGemm::with_persistence(&path).unwrap();
-        assert_eq!(warm.registry().isa_name(), here.identity());
-        assert_eq!(warm.plan(m, n, k).unwrap(), verdict);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&quarantine);
-    }
+    let carmel_verdict = on_carmel.tune(m, n, k).unwrap();
+    assert_eq!(carmel_verdict.blocking(), blocked_for(&carmel, &carmel_verdict));
+    assert_eq!(on_small.registry().len(), 0, "a verdict for Carmel's caches reached the small host's tuner");
+
+    let small_verdict = on_small.tune(m, n, k).unwrap();
+    assert_eq!(small_verdict.blocking(), blocked_for(&small, &small_verdict));
+    assert_ne!(small_verdict.blocking(), carmel_verdict.blocking());
+    assert_eq!((on_carmel.registry().len(), on_small.registry().len()), (1, 1));
+    assert_eq!(on_carmel.tune(m, n, k).unwrap(), carmel_verdict);
 }
 
 /// The `TunedGemm` front-end computes the right answer on fringe-heavy
