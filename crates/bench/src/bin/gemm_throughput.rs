@@ -611,7 +611,7 @@ fn pack_b_in_situ(driver: &BlisGemm) -> Paired {
             Side::Subject => None,
             Side::Reference => Some(&image),
         };
-        driver.run(&mut runner, problem, packed_b, 1).expect("gemm run");
+        driver.run(&mut runner, &mut [problem], packed_b, 1).expect("gemm run");
     });
     driver.put_back(runner);
     paired

@@ -31,7 +31,13 @@
 //!    layer's weights against a batch of activations — pack it **once per
 //!    batch** into a [`gemm_blis::PackedB`] image every one of them
 //!    slices, instead of once per entry ([`BatchReport::b_images_packed`],
-//!    [`BatchReport::entries_on_shared_b`]).
+//!    [`BatchReport::entries_on_shared_b`]);
+//! 5. a shard's consecutive entries on one image under one `alpha` and
+//!    `beta` run as **one stacked engine pass** over their concatenated
+//!    rows ([`gemm_blis::BlisGemm::run`] on a stack): sixteen 49-row
+//!    entries are one 784-row operand, so the `m`-fringe — a 16-row tile
+//!    computes 64 rows for 49 — is paid once per shard instead of once per
+//!    entry ([`BatchReport::stacked_passes`]).
 //!
 //! A batch of one gains nothing from any of that, so
 //! [`GemmBatchExecutor::gemm_one`] is the same engine pass without it: one
@@ -42,8 +48,9 @@
 //! The result is **bit-identical to a sequential per-entry loop** over the
 //! same executor: kernel and blocking selection are deterministic per
 //! shape, entries never share a `C`, a shared image holds the bytes each
-//! entry would have packed for itself, and each entry runs the exact
-//! sequential five-loop op order inside its runner.
+//! entry would have packed for itself, and each entry's `C` elements see
+//! the exact sequential five-loop op order — the same `k`-blocks, kernel
+//! and operations — whether the entry runs alone or stacked.
 //!
 //! ## Fault isolation and degradation
 //!
@@ -59,13 +66,23 @@
 //! no rung below it — it ran on the tape, the checked floor — keeps its
 //! first failure. The [`BatchReport`] carries the per-entry outcomes plus
 //! the isolation tallies (panics caught, retries, degraded completions).
+//!
+//! A stacked pass keeps entries failing individually where it can: each
+//! entry's injected fault fires once, before the pass writes anything, and
+//! the entry it hits leaves the stack and resolves alone. A pass that
+//! itself fails — a kernel error, or a contained panic that costs its
+//! runner — fails every entry in it, and each is resolved one by one:
+//! retried one tier down on its own when `beta == 0`, the pass's typed
+//! error otherwise.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gemm_blis::pool::{PoolJob, ThreadPool};
-use gemm_blis::{BlisGemm, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB};
+use gemm_blis::{
+    BlisGemm, ExecBackend, GemmError, GemmExecutor, GemmProblem, GemmRunner, GemmStats, PackedB,
+};
 
 use crate::fault;
 
@@ -107,6 +124,10 @@ pub struct BatchReport {
     /// Entries whose `B` came from such an image instead of being packed
     /// for them alone.
     pub entries_on_shared_b: u64,
+    /// Engine passes that ran a stack of entries — a shard's consecutive
+    /// entries on one image under one `alpha` and `beta` — over their
+    /// concatenated rows, each counted once whatever its outcome.
+    pub stacked_passes: u64,
 }
 
 impl BatchReport {
@@ -202,6 +223,7 @@ struct Tally {
     runner_builds: AtomicU64,
     b_images: AtomicU64,
     shared_b_entries: AtomicU64,
+    stacked_passes: AtomicU64,
 }
 
 /// Renders a contained panic payload into the `JobPanicked` message.
@@ -215,45 +237,48 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one batch entry with panic isolation and one degradation retry.
-///
-/// The first attempt goes through `runner` (the shard's engine, checked
-/// out of `driver`) on up to `threads` pool workers, reading `B` from
-/// `packed_b` when the entry shares an image. A panic is contained and
-/// resolved as [`GemmError::JobPanicked`], and the runner whose pass
-/// unwound is dropped: the shard goes on with another one from the driver.
-/// Executional failures — contained panics and kernel errors — are retried
-/// once on the tier below the one the runner held (on one thread, packing
-/// `B` for itself), but only when there is such a tier and `beta == 0`: a
-/// failed attempt may have partially written `C`, and only the
-/// never-reads-`C` contract makes a re-run equivalent to a clean first run.
-fn run_entry(
+/// Runs `attempt` on `runner` inside a panic capture. A panic is counted
+/// and resolved as [`GemmError::JobPanicked`], and the runner whose pass
+/// unwound is dropped: the caller goes on with another one from `driver`.
+fn contained<T>(
     driver: &BlisGemm,
     runner: &mut GemmRunner,
+    tally: &Tally,
+    attempt: impl FnOnce(&mut GemmRunner) -> Result<T, GemmError>,
+) -> Result<T, GemmError> {
+    catch_unwind(AssertUnwindSafe(|| attempt(runner))).unwrap_or_else(|payload| {
+        tally.panics.fetch_add(1, Ordering::Relaxed);
+        *runner = driver.runner();
+        Err(GemmError::JobPanicked { message: panic_message(payload.as_ref()) })
+    })
+}
+
+/// The entry fault hook of one entry's first attempt ([`fault::entry_hook`]):
+/// an armed decline as the kernel error a real one is.
+fn entry_fault(driver: &BlisGemm) -> Result<(), GemmError> {
+    match fault::entry_hook() {
+        Some(fault::EntryFault::Decline) => Err(GemmError::Kernel {
+            kernel: driver.kernel().name.to_string(),
+            message: "injected fault: simulated proof decline (EXO_FAULT decline)".into(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Resolves an entry whose first attempt, on tier `ran_on`, failed.
+/// Executional failures — contained panics and kernel errors — are retried
+/// once on the tier below `ran_on` (on one thread, packing `B` for
+/// itself), but only when there is such a tier and `beta == 0`: a failed
+/// attempt may have partially written `C`, and only the never-reads-`C`
+/// contract makes a re-run equivalent to a clean first run. Anything else
+/// keeps its failure.
+fn retry(
+    driver: &BlisGemm,
+    ran_on: ExecBackend,
     problem: &mut GemmProblem<'_>,
-    packed_b: Option<&PackedB>,
-    threads: usize,
+    failure: GemmError,
     tally: &Tally,
 ) -> Result<GemmStats, GemmError> {
-    let ran_on = runner.tier();
-    let first = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(fault::EntryFault::Decline) = fault::entry_hook() {
-            return Err(GemmError::Kernel {
-                kernel: driver.kernel().name.to_string(),
-                message: "injected fault: simulated proof decline (EXO_FAULT decline)".into(),
-            });
-        }
-        driver.run(runner, problem.reborrow(), packed_b, threads)
-    }));
-    let failure = match first {
-        Ok(Ok(stats)) => return Ok(mark_batched(stats)),
-        Ok(Err(e)) => e,
-        Err(payload) => {
-            tally.panics.fetch_add(1, Ordering::Relaxed);
-            *runner = driver.runner();
-            GemmError::JobPanicked { message: panic_message(payload.as_ref()) }
-        }
-    };
     let executional = matches!(failure, GemmError::JobPanicked { .. } | GemmError::Kernel { .. });
     let Some(below) = ran_on.degraded().filter(|_| executional && problem.beta == 0.0) else {
         return Err(failure);
@@ -275,9 +300,98 @@ fn run_entry(
     }
 }
 
+/// Runs one batch entry with panic isolation and one degradation retry.
+///
+/// The first attempt goes through `runner` (the shard's engine, checked
+/// out of `driver`) on up to `threads` pool workers, reading `B` from
+/// `packed_b` when the entry shares an image. A panic is contained
+/// ([`contained`]) and a failure resolved by [`retry`].
+fn run_entry(
+    driver: &BlisGemm,
+    runner: &mut GemmRunner,
+    problem: &mut GemmProblem<'_>,
+    packed_b: Option<&PackedB>,
+    threads: usize,
+    tally: &Tally,
+) -> Result<GemmStats, GemmError> {
+    let ran_on = runner.tier();
+    let first = contained(driver, runner, tally, |runner| {
+        entry_fault(driver)?;
+        driver.run(runner, std::slice::from_mut(problem), packed_b, threads)
+    });
+    match first {
+        Ok(stats) => Ok(mark_batched(stats)),
+        Err(failure) => retry(driver, ran_on, problem, failure, tally),
+    }
+}
+
+/// Runs a run of entries that read one image under one `alpha` and `beta`
+/// as one engine pass over their stacked rows ([`BlisGemm::run`] on a
+/// stack), passing each outcome to `sink`.
+///
+/// Each entry's fault hook fires once, before anything is written: an
+/// entry it fails leaves the stack and resolves alone, as [`run_entry`]
+/// resolves it. The rest run as one pass. A pass that fails — a kernel
+/// error, or a contained panic that costs the runner — fails every entry
+/// in it, and [`retry`] resolves each one by one: re-run one tier down
+/// when `beta == 0`, the typed error otherwise.
+#[allow(clippy::too_many_arguments)]
+fn run_stack(
+    driver: &BlisGemm,
+    runner: &mut GemmRunner,
+    stack: &mut [GroupEntry<'_>],
+    image: &PackedB,
+    threads: usize,
+    tally: &Tally,
+    sink: Sink<'_>,
+) {
+    let ran_on = runner.tier();
+    let (mut slots, mut problems) = (Vec::with_capacity(stack.len()), Vec::with_capacity(stack.len()));
+    for (idx, problem, _) in stack.iter_mut() {
+        match contained(driver, runner, tally, |_| entry_fault(driver)) {
+            Ok(()) => {
+                slots.push(*idx);
+                problems.push(problem.reborrow());
+            }
+            Err(failure) => sink(*idx, retry(driver, ran_on, problem, failure, tally)),
+        }
+    }
+    if problems.is_empty() {
+        return;
+    }
+    if problems.len() > 1 {
+        tally.stacked_passes.fetch_add(1, Ordering::Relaxed);
+    }
+    match contained(driver, runner, tally, |runner| driver.run(runner, &mut problems, Some(image), threads)) {
+        Ok(stack) => {
+            for (idx, problem) in slots.into_iter().zip(&problems) {
+                let (m, n, k) = (problem.c.rows(), stack.n, stack.k);
+                let flop_count = GemmStats::flops_for(m, n, k, problem.alpha);
+                sink(idx, Ok(mark_batched(GemmStats { m, flop_count, ..stack.clone() })));
+            }
+        }
+        Err(failure) => {
+            for (idx, mut problem) in slots.into_iter().zip(problems) {
+                sink(idx, retry(driver, ran_on, &mut problem, failure.clone(), tally));
+            }
+        }
+    }
+}
+
 /// One entry of a group on its way to a shard: its slot in the batch, the
 /// problem, and the index of the image it reads `B` from, if it shares one.
 type GroupEntry<'a> = (usize, GemmProblem<'a>, Option<usize>);
+
+/// Where a shard delivers each entry's outcome: its slot, and the result.
+type Sink<'s> = &'s mut dyn FnMut(usize, Result<GemmStats, GemmError>);
+
+/// Whether `next` joins the stack of `entry`, the shard entry before it:
+/// both read one image under one `alpha` and one `beta` (the same image
+/// means the same `B`, and with it the same `n` and `k`).
+fn stacks_with(entry: &GroupEntry<'_>, next: &GroupEntry<'_>) -> bool {
+    let scales = |p: &GemmProblem<'_>| (p.alpha.to_bits(), p.beta.to_bits());
+    entry.2.is_some() && entry.2 == next.2 && scales(&entry.1) == scales(&next.1)
+}
 
 /// Packs one image per run of two or more consecutive `entries` that
 /// multiply by the same `B` — the same view ([`gemm_blis::MatRef::same_view`])
@@ -285,7 +399,10 @@ type GroupEntry<'a> = (usize, GemmProblem<'a>, Option<usize>);
 /// entries live — and points the run's entries at it. One pass of pointer
 /// compares; a group that shares nothing touches neither `images` nor the
 /// allocator. `images` is scratch: slots are reused from the front, grown
-/// only when a batch has more shared operands than any before it.
+/// only when a batch has more shared operands than any before it. The
+/// image index is also what [`run_group`]'s shards stack by: a run's
+/// entries share `n` and `k`, and those of one shard that share `alpha`
+/// and `beta` too become one pass ([`stacks_with`]).
 fn pack_shared_b(
     driver: &BlisGemm,
     entries: &mut [GroupEntry<'_>],
@@ -320,12 +437,17 @@ fn pack_shared_b(
 /// them as the pool has workers deals them round-robin over one shard per
 /// worker, each entry running whole on its shard's [`gemm_blis::GemmRunner`]
 /// (arena + dispatch proof, reused across the shard's entries). A shorter
-/// group cannot occupy the pool that way, so its entries run one after
-/// another on one runner under the driver's own partition of `C`. Either
-/// way, entries that share a `B` read it from one image
-/// ([`pack_shared_b`]), packed into `images`' buffers — a caller passing a
-/// persistent vec ([`CachedTunedGemm`]) pays image allocation once per
-/// lifetime, a caller passing an empty one once per batch. A shard's
+/// group cannot occupy the pool that way, so its entries run on one runner
+/// under the driver's own partition of `C`. Either way, entries that share
+/// a `B` read it from one image ([`pack_shared_b`]), packed into `images`'
+/// buffers — a caller passing a persistent vec ([`CachedTunedGemm`]) pays
+/// image allocation once per lifetime, a caller passing an empty one once
+/// per batch — and each run of a shard's entries that read one image under
+/// one `alpha` and `beta` ([`stacks_with`]) is one engine pass over their
+/// stacked rows ([`run_stack`]); any other entry runs alone
+/// ([`run_entry`]). On a pool of two, a 16-entry batch of 49-row entries
+/// is two passes of 392 rows: 25 row panels of a 16-row tile per shard,
+/// not 32. A shard's
 /// runner is checked out of `driver` on the calling thread, owned by the
 /// shard, and returned by it when it is through: a shard that dies takes
 /// its runner with it.
@@ -349,14 +471,22 @@ fn run_group<'a>(
     let built_before = driver.runners_built();
     pack_shared_b(driver, &mut entries, images, tally);
     let images: &[PackedB] = images;
-    type Sink<'s> = &'s mut dyn FnMut(usize, Result<GemmStats, GemmError>);
-    let run_shard = |shard: Vec<GroupEntry<'a>>, mut runner: GemmRunner, threads: usize, sink: Sink<'_>| {
-        for (idx, mut problem, image) in shard {
-            let image = image.map(|i| &images[i]);
-            sink(idx, run_entry(driver, &mut runner, &mut problem, image, threads, tally));
-        }
-        driver.put_back(runner);
-    };
+    let run_shard =
+        |mut shard: Vec<GroupEntry<'a>>, mut runner: GemmRunner, threads: usize, sink: Sink<'_>| {
+            for run in shard.chunk_by_mut(stacks_with) {
+                match run {
+                    [(idx, problem, image)] => {
+                        let image = image.map(|i| &images[i]);
+                        sink(*idx, run_entry(driver, &mut runner, problem, image, threads, tally));
+                    }
+                    stack => {
+                        let image = &images[stack[0].2.expect("a stack reads one image")];
+                        run_stack(driver, &mut runner, stack, image, threads, tally, sink);
+                    }
+                }
+            }
+            driver.put_back(runner);
+        };
     let pool = ThreadPool::global();
     let shard_count = pool.workers();
     if shard_count == 1 || entries.len() < shard_count {
@@ -422,6 +552,7 @@ fn collect_outcomes(out: Vec<Option<Result<GemmStats, GemmError>>>, tally: Tally
         runners_built: tally.runner_builds.into_inner(),
         b_images_packed: tally.b_images.into_inner(),
         entries_on_shared_b: tally.shared_b_entries.into_inner(),
+        stacked_passes: tally.stacked_passes.into_inner(),
     }
 }
 
@@ -480,9 +611,14 @@ impl GemmBatchExecutor for BlisGemm {
 /// executor lives reaches its warm runners at their next GEMM. The image
 /// buffers persist the same way, so a steady-state batch that packs a
 /// weight matrix once for all its entries allocates nothing to do it.
+/// Entries on one image that also share their verdict's driver — every
+/// entry of a batch of one layer's activations — stack into one engine
+/// pass per shard, which pays the row fringe once for the shard; that
+/// costs one vector of row parts per pass and no copy of any operand.
 /// Results are bit-identical to per-entry `execute` calls: a runner
-/// carries no numeric state, only warm capacity and proofs, and an image
-/// is repacked from the batch's own `B` every time.
+/// carries no numeric state, only warm capacity and proofs, an image is
+/// repacked from the batch's own `B` every time, and a stacked entry's `C`
+/// sees its own call's `k`-blocks, kernel and operation order.
 ///
 /// The image buffers are behind a mutex, taken once per batch — a
 /// service runs one pass at a time and never contends on it.
@@ -787,6 +923,45 @@ mod tests {
                 let report = batch_vs_loop(&driver.clone().with_threads(0), &weights, &[3, 3], m, 0.75);
                 assert_eq!((report.b_images_packed, report.entries_on_shared_b), (1, 2), "{layout}: a pair");
             }
+        }
+    }
+
+    #[test]
+    fn a_warm_shared_b_batch_runs_one_stacked_pass_per_shard() {
+        // The benchmark's batch: 16 entries of 49 rows against one `B`,
+        // the pool at its full width. Each shard's entries read one image
+        // under one `alpha` and `beta`, so each shard is one stacked pass —
+        // two on two workers; a one-worker pool's single shard is one too.
+        let executor = CachedTunedGemm::new(exo_tune::TunedGemm::new().with_threads(0));
+        let (m, n, k) = (49usize, 40usize, 48usize);
+        let b = fill(k, n, 3);
+        let acts: Vec<Matrix> = (0..16).map(|e| fill(m, k, e)).collect();
+        let mut cs: Vec<Matrix> = (0..16).map(|_| Matrix::zeros(m, n)).collect();
+        let run = |cs: &mut [Matrix]| {
+            let batch = acts
+                .iter()
+                .zip(cs.iter_mut())
+                .map(|(a, c)| GemmProblem::new(a.view(), b.view(), c.view_mut()).alpha(0.75).beta(0.0));
+            executor.gemm_batch(batch.collect())
+        };
+        let cold = run(&mut cs);
+        assert!(cold.outcomes.iter().all(Result::is_ok), "healthy batch");
+        let warm = run(&mut cs);
+        let workers = ThreadPool::global().workers();
+        let shards = if workers <= 16 { workers } else { 1 };
+        assert_eq!(
+            (warm.stacked_passes, warm.runners_built, warm.b_images_packed, warm.entries_on_shared_b),
+            (shards as u64, 0, 1, 16),
+            "(stacked passes, runners built, images packed, entries on them) on {workers} workers"
+        );
+        for (e, (a, got)) in acts.iter().zip(&cs).enumerate() {
+            let stats = warm.outcomes[e].as_ref().expect("healthy entry");
+            assert_eq!((stats.m, stats.n, stats.k, stats.flop_count), (m, n, k, 2 * (m * n * k) as u64));
+            assert!(stats.batched && !stats.degraded);
+            let mut want = Matrix::zeros(m, n);
+            let alone = GemmProblem::new(a.view(), b.view(), want.view_mut()).alpha(0.75).beta(0.0);
+            executor.tuned().execute(alone).unwrap();
+            assert_eq!(got.data, want.data, "entry {e}: the stacked pass vs its own call");
         }
     }
 

@@ -46,6 +46,15 @@
 //! by exactly one worker in the sequential `pc` order, so the result is
 //! bit-for-bit identical for any thread count.
 //!
+//! The engine's `A` and `C` are a list of row parts: a lone GEMM is a list
+//! of one, and GEMMs that multiply by one `B` under one `alpha` and `beta`
+//! — a batch of activations against a layer's weights — can be handed over
+//! as a stack ([`BlisGemm::run`]), one `m` whose rows are theirs top to
+//! bottom. A micro-panel that straddles two parts is packed from both, and
+//! a `C` tile is staged in and out once per part it touches, so a stack
+//! pays its row fringe once instead of once per GEMM, and every element
+//! still sees its own GEMM's `k`-blocks, kernel and operation order.
+//!
 //! And there is one owner of engines, with one lifetime for them: the
 //! [`BlisGemm`] driver keeps its idle runners, every pass — a plain call,
 //! an extra window, a batch shard — checks one out and returns it, and the
@@ -68,7 +77,7 @@ use ukernel_gen::{GenError, TierDispatch};
 use crate::baselines::{default_kernel, ExecBackend, KernelImpl};
 use crate::blocking::BlockingParams;
 use crate::host::HostDescription;
-use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena, PackedB};
+use crate::packing::{a_panel, b_panel, pack_a_into, pack_a_rows, pack_b_into, PackArena, PackedB};
 use crate::pool::{lock_tolerant, PoolJob, ThreadPool};
 use crate::problem::{GemmExecutor, GemmProblem, GemmStats};
 use crate::views::{MatMut, MatRef};
@@ -372,20 +381,34 @@ impl BlisGemm {
         image.pack(b, &tile_blocking(self.blocking, &self.kernel));
     }
 
-    /// Solves one problem on `runner` — one of this driver's, checked out
-    /// by the caller — and up to `threads` workers of the shared pool (`0`
-    /// = its full width): partition `C`, run the engine once per window.
+    /// Solves `problems` — one GEMM, or a stack of them that multiply by
+    /// one `B` — on `runner`, one of this driver's checked out by the
+    /// caller, and up to `threads` workers of the shared pool (`0` = its
+    /// full width): partition `C`, run the engine once per window.
     /// `runner` serves the first window; the others are served by runners
     /// checked out of this driver for the call and returned after it.
-    /// [`GemmExecutor::gemm`] is this with a check-out around it; a caller
-    /// with many problems (a batch shard) keeps one runner across them and
-    /// takes no lock per problem.
+    /// [`GemmExecutor::gemm`] is this with a check-out around a stack of
+    /// one; a caller with many problems (a batch shard) keeps one runner
+    /// across them and takes no lock per problem.
+    ///
+    /// A stack of several problems is one pass over their rows stacked top
+    /// to bottom, in slice order: one `m`-row operand, whose micro-panels
+    /// and `C` tiles may straddle two or more problems. `pack_a` fills such
+    /// a panel from each problem's `op(A)` rows, and each `C` tile stages
+    /// in, out and takes the next-tile prefetch once per problem it
+    /// touches. The problems must share `n`, `k`, `alpha`, `beta` and
+    /// `op(B)` (the same view, [`MatRef::same_view`]); `m` and `op(A)` may
+    /// differ. Every `C` element sees the same `k`-blocks, kernel and
+    /// operation order as when its problem runs alone, so the bits are the
+    /// per-problem run's, and a fringe is paid once per stack instead of
+    /// once per problem. The returned stats are the stack's: `m` is its
+    /// stacked rows and `flop_count` the sum.
     ///
     /// With `packed_b`, `op(B)` is read from the image instead of
-    /// `problem.b`, which then only states the shape: no window packs `B`,
-    /// and the result is bit-identical to the run that packs — provided
-    /// the image was packed from that `B` ([`BlisGemm::pack_b`]), which is
-    /// the caller's contract.
+    /// `problems[0].b`, which then only states the shape: no window packs
+    /// `B`, and the result is bit-identical to the run that packs —
+    /// provided the image was packed from that `B` ([`BlisGemm::pack_b`]),
+    /// which is the caller's contract.
     ///
     /// Fringe tiles are zero-padded by the packing routines, and every `C`
     /// tile, full or fringe, is staged through a padded scratch tile in the
@@ -395,13 +418,14 @@ impl BlisGemm {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError::ShapeMismatch`] if the view dimensions are
-    /// inconsistent or the image is not this problem's `k x n` packed for
-    /// this driver's blocking, and propagates micro-kernel failures.
+    /// Returns [`GemmError::ShapeMismatch`] if `problems` is empty, a
+    /// problem's view dimensions are inconsistent, the problems of a stack
+    /// do not share `B` and both scales, or the image is not their `k x n`
+    /// packed for this driver's blocking; propagates micro-kernel failures.
     pub fn run(
         &self,
         runner: &mut GemmRunner,
-        problem: GemmProblem<'_>,
+        problems: &mut [GemmProblem<'_>],
         packed_b: Option<&PackedB>,
         threads: usize,
     ) -> Result<GemmStats, GemmError> {
@@ -410,60 +434,62 @@ impl BlisGemm {
             tile_blocking(self.blocking, &self.kernel),
             "another driver's runner"
         );
-        let (mut stats, operands) = runner.begin(problem, packed_b)?;
-        let Some(operands) = operands else {
+        let (mut stats, product_left) = runner.begin(problems, packed_b)?;
+        if !product_left {
             return Ok(stats);
-        };
-        let run_window = |runner: &mut GemmRunner, window: Window| {
-            // SAFETY: `operands.c` wraps the problem's exclusively borrowed
-            // `C` view, live until this function returns. The windows below
-            // are pairwise disjoint and each goes to exactly one engine
-            // pass, and `MatMut` proved the stride map injective, so no
-            // element is touched by two threads.
-            unsafe { gemm_arena_sequential(runner, operands, window) }
-        };
+        }
         let threads = match threads {
             0 => ThreadPool::global().workers(),
             t => t,
         };
         let mut windows = partition(stats.m, stats.n, &runner.blocking, threads);
-        if windows.len() == 1 {
-            run_window(runner, windows.next().expect("one window"))?;
-            return Ok(stats);
+        if windows.len() > 1 {
+            stats.threads = windows.len();
+            stats.pool_workers = ThreadPool::global().workers();
         }
-        stats.threads = windows.len();
-        stats.pool_workers = ThreadPool::global().workers();
-        let mut others: Vec<GemmRunner> = (1..windows.len())
-            .map(|_| {
-                let mut other = self.runner();
-                other.dispatch.refresh(&other.kernel.generated);
-                other
-            })
-            .collect();
-        let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); windows.len()];
-        let k = operands.a.cols();
-        let jobs: Vec<PoolJob<'_>> = std::iter::once(runner)
-            .chain(others.iter_mut())
-            .zip(windows)
-            .zip(results.iter_mut())
-            .map(|((runner, window), result)| {
-                // Grow each engine's arena here, on the calling thread, so
-                // the buffers come from (and go back to) one allocator
-                // arena instead of leaving a block-sized chunk cached in
-                // every pool thread's.
-                runner.reserve(operands.b, window.0.len(), window.1.len(), k);
-                Box::new(move || *result = run_window(runner, window)) as PoolJob<'_>
-            })
-            .collect();
-        // The shared pool's recycled workers (plus this thread helping) —
-        // no OS threads are spawned here. A window that panics is re-raised
-        // from here once the others are done, and the unwinding drops
-        // `others` instead of returning them.
-        ThreadPool::global().scope_run(jobs);
-        for other in others {
-            self.put_back(other);
-        }
-        results.into_iter().collect::<Result<(), GemmError>>()?;
+        with_operands(problems, packed_b, |operands| {
+            let run_window = |runner: &mut GemmRunner, window: Window| {
+                // SAFETY: every part's `c` wraps one problem's exclusively
+                // borrowed `C` view, live until this function returns. The
+                // windows below are pairwise disjoint and each goes to
+                // exactly one engine pass, and `MatMut` proved each stride
+                // map injective, so no element is touched by two threads.
+                unsafe { gemm_arena_sequential(runner, operands, window) }
+            };
+            if windows.len() == 1 {
+                return run_window(runner, windows.next().expect("one window"));
+            }
+            let mut others: Vec<GemmRunner> = (1..windows.len())
+                .map(|_| {
+                    let mut other = self.runner();
+                    other.dispatch.refresh(&other.kernel.generated);
+                    other
+                })
+                .collect();
+            let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); windows.len()];
+            let jobs: Vec<PoolJob<'_>> = std::iter::once(&mut *runner)
+                .chain(others.iter_mut())
+                .zip(windows)
+                .zip(results.iter_mut())
+                .map(|((runner, window), result)| {
+                    // Grow each engine's arena here, on the calling thread,
+                    // so the buffers come from (and go back to) one
+                    // allocator arena instead of leaving a block-sized
+                    // chunk cached in every pool thread's.
+                    runner.reserve(operands.b, window.0.len(), window.1.len(), stats.k);
+                    Box::new(move || *result = run_window(runner, window)) as PoolJob<'_>
+                })
+                .collect();
+            // The shared pool's recycled workers (plus this thread helping)
+            // — no OS threads are spawned here. A window that panics is
+            // re-raised from here once the others are done, and the
+            // unwinding drops `others` instead of returning them.
+            ThreadPool::global().scope_run(jobs);
+            for other in others {
+                self.put_back(other);
+            }
+            results.into_iter().collect::<Result<(), GemmError>>()
+        })?;
         Ok(stats)
     }
 }
@@ -471,7 +497,8 @@ impl BlisGemm {
 impl GemmExecutor for BlisGemm {
     fn gemm(&self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
         let mut runner = self.runner();
-        let result = self.run(&mut runner, problem, None, self.threads);
+        let mut problem = problem;
+        let result = self.run(&mut runner, std::slice::from_mut(&mut problem), None, self.threads);
         self.put_back(runner);
         result
     }
@@ -524,16 +551,110 @@ enum BOperand<'a> {
     Packed(&'a PackedB),
 }
 
-/// A validated problem with work left in it, as the engine passes read it:
-/// the effective operands, the raw `C`, and the two scales.
+/// One problem's rows in an engine pass: its `op(A)` and its raw `C`,
+/// placed at rows `start..start + a.rows()` of the pass's stacked `m`. A
+/// lone GEMM is one part at row 0.
+#[derive(Clone, Copy)]
+struct RowPart<'a> {
+    start: usize,
+    /// `op(A)`, `rows x k`.
+    a: MatRef<'a>,
+    c: RawMat,
+}
+
+impl<'a> RowPart<'a> {
+    fn of(start: usize, problem: &mut GemmProblem<'a>) -> Self {
+        RowPart { start, a: problem.op_a.apply(problem.a), c: RawMat::of(&mut problem.c) }
+    }
+
+    fn end(&self) -> usize {
+        self.start + self.a.rows()
+    }
+}
+
+/// The pieces of stacked `rows` in `parts` (sorted, contiguous, none
+/// empty), top to bottom: each touched part, the rows of it they cover in
+/// its own numbering, and where the piece starts inside `rows`.
+fn pieces<'p, 'a>(
+    parts: &'p [RowPart<'a>],
+    rows: Range<usize>,
+) -> impl Iterator<Item = (RowPart<'a>, Range<usize>, usize)> + 'p {
+    let first = parts.partition_point(|part| part.end() <= rows.start);
+    parts[first..].iter().take_while(move |part| part.start < rows.end).map(move |&part| {
+        let (lo, hi) = (rows.start.max(part.start), rows.end.min(part.end()));
+        (part, lo - part.start..hi - part.start, lo - rows.start)
+    })
+}
+
+/// Calls `f` once per piece of the `C` tile at stacked `(rows, cols)` —
+/// one per part its rows come from — with the piece's corner in `C`, `C`'s
+/// strides as the mover sees them, the piece's first row in the tile and
+/// its extent. A lone GEMM's tile is its one piece, reached without a
+/// search. The corner is reached through the raw pointer, so no reference
+/// ever spans the elements of another worker's window that lie between a
+/// tile's rows.
+///
+/// # Safety
+///
+/// `rows` must lie inside the stacked rows of `parts` and `cols` inside
+/// their columns.
+unsafe fn for_each_piece(
+    parts: &[RowPart<'_>],
+    (rows, cols): (Range<usize>, Range<usize>),
+    mut f: impl FnMut(*mut f32, (usize, usize), usize, (usize, usize)),
+) {
+    let mut piece = |part: RowPart<'_>, local: Range<usize>, at: usize| {
+        // SAFETY: `local.start` is a row of the part and `cols.start` a
+        // column of its `C` (the caller's contract), so the element lies
+        // inside that `C`.
+        let corner = unsafe { part.c.at(local.start, cols.start) };
+        f(corner, (part.c.row_stride, part.c.col_stride), at, (local.len(), cols.len()));
+    };
+    match parts {
+        [part] => piece(*part, rows.start - part.start..rows.end - part.start, 0),
+        parts => pieces(parts, rows).for_each(|(part, local, at)| piece(part, local, at)),
+    }
+}
+
+/// A validated stack with work left in it, as the engine passes read it:
+/// the row parts, the effective `B`, and the two scales.
 #[derive(Clone, Copy)]
 struct Operands<'a> {
-    /// `op(A)`, `m x k`.
-    a: MatRef<'a>,
+    parts: &'a [RowPart<'a>],
     b: BOperand<'a>,
-    c: RawMat,
     alpha: f32,
     beta: f32,
+}
+
+/// Runs `f` on the operands of `problems`, which [`GemmRunner::begin`]
+/// validated and found a product left in. A lone problem's part lives on
+/// this frame — a stack of one allocates nothing — and a stack's in one
+/// vector. Problems with no rows have no part.
+fn with_operands<R>(
+    problems: &mut [GemmProblem<'_>],
+    packed_b: Option<&PackedB>,
+    f: impl FnOnce(Operands<'_>) -> R,
+) -> R {
+    let first = &problems[0];
+    let b = match packed_b {
+        Some(image) => BOperand::Packed(image),
+        None => BOperand::View(first.op_b.apply(first.b)),
+    };
+    let (alpha, beta) = (first.alpha, first.beta);
+    if let [problem] = problems {
+        return f(Operands { parts: &[RowPart::of(0, problem)], b, alpha, beta });
+    }
+    let mut start = 0;
+    let parts: Vec<RowPart<'_>> = problems
+        .iter_mut()
+        .filter(|problem| problem.c.rows() > 0)
+        .map(|problem| {
+            let rows = problem.c.rows();
+            start += rows;
+            RowPart::of(start - rows, problem)
+        })
+        .collect();
+    f(Operands { parts: &parts, b, alpha, beta })
 }
 
 /// `blocking` with `mr`/`nr` replaced by the kernel's register tile. Panels
@@ -571,27 +692,37 @@ impl GemmRunner {
         }
     }
 
-    /// The top of a GEMM, before any partition: validate the problem
-    /// (and the image, if `B` comes from one), re-resolve the tier handle —
-    /// here and nowhere below, so one problem runs on one tier — and settle
-    /// the contracts that need no engine pass. Returns the stats and, when
-    /// there is a product left to compute, the operands to compute it from.
-    fn begin<'a>(
+    /// The top of a GEMM, before any partition: validate the problems —
+    /// each on its own, and a stack's against its first (one `B`, one
+    /// `alpha`, one `beta`) — and the image, if `B` comes from one,
+    /// re-resolve the tier handle — here and nowhere below, so one pass
+    /// runs on one tier — and settle the contracts that need no engine
+    /// pass. Returns the stack's stats and whether there is a product left
+    /// to compute.
+    fn begin(
         &mut self,
-        problem: GemmProblem<'a>,
-        packed_b: Option<&'a PackedB>,
-    ) -> Result<(GemmStats, Option<Operands<'a>>), GemmError> {
-        let (m, n, k) = problem.dims()?;
-        let a = problem.op_a.apply(problem.a);
-        let b = match packed_b {
-            Some(image) => {
-                image.check(k, n, &self.blocking)?;
-                BOperand::Packed(image)
-            }
-            None => BOperand::View(problem.op_b.apply(problem.b)),
+        problems: &mut [GemmProblem<'_>],
+        packed_b: Option<&PackedB>,
+    ) -> Result<(GemmStats, bool), GemmError> {
+        let Some((first, rest)) = problems.split_first() else {
+            return Err(GemmError::ShapeMismatch { what: "an engine pass needs a problem".into() });
         };
-        let (alpha, beta) = (problem.alpha, problem.beta);
-        let mut c = problem.c;
+        let (mut m, n, k) = first.dims()?;
+        let b = first.op_b.apply(first.b);
+        let (alpha, beta) = (first.alpha, first.beta);
+        for problem in rest {
+            let (rows, ..) = problem.dims()?;
+            let scales = (problem.alpha.to_bits(), problem.beta.to_bits());
+            if !problem.op_b.apply(problem.b).same_view(&b) || scales != (alpha.to_bits(), beta.to_bits()) {
+                return Err(GemmError::ShapeMismatch {
+                    what: "a stacked problem must share the first one's op(B), alpha and beta".into(),
+                });
+            }
+            m += rows;
+        }
+        if let Some(image) = packed_b {
+            image.check(k, n, &self.blocking)?;
+        }
         self.dispatch.refresh(&self.kernel.generated);
         let stats = GemmStats {
             m,
@@ -606,16 +737,17 @@ impl GemmRunner {
             degraded: false,
         };
         if m == 0 || n == 0 {
-            return Ok((stats, None));
+            return Ok((stats, false));
         }
         if k == 0 || alpha == 0.0 {
             // Degenerate product: C = beta * C, honoring beta == 0 as
             // "never read".
-            scale_c(&mut c, beta);
-            return Ok((stats, None));
+            for problem in problems {
+                scale_c(&mut problem.c, beta);
+            }
+            return Ok((stats, false));
         }
-        // `c` is a borrow for `'a`, which outlives the operands.
-        Ok((stats, Some(Operands { a, b, c: RawMat::of(&mut c), alpha, beta })))
+        Ok((stats, true))
     }
 
     /// Solves one problem on the calling thread, alone: the whole of `C`
@@ -625,13 +757,16 @@ impl GemmRunner {
     ///
     /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
     /// for inconsistent dimensions, micro-kernel failures propagated.
-    pub fn gemm(&mut self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        let (stats, operands) = self.begin(problem, None)?;
-        if let Some(operands) = operands {
-            // SAFETY: `operands.c` wraps the problem's exclusively borrowed
-            // `C` view, live until this function returns, and this is the
-            // only pass over it.
-            unsafe { gemm_arena_sequential(self, operands, (0..stats.m, 0..stats.n))? };
+    pub fn gemm(&mut self, mut problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
+        let problems = std::slice::from_mut(&mut problem);
+        let (stats, product_left) = self.begin(problems, None)?;
+        if product_left {
+            // SAFETY: the part's `c` wraps the problem's exclusively
+            // borrowed `C` view, live until this function returns, and this
+            // is the only pass over it.
+            with_operands(problems, None, |operands| unsafe {
+                gemm_arena_sequential(self, operands, (0..stats.m, 0..stats.n))
+            })?;
         }
         Ok(stats)
     }
@@ -669,20 +804,22 @@ fn partition(
 /// from a [`PackedB`] image, slice — the `Bc` blocks of the window's
 /// columns, loop L3 sends the window's rows through [`run_ic_block`]. This
 /// is the only `jc`/`pc`/`ic` nest in the crate — a one-thread GEMM passes
-/// the whole of `C`, each worker of a threaded GEMM its own window — so
-/// every path produces identical bits by construction.
+/// the whole of `C`, each worker of a threaded GEMM its own window, and a
+/// stack of GEMMs is one `C` whose rows are its parts' — so every path
+/// produces identical bits by construction.
 ///
 /// # Safety
 ///
-/// `c` must point to live storage covering its declared extent, `window`
-/// must lie inside that extent, and no other thread may access any `C`
-/// element inside `window` during the call.
+/// Every part's `c` must point to live storage covering its declared
+/// extent, `window` must lie inside the stacked rows and the columns, and
+/// no other thread may access any `C` element inside `window` during the
+/// call.
 unsafe fn gemm_arena_sequential(
     run: &mut GemmRunner,
-    Operands { a, b, c, alpha, beta }: Operands<'_>,
+    Operands { parts, b, alpha, beta }: Operands<'_>,
     (rows, cols): Window,
 ) -> Result<(), GemmError> {
-    let k = a.cols();
+    let k = parts[0].a.cols();
     let BlockingParams { mc, kc, nc, mr, nr } = run.blocking;
     run.reserve(b, rows.len(), cols.len(), k);
     let c_lines = c_prefetch_line(rows.len(), cols.len(), HostDescription::probed());
@@ -718,18 +855,14 @@ unsafe fn gemm_arena_sequential(
                     run_ic_block(
                         &mut run.dispatch,
                         (mr, nr),
-                        a,
-                        ic,
+                        parts,
+                        ic..ic + mc_eff,
                         pc,
-                        mc_eff,
                         kc_eff,
                         packed_b,
-                        nc_eff,
-                        jc,
-                        c,
+                        jc..jc + nc_eff,
                         alpha,
-                        beta,
-                        pc == 0,
+                        if pc == 0 { beta } else { 1.0 },
                         a_buf,
                         &mut run.c_tile,
                         c_lines,
@@ -772,18 +905,24 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
     }
 }
 
-/// Loops L4/L5 for one `ic` block: pack the `op(A)` block (scaled by
-/// `alpha`) into `a_buf`, then run the micro-kernel over every `(jr, ir)`
-/// tile, staging each (possibly fringe) `C` tile into the kernel's
-/// column-major `c_tile` and back out through the strided mover — scaled by
-/// `beta` on the first k-block's way in, moved untouched after.
+/// Loops L4/L5 for one `(rows, cols)` block of stacked `C`: pack the
+/// `op(A)` rows (scaled by `alpha`) into `a_buf` — a lone GEMM's through
+/// [`pack_a_into`], a stack's through `pack_a_rows`, which fills a
+/// micro-panel that straddles two parts from both — then run the
+/// micro-kernel over every `(jr, ir)` tile, staging each (possibly fringe)
+/// `C` tile into the kernel's column-major `c_tile` and back out through the
+/// strided mover, one move per part the tile's rows come from
+/// ([`for_each_piece`]) — scaled by
+/// `stage_in_scale` (the problems' `beta` on the first k-block, `1` after)
+/// on the way in, moved untouched on the way out.
 ///
 /// With `c_lines` (a line size: the window outgrows the L1d, see
 /// [`c_prefetch_line`]) each kernel call is preceded by one prefetch hint
 /// per line of the `C` tile the walk visits next — the next `ir`, or the
-/// first tile of the next `jr` panel — so the kernel's runtime covers that
-/// tile's stage-in and write-back misses. A hint reads and writes no
-/// element, and its addresses lie inside the next tile.
+/// first tile of the next `jr` panel — in each part it touches, so the
+/// kernel's runtime covers that tile's stage-in and write-back misses. A
+/// hint reads and writes no element, and its addresses lie inside the next
+/// tile.
 ///
 /// `(mr, nr)` is the runner's blocking's tile, which [`tile_blocking`] set
 /// to the kernel's. A failed kernel call returns the tier handle's error
@@ -791,56 +930,57 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 ///
 /// # Safety
 ///
-/// `c` must point to live storage covering its declared `rows x cols`
-/// extent, and no other thread may concurrently access any `C` element with
-/// row in `[ic, ic + mc_eff)` and column in `[jc, jc + nc_eff)` — the
-/// driver guarantees this by handing each worker a disjoint window of `C`.
+/// Every part's `c` must point to live storage covering its declared
+/// extent, and no other thread may concurrently access any `C` element in
+/// stacked `rows` and `cols` — the driver guarantees this by handing each
+/// worker a disjoint window of `C`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn run_ic_block(
     dispatch: &mut TierDispatch,
     (mr, nr): (usize, usize),
-    a: MatRef<'_>,
-    ic: usize,
+    parts: &[RowPart<'_>],
+    rows: Range<usize>,
     pc: usize,
-    mc_eff: usize,
     kc_eff: usize,
     packed_b: &[f32],
-    nc_eff: usize,
-    jc: usize,
-    c: RawMat,
+    cols: Range<usize>,
     alpha: f32,
-    beta: f32,
-    first_k_block: bool,
+    stage_in_scale: f32,
     a_buf: &mut [f32],
     c_tile: &mut [f32],
     c_lines: Option<usize>,
 ) -> Result<(), GenError> {
     assert!(c_tile.len() >= mr * nr, "the staged tile holds a whole register tile");
+    let (mc_eff, nc_eff) = (rows.len(), cols.len());
     let a_len = mc_eff.div_ceil(mr) * kc_eff * mr;
-    pack_a_into(&mut a_buf[..a_len], a, ic, pc, mc_eff, kc_eff, mr, alpha);
+    match parts {
+        // A lone GEMM's rows are its one part's: the plain packer.
+        [part] => {
+            pack_a_into(&mut a_buf[..a_len], part.a, rows.start - part.start, pc, mc_eff, kc_eff, mr, alpha)
+        }
+        parts => {
+            let rows_of = |rows: Range<usize>| {
+                pieces(parts, rows)
+                    .map(|(part, local, _)| part.a.submatrix(local.start, pc, local.len(), kc_eff))
+            };
+            pack_a_rows(&mut a_buf[..a_len], rows_of, rows.clone(), kc_eff, mr, alpha);
+        }
+    }
     let packed_a = &a_buf[..a_len];
-    // `beta` belongs to the first k-block only; later blocks accumulate.
-    let stage_in_scale = if first_k_block { beta } else { 1.0 };
-    // `C` as the mover sees it, and the kernel's `c_tile[j * mr + i]`.
-    let (c_strides, tile_strides) = ((c.row_stride, c.col_stride), (1, mr));
+    // The kernel's `c_tile[j * mr + i]`.
+    let tile_strides = (1, mr);
 
     let n_panels = nc_eff.div_ceil(nr);
     let m_panels = mc_eff.div_ceil(mr);
-    // Tile `(ir, jr)`'s corner in `C` and its (possibly fringe) extent. The
-    // corner is reached through the raw pointer, so no reference ever spans
-    // the elements of another worker's window that lie between a tile's
-    // rows.
+    // Tile `(ir, jr)`'s (possibly fringe) stacked rows and columns of `C`.
     let tile = |ir: usize, jr: usize| {
-        let (i, j) = (ir * mr, jr * nr);
-        // SAFETY: `i < mc_eff` and `j < nc_eff`, so the element is in this
-        // block, which lies inside `C`.
-        (unsafe { c.at(ic + i, jc + j) }, (mr.min(mc_eff - i), nr.min(nc_eff - j)))
+        let (i, j) = (rows.start + ir * mr, cols.start + jr * nr);
+        (i..(i + mr).min(rows.end), j..(j + nr).min(cols.end))
     };
     for jr in 0..n_panels {
         for ir in 0..m_panels {
             let ap = a_panel(packed_a, ir, kc_eff, mr);
             let bp = b_panel(packed_b, jr, kc_eff, nr);
-            let (c_corner, extent) = tile(ir, jr);
             // Stage the C tile. Fringe padding positions receive only
             // zero-padded products from the kernel and are never copied
             // back, so the reused scratch needs no re-zeroing. `beta == 0`
@@ -849,22 +989,40 @@ unsafe fn run_ic_block(
             if stage_in_scale == 0.0 {
                 c_tile.fill(0.0);
             } else {
-                // SAFETY: `extent` fits the `mr x nr` tile (asserted above)
-                // and, by the caller's contract, lies inside this worker's
-                // window of `C`; a scratch buffer and `C` do not overlap.
-                strided_move(c_tile.as_mut_ptr(), tile_strides, c_corner, c_strides, extent, stage_in_scale);
+                let staged = c_tile.as_mut_ptr();
+                // SAFETY: the tile lies inside this block, so inside the
+                // stacked rows and `C`'s columns. Each piece's rows
+                // `at..at + extent.0` and columns fit the `mr x nr` tile
+                // (asserted above) and, by the caller's contract, lie inside
+                // this worker's window of `C`; a scratch buffer and `C` do
+                // not overlap.
+                unsafe {
+                    for_each_piece(parts, tile(ir, jr), |corner, strides, at, extent| {
+                        strided_move(staged.add(at), tile_strides, corner, strides, extent, stage_in_scale)
+                    });
+                }
             }
             // The tile the walk visits next: the next row panel, or the
             // first of the next column panel.
             let (next_ir, next_jr) = if ir + 1 < m_panels { (ir + 1, jr) } else { (0, jr + 1) };
             if let Some(line) = c_lines.filter(|_| next_jr < n_panels) {
-                let (next_corner, next_extent) = tile(next_ir, next_jr);
-                strided_prefetch(next_corner, c_strides, next_extent, line);
+                // SAFETY: the next tile lies inside this block as well.
+                unsafe {
+                    for_each_piece(parts, tile(next_ir, next_jr), |corner, strides, _, extent| {
+                        strided_prefetch(corner, strides, extent, line)
+                    });
+                }
             }
             dispatch.run(kc_eff, ap, bp, c_tile)?;
+            let staged = c_tile.as_ptr();
             // SAFETY: as above, with the roles exchanged; `MatMut` proved
-            // `C`'s stride map injective.
-            strided_move(c_corner, c_strides, c_tile.as_ptr(), tile_strides, extent, 1.0);
+            // each part's stride map injective, and parts are distinct
+            // problems' exclusively borrowed `C`s.
+            unsafe {
+                for_each_piece(parts, tile(ir, jr), |corner, strides, at, extent| {
+                    strided_move(corner, strides, staged.add(at), tile_strides, extent, 1.0)
+                });
+            }
         }
     }
     Ok(())
@@ -1394,7 +1552,9 @@ mod tests {
             let mut runner = driver.runner();
             for threads in [1usize, 3] {
                 let mut c_image = c0.clone();
-                driver.run(&mut runner, build(&a, &stored, &mut c_image), Some(&image), threads).unwrap();
+                driver
+                    .run(&mut runner, &mut [build(&a, &stored, &mut c_image)], Some(&image), threads)
+                    .unwrap();
                 assert_eq!(c_image.data, c_view.data, "{m}x{n}x{k}, {threads} threads");
             }
             assert_eq!(runner.arena.b_capacity(), 0, "a runner served from images packs no B");
@@ -1404,12 +1564,134 @@ mod tests {
             let mut other = PackedB::default();
             BlisGemm::new(BlockingParams { kc: 8, ..blocking }).pack_b(b, &mut other);
             let mut c = c0.clone();
-            let refused = driver.run(&mut runner, build(&a, &stored, &mut c), Some(&other), 1);
+            let refused = driver.run(&mut runner, &mut [build(&a, &stored, &mut c)], Some(&other), 1);
             assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{refused:?}");
             driver.pack_b(b.submatrix(0, 0, k, n - 1), &mut other);
-            let refused = driver.run(&mut runner, build(&a, &stored, &mut c), Some(&other), 1);
+            let refused = driver.run(&mut runner, &mut [build(&a, &stored, &mut c)], Some(&other), 1);
             assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{refused:?}");
             assert_eq!(c.data, c0.data);
+        }
+    }
+
+    /// One stacked entry: `A` as stored (`k x m` under `op(A) = T`) and the
+    /// starting `C`.
+    struct StackEntry {
+        a: Matrix,
+        op_a: Op,
+        c: Matrix,
+    }
+
+    impl StackEntry {
+        fn new(m: usize, k: usize, n: usize, op_a: Op, beta: f32, seed: usize) -> Self {
+            let av = move |i: usize, p: usize| ((i * 5 + p * 7 + seed) % 11) as f32 * 0.3 - 1.4;
+            let a = match op_a {
+                Op::None => Matrix::from_fn(m, k, av),
+                Op::Transpose => Matrix::from_fn(k, m, move |p, i| av(i, p)),
+            };
+            let start = move |i: usize, j: usize| ((i + 2 * j + seed) % 7) as f32 * 0.37 - 1.1;
+            let c = Matrix::from_fn(m, n, |i, j| if beta == 0.0 { f32::NAN } else { start(i, j) });
+            StackEntry { a, op_a, c }
+        }
+
+        fn problem<'x>(&'x mut self, b: &'x Matrix, alpha: f32, beta: f32) -> GemmProblem<'x> {
+            GemmProblem::new(self.a.view(), b.view(), self.c.view_mut())
+                .op_a(self.op_a)
+                .alpha(alpha)
+                .beta(beta)
+        }
+    }
+
+    fn bits(c: &Matrix) -> Vec<u32> {
+        c.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_stack_of_problems_is_one_pass_with_each_problems_bits() {
+        // Off-grid operands, so every rounding shows: a stack of entries of
+        // different `m` (3, 17, 0, 49 and 1 rows, with `op(A) = T` on every
+        // other one) is one pass over their 70 stacked rows, whose
+        // micro-panels straddle two and three entries, and each entry's `C`
+        // must equal its own run and `NaiveGemm`'s bit for bit — with `B`
+        // packed in the pass and from an image, on one window and three,
+        // under both `beta` regimes and `alpha` in {1, -1.5}, with `k`
+        // crossing `kc` and `n` ending in a fringe panel.
+        let kernel = default_kernel();
+        let blocking = BlockingParams { mc: 24, kc: 16, nc: 36, mr: kernel.mr, nr: kernel.nr };
+        let driver = BlisGemm::new(blocking);
+        let (n, k) = (41usize, 37usize);
+        let b = Matrix::from_fn(k, n, |p, j| ((p * 3 + j * 13 + 2) % 17) as f32 * 0.11 - 0.9);
+        let mut image = PackedB::default();
+        driver.pack_b(b.view(), &mut image);
+        let rows = [3usize, 17, 0, 49, 1];
+        let op = |e: usize| if e % 2 == 1 { Op::Transpose } else { Op::None };
+        for (alpha, beta) in [(1.0f32, 0.0f32), (-1.5, 0.75)] {
+            let fresh = || -> Vec<StackEntry> {
+                rows.iter().enumerate().map(|(e, &m)| StackEntry::new(m, k, n, op(e), beta, e)).collect()
+            };
+            let mut alone = fresh();
+            for entry in &mut alone {
+                let mut want = entry.c.clone();
+                let reference = GemmProblem::new(entry.a.view(), b.view(), want.view_mut())
+                    .op_a(entry.op_a)
+                    .alpha(alpha)
+                    .beta(beta);
+                NaiveGemm.gemm(reference).unwrap();
+                driver.gemm(entry.problem(&b, alpha, beta)).unwrap();
+                assert_eq!(
+                    bits(&entry.c),
+                    bits(&want),
+                    "alpha {alpha}, beta {beta}: the lone run vs NaiveGemm"
+                );
+            }
+            for (packed_b, threads) in [(None, 1usize), (Some(&image), 1), (None, 3), (Some(&image), 3)] {
+                let mut stacked = fresh();
+                let mut problems: Vec<GemmProblem<'_>> =
+                    stacked.iter_mut().map(|entry| entry.problem(&b, alpha, beta)).collect();
+                let mut runner = driver.runner();
+                let stats = driver.run(&mut runner, &mut problems, packed_b, threads).unwrap();
+                driver.put_back(runner);
+                drop(problems);
+                let m: usize = rows.iter().sum();
+                assert_eq!((stats.m, stats.n, stats.k), (m, n, k));
+                assert_eq!(stats.flop_count, GemmStats::flops_for(m, n, k, alpha));
+                for (e, (got, want)) in stacked.iter().zip(&alone).enumerate() {
+                    let label =
+                        format!("entry {e}, alpha {alpha}, beta {beta}, image {}", packed_b.is_some());
+                    assert_eq!(bits(&got.c), bits(&want.c), "{label}, {threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stack_must_share_b_and_both_scales_and_is_refused_whole() {
+        let driver = BlisGemm::new(BlockingParams { mc: 24, kc: 16, nc: 36, mr: 8, nr: 12 });
+        // Square, so that `B` transposed has `B`'s shape.
+        let (n, k) = (11usize, 11usize);
+        let b = Matrix::from_fn(k, n, |p, j| (p + 2 * j) as f32 * 0.25);
+        let other_b = b.clone();
+        let mut entries: Vec<StackEntry> =
+            (0..2).map(|e| StackEntry::new(5, k, n, Op::None, 1.0, e)).collect();
+        let starts: Vec<Matrix> = entries.iter().map(|entry| entry.c.clone()).collect();
+        let mut runner = driver.runner();
+        // (what differs, the second entry's B, its op(B), alpha, beta)
+        let refusals = [
+            ("another B", &other_b, Op::None, 1.0f32, 1.0f32),
+            ("the same B transposed", &b, Op::Transpose, 1.0, 1.0),
+            ("another alpha", &b, Op::None, 2.0, 1.0),
+            ("another beta", &b, Op::None, 1.0, 0.0),
+        ];
+        for (what, second_b, op_b, alpha, beta) in refusals {
+            let [first, second] = &mut entries[..] else { unreachable!("two entries") };
+            let mut problems =
+                [first.problem(&b, 1.0, 1.0), second.problem(second_b, alpha, beta).op_b(op_b)];
+            let refused = driver.run(&mut runner, &mut problems, None, 1);
+            assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "{what}: {refused:?}");
+        }
+        let refused = driver.run(&mut runner, &mut [], None, 1);
+        assert!(matches!(refused, Err(GemmError::ShapeMismatch { .. })), "an empty stack: {refused:?}");
+        for (entry, start) in entries.iter().zip(&starts) {
+            assert_eq!(bits(&entry.c), bits(start), "a refused stack writes nothing");
         }
     }
 

@@ -39,6 +39,8 @@
 //! a [`PackedB`]: the whole of `op(B)` packed once, ahead of the five loops,
 //! for every GEMM that multiplies by the same matrix.
 
+use std::ops::Range;
+
 use exo_codegen::simd::{strided_move, AlignedBuf};
 
 use crate::blocking::BlockingParams;
@@ -53,16 +55,25 @@ use crate::GemmError;
 /// This is the shared engine of [`pack_a_into`] and [`pack_b_into`]: the
 /// strided mover, then the padding.
 fn pack_region(out: &mut [f32], region: MatRef<'_>, tile_w: usize, alpha: f32) {
+    move_region(out, region, 0, tile_w, alpha);
+    pad_columns(out, region.rows(), region.cols(), tile_w);
+}
+
+/// Moves the `R x C` `region`, scaled by `alpha`, into columns `at..at + C`
+/// of the first `R` rows of `tile_w` contiguous elements in `out`, and
+/// touches no other element: the strided mover, once.
+fn move_region(out: &mut [f32], region: MatRef<'_>, at: usize, tile_w: usize, alpha: f32) {
     let (rows, cols) = (region.rows(), region.cols());
-    assert!(cols <= tile_w && out.len() >= rows * tile_w, "pack_region: panel too small");
+    assert!(at + cols <= tile_w && out.len() >= rows * tile_w, "pack_region: panel too small");
     // SAFETY: a `MatRef` holds every `(r, c)` of its extent inside its
-    // backing slice (checked at construction, kept by `t` and `submatrix`),
-    // the assert above does the same for `out` under strides `(tile_w, 1)`,
-    // which are injective as `cols <= tile_w`, and a shared and an
-    // exclusive borrow cannot overlap.
+    // backing slice (checked at construction, kept by `t` and `submatrix`);
+    // the assert above holds `at + r * tile_w + c` inside `out` for every
+    // such `(r, c)`, and strides `(tile_w, 1)` are injective there as
+    // `at + cols <= tile_w`; a shared and an exclusive borrow cannot
+    // overlap.
     unsafe {
         strided_move(
-            out.as_mut_ptr(),
+            out.as_mut_ptr().add(at),
             (tile_w, 1),
             region.data().as_ptr(),
             (region.row_stride(), region.col_stride()),
@@ -70,11 +81,15 @@ fn pack_region(out: &mut [f32], region: MatRef<'_>, tile_w: usize, alpha: f32) {
             alpha,
         );
     }
-    // Zero-pad the fringe columns of every row (values beyond `rows * tile_w`
-    // are the caller's responsibility — pack_*_into never leaves them stale).
-    if cols < tile_w {
+}
+
+/// Zero-pads columns `from..tile_w` of the first `rows` rows of `tile_w`
+/// elements in `out` (values beyond `rows * tile_w` are the caller's
+/// responsibility — the packers never leave them stale).
+fn pad_columns(out: &mut [f32], rows: usize, from: usize, tile_w: usize) {
+    if from < tile_w {
         for dst in out.chunks_exact_mut(tile_w).take(rows) {
-            dst[cols..].fill(0.0);
+            dst[from..].fill(0.0);
         }
     }
 }
@@ -114,6 +129,47 @@ pub fn pack_a_into(
         // op(A) = T (stride-swapped view) on its row copies.
         let region = a.submatrix(ic + p * mr, pc, prows, kc_eff).t();
         pack_region(&mut out[p * panel_len..(p + 1) * panel_len], region, mr, alpha);
+    }
+}
+
+/// [`pack_a_into`] over an `op(A)` whose rows are stacked from several
+/// operands: `rows_of(r)` yields, top to bottom, the `kc_eff`-column blocks
+/// that hold stacked rows `r` — one per operand a micro-panel straddles.
+/// Each panel is filled from every block
+/// its rows come from, one mover call per block, and zero-padded past its
+/// last row, so a straddling panel holds the bytes that packing each
+/// operand's rows on their own would have put in those positions.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than the packed block or a block is wider
+/// than the panel.
+pub(crate) fn pack_a_rows<'a, I>(
+    out: &mut [f32],
+    rows_of: impl Fn(Range<usize>) -> I,
+    rows: Range<usize>,
+    kc_eff: usize,
+    mr: usize,
+    alpha: f32,
+) where
+    I: IntoIterator<Item = MatRef<'a>>,
+{
+    let panels = rows.len().div_ceil(mr);
+    let panel_len = kc_eff * mr;
+    assert!(out.len() >= panels * panel_len, "pack_a_into: arena too small");
+    for p in 0..panels {
+        let panel = &mut out[p * panel_len..(p + 1) * panel_len];
+        let start = rows.start + p * mr;
+        let mut filled = 0;
+        for block in rows_of(start..(start + mr).min(rows.end)) {
+            // The packed panel is the (kc_eff x rows) *transpose* of the
+            // A-block rows, so the region view is the sub-block transposed:
+            // dense row-major A lands on the mover's transposing walk, and
+            // op(A) = T (stride-swapped view) on its row copies.
+            move_region(panel, block.t(), filled, mr, alpha);
+            filled += block.rows();
+        }
+        pad_columns(panel, kc_eff, filled, mr);
     }
 }
 

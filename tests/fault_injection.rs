@@ -579,6 +579,256 @@ fn entry_faults_on_a_shared_b_image_stay_with_their_entry() {
     }
 }
 
+/// One batch of every `(A_e, C_e)` of `pristine` against `weights` on
+/// `driver`, from a fresh copy, and what it gave back.
+fn stacked_batch(
+    driver: &BlisGemm,
+    weights: &OwnedMat,
+    pristine: &[(OwnedMat, OwnedMat)],
+    beta: f32,
+) -> (BatchReport, Vec<OwnedMat>) {
+    let mut pairs = pristine.to_vec();
+    let report = driver.gemm_batch(shared_weight_batch(weights, &mut pairs, beta));
+    (report, pairs.into_iter().map(|(_, c)| c).collect())
+}
+
+/// Every entry fault class fires once per *entry* of a stacked pass: armed
+/// for the batch's `N`th entry it fires in that batch, on exactly one
+/// entry, which leaves the stack and resolves alone (`beta == 0`: one retry
+/// one tier down, completed degraded) while the rest run stacked and
+/// bit-identical to the clean run; armed for the `N + 1`th, it spares this
+/// batch and fires on the first entry of the next. The slow class only
+/// delays its batch.
+#[test]
+fn entry_faults_fire_once_per_entry_of_a_stacked_pass() {
+    let _guard = serial();
+    fault::disarm();
+    let driver = driver();
+    const N: usize = 8;
+    let (weights, pristine) = shared_weight_operands(N, (24, 40, 48), 0.0);
+    let (clean, refs) = stacked_batch(&driver, &weights, &pristine, 0.0);
+    assert!(clean.outcomes.iter().all(Result::is_ok) && clean.stacked_passes >= 1, "a clean stacked batch");
+    let check = |(report, cs): &(BatchReport, Vec<OwnedMat>), faulted: u64, who: &str| {
+        assert_eq!(report.len(), N, "{who}: one outcome per entry");
+        assert_eq!((report.retries, report.degraded_completions), (faulted, faulted), "{who}");
+        assert!(report.stacked_passes >= 1, "{who}: the clean entries still stack");
+        for (e, (outcome, c)) in report.outcomes.iter().zip(cs).enumerate() {
+            match outcome {
+                Ok(stats) if stats.degraded => assert_close(c, &refs[e], &format!("{who}, entry {e}")),
+                Ok(_) => assert_bits(c, &refs[e], &format!("{who}, entry {e}")),
+                Err(other) => panic!("{who}, entry {e}: {other:?}"),
+            }
+        }
+    };
+    /// A class, its plan armed for the `nth` entry, and the panics it costs.
+    type Class = (&'static str, fn(u64) -> FaultPlan, u64);
+    let classes: [Class; 2] = [
+        ("decline", |nth| FaultPlan::new().decline(nth), 0),
+        ("entry-panic", |nth| FaultPlan::new().entry_panic(nth), 1),
+    ];
+    for (class, plan, panics) in classes {
+        plan(N as u64).arm();
+        let hit = stacked_batch(&driver, &weights, &pristine, 0.0);
+        fault::disarm();
+        check(&hit, 1, &format!("{class}@{N}"));
+        assert_eq!(hit.0.panics_caught, panics, "{class}@{N}");
+
+        plan(N as u64 + 1).arm();
+        let spared = stacked_batch(&driver, &weights, &pristine, 0.0);
+        let next = stacked_batch(&driver, &weights, &pristine, 0.0);
+        fault::disarm();
+        check(&spared, 0, &format!("{class}@{}, its first batch", N + 1));
+        check(&next, 1, &format!("{class}@{}, its second batch", N + 1));
+        assert_eq!((spared.0.panics_caught, next.0.panics_caught), (0, panics), "{class}@{}", N + 1);
+    }
+    FaultPlan::new().slow(N as u64, 60).arm();
+    let started = Instant::now();
+    let slowed = stacked_batch(&driver, &weights, &pristine, 0.0);
+    let took = started.elapsed();
+    fault::disarm();
+    check(&slowed, 0, "slow");
+    assert!(took >= Duration::from_millis(60), "slow@{N} fired in its batch: {took:?}");
+}
+
+/// A stacked pass that fails fails every entry in it, and each resolves
+/// exactly once, one by one: with `beta == 0` each is retried one tier down
+/// on its own, otherwise each gets the pass's typed error. The kernel here
+/// claims four rows for the generated 8x12, so every call of it — the
+/// stacked pass's and each retry's — fails the tier handle's length check:
+/// a kernel error on the first tile, before anything is written back.
+#[test]
+fn a_failed_stacked_pass_resolves_each_entry_once() {
+    let _guard = serial();
+    fault::disarm();
+    let mut short_rows = exo_kernel_simd(kernel_8x12());
+    short_rows.mr = 4;
+    let driver = BlisGemm::new(BlockingParams::carmel_defaults(4, 12)).with_kernel(short_rows);
+    const N: usize = 6;
+    for beta in [0.0f32, 1.0] {
+        let (weights, pristine) = shared_weight_operands(N, (24, 40, 48), beta);
+        let (report, cs) = stacked_batch(&driver, &weights, &pristine, beta);
+        let retried = if beta == 0.0 { N as u64 } else { 0 };
+        assert_eq!(report.len(), N, "beta {beta}: one outcome per entry");
+        assert!(report.stacked_passes >= 1, "beta {beta}: the entries ran stacked");
+        assert_eq!((report.retries, report.degraded_completions), (retried, 0), "beta {beta}");
+        for (e, (outcome, c)) in report.outcomes.iter().zip(&cs).enumerate() {
+            assert!(matches!(outcome, Err(GemmError::Kernel { .. })), "beta {beta}, entry {e}: {outcome:?}");
+            if beta != 0.0 {
+                assert_bits(c, &pristine[e].1, &format!("beta {beta}, entry {e}: C as it was"));
+            }
+        }
+    }
+}
+
+/// A stacked pass that unwinds: a group of two entries is shorter than a
+/// pool of three or more workers, so it runs as one stacked pass under
+/// the driver's threaded partition of `C`, and a panicking pool job takes
+/// the pass down with it. The panic is contained, costs the runner, and
+/// with `beta == 0` each entry is retried one tier down on its own and
+/// completes; otherwise each fails `JobPanicked`. (On fewer workers the
+/// pair is two shards of one, no pass is stacked, and this asserts only
+/// that the batch is whole.)
+#[test]
+fn an_unwound_stacked_pass_retries_its_entries_one_by_one() {
+    let _guard = serial();
+    fault::disarm();
+    let workers = exo_gemm::exo_serve::ThreadPool::global().workers();
+    let driver = BlisGemm::new(BlockingParams { mc: 32, kc: 32, nc: 48, mr: 8, nr: 12 })
+        .with_kernel(exo_kernel_simd(kernel_8x12()))
+        .with_threads(0);
+    for beta in [0.0f32, 1.0] {
+        let (weights, pristine) = shared_weight_operands(2, (96, 40, 48), beta);
+        let (clean, refs) = stacked_batch(&driver, &weights, &pristine, beta);
+        assert!(clean.outcomes.iter().all(Result::is_ok), "beta {beta}: the clean pair");
+        if workers < 3 {
+            assert_eq!(clean.stacked_passes, u64::from(workers == 1), "beta {beta} on {workers} workers");
+            continue;
+        }
+        assert_eq!(clean.stacked_passes, 1, "beta {beta}: the pair is one stacked pass");
+        let built = driver.runners_built();
+        FaultPlan::new().pool_panic(1).arm();
+        let (hit, cs) = stacked_batch(&driver, &weights, &pristine, beta);
+        fault::disarm();
+        assert_eq!((hit.stacked_passes, hit.panics_caught), (1, 1), "beta {beta}");
+        assert_eq!(driver.runners_built() - built, 1, "beta {beta}: the unwound pass cost its runner");
+        let retried = if beta == 0.0 { 2 } else { 0 };
+        assert_eq!((hit.retries, hit.degraded_completions), (retried, retried), "beta {beta}");
+        for (e, (outcome, c)) in hit.outcomes.iter().zip(&cs).enumerate() {
+            let who = format!("beta {beta}, entry {e}");
+            match outcome {
+                Ok(stats) if beta == 0.0 && stats.degraded => assert_close(c, &refs[e], &who),
+                Err(GemmError::JobPanicked { message }) if beta != 0.0 => {
+                    assert!(message.contains("injected fault"), "{who}: {message}")
+                }
+                other => panic!("{who}: {other:?}"),
+            }
+        }
+    }
+}
+
+/// A service that holds a layer's weights: every job it runs is multiplied
+/// by the resident `weights` (its own `B` only states the shape), so the
+/// jobs of a pass share one `B`, and a pass of several runs stacked. Its
+/// first pass waits at a gate until the test has queued the rest behind
+/// it.
+struct Resident {
+    inner: BlisGemm,
+    weights: OwnedMat,
+    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    stacked_passes: Arc<AtomicU64>,
+}
+
+impl Resident {
+    fn pass_the_gate(&self) {
+        if let Some((inside, release)) = self.hold.lock().unwrap().take() {
+            inside.send(()).expect("the test is listening");
+            release.recv().expect("the test opens the gate");
+        }
+    }
+
+    fn on_weights<'x>(&'x self, problem: GemmProblem<'x>) -> GemmProblem<'x> {
+        GemmProblem { b: self.weights.view(), ..problem }
+    }
+}
+
+impl GemmBatchExecutor for Resident {
+    fn gemm_batch(&self, batch: GemmBatch<'_>) -> BatchReport {
+        self.pass_the_gate();
+        let report = self.inner.gemm_batch(batch.into_iter().map(|p| self.on_weights(p)).collect());
+        self.stacked_passes.fetch_add(report.stacked_passes, Ordering::Relaxed);
+        report
+    }
+
+    fn gemm_one(&self, problem: GemmProblem<'_>) -> EntryReport {
+        self.pass_the_gate();
+        self.inner.gemm_one(self.on_weights(problem))
+    }
+}
+
+/// Under every executable fault class at once, a service whose passes run
+/// stacked resolves each job exactly once and balances its books: a gate
+/// job holds the first pass while eight jobs queue behind it, so they run
+/// as one pass of eight on one resident `B`.
+#[test]
+fn a_service_running_stacked_passes_balances_its_books_under_every_fault() {
+    let _guard = serial();
+    fault::disarm();
+    const JOBS: usize = 8;
+    let (m, n, k) = (24, 40, 48);
+    let (weights, pairs) = shared_weight_operands(JOBS + 1, (m, n, k), 0.0);
+    let job =
+        |(a, c): &(OwnedMat, OwnedMat)| GemmJob::new(a.clone(), OwnedMat::zeros(k, n), c.clone()).beta(0.0);
+    let refs: Vec<OwnedMat> = pairs
+        .iter()
+        .map(|(a, c)| {
+            let mut c = c.clone();
+            driver().gemm(GemmProblem::new(a.view(), weights.view(), c.view_mut()).beta(0.0)).unwrap();
+            c
+        })
+        .collect();
+    let ((inside, is_inside), (release, released)) = (mpsc::channel(), mpsc::channel());
+    let stacked_passes = Arc::new(AtomicU64::new(0));
+    let resident = Resident {
+        inner: driver(),
+        weights,
+        hold: Mutex::new(Some((inside, released))),
+        stacked_passes: stacked_passes.clone(),
+    };
+    let service = GemmService::with_config(resident, ServiceConfig { queue_capacity: 16, max_batch: JOBS });
+    FaultPlan::new().pool_panic(1).entry_panic(3).slow(4, 5).decline(5).arm();
+    let handles: Vec<JobHandle> = std::thread::scope(|scope| {
+        let gate = scope.spawn(|| service.submit(job(&pairs[0])).expect("accepting"));
+        is_inside.recv().expect("the gate's pass is held");
+        let queued: Vec<JobHandle> =
+            pairs[1..].iter().map(|pair| service.submit(job(pair)).expect("accepting")).collect();
+        release.send(()).expect("the gate's pass is waiting");
+        [gate.join().expect("the gate's submitter")].into_iter().chain(queued).collect()
+    });
+    let outcomes: Vec<_> = handles.iter().map(wait_or_hang).collect();
+    fault::disarm();
+
+    let mut failed = 0;
+    for (j, (outcome, want)) in outcomes.iter().zip(&refs).enumerate() {
+        let who = format!("job {j}");
+        match outcome {
+            Ok(done) if done.stats.degraded => assert_close(&done.c, want, &who),
+            Ok(done) => assert_bits(&done.c, want, &who),
+            Err(GemmError::JobPanicked { .. }) | Err(GemmError::Kernel { .. }) => failed += 1,
+            Err(other) => panic!("{who}: unexpected failure class {other:?}"),
+        }
+    }
+    let stats = service.stats();
+    assert_eq!(stats.jobs_submitted, (JOBS + 1) as u64, "{stats}");
+    assert_eq!(
+        (stats.jobs_completed, stats.jobs_failed),
+        ((JOBS + 1 - failed) as u64, failed as u64),
+        "{stats}"
+    );
+    assert_eq!((stats.batches, stats.largest_batch), (2, JOBS), "{stats}");
+    assert!(stats.panics_caught >= 1 && stats.retries >= 1, "the armed faults fired: {stats}");
+    assert!(stacked_passes.load(Ordering::Relaxed) >= 1, "the pass of eight ran stacked");
+}
+
 /// A pool-level panic kills one shard of a batch whose entries all ride one
 /// shared `B` image: exactly the entries dealt to that shard fail (it never
 /// reached them), every other entry completes bit-identical to the clean

@@ -15,7 +15,10 @@
 //!   wrapped `TunedGemm` draw the same runners.
 //! * Shared weights: entries of a batch that borrow one `B` pack it once
 //!   (`b_images_packed` / `entries_on_shared_b`), bit-identical to
-//!   per-call `TunedGemm::execute`.
+//!   per-call `TunedGemm::execute`; a shard's entries on one image under
+//!   one `alpha` and `beta` run as one stacked pass (`stacked_passes`),
+//!   bit-identical to the per-entry loop and to `NaiveGemm`, whatever each
+//!   entry's height, `op(A)` and layout.
 //! * Who runs what: the service owns no thread, so an idle service runs a
 //!   job on the submitting thread and a busy one on the thread already
 //!   draining; and all three submission doors under a queue of two.
@@ -31,12 +34,14 @@ use std::thread::ThreadId;
 use std::time::Duration;
 
 use common::{poison_filler, reference, Cases, Stored};
+use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::exo_serve::{
     BatchReport, CachedTunedGemm, EntryReport, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle,
     OwnedMat, ServiceConfig, SubmitErrorReason, ThreadPool,
 };
 use exo_gemm::exo_tune::TunedGemm;
-use exo_gemm::gemm_blis::{BlisGemm, BlockingParams};
+use exo_gemm::gemm_blis::{exo_kernel, BlisGemm, BlockingParams, NaiveGemm};
+use exo_gemm::ukernel_gen::MicroKernelGenerator;
 use exo_gemm::{GemmExecutor, GemmProblem, Op};
 
 /// Re-homes a randomly laid-out operand into an owned job operand with the
@@ -390,6 +395,106 @@ fn entries_borrowing_one_weight_matrix_pack_it_once_per_batch() {
                 // Whole buffers: the padding must be untouched too.
                 let bits = |s: &Stored| s.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
                 assert_eq!(bits(got), bits(want), "{who}: entry {e}");
+            }
+        }
+    }
+}
+
+/// How many stacked passes a batch of `entries` that all share one image,
+/// `alpha` and `beta` makes on a pool of `workers`: one per shard dealt
+/// two or more entries, or one for a group too short to shard.
+fn stacks_for(entries: usize, workers: usize) -> u64 {
+    let stacks = if workers == 1 || entries < workers {
+        usize::from(entries > 1)
+    } else {
+        entries.saturating_sub(workers).min(workers)
+    };
+    stacks as u64
+}
+
+/// `C = alpha * op(A) * B + beta * C` over stored operands.
+fn problem<'x>(
+    a: &'x Stored,
+    op_a: Op,
+    b: &'x Stored,
+    c: &'x mut Stored,
+    scales: (f32, f32),
+) -> GemmProblem<'x> {
+    GemmProblem::new(a.view(), b.view(), c.view_mut()).op_a(op_a).alpha(scales.0).beta(scales.1)
+}
+
+/// A stack is one pass over its entries' rows, and every entry keeps its
+/// own bits: entries of different heights in one stack (3, 17, 49, 1 and 8
+/// rows), each `op(A)` and layout, `alpha` in {1, 0.75, -1.5}, both `beta`
+/// regimes, a run of three-row entries whose micro-panels each hold rows
+/// of three entries or more, and a pair — a group shorter than a pool of
+/// three or more workers, which stacks under the driver's partition of
+/// `C` — on the generated 8x12 and 16x16 with blockings small enough that
+/// `k` crosses `kc` and rows cross `mc`. Each `C` — its whole buffer,
+/// padding included — must equal the per-entry loop and `NaiveGemm` bit for
+/// bit.
+#[test]
+fn a_stack_of_entries_of_any_height_keeps_each_entrys_bits() {
+    let generator = MicroKernelGenerator::new(neon_f32());
+    let workers = ThreadPool::global().workers();
+    let mut cases = Cases::new(0x57AC_4ED5);
+    let heights: [(&str, Vec<usize>); 3] = [
+        ("mixed heights", vec![3, 17, 49, 1, 8, 3, 17, 49, 1, 8]),
+        ("three-row entries", vec![3; 12]),
+        ("a pair", vec![17, 3]),
+    ];
+    for (mr, nr) in [(8usize, 12usize), (16, 16)] {
+        let kernel = exo_kernel(Arc::new(generator.generate(mr, nr).unwrap()));
+        let driver = BlisGemm::new(BlockingParams { mc: 2 * mr + 8, kc: 24, nc: 3 * nr, mr, nr })
+            .with_kernel(kernel)
+            .with_threads(0);
+        for (alpha, beta) in [(1.0f32, 0.0f32), (0.75, 0.0), (-1.5, 0.75)] {
+            for (what, rows) in &heights {
+                let (n, k) = (cases.usize_in(3 * nr + 1, 4 * nr), cases.usize_in(25, 60));
+                let mut stored = |rows, cols, poison| {
+                    let seed = cases.next_u64() | 1;
+                    Stored::random(rows, cols, &mut cases, poison_filler(seed, poison))
+                };
+                let b = stored(k, n, false);
+                let ops: Vec<Op> = (0..rows.len())
+                    .map(|e| if (e + rows.len()) % 2 == 0 { Op::Transpose } else { Op::None })
+                    .collect();
+                let acts: Vec<Stored> = rows
+                    .iter()
+                    .zip(&ops)
+                    .map(|(&m, &op)| {
+                        let (r, c) = if op == Op::Transpose { (k, m) } else { (m, k) };
+                        stored(r, c, false)
+                    })
+                    .collect();
+                // beta == 0 must never read C: poison it.
+                let c0: Vec<Stored> = rows.iter().map(|&m| stored(m, n, beta == 0.0)).collect();
+                let clone = |s: &Stored| Stored { data: s.data.clone(), ..*s };
+                let mut cs: Vec<Stored> = c0.iter().map(clone).collect();
+                let batch: GemmBatch<'_> = cs
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(e, c)| problem(&acts[e], ops[e], &b, c, (alpha, beta)))
+                    .collect();
+                let report = driver.gemm_batch(batch);
+                let who = format!("{mr}x{nr}, alpha {alpha}, beta {beta}, {what} ({n}x{k})");
+                assert_eq!(
+                    report.stacked_passes,
+                    stacks_for(rows.len(), workers),
+                    "{who} on {workers} workers"
+                );
+                let bits = |s: &Stored| s.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                for (e, got) in cs.iter().enumerate() {
+                    let stats = report.outcomes[e].as_ref().expect("healthy entry");
+                    assert_eq!((stats.m, stats.n, stats.k), (rows[e], n, k), "{who}: entry {e}");
+                    for (reference, executor) in
+                        [("the per-entry loop", &driver as &dyn GemmExecutor), ("NaiveGemm", &NaiveGemm)]
+                    {
+                        let mut want = clone(&c0[e]);
+                        executor.gemm(problem(&acts[e], ops[e], &b, &mut want, (alpha, beta))).unwrap();
+                        assert_eq!(bits(got), bits(&want), "{who}: entry {e} against {reference}");
+                    }
+                }
             }
         }
     }

@@ -10,7 +10,8 @@
 //! — and `NaiveGemm`'s plain loops — **bit for bit**, on every ISA
 //! (`EXO_ISA=scalar` included), whichever of the native artifact and the
 //! simd chain runs a call. Nor does it depend on where the caller's
-//! operands start relative to a cache line.
+//! operands start relative to a cache line, nor on whether a GEMM ran alone
+//! or stacked with the other entries of a batch that share its `B`.
 
 mod common;
 
@@ -21,6 +22,7 @@ use common::Cases;
 use exo_gemm::carmel_sim::CacheHierarchy;
 use exo_gemm::dnn_models::{resnet50_table, vgg16_table};
 use exo_gemm::exo_isa::neon_f32;
+use exo_gemm::exo_serve::{CachedTunedGemm, GemmBatchExecutor, ThreadPool};
 use exo_gemm::exo_tune::TunedGemm;
 use exo_gemm::gemm_blis::{
     exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, MatMut, MatRef, Matrix, NaiveGemm,
@@ -162,6 +164,64 @@ fn operand_placement_computes_the_same_bits() {
                     None => first = Some(c),
                     Some(want) => assert_eq!(&c, want, "A, B, C at {a_at}, {b_at}, {c_at} bytes past a line"),
                 }
+            }
+        }
+    }
+}
+
+/// The four shapes of the benchmark's `batch_shared_b` workload, and its
+/// entries per batch.
+const BATCH_SHARED_B: [(usize, usize, usize); 4] =
+    [(49, 512, 2048), (49, 2048, 512), (196, 256, 1024), (196, 1024, 256)];
+const BATCH_ENTRIES: usize = 16;
+
+/// The benchmark's batches, as it runs them: 16 entries against one `B`
+/// through `CachedTunedGemm` with the pool at its full width, so each
+/// shard's entries are one stacked pass whose micro-panels straddle
+/// entries (49 and 196 rows are no whole number of any serving tile's
+/// rows). Every entry must equal its own `TunedGemm::execute` bit for bit,
+/// and `NaiveGemm` on its first and last rows — the rows a straddling
+/// panel shares with the entries beside it.
+#[test]
+fn a_stacked_batch_has_the_bits_of_its_entries_on_the_batch_shared_b_shapes() {
+    let executor = CachedTunedGemm::new(TunedGemm::new().with_threads(0));
+    let workers = ThreadPool::global().workers();
+    let mut cases = Cases::new(0x57ac_ced0);
+    for (m, n, k) in BATCH_SHARED_B {
+        let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
+        let acts: Vec<Matrix> =
+            (0..BATCH_ENTRIES).map(|_| Matrix::from_fn(m, k, |_, _| cases.f32_unit())).collect();
+        // `beta == 0` never reads `C`, so it starts as NaN.
+        let mut cs: Vec<Matrix> =
+            (0..BATCH_ENTRIES).map(|_| Matrix::from_fn(m, n, |_, _| f32::NAN)).collect();
+        let batch = acts.iter().zip(cs.iter_mut());
+        let report = executor.gemm_batch(
+            batch.map(|(a, c)| GemmProblem::new(a.view(), b.view(), c.view_mut()).beta(0.0)).collect(),
+        );
+        assert!(report.stacked_passes >= 1, "{m}x{n}x{k}: no stacked pass on {workers} workers");
+        let verdict = executor.tuned().driver_for(m, n, k).unwrap().0;
+        let label = format!("{m}x{n}x{k} under {}x{} kc {}", verdict.mr, verdict.nr, verdict.kc);
+        for (e, (a, got)) in acts.iter().zip(&cs).enumerate() {
+            report.outcomes[e].as_ref().expect("healthy entry");
+            let mut alone = Matrix::from_fn(m, n, |_, _| f32::NAN);
+            executor
+                .tuned()
+                .execute(GemmProblem::new(a.view(), b.view(), alone.view_mut()).beta(0.0))
+                .unwrap();
+            assert!(
+                got.data.iter().zip(&alone.data).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{label}, entry {e}"
+            );
+            for row in [0, m - 1] {
+                let mut want = Matrix::zeros(1, n);
+                let naive =
+                    GemmProblem::new(a.view().submatrix(row, 0, 1, k), b.view(), want.view_mut()).beta(0.0);
+                NaiveGemm.gemm(naive).unwrap();
+                let got = &got.data[row * n..(row + 1) * n];
+                assert!(
+                    got.iter().zip(&want.data).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{label}, entry {e}, row {row}: against NaiveGemm"
+                );
             }
         }
     }
