@@ -131,7 +131,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!(
             "exo-aot-garbage-{}.{}",
             std::process::id(),
-            crate::store::dylib_ext()
+            std::env::consts::DLL_EXTENSION
         ));
         std::fs::write(&path, b"this is not an ELF object").unwrap();
         let err = Dylib::open(&path).expect_err("garbage must not load");

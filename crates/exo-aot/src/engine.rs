@@ -1,7 +1,7 @@
-//! The compilation engine: emission → toolchain → artifact cache →
-//! verified, loaded kernel — asynchronous by default, with per-key build
-//! state, integrity-checked disk loads, probe-verified promotion, a
-//! kill-on-deadline compiler wrapper, and a capped negative cache.
+//! The compilation engine: emission → toolchain → a private build
+//! directory → verified, loaded kernel — asynchronous by default, with
+//! per-key build state, probe-verified promotion, a kill-on-deadline
+//! compiler wrapper, and a capped negative cache.
 //!
 //! The native tier is *eventually fast, immediately safe*. A kernel's
 //! first [`AotEngine::poll`] answers `None` (the caller serves on the
@@ -11,13 +11,18 @@
 //! promotes and later polls return the native kernel. No GEMM ever waits
 //! on `cc`.
 //!
+//! Every build runs in a directory of its own, created fresh (mode 0700)
+//! under a name never reused in the process, and removed with everything in it when
+//! the attempt ends, whatever its outcome: the process only ever
+//! `dlopen`s an object its own compiler invocation just wrote, and a
+//! loaded object outlives its file. Nothing persists across processes.
+//!
 //! Every failure is a typed decline. Retryable failures (a compiler
 //! crash, a timeout, a full disk) back off exponentially and stop for
 //! good after [`MAX_BUILD_ATTEMPTS`] attempts — a persistently failing
 //! key invokes the compiler a bounded number of times per process, not
 //! once per call. A kernel that *runs* but computes a wrong answer on
-//! the probe is quarantined to `<path>.wrong-result` and its key is
-//! pinned to the simd tier immediately and terminally.
+//! the probe pins its key to the simd tier immediately and terminally.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -32,8 +37,6 @@ use exo_codegen::{emit_superword_c, Countdown, IsaKind, SimdKernel, SuperwordKer
 use crate::dylib::Dylib;
 use crate::error::{io_err, AotError, Result};
 use crate::kernel::{self, KERNEL_SYMBOL};
-use crate::manifest::{self, Manifest};
-use crate::store::{artifact_key, default_artifact_dir, ArtifactStore};
 use crate::toolchain::{toolchain, Toolchain};
 
 /// Build attempts per key per process before the negative cache pins the
@@ -58,13 +61,6 @@ const BUILD_QUEUE_DEPTH: usize = 32;
 /// `kc = 1` (a fringe `KC` block does reach them) must not promote.
 const PROBE_KCS: [usize; 3] = [0, 1, 17];
 
-/// Age past which scratch/quarantine debris is swept on engine init.
-const SWEEP_TTL: Duration = Duration::from_secs(24 * 3600);
-
-/// Quarantined artifacts kept per directory after a sweep (newest
-/// first).
-const MAX_QUARANTINE: usize = 16;
-
 /// The compile deadline: how long one compiler invocation may run before
 /// it is killed and the attempt reported as [`AotError::CompileTimeout`].
 /// A kernel's translation unit builds in well under a second; 20 s only
@@ -78,7 +74,7 @@ const HANG_FAULT_DEADLINE: Duration = Duration::from_millis(150);
 
 /// Fault-injection countdown for the `aot-compile-fail` class: when
 /// armed, the Nth build attempt in the process fails with
-/// [`AotError::FaultInjected`] before touching the cache or the
+/// [`AotError::FaultInjected`] before touching the disk or the
 /// toolchain. Armed by exo-serve's fault harness.
 static COMPILE_FAIL_IN: Countdown = Countdown::new();
 
@@ -90,13 +86,11 @@ static HANG_IN: Countdown = Countdown::new();
 
 /// Fault-injection countdown for the `aot-bad-artifact` class: the Nth
 /// successful compile has its artifact bytes replaced with garbage
-/// *before* the manifest is computed — the manifest matches, `dlopen`
-/// fails, and the quarantine path is exercised end-to-end.
+/// before `dlopen`, which declines them: the attempt fails retryably.
 static BAD_ARTIFACT_IN: Countdown = Countdown::new();
 
 /// Fault-injection countdown for the `aot-wrong-result` class: the Nth
-/// verification probe reports a mismatch, driving the
-/// `<path>.wrong-result` quarantine and the terminal simd pin.
+/// verification probe reports a mismatch, driving the terminal simd pin.
 static WRONG_RESULT_IN: Countdown = Countdown::new();
 
 /// Arms the `aot-compile-fail` countdown: the `n`-th build attempt from
@@ -112,7 +106,7 @@ pub fn arm_hang(n: u64) {
 }
 
 /// Arms the `aot-bad-artifact` countdown: the `n`-th successful compile
-/// from now produces a sealed-but-unloadable artifact. `0` disarms.
+/// from now produces an artifact the loader declines. `0` disarms.
 pub fn arm_bad_artifact(n: u64) {
     BAD_ARTIFACT_IN.arm(n);
 }
@@ -128,8 +122,6 @@ pub fn arm_wrong_result(n: u64) {
 pub struct AotStats {
     /// C compiler invocations (including hung ones that were killed).
     pub compiler_invocations: u64,
-    /// Kernels satisfied by a manifest-verified on-disk artifact.
-    pub disk_hits: u64,
     /// Build attempts entered (one per `build_and_verify` run).
     pub build_attempts: u64,
     /// Attempts that ended in a verified promotion.
@@ -138,8 +130,6 @@ pub struct AotStats {
     pub builds_failed: u64,
     /// Compiler invocations killed on deadline.
     pub compile_timeouts: u64,
-    /// Artifacts moved aside as `.corrupt` or `.wrong-result`.
-    pub quarantines: u64,
     /// Kernels that ran but failed probe verification.
     pub wrong_results: u64,
     /// Kernels that passed probe verification and entered dispatch.
@@ -149,12 +139,10 @@ pub struct AotStats {
 #[derive(Debug, Default)]
 struct EngineCounters {
     compiler_invocations: AtomicU64,
-    disk_hits: AtomicU64,
     build_attempts: AtomicU64,
     builds_ok: AtomicU64,
     builds_failed: AtomicU64,
     compile_timeouts: AtomicU64,
-    quarantines: AtomicU64,
     wrong_results: AtomicU64,
     verified_promotions: AtomicU64,
 }
@@ -163,45 +151,33 @@ impl EngineCounters {
     fn snapshot(&self) -> AotStats {
         AotStats {
             compiler_invocations: self.compiler_invocations.load(Ordering::SeqCst),
-            disk_hits: self.disk_hits.load(Ordering::SeqCst),
             build_attempts: self.build_attempts.load(Ordering::SeqCst),
             builds_ok: self.builds_ok.load(Ordering::SeqCst),
             builds_failed: self.builds_failed.load(Ordering::SeqCst),
             compile_timeouts: self.compile_timeouts.load(Ordering::SeqCst),
-            quarantines: self.quarantines.load(Ordering::SeqCst),
             wrong_results: self.wrong_results.load(Ordering::SeqCst),
             verified_promotions: self.verified_promotions.load(Ordering::SeqCst),
         }
     }
 }
 
-/// A prepared compilation request: emission, the toolchain probe, and
-/// the cache key computed once. Callers (the kernel cache, benches) hold
-/// on to it so the steady-state [`AotEngine::poll`] costs a map lookup,
-/// not a re-emission.
+/// A prepared compilation request: emission and the key computed once.
+/// Callers (the kernel cache, benches) hold on to it so the steady-state
+/// [`AotEngine::poll`] costs a map lookup, not a re-emission.
 #[derive(Debug, Clone)]
 pub struct AotRequest {
     source: Arc<SuperwordKernel>,
     c_source: Arc<str>,
     isa: IsaKind,
     key: u64,
-    tc: &'static Toolchain,
 }
 
 impl AotRequest {
-    /// The artifact cache key (source × host × compiler version).
+    /// The request's key: the [`content_hash`] of its emitted C, which
+    /// names the kernel in the engine's per-key state and seeds its
+    /// verification probe.
     pub fn key(&self) -> u64 {
         self.key
-    }
-
-    /// The ISA the C was emitted for.
-    pub fn isa(&self) -> IsaKind {
-        self.isa
-    }
-
-    /// The emitted C translation unit.
-    pub fn c_source(&self) -> &str {
-        &self.c_source
     }
 }
 
@@ -250,7 +226,7 @@ fn settle(slot: &KeySlot, prior_attempts: u32, outcome: Result<Arc<SimdKernel>>)
             // A wrong result is terminal on the spot: rebuilding the same
             // source with the same compiler would reproduce it, and a
             // kernel that computes garbage must never race a retry.
-            let terminal = matches!(e, AotError::WrongResult { .. }) || attempts >= MAX_BUILD_ATTEMPTS;
+            let terminal = matches!(e, AotError::WrongResult) || attempts >= MAX_BUILD_ATTEMPTS;
             *state = if terminal {
                 KeyState::Rejected(e.clone())
             } else {
@@ -266,13 +242,21 @@ fn settle(slot: &KeySlot, prior_attempts: u32, outcome: Result<Arc<SimdKernel>>)
     result
 }
 
+/// What an engine builds with and where, plus its counters: shared with
+/// every background job the engine hands out.
+#[derive(Debug)]
+struct Site {
+    root: PathBuf,
+    toolchain: Option<Toolchain>,
+    counters: EngineCounters,
+}
+
 /// One unit of background work: everything the builder thread needs,
 /// owned, so scratch engines in tests share the one process-wide thread.
 struct BuildJob {
     slot: Arc<KeySlot>,
     req: AotRequest,
-    store: ArtifactStore,
-    counters: Arc<EngineCounters>,
+    site: Arc<Site>,
 }
 
 /// Hands a job to the process-wide builder thread (spawned lazily,
@@ -285,7 +269,7 @@ fn enqueue(job: BuildJob) -> std::result::Result<(), BuildJob> {
         std::thread::Builder::new()
             .name("exo-aot-builder".into())
             .spawn(move || {
-                while let Ok(BuildJob { slot, req, store, counters }) = rx.recv() {
+                while let Ok(BuildJob { slot, req, site }) = rx.recv() {
                     let attempts = match &*slot.state.lock().unwrap_or_else(|e| e.into_inner()) {
                         KeyState::Building { attempts } => *attempts,
                         _ => 0,
@@ -294,7 +278,7 @@ fn enqueue(job: BuildJob) -> std::result::Result<(), BuildJob> {
                     // take the builder thread (and every future
                     // promotion) down with it.
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        build_and_verify(&store, &counters, &req)
+                        build_and_verify(&site, &req)
                     }))
                     .unwrap_or_else(|_| Err(AotError::Unsupported { what: "a panicking build".into() }));
                     let _ = settle(&slot, attempts, outcome);
@@ -310,52 +294,50 @@ fn enqueue(job: BuildJob) -> std::result::Result<(), BuildJob> {
 
 /// The ahead-of-time compilation engine.
 ///
-/// One engine owns one artifact directory plus a per-key build-state
-/// map, and counts everything observable about the pipeline — the
-/// warm-start proof ("a second process performs zero compiler
-/// invocations") is an assertion over [`AotEngine::stats`].
+/// One engine owns a toolchain, the directory its builds happen under,
+/// and a per-key build-state map, and counts everything observable about
+/// the pipeline in [`AotEngine::stats`].
 #[derive(Debug)]
 pub struct AotEngine {
-    store: ArtifactStore,
+    site: Arc<Site>,
     slots: Mutex<HashMap<u64, Arc<KeySlot>>>,
-    counters: Arc<EngineCounters>,
 }
 
 impl AotEngine {
-    /// An engine over an explicit artifact directory (tests point this at
-    /// a scratch dir; production uses [`engine()`]). Initialisation sweeps
-    /// cache debris — stale scratch files from crashed processes and
-    /// quarantine evidence past its retention — from the directory.
-    pub fn with_dir(dir: PathBuf) -> AotEngine {
-        let store = ArtifactStore::new(dir);
-        store.sweep(SWEEP_TTL, MAX_QUARANTINE);
-        AotEngine { store, slots: Mutex::new(HashMap::new()), counters: Arc::new(EngineCounters::default()) }
-    }
-
-    /// The engine's artifact store.
-    pub fn store(&self) -> &ArtifactStore {
-        &self.store
+    /// An engine that builds with `toolchain` (`None`: every request
+    /// declines with [`AotError::ToolchainMissing`]) in private
+    /// directories under `dir`, which is created on the first build if it
+    /// does not exist. Production uses [`engine()`]; tests point this at a
+    /// scratch directory and, to plant a miscompiling compiler, at a
+    /// toolchain of their own.
+    pub fn with_dir(dir: PathBuf, toolchain: Option<Toolchain>) -> AotEngine {
+        AotEngine {
+            site: Arc::new(Site { root: dir, toolchain, counters: EngineCounters::default() }),
+            slots: Mutex::new(HashMap::new()),
+        }
     }
 
     /// A snapshot of every pipeline counter.
     pub fn stats(&self) -> AotStats {
-        self.counters.snapshot()
+        self.site.counters.snapshot()
     }
 
-    /// Emits C for `source` on `isa`, probes the toolchain, and computes
-    /// the cache key — the per-kernel work a caller does once and reuses
-    /// for every [`Self::poll`].
+    /// Emits C for `source` on `isa` and computes its key — the
+    /// per-kernel work a caller does once and reuses for every
+    /// [`Self::poll`].
     ///
     /// # Errors
     ///
     /// [`AotError::Unsupported`] when the emitter declines the tape,
-    /// [`AotError::ToolchainMissing`] with no host compiler. Both are
+    /// [`AotError::ToolchainMissing`] with no compiler. Both are
     /// permanent for the process: callers cache the decline.
     pub fn prepare(&self, source: &Arc<SuperwordKernel>, isa: IsaKind) -> Result<AotRequest> {
         let c_source = emit_superword_c(source, isa, KERNEL_SYMBOL)?;
-        let tc = toolchain().ok_or(AotError::ToolchainMissing)?;
-        let key = artifact_key(&c_source, &tc.version);
-        Ok(AotRequest { source: Arc::clone(source), c_source: c_source.into(), isa, key, tc })
+        if self.site.toolchain.is_none() {
+            return Err(AotError::ToolchainMissing);
+        }
+        let key = content_hash(c_source.as_bytes());
+        Ok(AotRequest { source: Arc::clone(source), c_source: c_source.into(), isa, key })
     }
 
     fn slot(&self, key: u64) -> Arc<KeySlot> {
@@ -381,12 +363,8 @@ impl AotEngine {
                 }
                 *state = KeyState::Building { attempts };
                 drop(state);
-                let job = BuildJob {
-                    slot: Arc::clone(&slot),
-                    req: req.clone(),
-                    store: self.store.clone(),
-                    counters: Arc::clone(&self.counters),
-                };
+                let job =
+                    BuildJob { slot: Arc::clone(&slot), req: req.clone(), site: Arc::clone(&self.site) };
                 if let Err(job) = enqueue(job) {
                     // Queue full: hand the slot back unchanged; a later
                     // poll re-enqueues.
@@ -438,7 +416,7 @@ impl AotEngine {
                 Next::Build(attempts) => {
                     *state = KeyState::Building { attempts };
                     drop(state);
-                    let outcome = build_and_verify(&self.store, &self.counters, req);
+                    let outcome = build_and_verify(&self.site, req);
                     return settle(&slot, attempts, outcome);
                 }
             }
@@ -456,37 +434,22 @@ impl AotEngine {
     }
 }
 
-/// One build attempt, end to end: fault hook → manifest-checked disk
-/// load → compile under deadline → seal (hash + sidecar + rename) →
-/// `dlopen` → probe verification. Free function so the background
+/// One build attempt, end to end: fault hook → a fresh build directory →
+/// compile under deadline → `dlopen` → probe verification, with the
+/// directory removed on every outcome. Free function so the background
 /// builder and the blocking path share it exactly.
-fn build_and_verify(
-    store: &ArtifactStore,
-    counters: &EngineCounters,
-    req: &AotRequest,
-) -> Result<Arc<SimdKernel>> {
+fn build_and_verify(site: &Site, req: &AotRequest) -> Result<Arc<SimdKernel>> {
+    let counters = &site.counters;
     counters.build_attempts.fetch_add(1, Ordering::SeqCst);
     let outcome = (|| {
         if COMPILE_FAIL_IN.fires() {
             return Err(AotError::FaultInjected);
         }
-        let artifact = store.artifact_path(req.key);
-        let lib = match try_disk(store, counters, req, &artifact) {
-            Some(lib) => lib,
-            None => build(store, counters, req, &artifact)?,
-        };
-        let kernel = match kernel::load(Arc::clone(&req.source), req.isa, Arc::new(lib)) {
-            Ok(kernel) => kernel,
-            Err(e) => {
-                // Loadable but not our kernel (the symbol is missing):
-                // quarantine the evidence, free the slot.
-                counters.quarantines.fetch_add(1, Ordering::SeqCst);
-                store.quarantine(&artifact);
-                let _ = std::fs::remove_file(store.manifest_path(req.key));
-                return Err(e);
-            }
-        };
-        verify(store, counters, req, &artifact, &kernel)?;
+        let toolchain = site.toolchain.as_ref().ok_or(AotError::ToolchainMissing)?;
+        let dir = BuildDir::create(&site.root)?;
+        let lib = build(toolchain, counters, req, &dir.0)?;
+        let kernel = kernel::load(Arc::clone(&req.source), req.isa, Arc::new(lib))?;
+        verify(counters, req, &kernel)?;
         counters.verified_promotions.fetch_add(1, Ordering::SeqCst);
         Ok(Arc::new(kernel))
     })();
@@ -497,55 +460,89 @@ fn build_and_verify(
     outcome
 }
 
-/// Tries the on-disk artifact. The manifest sidecar is verified *before*
-/// `dlopen`: a missing, unparseable, or mismatching sidecar (truncation,
-/// tampering, foreign arch, stale toolchain, or a pre-manifest cache
-/// entry) quarantines the artifact without ever handing it to the
-/// loader.
-fn try_disk(
-    store: &ArtifactStore,
-    counters: &EngineCounters,
-    req: &AotRequest,
-    artifact: &Path,
-) -> Option<Dylib> {
-    if !artifact.is_file() {
-        return None;
+/// One build's private directory under the engine's root: created fresh
+/// with mode 0700, named by the process id and a process-wide sequence
+/// number, and removed with everything in it on drop. A name is never
+/// reused within the process: the loader hands back the object it
+/// already mapped for a path name it has opened before, so a reused name
+/// could serve another build's code.
+struct BuildDir(PathBuf);
+
+/// The build directories not yet dropped, or `None` once the process has
+/// begun to exit. A process that exits while its background builder is
+/// mid-build never runs that build's drop, so an exit hook removes
+/// whatever is listed here, and no build directory is created after it.
+static IN_FLIGHT: Mutex<Option<Vec<PathBuf>>> = Mutex::new(Some(Vec::new()));
+
+impl BuildDir {
+    fn create(root: &Path) -> Result<BuildDir> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        remove_in_flight_at_exit();
+        std::fs::create_dir_all(root).map_err(|e| io_err(format!("creating {}", root.display()), e))?;
+        let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = root.join(format!("exo-aot-{}-{seq}", std::process::id()));
+        let mut builder = std::fs::DirBuilder::new();
+        #[cfg(unix)]
+        std::os::unix::fs::DirBuilderExt::mode(&mut builder, 0o700);
+        let mut in_flight = IN_FLIGHT.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(in_flight) = in_flight.as_mut() else {
+            return Err(AotError::Io {
+                context: format!("creating {}", path.display()),
+                reason: "the process is exiting".into(),
+            });
+        };
+        builder.create(&path).map_err(|e| io_err(format!("creating {}", path.display()), e))?;
+        in_flight.push(path.clone());
+        Ok(BuildDir(path))
     }
-    if manifest::verify_file(store, req.key, artifact, &req.tc.version, req.isa).is_err() {
-        counters.quarantines.fetch_add(1, Ordering::SeqCst);
-        store.quarantine(artifact);
-        let _ = std::fs::remove_file(store.manifest_path(req.key));
-        return None;
-    }
-    match Dylib::open(artifact) {
-        Ok(lib) => {
-            counters.disk_hits.fetch_add(1, Ordering::SeqCst);
-            Some(lib)
-        }
-        Err(_) => {
-            counters.quarantines.fetch_add(1, Ordering::SeqCst);
-            store.quarantine(artifact);
-            let _ = std::fs::remove_file(store.manifest_path(req.key));
-            None
+}
+
+impl Drop for BuildDir {
+    fn drop(&mut self) {
+        let mut in_flight = IN_FLIGHT.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = std::fs::remove_dir_all(&self.0);
+        if let Some(in_flight) = in_flight.as_mut() {
+            in_flight.retain(|dir| *dir != self.0);
         }
     }
 }
 
-/// Invokes the C compiler under the kill-on-deadline wrapper and seals
-/// the result: hash the exact bytes, write the manifest sidecar, then
-/// publish the artifact — in that order, so a reader only ever accepts a
-/// dylib whose sidecar landed first.
-fn build(
-    store: &ArtifactStore,
-    counters: &EngineCounters,
-    req: &AotRequest,
-    artifact: &Path,
-) -> Result<Dylib> {
-    store.ensure_dir()?;
-    let src = store.source_path(req.key);
-    store.write_atomic(&src, req.c_source.as_bytes())?;
+/// Registers, once per process, the exit hook that removes every build
+/// directory still in flight.
+fn remove_in_flight_at_exit() {
+    #[cfg(unix)]
+    {
+        extern "C" fn remove_in_flight() {
+            let in_flight = IN_FLIGHT.lock().unwrap_or_else(|e| e.into_inner()).take();
+            for dir in in_flight.unwrap_or_default() {
+                // Renamed first: the builder may still be writing into it
+                // by path, and a file it creates while the directory is
+                // being emptied would keep the directory alive.
+                let gone = dir.with_extension("exit");
+                let _ =
+                    std::fs::remove_dir_all(if std::fs::rename(&dir, &gone).is_ok() { gone } else { dir });
+            }
+        }
+        extern "C" {
+            fn atexit(hook: extern "C" fn()) -> std::os::raw::c_int;
+        }
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `atexit` takes a plain function of no arguments, which
+        // the C runtime calls once at exit; the hook touches nothing but
+        // its own static and the filesystem, and never unwinds.
+        HOOK.call_once(|| unsafe {
+            atexit(remove_in_flight);
+        });
+    }
+}
 
-    let tmp = store.scratch_path(artifact, "cc");
+/// Writes the C source into `dir` and invokes the compiler on it under
+/// the kill-on-deadline wrapper, then `dlopen`s what it wrote.
+fn build(toolchain: &Toolchain, counters: &EngineCounters, req: &AotRequest, dir: &Path) -> Result<Dylib> {
+    let src = dir.join("kernel.c");
+    std::fs::write(&src, req.c_source.as_bytes())
+        .map_err(|e| io_err(format!("writing {}", src.display()), e))?;
+    let artifact = dir.join(format!("kernel.{}", std::env::consts::DLL_EXTENSION));
     let (mut cmd, deadline) = if HANG_IN.fires() {
         // The `aot-hang` fault: a compiler that never answers. A sleeping
         // child stands in for `cc`, under a short deadline so the chaos
@@ -554,75 +551,50 @@ fn build(
         cmd.arg("600");
         (cmd, HANG_FAULT_DEADLINE)
     } else {
-        let mut cmd = Command::new(&req.tc.cc);
+        let mut cmd = Command::new(&toolchain.cc);
         cmd.args(["-O3", "-shared", "-fPIC", "-ffp-contract=off"]).args(req.isa.cc_flags());
         // `-lm` after the source: the scalar floor's lanes call `fmaf`.
-        cmd.arg(&src).arg("-lm").arg("-o").arg(&tmp);
+        cmd.arg(&src).arg("-lm").arg("-o").arg(&artifact);
         (cmd, COMPILE_DEADLINE)
     };
     counters.compiler_invocations.fetch_add(1, Ordering::SeqCst);
-    let (status, stderr) = match run_with_deadline(&mut cmd, deadline, store, artifact) {
-        Ok(finished) => finished,
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
+    let (status, mut stderr) =
+        run_with_deadline(&mut cmd, deadline, &dir.join("cc.stderr")).inspect_err(|e| {
             if matches!(e, AotError::CompileTimeout { .. }) {
                 counters.compile_timeouts.fetch_add(1, Ordering::SeqCst);
             }
-            return Err(e);
-        }
-    };
+        })?;
     if !status.success() {
-        let _ = std::fs::remove_file(&tmp);
-        let mut stderr = stderr;
-        stderr.truncate(2000);
-        return Err(AotError::CompileFailed { compiler: req.tc.cc.clone(), stderr });
+        let mut end = stderr.len().min(2000);
+        while !stderr.is_char_boundary(end) {
+            end -= 1;
+        }
+        stderr.truncate(end);
+        return Err(AotError::CompileFailed { compiler: toolchain.cc.clone(), stderr });
     }
     if BAD_ARTIFACT_IN.fires() {
         // The `aot-bad-artifact` fault: a build that "succeeds" but
-        // leaves garbage (a torn disk, an OOM-killed assembler). Written
-        // before the hash so the manifest seals the garbage — only the
-        // loader, and then the quarantine path, can catch it.
-        let _ = std::fs::write(&tmp, b"injected fault: not an object file (aot-bad-artifact)");
+        // leaves garbage (a torn disk, an OOM-killed assembler); only the
+        // loader can catch it.
+        let _ = std::fs::write(&artifact, b"injected fault: not an object file (aot-bad-artifact)");
     }
-    let bytes = std::fs::read(&tmp).map_err(|e| io_err(format!("reading {}", tmp.display()), e))?;
-    manifest::write(store, req.key, &Manifest::for_bytes(&bytes, &req.tc.version, req.isa, req.key))?;
-    std::fs::rename(&tmp, artifact).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        io_err(format!("renaming into {}", artifact.display()), e)
-    })?;
-    match Dylib::open(artifact) {
-        Ok(lib) => Ok(lib),
-        Err(e) => {
-            // Freshly built yet unloadable: keep the evidence, free the
-            // slot for the retry.
-            counters.quarantines.fetch_add(1, Ordering::SeqCst);
-            store.quarantine(artifact);
-            let _ = std::fs::remove_file(store.manifest_path(req.key));
-            Err(e)
-        }
-    }
+    Dylib::open(&artifact)
 }
 
-/// Runs a child process with its stderr captured to a scratch file,
+/// Runs a child process with its stderr captured to `stderr_path`,
 /// killing and reaping it if it outlives `deadline`.
 fn run_with_deadline(
     cmd: &mut Command,
     deadline: Duration,
-    store: &ArtifactStore,
-    artifact: &Path,
+    stderr_path: &Path,
 ) -> Result<(std::process::ExitStatus, String)> {
     let program = cmd.get_program().to_string_lossy().into_owned();
-    // Stderr goes to a scratch file, not a pipe: nobody drains a pipe
-    // while we poll, and a chatty compiler must not deadlock on a full
-    // one.
-    let stderr_path = store.scratch_path(artifact, "stderr");
-    let stderr_file = std::fs::File::create(&stderr_path)
+    // Stderr goes to a file, not a pipe: nobody drains a pipe while we
+    // poll, and a chatty compiler must not deadlock on a full one.
+    let stderr_file = std::fs::File::create(stderr_path)
         .map_err(|e| io_err(format!("creating {}", stderr_path.display()), e))?;
     cmd.stdin(Stdio::null()).stdout(Stdio::null()).stderr(Stdio::from(stderr_file));
-    let mut child = cmd.spawn().map_err(|e| {
-        let _ = std::fs::remove_file(&stderr_path);
-        io_err(format!("running `{program}`"), e)
-    })?;
+    let mut child = cmd.spawn().map_err(|e| io_err(format!("running `{program}`"), e))?;
     let start = Instant::now();
     let status = loop {
         match child.try_wait() {
@@ -631,7 +603,6 @@ fn run_with_deadline(
                 if start.elapsed() >= deadline {
                     let _ = child.kill();
                     let _ = child.wait();
-                    let _ = std::fs::remove_file(&stderr_path);
                     return Err(AotError::CompileTimeout {
                         compiler: program,
                         ms: deadline.as_millis() as u64,
@@ -642,33 +613,22 @@ fn run_with_deadline(
             Err(e) => {
                 let _ = child.kill();
                 let _ = child.wait();
-                let _ = std::fs::remove_file(&stderr_path);
                 return Err(io_err(format!("waiting for `{program}`"), e));
             }
         }
     };
-    let stderr = std::fs::read_to_string(&stderr_path).unwrap_or_default();
-    let _ = std::fs::remove_file(&stderr_path);
-    Ok((status, stderr))
+    Ok((status, std::fs::read_to_string(stderr_path).unwrap_or_default()))
 }
 
-/// Verified promotion: before a freshly built *or* disk-loaded kernel
-/// enters dispatch, run it on deterministic seeded probe problems (one
+/// Verified promotion: before a freshly built kernel enters dispatch, run it on deterministic seeded probe problems (one
 /// per [`PROBE_KCS`] entry) and compare against the source tape's checked
 /// reference — a reference that trusts no proof — bit for bit: every
 /// tier computes the same fused arithmetic, so one differing bit is a
-/// wrong result. A mismatch quarantines the artifact to
-/// `<path>.wrong-result` and the caller pins the key to simd terminally.
-fn verify(
-    store: &ArtifactStore,
-    counters: &EngineCounters,
-    req: &AotRequest,
-    artifact: &Path,
-    kernel: &SimdKernel,
-) -> Result<()> {
+/// wrong result, and the caller pins the key to simd terminally.
+fn verify(counters: &EngineCounters, req: &AotRequest, kernel: &SimdKernel) -> Result<()> {
     let sw = &req.source;
-    // Deterministic seeded operands (xorshift64*), identical in every
-    // process that ever verifies this key.
+    // Deterministic seeded operands (xorshift64*), identical on every
+    // verification of this key.
     let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ req.key;
     let mut next = move || {
         state ^= state << 13;
@@ -702,22 +662,41 @@ fn verify(
     let forced = WRONG_RESULT_IN.fires();
     if forced || mismatch {
         counters.wrong_results.fetch_add(1, Ordering::SeqCst);
-        counters.quarantines.fetch_add(1, Ordering::SeqCst);
-        let quarantined = store.quarantine_as(artifact, "wrong-result");
-        let _ = std::fs::remove_file(store.manifest_path(req.key));
-        return Err(AotError::WrongResult { path: quarantined.display().to_string() });
+        return Err(AotError::WrongResult);
     }
     Ok(())
 }
 
-/// The process-wide engine over the default artifact directory
-/// (`EXO_AOT_DIR`, else `$HOME/.cache/exo-aot`, else the system temp
-/// dir). Everything above this crate — kernel caches, the GEMM runner,
-/// exo-serve — compiles through this instance, sharing its build state
-/// and counters.
+/// FNV-1a 64 over one byte string: the workspace's dependency-free
+/// content hash, and the key of an [`AotRequest`] over its emitted C.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    // The trailing 0xff is part of the recorded hashes' definition.
+    for &b in bytes.iter().chain(&[0xff]) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The process-wide engine: the probed [`toolchain()`], building under
+/// `EXO_AOT_DIR`, else the system temp directory. Everything above this
+/// crate — kernel caches, the GEMM runner, exo-serve — compiles through
+/// this instance, sharing its build state and counters.
 pub fn engine() -> &'static AotEngine {
     static CELL: OnceLock<AotEngine> = OnceLock::new();
-    CELL.get_or_init(|| AotEngine::with_dir(default_artifact_dir().to_path_buf()))
+    static DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let dir = exo_codegen::env_once(&DIR, "EXO_AOT_DIR", |v| {
+            let v = v.trim();
+            if v.is_empty() {
+                Err(format!("`{v}` is not a directory path"))
+            } else {
+                Ok(PathBuf::from(v))
+            }
+        });
+        AotEngine::with_dir(dir.unwrap_or_else(std::env::temp_dir), toolchain().cloned())
+    })
 }
 
 #[cfg(test)]
@@ -731,37 +710,56 @@ mod tests {
         assert!(!COMPILE_FAIL_IN.fires());
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn build_directories_are_private_fresh_and_removed_on_drop() {
+        use std::os::unix::fs::PermissionsExt;
+        let root = std::env::temp_dir().join(format!("exo-aot-builddirs-{}", std::process::id()));
+        let (a, b) = (BuildDir::create(&root).unwrap(), BuildDir::create(&root).unwrap());
+        assert_ne!(a.0, b.0, "two builds never share a name");
+        for dir in [&a.0, &b.0] {
+            assert_eq!(dir.parent(), Some(root.as_path()));
+            let mode = std::fs::metadata(dir).unwrap().permissions().mode();
+            assert_eq!(mode & 0o777, 0o700, "{}", dir.display());
+        }
+        std::fs::write(a.0.join("kernel.c"), "int x;").unwrap();
+        drop((a, b));
+        assert_eq!(
+            std::fs::read_dir(&root).unwrap().count(),
+            0,
+            "dropping a build directory removes it and its files"
+        );
+        let _ = std::fs::remove_dir_all(root);
+    }
+
     #[test]
     fn a_deadlined_child_is_killed_and_reported_as_a_timeout() {
-        let store =
-            ArtifactStore::new(std::env::temp_dir().join(format!("exo-aot-deadline-{}", std::process::id())));
-        store.ensure_dir().unwrap();
-        let artifact = store.artifact_path(1);
+        let root = std::env::temp_dir().join(format!("exo-aot-deadline-{}", std::process::id()));
+        let dir = BuildDir::create(&root).unwrap();
         let mut cmd = Command::new("sleep");
         cmd.arg("600");
         let start = Instant::now();
-        let err = run_with_deadline(&mut cmd, Duration::from_millis(50), &store, &artifact)
+        let err = run_with_deadline(&mut cmd, Duration::from_millis(50), &dir.0.join("cc.stderr"))
             .expect_err("the sleeping child must be killed");
         assert!(matches!(err, AotError::CompileTimeout { ms: 50, .. }), "got {err}");
         assert!(start.elapsed() < Duration::from_secs(30), "the kill must not wait for the child");
-        // The scratch stderr file is cleaned up on the timeout path.
-        assert_eq!(std::fs::read_dir(store.dir()).unwrap().count(), 0);
-        let _ = std::fs::remove_dir_all(store.dir());
+        // The build directory takes the stderr file with it.
+        drop(dir);
+        assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn a_finished_child_reports_status_and_stderr() {
-        let store =
-            ArtifactStore::new(std::env::temp_dir().join(format!("exo-aot-finished-{}", std::process::id())));
-        store.ensure_dir().unwrap();
-        let artifact = store.artifact_path(2);
+        let root = std::env::temp_dir().join(format!("exo-aot-finished-{}", std::process::id()));
+        let dir = BuildDir::create(&root).unwrap();
         let mut cmd = Command::new("sh");
         cmd.args(["-c", "echo oops >&2; exit 3"]);
         let (status, stderr) =
-            run_with_deadline(&mut cmd, Duration::from_secs(30), &store, &artifact).unwrap();
+            run_with_deadline(&mut cmd, Duration::from_secs(30), &dir.0.join("cc.stderr")).unwrap();
         assert_eq!(status.code(), Some(3));
         assert_eq!(stderr.trim(), "oops");
-        let _ = std::fs::remove_dir_all(store.dir());
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
@@ -786,8 +784,7 @@ mod tests {
     #[test]
     fn a_wrong_result_is_terminal_on_the_first_attempt() {
         let slot = KeySlot::fresh();
-        let e = AotError::WrongResult { path: "x".into() };
-        assert!(settle(&slot, 0, Err(e)).is_err());
-        assert!(matches!(&*slot.state.lock().unwrap(), KeyState::Rejected(AotError::WrongResult { .. })));
+        assert!(settle(&slot, 0, Err(AotError::WrongResult)).is_err());
+        assert!(matches!(&*slot.state.lock().unwrap(), KeyState::Rejected(AotError::WrongResult)));
     }
 }

@@ -42,7 +42,7 @@ pub enum AotError {
         /// The emitter's description of the construct.
         what: String,
     },
-    /// A filesystem operation on the artifact store failed.
+    /// A filesystem operation in the build directory failed.
     Io {
         /// What was being done.
         context: String,
@@ -57,12 +57,9 @@ pub enum AotError {
         ms: u64,
     },
     /// The loaded kernel computed a wrong answer on the verification
-    /// probe: the artifact was quarantined to `<path>.wrong-result` and
-    /// the key is pinned to the simd tier for the rest of this process.
-    WrongResult {
-        /// The quarantine path holding the rejected artifact.
-        path: String,
-    },
+    /// probe: the key is pinned to the simd tier for the rest of this
+    /// process.
+    WrongResult,
     /// A fault-injection hook forced this compilation to fail (the
     /// `aot-compile-fail` class of the exo-serve harness).
     FaultInjected,
@@ -89,10 +86,8 @@ impl fmt::Display for AotError {
             AotError::CompileTimeout { compiler, ms } => {
                 write!(f, "`{compiler}` exceeded the {ms} ms compile deadline and was killed")
             }
-            AotError::WrongResult { path } => {
-                write!(f, "compiled kernel failed probe verification; quarantined at `{path}`")
-            }
-            AotError::Io { context, reason } => write!(f, "artifact store: {context}: {reason}"),
+            AotError::WrongResult => write!(f, "compiled kernel failed probe verification"),
+            AotError::Io { context, reason } => write!(f, "build directory: {context}: {reason}"),
             AotError::FaultInjected => write!(f, "aot compilation failed by fault injection"),
         }
     }
@@ -126,7 +121,6 @@ mod tests {
         assert!(e.to_string().contains("exo_aot_kernel"));
         let e = AotError::CompileTimeout { compiler: "cc".into(), ms: 150 };
         assert!(e.to_string().contains("150 ms"));
-        let e = AotError::WrongResult { path: "/tmp/x.so.wrong-result".into() };
-        assert!(e.to_string().contains("wrong-result"));
+        assert!(AotError::WrongResult.to_string().contains("probe verification"));
     }
 }

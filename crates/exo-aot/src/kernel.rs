@@ -25,8 +25,10 @@ pub(crate) fn load(source: Arc<SuperwordKernel>, isa: IsaKind, lib: Arc<Dylib>) 
     // pointer to it.
     let f: PackedKernelFn = unsafe { std::mem::transmute(ptr) };
     // SAFETY: `lib` was built from `emit_superword_c(source, isa, ..)` for
-    // this host (the engine's cache key and manifest tie the artifact to
-    // exactly that source and ISA), and `f` points into it, so it stays
+    // this host: the engine wrote that source into a build directory only
+    // its user can write to (created fresh, mode 0700), compiled it there,
+    // and opened the object its own compiler invocation produced, under a
+    // name no earlier load in the process used. `f` points into it, so it stays
     // callable while the kernel holds `lib`.
     Ok(unsafe { SimdKernel::from_compiled(source, isa, f, lib) }?)
 }

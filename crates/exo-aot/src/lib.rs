@@ -14,15 +14,14 @@
 //!    `<immintrin.h>` to parse, so `cc` spends its time on the kernel), on
 //!    NEON through `<arm_neon.h>`'s intrinsics, plain C for the portable
 //!    floor.
-//! 2. **Build + cache** — [`AotEngine`] detects a host C compiler
-//!    ([`toolchain()`], overridable with `EXO_CC`), compiles the source to
-//!    a shared object in a per-user artifact directory
-//!    ([`store::default_artifact_dir`]; override with `EXO_AOT_DIR`),
-//!    and keys artifacts by (source, host arch/OS, compiler version) so
-//!    warm processes `dlopen` without recompiling. Writes are atomic
-//!    (write-then-rename), every artifact carries an integrity
-//!    [`manifest`] sidecar checked before `dlopen`, and untrusted
-//!    entries are quarantined (`<path>.corrupt`) and rebuilt.
+//! 2. **Build** — [`AotEngine`] detects a host C compiler
+//!    ([`toolchain()`], overridable with `EXO_CC`) and compiles the source
+//!    to a shared object in a fresh private directory (mode 0700, its
+//!    name never reused in the process) under `EXO_AOT_DIR`, else the
+//!    system temp directory; it `dlopen`s the object and removes the directory on
+//!    every outcome. Artifacts live for the process: each process builds
+//!    its kernels once, in the background, and loads only what its own
+//!    compiler invocation just wrote.
 //! 3. **Dispatch** — the loaded function is the unchecked body of an
 //!    [`exo_codegen::SimdKernel`], the type [`AotEngine::poll`] and
 //!    [`AotEngine::wait`] hand out, so every call is guarded by the same
@@ -34,11 +33,9 @@
 //! and returns `None` (the caller serves on the simd tier); the key
 //! promotes atomically once the build lands **and** the loaded code
 //! reproduces the checked tape bit for bit on a deterministic probe run (a
-//! mismatch quarantines the artifact as `<path>.wrong-result` and pins
-//! the key to simd). Compiler invocations run under a kill-on-deadline
-//! wrapper (20 s), failed keys retry with exponential
-//! backoff at most [`engine::MAX_BUILD_ATTEMPTS`] times per process, and
-//! engine init sweeps stale cache debris.
+//! mismatch pins the key to simd). Compiler invocations run under a
+//! kill-on-deadline wrapper (20 s), and failed keys retry with exponential
+//! backoff at most [`engine::MAX_BUILD_ATTEMPTS`] times per process.
 //!
 //! The compiled code is bit-identical to the simd closure chain, the tape
 //! and the reference interpreter: every FMA lane is one fused multiply-add
@@ -52,16 +49,12 @@ pub mod dylib;
 pub mod engine;
 pub mod error;
 pub mod kernel;
-pub mod manifest;
-pub mod store;
 pub mod toolchain;
 
 pub use engine::{
-    arm_bad_artifact, arm_compile_fail, arm_hang, arm_wrong_result, engine, AotEngine, AotRequest, AotStats,
-    MAX_BUILD_ATTEMPTS,
+    arm_bad_artifact, arm_compile_fail, arm_hang, arm_wrong_result, content_hash, engine, AotEngine,
+    AotRequest, AotStats, MAX_BUILD_ATTEMPTS,
 };
 pub use error::{AotError, Result};
 pub use kernel::KERNEL_SYMBOL;
-pub use manifest::Manifest;
-pub use store::{artifact_key, content_hash, default_artifact_dir, ArtifactStore};
 pub use toolchain::{native_available, toolchain, Toolchain};

@@ -25,8 +25,8 @@ use exo_codegen::env_once;
 pub struct Toolchain {
     /// The compiler command (from `EXO_CC` or the probe list).
     pub cc: String,
-    /// First line of its `--version` output — part of the artifact cache
-    /// key, so a compiler upgrade invalidates cached kernels.
+    /// First line of its `--version` output, for reports
+    /// (`gemm_throughput` prints it).
     pub version: String,
 }
 

@@ -1,14 +1,16 @@
 //! End-to-end tests of the ahead-of-time pipeline: emit → compile →
-//! load → run, the artifact cache's warm-start and quarantine behaviour,
-//! and the decline paths.
+//! load → run, the private build directory every attempt leaves empty,
+//! the verification probe against a miscompiling compiler, and the
+//! decline paths.
 //!
 //! Everything that needs a real C compiler branches on
 //! [`exo_aot::native_available`]: on a toolchain-less host (or under the
 //! `EXO_CC`-poisoned CI leg) those tests assert the decline instead.
 
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use exo_aot::{AotEngine, AotError};
+use exo_aot::{AotEngine, AotError, Toolchain};
 use exo_codegen::{active_isa, IsaKind, SimdKernel, SuperwordKernel, TensorView};
 use exo_ir::builder::*;
 use exo_ir::{Expr, MemSpace, ScalarType};
@@ -111,10 +113,65 @@ fn packed_inputs(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f3
     (a, b, c0)
 }
 
-fn scratch_engine(tag: &str) -> (AotEngine, std::path::PathBuf) {
+fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("exo-aot-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    (AotEngine::with_dir(dir.clone()), dir)
+    dir
+}
+
+/// An engine with the host toolchain (if any) building under a fresh
+/// scratch directory.
+fn scratch_engine(tag: &str) -> (AotEngine, PathBuf) {
+    let dir = scratch_dir(tag);
+    (AotEngine::with_dir(dir.clone(), exo_aot::toolchain().cloned()), dir)
+}
+
+/// A "compiler" that runs `script` (POSIX `sh`, the engine's compiler
+/// arguments in `"$@"`), written to its own scratch directory, which the
+/// caller removes.
+fn wrapper_toolchain(tag: &str, script: &str) -> (Toolchain, PathBuf) {
+    use std::os::unix::fs::PermissionsExt;
+    let dir = scratch_dir(&format!("{tag}-cc"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cc = dir.join("cc");
+    std::fs::write(&cc, format!("#!/bin/sh\n{script}\n")).unwrap();
+    std::fs::set_permissions(&cc, std::fs::Permissions::from_mode(0o755)).unwrap();
+    (Toolchain { cc: cc.display().to_string(), version: format!("{tag} wrapper") }, dir)
+}
+
+/// A miscompiling compiler: the host compiler, with the engine's flags,
+/// building `evil_body` as the kernel in place of whatever source it is
+/// handed.
+fn evil_toolchain(tag: &str, evil_body: &str) -> (Toolchain, PathBuf) {
+    let host_cc = &exo_aot::toolchain().expect("the evil compiler wraps the host one").cc;
+    let (evil, dir) = wrapper_toolchain(
+        tag,
+        &format!(
+            "for arg; do shift; case $arg in *.c) set -- \"$@\" \"$(dirname \"$0\")/evil.c\";; \
+             *) set -- \"$@\" \"$arg\";; esac; done\nexec '{host_cc}' \"$@\""
+        ),
+    );
+    std::fs::write(
+        dir.join("evil.c"),
+        format!(
+            "void exo_aot_kernel(long long kc, const float *ac, const float *bc, float *c) {{\n{evil_body}\n}}\n"
+        ),
+    )
+    .unwrap();
+    (evil, dir)
+}
+
+/// Garbage at every `KC`.
+const GARBAGE: &str = "(void)kc; (void)ac; (void)bc; c[0] += 1234.5f;";
+
+/// The right loop, unfused: a multiply and an add, two roundings where
+/// every tier rounds once.
+const UNFUSED: &str = "for (long long k = 0; k < kc; k++) for (int j = 0; j < 4; j++)\n\
+     for (int i = 0; i < 8; i++) c[j * 8 + i] += ac[k * 8 + i] * bc[k * 4 + j];";
+
+/// The number of entries left in `dir`.
+fn entries(dir: &Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, Iterator::count)
 }
 
 #[test]
@@ -181,83 +238,20 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
 }
 
 #[test]
-fn warm_start_skips_the_compiler_entirely() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (cold, dir) = scratch_engine("warm");
-    let sw = staged_superword(8, 4);
-    cold.compile(&sw, active_isa()).unwrap();
-    assert_eq!(cold.stats().compiler_invocations, 1);
-    assert_eq!(cold.stats().disk_hits, 0);
-    // Same engine, same kernel: served from the in-process memo.
-    cold.compile(&sw, active_isa()).unwrap();
-    assert_eq!(cold.stats().compiler_invocations, 1);
-
-    // A fresh engine over the same directory models a second process: the
-    // artifact is on disk, so zero compiler invocations.
-    let warm = AotEngine::with_dir(dir.clone());
-    let k = warm.compile(&sw, active_isa()).unwrap();
-    assert_eq!(warm.stats().compiler_invocations, 0, "the warm start must not invoke the compiler");
-    assert_eq!(warm.stats().disk_hits, 1);
-    let (a, b, mut c) = packed_inputs(8, 4, 5);
-    k.run_packed(5, &a, &b, &mut c).unwrap();
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn corrupt_artifacts_are_quarantined_and_rebuilt() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (cold, dir) = scratch_engine("corrupt");
-    let sw = staged_superword(8, 4);
-    let c_source = exo_codegen::emit_superword_c(&sw, active_isa(), exo_aot::KERNEL_SYMBOL).unwrap();
-    let key = exo_aot::artifact_key(&c_source, &exo_aot::toolchain().unwrap().version);
-    let artifact = cold.store().artifact_path(key);
-
-    // Plant garbage where the artifact belongs.
-    cold.store().write_atomic(&artifact, b"not an object file").unwrap();
-    let k = cold.compile(&sw, active_isa()).unwrap();
-    assert_eq!(cold.stats().compiler_invocations, 1, "the corrupt entry must be rebuilt");
-    assert_eq!(cold.stats().disk_hits, 0);
-    let mut quarantined = artifact.as_os_str().to_owned();
-    quarantined.push(".corrupt");
-    assert!(
-        std::path::Path::new(&quarantined).is_file(),
-        "the unloadable entry is kept as evidence at <path>.corrupt"
-    );
-    let (a, b, mut c) = packed_inputs(8, 4, 5);
-    k.run_packed(5, &a, &b, &mut c).unwrap();
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn the_emitted_source_is_kept_next_to_the_artifact() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (engine, dir) = scratch_engine("source");
-    let sw = staged_superword(4, 4);
-    let req = engine.prepare(&sw, active_isa()).unwrap();
-    engine.wait(&req).unwrap();
-    let src = engine.store().source_path(req.key());
-    assert_eq!(std::fs::read_to_string(&src).unwrap(), req.c_source());
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn a_missing_toolchain_is_a_typed_decline() {
     let _serial = serial();
-    // This cannot force the process-wide probe (env reads are cached),
-    // but the engine's contract is observable either way: with no
-    // toolchain every compile reports `ToolchainMissing`; with one, the
-    // scalar lowering still compiles and runs.
-    let (engine, dir) = scratch_engine("decline");
     let sw = staged_superword(4, 4);
+    // An engine without a toolchain declines every request, and no
+    // attempt starts.
+    let dir = scratch_dir("bare");
+    let bare = AotEngine::with_dir(dir.clone(), None);
+    assert_eq!(bare.prepare(&sw, IsaKind::Scalar).err(), Some(AotError::ToolchainMissing));
+    assert_eq!(bare.compile(&sw, IsaKind::Scalar).err(), Some(AotError::ToolchainMissing));
+    assert_eq!(bare.stats().build_attempts, 0);
+    assert!(!dir.exists(), "a declined request touches no disk");
+    // With the host's: no toolchain declines the same way; with one, the
+    // scalar lowering compiles and runs.
+    let (engine, dir) = scratch_engine("decline");
     match engine.compile(&sw, IsaKind::Scalar) {
         Ok(k) => {
             assert!(exo_aot::native_available());
@@ -294,6 +288,7 @@ fn the_fault_hook_fails_compiles_without_touching_the_cache() {
     let err = engine.compile(&sw, active_isa()).expect_err("the armed hook must fire");
     assert_eq!(err, AotError::FaultInjected);
     assert_eq!(engine.stats().compiler_invocations, 0, "the hook fires before the toolchain");
+    assert!(!dir.exists(), "the hook fires before any build directory exists");
     exo_aot::arm_compile_fail(0);
     // Disarmed, the same engine compiles normally.
     engine.compile(&sw, active_isa()).unwrap();
@@ -313,6 +308,23 @@ fn emission_declines_surface_as_unsupported() {
     let err = engine.compile(&sw, active_isa()).expect_err("a non-packed kernel must decline");
     assert!(matches!(err, AotError::Unsupported { .. }));
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn the_key_is_the_content_hash_of_the_emitted_source() {
+    // FNV-1a 64 closed by one 0xff step: the figure and emitted-C golden
+    // hashes are recorded under exactly this definition.
+    assert_eq!(exo_aot::content_hash(b""), 0xaf64_724c_8602_eb6e);
+    assert_eq!(exo_aot::content_hash(b"int x;"), 0xcebb_a3a7_4bd7_eae8);
+    // No compiler runs to prepare a request, and none is part of its key.
+    let sw = staged_superword(8, 4);
+    let key = |cc: &str| {
+        let toolchain = Toolchain { cc: cc.into(), version: format!("{cc} 1.0") };
+        AotEngine::with_dir(scratch_dir("key"), Some(toolchain)).prepare(&sw, IsaKind::Scalar).unwrap().key()
+    };
+    let c_source = exo_codegen::emit_superword_c(&sw, IsaKind::Scalar, exo_aot::KERNEL_SYMBOL).unwrap();
+    assert_eq!(key("gcc"), exo_aot::content_hash(c_source.as_bytes()));
+    assert_eq!(key("clang"), key("gcc"));
 }
 
 #[test]
@@ -374,81 +386,201 @@ fn a_first_poll_kicks_a_background_build_that_promotes() {
 }
 
 #[test]
-fn a_planted_wrong_result_artifact_is_rejected_quarantined_and_pinned() {
+fn a_miscompiling_compiler_never_promotes() {
     let _serial = serial();
     if !exo_aot::native_available() {
         return;
     }
-    // Garbage at every KC; a kernel that is right everywhere except the
-    // empty and the single-iteration KC loop, which a probe at one
-    // mid-sized KC alone would promote; and the right loop unfused — a
-    // multiply and an add, two roundings where every tier rounds once.
-    let garbage = "(void)kc; (void)ac; (void)bc; c[0] += 1234.5f;";
-    let unfused = "for (long long k = 0; k < kc; k++) for (int j = 0; j < 4; j++)\n\
-         for (int i = 0; i < 8; i++) c[j * 8 + i] += ac[k * 8 + i] * bc[k * 4 + j];";
-    let wrong_at_tiny_kc = format!("{unfused}\nif (kc < 2) c[0] += 1234.5f;");
-    for (tag, evil_body) in
-        [("planted", garbage), ("planted-tiny-kc", &wrong_at_tiny_kc), ("planted-unfused", unfused)]
-    {
-        planted_artifact_is_rejected(tag, evil_body);
+    // A compiler that ignores the kernel's source and builds, with the
+    // engine's own flags, a loadable object that exports the kernel
+    // symbol: garbage at every KC; right everywhere except the empty and
+    // the single-iteration KC loop, which a probe at one mid-sized KC
+    // alone would promote; the right loop unfused. Only the verification
+    // probe stands between each and dispatch.
+    let wrong_at_tiny_kc = format!("{UNFUSED}\nif (kc < 2) c[0] += 1234.5f;");
+    for (tag, evil_body) in [("garbage", GARBAGE), ("tiny-kc", &wrong_at_tiny_kc), ("unfused", UNFUSED)] {
+        let (evil, wrapper_dir) = evil_toolchain(tag, evil_body);
+        let dir = scratch_dir(tag);
+        let engine = AotEngine::with_dir(dir.clone(), Some(evil));
+        let req = engine.prepare(&staged_superword(8, 4), active_isa()).unwrap();
+        let err = engine.wait(&req).expect_err("a wrong-result kernel must never promote");
+        assert_eq!(err, AotError::WrongResult, "{tag}");
+        let stats = engine.stats();
+        assert_eq!(stats.build_attempts, 1, "{tag}");
+        assert_eq!(stats.compiler_invocations, 1, "{tag}");
+        assert_eq!(stats.wrong_results, 1, "{tag}");
+        assert_eq!(stats.verified_promotions, 0, "{tag}");
+
+        // The pin is terminal: no rebuild, no retry, the same decline.
+        assert_eq!(engine.wait(&req).err(), Some(AotError::WrongResult), "{tag}: the pin must hold");
+        assert!(engine.poll(&req).is_none(), "{tag}: the serving path must never see this key");
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.build_attempts, stats.compiler_invocations),
+            (1, 1),
+            "{tag}: a wrong result never retries"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_dir_all(wrapper_dir);
     }
 }
 
-fn planted_artifact_is_rejected(tag: &str, evil_body: &str) {
-    let (engine, dir) = scratch_engine(tag);
+#[test]
+fn every_build_outcome_leaves_the_build_directory_empty() {
+    let _serial = serial();
+    if !exo_aot::native_available() {
+        return;
+    }
+    let root = scratch_dir("empty");
+    let host = || AotEngine::with_dir(root.clone(), exo_aot::toolchain().cloned());
     let sw = staged_superword(8, 4);
-    let req = engine.prepare(&sw, active_isa()).unwrap();
-    let tc = exo_aot::toolchain().unwrap();
+    let isa = active_isa();
 
-    // Plant a loadable dylib at the correct cache key that exports the
-    // kernel symbol but computes garbage, and forge a bit-perfect
-    // manifest for it — the strongest corruption the integrity layer
-    // cannot catch. Only the verification probe stands between this
-    // artifact and dispatch.
-    engine.store().ensure_dir().unwrap();
-    let evil_src = dir.join("evil.c");
-    std::fs::write(
-        &evil_src,
-        format!(
-            "void exo_aot_kernel(long long kc, const float *ac, const float *bc, float *c) {{\n{evil_body}\n}}\n"
-        ),
-    )
-    .unwrap();
-    let artifact = engine.store().artifact_path(req.key());
-    let status = std::process::Command::new(&tc.cc)
-        .args(["-O2", "-shared", "-fPIC", "-ffp-contract=off"])
-        .arg(&evil_src)
-        .arg("-o")
-        .arg(&artifact)
+    // A promotion: the loaded kernel outlives its file.
+    let native = host().compile(&sw, isa).expect("the host compiler builds the kernel");
+    assert_eq!(entries(&root), 0, "a promotion left its build directory");
+    let (a, b, c0) = packed_inputs(8, 4, 17);
+    let (mut c_native, mut c_simd) = (c0.clone(), c0);
+    native.run_packed(17, &a, &b, &mut c_native).unwrap();
+    SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap().run_packed(17, &a, &b, &mut c_simd).unwrap();
+    assert_eq!(c_native, c_simd);
+
+    // `CompileFailed`, from a compiler that lists the directory it was
+    // told to write into and fails: a fresh one under the root, 0700.
+    let (lister, wrapper_dir) = wrapper_toolchain(
+        "lister",
+        "for arg; do [ \"$prev\" = -o ] && out=$arg; prev=$arg; done\nls -ld \"$(dirname \"$out\")\" >&2\nexit 1",
+    );
+    match AotEngine::with_dir(root.clone(), Some(lister)).compile(&sw, isa) {
+        Err(AotError::CompileFailed { stderr, .. }) => {
+            assert!(stderr.starts_with("drwx------"), "the build directory is private to its user: {stderr}");
+            assert!(
+                stderr.contains(&*root.to_string_lossy()),
+                "the build directory is under the root: {stderr}"
+            );
+        }
+        other => panic!("a failing compiler must be CompileFailed, got {:?}", other.err()),
+    }
+    assert_eq!(entries(&root), 0, "a failed compile left its build directory");
+    let _ = std::fs::remove_dir_all(wrapper_dir);
+
+    // The `aot-hang` timeout.
+    exo_aot::arm_hang(1);
+    let err = host().compile(&sw, isa).expect_err("the hung compiler is killed");
+    assert!(matches!(err, AotError::CompileTimeout { .. }), "got {err}");
+    assert_eq!(entries(&root), 0, "a killed compile left its build directory");
+
+    // `aot-bad-artifact`: `LoadFailed`, then rebuilt.
+    let engine = host();
+    exo_aot::arm_bad_artifact(1);
+    let err = engine.compile(&sw, isa).expect_err("garbage must not load");
+    assert!(matches!(err, AotError::LoadFailed { .. }), "got {err}");
+    assert_eq!(entries(&root), 0, "an unloadable artifact left its build directory");
+    engine.compile(&sw, isa).expect("the retry rebuilds");
+    assert_eq!(entries(&root), 0, "the rebuild left its build directory");
+
+    // `aot-wrong-result`.
+    exo_aot::arm_wrong_result(1);
+    let err = host().compile(&sw, isa).expect_err("the forced mismatch rejects");
+    assert_eq!(err, AotError::WrongResult);
+    assert_eq!(entries(&root), 0, "a rejected kernel left its build directory");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn a_failing_compilers_long_stderr_is_cut_on_a_char_boundary() {
+    let _serial = serial();
+    // One ASCII byte, then 1000 three-byte `‘`: byte 2000 falls inside a
+    // character.
+    let (chatty, dir) = wrapper_toolchain(
+        "chatty",
+        "printf x >&2\ni=0\nwhile [ $i -lt 1000 ]; do printf '\\342\\200\\230' >&2; i=$((i+1)); done\nexit 1",
+    );
+    match AotEngine::with_dir(dir.join("root"), Some(chatty)).compile(&staged_superword(8, 4), active_isa()) {
+        Err(AotError::CompileFailed { stderr, .. }) => {
+            assert_eq!(stderr.len(), 1999, "cut to the last whole character before byte 2000");
+            assert!(stderr.starts_with('x') && stderr[1..].chars().all(|c| c == '\u{2018}'), "{stderr}");
+        }
+        other => panic!("a failing compiler must be CompileFailed, got {:?}", other.err()),
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Names the directory holding the slow compiler of
+/// [`exit_mid_build_child_process`]; unset, that test is a no-op.
+const EXIT_CHILD_DIR: &str = "EXO_AOT_EXIT_CHILD_DIR";
+
+#[test]
+fn a_process_that_exits_mid_build_leaves_no_build_directory() {
+    let _serial = serial();
+    if !exo_aot::native_available() {
+        return;
+    }
+    // A compiler that is still running when its process exits.
+    let (_, dir) = wrapper_toolchain("exit", "sleep 1\nexit 1");
+    let status = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["exit_mid_build_child_process", "--exact", "--test-threads=1"])
+        .env(EXIT_CHILD_DIR, &dir)
+        .stdout(std::process::Stdio::null())
         .status()
         .unwrap();
-    assert!(status.success(), "the planted dylib must compile");
-    let bytes = std::fs::read(&artifact).unwrap();
-    let forged = exo_aot::Manifest::for_bytes(&bytes, &tc.version, active_isa(), req.key());
-    exo_aot::manifest::write(engine.store(), req.key(), &forged).unwrap();
-
-    // The disk load succeeds, the probe catches the wrong arithmetic,
-    // the evidence moves to `<path>.wrong-result`, and the key is
-    // terminally pinned to simd — all without a compiler invocation.
-    let err = engine.wait(&req).expect_err("a wrong-result kernel must never promote");
-    assert!(matches!(err, AotError::WrongResult { .. }), "got {err}");
-    let mut quarantined = artifact.as_os_str().to_owned();
-    quarantined.push(".wrong-result");
-    assert!(std::path::Path::new(&quarantined).is_file(), "the wrong-result artifact is kept as evidence");
-    assert!(!artifact.is_file(), "the artifact must not stay servable");
-    let stats = engine.stats();
-    assert_eq!(stats.compiler_invocations, 0, "the planted artifact is a disk hit, not a build");
-    assert_eq!(stats.disk_hits, 1);
-    assert_eq!(stats.wrong_results, 1);
-    assert_eq!(stats.quarantines, 1);
-    assert_eq!(stats.verified_promotions, 0);
-
-    // The pin is terminal: no rebuild, no retry, the same decline.
-    let err = engine.wait(&req).expect_err("the pin must hold");
-    assert!(matches!(err, AotError::WrongResult { .. }));
-    assert!(engine.poll(&req).is_none(), "the serving path must never see this key");
-    assert_eq!(engine.stats().build_attempts, 1, "a wrong result must not trigger retries");
+    assert!(status.success(), "the child process failed: {status}");
+    assert_eq!(entries(&dir.join("root")), 0, "the exiting process left its build directory");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Run in a process of its own by
+/// [`a_process_that_exits_mid_build_leaves_no_build_directory`]: kicks a
+/// background build with that test's slow compiler and returns once the
+/// build directory exists, so the process exits mid-build.
+#[test]
+fn exit_mid_build_child_process() {
+    let Some(dir) = std::env::var_os(EXIT_CHILD_DIR).map(PathBuf::from) else {
+        return;
+    };
+    let slow = Toolchain { cc: dir.join("cc").display().to_string(), version: "slow".into() };
+    let root = dir.join("root");
+    let engine = AotEngine::with_dir(root.clone(), Some(slow));
+    let req = engine.prepare(&staged_superword(8, 4), active_isa()).unwrap();
+    assert!(engine.poll(&req).is_none(), "a first poll only enqueues the build");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while entries(&root) == 0 {
+        assert!(std::time::Instant::now() < deadline, "the build directory never appeared");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_second_engine_never_gets_the_first_ones_loaded_object_back() {
+    let _serial = serial();
+    if !exo_aot::native_available() {
+        return;
+    }
+    // Both engines build under one root in one process. Engine A's
+    // promoted kernel stays alive, so its object stays loaded; engine B
+    // builds the same key with a miscompiling compiler. Had B's object
+    // reused a name A loaded, the loader would hand back A's object, B's
+    // probe would pass, and B would promote.
+    let root = scratch_dir("reuse");
+    let sw = staged_superword(8, 4);
+    let isa = active_isa();
+    let a = AotEngine::with_dir(root.clone(), exo_aot::toolchain().cloned());
+    let req_a = a.prepare(&sw, isa).unwrap();
+    let native_a = a.wait(&req_a).expect("the host compiler builds the kernel");
+    let (evil, wrapper_dir) = evil_toolchain("reuse", GARBAGE);
+    let b = AotEngine::with_dir(root.clone(), Some(evil));
+    let req_b = b.prepare(&sw, isa).unwrap();
+    assert_eq!(req_a.key(), req_b.key(), "one source, one key");
+    assert_eq!(b.wait(&req_b).err(), Some(AotError::WrongResult), "B must load what its own compiler wrote");
+
+    // A's kernel is untouched.
+    let (ac, bc, c0) = packed_inputs(8, 4, 17);
+    let (mut c_native, mut c_simd) = (c0.clone(), c0);
+    native_a.run_packed(17, &ac, &bc, &mut c_native).unwrap();
+    SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap().run_packed(17, &ac, &bc, &mut c_simd).unwrap();
+    assert_eq!(c_native, c_simd);
+    let _ = std::fs::remove_dir_all(root);
+    let _ = std::fs::remove_dir_all(wrapper_dir);
 }
 
 #[test]
@@ -457,14 +589,14 @@ fn a_persistently_failing_key_stops_at_the_attempt_cap() {
     if !exo_aot::native_available() {
         return;
     }
-    // Occupy the store directory's path with a regular file: every build
+    // Occupy the build root's path with a regular file: every build
     // attempt fails on `create_dir_all` with a real `Io` error — even
     // running as root, which defeats permission-based write denial.
     let dir = std::env::temp_dir().join(format!("exo-aot-test-negcache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&dir);
-    std::fs::write(&dir, b"a file where the cache directory should be").unwrap();
-    let engine = AotEngine::with_dir(dir.clone());
+    std::fs::write(&dir, b"a file where the build root should be").unwrap();
+    let engine = AotEngine::with_dir(dir.clone(), exo_aot::toolchain().cloned());
     let sw = staged_superword(8, 4);
     for _ in 0..(exo_aot::MAX_BUILD_ATTEMPTS + 2) {
         let err = engine.compile(&sw, active_isa()).expect_err("no attempt can succeed");
@@ -504,59 +636,26 @@ fn a_hung_compiler_is_killed_on_deadline_and_the_key_recovers() {
 }
 
 #[test]
-fn a_sealed_but_unloadable_artifact_is_quarantined_and_rebuilt() {
+fn a_sealed_but_unloadable_artifact_is_declined_and_rebuilt() {
     let _serial = serial();
     if !exo_aot::native_available() {
         return;
     }
     let (engine, dir) = scratch_engine("sealed-bad");
     let sw = staged_superword(8, 4);
-    // The fault corrupts the object *before* hashing, so the manifest
-    // seals the garbage: integrity passes and only `dlopen` objects.
+    // The fault overwrites the object after the compiler exits cleanly,
+    // so only `dlopen` objects.
     exo_aot::arm_bad_artifact(1);
     let err = engine.compile(&sw, active_isa()).expect_err("garbage must not load");
-    assert!(!matches!(err, AotError::WrongResult { .. }), "an unloadable artifact is retryable");
-    let stats = engine.stats();
-    assert_eq!(stats.quarantines, 1);
-    assert_eq!(stats.builds_failed, 1);
-    // Retryable: the second attempt rebuilds cleanly over the vacated key.
+    assert!(
+        matches!(err, AotError::LoadFailed { .. }),
+        "an unloadable artifact is a retryable decline: {err}"
+    );
+    assert_eq!(engine.stats().builds_failed, 1);
+    // Retryable: the second attempt rebuilds cleanly.
     let native = engine.compile(&sw, active_isa()).unwrap();
     let (a, b, mut c) = packed_inputs(8, 4, 5);
     native.run_packed(5, &a, &b, &mut c).unwrap();
     assert_eq!(engine.stats().compiler_invocations, 2);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn a_tampered_artifact_is_caught_by_the_manifest_before_dlopen() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (cold, dir) = scratch_engine("tamper");
-    let sw = staged_superword(8, 4);
-    let req = cold.prepare(&sw, active_isa()).unwrap();
-    let native = cold.wait(&req).unwrap();
-    let artifact = cold.store().artifact_path(req.key());
-
-    // Append a byte: the dylib very likely still loads, but the manifest
-    // (length, then hash) no longer matches. Tamper via write-then-rename
-    // — scribbling on the artifact in place would corrupt the mapping
-    // `native` still holds.
-    let mut bytes = std::fs::read(&artifact).unwrap();
-    bytes.push(0u8);
-    let tampered = dir.join("tampered.tmp");
-    std::fs::write(&tampered, &bytes).unwrap();
-    std::fs::rename(&tampered, &artifact).unwrap();
-    drop(native);
-
-    let warm = AotEngine::with_dir(dir.clone());
-    warm.compile(&sw, active_isa()).unwrap();
-    assert_eq!(warm.stats().disk_hits, 0, "a tampered artifact must never count as a disk hit");
-    assert_eq!(warm.stats().compiler_invocations, 1, "it is quarantined and rebuilt");
-    assert_eq!(warm.stats().quarantines, 1);
-    let mut quarantined = artifact.as_os_str().to_owned();
-    quarantined.push(".corrupt");
-    assert!(std::path::Path::new(&quarantined).is_file(), "the evidence is kept");
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -23,10 +23,10 @@
 //! | `aot-compile-fail@N` | the Nth native-kernel compile attempt fails  |
 //! | `aot-hang@N`     | the Nth compiler invocation hangs (killed on the |
 //! |                  | deadline; surfaces as a compile timeout)         |
-//! | `aot-bad-artifact@N` | the Nth successful compile seals garbage     |
-//! |                  | (caught by `dlopen`, quarantined `.corrupt`)     |
+//! | `aot-bad-artifact@N` | the Nth successful compile leaves garbage    |
+//! |                  | (declined by `dlopen`; the key retries)          |
 //! | `aot-wrong-result@N` | the Nth promotion probe reports a mismatch   |
-//! |                  | (quarantined `.wrong-result`, key pinned to simd)|
+//! |                  | (the key is pinned to simd)                      |
 //!
 //! The pool-level classes are implemented by hooks inside
 //! `gemm_blis::pool`, and the aot classes by hooks inside
@@ -121,13 +121,13 @@ pub struct FaultPlan {
     /// the attempt surfaces as [`exo_aot::AotError::CompileTimeout`] and
     /// no GEMM waits on it.
     pub aot_hang: Option<u64>,
-    /// `aot-bad-artifact@N`: the Nth successful compile seals garbage
-    /// bytes behind a valid manifest — the shape a torn disk takes; the
-    /// loader declines and the artifact is quarantined as `.corrupt`.
+    /// `aot-bad-artifact@N`: the Nth successful compile leaves garbage
+    /// bytes where the object should be — the shape a torn disk takes; the
+    /// loader declines them and the key retries with backoff.
     pub aot_bad_artifact: Option<u64>,
     /// `aot-wrong-result@N`: the Nth promotion probe reports a mismatch —
-    /// the shape a miscompiled kernel takes; the artifact is quarantined
-    /// as `.wrong-result` and the key is pinned to the simd tier.
+    /// the shape a miscompiled kernel takes; the key is pinned to the simd
+    /// tier.
     pub aot_wrong_result: Option<u64>,
 }
 

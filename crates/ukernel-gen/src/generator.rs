@@ -108,7 +108,7 @@ pub struct GeneratedKernel {
     /// [`Self::simd`] itself when the active ISA is already scalar.
     pub portable: Arc<SimdKernel>,
     /// The prepared ahead-of-time request ([`Self::superword`] lowered to
-    /// C, toolchain probed, cache key computed), built lazily on the
+    /// C, toolchain probed, key computed), built lazily on the
     /// first [`Self::native`] poll and reused by every later one. `None`
     /// — permanently, the verdict is cached — when the host has no C
     /// toolchain or the emitter declines the lowering: the native tier
@@ -147,14 +147,13 @@ impl GeneratedKernel {
 
     /// The ahead-of-time compiled native kernel, if it has promoted —
     /// **non-blocking**. The first call kicks a background build through
-    /// the process-wide [`exo_aot::engine()`] (warm starts promote from the
-    /// manifest-verified artifact cache on the first background attempt)
-    /// and returns `None`; callers serve on the simd chain until the
-    /// build lands and passes probe verification, after which the
-    /// promoted kernel is cached here and every call returns it. `None`
-    /// forever when the host has no C toolchain, the emitter declines
-    /// the lowering, or the engine has terminally rejected the key: callers
-    /// stay on the simd chain.
+    /// the process-wide [`exo_aot::engine()`] (once per process: nothing
+    /// is kept on disk) and returns `None`; callers serve on the simd
+    /// chain until the build lands and passes probe verification, after
+    /// which the promoted kernel is cached here and every call returns it.
+    /// `None` forever when the host has no C toolchain, the emitter
+    /// declines the lowering, or the engine has terminally rejected the
+    /// key: callers stay on the simd chain.
     pub fn native(&self) -> Option<Arc<SimdKernel>> {
         if let Some(native) = self.native.get() {
             return Some(Arc::clone(native));

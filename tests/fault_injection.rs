@@ -1237,26 +1237,6 @@ fn settle_shared_native_key() {
     let _ = kernel_8x12().native_wait();
 }
 
-/// Computes the cache key the native tier will use for `kernel` on this
-/// host and evicts any cached artifact for it. AOT fault experiments
-/// need the build pipeline to actually run end to end: against a warm
-/// cache the compiler is never invoked, so a fault hooked into the
-/// compile path could never fire. Returns the artifact path.
-fn evict_artifact(kernel: &Arc<GeneratedKernel>) -> std::path::PathBuf {
-    let c_source = exo_gemm::exo_codegen::emit_superword_c(
-        &kernel.superword,
-        exo_gemm::exo_codegen::active_isa(),
-        exo_gemm::exo_aot::KERNEL_SYMBOL,
-    )
-    .expect("kernel emits");
-    let key = exo_gemm::exo_aot::artifact_key(&c_source, &exo_gemm::gemm_blis::toolchain().unwrap().version);
-    let store = exo_gemm::exo_aot::engine().store();
-    let artifact = store.artifact_path(key);
-    let _ = std::fs::remove_file(&artifact);
-    let _ = std::fs::remove_file(store.manifest_path(key));
-    artifact
-}
-
 /// Runs `jobs` shapes through a fresh service over `driver`, requiring
 /// every job to complete ununusually — not failed, not degraded — and
 /// bit-identical to `refs`. Returns the service for stats assertions.
@@ -1319,7 +1299,7 @@ fn simd_refs(
 /// The toolchain-outage fault class: the first ahead-of-time build
 /// attempt for a freshly generated kernel fails mid-serve
 /// (`aot-compile-fail@1` — the shape a broken `cc`, a full disk, or a
-/// revoked cache dir takes at runtime). The build runs in the
+/// revoked build directory takes at runtime). The build runs in the
 /// background, so the contract is *silent* degradation, one tier down
 /// and pre-dispatch: every job completes, none is stamped `degraded` (no
 /// executional failure ever surfaced), the results are bit-identical to
@@ -1334,7 +1314,6 @@ fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
     }
     settle_shared_native_key();
     let kernel = fresh_kernel(4, 8);
-    let _ = evict_artifact(&kernel);
     let blocking = BlockingParams::carmel_defaults(4, 8);
     let shapes = [(24usize, 20usize, 16usize), (16, 16, 16), (33, 9, 21)];
     let refs = simd_refs(&kernel, blocking, &shapes);
@@ -1371,10 +1350,8 @@ fn a_build_failure_between_passes_reads_degraded_from_health_alone() {
     }
     settle_shared_native_key();
     // A tile no serving space admits and no other test builds, so no
-    // neighbour can have left it `Ready` in the engine's memory; evicted
-    // from disk, so the build cannot short-circuit past the armed fault.
+    // neighbour can have left it `Ready` in the engine's memory.
     let kernel = fresh_kernel(5, 3);
-    let _ = evict_artifact(&kernel);
     let service = GemmService::new(driver());
     FaultPlan::new().aot_compile_fail(1).arm();
     let built = exo_gemm::exo_aot::engine().compile(&kernel.superword, exo_gemm::exo_codegen::active_isa());
@@ -1400,9 +1377,6 @@ fn a_hung_compiler_never_delays_jobs_and_the_books_balance() {
     }
     settle_shared_native_key();
     let kernel = fresh_kernel(16, 8);
-    // The hang hook lives inside the compiler invocation: evict any
-    // cached artifact so the build cannot short-circuit via a disk hit.
-    let _ = evict_artifact(&kernel);
     let blocking = BlockingParams::carmel_defaults(16, 8);
     const CALLERS: usize = 4;
     const JOBS: usize = 6;
@@ -1479,10 +1453,10 @@ fn a_hung_compiler_never_delays_jobs_and_the_books_balance() {
 /// The wrong-result fault class (`aot-wrong-result@1`): a kernel that
 /// compiles, loads, and *runs* — but computes garbage. The verification
 /// probe must catch it before dispatch ever sees it: every job is
-/// bit-identical to the simd-pinned run, the artifact is quarantined as
-/// `<path>.wrong-result`, and the key is pinned to simd terminally.
+/// bit-identical to the simd-pinned run, the failure is booked, and the
+/// key is pinned to simd terminally.
 #[test]
-fn a_wrong_result_kernel_is_quarantined_before_dispatch_ever_sees_it() {
+fn a_wrong_result_kernel_is_rejected_before_dispatch_ever_sees_it() {
     let _guard = serial();
     fault::disarm();
     if !exo_gemm::gemm_blis::native_available() {
@@ -1493,15 +1467,6 @@ fn a_wrong_result_kernel_is_quarantined_before_dispatch_ever_sees_it() {
     let blocking = BlockingParams::carmel_defaults(8, 16);
     let shapes = [(24usize, 20usize, 16usize), (16, 16, 16), (33, 9, 21)];
     let refs = simd_refs(&kernel, blocking, &shapes);
-
-    // Evict any cached artifact (so the build runs end to end) and note
-    // where the quarantined evidence will land in the process-wide
-    // engine's store (cleaned from any earlier run).
-    let artifact = evict_artifact(&kernel);
-    let mut quarantined = artifact.as_os_str().to_owned();
-    quarantined.push(".wrong-result");
-    let quarantined = std::path::PathBuf::from(quarantined);
-    let _ = std::fs::remove_file(&quarantined);
 
     FaultPlan::new().aot_wrong_result(1).arm();
     let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
@@ -1518,11 +1483,9 @@ fn a_wrong_result_kernel_is_quarantined_before_dispatch_ever_sees_it() {
     assert_eq!(stats.jobs_completed, shapes.len() as u64);
     assert_eq!(stats.jobs_failed, 0);
     assert_eq!(service.health(), ServiceHealth::Degraded, "a rejected kernel is a visible degradation");
-    assert!(quarantined.is_file(), "the wrong-result artifact is kept as evidence at {quarantined:?}");
     // The pin is terminal: polling the key again must stay on simd, not
     // rebuild the same wrong answer.
     assert!(kernel.native().is_none(), "a wrong-result key must stay pinned to simd");
-    let _ = std::fs::remove_file(&quarantined);
 }
 
 /// CI's entry point: when `EXO_FAULT` is set, the first service
@@ -1543,10 +1506,6 @@ fn env_spec_drives_a_full_fault_run() {
     let _guard = serial();
     let hang = FaultPlan::parse(&spec).expect("EXO_FAULT parses").aot_hang.is_some()
         && exo_gemm::gemm_blis::native_available();
-    if hang {
-        // Against a cached artifact the compiler never runs.
-        let _ = evict_artifact(&kernel_8x12());
-    }
     // Constructing the service arms the env plan (first construction in
     // this process wins the OnceLock).
     let native_driver =

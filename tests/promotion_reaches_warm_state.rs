@@ -65,9 +65,9 @@ fn promotion_reaches(
             cold.kernel
         );
         // The first run built its handle on the simd chain — a kernel's
-        // first poll only enqueues its build — unless the artifact cache
-        // on disk was warm and the background load beat the run's own
-        // re-resolve. Either way the second run finds the artifact.
+        // first poll only enqueues its build — unless that background
+        // build landed before the run's own re-resolve. Either way the
+        // second run finds the artifact.
         println!("{door}: first run on {:?}, second on {:?}", cold.tier, warm.tier);
         assert_eq!(warm.tier, Some(ExecBackend::Native), "{door}: promotion must reach the warm runner");
     }

@@ -428,10 +428,10 @@ fn every_lane_indexed_serving_tile_fuses_its_k_loop_on_the_chain() {
 /// The emitted C of every tile the NEON-described space admits (18) plus
 /// one unvectorised scalar-strategy tile, whose scalar leftovers carry
 /// constant and general addresses, on every ISA: one content hash per ISA,
-/// keyed by its name, over the concatenated emissions. The native tier's
-/// artifact key is a hash of this text, so a moved constant means every
-/// warm cache goes cold; and the NEON spelling cannot be compiled on an x86
-/// host, so its bytes are the offline proof it did not move.
+/// keyed by its name, over the concatenated emissions. The native tier
+/// compiles this text, so a moved constant moves the machine code; and the
+/// NEON spelling cannot be compiled on an x86 host, so its bytes are the
+/// offline proof it did not move.
 ///
 /// The `avx2` hash was re-recorded when register-file copies stopped
 /// covering part of an accumulator group. That moved the tiles whose
