@@ -12,25 +12,26 @@
 //!    faster tier measuring slower than its own fallback means the fast
 //!    path regressed below the slow one. `superword` is the portable tier
 //!    (the superword lowering on the scalar-ISA closure chain), `simd` the
-//!    same chain compiled for the active vector ISA, `native` the
-//!    ahead-of-time compiled artifact. Two legs compare a series with
+//!    same chain compiled for the active vector ISA, `native` the body
+//!    compiled when the workspace was built. Two legs compare a series with
 //!    itself on some hosts and are skipped there: `simd` over `superword`
 //!    when the active ISA is the scalar reference (`!simd_available()`),
-//!    and `native` over `simd` when no C toolchain answered the probe
-//!    (`!native_available()`: the native series *is* the simd chain).
+//!    and `native` over `simd` when the build compiled no bodies for the
+//!    active ISA (`!native_available()`: the native series *is* the simd
+//!    chain).
 //! 2. **`solo`** — the paper's Fig. 13 on the host: the 8x12 promoted for
 //!    AVX2, called through its proved dispatch handle, against the same
 //!    update written by hand with AVX2/FMA intrinsics, both on L1-resident
 //!    packed panels of the analytical blocking's `kc`. The generated kernel
 //!    must reach [`SOLO_FLOOR`] of the hand-written one. Skipped on a host
-//!    without AVX2 or without a C toolchain.
+//!    without AVX2 or a build without a C compiler.
 //! 3. **`solo512`** — the paper's Section III-C on the host: the 16x16
 //!    broadcast-B kernel generated from the `avx512_f32` library and
 //!    promoted for AVX-512, against the Neon 8x12 promoted for AVX2 (the
 //!    kernel an AVX-512 host would serve without its own library), both at
 //!    [`SOLO512_KC`]. The AVX-512 kernel's rate must reach
 //!    [`SOLO512_FLOOR`] of the 8x12's. Skipped on a host without AVX-512
-//!    or without a C toolchain.
+//!    or a build without a C compiler.
 //! 4. **`movers`** — the strided mover
 //!    (`exo_codegen::simd::strided_move_on`) packing the analytical `mc x
 //!    kc` block of `A` into `mr`-row panels, and staging an `mr x nr` tile
@@ -376,16 +377,16 @@ fn alternate_prepared<T, U>(
     Paired { subject_secs: median(subject), reference_secs: median(reference), ratio: median(ratios) }
 }
 
-/// A promoted native artifact and the register tile it updates.
+/// A promoted native body and the register tile it updates.
 struct Promoted {
     native: Arc<SimdKernel>,
     mr: usize,
     nr: usize,
 }
 
-/// `kernel` compiled for `isa` and promoted (built, loaded and verified by
-/// the process-wide ahead-of-time engine) whichever ISA this process
-/// selected, or why it cannot be.
+/// `kernel`'s body for `isa` from the build-time table, promoted (verified
+/// by the process-wide engine) whichever ISA this process selected, or why
+/// it cannot be.
 fn promoted(kernel: &GeneratedKernel, isa: IsaKind) -> Result<Promoted, String> {
     let (mr, nr) = (kernel.mr, kernel.nr);
     if !isa.available() {
@@ -393,7 +394,7 @@ fn promoted(kernel: &GeneratedKernel, isa: IsaKind) -> Result<Promoted, String> 
     }
     let native = exo_aot::engine()
         .compile(&kernel.superword, isa)
-        .map_err(|e| format!("no promoted `{isa}` artifact of the {mr}x{nr} kernel: {e}"))?;
+        .map_err(|e| format!("no promoted `{isa}` body of the {mr}x{nr} kernel: {e}"))?;
     Ok(Promoted { native, mr, nr })
 }
 
@@ -418,7 +419,7 @@ fn solo(native: &Arc<SimdKernel>, kc: usize) -> Paired {
                 Side::Subject => dispatch
                     .run_packed(kc, black_box(&a), black_box(&b), &mut c_exo)
                     .expect("solo micro-kernel call"),
-                // SAFETY: an AVX2 artifact was promoted only where
+                // SAFETY: an AVX2 body was promoted only where
                 // `IsaKind::Avx2.available()`: the CPU reports AVX2 and FMA.
                 Side::Reference => unsafe { hand_8x12_avx2(kc, black_box(&a), black_box(&b), &mut c_hand) },
             }
@@ -659,20 +660,12 @@ impl ServeOperands {
 /// [`SERVE_PASS_ROUNDS`] times a burst, `beta = 0` as in `serve_small`. The
 /// subject's owned jobs are built before its clock starts and its results
 /// dropped after it stops. Each side has its own `TunedGemm` — the service
-/// owns its executor — over the same verdicts, native artifacts settled
-/// first; both return the same bits, which is checked before timing.
+/// owns its executor — over the same verdicts; both return the same bits,
+/// which is checked before timing.
 fn serve_pass() -> Paired {
     let operands: Vec<ServeOperands> = SERVE_SHAPES.into_iter().map(ServeOperands::new).collect();
-    let settle = |tuned: &TunedGemm| {
-        for (m, n, k) in SERVE_SHAPES {
-            let (_, driver) = tuned.driver_for(m, n, k).expect("the serving space tunes");
-            let _ = driver.kernel().generated.native_wait();
-        }
-    };
     let reference = TunedGemm::new();
-    settle(&reference);
     let executor = CachedTunedGemm::new(TunedGemm::new());
-    settle(executor.tuned());
     let service = GemmService::new(executor);
     let lone = |job: GemmJob| -> CompletedJob {
         service.submit(job).expect("an idle service accepts").wait().expect("a lone job completes")
@@ -718,11 +711,6 @@ fn verdict(gate: &str, ratio: f64, floor: f64) -> bool {
 fn main() {
     let generator = MicroKernelGenerator::new(exo_isa::neon_f32());
     let kernel = Arc::new(generator.generate(8, 12).expect("8x12 kernel generates"));
-    // Settle the asynchronous native build before any measurement: the
-    // `native` series must bench the promoted artifact (when a toolchain
-    // answers), not race the background compile and silently measure the
-    // simd fallback on its early iterations.
-    let _ = kernel.native_wait();
     let blocking = BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), 8, 12, 4);
     let driver = |kernel: KernelImpl| BlisGemm::new(blocking).with_kernel(kernel);
     // Slowest first: each tier must beat the one before it.
@@ -736,7 +724,7 @@ fn main() {
     // itself on this host, where it does.
     let same_series = |tier: &str| match tier {
         "simd" if !simd_available() => Some("no vector ISA: both series ran the one scalar chain"),
-        "native" if !native_available() => Some("no C toolchain: native ran the simd chain"),
+        "native" if !native_available() => Some("no native bodies: native ran the simd chain"),
         _ => None,
     };
 
@@ -859,8 +847,6 @@ fn main() {
     } else {
         let size = PLACEMENT_SIZE;
         let (tuned, driver) = TunedGemm::new().driver_for(size, size, size).expect("the serving space tunes");
-        // The native artifact, settled before timing, as for the 8x12.
-        let _ = driver.kernel().generated.native_wait();
         let p = placement(&driver);
         println!(
             "  placement at {size} ({}x{} verdict): off a line {:.1} GFLOPS, on a line {:.1} GFLOPS",
@@ -881,7 +867,6 @@ fn main() {
         println!("  host caches: {}", HostDescription::probed());
         for (m, n, k) in HOST_BLOCKING_SHAPES {
             let (plan, driver) = tuned.driver_for(m, n, k).expect("the serving space tunes");
-            let _ = driver.kernel().generated.native_wait();
             let carmel =
                 BlockingParams::analytical(&carmel_sim::CacheHierarchy::carmel(), plan.mr, plan.nr, 4);
             let reference = BlisGemm::new(carmel).with_kernel(driver.kernel().clone());
@@ -913,7 +898,6 @@ fn main() {
             host.l1d.line
         );
     } else {
-        let _ = driver.kernel().generated.native_wait();
         let p = pack_b_in_situ(&driver);
         let rate = |secs: f64| 2.0 * (m * n * k) as f64 / secs / 1.0e9;
         println!(

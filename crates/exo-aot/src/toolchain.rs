@@ -1,37 +1,63 @@
-//! Host C-toolchain detection.
+//! The table of native bodies compiled when the workspace was built.
 //!
-//! The native tier needs a C compiler at runtime. Detection runs once per
-//! process: the `EXO_CC` override (routed through the workspace-wide
-//! [`exo_codegen::env_once`] contract) names a compiler explicitly,
-//! otherwise `cc`, `gcc` and `clang` are probed in order with
-//! `--version`. A missing toolchain is **not** an error here — it yields
-//! `None` and every caller silently falls back to the simd tier — but a
-//! malformed `EXO_CC` value (empty after trimming) panics like every
-//! other typo'd `EXO_*` override.
-//!
-//! Note the asymmetry, shared with `EXO_ISA`'s "pinned ISA unavailable"
-//! handling: `EXO_CC=/nonexistent/cc` is a *well-formed* override naming
-//! a compiler that does not answer, so it disables the native tier
-//! (silent fallback, and the probed CI leg asserts exactly that) rather
-//! than panicking.
+//! The `exo-kernels` crate's build script emits the C of every tile the
+//! generator admits, for every ISA row its target can run, compiles each
+//! with the host C compiler into one static archive, and generates a table
+//! from the [`crate::content_hash`] of each emitted C text to its
+//! function. Linking `exo-kernels` installs that table here ([`install`])
+//! before `main` runs; the engine looks a kernel's emitted C up in it. A
+//! process that links no table — or one built with no C compiler — has an
+//! empty one, and every kernel serves on the simd chain.
 
-use std::process::Command;
 use std::sync::OnceLock;
 
-use exo_codegen::env_once;
+use exo_codegen::{active_isa, IsaKind, PackedKernelFn};
 
-/// A probed, answering host C compiler.
+/// The symbol every emitted kernel defines; the build renames it per body.
+pub const KERNEL_SYMBOL: &str = "exo_aot_kernel";
+
+/// One compiled body: the function the C with key `key` compiled to with
+/// `isa`'s flags.
+#[derive(Debug, Clone, Copy)]
+pub struct NativeBody {
+    /// [`crate::content_hash`] of the emitted C.
+    pub key: u64,
+    /// The ISA row the C was emitted and compiled for.
+    pub isa: IsaKind,
+    /// The compiled function.
+    pub body: PackedKernelFn,
+}
+
+/// Everything a build left for the run time: its bodies and the compiler
+/// that built them.
+#[derive(Debug)]
+pub struct NativeTable {
+    /// The compiler command and the first line of its `--version`, or
+    /// `None` when the build found no C compiler (and `bodies` is empty).
+    pub compiler: Option<(&'static str, &'static str)>,
+    /// Every compiled body.
+    pub bodies: &'static [NativeBody],
+}
+
+/// The C compiler a table was built with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Toolchain {
-    /// The compiler command (from `EXO_CC` or the probe list).
+    /// The compiler command (from `EXO_CC` at build time, or the first of
+    /// `cc`, `gcc`, `clang` that answered).
     pub cc: String,
     /// First line of its `--version` output, for reports
-    /// (`gemm_throughput` prints it).
+    /// (`gemm_throughput` and `exo_bench` print it).
     pub version: String,
 }
 
-/// Parses an `EXO_CC` value: any non-blank string names a compiler.
-/// Exposed for the env-override unit tests.
+static INSTALLED: OnceLock<&'static NativeTable> = OnceLock::new();
+
+/// Parses an `EXO_CC` value, which the `exo-kernels` build script reads:
+/// any non-blank string names a compiler.
+///
+/// # Errors
+///
+/// A blank value: it names no compiler.
 pub fn parse_exo_cc(value: &str) -> std::result::Result<String, String> {
     let v = value.trim();
     if v.is_empty() {
@@ -40,55 +66,38 @@ pub fn parse_exo_cc(value: &str) -> std::result::Result<String, String> {
     Ok(v.to_string())
 }
 
-/// The `EXO_CC` override, if set (read once per process; a blank value
-/// panics per the `EXO_*` contract).
-pub fn env_cc_override() -> Option<String> {
-    static CELL: OnceLock<Option<String>> = OnceLock::new();
-    env_once(&CELL, "EXO_CC", parse_exo_cc)
+/// Installs the process's table of native bodies. The first call wins;
+/// `exo-kernels` makes it at load time.
+pub fn install(table: &'static NativeTable) {
+    let _ = INSTALLED.set(table);
 }
 
-/// Runs `cmd --version` and returns the first output line if it answers.
-fn probe_command(cmd: &str) -> Option<String> {
-    let out = Command::new(cmd).arg("--version").output().ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let text = String::from_utf8_lossy(&out.stdout);
-    let line = text.lines().next().unwrap_or("").trim();
-    Some(if line.is_empty() { format!("{cmd} (unversioned)") } else { line.to_string() })
+/// The installed table's bodies (none when no table is installed).
+pub(crate) fn installed_bodies() -> &'static [NativeBody] {
+    INSTALLED.get().map_or(&[], |table| table.bodies)
 }
 
-fn detect() -> Option<Toolchain> {
-    let candidates: Vec<String> = match env_cc_override() {
-        // An explicit override is authoritative: no fallback probing, so
-        // a pointed-at-but-broken compiler disables the tier outright.
-        Some(cc) => vec![cc],
-        None => ["cc", "gcc", "clang"].iter().map(|s| s.to_string()).collect(),
-    };
-    candidates.into_iter().find_map(|cc| probe_command(&cc).map(|version| Toolchain { cc, version }))
-}
-
-/// The host toolchain, probed once per process. `None` means the native
-/// tier is unavailable and callers fall back to simd.
+/// The compiler the installed table was built with, or `None` when no
+/// table is installed or its build found no C compiler.
 pub fn toolchain() -> Option<&'static Toolchain> {
     static CELL: OnceLock<Option<Toolchain>> = OnceLock::new();
-    CELL.get_or_init(detect).as_ref()
+    let table = INSTALLED.get()?;
+    CELL.get_or_init(|| {
+        table.compiler.map(|(cc, version)| Toolchain { cc: cc.into(), version: version.into() })
+    })
+    .as_ref()
 }
 
-/// Whether this host can compile native kernels (a toolchain answered
-/// the probe). Recorded by the bench harness next to its `native` series.
+/// Whether the installed table holds bodies for [`active_isa`]: whether
+/// the native tier can serve in this process.
 pub fn native_available() -> bool {
-    toolchain().is_some()
+    let isa = active_isa();
+    installed_bodies().iter().any(|body| body.isa == isa)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn probing_a_nonexistent_compiler_yields_none() {
-        assert_eq!(probe_command("/nonexistent/exo-aot-no-such-cc"), None);
-    }
 
     #[test]
     fn blank_exo_cc_is_a_parse_error_and_nonblank_is_trimmed() {
@@ -100,11 +109,11 @@ mod tests {
     fn a_blank_exo_cc_panics_with_the_variable_name() {
         // The same contract the other `EXO_*` overrides are tested to:
         // set-but-unparseable panics with `"{var}: {description}"`. Uses a
-        // private cell so the process-wide verdict is not disturbed.
+        // private cell so no process-wide verdict is disturbed.
         std::env::set_var("EXO_CC_TEST_BLANK", "  ");
         let cell: OnceLock<Option<String>> = OnceLock::new();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            env_once(&cell, "EXO_CC_TEST_BLANK", parse_exo_cc)
+            exo_codegen::env_once(&cell, "EXO_CC_TEST_BLANK", parse_exo_cc)
         }))
         .expect_err("a blank EXO_CC must panic");
         let message = payload.downcast_ref::<String>().expect("panic carries the formatted message");
@@ -112,13 +121,5 @@ mod tests {
             message.starts_with("EXO_CC_TEST_BLANK: ") && message.contains("does not name a C compiler"),
             "got: {message}"
         );
-    }
-
-    #[test]
-    fn detection_is_consistent_with_availability() {
-        assert_eq!(toolchain().is_some(), native_available());
-        if let Some(tc) = toolchain() {
-            assert!(!tc.cc.is_empty() && !tc.version.is_empty());
-        }
     }
 }

@@ -1,23 +1,28 @@
-//! End-to-end tests of the ahead-of-time pipeline: emit → compile →
-//! load → run, the private build directory every attempt leaves empty,
-//! the verification probe against a miscompiling compiler, and the
-//! decline paths.
+//! End-to-end tests of the native tier's engine: a kernel's emitted C
+//! resolves to a body of the table compiled at build time (this binary
+//! links `exo-kernels`, as every GEMM stack does) or to a counted miss; and
+//! the verification probe stands between every body and dispatch, whatever
+//! the body computes. Bodies of the tests' own — right ones and wrong ones,
+//! `extern "C"` functions below — reach the promotion path through
+//! [`AotEngine::with_bodies`], so none of this needs a C compiler.
 //!
-//! Everything that needs a real C compiler branches on
-//! [`exo_aot::native_available`]: on a toolchain-less host (or under the
-//! `EXO_CC`-poisoned CI leg) those tests assert the decline instead.
+//! Everything that needs the build-time table branches on
+//! [`exo_aot::native_available`]: on a build that found no C compiler (the
+//! poisoned CI leg) the table is empty and those tests assert the miss.
 
-use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use exo_aot::{AotEngine, AotError, Toolchain};
-use exo_codegen::{active_isa, IsaKind, SimdKernel, SuperwordKernel, TensorView};
+use exo_aot::{AotEngine, AotError, NativeBody};
+use exo_codegen::{active_isa, IsaKind, PackedKernelFn, SimdKernel, SuperwordKernel, TensorView};
 use exo_ir::builder::*;
 use exo_ir::{Expr, MemSpace, ScalarType};
+// Linked for its table of native bodies, installed before `main`.
+use exo_kernels as _;
 
-/// The fault countdowns are process-global and the builder thread is
-/// shared: every test that compiles (or arms a fault) holds this lock so
-/// an armed countdown can only fire in the test that armed it.
+/// The `aot-wrong-result` countdown is process-global: every test that
+/// probes a body (or arms the fault) holds this lock, so an armed countdown
+/// can only fire in the test that armed it.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -113,78 +118,94 @@ fn packed_inputs(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f3
     (a, b, c0)
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("exo-aot-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The generated Neon 8x12: a tile the table holds a body for on every ISA
+/// row the build compiled.
+fn generated_8x12() -> Arc<SuperwordKernel> {
+    let kernel = ukernel_gen::MicroKernelGenerator::new(exo_isa::neon_f32()).generate(8, 12).unwrap();
+    Arc::clone(&kernel.superword)
 }
 
-/// An engine with the host toolchain (if any) building under a fresh
-/// scratch directory.
-fn scratch_engine(tag: &str) -> (AotEngine, PathBuf) {
-    let dir = scratch_dir(tag);
-    (AotEngine::with_dir(dir.clone(), exo_aot::toolchain().cloned()), dir)
+/// The key of `sw`'s emitted C on `isa`: its content hash.
+fn key_of(sw: &SuperwordKernel, isa: IsaKind) -> u64 {
+    exo_aot::content_hash(exo_codegen::emit_superword_c(sw, isa, exo_aot::KERNEL_SYMBOL).unwrap().as_bytes())
 }
 
-/// A "compiler" that runs `script` (POSIX `sh`, the engine's compiler
-/// arguments in `"$@"`), written to its own scratch directory, which the
-/// caller removes.
-fn wrapper_toolchain(tag: &str, script: &str) -> (Toolchain, PathBuf) {
-    use std::os::unix::fs::PermissionsExt;
-    let dir = scratch_dir(&format!("{tag}-cc"));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cc = dir.join("cc");
-    std::fs::write(&cc, format!("#!/bin/sh\n{script}\n")).unwrap();
-    std::fs::set_permissions(&cc, std::fs::Permissions::from_mode(0o755)).unwrap();
-    (Toolchain { cc: cc.display().to_string(), version: format!("{tag} wrapper") }, dir)
+/// An engine whose table holds one body, `body`, under the key of `sw`'s
+/// C on `isa`.
+fn engine_with(sw: &Arc<SuperwordKernel>, isa: IsaKind, body: PackedKernelFn) -> AotEngine {
+    AotEngine::with_bodies(vec![NativeBody { key: key_of(sw, isa), isa, body }])
 }
 
-/// A miscompiling compiler: the host compiler, with the engine's flags,
-/// building `evil_body` as the kernel in place of whatever source it is
-/// handed.
-fn evil_toolchain(tag: &str, evil_body: &str) -> (Toolchain, PathBuf) {
-    let host_cc = &exo_aot::toolchain().expect("the evil compiler wraps the host one").cc;
-    let (evil, dir) = wrapper_toolchain(
-        tag,
-        &format!(
-            "for arg; do shift; case $arg in *.c) set -- \"$@\" \"$(dirname \"$0\")/evil.c\";; \
-             *) set -- \"$@\" \"$arg\";; esac; done\nexec '{host_cc}' \"$@\""
-        ),
-    );
-    std::fs::write(
-        dir.join("evil.c"),
-        format!(
-            "void exo_aot_kernel(long long kc, const float *ac, const float *bc, float *c) {{\n{evil_body}\n}}\n"
-        ),
-    )
-    .unwrap();
-    (evil, dir)
+/// The staged 8x4 kernel's update, `C[j][i] += Ac[k][i] * Bc[k][j]` over
+/// `k`, with `fma` as its multiply-add.
+///
+/// # Safety
+///
+/// `ac` and `bc` hold `kc * 8` and `kc * 4` floats, and `c` 32.
+unsafe fn staged_8x4(kc: i64, ac: *const f32, bc: *const f32, c: *mut f32, fma: fn(f32, f32, f32) -> f32) {
+    for k in 0..kc as usize {
+        for j in 0..4 {
+            for i in 0..8 {
+                // SAFETY: in bounds by the function's contract.
+                unsafe { *c.add(j * 8 + i) = fma(*ac.add(k * 8 + i), *bc.add(k * 4 + j), *c.add(j * 8 + i)) };
+            }
+        }
+    }
 }
+
+/// The right body: every multiply-add one fused rounding, as every tier.
+unsafe extern "C" fn fused(kc: i64, ac: *const f32, bc: *const f32, c: *mut f32) {
+    // SAFETY: the proved-call site passes operands of the probe's extents.
+    unsafe { staged_8x4(kc, ac, bc, c, f32::mul_add) }
+}
+
+/// Calls of each wrong body, to show none runs after its probe.
+static WRONG_CALLS: [AtomicUsize; 3] = [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)];
 
 /// Garbage at every `KC`.
-const GARBAGE: &str = "(void)kc; (void)ac; (void)bc; c[0] += 1234.5f;";
+unsafe extern "C" fn garbage(_kc: i64, _ac: *const f32, _bc: *const f32, c: *mut f32) {
+    WRONG_CALLS[0].fetch_add(1, Ordering::SeqCst);
+    // SAFETY: `C` holds the 32-float tile.
+    unsafe { *c += 1234.5 };
+}
+
+/// Right everywhere except the empty and the single-iteration `KC` loop,
+/// which a probe at one mid-sized `KC` alone would promote.
+unsafe extern "C" fn wrong_at_tiny_kc(kc: i64, ac: *const f32, bc: *const f32, c: *mut f32) {
+    WRONG_CALLS[1].fetch_add(1, Ordering::SeqCst);
+    // SAFETY: as for `fused`.
+    unsafe {
+        staged_8x4(kc, ac, bc, c, f32::mul_add);
+        if kc < 2 {
+            *c += 1234.5;
+        }
+    }
+}
 
 /// The right loop, unfused: a multiply and an add, two roundings where
 /// every tier rounds once.
-const UNFUSED: &str = "for (long long k = 0; k < kc; k++) for (int j = 0; j < 4; j++)\n\
-     for (int i = 0; i < 8; i++) c[j * 8 + i] += ac[k * 8 + i] * bc[k * 4 + j];";
+unsafe extern "C" fn unfused(kc: i64, ac: *const f32, bc: *const f32, c: *mut f32) {
+    WRONG_CALLS[2].fetch_add(1, Ordering::SeqCst);
+    // SAFETY: as for `fused`.
+    unsafe { staged_8x4(kc, ac, bc, c, |a, b, acc| a * b + acc) }
+}
 
-/// The number of entries left in `dir`.
-fn entries(dir: &Path) -> usize {
-    std::fs::read_dir(dir).map_or(0, Iterator::count)
+/// Fails the test if it is ever called.
+unsafe extern "C" fn never_called(_: i64, _: *const f32, _: *const f32, _: *mut f32) {
+    panic!("a body for an ISA the host cannot run was called");
 }
 
 #[test]
 fn native_agrees_with_the_simd_chain_on_the_matching_isa() {
     let _serial = serial();
-    let (engine, dir) = scratch_engine("agree");
-    let sw = staged_superword(8, 4);
+    let sw = generated_8x12();
     let isa = active_isa();
-    match engine.compile(&sw, isa) {
+    match exo_aot::engine().compile(&sw, isa) {
         Ok(native) => {
+            assert_eq!(native.isa(), isa);
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).expect("the active ISA compiles");
             for &kc in &[0usize, 1, 2, 17, 64] {
-                let (a, b, c0) = packed_inputs(8, 4, kc);
+                let (a, b, c0) = packed_inputs(8, 12, kc);
                 let mut c_native = c0.clone();
                 native.run_packed(kc, &a, &b, &mut c_native).unwrap();
                 let mut c_simd = c0.clone();
@@ -195,21 +216,17 @@ fn native_agrees_with_the_simd_chain_on_the_matching_isa() {
             }
         }
         Err(e) => {
-            assert!(!exo_aot::native_available(), "compile failed with a toolchain present: {e}");
+            assert!(!exo_aot::native_available(), "the table has {isa} bodies but not the 8x12's: {e}");
+            assert_eq!(e, AotError::NotInTable);
         }
     }
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (engine, dir) = scratch_engine("dispatch");
     let sw = staged_superword(8, 4);
-    let native = engine.compile(&sw, active_isa()).unwrap();
+    let native = engine_with(&sw, active_isa(), fused).compile(&sw, active_isa()).unwrap();
     let chain = SimdKernel::compile(Arc::clone(&sw)).expect("the active ISA compiles");
     let mut dispatch = native.dispatcher();
     let kc = 17usize;
@@ -218,7 +235,7 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     dispatch.run_packed(kc, &a, &b, &mut c_hot).unwrap();
     let mut c_ref = c0.clone();
     chain.run_packed(kc, &a, &b, &mut c_ref).unwrap();
-    // Native and the simd chain fuse identically: bit equality through
+    // The body and the simd chain fuse identically: bit equality through
     // the dispatch handle too.
     assert_eq!(c_hot, c_ref);
 
@@ -234,97 +251,125 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     assert!(err.is_err(), "an unprovable call must take the checked path and report");
     assert_eq!(err, native.run_packed(1000, &a, &b, &mut c_hot.clone()));
     assert_eq!(err, chain.run_packed(1000, &a, &b, &mut c_hot.clone()));
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
-fn a_missing_toolchain_is_a_typed_decline() {
+fn a_right_body_promotes_once_and_every_later_resolve_shares_it() {
     let _serial = serial();
-    let sw = staged_superword(4, 4);
-    // An engine without a toolchain declines every request, and no
-    // attempt starts.
-    let dir = scratch_dir("bare");
-    let bare = AotEngine::with_dir(dir.clone(), None);
-    assert_eq!(bare.prepare(&sw, IsaKind::Scalar).err(), Some(AotError::ToolchainMissing));
-    assert_eq!(bare.compile(&sw, IsaKind::Scalar).err(), Some(AotError::ToolchainMissing));
-    assert_eq!(bare.stats().build_attempts, 0);
-    assert!(!dir.exists(), "a declined request touches no disk");
-    // With the host's: no toolchain declines the same way; with one, the
-    // scalar lowering compiles and runs.
-    let (engine, dir) = scratch_engine("decline");
-    match engine.compile(&sw, IsaKind::Scalar) {
-        Ok(k) => {
-            assert!(exo_aot::native_available());
-            let (a, b, c0) = packed_inputs(4, 4, 13);
-            let mut c_native = c0.clone();
-            k.run_packed(13, &a, &b, &mut c_native).unwrap();
-            let mut c_sw = c0.clone();
-            sw.run_checked(&[13], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
-                .unwrap();
-            // The scalar floor's `fmaf` lanes are the tape's fused ones.
-            assert_eq!(c_native, c_sw, "the scalar lowering must match the checked reference bitwise");
-        }
-        Err(e) => {
-            assert!(!exo_aot::native_available());
-            assert_eq!(e, AotError::ToolchainMissing);
-        }
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    let sw = staged_superword(8, 4);
+    let engine = engine_with(&sw, active_isa(), fused);
+    let native = engine.compile(&sw, active_isa()).expect("the right body promotes on the first call");
+    let stats = engine.stats();
+    assert_eq!((stats.verified_promotions, stats.builds_failed, stats.misses), (1, 0, 0));
+    let again = engine.compile(&sw, active_isa()).expect("a promoted key stays promoted");
+    assert!(Arc::ptr_eq(&native, &again), "one probe, one kernel");
+    assert_eq!(engine.stats(), stats, "a later call probes nothing");
+    let (a, b, c0) = packed_inputs(8, 4, 5);
+    let (mut c_native, mut c_sw) = (c0.clone(), c0);
+    native.run_packed(5, &a, &b, &mut c_native).unwrap();
+    sw.run_checked(&[5], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)]).unwrap();
+    assert_eq!(c_native, c_sw);
 }
 
 #[test]
-fn the_fault_hook_fails_compiles_without_touching_the_cache() {
+fn a_wrong_body_never_promotes_and_is_never_dispatched() {
     let _serial = serial();
-    if !exo_aot::native_available() {
-        // The hook fails a *build attempt*, and a request only becomes one
-        // after the toolchain probe keyed it: with no compiler answering,
-        // `prepare` says `ToolchainMissing` and there is no attempt to fail.
-        eprintln!("skipped: no host C toolchain, so no build attempt for the fault hook to fail");
-        return;
+    // Each body loads and runs; only the verification probe stands between
+    // it and dispatch.
+    let wrong: [(&str, PackedKernelFn); 3] =
+        [("garbage", garbage), ("tiny-kc", wrong_at_tiny_kc), ("unfused", unfused)];
+    let sw = staged_superword(8, 4);
+    for (calls, (tag, body)) in WRONG_CALLS.iter().zip(wrong) {
+        let engine = engine_with(&sw, active_isa(), body);
+        assert_eq!(engine.compile(&sw, active_isa()).err(), Some(AotError::WrongResult), "{tag}");
+        let stats = engine.stats();
+        assert_eq!((stats.wrong_results, stats.builds_failed), (1, 1), "{tag}");
+        assert_eq!(stats.verified_promotions, 0, "{tag}");
+        let probed = calls.load(Ordering::SeqCst);
+        assert_eq!(probed, 3, "{tag}: the probe runs the body once per probe KC");
+
+        // The pin is terminal: no second probe, the same decline, and the
+        // body is never called again.
+        assert_eq!(engine.compile(&sw, active_isa()).err(), Some(AotError::WrongResult), "{tag}: the pin");
+        assert_eq!(engine.stats(), stats, "{tag}: a wrong result is never probed again");
+        assert_eq!(calls.load(Ordering::SeqCst), probed, "{tag}: the rejected body ran after its probe");
     }
-    let (engine, dir) = scratch_engine("fault");
-    let sw = staged_superword(4, 4);
-    exo_aot::arm_compile_fail(1);
-    let err = engine.compile(&sw, active_isa()).expect_err("the armed hook must fire");
-    assert_eq!(err, AotError::FaultInjected);
-    assert_eq!(engine.stats().compiler_invocations, 0, "the hook fires before the toolchain");
-    assert!(!dir.exists(), "the hook fires before any build directory exists");
-    exo_aot::arm_compile_fail(0);
-    // Disarmed, the same engine compiles normally.
-    engine.compile(&sw, active_isa()).unwrap();
-    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_key_outside_the_table_is_a_counted_miss() {
+    let _serial = serial();
+    // The hand-staged kernel's C is no admitted tile's: the installed table
+    // has no body for it, and neither has an empty one.
+    let sw = staged_superword(8, 4);
+    for engine in [AotEngine::with_bodies(Vec::new()), AotEngine::with_bodies(Vec::new())] {
+        assert_eq!(engine.compile(&sw, IsaKind::Scalar).err(), Some(AotError::NotInTable));
+        assert_eq!(engine.compile(&sw, IsaKind::Scalar).err(), Some(AotError::NotInTable));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.misses, stats.builds_failed, stats.verified_promotions),
+            (1, 0, 0),
+            "one miss a key"
+        );
+    }
+    let misses = exo_aot::engine().stats().misses;
+    assert_eq!(exo_aot::engine().compile(&sw, active_isa()).err(), Some(AotError::NotInTable));
+    assert_eq!(exo_aot::engine().stats().misses, misses + 1, "the installed table misses it too");
+}
+
+#[test]
+fn the_wrong_result_fault_rejects_a_right_body() {
+    let _serial = serial();
+    let sw = staged_superword(8, 4);
+    let engine = engine_with(&sw, active_isa(), fused);
+    exo_aot::arm_wrong_result(1);
+    let err = engine.compile(&sw, active_isa()).err();
+    exo_aot::arm_wrong_result(0);
+    assert_eq!(err, Some(AotError::WrongResult));
+    assert_eq!(engine.stats().wrong_results, 1);
+}
+
+#[test]
+fn a_body_for_an_isa_the_host_cannot_run_is_never_called() {
+    let _serial = serial();
+    let Some(foreign) = IsaKind::ALL.into_iter().find(|isa| !isa.available()) else {
+        return; // this host runs every row
+    };
+    let sw = staged_superword(8, 4);
+    let engine = engine_with(&sw, foreign, never_called);
+    let err = engine.compile(&sw, foreign).expect_err("the host cannot run the body");
+    assert!(matches!(err, AotError::Unsupported { .. }), "got {err}");
+    assert_eq!(engine.stats(), exo_aot::AotStats::default(), "neither a miss nor a probe");
 }
 
 #[test]
 fn emission_declines_surface_as_unsupported() {
-    let _serial = serial();
-    let (engine, dir) = scratch_engine("unsup");
     let p = proc("notpacked")
         .size_arg("N")
         .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
         .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
         .build();
     let sw = Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap());
-    let err = engine.compile(&sw, active_isa()).expect_err("a non-packed kernel must decline");
+    let err = AotEngine::with_bodies(Vec::new())
+        .compile(&sw, active_isa())
+        .expect_err("a non-packed kernel must decline");
     assert!(matches!(err, AotError::Unsupported { .. }));
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn the_key_is_the_content_hash_of_the_emitted_source() {
+    let _serial = serial();
     // FNV-1a 64 closed by one 0xff step: the figure and emitted-C golden
     // hashes are recorded under exactly this definition.
     assert_eq!(exo_aot::content_hash(b""), 0xaf64_724c_8602_eb6e);
     assert_eq!(exo_aot::content_hash(b"int x;"), 0xcebb_a3a7_4bd7_eae8);
-    // No compiler runs to prepare a request, and none is part of its key.
+    // A body under that key of the staged kernel's C is the one found.
     let sw = staged_superword(8, 4);
-    let key = |cc: &str| {
-        let toolchain = Toolchain { cc: cc.into(), version: format!("{cc} 1.0") };
-        AotEngine::with_dir(scratch_dir("key"), Some(toolchain)).prepare(&sw, IsaKind::Scalar).unwrap().key()
-    };
-    let c_source = exo_codegen::emit_superword_c(&sw, IsaKind::Scalar, exo_aot::KERNEL_SYMBOL).unwrap();
-    assert_eq!(key("gcc"), exo_aot::content_hash(c_source.as_bytes()));
-    assert_eq!(key("clang"), key("gcc"));
+    let body = |key| NativeBody { key, isa: active_isa(), body: fused };
+    let near_miss = AotEngine::with_bodies(vec![body(key_of(&sw, active_isa()) ^ 1)]);
+    assert_eq!(near_miss.compile(&sw, active_isa()).err(), Some(AotError::NotInTable));
+    let hit = AotEngine::with_bodies(vec![body(key_of(&sw, active_isa()))]);
+    assert!(hit.compile(&sw, active_isa()).is_ok());
 }
 
 #[test]
@@ -350,312 +395,4 @@ fn probe_lens_derive_the_exact_packed_extents() {
         .build();
     let other = Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap());
     assert_eq!(other.packed_probe_lens(17), None);
-}
-
-#[test]
-fn a_first_poll_kicks_a_background_build_that_promotes() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (engine, dir) = scratch_engine("async");
-    let sw = staged_superword(8, 4);
-    let req = engine.prepare(&sw, active_isa()).unwrap();
-    // The first poll answers immediately (None while the background
-    // builder works, or Some if it already won the race); later polls
-    // observe the promotion without ever blocking.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let native = loop {
-        if let Some(native) = engine.poll(&req) {
-            break native;
-        }
-        assert!(std::time::Instant::now() < deadline, "the background build never promoted");
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    };
-    let stats = engine.stats();
-    assert_eq!(stats.build_attempts, 1, "one background attempt serves every poll");
-    assert_eq!(stats.builds_ok, 1);
-    assert_eq!(stats.verified_promotions, 1, "promotion only happens through the probe");
-    assert_eq!(stats.builds_failed, 0);
-    // The promoted kernel is the cached one, and it runs.
-    let again = engine.poll(&req).expect("a promoted key stays promoted");
-    assert!(Arc::ptr_eq(&native, &again));
-    let (a, b, mut c) = packed_inputs(8, 4, 5);
-    native.run_packed(5, &a, &b, &mut c).unwrap();
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn a_miscompiling_compiler_never_promotes() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    // A compiler that ignores the kernel's source and builds, with the
-    // engine's own flags, a loadable object that exports the kernel
-    // symbol: garbage at every KC; right everywhere except the empty and
-    // the single-iteration KC loop, which a probe at one mid-sized KC
-    // alone would promote; the right loop unfused. Only the verification
-    // probe stands between each and dispatch.
-    let wrong_at_tiny_kc = format!("{UNFUSED}\nif (kc < 2) c[0] += 1234.5f;");
-    for (tag, evil_body) in [("garbage", GARBAGE), ("tiny-kc", &wrong_at_tiny_kc), ("unfused", UNFUSED)] {
-        let (evil, wrapper_dir) = evil_toolchain(tag, evil_body);
-        let dir = scratch_dir(tag);
-        let engine = AotEngine::with_dir(dir.clone(), Some(evil));
-        let req = engine.prepare(&staged_superword(8, 4), active_isa()).unwrap();
-        let err = engine.wait(&req).expect_err("a wrong-result kernel must never promote");
-        assert_eq!(err, AotError::WrongResult, "{tag}");
-        let stats = engine.stats();
-        assert_eq!(stats.build_attempts, 1, "{tag}");
-        assert_eq!(stats.compiler_invocations, 1, "{tag}");
-        assert_eq!(stats.wrong_results, 1, "{tag}");
-        assert_eq!(stats.verified_promotions, 0, "{tag}");
-
-        // The pin is terminal: no rebuild, no retry, the same decline.
-        assert_eq!(engine.wait(&req).err(), Some(AotError::WrongResult), "{tag}: the pin must hold");
-        assert!(engine.poll(&req).is_none(), "{tag}: the serving path must never see this key");
-        let stats = engine.stats();
-        assert_eq!(
-            (stats.build_attempts, stats.compiler_invocations),
-            (1, 1),
-            "{tag}: a wrong result never retries"
-        );
-        let _ = std::fs::remove_dir_all(dir);
-        let _ = std::fs::remove_dir_all(wrapper_dir);
-    }
-}
-
-#[test]
-fn every_build_outcome_leaves_the_build_directory_empty() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let root = scratch_dir("empty");
-    let host = || AotEngine::with_dir(root.clone(), exo_aot::toolchain().cloned());
-    let sw = staged_superword(8, 4);
-    let isa = active_isa();
-
-    // A promotion: the loaded kernel outlives its file.
-    let native = host().compile(&sw, isa).expect("the host compiler builds the kernel");
-    assert_eq!(entries(&root), 0, "a promotion left its build directory");
-    let (a, b, c0) = packed_inputs(8, 4, 17);
-    let (mut c_native, mut c_simd) = (c0.clone(), c0);
-    native.run_packed(17, &a, &b, &mut c_native).unwrap();
-    SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap().run_packed(17, &a, &b, &mut c_simd).unwrap();
-    assert_eq!(c_native, c_simd);
-
-    // `CompileFailed`, from a compiler that lists the directory it was
-    // told to write into and fails: a fresh one under the root, 0700.
-    let (lister, wrapper_dir) = wrapper_toolchain(
-        "lister",
-        "for arg; do [ \"$prev\" = -o ] && out=$arg; prev=$arg; done\nls -ld \"$(dirname \"$out\")\" >&2\nexit 1",
-    );
-    match AotEngine::with_dir(root.clone(), Some(lister)).compile(&sw, isa) {
-        Err(AotError::CompileFailed { stderr, .. }) => {
-            assert!(stderr.starts_with("drwx------"), "the build directory is private to its user: {stderr}");
-            assert!(
-                stderr.contains(&*root.to_string_lossy()),
-                "the build directory is under the root: {stderr}"
-            );
-        }
-        other => panic!("a failing compiler must be CompileFailed, got {:?}", other.err()),
-    }
-    assert_eq!(entries(&root), 0, "a failed compile left its build directory");
-    let _ = std::fs::remove_dir_all(wrapper_dir);
-
-    // The `aot-hang` timeout.
-    exo_aot::arm_hang(1);
-    let err = host().compile(&sw, isa).expect_err("the hung compiler is killed");
-    assert!(matches!(err, AotError::CompileTimeout { .. }), "got {err}");
-    assert_eq!(entries(&root), 0, "a killed compile left its build directory");
-
-    // `aot-bad-artifact`: `LoadFailed`, then rebuilt.
-    let engine = host();
-    exo_aot::arm_bad_artifact(1);
-    let err = engine.compile(&sw, isa).expect_err("garbage must not load");
-    assert!(matches!(err, AotError::LoadFailed { .. }), "got {err}");
-    assert_eq!(entries(&root), 0, "an unloadable artifact left its build directory");
-    engine.compile(&sw, isa).expect("the retry rebuilds");
-    assert_eq!(entries(&root), 0, "the rebuild left its build directory");
-
-    // `aot-wrong-result`.
-    exo_aot::arm_wrong_result(1);
-    let err = host().compile(&sw, isa).expect_err("the forced mismatch rejects");
-    assert_eq!(err, AotError::WrongResult);
-    assert_eq!(entries(&root), 0, "a rejected kernel left its build directory");
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn a_failing_compilers_long_stderr_is_cut_on_a_char_boundary() {
-    let _serial = serial();
-    // One ASCII byte, then 1000 three-byte `‘`: byte 2000 falls inside a
-    // character.
-    let (chatty, dir) = wrapper_toolchain(
-        "chatty",
-        "printf x >&2\ni=0\nwhile [ $i -lt 1000 ]; do printf '\\342\\200\\230' >&2; i=$((i+1)); done\nexit 1",
-    );
-    match AotEngine::with_dir(dir.join("root"), Some(chatty)).compile(&staged_superword(8, 4), active_isa()) {
-        Err(AotError::CompileFailed { stderr, .. }) => {
-            assert_eq!(stderr.len(), 1999, "cut to the last whole character before byte 2000");
-            assert!(stderr.starts_with('x') && stderr[1..].chars().all(|c| c == '\u{2018}'), "{stderr}");
-        }
-        other => panic!("a failing compiler must be CompileFailed, got {:?}", other.err()),
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// Names the directory holding the slow compiler of
-/// [`exit_mid_build_child_process`]; unset, that test is a no-op.
-const EXIT_CHILD_DIR: &str = "EXO_AOT_EXIT_CHILD_DIR";
-
-#[test]
-fn a_process_that_exits_mid_build_leaves_no_build_directory() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    // A compiler that is still running when its process exits.
-    let (_, dir) = wrapper_toolchain("exit", "sleep 1\nexit 1");
-    let status = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["exit_mid_build_child_process", "--exact", "--test-threads=1"])
-        .env(EXIT_CHILD_DIR, &dir)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .unwrap();
-    assert!(status.success(), "the child process failed: {status}");
-    assert_eq!(entries(&dir.join("root")), 0, "the exiting process left its build directory");
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// Run in a process of its own by
-/// [`a_process_that_exits_mid_build_leaves_no_build_directory`]: kicks a
-/// background build with that test's slow compiler and returns once the
-/// build directory exists, so the process exits mid-build.
-#[test]
-fn exit_mid_build_child_process() {
-    let Some(dir) = std::env::var_os(EXIT_CHILD_DIR).map(PathBuf::from) else {
-        return;
-    };
-    let slow = Toolchain { cc: dir.join("cc").display().to_string(), version: "slow".into() };
-    let root = dir.join("root");
-    let engine = AotEngine::with_dir(root.clone(), Some(slow));
-    let req = engine.prepare(&staged_superword(8, 4), active_isa()).unwrap();
-    assert!(engine.poll(&req).is_none(), "a first poll only enqueues the build");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while entries(&root) == 0 {
-        assert!(std::time::Instant::now() < deadline, "the build directory never appeared");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-}
-
-#[test]
-fn a_second_engine_never_gets_the_first_ones_loaded_object_back() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    // Both engines build under one root in one process. Engine A's
-    // promoted kernel stays alive, so its object stays loaded; engine B
-    // builds the same key with a miscompiling compiler. Had B's object
-    // reused a name A loaded, the loader would hand back A's object, B's
-    // probe would pass, and B would promote.
-    let root = scratch_dir("reuse");
-    let sw = staged_superword(8, 4);
-    let isa = active_isa();
-    let a = AotEngine::with_dir(root.clone(), exo_aot::toolchain().cloned());
-    let req_a = a.prepare(&sw, isa).unwrap();
-    let native_a = a.wait(&req_a).expect("the host compiler builds the kernel");
-    let (evil, wrapper_dir) = evil_toolchain("reuse", GARBAGE);
-    let b = AotEngine::with_dir(root.clone(), Some(evil));
-    let req_b = b.prepare(&sw, isa).unwrap();
-    assert_eq!(req_a.key(), req_b.key(), "one source, one key");
-    assert_eq!(b.wait(&req_b).err(), Some(AotError::WrongResult), "B must load what its own compiler wrote");
-
-    // A's kernel is untouched.
-    let (ac, bc, c0) = packed_inputs(8, 4, 17);
-    let (mut c_native, mut c_simd) = (c0.clone(), c0);
-    native_a.run_packed(17, &ac, &bc, &mut c_native).unwrap();
-    SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap().run_packed(17, &ac, &bc, &mut c_simd).unwrap();
-    assert_eq!(c_native, c_simd);
-    let _ = std::fs::remove_dir_all(root);
-    let _ = std::fs::remove_dir_all(wrapper_dir);
-}
-
-#[test]
-fn a_persistently_failing_key_stops_at_the_attempt_cap() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    // Occupy the build root's path with a regular file: every build
-    // attempt fails on `create_dir_all` with a real `Io` error — even
-    // running as root, which defeats permission-based write denial.
-    let dir = std::env::temp_dir().join(format!("exo-aot-test-negcache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(&dir);
-    std::fs::write(&dir, b"a file where the build root should be").unwrap();
-    let engine = AotEngine::with_dir(dir.clone(), exo_aot::toolchain().cloned());
-    let sw = staged_superword(8, 4);
-    for _ in 0..(exo_aot::MAX_BUILD_ATTEMPTS + 2) {
-        let err = engine.compile(&sw, active_isa()).expect_err("no attempt can succeed");
-        assert!(matches!(err, AotError::Io { .. }), "got {err}");
-    }
-    let stats = engine.stats();
-    assert_eq!(
-        stats.build_attempts,
-        u64::from(exo_aot::MAX_BUILD_ATTEMPTS),
-        "a persistently failing key must stop burning attempts at the cap"
-    );
-    assert_eq!(stats.builds_failed, u64::from(exo_aot::MAX_BUILD_ATTEMPTS));
-    assert_eq!(stats.compiler_invocations, 0, "the failure precedes the compiler");
-    let _ = std::fs::remove_file(&dir);
-}
-
-#[test]
-fn a_hung_compiler_is_killed_on_deadline_and_the_key_recovers() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (engine, dir) = scratch_engine("hang");
-    let sw = staged_superword(8, 4);
-    exo_aot::arm_hang(1);
-    let err = engine.compile(&sw, active_isa()).expect_err("the hung compiler must be killed");
-    assert!(matches!(err, AotError::CompileTimeout { .. }), "got {err}");
-    assert_eq!(engine.stats().compile_timeouts, 1);
-    // The timeout is retryable: the next blocking compile (the hook is
-    // spent) builds normally.
-    let native = engine.compile(&sw, active_isa()).unwrap();
-    let (a, b, mut c) = packed_inputs(8, 4, 5);
-    native.run_packed(5, &a, &b, &mut c).unwrap();
-    assert_eq!(engine.stats().compile_timeouts, 1);
-    assert_eq!(engine.stats().builds_ok, 1);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn a_sealed_but_unloadable_artifact_is_declined_and_rebuilt() {
-    let _serial = serial();
-    if !exo_aot::native_available() {
-        return;
-    }
-    let (engine, dir) = scratch_engine("sealed-bad");
-    let sw = staged_superword(8, 4);
-    // The fault overwrites the object after the compiler exits cleanly,
-    // so only `dlopen` objects.
-    exo_aot::arm_bad_artifact(1);
-    let err = engine.compile(&sw, active_isa()).expect_err("garbage must not load");
-    assert!(
-        matches!(err, AotError::LoadFailed { .. }),
-        "an unloadable artifact is a retryable decline: {err}"
-    );
-    assert_eq!(engine.stats().builds_failed, 1);
-    // Retryable: the second attempt rebuilds cleanly.
-    let native = engine.compile(&sw, active_isa()).unwrap();
-    let (a, b, mut c) = packed_inputs(8, 4, 5);
-    native.run_packed(5, &a, &b, &mut c).unwrap();
-    assert_eq!(engine.stats().compiler_invocations, 2);
-    let _ = std::fs::remove_dir_all(dir);
 }

@@ -10,8 +10,8 @@
 //!   meant for inspection and for the artifact's code-listing outputs.
 //! * [`emit_superword_c`] — lowers a *validated superword tape* to a
 //!   self-contained, compilable C translation unit: the ahead-of-time
-//!   source of the `exo-aot` native tier, `dlopen`ed as the top of the
-//!   ladder.
+//!   source of the `exo-aot` native tier, compiled when the workspace
+//!   builds and linked in as the top of the ladder.
 //!
 //! The two do different jobs, so neither replaces the other. Only
 //! `emit_superword_c` emits C for the *executing* ISA (AVX-512 or AVX2/FMA

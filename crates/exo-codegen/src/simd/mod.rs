@@ -84,7 +84,6 @@
 //! differential suites demand exact equality on every ISA. The same inputs
 //! produce the same bits on every run, every thread count and every ISA.
 
-use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
 use crate::env::env_once;
@@ -573,9 +572,8 @@ pub type PackedKernelFn = unsafe extern "C" fn(i64, *const f32, *const f32, *mut
 enum Program {
     /// The in-process closure chain of one vector ISA.
     Chain(Vec<Node>),
-    /// Ahead-of-time compiled code lowered from the same source kernel;
-    /// `_owner` keeps whatever `entry` points into (the open dylib) mapped.
-    Compiled { entry: PackedKernelFn, _owner: Arc<dyn Any + Send + Sync> },
+    /// Ahead-of-time compiled code lowered from the same source kernel.
+    Compiled { entry: PackedKernelFn },
 }
 
 /// Reusable execution state of a closure chain: the flat register file and
@@ -663,15 +661,14 @@ impl SimdKernel {
     ///
     /// `entry` must be the function [`crate::emit_superword_c`] emits for
     /// `source` and `isa`, compiled for this host, and must stay callable
-    /// for as long as `owner` is alive.
+    /// for as long as the kernel lives.
     pub unsafe fn from_compiled(
         source: Arc<SuperwordKernel>,
         isa: IsaKind,
         entry: PackedKernelFn,
-        owner: Arc<dyn Any + Send + Sync>,
     ) -> Result<SimdKernel> {
         source.tape().check_packed_signature()?;
-        let program = Program::Compiled { entry, _owner: owner };
+        let program = Program::Compiled { entry };
         Ok(SimdKernel { source, isa, program, n_steps: 0, n_fused_tiles: 0 })
     }
 
@@ -824,7 +821,7 @@ impl SimdKernel {
             }
             // `from_compiled` checked the one-scalar/three-tensor packed
             // signature, and `validate_views` these counts against it.
-            Program::Compiled { entry, .. } => entry(scalars[0], tens[0], tens[1], tens[2]),
+            Program::Compiled { entry } => entry(scalars[0], tens[0], tens[1], tens[2]),
         }
     }
 }
@@ -1343,10 +1340,9 @@ mod tests {
             .map(|isa| (isa.to_string(), Arc::new(SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap())))
             .collect();
         // SAFETY: `never_called` has the packed ABI and is a plain function
-        // (nothing to keep alive); a declined proof never calls it, which is
+        // (callable for good); a declined proof never calls it, which is
         // the point of the test.
-        let compiled =
-            unsafe { SimdKernel::from_compiled(Arc::clone(&sw), active_isa(), never_called, Arc::new(())) };
+        let compiled = unsafe { SimdKernel::from_compiled(Arc::clone(&sw), active_isa(), never_called) };
         bodies.push(("compiled".into(), Arc::new(compiled.unwrap())));
         for (label, kernel) in bodies {
             let mut c_one_shot = c0.clone();
@@ -1364,8 +1360,7 @@ mod tests {
         // The same site hands an *admitted* call to the compiled body.
         // SAFETY: `marks_c0` has the packed ABI and writes only `C[0]`,
         // which every admitted call (KC >= 1) owns.
-        let marked =
-            unsafe { SimdKernel::from_compiled(Arc::clone(&sw), active_isa(), marks_c0, Arc::new(())) };
+        let marked = unsafe { SimdKernel::from_compiled(Arc::clone(&sw), active_isa(), marks_c0) };
         let mut c = c0.clone();
         marked.unwrap().run_packed(5, &ac, &bc, &mut c[..5]).unwrap();
         assert_eq!(c[0], 47.0);

@@ -558,7 +558,7 @@ impl SuperwordKernel {
     /// The minimal packed operand lengths `(ac_len, bc_len, c_len)` that
     /// cover every tensor access this kernel makes at the given `kc` —
     /// the exact probe shape the ahead-of-time tier's verified promotion
-    /// runs a freshly built native artifact on before letting it into
+    /// runs a compiled native body on before letting it into
     /// dispatch. The same affine-interval walk as
     /// [`Self::packed_bounds_provable`], but recording the maximal
     /// touched index per buffer instead of checking against supplied

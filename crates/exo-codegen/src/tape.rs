@@ -22,7 +22,7 @@
 //! faster lowering is packed *from* it and keeps it
 //! ([`crate::SuperwordKernel::tape`]): a call whose bounds proof declines
 //! runs here whatever unchecked body it declined for, the ahead-of-time
-//! tier's promotion probe compares a fresh artifact against it, and a
+//! tier's promotion probe compares a compiled body against it, and a
 //! `Tape` pin runs it on every call. No other module spells the scalar ops
 //! with checks.
 //!

@@ -607,10 +607,9 @@ impl GemmBatchExecutor for BlisGemm {
 /// lifetime — [`BatchReport::runners_built`] is zero from the second batch
 /// of a repeated mix on, and zero from the first if per-call
 /// [`exo_tune::TunedGemm::execute`]s on [`CachedTunedGemm::tuned`] already
-/// warmed the group — and a native artifact that promotes while the
-/// executor lives reaches its warm runners at their next GEMM. The image
-/// buffers persist the same way, so a steady-state batch that packs a
-/// weight matrix once for all its entries allocates nothing to do it.
+/// warmed the group. The image buffers persist the same way, so a
+/// steady-state batch that packs a weight matrix once for all its entries
+/// allocates nothing to do it.
 /// Entries on one image that also share their verdict's driver — every
 /// entry of a batch of one layer's activations — stack into one engine
 /// pass per shard, which pays the row fringe once for the shard; that

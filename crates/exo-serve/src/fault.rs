@@ -20,16 +20,11 @@
 //! | `collector-panic@N` | the thread draining a service's queue panics |
 //! |                  | before its Nth pass (the name is older than the  |
 //! |                  | design: no service owns a collector thread)      |
-//! | `aot-compile-fail@N` | the Nth native-kernel compile attempt fails  |
-//! | `aot-hang@N`     | the Nth compiler invocation hangs (killed on the |
-//! |                  | deadline; surfaces as a compile timeout)         |
-//! | `aot-bad-artifact@N` | the Nth successful compile leaves garbage    |
-//! |                  | (declined by `dlopen`; the key retries)          |
 //! | `aot-wrong-result@N` | the Nth promotion probe reports a mismatch   |
 //! |                  | (the key is pinned to simd)                      |
 //!
 //! The pool-level classes are implemented by hooks inside
-//! `gemm_blis::pool`, and the aot classes by hooks inside
+//! `gemm_blis::pool`, and the aot class by a hook inside
 //! `exo_aot::engine` (the dependency arrows point down, so those crates
 //! cannot call into this one); the entry and collector classes live here
 //! and are called from the batch executor and from the submitter draining
@@ -111,20 +106,6 @@ pub struct FaultPlan {
     /// `collector-panic@N`: the thread draining the queue panics before its
     /// Nth pass.
     pub collector_panic: Option<u64>,
-    /// `aot-compile-fail@N`: the Nth attempt to compile a native kernel
-    /// fails with [`exo_aot::AotError::FaultInjected`] — the shape a
-    /// mid-serve toolchain outage takes; dispatch degrades to the simd
-    /// tier.
-    pub aot_compile_fail: Option<u64>,
-    /// `aot-hang@N`: the Nth compiler invocation hangs until the
-    /// kill-on-deadline wrapper reaps it — the shape a wedged `cc` takes;
-    /// the attempt surfaces as [`exo_aot::AotError::CompileTimeout`] and
-    /// no GEMM waits on it.
-    pub aot_hang: Option<u64>,
-    /// `aot-bad-artifact@N`: the Nth successful compile leaves garbage
-    /// bytes where the object should be — the shape a torn disk takes; the
-    /// loader declines them and the key retries with backoff.
-    pub aot_bad_artifact: Option<u64>,
     /// `aot-wrong-result@N`: the Nth promotion probe reports a mismatch —
     /// the shape a miscompiled kernel takes; the key is pinned to the simd
     /// tier.
@@ -156,9 +137,6 @@ impl FaultPlan {
             slow: Some((next(span), next(8))),
             decline: Some(next(span)),
             collector_panic: None,
-            aot_compile_fail: None,
-            aot_hang: None,
-            aot_bad_artifact: None,
             aot_wrong_result: None,
         }
     }
@@ -205,27 +183,6 @@ impl FaultPlan {
         self
     }
 
-    /// The Nth native-kernel compile attempt fails.
-    #[must_use]
-    pub fn aot_compile_fail(mut self, nth: u64) -> Self {
-        self.aot_compile_fail = Some(nth);
-        self
-    }
-
-    /// The Nth compiler invocation hangs and is killed on deadline.
-    #[must_use]
-    pub fn aot_hang(mut self, nth: u64) -> Self {
-        self.aot_hang = Some(nth);
-        self
-    }
-
-    /// The Nth successful compile seals an unloadable artifact.
-    #[must_use]
-    pub fn aot_bad_artifact(mut self, nth: u64) -> Self {
-        self.aot_bad_artifact = Some(nth);
-        self
-    }
-
     /// The Nth promotion probe reports a wrong result.
     #[must_use]
     pub fn aot_wrong_result(mut self, nth: u64) -> Self {
@@ -259,9 +216,6 @@ impl FaultPlan {
                 "entry-panic" => plan.entry_panic(nth(rest)?),
                 "decline" => plan.decline(nth(rest)?),
                 "collector-panic" => plan.collector_panic(nth(rest)?),
-                "aot-compile-fail" => plan.aot_compile_fail(nth(rest)?),
-                "aot-hang" => plan.aot_hang(nth(rest)?),
-                "aot-bad-artifact" => plan.aot_bad_artifact(nth(rest)?),
                 "aot-wrong-result" => plan.aot_wrong_result(nth(rest)?),
                 "slow" => {
                     let (n, ms) = rest
@@ -275,8 +229,7 @@ impl FaultPlan {
                 other => {
                     return Err(format!(
                         "unknown fault class `{other}` (expected one of: pool-panic, worker-death, \
-                         entry-panic, slow, decline, collector-panic, aot-compile-fail, aot-hang, \
-                         aot-bad-artifact, aot-wrong-result)"
+                         entry-panic, slow, decline, collector-panic, aot-wrong-result)"
                     ))
                 }
             };
@@ -302,9 +255,6 @@ impl FaultPlan {
         ENTRY_SLOW_MS.store(self.slow.map_or(0, |(_, ms)| ms), Ordering::Relaxed);
         set(&ENTRY_DECLINE_IN, self.decline);
         set(&COLLECTOR_PANIC_IN, self.collector_panic);
-        exo_aot::arm_compile_fail(self.aot_compile_fail.unwrap_or(0));
-        exo_aot::arm_hang(self.aot_hang.unwrap_or(0));
-        exo_aot::arm_bad_artifact(self.aot_bad_artifact.unwrap_or(0));
         exo_aot::arm_wrong_result(self.aot_wrong_result.unwrap_or(0));
     }
 }
@@ -339,7 +289,7 @@ mod tests {
     fn the_spec_grammar_round_trips_every_class() {
         let plan = FaultPlan::parse(
             "pool-panic@2, worker-death@3,entry-panic@4,slow@5=20,decline@6,collector-panic@7,\
-             aot-compile-fail@8,aot-hang@9,aot-bad-artifact@10,aot-wrong-result@11",
+             aot-wrong-result@8",
         )
         .unwrap();
         assert_eq!(
@@ -351,10 +301,7 @@ mod tests {
                 .slow(5, 20)
                 .decline(6)
                 .collector_panic(7)
-                .aot_compile_fail(8)
-                .aot_hang(9)
-                .aot_bad_artifact(10)
-                .aot_wrong_result(11)
+                .aot_wrong_result(8)
         );
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::new());
     }
@@ -365,6 +312,7 @@ mod tests {
         assert!(FaultPlan::parse("entry-panic@0").unwrap_err().contains("positive"));
         assert!(FaultPlan::parse("slow@3").unwrap_err().contains("slow@N=MS"));
         assert!(FaultPlan::parse("meteor@1").unwrap_err().contains("unknown fault class"));
+        assert!(FaultPlan::parse("aot-hang@1").unwrap_err().contains("unknown fault class"));
     }
 
     #[test]

@@ -198,14 +198,12 @@ pub struct ServiceStats {
     /// constructed (the engine counters are process-wide; the service
     /// reports deltas against its construction-time baseline).
     pub aot_promotions: u64,
-    /// Native-kernel build attempts that failed since construction —
-    /// every one is a degradation: the affected kernels serve on the
-    /// simd tier.
+    /// Native bodies that failed to promote since construction — every
+    /// one is a degradation: the affected kernels serve on the simd tier.
+    /// (A kernel the build-time table holds no body for is not: it never
+    /// had a native tier to lose.)
     pub aot_builds_failed: u64,
-    /// Compiler invocations killed on the 20 s compile deadline since
-    /// construction (a subset of `aot_builds_failed`).
-    pub aot_compile_timeouts: u64,
-    /// Kernels that failed probe verification since construction (also a
+    /// Bodies that failed probe verification since construction (a
     /// subset of `aot_builds_failed`; their keys are pinned to simd).
     pub aot_wrong_results: u64,
     /// Service health: [`ServiceHealth::Degraded`] exactly when
@@ -221,7 +219,7 @@ impl std::fmt::Display for ServiceStats {
             "{} submitted / {} completed / {} failed in {} batches (largest {}); \
              queue high-water {}/{}; pool {} workers, {} tasks; {:.3} GFLOP total; \
              {} panics caught, {} retries, {} degraded, {} deadline-expired; \
-             aot {} promoted, {} build-failures ({} timeouts, {} wrong-results); health {}",
+             aot {} promoted, {} build-failures ({} wrong-results); health {}",
             self.jobs_submitted,
             self.jobs_completed,
             self.jobs_failed,
@@ -238,7 +236,6 @@ impl std::fmt::Display for ServiceStats {
             self.deadline_expired,
             self.aot_promotions,
             self.aot_builds_failed,
-            self.aot_compile_timeouts,
             self.aot_wrong_results,
             self.health,
         )
@@ -636,11 +633,11 @@ impl GemmService {
     }
 
     /// A snapshot of the aggregate counters. The AOT counters are the
-    /// engine's movement since this service was constructed; builds settle
-    /// in the background, after the passes that kicked them, so a failed
-    /// one counts here, and degrades the health, whenever it lands — some
-    /// kernel then serves below its best tier, degraded but not refused
-    /// (the simd fallback is bit-faithful).
+    /// engine's movement since this service was constructed, whoever's
+    /// resolution moved them, so a failed promotion counts here, and
+    /// degrades the health, whenever it happens — some kernel then serves
+    /// below its best tier, degraded but not refused (the simd fallback is
+    /// bit-faithful).
     pub fn stats(&self) -> ServiceStats {
         let pool = ThreadPool::global();
         let (now, base) = (exo_aot::engine().stats(), &self.aot_base);
@@ -652,7 +649,6 @@ impl GemmService {
             pool_tasks_executed: pool.tasks_executed(),
             aot_promotions: now.verified_promotions.saturating_sub(base.verified_promotions),
             aot_builds_failed,
-            aot_compile_timeouts: now.compile_timeouts.saturating_sub(base.compile_timeouts),
             aot_wrong_results: now.wrong_results.saturating_sub(base.wrong_results),
             health: if degraded { ServiceHealth::Degraded } else { ServiceHealth::Healthy },
             ..books

@@ -49,16 +49,13 @@ type GroupKey = Option<BlockingParams>;
 /// Dispatch goes through the fastest execution backend the host supports:
 /// generated kernels carry their tape, their superword lowering, and its
 /// SIMD closure chain (AVX-512, AVX2/FMA, NEON, or the scalar reference)
-/// plus, once
-/// the background build promotes it, the ahead-of-time compiled native
-/// artifact; the one ladder in `ukernel_gen` serves a native request on
-/// the simd chain until then, and polls again at the top of every GEMM
-/// while a runner sits there, so promotion reaches a long-lived executor's
-/// warm runners too. The five-loop engine runs on one thread unless
-/// [`TunedGemm::with_threads`] raises the knob, in which case it runs once
-/// per window of a partitioned `C`. Use it through [`GemmExecutor::gemm`]
-/// like every other driver, or through [`TunedGemm::execute`] to also
-/// receive the tuning verdict.
+/// plus, when the build-time table holds one, the ahead-of-time compiled
+/// native body; the one ladder in `ukernel_gen` serves a native request on
+/// the simd chain when it does not. The five-loop engine runs on one
+/// thread unless [`TunedGemm::with_threads`] raises the knob, in which case
+/// it runs once per window of a partitioned `C`. Use it through
+/// [`GemmExecutor::gemm`] like every other driver, or through
+/// [`TunedGemm::execute`] to also receive the tuning verdict.
 #[derive(Debug)]
 pub struct TunedGemm {
     tuner: Tuner,

@@ -35,34 +35,7 @@ use exo_isa::VectorIsa;
 use gemm_blis::{BlockingParams, HostDescription, IsaKind};
 use ukernel_gen::{MicroKernelGenerator, Strategy};
 
-/// The one register-count rule: vector registers an `mr x nr` kernel keeps
-/// live under `strategy` at `lanes` lanes, or `None` for the scalar
-/// fallback, which keeps no register tile.
-fn register_count(lanes: usize, mr: usize, nr: usize, strategy: Strategy) -> Option<usize> {
-    match strategy {
-        // C accumulators as (mr/lanes) x nr vectors, A column vectors,
-        // B row vectors (both tile dimensions vectorised).
-        Strategy::Laneq => Some((mr / lanes) * nr + mr / lanes + nr / lanes),
-        // Rows vectorised; B elements broadcast through one register.
-        Strategy::BroadcastB => Some((mr / lanes) * nr + mr / lanes + 1),
-        // Columns vectorised; the single A element broadcast.
-        Strategy::BroadcastA => Some(nr.div_ceil(lanes) + nr.div_ceil(lanes) + 1),
-        Strategy::Scalar => None,
-    }
-}
-
-/// A register tile admitted to the design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileShape {
-    /// Register-tile rows.
-    pub mr: usize,
-    /// Register-tile columns.
-    pub nr: usize,
-    /// The scheduling strategy the generator would choose for the tile.
-    pub strategy: Strategy,
-    /// Modelled vector-register footprint of the kernel.
-    pub registers: usize,
-}
+pub use ukernel_gen::TileShape;
 
 /// One point of the search space: a tile shape plus blocking parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,23 +54,17 @@ pub struct DesignSpace {
     /// run in, when the space is for serving (`None`: the modelled space,
     /// unfiltered and blocked for Carmel).
     executing: Option<(IsaKind, HostDescription)>,
-    /// Architectural vector registers available to the kernel.
-    register_budget: usize,
-    /// Maximum tile height, in vector registers (`MR <= max_mr_vectors * lanes`).
-    max_mr_vectors: usize,
-    /// Maximum tile width in elements.
-    max_nr: usize,
 }
 
 impl DesignSpace {
-    /// The modelled space of a described ISA: a 32-entry vector register
-    /// file (what ARM Neon and AVX-512 both have), tiles up to four vectors
-    /// tall and six vectors wide (24 elements on 4-lane Neon, matching the
-    /// widest kernels the paper considers). This is the space the Carmel
-    /// model is asked about; nothing in it depends on the host.
+    /// The modelled space of a described ISA: the tiles its generator
+    /// admits ([`MicroKernelGenerator::admitted_tiles`]: a 32-entry vector
+    /// register file, what ARM Neon and AVX-512 both have, and tiles up to
+    /// four vectors tall and six vectors wide — 24 elements on 4-lane Neon,
+    /// matching the widest kernels the paper considers). This is the space
+    /// the Carmel model is asked about; nothing in it depends on the host.
     pub fn for_isa(isa: VectorIsa) -> Self {
-        let max_nr = 6 * isa.lanes;
-        DesignSpace { isa, executing: None, register_budget: 32, max_mr_vectors: 4, max_nr }
+        DesignSpace { isa, executing: None }
     }
 
     /// The tiles of [`DesignSpace::for_isa`] that also satisfy
@@ -149,7 +116,7 @@ impl DesignSpace {
         let lanes = executing.lanes();
         let (extent, strategy) = if mr > 1 { (mr, Strategy::BroadcastB) } else { (nr, Strategy::BroadcastA) };
         let registers =
-            register_count(lanes, mr, nr, strategy).expect("a broadcast strategy keeps a register tile");
+            strategy.registers(lanes, mr, nr).expect("a broadcast strategy keeps a register tile");
         extent % lanes == 0 && executing.vector_registers().is_none_or(|file| registers <= file)
     }
 
@@ -157,33 +124,17 @@ impl DesignSpace {
     /// `None` when the strategy keeps no register tile (the scalar
     /// fallback, which the space excludes).
     pub fn register_cost(&self, mr: usize, nr: usize, strategy: Strategy) -> Option<usize> {
-        register_count(self.isa.lanes, mr, nr, strategy)
+        strategy.registers(self.isa.lanes, mr, nr)
     }
 
     /// All register tiles valid for the ISA under the register budget — and,
     /// in a serving space, executable in whole vectors of the host ISA —
     /// sorted by descending tile area (the order the sweep reports them in).
     pub fn tile_shapes(&self) -> Vec<TileShape> {
-        let lanes = self.isa.lanes;
-        let generator = MicroKernelGenerator::new(self.isa.clone());
-        let mut rows: Vec<usize> = vec![1];
-        rows.extend((1..=self.max_mr_vectors).map(|i| i * lanes));
-        let cols: Vec<usize> = (1..=self.max_nr / lanes).map(|j| j * lanes).collect();
-
-        let mut tiles = Vec::new();
-        for &mr in &rows {
-            for &nr in &cols {
-                let strategy = generator.choose_strategy(mr, nr);
-                let Some(registers) = self.register_cost(mr, nr, strategy) else {
-                    continue;
-                };
-                let executable =
-                    self.executing().is_none_or(|executing| Self::fills_vectors_of(executing, mr, nr));
-                if registers <= self.register_budget && executable {
-                    tiles.push(TileShape { mr, nr, strategy, registers });
-                }
-            }
-        }
+        let mut tiles = MicroKernelGenerator::new(self.isa.clone()).admitted_tiles();
+        tiles.retain(|t| {
+            self.executing().is_none_or(|executing| Self::fills_vectors_of(executing, t.mr, t.nr))
+        });
         tiles.sort_by_key(|t| (std::cmp::Reverse(t.mr * t.nr), t.mr));
         tiles
     }

@@ -459,13 +459,7 @@ impl BlisGemm {
             if windows.len() == 1 {
                 return run_window(runner, windows.next().expect("one window"));
             }
-            let mut others: Vec<GemmRunner> = (1..windows.len())
-                .map(|_| {
-                    let mut other = self.runner();
-                    other.dispatch.refresh(&other.kernel.generated);
-                    other
-                })
-                .collect();
+            let mut others: Vec<GemmRunner> = (1..windows.len()).map(|_| self.runner()).collect();
             let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); windows.len()];
             let jobs: Vec<PoolJob<'_>> = std::iter::once(&mut *runner)
                 .chain(others.iter_mut())
@@ -515,19 +509,14 @@ impl GemmExecutor for BlisGemm {
 /// passes — so dispatch construction, bounds proofs and arena growth are
 /// paid once per driver and degree of concurrency, not once per call,
 /// window or batch. Results are bit-identical to a fresh runner's — same
-/// packing, same op order; a runner carries no numeric state. At the top
-/// of each GEMM, before `C` is partitioned, the runner refreshes its
-/// handle from its own kernel ([`TierDispatch::refresh`]) — a handle that
-/// sits below the tier it asked for is re-resolved — so a native artifact
-/// that promotes later reaches runners that were built before it;
+/// packing, same op order; a runner carries no numeric state.
 /// [`GemmStats::tier`] says which tier ran. The arena holds only what the
 /// runner has had to pack: one that has only ever read `B` from
 /// [`PackedB`] images has no `Bc` buffer at all.
 pub struct GemmRunner {
     /// The driver's blocking with `mr`/`nr` replaced by the kernel's tile.
     blocking: BlockingParams,
-    /// The kernel `dispatch` was built from, and the only one it is
-    /// refreshed from.
+    /// The kernel `dispatch` was built from.
     kernel: KernelImpl,
     /// The micro-kernel call of every register tile.
     dispatch: TierDispatch,
@@ -677,8 +666,8 @@ impl GemmRunner {
         }
     }
 
-    /// The execution tier this runner's handle currently holds — what its
-    /// next GEMM runs on unless a native artifact promotes first.
+    /// The execution tier this runner's handle holds — what every GEMM it
+    /// runs executes on.
     pub fn tier(&self) -> ExecBackend {
         self.dispatch.tier()
     }
@@ -723,7 +712,6 @@ impl GemmRunner {
         if let Some(image) = packed_b {
             image.check(k, n, &self.blocking)?;
         }
-        self.dispatch.refresh(&self.kernel.generated);
         let stats = GemmStats {
             m,
             n,

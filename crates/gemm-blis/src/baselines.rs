@@ -86,12 +86,10 @@ impl KernelImpl {
     /// and allocates its register file **once** per distinct `(KC, buffer
     /// lengths)` input instead of on every micro-tile — the fringe tiles
     /// of a blocked problem no longer re-prove and re-allocate thousands
-    /// of times. The tier is resolved here for the first time, not for the
-    /// last: a handle built while the native artifact is still compiling
-    /// starts on the simd chain, and the engine that holds it refreshes it
-    /// from this kernel ([`TierDispatch::refresh`]) at the top of every
-    /// GEMM until it reaches the tier it asked for — bit-identical, so the
-    /// switch is invisible except for speed.
+    /// of times. The tier is resolved here: the native one when the
+    /// build-time table holds a verified body for the kernel, else the
+    /// simd chain — bit-identical, so which one serves is invisible except
+    /// for speed.
     pub fn dispatcher(&self) -> TierDispatch {
         self.generated.dispatcher(self.backend)
     }
@@ -210,10 +208,10 @@ pub fn blis_assembly_kernel(prefetch: bool) -> ModelledKernel {
 }
 
 /// Wraps a generated kernel as a [`KernelImpl`] (the paper's `EXO`
-/// series). Executes through the ahead-of-time compiled native artifact
-/// when the host has a C toolchain (the fastest tier), and bit-faithfully
-/// on the in-process SIMD chain of the active vector ISA (AVX-512,
-/// AVX2/FMA, NEON, or the scalar reference) when it does not —
+/// series). Executes through the native body compiled at build time when
+/// the table holds one for the kernel (the fastest tier), and
+/// bit-faithfully on the in-process SIMD chain of the active vector ISA
+/// (AVX-512, AVX2/FMA, NEON, or the scalar reference) when it does not —
 /// [`TierDispatch::tier`] says which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {

@@ -55,6 +55,10 @@ pub use pool::{env_threads_override, PoolJob, ThreadPool};
 pub use problem::{GemmExecutor, GemmProblem, GemmStats, NaiveGemm, Op};
 pub use views::{MatMut, MatRef};
 
+// Linking the table of native bodies compiled at build time installs it,
+// before `main`, in the engine every kernel resolves its native tier with.
+use exo_kernels as _;
+
 use std::fmt;
 
 /// Errors produced by the GEMM driver and simulator.
@@ -126,6 +130,14 @@ impl std::error::Error for GemmError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn linking_gemm_blis_installs_the_build_time_table() {
+        // Nothing here installs it by hand: linking this crate must have.
+        let table = &exo_kernels::TABLE;
+        assert_eq!(toolchain().map(|tc| tc.cc.as_str()), table.compiler.map(|(cc, _)| cc));
+        assert_eq!(native_available(), table.bodies.iter().any(|body| body.isa == active_isa()));
+    }
 
     #[test]
     fn error_messages_are_informative() {

@@ -5,18 +5,17 @@
 //! `native → simd → portable → tape`, fastest first, the checked tape at the
 //! floor. Three of them are built by the generator and always there, so a
 //! request for one — a pin — resolves to itself. The fourth, the native
-//! tier, is compiled in the background: [`ExecBackend::Native`] serves on
-//! the simd chain until its artifact promotes, and that is the ladder's one
-//! edge. The reference interpreter (`exo_ir::interp::run_proc` of
+//! tier, is a body compiled when the workspace was built:
+//! [`ExecBackend::Native`] serves on the simd chain when the build-time
+//! table holds no body for the kernel, and that is the ladder's one edge.
+//! The reference interpreter (`exo_ir::interp::run_proc` of
 //! [`GeneratedKernel::proc`]) is not a rung: it is the semantics every tier
 //! computes bit for bit, and the tests call it directly.
 //! [`GeneratedKernel::dispatcher`] is the **one** function in the workspace
 //! that maps a requested [`ExecBackend`] onto the tier that runs, and every
 //! entry point — one-shot runs, the handle each GEMM engine holds and calls
 //! once per register tile, a pinned tier, the serving layer's degraded
-//! retry — goes through it;
-//! [`TierDispatch::refresh`] takes the same edge later, for a long-lived
-//! handle that was built before the native tier promoted.
+//! retry — goes through it.
 
 use std::sync::Arc;
 
@@ -34,13 +33,12 @@ use crate::generator::GeneratedKernel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Ahead-of-time compiled native code: the superword tape lowered to
-    /// C, built into a dylib by the host toolchain (`cc`, or the `EXO_CC`
-    /// override) and called through a raw function pointer — the fastest
+    /// C, compiled by the C compiler when the workspace was built, linked
+    /// into the binary and called through a function pointer — the fastest
     /// tier and the default. Guarded by the same affine-interval proofs
-    /// as the simd tier and bit-identical to it, so
-    /// serving on simd while the build is in flight (or for good: no
-    /// toolchain, emission decline, build failure) changes speed, never
-    /// results.
+    /// as the simd tier and bit-identical to it, so serving on simd (no
+    /// body in the table, emission decline, probe rejection) changes
+    /// speed, never results.
     #[default]
     Native,
     /// The in-process vector closure chain of the widest available ISA
@@ -99,33 +97,25 @@ enum Tier {
 /// register file, so steady-state micro-tile dispatch allocates and
 /// re-proves nothing: create one per worker and reuse it for every tile.
 /// Results are bit-for-bit those of a fresh handle on the same tier.
-///
-/// The handle remembers the tier it was asked for, so one that was asked
-/// for the native tier while the build was still in flight can be promoted
-/// later ([`TierDispatch::refresh`]) instead of serving on the simd chain
-/// for as long as it lives.
 #[derive(Debug, Clone)]
 pub struct TierDispatch {
     mr: usize,
     nr: usize,
-    asked: ExecBackend,
     resolved: ExecBackend,
     tier: Tier,
 }
 
 impl GeneratedKernel {
     /// The handle that runs `backend`: the requested tier itself, except
-    /// that [`ExecBackend::Native`] serves on the simd chain until its
-    /// background build has promoted — a non-blocking [`Self::native`]
-    /// poll, so a handle built early stays on simd until a
-    /// [`TierDispatch::refresh`] finds the artifact.
+    /// that [`ExecBackend::Native`] serves on the simd chain when the
+    /// kernel has no native body ([`Self::native`]).
     pub fn dispatcher(&self, backend: ExecBackend) -> TierDispatch {
         let (resolved, tier) = self.resolve(backend);
-        TierDispatch { mr: self.mr, nr: self.nr, asked: backend, resolved, tier }
+        TierDispatch { mr: self.mr, nr: self.nr, resolved, tier }
     }
 
     /// The ladder: every tier resolves to itself but the native one, which
-    /// is the simd chain for as long as no artifact has promoted.
+    /// is the simd chain when no body promoted.
     fn resolve(&self, asked: ExecBackend) -> (ExecBackend, Tier) {
         use ExecBackend::*;
         match asked {
@@ -142,24 +132,9 @@ impl GeneratedKernel {
 
 impl TierDispatch {
     /// The tier this handle runs on — the requested backend, or the simd
-    /// chain under a native request whose artifact has not promoted.
+    /// chain under a native request with no promoted body.
     pub fn tier(&self) -> ExecBackend {
         self.resolved
-    }
-
-    /// Promotes a handle that was asked for the native tier and sits on
-    /// the simd chain, once `kernel` (the kernel this handle was built
-    /// from) has its artifact: the handle is replaced — proof memo and
-    /// register file start over. A handle on the tier it was asked for
-    /// does nothing; below it the cost is one native poll (one `OnceLock`
-    /// read on a host without a toolchain, one engine slot lookup while
-    /// the build is in flight or rejected).
-    pub fn refresh(&mut self, kernel: &GeneratedKernel) {
-        if self.resolved != self.asked {
-            if let Some(native) = kernel.native() {
-                (self.resolved, self.tier) = (ExecBackend::Native, Tier::Proved(native.dispatcher()));
-            }
-        }
     }
 
     /// Runs the kernel on packed operands: `c[nr][mr] += ac[kc][mr] *
@@ -193,7 +168,6 @@ impl TierDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MicroKernelGenerator;
 
     #[test]
     fn the_ladder_steps_down_one_rung_at_a_time_and_stops_at_the_tape() {
@@ -203,33 +177,5 @@ mod tests {
             ladder.push(below);
         }
         assert_eq!(ladder, [Native, Simd, Superword, Tape]);
-    }
-
-    #[test]
-    fn refresh_takes_a_handle_up_the_ladder_only_when_a_higher_tier_answers() {
-        use ExecBackend::*;
-        let kernel = MicroKernelGenerator::new(exo_isa::neon_f32()).generate(4, 8).unwrap();
-        let kc = 11usize;
-        let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
-        let b: Vec<f32> = (0..kc * 8).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
-        let run = |handle: &mut TierDispatch| {
-            let mut c = vec![0.5f32; 32];
-            handle.run(kc, &a, &b, &mut c).unwrap();
-            c
-        };
-        // Built before the artifact settles (the first poll of a kernel
-        // only enqueues its build), refreshed after: the handle lands on
-        // the native tier when the host can build one and stays put — same
-        // bits either way — when it cannot.
-        let mut early = kernel.dispatcher(Native);
-        let (built_on, before) = (early.tier(), run(&mut early));
-        let settled = kernel.native_wait();
-        early.refresh(&kernel);
-        assert_eq!(early.tier(), if settled.is_some() { Native } else { built_on });
-        assert_eq!(run(&mut early), before, "native is bit-identical to the simd chain it was lowered from");
-        // On the tier it was asked for, a handle has nowhere to go.
-        let mut pinned = kernel.dispatcher(Simd);
-        pinned.refresh(&kernel);
-        assert_eq!(pinned.tier(), Simd);
     }
 }

@@ -44,6 +44,38 @@ impl std::fmt::Display for Strategy {
     }
 }
 
+impl Strategy {
+    /// Vector registers an `mr x nr` kernel keeps live under this strategy
+    /// at `lanes` lanes — the `C` accumulators plus the staged `A`/`B`
+    /// operand vectors — or `None` for the scalar fallback, which keeps no
+    /// register tile.
+    pub fn registers(self, lanes: usize, mr: usize, nr: usize) -> Option<usize> {
+        match self {
+            // C accumulators as (mr/lanes) x nr vectors, A column vectors,
+            // B row vectors (both tile dimensions vectorised).
+            Strategy::Laneq => Some((mr / lanes) * nr + mr / lanes + nr / lanes),
+            // Rows vectorised; B elements broadcast through one register.
+            Strategy::BroadcastB => Some((mr / lanes) * nr + mr / lanes + 1),
+            // Columns vectorised; the single A element broadcast.
+            Strategy::BroadcastA => Some(nr.div_ceil(lanes) + nr.div_ceil(lanes) + 1),
+            Strategy::Scalar => None,
+        }
+    }
+}
+
+/// A register tile the modelled design space admits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileShape {
+    /// Register-tile rows.
+    pub mr: usize,
+    /// Register-tile columns.
+    pub nr: usize,
+    /// The scheduling strategy the generator chooses for the tile.
+    pub strategy: Strategy,
+    /// Modelled vector-register footprint of the kernel.
+    pub registers: usize,
+}
+
 /// Options controlling kernel generation.
 #[derive(Debug, Clone)]
 pub struct KernelOptions {
@@ -107,19 +139,11 @@ pub struct GeneratedKernel {
     /// The portable tier — the scalar-ISA chain over [`Self::superword`].
     /// [`Self::simd`] itself when the active ISA is already scalar.
     pub portable: Arc<SimdKernel>,
-    /// The prepared ahead-of-time request ([`Self::superword`] lowered to
-    /// C, toolchain probed, key computed), built lazily on the
-    /// first [`Self::native`] poll and reused by every later one. `None`
-    /// — permanently, the verdict is cached — when the host has no C
-    /// toolchain or the emitter declines the lowering: the native tier
-    /// then serves on [`Self::simd`] for good.
-    aot: OnceLock<Option<exo_aot::AotRequest>>,
-    /// The promoted native kernel: [`Self::superword`] compiled with the
-    /// host toolchain, `dlopen`ed, and probe-verified by the engine — the
-    /// top tier. Set once the engine's background build lands; until
-    /// then callers serve on [`Self::simd`], which is bit-identical, so
-    /// promotion is invisible except for speed.
-    native: OnceLock<Arc<SimdKernel>>,
+    /// The native tier's verdict, settled on the first [`Self::native`]
+    /// call: [`Self::superword`]'s body from the table compiled at build
+    /// time, probe-verified by the engine, or `None` — for good — when the
+    /// table holds no body for it or the probe rejected it.
+    native: OnceLock<Option<Arc<SimdKernel>>>,
 }
 
 impl GeneratedKernel {
@@ -137,41 +161,26 @@ impl GeneratedKernel {
         self.dispatcher(ExecBackend::Simd).run(kc, ac, bc, c)
     }
 
-    /// The prepared ahead-of-time request, emitting the C and probing the
-    /// toolchain once per kernel.
-    fn aot_request(&self) -> Option<&exo_aot::AotRequest> {
-        self.aot
-            .get_or_init(|| exo_aot::engine().prepare(&self.superword, exo_codegen::active_isa()).ok())
-            .as_ref()
-    }
-
-    /// The ahead-of-time compiled native kernel, if it has promoted —
-    /// **non-blocking**. The first call kicks a background build through
-    /// the process-wide [`exo_aot::engine()`] (once per process: nothing
-    /// is kept on disk) and returns `None`; callers serve on the simd
-    /// chain until the build lands and passes probe verification, after
-    /// which the promoted kernel is cached here and every call returns it.
-    /// `None` forever when the host has no C toolchain, the emitter
-    /// declines the lowering, or the engine has terminally rejected the
-    /// key: callers stay on the simd chain.
+    /// The native kernel: [`Self::superword`]'s emitted C, looked up by its
+    /// hash in the table of bodies compiled when the workspace was built,
+    /// and promoted once the engine's probe reproduced the checked tape bit
+    /// for bit. Settled synchronously on the first call and cached: `None`
+    /// for good when the table holds no body for this kernel on the active
+    /// ISA (a tile outside the admitted spaces, or a build with no C
+    /// compiler), the emitter declines the lowering, or the probe rejected
+    /// the body. Callers then serve on the simd chain, which computes the
+    /// same bits.
     pub fn native(&self) -> Option<Arc<SimdKernel>> {
-        if let Some(native) = self.native.get() {
-            return Some(Arc::clone(native));
-        }
-        let promoted = exo_aot::engine().poll(self.aot_request()?)?;
-        Some(Arc::clone(self.native.get_or_init(|| promoted)))
+        self.native
+            .get_or_init(|| exo_aot::engine().compile(&self.superword, exo_codegen::active_isa()).ok())
+            .clone()
     }
 
-    /// Blocks until the native tier settles for this kernel: the
-    /// promoted kernel, or `None` with the decline recorded in the
-    /// engine. For benches and tests that measure or assert the native
-    /// tier itself; serving paths use the non-blocking [`Self::native`].
+    /// The same call as [`Self::native`], which no longer has anything to
+    /// wait for; kept for the callers that settle the native tier before
+    /// they measure it.
     pub fn native_wait(&self) -> Option<Arc<SimdKernel>> {
-        if let Some(native) = self.native.get() {
-            return Some(Arc::clone(native));
-        }
-        let promoted = exo_aot::engine().wait(self.aot_request()?).ok()?;
-        Some(Arc::clone(self.native.get_or_init(|| promoted)))
+        self.native()
     }
 
     /// Floating-point operations the kernel performs for a given `KC`.
@@ -215,6 +224,32 @@ impl MicroKernelGenerator {
         } else {
             Strategy::Scalar
         }
+    }
+
+    /// The register tiles the modelled design space of this generator's
+    /// ISA admits: one vector row (`mr = 1`) or up to four vectors tall,
+    /// one to six vectors wide, with a vectorised strategy whose register
+    /// footprint fits a 32-entry vector register file (what ARM Neon and
+    /// AVX-512 both have). Rows first, then columns, each ascending. This
+    /// is the tile list every design space filters and the list whose C
+    /// the native tier compiles when the workspace builds.
+    pub fn admitted_tiles(&self) -> Vec<TileShape> {
+        const REGISTER_FILE: usize = 32;
+        let lanes = self.isa.lanes;
+        let rows = std::iter::once(1).chain((1..=4).map(|i| i * lanes));
+        let mut tiles = Vec::new();
+        for mr in rows {
+            for nr in (1..=6).map(|j| j * lanes) {
+                let strategy = self.choose_strategy(mr, nr);
+                match strategy.registers(lanes, mr, nr) {
+                    Some(registers) if registers <= REGISTER_FILE => {
+                        tiles.push(TileShape { mr, nr, strategy, registers })
+                    }
+                    _ => {}
+                }
+            }
+        }
+        tiles
     }
 
     /// Generates a kernel with default options.
@@ -283,7 +318,6 @@ impl MicroKernelGenerator {
             superword,
             simd,
             portable,
-            aot: OnceLock::new(),
             native: OnceLock::new(),
         })
     }

@@ -42,6 +42,6 @@ pub mod registry;
 
 pub use dispatch::{ExecBackend, TierDispatch};
 pub use error::{GenError, Result};
-pub use generator::{GeneratedKernel, KernelOptions, KernelSet, MicroKernelGenerator, Strategy};
+pub use generator::{GeneratedKernel, KernelOptions, KernelSet, MicroKernelGenerator, Strategy, TileShape};
 pub use recipes::RecipeStep;
 pub use registry::{KernelCache, KernelKey};

@@ -37,13 +37,19 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// The generated Neon 8x12, generated once per test binary.
 fn kernel_8x12() -> Arc<GeneratedKernel> {
     static KERNEL: OnceLock<Arc<GeneratedKernel>> = OnceLock::new();
-    Arc::clone(KERNEL.get_or_init(|| fresh_kernel(8, 12)))
+    Arc::clone(KERNEL.get_or_init(|| {
+        Arc::new(
+            exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f32())
+                .generate(8, 12)
+                .expect("8x12 generates"),
+        )
+    }))
 }
 
 /// The shared driver: the generated 8x12 pinned to the simd tier, so a
 /// failed `beta = 0` entry retries one rung down, on the portable chain.
-/// The pin never polls the native tier, so it starts no background build
-/// that could spend a countdown a test armed for an `aot-*` fault.
+/// The pin never resolves the native tier, so it runs no probe that could
+/// spend a countdown a test armed for the `aot-wrong-result` fault.
 fn driver() -> BlisGemm {
     BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel_simd(kernel_8x12()))
 }
@@ -415,7 +421,7 @@ fn a_retry_degrades_from_the_tier_that_ran() {
             .generate(8, 8)
             .expect("the f16 8x8 tile generates"),
     );
-    assert!(kernel.native_wait().is_none(), "an f16 tile has no C lowering, with or without a toolchain");
+    assert!(kernel.native().is_none(), "an f16 tile has no C lowering, so no body");
     let want = reference_c(24, 24, 24, 9, 0.0);
     let untouched = make_job(24, 24, 24, 9, 0.0).into_c();
     for (imp, ran, retried) in [
@@ -1215,26 +1221,26 @@ fn shutdown_with_outstanding_handles_resolves_them_all() {
     }
 }
 
-/// Generates a fresh kernel for an AOT fault experiment. The AOT
-/// engine's per-key state is process-global, so each experiment needs a
-/// tile shape no other test in this binary serves (the shared 8x12 key
-/// may already be promoted, and an armed countdown must fire in the
-/// experiment that armed it, not in a neighbour's background build).
-fn fresh_kernel(mr: usize, nr: usize) -> Arc<GeneratedKernel> {
+/// Generates, for an AOT fault experiment, an admitted Neon tile that no
+/// other test in this binary resolves on the active ISA: the engine's
+/// verdicts are process-global and settled once per key, so an armed
+/// countdown fires only on a key nobody has resolved yet. The candidates
+/// are never served on AVX-512 or AVX2; on the scalar floor and NEON, where
+/// every Neon tile is served, the one tile the `TunedGemm` test of this
+/// binary plans (its 24x40x48 batch) is skipped. Each experiment takes
+/// its own `nth` candidate.
+fn untouched_kernel(nth: usize) -> Arc<GeneratedKernel> {
+    let verdict = exo_gemm::exo_tune::TunedGemm::new().plan(24, 40, 48).expect("the shape tunes");
+    let (mr, nr) = [(12, 8), (4, 24), (12, 4), (4, 20)]
+        .into_iter()
+        .filter(|tile| *tile != (verdict.mr, verdict.nr))
+        .nth(nth)
+        .expect("a candidate tile");
     Arc::new(
         exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f32())
             .generate(mr, nr)
             .unwrap_or_else(|e| panic!("{mr}x{nr} generates: {e}")),
     )
-}
-
-/// Settles any in-flight background build of the shared 8x12 key before
-/// an AOT fault is armed: earlier tests may poll that key (a `TunedGemm`
-/// serving the Neon 8x12 on AVX2, the env-spec run), and a build they
-/// kicked must not still be running (and consuming countdowns) when the
-/// experiment starts.
-fn settle_shared_native_key() {
-    let _ = kernel_8x12().native_wait();
 }
 
 /// Runs `jobs` shapes through a fresh service over `driver`, requiring
@@ -1261,21 +1267,6 @@ fn run_clean_batch(
     service
 }
 
-/// Spin-waits until `get(stats)` reaches `want`: AOT builds settle in the
-/// background, after the jobs that triggered them may already be done.
-fn await_aot_stat(
-    service: &GemmService,
-    want: u64,
-    get: impl Fn(&exo_gemm::exo_serve::ServiceStats) -> u64,
-    what: &str,
-) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    while get(&service.stats()) < want {
-        assert!(std::time::Instant::now() < deadline, "{what} never reached {want}: {}", service.stats());
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// The simd-pinned reference results for `shapes` through `kernel` —
 /// computed while faults are disarmed. This is the tier every AOT
 /// failure must silently land on, bit for bit.
@@ -1296,165 +1287,32 @@ fn simd_refs(
         .collect()
 }
 
-/// The toolchain-outage fault class: the first ahead-of-time build
-/// attempt for a freshly generated kernel fails mid-serve
-/// (`aot-compile-fail@1` — the shape a broken `cc`, a full disk, or a
-/// revoked build directory takes at runtime). The build runs in the
-/// background, so the contract is *silent* degradation, one tier down
-/// and pre-dispatch: every job completes, none is stamped `degraded` (no
-/// executional failure ever surfaced), the results are bit-identical to
-/// a pinned-simd run — and the failed build surfaces in the service's
-/// AOT stats, raising health to `Degraded`.
-#[test]
-fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
-    let _guard = serial();
-    fault::disarm();
-    if !exo_gemm::gemm_blis::native_available() {
-        return; // no toolchain: no build ever starts, so no fault can fire
-    }
-    settle_shared_native_key();
-    let kernel = fresh_kernel(4, 8);
-    let blocking = BlockingParams::carmel_defaults(4, 8);
-    let shapes = [(24usize, 20usize, 16usize), (16, 16, 16), (33, 9, 21)];
-    let refs = simd_refs(&kernel, blocking, &shapes);
-
-    // The serve run: Native-tier kernel (the default ladder), with the
-    // first background build attempt failing.
-    FaultPlan::new().aot_compile_fail(1).arm();
-    let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
-    let service = run_clean_batch(native_driver, &shapes, &refs, "compile-fail");
-
-    // The failed background build lands in the service's AOT deltas and
-    // raises health — visibly degraded, while every job stayed whole.
-    // Disarm only after the verdict is booked: the build runs in the
-    // background, and disarming while it is still in flight would zero
-    // the countdown before the builder reads it.
-    await_aot_stat(&service, 1, |s| s.aot_builds_failed, "aot_builds_failed");
-    fault::disarm();
-    let stats = service.stats();
-    assert_eq!(stats.jobs_completed, shapes.len() as u64);
-    assert_eq!(stats.jobs_failed, 0);
-    assert_eq!(stats.retries, 0, "the fallback happens before dispatch, not via the retry path");
-    assert_eq!(service.health(), ServiceHealth::Degraded, "a lost build is a visible degradation");
-}
-
-/// Health is decided in one place: a build that fails after the service's
-/// last pass (here, before its first) reads `Degraded` from `health()`
-/// asked first, with no `stats()` call to fold the failure in beforehand.
+/// Health is decided in one place: a promotion that fails after the
+/// service's last pass (here, before its first) reads `Degraded` from
+/// `health()` asked first, with no `stats()` call to fold the failure in
+/// beforehand.
 #[test]
 fn a_build_failure_between_passes_reads_degraded_from_health_alone() {
     let _guard = serial();
     fault::disarm();
     if !exo_gemm::gemm_blis::native_available() {
-        return; // no toolchain: the request declines before any build starts
+        return; // no table: no body to probe, so no fault can fire
     }
-    settle_shared_native_key();
-    // A tile no serving space admits and no other test builds, so no
-    // neighbour can have left it `Ready` in the engine's memory.
-    let kernel = fresh_kernel(5, 3);
+    let kernel = untouched_kernel(0);
     let service = GemmService::new(driver());
-    FaultPlan::new().aot_compile_fail(1).arm();
-    let built = exo_gemm::exo_aot::engine().compile(&kernel.superword, exo_gemm::exo_codegen::active_isa());
+    FaultPlan::new().aot_wrong_result(1).arm();
+    let promoted = kernel.native();
     fault::disarm();
-    assert!(built.is_err(), "the armed build attempt fails");
-    assert_eq!(service.health(), ServiceHealth::Degraded, "health() folds the lost build in itself");
+    assert!(promoted.is_none(), "the armed probe rejects the body");
+    assert_eq!(service.health(), ServiceHealth::Degraded, "health() folds the lost promotion in itself");
     assert_eq!(service.stats().health, ServiceHealth::Degraded);
 }
 
-/// The hung-compiler fault class (`aot-hang@1`): the first compiler
-/// invocation never returns and must be killed on its deadline — in the
-/// background. Four concurrent
-/// callers keep submitting the whole time; no GEMM ever waits on `cc`,
-/// every handle resolves, the books balance, the results are
-/// bit-identical to a simd-pinned run, and the timeout surfaces in the
-/// service's AOT stats.
-#[test]
-fn a_hung_compiler_never_delays_jobs_and_the_books_balance() {
-    let _guard = serial();
-    fault::disarm();
-    if !exo_gemm::gemm_blis::native_available() {
-        return;
-    }
-    settle_shared_native_key();
-    let kernel = fresh_kernel(16, 8);
-    let blocking = BlockingParams::carmel_defaults(16, 8);
-    const CALLERS: usize = 4;
-    const JOBS: usize = 6;
-    let shape = |j: usize| [(24, 20, 16), (16, 16, 16), (33, 9, 21)][j % 3];
-    let refs: Vec<Vec<OwnedMat>> = (0..CALLERS)
-        .map(|caller| {
-            (0..JOBS)
-                .map(|j| {
-                    let (m, n, k) = shape(j);
-                    let mut job = make_job(m, n, k, caller * JOBS + j, 0.0);
-                    BlisGemm::new(blocking)
-                        .with_kernel(exo_kernel_simd(Arc::clone(&kernel)))
-                        .gemm(job.problem())
-                        .expect("reference gemm");
-                    job.into_c()
-                })
-                .collect()
-        })
-        .collect();
-
-    FaultPlan::new().aot_hang(1).arm();
-    let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
-    let service = GemmService::with_config(native_driver, ServiceConfig { queue_capacity: 16, max_batch: 8 });
-    let started = std::time::Instant::now();
-    let outcomes: Vec<Vec<Result<CompletedJob, GemmError>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CALLERS)
-            .map(|caller| {
-                let service = &service;
-                scope.spawn(move || {
-                    let submitted: Vec<JobHandle> = (0..JOBS)
-                        .map(|j| {
-                            let (m, n, k) = shape(j);
-                            service
-                                .submit(make_job(m, n, k, caller * JOBS + j, 0.0))
-                                .expect("a live service accepts submissions")
-                        })
-                        .collect();
-                    submitted.iter().map(wait_or_hang).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("submitter thread")).collect()
-    });
-    let elapsed = started.elapsed();
-
-    for (caller, (results, wants)) in outcomes.iter().zip(&refs).enumerate() {
-        for (j, (outcome, want)) in results.iter().zip(wants).enumerate() {
-            let who = format!("caller {caller} job {j}");
-            let done = outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{who}: a hung compiler must not fail jobs: {e:?}"));
-            assert!(!done.stats.degraded, "{who}: the simd fallback is pre-dispatch, not a degraded retry");
-            assert_bits(&done.c, want, &who);
-        }
-    }
-    // The hung child sleeps for 600 s; the jobs must not have waited on it.
-    assert!(elapsed < Duration::from_secs(300), "jobs waited on the hung compiler ({elapsed:?})");
-    // The kill lands in the background: wait for the timeout to be
-    // booked, and then for the attempt itself (booked a beat later).
-    // Only then disarm — disarming while the build is still in flight
-    // would zero the countdown before the builder reads it.
-    await_aot_stat(&service, 1, |s| s.aot_compile_timeouts, "aot_compile_timeouts");
-    await_aot_stat(&service, 1, |s| s.aot_builds_failed, "aot_builds_failed");
-    fault::disarm();
-    let stats = service.stats();
-    let total = (CALLERS * JOBS) as u64;
-    assert_eq!(stats.jobs_submitted, total);
-    assert_eq!(stats.jobs_completed + stats.jobs_failed, total, "the books must balance: {stats}");
-    assert_eq!(stats.jobs_failed, 0);
-    assert!(stats.aot_builds_failed >= 1, "the timed-out attempt is a failed build: {stats}");
-    assert_eq!(service.health(), ServiceHealth::Degraded, "a killed compiler is a visible degradation");
-}
-
-/// The wrong-result fault class (`aot-wrong-result@1`): a kernel that
-/// compiles, loads, and *runs* — but computes garbage. The verification
-/// probe must catch it before dispatch ever sees it: every job is
-/// bit-identical to the simd-pinned run, the failure is booked, and the
-/// key is pinned to simd terminally.
+/// The wrong-result fault class (`aot-wrong-result@1`): a body that loads
+/// and *runs* — but computes garbage. The verification probe must catch it
+/// before dispatch ever sees it: every job is bit-identical to the
+/// simd-pinned run, the failure is booked, and the key is pinned to simd
+/// terminally.
 #[test]
 fn a_wrong_result_kernel_is_rejected_before_dispatch_ever_sees_it() {
     let _guard = serial();
@@ -1462,41 +1320,32 @@ fn a_wrong_result_kernel_is_rejected_before_dispatch_ever_sees_it() {
     if !exo_gemm::gemm_blis::native_available() {
         return;
     }
-    settle_shared_native_key();
-    let kernel = fresh_kernel(8, 16);
-    let blocking = BlockingParams::carmel_defaults(8, 16);
+    let kernel = untouched_kernel(1);
+    let blocking = BlockingParams::carmel_defaults(kernel.mr, kernel.nr);
     let shapes = [(24usize, 20usize, 16usize), (16, 16, 16), (33, 9, 21)];
     let refs = simd_refs(&kernel, blocking, &shapes);
 
     FaultPlan::new().aot_wrong_result(1).arm();
     let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
     let service = run_clean_batch(native_driver, &shapes, &refs, "wrong-result");
-
-    // The probe verdict lands first, the failed attempt a beat later;
-    // health keys off the latter. Disarm only after both are booked:
-    // the build runs in the background, and disarming while it is still
-    // in flight would zero the countdown before the builder reads it.
-    await_aot_stat(&service, 1, |s| s.aot_wrong_results, "aot_wrong_results");
-    await_aot_stat(&service, 1, |s| s.aot_builds_failed, "aot_builds_failed");
     fault::disarm();
     let stats = service.stats();
+    assert_eq!((stats.aot_wrong_results, stats.aot_builds_failed), (1, 1), "{stats}");
     assert_eq!(stats.jobs_completed, shapes.len() as u64);
     assert_eq!(stats.jobs_failed, 0);
     assert_eq!(service.health(), ServiceHealth::Degraded, "a rejected kernel is a visible degradation");
-    // The pin is terminal: polling the key again must stay on simd, not
-    // rebuild the same wrong answer.
+    // The pin is terminal: resolving the key again stays on simd, with
+    // no second probe of the same wrong answer.
     assert!(kernel.native().is_none(), "a wrong-result key must stay pinned to simd");
+    assert_eq!(service.stats().aot_wrong_results, 1);
 }
 
 /// CI's entry point: when `EXO_FAULT` is set, the first service
 /// construction arms it and this generic liveness run must survive
 /// whatever the spec throws. The jobs run the generated 8x12 on the native
-/// tier, so a retry steps down the real ladder and the first job starts
-/// the kernel's background build. When the spec arms `aot-hang` and a
-/// toolchain answers, that build must meet the hung compiler: the test
-/// waits for it to settle and asserts the timeout was booked. Meant to run
-/// filtered to this test, as CI does, so that its service is the first in
-/// the process. Without `EXO_FAULT` the test is a no-op.
+/// tier, so a retry steps down the real ladder. Meant to run filtered to
+/// this test, as CI does, so that its service is the first in the process.
+/// Without `EXO_FAULT` the test is a no-op.
 #[test]
 fn env_spec_drives_a_full_fault_run() {
     let spec = match std::env::var("EXO_FAULT") {
@@ -1504,8 +1353,6 @@ fn env_spec_drives_a_full_fault_run() {
         _ => return,
     };
     let _guard = serial();
-    let hang = FaultPlan::parse(&spec).expect("EXO_FAULT parses").aot_hang.is_some()
-        && exo_gemm::gemm_blis::native_available();
     // Constructing the service arms the env plan (first construction in
     // this process wins the OnceLock).
     let native_driver =
@@ -1529,11 +1376,6 @@ fn env_spec_drives_a_full_fault_run() {
             .collect();
         spawned.into_iter().flat_map(|h| h.join().expect("submitter thread")).collect()
     });
-    // The build runs in the background: disarming before it settles could
-    // zero the hang countdown before the compiler is invoked.
-    if hang {
-        let _ = kernel_8x12().native_wait();
-    }
     fault::disarm();
 
     assert_eq!(outcomes.len(), CALLERS * JOBS, "every job resolved, spec `{spec}`");
@@ -1543,9 +1385,6 @@ fn env_spec_drives_a_full_fault_run() {
         stats.jobs_submitted,
         "books must balance under EXO_FAULT={spec}: {stats}"
     );
-    if hang {
-        assert!(stats.aot_compile_timeouts >= 1, "the hung compiler must be killed and booked: {stats}");
-    }
     let clean = service.submit(make_job(16, 16, 16, 777, 0.0)).expect("live service accepts");
     assert!(wait_or_hang(&clean).is_ok());
 }

@@ -1,23 +1,20 @@
-//! Promotion reaches state that outlives it. The native tier's first poll
-//! of a kernel only enqueues its build, so an executor's first GEMM runs on
-//! the simd chain; what it built then — the driver, its warm runner, the
-//! runner's tier handle — is what every later GEMM on that executor runs
-//! on. The handle must therefore follow the artifact when it lands, for
-//! every door a problem can come through: `BlisGemm::gemm`,
-//! `TunedGemm::execute`, `CachedTunedGemm::gemm_batch` and
-//! `GemmService::submit`. `GemmStats::tier` says which tier ran, so this is
+//! The native tier is there from the first GEMM. A kernel's body is
+//! compiled when the workspace builds, so resolving it is a table lookup
+//! and a probe, settled when the first GEMM builds its runner: that GEMM
+//! already runs native, through every door a problem can come through —
+//! `BlisGemm::gemm`, `TunedGemm::execute`, `CachedTunedGemm::gemm_batch`
+//! and `GemmService::submit` — and the warm runner it leaves behind keeps
+//! running there. `GemmStats::tier` says which tier ran, so this is
 //! asserted, not timed.
 //!
-//! This file is one test in a process of its own: the AOT engine is
-//! process-wide, and a kernel's first poll is only the first if no other
-//! test has dispatched that tile. Each leg takes a shape whose verdict
-//! tile no earlier leg has touched.
+//! This file is one test in a process of its own, so no other test has
+//! resolved a tile before its first GEMM does.
 
 use std::sync::Arc;
 
 use exo_gemm::exo_serve::{CachedTunedGemm, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, OwnedMat};
 use exo_gemm::exo_tune::TunedGemm;
-use exo_gemm::gemm_blis::{exo_kernel, native_available, BlisGemm, ExecBackend};
+use exo_gemm::gemm_blis::{exo_kernel, native_available, BlisGemm, ExecBackend, NaiveGemm};
 use exo_gemm::ukernel_gen::GeneratedKernel;
 use exo_gemm::{GemmExecutor, GemmProblem, GemmStats};
 
@@ -40,37 +37,27 @@ fn runners_built(tuned: &TunedGemm) -> u64 {
     tuned.drivers().iter().map(|d| d.runners_built()).sum()
 }
 
-/// One leg: `run` the shape straight after construction, settle `kernel`'s
-/// artifact, `run` it again on the same executor.
-fn promotion_reaches(
+/// One door: `run` the shape straight after construction, then again on
+/// the same executor. Both runs are on the native tier when the build
+/// compiled bodies for the active ISA (on the simd chain when it did not),
+/// the second builds no runner, and both give the `reference` bits.
+fn first_gemm_runs_native(
     door: &str,
     kernel: &GeneratedKernel,
     mut run: impl FnMut() -> (Vec<u32>, GemmStats),
     built: impl Fn() -> u64,
+    reference: Vec<u32>,
 ) {
-    let (cold_bits, cold) = run();
-    let built_cold = built();
-    assert!(built_cold > 0, "{door}: the first run must have built its runner");
-    let settled = kernel.native_wait();
+    let (first_bits, first) = run();
+    let built_first = built();
+    assert!(built_first > 0, "{door}: the first run must have built its runner");
     let (warm_bits, warm) = run();
-    assert_eq!(built(), built_cold, "{door}: the second run built a runner");
-    assert_eq!(warm_bits, cold_bits, "{door}: native and simd are bit-identical");
-    if !native_available() {
-        println!("{door}: no C toolchain answered the probe, so nothing can promote: both runs stay on simd");
-        assert_eq!((cold.tier, warm.tier), (Some(ExecBackend::Simd), Some(ExecBackend::Simd)), "{door}");
-    } else {
-        assert!(
-            settled.is_some(),
-            "{door}: a toolchain answered but the {} artifact did not build",
-            cold.kernel
-        );
-        // The first run built its handle on the simd chain — a kernel's
-        // first poll only enqueues its build — unless that background
-        // build landed before the run's own re-resolve. Either way the
-        // second run finds the artifact.
-        println!("{door}: first run on {:?}, second on {:?}", cold.tier, warm.tier);
-        assert_eq!(warm.tier, Some(ExecBackend::Native), "{door}: promotion must reach the warm runner");
-    }
+    assert_eq!(built(), built_first, "{door}: the second run built a runner");
+    assert_eq!(first_bits, reference, "{door}: native and simd are bit-identical");
+    assert_eq!(warm_bits, reference, "{door}: the warm runner too");
+    let tier = if native_available() { ExecBackend::Native } else { ExecBackend::Simd };
+    assert_eq!((first.tier, warm.tier), (Some(tier), Some(tier)), "{door}: {}", first.kernel);
+    assert_eq!(kernel.native().is_some(), native_available(), "{door}: {}", first.kernel);
 }
 
 /// `GemmService` owns its executor; this hands it one the test can still
@@ -83,80 +70,80 @@ impl GemmBatchExecutor for Shared {
     }
 }
 
-#[test]
-fn promotion_reaches_every_executor_that_outlives_it() {
-    // Planning never touches the AOT engine (`tests/tuning_side_effects.rs`),
-    // and verdicts are deterministic per shape, so a scratch executor can
-    // pick each leg a shape whose tile is still unpolled.
-    let probe = TunedGemm::new();
-    let mut polled: Vec<(usize, usize)> = Vec::new();
-    let mut fresh_shape = || {
-        // Four legs need four tiles; AVX-512's space has one tile more than
-        // one vector tall, so its single-row tiles supply the rest.
-        let candidates = [
-            (45, 37, 29),
-            (48, 48, 32),
-            (30, 17, 23),
-            (1, 64, 64),
-            (3, 3, 3),
-            (64, 1, 64),
-            (96, 60, 33),
-            (1, 48, 16),
-        ];
-        let (shape, tile) = candidates
-            .into_iter()
-            .map(|(m, n, k)| ((m, n, k), probe.plan(m, n, k).expect("candidate shape tunes")))
-            .map(|(shape, verdict)| (shape, (verdict.mr, verdict.nr)))
-            .find(|(_, tile)| !polled.contains(tile))
-            .expect("a candidate shape whose tile no earlier leg has dispatched");
-        polled.push(tile);
-        shape
-    };
+/// `C` of `(a, b, c0)` by `NaiveGemm`, which computes the engine's
+/// arithmetic: every tier's bits.
+fn reference_bits((a, b, c0): &(OwnedMat, OwnedMat, OwnedMat)) -> Vec<u32> {
+    let mut c = c0.clone();
+    NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
+    bits(c)
+}
 
-    let (m, n, k) = fresh_shape();
-    let (a, b, c0) = operands(m, n, k);
-    let verdict = probe.plan(m, n, k).unwrap();
-    let kernel = probe.tuner().kernel_for(&verdict).unwrap();
-    let driver = BlisGemm::new(verdict.blocking()).with_kernel(exo_kernel(Arc::clone(&kernel)));
+#[test]
+fn the_first_gemm_through_every_door_runs_native() {
+    let probe = TunedGemm::new();
+    let kernel_for =
+        |tuned: &TunedGemm, (m, n, k)| tuned.tuner().kernel_for(&tuned.plan(m, n, k).unwrap()).unwrap();
+
+    let shape = (45, 37, 29);
+    let ops = operands(shape.0, shape.1, shape.2);
+    let kernel = kernel_for(&probe, shape);
+    let reference = reference_bits(&ops);
+    let driver = BlisGemm::new(probe.plan(shape.0, shape.1, shape.2).unwrap().blocking())
+        .with_kernel(exo_kernel(Arc::clone(&kernel)));
     let run = || {
-        let mut c = c0.clone();
-        let stats = driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
+        let mut c = ops.2.clone();
+        let stats = driver.gemm(GemmProblem::new(ops.0.view(), ops.1.view(), c.view_mut())).unwrap();
         (bits(c), stats)
     };
-    promotion_reaches("BlisGemm::gemm", &kernel, run, || driver.runners_built());
+    first_gemm_runs_native("BlisGemm::gemm", &kernel, run, || driver.runners_built(), reference);
 
-    let (m, n, k) = fresh_shape();
-    let (a, b, c0) = operands(m, n, k);
+    let shape = (30, 17, 23);
+    let ops = operands(shape.0, shape.1, shape.2);
     let tuned = TunedGemm::new();
-    let kernel = tuned.tuner().kernel_for(&tuned.plan(m, n, k).unwrap()).unwrap();
+    let kernel = kernel_for(&tuned, shape);
+    let reference = reference_bits(&ops);
     let run = || {
-        let mut c = c0.clone();
-        let run = tuned.execute(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
+        let mut c = ops.2.clone();
+        let run = tuned.execute(GemmProblem::new(ops.0.view(), ops.1.view(), c.view_mut())).unwrap();
         (bits(c), run.stats)
     };
-    promotion_reaches("TunedGemm::execute", &kernel, run, || runners_built(&tuned));
+    first_gemm_runs_native("TunedGemm::execute", &kernel, run, || runners_built(&tuned), reference);
 
-    let (m, n, k) = fresh_shape();
-    let (a, b, c0) = operands(m, n, k);
+    let shape = (1, 64, 64);
+    let ops = operands(shape.0, shape.1, shape.2);
     let executor = CachedTunedGemm::new(TunedGemm::new());
-    let kernel = executor.tuned().tuner().kernel_for(&executor.tuned().plan(m, n, k).unwrap()).unwrap();
+    let kernel = kernel_for(executor.tuned(), shape);
+    let reference = reference_bits(&ops);
     let run = || {
-        let mut c = c0.clone();
-        let batch = vec![GemmProblem::new(a.view(), b.view(), c.view_mut())];
+        let mut c = ops.2.clone();
+        let batch = vec![GemmProblem::new(ops.0.view(), ops.1.view(), c.view_mut())];
         let stats = executor.gemm_batch(batch).into_stats().unwrap().remove(0);
         (bits(c), stats)
     };
-    promotion_reaches("CachedTunedGemm::gemm_batch", &kernel, run, || runners_built(executor.tuned()));
+    first_gemm_runs_native(
+        "CachedTunedGemm::gemm_batch",
+        &kernel,
+        run,
+        || runners_built(executor.tuned()),
+        reference,
+    );
 
-    let (m, n, k) = fresh_shape();
-    let (a, b, c0) = operands(m, n, k);
+    let shape = (96, 60, 33);
+    let ops = operands(shape.0, shape.1, shape.2);
     let executor = Arc::new(CachedTunedGemm::new(TunedGemm::new()));
-    let kernel = executor.tuned().tuner().kernel_for(&executor.tuned().plan(m, n, k).unwrap()).unwrap();
+    let kernel = kernel_for(executor.tuned(), shape);
+    let reference = reference_bits(&ops);
     let service = GemmService::new(Shared(Arc::clone(&executor)));
     let run = || {
-        let job = GemmJob::new(a.clone(), b.clone(), c0.clone());
+        let job = GemmJob::new(ops.0.clone(), ops.1.clone(), ops.2.clone());
         let done = service.submit(job).expect("accepting").wait().expect("service job");
         (bits(done.c), done.stats)
     };
-    promotion_reaches("GemmService::submit", &kernel, run, || runners_built(executor.tuned()));
+    first_gemm_runs_native(
+        "GemmService::submit",
+        &kernel,
+        run,
+        || runners_built(executor.tuned()),
+        reference,
+    );
 }

@@ -1,7 +1,7 @@
 //! Differential suite for the execution engines: the four tiers with an
 //! **ISA axis**, against the reference semantics. The ahead-of-time
-//! compiled native tier (a dlopen'd `.so` emitted from the superword
-//! lowering), the in-process SIMD chain (compiled per vector ISA — AVX-512,
+//! compiled native tier (the superword lowering's emitted C, compiled when
+//! the workspace builds and linked in), the in-process SIMD chain (compiled per vector ISA — AVX-512,
 //! AVX2/FMA, NEON, or the scalar reference), the portable tier (the
 //! scalar-ISA chain — what the `superword` pin runs), the scalar tape, the
 //! reference interpreter (`exo_ir::interp::run_proc` — no tier, called
@@ -12,9 +12,9 @@
 //! interpreter, 1 vs. N threads, row-block vs. column-block partition.
 //! `EXO_ISA=scalar` (the CI forced-scalar leg) and `EXO_ISA=avx2` pin the
 //! simd and native tiers process-wide; the assertions do not change.
-//! `EXO_CC=/nonexistent/cc` (the CI poisoned-toolchain leg) disables
-//! only the ahead-of-time tier; every test here must still pass, with
-//! the native legs collapsing onto the simd chain.
+//! `EXO_CC=/nonexistent/cc` at build time (the CI poisoned-toolchain leg)
+//! leaves the table of native bodies empty; every test here must still
+//! pass, with the native legs collapsing onto the simd chain.
 //!
 //! Every tier is reached the same way — `GeneratedKernel::dispatcher`
 //! resolving an `ExecBackend` pin on the one ladder — whether the test
@@ -56,7 +56,7 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
 /// of the AVX-512 serving space (the `avx512_f32` library's broadcast
 /// kernels), across several KC values including `k = 0` and `k = 1`:
 /// native ≡ simd ≡ portable ≡ tape ≡ interpreter bit for bit — the native
-/// tier with a toolchain because the emitted C performs the same per-lane
+/// tier with a body because the emitted C performs the same per-lane
 /// fused ops (16-lane ones on an AVX-512 host), without one because the
 /// fallback *is* the chain.
 #[test]
@@ -76,13 +76,13 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
         let sw = &kernel.superword;
         assert!(sw.vector_op_count() > 0, "{mr}x{nr} must pack whole-vector ops");
         assert_eq!(kernel.simd.isa(), active_isa(), "{mr}x{nr}: chain targets the active ISA");
-        // Settle the asynchronous native verdict before measuring, so the
-        // bit-faithfulness leg below actually exercises the compiled tier
-        // whenever a toolchain answers. A None verdict (no toolchain, or
-        // the engine declined) is fine — the fallback covers it below.
-        if let Some(native) = kernel.native_wait() {
-            assert!(native_available(), "{mr}x{nr}: a native kernel implies an answering toolchain");
-            assert_eq!(native.isa(), active_isa(), "{mr}x{nr}: native artifact targets the active ISA");
+        // Every tile here is admitted, so it has a body wherever the build
+        // compiled bodies for the active ISA; the native leg below runs it.
+        match kernel.native() {
+            Some(native) => {
+                assert_eq!(native.isa(), active_isa(), "{mr}x{nr}: the body targets the active ISA")
+            }
+            None => assert!(!native_available(), "{mr}x{nr}: the table has bodies, but not this one"),
         }
         for kc in [0usize, 1, 2, 17, 64] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
@@ -121,10 +121,6 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
     let problems = [(3usize, 5usize, 1usize), (5, 40, 9), (13, 7, 23), (50, 45, 16), (8, 12, 1)];
     for &(mr, nr) in &shapes {
         let kernel = Arc::new(generator.generate(mr, nr).unwrap());
-        // Settle the native tier up front so the default driver's runs
-        // exercise the compiled artifact deterministically (when a
-        // toolchain answers) instead of racing the background build.
-        let _ = kernel.native_wait();
         for &(m, n, k) in &problems {
             let a = Matrix::from_fn(m, k, |_, _| cases.f32_unit());
             let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
@@ -175,7 +171,7 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 /// constructor — run one-shot through `KernelImpl::run` and through a
 /// reusable `dispatcher()` handle lands on the tier the one resolution
 /// function names, and the tiers hold their contract: native ≡ simd ≡
-/// portable ≡ tape ≡ interp bit for bit (native without an artifact *is*
+/// portable ≡ tape ≡ interp bit for bit (native without a body *is*
 /// simd).
 #[test]
 fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
@@ -184,7 +180,7 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
     let mut cases = Cases::new(0xfa11);
     for (mr, nr) in KernelSet::paper_shapes() {
         let kernel = Arc::new(generator.generate(mr, nr).unwrap());
-        let has_native = kernel.native_wait().is_some();
+        let has_native = kernel.native().is_some();
         for kc in [0usize, 1, 23] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let results: Vec<Vec<f32>> = [
@@ -197,7 +193,7 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
             .map(|(pin, dedicated)| {
                 let label = format!("{mr}x{nr} kc={kc} pin={pin:?}");
                 assert_eq!(dedicated.backend, pin, "{label}");
-                // A pin resolves to itself — except native without an artifact.
+                // A pin resolves to itself — except native without a body.
                 let resolved = match pin {
                     Native if !has_native => Simd,
                     tier => tier,
@@ -394,8 +390,7 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
 /// loop as one fused closure on the chain: operand stage loads and the
 /// whole accumulator tile behind a single indirect call per iteration,
 /// whatever the tile's height is in vectors of the executing ISA. This is
-/// the tier a host without a C toolchain serves on, and every host until
-/// promotion. The chain compiler is host-independent up to the impl it is
+/// the tier a build without a C compiler serves on. The chain compiler is host-independent up to the impl it is
 /// monomorphised for, so every ISA this host can run compiles its own
 /// serving tiles and AVX-512's.
 #[test]
@@ -480,8 +475,7 @@ fn the_emitted_c_of_every_isa_is_byte_stable() {
 
 /// The AVX2 serving space, tile by tile: each tile emits the very C whose
 /// hash is recorded below (recorded when the x86 helpers replaced
-/// `<immintrin.h>`, which rebuilt every warm AVX2 artifact once), so an AVX2
-/// host's warm artifacts stay warm; and on AVX-512 a tile whose
+/// `<immintrin.h>`); and on AVX-512 a tile whose
 /// accumulators are 8 lanes wide emits the same function body — its 8-lane
 /// accumulators are never moved as halves of a 16-lane vector — while a
 /// wider accumulator is held in 16-lane vectors.
@@ -521,16 +515,72 @@ fn every_avx2_serving_tile_emits_the_c_it_did_and_the_same_body_on_avx512() {
     }
 }
 
+/// The build compiled a body for every tile this process can serve, and
+/// resolving one is a lookup and a probe, not a build. Under the default
+/// ISA, `EXO_ISA=avx2` and `EXO_ISA=scalar` (CI runs all three), every
+/// tile of the active ISA's serving space and Neon's 8x12, 12x8 and 4x24
+/// have their native kernel on the first `native()` call, built for the
+/// active ISA. A tile outside the admitted spaces — the scalar-strategy
+/// 3x5 — misses: `native()` answers `None`, the engine counts the miss, and
+/// its driver, asked for the native tier, runs the simd chain's bits. On a
+/// build that found no C compiler every tile misses the same way.
+#[test]
+fn every_serving_tile_resolves_native_on_the_first_call_and_an_odd_tile_misses() {
+    use exo_gemm::exo_aot::engine;
+    use exo_gemm::ukernel_gen::KernelOptions;
+    let isa = active_isa();
+    let space = DesignSpace::serving(isa);
+    let serving = MicroKernelGenerator::new(space.isa().clone());
+    let neon = MicroKernelGenerator::new(neon_f32());
+    let mut kernels: Vec<_> =
+        space.tile_shapes().iter().map(|t| serving.generate(t.mr, t.nr).unwrap()).collect();
+    kernels.extend([(8, 12), (12, 8), (4, 24)].map(|(mr, nr)| neon.generate(mr, nr).unwrap()));
+    for kernel in &kernels {
+        let label = format!("{} {}x{} on {isa}", kernel.isa_name, kernel.mr, kernel.nr);
+        match kernel.native() {
+            Some(native) => assert_eq!(native.isa(), isa, "{label}"),
+            None => assert!(!native_available(), "{label}: the table has {isa} bodies, but not this one"),
+        }
+    }
+
+    let odd =
+        neon.generate_with(&KernelOptions { strategy: Some(Strategy::Scalar), ..KernelOptions::new(3, 5) });
+    let odd = Arc::new(odd.unwrap());
+    let misses = engine().stats().misses;
+    assert!(odd.native().is_none(), "no admitted space holds the 3x5, so the table has no body for it");
+    assert!(engine().stats().misses > misses, "the miss is counted");
+    let mut cases = Cases::new(0x3c5);
+    let (m, n, k) = (7, 11, 13);
+    let a = Matrix::from_fn(m, k, |_, _| cases.f32_unit());
+    let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
+    let c0 = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
+    let blocking = BlockingParams { mc: 6, kc: 8, nc: 10, mr: 3, nr: 5 };
+    let run = |kimpl| {
+        let mut c = c0.clone();
+        let stats = BlisGemm::new(blocking)
+            .with_kernel(kimpl)
+            .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
+            .unwrap();
+        (c.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), stats.tier)
+    };
+    let (native_bits, tier) = run(exo_kernel(Arc::clone(&odd)));
+    assert_eq!(tier, Some(ExecBackend::Simd), "a miss serves on the simd chain");
+    assert_eq!(native_bits, run(exo_kernel_simd(Arc::clone(&odd))).0, "with the simd chain's bits");
+}
+
 /// A canary for the helpers the x86 preludes define in place of
 /// `<immintrin.h>`: the emitted C of every serving tile of both x86 rows
 /// (which includes `square`'s Neon 8x12), under both x86 rows, compiles on
-/// the host C compiler with `-Wall -Wextra -Werror` and the row's flags. It
-/// compiles only, so an AVX2-only host checks the AVX-512 row too; without
-/// a toolchain, or off x86_64, it skips and says why.
+/// the C compiler the build used with `-Wall -Wextra -Werror` and the
+/// row's flags. It compiles only, so an AVX2-only host checks the AVX-512
+/// row too; when that compiler does not answer here (a build without one,
+/// a run without it on `PATH`), or off x86_64, it skips and says why.
 #[test]
 fn every_x86_serving_tile_emits_c_that_compiles_without_a_warning() {
-    let Some(tc) = toolchain().filter(|_| cfg!(target_arch = "x86_64")) else {
-        eprintln!("skipped: no x86_64 C toolchain answers here, so no emitted C can be compiled");
+    let answers =
+        |cc: &str| std::process::Command::new(cc).arg("--version").output().is_ok_and(|o| o.status.success());
+    let Some(tc) = toolchain().filter(|tc| cfg!(target_arch = "x86_64") && answers(&tc.cc)) else {
+        eprintln!("skipped: no x86_64 C compiler answers here, so no emitted C can be compiled");
         return;
     };
     let x86 = [IsaKind::Avx512, IsaKind::Avx2];
@@ -720,14 +770,15 @@ fn the_active_isa_is_the_native_one_unless_pinned() {
     assert_eq!(kernel.simd.isa(), active);
 }
 
-/// The native-tier probe the CI toolchain legs assert against. With an
-/// answering C compiler (the ordinary runners), the registry kernel must
-/// actually compile, load, and target the active ISA — the tier being
-/// "available but silently declined" would hide a real regression. With
-/// none (`EXO_CC=/nonexistent/cc` on the poisoned leg, or a genuinely
-/// bare host), the tier must vanish without a single error surfacing:
-/// `native_available()` is false, no artifact exists, and the Native
-/// entry points still answer — running the simd chain, bit for bit.
+/// The native-tier probe the CI toolchain legs assert against. With a C
+/// compiler at build time (the ordinary runners — whether or not one is on
+/// `PATH` when the tests run), the registry kernel must have a body that
+/// resolves, loads and targets the active ISA — the tier being "available
+/// but silently declined" would hide a real regression. With none
+/// (`EXO_CC=/nonexistent/cc` for the build on the poisoned leg, or a
+/// genuinely bare build host), the tier must vanish without a single error
+/// surfacing: `native_available()` is false, no body exists, and the
+/// Native entry points still answer — running the simd chain, bit for bit.
 #[test]
 fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
     assert_eq!(ExecBackend::default(), ExecBackend::Native, "Native is the top of the default ladder");
@@ -737,19 +788,20 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
         Some(tc) => {
             assert!(native_available());
             assert!(!tc.cc.is_empty() && !tc.version.is_empty(), "the probe records cc and version");
-            let native = kernel.native_wait().unwrap_or_else(|| {
-                panic!("toolchain `{}` answered but the 8x12 kernel did not compile natively", tc.cc)
+            let native = kernel.native().unwrap_or_else(|| {
+                panic!("the build compiled with `{}` but holds no body for the 8x12 kernel", tc.cc)
             });
-            assert_eq!(native.isa(), active_isa(), "the artifact targets the active ISA");
+            assert_eq!(native.isa(), active_isa(), "the body targets the active ISA");
         }
         None => {
             assert!(!native_available());
-            assert!(kernel.native_wait().is_none(), "no toolchain, no artifact — and no error either");
+            assert!(kernel.native().is_none(), "no compiler at build time, no body — and no error either");
         }
     }
     // Both probe branches continue here: the packed entry point and the
     // full driver under an explicit `Native` pin answer identically to
-    // the simd chain, so a toolchain outage is invisible except in speed.
+    // the simd chain, so a build without a compiler is invisible except in
+    // speed.
     let mut cases = Cases::new(0xaa07);
     for kc in [0usize, 1, 7, 33] {
         let (a, b, c0) = packed_operands(8, 12, kc, &mut cases);
