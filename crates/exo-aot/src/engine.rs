@@ -221,6 +221,57 @@ pub fn engine() -> &'static AotEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_ir::builder::*;
+    use exo_ir::{Expr, MemSpace, ScalarType};
+
+    /// A 2x2 packed micro-kernel, `C[j][i] += Ac[k][i] * Bc[k][j]` over `k`.
+    fn kernel_2x2() -> Arc<SuperwordKernel> {
+        let update = reduce(
+            "C",
+            vec![Expr::add(Expr::mul(var("j"), int(2)), var("i"))],
+            Expr::mul(read("Ac", vec![var("k"), var("i")]), read("Bc", vec![var("k"), var("j")])),
+        );
+        let p = proc("ukr_2x2")
+            .size_arg("KC")
+            .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(2)], MemSpace::Dram)
+            .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(2)], MemSpace::Dram)
+            .tensor_arg("C", ScalarType::F32, vec![int(4)], MemSpace::Dram)
+            .body(vec![for_("k", 0, var("KC"), vec![for_("j", 0, 2, vec![for_("i", 0, 2, vec![update])])])])
+            .build();
+        Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap())
+    }
+
+    static WRONG_CALLS: AtomicU64 = AtomicU64::new(0);
+
+    /// Adds a constant to the tile's first element: wrong at every `KC`
+    /// that touches the tile (at `KC = 0` the kernel touches nothing, and
+    /// the probe passes no `C` to write).
+    unsafe extern "C" fn wrong(kc: i64, _ac: *const f32, _bc: *const f32, c: *mut f32) {
+        WRONG_CALLS.fetch_add(1, Ordering::SeqCst);
+        if kc > 0 {
+            // SAFETY: for `KC > 0` the proved-call site passes the 4-float tile.
+            unsafe { *c += 1234.5 };
+        }
+    }
+
+    #[test]
+    fn a_wrong_result_is_terminal_on_the_first_attempt() {
+        let sw = kernel_2x2();
+        let isa = IsaKind::Scalar;
+        let key = content_hash(emit_superword_c(&sw, isa, KERNEL_SYMBOL).unwrap().as_bytes());
+        let engine = AotEngine::with_bodies(vec![NativeBody { key, isa, body: wrong }]);
+        assert_eq!(engine.compile(&sw, isa).err(), Some(AotError::WrongResult));
+        let first = engine.stats();
+        assert_eq!((first.builds_failed, first.wrong_results, first.verified_promotions), (1, 1, 0));
+        let calls = WRONG_CALLS.load(Ordering::SeqCst);
+        assert_eq!(calls, PROBE_KCS.len() as u64, "the probe runs the body once per probe KC");
+        // The pin holds: no second probe, and the body never runs again.
+        for _ in 0..3 {
+            assert_eq!(engine.compile(&sw, isa).err(), Some(AotError::WrongResult));
+        }
+        assert_eq!(engine.stats(), first);
+        assert_eq!(WRONG_CALLS.load(Ordering::SeqCst), calls);
+    }
 
     #[test]
     fn disarming_resets_the_global_countdown() {

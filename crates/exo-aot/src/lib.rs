@@ -43,5 +43,6 @@ pub mod toolchain;
 pub use engine::{arm_wrong_result, content_hash, engine, AotEngine, AotStats};
 pub use error::{AotError, Result};
 pub use toolchain::{
-    install, native_available, parse_exo_cc, toolchain, NativeBody, NativeTable, Toolchain, KERNEL_SYMBOL,
+    compiler_diagnostics, install, native_available, parse_exo_cc, toolchain, NativeBody, NativeTable,
+    Toolchain, KERNEL_SYMBOL, MAX_DIAGNOSTICS,
 };

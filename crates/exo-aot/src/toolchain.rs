@@ -66,6 +66,24 @@ pub fn parse_exo_cc(value: &str) -> std::result::Result<String, String> {
     Ok(v.to_string())
 }
 
+/// The most bytes of a failing compile's diagnostics the `exo-kernels`
+/// build script reports.
+pub const MAX_DIAGNOSTICS: usize = 2000;
+
+/// A failing compiler's stderr as the `exo-kernels` build script reports
+/// it: decoded (bytes that are not UTF-8 become U+FFFD), without trailing
+/// white space, and cut to at most [`MAX_DIAGNOSTICS`] bytes on a character
+/// boundary.
+pub fn compiler_diagnostics(stderr: &[u8]) -> String {
+    let text = String::from_utf8_lossy(stderr);
+    let text = text.trim_end();
+    let mut end = text.len().min(MAX_DIAGNOSTICS);
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    text[..end].to_string()
+}
+
 /// Installs the process's table of native bodies. The first call wins;
 /// `exo-kernels` makes it at load time.
 pub fn install(table: &'static NativeTable) {
@@ -98,6 +116,33 @@ pub fn native_available() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fails the test if it is ever called.
+    unsafe extern "C" fn never_called(_: i64, _: *const f32, _: *const f32, _: *mut f32) {
+        panic!("a body of the test table was called");
+    }
+
+    #[test]
+    fn detection_is_consistent_with_availability() {
+        // Nothing in this test binary links `exo-kernels`, and this is the
+        // one test that installs a table: before it, no compiler is detected
+        // and nothing is available.
+        assert!(toolchain().is_none() && !native_available());
+        // A table's compiler is what `toolchain()` reports, and a body for
+        // the active ISA is what makes the tier available.
+        static BODIES: OnceLock<[NativeBody; 1]> = OnceLock::new();
+        static TABLE: OnceLock<NativeTable> = OnceLock::new();
+        let bodies = BODIES.get_or_init(|| [NativeBody { key: 0, isa: active_isa(), body: never_called }]);
+        install(
+            TABLE.get_or_init(|| NativeTable {
+                compiler: Some(("cc-under-test", "cc-under-test 1.0")),
+                bodies,
+            }),
+        );
+        let tc = toolchain().expect("the installed table's compiler");
+        assert_eq!((tc.cc.as_str(), tc.version.as_str()), ("cc-under-test", "cc-under-test 1.0"));
+        assert!(native_available());
+    }
 
     #[test]
     fn blank_exo_cc_is_a_parse_error_and_nonblank_is_trimmed() {

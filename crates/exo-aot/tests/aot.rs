@@ -272,21 +272,25 @@ fn a_right_body_promotes_once_and_every_later_resolve_shares_it() {
 }
 
 #[test]
-fn a_wrong_body_never_promotes_and_is_never_dispatched() {
+fn a_miscompiling_compiler_never_promotes() {
     let _serial = serial();
-    // Each body loads and runs; only the verification probe stands between
-    // it and dispatch.
+    // What a miscompiling compiler would have linked in, under the right
+    // key: garbage at every KC; right everywhere except the empty and the
+    // single-iteration KC loop, which a probe at one mid-sized KC alone
+    // would promote; the right loop unfused. Each body loads and runs; only
+    // the verification probe stands between it and dispatch.
     let wrong: [(&str, PackedKernelFn); 3] =
         [("garbage", garbage), ("tiny-kc", wrong_at_tiny_kc), ("unfused", unfused)];
     let sw = staged_superword(8, 4);
     for (calls, (tag, body)) in WRONG_CALLS.iter().zip(wrong) {
+        let before = calls.load(Ordering::SeqCst);
         let engine = engine_with(&sw, active_isa(), body);
         assert_eq!(engine.compile(&sw, active_isa()).err(), Some(AotError::WrongResult), "{tag}");
         let stats = engine.stats();
         assert_eq!((stats.wrong_results, stats.builds_failed), (1, 1), "{tag}");
         assert_eq!(stats.verified_promotions, 0, "{tag}");
         let probed = calls.load(Ordering::SeqCst);
-        assert_eq!(probed, 3, "{tag}: the probe runs the body once per probe KC");
+        assert_eq!(probed - before, 3, "{tag}: the probe runs the body once per probe KC");
 
         // The pin is terminal: no second probe, the same decline, and the
         // body is never called again.
@@ -315,6 +319,113 @@ fn a_key_outside_the_table_is_a_counted_miss() {
     let misses = exo_aot::engine().stats().misses;
     assert_eq!(exo_aot::engine().compile(&sw, active_isa()).err(), Some(AotError::NotInTable));
     assert_eq!(exo_aot::engine().stats().misses, misses + 1, "the installed table misses it too");
+}
+
+#[test]
+fn a_missing_toolchain_is_a_typed_decline() {
+    let _serial = serial();
+    // A build that finds no C compiler leaves an empty table: every request
+    // declines with a typed error, on every ISA the host runs, and no body
+    // is probed.
+    let sw = staged_superword(4, 4);
+    let bare = AotEngine::with_bodies(Vec::new());
+    let isas: Vec<IsaKind> = IsaKind::ALL.into_iter().filter(|isa| isa.available()).collect();
+    for &isa in &isas {
+        assert_eq!(bare.compile(&sw, isa).err(), Some(AotError::NotInTable), "{isa}");
+    }
+    let stats = bare.stats();
+    assert_eq!(stats.misses, isas.len() as u64, "one miss a key");
+    assert_eq!((stats.builds_failed, stats.verified_promotions), (0, 0));
+    // The installed table: with no bodies for this ISA, the table's 8x12
+    // declines the same way; with them, it promotes and matches the checked
+    // reference bitwise.
+    let sw = generated_8x12();
+    assert!(exo_aot::toolchain().is_some() || !exo_aot::native_available(), "bodies without a compiler");
+    match exo_aot::engine().compile(&sw, active_isa()) {
+        Ok(k) => {
+            assert!(exo_aot::native_available());
+            let (a, b, c0) = packed_inputs(8, 12, 13);
+            let (mut c_native, mut c_sw) = (c0.clone(), c0);
+            k.run_packed(13, &a, &b, &mut c_native).unwrap();
+            sw.run_checked(&[13], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
+                .unwrap();
+            assert_eq!(c_native, c_sw, "the table's body must match the checked reference bitwise");
+        }
+        Err(e) => {
+            assert!(!exo_aot::native_available());
+            assert_eq!(e, AotError::NotInTable);
+        }
+    }
+}
+
+#[test]
+fn a_second_engine_never_gets_the_first_ones_loaded_object_back() {
+    let _serial = serial();
+    // Engine A promotes its right body and keeps the kernel; engine B holds
+    // a wrong body under the same key. Verdicts belong to their engine: had
+    // B shared A's, it would hand back A's kernel without probing its own
+    // body, and promote.
+    let sw = staged_superword(8, 4);
+    let isa = active_isa();
+    let a = engine_with(&sw, isa, fused);
+    let native_a = a.compile(&sw, isa).expect("A's right body promotes");
+    let b = engine_with(&sw, isa, unfused);
+    assert_eq!(b.compile(&sw, isa).err(), Some(AotError::WrongResult), "B must probe its own body");
+    assert_eq!(b.stats().verified_promotions, 0);
+
+    // A's kernel is untouched, and A still answers with it.
+    assert!(Arc::ptr_eq(&native_a, &a.compile(&sw, isa).unwrap()));
+    let (ac, bc, c0) = packed_inputs(8, 4, 17);
+    let (mut c_native, mut c_simd) = (c0.clone(), c0);
+    native_a.run_packed(17, &ac, &bc, &mut c_native).unwrap();
+    SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap().run_packed(17, &ac, &bc, &mut c_simd).unwrap();
+    assert_eq!(c_native, c_simd);
+}
+
+#[test]
+fn a_persistently_failing_key_stops_at_the_attempt_cap() {
+    let _serial = serial();
+    // Nothing a verdict rests on changes while the process runs, so the cap
+    // is one attempt: whatever made a key fail — a miss, a wrong body, the
+    // probe fault — asking again returns that verdict and counts nothing.
+    let sw = staged_superword(8, 4);
+    let isa = active_isa();
+    let failing = [
+        ("miss", AotEngine::with_bodies(Vec::new()), 0),
+        ("wrong body", engine_with(&sw, isa, unfused), 0),
+        ("probe fault", engine_with(&sw, isa, fused), 1),
+    ];
+    for (tag, engine, arm) in failing {
+        exo_aot::arm_wrong_result(arm);
+        let first = engine.compile(&sw, isa).err();
+        exo_aot::arm_wrong_result(0);
+        let first = first.unwrap_or_else(|| panic!("{tag}: the first attempt must fail"));
+        let stats = engine.stats();
+        assert_eq!(stats.misses + stats.builds_failed, 1, "{tag}: one attempt");
+        for _ in 0..5 {
+            assert_eq!(engine.compile(&sw, isa).err(), Some(first.clone()), "{tag}");
+        }
+        assert_eq!(engine.stats(), stats, "{tag}: a failed key must not be attempted again");
+    }
+}
+
+#[test]
+fn a_failing_compilers_long_stderr_is_cut_on_a_char_boundary() {
+    // The build script reports a failing compile's stderr as a warning, cut
+    // to `MAX_DIAGNOSTICS` bytes. One ASCII byte, then 1000 three-byte `‘`:
+    // byte 2000 falls inside a character.
+    let mut stderr = b"x".to_vec();
+    for _ in 0..1000 {
+        stderr.extend_from_slice("\u{2018}".as_bytes());
+    }
+    let cut = exo_aot::compiler_diagnostics(&stderr);
+    assert_eq!(exo_aot::MAX_DIAGNOSTICS, 2000);
+    assert_eq!(cut.len(), 1999, "cut to the last whole character before byte 2000");
+    assert!(cut.starts_with('x') && cut[1..].chars().all(|c| c == '\u{2018}'), "{cut}");
+    // Short diagnostics pass whole, less the trailing newline; bytes that
+    // are not UTF-8 do not panic.
+    assert_eq!(exo_aot::compiler_diagnostics(b"k.c:1: error: boom\n"), "k.c:1: error: boom");
+    assert_eq!(exo_aot::compiler_diagnostics(b"\xff\xfe"), "\u{fffd}\u{fffd}");
 }
 
 #[test]

@@ -5,12 +5,15 @@
 use std::env;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use exo_aot::{content_hash, parse_exo_cc, KERNEL_SYMBOL};
+use exo_aot::{compiler_diagnostics, content_hash, parse_exo_cc, KERNEL_SYMBOL};
 use exo_codegen::{emit_superword_c, IsaKind};
 use ukernel_gen::MicroKernelGenerator;
+
+#[path = "build/toolchain.rs"]
+mod toolchain;
 
 /// One translation unit: a tile's C for one ISA row.
 struct Unit {
@@ -30,6 +33,7 @@ impl Unit {
 
 fn main() {
     println!("cargo:rerun-if-changed=build.rs");
+    println!("cargo:rerun-if-changed=build/toolchain.rs");
     println!("cargo:rerun-if-env-changed=EXO_CC");
     println!("cargo:rerun-if-env-changed=EXO_AR");
     let out = PathBuf::from(env::var_os("OUT_DIR").expect("cargo sets OUT_DIR"));
@@ -61,13 +65,7 @@ fn compiler() -> Option<(String, String)> {
         }
         _ => ["cc", "gcc", "clang"].map(String::from).to_vec(),
     };
-    let found = candidates.into_iter().find_map(|cc| {
-        let out = Command::new(&cc).arg("--version").stderr(Stdio::null()).output().ok()?;
-        let text = String::from_utf8_lossy(&out.stdout);
-        let line = text.lines().next().unwrap_or("").trim();
-        let version = if line.is_empty() { format!("{cc} (unversioned)") } else { line.to_string() };
-        out.status.success().then_some((cc, version))
-    });
+    let found = candidates.iter().find_map(|cc| toolchain::probe_command(cc));
     if found.is_none() {
         println!("cargo:warning=no C compiler answered: no native kernels are compiled");
     }
@@ -117,7 +115,12 @@ fn compile(cc: &str, mut units: Vec<Unit>, out: &Path) -> Vec<Unit> {
                         let Some(unit) = units.get(i) else { return ok };
                         match compile_one(cc, unit, out) {
                             Ok(()) => ok.push(i),
-                            Err(e) => println!("cargo:warning=`{cc}` failed on the {}: {e}", unit.label),
+                            // One `println!`, so no other thread's lines interleave.
+                            Err(e) => println!(
+                                "cargo:warning=`{cc}` failed on the {}:\ncargo:warning={}",
+                                unit.label,
+                                e.replace('\n', "\ncargo:warning=")
+                            ),
                         }
                     }
                 })
@@ -148,7 +151,8 @@ fn compile_one(cc: &str, unit: &Unit, out: &Path) -> Result<(), String> {
     if output.status.success() {
         Ok(())
     } else {
-        Err(String::from_utf8_lossy(&output.stderr).lines().next().unwrap_or("no diagnostics").to_string())
+        let diagnostics = compiler_diagnostics(&output.stderr);
+        Err(if diagnostics.is_empty() { format!("no diagnostics ({})", output.status) } else { diagnostics })
     }
 }
 

@@ -31,6 +31,10 @@ use exo_aot::{NativeBody, NativeTable};
 
 include!(concat!(env!("OUT_DIR"), "/table.rs"));
 
+#[cfg(test)]
+#[path = "../build/toolchain.rs"]
+mod toolchain;
+
 /// The bodies this build compiled and the compiler that compiled them —
 /// what linking the crate installs.
 pub static TABLE: NativeTable = NativeTable { compiler: COMPILER, bodies: &BODIES };

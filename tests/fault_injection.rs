@@ -1287,6 +1287,45 @@ fn simd_refs(
         .collect()
 }
 
+/// A compile that fails when the workspace builds leaves its unit out of
+/// the table (the build warns with the compiler's diagnostics), so at run
+/// time the kernel is a table miss — the same miss as every tile no
+/// admitted space holds, such as this scalar-strategy 3x5, which no build
+/// compiles. Met mid-serve, through a driver asked for the native tier, the
+/// miss must degrade *silently*, one tier down and pre-dispatch: every job
+/// completes, none is stamped `degraded`, the results are bit-identical to
+/// a pinned-simd run, and the miss is counted. It is not a lost promotion —
+/// there was no body to lose — so health stays `Healthy`.
+#[test]
+fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
+    let _guard = serial();
+    fault::disarm();
+    let options = exo_gemm::ukernel_gen::KernelOptions {
+        strategy: Some(exo_gemm::ukernel_gen::Strategy::Scalar),
+        ..exo_gemm::ukernel_gen::KernelOptions::new(3, 5)
+    };
+    let kernel = Arc::new(
+        exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f32())
+            .generate_with(&options)
+            .expect("the scalar-strategy 3x5 generates"),
+    );
+    let blocking = BlockingParams::carmel_defaults(3, 5);
+    let shapes = [(24usize, 20usize, 16usize), (16, 16, 16), (33, 9, 21)];
+    let refs = simd_refs(&kernel, blocking, &shapes);
+
+    let misses = exo_gemm::exo_aot::engine().stats().misses;
+    let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
+    let service = run_clean_batch(native_driver, &shapes, &refs, "table miss");
+    assert!(kernel.native().is_none(), "the table holds no body for the 3x5");
+    assert!(exo_gemm::exo_aot::engine().stats().misses > misses, "the miss is counted");
+    let stats = service.stats();
+    assert_eq!(stats.jobs_completed, shapes.len() as u64);
+    assert_eq!(stats.jobs_failed, 0);
+    assert_eq!(stats.retries, 0, "the fallback happens before dispatch, not via the retry path");
+    assert_eq!(stats.aot_builds_failed, 0, "{stats}");
+    assert_eq!(service.health(), ServiceHealth::Healthy, "a miss is no lost promotion");
+}
+
 /// Health is decided in one place: a promotion that fails after the
 /// service's last pass (here, before its first) reads `Degraded` from
 /// `health()` asked first, with no `stats()` call to fold the failure in

@@ -1,4 +1,4 @@
-//! The native tier is there from the first GEMM. A kernel's body is
+//! Promotion reaches every executor, from its first GEMM on. A kernel's body is
 //! compiled when the workspace builds, so resolving it is a table lookup
 //! and a probe, settled when the first GEMM builds its runner: that GEMM
 //! already runs native, through every door a problem can come through —
@@ -79,7 +79,7 @@ fn reference_bits((a, b, c0): &(OwnedMat, OwnedMat, OwnedMat)) -> Vec<u32> {
 }
 
 #[test]
-fn the_first_gemm_through_every_door_runs_native() {
+fn promotion_reaches_every_executor_that_outlives_it() {
     let probe = TunedGemm::new();
     let kernel_for =
         |tuned: &TunedGemm, (m, n, k)| tuned.tuner().kernel_for(&tuned.plan(m, n, k).unwrap()).unwrap();
