@@ -278,7 +278,7 @@ mod tests {
             assert!((x - y).abs() < 1e-3, "{} at {idx}: {x} vs {y}", l.name);
         }
         // And through the blocked driver — its default, the generated 8x12
-        // on the portable tier — which must agree too.
+        // on the native pin — which must agree too.
         let blocking = gemm_blis::BlockingParams { mc: 16, kc: 8, nc: 24, mr: 8, nr: 12 };
         let driver = gemm_blis::BlisGemm::new(blocking);
         let mut out_blis = vec![f32::NAN; shape.m * shape.n];

@@ -9,7 +9,7 @@ use std::fmt;
 /// Why a kernel has no native body in this process.
 ///
 /// Every variant is a *decline*, not a fault: callers fall back to the
-/// simd tier (which itself falls back to the checked portable tiers), so
+/// simd tier (whose declined proofs land on the checked tape), so
 /// the user-visible contract is "native when possible, bit-faithful
 /// fallback otherwise".
 #[derive(Debug, Clone, PartialEq)]

@@ -8,8 +8,8 @@
 //!    validated superword tape to a self-contained C translation unit with
 //!    the packed `(KC, Ac, Bc, C)` kernel ABI: on AVX-512 and AVX2 through
 //!    vector helpers the unit defines itself over gcc's FMA builtins, on
-//!    NEON through `<arm_neon.h>`'s intrinsics, plain C for the portable
-//!    floor.
+//!    NEON through `<arm_neon.h>`'s intrinsics, plain C for the scalar
+//!    row.
 //! 2. **Build** — the `exo-kernels` crate's build script emits the C of
 //!    every tile the generator admits for every ISA row its target can
 //!    run, compiles each with the host C compiler (`EXO_CC`, else `cc`,

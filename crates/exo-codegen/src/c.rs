@@ -459,7 +459,7 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// ```
 ///
 /// Vector ops lower to the names `isa`'s row spells its vector shapes with,
-/// or to plain scalar C where it has none (the portable floor). On x86
+/// or to plain scalar C where it has none (the scalar row). On x86
 /// (AVX-512, AVX2/FMA) those are helpers the row's prelude defines the way
 /// gcc's headers define the intrinsics, so the unit includes nothing but
 /// `<stdint.h>` and `<math.h>` and builds ~6× faster than it did with

@@ -24,9 +24,10 @@
 //!   itself and keeps the tape it was packed from for everything checked,
 //! * [`simd`] — the in-process executors of that IR: the validated
 //!   superword ops compiled once per kernel into a chain of monomorphic
-//!   closures per vector ISA — AVX2/FMA on x86_64, NEON on aarch64, and a
-//!   scalar chain everywhere, which is the *portable* tier (pin
-//!   one with `EXO_ISA`). The fastest tier that needs no C toolchain: the
+//!   closures per vector ISA — AVX-512 and AVX2/FMA on x86_64, NEON on
+//!   aarch64, and a scalar chain everywhere, which is the simd tier of a
+//!   host with no vector ISA (pin one with `EXO_ISA`). The fastest tier
+//!   that needs no C toolchain: the
 //!   GEMM hot path serves on it until the ahead-of-time compiled body of
 //!   the `exo-aot` tier ([`c::emit_superword_c`], ~3× faster) promotes,
 //!   and that body then runs behind the same proved-call site.

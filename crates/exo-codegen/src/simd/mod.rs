@@ -42,8 +42,8 @@
 //! * `scalar` — the one-lane reference, available everywhere: the trait's
 //!   provided bodies, each lane one `mul_add` (on x86_64 behind an `fma`
 //!   call boundary where the CPU has FMA, in software where it has none).
-//!   The chain compiled for it is the *portable* tier (what a `Superword`
-//!   pin runs).
+//!   The chain compiled for it is the simd tier of a host with no vector
+//!   ISA (or of `EXO_ISA=scalar`).
 //!
 //! [`active_isa`] picks the widest available implementation at process
 //! start ([`IsaKind::Avx512`] → [`IsaKind::Avx2`] → [`IsaKind::Neon`] →
@@ -378,8 +378,7 @@ pub enum IsaKind {
     /// aarch64 NEON: 4-lane `float32x4_t` chains (8-lane superword runs
     /// re-roll into pairs).
     Neon,
-    /// The portable 1-lane reference implementation, available on every
-    /// host.
+    /// The 1-lane reference implementation, available on every host.
     Scalar,
 }
 
@@ -592,7 +591,7 @@ struct ExecScratch {
 ///
 /// Obtained from [`SimdKernel::compile`] (a closure chain for the host's
 /// [`active_isa`]), [`SimdKernel::compile_for`] (a chain for an explicit
-/// ISA — [`IsaKind::Scalar`] is the *portable* tier) or
+/// ISA, as the differential suites do) or
 /// [`SimdKernel::from_compiled`] (ahead-of-time compiled C: the native
 /// tier). Every body computes the bits of the tape and of the reference
 /// interpreter, on every ISA, run and thread count. Every run goes through
@@ -632,8 +631,8 @@ impl SimdKernel {
 
     /// Compiles a superword kernel into the closure chain of an explicit
     /// ISA — how the differential suites compare implementations inside
-    /// one process, independent of the `EXO_ISA` pin, and how the portable
-    /// tier is built (`IsaKind::Scalar`).
+    /// one process, independent of the `EXO_ISA` pin (the scalar chain is
+    /// held to the interpreter's bits this way on every host).
     ///
     /// Returns `None` when the host cannot run `isa`
     /// ([`IsaKind::available`]) or the chain compiler declines the tape.

@@ -2,7 +2,8 @@
 //!
 //! One lane, one `mul_add` per multiply-add — the fused, single-rounding
 //! arithmetic of the tape and the reference interpreter, which every ISA
-//! shares, so the chain compiled for [`ScalarIsa`] is the portable tier.
+//! shares, so the chain compiled for [`ScalarIsa`] computes every tier's
+//! bits.
 //! On x86_64 a CPU with FMA runs each register run under one
 //! `#[target_feature(enable = "fma")]` call (a `vfmadd` per lane); one
 //! without it computes `mul_add` in software, the same bits slower. On
@@ -17,7 +18,7 @@
 use super::mover::{Move2d, Walk};
 use super::{IsaKind, VectorIsa};
 
-/// The portable one-lane reference implementation, available everywhere.
+/// The one-lane reference implementation, available everywhere.
 pub(crate) struct ScalarIsa;
 
 impl VectorIsa for ScalarIsa {

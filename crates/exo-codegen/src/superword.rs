@@ -21,7 +21,7 @@
 //!
 //! A [`SuperwordKernel`] is the IR every faster tier consumes — the
 //! closure chains of [`crate::simd`] (one per vector ISA, the scalar one
-//! being the *portable* tier) and the C of
+//! included) and the C of
 //! [`crate::emit_superword_c`] — and it **executes nothing unchecked
 //! itself**: every line of this module is checked Rust. What it owns is
 //! the two-part proof those executors run under; the reference they fall
@@ -684,10 +684,10 @@ mod tests {
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
 
-    /// The portable tier: the scalar-ISA chain compiled from a superword
-    /// kernel — the executor a `Superword` pin resolves to, held to
-    /// bit equality with the scalar tape throughout this module.
-    fn portable(sw: &Arc<SuperwordKernel>) -> Arc<SimdKernel> {
+    /// The scalar-ISA chain compiled from a superword kernel, on every
+    /// host — held to bit equality with the scalar tape throughout this
+    /// module.
+    fn scalar_chain(sw: &Arc<SuperwordKernel>) -> Arc<SimdKernel> {
         Arc::new(SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar).expect("the scalar chain compiles"))
     }
 
@@ -788,8 +788,8 @@ mod tests {
         let mut c_tape = c0.clone();
         tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
         let mut c_sw = c0.clone();
-        portable(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
-        assert_eq!(c_tape, c_sw, "the portable chain must be bit-for-bit equal to the scalar tape");
+        scalar_chain(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        assert_eq!(c_tape, c_sw, "the scalar chain must be bit-for-bit equal to the scalar tape");
         // A call the proof declines (Ac two rows short): the chain reports
         // the tape's own error and leaves C as the tape leaves it.
         let short = &a[..(kc - 2) * mr];
@@ -797,7 +797,7 @@ mod tests {
         let want = tape.run_packed(kc, short, &b, &mut c_tape).unwrap_err();
         assert_eq!(want, CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 216, len: 216 });
         let mut c_sw = c0.clone();
-        assert_eq!(portable(&sw).run_packed(kc, short, &b, &mut c_sw), Err(want));
+        assert_eq!(scalar_chain(&sw).run_packed(kc, short, &b, &mut c_sw), Err(want));
         assert_eq!(c_tape, c_sw, "C is staged in registers: a faulting call stores nothing");
         assert_eq!(c_sw, c0);
     }
@@ -818,7 +818,7 @@ mod tests {
         let mut c_tape = c0.clone();
         tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
         let mut c_sw = c0.clone();
-        portable(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        scalar_chain(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
         assert_eq!(c_tape, c_sw);
     }
 
@@ -879,7 +879,7 @@ mod tests {
         let mut c = vec![1.0f32; 32];
         let before = c.clone();
         assert!(sw.packed_bounds_provable(0, 0, 0, 32));
-        portable(&sw).run_packed(0, &[], &[], &mut c).unwrap();
+        scalar_chain(&sw).run_packed(0, &[], &[], &mut c).unwrap();
         assert_eq!(c, before, "kc = 0 stages C through registers and writes it back unchanged");
     }
 
@@ -903,7 +903,7 @@ mod tests {
         let mut x_tape = x.clone();
         let want = sw.tape().run_views(&[7], &mut [TensorView::Rw(&mut x_tape)]);
         assert_eq!(want, Err(CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 2, len: 2 }));
-        assert_eq!(portable(&sw).run_views(&[7], &mut [TensorView::Rw(&mut x)]), want);
+        assert_eq!(scalar_chain(&sw).run_views(&[7], &mut [TensorView::Rw(&mut x)]), want);
         // The first two stores landed before the error, like the tape's.
         assert_eq!(x, vec![1.0, 1.0]);
         assert_eq!(x, x_tape);
@@ -920,7 +920,7 @@ mod tests {
         let mut out_tape = vec![0.0f32, 3.0];
         tape.run_views(&[], &mut [TensorView::Rw(&mut out_tape)]).unwrap();
         let mut out_sw = vec![0.0f32, 3.0];
-        portable(&sw).run_views(&[], &mut [TensorView::Rw(&mut out_sw)]).unwrap();
+        scalar_chain(&sw).run_views(&[], &mut [TensorView::Rw(&mut out_sw)]).unwrap();
         assert_eq!(out_tape, out_sw);
     }
 
@@ -931,10 +931,10 @@ mod tests {
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 4];
         let c = vec![0.0f32; 32];
-        let err =
-            portable(&sw).run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        let err = scalar_chain(&sw)
+            .run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
-        let too_few = portable(&sw).run_views(&[1], &mut [TensorView::Ro(&a)]);
+        let too_few = scalar_chain(&sw).run_views(&[1], &mut [TensorView::Ro(&a)]);
         assert!(matches!(too_few, Err(CodegenError::BadArguments { .. })));
         // A kernel without the packed (KC, Ac, Bc, C) signature is turned
         // away by the views' validation, with one error on every packed
@@ -943,7 +943,7 @@ mod tests {
         let mut c = vec![0.0f32; 2];
         let want = one_tensor.tape().run_packed(1, &a, &b, &mut c).unwrap_err();
         assert!(matches!(want, CodegenError::BadArguments { .. }), "{want:?}");
-        let chain = portable(&one_tensor);
+        let chain = scalar_chain(&one_tensor);
         assert_eq!(chain.run_packed(1, &a, &b, &mut c), Err(want.clone()));
         assert_eq!(chain.dispatcher().run_packed(1, &a, &b, &mut c), Err(want));
         assert_eq!(c, [0.0; 2], "nothing ran");
@@ -952,7 +952,7 @@ mod tests {
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
         let (_, sw) = staged_kernels();
-        let chain = portable(&sw);
+        let chain = scalar_chain(&sw);
         let mut dispatch = chain.dispatcher();
         let (mr, nr) = (8usize, 4usize);
         // Sweep the per-GEMM dispatch pattern: many tiles, two distinct KC
@@ -975,7 +975,7 @@ mod tests {
 
     #[test]
     fn dispatch_handle_reports_checked_path_errors_like_the_one_shot_run() {
-        let chain = portable(&oob_kernel());
+        let chain = scalar_chain(&oob_kernel());
         let mut dispatch = chain.dispatcher();
         let mut x = vec![0.0f32; 2];
         let mut x_one_shot = x.clone();
@@ -1032,7 +1032,7 @@ mod tests {
         tape.run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_tape)])
             .unwrap();
         let mut y_sw = vec![0.0f32; 4];
-        portable(&sw)
+        scalar_chain(&sw)
             .run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_sw)])
             .unwrap();
         assert_eq!(y_tape, y_sw);

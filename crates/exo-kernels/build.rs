@@ -72,17 +72,19 @@ fn compiler() -> Option<(String, String)> {
     found
 }
 
-/// The C of every tile `neon_f32` and `avx512_f32` admit, on every row
-/// the emitter lowers it for, one unit per distinct `(key, row)`.
+/// The C of every tile `neon_f32` admits, on every row the emitter lowers
+/// it for, and of every tile `avx512_f32` admits on the avx512 row only —
+/// the one ISA whose serving space holds that library — one unit per
+/// distinct `(key, row)`.
 fn units(rows: &[IsaKind]) -> Vec<Unit> {
     let mut units: Vec<Unit> = Vec::new();
-    for library in [exo_isa::neon_f32(), exo_isa::avx512_f32()] {
+    for (library, only_on) in [(exo_isa::neon_f32(), None), (exo_isa::avx512_f32(), Some(IsaKind::Avx512))] {
         let generator = MicroKernelGenerator::new(library);
         for tile in generator.admitted_tiles() {
             let kernel = generator
                 .generate(tile.mr, tile.nr)
                 .unwrap_or_else(|e| panic!("the admitted {}x{} tile generates: {e}", tile.mr, tile.nr));
-            for &isa in rows {
+            for &isa in rows.iter().filter(|&&isa| only_on.is_none_or(|only| only == isa)) {
                 let Ok(c_source) = emit_superword_c(&kernel.superword, isa, KERNEL_SYMBOL) else {
                     continue;
                 };

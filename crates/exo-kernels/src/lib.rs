@@ -9,9 +9,11 @@
 //! `neon_f32` and `avx512_f32` descriptions, emits each one's C with
 //! [`exo_codegen::emit_superword_c`] for every ISA row the target can run —
 //! AVX-512, AVX2 and the scalar floor on x86_64, NEON and the scalar floor
-//! on aarch64, the scalar floor elsewhere — and compiles each with the C
-//! compiler (`EXO_CC`, else the first of `cc`, `gcc`, `clang` that answers
-//! `--version`) and that row's flags, `-O3 -fPIC -ffp-contract=off` plus
+//! on aarch64, the scalar floor elsewhere; the `avx512_f32` tiles on the
+//! AVX-512 row only, the one ISA whose serving space holds them — and
+//! compiles each with the C compiler (`EXO_CC`, else the first of `cc`,
+//! `gcc`, `clang` that answers `--version`) and that row's flags,
+//! `-O3 -fPIC -ffp-contract=off` plus
 //! [`exo_codegen::IsaKind::cc_flags`]. A `-D` renames each body's symbol, so
 //! the hashed text is byte for byte the text the run time emits. The
 //! objects go into one static archive (`EXO_AR`, else `ar`), and the

@@ -307,8 +307,8 @@ impl std::fmt::Debug for BlisGemm {
 
 impl BlisGemm {
     /// Creates a driver with the given blocking (single thread, and the
-    /// generated `neon_f32` 8x12 on the portable tier as the executor
-    /// default — override with [`BlisGemm::with_kernel`]).
+    /// generated `neon_f32` 8x12 on the default native pin as the
+    /// executor default — override with [`BlisGemm::with_kernel`]).
     pub fn new(blocking: BlockingParams) -> Self {
         BlisGemm { blocking, threads: 1, kernel: default_kernel(), warm: WarmRunners::default() }
     }
@@ -1097,11 +1097,14 @@ mod tests {
 
     #[test]
     fn the_default_kernel_is_the_generated_8x12_with_the_plain_loops_bits() {
-        // The default is the generated 8x12 on the portable tier: the bits
+        // The default is the generated 8x12 on the native pin (the simd
+        // chain where the build left no body for it): the bits
         // of `NaiveGemm`'s plain loops, one fused multiply-add per `k` over
         // `alpha * a`, started from `beta * c` (from zero when `beta == 0`,
         // which never reads `C`). Off-grid inputs, so every rounding shows.
         let driver = BlisGemm::new(BlockingParams { mc: 24, kc: 16, nc: 36, mr: 8, nr: 12 });
+        let tier =
+            if driver.kernel.generated.native().is_some() { ExecBackend::Native } else { ExecBackend::Simd };
         let alpha = -1.3f32;
         for (m, n, k) in [(8usize, 12usize, 16usize), (13, 29, 37), (50, 45, 23), (1, 7, 40)] {
             let a = Matrix::from_fn(m, k, |i, p| ((i * 7 + p * 3 + 1) % 13) as f32 * 0.3 - 1.7);
@@ -1116,10 +1119,7 @@ mod tests {
                 };
                 run(&NaiveGemm, &mut want);
                 let stats = run(&driver, &mut c);
-                assert_eq!(
-                    (&*stats.kernel, stats.tier),
-                    ("EXO 8x12 (superword)", Some(ExecBackend::Superword))
-                );
+                assert_eq!((&*stats.kernel, stats.tier), ("EXO 8x12", Some(tier)));
                 let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&c), bits(&want), "{m}x{n}x{k}, beta {beta}, column-major {col_major}");
             }
@@ -1720,9 +1720,12 @@ mod tests {
         assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
         assert_eq!(run(&driver).0, cold, "a warm runner carries no numeric state");
         assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));
-        // The default kernel runs on the portable tier, and an error that
-        // is returned, not unwound, costs the driver no runner.
-        assert_eq!(run(&BlisGemm::new(blocking)).1.tier, Some(ExecBackend::Superword));
+        // The default kernel runs on the native pin, and an error that is
+        // returned, not unwound, costs the driver no runner.
+        let default = BlisGemm::new(blocking);
+        let tier =
+            if default.kernel.generated.native().is_some() { ExecBackend::Native } else { ExecBackend::Simd };
+        assert_eq!(run(&default).1.tier, Some(tier));
         let mut c = Matrix::zeros(3, 3);
         assert!(driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).is_err());
         assert_eq!((driver.idle_runners(), driver.runners_built()), (1, 1));

@@ -43,7 +43,7 @@ use crate::GemmError;
 /// the tier it is asked to run on.
 #[derive(Debug, Clone)]
 pub struct KernelImpl {
-    /// Display name (`"EXO 8x12"`, `"EXO 8x12 (superword)"`, ...): the tile
+    /// Display name (`"EXO 8x12"`, `"EXO 8x12 (simd)"`, ...): the tile
     /// and the pin, shared with the [`crate::GemmStats::kernel`] of every
     /// GEMM it runs.
     pub name: Arc<str>,
@@ -230,7 +230,6 @@ fn exo_name(mr: usize, nr: usize, backend: ExecBackend) -> Arc<str> {
     let pin = match backend {
         ExecBackend::Native => "",
         ExecBackend::Simd => " (simd)",
-        ExecBackend::Superword => " (superword)",
         ExecBackend::Tape => " (tape)",
     };
     format!("EXO {mr}x{nr}{pin}").into()
@@ -245,34 +244,25 @@ pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     exo_kernel(kernel).with_backend(ExecBackend::Simd)
 }
 
-/// Like [`exo_kernel`] but pinned to the portable tier — the superword
-/// lowering executed by the scalar-ISA chain, bit-for-bit identical to
-/// every other tier on every host. The pin lets the benches time the
-/// vector chains against the scalar one, and is what the serving layer's
-/// retry degrades simd onto.
-pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    exo_kernel(kernel).with_backend(ExecBackend::Superword)
-}
-
 /// Like [`exo_kernel`] but pinned to the scalar tape — the checked floor of
-/// the ladder, where every declined proof lands and below which a failed
-/// retry does not go; also the scalar baseline the SLP speedup is measured
-/// against.
+/// the ladder, where every declined proof lands, what the serving layer's
+/// retry degrades simd onto and below which a failed retry does not go;
+/// also the scalar baseline the SLP speedup is measured against.
 pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     exo_kernel(kernel).with_backend(ExecBackend::Tape)
 }
 
 /// The kernel a [`crate::BlisGemm`] runs until it is given another: the
-/// generated `neon_f32` 8x12 — the paper's monolithic tile — pinned to the
-/// portable tier, which computes the same bits on every host. Generated
-/// once per process.
+/// generated `neon_f32` 8x12 — the paper's monolithic tile — on the
+/// default native pin, which serves on the simd chain where the build left
+/// no body for it. Generated once per process.
 pub(crate) fn default_kernel() -> KernelImpl {
     static KERNEL: OnceLock<Arc<GeneratedKernel>> = OnceLock::new();
     let kernel = KERNEL.get_or_init(|| {
         let generator = MicroKernelGenerator::new(exo_isa::neon_f32());
         Arc::new(generator.generate(8, 12).expect("the 8x12 kernel generates"))
     });
-    exo_kernel_superword(Arc::clone(kernel))
+    exo_kernel(Arc::clone(kernel))
 }
 
 #[cfg(test)]
@@ -320,7 +310,7 @@ mod tests {
         let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
         for (backend, name) in [
             (ExecBackend::Native, "EXO 8x12"),
-            (ExecBackend::Superword, "EXO 8x12 (superword)"),
+            (ExecBackend::Simd, "EXO 8x12 (simd)"),
             (ExecBackend::Tape, "EXO 8x12 (tape)"),
         ] {
             let imp = exo.clone().with_backend(backend);
@@ -365,7 +355,7 @@ mod tests {
     fn pinned_backends_agree_with_the_reference_bit_for_bit() {
         // Every pin computes the reference interpreter's bits: the native
         // default (its artifact, or the silent fallback to the chain), the
-        // simd chain, the portable chain and the tape.
+        // simd chain and the tape.
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 12).unwrap());
         let kc = 37usize;
@@ -382,18 +372,13 @@ mod tests {
         for imp in [
             exo_kernel(Arc::clone(&kernel)),
             exo_kernel_simd(Arc::clone(&kernel)),
-            exo_kernel_superword(Arc::clone(&kernel)),
             exo_kernel_tape(Arc::clone(&kernel)),
         ] {
             assert_eq!(run(&imp), c_interp, "{} vs the interpreter", imp.name);
         }
         // The dispatch handle of each pin matches its one-shot run
         // bit-for-bit (same tier, same op order).
-        for imp in [
-            exo_kernel(Arc::clone(&kernel)),
-            exo_kernel_simd(Arc::clone(&kernel)),
-            exo_kernel_superword(Arc::clone(&kernel)),
-        ] {
+        for imp in [exo_kernel(Arc::clone(&kernel)), exo_kernel_simd(Arc::clone(&kernel))] {
             let mut c = c0.clone();
             imp.dispatcher().run(kc, &a, &b, &mut c).unwrap();
             assert_eq!(c, run(&imp), "{}: dispatch handle vs one-shot", imp.name);
@@ -404,22 +389,21 @@ mod tests {
     fn with_backend_pins_a_tier_programmatically() {
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 8).unwrap());
-        let pinned = exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Superword);
-        assert_eq!(pinned.backend, ExecBackend::Superword);
+        let pinned = exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Simd);
+        assert_eq!(pinned.backend, ExecBackend::Simd);
         let kc = 21usize;
         let a = vec![0.5f32; kc * 8];
         let b = vec![0.25f32; kc * 8];
         let mut c_pinned = vec![0.0f32; 64];
         pinned.run(kc, &a, &b, &mut c_pinned).unwrap();
-        let mut c_sw = vec![0.0f32; 64];
-        exo_kernel_superword(Arc::clone(&kernel)).run(kc, &a, &b, &mut c_sw).unwrap();
-        assert_eq!(c_pinned, c_sw, "with_backend(Superword) is the superword pin");
+        let mut c_simd = vec![0.0f32; 64];
+        exo_kernel_simd(Arc::clone(&kernel)).run(kc, &a, &b, &mut c_simd).unwrap();
+        assert_eq!(c_pinned, c_simd, "with_backend(Simd) is the simd pin");
         // The name follows the pin: re-pinning any kernel names it as the
         // pinned constructor does.
         for (backend, pinned, name) in [
             (ExecBackend::Native, exo_kernel(Arc::clone(&kernel)), "EXO 8x8"),
             (ExecBackend::Simd, exo_kernel_simd(Arc::clone(&kernel)), "EXO 8x8 (simd)"),
-            (ExecBackend::Superword, exo_kernel_superword(Arc::clone(&kernel)), "EXO 8x8 (superword)"),
             (ExecBackend::Tape, exo_kernel_tape(Arc::clone(&kernel)), "EXO 8x8 (tape)"),
         ] {
             assert_eq!(&*pinned.name, name);

@@ -1,13 +1,13 @@
 //! The tier ladder, written once: which execution tier a generated kernel
 //! runs a packed call on, and the reusable handle that runs it.
 //!
-//! A [`GeneratedKernel`] carries four ways to execute the same schedule —
-//! `native → simd → portable → tape`, fastest first, the checked tape at the
-//! floor. Three of them are built by the generator and always there, so a
-//! request for one — a pin — resolves to itself. The fourth, the native
-//! tier, is a body compiled when the workspace was built:
-//! [`ExecBackend::Native`] serves on the simd chain when the build-time
-//! table holds no body for the kernel, and that is the ladder's one edge.
+//! A [`GeneratedKernel`] carries three ways to execute the same schedule —
+//! `native → simd → tape`, fastest first, the checked tape at the floor.
+//! Two of them are built by the generator and always there, so a request
+//! for one — a pin — resolves to itself. The third, the native tier, is a
+//! body compiled when the workspace was built: [`ExecBackend::Native`]
+//! serves on the simd chain when the build-time table holds no body for the
+//! kernel, and that is the ladder's one edge.
 //! The reference interpreter (`exo_ir::interp::run_proc` of
 //! [`GeneratedKernel::proc`]) is not a rung: it is the semantics every tier
 //! computes bit for bit, and the tests call it directly.
@@ -42,37 +42,30 @@ pub enum ExecBackend {
     #[default]
     Native,
     /// The in-process vector closure chain of the widest available ISA
-    /// (AVX-512 or AVX2/FMA on x86_64, NEON on aarch64, scalar everywhere;
-    /// pin one with `EXO_ISA`) — the fastest tier that needs no C
-    /// toolchain.
+    /// (AVX-512 or AVX2/FMA on x86_64, NEON on aarch64, the scalar chain
+    /// on a host with none; pin one with `EXO_ISA`) — the fastest tier
+    /// that needs no C toolchain.
     Simd,
-    /// The portable tier: the superword lowering executed by the
-    /// scalar-ISA closure chain — bit-for-bit identical to the tape and the
-    /// interpreter on every host. (The name is the lowering's; the
-    /// superword module itself executes nothing unchecked.)
-    Superword,
     /// The scalar tape — the checked floor: the flat executor that
     /// bounds-checks every access, which is what any declined proof of the
-    /// three tiers above runs and what the native tier's promotion probe
+    /// two tiers above runs and what the native tier's promotion probe
     /// compares against. The pin runs it on every call.
     Tape,
 }
 
 impl ExecBackend {
-    /// The next execution tier down the ladder
-    /// (native → simd → superword → tape), or `None` at the tape, the
-    /// checked floor.
+    /// The next execution tier down the ladder (native → simd → tape), or
+    /// `None` at the tape, the checked floor.
     ///
     /// This is the retry ladder of the fault-tolerant serving path: when a
     /// tier fails or panics on an entry, the entry is re-attempted once on
-    /// the tier below the one it ran on, trading speed for the portable
-    /// tiers' simpler dispatch. A failure on the tape is final: nothing
-    /// below it checks more.
+    /// the tier below the one it ran on, trading speed for a simpler
+    /// executor. A failure on the tape is final: nothing below it checks
+    /// more.
     pub fn degraded(self) -> Option<ExecBackend> {
         match self {
             ExecBackend::Native => Some(ExecBackend::Simd),
-            ExecBackend::Simd => Some(ExecBackend::Superword),
-            ExecBackend::Superword => Some(ExecBackend::Tape),
+            ExecBackend::Simd => Some(ExecBackend::Tape),
             ExecBackend::Tape => None,
         }
     }
@@ -82,8 +75,8 @@ impl ExecBackend {
 #[derive(Debug, Clone)]
 enum Tier {
     /// An unchecked body behind the memoised bounds proof, with the
-    /// checked reference on a decline: the native, simd and portable
-    /// tiers differ only in the body their handle carries.
+    /// checked reference on a decline: the native and simd tiers differ
+    /// only in the body their handle carries.
     Proved(SimdDispatch),
     /// The scalar tape (checks every access itself) — also where a
     /// [`Tier::Proved`] call goes when its proof declines.
@@ -124,7 +117,6 @@ impl GeneratedKernel {
                 None => (Simd, Tier::Proved(self.simd.dispatcher())),
             },
             Simd => (Simd, Tier::Proved(self.simd.dispatcher())),
-            Superword => (Superword, Tier::Proved(self.portable.dispatcher())),
             Tape => (Tape, Tier::Tape(Arc::clone(&self.tape))),
         }
     }
@@ -176,6 +168,6 @@ mod tests {
         while let Some(below) = ladder.last().and_then(|tier| tier.degraded()) {
             ladder.push(below);
         }
-        assert_eq!(ladder, [Native, Simd, Superword, Tape]);
+        assert_eq!(ladder, [Native, Simd, Tape]);
     }
 }

@@ -5,8 +5,8 @@
 use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
-    compile, emit_asm, emit_c, extract_trace, CodegenError, IsaKind, KernelTrace, SimdKernel,
-    SuperwordKernel, TapeKernel,
+    compile, emit_asm, emit_c, extract_trace, CodegenError, KernelTrace, SimdKernel, SuperwordKernel,
+    TapeKernel,
 };
 use exo_ir::{Proc, ScalarType};
 use exo_isa::VectorIsa;
@@ -128,17 +128,14 @@ pub struct GeneratedKernel {
     pub tape: Arc<TapeKernel>,
     /// Superword lowering of [`Self::tape`] (it keeps this same `Arc`):
     /// the SLP-packed whole-vector ops plus the proofs every unchecked
-    /// executor of them runs under — the IR the three tiers above the
-    /// tape consume.
+    /// executor of them runs under — the IR the two tiers above the tape
+    /// consume.
     pub superword: Arc<SuperwordKernel>,
     /// Closure chain compiled from [`Self::superword`] for the active
     /// vector ISA (`exo_codegen::active_isa()`: AVX-512, AVX2/FMA, NEON, or the
     /// scalar reference — pin one with `EXO_ISA`) — the fastest tier that
     /// needs no C toolchain, and what [`Self::run_packed`] runs.
     pub simd: Arc<SimdKernel>,
-    /// The portable tier — the scalar-ISA chain over [`Self::superword`].
-    /// [`Self::simd`] itself when the active ISA is already scalar.
-    pub portable: Arc<SimdKernel>,
     /// The native tier's verdict, settled on the first [`Self::native`]
     /// call: [`Self::superword`]'s body from the table compiled at build
     /// time, probe-verified by the engine, or `None` — for good — when the
@@ -268,8 +265,8 @@ impl MicroKernelGenerator {
     /// Returns [`GenError`] if the requested strategy cannot handle the shape
     /// or a scheduling step fails, and [`GenError::Codegen`] if any
     /// lowering of the scheduled form — C text, trace, tape,
-    /// superword, the active ISA's chain, the scalar chain — cannot be
-    /// built: a kernel comes back with all of them or not at all.
+    /// superword, the active ISA's chain — cannot be built: a kernel comes
+    /// back with all of them or not at all.
     pub fn generate_with(&self, opts: &KernelOptions) -> Result<GeneratedKernel> {
         if opts.mr == 0 || opts.nr == 0 {
             return Err(GenError::UnsupportedShape {
@@ -291,17 +288,13 @@ impl MicroKernelGenerator {
         let asm = emit_asm(&trace);
         let tape = Arc::new(compile(&proc)?.to_tape()?);
         let superword = Arc::new(tape.to_superword()?);
-        let chain = |isa: IsaKind| {
-            SimdKernel::compile_for(Arc::clone(&superword), isa).map(Arc::new).ok_or_else(|| {
-                GenError::Codegen(CodegenError::Unsupported {
-                    backend: "simd",
-                    what: format!("the {}x{} kernel's superword lowering on the {isa} ISA", opts.mr, opts.nr),
-                })
+        let isa = exo_codegen::active_isa();
+        let simd = SimdKernel::compile_for(Arc::clone(&superword), isa).map(Arc::new).ok_or_else(|| {
+            GenError::Codegen(CodegenError::Unsupported {
+                backend: "simd",
+                what: format!("the {}x{} kernel's superword lowering on the {isa} ISA", opts.mr, opts.nr),
             })
-        };
-        let simd = chain(exo_codegen::active_isa())?;
-        let portable =
-            if simd.isa() == IsaKind::Scalar { Arc::clone(&simd) } else { chain(IsaKind::Scalar)? };
+        })?;
         Ok(GeneratedKernel {
             mr: opts.mr,
             nr: opts.nr,
@@ -317,7 +310,6 @@ impl MicroKernelGenerator {
             tape,
             superword,
             simd,
-            portable,
             native: OnceLock::new(),
         })
     }
@@ -361,6 +353,7 @@ impl KernelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_codegen::IsaKind;
     use exo_isa::{avx512_f32, neon_f16, neon_f32};
 
     fn naive(mr: usize, nr: usize, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -379,6 +372,13 @@ mod tests {
         let mut c = c0.to_vec();
         exo_ir::interp::run_packed(&kernel.proc, kc, a, b, &mut c).unwrap();
         c
+    }
+
+    /// The kernel's superword lowering compiled for the scalar ISA — the
+    /// simd tier of a host with no vector ISA, run here on every host.
+    fn scalar_chain(kernel: &GeneratedKernel) -> SimdKernel {
+        SimdKernel::compile_for(Arc::clone(&kernel.superword), IsaKind::Scalar)
+            .expect("the scalar chain compiles")
     }
 
     fn check_against_naive(kernel: &GeneratedKernel, kc: usize) {
@@ -422,11 +422,6 @@ mod tests {
                 exo_codegen::active_isa(),
                 "{mr}x{nr}: chain targets the active ISA"
             );
-            assert_eq!(
-                kernel.portable.isa(),
-                IsaKind::Scalar,
-                "{mr}x{nr}: the portable chain is the scalar one"
-            );
             let kc = 23;
             let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 13 + 5) % 17) as f32 * 0.25 - 2.0).collect();
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 7 + 11) % 19) as f32 * 0.125 - 1.0).collect();
@@ -439,24 +434,28 @@ mod tests {
                 dispatch.run(kc, &a, &b, &mut c).unwrap();
                 c
             };
-            let c_sw = run_on(ExecBackend::Superword);
-            assert_eq!(c_sw, run_on(ExecBackend::Tape), "{mr}x{nr} portable chain diverges from the tape");
+            let c_tape = run_on(ExecBackend::Tape);
             assert_eq!(
-                c_sw,
+                c_tape,
                 interpret(&kernel, kc, &a, &b, &c0),
-                "{mr}x{nr} portable chain diverges from the interpreter"
+                "{mr}x{nr} tape diverges from the interpreter"
             );
-            // So is the SIMD default.
+            // So does the scalar chain, on every host.
+            let mut c_scalar = c0.clone();
+            scalar_chain(&kernel).run_packed(kc, &a, &b, &mut c_scalar).unwrap();
+            assert_eq!(c_scalar, c_tape, "{mr}x{nr} scalar chain diverges from the tape");
+            // So does the SIMD default.
             let mut c_simd = c0.clone();
             kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-            assert_eq!(c_simd, c_sw, "{mr}x{nr} simd chain diverges from the portable one");
+            assert_eq!(c_simd, c_tape, "{mr}x{nr} simd chain diverges from the tape");
         }
     }
 
     /// Generation is total over the bundled instruction libraries, and a
     /// kernel that comes back is whole: every in-process pin resolves to
     /// itself (the native pin is the ladder's one edge, held by
-    /// `dispatch::tests`) and every tier computes the interpreter's bits.
+    /// `dispatch::tests`) and every tier, and the scalar chain on any host,
+    /// computes the interpreter's bits.
     #[test]
     fn every_tile_generates_whole_and_every_pin_is_its_own_tier() {
         use ExecBackend::*;
@@ -496,7 +495,11 @@ mod tests {
                         };
                         let c_interp = interpret(&kernel, kc, &a, &b, &c0);
                         assert_eq!(run_on(Tape), c_interp, "{label} kc={kc}: tape vs interpreter");
-                        assert_eq!(run_on(Superword), c_interp, "{label} kc={kc}: portable vs interpreter");
+                        let mut c_scalar = c0.clone();
+                        scalar_chain(&kernel)
+                            .run_packed(kc, &a, &b, &mut c_scalar)
+                            .unwrap_or_else(|e| panic!("{label} scalar chain: {e}"));
+                        assert_eq!(c_scalar, c_interp, "{label} kc={kc}: scalar chain vs interpreter");
                         assert_eq!(run_on(Simd), c_interp, "{label} kc={kc}: simd vs interpreter");
                     }
                     // A call that does not fit the tile is a typed error, not a run.

@@ -5,9 +5,7 @@
 use std::sync::Arc;
 
 use exo_isa::{avx512_f32, neon_f16, neon_f32};
-use gemm_blis::{
-    exo_kernel, exo_kernel_superword, naive_gemm, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix,
-};
+use gemm_blis::{exo_kernel, naive_gemm, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix};
 use ukernel_gen::{KernelSet, MicroKernelGenerator, Strategy};
 
 fn check_full_gemm(kernel: &gemm_blis::KernelImpl, m: usize, n: usize, k: usize) {
@@ -42,8 +40,8 @@ fn generated_kernels_run_inside_the_blis_algorithm() {
 fn baseline_kernels_and_generated_kernels_agree_on_dnn_shapes() {
     let generator = MicroKernelGenerator::new(neon_f32());
     let exo = exo_kernel(Arc::new(generator.generate(8, 8).unwrap()));
-    // The baselines' 8x12 tile, generated and on the portable tier.
-    let baseline = exo_kernel_superword(Arc::new(generator.generate(8, 12).unwrap()));
+    // The baselines' 8x12 tile, generated and on the default native pin.
+    let baseline = exo_kernel(Arc::new(generator.generate(8, 12).unwrap()));
     // A miniature version of the ResNet50 layer 12 shape (196 x 256 x 2304,
     // scaled down to keep the test fast).
     for kernel in [&exo, &baseline] {

@@ -47,7 +47,7 @@ fn kernel_8x12() -> Arc<GeneratedKernel> {
 }
 
 /// The shared driver: the generated 8x12 pinned to the simd tier, so a
-/// failed `beta = 0` entry retries one rung down, on the portable chain.
+/// failed `beta = 0` entry retries one rung down, on the tape.
 /// The pin never resolves the native tier, so it runs no probe that could
 /// spend a countdown a test armed for the `aot-wrong-result` fault.
 fn driver() -> BlisGemm {
@@ -405,15 +405,14 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
 /// for. A `neon_f16` 8x8 tile can never promote on any host — its rounding
 /// steps are outside what `emit_superword_c` lowers — so under the default
 /// `Native` pin it serves on the simd chain for good: the clean entry says
-/// `Simd`, and the declined one must land one below *that*, on the portable
-/// chain, not be re-run on simd and stamped degraded. A kernel pinned to
-/// the portable chain retries onto the tape. A kernel pinned to the tape is
-/// on the floor: its declined entry is not retried, fails with the kernel
-/// error, and leaves its `C` as it was. (Every operand is a small dyadic,
-/// so the f16 sums are exact on every tier.)
+/// `Simd`, and the declined one must land one below *that*, on the tape,
+/// not be re-run on simd and stamped degraded. A kernel pinned to the tape
+/// is on the floor: its declined entry is not retried, fails with the
+/// kernel error, and leaves its `C` as it was. (Every operand is a small
+/// dyadic, so the f16 sums are exact on every tier.)
 #[test]
 fn a_retry_degrades_from_the_tier_that_ran() {
-    use exo_gemm::gemm_blis::{exo_kernel_superword, exo_kernel_tape, ExecBackend};
+    use exo_gemm::gemm_blis::{exo_kernel_tape, ExecBackend};
     let _guard = serial();
     fault::disarm();
     let kernel = Arc::new(
@@ -425,8 +424,7 @@ fn a_retry_degrades_from_the_tier_that_ran() {
     let want = reference_c(24, 24, 24, 9, 0.0);
     let untouched = make_job(24, 24, 24, 9, 0.0).into_c();
     for (imp, ran, retried) in [
-        (exo_kernel(kernel.clone()), ExecBackend::Simd, Some(ExecBackend::Superword)),
-        (exo_kernel_superword(kernel.clone()), ExecBackend::Superword, Some(ExecBackend::Tape)),
+        (exo_kernel(kernel.clone()), ExecBackend::Simd, Some(ExecBackend::Tape)),
         (exo_kernel_tape(kernel.clone()), ExecBackend::Tape, None),
     ] {
         let who = imp.name.clone();
@@ -459,17 +457,22 @@ fn a_retry_degrades_from_the_tier_that_ran() {
     }
 }
 
-/// A default driver — the generated 8x12 on the portable tier — is a
-/// portable entry like any other: a declined `beta = 0` entry retries once
-/// onto the tape and completes stamped `degraded`, with the bits of its
-/// clean neighbour (portable and tape are bit-identical), under the name of
-/// the tier it ran on.
+/// A default driver — the generated 8x12 on the native pin — is an entry
+/// like any other: a declined `beta = 0` entry retries once, one tier
+/// below the one that ran (simd under a native body, else the tape under
+/// the simd chain it served on), and completes stamped `degraded`, with
+/// the bits of its clean neighbour (every tier computes the same bits),
+/// under the name of the tier it ran on.
 #[test]
 fn a_default_drivers_declined_entry_retries_onto_the_tape() {
     use exo_gemm::gemm_blis::ExecBackend;
     let _guard = serial();
     fault::disarm();
     let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 12));
+    let (ran, retried) = match driver.kernel().generated.native() {
+        Some(_) => ((ExecBackend::Native, "EXO 8x12"), (ExecBackend::Simd, "EXO 8x12 (simd)")),
+        None => ((ExecBackend::Simd, "EXO 8x12"), (ExecBackend::Tape, "EXO 8x12 (tape)")),
+    };
     let mut want = make_job(24, 20, 16, 3, 0.0);
     driver.gemm(want.problem()).expect("clean default run");
     let want = want.into_c();
@@ -488,10 +491,7 @@ fn a_default_drivers_declined_entry_retries_onto_the_tape() {
     tiers.sort_by_key(|&(degraded, ..)| degraded);
     assert_eq!(
         tiers,
-        [
-            (false, Some(ExecBackend::Superword), "EXO 8x12 (superword)".to_string()),
-            (true, Some(ExecBackend::Tape), "EXO 8x12 (tape)".to_string()),
-        ]
+        [(false, Some(ran.0), ran.1.to_string()), (true, Some(retried.0), retried.1.to_string())]
     );
 }
 

@@ -159,7 +159,7 @@ fn f16_rounding_is_idempotent() {
 
 /// The reference interpreter and every tier lowered from it agree on the
 /// reference kernel for random sizes and off-grid values: the checked tape
-/// and the portable chain take the same `run_views` call and return the
+/// and the scalar chain take the same `run_views` call and return the
 /// interpreter's bits.
 #[test]
 fn interpreter_and_compiled_execution_agree() {
@@ -182,7 +182,7 @@ fn interpreter_and_compiled_execution_agree() {
         let chain = SimdKernel::compile_for(Arc::new(tape.to_superword().unwrap()), IsaKind::Scalar).unwrap();
         type Run<'k> = &'k dyn Fn(&[i64], &mut [TensorView<'_>]) -> Result<(), CodegenError>;
         let tiers: [(&str, Run<'_>); 2] =
-            [("tape", &|s, t| tape.run_views(s, t)), ("portable", &|s, t| chain.run_views(s, t))];
+            [("tape", &|s, t| tape.run_views(s, t)), ("scalar chain", &|s, t| chain.run_views(s, t))];
         for (tier, run) in tiers {
             let mut c = c0.clone();
             run(&[kc as i64], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c)])

@@ -1,14 +1,14 @@
-//! Differential suite for the execution engines: the four tiers with an
+//! Differential suite for the execution engines: the three tiers with an
 //! **ISA axis**, against the reference semantics. The ahead-of-time
 //! compiled native tier (the superword lowering's emitted C, compiled when
 //! the workspace builds and linked in), the in-process SIMD chain (compiled per vector ISA — AVX-512,
-//! AVX2/FMA, NEON, or the scalar reference), the portable tier (the
-//! scalar-ISA chain — what the `superword` pin runs), the scalar tape, the
-//! reference interpreter (`exo_ir::interp::run_proc` — no tier, called
-//! directly on the packed operands a tier ran), and the naive reference
-//! must agree. Every tier performs the interpreter's operations in its
+//! AVX2/FMA, NEON, or the scalar reference), the scalar-ISA chain
+//! (compiled here on every host with `SimdKernel::compile_for`), the scalar
+//! tape, the reference interpreter (`exo_ir::interp::run_proc` — no tier,
+//! called directly on the packed operands a tier ran), and the naive
+//! reference must agree. Every tier performs the interpreter's operations in its
 //! order, each multiply-add one fused rounding, so all of them agree **bit
-//! for bit**, on every ISA — native vs. simd vs. portable vs. tape vs.
+//! for bit**, on every ISA — native vs. simd vs. scalar chain vs. tape vs.
 //! interpreter, 1 vs. N threads, row-block vs. column-block partition.
 //! `EXO_ISA=scalar` (the CI forced-scalar leg) and `EXO_ISA=avx2` pin the
 //! simd and native tiers process-wide; the assertions do not change.
@@ -31,11 +31,10 @@ use exo_gemm::exo_ir::Proc;
 use exo_gemm::exo_isa::{avx512_f32, neon_f32};
 use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape, naive_gemm,
-    native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind,
-    Matrix,
+    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_tape, naive_gemm, native_available, toolchain,
+    BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind, Matrix,
 };
-use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator, Strategy};
+use exo_gemm::ukernel_gen::{GeneratedKernel, KernelCache, KernelSet, MicroKernelGenerator, Strategy};
 
 /// The reference semantics of a packed call: the interpreter of the
 /// scheduled procedure, run on a copy of `c0`.
@@ -55,20 +54,35 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
 /// Five-way differential on every registry tile shape, and on every tile
 /// of the AVX-512 serving space (the `avx512_f32` library's broadcast
 /// kernels), across several KC values including `k = 0` and `k = 1`:
-/// native ≡ simd ≡ portable ≡ tape ≡ interpreter bit for bit — the native
-/// tier with a body because the emitted C performs the same per-lane
-/// fused ops (16-lane ones on an AVX-512 host), without one because the
-/// fallback *is* the chain.
+/// native ≡ simd ≡ scalar chain ≡ tape ≡ interpreter bit for bit — the
+/// native tier with a body because the emitted C performs the same
+/// per-lane fused ops (16-lane ones on an AVX-512 host), without one
+/// because the fallback *is* the chain.
 #[test]
 fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
     let avx512_tiles: Vec<(usize, usize)> =
         DesignSpace::serving(IsaKind::Avx512).tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
-    for (library, shapes) in [(neon_f32(), KernelSet::paper_shapes()), (avx512_f32(), avx512_tiles)] {
-        five_way_differential(&MicroKernelGenerator::new(library), &shapes);
-    }
+    // The build compiles every tile `neon_f32` admits on every row it runs,
+    // and the `avx512_f32` library's on the avx512 row only, the one ISA
+    // whose serving space holds them. Off that row an `avx512_f32` tile has
+    // a body only where its C is a Neon tile's too (the 1x16 row's is).
+    let c_of = |kernel: &GeneratedKernel| emit_superword_c(&kernel.superword, active_isa(), "k").ok();
+    let neon = MicroKernelGenerator::new(neon_f32());
+    let neon_c: Vec<String> =
+        neon.admitted_tiles().iter().filter_map(|t| c_of(&neon.generate(t.mr, t.nr).unwrap())).collect();
+    five_way_differential(&neon, &KernelSet::paper_shapes(), |_| native_available());
+    five_way_differential(&MicroKernelGenerator::new(avx512_f32()), &avx512_tiles, |kernel| {
+        native_available()
+            && (active_isa() == IsaKind::Avx512 || c_of(kernel).is_some_and(|c| neon_c.contains(&c)))
+    });
 }
 
-fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usize)]) {
+/// `has_body`: whether the build compiled a kernel's C for the active ISA.
+fn five_way_differential(
+    generator: &MicroKernelGenerator,
+    shapes: &[(usize, usize)],
+    has_body: impl Fn(&GeneratedKernel) -> bool,
+) {
     let cache = KernelCache::new();
     let mut cases = Cases::new(0x7a9e);
     for &(mr, nr) in shapes {
@@ -76,14 +90,20 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
         let sw = &kernel.superword;
         assert!(sw.vector_op_count() > 0, "{mr}x{nr} must pack whole-vector ops");
         assert_eq!(kernel.simd.isa(), active_isa(), "{mr}x{nr}: chain targets the active ISA");
-        // Every tile here is admitted, so it has a body wherever the build
-        // compiled bodies for the active ISA; the native leg below runs it.
+        // Every tile here is admitted, so it has a body exactly where the
+        // build compiled its C for the active ISA; the native leg below
+        // runs it.
         match kernel.native() {
             Some(native) => {
+                assert!(has_body(&kernel), "{mr}x{nr}: a body the build should not have compiled");
                 assert_eq!(native.isa(), active_isa(), "{mr}x{nr}: the body targets the active ISA")
             }
-            None => assert!(!native_available(), "{mr}x{nr}: the table has bodies, but not this one"),
+            None => assert!(!has_body(&kernel), "{mr}x{nr}: the build compiled this C, but it has no body"),
         }
+        // The scalar chain, on every host: the simd tier of one with no
+        // vector ISA.
+        let scalar =
+            SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar).expect("the scalar chain compiles");
         for kc in [0usize, 1, 2, 17, 64] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let run_on = |backend| {
@@ -94,13 +114,14 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
             let mut c_simd = c0.clone();
             kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
             assert_eq!(c_simd, run_on(ExecBackend::Simd), "{mr}x{nr} kc={kc}: run_packed is the simd tier");
-            let c_sw = run_on(ExecBackend::Superword);
+            let mut c_scalar = c0.clone();
+            scalar.run_packed(kc, &a, &b, &mut c_scalar).unwrap();
             let c_tape = run_on(ExecBackend::Tape);
             let c_interp = interpret(&kernel.proc, kc, &a, &b, &c0);
             let c_native = run_on(ExecBackend::Native);
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native must be bit-faithful to simd");
-            assert_eq!(c_simd, c_sw, "{mr}x{nr} kc={kc}: simd vs portable chain");
-            assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable chain vs tape");
+            assert_eq!(c_simd, c_tape, "{mr}x{nr} kc={kc}: simd vs tape");
+            assert_eq!(c_scalar, c_interp, "{mr}x{nr} kc={kc}: scalar chain vs interpreter");
             assert_eq!(c_tape, c_interp, "{mr}x{nr} kc={kc}: tape vs interpreter");
         }
     }
@@ -109,7 +130,7 @@ fn five_way_differential(generator: &MicroKernelGenerator, shapes: &[(usize, usi
     assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
-/// All four tiers agree with `naive_gemm` (to accumulation tolerance) on
+/// All three tiers agree with `naive_gemm` (to accumulation tolerance) on
 /// fringe-heavy problems through the full five-loop driver, and with each
 /// other bit for bit.
 #[test]
@@ -137,19 +158,17 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 
             let c_native = run(exo_kernel(Arc::clone(&kernel)));
             let c_simd = run(exo_kernel_simd(Arc::clone(&kernel)));
-            let c_sw = run(exo_kernel_superword(Arc::clone(&kernel)));
             let c_tape = run(exo_kernel_tape(Arc::clone(&kernel)));
             assert_eq!(
                 c_native.data, c_simd.data,
                 "{mr}x{nr} on {m}x{n}x{k}: native (default) vs pinned-simd driver"
             );
-            assert_eq!(c_sw.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: superword vs tape driver");
             assert_eq!(
-                run(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Superword)).data,
-                c_sw.data,
+                run(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Tape)).data,
+                c_tape.data,
                 "{mr}x{nr} on {m}x{n}x{k}: the programmatic pin is the dedicated pin through the driver"
             );
-            assert_eq!(c_simd.data, c_sw.data, "{mr}x{nr} on {m}x{n}x{k}: simd vs superword driver");
+            assert_eq!(c_simd.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: simd vs tape driver");
 
             let mut c_ref = c0.clone();
             naive_gemm(&a, &b, &mut c_ref);
@@ -166,13 +185,12 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 }
 
 /// A tier pin is never a second code path beside the ladder: on every
-/// registry shape, every one of the four `ExecBackend` pins — set
+/// registry shape, every one of the three `ExecBackend` pins — set
 /// programmatically with `with_backend` or by the dedicated `exo_kernel_*`
 /// constructor — run one-shot through `KernelImpl::run` and through a
 /// reusable `dispatcher()` handle lands on the tier the one resolution
 /// function names, and the tiers hold their contract: native ≡ simd ≡
-/// portable ≡ tape ≡ interp bit for bit (native without a body *is*
-/// simd).
+/// tape ≡ interp bit for bit (native without a body *is* simd).
 #[test]
 fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
     use ExecBackend::*;
@@ -186,7 +204,6 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
             let results: Vec<Vec<f32>> = [
                 (Native, exo_kernel(Arc::clone(&kernel))),
                 (Simd, exo_kernel_simd(Arc::clone(&kernel))),
-                (Superword, exo_kernel_superword(Arc::clone(&kernel))),
                 (Tape, exo_kernel_tape(Arc::clone(&kernel))),
             ]
             .into_iter()
@@ -216,15 +233,14 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
                 c
             })
             .collect();
-            let [c_native, c_simd, c_sw, c_tape] = &results[..] else { unreachable!() };
-            assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: portable vs tape");
+            let [c_native, c_simd, c_tape] = &results[..] else { unreachable!() };
             assert_eq!(
                 c_tape,
                 &interpret(&kernel.proc, kc, &a, &b, &c0),
                 "{mr}x{nr} kc={kc}: tape vs interp"
             );
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native vs simd");
-            assert_eq!(c_simd, c_sw, "{mr}x{nr} kc={kc}: simd vs portable");
+            assert_eq!(c_simd, c_tape, "{mr}x{nr} kc={kc}: simd vs tape");
         }
     }
 }
@@ -277,8 +293,8 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
         let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit());
         let c0 = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
         for (label, kimpl) in [
-            ("simd", exo_kernel(Arc::clone(&kernel))),
-            ("superword", exo_kernel_superword(Arc::clone(&kernel))),
+            ("native", exo_kernel(Arc::clone(&kernel))),
+            ("simd", exo_kernel_simd(Arc::clone(&kernel))),
             ("tape", exo_kernel_tape(Arc::clone(&kernel))),
         ] {
             let mut c_seq = c0.clone();
