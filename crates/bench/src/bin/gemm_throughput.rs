@@ -1,4 +1,4 @@
-//! The perf gates measured outside `exo_bench`: nine comparisons of two
+//! The perf gates measured outside `exo_bench`: ten comparisons of two
 //! things timed in one run. Nothing here is compared with a recorded
 //! number and nothing is written — every absolute figure (GFLOPS, latency,
 //! per-layer shares, normalised to a calibration burst and run
@@ -29,13 +29,13 @@
 //!    [`SOLO512_KC`]. The AVX-512 kernel's rate must reach
 //!    [`SOLO512_FLOOR`] of the 8x12's. Skipped on a host without AVX-512
 //!    or a build without a C compiler.
-//! 4. **`movers`** — the strided mover
-//!    (`exo_codegen::simd::strided_move_on`) packing the analytical `mc x
-//!    kc` block of `A` into `mr`-row panels, and staging an `mr x nr` tile
-//!    of a row-major `C` into the kernel's column-major scratch and back,
-//!    each on the AVX2 body (which AVX-512 runs too) against the scalar
-//!    body. Both must reach [`MOVERS_FLOOR`]; skipped on a host without
-//!    AVX2.
+//! 4. **`movers`** — the strided mover, resolved once per side
+//!    (`exo_codegen::simd::Mover`), packing the analytical `mc x kc` block
+//!    of `A` into `mr`-row panels in one call, and staging an `mr x nr`
+//!    tile of a row-major `C` into the kernel's column-major scratch and
+//!    back, each on the AVX2 body (which AVX-512 runs too) against the
+//!    scalar body. Both must reach [`MOVERS_FLOOR`]; skipped on a host
+//!    without AVX2.
 //! 5. **Parity** of the operand layouts the packers absorb: `native` over
 //!    strided views (padded leading dimensions on `A`, `B` and `C`) and
 //!    with `op(B) = T` (`B` stored `n x k`), each against `native` over
@@ -68,8 +68,13 @@
 //!    `exo_bench`'s eight `serve_small` shapes ([`SERVE_SHAPES`]), against
 //!    the serving verdict's `TunedGemm::gemm` of the same operands. Must
 //!    reach [`SERVE_PASS_FLOOR`]; never skipped.
+//! 10. **`small_gemm`** — what a small GEMM pays around its micro-kernel:
+//!     the serving verdict's warm `TunedGemm::gemm` of each
+//!     [`SERVE_SHAPES`] shape against the kernel calls alone it makes, on
+//!     panels packed once ahead. Must reach [`SMALL_GEMM_FLOOR`]; never
+//!     skipped.
 //!
-//! Gates 2 to 9 run their two sides in alternating short bursts and judge
+//! Gates 2 to 10 run their two sides in alternating short bursts and judge
 //! the median of the per-pair ratios ([`alternate`]), so drift of a shared
 //! host cancels instead of landing on one side. The exit status is 1 if
 //! any gate fails; a skipped gate prints its reason.
@@ -78,15 +83,16 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use exo_codegen::simd::strided_move_on;
+use exo_codegen::simd::Mover;
 use exo_codegen::SimdKernel;
 use exo_serve::{CachedTunedGemm, CompletedJob, GemmJob, GemmService, OwnedMat};
 use exo_tune::TunedGemm;
 use gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_tape, native_available, toolchain, BlisGemm,
-    BlockingParams, GemmExecutor, GemmProblem, HostDescription, IsaKind, KernelImpl, MatMut, MatRef, PackedB,
+    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_tape, native_available, pack_a_into, pack_b_into,
+    toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, HostDescription, IsaKind, KernelImpl,
+    MatMut, MatRef, PackedB,
 };
-use ukernel_gen::{GeneratedKernel, MicroKernelGenerator};
+use ukernel_gen::{GeneratedKernel, MicroKernelGenerator, TierDispatch};
 
 /// Problem sizes of the ordering gate: large enough that every tier runs
 /// its steady-state loop, small enough for the tape.
@@ -155,9 +161,10 @@ const PACK_B_IN_SITU_SHAPE: (usize, usize, usize) = (49, 512, 4608);
 const PACK_B_IN_SITU_PAIRS: usize = 30;
 
 /// Lowest `serve_pass` ratio (a lone `submit` + `wait`'s rate over the
-/// per-call `TunedGemm::gemm`'s on the same jobs) accepted: 0.68-0.73
-/// measured on a 2-vCPU AVX-512 Xeon, against 0.54-0.56 when a lone job
-/// ran through a `gemm_batch` of one.
+/// per-call `TunedGemm::gemm`'s on the same jobs) accepted: 0.73-0.82
+/// measured over 12 runs on a 2-vCPU AVX-512 Xeon since a lone job's answer
+/// rides back in its handle, 0.68-0.73 when it took a completion slot and a
+/// pass vector, and 0.54-0.56 when it ran through a `gemm_batch` of one.
 const SERVE_PASS_FLOOR: f64 = 0.62;
 /// The eight tiny mixed shapes of `exo_bench`'s `serve_small` workload.
 const SERVE_SHAPES: [(usize, usize, usize); 8] = [
@@ -174,6 +181,19 @@ const SERVE_SHAPES: [(usize, usize, usize); 8] = [
 const SERVE_PASS_ROUNDS: usize = 16;
 /// Alternating burst pairs of the `serve_pass` gate.
 const SERVE_PASS_PAIRS: usize = 200;
+
+/// Lowest `small_gemm` ratio (the kernel calls alone over a warm
+/// `TunedGemm::gemm` of the same shapes: the share of a small GEMM's time
+/// its micro-kernel takes) accepted: 0.225-0.289 over 12 runs on a 2-vCPU
+/// AVX-512 Xeon and 0.197 once while it ran at about half speed, against
+/// 0.147-0.187 before the resolved mover, the one-lookup route and the
+/// boxed runner; its A/A spread (both sides `TunedGemm::gemm`) is
+/// 0.999-1.004.
+const SMALL_GEMM_FLOOR: f64 = 0.18;
+/// GEMMs of each shape in one `small_gemm` burst.
+const SMALL_GEMM_ROUNDS: usize = 16;
+/// Alternating burst pairs of the `small_gemm` gate.
+const SMALL_GEMM_PAIRS: usize = 200;
 
 /// How a measurement lays out and views its operands.
 #[derive(Clone, Copy, PartialEq)]
@@ -285,8 +305,10 @@ unsafe fn hand_8x12_avx2(kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert!(a.len() >= kc * 8 && b.len() >= kc * 12 && c.len() >= 96);
     let mut acc = [_mm256_setzero_ps(); 12];
     for (j, acc) in acc.iter_mut().enumerate() {
-        // SAFETY: `j < 12` and `c` holds at least 96 floats.
-        *acc = unsafe { _mm256_loadu_ps(c.as_ptr().add(j * 8)) };
+        let column = c[j * 8..].as_ptr();
+        // SAFETY: `j < 12` and `c` holds at least 96 floats, so the 8 from
+        // `column` are `c`'s.
+        *acc = unsafe { _mm256_loadu_ps(column) };
     }
     for (a_col, b_row) in a.chunks_exact(8).zip(b.chunks_exact(12)).take(kc) {
         // SAFETY: `a_col` is a chunk of exactly 8 floats.
@@ -296,8 +318,9 @@ unsafe fn hand_8x12_avx2(kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         }
     }
     for (j, acc) in acc.iter().enumerate() {
-        // SAFETY: `j < 12` and `c` holds at least 96 floats.
-        unsafe { _mm256_storeu_ps(c.as_mut_ptr().add(j * 8), *acc) };
+        let column = c[j * 8..].as_mut_ptr();
+        // SAFETY: as for the loads above.
+        unsafe { _mm256_storeu_ps(column, *acc) };
     }
 }
 
@@ -465,31 +488,31 @@ struct Movers {
 /// test's business (`tests/strided_mover.rs`), not checked again here.
 fn movers(blocking: &BlockingParams) -> Movers {
     let BlockingParams { mc, kc, mr, nr, .. } = *blocking;
-    let isa_of = |side| match side {
-        Side::Subject => IsaKind::Avx2,
-        Side::Reference => IsaKind::Scalar,
+    // Each side's mover is resolved once, as a runner resolves its own.
+    let (avx2, scalar) = (Mover::on(IsaKind::Avx2), Mover::on(IsaKind::Scalar));
+    let mover_of = |side| match side {
+        Side::Subject => avx2,
+        Side::Reference => scalar,
     };
     let panels = mc / mr;
     let a: Vec<f32> = (0..mc * kc).map(|i| ((i * 7 + 1) % 13) as f32 * 0.25 - 1.0).collect();
     let mut packed = vec![0.0f32; mc * kc];
-    // `pack_a_into`'s walk over a dense row-major block: panel `p` is the
-    // transpose of rows `p * mr ..` of `A`.
+    // `pack_a_into`'s one call over a dense row-major block: the `kc x mc`
+    // transpose of the block, in `mr`-wide panels.
     let pack_a = alternate(MOVERS_PAIRS, |side| {
-        for p in 0..panels {
-            // SAFETY: panel `p` is `kc * mr` elements of `packed` and rows
-            // `p * mr .. (p + 1) * mr` of the `mc x kc` block `a`.
-            unsafe {
-                strided_move_on(
-                    isa_of(side),
-                    packed.as_mut_ptr().add(p * kc * mr),
-                    (mr, 1),
-                    black_box(a.as_ptr()).add(p * mr * kc),
-                    (1, kc),
-                    (kc, mr),
-                    1.0,
-                );
-            }
-        }
+        // SAFETY: the `panels` panels of `kc * mr` elements are `packed`,
+        // and the `kc x (panels * mr)` region with strides `(1, kc)` is the
+        // transpose of the `mc x kc` block `a`; `mr >= 1`.
+        unsafe {
+            mover_of(side).pack_panels(
+                packed.as_mut_ptr(),
+                mr,
+                black_box(a.as_ptr()),
+                (1, kc),
+                (kc, panels * mr),
+                1.0,
+            )
+        };
     });
 
     let (rows, ldc) = MOVERS_C;
@@ -499,17 +522,17 @@ fn movers(blocking: &BlockingParams) -> Movers {
     // order: into `c_tile[j * mr + i]` scaled as a first k-block would,
     // and back out untouched.
     let c_tiles = alternate(MOVERS_PAIRS, |side| {
-        let isa = isa_of(side);
+        let mover = mover_of(side);
         for jr in 0..ldc / nr {
             for ir in 0..rows / mr {
-                // SAFETY: the tile at `(ir * mr, jr * nr)` lies inside the
-                // `rows x ldc` matrix `c`; `tile` holds `mr * nr` elements.
-                unsafe {
-                    let corner = c.as_mut_ptr().add(ir * mr * ldc + jr * nr);
-                    strided_move_on(isa, tile.as_mut_ptr(), (1, mr), corner, (ldc, 1), (mr, nr), -1.0);
-                    black_box(&mut tile);
-                    strided_move_on(isa, corner, (ldc, 1), tile.as_ptr(), (1, mr), (mr, nr), 1.0);
-                }
+                let corner = c.as_mut_ptr().wrapping_add(ir * mr * ldc + jr * nr);
+                // SAFETY: the tile at `(ir * mr, jr * nr)`, `corner` on, lies
+                // inside the `rows x ldc` matrix `c`; `tile` holds `mr * nr`
+                // elements.
+                unsafe { mover.strided_move(tile.as_mut_ptr(), (1, mr), corner, (ldc, 1), (mr, nr), -1.0) };
+                black_box(&mut tile);
+                // SAFETY: as above, the other way.
+                unsafe { mover.strided_move(corner, (ldc, 1), tile.as_ptr(), (1, mr), (mr, nr), 1.0) };
             }
         }
     });
@@ -695,6 +718,80 @@ fn serve_pass() -> Paired {
             }
         },
     )
+}
+
+/// The kernel calls of one [`SERVE_SHAPES`] GEMM: the serving verdict's
+/// dispatch handle, the shape's `A` and `B` packed once into its panels,
+/// and a scratch tile the calls accumulate into.
+struct KernelCalls {
+    dispatch: TierDispatch,
+    k: usize,
+    /// Register tile.
+    tile: (usize, usize),
+    /// Row and column panels: the shape's register tiles.
+    panels: (usize, usize),
+    a: Vec<f32>,
+    b: Vec<f32>,
+    c: Vec<f32>,
+}
+
+impl KernelCalls {
+    fn new(operands: &ServeOperands, driver: &BlisGemm) -> Self {
+        let (m, n, k) = operands.dims;
+        let kernel = driver.kernel();
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        let panels = (m.div_ceil(mr), n.div_ceil(nr));
+        let (mut a, mut b) = (vec![0.0f32; panels.0 * mr * k], vec![0.0f32; panels.1 * nr * k]);
+        pack_a_into(&mut a, MatRef::from_slice(&operands.a, m, k), 0, 0, m, k, mr, 1.0);
+        pack_b_into(&mut b, MatRef::from_slice(&operands.b, k, n), 0, 0, k, n, nr);
+        KernelCalls { dispatch: kernel.dispatcher(), k, tile: (mr, nr), panels, a, b, c: vec![0.0; mr * nr] }
+    }
+
+    /// One call per register tile, in the driver's `jr`-outer order.
+    fn run(&mut self) {
+        let (k, (mr, nr)) = (self.k, self.tile);
+        for jr in 0..self.panels.1 {
+            for ir in 0..self.panels.0 {
+                let (a, b) = (&self.a[ir * k * mr..][..k * mr], &self.b[jr * k * nr..][..k * nr]);
+                self.dispatch.run(k, black_box(a), black_box(b), &mut self.c).expect("a small kernel call");
+            }
+        }
+    }
+}
+
+/// The `small_gemm` gate: the serving verdict's warm `TunedGemm::gemm` of
+/// every [`SERVE_SHAPES`] job (subject) against the kernel calls alone that
+/// GEMM makes — the verdict's micro-kernel through its dispatch handle,
+/// once per register tile, on panels packed once ahead (reference) — every
+/// shape [`SMALL_GEMM_ROUNDS`] times a burst, `beta = 0` as in
+/// `serve_small`. Every shape fits one block of the verdict's blocking, so
+/// these are exactly the calls the GEMM makes, and the ratio is the share
+/// of its time they take; the rest is the packing, the `C` staging and the
+/// lookups around them.
+fn small_gemm() -> Paired {
+    let operands: Vec<ServeOperands> = SERVE_SHAPES.into_iter().map(ServeOperands::new).collect();
+    let tuned = TunedGemm::new();
+    let mut calls: Vec<KernelCalls> = operands
+        .iter()
+        .map(|ops| {
+            let (m, n, k) = ops.dims;
+            let (_, driver) = tuned.driver_for(m, n, k).expect("the serving space tunes");
+            KernelCalls::new(ops, &driver)
+        })
+        .collect();
+    let mut c: Vec<Vec<f32>> = SERVE_SHAPES.iter().map(|&(m, n, _)| vec![0.0f32; m * n]).collect();
+    alternate(SMALL_GEMM_PAIRS, |side| {
+        for _ in 0..SMALL_GEMM_ROUNDS {
+            match side {
+                Side::Subject => {
+                    for (operands, c) in operands.iter().zip(&mut c) {
+                        tuned.gemm(operands.problem(c)).expect("gemm run");
+                    }
+                }
+                Side::Reference => calls.iter_mut().for_each(KernelCalls::run),
+            }
+        }
+    })
 }
 
 /// Prints one ratio gate's verdict line and returns whether it passed.
@@ -912,6 +1009,16 @@ fn main() {
         p.reference_secs / jobs * 1.0e6
     );
     failed |= !verdict("serve_pass", p.ratio, SERVE_PASS_FLOOR);
+
+    let p = small_gemm();
+    let gemms = (SMALL_GEMM_ROUNDS * SERVE_SHAPES.len()) as f64;
+    println!(
+        "  small_gemm ({} serve_small shapes): TunedGemm::gemm {:.0} ns, its kernel calls alone {:.0} ns a GEMM",
+        SERVE_SHAPES.len(),
+        p.subject_secs / gemms * 1.0e9,
+        p.reference_secs / gemms * 1.0e9
+    );
+    failed |= !verdict("small_gemm", p.ratio, SMALL_GEMM_FLOOR);
 
     if failed {
         eprintln!("FAIL: a gate above did not hold");

@@ -52,15 +52,15 @@
 //! explicit ISA, which is how the differential suites compare
 //! implementations inside one process.
 //!
-//! **Data movement.** The same three implementations carry the strided
-//! 2-D mover ([`strided_move`]) that a BLIS-like driver packs its operands
-//! and stages its `C` tiles with: one body per impl beside that ISA's
-//! arithmetic, picked by the same [`active_isa`], bit-identical to the
-//! scalar one by construction (a move and at most one multiply). What the
+//! **Data movement.** The same implementations carry the strided 2-D
+//! mover ([`Mover`]) that a BLIS-like driver packs its operands and stages
+//! its `C` tiles with: one body per impl beside that ISA's arithmetic,
+//! resolved once into a handle for the same [`active_isa`], bit-identical
+//! to the scalar one by construction (a move and at most one multiply). What the
 //! driver moves into, it owns as an [`AlignedBuf`] — packed panels, the
 //! staged `C` tile, a chain's register file — so every one starts on a
 //! cache line wherever `malloc` put it. What it will move next it can
-//! announce with [`strided_prefetch`]: one cache hint per line of a strided
+//! announce with [`Mover::prefetch`]: one cache hint per line of a strided
 //! region, again one body per impl (none on the scalar reference).
 //!
 //! **Selection and safety.** A [`SimdKernel`]'s body runs bounds-free —
@@ -135,7 +135,7 @@ pub(crate) mod x86_64;
 
 pub use aligned::AlignedBuf;
 use compile::Node;
-pub use mover::{strided_move, strided_move_on, strided_prefetch};
+pub use mover::Mover;
 use mover::{Move2d, Walk};
 
 /// The run-time half of one executing ISA: what has to be compiled for
@@ -218,15 +218,15 @@ pub(crate) trait VectorIsa {
         }
     }
 
-    /// This ISA's body of the strided mover ([`strided_move`]).
+    /// This ISA's body of the strided mover ([`Mover::strided_move`]).
     ///
     /// # Safety
     ///
-    /// As [`strided_move`], with `m` named for `walk`
+    /// As [`Mover::strided_move`], with `m` named for `walk`
     /// (`Move2d::classified`).
     unsafe fn move_2d(walk: Walk, m: &Move2d);
 
-    /// Hints the cache to fetch the line holding `p` ([`strided_prefetch`]);
+    /// Hints the cache to fetch the line holding `p` ([`Mover::prefetch`]);
     /// the scalar reference hints nothing.
     ///
     /// # Safety

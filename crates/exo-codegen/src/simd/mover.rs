@@ -18,18 +18,26 @@
 //! * **anything else** — the scalar stride walk.
 //!
 //! and the ISA picks one body per `VectorIsa` impl, exactly as it does for
-//! the simd chain: [`strided_move`] runs [`active_isa`]'s, [`strided_move_on`] an
-//! explicit one (how the differential test and the bench compare bodies
+//! the simd chain. A [`Mover`] is one ISA's bodies resolved once — a
+//! driver keeps one beside its kernel's dispatch handle, so a move costs a
+//! call, not a lookup of the ISA, a probe of the host and a jump table.
+//! [`Mover::active`] is the process's [`active_isa`]'s, [`Mover::on`] an
+//! explicit ISA's (how the differential test and the bench compare bodies
 //! inside one process). The scalar body is the reference: it is what
 //! `EXO_ISA=scalar` runs, and every vector body must reproduce it bit for
 //! bit — a move plus at most one multiply per element leaves no room for
 //! a rounding difference. `scale == 1.0` is a pure move on every body.
 //!
-//! Beside the mover sits its prefetch, [`strided_prefetch`]: one cache hint
+//! Packing is the mover's other entry, [`Mover::pack_panels`]: a whole
+//! block into contiguous panels of a fixed width, zero padding included,
+//! in one call — every panel one move of the same walk.
+//!
+//! Beside the mover sits its prefetch, [`Mover::prefetch`]: one cache hint
 //! per line of a strided region, per ISA as well, which a driver issues
 //! for the region it will move next while it computes on this one.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use super::{active_isa, scalar, IsaKind, VectorIsa};
 
@@ -96,7 +104,7 @@ impl Move2d {
     ///
     /// # Safety
     ///
-    /// As [`strided_move`], for the elements of the sub-rectangle.
+    /// As [`Mover::strided_move`], for the elements of the sub-rectangle.
     #[inline]
     pub(crate) unsafe fn walk(&self, rows: Range<usize>, cols: Range<usize>) {
         for r in rows {
@@ -108,96 +116,180 @@ impl Move2d {
     }
 }
 
-/// Moves a `rows × cols` region between two strided layouts on the
-/// process's [`active_isa`]: `dst[r·drs + c·dcs] = scale · src[r·srs +
-/// c·scs]` for every `r < rows`, `c < cols`, with `(drs, dcs) =
-/// dst_strides`, `(srs, scs) = src_strides` in elements and `(rows, cols) =
-/// extent`. `scale == 1.0` moves the bits untouched; any other scale is
-/// one IEEE multiply per element, so the result does not depend on the ISA.
-///
-/// # Safety
-///
-/// * For every `(r, c)` of the extent, `src.add(r·srs + c·scs)` must be
-///   valid for a read and `dst.add(r·drs + c·dcs)` for a write, with no
-///   other thread accessing the destination elements during the call.
-/// * The two element sets must not overlap, and distinct `(r, c)` must
-///   address distinct destination elements.
-///
-/// In return, **no element outside the `rows × cols` extent is read or
-/// written**, on either side and on every body: tails are finished with
-/// narrower vectors and then scalars, never with a full-width access that
-/// hangs over the edge. What lies between the rows of either side —
-/// another worker's window of an interleaved `C`, the caller's padding —
-/// need not even be mapped.
-#[inline]
-pub unsafe fn strided_move(
-    dst: *mut f32,
-    dst_strides: (usize, usize),
-    src: *const f32,
-    src_strides: (usize, usize),
-    extent: (usize, usize),
-    scale: f32,
-) {
-    strided_move_on(active_isa(), dst, dst_strides, src, src_strides, extent, scale)
-}
-
-/// [`strided_move`] on an explicit ISA's body: classifies the move and
-/// hands it over in one call — on x86_64 one `#[target_feature]` boundary
-/// — per region.
-///
-/// # Safety
-///
-/// As [`strided_move`].
-///
-/// # Panics
-///
-/// Panics when the host cannot run `isa` ([`IsaKind::available`]).
-pub unsafe fn strided_move_on(
+/// One ISA's strided mover with its bodies resolved: the move, the panel
+/// pack and the prefetch of [`IsaKind`]'s `VectorIsa` impl, looked up once
+/// when the handle is made. Copy it wherever moves are issued — a GEMM
+/// runner keeps one for every pack and every `C` tile it stages.
+#[derive(Clone, Copy)]
+pub struct Mover {
     isa: IsaKind,
-    dst: *mut f32,
-    (drs, dcs): (usize, usize),
-    src: *const f32,
-    (srs, scs): (usize, usize),
-    (rows, cols): (usize, usize),
-    scale: f32,
-) {
-    assert!(isa.available(), "the `{isa}` mover cannot run on this host");
-    let (walk, m) = Move2d { dst, drs, dcs, src, srs, scs, rows, cols, scale }.classified();
-    with_isa_impl!(isa, I => I::move_2d(walk, &m), else unreachable!("`{isa}` passed `available()` with no impl"))
+    move_2d: unsafe fn(Walk, &Move2d),
+    pack: unsafe fn(&Move2d, usize),
+    prefetch: PrefetchBody,
 }
 
-/// Hints the cache to fetch every line of a `rows × cols` region of `f32`s
-/// at `base` with `(row, column)` strides in elements — one hint per
-/// distinct `line`-byte line along the region's unit-stride axis: each row
-/// when `col_stride == 1`, else each column when `row_stride == 1`, and no
-/// hint at all when neither stride is 1 (or `line` is 0). The driver issues
-/// it for the next `C` tile while the micro-kernel runs on this one, so the
-/// tile's stage-in and write-back find their lines in the L1d.
+/// A [`Mover::prefetch`] body: the region's base address, its strides,
+/// its extent and the line size.
+type PrefetchBody = fn(*const u8, (usize, usize), (usize, usize), usize);
+
+impl std::fmt::Debug for Mover {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Mover").field("isa", &self.isa).finish()
+    }
+}
+
+impl Mover {
+    /// The mover of `isa`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host cannot run `isa` ([`IsaKind::available`]).
+    pub fn on(isa: IsaKind) -> Mover {
+        assert!(isa.available(), "the `{isa}` mover cannot run on this host");
+        with_isa_impl!(
+            isa,
+            I => Mover { isa, move_2d: I::move_2d, pack: pack_panels::<I>, prefetch: prefetch_region::<I> },
+            else unreachable!("`{isa}` passed `available()` with no impl")
+        )
+    }
+
+    /// The mover of the process's [`active_isa`], resolved once per process.
+    pub fn active() -> Mover {
+        static ACTIVE: OnceLock<Mover> = OnceLock::new();
+        *ACTIVE.get_or_init(|| Mover::on(active_isa()))
+    }
+
+    /// The ISA whose bodies this mover runs.
+    pub fn isa(self) -> IsaKind {
+        self.isa
+    }
+
+    /// Moves a `rows × cols` region between two strided layouts:
+    /// `dst[r·drs + c·dcs] = scale · src[r·srs + c·scs]` for every `r <
+    /// rows`, `c < cols`, with `(drs, dcs) = dst_strides`, `(srs, scs) =
+    /// src_strides` in elements and `(rows, cols) = extent`. `scale == 1.0`
+    /// moves the bits untouched; any other scale is one IEEE multiply per
+    /// element, so the result does not depend on the ISA.
+    ///
+    /// # Safety
+    ///
+    /// * For every `(r, c)` of the extent, `src.add(r·srs + c·scs)` must be
+    ///   valid for a read and `dst.add(r·drs + c·dcs)` for a write, with no
+    ///   other thread accessing the destination elements during the call.
+    /// * The two element sets must not overlap, and distinct `(r, c)` must
+    ///   address distinct destination elements.
+    ///
+    /// In return, **no element outside the `rows × cols` extent is read or
+    /// written**, on either side and on every body: tails are finished with
+    /// vectors that overlap ones already moved, narrower vectors or scalars,
+    /// never with a full-width access that hangs over the edge. What lies
+    /// between the rows of either side — another worker's window of an
+    /// interleaved `C`, the caller's padding — need not even be mapped.
+    #[inline]
+    pub unsafe fn strided_move(
+        self,
+        dst: *mut f32,
+        (drs, dcs): (usize, usize),
+        src: *const f32,
+        (srs, scs): (usize, usize),
+        (rows, cols): (usize, usize),
+        scale: f32,
+    ) {
+        let (walk, m) = Move2d { dst, drs, dcs, src, srs, scs, rows, cols, scale }.classified();
+        (self.move_2d)(walk, &m)
+    }
+
+    /// Packs a `rows × cols` region of `src` (strides `(srs, scs)` in
+    /// elements) into `cols.div_ceil(width)` panels at `dst`, one after
+    /// another: panel `p` is `rows` contiguous rows of `width` elements
+    /// holding `scale ·` source columns `p·width..`, and the columns of the
+    /// last panel past `cols` are zero. That is the [`Mover::strided_move`]
+    /// of each panel, with destination strides `(width, 1)`, plus the
+    /// padding — every panel in this one call.
+    ///
+    /// # Safety
+    ///
+    /// * `dst` must be valid for writes of `cols.div_ceil(width) · rows ·
+    ///   width` elements, none of which another thread accesses during the
+    ///   call, and `width` must be at least 1;
+    /// * `src` must be valid for a read of every element of the region, and
+    ///   the two must not overlap.
+    ///
+    /// Nothing outside those panels and that region is written or read.
+    #[inline]
+    pub unsafe fn pack_panels(
+        self,
+        dst: *mut f32,
+        width: usize,
+        src: *const f32,
+        (srs, scs): (usize, usize),
+        (rows, cols): (usize, usize),
+        scale: f32,
+    ) {
+        debug_assert!(width > 0, "a panel is at least one column wide");
+        (self.pack)(&Move2d { dst, drs: width, dcs: 1, src, srs, scs, rows, cols, scale }, width)
+    }
+
+    /// Hints the cache to fetch every line of a `rows × cols` region of
+    /// `f32`s at `base` with `(row, column)` strides in elements — one hint
+    /// per distinct `line`-byte line along the region's unit-stride axis:
+    /// each row when `col_stride == 1`, else each column when `row_stride ==
+    /// 1`, and no hint at all when neither stride is 1 (or `line` is 0). The
+    /// driver issues it for the next `C` tile while the micro-kernel runs on
+    /// this one, so the tile's stage-in and write-back find their lines in
+    /// the L1d.
+    ///
+    /// A hint reads and writes no element and cannot fault. Every address
+    /// it names lies inside one of the region's runs: it is `base` stepped
+    /// with `wrapping_add` to the run's first byte or to the first byte of a
+    /// later line the run touches, so nothing outside the region is formed,
+    /// let alone accessed. The bodies are per ISA: `prefetcht0` on x86_64
+    /// (AVX-512 runs the AVX2 one), `prfm pldl1keep` on aarch64, nothing on
+    /// the scalar reference.
+    #[inline]
+    pub fn prefetch(self, base: *const f32, strides: (usize, usize), extent: (usize, usize), line: usize) {
+        (self.prefetch)(base.cast(), strides, extent, line)
+    }
+}
+
+/// `I`'s [`Mover::pack_panels`]: `m` is the whole region with one panel
+/// row's destination strides. A fringe panel is zeroed whole, then moved
+/// into: one fill instead of one per row.
 ///
-/// A hint reads and writes no element and cannot fault. Every address it
-/// names lies inside one of the region's runs: it is `base` stepped with
-/// `wrapping_add` to the run's first byte or to the first byte of a later
-/// line the run touches, so nothing outside the region is formed, let alone
-/// accessed. The bodies are per ISA: `prefetcht0` on x86_64 (AVX-512 runs
-/// the AVX2 one), `prfm pldl1keep` on aarch64, nothing on the scalar
-/// reference.
-#[inline]
-pub fn strided_prefetch(base: *const f32, strides: (usize, usize), extent: (usize, usize), line: usize) {
-    let base = base.cast::<u8>();
-    let isa = active_isa();
-    with_isa_impl!(
-        isa,
-        I => for_each_hint(base.addr(), strides, extent, line, |offset| {
-            // SAFETY: `active_isa` is available on this host, and a
-            // prefetch accesses nothing.
-            unsafe { I::prefetch(base.wrapping_add(offset)) }
-        }),
-        else unreachable!("`{isa}` is the active ISA with no impl")
-    )
+/// # Safety
+///
+/// As [`Mover::pack_panels`], with `I` available on this host.
+unsafe fn pack_panels<I: VectorIsa>(m: &Move2d, width: usize) {
+    let panel_len = m.rows * width;
+    let (mut dst, mut col) = (m.dst, 0);
+    while col < m.cols {
+        let cols = width.min(m.cols - col);
+        if cols < width {
+            std::ptr::write_bytes(dst, 0, panel_len);
+        }
+        let (walk, panel) = Move2d { dst, src: m.src.wrapping_add(col * m.scs), cols, ..*m }.classified();
+        I::move_2d(walk, &panel);
+        dst = dst.add(panel_len);
+        col += width;
+    }
+}
+
+/// `I`'s [`Mover::prefetch`] over a region at `base` (a byte address).
+fn prefetch_region<I: VectorIsa>(
+    base: *const u8,
+    strides: (usize, usize),
+    extent: (usize, usize),
+    line: usize,
+) {
+    for_each_hint(base.addr(), strides, extent, line, |offset| {
+        // SAFETY: a `Mover` of `I` exists only where `I` is available on
+        // this host, and a prefetch accesses nothing.
+        unsafe { I::prefetch(base.wrapping_add(offset)) }
+    })
 }
 
 /// Calls `hint` with the byte offset from `start` (an address) of each of
-/// [`strided_prefetch`]'s hints over a `rows × cols` region with `(row,
+/// [`Mover::prefetch`]'s hints over a `rows × cols` region with `(row,
 /// column)` element strides: [`for_each_line`] of every run along the
 /// unit-stride axis.
 #[inline(always)]

@@ -43,7 +43,15 @@ fn main() {
         _ => &[IsaKind::Scalar],
     };
     let compiler = compiler();
-    let compiled = compiler.as_ref().map_or_else(Vec::new, |(cc, _)| compile(cc, units(rows), &out));
+    let (written, compiled) = match &compiler {
+        Some((cc, _)) => {
+            let units = units(rows);
+            let written: Vec<String> = units.iter().map(Unit::symbol).collect();
+            (written, compile(cc, units, &out))
+        }
+        None => (Vec::new(), Vec::new()),
+    };
+    sweep(&out, &written, &compiled);
     if !compiled.is_empty() {
         archive(&compiled, &out);
     }
@@ -155,6 +163,28 @@ fn compile_one(cc: &str, unit: &Unit, out: &Path) -> Result<(), String> {
     } else {
         let diagnostics = compiler_diagnostics(&output.stderr);
         Err(if diagnostics.is_empty() { format!("no diagnostics ({})", output.status) } else { diagnostics })
+    }
+}
+
+/// Removes what an earlier build of this crate left in `out` and this one
+/// did not make: the source of every unit not in `written` (this build's
+/// list), the object of every unit not `compiled`, and the archive when
+/// nothing compiled. So `out` holds one object per body of the table, and a
+/// failed unit's C beside its warning.
+fn sweep(out: &Path, written: &[String], compiled: &[Unit]) {
+    let compiled: Vec<String> = compiled.iter().map(Unit::symbol).collect();
+    let entries = std::fs::read_dir(out).unwrap_or_else(|e| panic!("listing {}: {e}", out.display()));
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let stale = match name.strip_prefix("exo_k_").and(name.rsplit_once('.')) {
+            Some((stem, "c")) => !written.iter().any(|s| s == stem),
+            Some((stem, "o")) => !compiled.iter().any(|s| s == stem),
+            _ => name == "libexo_kernels_native.a" && compiled.is_empty(),
+        };
+        if stale {
+            std::fs::remove_file(entry.path()).unwrap_or_else(|e| panic!("removing {name}: {e}"));
+        }
     }
 }
 

@@ -14,17 +14,17 @@
 //!    [`GemmService::submit_timeout`] are the non-blocking and bounded-wait
 //!    variants; both hand the job back in the [`SubmitError`] so nothing is
 //!    lost on rejection.
-//! 3. A submitter queues its job under the one lock. If nobody is draining
-//!    the queue it becomes the **combiner**: it takes up to
-//!    [`ServiceConfig::max_batch`] queued jobs, runs them as one pass on
-//!    its own thread (a lone job through [`GemmBatchExecutor::gemm_one`],
-//!    two or more as one [`GemmBatchExecutor::gemm_batch`]), and repeats
-//!    until the queue is empty — its own job and whatever other callers
-//!    queued meanwhile. Otherwise it returns
-//!    its handle at once: a combiner never leaves a non-empty queue
-//!    behind. So an idle service runs a job on the calling thread and
-//!    returns a resolved handle, and batches form exactly when callers
-//!    contend.
+//! 3. A submitter takes the one lock. If nobody is draining the queue — so
+//!    the queue is empty — it becomes the **combiner**: its own job is the
+//!    first pass, a pass of one through [`GemmBatchExecutor::gemm_one`] run
+//!    on its own thread without being queued, and then it takes up to
+//!    [`ServiceConfig::max_batch`] jobs other callers queued meanwhile,
+//!    runs them as one pass (one job through `gemm_one`, two or more as
+//!    one [`GemmBatchExecutor::gemm_batch`]), and repeats until the queue
+//!    is empty. Otherwise it queues its job and returns its handle at once:
+//!    a combiner never leaves a non-empty queue behind. So an idle service
+//!    runs a job on the calling thread and returns a resolved handle, and
+//!    batches form exactly when callers contend.
 //! 4. A pass writes each job's answer — [`gemm_blis::GemmStats`] or its
 //!    error — onto the queued job itself. The combiner books the pass's
 //!    answers into the counters of [`GemmService::stats`], then sends each
@@ -32,10 +32,12 @@
 //!    the books always balance before any handle resolves.
 //!
 //! What `submit` costs: on an idle service, the job's one engine pass plus
-//! one lock and a completion slot; for a combiner, also every job other
-//! callers queue before it finds the queue empty — bounded by the windows
-//! of closed-loop callers, unbounded while open-loop callers submit faster
-//! than one thread executes.
+//! two lock round trips — one to become the combiner, one to book the
+//! answer and find the queue empty — and no allocation: the answer rides
+//! back in the handle. A queued job pays a completion slot. A combiner
+//! also runs every job other callers queue before it finds the queue empty
+//! — bounded by the windows of closed-loop callers, unbounded while
+//! open-loop callers submit faster than one thread executes.
 //!
 //! Failure semantics: a panic inside one batch entry fails only that job
 //! (see [`crate::batch`]); a misshapen job is refused by the executor
@@ -262,7 +264,9 @@ fn park<'a, T>(
     (!left.is_zero()).then(|| on.wait_timeout(guard, left).unwrap_or_else(PoisonError::into_inner).0)
 }
 
-/// Where one job's result is left for its [`JobHandle`].
+/// Where one job's result is left for its [`JobHandle`]: shared with a
+/// [`Reply`] while the job is queued, or the handle's own when the job ran
+/// inside `submit`.
 #[derive(Debug)]
 struct Slot {
     state: Mutex<SlotState>,
@@ -284,7 +288,15 @@ enum SlotState {
 fn slot() -> (Reply, JobHandle) {
     let slot =
         Arc::new(Slot { state: Mutex::new(SlotState::Pending { awaited: false }), ready: Condvar::new() });
-    (Reply { slot: Arc::clone(&slot), sent: false }, JobHandle { slot })
+    (Reply { slot: Arc::clone(&slot), sent: false }, JobHandle { slot: HandleSlot::Queued(slot) })
+}
+
+impl JobHandle {
+    /// The handle of a job that ran inside `submit`, holding its answer.
+    fn answered(result: Result<CompletedJob, GemmError>) -> Self {
+        let slot = Slot { state: Mutex::new(SlotState::Ready(result)), ready: Condvar::new() };
+        JobHandle { slot: HandleSlot::Answered(slot) }
+    }
 }
 
 /// The resolving side of a [`Slot`]. Dropped unsent it resolves the handle
@@ -323,7 +335,9 @@ impl Drop for Reply {
 
 struct Submission {
     job: GemmJob,
-    reply: Reply,
+    /// Where a queued job's answer goes; `None` for the combiner's own job,
+    /// whose answer `submit` returns in the handle.
+    reply: Option<Reply>,
     /// When `submit` was called, for a job with a deadline: the deadline
     /// check is all that reads it, so no other job reads the clock for it.
     enqueued: Option<Instant>,
@@ -331,11 +345,27 @@ struct Submission {
     outcome: Option<Result<GemmStats, GemmError>>,
 }
 
+impl Submission {
+    /// The job's answer, with its `C`: what its handle resolves with.
+    fn answer(self) -> Result<CompletedJob, GemmError> {
+        let outcome = self.outcome.expect("a pass answers every job, or fails them all");
+        outcome.map(|stats| CompletedJob { c: self.job.into_c(), stats })
+    }
+}
+
 /// The handle returned by [`GemmService::submit`]: redeem it with
 /// [`JobHandle::wait`] for the job's `C` operand and stats.
 #[derive(Debug)]
 pub struct JobHandle {
-    slot: Arc<Slot>,
+    slot: HandleSlot,
+}
+
+#[derive(Debug)]
+enum HandleSlot {
+    /// The job ran inside `submit`: its answer, here already.
+    Answered(Slot),
+    /// The job was queued: the slot its combiner resolves.
+    Queued(Arc<Slot>),
 }
 
 impl JobHandle {
@@ -367,14 +397,18 @@ impl JobHandle {
     /// Takes the result out, parking until it is there or `give_up_at`
     /// comes (`None`: as long as it takes, so never `None` back).
     fn redeem(&self, give_up_at: Option<Instant>) -> Option<Result<CompletedJob, GemmError>> {
-        let mut state = lock(&self.slot.state);
+        let slot = match &self.slot {
+            HandleSlot::Answered(slot) => slot,
+            HandleSlot::Queued(slot) => slot,
+        };
+        let mut state = lock(&slot.state);
         loop {
             match std::mem::replace(&mut *state, SlotState::Redeemed) {
                 SlotState::Ready(result) => return Some(result),
                 SlotState::Pending { .. } => *state = SlotState::Pending { awaited: true },
                 SlotState::Redeemed => panic!("this JobHandle already returned its result"),
             }
-            state = park(&self.slot.ready, state, give_up_at)?;
+            state = park(&slot.ready, state, give_up_at)?;
         }
     }
 }
@@ -552,15 +586,21 @@ impl GemmService {
                 };
             }
         }
-        let (reply, handle) = slot();
-        state.pending.push_back(Submission { job, reply, enqueued, outcome: None });
         state.stats.jobs_submitted += 1;
-        state.stats.queue_highwater = state.stats.queue_highwater.max(state.pending.len());
         if let Some(executor) = state.executor.take() {
-            let first = self.take_pass(&mut state);
+            // Nobody drains, so the queue is empty: this job is the first
+            // pass, run here, and its answer needs no slot.
+            let stats = &mut state.stats;
+            stats.queue_highwater = stats.queue_highwater.max(1);
+            stats.batches += 1;
+            stats.largest_batch = stats.largest_batch.max(1);
             drop(state);
-            self.drain(executor, first);
+            let own = Submission { job, reply: None, enqueued, outcome: None };
+            return Ok(JobHandle::answered(self.drain(executor, own)));
         }
+        let (reply, handle) = slot();
+        state.pending.push_back(Submission { job, reply: Some(reply), enqueued, outcome: None });
+        state.stats.queue_highwater = state.stats.queue_highwater.max(state.pending.len());
         Ok(handle)
     }
 
@@ -583,38 +623,50 @@ impl GemmService {
         pass
     }
 
-    /// Runs `pass`, then whatever queued up meanwhile, until the queue is
-    /// found empty. One lock per pass: it books the answers the pass left
-    /// on its jobs and takes the next pass (or hands the executor back);
-    /// each job's answer is sent after it, outside it.
-    fn drain(&self, executor: Box<dyn GemmBatchExecutor + Send>, mut pass: Vec<Submission>) {
+    /// Runs the combiner's own job as a pass of one, then whatever other
+    /// callers queued meanwhile, pass by pass, until the queue is found
+    /// empty; returns the own job's answer. Each queued job's answer is
+    /// sent after the lock that books its pass, outside it.
+    fn drain(
+        &self,
+        executor: Box<dyn GemmBatchExecutor + Send>,
+        own: Submission,
+    ) -> Result<CompletedJob, GemmError> {
         let mut combiner = Combiner { service: self, executor: Some(executor) };
+        let mut own = [own];
+        let mut pass = self.run_and_book(&mut combiner, &mut own);
         while !pass.is_empty() {
-            let executor = combiner.executor.as_deref().expect("held until the queue is found empty");
-            // The pass lives outside the capture: if it unwinds, its jobs
-            // are still here to be failed — typed, and counted first.
-            let tallies =
-                catch_unwind(AssertUnwindSafe(|| run_pass(executor, &mut pass))).unwrap_or_else(|payload| {
-                    let message = panic_message(payload.as_ref());
-                    for submission in &mut pass {
-                        submission.outcome = Some(Err(GemmError::JobPanicked { message: message.clone() }));
-                    }
-                    (1, 0, 0)
-                });
-            let next = {
-                let mut state = lock(&self.state);
-                state.book(tallies, &pass);
-                let next = self.take_pass(&mut state);
-                if next.is_empty() {
-                    state.executor = combiner.executor.take();
-                }
-                next
-            };
-            for Submission { job, reply, outcome, .. } in std::mem::replace(&mut pass, next) {
-                let outcome = outcome.expect("a pass answers every job, or fails them all");
-                reply.send(outcome.map(|stats| CompletedJob { c: job.into_c(), stats }));
+            let next = self.run_and_book(&mut combiner, &mut pass);
+            for mut submission in std::mem::replace(&mut pass, next) {
+                let reply = submission.reply.take().expect("a queued job has a reply");
+                reply.send(submission.answer());
             }
         }
+        let [own] = own;
+        own.answer()
+    }
+
+    /// Runs `pass` inside a panic capture, then under one lock books the
+    /// answers it left on its jobs and takes the next pass — or, finding
+    /// none, hands the executor back.
+    fn run_and_book(&self, combiner: &mut Combiner<'_>, pass: &mut [Submission]) -> Vec<Submission> {
+        let executor = combiner.executor.as_deref().expect("held until the queue is found empty");
+        // The pass lives outside the capture: if it unwinds, its jobs are
+        // still here to be failed — typed, and counted first.
+        let tallies = catch_unwind(AssertUnwindSafe(|| run_pass(executor, pass))).unwrap_or_else(|payload| {
+            let message = panic_message(payload.as_ref());
+            for submission in pass.iter_mut() {
+                submission.outcome = Some(Err(GemmError::JobPanicked { message: message.clone() }));
+            }
+            (1, 0, 0)
+        });
+        let mut state = lock(&self.state);
+        state.book(tallies, pass);
+        let next = self.take_pass(&mut state);
+        if next.is_empty() {
+            state.executor = combiner.executor.take();
+        }
+        next
     }
 
     /// Submits every job, then waits for all of them, returning results in
@@ -779,7 +831,8 @@ mod tests {
     #[test]
     fn a_submission_dropped_unresolved_resolves_its_handle_typed() {
         let (reply, handle) = slot();
-        let submission = Submission { job: job(4, 4, 4, 0), reply, enqueued: None, outcome: None };
+        let submission =
+            Submission { job: job(4, 4, 4, 0), reply: Some(reply), enqueued: None, outcome: None };
         assert!(handle.wait_timeout(Duration::ZERO).is_none(), "nothing has resolved it yet");
         drop(submission);
         match handle.wait() {

@@ -13,7 +13,8 @@
 //! BLAS contract of [`gemm_blis::GemmProblem`] — strided views,
 //! `op(A)`/`op(B)`, `alpha`/`beta` — is honored by the underlying driver.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gemm_blis::{BlisGemm, BlockingParams, GemmError, GemmExecutor, GemmProblem, GemmStats};
 
@@ -43,7 +44,8 @@ type GroupKey = Option<BlockingParams>;
 /// registry lookup, `KernelImpl`, `BlisGemm` — and kept for as long as the
 /// executor lives, together with the warm runners it owns
 /// ([`gemm_blis::BlisGemm`]): the second problem of a group pays for a
-/// verdict lookup and a GEMM, whichever of [`TunedGemm::execute`],
+/// GEMM and one lookup of its shape, which finds the verdict and the driver
+/// together under one lock, whichever of [`TunedGemm::execute`],
 /// [`GemmExecutor::gemm`] or an `exo-serve` batch it comes through.
 ///
 /// Dispatch goes through the fastest execution backend the host supports:
@@ -60,9 +62,19 @@ type GroupKey = Option<BlockingParams>;
 pub struct TunedGemm {
     tuner: Tuner,
     threads: usize,
+    routes: Mutex<Routes>,
+}
+
+/// Where every shape dispatched so far goes, and the drivers it goes to.
+#[derive(Debug, Default)]
+struct Routes {
+    /// Each shape's verdict and its group's driver: a warm dispatch's one
+    /// lookup.
+    by_shape: BTreeMap<(usize, usize, usize), (TuneVerdict, Arc<BlisGemm>)>,
     /// One built driver per verdict group, in first-dispatch order. A
-    /// serving mix has a handful of groups, so lookup is a scan.
-    drivers: Mutex<Vec<(GroupKey, Arc<BlisGemm>)>>,
+    /// serving mix has a handful of groups, so finding one is a scan — on
+    /// a shape's first dispatch only.
+    drivers: Vec<(GroupKey, Arc<BlisGemm>)>,
 }
 
 impl Default for TunedGemm {
@@ -87,7 +99,7 @@ impl TunedGemm {
 
     /// A tuned GEMM over an explicit tuner (any space).
     pub fn with_tuner(tuner: Tuner) -> Self {
-        TunedGemm { tuner, threads: 1, drivers: Mutex::default() }
+        TunedGemm { tuner, threads: 1, routes: Mutex::default() }
     }
 
     /// Sets the worker-thread count the dispatch drivers partition `C`
@@ -98,7 +110,7 @@ impl TunedGemm {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self.drivers = Mutex::default();
+        self.routes = Mutex::default();
         self
     }
 
@@ -127,15 +139,23 @@ impl TunedGemm {
         self.tuner.tune(m, n, k)
     }
 
+    /// The routes, whether or not a holder of the lock panicked: every
+    /// critical section only reads, or inserts a whole entry, so a
+    /// poisoned lock's state is consistent.
+    fn routes(&self) -> MutexGuard<'_, Routes> {
+        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The verdict for an `m x n x k` problem and the driver that runs it:
     /// the one driver of the verdict's group, built on the group's first
     /// dispatch and shared — with the warm runners it owns — by everything
     /// this executor dispatches afterwards (the `exo-serve` batch executor
-    /// groups a batch's entries by it). A shape with a zero dimension has
-    /// nothing to tune: it gets a degenerate verdict (no candidates
-    /// evaluated) on the default blocking and a driver of its own — any
-    /// kernel honours the contract that is left (`beta` scaling, nothing
-    /// else) — and the registry stays untouched.
+    /// groups a batch's entries by it). A shape dispatched before is one
+    /// lookup under one lock. A shape with a zero dimension has nothing to
+    /// tune: it gets a degenerate verdict (no candidates evaluated) on the
+    /// default blocking and a driver of its own — any kernel honours the
+    /// contract that is left (`beta` scaling, nothing else) — and the
+    /// registry stays untouched.
     ///
     /// # Errors
     ///
@@ -146,6 +166,9 @@ impl TunedGemm {
         n: usize,
         k: usize,
     ) -> Result<(TuneVerdict, Arc<BlisGemm>), TuneError> {
+        if let Some((verdict, driver)) = self.routes().by_shape.get(&(m, n, k)) {
+            return Ok((verdict.clone(), Arc::clone(driver)));
+        }
         let degenerate = m == 0 || n == 0 || k == 0;
         let verdict = if degenerate {
             let BlockingParams { mc, kc, nc, mr, nr } = BlockingParams::carmel_defaults(8, 12);
@@ -166,19 +189,21 @@ impl TunedGemm {
             self.tuner.tune(m, n, k)?
         };
         let key: GroupKey = (!degenerate).then(|| verdict.blocking());
-        // Held across a build, so a group is built exactly once; the
-        // critical section only reads or appends, so a poisoned lock's
-        // state is consistent.
-        let mut drivers = self.drivers.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, driver)) = drivers.iter().find(|(group, _)| *group == key) {
-            return Ok((verdict, Arc::clone(driver)));
-        }
-        let mut driver = BlisGemm::new(verdict.blocking()).with_threads(self.threads);
-        if !degenerate {
-            driver = driver.with_kernel(self.tuner.kernel_impl_for(&verdict)?);
-        }
-        let driver = Arc::new(driver);
-        drivers.push((key, Arc::clone(&driver)));
+        // Held across a build, so a group is built exactly once.
+        let mut routes = self.routes();
+        let driver = match routes.drivers.iter().find(|(group, _)| *group == key) {
+            Some((_, driver)) => Arc::clone(driver),
+            None => {
+                let mut driver = BlisGemm::new(verdict.blocking()).with_threads(self.threads);
+                if !degenerate {
+                    driver = driver.with_kernel(self.tuner.kernel_impl_for(&verdict)?);
+                }
+                let driver = Arc::new(driver);
+                routes.drivers.push((key, Arc::clone(&driver)));
+                driver
+            }
+        };
+        routes.by_shape.insert((m, n, k), (verdict.clone(), Arc::clone(&driver)));
         Ok((verdict, driver))
     }
 
@@ -186,8 +211,7 @@ impl TunedGemm {
     /// first-dispatch order — read-only access to what this executor keeps
     /// warm ([`BlisGemm::idle_runners`], [`BlisGemm::runners_built`]).
     pub fn drivers(&self) -> Vec<Arc<BlisGemm>> {
-        let drivers = self.drivers.lock().unwrap_or_else(PoisonError::into_inner);
-        drivers.iter().map(|(_, driver)| Arc::clone(driver)).collect()
+        self.routes().drivers.iter().map(|(_, driver)| Arc::clone(driver)).collect()
     }
 
     /// Solves the problem with the autotuned kernel and blocking for its

@@ -13,11 +13,12 @@
 //! * `beta` is applied as a `C` tile is staged in on the **first** k-block
 //!   only — later k-blocks accumulate — and `beta == 0` never reads `C`.
 //!
-//! Every strided ↔ packed move — `A` and `B` into micro-panels, a `C` tile
-//! into the kernel's column-major scratch and back — is one call of the
-//! workspace's strided mover ([`exo_codegen::simd::strided_move`]): vector
-//! copies and in-register transposes on the ISA the kernels execute on,
-//! the scalar walk elsewhere, the same bits everywhere. A tile is reached
+//! Every strided ↔ packed move — a block of `A` or `B` into micro-panels, a
+//! `C` tile into the kernel's column-major scratch and back — is one call of
+//! the workspace's strided mover ([`exo_codegen::simd::Mover`], resolved
+//! once per runner): vector copies and in-register transposes on the ISA
+//! the kernels execute on, the scalar walk elsewhere, the same bits
+//! everywhere. A tile is reached
 //! through `C`'s raw pointer and the mover touches nothing outside it, so
 //! the elements of another worker's window that lie between a tile's rows
 //! are never read, written or spanned by a reference.
@@ -27,7 +28,7 @@
 //! kernel it drives: where the window of `C` a pass works on outgrows the
 //! L1d, each kernel call is preceded by one prefetch hint per line of the
 //! `C` tile the walk visits next
-//! ([`exo_codegen::simd::strided_prefetch`]), and the kernel's runtime
+//! ([`exo_codegen::simd::Mover::prefetch`]), and the kernel's runtime
 //! covers that tile's stage-in and write-back misses. A window that fits
 //! the L1d gets no hints; its tiles stay resident anyway.
 //!
@@ -60,7 +61,7 @@
 //! an extra window, a batch shard — checks one out and returns it, and the
 //! only thing that ends a runner early is a pass that unwound. The tier a
 //! generated kernel runs on is settled at the top of each GEMM
-//! (`GemmRunner::begin`), not when the runner was built, so warm state
+//! (`Engine::begin`), not when the runner was built, so warm state
 //! never pins a problem to a fallback the kernel has since outgrown.
 //!
 //! Correctness for arbitrary (including fringe) problem sizes is the point;
@@ -71,13 +72,13 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use exo_codegen::simd::{strided_move, strided_prefetch, AlignedBuf};
+use exo_codegen::simd::{AlignedBuf, Mover};
 use ukernel_gen::{GenError, TierDispatch};
 
 use crate::baselines::{default_kernel, ExecBackend, KernelImpl};
 use crate::blocking::BlockingParams;
 use crate::host::HostDescription;
-use crate::packing::{a_panel, b_panel, pack_a_into, pack_a_rows, pack_b_into, PackArena, PackedB};
+use crate::packing::{a_panel, b_panel, pack_a_block, pack_a_rows, pack_b_block, PackArena, PackedB};
 use crate::pool::{lock_tolerant, PoolJob, ThreadPool};
 use crate::problem::{GemmExecutor, GemmProblem, GemmStats};
 use crate::views::{MatMut, MatRef};
@@ -347,7 +348,7 @@ impl BlisGemm {
         let blocking = tile_blocking(self.blocking, &self.kernel);
         // `blocking` is a public field: a runner built before it was
         // changed is not this driver's any more.
-        let idle = lock_tolerant(&self.warm.idle).pop().filter(|runner| runner.blocking == blocking);
+        let idle = lock_tolerant(&self.warm.idle).pop().filter(|runner| runner.engine.blocking == blocking);
         idle.unwrap_or_else(|| {
             self.warm.built.fetch_add(1, Ordering::Relaxed);
             GemmRunner::new(blocking, &self.kernel)
@@ -430,11 +431,11 @@ impl BlisGemm {
         threads: usize,
     ) -> Result<GemmStats, GemmError> {
         debug_assert_eq!(
-            runner.blocking,
+            runner.engine.blocking,
             tile_blocking(self.blocking, &self.kernel),
             "another driver's runner"
         );
-        let (mut stats, product_left) = runner.begin(problems, packed_b)?;
+        let (mut stats, product_left) = runner.engine.begin(problems, packed_b)?;
         if !product_left {
             return Ok(stats);
         }
@@ -442,7 +443,7 @@ impl BlisGemm {
             0 => ThreadPool::global().workers(),
             t => t,
         };
-        let mut windows = partition(stats.m, stats.n, &runner.blocking, threads);
+        let mut windows = partition(stats.m, stats.n, &runner.engine.blocking, threads);
         if windows.len() > 1 {
             stats.threads = windows.len();
             stats.pool_workers = ThreadPool::global().workers();
@@ -454,7 +455,7 @@ impl BlisGemm {
                 // windows below are pairwise disjoint and each goes to
                 // exactly one engine pass, and `MatMut` proved each stride
                 // map injective, so no element is touched by two threads.
-                unsafe { gemm_arena_sequential(runner, operands, window) }
+                unsafe { gemm_arena_sequential(&mut runner.engine, operands, window) }
             };
             if windows.len() == 1 {
                 return run_window(runner, windows.next().expect("one window"));
@@ -470,7 +471,7 @@ impl BlisGemm {
                     // so the buffers come from (and go back to) one
                     // allocator arena instead of leaving a block-sized
                     // chunk cached in every pool thread's.
-                    runner.reserve(operands.b, window.0.len(), window.1.len(), stats.k);
+                    runner.engine.reserve(operands.b, window.0.len(), window.1.len(), stats.k);
                     Box::new(move || *result = run_window(runner, window)) as PoolJob<'_>
                 })
                 .collect();
@@ -514,12 +515,20 @@ impl GemmExecutor for BlisGemm {
 /// runner has had to pack: one that has only ever read `B` from
 /// [`PackedB`] images has no `Bc` buffer at all.
 pub struct GemmRunner {
+    /// Boxed, so a check-out and a put-back move a pointer, not the engine.
+    engine: Box<Engine>,
+}
+
+/// What a [`GemmRunner`] owns.
+struct Engine {
     /// The driver's blocking with `mr`/`nr` replaced by the kernel's tile.
     blocking: BlockingParams,
     /// The kernel `dispatch` was built from.
     kernel: KernelImpl,
     /// The micro-kernel call of every register tile.
     dispatch: TierDispatch,
+    /// Every pack and `C`-tile move, on the active ISA's body.
+    mover: Mover,
     arena: PackArena,
     /// On a cache line, like the arena's panels: a 16-row tile's columns
     /// are whole lines.
@@ -615,7 +624,7 @@ struct Operands<'a> {
     beta: f32,
 }
 
-/// Runs `f` on the operands of `problems`, which [`GemmRunner::begin`]
+/// Runs `f` on the operands of `problems`, which [`Engine::begin`]
 /// validated and found a product left in. A lone problem's part lives on
 /// this frame — a stack of one allocates nothing — and a stack's in one
 /// vector. Problems with no rows have no part.
@@ -657,21 +666,46 @@ fn tile_blocking(blocking: BlockingParams, kernel: &KernelImpl) -> BlockingParam
 impl GemmRunner {
     /// `blocking` is already the kernel's ([`tile_blocking`]).
     fn new(blocking: BlockingParams, kernel: &KernelImpl) -> Self {
-        GemmRunner {
+        let engine = Engine {
             blocking,
             kernel: kernel.clone(),
             dispatch: kernel.dispatcher(),
+            mover: Mover::active(),
             arena: PackArena::empty(),
             c_tile: AlignedBuf::zeroed(kernel.mr * kernel.nr),
-        }
+        };
+        GemmRunner { engine: Box::new(engine) }
     }
 
     /// The execution tier this runner's handle holds — what every GEMM it
     /// runs executes on.
     pub fn tier(&self) -> ExecBackend {
-        self.dispatch.tier()
+        self.engine.dispatch.tier()
     }
 
+    /// Solves one problem on the calling thread, alone: the whole of `C`
+    /// is this runner's one window.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
+    /// for inconsistent dimensions, micro-kernel failures propagated.
+    pub fn gemm(&mut self, mut problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
+        let problems = std::slice::from_mut(&mut problem);
+        let (stats, product_left) = self.engine.begin(problems, None)?;
+        if product_left {
+            // SAFETY: the part's `c` wraps the problem's exclusively
+            // borrowed `C` view, live until this function returns, and this
+            // is the only pass over it.
+            with_operands(problems, None, |operands| unsafe {
+                gemm_arena_sequential(&mut self.engine, operands, (0..stats.m, 0..stats.n))
+            })?;
+        }
+        Ok(stats)
+    }
+}
+
+impl Engine {
     /// Grows the arena for an `m x n x k` pass: `Ac` always, `Bc` only
     /// when this runner is the one packing `B`.
     fn reserve(&mut self, b: BOperand<'_>, m: usize, n: usize, k: usize) {
@@ -737,27 +771,6 @@ impl GemmRunner {
         }
         Ok((stats, true))
     }
-
-    /// Solves one problem on the calling thread, alone: the whole of `C`
-    /// is this runner's one window.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
-    /// for inconsistent dimensions, micro-kernel failures propagated.
-    pub fn gemm(&mut self, mut problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        let problems = std::slice::from_mut(&mut problem);
-        let (stats, product_left) = self.begin(problems, None)?;
-        if product_left {
-            // SAFETY: the part's `c` wraps the problem's exclusively
-            // borrowed `C` view, live until this function returns, and this
-            // is the only pass over it.
-            with_operands(problems, None, |operands| unsafe {
-                gemm_arena_sequential(self, operands, (0..stats.m, 0..stats.n))
-            })?;
-        }
-        Ok(stats)
-    }
 }
 
 /// Splits `C` into at most `threads` disjoint windows, one per pool worker:
@@ -803,7 +816,7 @@ fn partition(
 /// no other thread may access any `C` element inside `window` during the
 /// call.
 unsafe fn gemm_arena_sequential(
-    run: &mut GemmRunner,
+    run: &mut Engine,
     Operands { parts, b, alpha, beta }: Operands<'_>,
     (rows, cols): Window,
 ) -> Result<(), GemmError> {
@@ -826,7 +839,7 @@ unsafe fn gemm_arena_sequential(
             let packed_b = match b {
                 BOperand::View(b) => {
                     let packed = &mut b_buf[..nc_eff.div_ceil(nr) * kc_eff * nr];
-                    pack_b_into(packed, b, pc, jc, kc_eff, nc_eff, nr);
+                    pack_b_block(run.mover, packed, b, [pc, jc, kc_eff, nc_eff], nr);
                     &*packed
                 }
                 // Windows start on `nc` boundaries, so theirs are the
@@ -842,6 +855,7 @@ unsafe fn gemm_arena_sequential(
                 let ran = unsafe {
                     run_ic_block(
                         &mut run.dispatch,
+                        run.mover,
                         (mr, nr),
                         parts,
                         ic..ic + mc_eff,
@@ -895,11 +909,11 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 
 /// Loops L4/L5 for one `(rows, cols)` block of stacked `C`: pack the
 /// `op(A)` rows (scaled by `alpha`) into `a_buf` — a lone GEMM's through
-/// [`pack_a_into`], a stack's through `pack_a_rows`, which fills a
+/// `pack_a_block`, a stack's through `pack_a_rows`, which fills a
 /// micro-panel that straddles two parts from both — then run the
 /// micro-kernel over every `(jr, ir)` tile, staging each (possibly fringe)
-/// `C` tile into the kernel's column-major `c_tile` and back out through the
-/// strided mover, one move per part the tile's rows come from
+/// `C` tile into the kernel's column-major `c_tile` and back out through
+/// `mover`, one move per part the tile's rows come from
 /// ([`for_each_piece`]) — scaled by
 /// `stage_in_scale` (the problems' `beta` on the first k-block, `1` after)
 /// on the way in, moved untouched on the way out.
@@ -925,6 +939,7 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 #[allow(clippy::too_many_arguments)]
 unsafe fn run_ic_block(
     dispatch: &mut TierDispatch,
+    mover: Mover,
     (mr, nr): (usize, usize),
     parts: &[RowPart<'_>],
     rows: Range<usize>,
@@ -943,15 +958,20 @@ unsafe fn run_ic_block(
     let a_len = mc_eff.div_ceil(mr) * kc_eff * mr;
     match parts {
         // A lone GEMM's rows are its one part's: the plain packer.
-        [part] => {
-            pack_a_into(&mut a_buf[..a_len], part.a, rows.start - part.start, pc, mc_eff, kc_eff, mr, alpha)
-        }
+        [part] => pack_a_block(
+            mover,
+            &mut a_buf[..a_len],
+            part.a,
+            [rows.start - part.start, pc, mc_eff, kc_eff],
+            mr,
+            alpha,
+        ),
         parts => {
             let rows_of = |rows: Range<usize>| {
                 pieces(parts, rows)
                     .map(|(part, local, _)| part.a.submatrix(local.start, pc, local.len(), kc_eff))
             };
-            pack_a_rows(&mut a_buf[..a_len], rows_of, rows.clone(), kc_eff, mr, alpha);
+            pack_a_rows(mover, &mut a_buf[..a_len], rows_of, rows.clone(), kc_eff, mr, alpha);
         }
     }
     let packed_a = &a_buf[..a_len];
@@ -978,17 +998,26 @@ unsafe fn run_ic_block(
                 c_tile.fill(0.0);
             } else {
                 let staged = c_tile.as_mut_ptr();
+                let stage_in = |corner: *mut f32, strides, at: usize, extent| {
+                    // SAFETY: each piece's rows `at..at + extent.0` and
+                    // columns fit the `mr x nr` tile (asserted above) and,
+                    // by the caller's contract, lie inside this worker's
+                    // window of `C`; a scratch buffer and `C` do not
+                    // overlap.
+                    unsafe {
+                        mover.strided_move(
+                            staged.wrapping_add(at),
+                            tile_strides,
+                            corner,
+                            strides,
+                            extent,
+                            stage_in_scale,
+                        )
+                    }
+                };
                 // SAFETY: the tile lies inside this block, so inside the
-                // stacked rows and `C`'s columns. Each piece's rows
-                // `at..at + extent.0` and columns fit the `mr x nr` tile
-                // (asserted above) and, by the caller's contract, lie inside
-                // this worker's window of `C`; a scratch buffer and `C` do
-                // not overlap.
-                unsafe {
-                    for_each_piece(parts, tile(ir, jr), |corner, strides, at, extent| {
-                        strided_move(staged.add(at), tile_strides, corner, strides, extent, stage_in_scale)
-                    });
-                }
+                // stacked rows and `C`'s columns.
+                unsafe { for_each_piece(parts, tile(ir, jr), stage_in) };
             }
             // The tile the walk visits next: the next row panel, or the
             // first of the next column panel.
@@ -997,20 +1026,22 @@ unsafe fn run_ic_block(
                 // SAFETY: the next tile lies inside this block as well.
                 unsafe {
                     for_each_piece(parts, tile(next_ir, next_jr), |corner, strides, _, extent| {
-                        strided_prefetch(corner, strides, extent, line)
+                        mover.prefetch(corner, strides, extent, line)
                     });
                 }
             }
             dispatch.run(kc_eff, ap, bp, c_tile)?;
             let staged = c_tile.as_ptr();
-            // SAFETY: as above, with the roles exchanged; `MatMut` proved
-            // each part's stride map injective, and parts are distinct
-            // problems' exclusively borrowed `C`s.
-            unsafe {
-                for_each_piece(parts, tile(ir, jr), |corner, strides, at, extent| {
-                    strided_move(corner, strides, staged.add(at), tile_strides, extent, 1.0)
-                });
-            }
+            let stage_out = |corner: *mut f32, strides, at: usize, extent| {
+                // SAFETY: as for the stage-in, with the roles exchanged;
+                // `MatMut` proved each part's stride map injective, and
+                // parts are distinct problems' exclusively borrowed `C`s.
+                unsafe {
+                    mover.strided_move(corner, strides, staged.wrapping_add(at), tile_strides, extent, 1.0)
+                }
+            };
+            // SAFETY: the tile lies inside this block, as above.
+            unsafe { for_each_piece(parts, tile(ir, jr), stage_out) };
         }
     }
     Ok(())
@@ -1020,6 +1051,7 @@ unsafe fn run_ic_block(
 mod tests {
     use super::*;
     use crate::baselines::exo_kernel;
+    use crate::packing::pack_b_into;
     use crate::problem::{NaiveGemm, Op};
     use exo_isa::neon_f32;
     use std::sync::Arc;
@@ -1545,7 +1577,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(c_image.data, c_view.data, "{m}x{n}x{k}, {threads} threads");
             }
-            assert_eq!(runner.arena.b_capacity(), 0, "a runner served from images packs no B");
+            assert_eq!(runner.engine.arena.b_capacity(), 0, "a runner served from images packs no B");
 
             // Packed for another kc, or holding another matrix: refused
             // before anything is sliced, and C is untouched.
@@ -1693,11 +1725,12 @@ mod tests {
             (Matrix::from_fn(70, 50, |i, j| (i + j) as f32), Matrix::from_fn(50, 100, |i, j| (i * j) as f32));
         let mut c = Matrix::zeros(70, 100);
         runner.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
-        let (ac, bc) = runner.arena.buffers();
-        for (what, buf) in [("the C tile", &runner.c_tile[..]), ("Ac", &ac[..]), ("Bc", &bc[..])] {
+        let engine = &mut *runner.engine;
+        let (ac, bc) = engine.arena.buffers();
+        for (what, buf) in [("the C tile", &engine.c_tile[..]), ("Ac", &ac[..]), ("Bc", &bc[..])] {
             assert_eq!(buf.as_ptr().addr() % 64, 0, "{what} does not start on a cache line");
         }
-        assert_eq!(runner.c_tile.len(), 8 * 12);
+        assert_eq!(runner.engine.c_tile.len(), 8 * 12);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!
 //! The source is a [`MatRef`] — an arbitrary strided view — so transposes
 //! and sub-matrices are *stride walks*, not copies: `op(X) = T` reaches the
-//! packers as a view whose strides are swapped. Every pack funnels through
-//! one region packer, which is the workspace's strided mover
-//! ([`exo_codegen::simd::strided_move`]) plus the zero padding: the
-//! region's strides pick the mover's walk and the executing ISA its body —
+//! packers as a view whose strides are swapped. Every pack is the
+//! workspace's strided mover ([`exo_codegen::simd::Mover`]): a whole block
+//! — every panel and its zero padding — in one [`Mover::pack_panels`]
+//! call. The region's strides pick the mover's walk and the executing ISA
+//! its body —
 //!
 //! * unit stride along the packed row → whole-vector row copies (the dense
 //!   `B` hot path, and the dense-`A`-transposed path);
@@ -24,8 +25,8 @@
 //!
 //! A block of `B` is walked one of two ways ([`source_order`] picks):
 //!
-//! * **panel order** — one mover call per `nr`-wide panel, which reads a
-//!   `nr`-wide piece of each of `kc` source rows a whole row apart;
+//! * **panel order** — panel after panel, each reading a `nr`-wide piece
+//!   of each of `kc` source rows a whole row apart;
 //! * **source order** — one mover call per source row, which reads the
 //!   row's whole panels front to back and scatters them `kc · nr` apart
 //!   into the panels. It is taken when the block's rows are contiguous,
@@ -34,46 +35,62 @@
 //!   the hardware prefetcher cannot follow, and the scattered stores each
 //!   fill whole lines. The fringe panel is always packed in panel order.
 //!
-//! [`pack_a_into`]/[`pack_b_into`] write into caller-owned buffers — in the
+//! [`pack_a_into`]/[`pack_b_into`] run the process's active mover; the
+//! driver's runners call the same packers with the mover they resolved
+//! when they were built. Both write into caller-owned buffers — in the
 //! driver, the [`PackArena`] each engine instance grows once and reuses, or
 //! a [`PackedB`]: the whole of `op(B)` packed once, ahead of the five loops,
 //! for every GEMM that multiplies by the same matrix.
 
 use std::ops::Range;
 
-use exo_codegen::simd::{strided_move, AlignedBuf};
+use exo_codegen::simd::{AlignedBuf, Mover};
 
 use crate::blocking::BlockingParams;
 use crate::host::HostDescription;
 use crate::views::MatRef;
 use crate::GemmError;
 
-/// Packs the `R x C` `region` into `out` as `R` rows of `tile_w` contiguous
-/// elements (`C <= tile_w`; columns `C..tile_w` are zero-padded), scaling
-/// every element by `alpha`.
+/// Packs `region`, scaled by `scale`, into `out` as panels of `width`
+/// contiguous columns ([`Mover::pack_panels`]: one call, padding included).
 ///
-/// This is the shared engine of [`pack_a_into`] and [`pack_b_into`]: the
-/// strided mover, then the padding.
-fn pack_region(out: &mut [f32], region: MatRef<'_>, tile_w: usize, alpha: f32) {
-    move_region(out, region, 0, tile_w, alpha);
-    pad_columns(out, region.rows(), region.cols(), tile_w);
+/// # Panics
+///
+/// Panics if `out` is shorter than the panels.
+fn pack_region(mover: Mover, out: &mut [f32], region: MatRef<'_>, width: usize, scale: f32) {
+    let (rows, cols) = (region.rows(), region.cols());
+    assert!(out.len() >= cols.div_ceil(width) * rows * width, "pack_region: panels too small");
+    // SAFETY: a `MatRef` holds every `(r, c)` of its extent inside its
+    // backing slice (checked at construction, kept by `t` and
+    // `submatrix`); the assert above holds the panels inside `out`, and
+    // `width` is at least 1 (`div_ceil` would have panicked on 0); a shared
+    // and an exclusive borrow cannot overlap.
+    unsafe {
+        mover.pack_panels(
+            out.as_mut_ptr(),
+            width,
+            region.data().as_ptr(),
+            (region.row_stride(), region.col_stride()),
+            (rows, cols),
+            scale,
+        );
+    }
 }
 
 /// Moves the `R x C` `region`, scaled by `alpha`, into columns `at..at + C`
 /// of the first `R` rows of `tile_w` contiguous elements in `out`, and
 /// touches no other element: the strided mover, once.
-fn move_region(out: &mut [f32], region: MatRef<'_>, at: usize, tile_w: usize, alpha: f32) {
+fn move_region(mover: Mover, out: &mut [f32], region: MatRef<'_>, at: usize, tile_w: usize, alpha: f32) {
     let (rows, cols) = (region.rows(), region.cols());
     assert!(at + cols <= tile_w && out.len() >= rows * tile_w, "pack_region: panel too small");
-    // SAFETY: a `MatRef` holds every `(r, c)` of its extent inside its
-    // backing slice (checked at construction, kept by `t` and `submatrix`);
-    // the assert above holds `at + r * tile_w + c` inside `out` for every
-    // such `(r, c)`, and strides `(tile_w, 1)` are injective there as
-    // `at + cols <= tile_w`; a shared and an exclusive borrow cannot
-    // overlap.
+    let dst = out.as_mut_ptr().wrapping_add(at);
+    // SAFETY: as in `pack_region` for the source; the assert above holds
+    // `at + r * tile_w + c` inside `out` for every `(r, c)` of the extent,
+    // and strides `(tile_w, 1)` are injective there as `at + cols <=
+    // tile_w`.
     unsafe {
-        strided_move(
-            out.as_mut_ptr().add(at),
+        mover.strided_move(
+            dst,
             (tile_w, 1),
             region.data().as_ptr(),
             (region.row_stride(), region.col_stride()),
@@ -118,18 +135,24 @@ pub fn pack_a_into(
     mr: usize,
     alpha: f32,
 ) {
-    let panels = mc_eff.div_ceil(mr);
-    let panel_len = kc_eff * mr;
-    assert!(out.len() >= panels * panel_len, "pack_a_into: arena too small");
-    for p in 0..panels {
-        let prows = mr.min(mc_eff - p * mr);
-        // The packed panel is the (kc_eff x prows) *transpose* of the
-        // A-block rows, so the region view is the sub-block transposed:
-        // dense row-major A lands on the mover's transposing walk, and
-        // op(A) = T (stride-swapped view) on its row copies.
-        let region = a.submatrix(ic + p * mr, pc, prows, kc_eff).t();
-        pack_region(&mut out[p * panel_len..(p + 1) * panel_len], region, mr, alpha);
-    }
+    pack_a_block(Mover::active(), out, a, [ic, pc, mc_eff, kc_eff], mr, alpha);
+}
+
+/// [`pack_a_into`] on `mover`, the `[ic, pc, mc_eff, kc_eff]` block: the
+/// packed panels are the `kc_eff x mc_eff` *transpose* of the block, so
+/// the region is the sub-block transposed — dense row-major `A` lands on
+/// the mover's transposing walk, and `op(A) = T` (a stride-swapped view)
+/// on its row copies.
+pub(crate) fn pack_a_block(
+    mover: Mover,
+    out: &mut [f32],
+    a: MatRef<'_>,
+    block: [usize; 4],
+    mr: usize,
+    alpha: f32,
+) {
+    let [ic, pc, mc_eff, kc_eff] = block;
+    pack_region(mover, out, a.submatrix(ic, pc, mc_eff, kc_eff).t(), mr, alpha);
 }
 
 /// [`pack_a_into`] over an `op(A)` whose rows are stacked from several
@@ -145,6 +168,7 @@ pub fn pack_a_into(
 /// Panics if `out` is shorter than the packed block or a block is wider
 /// than the panel.
 pub(crate) fn pack_a_rows<'a, I>(
+    mover: Mover,
     out: &mut [f32],
     rows_of: impl Fn(Range<usize>) -> I,
     rows: Range<usize>,
@@ -166,7 +190,7 @@ pub(crate) fn pack_a_rows<'a, I>(
             // A-block rows, so the region view is the sub-block transposed:
             // dense row-major A lands on the mover's transposing walk, and
             // op(A) = T (stride-swapped view) on its row copies.
-            move_region(panel, block.t(), filled, mr, alpha);
+            move_region(mover, panel, block.t(), filled, mr, alpha);
             filled += block.rows();
         }
         pad_columns(panel, kc_eff, filled, mr);
@@ -198,8 +222,14 @@ pub fn pack_b_into(
     nc_eff: usize,
     nr: usize,
 ) {
+    pack_b_block(Mover::active(), out, b, [pc, jc, kc_eff, nc_eff], nr);
+}
+
+/// [`pack_b_into`] on `mover`, the `[pc, jc, kc_eff, nc_eff]` block.
+pub(crate) fn pack_b_block(mover: Mover, out: &mut [f32], b: MatRef<'_>, block: [usize; 4], nr: usize) {
+    let [_, _, kc_eff, nc_eff] = block;
     let in_source_order = source_order(kc_eff, nc_eff, b.col_stride(), nr, HostDescription::probed());
-    pack_b_walk(out, b, [pc, jc, kc_eff, nc_eff], nr, in_source_order);
+    pack_b_walk(mover, out, b, block, nr, in_source_order);
 }
 
 /// Whether [`pack_b_into`] walks a `kc_eff x nc_eff` block of a `B` whose
@@ -226,43 +256,41 @@ pub fn source_order(
 /// named: in source order the whole panels are packed one source row at a
 /// time, and the fringe panel, as every panel of the panel walk, one panel
 /// at a time.
-fn pack_b_walk(out: &mut [f32], b: MatRef<'_>, block: [usize; 4], nr: usize, in_source_order: bool) {
+fn pack_b_walk(
+    mover: Mover,
+    out: &mut [f32],
+    b: MatRef<'_>,
+    block: [usize; 4],
+    nr: usize,
+    in_source_order: bool,
+) {
     let [pc, jc, kc_eff, nc_eff] = block;
-    let panels = nc_eff.div_ceil(nr);
     let panel_len = kc_eff * nr;
-    assert!(out.len() >= panels * panel_len, "pack_b_into: arena too small");
+    assert!(out.len() >= nc_eff.div_ceil(nr) * panel_len, "pack_b_into: arena too small");
     let whole = if in_source_order { nc_eff / nr } else { 0 };
     if whole > 0 {
         let cs = b.col_stride();
         for k in 0..kc_eff {
             let row = b.submatrix(pc + k, jc, 1, whole * nr);
+            let dst = out.as_mut_ptr().wrapping_add(k * nr);
             // SAFETY: the `whole` pieces of `nr` elements `cs` apart are
             // the `whole * nr` elements of `row`, which its `MatRef` holds
             // inside its slice. Piece `p` lands on row `k` of panel `p`,
-            // `p * panel_len + k * nr + 0..nr`, inside the `panels *
-            // panel_len` prefix of `out` the assert above checked; as `k <
-            // kc_eff` no two pieces share an element, and a shared and an
-            // exclusive borrow cannot overlap.
+            // `p * panel_len + k * nr + 0..nr` of `out` from `dst`, inside
+            // the prefix the assert above checked; as `k < kc_eff` no two
+            // pieces share an element, and a shared and an exclusive borrow
+            // cannot overlap.
             unsafe {
-                strided_move(
-                    out.as_mut_ptr().add(k * nr),
-                    (panel_len, 1),
-                    row.data().as_ptr(),
-                    (nr * cs, cs),
-                    (whole, nr),
-                    1.0,
-                );
+                mover.strided_move(dst, (panel_len, 1), row.data().as_ptr(), (nr * cs, cs), (whole, nr), 1.0);
             }
         }
     }
-    for p in whole..panels {
-        let pcols = nr.min(nc_eff - p * nr);
-        // The packed panel is the (kc_eff x pcols) sub-block as-is: dense
-        // row-major B lands on the mover's row copies, op(B) = T on its
-        // transposing walk.
-        let region = b.submatrix(pc, jc + p * nr, kc_eff, pcols);
-        pack_region(&mut out[p * panel_len..(p + 1) * panel_len], region, nr, 1.0);
-    }
+    // The rest — every panel of the panel walk, the fringe one of the
+    // source-order walk — is the `kc_eff x (nc_eff - whole * nr)` block as
+    // it is: dense row-major B lands on the mover's row copies, op(B) = T
+    // on its transposing walk.
+    let region = b.submatrix(pc, jc + whole * nr, kc_eff, nc_eff - whole * nr);
+    pack_region(mover, &mut out[whole * panel_len..], region, nr, 1.0);
 }
 
 /// Returns the `kc_eff x mr` micro-panel `ir` of a packed `Ac` buffer.
@@ -591,7 +619,7 @@ mod tests {
         let len = block[3].div_ceil(nr) * block[2] * nr;
         let walk = |in_source_order| {
             let mut out = vec![f32::NAN; len];
-            pack_b_walk(&mut out, b, block, nr, in_source_order);
+            pack_b_walk(Mover::active(), &mut out, b, block, nr, in_source_order);
             out.iter().map(|x| x.to_bits()).collect()
         };
         (walk(false), walk(true))
