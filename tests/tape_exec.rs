@@ -531,6 +531,32 @@ fn every_avx2_serving_tile_emits_the_c_it_did_and_the_same_body_on_avx512() {
     }
 }
 
+/// The AVX-512 library, tile by tile: every admitted `avx512_f32` tile (what
+/// an AVX-512 host serves) emits the very C whose hash is recorded below on
+/// the avx512 row, from a tape of the recorded length and register file.
+#[test]
+fn every_admitted_avx512_tile_emits_the_c_it_did_from_the_same_tape() {
+    use exo_gemm::exo_aot::content_hash;
+    let recorded: [((usize, usize), u64, usize, usize); 7] = [
+        ((1, 16), 0x02d4_8339_b875_35dd, 84, 33),
+        ((1, 32), 0xc60f_4078_2fec_05e2, 164, 65),
+        ((1, 48), 0x21bb_f4e6_d8c0_c733, 244, 97),
+        ((1, 64), 0xbd39_7ce3_7247_a0b8, 324, 129),
+        ((1, 80), 0x241f_a6d6_535a_ab56, 404, 161),
+        ((1, 96), 0x4884_27e1_227a_e443, 484, 193),
+        ((16, 16), 0x7fd2_1557_f7d5_51b3, 1044, 273),
+    ];
+    let generator = MicroKernelGenerator::new(avx512_f32());
+    let tiles: Vec<(usize, usize)> = generator.admitted_tiles().iter().map(|t| (t.mr, t.nr)).collect();
+    assert_eq!(tiles, recorded.map(|(tile, ..)| tile));
+    for ((mr, nr), want, len, regs) in recorded {
+        let sw = generator.generate(mr, nr).unwrap().superword;
+        let c = emit_superword_c(&sw, IsaKind::Avx512, "exo_aot_kernel").unwrap();
+        assert_eq!(content_hash(c.as_bytes()), want, "{mr}x{nr} on avx512 moved:\n{c}");
+        assert_eq!((sw.tape().len(), sw.tape().register_count()), (len, regs), "{mr}x{nr}: the tape");
+    }
+}
+
 /// The build compiled a body for every tile this process can serve, and
 /// resolving one is a lookup and a probe, not a build. Under the default
 /// ISA, `EXO_ISA=avx2` and `EXO_ISA=scalar` (CI runs all three), every
