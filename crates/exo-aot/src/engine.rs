@@ -238,7 +238,7 @@ mod tests {
             .tensor_arg("C", ScalarType::F32, vec![int(4)], MemSpace::Dram)
             .body(vec![for_("k", 0, var("KC"), vec![for_("j", 0, 2, vec![for_("i", 0, 2, vec![update])])])])
             .build();
-        Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap())
+        Arc::new(Arc::new(exo_codegen::compile(&p).unwrap()).to_superword().unwrap())
     }
 
     static WRONG_CALLS: AtomicU64 = AtomicU64::new(0);

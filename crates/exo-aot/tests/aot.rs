@@ -108,7 +108,7 @@ fn staged_superword(mr: i64, nr: i64) -> Arc<SuperwordKernel> {
             ),
         ])
         .build();
-    Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap())
+    Arc::new(Arc::new(exo_codegen::compile(&p).unwrap()).to_superword().unwrap())
 }
 
 fn packed_inputs(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -460,7 +460,7 @@ fn emission_declines_surface_as_unsupported() {
         .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
         .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
         .build();
-    let sw = Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap());
+    let sw = Arc::new(Arc::new(exo_codegen::compile(&p).unwrap()).to_superword().unwrap());
     let err = AotEngine::with_bodies(Vec::new())
         .compile(&sw, active_isa())
         .expect_err("a non-packed kernel must decline");
@@ -504,6 +504,6 @@ fn probe_lens_derive_the_exact_packed_extents() {
         .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
         .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
         .build();
-    let other = Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap());
+    let other = Arc::new(Arc::new(exo_codegen::compile(&p).unwrap()).to_superword().unwrap());
     assert_eq!(other.packed_probe_lens(17), None);
 }

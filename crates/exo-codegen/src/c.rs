@@ -30,10 +30,9 @@ use exo_ir::printer::expr_to_string;
 use exo_ir::{ArgKind, CallArg, Expr, MemSpace, Proc, ScalarType, Stmt, Sym, WAccess};
 
 use crate::error::{CodegenError, Result};
-use crate::exec::ParamKind;
 use crate::simd::IsaKind;
 use crate::superword::{SuperwordKernel, VOp};
-use crate::tape::{Addr, TOp, Term};
+use crate::tape::{Addr, ParamKind, TOp, Term};
 
 /// Per-buffer shape information collected before emission.
 #[derive(Debug, Clone)]
@@ -666,6 +665,8 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use exo_ir::builder::*;
     use exo_isa::neon_f32;
@@ -843,7 +844,7 @@ mod tests {
                 ),
             ])
             .build();
-        crate::exec::compile(&p).unwrap().to_superword().unwrap()
+        Arc::new(crate::compile(&p).unwrap()).to_superword().unwrap()
     }
 
     /// The headers a translation unit includes.
@@ -920,7 +921,7 @@ mod tests {
             .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
             .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
             .build();
-        let sw = crate::exec::compile(&p).unwrap().to_superword().unwrap();
+        let sw = Arc::new(crate::compile(&p).unwrap()).to_superword().unwrap();
         assert!(matches!(emit_superword_c(&sw, IsaKind::Avx2, "k"), Err(CodegenError::BadArguments { .. })));
     }
 
@@ -933,7 +934,7 @@ mod tests {
             .tensor_arg("C", ScalarType::F32, vec![int(4)], MemSpace::Dram)
             .body(vec![assign("Ac", vec![int(0)], flt(1.0))])
             .build();
-        let sw = crate::exec::compile(&p).unwrap().to_superword().unwrap();
+        let sw = Arc::new(crate::compile(&p).unwrap()).to_superword().unwrap();
         assert!(matches!(
             emit_superword_c(&sw, IsaKind::Avx2, "k"),
             Err(CodegenError::Unsupported { backend: "aot", .. })
@@ -949,7 +950,7 @@ mod tests {
             .tensor_arg("C", ScalarType::F16, vec![int(4)], MemSpace::Dram)
             .body(vec![assign("C", vec![int(0)], read("Ac", vec![int(0)]))])
             .build();
-        let sw = crate::exec::compile(&p).unwrap().to_superword().unwrap();
+        let sw = Arc::new(crate::compile(&p).unwrap()).to_superword().unwrap();
         assert!(matches!(
             emit_superword_c(&sw, IsaKind::Avx2, "k"),
             Err(CodegenError::Unsupported { backend: "aot", .. })
@@ -968,7 +969,7 @@ mod tests {
             .tensor_arg("C", ScalarType::F32, vec![int(4)], MemSpace::Dram)
             .body(vec![assign("C", vec![int(0)], read("reg", vec![int(0)]))])
             .build();
-        let sw = crate::exec::compile(&p).unwrap().to_superword().unwrap();
+        let sw = Arc::new(crate::compile(&p).unwrap()).to_superword().unwrap();
         let c = emit_superword_c(&sw, IsaKind::Scalar, "k").unwrap();
         assert!(c.contains("const float* restrict reg_"), "renamed away from the register file:\n{c}");
         assert!(c.contains("int64_t t0_"), "renamed away from loop counters:\n{c}");

@@ -10,11 +10,10 @@
 //!   analogue of the paper's Fig. 12,
 //! * [`trace::extract_trace`] — the machine-operation trace consumed by the
 //!   `carmel-sim` performance model,
-//! * [`exec::compile`] — the tape's front end: calls inlined, accesses
-//!   linearised,
-//! * [`tape`] — a flat, register-allocated tape compiled from that
-//!   lowering, every access checked: the checked reference a declined
-//!   proof of any tier below runs. Every tier computes the bits of the
+//! * [`tape::compile`] — the one lowering of a scheduled procedure: calls
+//!   inlined, accesses linearised into affine addresses, into a flat,
+//!   register-allocated tape, every access checked: the checked reference a
+//!   declined proof of any tier below runs. Every tier computes the bits of the
 //!   reference interpreter, `exo_ir::interp::run_proc`,
 //! * [`superword`] — the superword lowering of the tape: the SLP pass that
 //!   re-rolls lane runs into whole-vector ops (`VLoad`, `VStore`,
@@ -38,7 +37,6 @@ pub mod asm;
 pub mod c;
 pub mod env;
 pub mod error;
-pub mod exec;
 pub mod simd;
 pub mod superword;
 pub mod tape;
@@ -48,10 +46,9 @@ pub use asm::{count_mnemonics, emit_asm};
 pub use c::{emit_c, emit_superword_c};
 pub use env::{env_once, Countdown};
 pub use error::{CodegenError, Result};
-pub use exec::{compile, CompiledKernel, TensorView};
 pub use simd::{
     active_isa, env_isa_override, simd_available, IsaKind, PackedKernelFn, SimdDispatch, SimdKernel,
 };
 pub use superword::SuperwordKernel;
-pub use tape::TapeKernel;
+pub use tape::{compile, TapeKernel, TensorView};
 pub use trace::{extract_trace, summarise, KernelTrace, MachineOp};

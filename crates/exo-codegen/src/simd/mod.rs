@@ -88,8 +88,8 @@ use std::sync::{Arc, OnceLock};
 
 use crate::env::env_once;
 use crate::error::Result;
-use crate::exec::TensorView;
 use crate::superword::{ProofMemo, SuperwordKernel};
+use crate::tape::TensorView;
 
 /// The one kind → impl dispatch: evaluates `$body` with `$I` naming the
 /// `VectorIsa` impl of `$kind`, or `$none` on a build target that has no
@@ -889,7 +889,7 @@ impl SimdDispatch {
 mod tests {
     use super::*;
     use crate::error::CodegenError;
-    use crate::exec::compile as compile_proc;
+    use crate::tape::compile as compile_proc;
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, Proc, ScalarType};
     use std::collections::BTreeSet;
@@ -960,7 +960,7 @@ mod tests {
             .tensor_arg("C", ScalarType::F32, vec![int(nr * mr)], MemSpace::Dram)
             .body(body)
             .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let sw = Arc::new(Arc::new(compile_proc(&p).unwrap()).to_superword().unwrap());
         (p, sw)
     }
 
@@ -1159,7 +1159,7 @@ mod tests {
         // the chain degenerates to scalar closures and must still agree.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let sw = Arc::new(Arc::new(compile_proc(&p).unwrap()).to_superword().unwrap());
         let kc = 13usize;
         let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.37 - 0.5).collect();
         let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.21 - 1.0).collect();
@@ -1194,7 +1194,7 @@ mod tests {
                 for_("i", 0, 4, vec![assign("y", vec![var("i")], read("acc", vec![var("i")]))]),
             ])
             .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let sw = Arc::new(Arc::new(compile_proc(&p).unwrap()).to_superword().unwrap());
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap();
             let mut x = vec![1.5f32, -2.0, 0.25, 3.0];
@@ -1236,7 +1236,7 @@ mod tests {
                 )],
             )])
             .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let sw = Arc::new(Arc::new(compile_proc(&p).unwrap()).to_superword().unwrap());
         let (n, m) = (3usize, 5usize);
         let mut want = vec![-1.0f32; n * 8];
         sw.tape().run_views(&[n as i64, m as i64], &mut [TensorView::Rw(&mut want)]).unwrap();
@@ -1258,7 +1258,7 @@ mod tests {
             .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
             .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
             .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let sw = Arc::new(Arc::new(compile_proc(&p).unwrap()).to_superword().unwrap());
         // Claim N = 7 over a 2-element buffer: what the scalar tape itself
         // reports, and the partial stores it leaves behind.
         let mut x_tape = vec![0.0f32; 2];
@@ -1318,7 +1318,7 @@ mod tests {
                 )],
             )])
             .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let sw = Arc::new(Arc::new(compile_proc(&p).unwrap()).to_superword().unwrap());
         let (ac, bc, c0) = (vec![1.0f32, 2.0, 3.0, 4.0, 5.0], vec![0.5f32], vec![-1.0f32; 8]);
         // KC = 9 over a 5-element Ac: the load of Ac[5] faults after five
         // stores landed.

@@ -51,8 +51,7 @@
 use std::sync::Arc;
 
 use crate::error::{CodegenError, Result};
-use crate::exec::{CompiledKernel, TensorView};
-use crate::tape::{Addr, TOp, TapeKernel, Term};
+use crate::tape::{Addr, TOp, TapeKernel, TensorView, Term};
 
 /// One superword tape operation. Packed ops carry their lane count; scalar
 /// leftovers ride along unchanged.
@@ -139,8 +138,7 @@ impl VOp {
 
 /// A kernel lowered to whole-vector superword ops.
 ///
-/// Obtained from [`TapeKernel::to_superword`] (or
-/// [`CompiledKernel::to_superword`]). Describes bit-for-bit the same
+/// Obtained from [`TapeKernel::to_superword`]. Describes bit-for-bit the same
 /// computation as the scalar tape and the interpreter, one vector register
 /// per op instead of one lane; executed by the chains compiled from it
 /// ([`crate::SimdKernel`]) and, proof declined, by the tape it was packed
@@ -428,7 +426,7 @@ impl TapeKernel {
     ///
     /// Returns [`CodegenError::Unsupported`] if the tape violates a
     /// structural invariant (which a tape built by
-    /// [`CompiledKernel::to_tape`] never does).
+    /// [`crate::compile`] never does).
     pub fn to_superword(self: &Arc<Self>) -> Result<SuperwordKernel> {
         let ops = pack(&self.ops)?;
         let n_tensors = self.tensor_written.len();
@@ -444,19 +442,6 @@ impl TapeKernel {
             })
             .count();
         Ok(SuperwordKernel { tape: Arc::clone(self), ops, n_vector_ops })
-    }
-}
-
-impl CompiledKernel {
-    /// Compiles this kernel straight to a [`SuperwordKernel`]
-    /// (tape-compile, then superword-pack).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
-    /// register-allocate.
-    pub fn to_superword(&self) -> Result<SuperwordKernel> {
-        Arc::new(self.to_tape()?).to_superword()
     }
 }
 
@@ -679,8 +664,8 @@ impl ProofMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::compile;
     use crate::simd::{IsaKind, SimdKernel};
+    use crate::tape::compile;
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
 
@@ -772,7 +757,7 @@ mod tests {
                 ),
             ])
             .build();
-        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
+        let tape = Arc::new(compile(&p).unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
         assert!(Arc::ptr_eq(&tape, sw.tape()), "the lowering keeps the tape it was packed from");
         (tape, sw)
@@ -809,7 +794,7 @@ mod tests {
         // must still agree bit for bit.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
-        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
+        let tape = Arc::new(compile(&p).unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
         let kc = 13usize;
         let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
@@ -891,7 +876,7 @@ mod tests {
             .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
             .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
             .build();
-        Arc::new(compile(&p).unwrap().to_superword().unwrap())
+        Arc::new(Arc::new(compile(&p).unwrap()).to_superword().unwrap())
     }
 
     #[test]
@@ -915,7 +900,7 @@ mod tests {
             .tensor_arg("out", ScalarType::F16, vec![int(2)], MemSpace::Dram)
             .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
             .build();
-        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
+        let tape = Arc::new(compile(&p).unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
         let mut out_tape = vec![0.0f32, 3.0];
         tape.run_views(&[], &mut [TensorView::Rw(&mut out_tape)]).unwrap();
@@ -1021,7 +1006,7 @@ mod tests {
                 for_("i", 0, 4, vec![assign("y", vec![var("i")], read("acc", vec![var("i")]))]),
             ])
             .build();
-        let tape = Arc::new(compile(&p).unwrap().to_tape().unwrap());
+        let tape = Arc::new(compile(&p).unwrap());
         let sw = Arc::new(tape.to_superword().unwrap());
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VFmaBcast { lanes: 4, .. })), "{:?}", sw.ops);
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VLoad { lanes: 4, .. })));

@@ -1,20 +1,25 @@
-//! Tape-compiled execution: a flat, register-allocated lowering of a
-//! [`CompiledKernel`].
+//! Tape-compiled execution: the one lowering of a scheduled procedure,
+//! into a flat, register-allocated tape.
 //!
 //! The reference interpreter (`exo_ir::interp::run_proc`) re-evaluates
 //! expression trees and re-resolves buffers on every statement it touches —
 //! fine for validation, orders of magnitude off for a hot GEMM inner loop.
-//! `to_tape` compiles a kernel once more, into a *tape*: a linear array of
+//! [`compile`] walks the procedure once, into a *tape*: a linear array of
 //! ops over a flat `f32` register file.
 //!
+//! * Instruction calls are inlined back to their semantic bodies, once,
+//!   before the walk.
 //! * Constant-trip loops (the register-tile loops of a micro-kernel) are
 //!   fully unrolled at tape-build time.
 //! * Local buffers with constant extents become contiguous runs of the
 //!   register file, so the staged `C` tile and the `Ac`/`Bc` vector stages
 //!   live in "registers", exactly as the generated C would place them.
-//! * Every memory access is reduced to a precomputed affine address
-//!   `base + Σ coeff·loop + Σ coeff·scalar` over the few loops that stay
-//!   dynamic (the `KC` loop) — no expression trees survive to run time.
+//! * Every memory access is linearised row-major and normalised by
+//!   `exo_ir::Affine` — the form the scheduler's index checks use — into a
+//!   precomputed affine address `base + Σ coeff·loop + Σ coeff·scalar` over
+//!   the few loops that stay dynamic (the `KC` loop): an unrolled loop's
+//!   variable folds into the constant, and no expression trees survive to
+//!   run time.
 //! * Remaining loops (`for k in 0..KC`) are tape-level jump pairs.
 //!
 //! **The tape's job is to be the checked reference.** It is the one flat
@@ -31,14 +36,15 @@
 //! fused `Fma`, `f16` rounding on the same stores — so results are bit for
 //! bit equal; the differential suites assert this. Constructs the tape
 //! cannot register-allocate (dynamically sized locals, data-dependent
-//! branches, non-affine addresses) fail `to_tape` with
+//! branches, non-affine addresses) fail [`compile`] with
 //! [`CodegenError::Unsupported`], which the micro-kernel generator reports
 //! as a generation error.
 
-use std::collections::HashMap;
+use exo_ir::printer::expr_to_string;
+use exo_ir::{Affine, ArgKind, BinOp, Expr, Proc, ScalarType, Stmt, Sym};
+use exo_sched::inline_call;
 
 use crate::error::{CodegenError, Result};
-use crate::exec::{BufSlot, CompiledKernel, IExpr, Op, ParamKind, TensorView, VExpr};
 
 /// Loops with a constant trip count at or below this are unrolled; longer
 /// ones stay dynamic loops on the tape.
@@ -59,70 +65,39 @@ const TEMP_FLAG: u32 = 1 << 31;
 /// whole 32-byte vectors in memory.
 pub(crate) const LANE_ALIGN: u32 = 8;
 
+/// A borrowed tensor argument — with the scalars beside it, the one way a
+/// kernel of any tier is called (`run_views`).
+#[derive(Debug)]
+pub enum TensorView<'a> {
+    /// A tensor the kernel only reads.
+    Ro(&'a [f32]),
+    /// A tensor the kernel may write.
+    Rw(&'a mut [f32]),
+}
+
+impl TensorView<'_> {
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        match self {
+            TensorView::Ro(s) => s,
+            TensorView::Rw(s) => s,
+        }
+    }
+}
+
+/// Whether a kernel parameter is a scalar (`size` / `index`) or a tensor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ParamKind {
+    Scalar,
+    Tensor,
+}
+
 /// A term of an affine address: one dynamic-loop counter or one scalar
 /// parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Term {
     Loop(u16),
     Scalar(u16),
-}
-
-/// Affine integer form `base + Σ coeff·term`, the only shape of index
-/// arithmetic that survives onto the tape.
-#[derive(Debug, Clone, PartialEq)]
-struct Affine {
-    base: i64,
-    terms: Vec<(Term, i64)>,
-}
-
-impl Affine {
-    fn constant(v: i64) -> Self {
-        Affine { base: v, terms: Vec::new() }
-    }
-
-    fn term(t: Term) -> Self {
-        Affine { base: 0, terms: vec![(t, 1)] }
-    }
-
-    fn as_const(&self) -> Option<i64> {
-        self.terms.is_empty().then_some(self.base)
-    }
-
-    fn add(mut self, other: &Affine) -> Self {
-        self.base += other.base;
-        for &(t, c) in &other.terms {
-            self.add_term(t, c);
-        }
-        self
-    }
-
-    fn add_term(&mut self, t: Term, c: i64) {
-        match self.terms.iter_mut().find(|(existing, _)| *existing == t) {
-            Some((_, coeff)) => *coeff += c,
-            None => self.terms.push((t, c)),
-        }
-        self.terms.retain(|&(_, coeff)| coeff != 0);
-    }
-
-    fn scale(mut self, f: i64) -> Self {
-        self.base *= f;
-        for (_, c) in &mut self.terms {
-            *c *= f;
-        }
-        self.terms.retain(|&(_, coeff)| coeff != 0);
-        self
-    }
-
-    /// The address in the one shape its terms call for, picked here once so
-    /// no later stage re-classifies it.
-    fn into_addr(self) -> Addr {
-        match *self.terms.as_slice() {
-            [] => Addr::Const(self.base),
-            [(Term::Loop(slot), coeff)] => Addr::Loop { base: self.base, slot, coeff },
-            [(Term::Scalar(slot), coeff)] => Addr::Scalar { base: self.base, slot, coeff },
-            _ => Addr::General { base: self.base, terms: self.terms.into_boxed_slice() },
-        }
-    }
 }
 
 /// A precomputed affine address `base + Σ coeff·term`, specialised at tape
@@ -144,6 +119,18 @@ pub(crate) enum Addr {
 }
 
 impl Addr {
+    /// The address of an affine form, in the one shape its terms call for,
+    /// picked here once so no later stage re-classifies it.
+    fn of(a: Affine<Term>) -> Addr {
+        let base = a.constant;
+        match *a.terms() {
+            [] => Addr::Const(base),
+            [(Term::Loop(slot), coeff)] => Addr::Loop { base, slot, coeff },
+            [(Term::Scalar(slot), coeff)] => Addr::Scalar { base, slot, coeff },
+            ref terms => Addr::General { base, terms: terms.into() },
+        }
+    }
+
     /// The constant offset.
     pub(crate) fn base(&self) -> i64 {
         match *self {
@@ -243,7 +230,7 @@ pub(crate) enum TOp {
 
 /// A kernel compiled to a flat tape of register ops.
 ///
-/// Obtained from [`CompiledKernel::to_tape`]. Runs the same computation as
+/// Obtained from [`compile`]. Runs the same computation as
 /// the interpreter bit-for-bit, typically one to two orders of magnitude
 /// faster.
 #[derive(Debug, Clone)]
@@ -453,39 +440,98 @@ impl TapeKernel {
     }
 }
 
-impl CompiledKernel {
-    /// Compiles this kernel to a [`TapeKernel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
-    /// register-allocate: dynamically sized locals, dynamic indices into
-    /// locals, data-dependent branches, and non-affine index arithmetic.
-    pub fn to_tape(&self) -> Result<TapeKernel> {
-        let mut b = TapeBuilder {
-            ops: Vec::new(),
-            loop_bind: HashMap::new(),
-            locals: Vec::new(),
-            n_dyn: 0,
-            persist_next: 0,
-            temp_next: 0,
-            temp_high: 0,
+/// Lowers a scheduled procedure to its [`TapeKernel`], the one lowering
+/// every tier starts from: instruction calls are inlined back to their
+/// semantic bodies, constant-trip loops unrolled, every access linearised
+/// row-major and normalised to an affine address under the loop bindings in
+/// force, and every store to an `f16` buffer marked for rounding.
+///
+/// # Errors
+///
+/// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
+/// register-allocate — dynamically sized locals, dynamic indices into
+/// locals, data-dependent branches, index arithmetic that is not affine (a
+/// product of two unknowns, a division by anything but a non-zero constant)
+/// — and for calls whose arguments do not match their instruction;
+/// [`CodegenError::UnknownBuffer`] for a name nothing binds.
+pub fn compile(p: &Proc) -> Result<TapeKernel> {
+    let body = inline_calls(&p.body)?;
+    let mut b = TapeBuilder {
+        ops: Vec::new(),
+        env: Env(Vec::new()),
+        n_dyn: 0,
+        persist_next: 0,
+        temp_next: 0,
+        temp_high: 0,
+    };
+    let mut params = Vec::with_capacity(p.args.len());
+    let (mut n_scalars, mut n_tensors) = (0u16, 0u16);
+    for arg in &p.args {
+        let bind = match &arg.kind {
+            ArgKind::Size | ArgKind::Index => {
+                n_scalars += 1;
+                params.push((arg.name.to_string(), ParamKind::Scalar));
+                Bind::Scalar(n_scalars - 1)
+            }
+            ArgKind::Tensor { ty, dims, .. } => {
+                n_tensors += 1;
+                params.push((arg.name.to_string(), ParamKind::Tensor));
+                Bind::Tensor { slot: n_tensors - 1, f16: *ty == ScalarType::F16, dims }
+            }
         };
-        b.block(&self.body)?;
-        b.finish(self)
+        b.env.insert(&arg.name, bind);
     }
+    b.block(&body)?;
+    b.finish(p.name.clone(), params, n_tensors.into())
 }
 
+/// Inlines every instruction call back to its semantic body, once, so an
+/// unrolled loop does not re-inline its body on every iteration. Comments
+/// go too.
+fn inline_calls(block: &[Stmt]) -> Result<Vec<Stmt>> {
+    let mut out = Vec::with_capacity(block.len());
+    for stmt in block {
+        match stmt {
+            Stmt::Comment(_) => {}
+            Stmt::Call { instr, args } => {
+                let body = inline_call(instr, args).map_err(|e| {
+                    unsupported(format!("call to `{}` could not be inlined: {e}", instr.name))
+                })?;
+                out.extend(inline_calls(&body)?);
+            }
+            Stmt::For { var, lo, hi, body } => out.push(Stmt::For {
+                var: var.clone(),
+                lo: lo.clone(),
+                hi: hi.clone(),
+                body: inline_calls(body)?,
+            }),
+            Stmt::If { cond, then_body, else_body } => out.push(Stmt::If {
+                cond: cond.clone(),
+                then_body: inline_calls(then_body)?,
+                else_body: inline_calls(else_body)?,
+            }),
+            Stmt::Assign { .. } | Stmt::Reduce { .. } | Stmt::Alloc { .. } => out.push(stmt.clone()),
+        }
+    }
+    Ok(out)
+}
+
+/// What a name stands for while the tape is built. One environment holds
+/// them all, as in the interpreter: a loop binds its variable for its body,
+/// and an allocation binds its name from there on, so a name resolves to
+/// its latest allocation.
 #[derive(Debug, Clone, Copy)]
-enum LoopBind {
-    Const(i64),
+enum Bind<'a> {
+    /// The variable of a loop being unrolled, at its current iteration.
+    Unrolled(i64),
+    /// The variable of a loop left on the tape: its counter slot.
     Dyn(u16),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LocalBind {
-    base: u32,
-    len: u32,
+    /// A size or index parameter: its slot among the scalar parameters.
+    Scalar(u16),
+    /// A tensor parameter: its slot among the tensor parameters.
+    Tensor { slot: u16, f16: bool, dims: &'a [Expr] },
+    /// A register-allocated local buffer: its run of the register file.
+    Local { base: u32, len: u32, f16: bool, dims: &'a [Expr] },
 }
 
 /// Where a compiled access lands: a register (constant-indexed local) or a
@@ -495,10 +541,31 @@ enum Target {
     Mem { buf: u16, addr: Addr },
 }
 
-struct TapeBuilder {
+/// The name environment. A kernel binds a dozen names or so, so a list
+/// scanned from its latest binding finds one faster than a hash of it.
+struct Env<'a>(Vec<(&'a Sym, Bind<'a>)>);
+
+impl<'a> Env<'a> {
+    fn get(&self, name: &Sym) -> Option<&Bind<'a>> {
+        self.0.iter().rev().find(|(n, _)| *n == name).map(|(_, bind)| bind)
+    }
+
+    /// Binds `name`, replacing what it was bound to.
+    fn insert(&mut self, name: &'a Sym, bind: Bind<'a>) {
+        match self.0.iter_mut().rev().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = bind,
+            None => self.0.push((name, bind)),
+        }
+    }
+
+    fn remove(&mut self, name: &Sym) {
+        self.0.retain(|(n, _)| *n != name);
+    }
+}
+
+struct TapeBuilder<'a> {
     ops: Vec<TOp>,
-    loop_bind: HashMap<u16, LoopBind>,
-    locals: Vec<Option<LocalBind>>,
+    env: Env<'a>,
     n_dyn: usize,
     persist_next: u32,
     temp_next: u32,
@@ -509,7 +576,7 @@ fn unsupported(what: impl Into<String>) -> CodegenError {
     CodegenError::Unsupported { backend: "tape", what: what.into() }
 }
 
-impl TapeBuilder {
+impl<'a> TapeBuilder<'a> {
     fn push(&mut self, op: TOp) -> Result<()> {
         if self.ops.len() >= MAX_TAPE_OPS {
             return Err(unsupported(format!("tape exceeds {MAX_TAPE_OPS} ops")));
@@ -538,186 +605,177 @@ impl TapeBuilder {
         self.temp_next = 0;
     }
 
-    /// Lowers an index expression to affine form under the current loop
-    /// bindings.
-    fn affine(&self, e: &IExpr) -> Result<Affine> {
-        Ok(match e {
-            IExpr::Const(v) => Affine::constant(*v),
-            IExpr::Loop(i) => match self.loop_bind.get(i) {
-                Some(LoopBind::Const(c)) => Affine::constant(*c),
-                Some(LoopBind::Dyn(d)) => Affine::term(Term::Loop(*d)),
-                None => return Err(unsupported("loop variable used outside its loop")),
-            },
-            IExpr::Scalar(s) => Affine::term(Term::Scalar(*s)),
-            IExpr::Add(a, b) => self.affine(a)?.add(&self.affine(b)?),
-            IExpr::Sub(a, b) => self.affine(a)?.add(&self.affine(b)?.scale(-1)),
-            IExpr::Mul(a, b) => {
-                let (l, r) = (self.affine(a)?, self.affine(b)?);
-                if let Some(c) = l.as_const() {
-                    r.scale(c)
-                } else if let Some(c) = r.as_const() {
-                    l.scale(c)
-                } else {
-                    return Err(unsupported("product of two non-constant indices"));
-                }
+    /// Normalises an index expression to an affine form under the current
+    /// bindings: an unrolled loop's variable is its constant, a dynamic
+    /// loop's or a scalar parameter's its tape term.
+    fn affine(&self, e: &Expr) -> Result<Affine<Term>> {
+        Affine::of_bound(e, &mut |s| match self.env.get(s) {
+            Some(Bind::Unrolled(v)) => Ok(Affine::constant(*v)),
+            Some(Bind::Dyn(slot)) => Ok(Affine::var(Term::Loop(*slot))),
+            Some(Bind::Scalar(slot)) => Ok(Affine::var(Term::Scalar(*slot))),
+            Some(Bind::Tensor { .. } | Bind::Local { .. }) => {
+                Err(unsupported(format!("buffer `{s}` in index position")))
             }
-            // Division and modulo fold, Euclidean like the interpreter's,
-            // only for fully constant operands (a zero divisor folds to 0)
-            // — anything else is not affine.
-            IExpr::Div(a, b) => {
-                let (l, r) = (self.affine(a)?.as_const(), self.affine(b)?.as_const());
-                match (l, r) {
-                    (Some(x), Some(d)) => Affine::constant(if d == 0 { 0 } else { x.div_euclid(d) }),
-                    _ => return Err(unsupported("non-constant integer division")),
-                }
-            }
-            IExpr::Mod(a, b) => {
-                let (l, r) = (self.affine(a)?.as_const(), self.affine(b)?.as_const());
-                match (l, r) {
-                    (Some(x), Some(d)) => Affine::constant(if d == 0 { 0 } else { x.rem_euclid(d) }),
-                    _ => return Err(unsupported("non-constant integer modulo")),
-                }
-            }
-            IExpr::Neg(a) => self.affine(a)?.scale(-1),
-        })
+            None => Err(CodegenError::UnknownBuffer { buf: s.clone() }),
+        })?
+        .ok_or_else(|| unsupported(format!("index `{}` is not affine", expr_to_string(e))))
     }
 
     /// Resolves a buffer access to a register (constant-indexed local) or a
-    /// tensor address.
-    fn resolve(&self, buf: &BufSlot, flat: &IExpr) -> Result<Target> {
-        let a = self.affine(flat)?;
-        match buf {
-            BufSlot::Arg(i) => Ok(Target::Mem { buf: *i, addr: a.into_addr() }),
-            BufSlot::Local(i) => {
-                let bind = self
-                    .locals
-                    .get(*i as usize)
-                    .copied()
-                    .flatten()
-                    .ok_or_else(|| unsupported("local buffer used before allocation"))?;
-                let off = a
-                    .as_const()
-                    .ok_or_else(|| unsupported("dynamic index into a register-allocated local"))?;
-                if off < 0 || off >= bind.len as i64 {
+    /// tensor address, and whether the buffer holds `f16`.
+    fn resolve(&self, buf: &Sym, idx: &[Expr]) -> Result<(Target, bool)> {
+        let bind = self.env.get(buf).copied();
+        let (dims, f16) = match bind {
+            Some(Bind::Tensor { dims, f16, .. } | Bind::Local { dims, f16, .. }) => (dims, f16),
+            _ => return Err(CodegenError::UnknownBuffer { buf: buf.clone() }),
+        };
+        if idx.len() != dims.len() {
+            return Err(unsupported(format!(
+                "access to `{buf}` with rank {} but the buffer has rank {}",
+                idx.len(),
+                dims.len()
+            )));
+        }
+        // Horner: flat = ((i0 * d1 + i1) * d2 + i2) ...
+        let mut flat = match idx.first() {
+            Some(i0) => self.affine(i0)?,
+            None => Affine::constant(0),
+        };
+        for (i, d) in idx.iter().zip(dims).skip(1) {
+            flat = flat
+                .product(self.affine(d)?)
+                .ok_or_else(|| unsupported("product of two non-constant indices"))?
+                .add(self.affine(i)?);
+        }
+        let target = match bind {
+            Some(Bind::Local { base, len, .. }) => {
+                if !flat.is_constant() {
+                    return Err(unsupported("dynamic index into a register-allocated local"));
+                }
+                let off = flat.constant;
+                if off < 0 || off >= i64::from(len) {
                     return Err(CodegenError::OutOfBounds {
-                        buf: format!("Local({i})"),
+                        buf: buf.to_string(),
                         index: off,
-                        len: bind.len as usize,
+                        len: len as usize,
                     });
                 }
-                Ok(Target::Reg(bind.base + off as u32))
+                Target::Reg(base + off as u32)
             }
-        }
+            Some(Bind::Tensor { slot, .. }) => Target::Mem { buf: slot, addr: Addr::of(flat) },
+            _ => unreachable!("matched above"),
+        };
+        Ok((target, f16))
     }
 
     /// Compiles a value expression, returning the register holding it and
     /// whether that register is a fresh temporary (false = a borrowed
     /// persistent local register that must not be clobbered).
-    fn vexpr(&mut self, e: &VExpr) -> Result<(u32, bool)> {
-        match e {
-            VExpr::Load { buf, flat } => {
-                if let Target::Reg(r) = self.resolve(buf, flat)? {
-                    return Ok((r, false));
+    fn vexpr(&mut self, e: &Expr) -> Result<(u32, bool)> {
+        let t = match e {
+            Expr::Read { buf, idx } => match self.resolve(buf, idx)?.0 {
+                Target::Reg(r) => return Ok((r, false)),
+                Target::Mem { buf, addr } => {
+                    let t = self.temp();
+                    self.push(TOp::LoadT { dst: t, buf, addr })?;
+                    t
                 }
-                let t = self.temp();
-                self.vexpr_into(t, e)?;
-                Ok((t, true))
-            }
+            },
             _ => {
                 let t = self.temp();
                 self.vexpr_into(t, e)?;
-                Ok((t, true))
+                t
             }
-        }
+        };
+        Ok((t, true))
     }
 
     /// Compiles a value expression so that its final op writes `dst`.
-    fn vexpr_into(&mut self, dst: u32, e: &VExpr) -> Result<()> {
+    fn vexpr_into(&mut self, dst: u32, e: &Expr) -> Result<()> {
         match e {
-            VExpr::Const(v) => self.push(TOp::ConstF { dst, val: *v }),
-            VExpr::Int(i) => {
-                let a = self.affine(i)?;
-                match a.as_const() {
-                    Some(c) => self.push(TOp::ConstF { dst, val: c as f32 }),
-                    None => self.push(TOp::CastI { dst, value: a.into_addr() }),
+            Expr::Float(v) => self.push(TOp::ConstF { dst, val: *v as f32 }),
+            Expr::Int(v) => self.push(TOp::ConstF { dst, val: *v as f32 }),
+            Expr::Var(_) => {
+                let a = self.affine(e)?;
+                match a.is_constant() {
+                    true => self.push(TOp::ConstF { dst, val: a.constant as f32 }),
+                    false => self.push(TOp::CastI { dst, value: Addr::of(a) }),
                 }
             }
-            VExpr::Load { buf, flat } => match self.resolve(buf, flat)? {
-                Target::Reg(r) => {
-                    if r == dst {
-                        Ok(())
-                    } else {
-                        self.push(TOp::Mov { dst, src: r })
-                    }
-                }
+            Expr::Read { buf, idx } => match self.resolve(buf, idx)?.0 {
+                Target::Reg(r) if r == dst => Ok(()),
+                Target::Reg(r) => self.push(TOp::Mov { dst, src: r }),
                 Target::Mem { buf, addr } => self.push(TOp::LoadT { dst, buf, addr }),
             },
-            VExpr::Add(a, b) => {
-                let (ra, _) = self.vexpr(a)?;
-                let (rb, _) = self.vexpr(b)?;
-                self.push(TOp::Add { dst, a: ra, b: rb })
+            Expr::Binop { op, lhs, rhs } => {
+                let make: fn(u32, u32, u32) -> TOp = match op {
+                    BinOp::Add => |dst, a, b| TOp::Add { dst, a, b },
+                    BinOp::Sub => |dst, a, b| TOp::Sub { dst, a, b },
+                    BinOp::Mul => |dst, a, b| TOp::Mul { dst, a, b },
+                    BinOp::Div => |dst, a, b| TOp::Div { dst, a, b },
+                    BinOp::Mod => return Err(unsupported("floating-point modulo")),
+                };
+                let (a, _) = self.vexpr(lhs)?;
+                let (b, _) = self.vexpr(rhs)?;
+                self.push(make(dst, a, b))
             }
-            VExpr::Sub(a, b) => {
-                let (ra, _) = self.vexpr(a)?;
-                let (rb, _) = self.vexpr(b)?;
-                self.push(TOp::Sub { dst, a: ra, b: rb })
-            }
-            VExpr::Mul(a, b) => {
-                let (ra, _) = self.vexpr(a)?;
-                let (rb, _) = self.vexpr(b)?;
-                self.push(TOp::Mul { dst, a: ra, b: rb })
-            }
-            VExpr::Div(a, b) => {
-                let (ra, _) = self.vexpr(a)?;
-                let (rb, _) = self.vexpr(b)?;
-                self.push(TOp::Div { dst, a: ra, b: rb })
-            }
-            VExpr::Neg(a) => {
-                let (ra, _) = self.vexpr(a)?;
-                self.push(TOp::Neg { dst, src: ra })
+            Expr::Neg(inner) => {
+                let (src, _) = self.vexpr(inner)?;
+                self.push(TOp::Neg { dst, src })
             }
         }
     }
 
-    fn block(&mut self, ops: &[Op]) -> Result<()> {
-        for op in ops {
-            self.stmt(op)?;
+    fn block(&mut self, block: &'a [Stmt]) -> Result<()> {
+        for stmt in block {
+            self.stmt(stmt)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, op: &Op) -> Result<()> {
-        match op {
-            Op::AllocLocal { slot, len } => {
-                let len = self
-                    .affine(len)?
-                    .as_const()
-                    .ok_or_else(|| unsupported("dynamically sized local buffer"))?
-                    .max(1);
+    /// Restores what `var` was bound to before a loop bound it.
+    fn unbind(&mut self, var: &'a Sym, saved: Option<Bind<'a>>) {
+        match saved {
+            Some(bind) => self.env.insert(var, bind),
+            None => self.env.remove(var),
+        };
+    }
+
+    fn stmt(&mut self, stmt: &'a Stmt) -> Result<()> {
+        match stmt {
+            Stmt::Comment(_) => Ok(()),
+            Stmt::Call { instr, .. } => {
+                Err(unsupported(format!("call to `{}` left after inlining", instr.name)))
+            }
+            Stmt::Alloc { name, ty, dims, .. } => {
+                let len = dims.iter().try_fold(Affine::constant(1), |len, d| {
+                    len.product(self.affine(d)?).ok_or_else(|| unsupported("dynamically sized local buffer"))
+                })?;
+                if !len.is_constant() {
+                    return Err(unsupported("dynamically sized local buffer"));
+                }
+                let len = len.constant.max(1);
                 if len > UNROLL_CAP * 16 {
                     return Err(unsupported(format!("local buffer of {len} registers")));
                 }
                 let base = self.persist_alloc(len as u32);
-                let slot = *slot as usize;
-                if self.locals.len() <= slot {
-                    self.locals.resize(slot + 1, None);
-                }
-                self.locals[slot] = Some(LocalBind { base, len: len as u32 });
+                self.env
+                    .insert(name, Bind::Local { base, len: len as u32, f16: *ty == ScalarType::F16, dims });
                 self.push(TOp::Zero { base, len: len as u32 })
             }
-            Op::Assign { buf, flat, rhs, f16 } => {
+            Stmt::Assign { buf, idx, rhs } => {
                 self.temp_reset();
-                match self.resolve(buf, flat)? {
-                    Target::Reg(r) => {
+                match self.resolve(buf, idx)? {
+                    (Target::Reg(r), f16) => {
                         self.vexpr_into(r, rhs)?;
-                        if *f16 {
+                        if f16 {
                             self.push(TOp::Round { reg: r })?;
                         }
                         Ok(())
                     }
-                    Target::Mem { buf, addr } => {
+                    (Target::Mem { buf, addr }, f16) => {
                         let (src, owned) = self.vexpr(rhs)?;
-                        let src = if *f16 {
+                        let src = if f16 {
                             // Round in a scratch register so a borrowed
                             // local is not corrupted.
                             let r = if owned {
@@ -736,11 +794,12 @@ impl TapeBuilder {
                     }
                 }
             }
-            Op::Reduce { buf, flat, rhs, f16 } => {
+            Stmt::Reduce { buf, idx, rhs } => {
                 self.temp_reset();
                 // The accumulator: the target register, or a temporary the
                 // target's element is loaded into and stored back from.
-                let (acc, mem) = match self.resolve(buf, flat)? {
+                let (target, f16) = self.resolve(buf, idx)?;
+                let (acc, mem) = match target {
                     Target::Reg(r) => (r, None),
                     Target::Mem { buf, addr } => (self.temp(), Some((buf, addr))),
                 };
@@ -748,9 +807,9 @@ impl TapeBuilder {
                     Some((buf, addr)) => tb.push(TOp::LoadT { dst: acc, buf: *buf, addr: addr.clone() }),
                     None => Ok(()),
                 };
-                if let VExpr::Mul(a, b) = rhs {
-                    let (ra, _) = self.vexpr(a)?;
-                    let (rb, _) = self.vexpr(b)?;
+                if let Expr::Binop { op: BinOp::Mul, lhs, rhs } = rhs {
+                    let (ra, _) = self.vexpr(lhs)?;
+                    let (rb, _) = self.vexpr(rhs)?;
                     load(self)?;
                     self.push(TOp::Fma { dst: acc, a: ra, b: rb })?;
                 } else {
@@ -758,7 +817,7 @@ impl TapeBuilder {
                     load(self)?;
                     self.push(TOp::AddAssign { dst: acc, src: v })?;
                 }
-                if *f16 {
+                if f16 {
                     self.push(TOp::Round { reg: acc })?;
                 }
                 match mem {
@@ -766,22 +825,16 @@ impl TapeBuilder {
                     None => Ok(()),
                 }
             }
-            Op::For { var, lo, hi, body } => {
-                let lo_a = self.affine(lo)?;
-                let hi_a = self.affine(hi)?;
-                if let (Some(l), Some(h)) = (lo_a.as_const(), hi_a.as_const()) {
-                    if h - l <= UNROLL_CAP {
-                        let saved = self.loop_bind.get(var).copied();
-                        for i in l..h {
-                            self.loop_bind.insert(*var, LoopBind::Const(i));
-                            self.block(body)?;
-                        }
-                        match saved {
-                            Some(bind) => self.loop_bind.insert(*var, bind),
-                            None => self.loop_bind.remove(var),
-                        };
-                        return Ok(());
+            Stmt::For { var, lo, hi, body } => {
+                let (lo, hi) = (self.affine(lo)?, self.affine(hi)?);
+                let saved = self.env.get(var).copied();
+                if lo.is_constant() && hi.is_constant() && hi.constant - lo.constant <= UNROLL_CAP {
+                    for i in lo.constant..hi.constant {
+                        self.env.insert(var, Bind::Unrolled(i));
+                        self.block(body)?;
                     }
+                    self.unbind(var, saved);
+                    return Ok(());
                 }
                 // Dynamic loop (or a constant loop too long to unroll).
                 if self.n_dyn >= u16::MAX as usize {
@@ -789,39 +842,39 @@ impl TapeBuilder {
                 }
                 let slot = self.n_dyn as u16;
                 self.n_dyn += 1;
-                let saved = self.loop_bind.insert(*var, LoopBind::Dyn(slot));
+                let (lo, hi) = (Addr::of(lo), Addr::of(hi));
+                self.env.insert(var, Bind::Dyn(slot));
                 let begin = self.ops.len();
-                self.push(TOp::LoopBegin { slot, lo: lo_a.into_addr(), hi: hi_a.into_addr(), end: 0 })?;
+                self.push(TOp::LoopBegin { slot, lo, hi, end: 0 })?;
                 self.block(body)?;
                 self.push(TOp::LoopEnd { slot, begin: begin as u32 })?;
                 let end = self.ops.len() as u32;
                 if let TOp::LoopBegin { end: e, .. } = &mut self.ops[begin] {
                     *e = end;
                 }
-                match saved {
-                    Some(bind) => self.loop_bind.insert(*var, bind),
-                    None => self.loop_bind.remove(var),
-                };
+                self.unbind(var, saved);
                 Ok(())
             }
-            Op::If { lhs, op, rhs, then_body, else_body } => {
-                let l = self.affine(lhs)?.as_const();
-                let r = self.affine(rhs)?.as_const();
-                match (l, r) {
-                    (Some(a), Some(b)) => {
-                        if op.eval(a, b) {
-                            self.block(then_body)
-                        } else {
-                            self.block(else_body)
-                        }
-                    }
-                    _ => Err(unsupported("data-dependent branch")),
+            Stmt::If { cond, then_body, else_body } => {
+                let (l, r) = (self.affine(&cond.lhs)?, self.affine(&cond.rhs)?);
+                if !l.is_constant() || !r.is_constant() {
+                    return Err(unsupported("data-dependent branch"));
+                }
+                if cond.op.eval(l.constant, r.constant) {
+                    self.block(then_body)
+                } else {
+                    self.block(else_body)
                 }
             }
         }
     }
 
-    fn finish(mut self, kernel: &CompiledKernel) -> Result<TapeKernel> {
+    fn finish(
+        mut self,
+        name: String,
+        params: Vec<(String, ParamKind)>,
+        n_tensors: usize,
+    ) -> Result<TapeKernel> {
         // Temporaries were numbered in their own space during the build;
         // place them after the persistent (local) registers.
         let persist = self.persist_next;
@@ -852,7 +905,6 @@ impl TapeBuilder {
                 TOp::Zero { .. } | TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {}
             }
         }
-        let n_tensors = kernel.params.iter().filter(|(_, k)| *k == ParamKind::Tensor).count();
         let mut tensor_written = vec![false; n_tensors];
         for op in &self.ops {
             if let TOp::StoreT { buf, .. } = op {
@@ -860,8 +912,8 @@ impl TapeBuilder {
             }
         }
         Ok(TapeKernel {
-            name: kernel.name.clone(),
-            params: kernel.params.clone(),
+            name,
+            params,
             ops: self.ops,
             n_regs: (persist + self.temp_high) as usize,
             n_dyn_loops: self.n_dyn,
@@ -873,7 +925,6 @@ impl TapeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::compile;
     use exo_ir::builder::*;
     use exo_ir::{MemSpace, ScalarType};
 
@@ -883,7 +934,7 @@ mod tests {
     fn reference_tape() -> (exo_ir::Proc, TapeKernel) {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[8, 12]).unwrap();
-        let tape = compile(&p).unwrap().to_tape().unwrap();
+        let tape = compile(&p).unwrap();
         (p, tape)
     }
 
@@ -942,7 +993,7 @@ mod tests {
         // (`k * MR`), which is not affine: the tape refuses, and only the
         // reference interpreter runs such a procedure.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
-        assert!(matches!(compile(&p).unwrap().to_tape(), Err(CodegenError::Unsupported { .. })));
+        assert!(matches!(compile(&p), Err(CodegenError::Unsupported { .. })));
     }
 
     #[test]
@@ -952,7 +1003,7 @@ mod tests {
             .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
             .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
             .build();
-        let tape = compile(&p).unwrap().to_tape().unwrap();
+        let tape = compile(&p).unwrap();
         let mut x = vec![0.0f32; 2];
         // Claim N = 7 over a 2-element buffer.
         assert!(matches!(
@@ -968,7 +1019,7 @@ mod tests {
             .tensor_arg("out", ScalarType::F16, vec![int(2)], MemSpace::Dram)
             .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
             .build();
-        let tape = compile(&p).unwrap().to_tape().unwrap();
+        let tape = compile(&p).unwrap();
         let mut args =
             [ArgValue::Tensor(TensorData { dims: vec![2], data: vec![0.0, 3.0], ty: ScalarType::F16 })];
         run_proc(&p, &mut args).unwrap();
@@ -983,5 +1034,103 @@ mod tests {
     fn argument_mismatches_are_reported() {
         let (_, tape) = reference_tape();
         assert!(matches!(tape.run_views(&[1], &mut []), Err(CodegenError::BadArguments { .. })));
+    }
+
+    #[test]
+    fn compiled_fig5_ukernel_matches_naive_gemm() {
+        let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
+        let (mr, nr, kc) = (8usize, 12usize, 17usize);
+        let tape = compile(&exo_sched::partial_eval(&p, &[mr as i64, nr as i64]).unwrap()).unwrap();
+        let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
+        let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25).collect();
+        let mut c: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32).collect();
+        let mut c_ref = c.clone();
+        tape.run_views(&[kc as i64], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c)])
+            .unwrap();
+        // The operands are small multiples of powers of two, so every
+        // product and partial sum is exact and the fused and unfused
+        // accumulations agree bit for bit.
+        for k in 0..kc {
+            for j in 0..nr {
+                for i in 0..mr {
+                    c_ref[j * mr + i] += a[k * mr + i] * b[k * nr + j];
+                }
+            }
+        }
+        assert_eq!(c, c_ref);
+    }
+
+    #[test]
+    fn compiled_kernel_with_calls_matches_reference() {
+        // Build a tiny vectorised copy kernel: R[it, 0:4] loaded from X, then
+        // stored to Y, via the Neon load/store instruction specs.
+        let isa = exo_isa::neon_f32();
+        let window =
+            || vec![interval(Expr::mul(int(4), var("it")), Expr::add(Expr::mul(int(4), var("it")), int(4)))];
+        let p = proc("copy8")
+            .tensor_arg("X", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+            .tensor_arg("Y", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+            .body(vec![
+                alloc("R", ScalarType::F32, vec![int(2), int(4)], MemSpace::Neon),
+                for_(
+                    "it",
+                    0,
+                    2,
+                    vec![
+                        call(
+                            &isa.load,
+                            vec![win("R", vec![pt(var("it")), interval(0, 4)]), win("X", window())],
+                        ),
+                        call(
+                            &isa.store,
+                            vec![win("Y", window()), win("R", vec![pt(var("it")), interval(0, 4)])],
+                        ),
+                    ],
+                ),
+            ])
+            .build();
+        let tape = compile(&p).unwrap();
+        let x: Vec<f32> = (0..8).map(|i| i as f32 * 1.5).collect();
+        let mut y = vec![0.0f32; 8];
+        tape.run_views(&[], &mut [TensorView::Ro(&x), TensorView::Rw(&mut y)]).unwrap();
+        assert_eq!(y, x);
+    }
+
+    #[test]
+    fn f16_kernels_round_on_store() {
+        let p = proc("round16")
+            .tensor_arg("out", ScalarType::F16, vec![int(1)], MemSpace::Dram)
+            .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5))])
+            .build();
+        let mut out = vec![0.0f32; 1];
+        compile(&p).unwrap().run_views(&[], &mut [TensorView::Rw(&mut out)]).unwrap();
+        assert_eq!(out[0], 1.0);
+    }
+
+    #[test]
+    fn param_names_follow_signature_order() {
+        let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
+        let p = exo_sched::partial_eval(&p, &[8, 12]).unwrap();
+        let tape = compile(&p).unwrap();
+        let names: Vec<&str> = tape.params.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["KC", "Ac", "Bc", "C"]);
+    }
+
+    #[test]
+    fn a_constant_zero_divisor_in_an_index_is_declined_like_the_interpreter() {
+        use exo_ir::interp::{run_proc, ArgValue, TensorData};
+        for index in [Expr::div(int(1), int(0)), Expr::rem(int(1), int(0))] {
+            let p = proc("zero_divisor")
+                .tensor_arg("C", ScalarType::F32, vec![int(2)], MemSpace::Dram)
+                .body(vec![assign("C", vec![index.clone()], flt(1.0))])
+                .build();
+            let mut args =
+                [ArgValue::Tensor(TensorData { dims: vec![2], data: vec![0.0; 2], ty: ScalarType::F32 })];
+            assert!(run_proc(&p, &mut args).is_err(), "{index:?}: the reference semantics rejects it");
+            assert!(
+                matches!(compile(&p), Err(CodegenError::Unsupported { .. })),
+                "{index:?}: the tape must decline what the interpreter rejects"
+            );
+        }
     }
 }

@@ -351,69 +351,75 @@ impl std::ops::Mul for Expr {
 }
 
 /// A normalised affine form `constant + sum(coeff_i * var_i)` over integer
-/// index variables.
+/// index variables: symbols by default, or whatever a lowering maps them
+/// onto ([`Affine::of_bound`]).
 ///
 /// Used by the scheduling operators to answer questions like "is this
 /// subscript linear in `itt` with stride 1?" (required by `replace` to match a
 /// loop against a vector-instruction spec) and to produce canonical simplified
-/// index expressions.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Affine {
-    /// Coefficient of each variable (zero coefficients are not stored).
-    pub terms: BTreeMap<Sym, i64>,
+/// index expressions, and by the executable lowering to build its addresses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Affine<V = Sym> {
+    /// `(variable, coefficient)` pairs in variable order, no zero
+    /// coefficient stored — so equal forms compare equal.
+    terms: Vec<(V, i64)>,
     /// Constant offset.
     pub constant: i64,
 }
 
-impl Affine {
-    /// Attempts to interpret `e` as an affine combination of variables.
+impl<V> Default for Affine<V> {
+    fn default() -> Self {
+        Affine { terms: Vec::new(), constant: 0 }
+    }
+}
+
+impl<V: Ord> Affine<V> {
+    /// The constant form `v`.
+    pub fn constant(v: i64) -> Affine<V> {
+        Affine { terms: Vec::new(), constant: v }
+    }
+
+    /// The form `1 * var`.
+    pub fn var(var: V) -> Affine<V> {
+        Affine { terms: vec![(var, 1)], constant: 0 }
+    }
+
+    /// [`Affine::of`] with every variable replaced by the form `bind` gives
+    /// it — a constant for a variable whose value is known, so it folds into
+    /// the constant before any product or quotient is formed.
     ///
-    /// Returns `None` if the expression reads buffers, contains floats, or
-    /// multiplies two non-constant subexpressions.
-    pub fn of(e: &Expr) -> Option<Affine> {
-        match e {
-            Expr::Int(v) => Some(Affine { terms: BTreeMap::new(), constant: *v }),
+    /// Returns `Ok(None)` where [`Affine::of`] declines, and the first error
+    /// `bind` returns.
+    #[inline]
+    pub fn of_bound<E>(
+        e: &Expr,
+        bind: &mut impl FnMut(&Sym) -> std::result::Result<Affine<V>, E>,
+    ) -> std::result::Result<Option<Affine<V>>, E> {
+        Ok(match e {
+            Expr::Int(v) => Some(Affine::constant(*v)),
             Expr::Float(_) | Expr::Read { .. } => None,
-            Expr::Var(s) => {
-                let mut terms = BTreeMap::new();
-                terms.insert(s.clone(), 1);
-                Some(Affine { terms, constant: 0 })
-            }
-            Expr::Neg(inner) => Affine::of(inner).map(|a| a.scale(-1)),
+            Expr::Var(s) => Some(bind(s)?),
+            Expr::Neg(inner) => Affine::of_bound(inner, bind)?.map(|a| a.scale(-1)),
             Expr::Binop { op, lhs, rhs } => {
-                let l = Affine::of(lhs);
-                let r = Affine::of(rhs);
+                let (Some(l), Some(r)) = (Affine::of_bound(lhs, bind)?, Affine::of_bound(rhs, bind)?) else {
+                    return Ok(None);
+                };
                 match op {
-                    BinOp::Add => Some(l?.add(&r?)),
-                    BinOp::Sub => Some(l?.add(&r?.scale(-1))),
-                    BinOp::Mul => {
-                        let l = l?;
-                        let r = r?;
-                        if l.is_constant() {
-                            Some(r.scale(l.constant))
-                        } else if r.is_constant() {
-                            Some(l.scale(r.constant))
-                        } else {
-                            None
-                        }
-                    }
-                    BinOp::Div | BinOp::Mod => {
-                        // Only constant / constant folds; anything else is not affine.
-                        let l = l?;
-                        let r = r?;
-                        if l.is_constant() && r.is_constant() && r.constant != 0 {
-                            let v = match op {
-                                BinOp::Div => l.constant.div_euclid(r.constant),
-                                _ => l.constant.rem_euclid(r.constant),
-                            };
-                            Some(Affine { terms: BTreeMap::new(), constant: v })
-                        } else {
-                            None
-                        }
-                    }
+                    BinOp::Add => Some(l.add(r)),
+                    BinOp::Sub => Some(l.add(r.scale(-1))),
+                    BinOp::Mul => l.product(r),
+                    // Only constant / non-zero constant folds, Euclidean like
+                    // the interpreter's; anything else is not affine.
+                    BinOp::Div | BinOp::Mod => match (l.is_constant(), r.is_constant(), r.constant) {
+                        (true, true, d) if d != 0 => Some(Affine::constant(match op {
+                            BinOp::Div => l.constant.div_euclid(d),
+                            _ => l.constant.rem_euclid(d),
+                        })),
+                        _ => None,
+                    },
                 }
             }
-        }
+        })
     }
 
     /// Whether the form has no variable terms.
@@ -422,40 +428,84 @@ impl Affine {
     }
 
     /// Adds two affine forms.
-    pub fn add(&self, other: &Affine) -> Affine {
-        let mut terms = self.terms.clone();
-        for (s, c) in &other.terms {
-            let entry = terms.entry(s.clone()).or_insert(0);
-            *entry += c;
-            if *entry == 0 {
-                terms.remove(s);
+    #[inline]
+    pub fn add(mut self, other: Affine<V>) -> Affine<V> {
+        self.constant += other.constant;
+        if self.terms.is_empty() {
+            self.terms = other.terms;
+        } else if !other.terms.is_empty() {
+            self.merge(other.terms);
+        }
+        self
+    }
+
+    fn merge(&mut self, terms: Vec<(V, i64)>) {
+        for (v, c) in terms {
+            match self.terms.binary_search_by(|(t, _)| t.cmp(&v)) {
+                Ok(i) if self.terms[i].1 + c == 0 => {
+                    self.terms.remove(i);
+                }
+                Ok(i) => self.terms[i].1 += c,
+                Err(i) => self.terms.insert(i, (v, c)),
             }
         }
-        Affine { terms, constant: self.constant + other.constant }
     }
 
     /// Multiplies by an integer constant.
-    pub fn scale(&self, k: i64) -> Affine {
+    pub fn scale(mut self, k: i64) -> Affine<V> {
         if k == 0 {
             return Affine::default();
         }
-        Affine {
-            terms: self.terms.iter().map(|(s, c)| (s.clone(), c * k)).collect(),
-            constant: self.constant * k,
+        self.constant *= k;
+        self.terms.iter_mut().for_each(|(_, c)| *c *= k);
+        self
+    }
+
+    /// The product of two forms, if one of them is a constant; `None` (not
+    /// affine) otherwise.
+    pub fn product(self, other: Affine<V>) -> Option<Affine<V>> {
+        if self.is_constant() {
+            Some(other.scale(self.constant))
+        } else if other.is_constant() {
+            Some(self.scale(other.constant))
+        } else {
+            None
         }
     }
 
+    /// The `(variable, coefficient)` terms, in variable order.
+    pub fn terms(&self) -> &[(V, i64)] {
+        &self.terms
+    }
+
     /// Coefficient of `var` (zero if absent).
-    pub fn coeff(&self, var: &Sym) -> i64 {
-        self.terms.get(var).copied().unwrap_or(0)
+    pub fn coeff(&self, var: &V) -> i64 {
+        self.terms.binary_search_by(|(t, _)| t.cmp(var)).map_or(0, |i| self.terms[i].1)
     }
 
     /// Removes `var` from the form, returning (coefficient, remainder).
-    pub fn split_var(&self, var: &Sym) -> (i64, Affine) {
+    pub fn split_var(&self, var: &V) -> (i64, Affine<V>)
+    where
+        V: Clone,
+    {
         let c = self.coeff(var);
         let mut rest = self.clone();
-        rest.terms.remove(var);
+        rest.terms.retain(|(t, _)| t != var);
         (c, rest)
+    }
+}
+
+impl Affine {
+    /// Attempts to interpret `e` as an affine combination of variables.
+    ///
+    /// Returns `None` if the expression reads buffers, contains floats,
+    /// multiplies two non-constant subexpressions, or divides by anything but
+    /// a non-zero constant.
+    pub fn of(e: &Expr) -> Option<Affine> {
+        match Affine::of_bound(e, &mut |s| Ok::<_, std::convert::Infallible>(Affine::var(s.clone()))) {
+            Ok(form) => form,
+            Err(never) => match never {},
+        }
     }
 
     /// Converts back to an expression in canonical order: variable terms in
@@ -592,10 +642,8 @@ mod tests {
 
     #[test]
     fn to_expr_canonical_order() {
-        let mut terms = BTreeMap::new();
-        terms.insert(Sym::new("b"), 2);
-        terms.insert(Sym::new("a"), 1);
-        let aff = Affine { terms, constant: -3 };
+        let aff =
+            Affine::var(Sym::new("b")).scale(2).add(Affine::var(Sym::new("a"))).add(Affine::constant(-3));
         let e = aff.to_expr();
         // a + 2*b - 3
         assert_eq!(e, Expr::sub(Expr::add(v("a"), Expr::mul(Expr::int(2), v("b"))), Expr::int(3)));

@@ -286,7 +286,7 @@ impl MicroKernelGenerator {
         let c_code = emit_c(&proc)?;
         let trace = extract_trace(&proc, "KC")?;
         let asm = emit_asm(&trace);
-        let tape = Arc::new(compile(&proc)?.to_tape()?);
+        let tape = Arc::new(compile(&proc)?);
         let superword = Arc::new(tape.to_superword()?);
         let isa = exo_codegen::active_isa();
         let simd = SimdKernel::compile_for(Arc::clone(&superword), isa).map(Arc::new).ok_or_else(|| {

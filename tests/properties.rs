@@ -178,7 +178,7 @@ fn interpreter_and_compiled_execution_agree() {
         let mut c_interp = c0.clone();
         run_packed(&p, kc, &a, &b, &mut c_interp).unwrap();
 
-        let tape = Arc::new(exo_codegen::compile(&p).unwrap().to_tape().unwrap());
+        let tape = Arc::new(exo_codegen::compile(&p).unwrap());
         let chain = SimdKernel::compile_for(Arc::new(tape.to_superword().unwrap()), IsaKind::Scalar).unwrap();
         type Run<'k> = &'k dyn Fn(&[i64], &mut [TensorView<'_>]) -> Result<(), CodegenError>;
         let tiers: [(&str, Run<'_>); 2] =

@@ -769,7 +769,7 @@ fn fringe_lane_runs_finish_in_narrower_shapes_and_scalar_lanes_on_every_isa() {
             ),
         ])
         .build();
-    let sw = Arc::new(exo_gemm::exo_codegen::compile(&p).unwrap().to_superword().unwrap());
+    let sw = Arc::new(Arc::new(exo_gemm::exo_codegen::compile(&p).unwrap()).to_superword().unwrap());
     assert!(sw.vector_op_count() > 0, "the 6-lane staged tiles must pack whole-vector ops");
     let (mr, nr) = (mr as usize, nr as usize);
     let mut cases = Cases::new(0xf41e);
