@@ -250,7 +250,7 @@ impl GemmExecutor for TunedGemm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gemm_blis::{naive_gemm, Matrix, NaiveGemm};
+    use gemm_blis::{Matrix, NaiveGemm};
 
     fn matrices(m: usize, n: usize, k: usize) -> (Matrix, Matrix, Matrix, Matrix) {
         let a = Matrix::from_fn(m, k, |i, j| ((i * 7 + j * 3 + 1) % 13) as f32 * 0.25 - 1.0);
@@ -260,15 +260,23 @@ mod tests {
         (a, b, c, c_ref)
     }
 
+    /// `c += a * b` by the reference executor, whose bits every driver
+    /// computes.
+    fn naive(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
+    }
+
+    fn bits(c: &Matrix) -> Vec<u32> {
+        c.data.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn tuned_gemm_matches_naive_and_memoises() {
         let tuned = TunedGemm::new();
         let (a, b, mut c, mut c_ref) = matrices(45, 37, 29);
         let run = tuned.execute(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
-        naive_gemm(&a, &b, &mut c_ref);
-        for (idx, (x, y)) in c.data.iter().zip(&c_ref.data).enumerate() {
-            assert!((x - y).abs() < 1e-3, "mismatch at {idx}: {x} vs {y}");
-        }
+        naive(&a, &b, &mut c_ref);
+        assert_eq!(bits(&c), bits(&c_ref));
         assert!(run.stats.kernel.starts_with("EXO"));
         assert_eq!(run.verdict.m, 45);
         assert_eq!((run.stats.m, run.stats.n, run.stats.k), (45, 37, 29));
@@ -277,7 +285,8 @@ mod tests {
         let invocations = tuned.registry().generator_invocations();
         let (a2, b2, mut c2, mut c2_ref) = matrices(45, 37, 29);
         tuned.gemm(GemmProblem::new(a2.view(), b2.view(), c2.view_mut())).unwrap();
-        naive_gemm(&a2, &b2, &mut c2_ref);
+        naive(&a2, &b2, &mut c2_ref);
+        assert_eq!(bits(&c2), bits(&c2_ref));
         assert_eq!(tuned.registry().generator_invocations(), invocations);
         assert_eq!(tuned.registry().len(), 1);
     }
@@ -336,9 +345,7 @@ mod tests {
                 GemmProblem::new(at.view(), b.view(), c_ref.view_mut()).transpose_a().alpha(1.5).beta(-0.25),
             )
             .unwrap();
-        for (idx, (x, y)) in c_tuned.data.iter().zip(&c_ref.data).enumerate() {
-            assert!((x - y).abs() < 1e-3, "mismatch at {idx}: {x} vs {y}");
-        }
+        assert_eq!(bits(&c_tuned), bits(&c_ref));
     }
 
     #[test]

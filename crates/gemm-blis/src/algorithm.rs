@@ -138,19 +138,6 @@ impl Matrix {
         self.data[i * self.cols + j] = v;
     }
 
-    /// Row `i` as a slice — hoists the row offset out of hot loops.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Row `i` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        let w = self.cols;
-        &mut self.data[i * w..(i + 1) * w]
-    }
-
     /// A borrowed read-only view of the whole matrix.
     #[inline]
     pub fn view(&self) -> MatRef<'_> {
@@ -173,29 +160,6 @@ impl<'a> From<&'a Matrix> for MatRef<'a> {
 impl<'a> From<&'a mut Matrix> for MatMut<'a> {
     fn from(m: &'a mut Matrix) -> Self {
         m.view_mut()
-    }
-}
-
-/// Reference triple-loop GEMM over dense matrices, the ground truth for the
-/// dense differential tests in the workspace: `c += a * b`.
-///
-/// Row slices are hoisted out of the inner loop so the baseline pays no
-/// per-element index arithmetic — it is run by every differential test, and
-/// its wall-time bounds the whole suite's. The strided/transposed/
-/// alpha-beta generalisation is [`crate::NaiveGemm`].
-pub fn naive_gemm(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(a.cols, b.rows);
-    assert_eq!(a.rows, c.rows);
-    assert_eq!(b.cols, c.cols);
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (p, &aip) in a_row.iter().enumerate() {
-            let b_row = b.row(p);
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += aip * bv;
-            }
-        }
     }
 }
 
@@ -1071,12 +1035,11 @@ mod tests {
             .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
         assert_eq!((stats.m, stats.n, stats.k), (m, n, k));
-        // The inputs sit on a dyadic grid (multiples of 1/4 and 1/8, small
-        // k), so every product and partial sum is exact in f32 and the
-        // blocked result must equal the reference bit for bit, whatever the
-        // summation order or FMA contraction of the kernel.
-        naive_gemm(&a, &b, &mut c_ref);
-        assert_eq!(c.data, c_ref.data, "{}: blocked driver vs naive reference", kernel.name);
+        // The driver computes the reference's arithmetic, one fused
+        // multiply-add per `k` in ascending order, so the blocked result
+        // equals it bit for bit.
+        NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c_ref.view_mut())).unwrap();
+        assert_eq!(bits(&c), bits(&c_ref), "{}: blocked driver vs naive reference", kernel.name);
         // A threaded run must agree bit-for-bit: same packing, same op
         // order, disjoint per-thread windows.
         let mut c_threaded = c_start;
@@ -1121,10 +1084,8 @@ mod tests {
         let mut c_ref = Matrix::zeros(20, 9);
         let stats = driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
         assert_eq!(&*stats.kernel, "EXO 8x8");
-        naive_gemm(&a, &b, &mut c_ref);
-        for idx in 0..c.data.len() {
-            assert!((c.data[idx] - c_ref.data[idx]).abs() < 1e-3);
-        }
+        NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c_ref.view_mut())).unwrap();
+        assert_eq!(bits(&c), bits(&c_ref));
     }
 
     #[test]
@@ -1244,10 +1205,8 @@ mod tests {
             .with_threads(3)
             .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
-        naive_gemm(&a, &b, &mut c_ref);
-        for idx in 0..c.data.len() {
-            assert!((c.data[idx] - c_ref.data[idx]).abs() < 1e-3);
-        }
+        NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c_ref.view_mut())).unwrap();
+        assert_eq!(bits(&c), bits(&c_ref));
     }
 
     /// Where an `m x n` `C` lives in its buffer: element `(i, j)` at
@@ -1796,10 +1755,8 @@ mod tests {
             .with_threads(0)
             .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
-        naive_gemm(&a, &b, &mut c_ref);
-        for idx in 0..c.data.len() {
-            assert!((c.data[idx] - c_ref.data[idx]).abs() < 1e-3);
-        }
+        NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c_ref.view_mut())).unwrap();
+        assert_eq!(bits(&c), bits(&c_ref));
     }
 
     #[cfg(debug_assertions)]

@@ -281,14 +281,14 @@ mod tests {
         for k in 0..kc {
             for j in 0..nr {
                 for i in 0..mr {
-                    c_ref[j * mr + i] += a[k * mr + i] * b[k * nr + j];
+                    c_ref[j * mr + i] = a[k * mr + i].mul_add(b[k * nr + j], c_ref[j * mr + i]);
                 }
             }
         }
         for (x, y) in c.iter().zip(&c_ref) {
-            // Relative tolerance: the kernels fuse each multiply-add, this
-            // loop does not.
-            assert!((x - y).abs() < 1e-3 * y.abs().max(1.0), "{} mismatch: {x} vs {y}", kernel.name);
+            // The kernels fuse each multiply-add, `k` ascending, as this
+            // loop does.
+            assert_eq!(x.to_bits(), y.to_bits(), "{} mismatch: {x} vs {y}", kernel.name);
         }
     }
 

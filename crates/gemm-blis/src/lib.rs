@@ -40,7 +40,7 @@ pub mod pool;
 pub mod problem;
 pub mod views;
 
-pub use algorithm::{naive_gemm, BlisGemm, GemmRunner, Matrix};
+pub use algorithm::{BlisGemm, GemmRunner, Matrix};
 pub use baselines::{
     blis_assembly_kernel, exo_kernel, exo_kernel_simd, exo_kernel_tape, neon_intrinsics_kernel, ExecBackend,
     KernelImpl, ModelledKernel,

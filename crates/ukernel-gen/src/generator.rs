@@ -360,7 +360,7 @@ mod tests {
         for k in 0..kc {
             for j in 0..nr {
                 for i in 0..mr {
-                    c[j * mr + i] += a[k * mr + i] * b[k * nr + j];
+                    c[j * mr + i] = a[k * mr + i].mul_add(b[k * nr + j], c[j * mr + i]);
                 }
             }
         }
@@ -390,11 +390,10 @@ mod tests {
         kernel.run_packed(kc, &a, &b, &mut c).unwrap();
         naive(mr, nr, kc, &a, &b, &mut c_ref);
         for (idx, (x, y)) in c.iter().zip(&c_ref).enumerate() {
-            assert!(
-                (x - y).abs() <= 1e-3 * y.abs().max(1.0),
-                "{}x{} kernel ({}) mismatch at {idx}: {x} vs {y}",
-                mr,
-                nr,
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{mr}x{nr} kernel ({}) mismatch at {idx}: {x} vs {y}",
                 kernel.strategy
             );
         }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use exo_isa::{avx512_f32, neon_f16, neon_f32};
-use gemm_blis::{exo_kernel, naive_gemm, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix};
+use gemm_blis::{exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, Matrix, NaiveGemm};
 use ukernel_gen::{KernelSet, MicroKernelGenerator, Strategy};
 
 fn check_full_gemm(kernel: &gemm_blis::KernelImpl, m: usize, n: usize, k: usize) {
@@ -19,9 +19,9 @@ fn check_full_gemm(kernel: &gemm_blis::KernelImpl, m: usize, n: usize, k: usize)
         .with_kernel(kernel.clone())
         .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
         .expect("gemm runs");
-    naive_gemm(&a, &b, &mut c_ref);
+    NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c_ref.view_mut())).unwrap();
     for (idx, (x, y)) in c.data.iter().zip(&c_ref.data).enumerate() {
-        assert!((x - y).abs() < 1e-3, "{} mismatch at {idx}: {x} vs {y} for {m}x{n}x{k}", kernel.name);
+        assert_eq!(x.to_bits(), y.to_bits(), "{} mismatch at {idx}: {x} vs {y} for {m}x{n}x{k}", kernel.name);
     }
 }
 

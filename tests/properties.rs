@@ -24,9 +24,7 @@ use exo_codegen::{CodegenError, IsaKind, SimdKernel, TensorView};
 use exo_ir::interp::{run_packed, run_proc, ArgValue, TensorData};
 use exo_ir::{ScalarType, Sym};
 use exo_isa::{neon_f32, ukernel_ref_simple};
-use gemm_blis::{
-    exo_kernel, naive_gemm, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, MatRef, Matrix,
-};
+use gemm_blis::{exo_kernel, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, MatRef, Matrix, NaiveGemm};
 use ukernel_gen::MicroKernelGenerator;
 
 const TILE_SHAPES: [(usize, usize); 9] =
@@ -50,12 +48,12 @@ fn generated_kernels_match_reference() {
         for k in 0..kc {
             for j in 0..nr {
                 for i in 0..mr {
-                    c_ref[j * mr + i] += a[k * mr + i] * b[k * nr + j];
+                    c_ref[j * mr + i] = a[k * mr + i].mul_add(b[k * nr + j], c_ref[j * mr + i]);
                 }
             }
         }
         for (x, y) in c.iter().zip(&c_ref) {
-            assert!((x - y).abs() <= 1e-3 * y.abs().max(1.0), "{mr}x{nr} kc={kc}: {x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{mr}x{nr} kc={kc}: {x} vs {y}");
         }
     }
 }
@@ -80,9 +78,9 @@ fn blis_driver_matches_naive() {
             .with_kernel(kernel.clone())
             .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
             .unwrap();
-        naive_gemm(&a, &b, &mut c_ref);
+        NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c_ref.view_mut())).unwrap();
         for (x, y) in c.data.iter().zip(&c_ref.data) {
-            assert!((x - y).abs() <= 2e-3 * y.abs().max(1.0), "{m}x{n}x{k}: {x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{m}x{n}x{k}: {x} vs {y}");
         }
     }
 }

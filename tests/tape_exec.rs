@@ -31,8 +31,8 @@ use exo_gemm::exo_ir::Proc;
 use exo_gemm::exo_isa::{avx512_f32, neon_f32};
 use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_tape, naive_gemm, native_available, toolchain,
-    BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind, Matrix,
+    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_tape, native_available, toolchain, BlisGemm,
+    BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind, Matrix, NaiveGemm,
 };
 use exo_gemm::ukernel_gen::{GeneratedKernel, KernelCache, KernelSet, MicroKernelGenerator, Strategy};
 
@@ -41,6 +41,13 @@ use exo_gemm::ukernel_gen::{GeneratedKernel, KernelCache, KernelSet, MicroKernel
 fn interpret(p: &Proc, kc: usize, a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
     let mut c = c0.to_vec();
     run_packed(p, kc, a, b, &mut c).unwrap();
+    c
+}
+
+/// `c0 + a * b` by `NaiveGemm`, whose bits every driver computes.
+fn run_naive(a: &Matrix, b: &Matrix, c0: &Matrix) -> Matrix {
+    let mut c = c0.clone();
+    NaiveGemm.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).unwrap();
     c
 }
 
@@ -130,9 +137,8 @@ fn five_way_differential(
     assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
-/// All three tiers agree with `naive_gemm` (to accumulation tolerance) on
-/// fringe-heavy problems through the full five-loop driver, and with each
-/// other bit for bit.
+/// All three tiers agree with `NaiveGemm` and with each other, bit for bit,
+/// on fringe-heavy problems through the full five-loop driver.
 #[test]
 fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -170,11 +176,11 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
             );
             assert_eq!(c_simd.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: simd vs tape driver");
 
-            let mut c_ref = c0.clone();
-            naive_gemm(&a, &b, &mut c_ref);
+            let c_ref = run_naive(&a, &b, &c0);
             for idx in 0..c_simd.data.len() {
-                assert!(
-                    (c_simd.data[idx] - c_ref.data[idx]).abs() < 1e-3,
+                assert_eq!(
+                    c_simd.data[idx].to_bits(),
+                    c_ref.data[idx].to_bits(),
                     "{mr}x{nr} on {m}x{n}x{k} mismatch at {idx}: {} vs {}",
                     c_simd.data[idx],
                     c_ref.data[idx]
@@ -312,10 +318,13 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
                     "{m}x{n}x{k} jc split, {threads} threads, {label} backend"
                 );
             }
-            let mut c_ref = c0.clone();
-            naive_gemm(&a, &b, &mut c_ref);
+            let c_ref = run_naive(&a, &b, &c0);
             for idx in 0..c_seq.data.len() {
-                assert!((c_seq.data[idx] - c_ref.data[idx]).abs() < 1e-3, "{m}x{n}x{k} at {idx} ({label})");
+                assert_eq!(
+                    c_seq.data[idx].to_bits(),
+                    c_ref.data[idx].to_bits(),
+                    "{m}x{n}x{k} at {idx} ({label})"
+                );
             }
         }
     }
