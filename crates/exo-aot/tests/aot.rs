@@ -146,8 +146,16 @@ unsafe fn staged_8x4(kc: i64, ac: *const f32, bc: *const f32, c: *mut f32, fma: 
     for k in 0..kc as usize {
         for j in 0..4 {
             for i in 0..8 {
-                // SAFETY: in bounds by the function's contract.
-                unsafe { *c.add(j * 8 + i) = fma(*ac.add(k * 8 + i), *bc.add(k * 4 + j), *c.add(j * 8 + i)) };
+                let (a, b, acc) =
+                    (ac.wrapping_add(k * 8 + i), bc.wrapping_add(k * 4 + j), c.wrapping_add(j * 8 + i));
+                // SAFETY: `Ac` holds `kc * 8` floats (the function's contract).
+                let a = unsafe { *a };
+                // SAFETY: `Bc` holds `kc * 4` floats.
+                let b = unsafe { *b };
+                // SAFETY: `C` holds 32 floats.
+                let old = unsafe { *acc };
+                // SAFETY: as the read of `acc`.
+                unsafe { *acc = fma(a, b, old) };
             }
         }
     }
@@ -174,11 +182,10 @@ unsafe extern "C" fn garbage(_kc: i64, _ac: *const f32, _bc: *const f32, c: *mut
 unsafe extern "C" fn wrong_at_tiny_kc(kc: i64, ac: *const f32, bc: *const f32, c: *mut f32) {
     WRONG_CALLS[1].fetch_add(1, Ordering::SeqCst);
     // SAFETY: as for `fused`.
-    unsafe {
-        staged_8x4(kc, ac, bc, c, f32::mul_add);
-        if kc < 2 {
-            *c += 1234.5;
-        }
+    unsafe { staged_8x4(kc, ac, bc, c, f32::mul_add) };
+    if kc < 2 {
+        // SAFETY: `C` holds the 32-float tile.
+        unsafe { *c += 1234.5 };
     }
 }
 

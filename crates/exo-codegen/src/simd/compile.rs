@@ -85,32 +85,48 @@ pub(super) unsafe fn run_nodes(
 /// a tensor and a lane-aligned register run; `copy_nonoverlapping`
 /// lowers to vector moves). `LOAD` selects the direction.
 fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &Addr) -> StepFn {
+    /// The copy at element `idx` of tensor `buf`.
+    ///
+    /// # Safety
+    ///
+    /// The interval proof admitted `idx..idx + lanes` in `buf`, and the
+    /// construction proof `buf` and `reg..reg + lanes`.
+    #[inline(always)]
+    unsafe fn copy<const LOAD: bool>(
+        regs: *mut f32,
+        tens: &[*mut f32],
+        reg: usize,
+        buf: usize,
+        idx: usize,
+        lanes: usize,
+    ) {
+        // SAFETY: the construction proof put `buf` in the tensor table.
+        let t = unsafe { *tens.get_unchecked(buf) }.wrapping_add(idx);
+        let r = regs.wrapping_add(reg);
+        if LOAD {
+            // SAFETY: both runs are `lanes` long and in bounds (the contract), one
+            // in a tensor, one in the register file.
+            unsafe { std::ptr::copy_nonoverlapping(t as *const f32, r, lanes) };
+        } else {
+            // SAFETY: as the load.
+            unsafe { std::ptr::copy_nonoverlapping(r as *const f32, t, lanes) };
+        }
+    }
     // Specialise the hot single-loop-term address so the chain never
     // touches the general evaluator on the packed-operand walk.
     if let Addr::Loop { base, slot, coeff } = *addr {
         let slot = slot as usize;
-        // SAFETY: the interval proof admitted `idx..idx + lanes` in `buf`, the
-        // construction proof `reg..reg + lanes` and `slot` in the loop table.
-        Box::new(move |regs, tens, loops, _scalars| unsafe {
-            let idx = (base + coeff * *loops.get_unchecked(slot)) as usize;
-            let t = (*tens.get_unchecked(buf)).add(idx);
-            if LOAD {
-                std::ptr::copy_nonoverlapping(t as *const f32, regs.add(reg), lanes);
-            } else {
-                std::ptr::copy_nonoverlapping(regs.add(reg) as *const f32, t, lanes);
-            }
+        Box::new(move |regs, tens, loops, _scalars| {
+            // SAFETY: the construction proof put `slot` in the loop table.
+            let k = unsafe { *loops.get_unchecked(slot) };
+            // SAFETY: the proofs admitted this address (`copy`).
+            unsafe { copy::<LOAD>(regs, tens, reg, buf, (base + coeff * k) as usize, lanes) };
         })
     } else {
         let addr = addr.clone();
-        // SAFETY: as the closure above, at the general address.
-        Box::new(move |regs, tens, loops, scalars| unsafe {
-            let idx = addr.eval(loops, scalars) as usize;
-            let t = (*tens.get_unchecked(buf)).add(idx);
-            if LOAD {
-                std::ptr::copy_nonoverlapping(t as *const f32, regs.add(reg), lanes);
-            } else {
-                std::ptr::copy_nonoverlapping(regs.add(reg) as *const f32, t, lanes);
-            }
+        Box::new(move |regs, tens, loops, scalars| {
+            // SAFETY: as above, at the general address.
+            unsafe { copy::<LOAD>(regs, tens, reg, buf, addr.eval(loops, scalars) as usize, lanes) };
         })
     }
 }
@@ -118,19 +134,19 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &Addr
 /// One `VFmaLane` op as a closure: vector form unless the op's lane order
 /// is semantic ([`VOp::fma_in_order`]).
 fn fma_lane_step<I: VectorIsa>(in_order: bool, dst: usize, a: usize, b: usize, lanes: usize) -> StepFn {
-    if in_order {
-        // SAFETY: the construction proof keeps both runs and `b` in the register file,
-        // and `compile_for` checked that the host runs `I`.
-        Box::new(move |regs, _tens, _loops, _scalars| unsafe {
-            I::fma_run_inorder(regs, dst, a, *regs.add(b), lanes);
-        })
-    } else {
-        // SAFETY: as above; the lane order is free, so the runs are disjoint or
-        // identical, as `fma_run` asks.
-        Box::new(move |regs, _tens, _loops, _scalars| unsafe {
-            I::fma_run(regs, dst, a, *regs.add(b), lanes);
-        })
-    }
+    Box::new(move |regs, _tens, _loops, _scalars| {
+        // SAFETY: the construction proof keeps `b` in the register file.
+        let bval = unsafe { *regs.wrapping_add(b) };
+        if in_order {
+            // SAFETY: the construction proof keeps both runs in the register file,
+            // and `compile_for` checked that the host runs `I`.
+            unsafe { I::fma_run_inorder(regs, dst, a, bval, lanes) };
+        } else {
+            // SAFETY: as above; the lane order is free, so the runs are disjoint or
+            // identical, as `fma_run` asks.
+            unsafe { I::fma_run(regs, dst, a, bval, lanes) };
+        }
+    })
 }
 
 /// One `VFmaBcast` op: broadcast one tensor element, write the scratch
@@ -145,109 +161,118 @@ fn fma_bcast_step<I: VectorIsa>(
     lanes: usize,
 ) -> StepFn {
     let addr = addr.clone();
-    // SAFETY: the interval proof admitted `idx` in `buf`; the construction proof
-    // the register runs and `scratch`, and `compile_for` the ISA.
-    Box::new(move |regs, tens, loops, scalars| unsafe {
+    Box::new(move |regs, tens, loops, scalars| {
         let idx = addr.eval(loops, scalars) as usize;
-        let bval = *(*tens.get_unchecked(buf)).add(idx);
-        *regs.add(scratch) = bval;
+        // SAFETY: the construction proof put `buf` in the tensor table.
+        let tensor = unsafe { *tens.get_unchecked(buf) };
+        // SAFETY: the interval proof admitted `idx` in `buf`.
+        let bval = unsafe { *tensor.wrapping_add(idx) };
+        // SAFETY: the construction proof keeps `scratch` in the register file.
+        unsafe { *regs.wrapping_add(scratch) = bval };
         if in_order {
-            I::fma_run_inorder(regs, dst, a, bval, lanes);
+            // SAFETY: the construction proof keeps the register runs in the file,
+            // and `compile_for` checked the ISA.
+            unsafe { I::fma_run_inorder(regs, dst, a, bval, lanes) };
         } else {
-            I::fma_run(regs, dst, a, bval, lanes);
+            // SAFETY: as above, the runs disjoint or identical as `fma_run` asks.
+            unsafe { I::fma_run(regs, dst, a, bval, lanes) };
         }
+    })
+}
+
+/// `reg[dst] = f(reg[a], reg[b])`.
+fn binary_step(
+    dst: usize,
+    a: usize,
+    b: usize,
+    f: impl Fn(f32, f32) -> f32 + Send + Sync + 'static,
+) -> StepFn {
+    Box::new(move |regs, _t, _l, _s| {
+        // SAFETY: `a` is in bounds (construction proof), and the file is initialised.
+        let x = unsafe { *regs.wrapping_add(a) };
+        // SAFETY: as `a`.
+        let y = unsafe { *regs.wrapping_add(b) };
+        // SAFETY: `dst` is in bounds (construction proof).
+        unsafe { *regs.wrapping_add(dst) = f(x, y) };
+    })
+}
+
+/// `reg[dst] = f(reg[src])`.
+fn unary_step(dst: usize, src: usize, f: impl Fn(f32) -> f32 + Send + Sync + 'static) -> StepFn {
+    Box::new(move |regs, _t, _l, _s| {
+        // SAFETY: `src` is in bounds (construction proof), and the file is initialised.
+        let x = unsafe { *regs.wrapping_add(src) };
+        // SAFETY: `dst` is in bounds (construction proof).
+        unsafe { *regs.wrapping_add(dst) = f(x) };
     })
 }
 
 /// A scalar tape op as a closure. Scalar `Fma` is a one-lane run of the
 /// ISA's multiply-add, one rounding like every other lane.
 fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
-    Some(match op {
+    Some(match *op {
         TOp::ConstF { dst, val } => {
-            let (dst, val) = (*dst as usize, *val);
-            // SAFETY: `dst` is in the register file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = val })
+            let dst = dst as usize;
+            // SAFETY: `dst` is in bounds (construction proof).
+            Box::new(move |regs, _t, _l, _s| unsafe { *regs.wrapping_add(dst) = val })
         }
-        TOp::LoadT { dst, buf, addr } => {
-            let (dst, buf, addr) = (*dst as usize, *buf as usize, addr.clone());
-            // SAFETY: the interval proof admitted `idx` in `buf`, the construction proof `dst`.
-            Box::new(move |regs, tens, loops, scalars| unsafe {
+        TOp::LoadT { dst, buf, ref addr } => {
+            let (dst, buf, addr) = (dst as usize, buf as usize, addr.clone());
+            Box::new(move |regs, tens, loops, scalars| {
                 let idx = addr.eval(loops, scalars) as usize;
-                *regs.add(dst) = *(*tens.get_unchecked(buf)).add(idx);
+                // SAFETY: the construction proof put `buf` in the tensor table.
+                let tensor = unsafe { *tens.get_unchecked(buf) };
+                // SAFETY: the interval proof admitted `idx` in `buf`.
+                let v = unsafe { *tensor.wrapping_add(idx) };
+                // SAFETY: `dst` is in bounds (construction proof).
+                unsafe { *regs.wrapping_add(dst) = v };
             })
         }
-        TOp::StoreT { src, buf, addr } => {
-            let (src, buf, addr) = (*src as usize, *buf as usize, addr.clone());
-            // SAFETY: the interval proof admitted `idx` in `buf`, the construction proof `src`.
-            Box::new(move |regs, tens, loops, scalars| unsafe {
+        TOp::StoreT { src, buf, ref addr } => {
+            let (src, buf, addr) = (src as usize, buf as usize, addr.clone());
+            Box::new(move |regs, tens, loops, scalars| {
                 let idx = addr.eval(loops, scalars) as usize;
-                *(*tens.get_unchecked(buf)).add(idx) = *regs.add(src);
+                // SAFETY: `src` is in bounds (construction proof), and the file is initialised.
+                let v = unsafe { *regs.wrapping_add(src) };
+                // SAFETY: the construction proof put `buf` in the tensor table.
+                let tensor = unsafe { *tens.get_unchecked(buf) };
+                // SAFETY: the interval proof admitted `idx` in `buf`.
+                unsafe { *tensor.wrapping_add(idx) = v };
             })
         }
-        TOp::Mov { dst, src } => {
-            let (dst, src) = (*dst as usize, *src as usize);
-            // SAFETY: both registers are in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(src) })
-        }
-        TOp::Add { dst, a, b } => {
-            let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
-            // SAFETY: every operand register is in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) + *regs.add(b) })
-        }
-        TOp::Sub { dst, a, b } => {
-            let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
-            // SAFETY: every operand register is in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) - *regs.add(b) })
-        }
-        TOp::Mul { dst, a, b } => {
-            let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
-            // SAFETY: every operand register is in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) * *regs.add(b) })
-        }
-        TOp::Div { dst, a, b } => {
-            let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
-            // SAFETY: every operand register is in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) / *regs.add(b) })
-        }
-        TOp::Neg { dst, src } => {
-            let (dst, src) = (*dst as usize, *src as usize);
-            // SAFETY: both registers are in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = -*regs.add(src) })
-        }
-        TOp::Fma { dst, a, b } => {
-            let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
-            // SAFETY: every operand register is in the file (construction proof), and
-            // `compile_for` checked that the host runs `I`.
-            Box::new(move |regs, _t, _l, _s| unsafe {
-                I::fma_run_inorder(regs, dst, a, *regs.add(b), 1);
-            })
-        }
-        TOp::AddAssign { dst, src } => {
-            let (dst, src) = (*dst as usize, *src as usize);
-            // SAFETY: both registers are in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) += *regs.add(src) })
-        }
-        TOp::CastI { dst, value } => {
-            let (dst, value) = (*dst as usize, value.clone());
-            // SAFETY: `dst` is in the file and `value`'s terms index the loop and scalar
-            // tables (construction proof).
-            Box::new(move |regs, _tens, loops, scalars| unsafe {
-                *regs.add(dst) = value.eval(loops, scalars) as f32;
-            })
-        }
+        TOp::Mov { dst, src } => unary_step(dst as usize, src as usize, |x| x),
+        TOp::Neg { dst, src } => unary_step(dst as usize, src as usize, |x| -x),
         TOp::Round { reg } => {
-            let reg = *reg as usize;
-            // SAFETY: `reg` is in the file (construction proof).
-            Box::new(move |regs, _t, _l, _s| unsafe {
-                let r = regs.add(reg);
-                *r = exo_ir::types::f16_round(f64::from(*r)) as f32;
+            unary_step(reg as usize, reg as usize, |x| exo_ir::types::f16_round(f64::from(x)) as f32)
+        }
+        TOp::Add { dst, a, b } => binary_step(dst as usize, a as usize, b as usize, |x, y| x + y),
+        TOp::Sub { dst, a, b } => binary_step(dst as usize, a as usize, b as usize, |x, y| x - y),
+        TOp::Mul { dst, a, b } => binary_step(dst as usize, a as usize, b as usize, |x, y| x * y),
+        TOp::Div { dst, a, b } => binary_step(dst as usize, a as usize, b as usize, |x, y| x / y),
+        TOp::AddAssign { dst, src } => binary_step(dst as usize, dst as usize, src as usize, |x, y| x + y),
+        TOp::Fma { dst, a, b } => {
+            let (dst, a, b) = (dst as usize, a as usize, b as usize);
+            Box::new(move |regs, _t, _l, _s| {
+                // SAFETY: `b` is in bounds (construction proof), and the file is initialised.
+                let bval = unsafe { *regs.wrapping_add(b) };
+                // SAFETY: the construction proof keeps `dst` and `a` in the file, and
+                // `compile_for` checked that the host runs `I`.
+                unsafe { I::fma_run_inorder(regs, dst, a, bval, 1) };
+            })
+        }
+        TOp::CastI { dst, ref value } => {
+            let (dst, value) = (dst as usize, value.clone());
+            // SAFETY: `dst` is in bounds (construction proof); `eval` reads only the loop and
+            // scalar slots the construction proof admitted.
+            Box::new(move |regs, _tens, loops, scalars| unsafe {
+                *regs.wrapping_add(dst) = value.eval(loops, scalars) as f32;
             })
         }
         TOp::Zero { base, len } => {
-            let (base, len) = (*base as usize, *len as usize);
+            let (base, len) = (base as usize, len as usize);
             // SAFETY: `base..base + len` is in the file (construction proof).
             Box::new(move |regs, _t, _l, _s| unsafe {
-                std::ptr::write_bytes(regs.add(base), 0, len);
+                std::ptr::write_bytes(regs.wrapping_add(base), 0, len)
             })
         }
         // Loop markers are lifted to VOp level by the superword pass;
@@ -377,23 +402,33 @@ unsafe fn stage(loads: &[StageLoad], regs: *mut f32, tens: &[*mut f32], loops: &
 fn fused_iteration<I: VectorIsa, const N: usize>(loads: [StageLoad; N], tile: Tile) -> StepFn {
     let Tile { dst, a, b, lanes, count } = tile;
     match b {
-        // SAFETY: the construction proof covers the staged registers, the tile's runs
-        // and `b0..b0 + count`, the interval proof the stage loads, and
-        // `match_tile` the run shape `fma_tile` asks for.
-        Broadcast::Regs(b0) => Box::new(move |regs, tens, loops, _scalars| unsafe {
-            stage(&loads, regs, tens, loops);
-            I::fma_tile(regs, dst, a, regs.add(b0), lanes, count);
+        Broadcast::Regs(b0) => Box::new(move |regs, tens, loops, _scalars| {
+            // SAFETY: the construction proof covers the staged registers, the
+            // interval proof the stage loads.
+            unsafe { stage(&loads, regs, tens, loops) };
+            // SAFETY: the construction proof covers the tile's runs and
+            // `b0..b0 + count`, and `match_tile` the run shape `fma_tile` asks for.
+            unsafe { I::fma_tile(regs, dst, a, regs.wrapping_add(b0), lanes, count) };
         }),
         Broadcast::Tensor { buf, base, slot, coeff, scratch } => {
-            // SAFETY: `b.add(g)` for `g < count` is the address of row `g`'s
-            // own op, which the proofs the chain runs under cover.
-            Box::new(move |regs, tens, loops, _scalars| unsafe {
-                stage(&loads, regs, tens, loops);
-                let b = (*tens.get_unchecked(buf)).add((base + coeff * *loops.get_unchecked(slot)) as usize);
-                I::fma_tile(regs, dst, a, b, lanes, count);
+            Box::new(move |regs, tens, loops, _scalars| {
+                // SAFETY: as the register-broadcast tile's.
+                unsafe { stage(&loads, regs, tens, loops) };
+                // SAFETY: the construction proof put `slot` in the loop table.
+                let k = unsafe { *loops.get_unchecked(slot) };
+                // SAFETY: the construction proof put `buf` in the tensor table.
+                let tensor = unsafe { *tens.get_unchecked(buf) };
+                let b = tensor.wrapping_add((base + coeff * k) as usize);
+                // SAFETY: as the register-broadcast tile's; `b.add(g)` for `g <
+                // count` is the address of row `g`'s own op, which the proofs the
+                // chain runs under cover.
+                unsafe { I::fma_tile(regs, dst, a, b, lanes, count) };
                 // Each row of the run wrote the scratch register; the last
                 // write is the one the scalar sequence leaves behind.
-                *regs.add(scratch) = *b.add(count - 1);
+                // SAFETY: row `count - 1`'s address (above).
+                let last = unsafe { *b.wrapping_add(count - 1) };
+                // SAFETY: `scratch` is in bounds (construction proof).
+                unsafe { *regs.wrapping_add(scratch) = last };
             })
         }
     }

@@ -642,10 +642,9 @@ impl<'a> TapeBuilder<'a> {
             None => Affine::constant(0),
         };
         for (i, d) in idx.iter().zip(dims).skip(1) {
-            flat = flat
-                .product(self.affine(d)?)
-                .ok_or_else(|| unsupported("product of two non-constant indices"))?
-                .add(self.affine(i)?);
+            let scaled = flat.product(self.affine(d)?);
+            flat =
+                scaled.ok_or_else(|| unsupported("product of two non-constant indices"))? + self.affine(i)?;
         }
         let target = match bind {
             Some(Bind::Local { base, len, .. }) => {

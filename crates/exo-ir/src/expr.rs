@@ -405,8 +405,8 @@ impl<V: Ord> Affine<V> {
                     return Ok(None);
                 };
                 match op {
-                    BinOp::Add => Some(l.add(r)),
-                    BinOp::Sub => Some(l.add(r.scale(-1))),
+                    BinOp::Add => Some(l + r),
+                    BinOp::Sub => Some(l + r.scale(-1)),
                     BinOp::Mul => l.product(r),
                     // Only constant / non-zero constant folds, Euclidean like
                     // the interpreter's; anything else is not affine.
@@ -425,18 +425,6 @@ impl<V: Ord> Affine<V> {
     /// Whether the form has no variable terms.
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
-    }
-
-    /// Adds two affine forms.
-    #[inline]
-    pub fn add(mut self, other: Affine<V>) -> Affine<V> {
-        self.constant += other.constant;
-        if self.terms.is_empty() {
-            self.terms = other.terms;
-        } else if !other.terms.is_empty() {
-            self.merge(other.terms);
-        }
-        self
     }
 
     fn merge(&mut self, terms: Vec<(V, i64)>) {
@@ -492,6 +480,22 @@ impl<V: Ord> Affine<V> {
         let mut rest = self.clone();
         rest.terms.retain(|(t, _)| t != var);
         (c, rest)
+    }
+}
+
+impl<V: Ord> std::ops::Add for Affine<V> {
+    type Output = Affine<V>;
+
+    /// Adds two affine forms.
+    #[inline]
+    fn add(mut self, other: Affine<V>) -> Affine<V> {
+        self.constant += other.constant;
+        if self.terms.is_empty() {
+            self.terms = other.terms;
+        } else if !other.terms.is_empty() {
+            self.merge(other.terms);
+        }
+        self
     }
 }
 
@@ -642,8 +646,7 @@ mod tests {
 
     #[test]
     fn to_expr_canonical_order() {
-        let aff =
-            Affine::var(Sym::new("b")).scale(2).add(Affine::var(Sym::new("a"))).add(Affine::constant(-3));
+        let aff = Affine::var(Sym::new("b")).scale(2) + Affine::var(Sym::new("a")) + Affine::constant(-3);
         let e = aff.to_expr();
         // a + 2*b - 3
         assert_eq!(e, Expr::sub(Expr::add(v("a"), Expr::mul(Expr::int(2), v("b"))), Expr::int(3)));
