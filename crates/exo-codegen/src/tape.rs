@@ -542,12 +542,13 @@ enum Target {
 }
 
 /// The name environment. A kernel binds a dozen names or so, so a list
-/// scanned from its latest binding finds one faster than a hash of it.
+/// scanned from its end, where the innermost loops' variables sit, finds one
+/// faster than a hash of it.
 struct Env<'a>(Vec<(&'a Sym, Bind<'a>)>);
 
 impl<'a> Env<'a> {
-    fn get(&self, name: &Sym) -> Option<&Bind<'a>> {
-        self.0.iter().rev().find(|(n, _)| *n == name).map(|(_, bind)| bind)
+    fn get(&self, name: &Sym) -> Option<Bind<'a>> {
+        self.0.iter().rev().find(|(n, _)| *n == name).map(|&(_, bind)| bind)
     }
 
     /// Binds `name`, replacing what it was bound to.
@@ -610,9 +611,9 @@ impl<'a> TapeBuilder<'a> {
     /// loop's or a scalar parameter's its tape term.
     fn affine(&self, e: &Expr) -> Result<Affine<Term>> {
         Affine::of_bound(e, &mut |s| match self.env.get(s) {
-            Some(Bind::Unrolled(v)) => Ok(Affine::constant(*v)),
-            Some(Bind::Dyn(slot)) => Ok(Affine::var(Term::Loop(*slot))),
-            Some(Bind::Scalar(slot)) => Ok(Affine::var(Term::Scalar(*slot))),
+            Some(Bind::Unrolled(v)) => Ok(Affine::constant(v)),
+            Some(Bind::Dyn(slot)) => Ok(Affine::var(Term::Loop(slot))),
+            Some(Bind::Scalar(slot)) => Ok(Affine::var(Term::Scalar(slot))),
             Some(Bind::Tensor { .. } | Bind::Local { .. }) => {
                 Err(unsupported(format!("buffer `{s}` in index position")))
             }
@@ -624,7 +625,7 @@ impl<'a> TapeBuilder<'a> {
     /// Resolves a buffer access to a register (constant-indexed local) or a
     /// tensor address, and whether the buffer holds `f16`.
     fn resolve(&self, buf: &Sym, idx: &[Expr]) -> Result<(Target, bool)> {
-        let bind = self.env.get(buf).copied();
+        let bind = self.env.get(buf);
         let (dims, f16) = match bind {
             Some(Bind::Tensor { dims, f16, .. } | Bind::Local { dims, f16, .. }) => (dims, f16),
             _ => return Err(CodegenError::UnknownBuffer { buf: buf.clone() }),
@@ -826,7 +827,7 @@ impl<'a> TapeBuilder<'a> {
             }
             Stmt::For { var, lo, hi, body } => {
                 let (lo, hi) = (self.affine(lo)?, self.affine(hi)?);
-                let saved = self.env.get(var).copied();
+                let saved = self.env.get(var);
                 if lo.is_constant() && hi.is_constant() && hi.constant - lo.constant <= UNROLL_CAP {
                     for i in lo.constant..hi.constant {
                         self.env.insert(var, Bind::Unrolled(i));
