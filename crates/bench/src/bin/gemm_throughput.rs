@@ -7,15 +7,15 @@
 //! the generated 8x12 kernel's in gates 1 to 5, the serving verdict's from
 //! gate 6 on.
 //!
-//! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `tape < simd <
-//!    native` must hold strictly at both sizes — a faster tier measuring
+//! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `tape < superword
+//!    < native` must hold strictly at both sizes — a faster tier measuring
 //!    slower than its own fallback means the fast path regressed below the
-//!    slow one. `simd` is the superword lowering on the closure chain of
-//!    the active ISA (the scalar one on a host with no vector ISA),
-//!    `native` the body compiled when the workspace was built. One leg
-//!    compares a series with itself on some builds and is skipped there:
-//!    `native` over `simd` when the build compiled no bodies for the active
-//!    ISA (`!native_available()`: the native series *is* the simd chain).
+//!    slow one. `superword` is the safe interpreter of the superword
+//!    lowering (the same on every ISA), `native` the body compiled for the
+//!    active ISA when the workspace was built. One leg compares a series
+//!    with itself on some builds and is skipped there: `native` over
+//!    `superword` when the build compiled no bodies for the active ISA
+//!    (`!native_available()`: the native series *is* the interpreter).
 //! 2. **`solo`** — the paper's Fig. 13 on the host: the 8x12 promoted for
 //!    AVX2, called through its proved dispatch handle, against the same
 //!    update written by hand with AVX2/FMA intrinsics, both on L1-resident
@@ -88,9 +88,9 @@ use exo_codegen::SimdKernel;
 use exo_serve::{CachedTunedGemm, CompletedJob, GemmJob, GemmService, OwnedMat};
 use exo_tune::TunedGemm;
 use gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_tape, native_available, pack_a_into, pack_b_into,
-    toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, HostDescription, IsaKind, KernelImpl,
-    MatMut, MatRef, PackedB,
+    active_isa, exo_kernel, exo_kernel_superword, exo_kernel_tape, native_available, pack_a_into,
+    pack_b_into, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, HostDescription, IsaKind,
+    KernelImpl, MatMut, MatRef, PackedB,
 };
 use ukernel_gen::{GeneratedKernel, MicroKernelGenerator, TierDispatch};
 
@@ -809,13 +809,13 @@ fn main() {
     // Slowest first: each tier must beat the one before it.
     let tiers = [
         ("tape", driver(exo_kernel_tape(Arc::clone(&kernel)))),
-        ("simd", driver(exo_kernel_simd(Arc::clone(&kernel)))),
+        ("superword", driver(exo_kernel_superword(Arc::clone(&kernel)))),
         ("native", driver(exo_kernel(Arc::clone(&kernel)))),
     ];
     // Why a tier's leg over the one before it compares a series with
     // itself on this build, where it does.
     let same_series = |tier: &str| match tier {
-        "native" if !native_available() => Some("no native bodies: native ran the simd chain"),
+        "native" if !native_available() => Some("no native bodies: native ran the superword interpreter"),
         _ => None,
     };
 

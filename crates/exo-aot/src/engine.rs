@@ -4,9 +4,9 @@
 //! A kernel's C is compiled when the workspace builds, not when the
 //! process runs, so resolving the native tier costs one emission, one
 //! hash, one table lookup and — on a hit — one probe. A key the table does
-//! not hold is a counted miss, and the caller serves on the simd chain.
-//! A body that *runs* but computes a wrong answer on the probe pins its key
-//! to the simd tier for the rest of the process. Every verdict is cached
+//! not hold is a counted miss, and the caller serves on the superword
+//! interpreter. A body that *runs* but computes a wrong answer on the probe
+//! pins its key to the superword tier for the rest of the process. Every verdict is cached
 //! per key: nothing is retried, because nothing it rests on can change.
 
 use std::collections::HashMap;
@@ -26,7 +26,8 @@ use crate::toolchain::{installed_bodies, NativeBody, KERNEL_SYMBOL};
 const PROBE_KCS: [usize; 3] = [0, 1, 17];
 
 /// Fault-injection countdown for the `aot-wrong-result` class: the Nth
-/// verification probe reports a mismatch, driving the terminal simd pin.
+/// verification probe reports a mismatch, driving the terminal superword
+/// pin.
 /// Armed by exo-serve's fault harness.
 static WRONG_RESULT_IN: Countdown = Countdown::new();
 
@@ -39,7 +40,8 @@ pub fn arm_wrong_result(n: u64) {
 /// A point-in-time snapshot of an engine's observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AotStats {
-    /// Keys the table holds no body for: they serve on the simd chain.
+    /// Keys the table holds no body for: they serve on the superword
+    /// interpreter.
     pub misses: u64,
     /// Table bodies that did not promote: the probe found a wrong result
     /// or could not run. (The name is kept from when bodies were built at
@@ -113,7 +115,7 @@ impl AotEngine {
     /// [`AotError::NotInTable`] on a miss, [`AotError::WrongResult`] when
     /// the probe rejects the body, [`AotError::Unsupported`] when the
     /// emitter declines the tape, the host cannot run `isa` or the probe
-    /// cannot run. All mean "stay on simd".
+    /// cannot run. All mean "stay on the superword tier".
     pub fn compile(&self, source: &Arc<SuperwordKernel>, isa: IsaKind) -> Result<Arc<SimdKernel>> {
         let key = content_hash(emit_superword_c(source, isa, KERNEL_SYMBOL)?.as_bytes());
         let verdict = {
@@ -155,7 +157,7 @@ impl AotEngine {
 /// compare against the source tape's checked reference — a reference that
 /// trusts no proof — bit for bit: every tier computes the same fused
 /// arithmetic, so one differing bit is a wrong result, and the key is
-/// pinned to simd terminally.
+/// pinned to the superword tier terminally.
 fn verify(counters: &EngineCounters, key: u64, kernel: &SimdKernel) -> Result<()> {
     let sw = kernel.source();
     // Deterministic seeded operands (xorshift64*), identical on every

@@ -1,7 +1,7 @@
 //! Error type of the native tier.
 //!
 //! Everything in this crate reports failure as a value — never a panic —
-//! so the dispatch layers above can degrade to the simd tier and
+//! so the dispatch layers above can degrade to the superword tier and
 //! exo-serve's failure taxonomy extends to the native tier unchanged.
 
 use std::fmt;
@@ -9,7 +9,7 @@ use std::fmt;
 /// Why a kernel has no native body in this process.
 ///
 /// Every variant is a *decline*, not a fault: callers fall back to the
-/// simd tier (whose declined proofs land on the checked tape), so
+/// superword interpreter, which checks every access itself, so
 /// the user-visible contract is "native when possible, bit-faithful
 /// fallback otherwise".
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +26,7 @@ pub enum AotError {
         what: String,
     },
     /// The body computed a wrong answer on the verification probe: the key
-    /// is pinned to the simd tier for the rest of this process.
+    /// is pinned to the superword tier for the rest of this process.
     WrongResult,
 }
 

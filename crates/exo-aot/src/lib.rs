@@ -19,15 +19,16 @@
 //! 3. **Resolution** — [`AotEngine::compile`] hashes a kernel's emitted C
 //!    and looks the hash up. On a hit it runs the body on a deterministic
 //!    probe at `kc ∈ {0, 1, 17}` against the checked tape, bit for bit,
-//!    and promotes it; a mismatch pins the key to simd. On a miss the
-//!    kernel serves on the simd chain, and the miss is counted. Both
+//!    and promotes it; a mismatch keeps the key off the native tier. On a
+//!    miss the kernel serves on the superword interpreter, and the miss is
+//!    counted. Both
 //!    verdicts are settled synchronously, once per key per process.
 //! 4. **Dispatch** — the body is the unchecked body of an
 //!    [`exo_codegen::SimdKernel`], so every call is guarded by the same
 //!    proved-call site — the same memoised affine-interval bounds proof,
-//!    the same checked reference on a decline — as the simd chain.
+//!    the same checked reference on a decline.
 //!
-//! The compiled code is bit-identical to the simd closure chain, the tape
+//! The compiled code is bit-identical to the superword interpreter, the tape
 //! and the reference interpreter: every FMA lane is one fused multiply-add
 //! (a vector FMA instruction's, or `fmaf` on the scalar floor), and
 //! `-ffp-contract=off` keeps the compiler from fusing anything else. So the

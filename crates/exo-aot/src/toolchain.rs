@@ -7,7 +7,7 @@
 //! function. Linking `exo-kernels` installs that table here ([`install`])
 //! before `main` runs; the engine looks a kernel's emitted C up in it. A
 //! process that links no table — or one built with no C compiler — has an
-//! empty one, and every kernel serves on the simd chain.
+//! empty one, and every kernel serves on the superword interpreter.
 
 use std::sync::OnceLock;
 

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use exo_aot::{AotEngine, AotError, NativeBody};
-use exo_codegen::{active_isa, IsaKind, PackedKernelFn, SimdKernel, SuperwordKernel, TensorView};
+use exo_codegen::{active_isa, IsaKind, PackedKernelFn, SuperwordKernel, TensorView};
 use exo_ir::builder::*;
 use exo_ir::{Expr, MemSpace, ScalarType};
 // Linked for its table of native bodies, installed before `main`.
@@ -203,23 +203,22 @@ unsafe extern "C" fn never_called(_: i64, _: *const f32, _: *const f32, _: *mut 
 }
 
 #[test]
-fn native_agrees_with_the_simd_chain_on_the_matching_isa() {
+fn native_agrees_with_the_superword_interpreter_on_the_matching_isa() {
     let _serial = serial();
     let sw = generated_8x12();
     let isa = active_isa();
     match exo_aot::engine().compile(&sw, isa) {
         Ok(native) => {
             assert_eq!(native.isa(), isa);
-            let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).expect("the active ISA compiles");
             for &kc in &[0usize, 1, 2, 17, 64] {
                 let (a, b, c0) = packed_inputs(8, 12, kc);
                 let mut c_native = c0.clone();
                 native.run_packed(kc, &a, &b, &mut c_native).unwrap();
-                let mut c_simd = c0.clone();
-                simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
+                let mut c_superword = c0.clone();
+                sw.run_packed(kc, &a, &b, &mut c_superword).unwrap();
                 // Both tiers fuse every FMA lane individually: bit
                 // equality, not a bound.
-                assert_eq!(c_native, c_simd, "native vs simd bits at kc={kc} on {}", isa.name());
+                assert_eq!(c_native, c_superword, "native vs superword bits at kc={kc} on {}", isa.name());
             }
         }
         Err(e) => {
@@ -234,16 +233,15 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     let _serial = serial();
     let sw = staged_superword(8, 4);
     let native = engine_with(&sw, active_isa(), fused).compile(&sw, active_isa()).unwrap();
-    let chain = SimdKernel::compile(Arc::clone(&sw)).expect("the active ISA compiles");
     let mut dispatch = native.dispatcher();
     let kc = 17usize;
     let (a, b, c0) = packed_inputs(8, 4, kc);
     let mut c_hot = c0.clone();
     dispatch.run_packed(kc, &a, &b, &mut c_hot).unwrap();
     let mut c_ref = c0.clone();
-    chain.run_packed(kc, &a, &b, &mut c_ref).unwrap();
-    // The body and the simd chain fuse identically: bit equality through
-    // the dispatch handle too.
+    sw.run_packed(kc, &a, &b, &mut c_ref).unwrap();
+    // The body and the superword interpreter fuse identically: bit
+    // equality through the dispatch handle too.
     assert_eq!(c_hot, c_ref);
 
     assert_eq!(dispatch.memoised_proofs(), 1);
@@ -252,12 +250,12 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
 
     // Claim kc = 1000 over short operands: the proof declines, the call
     // routes to the checked reference, and the error is the tape's — by
-    // the same route through the handle, the one-shot native entry point
-    // and the simd chain.
+    // the same route through the handle and the one-shot native entry
+    // point, and the superword interpreter finds it too.
     let err = dispatch.run_packed(1000, &a, &b, &mut c_hot);
     assert!(err.is_err(), "an unprovable call must take the checked path and report");
     assert_eq!(err, native.run_packed(1000, &a, &b, &mut c_hot.clone()));
-    assert_eq!(err, chain.run_packed(1000, &a, &b, &mut c_hot.clone()));
+    assert_eq!(err, sw.run_packed(1000, &a, &b, &mut c_hot.clone()));
 }
 
 #[test]
@@ -383,10 +381,10 @@ fn a_second_engine_never_gets_the_first_ones_loaded_object_back() {
     // A's kernel is untouched, and A still answers with it.
     assert!(Arc::ptr_eq(&native_a, &a.compile(&sw, isa).unwrap()));
     let (ac, bc, c0) = packed_inputs(8, 4, 17);
-    let (mut c_native, mut c_simd) = (c0.clone(), c0);
+    let (mut c_native, mut c_superword) = (c0.clone(), c0);
     native_a.run_packed(17, &ac, &bc, &mut c_native).unwrap();
-    SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap().run_packed(17, &ac, &bc, &mut c_simd).unwrap();
-    assert_eq!(c_native, c_simd);
+    sw.run_packed(17, &ac, &bc, &mut c_superword).unwrap();
+    assert_eq!(c_native, c_superword);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! vectors through helpers its prelude defines, NEON intrinsics, or a
 //! plain-C floor whose lanes call `fmaf`),
 //! whatever instruction library described the kernel, and C that matches
-//! the simd chains and the tape bit for bit. `emit_c` speaks the describing library's intrinsics: for the
+//! the superword interpreter and the tape bit for bit. `emit_c` speaks the describing library's intrinsics: for the
 //! `neon_f32` kernels served on AVX2 and on the scalar floor that is NEON
 //! C, which neither host compiles. It stays as the paper's listing, read by
 //! `codegen_steps`, `quickstart` and `portability`.
@@ -376,11 +376,11 @@ impl SwEmit {
     }
 
     /// Emits `reg[dst+i] = fma(reg[a+i], bval, reg[dst+i])` for
-    /// `i in 0..lanes`, mirroring the simd chain exactly: whole-vector
-    /// FMAs widest shape first with scalar tails when the runs are disjoint
-    /// (or identical), strict ascending scalar lanes when the op's lane
-    /// order is semantic ([`VOp::fma_in_order`]). Every lane is a single
-    /// correctly-rounded fused multiply-add, bit-equal to the chain's.
+    /// `i in 0..lanes`: whole-vector FMAs widest shape first with scalar
+    /// tails when the runs are disjoint (or identical), strict ascending
+    /// scalar lanes when the op's lane order is semantic
+    /// ([`VOp::fma_in_order`]). Every lane is a single correctly-rounded
+    /// fused multiply-add, bit-equal to the superword interpreter's.
     fn fma_run(&mut self, out: &mut String, pad: &str, op: &VOp, bval: &str) {
         let (VOp::VFmaLane { dst, a, lanes, .. } | VOp::VFmaBcast { dst, a, lanes, .. }) = *op else {
             unreachable!("only the packed FMAs carry a register run")
@@ -488,7 +488,7 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// prelude gives an inline FMA clone on x86_64): every FMA lane
 /// is a single correctly-rounded fused multiply-add, a vector FMA
 /// instruction's or `fmaf`'s, and every other op rounds once —
-/// bit-identical to the simd closure chains, the tape and the reference
+/// bit-identical to the superword interpreter, the tape and the reference
 /// interpreter.
 ///
 /// # Errors
@@ -496,7 +496,8 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// Returns [`CodegenError::BadArguments`] if the kernel does not have the
 /// packed `(KC, Ac, Bc, C)` signature, and [`CodegenError::Unsupported`]
 /// for tapes that write a packed operand or carry an f16 rounding step
-/// (the native tier declines; callers fall back to simd).
+/// (the native tier declines; callers fall back to the superword
+/// interpreter).
 pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -> Result<String> {
     let tape = kernel.tape();
     tape.check_packed_signature()?;
@@ -613,7 +614,7 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
             VOp::VFmaLane { b, .. } => {
                 // The broadcast lane never aliases the accumulator run
                 // (construction-validated), so reading it up front matches
-                // the chain reading it once per op.
+                // the interpreter reading it once per op.
                 let bv = ctx.fresh("bv");
                 let _ = writeln!(out, "{pad}const float {bv} = reg[{b}];");
                 ctx.fma_run(&mut out, &pad, op, &bv);

@@ -17,19 +17,16 @@
 //!   reference interpreter, `exo_ir::interp::run_proc`,
 //! * [`superword`] — the superword lowering of the tape: the SLP pass that
 //!   re-rolls lane runs into whole-vector ops (`VLoad`, `VStore`,
-//!   `VFmaLane`, `VFmaBcast`), plus the construction-time and
-//!   affine-interval proofs every unchecked executor of those ops runs
-//!   under. The IR the tiers below consume; it executes nothing unchecked
-//!   itself and keeps the tape it was packed from for everything checked,
-//! * [`simd`] — the in-process executors of that IR: the validated
-//!   superword ops compiled once per kernel into a chain of monomorphic
-//!   closures per vector ISA — AVX-512 and AVX2/FMA on x86_64, NEON on
-//!   aarch64, and a scalar chain everywhere, which is the simd tier of a
-//!   host with no vector ISA (pin one with `EXO_ISA`). The fastest tier
-//!   that needs no C toolchain: the
-//!   GEMM hot path serves on it until the ahead-of-time compiled body of
-//!   the `exo-aot` tier ([`c::emit_superword_c`], ~3× faster) promotes,
-//!   and that body then runs behind the same proved-call site.
+//!   `VFmaLane`, `VFmaBcast`), the construction-time and affine-interval
+//!   proofs a compiled body of those ops runs under, and the safe
+//!   superword interpreter — the middle rung of the tier ladder, which
+//!   runs them one at a time with every access checked, the same on every
+//!   host,
+//! * [`simd`] — the executing ISAs (AVX-512 and AVX2/FMA on x86_64, NEON on
+//!   aarch64, the scalar reference everywhere; pin one with `EXO_ISA`),
+//!   the strided mover the drivers pack with, and the one proved-call site
+//!   the ahead-of-time compiled body of the `exo-aot` tier
+//!   ([`c::emit_superword_c`]) runs behind.
 
 #![warn(missing_docs)]
 
@@ -49,6 +46,6 @@ pub use error::{CodegenError, Result};
 pub use simd::{
     active_isa, env_isa_override, simd_available, IsaKind, PackedKernelFn, SimdDispatch, SimdKernel,
 };
-pub use superword::SuperwordKernel;
+pub use superword::{SuperwordDispatch, SuperwordKernel};
 pub use tape::{compile, TapeKernel, TensorView};
 pub use trace::{extract_trace, summarise, KernelTrace, MachineOp};

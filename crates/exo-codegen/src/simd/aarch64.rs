@@ -1,24 +1,15 @@
-//! The NEON implementation of [`VectorIsa`]: 4-lane `float32x4_t` chunks
-//! via `vfmaq_f32`, `mul_add` scalar tails.
+//! The NEON implementation of [`VectorIsa`]: the strided mover on 4-lane
+//! `float32x4_t` vectors, and the `prfm` hint.
 //!
 //! NEON (Advanced SIMD) is a baseline feature of every aarch64 Rust
 //! target — `cfg!(target_feature = "neon")` holds without any
 //! `-C target-feature` flags — so unlike AVX2 there is no
 //! `#[target_feature]` call boundary to honour: the intrinsics inline
-//! straight into the trait methods. An 8-lane superword run (the `MR = 8`
-//! micro-kernels were shaped for one `__m256`) re-rolls into a pair of
-//! `float32x4_t` ops inside [`VectorIsa::fma_run`] /
-//! [`VectorIsa::fma_tile`]; this is exactly the 2×`vfmaq_f32`-per-row
-//! lowering the paper's Fig. 5 Carmel micro-kernel uses, recovered
-//! mechanically instead of hand-written.
-//!
-//! `vfmaq_f32(acc, a, b)` computes `acc + a·b` with a single rounding, and
-//! `mul_add` lowers to a scalar `fmadd` (FMA is baseline here too): each
-//! lane is the one-rounding multiply-add of the reference semantics.
+//! straight into the trait methods.
 
 use std::arch::aarch64::{
-    float32x4_t, vcombine_f32, vdupq_n_f32, vfmaq_f32, vget_high_f32, vget_low_f32, vld1q_f32, vmulq_f32,
-    vst1q_f32, vtrn1q_f32, vtrn2q_f32,
+    float32x4_t, vcombine_f32, vdupq_n_f32, vget_high_f32, vget_low_f32, vld1q_f32, vmulq_f32, vst1q_f32,
+    vtrn1q_f32, vtrn2q_f32,
 };
 
 use super::mover::{Move2d, Walk};
@@ -33,28 +24,6 @@ impl VectorIsa for Neon {
     fn available() -> bool {
         // Baseline on aarch64: the module only compiles there.
         true
-    }
-
-    unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
-        let vb = vdupq_n_f32(bval);
-        let mut i = 0;
-        while i + 4 <= lanes {
-            let d = regs.add(dst + i);
-            vst1q_f32(d, vfmaq_f32(vld1q_f32(d), vld1q_f32(regs.add(a + i)), vb));
-            i += 4;
-        }
-        Self::fma_run_inorder(regs, dst + i, a + i, bval, lanes - i)
-    }
-
-    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
-        debug_assert_eq!(lanes % 4, 0, "a fused tile is whole vectors");
-        for i in (0..lanes).step_by(4) {
-            let va = vld1q_f32(regs.add(a + i));
-            for g in 0..count {
-                let d = regs.add(dst0 + g * lanes + i);
-                vst1q_f32(d, vfmaq_f32(vld1q_f32(d), va, vdupq_n_f32(*b.add(g))));
-            }
-        }
     }
 
     /// `float32x4_t` row copies and 4×4 `trn` transposes, scalars for what

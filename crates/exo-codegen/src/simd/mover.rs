@@ -17,8 +17,7 @@
 //!   that no 8-wide store splits a cache line — on NEON 4×4 `trn` blocks;
 //! * **anything else** — the scalar stride walk.
 //!
-//! and the ISA picks one body per `VectorIsa` impl, exactly as it does for
-//! the simd chain. A [`Mover`] is one ISA's bodies resolved once — a
+//! and the ISA picks one body per `VectorIsa` impl. A [`Mover`] is one ISA's bodies resolved once — a
 //! driver keeps one beside its kernel's dispatch handle, so a move costs a
 //! call, not a lookup of the ISA, a probe of the host and a jump table.
 //! [`Mover::active`] is the process's [`active_isa`]'s, [`Mover::on`] an
@@ -148,7 +147,7 @@ impl Mover {
         assert!(isa.available(), "the `{isa}` mover cannot run on this host");
         with_isa_impl!(
             isa,
-            I => Mover { isa, move_2d: I::move_2d, pack: pack_panels::<I>, prefetch: prefetch_region::<I> },
+            I => Mover { isa: I::KIND, move_2d: I::move_2d, pack: pack_panels::<I>, prefetch: prefetch_region::<I> },
             else unreachable!("`{isa}` passed `available()` with no impl")
         )
     }

@@ -1,19 +1,10 @@
-//! The scalar reference implementation of [`VectorIsa`].
+//! The scalar reference implementation of [`VectorIsa`], available on
+//! every host: the floor of the runtime ISA selection. `EXO_ISA=scalar`
+//! pins the native tier to the plain-C bodies of its row and the driver to
+//! this mover.
 //!
-//! One lane, one `mul_add` per multiply-add — the fused, single-rounding
-//! arithmetic of the tape and the reference interpreter, which every ISA
-//! shares, so the chain compiled for [`ScalarIsa`] computes every tier's
-//! bits.
-//! On x86_64 a CPU with FMA runs each register run under one
-//! `#[target_feature(enable = "fma")]` call (a `vfmadd` per lane); one
-//! without it computes `mul_add` in software, the same bits slower. On
-//! aarch64 FMA is baseline. It is available on every host, which makes it
-//! the floor of the runtime ISA selection: `SimdKernel::compile` never
-//! fails for a generated kernel, and `EXO_ISA=scalar` pins the simd and
-//! native tiers to this implementation — same closure chains, same fusion.
-//!
-//! The impl also holds the scalar body of the strided mover: the element
-//! loops every vector body must reproduce.
+//! The impl holds the scalar body of the strided mover: the element loops
+//! every vector body must reproduce.
 
 use super::mover::{Move2d, Walk};
 use super::{IsaKind, VectorIsa};
@@ -26,29 +17,6 @@ impl VectorIsa for ScalarIsa {
 
     fn available() -> bool {
         true
-    }
-
-    unsafe fn fma_run_inorder(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: FMA was just detected; the runs are the caller's.
-            return super::x86_64::fma_run_scalar(regs, dst, a, bval, lanes);
-        }
-        for i in 0..lanes {
-            let d = regs.add(dst + i);
-            *d = (*regs.add(a + i)).mul_add(bval, *d);
-        }
-    }
-
-    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: FMA was just detected; the runs and `b` are the caller's.
-            return super::x86_64::fma_tile_scalar(regs, dst0, a, b, lanes, count);
-        }
-        for g in 0..count {
-            Self::fma_run_inorder(regs, dst0 + g * lanes, a, *b.add(g), lanes);
-        }
     }
 
     /// The reference every vector body reproduces bit for bit, and the one

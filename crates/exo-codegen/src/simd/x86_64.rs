@@ -1,21 +1,16 @@
-//! The AVX2/FMA implementation of [`VectorIsa`]: 8-lane `__m256` chunks,
-//! a `__m128` quarter, and `mul_add` scalar tails — plus the `fma`-enabled
-//! one-lane bodies the scalar reference runs on a CPU with FMA.
+//! The AVX2/FMA implementation of [`VectorIsa`]: the strided mover on
+//! 8-lane `__m256` and 4-lane `__m128` vectors, and the `prefetcht0` hint.
 //!
-//! AVX2 is not a baseline x86_64 feature, so every vector body must sit
-//! behind a `#[target_feature(enable = "avx2", enable = "fma")]` call
-//! boundary. [`Avx2`] therefore overrides all three register-run helpers
-//! the chain compiler calls ([`VectorIsa::fma_run`] /
-//! [`VectorIsa::fma_run_inorder`] / [`VectorIsa::fma_tile`]) and the mover
-//! body with thin delegations to `target_feature` free functions: one call
-//! boundary per closure invocation or moved region, everything under it
-//! inlined.
+//! AVX2 is not a baseline x86_64 feature, so the vector body sits behind a
+//! `#[target_feature(enable = "avx2")]` call boundary: [`Avx2`]'s mover is
+//! a thin delegation to a `target_feature` free function, one call boundary
+//! per moved region, everything under it inlined.
 
 use std::arch::x86_64::{
-    __m128, __m256, _mm256_castps128_ps256, _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps,
-    _mm256_mul_ps, _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
-    _mm256_unpacklo_ps, _mm_fmadd_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_prefetch,
-    _mm_set1_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps, _MM_HINT_T0,
+    __m128, __m256, _mm256_castps128_ps256, _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_mul_ps,
+    _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+    _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_prefetch, _mm_set1_ps, _mm_storeu_ps,
+    _mm_unpackhi_ps, _mm_unpacklo_ps, _MM_HINT_T0,
 };
 
 use super::mover::{Move2d, Walk};
@@ -31,18 +26,6 @@ impl VectorIsa for Avx2 {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
 
-    unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
-        fma_run(regs, dst, a, bval, lanes)
-    }
-
-    unsafe fn fma_run_inorder(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
-        fma_run_scalar(regs, dst, a, bval, lanes)
-    }
-
-    unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
-        fma_tile(regs, dst0, a, b, lanes, count)
-    }
-
     unsafe fn move_2d(walk: Walk, m: &Move2d) {
         move_2d(walk, m)
     }
@@ -51,111 +34,6 @@ impl VectorIsa for Avx2 {
     #[inline(always)]
     unsafe fn prefetch(p: *const u8) {
         _mm_prefetch::<_MM_HINT_T0>(p.cast())
-    }
-}
-
-/// `lanes` FMAs `reg[dst+i] = reg[a+i] * bval + reg[dst+i]`, ascending:
-/// whole `__m256`s, then a `__m128` quarter, then `mul_add` scalar
-/// tails. Inside this `target_feature` context the scalar `mul_add`
-/// lowers to a single `vfmadd`, not a library call.
-///
-/// # Safety
-///
-/// Requires AVX2+FMA and both register runs in bounds (the superword
-/// construction proof).
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fma_run(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
-    let mut i = 0;
-    if lanes >= 8 {
-        let vb = _mm256_set1_ps(bval);
-        while i + 8 <= lanes {
-            let d = regs.add(dst + i);
-            let va = _mm256_loadu_ps(regs.add(a + i));
-            _mm256_storeu_ps(d, _mm256_fmadd_ps(va, vb, _mm256_loadu_ps(d)));
-            i += 8;
-        }
-    }
-    if i + 4 <= lanes {
-        let d = regs.add(dst + i);
-        let va = _mm_loadu_ps(regs.add(a + i));
-        _mm_storeu_ps(d, _mm_fmadd_ps(va, _mm_set1_ps(bval), _mm_loadu_ps(d)));
-        i += 4;
-    }
-    while i < lanes {
-        let d = regs.add(dst + i);
-        *d = (*regs.add(a + i)).mul_add(bval, *d);
-        i += 1;
-    }
-}
-
-/// The strict ascending-lane form, taken when the operand run overlaps
-/// the accumulator run (whole-register loads would read stale lanes), and
-/// the scalar reference's lanes where the CPU has FMA.
-///
-/// # Safety
-///
-/// Requires FMA and both register runs in bounds.
-#[target_feature(enable = "fma")]
-pub(crate) unsafe fn fma_run_scalar(regs: *mut f32, dst: usize, a: usize, bval: f32, lanes: usize) {
-    for i in 0..lanes {
-        let d = regs.add(dst + i);
-        *d = (*regs.add(a + i)).mul_add(bval, *d);
-    }
-}
-
-/// A fused accumulator tile: `count` consecutive packed FMAs over one
-/// operand run, `reg[dst0 + g·lanes + i] += reg[a+i] * b[g]`, walked like
-/// [`fma_run`] walks one row: 8-lane chunks, then a 4-lane quarter. Each
-/// operand chunk is loaded once and held across every row — the inner-loop
-/// body of a micro-kernel in three instructions per accumulator vector.
-///
-/// # Safety
-///
-/// Requires AVX2+FMA, all register runs in bounds, `b` valid for `count`
-/// reads, the operand run disjoint from the accumulator span and `lanes` a
-/// whole number of 4-lane vectors (both checked at fuse time).
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fma_tile(regs: *mut f32, dst0: usize, a: usize, b: *const f32, lanes: usize, count: usize) {
-    debug_assert_eq!(lanes % 4, 0, "a fused tile is whole vectors");
-    let mut i = 0;
-    while i + 8 <= lanes {
-        let va = _mm256_loadu_ps(regs.add(a + i));
-        for g in 0..count {
-            let d = regs.add(dst0 + g * lanes + i);
-            let vb = _mm256_set1_ps(*b.add(g));
-            _mm256_storeu_ps(d, _mm256_fmadd_ps(va, vb, _mm256_loadu_ps(d)));
-        }
-        i += 8;
-    }
-    if i + 4 <= lanes {
-        let va = _mm_loadu_ps(regs.add(a + i));
-        for g in 0..count {
-            let d = regs.add(dst0 + g * lanes + i);
-            let vb = _mm_set1_ps(*b.add(g));
-            _mm_storeu_ps(d, _mm_fmadd_ps(va, vb, _mm_loadu_ps(d)));
-        }
-    }
-}
-
-/// The scalar reference's fused tile on a CPU with FMA: the rows of
-/// [`super::VectorIsa::fma_tile`]'s provided body, one lane at a time, under one
-/// call boundary.
-///
-/// # Safety
-///
-/// Requires FMA, all register runs in bounds and `b` valid for `count`
-/// reads.
-#[target_feature(enable = "fma")]
-pub(crate) unsafe fn fma_tile_scalar(
-    regs: *mut f32,
-    dst0: usize,
-    a: usize,
-    b: *const f32,
-    lanes: usize,
-    count: usize,
-) {
-    for g in 0..count {
-        fma_run_scalar(regs, dst0 + g * lanes, a, *b.add(g), lanes);
     }
 }
 

@@ -1,5 +1,6 @@
-//! The superword lowering: whole-vector tape ops, and the proofs every
-//! unchecked executor of them rests on.
+//! The superword lowering: whole-vector tape ops, the safe interpreter
+//! that runs them, and the proofs the native tier's unchecked bodies rest
+//! on.
 //!
 //! The scalar tape of [`crate::tape`] already erased the expression trees,
 //! but it still *scalarises* the kernel's vector instructions: a
@@ -19,39 +20,45 @@
 //!   scalar tape's repeated `[LoadT rhs; Fma]` pairs collapse into one
 //!   load plus a vector FMA.
 //!
-//! A [`SuperwordKernel`] is the IR every faster tier consumes — the
-//! closure chains of [`crate::simd`] (one per vector ISA, the scalar one
-//! included) and the C of
-//! [`crate::emit_superword_c`] — and it **executes nothing unchecked
-//! itself**: every line of this module is checked Rust. What it owns is
-//! the two-part proof those executors run under; the reference they fall
-//! back to is the scalar tape it was packed from, which it keeps.
+//! A [`SuperwordKernel`] is the IR two tiers consume: the C of
+//! [`crate::emit_superword_c`], which the native tier compiles when the
+//! workspace builds, and the **superword interpreter** of this module —
+//! the middle rung of the tier ladder, the executor of a kernel the build
+//! left no native body for, and the test oracle of the SLP pass on any
+//! schedule. The interpreter runs one op at a time over the tape's
+//! register file, with checked slices and one [`f32::mul_add`] per lane;
+//! the scalar ops packing left go through the tape's own checked step
+//! (`tape::Machine`). It needs no proof: an access that leaves its buffer
+//! is the tape's `OutOfBounds` error, at the tape's index, after the
+//! tape's partial stores — a vector store lands its in-bounds prefix lane
+//! by lane first. Like the tape it holds no `unsafe`, and the compiler
+//! enforces that.
 //!
-//! **Validated construction.** [`TapeKernel::to_superword`] proves, at
+//! **The native tier's proofs.** [`TapeKernel::to_superword`] proves, at
 //! construction time, that every register operand (including the full
 //! `dst..dst+lanes` runs) stays inside the register file, that the loop
 //! structure is well formed, and that no packed op's scalar operand is
 //! clobbered by its own accumulator writes. At run time, a single exact
 //! interval analysis over the (affine) addresses and the dynamic-loop
 //! bounds (`bounds_provable`, memoised per dispatch handle by
-//! `ProofMemo`) proves every tensor access in bounds *before* a call
-//! starts. When the proof does not go through (an address that could
-//! leave its buffer), the call runs [`SuperwordKernel::run_checked`]
-//! instead: the scalar tape itself ([`TapeKernel::run_views`]), the one
-//! flat executor that checks every access, so a declined call reports the
-//! tape's error after the tape's partial stores by construction.
+//! `ProofMemo`) proves every tensor access in bounds *before* a compiled
+//! body is called. When the proof does not go through, the call runs
+//! [`SuperwordKernel::run_checked`] instead: the scalar tape itself
+//! ([`TapeKernel::run_views`]).
 //!
 //! Packing preserves the scalar tape's exact op order within each packed
 //! group (lanes execute in ascending order, multiplication commutes
-//! bitwise, each lane one fused multiply-add), so every chain is
-//! **bit-for-bit** equal to the scalar tape and the reference interpreter;
-//! the differential suite in `tests/tape_exec.rs` asserts this across
-//! every registry shape and ISA.
+//! bitwise, each lane one fused multiply-add), so the interpreter and the
+//! compiled bodies are **bit-for-bit** equal to the scalar tape and the
+//! reference interpreter; the differential suite in `tests/tape_exec.rs`
+//! asserts this across every registry shape and ISA row.
+
+#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 
 use crate::error::{CodegenError, Result};
-use crate::tape::{Addr, TOp, TapeKernel, TensorView, Term};
+use crate::tape::{out_of_bounds, Addr, Machine, TOp, TapeKernel, TensorView, Term};
 
 /// One superword tape operation. Packed ops carry their lane count; scalar
 /// leftovers ride along unchanged.
@@ -83,9 +90,9 @@ impl VOp {
     /// its accumulator run `dst..dst+lanes`, so a later lane reads what an
     /// earlier lane wrote and whole-vector loads would read stale values
     /// (`a == dst` is whole-run aliasing, which a vector load-then-store
-    /// gets right). The one statement of the rule both printers — the
-    /// closure-chain compiler and the C emitter — lower from. `false` for
-    /// every op that is not a packed FMA.
+    /// gets right). The rule the C emitter lowers from (the interpreter
+    /// runs every lane in order anyway). `false` for every op that is not
+    /// a packed FMA.
     pub(crate) fn fma_in_order(&self) -> bool {
         match *self {
             VOp::VFmaLane { dst, a, lanes, .. } | VOp::VFmaBcast { dst, a, lanes, .. } => {
@@ -140,9 +147,10 @@ impl VOp {
 ///
 /// Obtained from [`TapeKernel::to_superword`]. Describes bit-for-bit the same
 /// computation as the scalar tape and the interpreter, one vector register
-/// per op instead of one lane; executed by the chains compiled from it
-/// ([`crate::SimdKernel`]) and, proof declined, by the tape it was packed
-/// from ([`Self::run_checked`]).
+/// per op instead of one lane; executed by the superword interpreter
+/// ([`Self::run_views`], [`SuperwordDispatch`]), by the native bodies
+/// compiled from its C ([`crate::SimdKernel`]) and, their proof declined,
+/// by the tape it was packed from ([`Self::run_checked`]).
 #[derive(Debug, Clone)]
 pub struct SuperwordKernel {
     /// The scalar tape these ops were packed from: the signature, the
@@ -515,18 +523,113 @@ impl SuperwordKernel {
     }
 
     /// The checked reference run — the scalar tape these ops were packed
-    /// from, the kernel's one executor that trusts no proof: every register
-    /// and tensor access bounds-checked, one lane at a time (packing keeps
-    /// the tape's op order, so the stores already performed when an access
-    /// faults are the tape's too). Every declined interval proof lands
-    /// here, and the ahead-of-time tier's promotion probe uses it as its
-    /// reference.
+    /// from, the floor of the tier ladder: every register and tensor access
+    /// bounds-checked, one lane at a time. Every declined interval proof
+    /// lands here, and the ahead-of-time tier's promotion probe uses it as
+    /// its reference.
     ///
     /// # Errors
     ///
     /// [`TapeKernel::run_views`]'s.
     pub fn run_checked(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
         self.tape.run_views(scalars, tensors)
+    }
+
+    /// Runs the kernel on the superword interpreter over borrowed tensor
+    /// views (one-shot: a fresh register file; the GEMM hot path holds a
+    /// [`SuperwordDispatch`] instead). Bit-for-bit the tape's results.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`TapeKernel::run_views`]'s, with the tape's partial stores
+    /// behind an [`CodegenError::OutOfBounds`].
+    pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
+        let mut machine = Machine::new(self.tape.n_regs, self.tape.n_dyn_loops);
+        self.interpret(&mut machine, scalars, tensors)
+    }
+
+    /// Runs the packed micro-kernel signature `(KC, Ac, Bc, C)` on the
+    /// superword interpreter: `c[nr][mr] += ac[kc][mr] * bc[kc][nr]`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_views`]: a kernel without the packed signature is an
+    /// argument mismatch there.
+    pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
+        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
+    }
+
+    /// A reusable interpreter handle over this kernel (see
+    /// [`SuperwordDispatch`]).
+    pub fn dispatcher(self: &Arc<Self>) -> SuperwordDispatch {
+        let machine = Machine::new(self.tape.n_regs, self.tape.n_dyn_loops);
+        SuperwordDispatch { kernel: Arc::clone(self), machine }
+    }
+
+    /// The superword interpreter: the views' validation, then one op at a
+    /// time on `machine`, every access checked — a scalar op by the tape's
+    /// own step, a packed op lane by lane in the tape's order.
+    fn interpret(
+        &self,
+        machine: &mut Machine,
+        scalars: &[i64],
+        tensors: &mut [TensorView<'_>],
+    ) -> Result<()> {
+        self.tape.validate_views(scalars, tensors)?;
+        machine.reset();
+        let mut pc = 0usize;
+        while pc < self.ops.len() {
+            match &self.ops[pc] {
+                VOp::Scalar(op) => machine.step(op, scalars, tensors)?,
+                VOp::VLoad { dst, buf, addr, lanes } => {
+                    let slice = tensors[*buf as usize].as_slice();
+                    let (run, fault) = lanes_in_bounds(machine.eval(addr, scalars), *lanes, slice.len());
+                    if let Some(index) = fault {
+                        return Err(out_of_bounds(*buf, index, slice.len()));
+                    }
+                    let dst = *dst as usize;
+                    machine.regs[dst..dst + run.len()].copy_from_slice(&slice[run]);
+                }
+                VOp::VStore { src, buf, addr, lanes } => {
+                    let idx = machine.eval(addr, scalars);
+                    let slice = tensors[*buf as usize].writable(*buf)?;
+                    let (run, fault) = lanes_in_bounds(idx, *lanes, slice.len());
+                    let src = *src as usize;
+                    let len = slice.len();
+                    slice[run.clone()].copy_from_slice(&machine.regs[src..src + run.len()]);
+                    if let Some(index) = fault {
+                        return Err(out_of_bounds(*buf, index, len));
+                    }
+                }
+                VOp::VFmaLane { dst, a, b, lanes } => {
+                    let bval = machine.regs[*b as usize];
+                    fma_run(&mut machine.regs, *dst, *a, bval, *lanes);
+                }
+                VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
+                    let idx = machine.eval(addr, scalars);
+                    let slice = tensors[*buf as usize].as_slice();
+                    let bval = *slice
+                        .get(usize::try_from(idx).unwrap_or(usize::MAX))
+                        .ok_or_else(|| out_of_bounds(*buf, idx, slice.len()))?;
+                    machine.regs[*scratch as usize] = bval;
+                    fma_run(&mut machine.regs, *dst, *a, bval, *lanes);
+                }
+                VOp::LoopBegin { slot, lo, hi, end } => {
+                    if !machine.loop_begin(*slot, lo, hi, scalars) {
+                        pc = *end as usize;
+                        continue;
+                    }
+                }
+                VOp::LoopEnd { slot, begin } => {
+                    if machine.loop_again(*slot) {
+                        pc = *begin as usize + 1;
+                        continue;
+                    }
+                }
+            }
+            pc += 1;
+        }
+        Ok(())
     }
 
     /// Whether a packed call `(kc, ac, bc, c)` with operands of the given
@@ -615,6 +718,64 @@ impl SuperwordKernel {
     }
 }
 
+/// The in-bounds prefix of the `lanes` elements from `idx` in a buffer of
+/// `len`, and the index of the first lane past it, if any — where the
+/// tape, one lane at a time, would fault.
+fn lanes_in_bounds(idx: i64, lanes: u32, len: usize) -> (std::ops::Range<usize>, Option<i64>) {
+    let Ok(start) = usize::try_from(idx) else { return (0..0, Some(idx)) };
+    let end = start.saturating_add(lanes as usize);
+    if end <= len {
+        (start..end, None)
+    } else {
+        (start.min(len)..len, Some(idx.max(len as i64)))
+    }
+}
+
+/// `lanes` multiply-adds `reg[dst+i] = reg[a+i]·bval + reg[dst+i]`, one
+/// rounding each, strictly ascending — the tape's own order, which is
+/// right whether or not the two runs overlap.
+#[inline]
+fn fma_run(regs: &mut [f32], dst: u32, a: u32, bval: f32, lanes: u32) {
+    let (dst, a) = (dst as usize, a as usize);
+    for i in 0..lanes as usize {
+        regs[dst + i] = regs[a + i].mul_add(bval, regs[dst + i]);
+    }
+}
+
+/// A reusable handle on the superword interpreter: the kernel and one
+/// register file with its loop table, so a warm call allocates nothing.
+/// Results are bit-for-bit those of [`SuperwordKernel::run_views`]. Create
+/// one per worker thread (it is `Send`) and reuse it for every micro-tile.
+#[derive(Debug, Clone)]
+pub struct SuperwordDispatch {
+    kernel: Arc<SuperwordKernel>,
+    machine: Machine,
+}
+
+impl SuperwordDispatch {
+    /// Runs the kernel over borrowed tensor views on this handle's
+    /// register file.
+    ///
+    /// # Errors
+    ///
+    /// As [`SuperwordKernel::run_views`].
+    #[inline]
+    pub fn run_views(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
+        self.kernel.interpret(&mut self.machine, scalars, tensors)
+    }
+
+    /// Runs the packed `(KC, Ac, Bc, C)` signature on this handle's
+    /// register file.
+    ///
+    /// # Errors
+    ///
+    /// As [`SuperwordKernel::run_packed`].
+    #[inline]
+    pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
+        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
+    }
+}
+
 /// One memoised run of the interval proof: the scalar arguments and buffer
 /// lengths it was run for, and its verdict.
 #[derive(Debug, Clone)]
@@ -664,17 +825,9 @@ impl ProofMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::{IsaKind, SimdKernel};
     use crate::tape::compile;
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
-
-    /// The scalar-ISA chain compiled from a superword kernel, on every
-    /// host — held to bit equality with the scalar tape throughout this
-    /// module.
-    fn scalar_chain(sw: &Arc<SuperwordKernel>) -> Arc<SimdKernel> {
-        Arc::new(SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar).expect("the scalar chain compiles"))
-    }
 
     /// A hand-staged 8x4 laneq-shaped kernel with the structure every
     /// scheduled micro-kernel lowers to: the `C` tile and both operand
@@ -773,16 +926,17 @@ mod tests {
         let mut c_tape = c0.clone();
         tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
         let mut c_sw = c0.clone();
-        scalar_chain(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
-        assert_eq!(c_tape, c_sw, "the scalar chain must be bit-for-bit equal to the scalar tape");
-        // A call the proof declines (Ac two rows short): the chain reports
-        // the tape's own error and leaves C as the tape leaves it.
+        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        assert_eq!(c_tape, c_sw, "the interpreter must be bit-for-bit equal to the scalar tape");
+        // A call the proof would decline (Ac two rows short): the
+        // interpreter reports the tape's own error and leaves C as the
+        // tape leaves it.
         let short = &a[..(kc - 2) * mr];
         let mut c_tape = c0.clone();
         let want = tape.run_packed(kc, short, &b, &mut c_tape).unwrap_err();
         assert_eq!(want, CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 216, len: 216 });
         let mut c_sw = c0.clone();
-        assert_eq!(scalar_chain(&sw).run_packed(kc, short, &b, &mut c_sw), Err(want));
+        assert_eq!(sw.run_packed(kc, short, &b, &mut c_sw), Err(want));
         assert_eq!(c_tape, c_sw, "C is staged in registers: a faulting call stores nothing");
         assert_eq!(c_sw, c0);
     }
@@ -803,7 +957,7 @@ mod tests {
         let mut c_tape = c0.clone();
         tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
         let mut c_sw = c0.clone();
-        scalar_chain(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
         assert_eq!(c_tape, c_sw);
     }
 
@@ -864,7 +1018,7 @@ mod tests {
         let mut c = vec![1.0f32; 32];
         let before = c.clone();
         assert!(sw.packed_bounds_provable(0, 0, 0, 32));
-        scalar_chain(&sw).run_packed(0, &[], &[], &mut c).unwrap();
+        sw.run_packed(0, &[], &[], &mut c).unwrap();
         assert_eq!(c, before, "kc = 0 stages C through registers and writes it back unchanged");
     }
 
@@ -888,7 +1042,7 @@ mod tests {
         let mut x_tape = x.clone();
         let want = sw.tape().run_views(&[7], &mut [TensorView::Rw(&mut x_tape)]);
         assert_eq!(want, Err(CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 2, len: 2 }));
-        assert_eq!(scalar_chain(&sw).run_views(&[7], &mut [TensorView::Rw(&mut x)]), want);
+        assert_eq!(sw.run_views(&[7], &mut [TensorView::Rw(&mut x)]), want);
         // The first two stores landed before the error, like the tape's.
         assert_eq!(x, vec![1.0, 1.0]);
         assert_eq!(x, x_tape);
@@ -905,7 +1059,7 @@ mod tests {
         let mut out_tape = vec![0.0f32, 3.0];
         tape.run_views(&[], &mut [TensorView::Rw(&mut out_tape)]).unwrap();
         let mut out_sw = vec![0.0f32, 3.0];
-        scalar_chain(&sw).run_views(&[], &mut [TensorView::Rw(&mut out_sw)]).unwrap();
+        sw.run_views(&[], &mut [TensorView::Rw(&mut out_sw)]).unwrap();
         assert_eq!(out_tape, out_sw);
     }
 
@@ -916,33 +1070,32 @@ mod tests {
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 4];
         let c = vec![0.0f32; 32];
-        let err = scalar_chain(&sw)
-            .run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        let err = sw.run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
-        let too_few = scalar_chain(&sw).run_views(&[1], &mut [TensorView::Ro(&a)]);
+        let too_few = sw.run_views(&[1], &mut [TensorView::Ro(&a)]);
         assert!(matches!(too_few, Err(CodegenError::BadArguments { .. })));
         // A kernel without the packed (KC, Ac, Bc, C) signature is turned
         // away by the views' validation, with one error on every packed
-        // door: the tape, the one-shot chain and a dispatch handle.
+        // door: the tape, the one-shot interpreter and its dispatch handle.
         let one_tensor = oob_kernel();
         let mut c = vec![0.0f32; 2];
         let want = one_tensor.tape().run_packed(1, &a, &b, &mut c).unwrap_err();
         assert!(matches!(want, CodegenError::BadArguments { .. }), "{want:?}");
-        let chain = scalar_chain(&one_tensor);
-        assert_eq!(chain.run_packed(1, &a, &b, &mut c), Err(want.clone()));
-        assert_eq!(chain.dispatcher().run_packed(1, &a, &b, &mut c), Err(want));
+        assert_eq!(one_tensor.run_packed(1, &a, &b, &mut c), Err(want.clone()));
+        assert_eq!(one_tensor.dispatcher().run_packed(1, &a, &b, &mut c), Err(want));
         assert_eq!(c, [0.0; 2], "nothing ran");
     }
 
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
         let (_, sw) = staged_kernels();
-        let chain = scalar_chain(&sw);
-        let mut dispatch = chain.dispatcher();
+        let mut dispatch = sw.dispatcher();
+        let mut proofs = ProofMemo::default();
         let (mr, nr) = (8usize, 4usize);
         // Sweep the per-GEMM dispatch pattern: many tiles, two distinct KC
-        // values (full and fringe) — the proof must run once per distinct
-        // input, not once per tile.
+        // values (full and fringe). The interpreter's handle reuses one
+        // register file; the proof a native body would run under is run
+        // once per distinct input, not once per tile.
         for rep in 0..6 {
             for &kc in &[17usize, 5] {
                 let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + rep) % 13) as f32 * 0.5 - 2.0).collect();
@@ -951,32 +1104,33 @@ mod tests {
                 let mut c_dispatch = c0.clone();
                 dispatch.run_packed(kc, &a, &b, &mut c_dispatch).unwrap();
                 let mut c_one_shot = c0.clone();
-                chain.run_packed(kc, &a, &b, &mut c_one_shot).unwrap();
+                sw.run_packed(kc, &a, &b, &mut c_one_shot).unwrap();
                 assert_eq!(c_dispatch, c_one_shot, "kc={kc} rep={rep}");
+                let views = [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c0)];
+                assert!(proofs.admits(&sw, &[kc as i64], &views), "kc={kc}");
             }
         }
-        assert_eq!(dispatch.memoised_proofs(), 2, "one proof per distinct (KC, lens) input");
+        assert_eq!(proofs.len(), 2, "one proof per distinct (KC, lens) input");
     }
 
     #[test]
     fn dispatch_handle_reports_checked_path_errors_like_the_one_shot_run() {
-        let chain = scalar_chain(&oob_kernel());
-        let mut dispatch = chain.dispatcher();
+        let sw = oob_kernel();
+        let mut dispatch = sw.dispatcher();
         let mut x = vec![0.0f32; 2];
         let mut x_one_shot = x.clone();
         assert_eq!(
             dispatch.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
-            chain.run_views(&[7], &mut [TensorView::Rw(&mut x_one_shot)])
+            sw.run_views(&[7], &mut [TensorView::Rw(&mut x_one_shot)])
         );
         assert_eq!(x, vec![1.0, 1.0], "partial stores before the error, like the tape's");
         assert_eq!(x, x_one_shot);
-        // The failed proof is memoised too: a retry with the same inputs
-        // goes straight back to the checked loop.
-        assert_eq!(dispatch.memoised_proofs(), 1);
+        // A failed run leaves nothing behind in the handle: the next call,
+        // on a buffer long enough, runs whole.
         let mut y = vec![0.0f32; 8];
         dispatch.run_views(&[7], &mut [TensorView::Rw(&mut y)]).unwrap();
         assert_eq!(&y[..7], &[1.0; 7]);
-        assert_eq!(dispatch.memoised_proofs(), 2);
+        assert_eq!(y[7], 0.0);
     }
 
     #[test]
@@ -1017,10 +1171,188 @@ mod tests {
         tape.run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_tape)])
             .unwrap();
         let mut y_sw = vec![0.0f32; 4];
-        scalar_chain(&sw)
-            .run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_sw)])
-            .unwrap();
+        sw.run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_sw)]).unwrap();
         assert_eq!(y_tape, y_sw);
         assert_eq!(y_sw, vec![0.75, -1.0, 0.125, 1.5]);
+    }
+
+    #[test]
+    fn nested_dynamic_loops_compile_and_run() {
+        // Two nested dynamic loops: the inner loop's jump targets sit inside
+        // the outer one's body, and each loop slot is live only inside its
+        // own loop.
+        let p = proc("nested")
+            .size_arg("N")
+            .size_arg("M")
+            // Constant column extent keeps the addresses affine (the tape
+            // rejects `i * M`); both loop bounds stay dynamic.
+            .tensor_arg("x", ScalarType::F32, vec![var("N"), int(8)], MemSpace::Dram)
+            .body(vec![for_(
+                "i",
+                0,
+                var("N"),
+                vec![for_(
+                    "j",
+                    0,
+                    var("M"),
+                    vec![assign(
+                        "x",
+                        vec![var("i"), var("j")],
+                        Expr::add(Expr::mul(var("i"), int(10)), var("j")),
+                    )],
+                )],
+            )])
+            .build();
+        let sw = Arc::new(Arc::new(compile(&p).unwrap()).to_superword().unwrap());
+        let (n, m) = (3usize, 5usize);
+        let mut want = vec![-1.0f32; n * 8];
+        sw.tape().run_views(&[n as i64, m as i64], &mut [TensorView::Rw(&mut want)]).unwrap();
+        let mut x = vec![-1.0f32; n * 8];
+        sw.run_views(&[n as i64, m as i64], &mut [TensorView::Rw(&mut x)]).unwrap();
+        assert_eq!(x, want, "integer-valued writes — exact across tiers");
+        assert_eq!(x[8 + 4], 14.0, "x[1][4] = 1*10 + 4");
+        assert_eq!(x[8 + 5], -1.0, "columns past M stay untouched");
+    }
+
+    /// The staged 8x4 kernel with `B` read from memory instead of staged:
+    /// one `VFmaBcast` per column.
+    fn broadcast_b_kernel() -> (exo_ir::Proc, Arc<SuperwordKernel>) {
+        let (mr, nr) = (8i64, 4i64);
+        let c_at = || Expr::add(Expr::mul(var("j"), int(mr)), var("i"));
+        let p = proc("ukr_8x4_bcast")
+            .size_arg("KC")
+            .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(mr)], MemSpace::Dram)
+            .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(nr)], MemSpace::Dram)
+            .tensor_arg("C", ScalarType::F32, vec![int(nr * mr)], MemSpace::Dram)
+            .body(vec![
+                alloc("Ct", ScalarType::F32, vec![int(nr), int(mr)], MemSpace::Neon),
+                alloc("Ra", ScalarType::F32, vec![int(mr)], MemSpace::Neon),
+                for_(
+                    "j",
+                    0,
+                    nr,
+                    vec![for_(
+                        "i",
+                        0,
+                        mr,
+                        vec![assign("Ct", vec![var("j"), var("i")], read("C", vec![c_at()]))],
+                    )],
+                ),
+                for_(
+                    "k",
+                    0,
+                    var("KC"),
+                    vec![
+                        for_(
+                            "i",
+                            0,
+                            mr,
+                            vec![assign("Ra", vec![var("i")], read("Ac", vec![var("k"), var("i")]))],
+                        ),
+                        for_(
+                            "j",
+                            0,
+                            nr,
+                            vec![for_(
+                                "i",
+                                0,
+                                mr,
+                                vec![reduce(
+                                    "Ct",
+                                    vec![var("j"), var("i")],
+                                    Expr::mul(
+                                        read("Ra", vec![var("i")]),
+                                        read("Bc", vec![var("k"), var("j")]),
+                                    ),
+                                )],
+                            )],
+                        ),
+                    ],
+                ),
+                for_(
+                    "j",
+                    0,
+                    nr,
+                    vec![for_(
+                        "i",
+                        0,
+                        mr,
+                        vec![assign("C", vec![c_at()], read("Ct", vec![var("j"), var("i")]))],
+                    )],
+                ),
+            ])
+            .build();
+        let sw = Arc::new(Arc::new(compile(&p).unwrap()).to_superword().unwrap());
+        (p, sw)
+    }
+
+    #[test]
+    fn the_interpreter_computes_the_reference_bits_on_laneq_and_broadcast_b_tiles() {
+        let (_, laneq) = staged_kernels();
+        let (p_bcast, bcast) = broadcast_b_kernel();
+        assert!(laneq.ops.iter().any(|op| matches!(op, VOp::VFmaLane { lanes: 8, .. })));
+        assert!(bcast.ops.iter().any(|op| matches!(op, VOp::VFmaBcast { lanes: 8, .. })), "{:?}", bcast.ops);
+        let (mr, nr) = (8usize, 4usize);
+        for (label, sw) in [("laneq", &laneq), ("broadcast-b", &bcast)] {
+            for kc in [0usize, 1, 2, 17, 64] {
+                let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.37 - 2.0).collect();
+                let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.21 - 1.0).collect();
+                let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
+                let mut c_sw = c0.clone();
+                sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+                let mut c_tape = c0.clone();
+                sw.tape().run_packed(kc, &a, &b, &mut c_tape).unwrap();
+                assert_eq!(c_sw, c_tape, "{label} kc={kc}: interpreter vs tape");
+                if label == "broadcast-b" {
+                    let mut c_ref = c0.clone();
+                    exo_ir::interp::run_packed(&p_bcast, kc, &a, &b, &mut c_ref).unwrap();
+                    assert_eq!(c_sw, c_ref, "{label} kc={kc}: interpreter vs run_proc");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lane_run_faults_where_the_tape_would_one_lane_at_a_time() {
+        assert_eq!(lanes_in_bounds(2, 4, 8), (2..6, None), "whole run inside");
+        assert_eq!(lanes_in_bounds(4, 4, 8), (4..8, None), "ending on the last element");
+        assert_eq!(lanes_in_bounds(6, 4, 8), (6..8, Some(8)), "two lanes land, the third faults");
+        assert_eq!(lanes_in_bounds(9, 4, 8), (8..8, Some(9)), "starting past the end: the first lane");
+        assert_eq!(lanes_in_bounds(-3, 4, 8), (0..0, Some(-3)), "a negative start: the first lane");
+        assert_eq!(lanes_in_bounds(0, 4, 0), (0..0, Some(0)), "an empty buffer");
+    }
+
+    #[test]
+    fn a_vector_store_lands_its_in_bounds_prefix_like_the_tape() {
+        // `y[i] = x[i]` for 8 lanes, staged through a register run, so one
+        // `VLoad` and one `VStore`: over a 5-element `y` the store faults
+        // at 5 after five lanes landed; over a 5-element `x` the load
+        // faults first and nothing lands.
+        let p = proc("copy8")
+            .tensor_arg("x", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+            .tensor_arg("y", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+            .body(vec![
+                alloc("r", ScalarType::F32, vec![int(8)], MemSpace::Neon),
+                for_("i", 0, 8, vec![assign("r", vec![var("i")], read("x", vec![var("i")]))]),
+                for_("i", 0, 8, vec![assign("y", vec![var("i")], read("r", vec![var("i")]))]),
+            ])
+            .build();
+        let sw = Arc::new(Arc::new(compile(&p).unwrap()).to_superword().unwrap());
+        assert!(sw.ops.iter().any(|op| matches!(op, VOp::VStore { lanes: 8, .. })), "{:?}", sw.ops);
+        let x: Vec<f32> = (1..=8).map(|v| v as f32).collect();
+        for (x_len, y_len, want) in [
+            (8, 5, CodegenError::OutOfBounds { buf: "Arg(1)".into(), index: 5, len: 5 }),
+            (5, 8, CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 5, len: 5 }),
+        ] {
+            let mut y_tape = vec![0.0f32; y_len];
+            let got =
+                sw.tape().run_views(&[], &mut [TensorView::Ro(&x[..x_len]), TensorView::Rw(&mut y_tape)]);
+            assert_eq!(got, Err(want.clone()));
+            let mut y_sw = vec![0.0f32; y_len];
+            let got = sw.run_views(&[], &mut [TensorView::Ro(&x[..x_len]), TensorView::Rw(&mut y_sw)]);
+            assert_eq!(got, Err(want), "x[{x_len}], y[{y_len}]");
+            assert_eq!(y_sw, y_tape, "x[{x_len}], y[{y_len}]: the tape's partial stores");
+        }
+        assert!(!sw.bounds_provable(&[], &[8, 5]), "the proof declines these views");
     }
 }

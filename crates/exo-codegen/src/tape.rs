@@ -22,14 +22,15 @@
 //!   run time.
 //! * Remaining loops (`for k in 0..KC`) are tape-level jump pairs.
 //!
-//! **The tape's job is to be the checked reference.** It is the one flat
-//! executor that bounds-checks every register and tensor access, and every
-//! faster lowering is packed *from* it and keeps it
+//! **The tape's job is to be the checked reference.** It is the flat
+//! scalar executor that bounds-checks every register and tensor access,
+//! and every faster lowering is packed *from* it and keeps it
 //! ([`crate::SuperwordKernel::tape`]): a call whose bounds proof declines
-//! runs here whatever unchecked body it declined for, the ahead-of-time
+//! runs here whatever compiled body it declined for, the ahead-of-time
 //! tier's promotion probe compares a compiled body against it, and a
-//! `Tape` pin runs it on every call. No other module spells the scalar ops
-//! with checks.
+//! `Tape` pin runs it on every call. Its checked op step (`Machine`) is
+//! the only place the scalar ops are spelled with checks: the superword
+//! interpreter runs its leftover scalar ops through the same step.
 //!
 //! The tape executes the interpreter's operations in the interpreter's
 //! order and rounding — one rounding per op, a reduce of a product as one
@@ -39,6 +40,8 @@
 //! branches, non-affine addresses) fail [`compile`] with
 //! [`CodegenError::Unsupported`], which the micro-kernel generator reports
 //! as a generation error.
+
+#![forbid(unsafe_code)]
 
 use exo_ir::printer::expr_to_string;
 use exo_ir::{Affine, ArgKind, BinOp, Expr, Proc, ScalarType, Stmt, Sym};
@@ -60,9 +63,8 @@ const TEMP_FLAG: u32 = 1 << 31;
 
 /// Vector lanes the register file is aligned to: every local buffer starts
 /// on a multiple of this, so the whole-vector ops of the superword backend
-/// ([`crate::superword`]) always address lane-aligned register runs — and,
-/// over the chain's cache-line-aligned file ([`crate::simd::AlignedBuf`]),
-/// whole 32-byte vectors in memory.
+/// ([`crate::superword`]) always address lane-aligned register runs — whole
+/// vectors of the emitted C's `reg[]` array.
 pub(crate) const LANE_ALIGN: u32 = 8;
 
 /// A borrowed tensor argument — with the scalars beside it, the one way a
@@ -81,6 +83,19 @@ impl TensorView<'_> {
         match self {
             TensorView::Ro(s) => s,
             TensorView::Rw(s) => s,
+        }
+    }
+
+    /// The view as a slice a store may write, or the error of a store to
+    /// read-only tensor parameter `buf` (which the views' validation
+    /// already turns away).
+    #[inline]
+    pub(crate) fn writable(&mut self, buf: u16) -> Result<&mut [f32]> {
+        match self {
+            TensorView::Rw(s) => Ok(s),
+            TensorView::Ro(_) => Err(CodegenError::BadArguments {
+                reason: format!("store to read-only tensor parameter {buf}"),
+            }),
         }
     }
 }
@@ -104,7 +119,7 @@ pub(crate) enum Term {
 /// build time into the handful of shapes a micro-kernel produces, so the
 /// hot shapes evaluate without walking a term list. The one address type
 /// of every lowering below the interpreter: the checked tape, the superword
-/// packing and its proofs, the closure chains and the emitted C all read it.
+/// packing, its interpreter and its proofs, and the emitted C all read it.
 #[derive(Debug, Clone)]
 pub(crate) enum Addr {
     /// A compile-time constant address.
@@ -345,96 +360,142 @@ impl TapeKernel {
     }
 
     fn exec(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let mut regs = vec![0.0f32; self.n_regs];
-        let mut loops = vec![0i64; self.n_dyn_loops];
-        let mut bounds = vec![0i64; self.n_dyn_loops];
+        let mut m = Machine::new(self.n_regs, self.n_dyn_loops);
         let ops = &self.ops;
         let mut pc = 0usize;
         while pc < ops.len() {
             match &ops[pc] {
-                TOp::Fma { dst, a, b } => {
-                    let v = regs[*a as usize].mul_add(regs[*b as usize], regs[*dst as usize]);
-                    regs[*dst as usize] = v;
-                }
-                TOp::LoadT { dst, buf, addr } => {
-                    let idx = addr.eval(&loops, scalars);
-                    let slice = tensors[*buf as usize].as_slice();
-                    regs[*dst as usize] = *slice.get(usize::try_from(idx).unwrap_or(usize::MAX)).ok_or(
-                        CodegenError::OutOfBounds {
-                            buf: format!("Arg({buf})"),
-                            index: idx,
-                            len: slice.len(),
-                        },
-                    )?;
-                }
-                TOp::StoreT { src, buf, addr } => {
-                    let idx = addr.eval(&loops, scalars);
-                    let value = regs[*src as usize];
-                    match &mut tensors[*buf as usize] {
-                        TensorView::Rw(slice) => {
-                            let len = slice.len();
-                            *slice.get_mut(usize::try_from(idx).unwrap_or(usize::MAX)).ok_or(
-                                CodegenError::OutOfBounds { buf: format!("Arg({buf})"), index: idx, len },
-                            )? = value;
-                        }
-                        TensorView::Ro(_) => {
-                            return Err(CodegenError::BadArguments {
-                                reason: format!("store to read-only tensor parameter {buf}"),
-                            })
-                        }
-                    }
-                }
-                TOp::ConstF { dst, val } => regs[*dst as usize] = *val,
-                TOp::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
-                TOp::Add { dst, a, b } => {
-                    let v = regs[*a as usize] + regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Sub { dst, a, b } => {
-                    let v = regs[*a as usize] - regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Mul { dst, a, b } => {
-                    let v = regs[*a as usize] * regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Div { dst, a, b } => {
-                    let v = regs[*a as usize] / regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Neg { dst, src } => regs[*dst as usize] = -regs[*src as usize],
-                TOp::AddAssign { dst, src } => {
-                    let v = regs[*src as usize];
-                    regs[*dst as usize] += v;
-                }
-                TOp::CastI { dst, value } => regs[*dst as usize] = value.eval(&loops, scalars) as f32,
-                TOp::Round { reg } => {
-                    let r = &mut regs[*reg as usize];
-                    *r = exo_ir::types::f16_round(*r as f64) as f32;
-                }
-                TOp::Zero { base, len } => {
-                    regs[*base as usize..(*base + *len) as usize].fill(0.0);
-                }
                 TOp::LoopBegin { slot, lo, hi, end } => {
-                    let l = lo.eval(&loops, scalars);
-                    let h = hi.eval(&loops, scalars);
-                    if l >= h {
+                    if !m.loop_begin(*slot, lo, hi, scalars) {
                         pc = *end as usize;
                         continue;
                     }
-                    loops[*slot as usize] = l;
-                    bounds[*slot as usize] = h;
                 }
                 TOp::LoopEnd { slot, begin } => {
-                    let s = *slot as usize;
-                    loops[s] += 1;
-                    if loops[s] < bounds[s] {
+                    if m.loop_again(*slot) {
                         pc = *begin as usize + 1;
                         continue;
                     }
                 }
+                op => m.step(op, scalars, tensors)?,
             }
             pc += 1;
+        }
+        Ok(())
+    }
+}
+
+/// The state of a checked run — the flat register file, the dynamic loop
+/// counters and their bounds — and the one place the scalar ops are
+/// spelled with checks: the tape runs every op through it, and the
+/// superword interpreter ([`crate::superword`]) every scalar op its
+/// packing left. Reusable across runs: [`Self::reset`] restores a fresh
+/// machine's registers without allocating.
+#[derive(Debug, Clone)]
+pub(crate) struct Machine {
+    pub(crate) regs: Vec<f32>,
+    loops: Vec<i64>,
+    bounds: Vec<i64>,
+}
+
+/// The error of an access at `index` outside a buffer of `len` elements.
+pub(crate) fn out_of_bounds(buf: u16, index: i64, len: usize) -> CodegenError {
+    CodegenError::OutOfBounds { buf: format!("Arg({buf})"), index, len }
+}
+
+impl Machine {
+    /// A machine for `n_regs` registers and `n_loops` dynamic loops.
+    pub(crate) fn new(n_regs: usize, n_loops: usize) -> Machine {
+        Machine { regs: vec![0.0; n_regs], loops: vec![0; n_loops], bounds: vec![0; n_loops] }
+    }
+
+    /// Zeroes the register file, as a fresh run starts; loop slots are
+    /// always written by their loop's entry before they are read.
+    pub(crate) fn reset(&mut self) {
+        self.regs.fill(0.0);
+    }
+
+    /// The value of an affine address under the current loop counters.
+    #[inline]
+    pub(crate) fn eval(&self, addr: &Addr, scalars: &[i64]) -> i64 {
+        addr.eval(&self.loops, scalars)
+    }
+
+    /// Enters dynamic loop `slot` over `lo..hi`: `false` when it is empty
+    /// (the caller jumps past its end).
+    #[inline]
+    pub(crate) fn loop_begin(&mut self, slot: u16, lo: &Addr, hi: &Addr, scalars: &[i64]) -> bool {
+        let (l, h) = (self.eval(lo, scalars), self.eval(hi, scalars));
+        self.loops[slot as usize] = l;
+        self.bounds[slot as usize] = h;
+        l < h
+    }
+
+    /// Bumps loop `slot`'s counter: `true` while the loop runs again (the
+    /// caller jumps back to its body).
+    #[inline]
+    pub(crate) fn loop_again(&mut self, slot: u16) -> bool {
+        let s = slot as usize;
+        self.loops[s] += 1;
+        self.loops[s] < self.bounds[s]
+    }
+
+    /// Runs one scalar op with every access checked. Loop markers are the
+    /// caller's control flow, and nothing here.
+    #[inline]
+    pub(crate) fn step(&mut self, op: &TOp, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
+        let regs = &mut self.regs;
+        match op {
+            TOp::Fma { dst, a, b } => {
+                let v = regs[*a as usize].mul_add(regs[*b as usize], regs[*dst as usize]);
+                regs[*dst as usize] = v;
+            }
+            TOp::LoadT { dst, buf, addr } => {
+                let idx = addr.eval(&self.loops, scalars);
+                let slice = tensors[*buf as usize].as_slice();
+                regs[*dst as usize] = *slice
+                    .get(usize::try_from(idx).unwrap_or(usize::MAX))
+                    .ok_or_else(|| out_of_bounds(*buf, idx, slice.len()))?;
+            }
+            TOp::StoreT { src, buf, addr } => {
+                let idx = addr.eval(&self.loops, scalars);
+                let value = regs[*src as usize];
+                let slice = tensors[*buf as usize].writable(*buf)?;
+                let len = slice.len();
+                *slice
+                    .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
+                    .ok_or_else(|| out_of_bounds(*buf, idx, len))? = value;
+            }
+            TOp::ConstF { dst, val } => regs[*dst as usize] = *val,
+            TOp::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
+            TOp::Add { dst, a, b } => {
+                let v = regs[*a as usize] + regs[*b as usize];
+                regs[*dst as usize] = v;
+            }
+            TOp::Sub { dst, a, b } => {
+                let v = regs[*a as usize] - regs[*b as usize];
+                regs[*dst as usize] = v;
+            }
+            TOp::Mul { dst, a, b } => {
+                let v = regs[*a as usize] * regs[*b as usize];
+                regs[*dst as usize] = v;
+            }
+            TOp::Div { dst, a, b } => {
+                let v = regs[*a as usize] / regs[*b as usize];
+                regs[*dst as usize] = v;
+            }
+            TOp::Neg { dst, src } => regs[*dst as usize] = -regs[*src as usize],
+            TOp::AddAssign { dst, src } => {
+                let v = regs[*src as usize];
+                regs[*dst as usize] += v;
+            }
+            TOp::CastI { dst, value } => regs[*dst as usize] = value.eval(&self.loops, scalars) as f32,
+            TOp::Round { reg } => {
+                let r = &mut regs[*reg as usize];
+                *r = exo_ir::types::f16_round(*r as f64) as f32;
+            }
+            TOp::Zero { base, len } => regs[*base as usize..(*base + *len) as usize].fill(0.0),
+            TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {}
         }
         Ok(())
     }

@@ -110,7 +110,8 @@ fn units(rows: &[IsaKind]) -> Vec<Unit> {
 /// Compiles every unit to an object in `out`, as many at a time as the
 /// machine has threads, the longest C first so that no long compile is
 /// left to run alone at the end. Returns the units that compiled; a unit
-/// that fails is left out with a warning, and its kernel serves on simd.
+/// that fails is left out with a warning, and its kernel serves on the
+/// superword interpreter.
 fn compile(cc: &str, mut units: Vec<Unit>, out: &Path) -> Vec<Unit> {
     units.sort_by_key(|unit| std::cmp::Reverse(unit.c_source.len()));
     let next = AtomicUsize::new(0);

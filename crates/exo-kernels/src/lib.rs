@@ -20,11 +20,12 @@
 //! generated table maps each C text's [`exo_aot::content_hash`] to its
 //! function. A build that finds no C compiler, or that cross-compiles
 //! without `EXO_CC`, leaves the table empty: every kernel then serves on
-//! the simd chain.
+//! the superword interpreter.
 //!
 //! Linking this crate installs the table into the `exo-aot` engine before
 //! `main` runs (on ELF and Mach-O targets; elsewhere nothing installs it and
-//! every kernel serves on simd); `gemm-blis` links it, so every GEMM stack
+//! every kernel serves on the superword interpreter); `gemm-blis` links
+//! it, so every GEMM stack
 //! has it. [`TABLE`] is readable, so a test can check what was installed.
 
 #![warn(missing_docs)]

@@ -60,7 +60,8 @@
 //! the batch completes. A failed or panicked entry whose `beta == 0` (its
 //! `C` is never read, so a re-run fully overwrites any partial write) is
 //! retried **once on the tier below the one it ran on**, down the ladder
-//! native → simd → tape
+//! native → superword → tape (the native body, the safe superword
+//! interpreter, the checked scalar tape)
 //! ([`gemm_blis::ExecBackend::degraded`] of [`gemm_blis::GemmRunner::tier`]);
 //! a retried success is stamped [`GemmStats::degraded`]. An entry that has
 //! no rung below it — it ran on the tape, the checked floor — keeps its

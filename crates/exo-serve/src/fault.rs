@@ -21,7 +21,7 @@
 //! |                  | before its Nth pass (the name is older than the  |
 //! |                  | design: no service owns a collector thread)      |
 //! | `aot-wrong-result@N` | the Nth promotion probe reports a mismatch   |
-//! |                  | (the key is pinned to simd)                      |
+//! |                  | (the key is pinned to superword)                 |
 //!
 //! The pool-level classes are implemented by hooks inside
 //! `gemm_blis::pool`, and the aot class by a hook inside
@@ -107,8 +107,8 @@ pub struct FaultPlan {
     /// Nth pass.
     pub collector_panic: Option<u64>,
     /// `aot-wrong-result@N`: the Nth promotion probe reports a mismatch —
-    /// the shape a miscompiled kernel takes; the key is pinned to the simd
-    /// tier.
+    /// the shape a miscompiled kernel takes; the key is pinned to the
+    /// superword tier.
     pub aot_wrong_result: Option<u64>,
 }
 

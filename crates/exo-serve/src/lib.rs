@@ -43,7 +43,7 @@
 //!   **only that job** with [`gemm_blis::GemmError::JobPanicked`]; the rest
 //!   of the batch completes normally and the pool respawns dead workers.
 //! - Executional failures on `beta == 0` jobs are retried once on the next
-//!   backend tier down (`native → simd → tape`); successes are stamped
+//!   backend tier down (`native → superword → tape`); successes are stamped
 //!   `degraded` in their [`gemm_blis::GemmStats`]. A job that failed on the tape, the
 //!   checked floor, is not retried.
 //! - Jobs carry optional queue deadlines ([`GemmJob::deadline`]); expired

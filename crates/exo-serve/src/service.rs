@@ -201,12 +201,13 @@ pub struct ServiceStats {
     /// reports deltas against its construction-time baseline).
     pub aot_promotions: u64,
     /// Native bodies that failed to promote since construction — every
-    /// one is a degradation: the affected kernels serve on the simd tier.
+    /// one is a degradation: the affected kernels serve on the superword
+    /// tier.
     /// (A kernel the build-time table holds no body for is not: it never
     /// had a native tier to lose.)
     pub aot_builds_failed: u64,
     /// Bodies that failed probe verification since construction (a
-    /// subset of `aot_builds_failed`; their keys are pinned to simd).
+    /// subset of `aot_builds_failed`; their keys are pinned to superword).
     pub aot_wrong_results: u64,
     /// Service health: [`ServiceHealth::Degraded`] exactly when
     /// `panics_caught`, `degraded_completions` or `aot_builds_failed` is
@@ -688,8 +689,8 @@ impl GemmService {
     /// engine's movement since this service was constructed, whoever's
     /// resolution moved them, so a failed promotion counts here, and
     /// degrades the health, whenever it happens — some kernel then serves
-    /// below its best tier, degraded but not refused (the simd fallback is
-    /// bit-faithful).
+    /// below its best tier, degraded but not refused (the superword
+    /// fallback is bit-faithful).
     pub fn stats(&self) -> ServiceStats {
         let pool = ThreadPool::global();
         let (now, base) = (exo_aot::engine().stats(), &self.aot_base);

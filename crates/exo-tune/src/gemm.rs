@@ -49,11 +49,11 @@ type GroupKey = Option<BlockingParams>;
 /// [`GemmExecutor::gemm`] or an `exo-serve` batch it comes through.
 ///
 /// Dispatch goes through the fastest execution backend the host supports:
-/// generated kernels carry their tape, their superword lowering, and its
-/// SIMD closure chain (AVX-512, AVX2/FMA, NEON, or the scalar reference)
-/// plus, when the build-time table holds one, the ahead-of-time compiled
-/// native body; the one ladder in `ukernel_gen` serves a native request on
-/// the simd chain when it does not. The five-loop engine runs on one
+/// generated kernels carry their tape and their superword lowering, plus,
+/// when the build-time table holds one, the ahead-of-time compiled native
+/// body for the active ISA (AVX-512, AVX2/FMA, NEON, or the scalar
+/// reference); the one ladder in `ukernel_gen` serves a native request on
+/// the superword interpreter when it does not. The five-loop engine runs on one
 /// thread unless [`TunedGemm::with_threads`] raises the knob, in which case
 /// it runs once per window of a partitioned `C`. Use it through
 /// [`GemmExecutor::gemm`] like every other driver, or through

@@ -1090,14 +1090,17 @@ mod tests {
 
     #[test]
     fn the_default_kernel_is_the_generated_8x12_with_the_plain_loops_bits() {
-        // The default is the generated 8x12 on the native pin (the simd
-        // chain where the build left no body for it): the bits
+        // The default is the generated 8x12 on the native pin (the
+        // superword interpreter where the build left no body for it): the bits
         // of `NaiveGemm`'s plain loops, one fused multiply-add per `k` over
         // `alpha * a`, started from `beta * c` (from zero when `beta == 0`,
         // which never reads `C`). Off-grid inputs, so every rounding shows.
         let driver = BlisGemm::new(BlockingParams { mc: 24, kc: 16, nc: 36, mr: 8, nr: 12 });
-        let tier =
-            if driver.kernel.generated.native().is_some() { ExecBackend::Native } else { ExecBackend::Simd };
+        let tier = if driver.kernel.generated.native().is_some() {
+            ExecBackend::Native
+        } else {
+            ExecBackend::Superword
+        };
         let alpha = -1.3f32;
         for (m, n, k) in [(8usize, 12usize, 16usize), (13, 29, 37), (50, 45, 23), (1, 7, 40)] {
             let a = Matrix::from_fn(m, k, |i, p| ((i * 7 + p * 3 + 1) % 13) as f32 * 0.3 - 1.7);
@@ -1715,8 +1718,11 @@ mod tests {
         // The default kernel runs on the native pin, and an error that is
         // returned, not unwound, costs the driver no runner.
         let default = BlisGemm::new(blocking);
-        let tier =
-            if default.kernel.generated.native().is_some() { ExecBackend::Native } else { ExecBackend::Simd };
+        let tier = if default.kernel.generated.native().is_some() {
+            ExecBackend::Native
+        } else {
+            ExecBackend::Superword
+        };
         assert_eq!(run(&default).1.tier, Some(tier));
         let mut c = Matrix::zeros(3, 3);
         assert!(driver.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())).is_err());

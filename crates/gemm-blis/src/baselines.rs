@@ -43,7 +43,7 @@ use crate::GemmError;
 /// the tier it is asked to run on.
 #[derive(Debug, Clone)]
 pub struct KernelImpl {
-    /// Display name (`"EXO 8x12"`, `"EXO 8x12 (simd)"`, ...): the tile
+    /// Display name (`"EXO 8x12"`, `"EXO 8x12 (superword)"`, ...): the tile
     /// and the pin, shared with the [`crate::GemmStats::kernel`] of every
     /// GEMM it runs.
     pub name: Arc<str>,
@@ -88,8 +88,8 @@ impl KernelImpl {
     /// of a blocked problem no longer re-prove and re-allocate thousands
     /// of times. The tier is resolved here: the native one when the
     /// build-time table holds a verified body for the kernel, else the
-    /// simd chain — bit-identical, so which one serves is invisible except
-    /// for speed.
+    /// superword interpreter — bit-identical, so which one serves is
+    /// invisible except for speed.
     pub fn dispatcher(&self) -> TierDispatch {
         self.generated.dispatcher(self.backend)
     }
@@ -210,8 +210,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> ModelledKernel {
 /// Wraps a generated kernel as a [`KernelImpl`] (the paper's `EXO`
 /// series). Executes through the native body compiled at build time when
 /// the table holds one for the kernel (the fastest tier), and
-/// bit-faithfully on the in-process SIMD chain of the active vector ISA
-/// (AVX-512, AVX2/FMA, NEON, or the scalar reference) when it does not —
+/// bit-faithfully on the superword interpreter when it does not —
 /// [`TierDispatch::tier`] says which.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
@@ -229,33 +228,33 @@ pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
 fn exo_name(mr: usize, nr: usize, backend: ExecBackend) -> Arc<str> {
     let pin = match backend {
         ExecBackend::Native => "",
-        ExecBackend::Simd => " (simd)",
+        ExecBackend::Superword => " (superword)",
         ExecBackend::Tape => " (tape)",
     };
     format!("EXO {mr}x{nr}{pin}").into()
 }
 
-/// Like [`exo_kernel`] but pinned to the in-process SIMD chain — the
+/// Like [`exo_kernel`] but pinned to the superword interpreter — the
 /// fastest tier that needs no C toolchain, and the one the native tier
-/// must match bit for bit. The pin lets the differential
-/// tests and benches compare the compiled artifact against the chain it
-/// was lowered from.
-pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    exo_kernel(kernel).with_backend(ExecBackend::Simd)
+/// must match bit for bit. The pin lets the differential tests and benches
+/// compare the compiled artifact against the ops it was lowered from.
+pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
+    exo_kernel(kernel).with_backend(ExecBackend::Superword)
 }
 
 /// Like [`exo_kernel`] but pinned to the scalar tape — the checked floor of
 /// the ladder, where every declined proof lands, what the serving layer's
-/// retry degrades simd onto and below which a failed retry does not go;
-/// also the scalar baseline the SLP speedup is measured against.
+/// retry degrades the superword tier onto and below which a failed retry
+/// does not go; also the scalar baseline the SLP speedup is measured
+/// against.
 pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     exo_kernel(kernel).with_backend(ExecBackend::Tape)
 }
 
 /// The kernel a [`crate::BlisGemm`] runs until it is given another: the
 /// generated `neon_f32` 8x12 — the paper's monolithic tile — on the
-/// default native pin, which serves on the simd chain where the build left
-/// no body for it. Generated once per process.
+/// default native pin, which serves on the superword interpreter where the
+/// build left no body for it. Generated once per process.
 pub(crate) fn default_kernel() -> KernelImpl {
     static KERNEL: OnceLock<Arc<GeneratedKernel>> = OnceLock::new();
     let kernel = KERNEL.get_or_init(|| {
@@ -310,7 +309,7 @@ mod tests {
         let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
         for (backend, name) in [
             (ExecBackend::Native, "EXO 8x12"),
-            (ExecBackend::Simd, "EXO 8x12 (simd)"),
+            (ExecBackend::Superword, "EXO 8x12 (superword)"),
             (ExecBackend::Tape, "EXO 8x12 (tape)"),
         ] {
             let imp = exo.clone().with_backend(backend);
@@ -348,14 +347,14 @@ mod tests {
     #[test]
     fn the_default_backend_is_native_and_degrades_to_simd() {
         assert_eq!(ExecBackend::default(), ExecBackend::Native);
-        assert_eq!(ExecBackend::Native.degraded(), Some(ExecBackend::Simd));
+        assert_eq!(ExecBackend::Native.degraded(), Some(ExecBackend::Superword));
     }
 
     #[test]
     fn pinned_backends_agree_with_the_reference_bit_for_bit() {
         // Every pin computes the reference interpreter's bits: the native
-        // default (its artifact, or the silent fallback to the chain), the
-        // simd chain and the tape.
+        // default (its artifact, or the silent fallback to the superword
+        // interpreter), the superword interpreter and the tape.
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 12).unwrap());
         let kc = 37usize;
@@ -371,14 +370,14 @@ mod tests {
         exo_ir::interp::run_packed(&kernel.proc, kc, &a, &b, &mut c_interp).unwrap();
         for imp in [
             exo_kernel(Arc::clone(&kernel)),
-            exo_kernel_simd(Arc::clone(&kernel)),
+            exo_kernel_superword(Arc::clone(&kernel)),
             exo_kernel_tape(Arc::clone(&kernel)),
         ] {
             assert_eq!(run(&imp), c_interp, "{} vs the interpreter", imp.name);
         }
         // The dispatch handle of each pin matches its one-shot run
         // bit-for-bit (same tier, same op order).
-        for imp in [exo_kernel(Arc::clone(&kernel)), exo_kernel_simd(Arc::clone(&kernel))] {
+        for imp in [exo_kernel(Arc::clone(&kernel)), exo_kernel_superword(Arc::clone(&kernel))] {
             let mut c = c0.clone();
             imp.dispatcher().run(kc, &a, &b, &mut c).unwrap();
             assert_eq!(c, run(&imp), "{}: dispatch handle vs one-shot", imp.name);
@@ -389,21 +388,21 @@ mod tests {
     fn with_backend_pins_a_tier_programmatically() {
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 8).unwrap());
-        let pinned = exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Simd);
-        assert_eq!(pinned.backend, ExecBackend::Simd);
+        let pinned = exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Superword);
+        assert_eq!(pinned.backend, ExecBackend::Superword);
         let kc = 21usize;
         let a = vec![0.5f32; kc * 8];
         let b = vec![0.25f32; kc * 8];
         let mut c_pinned = vec![0.0f32; 64];
         pinned.run(kc, &a, &b, &mut c_pinned).unwrap();
-        let mut c_simd = vec![0.0f32; 64];
-        exo_kernel_simd(Arc::clone(&kernel)).run(kc, &a, &b, &mut c_simd).unwrap();
-        assert_eq!(c_pinned, c_simd, "with_backend(Simd) is the simd pin");
+        let mut c_superword = vec![0.0f32; 64];
+        exo_kernel_superword(Arc::clone(&kernel)).run(kc, &a, &b, &mut c_superword).unwrap();
+        assert_eq!(c_pinned, c_superword, "with_backend(Superword) is the superword pin");
         // The name follows the pin: re-pinning any kernel names it as the
         // pinned constructor does.
         for (backend, pinned, name) in [
             (ExecBackend::Native, exo_kernel(Arc::clone(&kernel)), "EXO 8x8"),
-            (ExecBackend::Simd, exo_kernel_simd(Arc::clone(&kernel)), "EXO 8x8 (simd)"),
+            (ExecBackend::Superword, exo_kernel_superword(Arc::clone(&kernel)), "EXO 8x8 (superword)"),
             (ExecBackend::Tape, exo_kernel_tape(Arc::clone(&kernel)), "EXO 8x8 (tape)"),
         ] {
             assert_eq!(&*pinned.name, name);

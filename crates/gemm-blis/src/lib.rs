@@ -42,13 +42,14 @@ pub mod views;
 
 pub use algorithm::{BlisGemm, GemmRunner, Matrix};
 pub use baselines::{
-    blis_assembly_kernel, exo_kernel, exo_kernel_simd, exo_kernel_tape, neon_intrinsics_kernel, ExecBackend,
-    KernelImpl, ModelledKernel,
+    blis_assembly_kernel, exo_kernel, exo_kernel_superword, exo_kernel_tape, neon_intrinsics_kernel,
+    ExecBackend, KernelImpl, ModelledKernel,
 };
-// The name of the removed portable tier's pin, kept only so `exo_bench`'s
-// ledger compiles unchanged; it goes with its row (ROADMAP item 7(a)).
+// The name of the removed closure-chain tier's pin, kept only so
+// `exo_bench`'s ledger compiles unchanged; it goes with its row (ROADMAP
+// item 7(k)).
 #[doc(hidden)]
-pub use baselines::exo_kernel_simd as exo_kernel_superword;
+pub use baselines::exo_kernel_superword as exo_kernel_simd;
 pub use blocking::BlockingParams;
 pub use exo_aot::{native_available, toolchain, Toolchain};
 pub use exo_codegen::{active_isa, env_isa_override, env_once, simd_available, Countdown, IsaKind};

@@ -2,12 +2,15 @@
 //! runs a packed call on, and the reusable handle that runs it.
 //!
 //! A [`GeneratedKernel`] carries three ways to execute the same schedule —
-//! `native → simd → tape`, fastest first, the checked tape at the floor.
-//! Two of them are built by the generator and always there, so a request
-//! for one — a pin — resolves to itself. The third, the native tier, is a
-//! body compiled when the workspace was built: [`ExecBackend::Native`]
-//! serves on the simd chain when the build-time table holds no body for the
-//! kernel, and that is the ladder's one edge.
+//! `native → superword → tape`, fastest first, the checked tape at the
+//! floor. Two of them are built by the generator and always there, so a
+//! request for one — a pin — resolves to itself: the safe superword
+//! interpreter, which runs the kernel's whole-vector ops one at a time with
+//! every access checked, and the scalar tape. The third, the native tier,
+//! is a body compiled when the workspace was built:
+//! [`ExecBackend::Native`] serves on the superword interpreter when the
+//! build-time table holds no body for the kernel, and that is the ladder's
+//! one edge.
 //! The reference interpreter (`exo_ir::interp::run_proc` of
 //! [`GeneratedKernel::proc`]) is not a rung: it is the semantics every tier
 //! computes bit for bit, and the tests call it directly.
@@ -19,43 +22,43 @@
 
 use std::sync::Arc;
 
-use exo_codegen::{CodegenError, SimdDispatch, TapeKernel};
+use exo_codegen::{CodegenError, SimdDispatch, SuperwordDispatch, TapeKernel};
 
 use crate::error::{GenError, Result};
 use crate::generator::GeneratedKernel;
 
 /// Which execution tier a generated kernel dispatches through — asked for
 /// one way, the pin a caller passes to [`GeneratedKernel::dispatcher`] (for
-/// the GEMM driver: the `backend` of its kernel). Which vector ISA the
-/// `native` and `simd` tiers target is a separate, process-wide choice:
-/// `EXO_ISA` (see [`exo_codegen::active_isa`]) — every host at least gets
-/// the scalar chain. Every tier computes the same bits.
+/// the GEMM driver: the `backend` of its kernel). Which ISA row the
+/// `native` tier's body is looked up for is a separate, process-wide
+/// choice: `EXO_ISA` (see [`exo_codegen::active_isa`]) — every host at
+/// least gets the scalar row. Every tier computes the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Ahead-of-time compiled native code: the superword tape lowered to
     /// C, compiled by the C compiler when the workspace was built, linked
     /// into the binary and called through a function pointer — the fastest
-    /// tier and the default. Guarded by the same affine-interval proofs
-    /// as the simd tier and bit-identical to it, so serving on simd (no
-    /// body in the table, emission decline, probe rejection) changes
-    /// speed, never results.
+    /// tier and the default. Guarded by the affine-interval proof of the
+    /// superword lowering and bit-identical to the interpreter of it, so
+    /// serving on the interpreter (no body in the table, emission decline,
+    /// probe rejection) changes speed, never results.
     #[default]
     Native,
-    /// The in-process vector closure chain of the widest available ISA
-    /// (AVX-512 or AVX2/FMA on x86_64, NEON on aarch64, the scalar chain
-    /// on a host with none; pin one with `EXO_ISA`) — the fastest tier
-    /// that needs no C toolchain.
-    Simd,
+    /// The safe superword interpreter: the kernel's whole-vector ops, one
+    /// at a time, over checked slices, each lane one `f32::mul_add` — the
+    /// fastest tier that needs no C toolchain and no proof, and the same on
+    /// every ISA.
+    Superword,
     /// The scalar tape — the checked floor: the flat executor that
-    /// bounds-checks every access, which is what any declined proof of the
-    /// two tiers above runs and what the native tier's promotion probe
+    /// bounds-checks every access one lane at a time, which is what a
+    /// declined proof of the native tier runs and what its promotion probe
     /// compares against. The pin runs it on every call.
     Tape,
 }
 
 impl ExecBackend {
-    /// The next execution tier down the ladder (native → simd → tape), or
-    /// `None` at the tape, the checked floor.
+    /// The next execution tier down the ladder (native → superword →
+    /// tape), or `None` at the tape, the checked floor.
     ///
     /// This is the retry ladder of the fault-tolerant serving path: when a
     /// tier fails or panics on an entry, the entry is re-attempted once on
@@ -64,8 +67,8 @@ impl ExecBackend {
     /// more.
     pub fn degraded(self) -> Option<ExecBackend> {
         match self {
-            ExecBackend::Native => Some(ExecBackend::Simd),
-            ExecBackend::Simd => Some(ExecBackend::Tape),
+            ExecBackend::Native => Some(ExecBackend::Superword),
+            ExecBackend::Superword => Some(ExecBackend::Tape),
             ExecBackend::Tape => None,
         }
     }
@@ -74,21 +77,24 @@ impl ExecBackend {
 /// What a resolved tier runs a packed call on.
 #[derive(Debug, Clone)]
 enum Tier {
-    /// An unchecked body behind the memoised bounds proof, with the
-    /// checked reference on a decline: the native and simd tiers differ
-    /// only in the body their handle carries.
-    Proved(SimdDispatch),
+    /// The native body behind the memoised bounds proof, with the checked
+    /// reference on a decline.
+    Native(SimdDispatch),
+    /// The superword interpreter with its own register file and loop
+    /// table (checks every access itself).
+    Superword(SuperwordDispatch),
     /// The scalar tape (checks every access itself) — also where a
-    /// [`Tier::Proved`] call goes when its proof declines.
+    /// [`Tier::Native`] call goes when its proof declines.
     Tape(Arc<TapeKernel>),
 }
 
 /// A reusable packed-call handle on one resolved tier of a
 /// [`GeneratedKernel`] — what [`GeneratedKernel::dispatcher`] returns.
 ///
-/// For the proved tiers it owns the memoised bounds proof and the
-/// register file, so steady-state micro-tile dispatch allocates and
-/// re-proves nothing: create one per worker and reuse it for every tile.
+/// It owns the native tier's memoised bounds proof, or the superword
+/// interpreter's register file and loop table, so steady-state micro-tile
+/// dispatch on either allocates and re-proves nothing: create one per
+/// worker and reuse it for every tile.
 /// Results are bit-for-bit those of a fresh handle on the same tier.
 #[derive(Debug, Clone)]
 pub struct TierDispatch {
@@ -100,31 +106,31 @@ pub struct TierDispatch {
 
 impl GeneratedKernel {
     /// The handle that runs `backend`: the requested tier itself, except
-    /// that [`ExecBackend::Native`] serves on the simd chain when the
-    /// kernel has no native body ([`Self::native`]).
+    /// that [`ExecBackend::Native`] serves on the superword interpreter
+    /// when the kernel has no native body ([`Self::native`]).
     pub fn dispatcher(&self, backend: ExecBackend) -> TierDispatch {
         let (resolved, tier) = self.resolve(backend);
         TierDispatch { mr: self.mr, nr: self.nr, resolved, tier }
     }
 
     /// The ladder: every tier resolves to itself but the native one, which
-    /// is the simd chain when no body promoted.
+    /// is the superword interpreter when no body promoted.
     fn resolve(&self, asked: ExecBackend) -> (ExecBackend, Tier) {
         use ExecBackend::*;
         match asked {
             Native => match self.native() {
-                Some(native) => (Native, Tier::Proved(native.dispatcher())),
-                None => (Simd, Tier::Proved(self.simd.dispatcher())),
+                Some(native) => (Native, Tier::Native(native.dispatcher())),
+                None => self.resolve(Superword),
             },
-            Simd => (Simd, Tier::Proved(self.simd.dispatcher())),
+            Superword => (Superword, Tier::Superword(self.superword.dispatcher())),
             Tape => (Tape, Tier::Tape(Arc::clone(&self.tape))),
         }
     }
 }
 
 impl TierDispatch {
-    /// The tier this handle runs on — the requested backend, or the simd
-    /// chain under a native request with no promoted body.
+    /// The tier this handle runs on — the requested backend, or the
+    /// superword interpreter under a native request with no promoted body.
     pub fn tier(&self) -> ExecBackend {
         self.resolved
     }
@@ -150,7 +156,8 @@ impl TierDispatch {
             }));
         }
         let ran = match &mut self.tier {
-            Tier::Proved(dispatch) => dispatch.run_packed(kc, ac, bc, c),
+            Tier::Native(dispatch) => dispatch.run_packed(kc, ac, bc, c),
+            Tier::Superword(dispatch) => dispatch.run_packed(kc, ac, bc, c),
             Tier::Tape(tape) => tape.run_packed(kc, ac, bc, c),
         };
         ran.map_err(GenError::Codegen)
@@ -168,6 +175,29 @@ mod tests {
         while let Some(below) = ladder.last().and_then(|tier| tier.degraded()) {
             ladder.push(below);
         }
-        assert_eq!(ladder, [Native, Simd, Tape]);
+        assert_eq!(ladder, [Native, Superword, Tape]);
+    }
+
+    #[test]
+    fn a_native_request_without_a_body_serves_on_the_superword_interpreter() {
+        use ExecBackend::*;
+        // This crate links no table of native bodies, so no kernel has one.
+        let kernel = crate::MicroKernelGenerator::new(exo_isa::neon_f32()).generate(8, 12).unwrap();
+        assert!(kernel.native().is_none());
+        let resolved = [Native, Superword, Tape].map(|pin| kernel.dispatcher(pin).tier());
+        assert_eq!(resolved, [Superword, Superword, Tape]);
+        let kc = 9;
+        let a: Vec<f32> = (0..kc * 8).map(|i| (i % 7) as f32 * 0.37 - 1.0).collect();
+        let b: Vec<f32> = (0..kc * 12).map(|i| (i % 5) as f32 * 0.21 - 0.5).collect();
+        let mut handle = kernel.dispatcher(Native);
+        let mut outputs = Vec::new();
+        for pin in [Native, Superword, Tape] {
+            let mut c = vec![0.5f32; 96];
+            kernel.dispatcher(pin).run(kc, &a, &b, &mut c).unwrap();
+            outputs.push(c);
+        }
+        let mut c = vec![0.5f32; 96];
+        handle.run(kc, &a, &b, &mut c).unwrap();
+        assert!(outputs.iter().all(|out| *out == c), "every rung computes the same bits");
     }
 }

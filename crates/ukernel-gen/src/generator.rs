@@ -5,8 +5,7 @@
 use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
-    compile, emit_asm, emit_c, extract_trace, CodegenError, KernelTrace, SimdKernel, SuperwordKernel,
-    TapeKernel,
+    compile, emit_asm, emit_c, extract_trace, KernelTrace, SimdKernel, SuperwordKernel, TapeKernel,
 };
 use exo_ir::{Proc, ScalarType};
 use exo_isa::VectorIsa;
@@ -123,19 +122,15 @@ pub struct GeneratedKernel {
     /// Machine-operation trace for the performance model.
     pub trace: KernelTrace,
     /// Tape-compiled form of [`Self::proc`]: the flat executor that checks
-    /// every access — the checked reference a declined proof of any tier
-    /// above lands on, and what a `Tape` pin runs.
+    /// every access — the checked reference a declined proof of the native
+    /// tier lands on, and what a `Tape` pin runs.
     pub tape: Arc<TapeKernel>,
     /// Superword lowering of [`Self::tape`] (it keeps this same `Arc`):
-    /// the SLP-packed whole-vector ops plus the proofs every unchecked
-    /// executor of them runs under — the IR the two tiers above the tape
-    /// consume.
+    /// the SLP-packed whole-vector ops plus the proofs a native body of
+    /// them runs under — the IR the two tiers above the tape consume. Its
+    /// interpreter is the superword tier, the fastest that needs no C
+    /// toolchain, and what [`Self::run_packed`] runs.
     pub superword: Arc<SuperwordKernel>,
-    /// Closure chain compiled from [`Self::superword`] for the active
-    /// vector ISA (`exo_codegen::active_isa()`: AVX-512, AVX2/FMA, NEON, or the
-    /// scalar reference — pin one with `EXO_ISA`) — the fastest tier that
-    /// needs no C toolchain, and what [`Self::run_packed`] runs.
-    pub simd: Arc<SimdKernel>,
     /// The native tier's verdict, settled on the first [`Self::native`]
     /// call: [`Self::superword`]'s body from the table compiled at build
     /// time, probe-verified by the engine, or `None` — for good — when the
@@ -146,8 +141,8 @@ pub struct GeneratedKernel {
 impl GeneratedKernel {
     /// Runs the kernel on packed operands: `c[nr][mr] += ac[kc][mr] *
     /// bc[kc][nr]` (row-major, exactly the layouts of the paper's Fig. 5)
-    /// — a one-shot [`Self::dispatcher`]`(`[`ExecBackend::Simd`]`)` run: the
-    /// active vector ISA's closure chain, bit-identical to every other tier.
+    /// — a one-shot [`Self::dispatcher`]`(`[`ExecBackend::Superword`]`)` run:
+    /// the superword interpreter, bit-identical to every other tier.
     /// Any other tier: `dispatcher(backend).run(..)`.
     ///
     /// # Errors
@@ -155,7 +150,7 @@ impl GeneratedKernel {
     /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
     /// shape.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.dispatcher(ExecBackend::Simd).run(kc, ac, bc, c)
+        self.dispatcher(ExecBackend::Superword).run(kc, ac, bc, c)
     }
 
     /// The native kernel: [`Self::superword`]'s emitted C, looked up by its
@@ -165,8 +160,8 @@ impl GeneratedKernel {
     /// for good when the table holds no body for this kernel on the active
     /// ISA (a tile outside the admitted spaces, or a build with no C
     /// compiler), the emitter declines the lowering, or the probe rejected
-    /// the body. Callers then serve on the simd chain, which computes the
-    /// same bits.
+    /// the body. Callers then serve on the superword interpreter, which
+    /// computes the same bits.
     pub fn native(&self) -> Option<Arc<SimdKernel>> {
         self.native
             .get_or_init(|| exo_aot::engine().compile(&self.superword, exo_codegen::active_isa()).ok())
@@ -265,7 +260,7 @@ impl MicroKernelGenerator {
     /// Returns [`GenError`] if the requested strategy cannot handle the shape
     /// or a scheduling step fails, and [`GenError::Codegen`] if any
     /// lowering of the scheduled form — C text, trace, tape,
-    /// superword, the active ISA's chain — cannot be built: a kernel comes
+    /// superword — cannot be built: a kernel comes
     /// back with all of them or not at all.
     pub fn generate_with(&self, opts: &KernelOptions) -> Result<GeneratedKernel> {
         if opts.mr == 0 || opts.nr == 0 {
@@ -288,13 +283,6 @@ impl MicroKernelGenerator {
         let asm = emit_asm(&trace);
         let tape = Arc::new(compile(&proc)?);
         let superword = Arc::new(tape.to_superword()?);
-        let isa = exo_codegen::active_isa();
-        let simd = SimdKernel::compile_for(Arc::clone(&superword), isa).map(Arc::new).ok_or_else(|| {
-            GenError::Codegen(CodegenError::Unsupported {
-                backend: "simd",
-                what: format!("the {}x{} kernel's superword lowering on the {isa} ISA", opts.mr, opts.nr),
-            })
-        })?;
         Ok(GeneratedKernel {
             mr: opts.mr,
             nr: opts.nr,
@@ -309,7 +297,6 @@ impl MicroKernelGenerator {
             trace,
             tape,
             superword,
-            simd,
             native: OnceLock::new(),
         })
     }
@@ -353,7 +340,6 @@ impl KernelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_codegen::IsaKind;
     use exo_isa::{avx512_f32, neon_f16, neon_f32};
 
     fn naive(mr: usize, nr: usize, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -372,13 +358,6 @@ mod tests {
         let mut c = c0.to_vec();
         exo_ir::interp::run_packed(&kernel.proc, kc, a, b, &mut c).unwrap();
         c
-    }
-
-    /// The kernel's superword lowering compiled for the scalar ISA — the
-    /// simd tier of a host with no vector ISA, run here on every host.
-    fn scalar_chain(kernel: &GeneratedKernel) -> SimdKernel {
-        SimdKernel::compile_for(Arc::clone(&kernel.superword), IsaKind::Scalar)
-            .expect("the scalar chain compiles")
     }
 
     fn check_against_naive(kernel: &GeneratedKernel, kc: usize) {
@@ -416,11 +395,6 @@ mod tests {
             // Scheduled kernels stage the C tile (and vector operands) in
             // locals, which the tape register-allocates.
             assert!(kernel.tape.register_count() >= mr * nr, "{mr}x{nr} C tile must live in registers");
-            assert_eq!(
-                kernel.simd.isa(),
-                exo_codegen::active_isa(),
-                "{mr}x{nr}: chain targets the active ISA"
-            );
             let kc = 23;
             let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 13 + 5) % 17) as f32 * 0.25 - 2.0).collect();
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 7 + 11) % 19) as f32 * 0.125 - 1.0).collect();
@@ -439,22 +413,19 @@ mod tests {
                 interpret(&kernel, kc, &a, &b, &c0),
                 "{mr}x{nr} tape diverges from the interpreter"
             );
-            // So does the scalar chain, on every host.
-            let mut c_scalar = c0.clone();
-            scalar_chain(&kernel).run_packed(kc, &a, &b, &mut c_scalar).unwrap();
-            assert_eq!(c_scalar, c_tape, "{mr}x{nr} scalar chain diverges from the tape");
-            // So does the SIMD default.
-            let mut c_simd = c0.clone();
-            kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-            assert_eq!(c_simd, c_tape, "{mr}x{nr} simd chain diverges from the tape");
+            // So does the superword interpreter, the one-shot default.
+            assert_eq!(run_on(ExecBackend::Superword), c_tape, "{mr}x{nr} superword diverges from the tape");
+            let mut c_default = c0.clone();
+            kernel.run_packed(kc, &a, &b, &mut c_default).unwrap();
+            assert_eq!(c_default, c_tape, "{mr}x{nr}: run_packed diverges from the tape");
         }
     }
 
     /// Generation is total over the bundled instruction libraries, and a
     /// kernel that comes back is whole: every in-process pin resolves to
     /// itself (the native pin is the ladder's one edge, held by
-    /// `dispatch::tests`) and every tier, and the scalar chain on any host,
-    /// computes the interpreter's bits.
+    /// `dispatch::tests`) and every in-process tier computes the
+    /// interpreter's bits.
     #[test]
     fn every_tile_generates_whole_and_every_pin_is_its_own_tier() {
         use ExecBackend::*;
@@ -494,15 +465,10 @@ mod tests {
                         };
                         let c_interp = interpret(&kernel, kc, &a, &b, &c0);
                         assert_eq!(run_on(Tape), c_interp, "{label} kc={kc}: tape vs interpreter");
-                        let mut c_scalar = c0.clone();
-                        scalar_chain(&kernel)
-                            .run_packed(kc, &a, &b, &mut c_scalar)
-                            .unwrap_or_else(|e| panic!("{label} scalar chain: {e}"));
-                        assert_eq!(c_scalar, c_interp, "{label} kc={kc}: scalar chain vs interpreter");
-                        assert_eq!(run_on(Simd), c_interp, "{label} kc={kc}: simd vs interpreter");
+                        assert_eq!(run_on(Superword), c_interp, "{label} kc={kc}: superword vs interpreter");
                     }
                     // A call that does not fit the tile is a typed error, not a run.
-                    let misfit = kernel.dispatcher(Simd).run(0, &[], &[], &mut vec![0.0; mr * nr + 1]);
+                    let misfit = kernel.dispatcher(Superword).run(0, &[], &[], &mut vec![0.0; mr * nr + 1]);
                     assert!(matches!(misfit, Err(GenError::Codegen(_))), "{label}: {misfit:?}");
                 }
             }

@@ -119,15 +119,13 @@ mod tests {
         let cache = KernelCache::new();
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = cache.get_or_generate(&generator, 8, 12).unwrap();
-        // The chain targets whatever ISA the runtime selection (or an
-        // `EXO_ISA` pin) chose for this process.
-        assert_eq!(kernel.simd.isa(), exo_codegen::active_isa());
+        assert!(Arc::ptr_eq(kernel.superword.tape(), &kernel.tape), "one tape under both lowerings");
         // This crate links no table of native bodies, so the verdict is a
         // silent, permanent miss; under a table the body promotes.
         let settled = kernel.native();
         assert!(settled.is_none() || exo_aot::native_available(), "a body without a table");
-        // A second request serves the same kernel — tape, lowering, chain
-        // and settled native verdict with it — without regenerating.
+        // A second request serves the same kernel — tape, lowering and
+        // settled native verdict with it — without regenerating.
         let again = cache.get_or_generate(&generator, 8, 12).unwrap();
         assert_eq!(cache.generator_invocations(), 1);
         assert!(Arc::ptr_eq(&kernel, &again));

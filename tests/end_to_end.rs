@@ -92,9 +92,9 @@ fn f16_kernel_matches_a_half_precision_reference() {
             }
         }
     }
-    for (x, y) in c.iter().zip(&c_ref) {
-        assert!((x - y).abs() < 1e-2, "{x} vs {y}");
-    }
+    // Every product and partial sum is exact in f16, so the order of the
+    // additions does not matter: the bits are the reference's.
+    assert_eq!(c, c_ref);
 }
 
 #[test]

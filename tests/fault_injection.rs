@@ -6,9 +6,9 @@
 //!
 //! * the service stays live — every handle resolves, nothing hangs;
 //! * a fault is isolated to the job it hit — survivors are bit-identical
-//!   to a sequential per-call run of the same executor (degraded
-//!   completions are tolerance-checked instead, since they ran a
-//!   different backend tier);
+//!   to a sequential per-call run of the same executor, and degraded
+//!   completions too: every tier a retry can land on computes
+//!   `NaiveGemm`'s bits;
 //! * the books balance: `jobs_submitted == jobs_completed + jobs_failed`.
 //!
 //! Fault countdowns are process-global, so the tests serialise on one
@@ -23,7 +23,7 @@ use exo_gemm::exo_serve::{
     BatchReport, CompletedJob, EntryReport, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle,
     OwnedMat, ServiceConfig, ServiceHealth, ServiceStats, SubmitErrorReason,
 };
-use exo_gemm::gemm_blis::{exo_kernel, exo_kernel_simd, BlisGemm, BlockingParams};
+use exo_gemm::gemm_blis::{exo_kernel, exo_kernel_superword, BlisGemm, BlockingParams, NaiveGemm};
 use exo_gemm::ukernel_gen::GeneratedKernel;
 use exo_gemm::{GemmError, GemmExecutor, GemmProblem};
 
@@ -46,12 +46,12 @@ fn kernel_8x12() -> Arc<GeneratedKernel> {
     }))
 }
 
-/// The shared driver: the generated 8x12 pinned to the simd tier, so a
-/// failed `beta = 0` entry retries one rung down, on the tape.
+/// The shared driver: the generated 8x12 pinned to the superword tier, so
+/// a failed `beta = 0` entry retries one rung down, on the tape.
 /// The pin never resolves the native tier, so it runs no probe that could
 /// spend a countdown a test armed for the `aot-wrong-result` fault.
 fn driver() -> BlisGemm {
-    BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel_simd(kernel_8x12()))
+    BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel_superword(kernel_8x12()))
 }
 
 fn make_job(m: usize, n: usize, k: usize, seed: usize, beta: f32) -> GemmJob {
@@ -61,12 +61,12 @@ fn make_job(m: usize, n: usize, k: usize, seed: usize, beta: f32) -> GemmJob {
     GemmJob::new(a, b, c).beta(beta)
 }
 
-/// The bit-identity baseline: the same job run per-call, sequentially,
-/// through the same driver. Must run while faults are DISARMED so the
-/// reference run does not consume countdowns.
+/// The bit-identity baseline: the same job through `NaiveGemm`, whose bits
+/// every tier and driver computes — a clean completion's and a degraded
+/// one's alike.
 fn reference_c(m: usize, n: usize, k: usize, seed: usize, beta: f32) -> OwnedMat {
     let mut job = make_job(m, n, k, seed, beta);
-    driver().gemm(job.problem()).expect("reference gemm");
+    NaiveGemm.gemm(job.problem()).expect("reference gemm");
     job.into_c()
 }
 
@@ -78,17 +78,6 @@ fn assert_bits(got: &OwnedMat, want: &OwnedMat, who: &str) {
                 want.get(i, j).to_bits(),
                 "{who}: ({i},{j}) diverged from the sequential per-call run"
             );
-        }
-    }
-}
-
-/// Degraded completions ran a different backend tier (different FMA
-/// contraction), so they are tolerance-checked, not bit-checked.
-fn assert_close(got: &OwnedMat, want: &OwnedMat, who: &str) {
-    for i in 0..want.rows() {
-        for j in 0..want.cols() {
-            let (g, w) = (got.get(i, j), want.get(i, j));
-            assert!((g - w).abs() <= 2e-3 * w.abs().max(1.0), "{who}: ({i},{j}): {g} vs reference {w}");
         }
     }
 }
@@ -152,7 +141,7 @@ fn armed_chaos_run_stays_live_and_survivors_stay_bit_identical() {
         for (j, (outcome, want)) in results.iter().zip(wants).enumerate() {
             let who = format!("caller {caller} job {j}");
             match outcome {
-                Ok(done) if done.stats.degraded => assert_close(&done.c, want, &who),
+                Ok(done) if done.stats.degraded => assert_bits(&done.c, want, &who),
                 Ok(done) => assert_bits(&done.c, want, &who),
                 Err(GemmError::JobPanicked { .. }) | Err(GemmError::Kernel { .. }) => {}
                 Err(other) => panic!("{who}: unexpected failure class {other:?}"),
@@ -389,7 +378,7 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
     fault::disarm();
 
     assert!(done.stats.degraded, "the completion must be stamped as degraded");
-    assert_close(&done.c, &want, "degraded completion");
+    assert_bits(&done.c, &want, "degraded completion");
     let stats = service.stats();
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.degraded_completions, 1);
@@ -404,9 +393,10 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
 /// The retry degrades from the tier that *ran*, not the tier that was asked
 /// for. A `neon_f16` 8x8 tile can never promote on any host — its rounding
 /// steps are outside what `emit_superword_c` lowers — so under the default
-/// `Native` pin it serves on the simd chain for good: the clean entry says
-/// `Simd`, and the declined one must land one below *that*, on the tape,
-/// not be re-run on simd and stamped degraded. A kernel pinned to the tape
+/// `Native` pin it serves on the superword interpreter for good: the clean
+/// entry says `Superword`, and the declined one must land one below
+/// *that*, on the tape, not be re-run on the interpreter and stamped
+/// degraded. A kernel pinned to the tape
 /// is on the floor: its declined entry is not retried, fails with the
 /// kernel error, and leaves its `C` as it was. (Every operand is a small
 /// dyadic, so the f16 sums are exact on every tier.)
@@ -424,7 +414,7 @@ fn a_retry_degrades_from_the_tier_that_ran() {
     let want = reference_c(24, 24, 24, 9, 0.0);
     let untouched = make_job(24, 24, 24, 9, 0.0).into_c();
     for (imp, ran, retried) in [
-        (exo_kernel(kernel.clone()), ExecBackend::Simd, Some(ExecBackend::Tape)),
+        (exo_kernel(kernel.clone()), ExecBackend::Superword, Some(ExecBackend::Tape)),
         (exo_kernel_tape(kernel.clone()), ExecBackend::Tape, None),
     ] {
         let who = imp.name.clone();
@@ -441,7 +431,7 @@ fn a_retry_degrades_from_the_tier_that_ran() {
             let c = job.into_c();
             match outcome {
                 Ok(stats) => {
-                    assert_close(&c, &want, &who);
+                    assert_bits(&c, &want, &who);
                     tiers.push((stats.degraded, stats.tier));
                 }
                 Err(GemmError::Kernel { .. }) if retried.is_none() => {
@@ -459,8 +449,9 @@ fn a_retry_degrades_from_the_tier_that_ran() {
 
 /// A default driver — the generated 8x12 on the native pin — is an entry
 /// like any other: a declined `beta = 0` entry retries once, one tier
-/// below the one that ran (simd under a native body, else the tape under
-/// the simd chain it served on), and completes stamped `degraded`, with
+/// below the one that ran (the superword interpreter under a native body,
+/// else the tape under the interpreter it served on), and completes
+/// stamped `degraded`, with
 /// the bits of its clean neighbour (every tier computes the same bits),
 /// under the name of the tier it ran on.
 #[test]
@@ -470,8 +461,8 @@ fn a_default_drivers_declined_entry_retries_onto_the_tape() {
     fault::disarm();
     let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 12));
     let (ran, retried) = match driver.kernel().generated.native() {
-        Some(_) => ((ExecBackend::Native, "EXO 8x12"), (ExecBackend::Simd, "EXO 8x12 (simd)")),
-        None => ((ExecBackend::Simd, "EXO 8x12"), (ExecBackend::Tape, "EXO 8x12 (tape)")),
+        Some(_) => ((ExecBackend::Native, "EXO 8x12"), (ExecBackend::Superword, "EXO 8x12 (superword)")),
+        None => ((ExecBackend::Superword, "EXO 8x12"), (ExecBackend::Tape, "EXO 8x12 (tape)")),
     };
     let mut want = make_job(24, 20, 16, 3, 0.0);
     driver.gemm(want.problem()).expect("clean default run");
@@ -572,7 +563,7 @@ fn entry_faults_on_a_shared_b_image_stay_with_their_entry() {
             match outcome {
                 Ok(stats) if stats.degraded => {
                     degraded += 1;
-                    assert_close(c, &refs[idx], &who);
+                    assert_bits(c, &refs[idx], &who);
                 }
                 Ok(_) => assert_bits(c, &refs[idx], &who),
                 Err(GemmError::JobPanicked { .. }) => panicked += 1,
@@ -620,7 +611,7 @@ fn entry_faults_fire_once_per_entry_of_a_stacked_pass() {
         assert!(report.stacked_passes >= 1, "{who}: the clean entries still stack");
         for (e, (outcome, c)) in report.outcomes.iter().zip(cs).enumerate() {
             match outcome {
-                Ok(stats) if stats.degraded => assert_close(c, &refs[e], &format!("{who}, entry {e}")),
+                Ok(stats) if stats.degraded => assert_bits(c, &refs[e], &format!("{who}, entry {e}")),
                 Ok(_) => assert_bits(c, &refs[e], &format!("{who}, entry {e}")),
                 Err(other) => panic!("{who}, entry {e}: {other:?}"),
             }
@@ -666,7 +657,7 @@ fn entry_faults_fire_once_per_entry_of_a_stacked_pass() {
 fn a_failed_stacked_pass_resolves_each_entry_once() {
     let _guard = serial();
     fault::disarm();
-    let mut short_rows = exo_kernel_simd(kernel_8x12());
+    let mut short_rows = exo_kernel_superword(kernel_8x12());
     short_rows.mr = 4;
     let driver = BlisGemm::new(BlockingParams::carmel_defaults(4, 12)).with_kernel(short_rows);
     const N: usize = 6;
@@ -700,7 +691,7 @@ fn an_unwound_stacked_pass_retries_its_entries_one_by_one() {
     fault::disarm();
     let workers = exo_gemm::exo_serve::ThreadPool::global().workers();
     let driver = BlisGemm::new(BlockingParams { mc: 32, kc: 32, nc: 48, mr: 8, nr: 12 })
-        .with_kernel(exo_kernel_simd(kernel_8x12()))
+        .with_kernel(exo_kernel_superword(kernel_8x12()))
         .with_threads(0);
     for beta in [0.0f32, 1.0] {
         let (weights, pristine) = shared_weight_operands(2, (96, 40, 48), beta);
@@ -722,7 +713,7 @@ fn an_unwound_stacked_pass_retries_its_entries_one_by_one() {
         for (e, (outcome, c)) in hit.outcomes.iter().zip(&cs).enumerate() {
             let who = format!("beta {beta}, entry {e}");
             match outcome {
-                Ok(stats) if beta == 0.0 && stats.degraded => assert_close(c, &refs[e], &who),
+                Ok(stats) if beta == 0.0 && stats.degraded => assert_bits(c, &refs[e], &who),
                 Err(GemmError::JobPanicked { message }) if beta != 0.0 => {
                     assert!(message.contains("injected fault"), "{who}: {message}")
                 }
@@ -817,7 +808,7 @@ fn a_service_running_stacked_passes_balances_its_books_under_every_fault() {
     for (j, (outcome, want)) in outcomes.iter().zip(&refs).enumerate() {
         let who = format!("job {j}");
         match outcome {
-            Ok(done) if done.stats.degraded => assert_close(&done.c, want, &who),
+            Ok(done) if done.stats.degraded => assert_bits(&done.c, want, &who),
             Ok(done) => assert_bits(&done.c, want, &who),
             Err(GemmError::JobPanicked { .. }) | Err(GemmError::Kernel { .. }) => failed += 1,
             Err(other) => panic!("{who}: unexpected failure class {other:?}"),
@@ -1037,13 +1028,13 @@ fn behind_a_gate(plan: FaultPlan, jobs: impl IntoIterator<Item = GemmJob>, paire
     GateRun { outcomes, stats, doors: (doors.one.load(Ordering::Relaxed), batches.len() as u64), batches }
 }
 
-/// An outcome's class, checked against `want` (the clean per-call `C`) on
-/// the way: bit for bit for a clean completion, to tolerance for a degraded
-/// one, which ran another tier.
+/// An outcome's class, checked against `want` (`NaiveGemm`'s `C`) on the
+/// way: bit for bit for a clean completion and for a degraded one, which
+/// ran another tier.
 fn class_of(outcome: &Result<CompletedJob, GemmError>, want: &OwnedMat, who: &str) -> &'static str {
     match outcome {
         Ok(done) if done.stats.degraded => {
-            assert_close(&done.c, want, who);
+            assert_bits(&done.c, want, who);
             "degraded"
         }
         Ok(done) => {
@@ -1262,26 +1253,26 @@ fn run_clean_batch(
         let done = wait_or_hang(handle)
             .unwrap_or_else(|e| panic!("{who} job {idx}: an AOT fault must never fail a job, got {e:?}"));
         assert!(!done.stats.degraded, "{who} job {idx}: pre-dispatch fallback is not a degraded completion");
-        assert_bits(&done.c, &refs[idx], &format!("{who} job {idx} (simd fallback)"));
+        assert_bits(&done.c, &refs[idx], &format!("{who} job {idx} (superword fallback)"));
     }
     service
 }
 
-/// The simd-pinned reference results for `shapes` through `kernel` —
+/// The superword-pinned reference results for `shapes` through `kernel` —
 /// computed while faults are disarmed. This is the tier every AOT
 /// failure must silently land on, bit for bit.
-fn simd_refs(
+fn superword_refs(
     kernel: &Arc<GeneratedKernel>,
     blocking: BlockingParams,
     shapes: &[(usize, usize, usize)],
 ) -> Vec<OwnedMat> {
-    let simd_driver = BlisGemm::new(blocking).with_kernel(exo_kernel_simd(Arc::clone(kernel)));
+    let pinned = BlisGemm::new(blocking).with_kernel(exo_kernel_superword(Arc::clone(kernel)));
     shapes
         .iter()
         .enumerate()
         .map(|(s, &(m, n, k))| {
             let mut job = make_job(m, n, k, s, 0.0);
-            simd_driver.gemm(job.problem()).expect("reference gemm");
+            pinned.gemm(job.problem()).expect("reference gemm");
             job.into_c()
         })
         .collect()
@@ -1294,7 +1285,7 @@ fn simd_refs(
 /// compiles. Met mid-serve, through a driver asked for the native tier, the
 /// miss must degrade *silently*, one tier down and pre-dispatch: every job
 /// completes, none is stamped `degraded`, the results are bit-identical to
-/// a pinned-simd run, and the miss is counted. It is not a lost promotion —
+/// a run pinned to the superword interpreter, and the miss is counted. It is not a lost promotion —
 /// there was no body to lose — so health stays `Healthy`.
 #[test]
 fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
@@ -1311,7 +1302,7 @@ fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
     );
     let blocking = BlockingParams::carmel_defaults(3, 5);
     let shapes = [(24usize, 20usize, 16usize), (16, 16, 16), (33, 9, 21)];
-    let refs = simd_refs(&kernel, blocking, &shapes);
+    let refs = superword_refs(&kernel, blocking, &shapes);
 
     let misses = exo_gemm::exo_aot::engine().stats().misses;
     let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
@@ -1350,8 +1341,8 @@ fn a_build_failure_between_passes_reads_degraded_from_health_alone() {
 /// The wrong-result fault class (`aot-wrong-result@1`): a body that loads
 /// and *runs* — but computes garbage. The verification probe must catch it
 /// before dispatch ever sees it: every job is bit-identical to the
-/// simd-pinned run, the failure is booked, and the key is pinned to simd
-/// terminally.
+/// superword-pinned run, the failure is booked, and the key is pinned to
+/// the superword tier terminally.
 #[test]
 fn a_wrong_result_kernel_is_rejected_before_dispatch_ever_sees_it() {
     let _guard = serial();
@@ -1362,7 +1353,7 @@ fn a_wrong_result_kernel_is_rejected_before_dispatch_ever_sees_it() {
     let kernel = untouched_kernel(1);
     let blocking = BlockingParams::carmel_defaults(kernel.mr, kernel.nr);
     let shapes = [(24usize, 20usize, 16usize), (16, 16, 16), (33, 9, 21)];
-    let refs = simd_refs(&kernel, blocking, &shapes);
+    let refs = superword_refs(&kernel, blocking, &shapes);
 
     FaultPlan::new().aot_wrong_result(1).arm();
     let native_driver = BlisGemm::new(blocking).with_kernel(exo_kernel(Arc::clone(&kernel)));
@@ -1373,9 +1364,9 @@ fn a_wrong_result_kernel_is_rejected_before_dispatch_ever_sees_it() {
     assert_eq!(stats.jobs_completed, shapes.len() as u64);
     assert_eq!(stats.jobs_failed, 0);
     assert_eq!(service.health(), ServiceHealth::Degraded, "a rejected kernel is a visible degradation");
-    // The pin is terminal: resolving the key again stays on simd, with
+    // The pin is terminal: resolving the key again stays on superword, with
     // no second probe of the same wrong answer.
-    assert!(kernel.native().is_none(), "a wrong-result key must stay pinned to simd");
+    assert!(kernel.native().is_none(), "a wrong-result key must stay off the native tier");
     assert_eq!(service.stats().aot_wrong_results, 1);
 }
 

@@ -3,8 +3,7 @@
 //! * N caller threads submit random-layout problems (the same generators
 //!   as `tests/gemm_api.rs`) to one shared [`GemmService`]; every result
 //!   must be bit-identical to a sequential per-call run of the same
-//!   executor, and must match the single-threaded `NaiveGemm` reference to
-//!   accumulation tolerance.
+//!   executor and to the single-threaded `NaiveGemm` reference.
 //! * Batch edge cases through the [`GemmBatchExecutor`] trait: empty
 //!   batch, single-entry batch, mixed-shape batch with degenerate entries.
 //! * Pool-reuse: after warm-up, the hot path never spawns another OS
@@ -125,8 +124,9 @@ impl Case {
                     self.k
                 );
                 let want = self.want[i * self.n + j];
-                assert!(
-                    (got - want).abs() <= 2e-3 * want.abs().max(1.0),
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
                     "{who}: {}x{}x{} at ({i},{j}): {got} vs naive reference {want}",
                     self.m,
                     self.n,
@@ -140,7 +140,7 @@ impl Case {
 /// The headline stress: 4 caller threads share one service over the
 /// autotuned executor, each submitting a stream of random-layout problems.
 /// Every job's `C` comes back bit-identical to the sequential per-call run
-/// and within tolerance of the strided `NaiveGemm`-style reference.
+/// and to the strided `NaiveGemm`-style reference.
 #[test]
 fn concurrent_callers_match_the_sequential_reference_bitwise() {
     const CALLERS: usize = 4;

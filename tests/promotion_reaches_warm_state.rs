@@ -39,7 +39,8 @@ fn runners_built(tuned: &TunedGemm) -> u64 {
 
 /// One door: `run` the shape straight after construction, then again on
 /// the same executor. Both runs are on the native tier when the build
-/// compiled bodies for the active ISA (on the simd chain when it did not),
+/// compiled bodies for the active ISA (on the superword interpreter when it
+/// did not),
 /// the second builds no runner, and both give the `reference` bits.
 fn first_gemm_runs_native(
     door: &str,
@@ -53,9 +54,9 @@ fn first_gemm_runs_native(
     assert!(built_first > 0, "{door}: the first run must have built its runner");
     let (warm_bits, warm) = run();
     assert_eq!(built(), built_first, "{door}: the second run built a runner");
-    assert_eq!(first_bits, reference, "{door}: native and simd are bit-identical");
+    assert_eq!(first_bits, reference, "{door}: native and superword are bit-identical");
     assert_eq!(warm_bits, reference, "{door}: the warm runner too");
-    let tier = if native_available() { ExecBackend::Native } else { ExecBackend::Simd };
+    let tier = if native_available() { ExecBackend::Native } else { ExecBackend::Superword };
     assert_eq!((first.tier, warm.tier), (Some(tier), Some(tier)), "{door}: {}", first.kernel);
     assert_eq!(kernel.native().is_some(), native_available(), "{door}: {}", first.kernel);
 }

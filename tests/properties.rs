@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use common::Cases;
 
-use exo_codegen::{CodegenError, IsaKind, SimdKernel, TensorView};
+use exo_codegen::{CodegenError, TensorView};
 use exo_ir::interp::{run_packed, run_proc, ArgValue, TensorData};
 use exo_ir::{ScalarType, Sym};
 use exo_isa::{neon_f32, ukernel_ref_simple};
@@ -157,8 +157,8 @@ fn f16_rounding_is_idempotent() {
 
 /// The reference interpreter and every tier lowered from it agree on the
 /// reference kernel for random sizes and off-grid values: the checked tape
-/// and the scalar chain take the same `run_views` call and return the
-/// interpreter's bits.
+/// and the superword interpreter take the same `run_views` call and return
+/// the interpreter's bits.
 #[test]
 fn interpreter_and_compiled_execution_agree() {
     let mut cases = Cases::new(0xA5A5_0006);
@@ -177,10 +177,10 @@ fn interpreter_and_compiled_execution_agree() {
         run_packed(&p, kc, &a, &b, &mut c_interp).unwrap();
 
         let tape = Arc::new(exo_codegen::compile(&p).unwrap());
-        let chain = SimdKernel::compile_for(Arc::new(tape.to_superword().unwrap()), IsaKind::Scalar).unwrap();
+        let superword = tape.to_superword().unwrap();
         type Run<'k> = &'k dyn Fn(&[i64], &mut [TensorView<'_>]) -> Result<(), CodegenError>;
         let tiers: [(&str, Run<'_>); 2] =
-            [("tape", &|s, t| tape.run_views(s, t)), ("scalar chain", &|s, t| chain.run_views(s, t))];
+            [("tape", &|s, t| tape.run_views(s, t)), ("superword", &|s, t| superword.run_views(s, t))];
         for (tier, run) in tiers {
             let mut c = c0.clone();
             run(&[kc as i64], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c)])

@@ -1,20 +1,19 @@
 //! Differential suite for the execution engines: the three tiers with an
 //! **ISA axis**, against the reference semantics. The ahead-of-time
 //! compiled native tier (the superword lowering's emitted C, compiled when
-//! the workspace builds and linked in), the in-process SIMD chain (compiled per vector ISA — AVX-512,
-//! AVX2/FMA, NEON, or the scalar reference), the scalar-ISA chain
-//! (compiled here on every host with `SimdKernel::compile_for`), the scalar
-//! tape, the reference interpreter (`exo_ir::interp::run_proc` — no tier,
-//! called directly on the packed operands a tier ran), and the naive
-//! reference must agree. Every tier performs the interpreter's operations in its
-//! order, each multiply-add one fused rounding, so all of them agree **bit
-//! for bit**, on every ISA — native vs. simd vs. scalar chain vs. tape vs.
-//! interpreter, 1 vs. N threads, row-block vs. column-block partition.
-//! `EXO_ISA=scalar` (the CI forced-scalar leg) and `EXO_ISA=avx2` pin the
-//! simd and native tiers process-wide; the assertions do not change.
-//! `EXO_CC=/nonexistent/cc` at build time (the CI poisoned-toolchain leg)
-//! leaves the table of native bodies empty; every test here must still
-//! pass, with the native legs collapsing onto the simd chain.
+//! the workspace builds for every ISA row the target runs, and linked in),
+//! the safe superword interpreter, the scalar tape, the reference
+//! interpreter (`exo_ir::interp::run_proc` — no tier, called directly on
+//! the packed operands a tier ran), and the naive reference must agree.
+//! Every tier performs the interpreter's operations in its order, each
+//! multiply-add one fused rounding, so all of them agree **bit for bit**,
+//! on every ISA row — native vs. superword vs. tape vs. interpreter, 1 vs.
+//! N threads, row-block vs. column-block partition. `EXO_ISA=scalar` (the
+//! CI forced-scalar leg) and `EXO_ISA=avx2` pin the native tier's row
+//! process-wide; the assertions do not change. `EXO_CC=/nonexistent/cc`
+//! at build time (the CI poisoned-toolchain leg) leaves the table of native
+//! bodies empty; every test here must still pass, with the native legs
+//! collapsing onto the superword interpreter.
 //!
 //! Every tier is reached the same way — `GeneratedKernel::dispatcher`
 //! resolving an `ExecBackend` pin on the one ladder — whether the test
@@ -25,13 +24,13 @@ mod common;
 use std::sync::Arc;
 
 use common::Cases;
-use exo_gemm::exo_codegen::{emit_superword_c, SimdKernel};
+use exo_gemm::exo_codegen::{emit_superword_c, CodegenError, SuperwordKernel, TensorView};
 use exo_gemm::exo_ir::interp::run_packed;
 use exo_gemm::exo_ir::Proc;
 use exo_gemm::exo_isa::{avx512_f32, neon_f32};
 use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_tape, native_available, toolchain, BlisGemm,
+    active_isa, exo_kernel, exo_kernel_superword, exo_kernel_tape, native_available, toolchain, BlisGemm,
     BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind, Matrix, NaiveGemm,
 };
 use exo_gemm::ukernel_gen::{GeneratedKernel, KernelCache, KernelSet, MicroKernelGenerator, Strategy};
@@ -58,13 +57,13 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
     (a, b, c)
 }
 
-/// Five-way differential on every registry tile shape, and on every tile
+/// Four-way differential on every registry tile shape, and on every tile
 /// of the AVX-512 serving space (the `avx512_f32` library's broadcast
 /// kernels), across several KC values including `k = 0` and `k = 1`:
-/// native ≡ simd ≡ scalar chain ≡ tape ≡ interpreter bit for bit — the
-/// native tier with a body because the emitted C performs the same
-/// per-lane fused ops (16-lane ones on an AVX-512 host), without one
-/// because the fallback *is* the chain.
+/// native ≡ superword ≡ tape ≡ interpreter bit for bit — the native tier
+/// with a body because the emitted C performs the same per-lane fused ops
+/// (16-lane ones on an AVX-512 host), without one because the fallback
+/// *is* the superword interpreter.
 #[test]
 fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
     let avx512_tiles: Vec<(usize, usize)> =
@@ -96,7 +95,6 @@ fn five_way_differential(
         let kernel = cache.get_or_generate(generator, mr, nr).unwrap();
         let sw = &kernel.superword;
         assert!(sw.vector_op_count() > 0, "{mr}x{nr} must pack whole-vector ops");
-        assert_eq!(kernel.simd.isa(), active_isa(), "{mr}x{nr}: chain targets the active ISA");
         // Every tile here is admitted, so it has a body exactly where the
         // build compiled its C for the active ISA; the native leg below
         // runs it.
@@ -107,10 +105,6 @@ fn five_way_differential(
             }
             None => assert!(!has_body(&kernel), "{mr}x{nr}: the build compiled this C, but it has no body"),
         }
-        // The scalar chain, on every host: the simd tier of one with no
-        // vector ISA.
-        let scalar =
-            SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar).expect("the scalar chain compiles");
         for kc in [0usize, 1, 2, 17, 64] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let run_on = |backend| {
@@ -118,22 +112,23 @@ fn five_way_differential(
                 kernel.dispatcher(backend).run(kc, &a, &b, &mut c).unwrap();
                 c
             };
-            let mut c_simd = c0.clone();
-            kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-            assert_eq!(c_simd, run_on(ExecBackend::Simd), "{mr}x{nr} kc={kc}: run_packed is the simd tier");
-            let mut c_scalar = c0.clone();
-            scalar.run_packed(kc, &a, &b, &mut c_scalar).unwrap();
+            let mut c_superword = c0.clone();
+            kernel.run_packed(kc, &a, &b, &mut c_superword).unwrap();
+            assert_eq!(
+                c_superword,
+                run_on(ExecBackend::Superword),
+                "{mr}x{nr} kc={kc}: run_packed is the superword tier"
+            );
             let c_tape = run_on(ExecBackend::Tape);
             let c_interp = interpret(&kernel.proc, kc, &a, &b, &c0);
             let c_native = run_on(ExecBackend::Native);
-            assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native must be bit-faithful to simd");
-            assert_eq!(c_simd, c_tape, "{mr}x{nr} kc={kc}: simd vs tape");
-            assert_eq!(c_scalar, c_interp, "{mr}x{nr} kc={kc}: scalar chain vs interpreter");
+            assert_eq!(c_native, c_superword, "{mr}x{nr} kc={kc}: native must be bit-faithful to superword");
+            assert_eq!(c_superword, c_tape, "{mr}x{nr} kc={kc}: superword vs tape");
             assert_eq!(c_tape, c_interp, "{mr}x{nr} kc={kc}: tape vs interpreter");
         }
     }
-    // The cache compiled each tape, superword, and simd lowering exactly
-    // once, alongside its kernel.
+    // The cache compiled each tape and superword lowering exactly once,
+    // alongside its kernel.
     assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
@@ -163,26 +158,26 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
             };
 
             let c_native = run(exo_kernel(Arc::clone(&kernel)));
-            let c_simd = run(exo_kernel_simd(Arc::clone(&kernel)));
+            let c_superword = run(exo_kernel_superword(Arc::clone(&kernel)));
             let c_tape = run(exo_kernel_tape(Arc::clone(&kernel)));
             assert_eq!(
-                c_native.data, c_simd.data,
-                "{mr}x{nr} on {m}x{n}x{k}: native (default) vs pinned-simd driver"
+                c_native.data, c_superword.data,
+                "{mr}x{nr} on {m}x{n}x{k}: native (default) vs pinned-superword driver"
             );
             assert_eq!(
                 run(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Tape)).data,
                 c_tape.data,
                 "{mr}x{nr} on {m}x{n}x{k}: the programmatic pin is the dedicated pin through the driver"
             );
-            assert_eq!(c_simd.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: simd vs tape driver");
+            assert_eq!(c_superword.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: superword vs tape driver");
 
             let c_ref = run_naive(&a, &b, &c0);
-            for idx in 0..c_simd.data.len() {
+            for idx in 0..c_superword.data.len() {
                 assert_eq!(
-                    c_simd.data[idx].to_bits(),
+                    c_superword.data[idx].to_bits(),
                     c_ref.data[idx].to_bits(),
                     "{mr}x{nr} on {m}x{n}x{k} mismatch at {idx}: {} vs {}",
-                    c_simd.data[idx],
+                    c_superword.data[idx],
                     c_ref.data[idx]
                 );
             }
@@ -195,8 +190,8 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 /// programmatically with `with_backend` or by the dedicated `exo_kernel_*`
 /// constructor — run one-shot through `KernelImpl::run` and through a
 /// reusable `dispatcher()` handle lands on the tier the one resolution
-/// function names, and the tiers hold their contract: native ≡ simd ≡
-/// tape ≡ interp bit for bit (native without a body *is* simd).
+/// function names, and the tiers hold their contract: native ≡ superword
+/// ≡ tape ≡ interp bit for bit (native without a body *is* superword).
 #[test]
 fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
     use ExecBackend::*;
@@ -209,7 +204,7 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let results: Vec<Vec<f32>> = [
                 (Native, exo_kernel(Arc::clone(&kernel))),
-                (Simd, exo_kernel_simd(Arc::clone(&kernel))),
+                (Superword, exo_kernel_superword(Arc::clone(&kernel))),
                 (Tape, exo_kernel_tape(Arc::clone(&kernel))),
             ]
             .into_iter()
@@ -218,7 +213,7 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
                 assert_eq!(dedicated.backend, pin, "{label}");
                 // A pin resolves to itself — except native without a body.
                 let resolved = match pin {
-                    Native if !has_native => Simd,
+                    Native if !has_native => Superword,
                     tier => tier,
                 };
                 assert_eq!(kernel.dispatcher(pin).tier(), resolved, "{label}");
@@ -239,14 +234,14 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
                 c
             })
             .collect();
-            let [c_native, c_simd, c_tape] = &results[..] else { unreachable!() };
+            let [c_native, c_superword, c_tape] = &results[..] else { unreachable!() };
             assert_eq!(
                 c_tape,
                 &interpret(&kernel.proc, kc, &a, &b, &c0),
                 "{mr}x{nr} kc={kc}: tape vs interp"
             );
-            assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native vs simd");
-            assert_eq!(c_simd, c_tape, "{mr}x{nr} kc={kc}: simd vs tape");
+            assert_eq!(c_native, c_superword, "{mr}x{nr} kc={kc}: native vs superword");
+            assert_eq!(c_superword, c_tape, "{mr}x{nr} kc={kc}: superword vs tape");
         }
     }
 }
@@ -300,7 +295,7 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
         let c0 = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
         for (label, kimpl) in [
             ("native", exo_kernel(Arc::clone(&kernel))),
-            ("simd", exo_kernel_simd(Arc::clone(&kernel))),
+            ("superword", exo_kernel_superword(Arc::clone(&kernel))),
             ("tape", exo_kernel_tape(Arc::clone(&kernel))),
         ] {
             let mut c_seq = c0.clone();
@@ -330,29 +325,53 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
     }
 }
 
-/// The ISA axis of the differential suite: for every registry shape and
-/// every vector ISA the host can run, the chain compiled *for that ISA*
-/// (via `SimdKernel::compile_for`, independent of the `EXO_ISA` pin) must
-/// compute the reference interpreter's bits.
+/// The ISA axis of the differential suite: for every ISA row this host can
+/// run, the native body the build compiled *for that row* (looked up with
+/// `exo_aot::engine().compile`, independent of the `EXO_ISA` pin) computes
+/// the superword interpreter's bits, which are the reference
+/// interpreter's, on every admitted tile — the Neon library's on every
+/// row, the AVX-512 library's on the avx512 row, the one whose serving
+/// space holds them. A build with no C compiler has no bodies, and only
+/// the interpreter's half runs.
 #[test]
 fn every_available_isa_matches_superword_across_registry_shapes() {
-    let generator = MicroKernelGenerator::new(neon_f32());
+    use exo_gemm::exo_aot::engine;
     let mut cases = Cases::new(0x15a5);
     let isas: Vec<IsaKind> = IsaKind::ALL.iter().copied().filter(|isa| isa.available()).collect();
-    assert!(isas.contains(&IsaKind::Scalar), "the scalar reference is available on every host");
-    for (mr, nr) in KernelSet::paper_shapes() {
-        let kernel = generator.generate(mr, nr).unwrap();
-        let sw = &kernel.superword;
-        for &isa in &isas {
-            let chain = SimdKernel::compile_for(Arc::clone(sw), isa)
-                .unwrap_or_else(|| panic!("{mr}x{nr}: {isa} is available but declined the chain"));
-            assert_eq!(chain.isa(), isa);
-            for kc in [0usize, 1, 2, 17, 64] {
-                let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
-                let mut c_chain = c0.clone();
-                chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
-                let want = interpret(&kernel.proc, kc, &a, &b, &c0);
-                assert_eq!(c_chain, want, "{mr}x{nr} kc={kc}: {isa} vs the interpreter");
+    assert!(isas.contains(&IsaKind::Scalar), "the scalar row is available on every host");
+    let mut kernels: Vec<(GeneratedKernel, Vec<IsaKind>)> = Vec::new();
+    for (generator, rows) in [
+        (MicroKernelGenerator::new(neon_f32()), isas.clone()),
+        (MicroKernelGenerator::new(avx512_f32()), vec![IsaKind::Avx512]),
+    ] {
+        for tile in generator.admitted_tiles() {
+            let rows = rows.iter().copied().filter(|isa| isa.available()).collect();
+            kernels.push((generator.generate(tile.mr, tile.nr).unwrap(), rows));
+        }
+    }
+    for (kernel, rows) in &kernels {
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        let label = format!("{} {mr}x{nr}", kernel.isa_name);
+        let bodies: Vec<_> = rows
+            .iter()
+            .filter_map(|&isa| match engine().compile(&kernel.superword, isa) {
+                Ok(native) => Some((isa, native)),
+                Err(e) => {
+                    assert!(!native_available(), "{label}: the build compiled the {isa} row, but: {e}");
+                    None
+                }
+            })
+            .collect();
+        for kc in [0usize, 1, 2, 17, 64] {
+            let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
+            let mut c_superword = c0.clone();
+            kernel.superword.run_packed(kc, &a, &b, &mut c_superword).unwrap();
+            assert_eq!(c_superword, interpret(&kernel.proc, kc, &a, &b, &c0), "{label} kc={kc}: superword");
+            for (isa, native) in &bodies {
+                assert_eq!(native.isa(), *isa);
+                let mut c_native = c0.clone();
+                native.run_packed(kc, &a, &b, &mut c_native).unwrap();
+                assert_eq!(c_native, c_superword, "{label} kc={kc}: the {isa} body vs superword");
             }
         }
     }
@@ -405,41 +424,6 @@ fn admitted_tiles_keep_every_accumulator_in_whole_vectors_of_the_executing_isa()
                     tile.mr,
                     tile.nr
                 );
-            }
-        }
-    }
-}
-
-/// Every serving tile taller than one row — lane-indexed (the Neon
-/// library's laneq tiles) or broadcast-B (AVX-512's 16x16) — runs its `k`
-/// loop as one fused closure on the chain: operand stage loads and the
-/// whole accumulator tile behind a single indirect call per iteration,
-/// whatever the tile's height is in vectors of the executing ISA. This is
-/// the tier a build without a C compiler serves on. The chain compiler is host-independent up to the impl it is
-/// monomorphised for, so every ISA this host can run compiles its own
-/// serving tiles and AVX-512's.
-#[test]
-fn every_lane_indexed_serving_tile_fuses_its_k_loop_on_the_chain() {
-    for isa in IsaKind::ALL.into_iter().filter(|isa| isa.available()) {
-        let mut spaces = vec![DesignSpace::serving(isa)];
-        if isa != IsaKind::Avx512 {
-            spaces.push(DesignSpace::serving(IsaKind::Avx512));
-        }
-        for space in spaces {
-            let generator = MicroKernelGenerator::new(space.isa().clone());
-            for tile in space.tile_shapes() {
-                if tile.mr == 1 {
-                    continue; // row kernels broadcast `A` once per `k`: one op, nothing to fuse
-                }
-                let label = format!("{} {}x{} on {isa}", space.isa().name, tile.mr, tile.nr);
-                let kernel = generator.generate(tile.mr, tile.nr).unwrap();
-                let chain = SimdKernel::compile_for(Arc::clone(&kernel.superword), isa).unwrap();
-                assert!(chain.fused_tile_count() >= 1, "{label}: no fused accumulator tile: {chain:?}");
-                // C in (zeroing, load), one zeroing per staged operand (`A`
-                // and `B` for laneq, `A` for broadcast-B), the `k` loop's
-                // single node, C out: nothing left unfused inside the loop.
-                let staged = if tile.strategy == Strategy::Laneq { 2 } else { 1 };
-                assert_eq!(chain.step_count(), 4 + staged, "{label}: {chain:?}");
             }
         }
     }
@@ -573,7 +557,8 @@ fn every_admitted_avx512_tile_emits_the_c_it_did_from_the_same_tape() {
 /// have their native kernel on the first `native()` call, built for the
 /// active ISA. A tile outside the admitted spaces — the scalar-strategy
 /// 3x5 — misses: `native()` answers `None`, the engine counts the miss, and
-/// its driver, asked for the native tier, runs the simd chain's bits. On a
+/// its driver, asked for the native tier, runs the superword interpreter's
+/// bits. On a
 /// build that found no C compiler every tile misses the same way.
 #[test]
 fn every_serving_tile_resolves_native_on_the_first_call_and_an_odd_tile_misses() {
@@ -615,8 +600,8 @@ fn every_serving_tile_resolves_native_on_the_first_call_and_an_odd_tile_misses()
         (c.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), stats.tier)
     };
     let (native_bits, tier) = run(exo_kernel(Arc::clone(&odd)));
-    assert_eq!(tier, Some(ExecBackend::Simd), "a miss serves on the simd chain");
-    assert_eq!(native_bits, run(exo_kernel_simd(Arc::clone(&odd))).0, "with the simd chain's bits");
+    assert_eq!(tier, Some(ExecBackend::Superword), "a miss serves on the superword interpreter");
+    assert_eq!(native_bits, run(exo_kernel_superword(Arc::clone(&odd))).0, "with the interpreter's bits");
 }
 
 /// A canary for the helpers the x86 preludes define in place of
@@ -668,6 +653,56 @@ fn every_x86_serving_tile_emits_c_that_compiles_without_a_warning() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+/// The superword tier's failure contract on packed views the bounds proof
+/// declines — a `Bc` one element short, a `C` one element short: the
+/// interpreter returns the tape's `OutOfBounds`, at the tape's index, after
+/// the tape's partial stores (a staged `C` tile stores nothing before the
+/// fault), and does not panic; one-shot and through one reused handle,
+/// whose next, well-formed call computes the tape's bits.
+fn fails_like_the_tape(label: &str, sw: &Arc<SuperwordKernel>, mr: usize, nr: usize) {
+    let kc = 17usize;
+    let mut cases = Cases::new(0xbad);
+    let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
+    let mut handle = sw.dispatcher();
+    for (what, b_len, c_len) in [("short Bc", kc * nr - 1, mr * nr), ("short C", kc * nr, mr * nr - 1)] {
+        assert!(!sw.packed_bounds_provable(kc, a.len(), b_len, c_len), "{label} {what}: the proof declines");
+        let run = |exec: &mut dyn FnMut(&mut [TensorView<'_>]) -> Result<(), CodegenError>| {
+            let mut c = c0[..c_len].to_vec();
+            let outcome =
+                exec(&mut [TensorView::Ro(&a), TensorView::Ro(&b[..b_len]), TensorView::Rw(&mut c)]);
+            (outcome, c)
+        };
+        let (want, c_tape) = run(&mut |views| sw.tape().run_views(&[kc as i64], views));
+        assert!(matches!(want, Err(CodegenError::OutOfBounds { .. })), "{label} {what}: {want:?}");
+        let one_shot = run(&mut |views| sw.run_views(&[kc as i64], views));
+        assert_eq!(one_shot, (want.clone(), c_tape.clone()), "{label} {what}: one-shot");
+        let handled = run(&mut |views| handle.run_views(&[kc as i64], views));
+        assert_eq!(handled, (want, c_tape), "{label} {what}: through the handle");
+    }
+    let (mut c_handle, mut c_tape) = (c0.clone(), c0.clone());
+    handle.run_packed(kc, &a, &b, &mut c_handle).unwrap();
+    sw.tape().run_packed(kc, &a, &b, &mut c_tape).unwrap();
+    assert_eq!(c_handle, c_tape, "{label}: a failed call leaves nothing behind in the handle");
+}
+
+/// [`fails_like_the_tape`] on the lane-indexed FMA form (`VFmaLane`): the
+/// generated Neon 8x12.
+#[test]
+fn the_superword_tier_fails_like_the_tape_on_the_laneq_8x12() {
+    let kernel = MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap();
+    assert_eq!(kernel.strategy, Strategy::Laneq);
+    fails_like_the_tape("laneq 8x12", &kernel.superword, 8, 12);
+}
+
+/// [`fails_like_the_tape`] on the broadcast-from-memory FMA form
+/// (`VFmaBcast`): the generated AVX-512 16x16.
+#[test]
+fn the_superword_tier_fails_like_the_tape_on_the_avx512_broadcast_16x16() {
+    let kernel = MicroKernelGenerator::new(avx512_f32()).generate(16, 16).unwrap();
+    assert_eq!(kernel.strategy, Strategy::BroadcastB);
+    fails_like_the_tape("broadcast 16x16", &kernel.superword, 16, 16);
+}
+
 /// No GEMM in this tree reaches the checked reference: the exact-shape call
 /// `TierDispatch::run` admits (`Ac[kc*mr]`, `Bc[kc*nr]`, `C[mr*nr]`)
 /// passes the interval proof for every tile of the whole space at every
@@ -693,10 +728,10 @@ fn every_exact_shape_call_is_provable_so_no_gemm_reaches_the_checked_tape() {
 }
 
 /// The fringe axis: a staged kernel whose lane runs (6 and 3) are *not*
-/// multiples of any native vector width, so no chain may fuse them into a
-/// tile and each finishes its runs below its widest shape (one whole
-/// `float32x4_t` / `__m128` plus two fused scalar lanes per 6-lane run).
-/// Every available ISA must still compute the interpreter's bits.
+/// multiples of any native vector width, so every ISA row's emitted C
+/// finishes its runs below its widest shape (one whole `float32x4_t` /
+/// `__m128` plus two fused scalar lanes per 6-lane run), and the superword
+/// interpreter, the same on every ISA, computes the interpreter's bits.
 #[test]
 fn fringe_lane_runs_finish_in_narrower_shapes_and_scalar_lanes_on_every_isa() {
     use exo_gemm::exo_ir::builder::*;
@@ -782,15 +817,20 @@ fn fringe_lane_runs_finish_in_narrower_shapes_and_scalar_lanes_on_every_isa() {
     assert!(sw.vector_op_count() > 0, "the 6-lane staged tiles must pack whole-vector ops");
     let (mr, nr) = (mr as usize, nr as usize);
     let mut cases = Cases::new(0xf41e);
-    for isa in IsaKind::ALL.iter().copied().filter(|isa| isa.available()) {
-        let chain = SimdKernel::compile_for(Arc::clone(&sw), isa)
-            .unwrap_or_else(|| panic!("{isa} declined the fringe kernel"));
-        for kc in [0usize, 1, 2, 17, 64] {
-            let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
-            let mut c_chain = c0.clone();
-            chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
-            let want = interpret(&p, kc, &a, &b, &c0);
-            assert_eq!(c_chain, want, "fringe {mr}x{nr} kc={kc}: {isa} vs the interpreter");
+    for kc in [0usize, 1, 2, 17, 64] {
+        let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
+        let mut c_superword = c0.clone();
+        sw.run_packed(kc, &a, &b, &mut c_superword).unwrap();
+        let want = interpret(&p, kc, &a, &b, &c0);
+        assert_eq!(c_superword, want, "fringe {mr}x{nr} kc={kc}: superword vs the interpreter");
+    }
+    for isa in IsaKind::ALL {
+        let c = emit_superword_c(&sw, isa, "k").unwrap();
+        let c = &c[c.find("\nvoid ").expect("one kernel function")..];
+        assert!(c.contains("= fmaf(reg["), "{isa}: scalar lanes finish the runs:\n{c}");
+        for v in [16, 8, 4].into_iter().filter(|&lanes| lanes <= isa.lanes()) {
+            let fma = if isa == IsaKind::Neon { "vfmaq_f32(".to_string() } else { format!("exo_fma{v}(") };
+            assert_eq!(c.contains(&fma), v == 4, "{isa}: a 6-lane run holds one 4-lane vector:\n{c}");
         }
     }
 }
@@ -816,9 +856,10 @@ fn the_active_isa_is_the_native_one_unless_pinned() {
             assert_eq!(active, widest, "an unpinned run selects the widest ISA the host can run");
         }
     }
-    // The generator's chains report the same selection.
+    // A generated kernel's native body, where the build compiled one, is
+    // the selection's.
     let kernel = MicroKernelGenerator::new(neon_f32()).generate(4, 4).unwrap();
-    assert_eq!(kernel.simd.isa(), active);
+    assert!(kernel.native().is_none_or(|native| native.isa() == active));
 }
 
 /// The native-tier probe the CI toolchain legs assert against. With a C
@@ -829,11 +870,12 @@ fn the_active_isa_is_the_native_one_unless_pinned() {
 /// (`EXO_CC=/nonexistent/cc` for the build on the poisoned leg, or a
 /// genuinely bare build host), the tier must vanish without a single error
 /// surfacing: `native_available()` is false, no body exists, and the
-/// Native entry points still answer — running the simd chain, bit for bit.
+/// Native entry points still answer — running the superword interpreter,
+/// bit for bit.
 #[test]
 fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
     assert_eq!(ExecBackend::default(), ExecBackend::Native, "Native is the top of the default ladder");
-    assert_eq!(ExecBackend::Native.degraded(), Some(ExecBackend::Simd), "and degrades onto simd");
+    assert_eq!(ExecBackend::Native.degraded(), Some(ExecBackend::Superword), "and degrades onto superword");
     let kernel = Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap());
     match toolchain() {
         Some(tc) => {
@@ -851,16 +893,16 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
     }
     // Both probe branches continue here: the packed entry point and the
     // full driver under an explicit `Native` pin answer identically to
-    // the simd chain, so a build without a compiler is invisible except in
-    // speed.
+    // the superword interpreter, so a build without a compiler is
+    // invisible except in speed.
     let mut cases = Cases::new(0xaa07);
     for kc in [0usize, 1, 7, 33] {
         let (a, b, c0) = packed_operands(8, 12, kc, &mut cases);
         let mut c_native = c0.clone();
         kernel.dispatcher(ExecBackend::Native).run(kc, &a, &b, &mut c_native).unwrap();
-        let mut c_simd = c0.clone();
-        kernel.simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
-        assert_eq!(c_native, c_simd, "kc={kc}: native entry point vs simd chain");
+        let mut c_superword = c0.clone();
+        kernel.superword.run_packed(kc, &a, &b, &mut c_superword).unwrap();
+        assert_eq!(c_native, c_superword, "kc={kc}: native entry point vs superword interpreter");
     }
     let blocking = BlockingParams { mc: 16, kc: 8, nc: 24, mr: 8, nr: 12 };
     for &(m, n, k) in &[(37usize, 29usize, 23usize), (8, 60, 9)] {
@@ -872,11 +914,14 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
             .with_kernel(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Native))
             .gemm(GemmProblem::new(a.view(), b.view(), c_native.view_mut()))
             .unwrap();
-        let mut c_simd = c0.clone();
+        let mut c_superword = c0.clone();
         BlisGemm::new(blocking)
-            .with_kernel(exo_kernel_simd(Arc::clone(&kernel)))
-            .gemm(GemmProblem::new(a.view(), b.view(), c_simd.view_mut()))
+            .with_kernel(exo_kernel_superword(Arc::clone(&kernel)))
+            .gemm(GemmProblem::new(a.view(), b.view(), c_superword.view_mut()))
             .unwrap();
-        assert_eq!(c_native.data, c_simd.data, "{m}x{n}x{k}: Native pin vs simd pin through the driver");
+        assert_eq!(
+            c_native.data, c_superword.data,
+            "{m}x{n}x{k}: Native pin vs superword pin through the driver"
+        );
     }
 }

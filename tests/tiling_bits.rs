@@ -9,7 +9,7 @@
 //! equals `BlisGemm` with the fixed Neon 8x12 on the analytical blocking
 //! — and `NaiveGemm`'s plain loops — **bit for bit**, on every ISA
 //! (`EXO_ISA=scalar` included), whichever of the native body and the
-//! simd chain runs a call. Nor does it depend on where the caller's
+//! superword interpreter runs a call. Nor does it depend on where the caller's
 //! operands start relative to a cache line, nor on whether a GEMM ran alone
 //! or stacked with the other entries of a batch that share its `B`.
 
