@@ -428,7 +428,7 @@ fn packed(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
 /// (subject) against the hand-written one, [`SOLO_BURST`] back-to-back
 /// `kc`-deep updates a burst.
 fn solo(native: &Arc<SimdKernel>, kc: usize) -> Paired {
-    let mut dispatch = native.dispatcher();
+    let mut dispatch = TierDispatch::native(Arc::clone(native), 8, 12).expect("the 8x12's packed signature");
     let (a, b, mut c_exo) = packed(8, 12, kc);
     let mut c_hand = c_exo.clone();
     // The warming burst also pays the proof memo.
@@ -436,7 +436,7 @@ fn solo(native: &Arc<SimdKernel>, kc: usize) -> Paired {
         for _ in 0..SOLO_BURST {
             match side {
                 Side::Subject => dispatch
-                    .run_packed(kc, black_box(&a), black_box(&b), &mut c_exo)
+                    .run(kc, black_box(&a), black_box(&b), &mut c_exo)
                     .expect("solo micro-kernel call"),
                 // SAFETY: an AVX2 body was promoted only where
                 // `IsaKind::Avx2.available()`: the CPU reports AVX2 and FMA.
@@ -455,7 +455,10 @@ fn solo(native: &Arc<SimdKernel>, kc: usize) -> Paired {
 /// burst each. Returns the pair and the ratio of their rates (the bursts
 /// differ in flops by the tiles' areas).
 fn solo512(subject: &Promoted, reference: &Promoted) -> (Paired, f64) {
-    let setup = |p: &Promoted| (p.native.dispatcher(), packed(p.mr, p.nr, SOLO512_KC));
+    let setup = |p: &Promoted| {
+        let dispatch = TierDispatch::native(Arc::clone(&p.native), p.mr, p.nr).expect("a packed signature");
+        (dispatch, packed(p.mr, p.nr, SOLO512_KC))
+    };
     let (mut sub, (sub_a, sub_b, mut sub_c)) = setup(subject);
     let (mut re, (re_a, re_b, mut re_c)) = setup(reference);
     let paired = alternate(SOLO_PAIRS, |side| {
@@ -464,9 +467,7 @@ fn solo512(subject: &Promoted, reference: &Promoted) -> (Paired, f64) {
             Side::Reference => (&mut re, &re_a, &re_b, &mut re_c),
         };
         for _ in 0..SOLO_BURST {
-            dispatch
-                .run_packed(SOLO512_KC, black_box(a), black_box(b), c)
-                .expect("solo512 micro-kernel call");
+            dispatch.run(SOLO512_KC, black_box(a), black_box(b), c).expect("solo512 micro-kernel call");
         }
     });
     let rate_ratio = paired.ratio * (subject.mr * subject.nr) as f64 / (reference.mr * reference.nr) as f64;

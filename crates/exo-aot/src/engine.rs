@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use exo_codegen::{emit_superword_c, Countdown, IsaKind, SimdKernel, SuperwordKernel, TensorView};
+use exo_codegen::{
+    emit_superword_c, Countdown, IsaKind, SimdKernel, SuperwordKernel, TensorView, TierDispatch,
+};
 
 use crate::error::{AotError, Result};
 use crate::toolchain::{installed_bodies, NativeBody, KERNEL_SYMBOL};
@@ -144,7 +146,8 @@ impl AotEngine {
         // binary, so it stays callable for good.
         let outcome = unsafe { SimdKernel::from_compiled(Arc::clone(source), isa, body.body) }
             .map_err(AotError::from)
-            .and_then(|kernel| verify(&self.counters, key, &kernel).map(|()| Arc::new(kernel)));
+            .map(Arc::new)
+            .and_then(|kernel| verify(&self.counters, key, &kernel).map(|()| kernel));
         let counter =
             if outcome.is_ok() { &self.counters.verified_promotions } else { &self.counters.builds_failed };
         counter.fetch_add(1, Ordering::SeqCst);
@@ -158,8 +161,13 @@ impl AotEngine {
 /// trusts no proof — bit for bit: every tier computes the same fused
 /// arithmetic, so one differing bit is a wrong result, and the key is
 /// pinned to the superword tier terminally.
-fn verify(counters: &EngineCounters, key: u64, kernel: &SimdKernel) -> Result<()> {
+fn verify(counters: &EngineCounters, key: u64, kernel: &Arc<SimdKernel>) -> Result<()> {
     let sw = kernel.source();
+    let no_shape = || AotError::Unsupported { what: "a kernel with no derivable probe shape".into() };
+    // The probe calls the body through the tier handle's views door, whose
+    // tile is the extents one `KC` step of `Ac` and `Bc` covers.
+    let (mr, nr, _) = sw.packed_probe_lens(1).ok_or_else(no_shape)?;
+    let mut handle = TierDispatch::native(Arc::clone(kernel), mr, nr)?;
     // Deterministic seeded operands (xorshift64*), identical on every
     // verification of this key.
     let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ key;
@@ -171,9 +179,7 @@ fn verify(counters: &EngineCounters, key: u64, kernel: &SimdKernel) -> Result<()
     };
     let mut mismatch = false;
     for kc in PROBE_KCS {
-        let (ac_len, bc_len, c_len) = sw
-            .packed_probe_lens(kc)
-            .ok_or_else(|| AotError::Unsupported { what: "a kernel with no derivable probe shape".into() })?;
+        let (ac_len, bc_len, c_len) = sw.packed_probe_lens(kc).ok_or_else(no_shape)?;
         if !sw.packed_bounds_provable(kc, ac_len, bc_len, c_len) {
             // A declined proof would route the call below to the checked
             // reference, and the probe would compare the reference with
@@ -185,7 +191,10 @@ fn verify(counters: &EngineCounters, key: u64, kernel: &SimdKernel) -> Result<()
         let mut c_native: Vec<f32> = (0..c_len).map(|_| next()).collect();
         let mut c_ref = c_native.clone();
         // Admitted by the proof just checked, so this runs the body.
-        kernel.run_packed(kc, &ac, &bc, &mut c_native)?;
+        handle.run_views(
+            &[kc as i64],
+            &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_native)],
+        )?;
         let views = &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_ref)];
         sw.run_checked(&[kc as i64], views).map_err(|e| AotError::Unsupported {
             what: format!("a probe the checked reference declines ({e})"),

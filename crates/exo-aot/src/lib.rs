@@ -24,9 +24,11 @@
 //!    counted. Both
 //!    verdicts are settled synchronously, once per key per process.
 //! 4. **Dispatch** — the body is the unchecked body of an
-//!    [`exo_codegen::SimdKernel`], so every call is guarded by the same
-//!    proved-call site — the same memoised affine-interval bounds proof,
-//!    the same checked reference on a decline.
+//!    [`exo_codegen::SimdKernel`], run through an
+//!    [`exo_codegen::TierDispatch`] (the probe's calls included), so every
+//!    call is guarded by the same proved-call site — the same memoised
+//!    affine-interval bounds proof, the same checked reference on a
+//!    decline.
 //!
 //! The compiled code is bit-identical to the superword interpreter, the tape
 //! and the reference interpreter: every FMA lane is one fused multiply-add
@@ -44,6 +46,5 @@ pub mod toolchain;
 pub use engine::{arm_wrong_result, content_hash, engine, AotEngine, AotStats};
 pub use error::{AotError, Result};
 pub use toolchain::{
-    compiler_diagnostics, install, native_available, parse_exo_cc, toolchain, NativeBody, NativeTable,
-    Toolchain, KERNEL_SYMBOL, MAX_DIAGNOSTICS,
+    install, native_available, toolchain, NativeBody, NativeTable, Toolchain, KERNEL_SYMBOL,
 };

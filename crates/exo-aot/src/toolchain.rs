@@ -52,38 +52,6 @@ pub struct Toolchain {
 
 static INSTALLED: OnceLock<&'static NativeTable> = OnceLock::new();
 
-/// Parses an `EXO_CC` value, which the `exo-kernels` build script reads:
-/// any non-blank string names a compiler.
-///
-/// # Errors
-///
-/// A blank value: it names no compiler.
-pub fn parse_exo_cc(value: &str) -> std::result::Result<String, String> {
-    let v = value.trim();
-    if v.is_empty() {
-        return Err(format!("`{value}` does not name a C compiler (expected e.g. `cc` or `/usr/bin/gcc`)"));
-    }
-    Ok(v.to_string())
-}
-
-/// The most bytes of a failing compile's diagnostics the `exo-kernels`
-/// build script reports.
-pub const MAX_DIAGNOSTICS: usize = 2000;
-
-/// A failing compiler's stderr as the `exo-kernels` build script reports
-/// it: decoded (bytes that are not UTF-8 become U+FFFD), without trailing
-/// white space, and cut to at most [`MAX_DIAGNOSTICS`] bytes on a character
-/// boundary.
-pub fn compiler_diagnostics(stderr: &[u8]) -> String {
-    let text = String::from_utf8_lossy(stderr);
-    let text = text.trim_end();
-    let mut end = text.len().min(MAX_DIAGNOSTICS);
-    while !text.is_char_boundary(end) {
-        end -= 1;
-    }
-    text[..end].to_string()
-}
-
 /// Installs the process's table of native bodies. The first call wins;
 /// `exo-kernels` makes it at load time.
 pub fn install(table: &'static NativeTable) {
@@ -142,29 +110,5 @@ mod tests {
         let tc = toolchain().expect("the installed table's compiler");
         assert_eq!((tc.cc.as_str(), tc.version.as_str()), ("cc-under-test", "cc-under-test 1.0"));
         assert!(native_available());
-    }
-
-    #[test]
-    fn blank_exo_cc_is_a_parse_error_and_nonblank_is_trimmed() {
-        assert!(parse_exo_cc("   ").is_err());
-        assert_eq!(parse_exo_cc(" gcc ").unwrap(), "gcc");
-    }
-
-    #[test]
-    fn a_blank_exo_cc_panics_with_the_variable_name() {
-        // The same contract the other `EXO_*` overrides are tested to:
-        // set-but-unparseable panics with `"{var}: {description}"`. Uses a
-        // private cell so no process-wide verdict is disturbed.
-        std::env::set_var("EXO_CC_TEST_BLANK", "  ");
-        let cell: OnceLock<Option<String>> = OnceLock::new();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exo_codegen::env_once(&cell, "EXO_CC_TEST_BLANK", parse_exo_cc)
-        }))
-        .expect_err("a blank EXO_CC must panic");
-        let message = payload.downcast_ref::<String>().expect("panic carries the formatted message");
-        assert!(
-            message.starts_with("EXO_CC_TEST_BLANK: ") && message.contains("does not name a C compiler"),
-            "got: {message}"
-        );
     }
 }

@@ -14,7 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use exo_aot::{AotEngine, AotError, NativeBody};
-use exo_codegen::{active_isa, IsaKind, PackedKernelFn, SuperwordKernel, TensorView};
+use exo_codegen::{
+    active_isa, IsaKind, PackedKernelFn, SimdKernel, SuperwordKernel, TensorView, TierDispatch,
+};
 use exo_ir::builder::*;
 use exo_ir::{Expr, MemSpace, ScalarType};
 // Linked for its table of native bodies, installed before `main`.
@@ -118,6 +120,11 @@ fn packed_inputs(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f3
     (a, b, c0)
 }
 
+/// A tier handle on a promoted body of an `mr x nr` kernel.
+fn handle(native: &Arc<SimdKernel>, mr: usize, nr: usize) -> TierDispatch {
+    TierDispatch::native(Arc::clone(native), mr, nr).unwrap()
+}
+
 /// The generated Neon 8x12: a tile the table holds a body for on every ISA
 /// row the build compiled.
 fn generated_8x12() -> Arc<SuperwordKernel> {
@@ -213,7 +220,7 @@ fn native_agrees_with_the_superword_interpreter_on_the_matching_isa() {
             for &kc in &[0usize, 1, 2, 17, 64] {
                 let (a, b, c0) = packed_inputs(8, 12, kc);
                 let mut c_native = c0.clone();
-                native.run_packed(kc, &a, &b, &mut c_native).unwrap();
+                handle(&native, 8, 12).run(kc, &a, &b, &mut c_native).unwrap();
                 let mut c_superword = c0.clone();
                 sw.run_packed(kc, &a, &b, &mut c_superword).unwrap();
                 // Both tiers fuse every FMA lane individually: bit
@@ -233,11 +240,11 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     let _serial = serial();
     let sw = staged_superword(8, 4);
     let native = engine_with(&sw, active_isa(), fused).compile(&sw, active_isa()).unwrap();
-    let mut dispatch = native.dispatcher();
+    let mut dispatch = handle(&native, 8, 4);
     let kc = 17usize;
     let (a, b, c0) = packed_inputs(8, 4, kc);
     let mut c_hot = c0.clone();
-    dispatch.run_packed(kc, &a, &b, &mut c_hot).unwrap();
+    dispatch.run(kc, &a, &b, &mut c_hot).unwrap();
     let mut c_ref = c0.clone();
     sw.run_packed(kc, &a, &b, &mut c_ref).unwrap();
     // The body and the superword interpreter fuse identically: bit
@@ -245,16 +252,19 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     assert_eq!(c_hot, c_ref);
 
     assert_eq!(dispatch.memoised_proofs(), 1);
-    dispatch.run_packed(kc, &a, &b, &mut c_hot).unwrap();
+    dispatch.run(kc, &a, &b, &mut c_hot).unwrap();
     assert_eq!(dispatch.memoised_proofs(), 1, "the second call recalls the first one's proof");
 
-    // Claim kc = 1000 over short operands: the proof declines, the call
-    // routes to the checked reference, and the error is the tape's — by
-    // the same route through the handle and the one-shot native entry
-    // point, and the superword interpreter finds it too.
-    let err = dispatch.run_packed(1000, &a, &b, &mut c_hot);
+    // Claim kc = 1000 over short operands through the handle's views door:
+    // the proof declines, the call routes to the checked reference, and the
+    // error is the tape's — by the same route through the handle and a
+    // fresh one, and the superword interpreter finds it too.
+    let claim = |dispatch: &mut TierDispatch, c: &mut [f32]| {
+        dispatch.run_views(&[1000], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(c)])
+    };
+    let err = claim(&mut dispatch, &mut c_hot);
     assert!(err.is_err(), "an unprovable call must take the checked path and report");
-    assert_eq!(err, native.run_packed(1000, &a, &b, &mut c_hot.clone()));
+    assert_eq!(err, claim(&mut handle(&native, 8, 4), &mut c_hot.clone()));
     assert_eq!(err, sw.run_packed(1000, &a, &b, &mut c_hot.clone()));
 }
 
@@ -271,7 +281,7 @@ fn a_right_body_promotes_once_and_every_later_resolve_shares_it() {
     assert_eq!(engine.stats(), stats, "a later call probes nothing");
     let (a, b, c0) = packed_inputs(8, 4, 5);
     let (mut c_native, mut c_sw) = (c0.clone(), c0);
-    native.run_packed(5, &a, &b, &mut c_native).unwrap();
+    handle(&native, 8, 4).run(5, &a, &b, &mut c_native).unwrap();
     sw.run_checked(&[5], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)]).unwrap();
     assert_eq!(c_native, c_sw);
 }
@@ -351,7 +361,7 @@ fn a_missing_toolchain_is_a_typed_decline() {
             assert!(exo_aot::native_available());
             let (a, b, c0) = packed_inputs(8, 12, 13);
             let (mut c_native, mut c_sw) = (c0.clone(), c0);
-            k.run_packed(13, &a, &b, &mut c_native).unwrap();
+            handle(&k, 8, 12).run(13, &a, &b, &mut c_native).unwrap();
             sw.run_checked(&[13], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
                 .unwrap();
             assert_eq!(c_native, c_sw, "the table's body must match the checked reference bitwise");
@@ -382,7 +392,7 @@ fn a_second_engine_never_gets_the_first_ones_loaded_object_back() {
     assert!(Arc::ptr_eq(&native_a, &a.compile(&sw, isa).unwrap()));
     let (ac, bc, c0) = packed_inputs(8, 4, 17);
     let (mut c_native, mut c_superword) = (c0.clone(), c0);
-    native_a.run_packed(17, &ac, &bc, &mut c_native).unwrap();
+    handle(&native_a, 8, 4).run(17, &ac, &bc, &mut c_native).unwrap();
     sw.run_packed(17, &ac, &bc, &mut c_superword).unwrap();
     assert_eq!(c_native, c_superword);
 }
@@ -412,25 +422,6 @@ fn a_persistently_failing_key_stops_at_the_attempt_cap() {
         }
         assert_eq!(engine.stats(), stats, "{tag}: a failed key must not be attempted again");
     }
-}
-
-#[test]
-fn a_failing_compilers_long_stderr_is_cut_on_a_char_boundary() {
-    // The build script reports a failing compile's stderr as a warning, cut
-    // to `MAX_DIAGNOSTICS` bytes. One ASCII byte, then 1000 three-byte `‘`:
-    // byte 2000 falls inside a character.
-    let mut stderr = b"x".to_vec();
-    for _ in 0..1000 {
-        stderr.extend_from_slice("\u{2018}".as_bytes());
-    }
-    let cut = exo_aot::compiler_diagnostics(&stderr);
-    assert_eq!(exo_aot::MAX_DIAGNOSTICS, 2000);
-    assert_eq!(cut.len(), 1999, "cut to the last whole character before byte 2000");
-    assert!(cut.starts_with('x') && cut[1..].chars().all(|c| c == '\u{2018}'), "{cut}");
-    // Short diagnostics pass whole, less the trailing newline; bytes that
-    // are not UTF-8 do not panic.
-    assert_eq!(exo_aot::compiler_diagnostics(b"k.c:1: error: boom\n"), "k.c:1: error: boom");
-    assert_eq!(exo_aot::compiler_diagnostics(b"\xff\xfe"), "\u{fffd}\u{fffd}");
 }
 
 #[test]

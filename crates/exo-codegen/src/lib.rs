@@ -23,15 +23,18 @@
 //!   runs them one at a time with every access checked, the same on every
 //!   host,
 //! * [`simd`] — the executing ISAs (AVX-512 and AVX2/FMA on x86_64, NEON on
-//!   aarch64, the scalar reference everywhere; pin one with `EXO_ISA`),
-//!   the strided mover the drivers pack with, and the one proved-call site
-//!   the ahead-of-time compiled body of the `exo-aot` tier
+//!   aarch64, the scalar reference everywhere; pin one with `EXO_ISA`) and
+//!   the strided mover the drivers pack with,
+//! * [`dispatch`] — the tier handle ([`TierDispatch`]) a GEMM engine calls
+//!   once per register tile, which owns its tier's state and holds the one
+//!   proved-call site the ahead-of-time compiled body of the `exo-aot` tier
 //!   ([`c::emit_superword_c`]) runs behind.
 
 #![warn(missing_docs)]
 
 pub mod asm;
 pub mod c;
+pub mod dispatch;
 pub mod env;
 pub mod error;
 pub mod simd;
@@ -41,11 +44,10 @@ pub mod trace;
 
 pub use asm::{count_mnemonics, emit_asm};
 pub use c::{emit_c, emit_superword_c};
+pub use dispatch::{ExecBackend, PackedKernelFn, SimdKernel, TierDispatch};
 pub use env::{env_once, Countdown};
 pub use error::{CodegenError, Result};
-pub use simd::{
-    active_isa, env_isa_override, simd_available, IsaKind, PackedKernelFn, SimdDispatch, SimdKernel,
-};
-pub use superword::{SuperwordDispatch, SuperwordKernel};
+pub use simd::{active_isa, env_isa_override, simd_available, IsaKind};
+pub use superword::SuperwordKernel;
 pub use tape::{compile, TapeKernel, TensorView};
 pub use trace::{extract_trace, summarise, KernelTrace, MachineOp};

@@ -1,6 +1,8 @@
-//! The executing ISAs and the one proved-call site of the workspace: the
-//! native bodies compiled from the superword lowering's C, the strided
-//! mover every driver packs with, and the runtime ISA selection both read.
+//! The executing ISAs: the rows the C emitter and the native build read,
+//! the strided mover every driver packs with, and the runtime ISA
+//! selection both read. The native bodies compiled from those rows run
+//! through the tier handle ([`crate::TierDispatch`]), which holds the
+//! workspace's one proved-call site.
 //!
 //! **Multi-ISA.** An executing ISA is said twice and no more: one
 //! target-independent *row* ([`IsaKind`]'s table — name, vector shapes
@@ -41,18 +43,6 @@
 //! per line of a strided region, again one body per impl (none on the
 //! scalar reference).
 //!
-//! **Selection and safety.** A [`SimdKernel`]'s body — the ahead-of-time
-//! compiled C the `exo-aot` tier hands in through
-//! [`SimdKernel::from_compiled`] — runs bounds-free and relies on exactly
-//! the proofs the superword lowering established: the construction-time
-//! register/loop-structure validation and the run-time affine-interval
-//! proof over the tensor addresses. `SimdKernel::run_proved` is the **one
-//! place** in the workspace that chooses between an unchecked body and
-//! the checked reference: proof admits → the body, proof declines →
-//! [`SuperwordKernel::run_checked`], the scalar tape the source was packed
-//! from. [`SimdDispatch`] owns the proof memo, so steady-state micro-tile
-//! dispatch re-proves and allocates nothing.
-//!
 //! **Bit compatibility.** Every lane of every packed FMA is one fused
 //! multiply-add, a single rounding at any vector width, and each
 //! accumulator sees its multiply-adds in the tape's order. So every body —
@@ -61,12 +51,9 @@
 //! (`exo_ir::interp::run_proc`), and the differential suites demand exact
 //! equality on every ISA row.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::env::env_once;
-use crate::error::Result;
-use crate::superword::{ProofMemo, SuperwordKernel};
-use crate::tape::TensorView;
 
 /// The one kind → impl dispatch: evaluates `$body` with `$I` naming the
 /// `VectorIsa` impl of `$kind`, or `$none` on a build target that has no
@@ -471,253 +458,10 @@ pub fn simd_available() -> bool {
     active_isa().lanes() > 1
 }
 
-/// The packed micro-kernel C ABI `(KC, Ac, Bc, C)` — the signature of the
-/// function [`crate::emit_superword_c`] emits, and so of every
-/// ahead-of-time compiled body handed to [`SimdKernel::from_compiled`].
-pub type PackedKernelFn = unsafe extern "C" fn(i64, *const f32, *const f32, *mut f32);
-
-/// A validated superword kernel paired with the body compiled for one
-/// vector ISA from its C.
-///
-/// Obtained from [`SimdKernel::from_compiled`] — how the `exo-aot` native
-/// tier hands in a body compiled when the workspace was built. The body
-/// computes the bits of the superword interpreter, of the tape and of the
-/// reference interpreter, on every ISA, run and thread count. Every run
-/// goes through the one proved-call site, so a body changes speed, never
-/// results, safety or errors.
-pub struct SimdKernel {
-    source: Arc<SuperwordKernel>,
-    isa: IsaKind,
-    entry: PackedKernelFn,
-}
-
-impl std::fmt::Debug for SimdKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimdKernel")
-            .field("name", &self.source.name())
-            .field("isa", &self.isa.name())
-            .finish_non_exhaustive()
-    }
-}
-
-impl SimdKernel {
-    /// Pairs a superword kernel with ahead-of-time compiled code as its
-    /// unchecked body, behind the proved-call site (and the checked
-    /// reference on a declined proof).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CodegenError::BadArguments`] if `source` does not
-    /// have the packed `(KC, Ac, Bc, C)` signature `entry` is called with.
-    ///
-    /// # Safety
-    ///
-    /// `entry` must be the function [`crate::emit_superword_c`] emits for
-    /// `source` and `isa`, compiled for this host, and must stay callable
-    /// for as long as the kernel lives.
-    pub unsafe fn from_compiled(
-        source: Arc<SuperwordKernel>,
-        isa: IsaKind,
-        entry: PackedKernelFn,
-    ) -> Result<SimdKernel> {
-        source.tape().check_packed_signature()?;
-        Ok(SimdKernel { source, isa, entry })
-    }
-
-    /// The superword kernel this body was lowered from (the owner of the
-    /// proofs and of the checked reference).
-    pub fn source(&self) -> &Arc<SuperwordKernel> {
-        &self.source
-    }
-
-    /// The vector ISA this kernel's body targets — the reported-ISA probe
-    /// the cross-target CI asserts against.
-    pub fn isa(&self) -> IsaKind {
-        self.isa
-    }
-
-    /// Name of the source procedure.
-    pub fn name(&self) -> &str {
-        self.source.name()
-    }
-
-    /// Runs the kernel over borrowed tensor views, proving bounds for this
-    /// exact input first (one-shot entry point; the GEMM hot path uses
-    /// [`SimdDispatch`] instead, which memoises the proof).
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`SuperwordKernel::run_checked`]'s:
-    /// [`crate::CodegenError::BadArguments`] on an argument mismatch, and
-    /// [`crate::CodegenError::OutOfBounds`] from the checked reference when
-    /// the interval proof declines and an access indeed leaves its buffer.
-    pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.run_proved(scalars, tensors, &mut ProofMemo::default())
-    }
-
-    /// Runs the packed micro-kernel signature `(KC, Ac, Bc, C)`:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run_views`]: a call without the packed shape is an
-    /// argument mismatch there.
-    pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
-    }
-
-    /// A prove-once dispatch handle over this kernel (see [`SimdDispatch`]).
-    pub fn dispatcher(self: &Arc<Self>) -> SimdDispatch {
-        SimdDispatch::new(Arc::clone(self))
-    }
-
-    /// The one proved-call site: every run of a compiled body — one-shot
-    /// or through a dispatch handle — chooses here between that body and
-    /// the checked reference.
-    ///
-    /// `#[inline]` from here up to the packed entry points: this is the
-    /// per-micro-tile call, and inlining it into the packed callers (other
-    /// crates) lets their fixed one-scalar/three-tensor shape fold the
-    /// argument checks — about 10 ns per call, measured at small `KC`.
-    #[inline]
-    fn run_proved(
-        &self,
-        scalars: &[i64],
-        tensors: &mut [TensorView<'_>],
-        proofs: &mut ProofMemo,
-    ) -> Result<()> {
-        self.source.tape().validate_views(scalars, tensors)?;
-        if !proofs.admits(&self.source, scalars, tensors) {
-            // Declined (and memoised as declined): the scalar tape runs the
-            // call and reports what it finds.
-            return self.source.run_checked(scalars, tensors);
-        }
-        // `from_compiled` checked the one-scalar/three-tensor packed
-        // signature, and `validate_views` these counts against it, so `C`
-        // is the one written tensor and it is `Rw`. A read-only view's
-        // `*mut` is never written through.
-        let [ac, bc, c] = tensors else { unreachable!("validated: three tensors") };
-        let (ac, bc) = (ac.as_slice().as_ptr(), bc.as_slice().as_ptr());
-        let c = match c {
-            TensorView::Rw(c) => c.as_mut_ptr(),
-            TensorView::Ro(c) => c.as_ptr().cast_mut(),
-        };
-        // SAFETY: `entry` is the compiled C of the source kernel
-        // (`from_compiled`'s contract), whose construction proof covers
-        // every register operand and the loop structure; `admits` just
-        // certified (or recalled the certification of) every tensor access
-        // for these exact scalars and buffer lengths.
-        unsafe { (self.entry)(scalars[0], ac, bc, c) };
-        Ok(())
-    }
-}
-
-/// A prove-once dispatch handle: the per-worker reusable state of a
-/// [`SimdKernel`].
-///
-/// Owns the memoised affine-interval proof — one verdict per distinct
-/// `(scalars, buffer lengths)` tuple gates both the compiled body and,
-/// when it declines, the checked reference (identical error semantics) —
-/// so steady-state dispatch allocates nothing and re-proves nothing.
-/// Results are bit-for-bit identical to the one-shot entry points. Create
-/// one per worker thread (it is `Send`) and reuse it for every micro-tile.
-#[derive(Debug, Clone)]
-pub struct SimdDispatch {
-    kernel: Arc<SimdKernel>,
-    proofs: ProofMemo,
-}
-
-impl SimdDispatch {
-    /// Creates a dispatch handle.
-    pub fn new(kernel: Arc<SimdKernel>) -> Self {
-        SimdDispatch { kernel, proofs: ProofMemo::default() }
-    }
-
-    /// The kernel this handle dispatches.
-    pub fn kernel(&self) -> &SimdKernel {
-        &self.kernel
-    }
-
-    /// How many distinct `(scalars, buffer lengths)` proof inputs have
-    /// been memoised so far. A well-blocked GEMM sees only a handful.
-    pub fn memoised_proofs(&self) -> usize {
-        self.proofs.len()
-    }
-
-    /// Runs the kernel over borrowed tensor views, reusing the memoised
-    /// proof.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimdKernel::run_views`].
-    #[inline]
-    pub fn run_views(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.kernel.run_proved(scalars, tensors, &mut self.proofs)
-    }
-
-    /// Runs the packed `(KC, Ac, Bc, C)` micro-kernel signature, reusing
-    /// the memoised proof.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimdKernel::run_packed`].
-    #[inline]
-    pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CodegenError;
-    use crate::tape::compile as compile_proc;
-    use exo_ir::builder::*;
-    use exo_ir::{Expr, MemSpace, ScalarType};
     use std::collections::BTreeSet;
-
-    /// A packed-signature kernel that stores into C *inside* the KC loop
-    /// (`c[k] = ac[k] + bc[0]`), so a claimed KC past the buffers leaves
-    /// partial stores behind before the faulting access.
-    fn partial_stores_kernel() -> Arc<SuperwordKernel> {
-        let p = proc("partial")
-            .size_arg("KC")
-            .tensor_arg("Ac", ScalarType::F32, vec![var("KC")], MemSpace::Dram)
-            .tensor_arg("Bc", ScalarType::F32, vec![int(1)], MemSpace::Dram)
-            .tensor_arg("C", ScalarType::F32, vec![var("KC")], MemSpace::Dram)
-            .body(vec![for_(
-                "k",
-                0,
-                var("KC"),
-                vec![assign(
-                    "C",
-                    vec![var("k")],
-                    Expr::add(read("Ac", vec![var("k")]), read("Bc", vec![int(0)])),
-                )],
-            )])
-            .build();
-        Arc::new(Arc::new(compile_proc(&p).unwrap()).to_superword().unwrap())
-    }
-
-    /// A stand-in for ahead-of-time compiled code: a declined proof must
-    /// never reach it.
-    unsafe extern "C" fn never_called(_kc: i64, _ac: *const f32, _bc: *const f32, _c: *mut f32) {
-        panic!("an unchecked body ran on a call its proof declined");
-    }
-
-    /// ... and an admitted call must: this one leaves its mark in `C[0]`.
-    unsafe extern "C" fn marks_c0(kc: i64, _ac: *const f32, _bc: *const f32, c: *mut f32) {
-        *c = 42.0 + kc as f32;
-    }
-
-    /// `sw` with a stand-in body behind the proved-call site.
-    fn with_body(sw: &Arc<SuperwordKernel>, entry: PackedKernelFn) -> Arc<SimdKernel> {
-        // SAFETY: both stand-ins have the packed ABI and are plain
-        // functions (callable for good); `never_called` is only paired
-        // with calls its proof declines, and `marks_c0` writes only `C[0]`,
-        // which every admitted call (KC >= 1) owns.
-        Arc::new(unsafe { SimdKernel::from_compiled(Arc::clone(sw), active_isa(), entry) }.unwrap())
-    }
 
     #[test]
     fn the_scalar_isa_is_always_available_and_is_the_selection_floor() {
@@ -836,93 +580,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_declined_proof_takes_one_route_to_the_checked_reference_whatever_the_body() {
-        let sw = partial_stores_kernel();
-        let (ac, bc, c0) = (vec![1.0f32, 2.0, 3.0, 4.0, 5.0], vec![0.5f32], vec![-1.0f32; 8]);
-        // KC = 9 over a 5-element Ac: the load of Ac[5] faults after five
-        // stores landed.
-        let kc = 9usize;
-        let mut c_ref = c0.clone();
-        let want = sw
-            .tape()
-            .run_views(
-                &[kc as i64],
-                &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_ref)],
-            )
-            .unwrap_err();
-        assert_eq!(want, CodegenError::OutOfBounds { buf: "Arg(0)".into(), index: 5, len: 5 });
-        assert_eq!(&c_ref[..6], &[1.5, 2.5, 3.5, 4.5, 5.5, -1.0]);
-        // The superword interpreter needs no proof and checks every access
-        // itself: the same error after the same stores.
-        let mut c_interp = c0.clone();
-        assert_eq!(sw.run_packed(kc, &ac, &bc, &mut c_interp), Err(want.clone()));
-        assert_eq!(c_interp, c_ref, "the interpreter's partial stores");
-
-        for (label, kernel) in
-            [("never called", with_body(&sw, never_called)), ("marks", with_body(&sw, marks_c0))]
-        {
-            let mut c_one_shot = c0.clone();
-            assert_eq!(kernel.run_packed(kc, &ac, &bc, &mut c_one_shot), Err(want.clone()), "{label}");
-            assert_eq!(c_one_shot, c_ref, "{label}: partial stores of the one-shot run");
-            let mut dispatch = kernel.dispatcher();
-            for attempt in 0..2 {
-                let mut c = c0.clone();
-                assert_eq!(dispatch.run_packed(kc, &ac, &bc, &mut c), Err(want.clone()), "{label}");
-                assert_eq!(c, c_ref, "{label}: partial stores through the handle, attempt {attempt}");
-            }
-            assert_eq!(dispatch.memoised_proofs(), 1, "{label}: the declined verdict is memoised");
-        }
-
-        // The same site hands an *admitted* call to the compiled body.
-        let mut c = c0.clone();
-        with_body(&sw, marks_c0).run_packed(5, &ac, &bc, &mut c[..5]).unwrap();
-        assert_eq!(c[0], 47.0);
-    }
-
-    #[test]
-    fn out_of_bounds_falls_back_to_the_checked_loop_with_identical_errors() {
-        let sw = partial_stores_kernel();
-        let (ac, bc) = (vec![1.0f32; 9], vec![0.5f32]);
-        // Claim KC = 7 over a 2-element C: what the scalar tape itself
-        // reports, and the partial stores it leaves behind.
-        let mut c_tape = vec![0.0f32; 2];
-        let want = sw.tape().run_packed(7, &ac[..7], &bc, &mut c_tape);
-        assert_eq!(want, Err(CodegenError::OutOfBounds { buf: "Arg(2)".into(), index: 2, len: 2 }));
-        assert_eq!(c_tape, vec![1.5, 1.5]);
-        let kernel = with_body(&sw, marks_c0);
-        let mut dispatch = kernel.dispatcher();
-        let mut c = vec![0.0f32; 2];
-        assert_eq!(dispatch.run_packed(7, &ac[..7], &bc, &mut c), want);
-        assert_eq!(c, c_tape, "partial stores precede the error");
-        assert_eq!(dispatch.memoised_proofs(), 1);
-        // A `C` long enough is a second input, proved and handed to the body.
-        let mut c = vec![0.0f32; 7];
-        dispatch.run_packed(7, &ac[..7], &bc, &mut c).unwrap();
-        assert_eq!(c[0], 49.0, "the compiled body ran");
-        assert_eq!(dispatch.memoised_proofs(), 2);
-    }
-
-    #[test]
-    fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
-        let kernel = with_body(&partial_stores_kernel(), marks_c0);
-        let mut dispatch = kernel.dispatcher();
-        // The per-GEMM dispatch pattern: many tiles, two distinct KC values
-        // (full and fringe) — the proof runs once per distinct input.
-        for rep in 0..6 {
-            for &kc in &[17usize, 5] {
-                let a: Vec<f32> = (0..kc).map(|i| ((i * 7 + rep) % 13) as f32 * 0.5 - 2.0).collect();
-                let c0: Vec<f32> = (0..kc).map(|i| ((i + rep) % 5) as f32 * 0.5).collect();
-                let mut c_dispatch = c0.clone();
-                dispatch.run_packed(kc, &a, &[0.25], &mut c_dispatch).unwrap();
-                let mut c_one_shot = c0.clone();
-                kernel.run_packed(kc, &a, &[0.25], &mut c_one_shot).unwrap();
-                assert_eq!(c_dispatch, c_one_shot, "kc={kc} rep={rep}");
-                assert_eq!(c_dispatch[0], 42.0 + kc as f32, "kc={kc}: the body ran");
-            }
-        }
-        assert_eq!(dispatch.memoised_proofs(), 2, "one proof per distinct (KC, lens) input");
     }
 }

@@ -148,9 +148,9 @@ impl VOp {
 /// Obtained from [`TapeKernel::to_superword`]. Describes bit-for-bit the same
 /// computation as the scalar tape and the interpreter, one vector register
 /// per op instead of one lane; executed by the superword interpreter
-/// ([`Self::run_views`], [`SuperwordDispatch`]), by the native bodies
-/// compiled from its C ([`crate::SimdKernel`]) and, their proof declined,
-/// by the tape it was packed from ([`Self::run_checked`]).
+/// ([`Self::run_views`], [`crate::TierDispatch::superword`]), by the native
+/// bodies compiled from its C ([`crate::SimdKernel`]) and, their proof
+/// declined, by the tape it was packed from ([`Self::run_checked`]).
 #[derive(Debug, Clone)]
 pub struct SuperwordKernel {
     /// The scalar tape these ops were packed from: the signature, the
@@ -537,15 +537,15 @@ impl SuperwordKernel {
 
     /// Runs the kernel on the superword interpreter over borrowed tensor
     /// views (one-shot: a fresh register file; the GEMM hot path holds a
-    /// [`SuperwordDispatch`] instead). Bit-for-bit the tape's results.
+    /// [`crate::TierDispatch`] instead). Bit-for-bit the tape's results.
     ///
     /// # Errors
     ///
     /// Exactly [`TapeKernel::run_views`]'s, with the tape's partial stores
     /// behind an [`CodegenError::OutOfBounds`].
     pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let mut machine = Machine::new(self.tape.n_regs, self.tape.n_dyn_loops);
-        self.interpret(&mut machine, scalars, tensors)
+        self.tape.validate_views(scalars, tensors)?;
+        self.interpret(&mut self.tape.machine(), scalars, tensors)
     }
 
     /// Runs the packed micro-kernel signature `(KC, Ac, Bc, C)` on the
@@ -559,23 +559,17 @@ impl SuperwordKernel {
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 
-    /// A reusable interpreter handle over this kernel (see
-    /// [`SuperwordDispatch`]).
-    pub fn dispatcher(self: &Arc<Self>) -> SuperwordDispatch {
-        let machine = Machine::new(self.tape.n_regs, self.tape.n_dyn_loops);
-        SuperwordDispatch { kernel: Arc::clone(self), machine }
-    }
-
-    /// The superword interpreter: the views' validation, then one op at a
-    /// time on `machine`, every access checked — a scalar op by the tape's
-    /// own step, a packed op lane by lane in the tape's order.
-    fn interpret(
+    /// The superword interpreter on views already validated for the tape:
+    /// one op at a time on `machine`, from zeroed registers, every access
+    /// checked — a scalar op by the tape's own step, a packed op lane by
+    /// lane in the tape's order.
+    #[inline]
+    pub(crate) fn interpret(
         &self,
         machine: &mut Machine,
         scalars: &[i64],
         tensors: &mut [TensorView<'_>],
     ) -> Result<()> {
-        self.tape.validate_views(scalars, tensors)?;
         machine.reset();
         let mut pc = 0usize;
         while pc < self.ops.len() {
@@ -742,40 +736,6 @@ fn fma_run(regs: &mut [f32], dst: u32, a: u32, bval: f32, lanes: u32) {
     }
 }
 
-/// A reusable handle on the superword interpreter: the kernel and one
-/// register file with its loop table, so a warm call allocates nothing.
-/// Results are bit-for-bit those of [`SuperwordKernel::run_views`]. Create
-/// one per worker thread (it is `Send`) and reuse it for every micro-tile.
-#[derive(Debug, Clone)]
-pub struct SuperwordDispatch {
-    kernel: Arc<SuperwordKernel>,
-    machine: Machine,
-}
-
-impl SuperwordDispatch {
-    /// Runs the kernel over borrowed tensor views on this handle's
-    /// register file.
-    ///
-    /// # Errors
-    ///
-    /// As [`SuperwordKernel::run_views`].
-    #[inline]
-    pub fn run_views(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.kernel.interpret(&mut self.machine, scalars, tensors)
-    }
-
-    /// Runs the packed `(KC, Ac, Bc, C)` signature on this handle's
-    /// register file.
-    ///
-    /// # Errors
-    ///
-    /// As [`SuperwordKernel::run_packed`].
-    #[inline]
-    pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
-    }
-}
-
 /// One memoised run of the interval proof: the scalar arguments and buffer
 /// lengths it was run for, and its verdict.
 #[derive(Debug, Clone)]
@@ -825,6 +785,7 @@ impl ProofMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::TierDispatch;
     use crate::tape::compile;
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
@@ -1076,22 +1037,23 @@ mod tests {
         assert!(matches!(too_few, Err(CodegenError::BadArguments { .. })));
         // A kernel without the packed (KC, Ac, Bc, C) signature is turned
         // away by the views' validation, with one error on every packed
-        // door: the tape, the one-shot interpreter and its dispatch handle.
+        // door: the tape, the one-shot interpreter, and the tier handle,
+        // which runs that validation once, when it is built.
         let one_tensor = oob_kernel();
         let mut c = vec![0.0f32; 2];
         let want = one_tensor.tape().run_packed(1, &a, &b, &mut c).unwrap_err();
         assert!(matches!(want, CodegenError::BadArguments { .. }), "{want:?}");
         assert_eq!(one_tensor.run_packed(1, &a, &b, &mut c), Err(want.clone()));
-        assert_eq!(one_tensor.dispatcher().run_packed(1, &a, &b, &mut c), Err(want));
+        assert_eq!(TierDispatch::superword(one_tensor, 1, 1).err(), Some(want));
         assert_eq!(c, [0.0; 2], "nothing ran");
     }
 
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
         let (_, sw) = staged_kernels();
-        let mut dispatch = sw.dispatcher();
-        let mut proofs = ProofMemo::default();
         let (mr, nr) = (8usize, 4usize);
+        let mut dispatch = TierDispatch::superword(Arc::clone(&sw), mr, nr).unwrap();
+        let mut proofs = ProofMemo::default();
         // Sweep the per-GEMM dispatch pattern: many tiles, two distinct KC
         // values (full and fringe). The interpreter's handle reuses one
         // register file; the proof a native body would run under is run
@@ -1102,7 +1064,7 @@ mod tests {
                 let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + rep) % 11) as f32 * 0.25 - 1.0).collect();
                 let c0: Vec<f32> = (0..nr * mr).map(|i| ((i + rep) % 5) as f32 * 0.5).collect();
                 let mut c_dispatch = c0.clone();
-                dispatch.run_packed(kc, &a, &b, &mut c_dispatch).unwrap();
+                dispatch.run(kc, &a, &b, &mut c_dispatch).unwrap();
                 let mut c_one_shot = c0.clone();
                 sw.run_packed(kc, &a, &b, &mut c_one_shot).unwrap();
                 assert_eq!(c_dispatch, c_one_shot, "kc={kc} rep={rep}");
@@ -1115,20 +1077,33 @@ mod tests {
 
     #[test]
     fn dispatch_handle_reports_checked_path_errors_like_the_one_shot_run() {
-        let sw = oob_kernel();
-        let mut dispatch = sw.dispatcher();
+        // The packed form of `oob_kernel`: `C[i] = 1.0 for i in 0..KC`,
+        // the operands unread.
+        let p = proc("oob_packed")
+            .size_arg("KC")
+            .tensor_arg("Ac", ScalarType::F32, vec![var("KC")], MemSpace::Dram)
+            .tensor_arg("Bc", ScalarType::F32, vec![int(1)], MemSpace::Dram)
+            .tensor_arg("C", ScalarType::F32, vec![var("KC")], MemSpace::Dram)
+            .body(vec![for_("i", 0, var("KC"), vec![assign("C", vec![var("i")], flt(1.0))])])
+            .build();
+        let sw = Arc::new(Arc::new(compile(&p).unwrap()).to_superword().unwrap());
+        let mut dispatch = TierDispatch::superword(Arc::clone(&sw), 1, 1).unwrap();
+        let (a, b) = (vec![0.0f32; 7], vec![0.0f32]);
+        let views = |x: &mut [f32], run: &mut dyn FnMut(&mut [TensorView<'_>]) -> Result<()>| {
+            run(&mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(x)])
+        };
         let mut x = vec![0.0f32; 2];
         let mut x_one_shot = x.clone();
         assert_eq!(
-            dispatch.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
-            sw.run_views(&[7], &mut [TensorView::Rw(&mut x_one_shot)])
+            views(&mut x, &mut |v| dispatch.run_views(&[7], v)),
+            views(&mut x_one_shot, &mut |v| sw.run_views(&[7], v))
         );
         assert_eq!(x, vec![1.0, 1.0], "partial stores before the error, like the tape's");
         assert_eq!(x, x_one_shot);
         // A failed run leaves nothing behind in the handle: the next call,
         // on a buffer long enough, runs whole.
         let mut y = vec![0.0f32; 8];
-        dispatch.run_views(&[7], &mut [TensorView::Rw(&mut y)]).unwrap();
+        views(&mut y, &mut |v| dispatch.run_views(&[7], v)).unwrap();
         assert_eq!(&y[..7], &[1.0; 7]);
         assert_eq!(y[7], 0.0);
     }

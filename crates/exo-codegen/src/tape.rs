@@ -298,7 +298,7 @@ impl TapeKernel {
     /// buffer (the stores before it have landed).
     pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
         self.validate_views(scalars, tensors)?;
-        self.exec(scalars, tensors)
+        self.exec(&mut self.machine(), scalars, tensors)
     }
 
     /// The argument validation every run — checked or proved — starts with.
@@ -359,8 +359,26 @@ impl TapeKernel {
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
     }
 
-    fn exec(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let mut m = Machine::new(self.n_regs, self.n_dyn_loops);
+    /// A fresh machine for this tape — and for the superword ops packed
+    /// from it: its register file and dynamic-loop table.
+    pub(crate) fn machine(&self) -> Machine {
+        Machine {
+            regs: vec![0.0; self.n_regs],
+            loops: vec![0; self.n_dyn_loops],
+            bounds: vec![0; self.n_dyn_loops],
+        }
+    }
+
+    /// Runs views already validated for this tape on `m`, from zeroed
+    /// registers.
+    #[inline]
+    pub(crate) fn exec(
+        &self,
+        m: &mut Machine,
+        scalars: &[i64],
+        tensors: &mut [TensorView<'_>],
+    ) -> Result<()> {
+        m.reset();
         let ops = &self.ops;
         let mut pc = 0usize;
         while pc < ops.len() {
@@ -389,8 +407,8 @@ impl TapeKernel {
 /// counters and their bounds — and the one place the scalar ops are
 /// spelled with checks: the tape runs every op through it, and the
 /// superword interpreter ([`crate::superword`]) every scalar op its
-/// packing left. Reusable across runs: [`Self::reset`] restores a fresh
-/// machine's registers without allocating.
+/// packing left. Made by [`TapeKernel::machine`]; reusable across runs:
+/// [`Self::reset`] restores a fresh machine's registers without allocating.
 #[derive(Debug, Clone)]
 pub(crate) struct Machine {
     pub(crate) regs: Vec<f32>,
@@ -404,11 +422,6 @@ pub(crate) fn out_of_bounds(buf: u16, index: i64, len: usize) -> CodegenError {
 }
 
 impl Machine {
-    /// A machine for `n_regs` registers and `n_loops` dynamic loops.
-    pub(crate) fn new(n_regs: usize, n_loops: usize) -> Machine {
-        Machine { regs: vec![0.0; n_regs], loops: vec![0; n_loops], bounds: vec![0; n_loops] }
-    }
-
     /// Zeroes the register file, as a fresh run starts; loop slots are
     /// always written by their loop's entry before they are read.
     pub(crate) fn reset(&mut self) {

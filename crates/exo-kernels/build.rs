@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use exo_aot::{compiler_diagnostics, content_hash, parse_exo_cc, KERNEL_SYMBOL};
+use exo_aot::{content_hash, KERNEL_SYMBOL};
 use exo_codegen::{emit_superword_c, IsaKind};
 use ukernel_gen::MicroKernelGenerator;
 
@@ -65,7 +65,7 @@ fn main() {
 fn compiler() -> Option<(String, String)> {
     let candidates = match env::var("EXO_CC") {
         Ok(value) if !value.is_empty() => {
-            vec![parse_exo_cc(&value).unwrap_or_else(|e| panic!("EXO_CC: {e}"))]
+            vec![toolchain::parse_exo_cc(&value).unwrap_or_else(|e| panic!("EXO_CC: {e}"))]
         }
         _ if env::var("TARGET") != env::var("HOST") => {
             println!("cargo:warning=a cross build without EXO_CC compiles no native kernels");
@@ -162,7 +162,7 @@ fn compile_one(cc: &str, unit: &Unit, out: &Path) -> Result<(), String> {
     if output.status.success() {
         Ok(())
     } else {
-        let diagnostics = compiler_diagnostics(&output.stderr);
+        let diagnostics = toolchain::compiler_diagnostics(&output.stderr);
         Err(if diagnostics.is_empty() { format!("no diagnostics ({})", output.status) } else { diagnostics })
     }
 }

@@ -120,13 +120,6 @@ impl DesignSpace {
         extent % lanes == 0 && executing.vector_registers().is_none_or(|file| registers <= file)
     }
 
-    /// Vector registers a `(mr, nr)` kernel needs under `strategy`, or
-    /// `None` when the strategy keeps no register tile (the scalar
-    /// fallback, which the space excludes).
-    pub fn register_cost(&self, mr: usize, nr: usize, strategy: Strategy) -> Option<usize> {
-        strategy.registers(self.isa.lanes, mr, nr)
-    }
-
     /// All register tiles valid for the ISA under the register budget — and,
     /// in a serving space, executable in whole vectors of the host ISA —
     /// sorted by descending tile area (the order the sweep reports them in).

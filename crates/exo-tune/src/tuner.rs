@@ -142,15 +142,6 @@ impl Tuner {
         Ok(verdict)
     }
 
-    /// Tunes a batch of problem shapes in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first tuning failure.
-    pub fn tune_all(&self, shapes: &[(usize, usize, usize)]) -> Result<Vec<TuneVerdict>, TuneError> {
-        shapes.iter().map(|&(m, n, k)| self.tune(m, n, k)).collect()
-    }
-
     /// The generated kernel a verdict dispatches to (served by the
     /// registry's cache).
     ///

@@ -60,9 +60,11 @@
 //! [`BlisGemm`] driver keeps its idle runners, every pass — a plain call,
 //! an extra window, a batch shard — checks one out and returns it, and the
 //! only thing that ends a runner early is a pass that unwound. The tier a
-//! generated kernel runs on is settled at the top of each GEMM
-//! (`Engine::begin`), not when the runner was built, so warm state
-//! never pins a problem to a fallback the kernel has since outgrown.
+//! generated kernel runs on is resolved once, when its runner is built
+//! (`GemmRunner::new` takes the handle of [`KernelImpl::dispatcher`]), and
+//! `Engine::begin` never resolves it again: a kernel's native verdict is
+//! settled on its first resolution and holds for the process, so a warm
+//! runner runs on the tier a fresh one would.
 //!
 //! Correctness for arbitrary (including fringe) problem sizes is the point;
 //! with compiled kernels the same entry point is also the fast path.
@@ -892,7 +894,7 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 ///
 /// `(mr, nr)` is the runner's blocking's tile, which [`tile_blocking`] set
 /// to the kernel's. A failed kernel call returns the tier handle's error
-/// as it is; the caller names the kernel.
+/// as the generator's backend failure; the caller names the kernel.
 ///
 /// # Safety
 ///

@@ -32,7 +32,7 @@ use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{KernelTrace, MachineOp};
 use exo_ir::{InstrClass, ScalarType};
-use ukernel_gen::{GeneratedKernel, MicroKernelGenerator, TierDispatch};
+use ukernel_gen::{GenError, GeneratedKernel, MicroKernelGenerator, TierDispatch};
 // The tier pin lives where the tier ladder is resolved; re-exported here
 // (and from the crate root) for the driver's callers.
 pub use ukernel_gen::ExecBackend;
@@ -73,9 +73,10 @@ impl KernelImpl {
     /// Returns [`GemmError::Kernel`] if the buffer sizes do not match the
     /// shape (the tier handle's one length check).
     pub fn run(&self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        self.dispatcher()
-            .run(kc, a, b, c)
-            .map_err(|e| GemmError::Kernel { kernel: self.name.to_string(), message: e.to_string() })
+        self.dispatcher().run(kc, a, b, c).map_err(|e| GemmError::Kernel {
+            kernel: self.name.to_string(),
+            message: GenError::from(e).to_string(),
+        })
     }
 
     /// A reusable dispatch handle for this kernel: the generated kernel's
@@ -316,14 +317,14 @@ mod tests {
             let misfit = imp.run(4, &[0.0; 3], &[0.0; 48], &mut c);
             assert!(matches!(misfit, Err(GemmError::Kernel { .. })), "{backend:?}: {misfit:?}");
             // A short `C` through the handle: the tier's own error, naming
-            // the lengths it expected; through `run`, the same message
-            // under the kernel's name.
+            // the lengths it expected; through `run`, the same error as the
+            // generator reports a backend failure, under the kernel's name.
             let (a, b) = ([0.0; 32], [0.0; 48]);
             let short = imp.dispatcher().run(4, &a, &b, &mut c[..95]).unwrap_err();
             assert!(short.to_string().contains("expected Ac[32], Bc[48], C[96]"), "{backend:?}: {short}");
             assert_eq!(
                 imp.run(4, &a, &b, &mut c[..95]),
-                Err(GemmError::Kernel { kernel: name.into(), message: short.to_string() }),
+                Err(GemmError::Kernel { kernel: name.into(), message: GenError::from(short).to_string() }),
                 "{backend:?}"
             );
         }

@@ -5,12 +5,12 @@
 use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
-    compile, emit_asm, emit_c, extract_trace, KernelTrace, SimdKernel, SuperwordKernel, TapeKernel,
+    compile, emit_asm, emit_c, extract_trace, ExecBackend, KernelTrace, SimdKernel, SuperwordKernel,
+    TapeKernel,
 };
 use exo_ir::{Proc, ScalarType};
 use exo_isa::VectorIsa;
 
-use crate::dispatch::ExecBackend;
 use crate::error::{GenError, Result};
 use crate::recipes::{broadcast_a_recipe, broadcast_b_recipe, laneq_recipe, scalar_recipe, RecipeStep};
 
@@ -150,7 +150,7 @@ impl GeneratedKernel {
     /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
     /// shape.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.dispatcher(ExecBackend::Superword).run(kc, ac, bc, c)
+        Ok(self.dispatcher(ExecBackend::Superword).run(kc, ac, bc, c)?)
     }
 
     /// The native kernel: [`Self::superword`]'s emitted C, looked up by its
@@ -340,6 +340,7 @@ impl KernelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_codegen::CodegenError;
     use exo_isa::{avx512_f32, neon_f16, neon_f32};
 
     fn naive(mr: usize, nr: usize, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -469,7 +470,7 @@ mod tests {
                     }
                     // A call that does not fit the tile is a typed error, not a run.
                     let misfit = kernel.dispatcher(Superword).run(0, &[], &[], &mut vec![0.0; mr * nr + 1]);
-                    assert!(matches!(misfit, Err(GenError::Codegen(_))), "{label}: {misfit:?}");
+                    assert!(matches!(misfit, Err(CodegenError::BadArguments { .. })), "{label}: {misfit:?}");
                 }
             }
         }

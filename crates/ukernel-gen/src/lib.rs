@@ -40,8 +40,10 @@ mod generator;
 pub mod recipes;
 pub mod registry;
 
-pub use dispatch::{ExecBackend, TierDispatch};
 pub use error::{GenError, Result};
+// The tier handle and its pin live with the executors; the ladder that
+// maps one onto the other is [`GeneratedKernel::dispatcher`].
+pub use exo_codegen::{ExecBackend, TierDispatch};
 pub use generator::{GeneratedKernel, KernelOptions, KernelSet, MicroKernelGenerator, Strategy, TileShape};
 pub use recipes::RecipeStep;
 pub use registry::{KernelCache, KernelKey};

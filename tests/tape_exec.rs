@@ -24,7 +24,7 @@ mod common;
 use std::sync::Arc;
 
 use common::Cases;
-use exo_gemm::exo_codegen::{emit_superword_c, CodegenError, SuperwordKernel, TensorView};
+use exo_gemm::exo_codegen::{emit_superword_c, CodegenError, SuperwordKernel, TensorView, TierDispatch};
 use exo_gemm::exo_ir::interp::run_packed;
 use exo_gemm::exo_ir::Proc;
 use exo_gemm::exo_isa::{avx512_f32, neon_f32};
@@ -370,7 +370,8 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
             for (isa, native) in &bodies {
                 assert_eq!(native.isa(), *isa);
                 let mut c_native = c0.clone();
-                native.run_packed(kc, &a, &b, &mut c_native).unwrap();
+                let mut handle = TierDispatch::native(Arc::clone(native), mr, nr).unwrap();
+                handle.run(kc, &a, &b, &mut c_native).unwrap();
                 assert_eq!(c_native, c_superword, "{label} kc={kc}: the {isa} body vs superword");
             }
         }
@@ -663,7 +664,7 @@ fn fails_like_the_tape(label: &str, sw: &Arc<SuperwordKernel>, mr: usize, nr: us
     let kc = 17usize;
     let mut cases = Cases::new(0xbad);
     let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
-    let mut handle = sw.dispatcher();
+    let mut handle = TierDispatch::superword(Arc::clone(sw), mr, nr).unwrap();
     for (what, b_len, c_len) in [("short Bc", kc * nr - 1, mr * nr), ("short C", kc * nr, mr * nr - 1)] {
         assert!(!sw.packed_bounds_provable(kc, a.len(), b_len, c_len), "{label} {what}: the proof declines");
         let run = |exec: &mut dyn FnMut(&mut [TensorView<'_>]) -> Result<(), CodegenError>| {
@@ -680,7 +681,7 @@ fn fails_like_the_tape(label: &str, sw: &Arc<SuperwordKernel>, mr: usize, nr: us
         assert_eq!(handled, (want, c_tape), "{label} {what}: through the handle");
     }
     let (mut c_handle, mut c_tape) = (c0.clone(), c0.clone());
-    handle.run_packed(kc, &a, &b, &mut c_handle).unwrap();
+    handle.run(kc, &a, &b, &mut c_handle).unwrap();
     sw.tape().run_packed(kc, &a, &b, &mut c_tape).unwrap();
     assert_eq!(c_handle, c_tape, "{label}: a failed call leaves nothing behind in the handle");
 }

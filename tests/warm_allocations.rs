@@ -9,8 +9,9 @@
 //!   its answer rides back in the handle, so no completion slot or pass
 //!   vector is made for it;
 //! * a warm GEMM pinned to the superword interpreter — the tier a build
-//!   with no C compiler serves every GEMM on — allocates nothing: its
-//!   handle holds the register file and loop table.
+//!   with no C compiler serves every GEMM on — or to the scalar tape
+//!   allocates nothing: its tier handle holds the register file and loop
+//!   table.
 //!
 //! Allocations are counted per thread, so tests of this binary that run at
 //! the same time do not count each other's: an idle service and a
@@ -25,7 +26,8 @@ use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::exo_serve::{CachedTunedGemm, GemmJob, GemmService, OwnedMat};
 use exo_gemm::exo_tune::TunedGemm;
 use exo_gemm::gemm_blis::{
-    exo_kernel_superword, BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem, MatMut, MatRef,
+    exo_kernel_superword, exo_kernel_tape, BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem,
+    MatMut, MatRef,
 };
 use exo_gemm::ukernel_gen::MicroKernelGenerator;
 
@@ -171,24 +173,30 @@ fn a_warm_lone_submit_and_wait_allocates_nothing() {
     }
 }
 
+/// The superword pin, and the tape pin as a second input: the two checked
+/// tiers, each of which runs on a register file its handle keeps.
 #[test]
 fn a_warm_gemm_on_the_superword_tier_allocates_nothing() {
     let kernel = Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).expect("the 8x12 generates"));
-    let driver =
-        BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel_superword(kernel));
-    let mut operands = Operands::all();
-    for _ in 0..ROUNDS {
-        for ops in &mut operands {
-            let stats = driver.gemm(ops.problem()).expect("a serve_small shape runs");
-            assert_eq!(stats.tier, Some(ExecBackend::Superword), "{:?}", ops.dims);
+    for (tier, pinned) in [
+        (ExecBackend::Superword, exo_kernel_superword(Arc::clone(&kernel))),
+        (ExecBackend::Tape, exo_kernel_tape(Arc::clone(&kernel))),
+    ] {
+        let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(pinned);
+        let mut operands = Operands::all();
+        for _ in 0..ROUNDS {
+            for ops in &mut operands {
+                let stats = driver.gemm(ops.problem()).expect("a serve_small shape runs");
+                assert_eq!(stats.tier, Some(tier), "{:?}", ops.dims);
+            }
         }
-    }
-    for _ in 0..ROUNDS {
-        for ops in &mut operands {
-            let made = allocations_in(|| {
-                driver.gemm(ops.problem()).expect("a serve_small shape runs");
-            });
-            assert_eq!(made, 0, "a warm superword-pinned GEMM of {:?} allocated", ops.dims);
+        for _ in 0..ROUNDS {
+            for ops in &mut operands {
+                let made = allocations_in(|| {
+                    driver.gemm(ops.problem()).expect("a serve_small shape runs");
+                });
+                assert_eq!(made, 0, "a warm {tier:?}-pinned GEMM of {:?} allocated", ops.dims);
+            }
         }
     }
 }
