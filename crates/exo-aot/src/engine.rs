@@ -147,7 +147,7 @@ impl AotEngine {
         let outcome = unsafe { SimdKernel::from_compiled(Arc::clone(source), isa, body.body) }
             .map_err(AotError::from)
             .map(Arc::new)
-            .and_then(|kernel| verify(&self.counters, key, &kernel).map(|()| kernel));
+            .and_then(|kernel| verify(&self.counters, key, &kernel).map(|_| kernel));
         let counter =
             if outcome.is_ok() { &self.counters.verified_promotions } else { &self.counters.builds_failed };
         counter.fetch_add(1, Ordering::SeqCst);
@@ -161,7 +161,11 @@ impl AotEngine {
 /// trusts no proof — bit for bit: every tier computes the same fused
 /// arithmetic, so one differing bit is a wrong result, and the key is
 /// pinned to the superword tier terminally.
-fn verify(counters: &EngineCounters, key: u64, kernel: &Arc<SimdKernel>) -> Result<()> {
+///
+/// Each probe call is proved once: the handle's memoised bounds proof
+/// admits it, and the call recalls that proof. The handle comes back so
+/// its memo can be inspected.
+fn verify(counters: &EngineCounters, key: u64, kernel: &Arc<SimdKernel>) -> Result<TierDispatch> {
     let sw = kernel.source();
     let no_shape = || AotError::Unsupported { what: "a kernel with no derivable probe shape".into() };
     // The probe calls the body through the tier handle's views door, whose
@@ -180,21 +184,20 @@ fn verify(counters: &EngineCounters, key: u64, kernel: &Arc<SimdKernel>) -> Resu
     let mut mismatch = false;
     for kc in PROBE_KCS {
         let (ac_len, bc_len, c_len) = sw.packed_probe_lens(kc).ok_or_else(no_shape)?;
-        if !sw.packed_bounds_provable(kc, ac_len, bc_len, c_len) {
+        let ac: Vec<f32> = (0..ac_len).map(|_| next()).collect();
+        let bc: Vec<f32> = (0..bc_len).map(|_| next()).collect();
+        let mut c_native: Vec<f32> = (0..c_len).map(|_| next()).collect();
+        let mut c_ref = c_native.clone();
+        let probe = &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_native)];
+        if !handle.admits(&[kc as i64], probe)? {
             // A declined proof would route the call below to the checked
             // reference, and the probe would compare the reference with
             // itself; a kernel that cannot be probed is not promoted.
             return Err(AotError::Unsupported { what: "a kernel whose probe shape is not provable".into() });
         }
-        let ac: Vec<f32> = (0..ac_len).map(|_| next()).collect();
-        let bc: Vec<f32> = (0..bc_len).map(|_| next()).collect();
-        let mut c_native: Vec<f32> = (0..c_len).map(|_| next()).collect();
-        let mut c_ref = c_native.clone();
-        // Admitted by the proof just checked, so this runs the body.
-        handle.run_views(
-            &[kc as i64],
-            &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_native)],
-        )?;
+        // Admitted by the proof just memoised, which it recalls: this runs
+        // the body.
+        handle.run_views(&[kc as i64], probe)?;
         let views = &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_ref)];
         sw.run_checked(&[kc as i64], views).map_err(|e| AotError::Unsupported {
             what: format!("a probe the checked reference declines ({e})"),
@@ -206,7 +209,7 @@ fn verify(counters: &EngineCounters, key: u64, kernel: &Arc<SimdKernel>) -> Resu
         counters.wrong_results.fetch_add(1, Ordering::SeqCst);
         return Err(AotError::WrongResult);
     }
-    Ok(())
+    Ok(handle)
 }
 
 /// FNV-1a 64 over one byte string: the workspace's dependency-free
@@ -284,8 +287,54 @@ mod tests {
         assert_eq!(WRONG_CALLS.load(Ordering::SeqCst), calls);
     }
 
+    /// The 2x2 kernel's own update, every multiply-add one fused rounding
+    /// as every tier: `C[j][i] += Ac[k][i] * Bc[k][j]`.
+    unsafe extern "C" fn right(kc: i64, ac: *const f32, bc: *const f32, c: *mut f32) {
+        for k in 0..kc as usize {
+            for j in 0..2 {
+                for i in 0..2 {
+                    let (a, b, acc) =
+                        (ac.wrapping_add(k * 2 + i), bc.wrapping_add(k * 2 + j), c.wrapping_add(j * 2 + i));
+                    // SAFETY: for `KC > 0` the proved-call site passes
+                    // `Ac[KC][2]`, `Bc[KC][2]` and the 4-float tile.
+                    let a = unsafe { *a };
+                    // SAFETY: as above.
+                    let b = unsafe { *b };
+                    // SAFETY: as above.
+                    let old = unsafe { *acc };
+                    // SAFETY: as above.
+                    unsafe { *acc = a.mul_add(b, old) };
+                }
+            }
+        }
+    }
+
+    /// Serialises the tests that arm the process-wide countdown with those
+    /// whose probe must not see it fire.
+    static COUNTDOWN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn a_promotion_proves_each_probe_call_once() {
+        let _countdown = COUNTDOWN.lock().unwrap_or_else(|e| e.into_inner());
+        let sw = kernel_2x2();
+        let isa = IsaKind::Scalar;
+        let key = content_hash(emit_superword_c(&sw, isa, KERNEL_SYMBOL).unwrap().as_bytes());
+        // SAFETY: `right` is the update the 2x2 kernel's emitted C computes,
+        // and touches no more than its packed operands.
+        let kernel = Arc::new(unsafe { SimdKernel::from_compiled(Arc::clone(&sw), isa, right) }.unwrap());
+        // The probe handle admitted each call by its memoised proof, and
+        // each call recalled it: one entry per probe `KC`, no second walk.
+        let handle = verify(&EngineCounters::default(), key, &kernel).unwrap();
+        assert_eq!(handle.memoised_proofs(), PROBE_KCS.len());
+        // The same body under its key promotes through the engine.
+        let engine = AotEngine::with_bodies(vec![NativeBody { key, isa, body: right }]);
+        assert!(engine.compile(&sw, isa).is_ok());
+        assert_eq!(engine.stats().verified_promotions, 1);
+    }
+
     #[test]
     fn disarming_resets_the_global_countdown() {
+        let _countdown = COUNTDOWN.lock().unwrap_or_else(|e| e.into_inner());
         arm_wrong_result(1);
         arm_wrong_result(0);
         assert!(!WRONG_RESULT_IN.fires());

@@ -281,6 +281,24 @@ impl TierDispatch {
         }
     }
 
+    /// Whether a call with these scalars and views runs the native body
+    /// rather than the checked reference: the bounds proof this handle
+    /// memoises, run for an input it has not seen and recalled after, so a
+    /// [`Self::run_views`] of the same input proves nothing again. `false`
+    /// on the other tiers, which never run a body unchecked.
+    ///
+    /// # Errors
+    ///
+    /// [`CodegenError::BadArguments`] on an argument mismatch, as
+    /// [`Self::run_views`].
+    pub fn admits(&mut self, scalars: &[i64], tensors: &[TensorView<'_>]) -> Result<bool> {
+        self.source_tape().validate_views(scalars, tensors)?;
+        Ok(match &mut self.tier {
+            Tier::Native { body, proofs } => proofs.admits(&body.source, scalars, tensors),
+            Tier::Superword { .. } | Tier::Tape { .. } => false,
+        })
+    }
+
     /// Runs the kernel on packed operands: `c[nr][mr] += ac[kc][mr] *
     /// bc[kc][nr]` (row-major, exactly the layouts of the paper's Fig. 5).
     ///

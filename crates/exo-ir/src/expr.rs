@@ -145,27 +145,29 @@ impl Expr {
     /// buffer names).
     pub fn free_syms(&self) -> BTreeSet<Sym> {
         let mut out = BTreeSet::new();
-        self.collect_syms(&mut out);
+        self.for_each_sym(&mut |s| {
+            out.insert(s.clone());
+        });
         out
     }
 
-    fn collect_syms(&self, out: &mut BTreeSet<Sym>) {
+    /// Visits every symbol the expression references (variables and buffer
+    /// names, repeats included) without collecting them.
+    pub(crate) fn for_each_sym<'e>(&'e self, f: &mut impl FnMut(&'e Sym)) {
         match self {
             Expr::Int(_) | Expr::Float(_) => {}
-            Expr::Var(s) => {
-                out.insert(s.clone());
-            }
+            Expr::Var(s) => f(s),
             Expr::Read { buf, idx } => {
-                out.insert(buf.clone());
+                f(buf);
                 for e in idx {
-                    e.collect_syms(out);
+                    e.for_each_sym(f);
                 }
             }
             Expr::Binop { lhs, rhs, .. } => {
-                lhs.collect_syms(out);
-                rhs.collect_syms(out);
+                lhs.for_each_sym(f);
+                rhs.for_each_sym(f);
             }
-            Expr::Neg(e) => e.collect_syms(out),
+            Expr::Neg(e) => e.for_each_sym(f),
         }
     }
 

@@ -198,12 +198,14 @@ impl Proc {
 
     /// Simplifies every expression in the body.
     pub fn simplified(&self) -> Proc {
-        Proc {
-            name: self.name.clone(),
-            args: self.args.clone(),
-            body: self.body.iter().map(Stmt::simplify).collect(),
-            instr: self.instr.clone(),
-        }
+        self.with_body(self.body.iter().map(Stmt::simplify).collect())
+    }
+
+    /// This procedure's name, signature and instruction information around
+    /// a new body — what a rewrite that rebuilds the whole body returns,
+    /// without copying the old one first.
+    pub fn with_body(&self, body: Vec<Stmt>) -> Proc {
+        Proc { name: self.name.clone(), args: self.args.clone(), body, instr: self.instr.clone() }
     }
 
     /// Validates well-formedness of the procedure.
@@ -226,14 +228,14 @@ impl Proc {
         for arg in &self.args {
             if let ArgKind::Tensor { dims, .. } = &arg.kind {
                 for d in dims {
-                    for s in d.free_syms() {
-                        if !sizes.contains(&s) {
-                            return Err(IrError::UnboundSymbol {
-                                proc: self.name.clone(),
-                                name: s,
-                                context: format!("dimension of argument `{}`", arg.name),
-                            });
-                        }
+                    let mut unbound = None;
+                    d.for_each_sym(&mut |s| keep_least_unbound(&mut unbound, s, &sizes));
+                    if let Some(name) = unbound {
+                        return Err(IrError::UnboundSymbol {
+                            proc: self.name.clone(),
+                            name: name.clone(),
+                            context: format!("dimension of argument `{}`", arg.name),
+                        });
                     }
                 }
             }
@@ -291,15 +293,15 @@ impl Proc {
                         });
                     }
                     for arg in args {
-                        for s in arg.free_syms() {
-                            // Window buffer names and index variables must both be bound.
-                            if !bound.contains(&s) {
-                                return Err(IrError::UnboundSymbol {
-                                    proc: self.name.clone(),
-                                    name: s,
-                                    context: format!("argument of call to `{}`", instr.name),
-                                });
-                            }
+                        // Window buffer names and index variables must both be bound.
+                        let mut unbound = None;
+                        arg.for_each_sym(&mut |s| keep_least_unbound(&mut unbound, s, bound));
+                        if let Some(name) = unbound {
+                            return Err(IrError::UnboundSymbol {
+                                proc: self.name.clone(),
+                                name: name.clone(),
+                                context: format!("argument of call to `{}`", instr.name),
+                            });
                         }
                     }
                 }
@@ -319,16 +321,25 @@ impl Proc {
     }
 
     fn check_expr_bound(&self, e: &Expr, bound: &BTreeSet<Sym>, context: &str) -> Result<(), IrError> {
-        for s in e.free_syms() {
-            if !bound.contains(&s) {
-                return Err(IrError::UnboundSymbol {
-                    proc: self.name.clone(),
-                    name: s,
-                    context: context.to_string(),
-                });
-            }
+        let mut unbound = None;
+        e.for_each_sym(&mut |s| keep_least_unbound(&mut unbound, s, bound));
+        match unbound {
+            Some(name) => Err(IrError::UnboundSymbol {
+                proc: self.name.clone(),
+                name: name.clone(),
+                context: context.to_string(),
+            }),
+            None => Ok(()),
         }
-        Ok(())
+    }
+}
+
+/// Keeps in `least` the least symbol visited that `bound` does not hold:
+/// the one a walk over the sorted `free_syms` would report first, found
+/// without collecting them.
+fn keep_least_unbound<'a>(least: &mut Option<&'a Sym>, s: &'a Sym, bound: &BTreeSet<Sym>) {
+    if !bound.contains(s) && least.is_none_or(|l| s < l) {
+        *least = Some(s);
     }
 }
 

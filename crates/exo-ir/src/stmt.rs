@@ -77,17 +77,25 @@ impl WindowExpr {
     /// Collects every symbol referenced (buffer name and index variables).
     pub fn free_syms(&self) -> BTreeSet<Sym> {
         let mut out = BTreeSet::new();
-        out.insert(self.buf.clone());
+        self.for_each_sym(&mut |s| {
+            out.insert(s.clone());
+        });
+        out
+    }
+
+    /// Visits every symbol referenced (buffer name and index variables,
+    /// repeats included) without collecting them.
+    pub(crate) fn for_each_sym<'w>(&'w self, f: &mut impl FnMut(&'w Sym)) {
+        f(&self.buf);
         for a in &self.idx {
             match a {
-                WAccess::Point(e) => out.extend(e.free_syms()),
+                WAccess::Point(e) => e.for_each_sym(f),
                 WAccess::Interval(lo, hi) => {
-                    out.extend(lo.free_syms());
-                    out.extend(hi.free_syms());
+                    lo.for_each_sym(f);
+                    hi.for_each_sym(f);
                 }
             }
         }
-        out
     }
 }
 
@@ -123,6 +131,14 @@ impl CallArg {
         match self {
             CallArg::Window(w) => w.free_syms(),
             CallArg::Expr(e) => e.free_syms(),
+        }
+    }
+
+    /// Visits every symbol referenced, repeats included.
+    pub(crate) fn for_each_sym<'a>(&'a self, f: &mut impl FnMut(&'a Sym)) {
+        match self {
+            CallArg::Window(w) => w.for_each_sym(f),
+            CallArg::Expr(e) => e.for_each_sym(f),
         }
     }
 }
@@ -616,6 +632,32 @@ pub fn splice_at(block: &mut Vec<Stmt>, path: &[usize], replacement: Vec<Stmt>) 
     Some(removed)
 }
 
+/// The paths of the statements `keep` accepts, in pre-order — what
+/// [`walk`] yields filtered, without building a path for every statement
+/// it passes over.
+pub fn paths_where(block: &[Stmt], mut keep: impl FnMut(&Stmt) -> bool) -> Vec<StmtPath> {
+    fn rec(
+        block: &[Stmt],
+        prefix: &mut StmtPath,
+        keep: &mut dyn FnMut(&Stmt) -> bool,
+        out: &mut Vec<StmtPath>,
+    ) {
+        for (i, stmt) in block.iter().enumerate() {
+            prefix.push(i);
+            if keep(stmt) {
+                out.push(prefix.clone());
+            }
+            if let Some(children) = stmt.child_block() {
+                rec(children, prefix, keep, out);
+            }
+            prefix.pop();
+        }
+    }
+    let mut out = Vec::new();
+    rec(block, &mut Vec::new(), &mut keep, &mut out);
+    out
+}
+
 /// Visits every statement in the block in pre-order, yielding `(path, stmt)`.
 pub fn walk(block: &[Stmt]) -> Vec<(StmtPath, &Stmt)> {
     let mut out = Vec::new();
@@ -685,6 +727,17 @@ mod tests {
         assert_eq!(visited.len(), 4);
         assert_eq!(visited[0].0, vec![0]);
         assert_eq!(visited[3].0, vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn paths_where_is_the_walk_filtered() {
+        let block = sample_block();
+        let loops = |s: &Stmt| matches!(s, Stmt::For { .. });
+        let walked: Vec<StmtPath> =
+            walk(&block).into_iter().filter(|(_, s)| loops(s)).map(|(path, _)| path).collect();
+        assert_eq!(walked.len(), 3);
+        assert_eq!(paths_where(&block, loops), walked);
+        assert_eq!(paths_where(&block, |_| true).len(), walk(&block).len());
     }
 
     #[test]

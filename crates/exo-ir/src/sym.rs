@@ -1,10 +1,14 @@
 //! Interned-ish symbol names used for variables, buffers and procedure arguments.
 //!
-//! Symbols are thin wrappers around [`String`]. They exist so that the rest of
-//! the IR can talk about "names" as a distinct concept from arbitrary strings,
-//! and so that fresh-name generation has a single home.
+//! Symbols are thin wrappers around a shared, immutable [`Arc<str>`]. They
+//! exist so that the rest of the IR can talk about "names" as a distinct
+//! concept from arbitrary strings, and so that fresh-name generation has a
+//! single home. Every scheduling step clones, validates and substitutes the
+//! whole procedure, so cloning a name must not allocate: a clone is a
+//! reference-count bump.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A variable, buffer, or argument name appearing in the IR.
 ///
@@ -17,12 +21,12 @@ use std::fmt;
 /// assert_eq!(s.as_str(), "itt");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Sym(String);
+pub struct Sym(Arc<str>);
 
 impl Sym {
     /// Creates a symbol from anything string-like.
     pub fn new(name: impl Into<String>) -> Self {
-        Sym(name.into())
+        Sym(name.into().into())
     }
 
     /// Returns the symbol's textual name.
@@ -46,7 +50,7 @@ impl Sym {
         for i in 1.. {
             let candidate = format!("{}_{}", self.0, i);
             if !taken.contains(candidate.as_str()) {
-                return Sym(candidate);
+                return Sym(candidate.into());
             }
         }
         unreachable!("freshen iterates an unbounded counter")
@@ -61,13 +65,13 @@ impl fmt::Display for Sym {
 
 impl From<&str> for Sym {
     fn from(s: &str) -> Self {
-        Sym(s.to_owned())
+        Sym(s.into())
     }
 }
 
 impl From<String> for Sym {
     fn from(s: String) -> Self {
-        Sym(s)
+        Sym(s.into())
     }
 }
 
@@ -85,13 +89,13 @@ impl AsRef<str> for Sym {
 
 impl PartialEq<str> for Sym {
     fn eq(&self, other: &str) -> bool {
-        self.0 == other
+        *self.0 == *other
     }
 }
 
 impl PartialEq<&str> for Sym {
     fn eq(&self, other: &&str) -> bool {
-        self.0 == *other
+        *self.0 == **other
     }
 }
 
@@ -104,6 +108,12 @@ mod tests {
         let s = Sym::new("C_reg");
         assert_eq!(s.to_string(), "C_reg");
         assert_eq!(s.as_str(), "C_reg");
+    }
+
+    #[test]
+    fn a_clone_shares_the_name() {
+        let s = Sym::new("C_reg");
+        assert!(Arc::ptr_eq(&s.0, &s.clone().0), "cloning a symbol must not copy its name");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub fn partial_eval_named(p: &Proc, values: &[(Sym, i64)]) -> Result<Proc> {
             _ => return Err(SchedError::UnknownBuffer { buf: name.clone() }),
         }
     }
-    let mut out = p.clone();
+    let mut out = p.with_body(p.body.iter().map(|s| s.subst(&map).simplify()).collect());
     out.args.retain(|a| !map.contains_key(&a.name));
     // Substitute into remaining tensor argument dimensions.
     for arg in &mut out.args {
@@ -62,7 +62,6 @@ pub fn partial_eval_named(p: &Proc, values: &[(Sym, i64)]) -> Result<Proc> {
             }
         }
     }
-    out.body = out.body.iter().map(|s| s.subst(&map).simplify()).collect();
     out.validate()?;
     Ok(out)
 }

@@ -22,7 +22,7 @@
 //! generator; the workspace's differential interpreter tests additionally
 //! verify end-to-end behaviour preservation of every generated kernel.
 
-use exo_ir::stmt::{block_of_mut, stmt_at};
+use exo_ir::stmt::block_of_mut;
 use exo_ir::{Proc, Stmt, Sym};
 
 use crate::error::{Result, SchedError};
@@ -75,8 +75,11 @@ pub fn fission_at(p: &Proc, path: &[usize], anchor: Anchor, n_lifts: usize) -> R
         if block_path.is_empty() {
             return Err(SchedError::LiftTooFar { requested: n_lifts, available: lift });
         }
-        let enclosing = stmt_at(&out.body, &block_path).expect("block path is valid").clone();
-        let (loop_var, lo, hi, body) = match enclosing {
+        // The enclosing loop is taken out of `out` and either put back
+        // whole or replaced by its halves; on an error `out` is dropped.
+        let (parent_block, parent_index) =
+            block_of_mut(&mut out.body, &block_path).expect("block path is valid");
+        let (loop_var, lo, hi, mut g1) = match parent_block.remove(parent_index) {
             Stmt::For { var, lo, hi, body } => (var, lo, hi, body),
             Stmt::If { .. } => return Err(SchedError::FissionThroughIf),
             other => {
@@ -86,16 +89,14 @@ pub fn fission_at(p: &Proc, path: &[usize], anchor: Anchor, n_lifts: usize) -> R
                 })
             }
         };
-
-        let g1: Vec<Stmt> = body[..gap_index].to_vec();
-        let g2: Vec<Stmt> = body[gap_index..].to_vec();
-
-        let parent_index = *block_path.last().expect("block path is non-empty");
+        let g2 = g1.split_off(gap_index);
 
         if g1.is_empty() || g2.is_empty() {
             // Nothing to split at this level; the gap simply moves to before
             // or after the enclosing loop.
             gap_index = if g1.is_empty() { parent_index } else { parent_index + 1 };
+            g1.extend(g2);
+            parent_block.insert(parent_index, Stmt::For { var: loop_var, lo, hi, body: g1 });
             block_path.pop();
             continue;
         }
@@ -114,15 +115,7 @@ pub fn fission_at(p: &Proc, path: &[usize], anchor: Anchor, n_lifts: usize) -> R
         let piece1 = make_half(g1)?;
         let piece2 = make_half(g2)?;
         let piece1_len = piece1.len();
-
-        let replacement: Vec<Stmt> = piece1.into_iter().chain(piece2).collect();
-        {
-            let (parent_block, pi) = block_of_mut(&mut out.body, &block_path).expect("block path is valid");
-            parent_block.remove(pi);
-            for (offset, stmt) in replacement.into_iter().enumerate() {
-                parent_block.insert(pi + offset, stmt);
-            }
-        }
+        parent_block.splice(parent_index..parent_index, piece1.into_iter().chain(piece2));
         block_path.pop();
         gap_index = parent_index + piece1_len;
     }

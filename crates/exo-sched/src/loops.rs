@@ -45,10 +45,8 @@ pub fn divide_loop(
         return Err(SchedError::OutOfRange { reason: format!("division factor {factor} must be positive") });
     }
     let path = find_loop(p, var)?;
-    let loop_stmt = stmt_at(&p.body, &path).expect("path from find_loop is valid").clone();
-    let (loop_var, lo, hi, body) = match loop_stmt {
-        Stmt::For { var, lo, hi, body } => (var, lo, hi, body),
-        _ => unreachable!("find_loop only returns loops"),
+    let Some(Stmt::For { var: loop_var, lo, hi, body }) = stmt_at(&p.body, &path) else {
+        unreachable!("find_loop only returns loops")
     };
     let lo_c = lo.simplify().as_int().ok_or(SchedError::NonConstantBound { var: loop_var.clone() })?;
     let hi_c = hi.simplify().as_int().ok_or(SchedError::NonConstantBound { var: loop_var.clone() })?;
@@ -61,7 +59,7 @@ pub fn divide_loop(
     let quotient = extent / factor;
     let remainder = extent % factor;
     if perfect && remainder != 0 {
-        return Err(SchedError::NotDivisible { var: loop_var, extent: Some(extent), factor });
+        return Err(SchedError::NotDivisible { var: loop_var.clone(), extent: Some(extent), factor });
     }
 
     let outer = Sym::new(outer_name);
@@ -201,10 +199,8 @@ pub fn unroll_loop_nth(p: &Proc, var: &str, occurrence: usize) -> Result<Proc> {
         pattern: format!("for {var} in _: _ (occurrence {occurrence})"),
         proc: p.name.clone(),
     })?;
-    let stmt = stmt_at(&p.body, &path).expect("path from find_loop is valid").clone();
-    let (loop_var, lo, hi, body) = match stmt {
-        Stmt::For { var, lo, hi, body } => (var, lo, hi, body),
-        _ => unreachable!("find_loop only returns loops"),
+    let Some(Stmt::For { var: loop_var, lo, hi, body }) = stmt_at(&p.body, &path) else {
+        unreachable!("find_loop only returns loops")
     };
     let lo_c = lo.simplify().as_int().ok_or(SchedError::NonConstantBound { var: loop_var.clone() })?;
     let hi_c = hi.simplify().as_int().ok_or(SchedError::NonConstantBound { var: loop_var.clone() })?;
@@ -212,7 +208,7 @@ pub fn unroll_loop_nth(p: &Proc, var: &str, occurrence: usize) -> Result<Proc> {
     for i in lo_c..hi_c {
         let mut map = BTreeMap::new();
         map.insert(loop_var.clone(), Expr::int(i));
-        for s in &body {
+        for s in body {
             unrolled.push(s.subst(&map).simplify());
         }
     }

@@ -55,7 +55,7 @@ fn buffer_type(p: &Proc, buf: &Sym) -> Option<ScalarType> {
 ///   statement cannot be expressed relative to the window.
 pub fn stage_mem(p: &Proc, stmt_pattern: &str, window: &str, new_name: &str) -> Result<Proc> {
     let path = find_first(p, stmt_pattern)?;
-    let target = stmt_at(&p.body, &path).expect("path from find_first is valid").clone();
+    let target = stmt_at(&p.body, &path).expect("path from find_first is valid");
     let win = exo_ir::parse::parse_window(window)?;
     let buf = win.buf.clone();
     let ty = buffer_type(p, &buf).ok_or_else(|| SchedError::UnknownBuffer { buf: buf.clone() })?;
@@ -75,7 +75,7 @@ pub fn stage_mem(p: &Proc, stmt_pattern: &str, window: &str, new_name: &str) -> 
     let writes = target.written_bufs().contains(&buf);
 
     // Rewrite accesses of `buf` inside the target statement.
-    let rewritten = rewrite_stmt_accesses(&target, &buf, &win, &new_sym)?;
+    let rewritten = rewrite_stmt_accesses(target, &buf, &win, &new_sym)?;
 
     // Copy loops. Fresh iteration variables i0, i1, ... one per staged dim.
     let copy_vars: Vec<Sym> = (0..staged_dims.len()).map(|i| Sym::new(format!("s{i}"))).collect();
@@ -250,8 +250,8 @@ pub fn bind_expr(p: &Proc, expr_pattern: &str, new_name: &str) -> Result<Proc> {
         proc: p.name.clone(),
     })?;
 
-    let target = stmt_at(&p.body, &path).expect("path is valid").clone();
-    let replaced = replace_expr_in_stmt(&target, &matched, &Expr::read(new_sym.clone(), vec![]));
+    let target = stmt_at(&p.body, &path).expect("path is valid");
+    let replaced = replace_expr_in_stmt(target, &matched, &Expr::read(new_sym.clone(), vec![]));
     let replacement = vec![
         Stmt::alloc(new_sym.clone(), ty, vec![], MemSpace::Dram),
         Stmt::assign(new_sym.clone(), vec![], matched),
@@ -318,11 +318,10 @@ pub fn expand_dim(p: &Proc, buf: &str, size: i64, idx: &str) -> Result<Proc> {
     let alloc_path =
         alloc_paths.into_iter().next().ok_or_else(|| SchedError::UnknownBuffer { buf: name.clone() })?;
 
-    let mut out = p.clone();
+    let mut out = p.with_body(p.body.iter().map(|s| prefix_accesses(s, &name, &idx_expr)).collect());
     if let Some(Stmt::Alloc { dims, .. }) = stmt_at_mut(&mut out.body, &alloc_path) {
         dims.insert(0, Expr::int(size));
     }
-    out.body = out.body.iter().map(|s| prefix_accesses(s, &name, &idx_expr)).collect();
     out.validate()?;
     Ok(out)
 }
@@ -415,12 +414,11 @@ pub fn lift_alloc(p: &Proc, buf: &str, n_lifts: usize) -> Result<Proc> {
             // Already at the top of the procedure body.
             break;
         }
-        let alloc_stmt = stmt_at(&out.body, &path).expect("path is valid").clone();
         // The loop variable we are lifting across must not appear in the
         // allocation's dimensions.
         let parent_path = &path[..path.len() - 1];
         if let Some(Stmt::For { var, .. }) = stmt_at(&out.body, parent_path) {
-            if let Stmt::Alloc { dims, .. } = &alloc_stmt {
+            if let Some(Stmt::Alloc { dims, .. }) = stmt_at(&out.body, &path) {
                 if dims.iter().any(|d| d.uses_var(var)) {
                     return Err(SchedError::OutOfRange {
                         reason: format!("allocation of `{name}` depends on loop variable `{var}`"),
@@ -429,10 +427,10 @@ pub fn lift_alloc(p: &Proc, buf: &str, n_lifts: usize) -> Result<Proc> {
             }
         }
         // Remove the alloc from its current block...
-        {
+        let alloc_stmt = {
             let (block, i) = block_of_mut(&mut out.body, &path).expect("path is valid");
-            block.remove(i);
-        }
+            block.remove(i)
+        };
         // ...and insert it right before its former parent statement.
         {
             let (parent_block, pi) = block_of_mut(&mut out.body, parent_path).expect("parent path is valid");

@@ -7,7 +7,7 @@
 //! * `"Xc[_]"` — (expression pattern) a read of buffer `Xc`, used by
 //!   `bind_expr`.
 
-use exo_ir::stmt::{stmt_at, walk};
+use exo_ir::stmt::{paths_where, stmt_at};
 use exo_ir::{Expr, Proc, Stmt, StmtPath, Sym};
 
 use crate::error::{Result, SchedError};
@@ -100,7 +100,7 @@ fn buffer_of_lhs(lhs: &str) -> Option<Sym> {
 
 /// Finds every statement in `p` matching the pattern, in pre-order.
 pub fn find_all(p: &Proc, pattern: &StmtPattern) -> Vec<StmtPath> {
-    walk(&p.body).into_iter().filter(|(_, stmt)| pattern.matches(stmt)).map(|(path, _)| path).collect()
+    paths_where(&p.body, |stmt| pattern.matches(stmt))
 }
 
 /// Finds every statement matching the textual pattern, in pre-order.

@@ -93,15 +93,15 @@ pub fn replace(p: &Proc, pattern: &str, instr: &Arc<Proc>) -> Result<Proc> {
     }
     let mut last_reason = String::from("no candidate matched the pattern");
     for path in candidates {
-        let stmt = stmt_at(&p.body, &path).expect("path from find_all is valid").clone();
-        match unify_instr(instr, &stmt) {
+        let stmt = stmt_at(&p.body, &path).expect("path from find_all is valid");
+        match unify_instr(instr, stmt) {
             Ok(args) => {
                 // Verification: inline the call, rename its loop variables to
                 // the original's, and compare the simplified forms.
                 let inlined = inline_call(instr, &args)?;
                 let aligned: Vec<Stmt> = inlined
                     .iter()
-                    .zip(std::iter::once(&stmt))
+                    .zip(std::iter::once(stmt))
                     .map(|(inl, orig)| comm_normalize(&align_loop_vars(inl, orig).simplify()))
                     .collect();
                 let normalised_original = vec![comm_normalize(&stmt.simplify())];

@@ -17,8 +17,9 @@
 //!   also fill whole vectors of the host ISA that executes them, inside its
 //!   register file, each with the one blocking for the host's probed caches
 //!   ([`gemm_blis::HostDescription`]);
-//! * [`KernelRegistry`] — caches generated kernels keyed by
-//!   `(isa, mr, nr)` (via [`ukernel_gen::KernelCache`]) and memoises
+//! * [`KernelRegistry`] — caches kernel schedules, and the kernels lowered
+//!   from the few that are served, keyed by `(isa, mr, nr)` (via
+//!   [`ukernel_gen::KernelCache`]) and memoises
 //!   tuning verdicts keyed by problem shape, for the life of the
 //!   [`Tuner`] that owns it: a verdict is deterministic per
 //!   `(m, n, k, executing ISA, caches)`, so each process re-derives it
@@ -30,8 +31,9 @@
 //!
 //! Candidates of both spaces are ranked by one cost, the analytical
 //! `carmel-sim` model run through the five-loop structure
-//! ([`gemm_blis::modelled_gemm_cycles`]): deterministic, and ranking a
-//! candidate neither runs nor compiles it. [`Tuner::new`] stays the
+//! ([`gemm_blis::modelled_gemm_cycles`]) over each tile's schedule:
+//! deterministic, and ranking a candidate neither lowers, runs nor
+//! compiles it. [`Tuner::new`] stays the
 //! paper's question — what the modelled Carmel picks from the whole Neon
 //! space — and is what the figure binaries and [`tune_workload`] use. A
 //! verdict's `predicted_*` fields are that model's numbers in either

@@ -1,9 +1,9 @@
-//! The kernel registry: generated-kernel caching and tuning-verdict
-//! memoisation.
+//! The kernel registry: kernel caching and tuning-verdict memoisation.
 //!
 //! The registry is a tuner's memory for the life of the process. It wraps a
-//! shared [`KernelCache`] (kernels keyed by `(isa, mr, nr)`, generated at
-//! most once per process) and adds a verdict table keyed by problem shape
+//! shared [`KernelCache`] (schedules keyed by `(isa, mr, nr)`, each tile
+//! scheduled at most once per process and lowered at most once, when it is
+//! served) and adds a verdict table keyed by problem shape
 //! `(m, n, k)`. A verdict is a pure function of the shape and the design
 //! space it was searched in — the described ISA, the executing ISA and the
 //! caches — so nothing is written down: every [`crate::Tuner`] owns its
@@ -69,12 +69,13 @@ impl KernelRegistry {
         KernelRegistry::default()
     }
 
-    /// The shared generated-kernel cache.
+    /// The shared kernel cache.
     pub fn kernel_cache(&self) -> Arc<KernelCache> {
         Arc::clone(&self.kernels)
     }
 
-    /// Generator invocations performed through the kernel cache.
+    /// Recipe runs performed through the kernel cache
+    /// ([`KernelCache::generator_invocations`]).
     pub fn generator_invocations(&self) -> u64 {
         self.kernels.generator_invocations()
     }

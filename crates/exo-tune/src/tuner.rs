@@ -84,14 +84,17 @@ impl Tuner {
     /// space, with its host's one blocking in a serving space
     /// ([`DesignSpace::candidates`]) — are ranked by [`modelled_gemm_cycles`]
     /// on the tuner's core model (lower is better): the `carmel-sim` core
-    /// model run through the five-loop BLIS structure. Deterministic and
-    /// host-independent; no candidate is executed, timed or compiled to be
-    /// ranked.
+    /// model run through the five-loop BLIS structure, reading each tile's
+    /// schedule ([`ukernel_gen::KernelCache::get_or_schedule`]: the
+    /// recipe's trace, run once per tile). Deterministic and
+    /// host-independent; no candidate is lowered, executed, timed or
+    /// compiled to be ranked — only [`Self::kernel_for`] lowers a tile,
+    /// the one a driver serves.
     ///
     /// # Errors
     ///
     /// Returns [`TuneError`] if the problem is degenerate or a candidate
-    /// cannot be generated.
+    /// cannot be scheduled.
     pub fn tune(&self, m: usize, n: usize, k: usize) -> Result<TuneVerdict, TuneError> {
         if m == 0 || n == 0 || k == 0 {
             return Err(TuneError::Gemm(format!("cannot tune the empty problem {m}x{n}x{k}")));
@@ -108,10 +111,10 @@ impl Tuner {
         let evaluated = candidates.len();
         for candidate in candidates {
             let (mr, nr) = (candidate.tile.mr, candidate.tile.nr);
-            let kernel = cache
-                .get_or_generate(&self.generator, mr, nr)
+            let schedule = cache
+                .get_or_schedule(&self.generator, mr, nr)
                 .map_err(|e| TuneError::Generation { mr, nr, message: e.to_string() })?;
-            let kernel = ModelledKernel::generated(&kernel);
+            let kernel = ModelledKernel::generated(&schedule);
             let cost = modelled_gemm_cycles(&self.core, &kernel, &candidate.blocking, m, n, k);
             let better = match &best {
                 Some((best_cost, _)) => cost < *best_cost,
@@ -143,7 +146,8 @@ impl Tuner {
     }
 
     /// The generated kernel a verdict dispatches to (served by the
-    /// registry's cache).
+    /// registry's cache, which lowers the tile's schedule on the first
+    /// request).
     ///
     /// # Errors
     ///
@@ -165,14 +169,14 @@ impl Tuner {
         Ok(exo_kernel(self.kernel_for(verdict)?))
     }
 
-    /// A [`GemmSimulator`] whose `ALG+EXO` kernels are served by this
-    /// tuner's registry over the design-space tile shapes — the
-    /// registry-driven replacement for the simulator's hard-coded shape
-    /// list.
+    /// A [`GemmSimulator`] whose `ALG+EXO` kernels are modelled from the
+    /// schedules this tuner's registry holds for the design-space tile
+    /// shapes — the registry-driven replacement for the simulator's
+    /// hard-coded shape list.
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError::Generation`] if a tile cannot be generated.
+    /// Returns [`TuneError::Gemm`] if a tile cannot be scheduled.
     pub fn simulator(&self, options: SimOptions) -> Result<GemmSimulator, TuneError> {
         let shapes: Vec<(usize, usize)> = self.space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
         GemmSimulator::with_kernel_cache(self.core.clone(), options, self.registry.kernel_cache(), &shapes)
@@ -193,6 +197,7 @@ mod tests {
         assert!(verdict.candidates_evaluated > 0);
         let invocations_after_search = tuner.registry().generator_invocations();
         assert!(invocations_after_search > 0);
+        assert_eq!(tuner.registry().kernel_cache().lowerings(), 0, "ranking lowers no candidate");
 
         // Second request: answered from the registry, no new generation.
         let again = tuner.tune(1000, 1000, 1000).unwrap();
@@ -223,8 +228,10 @@ mod tests {
         assert_eq!(sim.exo_kernels().len(), tiles);
         let generated = tuner.registry().generator_invocations();
         assert_eq!(generated, tiles as u64);
-        // Tuning afterwards reuses every kernel the simulator generated.
+        // Tuning afterwards reuses every schedule the simulator made, and
+        // neither of them lowered a kernel.
         tuner.tune(256, 256, 256).unwrap();
         assert_eq!(tuner.registry().generator_invocations(), generated);
+        assert_eq!(tuner.registry().kernel_cache().lowerings(), 0);
     }
 }

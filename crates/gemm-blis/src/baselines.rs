@@ -12,8 +12,9 @@
 //! bookkeeping in the loop body, the compiler-scheduled intrinsics version
 //! is a little less tight than the assembly one, and only the BLIS library
 //! kernel prefetches `C` — exactly the distinctions the paper draws. An
-//! `EXO` descriptor is a generated kernel's own trace
-//! ([`ModelledKernel::generated`]).
+//! `EXO` descriptor is a scheduled kernel's own trace
+//! ([`ModelledKernel::generated`]), read off its schedule: a kernel is
+//! modelled without being lowered.
 //!
 //! A kernel that runs is a generated one: [`KernelImpl`] wraps a
 //! [`GeneratedKernel`] and the tier it is pinned to, and nothing else
@@ -32,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{KernelTrace, MachineOp};
 use exo_ir::{InstrClass, ScalarType};
-use ukernel_gen::{GenError, GeneratedKernel, MicroKernelGenerator, TierDispatch};
+use ukernel_gen::{GenError, GeneratedKernel, KernelSchedule, MicroKernelGenerator, TierDispatch};
 // The tier pin lives where the tier ladder is resolved; re-exported here
 // (and from the crate root) for the driver's callers.
 pub use ukernel_gen::ExecBackend;
@@ -100,7 +101,7 @@ impl KernelImpl {
 /// machine-operation trace of one invocation, and what the trace does not
 /// say. Nothing here executes; [`crate::GemmSimulator`],
 /// [`crate::modelled_gemm_cycles`] and the `exo-tune` ranker read it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelledKernel {
     /// Display name (`"NEON"`, `"BLIS"`, `"EXO 8x8"`, ...), the
     /// [`crate::SimResult::kernel`] of every simulation that picks it.
@@ -120,8 +121,10 @@ pub struct ModelledKernel {
 
 impl ModelledKernel {
     /// A generated kernel as the paper's `EXO` series models it: no
-    /// edge-case logic, no prefetch, exactly the generated trace.
-    pub fn generated(kernel: &GeneratedKernel) -> Self {
+    /// edge-case logic, no prefetch, exactly the scheduled trace. It reads
+    /// the schedule alone, so a [`GeneratedKernel`] (which dereferences to
+    /// its schedule) models exactly as the schedule it was lowered from.
+    pub fn generated(kernel: &KernelSchedule) -> Self {
         ModelledKernel {
             name: format!("EXO {}x{}", kernel.mr, kernel.nr).into(),
             mr: kernel.mr,
@@ -411,6 +414,39 @@ mod tests {
                 assert_eq!(from.with_backend(backend).name, pinned.name, "{backend:?}");
             }
         }
+    }
+
+    /// Ranking reads a schedule where it used to read a generated kernel,
+    /// so the two must model alike: on every admitted tile of both bundled
+    /// f32 libraries and on a scalar-strategy tile, a schedule's trace is
+    /// the trace of the kernel generated for the same tile.
+    #[test]
+    fn a_schedule_models_exactly_as_its_generated_kernel() {
+        use exo_isa::avx512_f32;
+        use ukernel_gen::Strategy;
+        let mut checked = 0;
+        for isa in [neon_f32(), avx512_f32()] {
+            let generator = MicroKernelGenerator::new(isa);
+            let mut tiles: Vec<(usize, usize)> =
+                generator.admitted_tiles().iter().map(|t| (t.mr, t.nr)).collect();
+            if generator.isa().name == "neon-f32" {
+                assert_eq!(generator.choose_strategy(3, 5), Strategy::Scalar);
+                tiles.push((3, 5));
+            }
+            for (mr, nr) in tiles {
+                let schedule = generator.schedule(mr, nr).unwrap();
+                let kernel = generator.generate(mr, nr).unwrap();
+                let label = format!("{} {mr}x{nr}", generator.isa().name);
+                assert_eq!(schedule.trace, kernel.trace, "{label}: trace");
+                assert_eq!(
+                    ModelledKernel::generated(&schedule),
+                    ModelledKernel::generated(&kernel),
+                    "{label}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 18 + 7 + 1, "every admitted tile of both libraries, and the scalar one");
     }
 
     #[test]

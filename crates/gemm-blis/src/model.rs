@@ -87,9 +87,9 @@ impl Default for SimOptions {
 ///
 /// The `ALG+EXO` candidate kernels come from a shared
 /// [`KernelCache`] instead of a hard-coded shape list: the simulator asks
-/// the cache for each shape it was configured with, so several simulators
-/// (or a simulator plus the `exo-tune` autotuner) built over the same cache
-/// generate every shape at most once.
+/// the cache for the schedule of each shape it was configured with, so
+/// several simulators (or a simulator plus the `exo-tune` autotuner) built
+/// over the same cache schedule every shape at most once, and lower none.
 #[derive(Debug, Clone)]
 pub struct GemmSimulator {
     core: CarmelCore,
@@ -103,7 +103,7 @@ impl GemmSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError::Kernel`] if kernel generation fails.
+    /// Returns [`GemmError::Kernel`] if kernel scheduling fails.
     pub fn new() -> Result<Self, GemmError> {
         Self::with_options(CarmelCore::carmel(), SimOptions::default())
     }
@@ -113,17 +113,18 @@ impl GemmSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError::Kernel`] if kernel generation fails.
+    /// Returns [`GemmError::Kernel`] if kernel scheduling fails.
     pub fn with_options(core: CarmelCore, options: SimOptions) -> Result<Self, GemmError> {
         Self::with_kernel_cache(core, options, Arc::new(KernelCache::new()), &KernelSet::paper_shapes())
     }
 
-    /// Builds a simulator whose `ALG+EXO` kernels are served by `cache` for
-    /// the given tile `shapes` — the registry-driven path used by `exo-tune`.
+    /// Builds a simulator whose `ALG+EXO` kernels are modelled from the
+    /// schedules `cache` holds for the given tile `shapes` — the
+    /// registry-driven path used by `exo-tune`. No kernel is lowered.
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError::Kernel`] if any shape cannot be generated.
+    /// Returns [`GemmError::Kernel`] if any shape cannot be scheduled.
     pub fn with_kernel_cache(
         core: CarmelCore,
         options: SimOptions,
@@ -133,11 +134,11 @@ impl GemmSimulator {
         let generator = MicroKernelGenerator::new(exo_isa::neon_f32());
         let mut exo_kernels = Vec::with_capacity(shapes.len());
         for &(mr, nr) in shapes {
-            let kernel = cache.get_or_generate(&generator, mr, nr).map_err(|e| GemmError::Kernel {
+            let schedule = cache.get_or_schedule(&generator, mr, nr).map_err(|e| GemmError::Kernel {
                 kernel: format!("EXO {mr}x{nr}"),
                 message: e.to_string(),
             })?;
-            exo_kernels.push(ModelledKernel::generated(&kernel));
+            exo_kernels.push(ModelledKernel::generated(&schedule));
         }
         if exo_kernels.is_empty() {
             return Err(GemmError::Kernel {

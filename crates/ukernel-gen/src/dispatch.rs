@@ -12,7 +12,7 @@
 //! build-time table holds no body for the kernel, and that is the ladder's
 //! one edge.
 //! The reference interpreter (`exo_ir::interp::run_proc` of
-//! [`GeneratedKernel::proc`]) is not a rung: it is the semantics every tier
+//! [`crate::KernelSchedule::proc`]) is not a rung: it is the semantics every tier
 //! computes bit for bit, and the tests call it directly.
 //! [`GeneratedKernel::dispatcher`] is the **one** function in the workspace
 //! that maps a requested [`ExecBackend`] onto the tier that runs, and every

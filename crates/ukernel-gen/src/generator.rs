@@ -1,7 +1,16 @@
 //! The micro-kernel generator: strategy selection, recipe execution, and
 //! packaging of every artefact a consumer needs (scheduled IR, C code,
 //! pseudo-assembly, machine trace, executable form).
+//!
+//! Generation is split at the schedule. [`MicroKernelGenerator::schedule`]
+//! runs the recipe and extracts the machine trace — everything the
+//! performance model reads — into a [`KernelSchedule`];
+//! [`GeneratedKernel::lower`] turns a schedule into the C text, the
+//! listing, the tape and the superword lowering a kernel runs from. A
+//! ranker reads schedules only, so a tile is lowered when something is
+//! going to run it, and never to be compared.
 
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
@@ -95,9 +104,11 @@ impl KernelOptions {
     }
 }
 
-/// A fully generated micro-kernel and every artefact derived from it.
+/// A scheduled micro-kernel: the recipe's output and the machine trace of
+/// it, before any lowering — all a performance model needs to rank the
+/// tile, and what a [`GeneratedKernel`] is lowered from.
 #[derive(Debug, Clone)]
-pub struct GeneratedKernel {
+pub struct KernelSchedule {
     /// Register-tile rows.
     pub mr: usize,
     /// Register-tile columns.
@@ -115,15 +126,32 @@ pub struct GeneratedKernel {
     /// The final scheduled procedure. Its reference semantics,
     /// `exo_ir::interp::run_proc`, is the bits every tier below computes.
     pub proc: Proc,
+    /// Machine-operation trace for the performance model.
+    pub trace: KernelTrace,
+}
+
+impl KernelSchedule {
+    /// Floating-point operations the kernel performs for a given `KC`.
+    pub fn flops(&self, kc: usize) -> u64 {
+        2 * self.mr as u64 * self.nr as u64 * kc as u64
+    }
+}
+
+/// A fully generated micro-kernel: its [`KernelSchedule`] (which it
+/// dereferences to, so `kernel.proc`, `kernel.trace`, ... read the
+/// schedule) and every artefact lowered from it.
+#[derive(Debug, Clone)]
+pub struct GeneratedKernel {
+    /// The schedule this kernel lowers, shared with the cache that ranked
+    /// it.
+    pub schedule: Arc<KernelSchedule>,
     /// Generated C-with-intrinsics source.
     pub c_code: String,
     /// Pseudo-assembly listing of the k-loop (Fig. 12 analogue).
     pub asm: String,
-    /// Machine-operation trace for the performance model.
-    pub trace: KernelTrace,
-    /// Tape-compiled form of [`Self::proc`]: the flat executor that checks
-    /// every access — the checked reference a declined proof of the native
-    /// tier lands on, and what a `Tape` pin runs.
+    /// Tape-compiled form of the schedule's `proc`: the flat executor that
+    /// checks every access — the checked reference a declined proof of the
+    /// native tier lands on, and what a `Tape` pin runs.
     pub tape: Arc<TapeKernel>,
     /// Superword lowering of [`Self::tape`] (it keeps this same `Arc`):
     /// the SLP-packed whole-vector ops plus the proofs a native body of
@@ -136,6 +164,14 @@ pub struct GeneratedKernel {
     /// time, probe-verified by the engine, or `None` — for good — when the
     /// table holds no body for it or the probe rejected it.
     native: OnceLock<Option<Arc<SimdKernel>>>,
+}
+
+impl Deref for GeneratedKernel {
+    type Target = KernelSchedule;
+
+    fn deref(&self) -> &KernelSchedule {
+        &self.schedule
+    }
 }
 
 impl GeneratedKernel {
@@ -175,9 +211,19 @@ impl GeneratedKernel {
         self.native()
     }
 
-    /// Floating-point operations the kernel performs for a given `KC`.
-    pub fn flops(&self, kc: usize) -> u64 {
-        2 * self.mr as u64 * self.nr as u64 * kc as u64
+    /// Lowers a schedule: the C text, the listing of its trace, the tape
+    /// and the superword form. The recipe is not run again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GenError::Codegen`] if any lowering cannot be built: a
+    /// kernel comes back with all of them or not at all.
+    pub(crate) fn lower(schedule: Arc<KernelSchedule>) -> Result<GeneratedKernel> {
+        let c_code = emit_c(&schedule.proc)?;
+        let asm = emit_asm(&schedule.trace);
+        let tape = Arc::new(compile(&schedule.proc)?);
+        let superword = Arc::new(tape.to_superword()?);
+        Ok(GeneratedKernel { schedule, c_code, asm, tape, superword, native: OnceLock::new() })
     }
 }
 
@@ -244,7 +290,8 @@ impl MicroKernelGenerator {
         tiles
     }
 
-    /// Generates a kernel with default options.
+    /// Generates a kernel with default options: [`Self::schedule`], then
+    /// the lowering of that schedule.
     ///
     /// # Errors
     ///
@@ -253,16 +300,32 @@ impl MicroKernelGenerator {
         self.generate_with(&KernelOptions::new(mr, nr))
     }
 
-    /// Generates a kernel with explicit options.
+    /// Generates a kernel with explicit options: the recipe and the trace,
+    /// then their lowering.
     ///
     /// # Errors
     ///
     /// Returns [`GenError`] if the requested strategy cannot handle the shape
-    /// or a scheduling step fails, and [`GenError::Codegen`] if any
-    /// lowering of the scheduled form — C text, trace, tape,
-    /// superword — cannot be built: a kernel comes
-    /// back with all of them or not at all.
+    /// or a scheduling step fails, and [`GenError::Codegen`] if the trace or
+    /// any lowering of the scheduled form — C text, tape, superword —
+    /// cannot be built: a kernel comes back with all of them or not at all.
     pub fn generate_with(&self, opts: &KernelOptions) -> Result<GeneratedKernel> {
+        GeneratedKernel::lower(Arc::new(self.schedule_with(opts)?))
+    }
+
+    /// Schedules a kernel with default options: runs the recipe and
+    /// extracts the trace, lowering nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GenError`] if no recipe can produce the requested shape.
+    pub fn schedule(&self, mr: usize, nr: usize) -> Result<KernelSchedule> {
+        self.schedule_with(&KernelOptions::new(mr, nr))
+    }
+
+    /// Schedules a kernel with explicit options; it fails as
+    /// [`Self::generate_with`] does before any lowering.
+    fn schedule_with(&self, opts: &KernelOptions) -> Result<KernelSchedule> {
         if opts.mr == 0 || opts.nr == 0 {
             return Err(GenError::UnsupportedShape {
                 mr: opts.mr,
@@ -278,12 +341,8 @@ impl MicroKernelGenerator {
             Strategy::Scalar => scalar_recipe(&self.base, opts.mr, opts.nr)?,
         };
         let proc = steps.last().expect("every recipe produces at least one step").proc.clone();
-        let c_code = emit_c(&proc)?;
         let trace = extract_trace(&proc, "KC")?;
-        let asm = emit_asm(&trace);
-        let tape = Arc::new(compile(&proc)?);
-        let superword = Arc::new(tape.to_superword()?);
-        Ok(GeneratedKernel {
+        Ok(KernelSchedule {
             mr: opts.mr,
             nr: opts.nr,
             dtype: self.isa.elem,
@@ -292,12 +351,7 @@ impl MicroKernelGenerator {
             strategy,
             steps,
             proc,
-            c_code,
-            asm,
             trace,
-            tape,
-            superword,
-            native: OnceLock::new(),
         })
     }
 }

@@ -9,10 +9,12 @@
 //! of the paper's Section III — `partial_eval`, `divide_loop`, `stage_mem`,
 //! `expand_dim`, `lift_alloc`, `autofission`, `replace`, `set_memory`,
 //! `unroll_loop` (all but Fig. 10's `reorder_loops`, see
-//! [`recipes::laneq_recipe`]) — and returns a [`GeneratedKernel`]
-//! containing the scheduled IR, the C-with-intrinsics source, a pseudo
-//! assembly listing, a machine-operation trace for the performance model,
-//! and an executable lowering.
+//! [`recipes::laneq_recipe`]). [`MicroKernelGenerator::schedule`] stops
+//! there: a [`KernelSchedule`] holds the scheduled IR and the
+//! machine-operation trace the performance model ranks it by.
+//! [`MicroKernelGenerator::generate`] also lowers it into a
+//! [`GeneratedKernel`]: the C-with-intrinsics source, a pseudo assembly
+//! listing and the executable lowerings.
 //!
 //! ```
 //! use exo_isa::neon_f32;
@@ -44,6 +46,8 @@ pub use error::{GenError, Result};
 // The tier handle and its pin live with the executors; the ladder that
 // maps one onto the other is [`GeneratedKernel::dispatcher`].
 pub use exo_codegen::{ExecBackend, TierDispatch};
-pub use generator::{GeneratedKernel, KernelOptions, KernelSet, MicroKernelGenerator, Strategy, TileShape};
+pub use generator::{
+    GeneratedKernel, KernelOptions, KernelSchedule, KernelSet, MicroKernelGenerator, Strategy, TileShape,
+};
 pub use recipes::RecipeStep;
 pub use registry::{KernelCache, KernelKey};

@@ -1,30 +1,46 @@
-//! A shared, thread-safe cache of generated kernels keyed by
+//! A shared, thread-safe cache of scheduled and generated kernels keyed by
 //! `(isa, mr, nr)`.
 //!
-//! Generating a micro-kernel is cheap but not free (a dozen scheduling
-//! rewrites plus code generation), and the same shapes recur across the
-//! simulator, the functional GEMM driver, and the autotuner. A
-//! [`KernelCache`] is the single source of generated kernels for all of
-//! them: the first request for a shape invokes the generator, every later
-//! request returns the cached [`GeneratedKernel`]. The cache counts
-//! generator invocations so callers (and tests) can verify that a warm
-//! cache never regenerates.
+//! Scheduling a micro-kernel is cheap but not free (a dozen scheduling
+//! rewrites), lowering it costs about as much again (C text, tape,
+//! superword), and the same shapes recur across the simulator, the
+//! functional GEMM driver, and the autotuner. A [`KernelCache`] is the
+//! single source of kernels for all of them, in two steps. The first
+//! request for a shape — a [`KernelCache::get_or_schedule`] from a ranker,
+//! or a [`KernelCache::get_or_generate`] — runs the generator's recipe and
+//! keeps the [`KernelSchedule`]; the first `get_or_generate` lowers that
+//! schedule into a [`GeneratedKernel`] without running the recipe again,
+//! and every later request returns what is cached. The cache counts recipe
+//! runs ([`KernelCache::generator_invocations`]) and lowerings
+//! ([`KernelCache::lowerings`]) so callers (and tests) can verify that a
+//! warm cache never regenerates and that ranking lowers nothing.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::Result;
-use crate::generator::{GeneratedKernel, MicroKernelGenerator};
+use crate::generator::{GeneratedKernel, KernelSchedule, MicroKernelGenerator};
 
 /// Key of a cached kernel: ISA name and register-tile shape.
 pub type KernelKey = (String, usize, usize);
 
-/// A thread-safe cache of generated kernels keyed by `(isa, mr, nr)`.
+/// One tile's cached state: its schedule, and its lowering once a caller
+/// asked for the kernel.
+#[derive(Debug)]
+struct Tile {
+    schedule: Arc<KernelSchedule>,
+    kernel: Option<Arc<GeneratedKernel>>,
+}
+
+/// A thread-safe cache of kernels keyed by `(isa, mr, nr)`: each tile's
+/// schedule, and its generated kernel once one was asked for.
 #[derive(Debug, Default)]
 pub struct KernelCache {
-    kernels: Mutex<HashMap<KernelKey, Arc<GeneratedKernel>>>,
+    tiles: Mutex<HashMap<KernelKey, Tile>>,
     invocations: AtomicU64,
+    lowerings: AtomicU64,
 }
 
 impl KernelCache {
@@ -34,15 +50,54 @@ impl KernelCache {
     }
 
     /// The table, whether or not a holder of the lock panicked: the map is
-    /// only touched by whole lookups and by the insertion after generation
-    /// has returned, so a panic inside `generate` leaves it as it was — and
-    /// one contained panic must not fail every later lookup.
-    fn table(&self) -> MutexGuard<'_, HashMap<KernelKey, Arc<GeneratedKernel>>> {
-        self.kernels.lock().unwrap_or_else(PoisonError::into_inner)
+    /// only touched by whole lookups and by the insertions after a recipe
+    /// or a lowering has returned, so a panic inside either leaves it as it
+    /// was — and one contained panic must not fail every later lookup.
+    fn table(&self) -> MutexGuard<'_, HashMap<KernelKey, Tile>> {
+        self.tiles.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Returns the cached kernel for `(generator ISA, mr, nr)`, generating
-    /// (and caching) it on the first request.
+    /// The tile for `(generator ISA, mr, nr)` in `tiles`, running the
+    /// generator's recipe (and caching its schedule) on the first request.
+    fn tile<'t>(
+        &self,
+        tiles: &'t mut HashMap<KernelKey, Tile>,
+        generator: &MicroKernelGenerator,
+        mr: usize,
+        nr: usize,
+    ) -> Result<&'t mut Tile> {
+        match tiles.entry((generator.isa().name.clone(), mr, nr)) {
+            Entry::Occupied(tile) => Ok(tile.into_mut()),
+            Entry::Vacant(slot) => {
+                self.invocations.fetch_add(1, Ordering::Relaxed);
+                let schedule = Arc::new(generator.schedule(mr, nr)?);
+                Ok(slot.insert(Tile { schedule, kernel: None }))
+            }
+        }
+    }
+
+    /// Returns the cached schedule for `(generator ISA, mr, nr)`, running
+    /// the recipe (and caching the schedule) on the first request. Lowers
+    /// nothing: this is what a ranker asks for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`crate::GenError`] if the shape cannot be scheduled.
+    pub fn get_or_schedule(
+        &self,
+        generator: &MicroKernelGenerator,
+        mr: usize,
+        nr: usize,
+    ) -> Result<Arc<KernelSchedule>> {
+        // Schedule while holding the lock: scheduling is pure and quick,
+        // and this guarantees each shape's recipe runs exactly once.
+        let mut tiles = self.table();
+        Ok(Arc::clone(&self.tile(&mut tiles, generator, mr, nr)?.schedule))
+    }
+
+    /// Returns the cached kernel for `(generator ISA, mr, nr)`, lowering
+    /// the cached schedule — and running the recipe first if no schedule is
+    /// cached yet — on the first request.
     ///
     /// # Errors
     ///
@@ -53,20 +108,21 @@ impl KernelCache {
         mr: usize,
         nr: usize,
     ) -> Result<Arc<GeneratedKernel>> {
-        let key = (generator.isa().name.clone(), mr, nr);
-        let mut kernels = self.table();
-        if let Some(kernel) = kernels.get(&key) {
+        // Lower while holding the lock, for the same reason: each shape is
+        // lowered exactly once.
+        let mut tiles = self.table();
+        let tile = self.tile(&mut tiles, generator, mr, nr)?;
+        if let Some(kernel) = &tile.kernel {
             return Ok(Arc::clone(kernel));
         }
-        // Generate while holding the lock: generation is pure and quick, and
-        // this guarantees each shape is generated exactly once.
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        let kernel = Arc::new(generator.generate(mr, nr)?);
-        kernels.insert(key, Arc::clone(&kernel));
+        self.lowerings.fetch_add(1, Ordering::Relaxed);
+        let kernel = Arc::new(GeneratedKernel::lower(Arc::clone(&tile.schedule))?);
+        tile.kernel = Some(Arc::clone(&kernel));
         Ok(kernel)
     }
 
-    /// Number of kernels currently cached.
+    /// Number of tiles currently cached (each scheduled; some of them also
+    /// lowered).
     pub fn len(&self) -> usize {
         self.table().len()
     }
@@ -76,9 +132,16 @@ impl KernelCache {
         self.len() == 0
     }
 
-    /// How many times the cache has invoked a generator since creation.
+    /// How many times the cache has run a generator's recipe since
+    /// creation: one per tile scheduled.
     pub fn generator_invocations(&self) -> u64 {
         self.invocations.load(Ordering::Relaxed)
+    }
+
+    /// How many schedules the cache has lowered into kernels since
+    /// creation: one per tile a caller asked to run.
+    pub fn lowerings(&self) -> u64 {
+        self.lowerings.load(Ordering::Relaxed)
     }
 }
 
@@ -99,6 +162,25 @@ mod tests {
         cache.get_or_generate(&generator, 4, 4).unwrap();
         assert_eq!(cache.generator_invocations(), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_schedule_then_its_kernel_runs_the_recipe_once() {
+        let cache = KernelCache::new();
+        let generator = MicroKernelGenerator::new(neon_f32());
+        let schedule = cache.get_or_schedule(&generator, 8, 12).unwrap();
+        assert_eq!((cache.generator_invocations(), cache.lowerings()), (1, 0), "scheduling lowers nothing");
+        assert!(Arc::ptr_eq(&cache.get_or_schedule(&generator, 8, 12).unwrap(), &schedule));
+        let kernel = cache.get_or_generate(&generator, 8, 12).unwrap();
+        assert_eq!(
+            (cache.generator_invocations(), cache.lowerings()),
+            (1, 1),
+            "the kernel lowers the schedule"
+        );
+        assert!(Arc::ptr_eq(&kernel.schedule, &schedule), "the kernel is the cached schedule's lowering");
+        assert!(Arc::ptr_eq(&cache.get_or_generate(&generator, 8, 12).unwrap(), &kernel));
+        assert!(Arc::ptr_eq(&cache.get_or_schedule(&generator, 8, 12).unwrap(), &schedule));
+        assert_eq!((cache.generator_invocations(), cache.lowerings(), cache.len()), (1, 1, 1));
     }
 
     #[test]
@@ -148,12 +230,12 @@ mod tests {
         // lock. (Joined, so the poison is in place before the next line.)
         let poisoner = std::thread::scope(|s| {
             s.spawn(|| {
-                let _held = cache.kernels.lock().unwrap();
+                let _held = cache.tiles.lock().unwrap();
                 panic!("a contained panic inside generation");
             })
             .join()
         });
-        assert!(poisoner.is_err() && cache.kernels.is_poisoned());
+        assert!(poisoner.is_err() && cache.tiles.is_poisoned());
         // Every door still answers, with the state the panic found.
         assert!(Arc::ptr_eq(&cache.get_or_generate(&generator, 4, 4).unwrap(), &before));
         cache.get_or_generate(&generator, 4, 8).unwrap();
