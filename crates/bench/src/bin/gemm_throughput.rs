@@ -7,14 +7,14 @@
 //! the generated 8x12 kernel's in gates 1 to 5, the serving verdict's from
 //! gate 6 on.
 //!
-//! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `tape < superword
-//!    < native` must hold strictly at both sizes — a faster tier measuring
+//! 1. **Tier ordering**, at `m = n = k` of 128 and 256: `superword <
+//!    native` must hold strictly at both sizes — the native tier measuring
 //!    slower than its own fallback means the fast path regressed below the
 //!    slow one. `superword` is the safe interpreter of the superword
-//!    lowering (the same on every ISA), `native` the body compiled for the
-//!    active ISA when the workspace was built. One leg compares a series
-//!    with itself on some builds and is skipped there: `native` over
-//!    `superword` when the build compiled no bodies for the active ISA
+//!    lowering (the same on every ISA, and the floor of the ladder),
+//!    `native` the body compiled for the active ISA when the workspace was
+//!    built. The gate compares a series with itself on some builds and is
+//!    skipped there: when the build compiled no bodies for the active ISA
 //!    (`!native_available()`: the native series *is* the interpreter).
 //! 2. **`solo`** — the paper's Fig. 13 on the host: the 8x12 promoted for
 //!    AVX2, called through its proved dispatch handle, against the same
@@ -88,14 +88,14 @@ use exo_codegen::SimdKernel;
 use exo_serve::{CachedTunedGemm, CompletedJob, GemmJob, GemmService, OwnedMat};
 use exo_tune::TunedGemm;
 use gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_superword, exo_kernel_tape, native_available, pack_a_into,
-    pack_b_into, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, HostDescription, IsaKind,
-    KernelImpl, MatMut, MatRef, PackedB,
+    active_isa, exo_kernel, exo_kernel_superword, native_available, pack_a_into, pack_b_into, toolchain,
+    BlisGemm, BlockingParams, GemmExecutor, GemmProblem, HostDescription, IsaKind, KernelImpl, MatMut,
+    MatRef, PackedB,
 };
 use ukernel_gen::{GeneratedKernel, MicroKernelGenerator, TierDispatch};
 
-/// Problem sizes of the ordering gate: large enough that every tier runs
-/// its steady-state loop, small enough for the tape.
+/// Problem sizes of the ordering gate: large enough that both tiers run
+/// their steady-state loop, small enough for the interpreter.
 const SIZES: [usize; 2] = [128, 256];
 
 /// Lowest `solo` ratio (generated over hand-written 8x12 rate) accepted. A
@@ -809,7 +809,6 @@ fn main() {
     let driver = |kernel: KernelImpl| BlisGemm::new(blocking).with_kernel(kernel);
     // Slowest first: each tier must beat the one before it.
     let tiers = [
-        ("tape", driver(exo_kernel_tape(Arc::clone(&kernel)))),
         ("superword", driver(exo_kernel_superword(Arc::clone(&kernel)))),
         ("native", driver(exo_kernel(Arc::clone(&kernel)))),
     ];

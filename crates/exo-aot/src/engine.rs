@@ -190,16 +190,17 @@ fn verify(counters: &EngineCounters, key: u64, kernel: &Arc<SimdKernel>) -> Resu
         let mut c_ref = c_native.clone();
         let probe = &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_native)];
         if !handle.admits(&[kc as i64], probe)? {
-            // A declined proof would route the call below to the checked
-            // reference, and the probe would compare the reference with
-            // itself; a kernel that cannot be probed is not promoted.
+            // A declined proof would route the call below to the superword
+            // interpreter, and the probe would compare two checked runs and
+            // never the body; a kernel that cannot be probed is not
+            // promoted.
             return Err(AotError::Unsupported { what: "a kernel whose probe shape is not provable".into() });
         }
         // Admitted by the proof just memoised, which it recalls: this runs
         // the body.
         handle.run_views(&[kc as i64], probe)?;
         let views = &mut [TensorView::Ro(&ac), TensorView::Ro(&bc), TensorView::Rw(&mut c_ref)];
-        sw.run_checked(&[kc as i64], views).map_err(|e| AotError::Unsupported {
+        sw.tape().run_views(&[kc as i64], views).map_err(|e| AotError::Unsupported {
             what: format!("a probe the checked reference declines ({e})"),
         })?;
         mismatch |= c_native.iter().zip(&c_ref).any(|(n, r)| n.to_bits() != r.to_bits());

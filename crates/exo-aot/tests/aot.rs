@@ -282,7 +282,9 @@ fn a_right_body_promotes_once_and_every_later_resolve_shares_it() {
     let (a, b, c0) = packed_inputs(8, 4, 5);
     let (mut c_native, mut c_sw) = (c0.clone(), c0);
     handle(&native, 8, 4).run(5, &a, &b, &mut c_native).unwrap();
-    sw.run_checked(&[5], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)]).unwrap();
+    sw.tape()
+        .run_views(&[5], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
+        .unwrap();
     assert_eq!(c_native, c_sw);
 }
 
@@ -362,7 +364,8 @@ fn a_missing_toolchain_is_a_typed_decline() {
             let (a, b, c0) = packed_inputs(8, 12, 13);
             let (mut c_native, mut c_sw) = (c0.clone(), c0);
             handle(&k, 8, 12).run(13, &a, &b, &mut c_native).unwrap();
-            sw.run_checked(&[13], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
+            sw.tape()
+                .run_views(&[13], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Rw(&mut c_sw)])
                 .unwrap();
             assert_eq!(c_native, c_sw, "the table's body must match the checked reference bitwise");
         }

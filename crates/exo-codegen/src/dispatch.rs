@@ -1,15 +1,17 @@
 //! The tier handle: what a GEMM engine holds and calls once per register
 //! tile, and the one place in the workspace that calls a native body.
 //!
-//! A micro-kernel runs on one of three tiers — `native → superword →
-//! tape`, fastest first, the checked tape at the floor ([`ExecBackend`]).
-//! A [`TierDispatch`] is a reusable packed-call handle on one of them, and
-//! it owns that tier's state: the native body and its memoised bounds
-//! proof, or the superword interpreter's register file and loop table, or
-//! the tape's. So a warm call on any tier allocates and re-proves nothing.
-//! Which tier a requested backend resolves to is not decided here: the
-//! generator's `GeneratedKernel::dispatcher` is the one function that maps
-//! a request onto a tier and builds the handle for it.
+//! A micro-kernel runs on one of two tiers — `native → superword`, the
+//! faster first, the safe superword interpreter at the floor
+//! ([`ExecBackend`]). A [`TierDispatch`] is a reusable packed-call handle
+//! on one of them, and it owns that tier's state: the native body and its
+//! memoised bounds proof, or the superword interpreter's register file and
+//! loop table. So a warm call on either tier allocates and re-proves
+//! nothing. Which tier a requested backend resolves to is not decided
+//! here: the generator's `GeneratedKernel::dispatcher` is the one function
+//! that maps a request onto a tier and builds the handle for it. The
+//! scalar tape is no tier: it is the reference the promotion probe and the
+//! tests compare every tier against ([`TapeKernel::run_views`]).
 //!
 //! **Arguments.** A handle is built for the packed `(KC, Ac, Bc, C)`
 //! signature and checks it once, when it is built: one scalar, three
@@ -23,11 +25,13 @@
 //! the proofs the superword lowering established: the construction-time
 //! register/loop-structure validation and the run-time affine-interval
 //! proof over the tensor addresses. `SimdKernel::run_proved` is the **one
-//! place** in the workspace that chooses between an unchecked body and the
-//! checked reference: proof admits → the body, proof declines →
-//! [`SuperwordKernel::run_checked`], the scalar tape the source was packed
-//! from. The handle owns the proof memo, so a steady-state call re-proves
-//! nothing.
+//! place** in the workspace that chooses between an unchecked body and a
+//! checked run: proof admits → the body, proof declines → a one-shot
+//! [`SuperwordKernel::run_views`], the safe interpreter of the ops the body
+//! was emitted from, which fails where the tape fails, after the tape's
+//! partial stores. The handle owns the proof memo, so a steady-state call
+//! re-proves nothing; no GEMM call is declined, so the one-shot run's
+//! register file is paid by misuse only.
 
 use std::sync::Arc;
 
@@ -54,32 +58,28 @@ pub enum ExecBackend {
     /// probe rejection) changes speed, never results.
     #[default]
     Native,
-    /// The safe superword interpreter: the kernel's whole-vector ops, one
-    /// at a time, over checked slices, each lane one `f32::mul_add` — the
-    /// fastest tier that needs no C toolchain and no proof, and the same on
-    /// every ISA.
+    /// The safe superword interpreter — the floor: the kernel's
+    /// whole-vector ops, one at a time, over checked slices, each lane one
+    /// `f32::mul_add` — the tier that needs no C toolchain and no proof,
+    /// the same on every ISA, and what a declined proof of the native tier
+    /// runs.
     Superword,
-    /// The scalar tape — the checked floor: the flat executor that
-    /// bounds-checks every access one lane at a time, which is what a
-    /// declined proof of the native tier runs and what its promotion probe
-    /// compares against.
-    Tape,
 }
 
 impl ExecBackend {
-    /// The next execution tier down the ladder (native → superword →
-    /// tape), or `None` at the tape, the checked floor.
+    /// The next execution tier down the ladder (native → superword), or
+    /// `None` at the superword interpreter, the floor.
     ///
-    /// This is the retry ladder of the fault-tolerant serving path: when a
-    /// tier fails or panics on an entry, the entry is re-attempted once on
-    /// the tier below the one it ran on, trading speed for a simpler
-    /// executor. A failure on the tape is final: nothing below it checks
-    /// more.
+    /// This is the retry ladder of the fault-tolerant serving path: when
+    /// the native tier fails or panics on an entry, the entry is
+    /// re-attempted once on the safe interpreter, the retry that covers
+    /// the one `unsafe` body. A failure on the interpreter is final: the
+    /// only checked executor below it, the tape, runs the same lowering
+    /// through the same checked step and would return the same error.
     pub fn degraded(self) -> Option<ExecBackend> {
         match self {
             ExecBackend::Native => Some(ExecBackend::Superword),
-            ExecBackend::Superword => Some(ExecBackend::Tape),
-            ExecBackend::Tape => None,
+            ExecBackend::Superword => None,
         }
     }
 }
@@ -116,8 +116,8 @@ impl std::fmt::Debug for SimdKernel {
 
 impl SimdKernel {
     /// Pairs a superword kernel with ahead-of-time compiled code as its
-    /// unchecked body, behind the proved-call site (and the checked
-    /// reference on a declined proof).
+    /// unchecked body, behind the proved-call site (and the superword
+    /// interpreter on a declined proof).
     ///
     /// # Errors
     ///
@@ -139,7 +139,7 @@ impl SimdKernel {
     }
 
     /// The superword kernel this body was lowered from (the owner of the
-    /// proofs and of the checked reference).
+    /// proofs, and the checked run of a declined call).
     pub fn source(&self) -> &Arc<SuperwordKernel> {
         &self.source
     }
@@ -151,8 +151,8 @@ impl SimdKernel {
     }
 
     /// The one proved-call site: every run of a compiled body chooses here
-    /// between that body and the checked reference. `tensors` are views the
-    /// caller built or validated for the packed signature.
+    /// between that body and the superword interpreter. `tensors` are views
+    /// the caller built or validated for the packed signature.
     ///
     /// `#[inline]` from here up to [`TierDispatch::run`]: this is the
     /// per-micro-tile call, and inlining it into the packed callers (other
@@ -166,9 +166,9 @@ impl SimdKernel {
         proofs: &mut ProofMemo,
     ) -> Result<()> {
         if !proofs.admits(&self.source, scalars, tensors) {
-            // Declined (and memoised as declined): the scalar tape runs the
-            // call and reports what it finds.
-            return self.source.run_checked(scalars, tensors);
+            // Declined (and memoised as declined): the superword
+            // interpreter runs the call one-shot and reports what it finds.
+            return self.source.run_views(scalars, tensors);
         }
         // `from_compiled` checked the one-scalar/three-tensor packed
         // signature, and every caller hands in views of those counts (the
@@ -195,23 +195,20 @@ impl SimdKernel {
 /// The state one tier runs a call with.
 #[derive(Debug, Clone)]
 enum Tier {
-    /// The native body behind the memoised bounds proof, with the checked
-    /// reference on a decline.
+    /// The native body behind the memoised bounds proof, with a one-shot
+    /// superword interpreter run on a decline.
     Native { body: Arc<SimdKernel>, proofs: ProofMemo },
     /// The superword interpreter with its own register file and loop table
     /// (checks every access itself).
     Superword { kernel: Arc<SuperwordKernel>, machine: Machine },
-    /// The scalar tape with its own register file and loop table (checks
-    /// every access itself).
-    Tape { kernel: Arc<TapeKernel>, machine: Machine },
 }
 
 /// A reusable packed-call handle on one tier of an `mr x nr` micro-kernel.
 ///
 /// It owns its tier's state — the native tier's memoised bounds proof, or
-/// the register file and loop table of the superword interpreter or of the
-/// tape — so steady-state micro-tile dispatch allocates and re-proves
-/// nothing: create one per worker and reuse it for every tile. Results are
+/// the superword interpreter's register file and loop table — so
+/// steady-state micro-tile dispatch allocates and re-proves nothing:
+/// create one per worker and reuse it for every tile. Results are
 /// bit-for-bit those of a fresh handle on the same tier.
 #[derive(Debug, Clone)]
 pub struct TierDispatch {
@@ -241,16 +238,6 @@ impl TierDispatch {
         TierDispatch::new(mr, nr, Tier::Superword { kernel, machine })
     }
 
-    /// A handle on the scalar tape `kernel`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::native`].
-    pub fn tape(kernel: Arc<TapeKernel>, mr: usize, nr: usize) -> Result<TierDispatch> {
-        let machine = kernel.machine();
-        TierDispatch::new(mr, nr, Tier::Tape { kernel, machine })
-    }
-
     /// The handle, once the packed call's argument validation passed on
     /// empty operands: one scalar, three tensors, `Ac` and `Bc` read-only —
     /// what [`Self::run`] never checks again.
@@ -267,25 +254,24 @@ impl TierDispatch {
         match self.tier {
             Tier::Native { .. } => ExecBackend::Native,
             Tier::Superword { .. } => ExecBackend::Superword,
-            Tier::Tape { .. } => ExecBackend::Tape,
         }
     }
 
     /// How many distinct `(scalars, buffer lengths)` proof inputs the
     /// native tier has memoised so far (a well-blocked GEMM sees only a
-    /// handful); 0 on the other tiers, which prove nothing.
+    /// handful); 0 on the superword tier, which proves nothing.
     pub fn memoised_proofs(&self) -> usize {
         match &self.tier {
             Tier::Native { proofs, .. } => proofs.len(),
-            Tier::Superword { .. } | Tier::Tape { .. } => 0,
+            Tier::Superword { .. } => 0,
         }
     }
 
     /// Whether a call with these scalars and views runs the native body
-    /// rather than the checked reference: the bounds proof this handle
+    /// rather than the superword interpreter: the bounds proof this handle
     /// memoises, run for an input it has not seen and recalled after, so a
     /// [`Self::run_views`] of the same input proves nothing again. `false`
-    /// on the other tiers, which never run a body unchecked.
+    /// on the superword tier, which never runs a body unchecked.
     ///
     /// # Errors
     ///
@@ -295,7 +281,7 @@ impl TierDispatch {
         self.source_tape().validate_views(scalars, tensors)?;
         Ok(match &mut self.tier {
             Tier::Native { body, proofs } => proofs.admits(&body.source, scalars, tensors),
-            Tier::Superword { .. } | Tier::Tape { .. } => false,
+            Tier::Superword { .. } => false,
         })
     }
 
@@ -325,7 +311,7 @@ impl TierDispatch {
 
     /// Runs the kernel over borrowed tensor views of any length, validated
     /// first; on the native tier a call the bounds proof declines runs the
-    /// checked reference.
+    /// superword interpreter.
     ///
     /// # Errors
     ///
@@ -344,7 +330,6 @@ impl TierDispatch {
         match &self.tier {
             Tier::Native { body, .. } => body.source.tape(),
             Tier::Superword { kernel, .. } => kernel.tape(),
-            Tier::Tape { kernel, .. } => kernel,
         }
     }
 
@@ -354,7 +339,6 @@ impl TierDispatch {
         match &mut self.tier {
             Tier::Native { body, proofs } => body.run_proved(scalars, tensors, proofs),
             Tier::Superword { kernel, machine } => kernel.interpret(machine, scalars, tensors),
-            Tier::Tape { kernel, machine } => kernel.exec(machine, scalars, tensors),
         }
     }
 }
@@ -374,7 +358,7 @@ mod tests {
         while let Some(below) = ladder.last().and_then(|tier| tier.degraded()) {
             ladder.push(below);
         }
-        assert_eq!(ladder, [Native, Superword, Tape]);
+        assert_eq!(ladder, [Native, Superword]);
     }
 
     /// A packed-signature kernel that stores into C *inside* the KC loop

@@ -12,14 +12,15 @@
 //!   `carmel-sim` performance model,
 //! * [`tape::compile`] — the one lowering of a scheduled procedure: calls
 //!   inlined, accesses linearised into affine addresses, into a flat,
-//!   register-allocated tape, every access checked: the checked reference a
-//!   declined proof of any tier below runs. Every tier computes the bits of the
-//!   reference interpreter, `exo_ir::interp::run_proc`,
+//!   register-allocated tape, every access checked: no tier, but the
+//!   reference the promotion probe and the tests compare every tier
+//!   against. Every tier computes the bits of the reference interpreter,
+//!   `exo_ir::interp::run_proc`,
 //! * [`superword`] — the superword lowering of the tape: the SLP pass that
 //!   re-rolls lane runs into whole-vector ops (`VLoad`, `VStore`,
 //!   `VFmaLane`, `VFmaBcast`), the construction-time and affine-interval
 //!   proofs a compiled body of those ops runs under, and the safe
-//!   superword interpreter — the middle rung of the tier ladder, which
+//!   superword interpreter — the floor of the two-rung tier ladder, which
 //!   runs them one at a time with every access checked, the same on every
 //!   host,
 //! * [`simd`] — the executing ISAs (AVX-512 and AVX2/FMA on x86_64, NEON on

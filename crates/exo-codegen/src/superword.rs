@@ -23,9 +23,9 @@
 //! A [`SuperwordKernel`] is the IR two tiers consume: the C of
 //! [`crate::emit_superword_c`], which the native tier compiles when the
 //! workspace builds, and the **superword interpreter** of this module —
-//! the middle rung of the tier ladder, the executor of a kernel the build
-//! left no native body for, and the test oracle of the SLP pass on any
-//! schedule. The interpreter runs one op at a time over the tape's
+//! the floor of the tier ladder, the executor of a kernel the build left
+//! no native body for and of a call whose bounds proof declined, and the
+//! test oracle of the SLP pass on any schedule. The interpreter runs one op at a time over the tape's
 //! register file, with checked slices and one [`f32::mul_add`] per lane;
 //! the scalar ops packing left go through the tape's own checked step
 //! (`tape::Machine`). It needs no proof: an access that leaves its buffer
@@ -42,9 +42,9 @@
 //! interval analysis over the (affine) addresses and the dynamic-loop
 //! bounds (`bounds_provable`, memoised per dispatch handle by
 //! `ProofMemo`) proves every tensor access in bounds *before* a compiled
-//! body is called. When the proof does not go through, the call runs
-//! [`SuperwordKernel::run_checked`] instead: the scalar tape itself
-//! ([`TapeKernel::run_views`]).
+//! body is called. When the proof does not go through, the call runs the
+//! interpreter instead, one-shot ([`SuperwordKernel::run_views`]), which
+//! fails as the scalar tape ([`TapeKernel::run_views`]) would.
 //!
 //! Packing preserves the scalar tape's exact op order within each packed
 //! group (lanes execute in ascending order, multiplication commutes
@@ -148,13 +148,14 @@ impl VOp {
 /// Obtained from [`TapeKernel::to_superword`]. Describes bit-for-bit the same
 /// computation as the scalar tape and the interpreter, one vector register
 /// per op instead of one lane; executed by the superword interpreter
-/// ([`Self::run_views`], [`crate::TierDispatch::superword`]), by the native
-/// bodies compiled from its C ([`crate::SimdKernel`]) and, their proof
-/// declined, by the tape it was packed from ([`Self::run_checked`]).
+/// ([`Self::run_views`], [`crate::TierDispatch::superword`]) — which also
+/// runs a call whose bounds proof declined — and by the native bodies
+/// compiled from its C ([`crate::SimdKernel`]).
 #[derive(Debug, Clone)]
 pub struct SuperwordKernel {
     /// The scalar tape these ops were packed from: the signature, the
-    /// register-file and loop-table sizes, and the checked reference.
+    /// register-file and loop-table sizes, and the reference the probe
+    /// compares against.
     tape: Arc<TapeKernel>,
     pub(crate) ops: Vec<VOp>,
     n_vector_ops: usize,
@@ -459,8 +460,9 @@ impl SuperwordKernel {
         &self.tape.name
     }
 
-    /// The scalar tape this kernel was packed from — the checked reference
-    /// of every executor of it.
+    /// The scalar tape this kernel was packed from — the reference every
+    /// executor of it is compared against: the promotion probe runs it
+    /// beside each native body, and the tests beside every tier.
     #[inline]
     pub fn tape(&self) -> &Arc<TapeKernel> {
         &self.tape
@@ -522,22 +524,10 @@ impl SuperwordKernel {
         groups
     }
 
-    /// The checked reference run — the scalar tape these ops were packed
-    /// from, the floor of the tier ladder: every register and tensor access
-    /// bounds-checked, one lane at a time. Every declined interval proof
-    /// lands here, and the ahead-of-time tier's promotion probe uses it as
-    /// its reference.
-    ///
-    /// # Errors
-    ///
-    /// [`TapeKernel::run_views`]'s.
-    pub fn run_checked(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.tape.run_views(scalars, tensors)
-    }
-
     /// Runs the kernel on the superword interpreter over borrowed tensor
     /// views (one-shot: a fresh register file; the GEMM hot path holds a
-    /// [`crate::TierDispatch`] instead). Bit-for-bit the tape's results.
+    /// [`crate::TierDispatch`] instead) — also what a native call whose
+    /// bounds proof declined runs. Bit-for-bit the tape's results.
     ///
     /// # Errors
     ///
@@ -676,7 +666,7 @@ impl SuperwordKernel {
     /// *every* counter value in the loop's range — the interval bound is
     /// not an approximation unless a loop bound itself depends on an outer
     /// loop (where it degrades to a safe over-approximation and the call
-    /// runs the checked reference).
+    /// runs the interpreter).
     fn every_access(&self, scalars: &[i64], mut holds: impl FnMut(u16, i64, i64) -> bool) -> bool {
         let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.tape.n_dyn_loops];
         let mut pc = 0usize;
@@ -750,7 +740,7 @@ struct ProofEntry {
 /// problem with only a couple of distinct proof inputs (`KC` full vs.
 /// fringe, and the matching buffer lengths), so a dispatch handle that
 /// owns one of these re-proves nothing in steady state. Declined verdicts
-/// are memoised too: a retry goes straight back to the checked reference.
+/// are memoised too: a retry goes straight back to the interpreter.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProofMemo(Vec<ProofEntry>);
 

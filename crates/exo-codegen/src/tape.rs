@@ -22,15 +22,17 @@
 //!   run time.
 //! * Remaining loops (`for k in 0..KC`) are tape-level jump pairs.
 //!
-//! **The tape's job is to be the checked reference.** It is the flat
-//! scalar executor that bounds-checks every register and tensor access,
-//! and every faster lowering is packed *from* it and keeps it
-//! ([`crate::SuperwordKernel::tape`]): a call whose bounds proof declines
-//! runs here whatever compiled body it declined for, the ahead-of-time
-//! tier's promotion probe compares a compiled body against it, and a
-//! `Tape` pin runs it on every call. Its checked op step (`Machine`) is
-//! the only place the scalar ops are spelled with checks: the superword
-//! interpreter runs its leftover scalar ops through the same step.
+//! **The tape's job is to be the reference.** It is the flat scalar
+//! executor that bounds-checks every register and tensor access, one lane
+//! at a time, and every faster lowering is packed *from* it and keeps it
+//! ([`crate::SuperwordKernel::tape`]). It is no serving tier: the
+//! ahead-of-time tier's promotion probe compares every compiled body
+//! against it, and the tests compare every tier against it. Its checked
+//! op step (`Machine`) is the only place the scalar ops are spelled with
+//! checks: the superword interpreter — the tier that serves a kernel with
+//! no native body and a call whose bounds proof declined — runs its
+//! leftover scalar ops through the same step, so it fails where the tape
+//! fails.
 //!
 //! The tape executes the interpreter's operations in the interpreter's
 //! order and rounding — one rounding per op, a reduce of a product as one
@@ -285,10 +287,9 @@ impl TapeKernel {
     /// Runs the tape over borrowed tensor views: `scalars` and `tensors`
     /// are matched to the scalar and tensor parameters in signature order.
     /// Every register and tensor access is bounds-checked, which makes this
-    /// the *checked reference* of every lowering packed from this tape:
-    /// what a declined bounds proof runs
-    /// ([`crate::SuperwordKernel::run_checked`]), what the ahead-of-time
-    /// tier's promotion probe compares against, and what a `Tape` pin runs.
+    /// the *reference* of every lowering packed from this tape: what the
+    /// ahead-of-time tier's promotion probe compares a compiled body
+    /// against, and what the tests compare every tier against.
     ///
     /// # Errors
     ///
@@ -298,7 +299,28 @@ impl TapeKernel {
     /// buffer (the stores before it have landed).
     pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
         self.validate_views(scalars, tensors)?;
-        self.exec(&mut self.machine(), scalars, tensors)
+        let m = &mut self.machine();
+        let ops = &self.ops;
+        let mut pc = 0usize;
+        while pc < ops.len() {
+            match &ops[pc] {
+                TOp::LoopBegin { slot, lo, hi, end } => {
+                    if !m.loop_begin(*slot, lo, hi, scalars) {
+                        pc = *end as usize;
+                        continue;
+                    }
+                }
+                TOp::LoopEnd { slot, begin } => {
+                    if m.loop_again(*slot) {
+                        pc = *begin as usize + 1;
+                        continue;
+                    }
+                }
+                op => m.step(op, scalars, tensors)?,
+            }
+            pc += 1;
+        }
+        Ok(())
     }
 
     /// The argument validation every run — checked or proved — starts with.
@@ -367,39 +389,6 @@ impl TapeKernel {
             loops: vec![0; self.n_dyn_loops],
             bounds: vec![0; self.n_dyn_loops],
         }
-    }
-
-    /// Runs views already validated for this tape on `m`, from zeroed
-    /// registers.
-    #[inline]
-    pub(crate) fn exec(
-        &self,
-        m: &mut Machine,
-        scalars: &[i64],
-        tensors: &mut [TensorView<'_>],
-    ) -> Result<()> {
-        m.reset();
-        let ops = &self.ops;
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            match &ops[pc] {
-                TOp::LoopBegin { slot, lo, hi, end } => {
-                    if !m.loop_begin(*slot, lo, hi, scalars) {
-                        pc = *end as usize;
-                        continue;
-                    }
-                }
-                TOp::LoopEnd { slot, begin } => {
-                    if m.loop_again(*slot) {
-                        pc = *begin as usize + 1;
-                        continue;
-                    }
-                }
-                op => m.step(op, scalars, tensors)?,
-            }
-            pc += 1;
-        }
-        Ok(())
     }
 }
 

@@ -9,8 +9,7 @@ use std::fmt;
 /// Element precision of a buffer or register allocation.
 ///
 /// The paper's generator targets `f32` on Neon and demonstrates retargeting to
-/// `f16` (Section III-D); the integer types are included because limitation (5)
-/// in the introduction calls out missing integer support in vendor libraries.
+/// `f16` (Section III-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScalarType {
     /// IEEE 754 binary32.
@@ -20,10 +19,6 @@ pub enum ScalarType {
     F16,
     /// IEEE 754 binary64.
     F64,
-    /// Signed 8-bit integer.
-    I8,
-    /// Signed 32-bit integer.
-    I32,
 }
 
 impl ScalarType {
@@ -33,8 +28,6 @@ impl ScalarType {
             ScalarType::F32 => 4,
             ScalarType::F16 => 2,
             ScalarType::F64 => 8,
-            ScalarType::I8 => 1,
-            ScalarType::I32 => 4,
         }
     }
 
@@ -44,8 +37,6 @@ impl ScalarType {
             ScalarType::F32 => "f32",
             ScalarType::F16 => "f16",
             ScalarType::F64 => "f64",
-            ScalarType::I8 => "i8",
-            ScalarType::I32 => "i32",
         }
     }
 
@@ -55,8 +46,6 @@ impl ScalarType {
             ScalarType::F32 => "float",
             ScalarType::F16 => "_Float16",
             ScalarType::F64 => "double",
-            ScalarType::I8 => "int8_t",
-            ScalarType::I32 => "int32_t",
         }
     }
 
@@ -69,8 +58,6 @@ impl ScalarType {
             ScalarType::F64 => v,
             ScalarType::F32 => v as f32 as f64,
             ScalarType::F16 => f16_round(v),
-            ScalarType::I8 => (v as i64).clamp(i8::MIN as i64, i8::MAX as i64) as f64,
-            ScalarType::I32 => (v as i64).clamp(i32::MIN as i64, i32::MAX as i64) as f64,
         }
     }
 }
@@ -232,8 +219,6 @@ mod tests {
         assert_eq!(ScalarType::F32.size_bytes(), 4);
         assert_eq!(ScalarType::F16.size_bytes(), 2);
         assert_eq!(ScalarType::F64.size_bytes(), 8);
-        assert_eq!(ScalarType::I8.size_bytes(), 1);
-        assert_eq!(ScalarType::I32.size_bytes(), 4);
     }
 
     #[test]
@@ -290,12 +275,5 @@ mod tests {
         assert_eq!(lo, 1.0);
         let hi = f16_round(1.0 + (2f64).powi(-10));
         assert!(hi > 1.0);
-    }
-
-    #[test]
-    fn integer_rounding_clamps() {
-        assert_eq!(ScalarType::I8.round(300.0), 127.0);
-        assert_eq!(ScalarType::I8.round(-300.0), -128.0);
-        assert_eq!(ScalarType::I32.round(1.7), 1.0);
     }
 }

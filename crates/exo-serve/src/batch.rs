@@ -60,12 +60,13 @@
 //! the batch completes. A failed or panicked entry whose `beta == 0` (its
 //! `C` is never read, so a re-run fully overwrites any partial write) is
 //! retried **once on the tier below the one it ran on**, down the ladder
-//! native → superword → tape (the native body, the safe superword
-//! interpreter, the checked scalar tape)
+//! native → superword (the native body, the safe superword interpreter)
 //! ([`gemm_blis::ExecBackend::degraded`] of [`gemm_blis::GemmRunner::tier`]);
 //! a retried success is stamped [`GemmStats::degraded`]. An entry that has
-//! no rung below it — it ran on the tape, the checked floor — keeps its
-//! first failure. The [`BatchReport`] carries the per-entry outcomes plus
+//! no rung below it — it ran on the superword interpreter, the floor —
+//! keeps its first failure: the tape it was packed from runs the same
+//! lowering through the same checked step, so a retry there could only
+//! return the same error. The [`BatchReport`] carries the per-entry outcomes plus
 //! the isolation tallies (panics caught, retries, degraded completions).
 //!
 //! A stacked pass keeps entries failing individually where it can: each

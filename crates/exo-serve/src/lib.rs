@@ -43,9 +43,9 @@
 //!   **only that job** with [`gemm_blis::GemmError::JobPanicked`]; the rest
 //!   of the batch completes normally and the pool respawns dead workers.
 //! - Executional failures on `beta == 0` jobs are retried once on the next
-//!   backend tier down (`native → superword → tape`); successes are stamped
-//!   `degraded` in their [`gemm_blis::GemmStats`]. A job that failed on the tape, the
-//!   checked floor, is not retried.
+//!   backend tier down (`native → superword`); successes are stamped
+//!   `degraded` in their [`gemm_blis::GemmStats`]. A job that failed on the
+//!   superword interpreter, the floor, is not retried.
 //! - Jobs carry optional queue deadlines ([`GemmJob::deadline`]); expired
 //!   jobs resolve with `DeadlineExceeded` instead of executing stale work.
 //! - If a pass unwinds on the thread draining the queue, exactly that

@@ -233,26 +233,18 @@ fn exo_name(mr: usize, nr: usize, backend: ExecBackend) -> Arc<str> {
     let pin = match backend {
         ExecBackend::Native => "",
         ExecBackend::Superword => " (superword)",
-        ExecBackend::Tape => " (tape)",
     };
     format!("EXO {mr}x{nr}{pin}").into()
 }
 
 /// Like [`exo_kernel`] but pinned to the superword interpreter — the
-/// fastest tier that needs no C toolchain, and the one the native tier
-/// must match bit for bit. The pin lets the differential tests and benches
-/// compare the compiled artifact against the ops it was lowered from.
+/// floor of the ladder: the tier that needs no C toolchain, what the
+/// serving layer's retry degrades the native tier onto, and the one the
+/// native tier must match bit for bit. The pin lets the differential tests
+/// and benches compare the compiled artifact against the ops it was
+/// lowered from.
 pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     exo_kernel(kernel).with_backend(ExecBackend::Superword)
-}
-
-/// Like [`exo_kernel`] but pinned to the scalar tape — the checked floor of
-/// the ladder, where every declined proof lands, what the serving layer's
-/// retry degrades the superword tier onto and below which a failed retry
-/// does not go; also the scalar baseline the SLP speedup is measured
-/// against.
-pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    exo_kernel(kernel).with_backend(ExecBackend::Tape)
 }
 
 /// The kernel a [`crate::BlisGemm`] runs until it is given another: the
@@ -311,11 +303,9 @@ mod tests {
         // A kernel's one length check is its tier handle's, on every tier —
         // the driver never gets a misfit as far as a body.
         let exo = exo_kernel(Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap()));
-        for (backend, name) in [
-            (ExecBackend::Native, "EXO 8x12"),
-            (ExecBackend::Superword, "EXO 8x12 (superword)"),
-            (ExecBackend::Tape, "EXO 8x12 (tape)"),
-        ] {
+        for (backend, name) in
+            [(ExecBackend::Native, "EXO 8x12"), (ExecBackend::Superword, "EXO 8x12 (superword)")]
+        {
             let imp = exo.clone().with_backend(backend);
             let misfit = imp.run(4, &[0.0; 3], &[0.0; 48], &mut c);
             assert!(matches!(misfit, Err(GemmError::Kernel { .. })), "{backend:?}: {misfit:?}");
@@ -349,16 +339,18 @@ mod tests {
     }
 
     #[test]
-    fn the_default_backend_is_native_and_degrades_to_simd() {
+    fn the_default_backend_is_native_and_degrades_to_superword() {
         assert_eq!(ExecBackend::default(), ExecBackend::Native);
         assert_eq!(ExecBackend::Native.degraded(), Some(ExecBackend::Superword));
+        assert_eq!(ExecBackend::Superword.degraded(), None, "the superword interpreter is the floor");
     }
 
     #[test]
     fn pinned_backends_agree_with_the_reference_bit_for_bit() {
         // Every pin computes the reference interpreter's bits: the native
         // default (its artifact, or the silent fallback to the superword
-        // interpreter), the superword interpreter and the tape.
+        // interpreter) and the superword interpreter — and so does the
+        // tape they were lowered from, the probe's reference.
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 12).unwrap());
         let kc = 37usize;
@@ -372,11 +364,10 @@ mod tests {
         };
         let mut c_interp = c0.clone();
         exo_ir::interp::run_packed(&kernel.proc, kc, &a, &b, &mut c_interp).unwrap();
-        for imp in [
-            exo_kernel(Arc::clone(&kernel)),
-            exo_kernel_superword(Arc::clone(&kernel)),
-            exo_kernel_tape(Arc::clone(&kernel)),
-        ] {
+        let mut c_tape = c0.clone();
+        kernel.superword.tape().run_packed(kc, &a, &b, &mut c_tape).unwrap();
+        assert_eq!(c_tape, c_interp, "the tape vs the interpreter");
+        for imp in [exo_kernel(Arc::clone(&kernel)), exo_kernel_superword(Arc::clone(&kernel))] {
             assert_eq!(run(&imp), c_interp, "{} vs the interpreter", imp.name);
         }
         // The dispatch handle of each pin matches its one-shot run
@@ -407,10 +398,9 @@ mod tests {
         for (backend, pinned, name) in [
             (ExecBackend::Native, exo_kernel(Arc::clone(&kernel)), "EXO 8x8"),
             (ExecBackend::Superword, exo_kernel_superword(Arc::clone(&kernel)), "EXO 8x8 (superword)"),
-            (ExecBackend::Tape, exo_kernel_tape(Arc::clone(&kernel)), "EXO 8x8 (tape)"),
         ] {
             assert_eq!(&*pinned.name, name);
-            for from in [exo_kernel(Arc::clone(&kernel)), exo_kernel_tape(Arc::clone(&kernel))] {
+            for from in [exo_kernel(Arc::clone(&kernel)), exo_kernel_superword(Arc::clone(&kernel))] {
                 assert_eq!(from.with_backend(backend).name, pinned.name, "{backend:?}");
             }
         }

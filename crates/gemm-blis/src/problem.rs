@@ -202,7 +202,7 @@ pub struct GemmStats {
     pub batched: bool,
     /// Whether the result came from a degradation retry: the first attempt
     /// failed (error or contained panic) and the problem was re-run once on
-    /// the next execution tier down (native → superword → tape).
+    /// the next execution tier down (native → superword).
     pub degraded: bool,
 }
 

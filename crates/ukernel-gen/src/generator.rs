@@ -6,7 +6,8 @@
 //! runs the recipe and extracts the machine trace — everything the
 //! performance model reads — into a [`KernelSchedule`];
 //! [`GeneratedKernel::lower`] turns a schedule into the C text, the
-//! listing, the tape and the superword lowering a kernel runs from. A
+//! listing and the superword lowering a kernel runs from (which keeps the
+//! scalar tape it was packed from, the reference of every tier). A
 //! ranker reads schedules only, so a tile is lowered when something is
 //! going to run it, and never to be compared.
 
@@ -15,7 +16,6 @@ use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
     compile, emit_asm, emit_c, extract_trace, ExecBackend, KernelTrace, SimdKernel, SuperwordKernel,
-    TapeKernel,
 };
 use exo_ir::{Proc, ScalarType};
 use exo_isa::VectorIsa;
@@ -149,15 +149,14 @@ pub struct GeneratedKernel {
     pub c_code: String,
     /// Pseudo-assembly listing of the k-loop (Fig. 12 analogue).
     pub asm: String,
-    /// Tape-compiled form of the schedule's `proc`: the flat executor that
-    /// checks every access — the checked reference a declined proof of the
-    /// native tier lands on, and what a `Tape` pin runs.
-    pub tape: Arc<TapeKernel>,
-    /// Superword lowering of [`Self::tape`] (it keeps this same `Arc`):
-    /// the SLP-packed whole-vector ops plus the proofs a native body of
-    /// them runs under — the IR the two tiers above the tape consume. Its
-    /// interpreter is the superword tier, the fastest that needs no C
-    /// toolchain, and what [`Self::run_packed`] runs.
+    /// Superword lowering of the schedule's tape-compiled `proc`: the
+    /// SLP-packed whole-vector ops plus the proofs a native body of them
+    /// runs under — the IR both tiers consume. Its interpreter is the
+    /// superword tier, the one that needs no C toolchain, and what
+    /// [`Self::run_packed`] runs; the scalar tape it was packed from
+    /// (`superword.tape()`), the flat executor that checks every access
+    /// one lane at a time, is the reference the promotion probe compares a
+    /// native body against.
     pub superword: Arc<SuperwordKernel>,
     /// The native tier's verdict, settled on the first [`Self::native`]
     /// call: [`Self::superword`]'s body from the table compiled at build
@@ -191,7 +190,7 @@ impl GeneratedKernel {
 
     /// The native kernel: [`Self::superword`]'s emitted C, looked up by its
     /// hash in the table of bodies compiled when the workspace was built,
-    /// and promoted once the engine's probe reproduced the checked tape bit
+    /// and promoted once the engine's probe reproduced the scalar tape bit
     /// for bit. Settled synchronously on the first call and cached: `None`
     /// for good when the table holds no body for this kernel on the active
     /// ISA (a tile outside the admitted spaces, or a build with no C
@@ -211,8 +210,8 @@ impl GeneratedKernel {
         self.native()
     }
 
-    /// Lowers a schedule: the C text, the listing of its trace, the tape
-    /// and the superword form. The recipe is not run again.
+    /// Lowers a schedule: the C text, the listing of its trace, and the
+    /// superword form of its tape. The recipe is not run again.
     ///
     /// # Errors
     ///
@@ -221,9 +220,8 @@ impl GeneratedKernel {
     pub(crate) fn lower(schedule: Arc<KernelSchedule>) -> Result<GeneratedKernel> {
         let c_code = emit_c(&schedule.proc)?;
         let asm = emit_asm(&schedule.trace);
-        let tape = Arc::new(compile(&schedule.proc)?);
-        let superword = Arc::new(tape.to_superword()?);
-        Ok(GeneratedKernel { schedule, c_code, asm, tape, superword, native: OnceLock::new() })
+        let superword = Arc::new(Arc::new(compile(&schedule.proc)?).to_superword()?);
+        Ok(GeneratedKernel { schedule, c_code, asm, superword, native: OnceLock::new() })
     }
 }
 
@@ -449,27 +447,26 @@ mod tests {
             let kernel = generator.generate(mr, nr).unwrap();
             // Scheduled kernels stage the C tile (and vector operands) in
             // locals, which the tape register-allocates.
-            assert!(kernel.tape.register_count() >= mr * nr, "{mr}x{nr} C tile must live in registers");
+            let tape = kernel.superword.tape();
+            assert!(tape.register_count() >= mr * nr, "{mr}x{nr} C tile must live in registers");
             let kc = 23;
             let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 13 + 5) % 17) as f32 * 0.25 - 2.0).collect();
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 7 + 11) % 19) as f32 * 0.125 - 1.0).collect();
             let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 7) as f32 * 0.5).collect();
-            // Every tier computes the interpreter's bits.
-            let run_on = |backend| {
-                let mut dispatch = kernel.dispatcher(backend);
-                assert_eq!(dispatch.tier(), backend, "{mr}x{nr}: a pin is its own tier");
-                let mut c = c0.clone();
-                dispatch.run(kc, &a, &b, &mut c).unwrap();
-                c
-            };
-            let c_tape = run_on(ExecBackend::Tape);
+            // The tape computes the interpreter's bits.
+            let mut c_tape = c0.clone();
+            tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
             assert_eq!(
                 c_tape,
                 interpret(&kernel, kc, &a, &b, &c0),
                 "{mr}x{nr} tape diverges from the interpreter"
             );
-            // So does the superword interpreter, the one-shot default.
-            assert_eq!(run_on(ExecBackend::Superword), c_tape, "{mr}x{nr} superword diverges from the tape");
+            // So does the superword tier, and the one-shot default.
+            let mut dispatch = kernel.dispatcher(ExecBackend::Superword);
+            assert_eq!(dispatch.tier(), ExecBackend::Superword, "{mr}x{nr}: a pin is its own tier");
+            let mut c_superword = c0.clone();
+            dispatch.run(kc, &a, &b, &mut c_superword).unwrap();
+            assert_eq!(c_superword, c_tape, "{mr}x{nr} superword diverges from the tape");
             let mut c_default = c0.clone();
             kernel.run_packed(kc, &a, &b, &mut c_default).unwrap();
             assert_eq!(c_default, c_tape, "{mr}x{nr}: run_packed diverges from the tape");
@@ -477,10 +474,10 @@ mod tests {
     }
 
     /// Generation is total over the bundled instruction libraries, and a
-    /// kernel that comes back is whole: every in-process pin resolves to
+    /// kernel that comes back is whole: the superword pin resolves to
     /// itself (the native pin is the ladder's one edge, held by
-    /// `dispatch::tests`) and every in-process tier computes the
-    /// interpreter's bits.
+    /// `dispatch::tests`), and it and the tape it was packed from compute
+    /// the interpreter's bits.
     #[test]
     fn every_tile_generates_whole_and_every_pin_is_its_own_tier() {
         use ExecBackend::*;
@@ -509,18 +506,15 @@ mod tests {
                             (0..len).map(|_| (next() % 64) as f32 / 32.0 - 1.0).collect::<Vec<f32>>()
                         };
                         let (a, b, c0) = (operand(kc * mr), operand(kc * nr), operand(mr * nr));
-                        let run_on = |pin| {
-                            let mut dispatch = kernel.dispatcher(pin);
-                            assert_eq!(dispatch.tier(), pin, "{label}: a pin is its own tier");
-                            let mut c = c0.clone();
-                            dispatch
-                                .run(kc, &a, &b, &mut c)
-                                .unwrap_or_else(|e| panic!("{label} {pin:?}: {e}"));
-                            c
-                        };
+                        let mut dispatch = kernel.dispatcher(Superword);
+                        assert_eq!(dispatch.tier(), Superword, "{label}: a pin is its own tier");
+                        let mut c_superword = c0.clone();
+                        dispatch.run(kc, &a, &b, &mut c_superword).unwrap_or_else(|e| panic!("{label}: {e}"));
+                        let mut c_tape = c0.clone();
+                        kernel.superword.tape().run_packed(kc, &a, &b, &mut c_tape).unwrap();
                         let c_interp = interpret(&kernel, kc, &a, &b, &c0);
-                        assert_eq!(run_on(Tape), c_interp, "{label} kc={kc}: tape vs interpreter");
-                        assert_eq!(run_on(Superword), c_interp, "{label} kc={kc}: superword vs interpreter");
+                        assert_eq!(c_tape, c_interp, "{label} kc={kc}: tape vs interpreter");
+                        assert_eq!(c_superword, c_interp, "{label} kc={kc}: superword vs interpreter");
                     }
                     // A call that does not fit the tile is a typed error, not a run.
                     let misfit = kernel.dispatcher(Superword).run(0, &[], &[], &mut vec![0.0; mr * nr + 1]);

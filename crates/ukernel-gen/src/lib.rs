@@ -50,4 +50,4 @@ pub use generator::{
     GeneratedKernel, KernelOptions, KernelSchedule, KernelSet, MicroKernelGenerator, Strategy, TileShape,
 };
 pub use recipes::RecipeStep;
-pub use registry::{KernelCache, KernelKey};
+pub use registry::KernelCache;

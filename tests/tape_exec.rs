@@ -1,10 +1,11 @@
-//! Differential suite for the execution engines: the three tiers with an
+//! Differential suite for the execution engines: the two tiers with an
 //! **ISA axis**, against the reference semantics. The ahead-of-time
 //! compiled native tier (the superword lowering's emitted C, compiled when
 //! the workspace builds for every ISA row the target runs, and linked in),
-//! the safe superword interpreter, the scalar tape, the reference
-//! interpreter (`exo_ir::interp::run_proc` — no tier, called directly on
-//! the packed operands a tier ran), and the naive reference must agree.
+//! the safe superword interpreter, the scalar tape and the reference
+//! interpreter (`exo_ir::interp::run_proc`) — no tiers, but the references
+//! the promotion probe and these tests call directly on the packed
+//! operands a tier ran — and the naive reference must agree.
 //! Every tier performs the interpreter's operations in its order, each
 //! multiply-add one fused rounding, so all of them agree **bit for bit**,
 //! on every ISA row — native vs. superword vs. tape vs. interpreter, 1 vs.
@@ -15,23 +16,24 @@
 //! bodies empty; every test here must still pass, with the native legs
 //! collapsing onto the superword interpreter.
 //!
-//! Every tier is reached the same way — `GeneratedKernel::dispatcher`
+//! Both tiers are reached the same way — `GeneratedKernel::dispatcher`
 //! resolving an `ExecBackend` pin on the one ladder — whether the test
-//! asks the kernel directly, pins a `KernelImpl`, or runs the driver.
+//! asks the kernel directly, pins a `KernelImpl`, or runs the driver; the
+//! tape is run directly (`kernel.superword.tape()`).
 
 mod common;
 
 use std::sync::Arc;
 
 use common::Cases;
-use exo_gemm::exo_codegen::{emit_superword_c, CodegenError, SuperwordKernel, TensorView, TierDispatch};
+use exo_gemm::exo_codegen::{emit_superword_c, CodegenError, TensorView, TierDispatch};
 use exo_gemm::exo_ir::interp::run_packed;
 use exo_gemm::exo_ir::Proc;
 use exo_gemm::exo_isa::{avx512_f32, neon_f32};
 use exo_gemm::exo_tune::DesignSpace;
 use exo_gemm::gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_superword, exo_kernel_tape, native_available, toolchain, BlisGemm,
-    BlockingParams, ExecBackend, GemmExecutor, GemmProblem, IsaKind, Matrix, NaiveGemm,
+    active_isa, exo_kernel, exo_kernel_superword, native_available, toolchain, BlisGemm, BlockingParams,
+    ExecBackend, GemmExecutor, GemmProblem, IsaKind, Matrix, NaiveGemm,
 };
 use exo_gemm::ukernel_gen::{GeneratedKernel, KernelCache, KernelSet, MicroKernelGenerator, Strategy};
 
@@ -65,7 +67,7 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
 /// (16-lane ones on an AVX-512 host), without one because the fallback
 /// *is* the superword interpreter.
 #[test]
-fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
+fn native_superword_tape_and_interpreter_agree_across_registry_shapes() {
     let avx512_tiles: Vec<(usize, usize)> =
         DesignSpace::serving(IsaKind::Avx512).tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
     // The build compiles every tile `neon_f32` admits on every row it runs,
@@ -119,7 +121,8 @@ fn five_way_differential(
                 run_on(ExecBackend::Superword),
                 "{mr}x{nr} kc={kc}: run_packed is the superword tier"
             );
-            let c_tape = run_on(ExecBackend::Tape);
+            let mut c_tape = c0.clone();
+            sw.tape().run_packed(kc, &a, &b, &mut c_tape).unwrap();
             let c_interp = interpret(&kernel.proc, kc, &a, &b, &c0);
             let c_native = run_on(ExecBackend::Native);
             assert_eq!(c_native, c_superword, "{mr}x{nr} kc={kc}: native must be bit-faithful to superword");
@@ -132,10 +135,10 @@ fn five_way_differential(
     assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
-/// All three tiers agree with `NaiveGemm` and with each other, bit for bit,
-/// on fringe-heavy problems through the full five-loop driver.
+/// Both tiers agree with `NaiveGemm` and with each other, bit for bit, on
+/// fringe-heavy problems through the full five-loop driver.
 #[test]
-fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
+fn native_and_superword_drivers_match_naive_on_fringe_heavy_problems() {
     let generator = MicroKernelGenerator::new(neon_f32());
     let mut cases = Cases::new(0x51ab);
     // (mr, nr) x (m, n, k) including m < mr, n < nr, and k = 1.
@@ -159,17 +162,15 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 
             let c_native = run(exo_kernel(Arc::clone(&kernel)));
             let c_superword = run(exo_kernel_superword(Arc::clone(&kernel)));
-            let c_tape = run(exo_kernel_tape(Arc::clone(&kernel)));
             assert_eq!(
                 c_native.data, c_superword.data,
                 "{mr}x{nr} on {m}x{n}x{k}: native (default) vs pinned-superword driver"
             );
             assert_eq!(
-                run(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Tape)).data,
-                c_tape.data,
+                run(exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Superword)).data,
+                c_superword.data,
                 "{mr}x{nr} on {m}x{n}x{k}: the programmatic pin is the dedicated pin through the driver"
             );
-            assert_eq!(c_superword.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: superword vs tape driver");
 
             let c_ref = run_naive(&a, &b, &c0);
             for idx in 0..c_superword.data.len() {
@@ -186,12 +187,13 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 }
 
 /// A tier pin is never a second code path beside the ladder: on every
-/// registry shape, every one of the three `ExecBackend` pins — set
-/// programmatically with `with_backend` or by the dedicated `exo_kernel_*`
-/// constructor — run one-shot through `KernelImpl::run` and through a
-/// reusable `dispatcher()` handle lands on the tier the one resolution
-/// function names, and the tiers hold their contract: native ≡ superword
-/// ≡ tape ≡ interp bit for bit (native without a body *is* superword).
+/// registry shape, both `ExecBackend` pins — set programmatically with
+/// `with_backend` or by the dedicated `exo_kernel_*` constructor — run
+/// one-shot through `KernelImpl::run` and through a reusable
+/// `dispatcher()` handle land on the tier the one resolution function
+/// names, and the tiers hold their contract: native ≡ superword ≡ tape ≡
+/// interp bit for bit (native without a body *is* superword; the tape is
+/// run directly).
 #[test]
 fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
     use ExecBackend::*;
@@ -205,17 +207,13 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
             let results: Vec<Vec<f32>> = [
                 (Native, exo_kernel(Arc::clone(&kernel))),
                 (Superword, exo_kernel_superword(Arc::clone(&kernel))),
-                (Tape, exo_kernel_tape(Arc::clone(&kernel))),
             ]
             .into_iter()
             .map(|(pin, dedicated)| {
                 let label = format!("{mr}x{nr} kc={kc} pin={pin:?}");
                 assert_eq!(dedicated.backend, pin, "{label}");
                 // A pin resolves to itself — except native without a body.
-                let resolved = match pin {
-                    Native if !has_native => Superword,
-                    tier => tier,
-                };
+                let resolved = if has_native { pin } else { Superword };
                 assert_eq!(kernel.dispatcher(pin).tier(), resolved, "{label}");
                 let pinned = exo_kernel(Arc::clone(&kernel)).with_backend(pin);
                 let mut c = c0.clone();
@@ -234,14 +232,12 @@ fn every_backend_pin_runs_the_one_ladder_one_shot_and_through_the_handle() {
                 c
             })
             .collect();
-            let [c_native, c_superword, c_tape] = &results[..] else { unreachable!() };
-            assert_eq!(
-                c_tape,
-                &interpret(&kernel.proc, kc, &a, &b, &c0),
-                "{mr}x{nr} kc={kc}: tape vs interp"
-            );
+            let [c_native, c_superword] = &results[..] else { unreachable!() };
+            let mut c_tape = c0.clone();
+            kernel.superword.tape().run_packed(kc, &a, &b, &mut c_tape).unwrap();
+            assert_eq!(c_tape, interpret(&kernel.proc, kc, &a, &b, &c0), "{mr}x{nr} kc={kc}: tape vs interp");
             assert_eq!(c_native, c_superword, "{mr}x{nr} kc={kc}: native vs superword");
-            assert_eq!(c_superword, c_tape, "{mr}x{nr} kc={kc}: superword vs tape");
+            assert_eq!(c_superword, &c_tape, "{mr}x{nr} kc={kc}: superword vs tape");
         }
     }
 }
@@ -278,7 +274,7 @@ fn thread_count_never_changes_the_result() {
 }
 
 /// Wide-and-short problems are partitioned by `nc` column blocks instead
-/// of `mc` row blocks; across fringe-heavy shapes, every backend tier, and 1–7
+/// of `mc` row blocks; across fringe-heavy shapes, both backend tiers, and 1–7
 /// threads the split must stay bit-identical to that tier's sequential
 /// run and match the naive reference.
 #[test]
@@ -296,7 +292,6 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
         for (label, kimpl) in [
             ("native", exo_kernel(Arc::clone(&kernel))),
             ("superword", exo_kernel_superword(Arc::clone(&kernel))),
-            ("tape", exo_kernel_tape(Arc::clone(&kernel))),
         ] {
             let mut c_seq = c0.clone();
             let driver = BlisGemm::new(blocking).with_kernel(kimpl);
@@ -659,12 +654,16 @@ fn every_x86_serving_tile_emits_c_that_compiles_without_a_warning() {
 /// interpreter returns the tape's `OutOfBounds`, at the tape's index, after
 /// the tape's partial stores (a staged `C` tile stores nothing before the
 /// fault), and does not panic; one-shot and through one reused handle,
-/// whose next, well-formed call computes the tape's bits.
-fn fails_like_the_tape(label: &str, sw: &Arc<SuperwordKernel>, mr: usize, nr: usize) {
+/// whose next, well-formed call computes the tape's bits. The native
+/// handle (where the build compiled a body) declines the same calls and
+/// hands them to the interpreter, so it fails the same way.
+fn fails_like_the_tape(label: &str, kernel: &GeneratedKernel) {
+    let (sw, mr, nr) = (&kernel.superword, kernel.mr, kernel.nr);
     let kc = 17usize;
     let mut cases = Cases::new(0xbad);
     let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
     let mut handle = TierDispatch::superword(Arc::clone(sw), mr, nr).unwrap();
+    let mut native = kernel.dispatcher(ExecBackend::Native);
     for (what, b_len, c_len) in [("short Bc", kc * nr - 1, mr * nr), ("short C", kc * nr, mr * nr - 1)] {
         assert!(!sw.packed_bounds_provable(kc, a.len(), b_len, c_len), "{label} {what}: the proof declines");
         let run = |exec: &mut dyn FnMut(&mut [TensorView<'_>]) -> Result<(), CodegenError>| {
@@ -678,7 +677,9 @@ fn fails_like_the_tape(label: &str, sw: &Arc<SuperwordKernel>, mr: usize, nr: us
         let one_shot = run(&mut |views| sw.run_views(&[kc as i64], views));
         assert_eq!(one_shot, (want.clone(), c_tape.clone()), "{label} {what}: one-shot");
         let handled = run(&mut |views| handle.run_views(&[kc as i64], views));
-        assert_eq!(handled, (want, c_tape), "{label} {what}: through the handle");
+        assert_eq!(handled, (want.clone(), c_tape.clone()), "{label} {what}: through the handle");
+        let declined = run(&mut |views| native.run_views(&[kc as i64], views));
+        assert_eq!(declined, (want, c_tape), "{label} {what}: through the native handle");
     }
     let (mut c_handle, mut c_tape) = (c0.clone(), c0.clone());
     handle.run(kc, &a, &b, &mut c_handle).unwrap();
@@ -692,7 +693,7 @@ fn fails_like_the_tape(label: &str, sw: &Arc<SuperwordKernel>, mr: usize, nr: us
 fn the_superword_tier_fails_like_the_tape_on_the_laneq_8x12() {
     let kernel = MicroKernelGenerator::new(neon_f32()).generate(8, 12).unwrap();
     assert_eq!(kernel.strategy, Strategy::Laneq);
-    fails_like_the_tape("laneq 8x12", &kernel.superword, 8, 12);
+    fails_like_the_tape("laneq 8x12", &kernel);
 }
 
 /// [`fails_like_the_tape`] on the broadcast-from-memory FMA form
@@ -701,15 +702,15 @@ fn the_superword_tier_fails_like_the_tape_on_the_laneq_8x12() {
 fn the_superword_tier_fails_like_the_tape_on_the_avx512_broadcast_16x16() {
     let kernel = MicroKernelGenerator::new(avx512_f32()).generate(16, 16).unwrap();
     assert_eq!(kernel.strategy, Strategy::BroadcastB);
-    fails_like_the_tape("broadcast 16x16", &kernel.superword, 16, 16);
+    fails_like_the_tape("broadcast 16x16", &kernel);
 }
 
-/// No GEMM in this tree reaches the checked reference: the exact-shape call
+/// No GEMM in this tree reaches a declined proof: the exact-shape call
 /// `TierDispatch::run` admits (`Ac[kc*mr]`, `Bc[kc*nr]`, `C[mr*nr]`)
 /// passes the interval proof for every tile of the whole space at every
 /// `kc`, empty and single-iteration loops included — so what a declined
-/// proof costs (the tape allocates its register file per run) is paid by
-/// misuse only. And the reference is the very tape the kernel carries.
+/// proof costs (the one-shot superword interpreter allocates its register
+/// file per run) is paid by misuse only.
 #[test]
 fn every_exact_shape_call_is_provable_so_no_gemm_reaches_the_checked_tape() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -718,7 +719,6 @@ fn every_exact_shape_call_is_provable_so_no_gemm_reaches_the_checked_tape() {
     for tile in tiles {
         let (mr, nr) = (tile.mr, tile.nr);
         let kernel = generator.generate(mr, nr).unwrap();
-        assert!(Arc::ptr_eq(&kernel.tape, kernel.superword.tape()), "{mr}x{nr}: one tape, not a copy");
         for kc in [0usize, 1, 17, 256, 512] {
             assert!(
                 kernel.superword.packed_bounds_provable(kc, kc * mr, kc * nr, mr * nr),

@@ -8,10 +8,12 @@
 //!   on an idle service the job runs inside `submit` as a pass of one and
 //!   its answer rides back in the handle, so no completion slot or pass
 //!   vector is made for it;
-//! * a warm GEMM pinned to the superword interpreter — the tier a build
-//!   with no C compiler serves every GEMM on — or to the scalar tape
-//!   allocates nothing: its tier handle holds the register file and loop
-//!   table.
+//! * a warm GEMM on either rung of the tier ladder allocates nothing: on
+//!   the superword interpreter — the tier a build with no C compiler
+//!   serves every GEMM on — its tier handle holds the register file and
+//!   loop table, and on the native tier the memoised bounds proof;
+//! * a warm `KernelCache` hit allocates nothing: the lookup borrows the
+//!   ISA name instead of copying it into a key.
 //!
 //! Allocations are counted per thread, so tests of this binary that run at
 //! the same time do not count each other's: an idle service and a
@@ -26,10 +28,10 @@ use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::exo_serve::{CachedTunedGemm, GemmJob, GemmService, OwnedMat};
 use exo_gemm::exo_tune::TunedGemm;
 use exo_gemm::gemm_blis::{
-    exo_kernel_superword, exo_kernel_tape, BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem,
+    exo_kernel, exo_kernel_superword, BlisGemm, BlockingParams, ExecBackend, GemmExecutor, GemmProblem,
     MatMut, MatRef,
 };
-use exo_gemm::ukernel_gen::MicroKernelGenerator;
+use exo_gemm::ukernel_gen::{KernelCache, MicroKernelGenerator};
 
 /// The eight shapes of the benchmark's `serve_small` workload.
 const SERVE_SHAPES: [(usize, usize, usize); 8] = [
@@ -173,14 +175,17 @@ fn a_warm_lone_submit_and_wait_allocates_nothing() {
     }
 }
 
-/// The superword pin, and the tape pin as a second input: the two checked
-/// tiers, each of which runs on a register file its handle keeps.
+/// The superword pin, whose handle keeps the interpreter's register file,
+/// and the native pin as a second input: the native body behind its
+/// memoised proof where the build compiled one, else the superword
+/// interpreter again — either rung of the ladder.
 #[test]
 fn a_warm_gemm_on_the_superword_tier_allocates_nothing() {
     let kernel = Arc::new(MicroKernelGenerator::new(neon_f32()).generate(8, 12).expect("the 8x12 generates"));
+    let native = if kernel.native().is_some() { ExecBackend::Native } else { ExecBackend::Superword };
     for (tier, pinned) in [
         (ExecBackend::Superword, exo_kernel_superword(Arc::clone(&kernel))),
-        (ExecBackend::Tape, exo_kernel_tape(Arc::clone(&kernel))),
+        (native, exo_kernel(Arc::clone(&kernel))),
     ] {
         let driver = BlisGemm::new(BlockingParams::carmel_defaults(8, 12)).with_kernel(pinned);
         let mut operands = Operands::all();
@@ -199,4 +204,24 @@ fn a_warm_gemm_on_the_superword_tier_allocates_nothing() {
             }
         }
     }
+}
+
+/// A warm cache hit, for a schedule a ranker asks for and for the kernel a
+/// driver asks for, borrows the generator's ISA name and hands back an
+/// `Arc` it holds: nothing is allocated.
+#[test]
+fn a_warm_kernel_cache_hit_allocates_nothing() {
+    let cache = KernelCache::new();
+    let generator = MicroKernelGenerator::new(neon_f32());
+    cache.get_or_schedule(&generator, 8, 12).expect("the 8x12 schedules");
+    cache.get_or_generate(&generator, 4, 12).expect("the 4x12 generates");
+    for _ in 0..ROUNDS {
+        let made = allocations_in(|| {
+            cache.get_or_schedule(&generator, 8, 12).expect("a cached schedule");
+            cache.get_or_schedule(&generator, 4, 12).expect("a cached schedule");
+            cache.get_or_generate(&generator, 4, 12).expect("a cached kernel");
+        });
+        assert_eq!(made, 0, "a warm KernelCache hit allocated");
+    }
+    assert_eq!((cache.generator_invocations(), cache.lowerings()), (2, 1));
 }
